@@ -63,12 +63,7 @@ from .models import (
     Point,
     SpaceModel,
     TranslationLengthEstimate,
-    apply,
-    boundary_equal,
-    classify,
-    compose,
     fixed_points,
-    make_model,
 )
 from .quadratic import QuadraticNumber
 from .trees import BassSerreModel, CayleyTreeModel, RayDescriptor

@@ -15,20 +15,12 @@ from typing import Optional
 
 from . import dynamics as dyn
 from .actions import ActionSystem
-from .combiner import (
-    Certificate,
-    SearchSchedule,
-    check_hypotheses,
-    normalize_powers,
-    resolve_witness,
-    simultaneous_hyperbolic,
-)
+from .combiner import SearchSchedule, check_hypotheses, resolve_witness, simultaneous_hyperbolic
 from .config import SystemConfig, parse_config
 from .errors import (
     HypisoError,
     HypothesisViolation,
     NoPassingN,
-    ParseError,
     ScheduleExhausted,
     ValidationError,
     WitnessNotHyperbolic,
@@ -80,21 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = open(args.input).read()
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        config = parse_config(text)
+        config = parse_config(_read(args.input))
         system = config.build(ball_radius=args.ball_radius)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
         return _dispatch(args, config, system)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ScheduleExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
@@ -104,6 +84,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except HypisoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise HypisoError(f"cannot read {path}: {exc}")
 
 
 def _settings(args, config: SystemConfig) -> dict[str, int]:
@@ -174,7 +162,7 @@ def _cmd_classify(args, system: ActionSystem, settings) -> int:
 
 def _cmd_combine(args, system: ActionSystem, settings) -> int:
     if args.verify is not None:
-        record = parse_record(open(args.verify).read())
+        record = parse_record(_read(args.verify))
         ok, notes = verify_record(system, record)
         if args.format == "records":
             out = RunRecord(
@@ -192,26 +180,14 @@ def _cmd_combine(args, system: ActionSystem, settings) -> int:
                 print(" ", n)
         return EXIT_OK if ok else EXIT_EXHAUSTED
 
-    report = check_hypotheses(system, settings["word-sample-depth"])
-    if not report.passed:
-        _emit_violations(args, system, report, settings)
-        return EXIT_HYPOTHESIS
-    schedule = SearchSchedule(settings["max-exponent"])
-    try:
-        cert = simultaneous_hyperbolic(system, schedule)
-    except ScheduleExhausted as exc:
-        _emit_exhausted(args, exc, settings)
-        return EXIT_EXHAUSTED
+    code, _, cert = _search(args, system, settings)
+    if cert is None:
+        return code
     if args.format == "records":
         rec = record_for_certificate("combine", system, cert, _settings_rows(settings))
         print(rec.emit(), end="")
     else:
-        print(f"word: {cert.word.display()}")
-        rows = []
-        for i, cls in enumerate(cert.per_action):
-            rows.append((str(i), system.actions[i].name, system.actions[i].model.kind,
-                         cls.tag, class_invariant(cls), _tau_display(cls)))
-        _print_table(["#", "action", "kind", "tag", "invariant", "tau~"], rows)
+        _print_witnesses(system, cert)
         print(
             f"search: {cert.search_stats.candidates_tried} candidates over "
             f"{cert.search_stats.stages} stages"
@@ -304,6 +280,20 @@ def _cmd_dynamics(args, system: ActionSystem, settings) -> int:
     return EXIT_OK
 
 
+def _search(args, system: ActionSystem, settings):
+    """The hypothesis check, then the search: (exit code, hypothesis report,
+    certificate), the certificate None after a reported failure."""
+    hyp = check_hypotheses(system, settings["word-sample-depth"])
+    if not hyp.passed:
+        _emit_violations(args, system, hyp, settings)
+        return EXIT_HYPOTHESIS, hyp, None
+    try:
+        return EXIT_OK, hyp, simultaneous_hyperbolic(system, SearchSchedule(settings["max-exponent"]))
+    except ScheduleExhausted as exc:
+        _emit_exhausted(args, exc, settings)
+        return EXIT_EXHAUSTED, hyp, None
+
+
 def _emit_violations(args, system: ActionSystem, report, settings) -> None:
     for word, i in report.violations:
         print(
@@ -341,66 +331,45 @@ def _emit_exhausted(args, exc: ScheduleExhausted, settings) -> None:
 
 
 def _cmd_report(args, system: ActionSystem, settings) -> int:
-    hyp = check_hypotheses(system, settings["word-sample-depth"])
-    if not hyp.passed:
-        _emit_violations(args, system, hyp, settings)
-        return EXIT_HYPOTHESIS
-    schedule = SearchSchedule(settings["max-exponent"])
-    try:
-        cert = simultaneous_hyperbolic(system, schedule)
-    except ScheduleExhausted as exc:
-        _emit_exhausted(args, exc, settings)
-        return EXIT_EXHAUSTED
+    code, hyp, cert = _search(args, system, settings)
+    if cert is None:
+        return code
     rec = record_for_certificate("report", system, cert, _settings_rows(settings))
     rec.extra.append(f"hypotheses words {hyp.words_checked} violations 0")
-    profiles = _stage_profiles(system, cert, schedule)
-    for k, prof in profiles:
-        if prof is None:
-            rec.extra.append(f"profile {k} trivial")
+    stages = cert.stages[1:]  # stage 0 only resolves the first witness
+    for s in stages:
+        if s.profile is None:
+            rec.extra.append(f"profile {s.stage} trivial")
             continue
-        for e in prof.entries:
+        for e in s.profile.entries:
             if e.partition is not None:
                 rec.extra.append(
-                    f"profile {k} {e.action_index} {e.action_name} f={e.f_tag} "
+                    f"profile {s.stage} {e.action_index} {e.action_name} f={e.f_tag} "
                     f"g={e.g_tag} partition={e.partition}"
                 )
     if args.format == "records":
         print(rec.emit(), end="")
         return EXIT_OK
     print(f"hypotheses: pass ({hyp.words_checked} words checked)")
-    print(f"word: {cert.word.display()}")
-    rows = [
-        (str(i), system.actions[i].name, system.actions[i].model.kind, cls.tag,
-         class_invariant(cls), _tau_display(cls))
-        for i, cls in enumerate(cert.per_action)
-    ]
-    _print_table(["#", "action", "kind", "tag", "invariant", "tau~"], rows)
-    for k, prof in profiles:
-        if prof is None:
-            print(f"stage {k}: trivial (running word already hyperbolic)")
+    _print_witnesses(system, cert)
+    for s in stages:
+        if s.profile is None:
+            print(f"stage {s.stage}: trivial (running word already hyperbolic)")
             continue
         tags = ", ".join(
-            f"{e.action_name}:{e.partition}" for e in prof.entries if e.partition is not None
+            f"{e.action_name}:{e.partition}" for e in s.profile.entries if e.partition is not None
         )
-        print(f"stage {k}: partition {tags}")
+        print(f"stage {s.stage}: partition {tags}")
     return EXIT_OK
 
 
-def _stage_profiles(system: ActionSystem, cert: Certificate, schedule: SearchSchedule):
-    """Replay the induction to recover each stage's E/H/H' partition."""
-    out = []
-    f = resolve_witness(system, 0)
-    for s in cert.stages:
-        if s.stage == 0:
-            continue
-        g = resolve_witness(system, s.stage)
-        if s.trivial:
-            out.append((s.stage, None))
-            continue
-        f2, g2, prof = normalize_powers(system, f, g, stage=s.stage)
-        out.append((s.stage, prof))
-        f = f2**s.a * g2**s.b
-    return out
+def _print_witnesses(system: ActionSystem, cert) -> None:
+    print(f"word: {cert.word.display()}")
+    rows = [
+        (str(i), action.name, action.model.kind, cls.tag, class_invariant(cls), _tau_display(cls))
+        for i, (action, cls) in enumerate(zip(system.actions, cert.per_action))
+    ]
+    _print_table(["#", "action", "kind", "tag", "invariant", "tau~"], rows)
 
 
 def _print_table(headers: list[str], rows: list[tuple]) -> None:

@@ -8,7 +8,8 @@ orders of elliptic images), candidate exponent pairs (a, b) are enumerated
 along a deterministic diagonal schedule and each word f^a g^b is certified
 by exact classification in every action seen so far.  The first certified
 candidate wins; exhaustion is an explicit error carrying the trial log.
-Certificates are checkable from scratch, independently of the search.
+Certificates are re-checked from scratch by the checker in ``records``,
+which shares no code with the search.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from typing import Iterator, Optional
 from .actions import Action, ActionSystem
 from .errors import (
     HypothesisViolation,
+    MixedModels,
     NotHyperbolic,
     ScheduleExhausted,
     WitnessNotHyperbolic,
 )
 from .models import IsometryClass
+from .records import check_witnesses, witness_line
 from .words import GroupWord
 
 
@@ -74,6 +77,7 @@ class StageRecord:
     schedule_index: Optional[int]
     candidates_tried: int
     trivial: bool
+    profile: Optional[ActionProfile] = None  # the stage's partition; None when trivial
 
 
 @dataclass(frozen=True)
@@ -276,6 +280,7 @@ def combine_step(
                 schedule_index=index,
                 candidates_tried=len(trials) + 1,
                 trivial=False,
+                profile=profile,
             )
             return Certificate(
                 word=candidate,
@@ -348,40 +353,17 @@ def verify_certificate(system: ActionSystem, cert: Certificate) -> bool:
 
 
 def verify_certificate_detailed(system: ActionSystem, cert: Certificate) -> tuple[bool, list[str]]:
-    """Recompute every classification from the word alone and compare
-    against the recorded witnesses."""
-    notes: list[str] = []
+    """Recompute every classification from the word alone and compare it
+    with the certificate's witnesses, rendered as record lines."""
     if len(cert.per_action) != system.n_actions:
-        notes.append(
+        return False, [
             f"certificate covers {len(cert.per_action)} actions, system has {system.n_actions}"
-        )
-        return False, notes
-    ok = True
-    for i, action in enumerate(system.actions):
-        cls = action.classify_word(cert.word)
-        if not cls.is_hyperbolic:
-            notes.append(f"action {i} ({action.name}): word classifies {cls.tag}")
-            ok = False
-            continue
-        recorded = cert.per_action[i]
-        if not recorded.is_hyperbolic:
-            notes.append(f"action {i} ({action.name}): recorded witness is {recorded.tag}")
-            ok = False
-            continue
-        new_tl = cls.hyperbolic.translation_length
-        old_tl = recorded.hyperbolic.translation_length
-        if (new_tl.exact_value, new_tl.exact_cosh_half) != (
-            old_tl.exact_value,
-            old_tl.exact_cosh_half,
-        ):
-            notes.append(f"action {i} ({action.name}): translation length mismatch")
-            ok = False
-            continue
-        model = action.model
-        if not (
-            model.boundary_equal(cls.hyperbolic.fixed_plus, recorded.hyperbolic.fixed_plus)
-            and model.boundary_equal(cls.hyperbolic.fixed_minus, recorded.hyperbolic.fixed_minus)
-        ):
-            notes.append(f"action {i} ({action.name}): fixed points mismatch")
-            ok = False
-    return ok, notes
+        ]
+    try:
+        expected = [
+            witness_line(i, action.name, action.model, cls)
+            for i, (action, cls) in enumerate(zip(system.actions, cert.per_action))
+        ]
+    except MixedModels as exc:
+        return False, [f"certificate witness from another model: {exc}"]
+    return check_witnesses(system, cert.word, expected)

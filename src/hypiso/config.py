@@ -40,6 +40,8 @@ _DEFAULTS = {
     "ball_radius": 8,
 }
 
+_NONNEGATIVE = ("max_exponent", "orbit_depth", "word_sample_depth", "ball_radius")
+
 
 @dataclass
 class ActionConfig:
@@ -59,9 +61,12 @@ class SystemConfig:
     schedule: dict[str, int]
 
     def setting(self, key: str, override: Optional[int] = None) -> int:
-        if override is not None:
-            return override
-        return self.schedule.get(key, _DEFAULTS[key])
+        """The override (a CLI flag) if given, else the config value, else the
+        default; every setting is read, and range-checked, here."""
+        value = self.schedule.get(key, _DEFAULTS[key]) if override is None else override
+        if key in _NONNEGATIVE and value < 0:
+            raise ValidationError(f"must be >= 0, got {value}", key.replace("_", "-"))
+        return value
 
     def build(self, ball_radius: Optional[int] = None) -> ActionSystem:
         return build_action_system(self, ball_radius)
@@ -104,6 +109,8 @@ def parse_config(text: str) -> SystemConfig:
     if not actions:
         raise ParseError("config defines no actions", len(lines))
     config = SystemConfig(generators=generators, actions=actions, schedule=schedule)
+    for key in schedule:
+        config.setting(key)  # range check
     build_action_system(config)  # full semantic validation
     return config
 
@@ -153,9 +160,8 @@ def _parse_matrix(text: str, where: str) -> tuple[Fraction, Fraction, Fraction, 
     return a, b, c, d
 
 
-def _build_model(ac: ActionConfig, default_ball: int) -> SpaceModel:
+def _build_model(ac: ActionConfig, radius: int) -> SpaceModel:
     where = f"action {ac.name!r} model"
-    radius = ac.ball_radius if ac.ball_radius is not None else default_ball
     if ac.kind == "half_plane":
         if ac.params:
             raise ValidationError("half_plane takes no parameters", where)
@@ -179,18 +185,14 @@ def _build_model(ac: ActionConfig, default_ball: int) -> SpaceModel:
 
 
 def build_action_system(config: SystemConfig, ball_radius: Optional[int] = None) -> ActionSystem:
-    default_ball = (
-        ball_radius
-        if ball_radius is not None
-        else config.schedule.get("ball_radius", _DEFAULTS["ball_radius"])
-    )
     actions: list[Action] = []
     witnesses: list[Optional[GroupWord]] = []
     alphabet = set(config.generators)
     for ac in config.actions:
         if not ac.kind:
             raise ValidationError("missing model line", f"action {ac.name!r}")
-        model = _build_model(ac, default_ball)
+        radius = ball_radius if ac.ball_radius is None else ac.ball_radius
+        model = _build_model(ac, config.setting("ball_radius", radius))
         images = {}
         for gen in config.generators:
             if gen not in ac.images:

@@ -57,8 +57,8 @@ def estimate_delta_four_point(model: SpaceModel, sample: list[Point], base: Poin
             D[i, j] = D[j, i] = dval(model.distance(sample[i], sample[j]))
     # doubled Gromov products keep tree arithmetic in integers
     G2 = d_base[:, None] + d_base[None, :] - D
-    maxmin = np.minimum(G2[:, :, None], G2[None, :, :]).max(axis=1)
-    defect2 = (maxmin - G2).max()
+    # max over y of min(<x|y>, <y|z>), one row x at a time: O(n^2) memory
+    defect2 = max((np.minimum(row[:, None], G2).max(axis=0) - row).max() for row in G2)
     delta = max(0.0, float(defect2) / 2.0)
     return DeltaEstimate(delta=delta, condition="four_point", sample_size=n)
 

@@ -1,4 +1,4 @@
-"""Shared domain types and the model-dispatch surface.
+"""Shared domain types and the SpaceModel base class.
 
 A SpaceModel owns its points, isometries and boundary points; the concrete
 models (half-plane, Bass-Serre tree, Cayley tree) live in ``halfplane`` and
@@ -228,38 +228,3 @@ def fixed_points(model: SpaceModel, iso: Isometry) -> tuple[BoundaryPoint, Bound
     if not cls.is_hyperbolic:
         raise NotHyperbolic(f"classify gave {cls.tag}")
     return cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus
-
-
-def classify(model: SpaceModel, iso: Isometry) -> IsometryClass:
-    return model.classify(iso)
-
-
-def apply(model: SpaceModel, iso: Isometry, x: Point) -> Point:
-    return model.apply(iso, x)
-
-
-def compose(model: SpaceModel, first: Isometry, second: Isometry) -> Isometry:
-    if first.model_id != second.model_id:
-        raise MixedModels(f"composing {first.model_id} with {second.model_id}")
-    return model.compose(first, second)
-
-
-def boundary_equal(model: SpaceModel, p: BoundaryPoint, q: BoundaryPoint) -> bool:
-    return model.boundary_equal(p, q)
-
-
-def make_model(kind: str, **params) -> SpaceModel:
-    """Factory for the supported model kinds."""
-    if kind == "half_plane":
-        from .halfplane import HalfPlaneModel
-
-        return HalfPlaneModel()
-    if kind == "bass_serre":
-        from .trees import BassSerreModel
-
-        return BassSerreModel(params["m"], params["n"], params.get("ball_radius", 8))
-    if kind == "cayley_tree":
-        from .trees import CayleyTreeModel
-
-        return CayleyTreeModel(params["rank"], params.get("ball_radius", 8))
-    raise ValueError(f"unknown model kind {kind!r}")

@@ -5,21 +5,25 @@ crosses this boundary: words, integer exponents, rational trace data and
 exact boundary-point payloads; floats appear solely in the human tables,
 marked approximate.  Records round-trip (parse . emit == identity) and a
 combine record carries enough to re-verify its certificate from scratch.
+``check_witnesses`` is the one certificate checker: it serves records and
+in-memory certificates alike and imports nothing from the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .actions import ActionSystem
-from .combiner import Certificate
 from .errors import ParseError
 from .halfplane import ProjectivePoint
 from .models import BoundaryPoint, IsometryClass, SpaceModel
 from .quadratic import format_rational
 from .trees import RayDescriptor, TreeModel
 from .words import GroupWord
+
+if TYPE_CHECKING:
+    from .combiner import Certificate
 
 RECORD_HEADER = "hypiso-record v1"
 
@@ -147,30 +151,33 @@ def parse_record(text: str) -> RunRecord:
 def verify_record(system: ActionSystem, record: RunRecord) -> tuple[bool, list[str]]:
     """Re-verify a combine record from its word alone: every action must
     classify hyperbolic with exactly the recorded invariants."""
-    notes: list[str] = []
     if record.word is None:
         return False, ["record carries no word"]
     try:
         word = GroupWord.parse(record.word, set(system.generators))
     except ValueError as exc:
         return False, [f"bad word: {exc}"]
-    expected = list(record.witnesses)
-    if len(expected) != system.n_actions:
-        notes.append(
-            f"record lists {len(expected)} witnesses, system has {system.n_actions} actions"
-        )
-        return False, notes
-    ok = True
-    for i, action in enumerate(system.actions):
+    if len(record.witnesses) != system.n_actions:
+        return False, [
+            f"record lists {len(record.witnesses)} witnesses, system has {system.n_actions} actions"
+        ]
+    return check_witnesses(system, word, record.witnesses)
+
+
+def check_witnesses(
+    system: ActionSystem, word: GroupWord, expected: Sequence[str]
+) -> tuple[bool, list[str]]:
+    """The certificate checker: classify the word once in every action and
+    compare its fresh witness line with the expected one, action by action."""
+    notes: list[str] = []
+    for i, (action, line) in enumerate(zip(system.actions, expected)):
         cls = action.classify_word(word)
         if not cls.is_hyperbolic:
             notes.append(f"action {i} ({action.name}): word classifies {cls.tag}")
-            ok = False
             continue
         fresh = witness_line(i, action.name, action.model, cls)
-        if fresh != expected[i]:
+        if fresh != line:
             notes.append(
-                f"action {i} ({action.name}): witness mismatch\n  record: {expected[i]}\n  fresh:  {fresh}"
+                f"action {i} ({action.name}): witness mismatch\n  record: {line}\n  fresh:  {fresh}"
             )
-            ok = False
-    return ok, notes
+    return not notes, notes

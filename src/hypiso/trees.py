@@ -60,7 +60,30 @@ class TreeModel(SpaceModel):
 
     ball_radius: int
 
-    # subclasses provide: multiply, invert_word, word units, vertex helpers
+    # subclasses provide: multiply, invert_word, word units, vertex helpers,
+    # and compose and classify, which perfbench/layers.py wraps per class
+
+    def word(self, units) -> Isometry:
+        return self.isometry(self.normal_form(tuple(units)))
+
+    def identity(self) -> Isometry:
+        return self.isometry(())
+
+    def invert(self, iso: Isometry) -> Isometry:
+        return self.isometry(self.invert_word(self.require_iso(iso)))
+
+    def iso_equal(self, a: Isometry, b: Isometry) -> bool:
+        return self.require_iso(a) == self.require_iso(b)
+
+    def _hyperbolic(self, u: tuple, v: tuple) -> IsometryClass:
+        """The class of u . v . u^-1 for cyclically reduced v that is not
+        conjugate into a vertex stabilizer: translation length |v|, axis
+        from the ray u . v^inf to the ray u . v^-inf."""
+        tau = len(v)
+        tl = TranslationLengthEstimate(
+            value=float(tau), n_used=1, exact=True, lower_bound_t=float(tau), exact_value=Fraction(tau)
+        )
+        return IsometryClass.make_hyperbolic(tl, self.ray(u, v), self.ray(u, self.invert_word(v)))
 
     def gromov_exact(self, x: Point, y: Point, w: Point) -> Fraction:
         dxw = self.distance(x, w).exact_value
@@ -257,20 +280,8 @@ class CayleyTreeModel(TreeModel):
     def invert_word(self, u) -> tuple:
         return tuple(-x for x in reversed(u))
 
-    def word(self, letters) -> Isometry:
-        return self.isometry(self.normal_form(tuple(letters)))
-
-    def identity(self) -> Isometry:
-        return self.isometry(())
-
     def compose(self, first: Isometry, second: Isometry) -> Isometry:
         return self.isometry(self.multiply(self.require_iso(first), self.require_iso(second)))
-
-    def invert(self, iso: Isometry) -> Isometry:
-        return self.isometry(self.invert_word(self.require_iso(iso)))
-
-    def iso_equal(self, a: Isometry, b: Isometry) -> bool:
-        return self.require_iso(a) == self.require_iso(b)
 
     def vertex(self, letters) -> Point:
         return self.point(self.normal_form(tuple(letters)))
@@ -317,18 +328,11 @@ class CayleyTreeModel(TreeModel):
         return tuple(u), tuple(v)
 
     def classify(self, iso: Isometry) -> IsometryClass:
-        w = self.require_iso(iso)
-        u, v = self.cyclic_reduce(w)
+        u, v = self.cyclic_reduce(self.require_iso(iso))
         if not v:
             # free actions: only the identity is elliptic
             return IsometryClass.make_elliptic(1, self.basepoint, _int_length(0))
-        tau = len(v)
-        tl = TranslationLengthEstimate(
-            value=float(tau), n_used=1, exact=True, lower_bound_t=float(tau), exact_value=Fraction(tau)
-        )
-        plus = self.ray(u, v)
-        minus = self.ray(u, self.invert_word(v))
-        return IsometryClass.make_hyperbolic(tl, plus, minus)
+        return self._hyperbolic(u, v)
 
     def geodesic(self, x: Point, y: Point) -> list[Point]:
         u = self.require_point(x)
@@ -422,20 +426,8 @@ class BassSerreModel(TreeModel):
     def invert_word(self, u) -> tuple:
         return tuple((f, (-e) % self.orders[f]) for f, e in reversed(u))
 
-    def word(self, syllables) -> Isometry:
-        return self.isometry(self.normal_form(tuple(syllables)))
-
-    def identity(self) -> Isometry:
-        return self.isometry(())
-
     def compose(self, first: Isometry, second: Isometry) -> Isometry:
         return self.isometry(self.multiply(self.require_iso(first), self.require_iso(second)))
-
-    def invert(self, iso: Isometry) -> Isometry:
-        return self.isometry(self.invert_word(self.require_iso(iso)))
-
-    def iso_equal(self, a: Isometry, b: Isometry) -> bool:
-        return self.require_iso(a) == self.require_iso(b)
 
     # -- vertices -------------------------------------------------------------
 
@@ -556,36 +548,16 @@ class BassSerreModel(TreeModel):
             v = tail
         return self.normal_form(tuple(u)), tuple(v)
 
-    def element_order(self, iso: Isometry) -> int | None:
-        """Order of the group element; None when infinite (hyperbolic)."""
-        w = self.require_iso(iso)
-        _, v = self.cyclic_reduce(w)
+    def classify(self, iso: Isometry) -> IsometryClass:
+        u, v = self.cyclic_reduce(self.require_iso(iso))
         if not v:
-            return 1
+            return IsometryClass.make_elliptic(1, self.basepoint, _int_length(0))
         if len(v) == 1:
             factor, exp = v[0]
             order = self.orders[factor]
-            return order // math.gcd(exp, order)
-        return None
-
-    def classify(self, iso: Isometry) -> IsometryClass:
-        w = self.require_iso(iso)
-        u, v = self.cyclic_reduce(w)
-        if len(v) <= 1:
-            if not v:
-                return IsometryClass.make_elliptic(1, self.basepoint, _int_length(0))
-            factor, exp = v[0]
-            order = self.orders[factor]
             period = order // math.gcd(exp, order)
-            fixed = self.coset_vertex(u, factor)
-            return IsometryClass.make_elliptic(period, fixed, _int_length(0))
-        tau = len(v)
-        tl = TranslationLengthEstimate(
-            value=float(tau), n_used=1, exact=True, lower_bound_t=float(tau), exact_value=Fraction(tau)
-        )
-        plus = self.ray(u, v)
-        minus = self.ray(u, self.invert_word(v))
-        return IsometryClass.make_hyperbolic(tl, plus, minus)
+            return IsometryClass.make_elliptic(period, self.coset_vertex(u, factor), _int_length(0))
+        return self._hyperbolic(u, v)
 
     def word_display(self, payload: tuple) -> str:
         names = "st"

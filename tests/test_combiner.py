@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +20,7 @@ from hypiso.combiner import (
 )
 from hypiso.errors import HypothesisViolation, NotHyperbolic, ScheduleExhausted, WitnessNotHyperbolic
 from hypiso.halfplane import HalfPlaneModel
-from hypiso.records import record_for_certificate
+from hypiso.records import record_for_certificate, verify_record
 from hypiso.sampling import random_action_system
 from hypiso.trees import BassSerreModel
 from hypiso.words import GroupWord
@@ -217,12 +220,17 @@ def test_simultaneous_monotone_stages():
     schedule = SearchSchedule(8)
     cert = simultaneous_hyperbolic(system, schedule)
     f = resolve_witness(system, 0)
+    assert cert.stages[0].profile is None
     for record in cert.stages:
         if record.stage == 0:
             continue
-        if not record.trivial:
+        if record.trivial:
+            assert record.profile is None
+        else:
             g = resolve_witness(system, record.stage)
-            f2, g2, _ = normalize_powers(system, f, g, stage=record.stage)
+            f2, g2, profile = normalize_powers(system, f, g, stage=record.stage)
+            assert record.profile == profile
+            assert (record.p, record.q) == (profile.p, profile.q)
             f = f2**record.a * g2**record.b
         for i in range(record.stage + 1):
             assert system.actions[i].classify_word(f).is_hyperbolic
@@ -244,6 +252,39 @@ def test_verify_certificate_negative_controls():
     elliptic_cert = Certificate(GroupWord.parse("f g"), cert.stages, cert.per_action, cert.search_stats)
     ok, notes = verify_certificate_detailed(system, elliptic_cert)
     assert not ok and notes
+
+
+def test_records_checker_imports_nothing_from_the_search():
+    # the package __init__ imports every module, so load hypiso.records under
+    # a bare package object to see the checker's own imports
+    package_dir = str(Path(__file__).resolve().parents[1] / "src" / "hypiso")
+    code = (
+        "import sys, types\n"
+        "package = types.ModuleType('hypiso')\n"
+        f"package.__path__ = [{package_dir!r}]\n"
+        "sys.modules['hypiso'] = package\n"
+        "import hypiso.records\n"
+        "assert 'hypiso.combiner' not in sys.modules, sorted(sys.modules)\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_certificate_and_record_checks_agree():
+    system = three_action_system()
+    cert = simultaneous_hyperbolic(system, SearchSchedule(8))
+    record = record_for_certificate("combine", system, cert, [])
+    assert verify_certificate_detailed(system, cert) == verify_record(system, record) == (True, [])
+    squares = tuple(a.classify_word(cert.word**2) for a in system.actions)
+    wrong = Certificate(cert.word, cert.stages, squares, cert.search_stats)
+    ok, notes = verify_certificate_detailed(system, wrong)
+    assert not ok and all("witness mismatch" in n for n in notes)
+    swapped = Certificate(cert.word, cert.stages, tuple(reversed(cert.per_action)), cert.search_stats)
+    ok, notes = verify_certificate_detailed(system, swapped)  # a tree class in a plane action
+    assert not ok and "another model" in notes[0]
+    short = Certificate(cert.word, cert.stages, cert.per_action[:2], cert.search_stats)
+    assert verify_certificate_detailed(system, short) == (
+        False, ["certificate covers 2 actions, system has 3"]
+    )
 
 
 def test_determinism_bit_for_bit():

@@ -1,5 +1,6 @@
 import pytest
 
+from hypiso import combiner
 from hypiso.cli import main
 from hypiso.config import WORKED_EXAMPLE, parse_config
 from hypiso.errors import ParseError, ValidationError
@@ -228,3 +229,53 @@ def test_cli_schedule_settings_flow(tmp_path, capsys):
     main(["combine", "--input", path, "--format", "records", "--max-exponent", "24"])
     out = capsys.readouterr().out
     assert "setting max-exponent 24" in out  # flag overrides config
+
+
+def test_cli_verify_unreadable_file_exit_1(tmp_path, capsys):
+    path = write(tmp_path, "worked.cfg", WORKED_EXAMPLE)
+    missing = str(tmp_path / "missing.rec")
+    assert main(["combine", "--input", path, "--verify", missing]) == 1
+    assert f"error: cannot read {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["max-exponent", "ball-radius", "orbit-depth", "word-sample-depth"])
+def test_negative_setting_in_config_exit_1(tmp_path, capsys, key):
+    text = THREE_ACTION.replace("seed 0", f"seed 0\n{key} -1")
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert key in str(err.value)
+    path = write(tmp_path, "neg.cfg", text)
+    assert main(["report", "--input", path]) == 1
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--max-exponent", "--ball-radius", "--orbit-depth"])
+def test_negative_setting_flag_exit_1(tmp_path, capsys, flag):
+    path = write(tmp_path, "three.cfg", THREE_ACTION)
+    assert main(["report", "--input", path, flag, "-1"]) == 1
+    assert flag[2:] in capsys.readouterr().err
+
+
+def test_negative_action_ball_radius_rejected():
+    with pytest.raises(ValidationError):
+        parse_config(THREE_ACTION.replace("ball-radius 8", "ball-radius -1"))
+
+
+def test_report_normalizes_once_per_stage(tmp_path, capsys, monkeypatch):
+    # the report reads each stage's profile from the search; it does not
+    # normalize the powers a second time
+    calls = []
+    original = combiner.normalize_powers
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("stage"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(combiner, "normalize_powers", counted)
+    path = write(tmp_path, "three.cfg", THREE_ACTION)
+    assert main(["report", "--input", path, "--format", "records"]) == 0
+    record = parse_record(capsys.readouterr().out)
+    searched = [line.split()[1] for line in record.stages if " trivial 0" in line]
+    assert [str(stage) for stage in calls] == searched
+    profiled = {line.split()[1] for line in record.extra if line.startswith("profile ")}
+    assert profiled == {line.split()[1] for line in record.stages} - {"0"}

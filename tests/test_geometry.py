@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypiso.actions import Action
@@ -98,6 +100,37 @@ def test_four_point_plane_bounded(plane):
     pts = sample_plane_points(plane, 80, rng_from_seed(5))
     est = estimate_delta_four_point(plane, pts, plane.basepoint)
     assert 0.0 <= est.delta <= 1.0
+
+
+def test_four_point_matches_cubic_formula(plane):
+    # the row-by-row maximum equals the all-triples n x n x n formula, bit for bit
+    pts = sample_plane_points(plane, 40, rng_from_seed(3))
+    base = plane.basepoint
+    n = len(pts)
+    d_base = np.array([plane.distance(p, base).value for p in pts])
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            D[i, j] = D[j, i] = plane.distance(pts[i], pts[j]).value
+    G2 = d_base[:, None] + d_base[None, :] - D
+    maxmin = np.minimum(G2[:, :, None], G2[None, :, :]).max(axis=1)
+    expected = max(0.0, float((maxmin - G2).max()) / 2.0)
+    assert expected > 0.0
+    assert estimate_delta_four_point(plane, pts, base).delta == expected
+
+
+def test_four_point_memory_is_quadratic():
+    # 300 vertices: the n^3 int64 array alone would take 216 MB
+    cayley3 = CayleyTreeModel(3, ball_radius=4)
+    ball = cayley3.ball_vertices(4)[:300]
+    tracemalloc.start()
+    try:
+        est = estimate_delta_four_point(cayley3, ball, cayley3.basepoint)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.delta == 0.0
+    assert peak < 32 * 2**20
 
 
 def test_gromov_inequality_with_sampled_delta(plane, cayley):
