@@ -28,14 +28,12 @@ class Action:
             self.model.require_iso(iso)
 
     def image(self, word: GroupWord) -> Isometry:
+        """Composed syllable by syllable, each power by repeated squaring."""
         out = self.model.identity()
-        for gen, sign in word.letters:
+        for gen, e in word.syllables():
             if gen not in self.images:
                 raise ValidationError(f"generator {gen!r} has no image in action {self.name!r}")
-            g = self.images[gen]
-            if sign < 0:
-                g = self.model.invert(g)
-            out = self.model.compose(out, g)
+            out = self.model.compose(out, self.model.power(self.images[gen], e))
         return out
 
     def classify_word(self, word: GroupWord):

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .actions import Action, ActionSystem
+from .actions import ActionSystem
 from .errors import (
     HypothesisViolation,
     MixedModels,
@@ -26,7 +26,7 @@ from .errors import (
     ScheduleExhausted,
     WitnessNotHyperbolic,
 )
-from .models import IsometryClass
+from .models import IsometryClass, SpaceModel
 from .records import check_witnesses, witness_line
 from .words import GroupWord
 
@@ -70,13 +70,13 @@ class ActionProfile:
 class StageRecord:
     stage: int
     action_name: str
-    a: int
-    b: int
-    p: int
-    q: int
-    schedule_index: Optional[int]
-    candidates_tried: int
-    trivial: bool
+    a: int = 1
+    b: int = 0
+    p: int = 1
+    q: int = 1
+    schedule_index: Optional[int] = None
+    candidates_tried: int = 0
+    trivial: bool = True
     profile: Optional[ActionProfile] = None  # the stage's partition; None when trivial
 
 
@@ -125,15 +125,12 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
     )
 
 
-def independent(action: Action, f: GroupWord, g: GroupWord) -> bool:
-    """Disjointness of the boundary fixed-point pairs (exact test)."""
-    cf = action.classify_word(f)
-    cg = action.classify_word(g)
+def independent(model: SpaceModel, cf: IsometryClass, cg: IsometryClass) -> bool:
+    """Disjointness of the boundary fixed-point pairs of two classes (exact test)."""
     if not cf.is_hyperbolic:
-        raise NotHyperbolic(f"f is {cf.tag} in action {action.name!r}")
+        raise NotHyperbolic(f"f is {cf.tag} in model {model.model_id!r}")
     if not cg.is_hyperbolic:
-        raise NotHyperbolic(f"g is {cg.tag} in action {action.name!r}")
-    model = action.model
+        raise NotHyperbolic(f"g is {cg.tag} in model {model.model_id!r}")
     f_pts = (cf.hyperbolic.fixed_plus, cf.hyperbolic.fixed_minus)
     g_pts = (cg.hyperbolic.fixed_plus, cg.hyperbolic.fixed_minus)
     return not any(model.boundary_equal(p, q) for p in f_pts for q in g_pts)
@@ -146,22 +143,22 @@ def _finite_period(cls: IsometryClass) -> Optional[int]:
 
 
 def normalize_powers(
-    system: ActionSystem, f: GroupWord, g: GroupWord, stage: int | None = None
+    system: ActionSystem, f: GroupWord, g: GroupWord, f_classes: tuple[IsometryClass, ...]
 ) -> tuple[GroupWord, GroupWord, ActionProfile]:
     """Replace f, g by the powers killing all finite orders of their
     elliptic images among actions 0..stage, and profile the partition.
 
-    Hyperbolicity is preserved wherever it held (translation lengths scale
-    by the powers, fixed points are unchanged); elliptic images of finite
-    order become the identity.
+    ``f_classes`` holds f's classes in actions 0..stage, so only g is
+    classified here.  Hyperbolicity is preserved wherever it held
+    (translation lengths scale by the powers, fixed points are unchanged);
+    elliptic images of finite order become the identity.
     """
-    k = system.n_actions - 1 if stage is None else stage
+    k = len(f_classes) - 1
     p = 1
     q = 1
     entries: list[ProfileEntry] = []
-    for i in range(k + 1):
+    for i, cf in enumerate(f_classes):
         action = system.actions[i]
-        cf = action.classify_word(f)
         cg = action.classify_word(g)
         for cls, word_name in ((cf, "f"), (cg, "g")):
             if cls.tag == "hypothesis_violation":
@@ -178,16 +175,15 @@ def normalize_powers(
             q = math.lcm(q, pg)
         partition = None
         if i < k and cf.is_hyperbolic:
+            model = action.model
             if cg.is_hyperbolic:
-                partition = "H'" if independent(action, f, g) else "H"
+                partition = "H'" if independent(model, cf, cg) else "H"
             else:
                 # elliptic g fixing the repelling point satisfies the
                 # separation condition outright (the E' side); otherwise the
                 # dichotomy is not finitely decidable and we only tag it
-                model = action.model
-                g_img = action.image(g)
                 a_minus = cf.hyperbolic.fixed_minus
-                moved = model.boundary_apply(g_img, a_minus)
+                moved = model.boundary_apply(action.image(g), a_minus)
                 partition = "E" if model.boundary_equal(moved, a_minus) else "E-E'-candidate"
         entries.append(
             ProfileEntry(
@@ -215,46 +211,34 @@ def _classify_prefix(system: ActionSystem, word: GroupWord, upto: int):
 
 
 def combine_step(
-    system: ActionSystem,
-    f: GroupWord,
-    g: GroupWord,
-    k: int,
-    schedule: SearchSchedule,
+    system: ActionSystem, running: Certificate, g: GroupWord, schedule: SearchSchedule
 ) -> Certificate:
-    """One induction stage: f hyperbolic in actions 0..k-1, g hyperbolic in
-    action k; returns a word certified hyperbolic in actions 0..k.
+    """One induction stage: ``running`` certifies f hyperbolic in actions
+    0..k-1 and g is hyperbolic in action k; returns a word certified
+    hyperbolic in actions 0..k.
 
+    Only f's class in action k is new; the others are read from ``running``.
     When f is already hyperbolic in action k it is returned unchanged (the
     proof's first simplification); otherwise the normalized powers are
     combined along the schedule.
     """
+    f = running.word
+    k = len(running.per_action)
+    for i, cls in enumerate(running.per_action):
+        if not cls.is_hyperbolic:
+            raise NotHyperbolic(f"precondition broken: running word is {cls.tag} in action {i}")
     action_k = system.actions[k]
     cls_fk = action_k.classify_word(f)
     if cls_fk.tag == "hypothesis_violation":
         raise HypothesisViolation(
             f"running word parabolic in action {action_k.name!r}", word=f, action_index=k
         )
+    f_classes = running.per_action + (cls_fk,)
     if cls_fk.is_hyperbolic:
-        classes, failure = _classify_prefix(system, f, k)
-        if failure is not None:
-            raise NotHyperbolic(
-                f"precondition broken: running word is {failure[1]} in action {failure[0]}"
-            )
-        record = StageRecord(
-            stage=k,
-            action_name=action_k.name,
-            a=1,
-            b=0,
-            p=1,
-            q=1,
-            schedule_index=None,
-            candidates_tried=0,
-            trivial=True,
-        )
         return Certificate(
             word=f,
-            stages=(record,),
-            per_action=tuple(classes),
+            stages=(StageRecord(k, action_k.name),),
+            per_action=f_classes,
             search_stats=SearchStats(candidates_tried=0, stages=1),
         )
 
@@ -262,8 +246,7 @@ def combine_step(
     if not cls_gk.is_hyperbolic:
         raise NotHyperbolic(f"g is {cls_gk.tag} in stage action {action_k.name!r}")
 
-    f2, g2, profile = normalize_powers(system, f, g, stage=k)
-    p, q = profile.p, profile.q
+    f2, g2, profile = normalize_powers(system, f, g, f_classes)
 
     trials: list[tuple[int, int, int, str]] = []
     for index, (a, b) in enumerate(schedule.pairs()):
@@ -275,8 +258,8 @@ def combine_step(
                 action_name=action_k.name,
                 a=a,
                 b=b,
-                p=p,
-                q=q,
+                p=profile.p,
+                q=profile.q,
                 schedule_index=index,
                 candidates_tried=len(trials) + 1,
                 trivial=False,
@@ -311,38 +294,28 @@ def resolve_witness(system: ActionSystem, k: int, search_depth: int = 4) -> Grou
 def simultaneous_hyperbolic(system: ActionSystem, schedule: SearchSchedule) -> Certificate:
     """Fold combine_step over the actions (induction on their number).
 
-    Deterministic given system + schedule.  The returned certificate covers
-    every action and re-verifies from scratch.
+    Stage 0 is the witness's own certificate; each later stage extends the
+    previous stage's certificate by one action.  Deterministic given
+    system + schedule.  The returned certificate covers every action and
+    re-verifies from scratch.
     """
-    stages: list[StageRecord] = []
-    tried = 0
     f = resolve_witness(system, 0)
-    stages.append(
-        StageRecord(
-            stage=0,
-            action_name=system.actions[0].name,
-            a=1,
-            b=0,
-            p=1,
-            q=1,
-            schedule_index=None,
-            candidates_tried=0,
-            trivial=True,
-        )
-    )
-    for k in range(1, system.n_actions):
-        g = resolve_witness(system, k)
-        cert_k = combine_step(system, f, g, k, schedule)
-        f = cert_k.word
-        stages.extend(cert_k.stages)
-        tried += cert_k.search_stats.candidates_tried
-    classes, failure = _classify_prefix(system, f, system.n_actions - 1)
-    if failure is not None:  # cannot happen if combine_step held its contract
-        raise NotHyperbolic(f"final word is {failure[1]} in action {failure[0]}")
-    return Certificate(
+    running = Certificate(
         word=f,
+        stages=(StageRecord(0, system.actions[0].name),),
+        per_action=(system.actions[0].classify_word(f),),
+        search_stats=SearchStats(candidates_tried=0, stages=1),
+    )
+    stages = list(running.stages)
+    tried = 0
+    for k in range(1, system.n_actions):
+        running = combine_step(system, running, resolve_witness(system, k), schedule)
+        stages.extend(running.stages)
+        tried += running.search_stats.candidates_tried
+    return Certificate(
+        word=running.word,
         stages=tuple(stages),
-        per_action=tuple(classes),
+        per_action=running.per_action,
         search_stats=SearchStats(candidates_tried=tried, stages=system.n_actions),
     )
 

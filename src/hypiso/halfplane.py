@@ -344,6 +344,3 @@ class HalfPlaneModel(SpaceModel):
             # distinct quadratic values collapsing in float: resolve minimally
             sep = 1e-300
         return math.log(math.hypot(x1 - wx, wy) * math.hypot(x2 - wx, wy) / (sep * wy))
-
-    def describe(self) -> str:
-        return "half_plane"

@@ -191,13 +191,13 @@ class SpaceModel:
         base = iso if n > 0 else self.invert(iso)
         n = abs(n)
         out = None
-        sq = base
-        while n:
+        while True:
             if n & 1:
-                out = sq if out is None else self.compose(out, sq)
-            sq = self.compose(sq, sq)
+                out = base if out is None else self.compose(out, base)
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = self.compose(base, base)
 
     def iso_equal(self, a: Isometry, b: Isometry) -> bool:
         raise NotImplementedError
@@ -217,9 +217,6 @@ class SpaceModel:
 
     def gromov_boundary_pair(self, b1: BoundaryPoint, b2: BoundaryPoint, base: Point) -> float:
         raise NotImplementedError
-
-    def describe(self) -> str:
-        return self.model_id
 
 
 def fixed_points(model: SpaceModel, iso: Isometry) -> tuple[BoundaryPoint, BoundaryPoint]:

@@ -135,11 +135,6 @@ class TreeModel(SpaceModel):
         ray: RayDescriptor = self.require_boundary(b)
         return self.ray(self.multiply(g, ray.prefix), ray.period)
 
-    def ray_vertex(self, b: BoundaryPoint, depth_units: int) -> Point:
-        """The canonical vertex after the first ``depth_units`` units of the ray."""
-        ray: RayDescriptor = self.require_boundary(b)
-        return self._vertex_from_units(self._ray_units(ray, depth_units))
-
     def gromov_boundary_pair_exact(self, b1, b2, base: Point) -> Fraction | None:
         """Exact <xi|eta>_base; None encodes +infinity (equal points)."""
         r1: RayDescriptor = self.require_boundary(b1)
@@ -374,9 +369,6 @@ class CayleyTreeModel(TreeModel):
             letters.extend([idx if e > 0 else -idx] * abs(e))
         return self.word(letters)
 
-    def describe(self) -> str:
-        return f"cayley_tree(rank={self.rank}, ball_radius={self.ball_radius})"
-
 
 class BassSerreModel(TreeModel):
     """The Bass-Serre tree of Z/m * Z/n with its natural action."""
@@ -575,10 +567,6 @@ class BassSerreModel(TreeModel):
             e = int(exp) if exp else 1
             syllables.append((0 if name == "s" else 1, e))
         return self.word(syllables)
-
-    def describe(self) -> str:
-        m, n = self.orders
-        return f"bass_serre(m={m}, n={n}, ball_radius={self.ball_radius})"
 
 
 def _common_prefix_len(u, v) -> int:

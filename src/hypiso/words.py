@@ -42,13 +42,8 @@ class GroupWord:
         return GroupWord(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "GroupWord":
-        if n == 0:
-            return GroupWord(())
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        base = self if n >= 0 else self.inverse()
+        return GroupWord(base.letters * abs(n))  # one reduction pass
 
     def conjugate(self, by: "GroupWord") -> "GroupWord":
         return by * self * by.inverse()

@@ -351,10 +351,10 @@ def _independent_pair(model, rng):
             f, g = random_cayley_hyperbolic(model, rng), random_cayley_hyperbolic(model, rng)
         act = Action("m", model, {"f": f, "g": g})
         wf, wg = GroupWord.generator("f"), GroupWord.generator("g")
-        if not independent(act, wf, wg):
-            continue
         cls_f = model.classify(f)
         cls_g = model.classify(g)
+        if not independent(model, cls_f, cls_g):
+            continue
         centers = [
             cls_f.hyperbolic.fixed_plus,
             cls_f.hyperbolic.fixed_minus,
@@ -449,8 +449,9 @@ def test_acceptance_independence_separation():
                 iso = random_cayley_hyperbolic(model, rng)
             act = Action("m", model, {"f": iso})
             wf = GroupWord.generator("f")
-            assert not independent(act, wf, wf * wf)
-            assert not independent(act, wf, wf.inverse())
+            cls_f = act.classify_word(wf)
+            assert not independent(model, cls_f, act.classify_word(wf * wf))
+            assert not independent(model, cls_f, act.classify_word(wf.inverse()))
             dependent_checked += 1
     assert dependent_checked == 20
     _pass("independence-separation", "20 independent pairs separated; 20 dependent pairs rejected")

@@ -1,14 +1,17 @@
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from hypiso import combiner
 from hypiso.actions import Action, ActionSystem
 from hypiso.combiner import (
     Certificate,
     SearchSchedule,
+    SearchStats,
     check_hypotheses,
     combine_step,
     independent,
@@ -18,6 +21,7 @@ from hypiso.combiner import (
     verify_certificate,
     verify_certificate_detailed,
 )
+from hypiso.config import build_action_system, parse_config
 from hypiso.errors import HypothesisViolation, NotHyperbolic, ScheduleExhausted, WitnessNotHyperbolic
 from hypiso.halfplane import HalfPlaneModel
 from hypiso.records import record_for_certificate, verify_record
@@ -41,6 +45,15 @@ def three_action_system() -> ActionSystem:
     return ActionSystem(
         ("f", "g"), system.actions + [a3], system.witnesses + [GroupWord.parse("f")]
     )
+
+
+def _classes(system: ActionSystem, word: GroupWord, upto: int) -> tuple:
+    return tuple(system.actions[i].classify_word(word) for i in range(upto + 1))
+
+
+def _running(system: ActionSystem, word: GroupWord, k: int) -> Certificate:
+    """A certificate for word in actions 0..k-1, as stage k receives it."""
+    return Certificate(word, (), _classes(system, word, k - 1), SearchStats(0, 0))
 
 
 def test_schedule_order():
@@ -84,16 +97,22 @@ def test_independent_examples():
         "p", plane, {"f": plane.matrix(2, 1, 1, 1), "d": plane.matrix(2, 0, 0, Fraction(1, 2))}
     )
     f = GroupWord.parse("f")
-    assert independent(act, f, GroupWord.parse("d"))        # distinct fixed pairs
-    assert not independent(act, f, f * f)                    # powers share fixed points
-    assert not independent(act, f, f.inverse())              # swapped pair
+    cf = act.classify_word(f)
+
+    def indep(g):
+        return independent(act.model, cf, act.classify_word(g))
+
+    assert indep(GroupWord.parse("d"))        # distinct fixed pairs
+    assert not indep(f * f)                    # powers share fixed points
+    assert not indep(f.inverse())              # swapped pair
     with pytest.raises(NotHyperbolic):
-        independent(act, f, GroupWord.identity())
+        indep(GroupWord.identity())
 
 
 def test_normalize_powers_plane_orders():
     system = worked_system()
-    f2, g2, prof = normalize_powers(system, GroupWord.parse("f"), GroupWord.parse("g"), stage=1)
+    f = GroupWord.parse("f")
+    f2, g2, prof = normalize_powers(system, f, GroupWord.parse("g"), _classes(system, f, 1))
     assert prof.p == 2  # rho_2(f) is the projective order-2 rotation
     assert prof.q == 2  # rho_1(g) likewise
     assert f2 == GroupWord.parse("f^2")
@@ -106,7 +125,8 @@ def test_normalize_powers_all_hyperbolic():
         "p", plane, {"f": plane.matrix(2, 1, 1, 1), "g": plane.matrix(2, 0, 0, Fraction(1, 2))}
     )
     system = ActionSystem(("f", "g"), [act], [GroupWord.parse("f")])
-    f2, g2, prof = normalize_powers(system, GroupWord.parse("f"), GroupWord.parse("g"), stage=0)
+    f = GroupWord.parse("f")
+    f2, g2, prof = normalize_powers(system, f, GroupWord.parse("g"), _classes(system, f, 0))
     assert prof.p == 1 and prof.q == 1
 
 
@@ -116,7 +136,8 @@ def test_normalize_powers_bass_serre_order_3():
     plane = HalfPlaneModel()
     act2 = Action("p", plane, {"f": plane.matrix(2, 1, 1, 1), "g": plane.matrix(2, 1, 1, 1)})
     system = ActionSystem(("f", "g"), [act, act2], [GroupWord.parse("f"), GroupWord.parse("g")])
-    _, g2, prof = normalize_powers(system, GroupWord.parse("f"), GroupWord.parse("g"), stage=1)
+    f = GroupWord.parse("f")
+    _, g2, prof = normalize_powers(system, f, GroupWord.parse("g"), _classes(system, f, 1))
     assert prof.q == 3  # elliptic image t has order 3
     assert g2 == GroupWord.parse("g^3")
 
@@ -126,7 +147,7 @@ def test_normalize_powers_preserves_hyperbolic_data():
     # the same boundary fixed points
     system = three_action_system()
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    f2, g2, prof = normalize_powers(system, f, g, stage=2)
+    f2, g2, prof = normalize_powers(system, f, g, _classes(system, f, 2))
     for i, action in enumerate(system.actions):
         cls = action.classify_word(f)
         if not cls.is_hyperbolic:
@@ -150,7 +171,8 @@ def test_profile_partition_tags():
     p3 = HalfPlaneModel()
     act3 = Action("stage", p3, {"f": p3.matrix(0, -1, 1, 0), "g": p3.matrix(2, 1, 1, 1)})
     system = ActionSystem(("f", "g"), [act1, act2, act3])
-    _, _, prof = normalize_powers(system, GroupWord.parse("f"), GroupWord.parse("g"), stage=2)
+    f = GroupWord.parse("f")
+    _, _, prof = normalize_powers(system, f, GroupWord.parse("g"), _classes(system, f, 2))
     tags = {e.action_name: e.partition for e in prof.entries}
     assert tags["h-prime"] == "H'"
     assert tags["h-dep"] == "H"
@@ -163,7 +185,8 @@ def test_combine_step_trivial_when_already_hyperbolic():
     p2 = HalfPlaneModel()
     a2 = Action("two", p2, {"f": p2.matrix(3, 1, 2, 1), "g": p2.matrix(0, -1, 1, 0)})
     system = ActionSystem(("f", "g"), [a1, a2])
-    cert = combine_step(system, GroupWord.parse("f"), GroupWord.parse("g"), 1, SearchSchedule(8))
+    f = GroupWord.parse("f")
+    cert = combine_step(system, _running(system, f, 1), GroupWord.parse("g"), SearchSchedule(8))
     assert cert.word == GroupWord.parse("f")
     assert cert.stages[0].trivial
 
@@ -177,7 +200,8 @@ def test_combine_step_dependent_hyperbolic_case():
     p2 = HalfPlaneModel()
     a2 = Action("two", p2, {"f": p2.matrix(0, -1, 1, 0), "g": p2.matrix(2, 1, 1, 1)})
     system = ActionSystem(("f", "g"), [a1, a2])
-    cert = combine_step(system, GroupWord.parse("f"), GroupWord.parse("g"), 1, SearchSchedule(8))
+    f = GroupWord.parse("f")
+    cert = combine_step(system, _running(system, f, 1), GroupWord.parse("g"), SearchSchedule(8))
     assert verify_certificate(
         ActionSystem(("f", "g"), [a1, a2], [None, None]), _extend(cert, system)
     ) or all(c.is_hyperbolic for c in cert.per_action)
@@ -191,7 +215,8 @@ def _extend(cert: Certificate, system: ActionSystem) -> Certificate:
 def test_schedule_exhausted_carries_trials():
     system = worked_system()
     with pytest.raises(ScheduleExhausted) as err:
-        combine_step(system, GroupWord.parse("f"), GroupWord.parse("g"), 1, SearchSchedule(0))
+        f = GroupWord.parse("f")
+        combine_step(system, _running(system, f, 1), GroupWord.parse("g"), SearchSchedule(0))
     assert err.value.stage == 1
     assert err.value.trials == []
 
@@ -228,7 +253,7 @@ def test_simultaneous_monotone_stages():
             assert record.profile is None
         else:
             g = resolve_witness(system, record.stage)
-            f2, g2, profile = normalize_powers(system, f, g, stage=record.stage)
+            f2, g2, profile = normalize_powers(system, f, g, _classes(system, f, record.stage))
             assert record.profile == profile
             assert (record.p, record.q) == (profile.p, profile.q)
             f = f2**record.a * g2**record.b
@@ -309,7 +334,8 @@ def test_hypothesis_violation_raised_on_parabolic_running_word():
     act = Action("bad", plane, {"f": plane.matrix(1, 1, 0, 1), "g": plane.matrix(2, 1, 1, 1)})
     system = ActionSystem(("f", "g"), [act])
     with pytest.raises(HypothesisViolation):
-        combine_step(system, GroupWord.parse("f"), GroupWord.parse("g"), 0, SearchSchedule(4))
+        f = GroupWord.parse("f")
+        combine_step(system, _running(system, f, 0), GroupWord.parse("g"), SearchSchedule(4))
 
 
 def test_schedule_covers_all_pairs_once():
@@ -327,4 +353,36 @@ def test_combine_step_rejects_non_hyperbolic_g():
     system = worked_system()
     with pytest.raises(NotHyperbolic):
         # g = f is elliptic in the stage action (action two)
-        combine_step(system, GroupWord.parse("f"), GroupWord.parse("f"), 1, SearchSchedule(4))
+        f = GroupWord.parse("f")
+        combine_step(system, _running(system, f, 1), f, SearchSchedule(4))
+
+
+def test_search_classifies_each_word_once_per_action(monkeypatch):
+    # each stage extends the previous stage's certificate, so the search
+    # classifies a word at most once per action; only the witnesses, which
+    # resolve_witness has already classified, are seen again
+    classified = Counter()
+    witnesses = set()
+    original_classify = Action.classify_word
+    original_resolve = combiner.resolve_witness
+
+    def counted_classify(self, word):
+        classified[(id(self), word)] += 1
+        return original_classify(self, word)
+
+    def recorded_resolve(*args, **kwargs):
+        word = original_resolve(*args, **kwargs)
+        witnesses.add(word)
+        return word
+
+    monkeypatch.setattr(Action, "classify_word", counted_classify)
+    monkeypatch.setattr(combiner, "resolve_witness", recorded_resolve)
+    config = Path(__file__).resolve().parents[1] / "configs" / "three_action.cfg"
+    systems = [build_action_system(parse_config(config.read_text()))]
+    systems += [random_action_system(seed) for seed in range(20)]
+    for system in systems:
+        classified.clear()
+        witnesses.clear()
+        simultaneous_hyperbolic(system, SearchSchedule(32))
+        repeated = [w for (_, w), n in classified.items() if n > 1 and w not in witnesses]
+        assert repeated == []

@@ -268,7 +268,7 @@ def test_report_normalizes_once_per_stage(tmp_path, capsys, monkeypatch):
     original = combiner.normalize_powers
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("stage"))
+        calls.append(len(args[3]) - 1)  # f_classes covers actions 0..stage
         return original(*args, **kwargs)
 
     monkeypatch.setattr(combiner, "normalize_powers", counted)

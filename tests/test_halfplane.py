@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hypiso.actions import Action
 from hypiso.errors import MixedModels, NotHyperbolic
 from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.models import fixed_points
 from hypiso.quadratic import QuadraticNumber
 from hypiso.trees import CayleyTreeModel
+from hypiso.words import GroupWord
 
 
 @pytest.fixture
@@ -195,3 +197,24 @@ def test_isometry_invariance_exact(x1, y1, x2, y2, u, v):
     before = plane.cosh_distance(p, q)
     after = plane.cosh_distance(plane.apply(m, p), plane.apply(m, q))
     assert before == after  # exact rational equality
+
+
+def test_image_composes_powers_by_squaring(plane, monkeypatch):
+    F, G = Matrix2.of(2, 1, 1, 1), Matrix2.of(0, -1, 1, 0)
+    act = Action("p", plane, {"f": plane.isometry(F), "g": plane.isometry(G)})
+    expected = Matrix2.identity()
+    for m in [F] * 3 + [G.inverse()] * 2 + [F]:
+        expected = expected * m
+    assert act.image(GroupWord.parse("f^3 g^-2 f")).payload == expected
+
+    squared = plane.power(plane.isometry(F), 4096)
+    calls = []
+    original = HalfPlaneModel.compose
+
+    def counted(self, first, second):
+        calls.append(1)
+        return original(self, first, second)
+
+    monkeypatch.setattr(HalfPlaneModel, "compose", counted)
+    assert act.image(GroupWord.parse("f^4096")) == squared
+    assert len(calls) <= 30  # letter by letter this takes 4096

@@ -21,6 +21,7 @@ def test_powers():
     assert (w**3).display() == "f g f g f g"
     assert (w**-1) == w.inverse()
     assert (w**0).is_identity
+    assert GroupWord.parse("f g f^-1") ** 3 == GroupWord.parse("f g^3 f^-1")
 
 
 def test_parse_round_trip():
