@@ -4,11 +4,13 @@ isometries, given by generator-to-isometry assignments."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import ValidationError
 from .models import Isometry, SpaceModel
 from .words import GroupWord
+
+Letters = tuple[tuple[str, int], ...]
 
 
 @dataclass
@@ -73,23 +75,29 @@ class ActionSystem:
     def n_actions(self) -> int:
         return len(self.actions)
 
-    def enumerate_words(self, max_length: int) -> list[GroupWord]:
-        """All freely reduced nonempty words up to the given length,
-        deterministic order."""
-        letters = []
+    def walk(self, action: Action, max_length: int) -> Iterator[tuple[Letters, Isometry]]:
+        """Every freely reduced nonempty word up to the given length, with
+        its image in action: level by level, letters in generator order,
+        +1 before -1.
+
+        Each image is its parent's image composed with one generator image
+        (inverse images are computed once), and only the previous level is
+        kept.
+        """
+        model = action.model
+        steps = []
         for g in self.generators:
-            letters.append((g, 1))
-            letters.append((g, -1))
-        out: list[GroupWord] = []
-        frontier: list[tuple[tuple[str, int], ...]] = [()]
+            image = action.images[g]
+            steps.append(((g, 1), image))
+            steps.append(((g, -1), model.invert(image)))
+        level: list[tuple[Letters, Isometry]] = [((), model.identity())]
         for _ in range(max_length):
             nxt = []
-            for w in frontier:
-                for letter in letters:
-                    if w and w[-1] == (letter[0], -letter[1]):
+            for letters, image in level:
+                for letter, step in steps:
+                    if letters and letters[-1] == (letter[0], -letter[1]):
                         continue
-                    nw = w + (letter,)
-                    nxt.append(nw)
-                    out.append(GroupWord(nw))
-            frontier = nxt
-        return out
+                    node = (letters + (letter,), model.compose(image, step))
+                    nxt.append(node)
+                    yield node
+            level = nxt

@@ -239,8 +239,7 @@ def _cmd_dynamics(args, system: ActionSystem, settings) -> int:
     rec = RunRecord(command="dynamics", status="ok", exit_code=0, settings=_settings_rows(settings))
     rows = []
     for i, action in enumerate(system.actions):
-        witness = resolve_witness(system, i)
-        cls = action.classify_word(witness)
+        witness, cls = resolve_witness(system, i)
         sample = _dynamics_sample(action, settings["seed"])
         if "ns" in checks:
             spec_plus = dyn.NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, action.model.basepoint)

@@ -26,7 +26,7 @@ from .errors import (
     ScheduleExhausted,
     WitnessNotHyperbolic,
 )
-from .models import IsometryClass, SpaceModel
+from .models import HYPERBOLIC, HYPOTHESIS_VIOLATION, IsometryClass, SpaceModel
 from .records import check_witnesses, witness_line
 from .words import GroupWord
 
@@ -102,27 +102,28 @@ class HypothesisReport:
 
 
 def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> HypothesisReport:
-    """Classify every word up to the given length in every action.
+    """Tag every word up to the given length in every action.
 
-    Fails (listing the offenders) when any classification is a
-    hypothesis violation; raises WitnessNotHyperbolic when a claimed
-    witness fails exact classification.
+    One walk of the word tree per action, each word decided by its exact
+    tag.  Fails (listing the offenders) when any tag is a hypothesis
+    violation; raises WitnessNotHyperbolic when a claimed witness fails
+    exact classification.
     """
-    words = system.enumerate_words(word_sample_depth)
     violations: list[tuple[GroupWord, int]] = []
     for i, action in enumerate(system.actions):
-        for w in words:
-            if action.classify_word(w).tag == "hypothesis_violation":
-                violations.append((w, i))
+        for letters, image in system.walk(action, word_sample_depth):
+            if action.model.tag(image) == HYPOTHESIS_VIOLATION:
+                violations.append((GroupWord(letters), i))
     for i, witness in enumerate(system.witnesses):
         if witness is None:
             continue
         cls = system.actions[i].classify_word(witness)
         if not cls.is_hyperbolic:
             raise WitnessNotHyperbolic(i, system.actions[i].name, f"classified {cls.tag}")
-    return HypothesisReport(
-        passed=not violations, violations=tuple(violations), words_checked=len(words)
-    )
+    # reduced words of length n: any of the r letters, then any but the inverse
+    r = 2 * len(system.generators)
+    words = sum(r * (r - 1) ** (n - 1) for n in range(1, word_sample_depth + 1))
+    return HypothesisReport(passed=not violations, violations=tuple(violations), words_checked=words)
 
 
 def independent(model: SpaceModel, cf: IsometryClass, cg: IsometryClass) -> bool:
@@ -143,13 +144,18 @@ def _finite_period(cls: IsometryClass) -> Optional[int]:
 
 
 def normalize_powers(
-    system: ActionSystem, f: GroupWord, g: GroupWord, f_classes: tuple[IsometryClass, ...]
+    system: ActionSystem,
+    f: GroupWord,
+    g: GroupWord,
+    f_classes: tuple[IsometryClass, ...],
+    g_class: IsometryClass,
 ) -> tuple[GroupWord, GroupWord, ActionProfile]:
     """Replace f, g by the powers killing all finite orders of their
     elliptic images among actions 0..stage, and profile the partition.
 
-    ``f_classes`` holds f's classes in actions 0..stage, so only g is
-    classified here.  Hyperbolicity is preserved wherever it held
+    ``f_classes`` holds f's classes in actions 0..stage and ``g_class``
+    g's class in action stage, so g is classified here only in actions
+    before the stage.  Hyperbolicity is preserved wherever it held
     (translation lengths scale by the powers, fixed points are unchanged);
     elliptic images of finite order become the identity.
     """
@@ -159,7 +165,7 @@ def normalize_powers(
     entries: list[ProfileEntry] = []
     for i, cf in enumerate(f_classes):
         action = system.actions[i]
-        cg = action.classify_word(g)
+        cg = g_class if i == k else action.classify_word(g)
         for cls, word_name in ((cf, "f"), (cg, "g")):
             if cls.tag == "hypothesis_violation":
                 raise HypothesisViolation(
@@ -210,17 +216,15 @@ def _classify_prefix(system: ActionSystem, word: GroupWord, upto: int):
     return classes, None
 
 
-def combine_step(
-    system: ActionSystem, running: Certificate, g: GroupWord, schedule: SearchSchedule
-) -> Certificate:
+def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSchedule) -> Certificate:
     """One induction stage: ``running`` certifies f hyperbolic in actions
-    0..k-1 and g is hyperbolic in action k; returns a word certified
-    hyperbolic in actions 0..k.
+    0..k-1; returns a word certified hyperbolic in actions 0..k.
 
     Only f's class in action k is new; the others are read from ``running``.
     When f is already hyperbolic in action k it is returned unchanged (the
-    proof's first simplification); otherwise the normalized powers are
-    combined along the schedule.
+    proof's first simplification) and action k's witness is not needed;
+    otherwise the witness g is resolved with its class and the normalized
+    powers of f and g are combined along the schedule.
     """
     f = running.word
     k = len(running.per_action)
@@ -242,11 +246,8 @@ def combine_step(
             search_stats=SearchStats(candidates_tried=0, stages=1),
         )
 
-    cls_gk = action_k.classify_word(g)
-    if not cls_gk.is_hyperbolic:
-        raise NotHyperbolic(f"g is {cls_gk.tag} in stage action {action_k.name!r}")
-
-    f2, g2, profile = normalize_powers(system, f, g, f_classes)
+    g, g_class = resolve_witness(system, k)
+    f2, g2, profile = normalize_powers(system, f, g, f_classes, g_class)
 
     trials: list[tuple[int, int, int, str]] = []
     for index, (a, b) in enumerate(schedule.pairs()):
@@ -275,19 +276,21 @@ def combine_step(
     raise ScheduleExhausted(k, trials)
 
 
-def resolve_witness(system: ActionSystem, k: int, search_depth: int = 4) -> GroupWord:
+def resolve_witness(
+    system: ActionSystem, k: int, search_depth: int = 4
+) -> tuple[GroupWord, IsometryClass]:
     """The claimed witness for action k, verified; else the first word (in
-    deterministic enumeration order) that classifies hyperbolic."""
+    the walk's order) whose tag is hyperbolic.  Returned with its class."""
     action = system.actions[k]
     claimed = system.witnesses[k]
     if claimed is not None:
         cls = action.classify_word(claimed)
         if not cls.is_hyperbolic:
             raise WitnessNotHyperbolic(k, action.name, f"classified {cls.tag}")
-        return claimed
-    for w in system.enumerate_words(search_depth):
-        if action.classify_word(w).is_hyperbolic:
-            return w
+        return claimed, cls
+    for letters, image in system.walk(action, search_depth):
+        if action.model.tag(image) == HYPERBOLIC:
+            return GroupWord(letters), action.model.classify(image)
     raise WitnessNotHyperbolic(k, action.name, f"no hyperbolic word up to length {search_depth}")
 
 
@@ -299,17 +302,17 @@ def simultaneous_hyperbolic(system: ActionSystem, schedule: SearchSchedule) -> C
     system + schedule.  The returned certificate covers every action and
     re-verifies from scratch.
     """
-    f = resolve_witness(system, 0)
+    f, cls_f = resolve_witness(system, 0)
     running = Certificate(
         word=f,
         stages=(StageRecord(0, system.actions[0].name),),
-        per_action=(system.actions[0].classify_word(f),),
+        per_action=(cls_f,),
         search_stats=SearchStats(candidates_tried=0, stages=1),
     )
     stages = list(running.stages)
     tried = 0
     for k in range(1, system.n_actions):
-        running = combine_step(system, running, resolve_witness(system, k), schedule)
+        running = combine_step(system, running, schedule)
         stages.extend(running.stages)
         tried += running.search_stats.candidates_tried
     return Certificate(

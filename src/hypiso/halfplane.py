@@ -24,6 +24,9 @@ from fractions import Fraction
 from typing import Union
 
 from .models import (
+    ELLIPTIC,
+    HYPERBOLIC,
+    HYPOTHESIS_VIOLATION,
     BoundaryPoint,
     Isometry,
     IsometryClass,
@@ -86,7 +89,7 @@ class Matrix2:
         return same or (self.a, self.b, self.c, self.d) == (-o.a, -o.b, -o.c, -o.d)
 
     def is_proj_identity(self) -> bool:
-        return self.proj_equal(Matrix2.identity())
+        return (self.a, self.b, self.c, self.d) in ((1, 0, 0, 1), (-1, 0, 0, -1))
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
@@ -193,17 +196,23 @@ class HalfPlaneModel(SpaceModel):
             return 3
         return None
 
-    def classify(self, iso: Isometry) -> IsometryClass:
+    def tag(self, iso: Isometry) -> str:
         m: Matrix2 = self.require_iso(iso)
         if m.is_proj_identity():
-            return IsometryClass.make_elliptic(1, self.basepoint, Length(0.0, exact_cosh=Fraction(1)))
-        t = m.trace
-        at = abs(t)
+            return ELLIPTIC
+        at = abs(m.trace)
         if at > 2:
+            return HYPERBOLIC
+        return HYPOTHESIS_VIOLATION if at == 2 else ELLIPTIC
+
+    def classify(self, iso: Isometry) -> IsometryClass:
+        tag = self.tag(iso)
+        m: Matrix2 = iso.payload
+        if tag == HYPERBOLIC:
             return self._classify_hyperbolic(m)
-        if at == 2:
+        if tag == HYPOTHESIS_VIOLATION:
             return IsometryClass.make_violation("parabolic: |trace| = 2 and not +-identity")
-        return self._classify_elliptic(m)
+        return self._classify_elliptic(m)  # +-identity: period 1
 
     def _classify_hyperbolic(self, m: Matrix2) -> IsometryClass:
         if m.trace < 0:

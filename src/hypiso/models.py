@@ -202,6 +202,11 @@ class SpaceModel:
     def iso_equal(self, a: Isometry, b: Isometry) -> bool:
         raise NotImplementedError
 
+    def tag(self, iso: Isometry) -> str:
+        """The exact tag of ``classify(iso)``, decided without building the
+        class (no fixed points, lengths or orbit witnesses)."""
+        raise NotImplementedError
+
     def classify(self, iso: Isometry) -> IsometryClass:
         raise NotImplementedError
 

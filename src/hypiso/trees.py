@@ -30,6 +30,8 @@ from fractions import Fraction
 
 from .errors import NotInBall
 from .models import (
+    ELLIPTIC,
+    HYPERBOLIC,
     BoundaryPoint,
     Isometry,
     IsometryClass,
@@ -61,7 +63,8 @@ class TreeModel(SpaceModel):
     ball_radius: int
 
     # subclasses provide: multiply, invert_word, word units, vertex helpers,
-    # and compose and classify, which perfbench/layers.py wraps per class
+    # cyclic_reduce and core_tag (the exact tag of a cyclic core), and
+    # compose and classify, which perfbench/layers.py wraps per class
 
     def word(self, units) -> Isometry:
         return self.isometry(self.normal_form(tuple(units)))
@@ -74,6 +77,9 @@ class TreeModel(SpaceModel):
 
     def iso_equal(self, a: Isometry, b: Isometry) -> bool:
         return self.require_iso(a) == self.require_iso(b)
+
+    def tag(self, iso: Isometry) -> str:
+        return self.core_tag(self.cyclic_reduce(self.require_iso(iso))[1])
 
     def _hyperbolic(self, u: tuple, v: tuple) -> IsometryClass:
         """The class of u . v . u^-1 for cyclically reduced v that is not
@@ -315,19 +321,21 @@ class CayleyTreeModel(TreeModel):
 
     def cyclic_reduce(self, w) -> tuple[tuple, tuple]:
         """w = u . v . u^-1 with v cyclically reduced; returns (u, v)."""
-        u: list[int] = []
-        v = list(w)
-        while len(v) >= 2 and v[0] == -v[-1]:
-            u.append(v[0])
-            v = v[1:-1]
-        return tuple(u), tuple(v)
+        i, j = 0, len(w) - 1
+        while j > i and w[i] == -w[j]:
+            i += 1
+            j -= 1
+        return tuple(w[:i]), tuple(w[i : j + 1])
+
+    def core_tag(self, v: tuple) -> str:
+        # free actions: only the identity is elliptic
+        return HYPERBOLIC if v else ELLIPTIC
 
     def classify(self, iso: Isometry) -> IsometryClass:
         u, v = self.cyclic_reduce(self.require_iso(iso))
-        if not v:
-            # free actions: only the identity is elliptic
-            return IsometryClass.make_elliptic(1, self.basepoint, _int_length(0))
-        return self._hyperbolic(u, v)
+        if self.core_tag(v) == HYPERBOLIC:
+            return self._hyperbolic(u, v)
+        return IsometryClass.make_elliptic(1, self.basepoint, _int_length(0))
 
     def geodesic(self, x: Point, y: Point) -> list[Point]:
         u = self.require_point(x)
@@ -528,28 +536,41 @@ class BassSerreModel(TreeModel):
     # -- classification -------------------------------------------------------
 
     def cyclic_reduce(self, w) -> tuple[tuple, tuple]:
-        """w = u . v . u^-1 with v syllable-cyclically reduced."""
-        u: list[tuple[int, int]] = []
-        v = list(w)
-        while len(v) >= 2 and v[0][0] == v[-1][0]:
-            head = v[0]
-            u.append(head)
-            rest = v[1:]
-            tail = list(rest[:-1])
-            self._push(tail, rest[-1][0], rest[-1][1] + head[1])
-            v = tail
-        return self.normal_form(tuple(u)), tuple(v)
+        """w = u . v . u^-1 with v syllable-cyclically reduced, for w in
+        normal form.
+
+        Conjugating by the head syllable adds its exponent to the last
+        syllable, of the same factor, so v is always w[i:j] followed by one
+        syllable ``last`` of w[j]'s factor (w[j - 1] when the sum is 0), and
+        u is w[:i].
+        """
+        if len(w) < 2:
+            return (), tuple(w)
+        i, j, last = 0, len(w) - 1, w[-1]
+        while j > i and w[i][0] == last[0]:
+            exp = (last[1] + w[i][1]) % self.orders[last[0]]
+            i += 1
+            if exp:
+                last = (last[0], exp)
+            else:
+                j -= 1
+                last = w[j]
+        return tuple(w[:i]), tuple(w[i:j]) + (last,)
+
+    def core_tag(self, v: tuple) -> str:
+        # a core of one syllable is conjugate into a factor
+        return HYPERBOLIC if len(v) >= 2 else ELLIPTIC
 
     def classify(self, iso: Isometry) -> IsometryClass:
         u, v = self.cyclic_reduce(self.require_iso(iso))
+        if self.core_tag(v) == HYPERBOLIC:
+            return self._hyperbolic(u, v)
         if not v:
             return IsometryClass.make_elliptic(1, self.basepoint, _int_length(0))
-        if len(v) == 1:
-            factor, exp = v[0]
-            order = self.orders[factor]
-            period = order // math.gcd(exp, order)
-            return IsometryClass.make_elliptic(period, self.coset_vertex(u, factor), _int_length(0))
-        return self._hyperbolic(u, v)
+        factor, exp = v[0]
+        order = self.orders[factor]
+        period = order // math.gcd(exp, order)
+        return IsometryClass.make_elliptic(period, self.coset_vertex(u, factor), _int_length(0))
 
     def word_display(self, payload: tuple) -> str:
         names = "st"

@@ -6,6 +6,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,6 +73,52 @@ def test_trichotomy_exhaustive_small_entries():
                 assert moved.coords[0] == w.orbit_point.coords[0]
                 assert moved.coords[1] == w.orbit_point.coords[1]
     assert all(seen.values()), seen
+
+
+def test_tag_matches_classify_on_sweep():
+    plane = HalfPlaneModel()
+    sweep = list(det_one_matrices(3))
+    assert Matrix2.of(1, 0, 0, 1) in sweep and Matrix2.of(-1, 0, 0, -1) in sweep
+    tags = set()
+    for m in sweep:
+        iso = plane.isometry(m)
+        tags.add(plane.tag(iso))
+        assert plane.tag(iso) == plane.classify(iso).tag
+    assert tags == {"elliptic", "hyperbolic", "hypothesis_violation"}
+
+
+def test_fixed_points_are_distinct_roots_sympy():
+    # an oracle outside hypiso: each boundary fixed point a + b sqrt(d) of a
+    # hyperbolic matrix is a root of c z^2 + (d - a) z - b, and the two differ
+    sympy = pytest.importorskip("sympy")
+
+    def exact(x: Fraction):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    plane = HalfPlaneModel()
+    checked = 0
+    for m in det_one_matrices(3):
+        cls = plane.classify(plane.isometry(m))
+        if not cls.is_hyperbolic:
+            continue
+        a, b, c, d = (exact(x) for x in m.entries())
+        roots = []
+        for bp in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
+            pp = bp.payload
+            if pp.is_infinity:
+                assert c == 0  # the quadratic drops a degree: a root at infinity
+                roots.append(sympy.oo)
+                continue
+            q = pp.finite
+            z = exact(q.a) + exact(q.b) * sympy.sqrt(exact(q.d))
+            assert sympy.expand(c * z**2 + (d - a) * z - b) == 0
+            roots.append(z)
+        if sympy.oo in roots:
+            assert roots.count(sympy.oo) == 1
+        else:
+            assert sympy.expand(roots[0] - roots[1]).is_zero is False
+        checked += 1
+    assert checked >= 40  # the hyperbolic matrices of the sweep
 
 
 def test_parabolic_estimate_still_returns():

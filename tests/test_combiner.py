@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from collections import Counter
@@ -6,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from hypiso import combiner
 from hypiso.actions import Action, ActionSystem
 from hypiso.combiner import (
     Certificate,
@@ -51,6 +51,10 @@ def _classes(system: ActionSystem, word: GroupWord, upto: int) -> tuple:
     return tuple(system.actions[i].classify_word(word) for i in range(upto + 1))
 
 
+def _class(system: ActionSystem, word: GroupWord, k: int):
+    return system.actions[k].classify_word(word)
+
+
 def _running(system: ActionSystem, word: GroupWord, k: int) -> Certificate:
     """A certificate for word in actions 0..k-1, as stage k receives it."""
     return Certificate(word, (), _classes(system, word, k - 1), SearchStats(0, 0))
@@ -84,6 +88,71 @@ def test_check_hypotheses_all_tree_pass():
     assert check_hypotheses(system, 4).passed
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _reference_hypotheses(system: ActionSystem, depth: int):
+    """Brute force: the reduced words among all letter strings up to depth,
+    in lexicographic order, each classified in every action."""
+    alphabet = [(g, s) for g in system.generators for s in (1, -1)]
+    words = []
+    for n in range(1, depth + 1):
+        for letters in itertools.product(alphabet, repeat=n):
+            w = GroupWord(letters)
+            if len(w) == n:
+                words.append(w)
+    violations = [
+        (w, i)
+        for i, action in enumerate(system.actions)
+        for w in words
+        if action.classify_word(w).tag == "hypothesis_violation"
+    ]
+    return tuple(violations), len(words)
+
+
+def _parabolic_system() -> ActionSystem:
+    plane, bs, p2 = HalfPlaneModel(), BassSerreModel(2, 3), HalfPlaneModel()
+    return ActionSystem(
+        ("f", "g"),
+        [
+            Action("p", plane, {"f": plane.matrix(1, 1, 0, 1), "g": plane.matrix(2, 1, 1, 1)}),
+            Action("t", bs, {"f": bs.word([(0, 1), (1, 1)]), "g": bs.word([(1, 1)])}),
+            Action("q", p2, {"f": p2.matrix(2, 1, 1, 1), "g": p2.matrix(1, 0, 1, 1)}),
+        ],
+    )
+
+
+def test_check_hypotheses_matches_brute_force():
+    cases = [(build_action_system(parse_config(p.read_text())), 5) for p in sorted(CONFIGS.glob("*.cfg"))]
+    cases += [(random_action_system(seed), 4) for seed in range(20)]
+    cases += [(_parabolic_system(), 4), (ActionSystem(("f", "g"), []), 2)]
+    for system, depth in cases:
+        report = check_hypotheses(system, depth)
+        violations, count = _reference_hypotheses(system, depth)
+        assert report.violations == violations
+        assert report.words_checked == count
+        assert report.passed == (not violations)
+    assert {i for _, i in check_hypotheses(_parabolic_system(), 4).violations} == {0, 2}
+    assert check_hypotheses(ActionSystem(("f", "g"), []), 2).words_checked == 16
+
+
+def test_check_hypotheses_composes_once_per_word(monkeypatch):
+    # each word's image is its parent's image composed with one generator
+    # image; the only other composition images a claimed witness
+    calls = []
+    original = HalfPlaneModel.compose
+
+    def counted(self, first, second):
+        calls.append(1)
+        return original(self, first, second)
+
+    monkeypatch.setattr(HalfPlaneModel, "compose", counted)
+    system = build_action_system(parse_config((CONFIGS / "worked_example.cfg").read_text()))
+    report = check_hypotheses(system, 6)
+    assert report.words_checked == 1456
+    assert len(calls) <= system.n_actions * (report.words_checked + 1)
+
+
 def test_witness_not_hyperbolic_raises():
     system = worked_system()
     system.witnesses[0] = GroupWord.parse("g")  # elliptic in action one
@@ -111,8 +180,8 @@ def test_independent_examples():
 
 def test_normalize_powers_plane_orders():
     system = worked_system()
-    f = GroupWord.parse("f")
-    f2, g2, prof = normalize_powers(system, f, GroupWord.parse("g"), _classes(system, f, 1))
+    f, g = GroupWord.parse("f"), GroupWord.parse("g")
+    f2, g2, prof = normalize_powers(system, f, g, _classes(system, f, 1), _class(system, g, 1))
     assert prof.p == 2  # rho_2(f) is the projective order-2 rotation
     assert prof.q == 2  # rho_1(g) likewise
     assert f2 == GroupWord.parse("f^2")
@@ -125,8 +194,8 @@ def test_normalize_powers_all_hyperbolic():
         "p", plane, {"f": plane.matrix(2, 1, 1, 1), "g": plane.matrix(2, 0, 0, Fraction(1, 2))}
     )
     system = ActionSystem(("f", "g"), [act], [GroupWord.parse("f")])
-    f = GroupWord.parse("f")
-    f2, g2, prof = normalize_powers(system, f, GroupWord.parse("g"), _classes(system, f, 0))
+    f, g = GroupWord.parse("f"), GroupWord.parse("g")
+    f2, g2, prof = normalize_powers(system, f, g, _classes(system, f, 0), _class(system, g, 0))
     assert prof.p == 1 and prof.q == 1
 
 
@@ -136,8 +205,8 @@ def test_normalize_powers_bass_serre_order_3():
     plane = HalfPlaneModel()
     act2 = Action("p", plane, {"f": plane.matrix(2, 1, 1, 1), "g": plane.matrix(2, 1, 1, 1)})
     system = ActionSystem(("f", "g"), [act, act2], [GroupWord.parse("f"), GroupWord.parse("g")])
-    f = GroupWord.parse("f")
-    _, g2, prof = normalize_powers(system, f, GroupWord.parse("g"), _classes(system, f, 1))
+    f, g = GroupWord.parse("f"), GroupWord.parse("g")
+    _, g2, prof = normalize_powers(system, f, g, _classes(system, f, 1), _class(system, g, 1))
     assert prof.q == 3  # elliptic image t has order 3
     assert g2 == GroupWord.parse("g^3")
 
@@ -147,7 +216,7 @@ def test_normalize_powers_preserves_hyperbolic_data():
     # the same boundary fixed points
     system = three_action_system()
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    f2, g2, prof = normalize_powers(system, f, g, _classes(system, f, 2))
+    f2, g2, prof = normalize_powers(system, f, g, _classes(system, f, 2), _class(system, g, 2))
     for i, action in enumerate(system.actions):
         cls = action.classify_word(f)
         if not cls.is_hyperbolic:
@@ -171,8 +240,8 @@ def test_profile_partition_tags():
     p3 = HalfPlaneModel()
     act3 = Action("stage", p3, {"f": p3.matrix(0, -1, 1, 0), "g": p3.matrix(2, 1, 1, 1)})
     system = ActionSystem(("f", "g"), [act1, act2, act3])
-    f = GroupWord.parse("f")
-    _, _, prof = normalize_powers(system, f, GroupWord.parse("g"), _classes(system, f, 2))
+    f, g = GroupWord.parse("f"), GroupWord.parse("g")
+    _, _, prof = normalize_powers(system, f, g, _classes(system, f, 2), _class(system, g, 2))
     tags = {e.action_name: e.partition for e in prof.entries}
     assert tags["h-prime"] == "H'"
     assert tags["h-dep"] == "H"
@@ -186,7 +255,7 @@ def test_combine_step_trivial_when_already_hyperbolic():
     a2 = Action("two", p2, {"f": p2.matrix(3, 1, 2, 1), "g": p2.matrix(0, -1, 1, 0)})
     system = ActionSystem(("f", "g"), [a1, a2])
     f = GroupWord.parse("f")
-    cert = combine_step(system, _running(system, f, 1), GroupWord.parse("g"), SearchSchedule(8))
+    cert = combine_step(system, _running(system, f, 1), SearchSchedule(8))
     assert cert.word == GroupWord.parse("f")
     assert cert.stages[0].trivial
 
@@ -201,7 +270,7 @@ def test_combine_step_dependent_hyperbolic_case():
     a2 = Action("two", p2, {"f": p2.matrix(0, -1, 1, 0), "g": p2.matrix(2, 1, 1, 1)})
     system = ActionSystem(("f", "g"), [a1, a2])
     f = GroupWord.parse("f")
-    cert = combine_step(system, _running(system, f, 1), GroupWord.parse("g"), SearchSchedule(8))
+    cert = combine_step(system, _running(system, f, 1), SearchSchedule(8))
     assert verify_certificate(
         ActionSystem(("f", "g"), [a1, a2], [None, None]), _extend(cert, system)
     ) or all(c.is_hyperbolic for c in cert.per_action)
@@ -216,7 +285,7 @@ def test_schedule_exhausted_carries_trials():
     system = worked_system()
     with pytest.raises(ScheduleExhausted) as err:
         f = GroupWord.parse("f")
-        combine_step(system, _running(system, f, 1), GroupWord.parse("g"), SearchSchedule(0))
+        combine_step(system, _running(system, f, 1), SearchSchedule(0))
     assert err.value.stage == 1
     assert err.value.trials == []
 
@@ -244,7 +313,7 @@ def test_simultaneous_monotone_stages():
     system = three_action_system()
     schedule = SearchSchedule(8)
     cert = simultaneous_hyperbolic(system, schedule)
-    f = resolve_witness(system, 0)
+    f, _ = resolve_witness(system, 0)
     assert cert.stages[0].profile is None
     for record in cert.stages:
         if record.stage == 0:
@@ -252,8 +321,10 @@ def test_simultaneous_monotone_stages():
         if record.trivial:
             assert record.profile is None
         else:
-            g = resolve_witness(system, record.stage)
-            f2, g2, profile = normalize_powers(system, f, g, _classes(system, f, record.stage))
+            g, g_class = resolve_witness(system, record.stage)
+            f2, g2, profile = normalize_powers(
+                system, f, g, _classes(system, f, record.stage), g_class
+            )
             assert record.profile == profile
             assert (record.p, record.q) == (profile.p, profile.q)
             f = f2**record.a * g2**record.b
@@ -335,7 +406,7 @@ def test_hypothesis_violation_raised_on_parabolic_running_word():
     system = ActionSystem(("f", "g"), [act])
     with pytest.raises(HypothesisViolation):
         f = GroupWord.parse("f")
-        combine_step(system, _running(system, f, 0), GroupWord.parse("g"), SearchSchedule(4))
+        combine_step(system, _running(system, f, 0), SearchSchedule(4))
 
 
 def test_schedule_covers_all_pairs_once():
@@ -351,38 +422,30 @@ def test_schedule_covers_all_pairs_once():
 
 def test_combine_step_rejects_non_hyperbolic_g():
     system = worked_system()
-    with pytest.raises(NotHyperbolic):
+    with pytest.raises(WitnessNotHyperbolic):
         # g = f is elliptic in the stage action (action two)
         f = GroupWord.parse("f")
-        combine_step(system, _running(system, f, 1), f, SearchSchedule(4))
+        system.witnesses[1] = f
+        combine_step(system, _running(system, f, 1), SearchSchedule(4))
 
 
 def test_search_classifies_each_word_once_per_action(monkeypatch):
-    # each stage extends the previous stage's certificate, so the search
-    # classifies a word at most once per action; only the witnesses, which
-    # resolve_witness has already classified, are seen again
+    # each stage extends the previous stage's certificate, resolves its
+    # witness only when it needs one, and takes the witness's class from
+    # resolve_witness, so no word is classified twice in one action,
+    # witnesses included
     classified = Counter()
-    witnesses = set()
     original_classify = Action.classify_word
-    original_resolve = combiner.resolve_witness
 
     def counted_classify(self, word):
         classified[(id(self), word)] += 1
         return original_classify(self, word)
 
-    def recorded_resolve(*args, **kwargs):
-        word = original_resolve(*args, **kwargs)
-        witnesses.add(word)
-        return word
-
     monkeypatch.setattr(Action, "classify_word", counted_classify)
-    monkeypatch.setattr(combiner, "resolve_witness", recorded_resolve)
-    config = Path(__file__).resolve().parents[1] / "configs" / "three_action.cfg"
-    systems = [build_action_system(parse_config(config.read_text()))]
+    systems = [build_action_system(parse_config((CONFIGS / "three_action.cfg").read_text()))]
     systems += [random_action_system(seed) for seed in range(20)]
     for system in systems:
         classified.clear()
-        witnesses.clear()
         simultaneous_hyperbolic(system, SearchSchedule(32))
-        repeated = [w for (_, w), n in classified.items() if n > 1 and w not in witnesses]
+        repeated = [w for (_, w), n in classified.items() if n > 1]
         assert repeated == []

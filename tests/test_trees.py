@@ -287,6 +287,22 @@ def test_cayley_cyclic_reduce_reconstruction(raw):
     assert not v or len(v) == 1 or v[0] != -v[-1]
 
 
+@given(st.lists(st.tuples(st.sampled_from([0, 1]), st.integers(min_value=-5, max_value=5)), max_size=10))
+@settings(max_examples=80)
+def test_bs_tag_matches_classify(raw):
+    model = BassSerreModel(3, 4)
+    iso = model.word(raw)
+    assert model.tag(iso) == model.classify(iso).tag
+
+
+@given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12))
+@settings(max_examples=80)
+def test_cayley_tag_matches_classify(raw):
+    model = CayleyTreeModel(2)
+    iso = model.word(raw)
+    assert model.tag(iso) == model.classify(iso).tag
+
+
 def test_bs_elliptic_fixed_vertex_long_conjugators(bs23):
     import random
 
