@@ -44,6 +44,11 @@ EXIT_PARSE = 1
 EXIT_EXHAUSTED = 2
 EXIT_HYPOTHESIS = 3
 
+# delta and dynamics sample at most this many points per action: plane
+# points (--samples), or the vertices of a tree ball.  The four-point
+# estimate costs n^3 steps; the 937-vertex rank-3 radius-4 ball takes 3 s.
+MAX_SAMPLE_POINTS = 1000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hypiso")
@@ -195,19 +200,29 @@ def _cmd_combine(args, system: ActionSystem, settings) -> int:
     return EXIT_OK
 
 
-def _delta_sample(action, seed: int, count: int):
+def _sample(action, seed: int, count: int, radius: int):
+    """Seeded plane points, or the tree ball of the given radius (at most
+    the materialized one); either way at most MAX_SAMPLE_POINTS points."""
     model = action.model
     if isinstance(model, HalfPlaneModel):
+        size = count
+    else:
+        radius = min(radius, model.ball_radius)
+        size = model.ball_size(radius)
+    if size > MAX_SAMPLE_POINTS:
+        raise ValidationError(
+            f"a sample of {size} points is over the cap of {MAX_SAMPLE_POINTS}", f"action {action.name!r}"
+        )
+    if isinstance(model, HalfPlaneModel):
         return sample_plane_points(model, count, rng_from_seed(seed))
-    assert isinstance(model, TreeModel)
-    return model.ball_vertices(min(4, model.ball_radius))
+    return model.ball_vertices(radius)
 
 
 def _cmd_delta(args, system: ActionSystem, settings) -> int:
     rec = RunRecord(command="delta", status="ok", exit_code=0, settings=_settings_rows(settings))
     rows = []
     for i, action in enumerate(system.actions):
-        sample = _delta_sample(action, settings["seed"], args.samples)
+        sample = _sample(action, settings["seed"], args.samples, 4)
         est = estimate_delta_four_point(action.model, sample, action.model.basepoint)
         rows.append((str(i), action.name, action.model.kind, est.condition,
                      f"{est.delta:.6f}", str(est.sample_size)))
@@ -226,21 +241,13 @@ def _cmd_delta(args, system: ActionSystem, settings) -> int:
     return EXIT_OK
 
 
-def _dynamics_sample(action, seed: int):
-    model = action.model
-    if isinstance(model, HalfPlaneModel):
-        return sample_plane_points(model, 24, rng_from_seed(seed))
-    assert isinstance(model, TreeModel)
-    return model.ball_vertices(min(3, model.ball_radius))
-
-
 def _cmd_dynamics(args, system: ActionSystem, settings) -> int:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     rec = RunRecord(command="dynamics", status="ok", exit_code=0, settings=_settings_rows(settings))
     rows = []
     for i, action in enumerate(system.actions):
         witness, cls = resolve_witness(system, i)
-        sample = _dynamics_sample(action, settings["seed"])
+        sample = _sample(action, settings["seed"], 24, 3)
         if "ns" in checks:
             spec_plus = dyn.NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, action.model.basepoint)
             spec_minus = dyn.NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, action.model.basepoint)

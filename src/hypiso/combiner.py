@@ -24,6 +24,7 @@ from .errors import (
     MixedModels,
     NotHyperbolic,
     ScheduleExhausted,
+    ValidationError,
     WitnessNotHyperbolic,
 )
 from .models import HYPERBOLIC, HYPOTHESIS_VIOLATION, IsometryClass, SpaceModel
@@ -94,6 +95,11 @@ class Certificate:
     search_stats: SearchStats
 
 
+# check_hypotheses tags at most this many (word, action) pairs: depth 9 on
+# configs/three_action.cfg is 39,364 words in 3 actions, about 4 s
+MAX_HYPOTHESIS_PAIRS = 250_000
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
     passed: bool
@@ -107,8 +113,20 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
     One walk of the word tree per action, each word decided by its exact
     tag.  Fails (listing the offenders) when any tag is a hypothesis
     violation; raises WitnessNotHyperbolic when a claimed witness fails
-    exact classification.
+    exact classification.  Raises ValidationError before any walk when the
+    words times the actions (at least one) exceed MAX_HYPOTHESIS_PAIRS.
     """
+    # reduced words of length n: any of the r letters, then any but the inverse
+    r = 2 * len(system.generators)
+    words, level = 0, r
+    for _ in range(word_sample_depth):
+        words += level
+        level *= r - 1
+        if words * max(system.n_actions, 1) > MAX_HYPOTHESIS_PAIRS:
+            raise ValidationError(
+                f"{word_sample_depth} gives over {MAX_HYPOTHESIS_PAIRS} word-action pairs to check",
+                "word-sample-depth",
+            )
     violations: list[tuple[GroupWord, int]] = []
     for i, action in enumerate(system.actions):
         for letters, image in system.walk(action, word_sample_depth):
@@ -120,9 +138,6 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
         cls = system.actions[i].classify_word(witness)
         if not cls.is_hyperbolic:
             raise WitnessNotHyperbolic(i, system.actions[i].name, f"classified {cls.tag}")
-    # reduced words of length n: any of the r letters, then any but the inverse
-    r = 2 * len(system.generators)
-    words = sum(r * (r - 1) ** (n - 1) for n in range(1, word_sample_depth + 1))
     return HypothesisReport(passed=not violations, violations=tuple(violations), words_checked=words)
 
 

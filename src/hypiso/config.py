@@ -171,17 +171,17 @@ def _build_model(ac: ActionConfig, radius: int) -> SpaceModel:
     if ac.kind == "bass_serre":
         if len(ac.params) != 2:
             raise ValidationError("bass_serre needs two factor orders", where)
-        m, n = ac.params
-        if m < 2 or n < 2:
-            raise ValidationError("factor orders must be >= 2", where)
-        return BassSerreModel(m, n, ball_radius=radius)
-    if ac.kind == "cayley_tree":
+        cls = BassSerreModel
+    elif ac.kind == "cayley_tree":
         if len(ac.params) != 1:
             raise ValidationError("cayley_tree needs a rank", where)
-        if ac.params[0] < 1:
-            raise ValidationError("rank must be >= 1", where)
-        return CayleyTreeModel(ac.params[0], ball_radius=radius)
-    raise ValidationError(f"unknown model kind {ac.kind!r}", where)
+        cls = CayleyTreeModel
+    else:
+        raise ValidationError(f"unknown model kind {ac.kind!r}", where)
+    try:  # the model checks its parameters: factor orders >= 2, 1 <= rank <= 26
+        return cls(*ac.params, ball_radius=radius)
+    except ValueError as exc:
+        raise ValidationError(str(exc), where)
 
 
 def build_action_system(config: SystemConfig, ball_radius: Optional[int] = None) -> ActionSystem:

@@ -133,27 +133,16 @@ class TriangleInternals:
 def internal_points(model: SpaceModel, x: Point, y: Point, z: Point) -> TriangleInternals:
     """The three equidistance-defined points and their diameter.
 
-    Exact on trees (all three coincide at the median, insize 0); on the
-    plane the points are placed in closed form along the parameterized
-    geodesics, resolution limited only by float evaluation.
+    Exact on trees: ``TreeModel.internal_points`` places each point at its
+    Gromov-product distance along its side and measures the insize between
+    them.  On the plane the points are placed in closed form along the
+    parameterized geodesics, resolution limited only by float evaluation.
     """
     for p, q in ((x, y), (y, z), (x, z)):
         if p.coords == q.coords:
             raise DegenerateTriangle("two triangle vertices coincide")
     if isinstance(model, TreeModel):
-        med = model.median(x, y, z)
-        dxy = model.distance(x, y).exact_value
-        dyz = model.distance(y, z).exact_value
-        dxz = model.distance(x, z).exact_value
-        # the defining equalities pin the internal points at the median
-        assert 2 * model.distance(x, med).exact_value == dxy + dxz - dyz
-        assert 2 * model.distance(y, med).exact_value == dxy + dyz - dxz
-        assert 2 * model.distance(z, med).exact_value == dxz + dyz - dxy
-        return TriangleInternals(
-            vertices=(x, y, z),
-            internal=(med, med, med),
-            insize=Length(0.0, exact_value=Fraction(0)),
-        )
+        return TriangleInternals((x, y, z), *model.internal_points(x, y, z))
     gx = gromov_product(model, y, z, x).value  # d(x, beta^) = d(x, gamma^)
     gy = gromov_product(model, x, z, y).value
     gz = gromov_product(model, x, y, z).value

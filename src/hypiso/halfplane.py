@@ -222,30 +222,22 @@ class HalfPlaneModel(SpaceModel):
         tl = TranslationLengthEstimate(
             value=tau, n_used=1, exact=True, lower_bound_t=tau, exact_cosh_half=t / 2
         )
-        plus, minus = self._fixed_boundary(m)
-        return IsometryClass.make_hyperbolic(tl, plus, minus)
-
-    def _fixed_boundary(self, m: Matrix2) -> tuple[BoundaryPoint, BoundaryPoint]:
-        """(attracting, repelling) for a trace-normalized hyperbolic matrix."""
         a, b, c, d = m.entries()
-        t = m.trace
-        assert t > 2
         if c == 0:
             # fixes infinity (eigenvalue a) and b/(d-a)
             finite = ProjectivePoint(QuadraticNumber(b / (d - a)))
-            if a > 1:
-                return self.boundary(INFINITY), self.boundary(finite)
-            return self.boundary(finite), self.boundary(INFINITY)
-        disc = t * t - 4
-        root = rational_sqrt(disc)
-        if root is not None:
-            zp = ProjectivePoint(QuadraticNumber((a - d + root) / (2 * c)))
-            zm = ProjectivePoint(QuadraticNumber((a - d - root) / (2 * c)))
+            plus, minus = (INFINITY, finite) if a > 1 else (finite, INFINITY)
         else:
-            zp = ProjectivePoint(QuadraticNumber((a - d) / (2 * c), Fraction(1, 2) / c, disc))
-            zm = ProjectivePoint(QuadraticNumber((a - d) / (2 * c), Fraction(-1, 2) / c, disc))
-        # z+ carries eigenvalue (t + sqrt(disc))/2 > 1: attracting
-        return self.boundary(zp), self.boundary(zm)
+            disc = t * t - 4
+            root = rational_sqrt(disc)
+            if root is not None:
+                plus = ProjectivePoint(QuadraticNumber((a - d + root) / (2 * c)))
+                minus = ProjectivePoint(QuadraticNumber((a - d - root) / (2 * c)))
+            else:
+                plus = ProjectivePoint(QuadraticNumber((a - d) / (2 * c), Fraction(1, 2) / c, disc))
+                minus = ProjectivePoint(QuadraticNumber((a - d) / (2 * c), Fraction(-1, 2) / c, disc))
+            # plus carries eigenvalue (t + sqrt(disc))/2 > 1: attracting
+        return IsometryClass.make_hyperbolic(tl, self.boundary(plus), self.boundary(minus))
 
     def _classify_elliptic(self, m: Matrix2) -> IsometryClass:
         period = self.projective_order(m)
@@ -276,8 +268,7 @@ class HalfPlaneModel(SpaceModel):
         t = m.trace
         if abs(t) >= 2:
             raise ValueError("not elliptic")
-        # c != 0 for any real matrix with |tr| < 2 (else |a + 1/a| >= 2)
-        assert c != 0
+        # c != 0 here: with det 1, c = 0 gives d = 1/a and |tr| = |a + 1/a| >= 2
         x = (a - d) / (2 * c)
         y = QuadraticNumber(0, Fraction(1, 2) / abs(c), 4 - t * t)
         if y.is_rational:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .actions import ActionSystem
-from .errors import ParseError
+from .errors import MixedModels, ParseError
 from .halfplane import ProjectivePoint
 from .models import BoundaryPoint, IsometryClass, SpaceModel
 from .quadratic import format_rational
@@ -50,11 +50,11 @@ def boundary_string(model: SpaceModel, bp: BoundaryPoint) -> str:
         if z.is_rational:
             return f"rat:{format_rational(z.as_fraction())}"
         return f"quad:{format_rational(z.a)};{format_rational(z.b)};{format_rational(z.d)}"
-    assert isinstance(payload, RayDescriptor)
-    assert isinstance(model, TreeModel)
-    prefix = model.word_display(payload.prefix).replace(" ", ".")
-    period = model.word_display(payload.period).replace(" ", ".")
-    return f"ray:{prefix};{period}"
+    if isinstance(payload, RayDescriptor) and isinstance(model, TreeModel):
+        prefix = model.word_display(payload.prefix).replace(" ", ".")
+        period = model.word_display(payload.period).replace(" ", ".")
+        return f"ray:{prefix};{period}"
+    raise MixedModels(f"boundary payload {type(payload).__name__} does not belong to {model.model_id}")
 
 
 def witness_line(index: int, name: str, model: SpaceModel, cls: IsometryClass) -> str:

@@ -1,12 +1,15 @@
 """Tree models: Bass-Serre trees of Z/m * Z/n and Cayley trees of free groups.
 
 Both models are exact.  Vertices are canonical labels (reduced words; for
-Bass-Serre trees, coset representatives plus a vertex type), distances are
-integer edge counts computed from word combinatorics, and boundary points
-are eventually-periodic reduced rays (prefix, repeating word).  A BFS ball
-of configurable radius is materialized for enumeration and serves as an
-independent oracle: ``bfs_distance`` recomputes metric facts by actual
-graph search and raises NotInBall outside the materialized region.
+Bass-Serre trees, coset representatives plus a vertex type), and boundary
+points are eventually-periodic reduced rays (prefix, repeating word).
+``TreeModel`` derives the whole metric (distance, median, geodesic, root
+path, internal points) in integers from three hooks on vertex labels that
+each model provides: ``_depth``, ``_meet_depth`` and ``_ancestor``.  A BFS
+ball of configurable radius is materialized for enumeration and serves as
+an independent oracle: ``bfs_distance`` recomputes metric facts by graph
+search over each model's own ``_neighbors`` and raises NotInBall outside
+the materialized region.
 
 Bass-Serre conventions for G = Z/m * Z/n = <s> * <t>: syllables are
 (factor, exponent) with factor 0 for s and 1 for t, exponents reduced mod
@@ -40,6 +43,9 @@ from .models import (
     SpaceModel,
     TranslationLengthEstimate,
 )
+from .words import collect_powers, format_powers, parse_powers
+
+_LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"  # Cayley letter i is named _LETTER_NAMES[i - 1]
 
 
 @dataclass(frozen=True)
@@ -62,9 +68,17 @@ class TreeModel(SpaceModel):
 
     ball_radius: int
 
-    # subclasses provide: multiply, invert_word, word units, vertex helpers,
-    # cyclic_reduce and core_tag (the exact tag of a cyclic core), and
-    # compose and classify, which perfbench/layers.py wraps per class
+    # Subclasses provide, on words: normal_form, multiply, invert_word,
+    # cyclic_reduce and core_tag (the exact tag of a cyclic core), and compose
+    # and classify, which perfbench/layers.py wraps per class.  On vertex
+    # labels, the three hooks the whole metric is derived from:
+    #   _depth(v)          distance from the basepoint
+    #   _meet_depth(u, v)  depth of the last vertex the root paths share
+    #   _ancestor(v, k)    the vertex at depth k on v's root path
+    # and, for the ball and the BFS oracle alone, _neighbors(v) (adjacency
+    # from the tree's own definition) and _degrees (the vertex degrees at
+    # even and at odd depth).  _vertex_from_units(units) is the vertex a
+    # reduced word ends at.
 
     def word(self, units) -> Isometry:
         return self.isometry(self.normal_form(tuple(units)))
@@ -91,11 +105,65 @@ class TreeModel(SpaceModel):
         )
         return IsometryClass.make_hyperbolic(tl, self.ray(u, v), self.ray(u, self.invert_word(v)))
 
+    # -- the metric, from depth, meet depth and ancestor ------------------------
+
+    def _dist(self, u, v) -> int:
+        return self._depth(u) + self._depth(v) - 2 * self._meet_depth(u, v)
+
+    def _along(self, u, v, k: int, t: int):
+        """The vertex at distance t from u on the geodesic [u, v], whose root
+        paths meet at depth k: up from u to the meet, then down towards v."""
+        du = self._depth(u)
+        if t <= du - k:
+            return self._ancestor(u, du - t)
+        return self._ancestor(v, t - du + 2 * k)
+
+    def distance(self, x: Point, y: Point) -> Length:
+        return _int_length(self._dist(self.require_point(x), self.require_point(y)))
+
     def gromov_exact(self, x: Point, y: Point, w: Point) -> Fraction:
         dxw = self.distance(x, w).exact_value
         dyw = self.distance(y, w).exact_value
         dxy = self.distance(x, y).exact_value
         return Fraction(dxw + dyw - dxy, 2)
+
+    def root_path(self, p: Point) -> list[Point]:
+        """Vertices from the basepoint to p."""
+        v = self.require_point(p)
+        return [self.point(self._ancestor(v, k)) for k in range(self._depth(v) + 1)]
+
+    def geodesic(self, x: Point, y: Point) -> list[Point]:
+        u, v = self.require_point(x), self.require_point(y)
+        k = self._meet_depth(u, v)
+        return [self.point(self._along(u, v, k, t)) for t in range(self._dist(u, v) + 1)]
+
+    def median(self, x: Point, y: Point, z: Point) -> Point:
+        """The deepest of the three pairwise meets (the other two coincide)."""
+        u, v, w = (self.require_point(p) for p in (x, y, z))
+        meets = [(self._meet_depth(a, b), a) for a, b in ((u, v), (v, w), (w, u))]
+        k, a = max(meets, key=lambda meet: meet[0])
+        return self.point(self._ancestor(a, k))
+
+    def internal_points(self, x: Point, y: Point, z: Point) -> tuple[tuple[Point, Point, Point], Length]:
+        """The internal points of the triangle xyz on its sides [y, z], [z, x]
+        and [x, y], and the insize: the largest distance between two of them.
+
+        Each point is placed on its side at the Gromov-product distance from
+        the side's first vertex (<x|z>_y on [y, z], and so on round), in
+        exact integers; nothing assumes that the three coincide.
+        """
+        u, v, w = (self.require_point(p) for p in (x, y, z))
+        du, dv, dw = self._depth(u), self._depth(v), self._depth(w)
+        kvw, kwu, kuv = self._meet_depth(v, w), self._meet_depth(w, u), self._meet_depth(u, v)
+        # <x|z>_y = (d(x,y) + d(y,z) - d(z,x)) / 2 = dv - kuv - kvw + kwu, and
+        # so on round: the halves cancel, so the products are integers
+        pts = (
+            self._along(v, w, kvw, dv - kuv - kvw + kwu),
+            self._along(w, u, kwu, dw - kvw - kwu + kuv),
+            self._along(u, v, kuv, du - kwu - kuv + kvw),
+        )
+        insize = max(self._dist(pts[0], pts[1]), self._dist(pts[1], pts[2]), self._dist(pts[2], pts[0]))
+        return tuple(self.point(p) for p in pts), _int_length(insize)
 
     # -- boundary rays ------------------------------------------------------
 
@@ -150,7 +218,7 @@ class TreeModel(SpaceModel):
         n = (
             max(len(r1.prefix), len(r2.prefix))
             + math.lcm(len(r1.period), len(r2.period))
-            + self._depth_of(base)
+            + self._depth(self.require_point(base))
             + 4
         )
         v1 = self._vertex_from_units(self._ray_units(r1, n))
@@ -159,7 +227,8 @@ class TreeModel(SpaceModel):
 
     def gromov_boundary_point_exact(self, b, y: Point, base: Point) -> Fraction:
         ray: RayDescriptor = self.require_boundary(b)
-        n = len(ray.prefix) + 2 * len(ray.period) + self._depth_of(y) + self._depth_of(base) + 4
+        depths = self._depth(self.require_point(y)) + self._depth(self.require_point(base))
+        n = len(ray.prefix) + 2 * len(ray.period) + depths + 4
         v = self._vertex_from_units(self._ray_units(ray, n))
         return self.gromov_exact(v, y, base)
 
@@ -178,16 +247,29 @@ class TreeModel(SpaceModel):
             radius = self.ball_radius
         if radius > self.ball_radius:
             raise NotInBall(f"requested radius {radius} > materialized {self.ball_radius}")
-        out = []
-        for v, depth in self._ball_iter(radius):
-            out.append(self.point(v))
-        return out
+        root = self.basepoint.coords
+        parents, level, out = set(), [root], [root]
+        for _ in range(radius):
+            children = [nb for v in level for nb in self._neighbors(v) if nb not in parents]
+            parents, level = set(level), children
+            out.extend(children)
+        return [self.point(v) for v in out]
+
+    def ball_size(self, radius: int) -> int:
+        """The number of vertices within ``radius`` of the basepoint, counted
+        from the vertex degrees without materializing the ball."""
+        total = level = 1
+        for depth in range(radius):
+            level *= self._degrees[depth & 1] - (depth > 0)
+            total += level
+        return total
 
     def in_ball(self, p: Point) -> bool:
-        return self._depth_of(p) <= self.ball_radius
+        return self._depth(self.require_point(p)) <= self.ball_radius
 
     def bfs_distance(self, x: Point, y: Point) -> int:
-        """Independent BFS oracle over the materialized ball."""
+        """Independent BFS oracle over the materialized ball.  It walks
+        ``_neighbors``; ``_depth`` only bounds the walk to the ball."""
         cx = self.require_point(x)
         cy = self.require_point(y)
         if not self.in_ball(x) or not self.in_ball(y):
@@ -204,32 +286,18 @@ class TreeModel(SpaceModel):
                 seen[nb] = seen[cur] + 1
                 if nb == cy:
                     return seen[nb]
-                if self._depth_of(self.point(nb)) <= self.ball_radius:
+                if self._depth(nb) <= self.ball_radius:
                     queue.append(nb)
         raise NotInBall("BFS exhausted the ball without reaching the target")
 
-    # hooks ---------------------------------------------------------------
 
-    def normal_form(self, units) -> tuple:
-        raise NotImplementedError
-
-    def multiply(self, u, v) -> tuple:
-        raise NotImplementedError
-
-    def invert_word(self, u) -> tuple:
-        raise NotImplementedError
-
-    def _vertex_from_units(self, units) -> Point:
-        raise NotImplementedError
-
-    def _depth_of(self, p: Point) -> int:
-        raise NotImplementedError
-
-    def _neighbors(self, coords) -> list:
-        raise NotImplementedError
-
-    def _ball_iter(self, radius: int):
-        raise NotImplementedError
+def _common_prefix_len(u, v) -> int:
+    k = 0
+    for a, b in zip(u, v):
+        if a != b:
+            break
+        k += 1
+    return k
 
 
 class CayleyTreeModel(TreeModel):
@@ -243,9 +311,12 @@ class CayleyTreeModel(TreeModel):
     def __init__(self, rank: int, ball_radius: int = 8):
         if rank < 1:
             raise ValueError("rank must be >= 1")
+        if rank > len(_LETTER_NAMES):
+            raise ValueError(f"rank must be <= {len(_LETTER_NAMES)}: letters are named a to z")
         self.rank = rank
         self.ball_radius = ball_radius
         self.model_id = f"cayley_tree(rank={rank})"
+        self._degrees = (2 * rank, 2 * rank)
         self._basepoint = self.point(())
 
     @property
@@ -290,32 +361,18 @@ class CayleyTreeModel(TreeModel):
     def apply(self, iso: Isometry, x: Point) -> Point:
         return self.point(self.multiply(self.require_iso(iso), self.require_point(x)))
 
-    def distance(self, x: Point, y: Point) -> Length:
-        # reduced length of u^-1 v = |u| + |v| - 2 |common prefix|
-        u = self.require_point(x)
-        v = self.require_point(y)
-        return _int_length(len(u) + len(v) - 2 * _common_prefix_len(u, v))
+    # a vertex is a reduced word; its root path runs through its prefixes
+    _depth = staticmethod(len)
+    _meet_depth = staticmethod(_common_prefix_len)
 
-    def _depth_of(self, p: Point) -> int:
-        return len(self.require_point(p))
+    def _ancestor(self, v, k: int):
+        return v[:k]
 
     def _vertex_from_units(self, units) -> Point:
         return self.point(tuple(units))
 
     def _neighbors(self, coords) -> list:
         return [self.multiply(coords, (letter,)) for letter in self.letters()]
-
-    def _ball_iter(self, radius: int):
-        queue = deque([((), 0)])
-        while queue:
-            word, depth = queue.popleft()
-            yield word, depth
-            if depth == radius:
-                continue
-            for letter in self.letters():
-                if word and word[-1] == -letter:
-                    continue
-                queue.append((word + (letter,), depth + 1))
 
     # -- classification ----------------------------------------------------
 
@@ -337,42 +394,19 @@ class CayleyTreeModel(TreeModel):
             return self._hyperbolic(u, v)
         return IsometryClass.make_elliptic(1, self.basepoint, _int_length(0))
 
-    def geodesic(self, x: Point, y: Point) -> list[Point]:
-        u = self.require_point(x)
-        v = self.require_point(y)
-        k = _common_prefix_len(u, v)
-        down = [self.point(u[:i]) for i in range(len(u), k - 1, -1)]
-        up = [self.point(v[:i]) for i in range(k + 1, len(v) + 1)]
-        return down + up
-
-    def median(self, x: Point, y: Point, z: Point) -> Point:
-        u, v, w = (self.require_point(p) for p in (x, y, z))
-        kxy = _common_prefix_len(u, v)
-        kyz = _common_prefix_len(v, w)
-        kxz = _common_prefix_len(u, w)
-        best = max(kxy, kyz, kxz)
-        if best == kxy:
-            return self.point(u[:kxy])
-        if best == kyz:
-            return self.point(v[:kyz])
-        return self.point(u[:kxz])
-
     def word_display(self, payload: tuple) -> str:
-        names = "abcdefghijklmnopqrstuvwxyz"
-        parts = []
-        for g, e in _collect_powers(payload):
-            name = names[g - 1]
-            parts.append(name if e == 1 else f"{name}^{e}")
-        return " ".join(parts) if parts else "1"
+        letters = [(_LETTER_NAMES[abs(x) - 1], 1 if x > 0 else -1) for x in payload]
+        return format_powers(collect_powers(letters))
 
     def parse_word(self, text: str) -> Isometry:
-        names = "abcdefghijklmnopqrstuvwxyz"[: self.rank]
-        letters: list[int] = []
-        for token in text.split():
-            name, _, exp = token.partition("^")
+        names = tuple(_LETTER_NAMES[: self.rank])
+
+        def check(name: str, token: str) -> None:
             if name not in names:
                 raise ValueError(f"unknown letter {name!r} for rank {self.rank}")
-            e = int(exp) if exp else 1
+
+        letters: list[int] = []
+        for name, e in parse_powers(text, check):
             idx = names.index(name) + 1
             letters.extend([idx if e > 0 else -idx] * abs(e))
         return self.word(letters)
@@ -387,6 +421,7 @@ class BassSerreModel(TreeModel):
         if m < 2 or n < 2:
             raise ValueError("factor orders must be >= 2")
         self.orders = (m, n)
+        self._degrees = self.orders  # vertex types alternate with depth
         self.ball_radius = ball_radius
         self.model_id = f"bass_serre(m={m},n={n})"
         self._basepoint = self.point(((), 0))
@@ -443,63 +478,26 @@ class BassSerreModel(TreeModel):
         w, vtype = self.require_point(x)
         return self.coset_vertex(self.multiply(g, w), vtype)
 
+    # A vertex (w, t) has type t = depth mod 2.  Each step toward the root
+    # drops one syllable and flips the type, except the last step, from
+    # ((), 1) to the basepoint ((), 0); off = 1 marks root paths that take it.
+
     @staticmethod
-    def _vertex_depth(word, vtype: int) -> int:
-        return len(word) + ((vtype ^ (len(word) & 1)) & 1)
+    def _off(w, t) -> int:
+        return (t ^ len(w)) & 1
 
-    def _depth_of(self, p: Point) -> int:
-        w, t = self.require_point(p)
-        return self._vertex_depth(w, t)
+    def _depth(self, v) -> int:
+        return len(v[0]) + self._off(*v)
 
-    def distance(self, x: Point, y: Point) -> Length:
-        w1, t1 = self.require_point(x)
-        w2, t2 = self.require_point(y)
-        d1 = self._vertex_depth(w1, t1)
-        d2 = self._vertex_depth(w2, t2)
-        # vertices at the same word-prefix level are shared iff the types
-        # propagate consistently, which depends only on total parity
-        if ((t1 ^ t2) & 1) == ((len(w1) + len(w2)) & 1):
-            k = _common_prefix_len(w1, w2)
-            tk = t1 ^ ((len(w1) - k) & 1)
-            meet_depth = self._vertex_depth(w1[:k], tk)
-            return _int_length(d1 + d2 - 2 * meet_depth)
-        return _int_length(d1 + d2)  # paths only share the root
+    def _meet_depth(self, a, b) -> int:
+        off = self._off(*a)
+        if off != self._off(*b):
+            return 0  # one root path ends with the step from ((), 1), the other not
+        return _common_prefix_len(a[0], b[0]) + off
 
-    def _meet(self, a: Point, b: Point) -> Point:
-        w1, t1 = self.require_point(a)
-        w2, t2 = self.require_point(b)
-        if ((t1 ^ t2) & 1) == ((len(w1) + len(w2)) & 1):
-            k = _common_prefix_len(w1, w2)
-            return self.point((w1[:k], t1 ^ ((len(w1) - k) & 1)))
-        return self.basepoint
-
-    def median(self, x: Point, y: Point, z: Point) -> Point:
-        meets = [self._meet(x, y), self._meet(y, z), self._meet(x, z)]
-        return max(meets, key=self._depth_of)
-
-    def root_path(self, p: Point) -> list[Point]:
-        """Vertices from the basepoint to p."""
-        w, t = self.require_point(p)
-        path = [self.point((w, t))]
-        while True:
-            w, t = path[-1].coords
-            if (w, t) == ((), 0):
-                break
-            if w:
-                path.append(self.point((w[:-1], 1 - t)))
-            else:
-                path.append(self.point(((), 0)))
-        path.reverse()
-        return path
-
-    def geodesic(self, x: Point, y: Point) -> list[Point]:
-        meet = self._meet(x, y)
-        px = self.root_path(x)
-        py = self.root_path(y)
-        md = self._depth_of(meet)
-        down = list(reversed(px[md:]))
-        up = py[md + 1 :]
-        return down + up
+    def _ancestor(self, v, k: int):
+        w, t = v
+        return (w[: max(0, k - self._off(w, t))], k & 1)
 
     def _neighbors(self, coords) -> list:
         w, t = coords
@@ -512,20 +510,6 @@ class BassSerreModel(TreeModel):
         for e in range(1, order):
             out.append((w + ((t, e),), 1 - t))
         return out
-
-    def _ball_iter(self, radius: int):
-        root = ((), 0)
-        seen = {root}
-        queue = deque([(root, 0)])
-        while queue:
-            coords, depth = queue.popleft()
-            yield coords, depth
-            if depth == radius:
-                continue
-            for nb in self._neighbors(coords):
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append((nb, depth + 1))
 
     def _vertex_from_units(self, units) -> Point:
         units = tuple(units)
@@ -573,38 +557,11 @@ class BassSerreModel(TreeModel):
         return IsometryClass.make_elliptic(period, self.coset_vertex(u, factor), _int_length(0))
 
     def word_display(self, payload: tuple) -> str:
-        names = "st"
-        parts = []
-        for f, e in payload:
-            parts.append(names[f] if e == 1 else f"{names[f]}^{e}")
-        return " ".join(parts) if parts else "1"
+        return format_powers([("st"[f], e) for f, e in payload])
 
     def parse_word(self, text: str) -> Isometry:
-        syllables: list[tuple[int, int]] = []
-        for token in text.split():
-            name, _, exp = token.partition("^")
+        def check(name: str, token: str) -> None:
             if name not in ("s", "t"):
                 raise ValueError(f"unknown letter {name!r}; bass_serre words use s and t")
-            e = int(exp) if exp else 1
-            syllables.append((0 if name == "s" else 1, e))
-        return self.word(syllables)
 
-
-def _common_prefix_len(u, v) -> int:
-    k = 0
-    for a, b in zip(u, v):
-        if a != b:
-            break
-        k += 1
-    return k
-
-
-def _collect_powers(letters) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for letter in letters:
-        g, e = abs(letter), (1 if letter > 0 else -1)
-        if out and out[-1][0] == g:
-            out[-1] = (g, out[-1][1] + e)
-        else:
-            out.append((g, e))
-    return out
+        return self.word(("st".index(name), e) for name, e in parse_powers(text, check))

@@ -1,7 +1,9 @@
 """Freely reduced words over an abstract generator alphabet.
 
 The combiner works entirely with these words; each action interprets them
-in its own space model.  Letters are (generator name, +1/-1) pairs and the
+in its own space model.  ``parse_powers``, ``collect_powers`` and
+``format_powers`` are the one text form of power words, which the tree
+models' own words share.  Letters are (generator name, +1/-1) pairs and the
 word is always freely reduced, so ``w * w.inverse()`` is the empty word by
 construction.
 """
@@ -9,6 +11,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -50,21 +53,10 @@ class GroupWord:
 
     def syllables(self) -> list[tuple[str, int]]:
         """Collected powers: [('f', 2), ('g', -1), ...]."""
-        out: list[tuple[str, int]] = []
-        for g, s in self.letters:
-            if out and out[-1][0] == g:
-                out[-1] = (g, out[-1][1] + s)
-            else:
-                out.append((g, s))
-        return out
+        return collect_powers(self.letters)
 
     def display(self) -> str:
-        if not self.letters:
-            return "1"
-        parts = []
-        for g, e in self.syllables():
-            parts.append(g if e == 1 else f"{g}^{e}")
-        return " ".join(parts)
+        return format_powers(self.syllables())
 
     def __str__(self):
         return self.display()
@@ -78,21 +70,45 @@ class GroupWord:
         text = text.strip()
         if text in ("", "1"):
             return GroupWord(())
-        letters: list[tuple[str, int]] = []
-        for token in text.split():
-            name, _, exp = token.partition("^")
+
+        def check(name: str, token: str) -> None:
             if not name:
                 raise ValueError(f"bad word token {token!r}")
-            e = 1
-            if exp:
-                e = int(exp)
+
+        letters: list[tuple[str, int]] = []
+        for name, e in parse_powers(text, check):
             if alphabet is not None and name not in alphabet:
                 raise ValueError(f"unknown generator {name!r}")
-            if e == 0:
-                continue
-            sign = 1 if e > 0 else -1
-            letters.extend([(name, sign)] * abs(e))
+            letters.extend([(name, 1 if e > 0 else -1)] * abs(e))
         return GroupWord(tuple(letters))
+
+
+def parse_powers(text: str, check: Callable[[str, str], None]) -> Iterator[tuple[str, int]]:
+    """The powers of 'f^2 g^-1' style text, token by token: ('f', 2), ('g', -1).
+
+    ``check(name, token)`` sees each token before its exponent is read, so
+    a caller's own name check wins over a malformed exponent."""
+    for token in text.split():
+        name, _, exp = token.partition("^")
+        check(name, token)
+        yield name, int(exp) if exp else 1
+
+
+def collect_powers(letters: Iterable[tuple[str, int]]) -> list[tuple[str, int]]:
+    """Adjacent powers of one name merged: [('f', 1), ('f', 1), ('g', -1)]
+    gives [('f', 2), ('g', -1)]."""
+    out: list[tuple[str, int]] = []
+    for g, e in letters:
+        if out and out[-1][0] == g:
+            out[-1] = (g, out[-1][1] + e)
+        else:
+            out.append((g, e))
+    return out
+
+
+def format_powers(powers: Iterable[tuple[str, int]]) -> str:
+    """'f^2 g^-1' for [('f', 2), ('g', -1)]; '1' for no powers."""
+    return " ".join([name if e == 1 else f"{name}^{e}" for name, e in powers]) or "1"
 
 
 def _reduce(letters: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:

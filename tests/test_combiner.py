@@ -1,4 +1,5 @@
 import itertools
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -351,18 +352,14 @@ def test_verify_certificate_negative_controls():
 
 
 def test_records_checker_imports_nothing_from_the_search():
-    # the package __init__ imports every module, so load hypiso.records under
-    # a bare package object to see the checker's own imports
-    package_dir = str(Path(__file__).resolve().parents[1] / "src" / "hypiso")
     code = (
-        "import sys, types\n"
-        "package = types.ModuleType('hypiso')\n"
-        f"package.__path__ = [{package_dir!r}]\n"
-        "sys.modules['hypiso'] = package\n"
+        "import sys\n"
         "import hypiso.records\n"
         "assert 'hypiso.combiner' not in sys.modules, sorted(sys.modules)\n"
+        "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_certificate_and_record_checks_agree():

@@ -1,10 +1,12 @@
 import pytest
 
-from hypiso import combiner
-from hypiso.cli import main
+from hypiso import cli, combiner
+from hypiso.actions import ActionSystem
+from hypiso.cli import MAX_SAMPLE_POINTS, main
 from hypiso.config import WORKED_EXAMPLE, parse_config
 from hypiso.errors import ParseError, ValidationError
 from hypiso.records import RECORD_HEADER, parse_record
+from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 
 
 THREE_ACTION = """hypiso-config v1
@@ -279,3 +281,58 @@ def test_report_normalizes_once_per_stage(tmp_path, capsys, monkeypatch):
     assert [str(stage) for stage in calls] == searched
     profiled = {line.split()[1] for line in record.extra if line.startswith("profile ")}
     assert profiled == {line.split()[1] for line in record.stages} - {"0"}
+
+
+def test_cayley_rank_over_26_exit_1(tmp_path, capsys):
+    text = THREE_ACTION.replace("model bass_serre 2 3", "model cayley_tree 27").replace("gen g s", "gen g b")
+    text = text.replace("gen f s t", "gen f a b")
+    with pytest.raises(ValidationError, match="rank must be <= 26"):
+        parse_config(text).build()
+    path = write(tmp_path, "rank27.cfg", text)
+    assert main(["delta", "--input", path]) == 1
+    assert "rank must be <= 26" in capsys.readouterr().err
+
+
+def _no_walk(*args, **kwargs):
+    raise AssertionError("walked past a cap")
+
+
+@pytest.mark.parametrize("command", ["delta", "dynamics"])
+def test_tree_sample_over_cap_exit_1(tmp_path, capsys, monkeypatch, command):
+    # the radius-3 ball of the rank-20 Cayley tree has 60,801 vertices
+    monkeypatch.setattr(TreeModel, "ball_vertices", _no_walk)
+    text = THREE_ACTION.replace("model bass_serre 2 3", "model cayley_tree 20")
+    text = text.replace("gen f s t", "gen f a b").replace("gen g s", "gen g b")
+    path = write(tmp_path, "wide.cfg", text)
+    assert main([command, "--input", path, "--ball-radius", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "action 'tree-one'" in err and f"over the cap of {MAX_SAMPLE_POINTS}" in err
+
+
+def test_plane_sample_over_cap_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sample_plane_points", _no_walk)
+    path = write(tmp_path, "worked.cfg", WORKED_EXAMPLE)
+    assert main(["delta", "--input", path, "--samples", str(MAX_SAMPLE_POINTS + 1)]) == 1
+    assert "over the cap" in capsys.readouterr().err
+
+
+def test_samples_under_cap_pass():
+    # every tree ball that delta (radius 4) or dynamics (radius 3) sampled
+    # before the cap stays under it; the largest is the rank-3 radius-4 ball
+    assert CayleyTreeModel(3).ball_size(4) == 937 <= MAX_SAMPLE_POINTS
+    assert BassSerreModel(2, 3).ball_size(4) <= MAX_SAMPLE_POINTS
+
+
+def test_word_sample_depth_over_cap_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ActionSystem, "walk", _no_walk)
+    path = write(tmp_path, "deep.cfg", THREE_ACTION.replace("seed 0", "seed 0\nword-sample-depth 30"))
+    assert main(["combine", "--input", path]) == 1
+    assert "word-sample-depth: 30 gives over" in capsys.readouterr().err
+
+
+def test_word_sample_depth_9_under_cap(monkeypatch):
+    # depth 9 on three_action.cfg: 39,364 words in 3 actions, 118,092 pairs
+    monkeypatch.setattr(ActionSystem, "walk", lambda self, action, depth: iter(()))
+    system = parse_config(THREE_ACTION).build()
+    report = combiner.check_hypotheses(system, 9)
+    assert report.words_checked * system.n_actions == 118_092 <= combiner.MAX_HYPOTHESIS_PAIRS

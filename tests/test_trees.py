@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypiso.dynamics import internal_points
 from hypiso.errors import NotInBall
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 
@@ -320,3 +322,103 @@ def test_bs_elliptic_fixed_vertex_long_conjugators(bs23):
         if cls.tag != "elliptic":
             continue  # cancellation may have produced a longer cyclic part
         assert bs23.apply(w, cls.elliptic.orbit_point) == cls.elliptic.orbit_point
+
+
+# -- the shared metric against the BFS oracle --------------------------------
+
+
+def _bfs(model):
+    """The BFS oracle, memoized per unordered pair."""
+    cache = {}
+
+    def d(p, q):
+        key = frozenset((p, q))
+        if key not in cache:
+            cache[key] = model.bfs_distance(p, q)
+        return cache[key]
+
+    return d
+
+
+def _check_internal_points(model, d, x, y, z):
+    tri = internal_points(model, x, y, z)
+    # the point on the side [a, b] opposite c sits at <b|c>_a from a
+    for (a, b, c), p in zip(((y, z, x), (z, x, y), (x, y, z)), tri.internal):
+        assert d(a, p) + d(p, b) == d(a, b)
+        assert 2 * d(a, p) == d(a, b) + d(a, c) - d(b, c)
+    med = model.median(x, y, z)
+    assert tri.internal == (med, med, med)
+    assert tri.insize.exact_value == 0
+
+
+def test_internal_points_against_bfs():
+    bs = BassSerreModel(2, 3, ball_radius=4)
+    d = _bfs(bs)
+    ball = bs.ball_vertices(4)
+    for x, y, z in itertools.combinations(ball, 3):
+        _check_internal_points(bs, d, x, y, z)
+    cayley = CayleyTreeModel(2, ball_radius=4)
+    d = _bfs(cayley)
+    ball = cayley.ball_vertices(4)
+    rng = random.Random(0)
+    for _ in range(2000):
+        _check_internal_points(cayley, d, *rng.sample(ball, 3))
+
+
+@pytest.mark.parametrize(
+    "model", [BassSerreModel(3, 4, ball_radius=3), CayleyTreeModel(3, ball_radius=3)],
+    ids=lambda m: m.model_id,
+)
+def test_geodesic_and_root_path_against_bfs(model):
+    d = _bfs(model)
+    ball = model.ball_vertices()
+    for p, q in itertools.combinations(ball[::3], 2):
+        path = model.geodesic(p, q)
+        assert path[0] == p and path[-1] == q and len(path) == d(p, q) + 1
+        assert all(d(a, b) == 1 for a, b in zip(path, path[1:]))
+    for p in ball:
+        path = model.root_path(p)
+        assert path[0] == model.basepoint and path[-1] == p
+        assert [d(model.basepoint, v) for v in path] == list(range(len(path)))
+
+
+@pytest.mark.parametrize(
+    "model", [BassSerreModel(2, 3), BassSerreModel(3, 5), CayleyTreeModel(1), CayleyTreeModel(3)],
+    ids=lambda m: m.model_id,
+)
+def test_ball_size_counts_the_ball(model):
+    for radius in range(5):
+        assert model.ball_size(radius) == len(model.ball_vertices(radius))
+
+
+# -- word text ----------------------------------------------------------------
+
+
+def test_tree_word_text_round_trip():
+    cayley = CayleyTreeModel(3)
+    assert cayley.word_display(()) == "1"
+    for text in ("a", "a^2 b^-1 c", "c^-3 a b^5"):
+        w = cayley.parse_word(text)
+        assert cayley.word_display(w.payload) == text
+        assert cayley.parse_word(cayley.word_display(w.payload)) == w
+    bs = BassSerreModel(3, 4)
+    assert bs.word_display(()) == "1"
+    for text in ("s", "s^2 t^3 s", "t s^2"):
+        w = bs.parse_word(text)
+        assert bs.word_display(w.payload) == text
+    assert bs.word_display(bs.parse_word("s^-1 t^5").payload) == "s^2 t"
+
+
+def test_cayley_names_every_letter_up_to_rank_26():
+    top = CayleyTreeModel(26)
+    assert top.word_display(top.word([26, -1]).payload) == "z a^-1"
+    assert top.parse_word("z a^-1") == top.word([26, -1])
+    with pytest.raises(ValueError, match="rank must be <= 26"):
+        CayleyTreeModel(27)
+
+
+def test_cayley_parse_rejects_names_that_are_not_letters():
+    cayley = CayleyTreeModel(3)
+    for text in ("ab", "^2", "d"):
+        with pytest.raises(ValueError, match="unknown letter"):
+            cayley.parse_word(text)
