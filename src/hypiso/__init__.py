@@ -24,10 +24,10 @@ _EXPORTS = {
     "internal_points local_quasigeodesic_check ns_dynamics_check orbit_projection separation_check",
     "errors": "DegenerateTriangle HypisoError HypothesisViolation InsufficientSample MixedModels NoPassingN "
     "NotHyperbolic NotInBall ParseError ScheduleExhausted ValidationError WitnessNotHyperbolic",
-    "geometry": "distance estimate_delta_four_point estimate_translation_length gromov_product",
+    "geometry": "TranslationLengthEstimate estimate_delta_four_point estimate_translation_length "
+    "gromov_product",
     "halfplane": "HalfPlaneModel Matrix2",
-    "models": "BoundaryPoint DeltaEstimate Isometry IsometryClass Length Point SpaceModel "
-    "TranslationLengthEstimate fixed_points",
+    "models": "BoundaryPoint DeltaEstimate Isometry IsometryClass Length Point SpaceModel fixed_points",
     "quadratic": "QuadraticNumber",
     "trees": "BassSerreModel CayleyTreeModel RayDescriptor",
     "words": "GroupWord",

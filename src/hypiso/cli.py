@@ -370,11 +370,11 @@ def _cmd_report(args, system: ActionSystem, settings) -> int:
 
 
 def _print_witnesses(system: ActionSystem, cert) -> None:
-    print(f"word: {cert.word.display()}")
     rows = [
         (str(i), action.name, action.model.kind, cls.tag, class_invariant(cls), _tau_display(cls))
         for i, (action, cls) in enumerate(zip(system.actions, cert.per_action))
     ]
+    print(f"word: {cert.word.display()}")
     _print_table(["#", "action", "kind", "tag", "invariant", "tau~"], rows)
 
 

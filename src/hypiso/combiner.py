@@ -112,8 +112,8 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
 
     One walk of the word tree per action, each word decided by its exact
     tag.  Fails (listing the offenders) when any tag is a hypothesis
-    violation; raises WitnessNotHyperbolic when a claimed witness fails
-    exact classification.  Raises ValidationError before any walk when the
+    violation; raises WitnessNotHyperbolic when a claimed witness's tag is
+    not hyperbolic.  Raises ValidationError before any walk when the
     words times the actions (at least one) exceed MAX_HYPOTHESIS_PAIRS.
     """
     # reduced words of length n: any of the r letters, then any but the inverse
@@ -135,9 +135,10 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
     for i, witness in enumerate(system.witnesses):
         if witness is None:
             continue
-        cls = system.actions[i].classify_word(witness)
-        if not cls.is_hyperbolic:
-            raise WitnessNotHyperbolic(i, system.actions[i].name, f"classified {cls.tag}")
+        action = system.actions[i]
+        tag = action.model.tag(action.image(witness))
+        if tag != HYPERBOLIC:
+            raise WitnessNotHyperbolic(i, action.name, f"classified {tag}")
     return HypothesisReport(passed=not violations, violations=tuple(violations), words_checked=words)
 
 

@@ -21,7 +21,7 @@ from .actions import Action
 from .errors import DegenerateTriangle, NoPassingN, NotHyperbolic
 from .geometry import gromov_product
 from .halfplane import HalfPlaneModel
-from .models import BoundaryPoint, DeltaEstimate, Length, Point, SpaceModel
+from .models import HYPERBOLIC, BoundaryPoint, DeltaEstimate, Length, Point, SpaceModel
 from .trees import TreeModel
 from .words import GroupWord
 
@@ -70,12 +70,12 @@ def ns_dynamics_check(
 ) -> int:
     """Least N <= n_max with g^n(sample - U-) inside U+ for all N <= n <= n_max."""
     model = action.model
-    cls = action.classify_word(word)
-    if not cls.is_hyperbolic:
-        raise NotHyperbolic(f"word is {cls.tag} in action {action.name!r}")
+    g = action.image(word)
+    tag = model.tag(g)
+    if tag != HYPERBOLIC:
+        raise NotHyperbolic(f"word is {tag} in action {action.name!r}")
     if not neighborhoods_disjoint(model, u_plus, u_minus, sample):
         raise ValueError("U+ and U- are not disjoint")
-    g = action.image(word)
     outside = [p for p in sample if not contains_point(model, u_minus, p)]
     good: list[bool] = []
     current = list(outside)
@@ -282,10 +282,10 @@ def orbit_projection(
     """Nearest-point projection of z to the orbit {f^n basepoint, |n| <= range}
     and the reverse-triangle defect d(x, x_z) + d(x_z, z) - d(x, z)."""
     model = action.model
-    cls = action.classify_word(f)
-    if not cls.is_hyperbolic:
-        raise NotHyperbolic(f"f is {cls.tag} in action {action.name!r}")
     iso = action.image(f)
+    tag = model.tag(iso)
+    if tag != HYPERBOLIC:
+        raise NotHyperbolic(f"f is {tag} in action {action.name!r}")
     inv = model.invert(iso)
     points = {0: basepoint}
     fwd = basepoint

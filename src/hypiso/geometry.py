@@ -1,26 +1,35 @@
 """Model-independent hyperbolicity primitives.
 
-Distances and Gromov products delegate to the owning model (exact integers
-on trees, exact-cosh rationals on the plane); the four-point delta and the
-orbit-growth translation-length quotient are sampled estimators layered on
-top.  Sampled deltas are maxima of observed defects, hence lower bounds on
-the true hyperbolicity constants.
+Gromov products are built from the owning model's distances (exact
+integers on trees, exact-cosh rationals on the plane); the four-point delta
+and the orbit-growth translation-length quotient are sampled estimators
+layered on top.  Sampled deltas are maxima of observed defects, hence
+lower bounds on the true hyperbolicity constants.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from .actions import Action
 from .errors import InsufficientSample
-from .models import DeltaEstimate, Length, Point, SpaceModel, TranslationLengthEstimate
+from .models import DeltaEstimate, Length, Point, SpaceModel
 from .words import GroupWord
 
 
-def distance(model: SpaceModel, x: Point, y: Point) -> Length:
-    return model.distance(x, y)
+@dataclass(frozen=True)
+class TranslationLengthEstimate:
+    """The orbit-growth quotient at n_used; lower_bound is the exact
+    translation length of a hyperbolic class, None for other classes."""
+
+    value: float
+    n_used: int
+    exact: bool
+    lower_bound: Optional[Length] = None
 
 
 def gromov_product(model: SpaceModel, x: Point, y: Point, w: Point) -> Length:
@@ -97,12 +106,5 @@ def estimate_translation_length(
         ) or est == tl.value
         if exact_flag:
             est = tl.value
-        return TranslationLengthEstimate(
-            value=est,
-            n_used=n_max,
-            exact=exact_flag,
-            lower_bound_t=tl.value,
-            exact_value=tl.exact_value,
-            exact_cosh_half=tl.exact_cosh_half,
-        )
+        return TranslationLengthEstimate(value=est, n_used=n_max, exact=exact_flag, lower_bound=tl)
     return TranslationLengthEstimate(value=est, n_used=n_max, exact=(est == 0.0))

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .models import (
     ELLIPTIC,
@@ -33,13 +32,12 @@ from .models import (
     Length,
     Point,
     SpaceModel,
-    TranslationLengthEstimate,
 )
 from .quadratic import QuadraticNumber, acosh_fraction, rational_sqrt
 
-Coord = Union[Fraction, QuadraticNumber]
-
 HALF_PLANE_ID = "half_plane"
+
+_ZERO = Length(0.0, exact_cosh=Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -109,12 +107,6 @@ class ProjectivePoint:
 
 
 INFINITY = ProjectivePoint(None)
-
-
-def _as_quadratic(x: Coord) -> QuadraticNumber:
-    if isinstance(x, QuadraticNumber):
-        return x
-    return QuadraticNumber(x)
 
 
 class HalfPlaneModel(SpaceModel):
@@ -218,10 +210,8 @@ class HalfPlaneModel(SpaceModel):
         if m.trace < 0:
             m = m.neg()  # same Mobius action; normalize to trace > 2
         t = m.trace
-        tau = 2.0 * acosh_fraction(t / 2)
-        tl = TranslationLengthEstimate(
-            value=tau, n_used=1, exact=True, lower_bound_t=tau, exact_cosh_half=t / 2
-        )
+        # cosh(tau/2) = t/2, so cosh tau = 2 (t/2)^2 - 1
+        tl = Length(2.0 * acosh_fraction(t / 2), exact_cosh=t * t / 2 - 1)
         a, b, c, d = m.entries()
         if c == 0:
             # fixes infinity (eigenvalue a) and b/(d-a)
@@ -249,18 +239,15 @@ class HalfPlaneModel(SpaceModel):
             for _ in range(period - 1):
                 cur = self.apply(iso, cur)
                 orbit.append(cur)
-            diam_cosh = max(
-                (self.cosh_distance(p, q) for i, p in enumerate(orbit) for q in orbit[i + 1 :]),
-                default=Fraction(1),
+            diam = max(
+                (self.distance(p, q) for i, p in enumerate(orbit) for q in orbit[i + 1 :]),
+                key=lambda length: length.exact_cosh,
+                default=_ZERO,
             )
-            if isinstance(diam_cosh, QuadraticNumber):
-                diam = Length(math.acosh(max(1.0, float(diam_cosh))), exact_cosh=diam_cosh)
-            else:
-                diam = Length(acosh_fraction(diam_cosh), exact_cosh=diam_cosh)
             return IsometryClass.make_elliptic(period, base, diam)
         # infinite-order rotation: exact fixed point, one-element orbit
         fp = self.elliptic_fixed_point(m)
-        return IsometryClass.make_elliptic(None, fp, Length(0.0, exact_cosh=Fraction(1)))
+        return IsometryClass.make_elliptic(None, fp, _ZERO)
 
     def elliptic_fixed_point(self, m: Matrix2) -> Point:
         """The unique fixed point in the upper half-plane, |tr| < 2."""
@@ -281,7 +268,9 @@ class HalfPlaneModel(SpaceModel):
         return self.boundary(INFINITY)
 
     def boundary_finite(self, value) -> BoundaryPoint:
-        return self.boundary(ProjectivePoint(_as_quadratic(value if isinstance(value, (QuadraticNumber, Fraction)) else Fraction(value))))
+        if not isinstance(value, QuadraticNumber):
+            value = QuadraticNumber(Fraction(value))
+        return self.boundary(ProjectivePoint(value))
 
     def boundary_equal(self, p: BoundaryPoint, q: BoundaryPoint) -> bool:
         bp: ProjectivePoint = self.require_boundary(p)
@@ -310,20 +299,19 @@ class HalfPlaneModel(SpaceModel):
         x, y = self.require_point(p)
         return float(x), float(y)
 
-    def distance_float(self, p: Point, q: Point) -> float:
-        return self.distance(p, q).value
-
     def gromov_boundary_point(self, b: BoundaryPoint, y: Point, base: Point) -> float:
         """<xi|y>_w = ln(|xi-w| / |xi-y|) + (1/2) ln(Im y / Im w) + d(y,w)/2."""
         pp: ProjectivePoint = self.require_boundary(b)
         yx, yy = self._floats(y)
         wx, wy = self._floats(base)
-        dyw = self.distance_float(y, base)
+        dyw = self.distance(y, base).value
         if pp.is_infinity:
             return 0.5 * math.log(yy / wy) + 0.5 * dyw
         xi = float(pp.finite)
         num = math.hypot(xi - wx, wy)
         den = math.hypot(xi - yx, yy)
+        if den == 0.0:
+            return math.inf  # y has reached xi in floats
         return math.log(num / den) + 0.5 * math.log(yy / wy) + 0.5 * dyw
 
     def gromov_boundary_pair(self, b1: BoundaryPoint, b2: BoundaryPoint, base: Point) -> float:

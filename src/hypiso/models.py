@@ -53,10 +53,12 @@ class BoundaryPoint:
 class Length:
     """A nonnegative length with optional exact companions.
 
-    exact_cosh is set by the half-plane metric (cosh of the distance as an
-    exact rational); exact_value is set by tree metrics (integer edge counts,
-    half-integers for Gromov products).  Certification always uses the exact
-    companion; the float is display/diagnostic only.
+    exact_cosh is set by the half-plane (cosh of the length as an exact
+    rational); exact_value is set by tree models (integer edge counts; the
+    Gromov products of tree vertices are integers too).  Distances and the
+    translation lengths of hyperbolic classes carry one of the two.
+    Certification always uses the exact companion; the float is
+    display/diagnostic only.
     """
 
     value: float
@@ -78,16 +80,6 @@ class DeltaEstimate:
 
 
 @dataclass(frozen=True)
-class TranslationLengthEstimate:
-    value: float
-    n_used: int
-    exact: bool
-    lower_bound_t: Optional[float] = None
-    exact_value: Optional[Fraction] = None      # trees: integer tau
-    exact_cosh_half: Optional[Fraction] = None  # plane: |tr|/2 = cosh(tau/2)
-
-
-@dataclass(frozen=True)
 class EllipticWitness:
     """period is None for infinite-order plane rotations; the fixed point
     itself is then the witness (it has a one-element orbit)."""
@@ -99,7 +91,7 @@ class EllipticWitness:
 
 @dataclass(frozen=True)
 class HyperbolicWitness:
-    translation_length: TranslationLengthEstimate
+    translation_length: Length
     fixed_plus: BoundaryPoint
     fixed_minus: BoundaryPoint
 

@@ -12,9 +12,12 @@ decided exactly; no floats are involved anywhere except the explicit
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from .errors import ValidationError
 
 Rationalish = Union[int, Fraction]
 
@@ -264,6 +267,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """'p/q' or 'p'.  Raises ValidationError past Python's limit on the
+    digits of an int turned into a string; the limit stays, because it
+    also guards int() parsing of config input."""
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise ValidationError(
+            f"an exact number has over {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing one"
+        ) from None

@@ -18,7 +18,7 @@ from .actions import ActionSystem
 from .errors import MixedModels, ParseError
 from .halfplane import ProjectivePoint
 from .models import BoundaryPoint, IsometryClass, SpaceModel
-from .quadratic import format_rational
+from .quadratic import format_rational, rational_sqrt
 from .trees import RayDescriptor, TreeModel
 from .words import GroupWord
 
@@ -32,8 +32,10 @@ def class_invariant(cls: IsometryClass) -> str:
     """Canonical exact invariant string for one classification."""
     if cls.is_hyperbolic:
         tl = cls.hyperbolic.translation_length
-        if tl.exact_cosh_half is not None:
-            return f"cosh-half={format_rational(tl.exact_cosh_half)}"
+        if tl.exact_cosh is not None:
+            # cosh^2(tau/2) = (cosh tau + 1)/2, a rational square: the plane
+            # class's cosh tau is t^2/2 - 1 for its rational trace t
+            return f"cosh-half={format_rational(rational_sqrt((tl.exact_cosh + 1) / 2))}"
         return f"syllables={format_rational(tl.exact_value)}"
     if cls.is_elliptic:
         period = cls.elliptic.period

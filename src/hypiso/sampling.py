@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .actions import Action, ActionSystem
 from .halfplane import HalfPlaneModel
-from .models import Isometry, Point, SpaceModel
+from .models import HYPERBOLIC, Isometry, Point, SpaceModel
 from .trees import BassSerreModel, CayleyTreeModel
 from .words import GroupWord
 
@@ -42,11 +42,7 @@ def sample_tree_points(model, count: int, rng: random.Random, max_units: int = 6
     for _ in range(count):
         n = rng.randint(0, max_units)
         if isinstance(model, CayleyTreeModel):
-            word: list[int] = []
-            for _ in range(n):
-                choices = [l for l in model.letters() if not word or l != -word[-1]]
-                word.append(rng.choice(choices))
-            out.append(model.vertex(word))
+            out.append(model.vertex(_random_cayley_word(model, rng, n)))
         else:
             syllables = _random_bs_syllables(model, rng, n)
             vtype = rng.choice((0, 1))
@@ -107,15 +103,9 @@ def _random_bs_syllables(model: BassSerreModel, rng: random.Random, n: int) -> l
 
 
 def random_bs_hyperbolic(model: BassSerreModel, rng: random.Random, half_length: int = 2) -> Isometry:
-    """Alternating even-syllable word: cyclically reduced, tau = 2*half_length."""
-    n = 2 * rng.randint(1, half_length)
-    syllables: list[tuple[int, int]] = []
-    factor = rng.choice((0, 1))
-    for _ in range(n):
-        order = model.orders[factor]
-        syllables.append((factor, rng.randint(1, order - 1)))
-        factor = 1 - factor
-    return model.word(syllables)
+    """Alternating even-syllable word: cyclically reduced, tau = 2k for k
+    drawn from 1..half_length."""
+    return model.word(_random_bs_syllables(model, rng, 2 * rng.randint(1, half_length)))
 
 
 def random_bs_elliptic(model: BassSerreModel, rng: random.Random) -> Isometry:
@@ -130,15 +120,18 @@ def random_bs_elliptic(model: BassSerreModel, rng: random.Random) -> Isometry:
     return model.word(core)
 
 
+def _random_cayley_word(model: CayleyTreeModel, rng: random.Random, n: int) -> list[int]:
+    """A freely reduced word of n letters."""
+    word: list[int] = []
+    for _ in range(n):
+        word.append(rng.choice([l for l in model.letters() if not word or l != -word[-1]]))
+    return word
+
+
 def random_cayley_hyperbolic(model: CayleyTreeModel, rng: random.Random, max_len: int = 4) -> Isometry:
     while True:
-        n = rng.randint(1, max_len)
-        word: list[int] = []
-        for _ in range(n):
-            choices = [l for l in model.letters() if not word or l != -word[-1]]
-            word.append(rng.choice(choices))
-        iso = model.word(word)
-        if model.classify(iso).is_hyperbolic:
+        iso = model.word(_random_cayley_word(model, rng, rng.randint(1, max_len)))
+        if model.tag(iso) == HYPERBOLIC:
             return iso
 
 

@@ -41,7 +41,6 @@ from .models import (
     Length,
     Point,
     SpaceModel,
-    TranslationLengthEstimate,
 )
 from .words import collect_powers, format_powers, parse_powers
 
@@ -99,11 +98,9 @@ class TreeModel(SpaceModel):
         """The class of u . v . u^-1 for cyclically reduced v that is not
         conjugate into a vertex stabilizer: translation length |v|, axis
         from the ray u . v^inf to the ray u . v^-inf."""
-        tau = len(v)
-        tl = TranslationLengthEstimate(
-            value=float(tau), n_used=1, exact=True, lower_bound_t=float(tau), exact_value=Fraction(tau)
+        return IsometryClass.make_hyperbolic(
+            _int_length(len(v)), self.ray(u, v), self.ray(u, self.invert_word(v))
         )
-        return IsometryClass.make_hyperbolic(tl, self.ray(u, v), self.ray(u, self.invert_word(v)))
 
     # -- the metric, from depth, meet depth and ancestor ------------------------
 

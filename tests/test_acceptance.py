@@ -44,6 +44,7 @@ from hypiso.sampling import (
     sample_plane_points,
     sample_points,
 )
+from hypiso.records import class_invariant
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import GroupWord
 
@@ -106,7 +107,7 @@ def test_acceptance_worked_instance():
     assert cert.word.display() == "f^2 g^2"
     assert abs(tr1) == 7 and abs(tr2) == 7
     for cls in cert.per_action:
-        assert cls.hyperbolic.translation_length.exact_cosh_half == Fraction(7, 2)
+        assert class_invariant(cls) == "cosh-half=7/2"
     assert elapsed < 1.0
     _pass("worked-instance", f"word {cert.word.display()}, |traces| = 7, {elapsed:.3f}s")
 

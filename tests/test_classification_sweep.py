@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypiso.actions import Action
 from hypiso.geometry import estimate_translation_length
 from hypiso.halfplane import HalfPlaneModel, Matrix2
+from hypiso.records import class_invariant
 from hypiso.trees import BassSerreModel
 from hypiso.words import GroupWord
 
@@ -121,11 +122,32 @@ def test_fixed_points_are_distinct_roots_sympy():
     assert checked >= 40  # the hyperbolic matrices of the sweep
 
 
+def test_record_cosh_half_is_half_the_raw_trace():
+    # the record prints cosh(tau/2) = |a + d|/2, recovered exactly from the
+    # class's cosh tau; the expected string comes from the integer entries
+    plane = HalfPlaneModel()
+    raw = [tuple(int(x) for x in m.entries()) for m in det_one_matrices(3)]
+    for n in (50, 200):
+        a, b, c, d = 1, 0, 0, 1
+        for _ in range(n):  # times [[2, 1], [1, 1]] on the right
+            a, b, c, d = 2 * a + b, a + b, 2 * c + d, c + d
+        raw.append((a, b, c, d))
+    checked = 0
+    for a, b, c, d in raw:
+        t = abs(a + d)
+        if t <= 2:
+            continue
+        cls = plane.classify(plane.matrix(a, b, c, d))
+        assert class_invariant(cls) == (f"cosh-half={t // 2}" if t % 2 == 0 else f"cosh-half={t}/2")
+        checked += 1
+    assert checked == 42  # the 40 hyperbolic matrices of the sweep and both powers
+
+
 def test_parabolic_estimate_still_returns():
     plane = HalfPlaneModel()
     act = Action("p", plane, {"f": plane.matrix(1, 1, 0, 1)})
     est = estimate_translation_length(act, GroupWord.parse("f"), plane.basepoint, 32)
-    assert est.value >= 0.0 and not est.exact and est.lower_bound_t is None
+    assert est.value >= 0.0 and not est.exact and est.lower_bound is None
 
 
 small = st.integers(min_value=-5, max_value=5)

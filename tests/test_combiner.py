@@ -25,7 +25,7 @@ from hypiso.combiner import (
 from hypiso.config import build_action_system, parse_config
 from hypiso.errors import HypothesisViolation, NotHyperbolic, ScheduleExhausted, WitnessNotHyperbolic
 from hypiso.halfplane import HalfPlaneModel
-from hypiso.records import record_for_certificate, verify_record
+from hypiso.records import class_invariant, record_for_certificate, verify_record
 from hypiso.sampling import random_action_system
 from hypiso.trees import BassSerreModel
 from hypiso.words import GroupWord
@@ -304,7 +304,7 @@ def test_simultaneous_worked_example():
     cert = simultaneous_hyperbolic(system, SearchSchedule(32))
     assert cert.word.display() == "f^2 g^2"
     for cls in cert.per_action:
-        assert cls.hyperbolic.translation_length.exact_cosh_half == Fraction(7, 2)
+        assert class_invariant(cls) == "cosh-half=7/2"
     assert verify_certificate(system, cert)
 
 

@@ -1,13 +1,18 @@
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from hypiso import cli, combiner
-from hypiso.actions import ActionSystem
+from hypiso.actions import Action, ActionSystem
 from hypiso.cli import MAX_SAMPLE_POINTS, main
 from hypiso.config import WORKED_EXAMPLE, parse_config
 from hypiso.errors import ParseError, ValidationError
 from hypiso.records import RECORD_HEADER, parse_record
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 THREE_ACTION = """hypiso-config v1
 generators f g
@@ -336,3 +341,42 @@ def test_word_sample_depth_9_under_cap(monkeypatch):
     system = parse_config(THREE_ACTION).build()
     report = combiner.check_hypotheses(system, 9)
     assert report.words_checked * system.n_actions == 118_092 <= combiner.MAX_HYPOTHESIS_PAIRS
+
+
+@pytest.mark.parametrize("command", ["combine", "report"])
+def test_each_word_classified_once_per_action(capsys, monkeypatch, command):
+    # the hypothesis check only tags the claimed witnesses; the search
+    # classifies each of them, and each candidate, once
+    seen = Counter()
+    original = Action.classify_word
+
+    def counted(self, word):
+        seen[self.name, word.display()] += 1
+        return original(self, word)
+
+    monkeypatch.setattr(Action, "classify_word", counted)
+    assert main([command, "--input", str(CONFIGS / "three_action.cfg")]) == 0
+    capsys.readouterr()
+    assert seen and [pair for pair, n in seen.items() if n > 1] == []
+
+
+def test_cli_dynamics_orbit_reaching_the_boundary_in_floats(capsys):
+    # by depth 640 an orbit point's float coordinates equal the attracting
+    # fixed point's, where the extended Gromov product is infinite
+    argv = ["dynamics", "--input", str(CONFIGS / "worked_example.cfg"), "--checks", "ns"]
+    assert main(argv + ["--orbit-depth", "640"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("N=1") == 2
+    assert main(argv + ["--orbit-depth", "200"]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["combine"], ["combine", "--format", "records"]])
+def test_number_too_long_to_print_exit_1(tmp_path, capsys, argv):
+    # the trace of f^12000 has over 5,000 digits
+    path = write(tmp_path, "huge.cfg", WORKED_EXAMPLE.replace("witness f\n", "witness f^12000\n"))
+    assert main([argv[0], "--input", path, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == f"error: an exact number has over {limit} digits, the limit for printing one\n"

@@ -8,7 +8,6 @@ import pytest
 from hypiso.actions import Action
 from hypiso.errors import InsufficientSample, MixedModels
 from hypiso.geometry import (
-    distance,
     estimate_delta_four_point,
     estimate_translation_length,
     four_point_defect,
@@ -62,8 +61,8 @@ def test_gromov_product_collinear_plane(plane):
     # with the base at x, the two collinear points on one side give
     # <y|w>_x = min(d(y,x), d(w,x)) = ln 2
     gp = gromov_product(plane, y, w, x)
-    dxy = distance(plane, x, y).value
-    dxw = distance(plane, x, w).value
+    dxy = plane.distance(x, y).value
+    dxw = plane.distance(x, w).value
     assert abs(gp.value - math.log(2)) < 1e-12
     assert abs(gp.value - min(dxy, dxw)) < 1e-12
 
@@ -73,7 +72,7 @@ def test_gromov_product_upper_bound(plane):
     pts = sample_plane_points(plane, 12, rng)
     for x, y, w in zip(pts, pts[4:], pts[8:]):
         gp = gromov_product(plane, x, y, w).value
-        assert gp <= min(distance(plane, x, w).value, distance(plane, y, w).value) + 1e-9
+        assert gp <= min(plane.distance(x, w).value, plane.distance(y, w).value) + 1e-9
         assert gp >= -1e-12
 
 
@@ -151,7 +150,7 @@ def test_base_change_bound(plane, bs23):
         x, y, w, w2 = pts[0], pts[1], pts[2], pts[3]
         g1 = gromov_product(model, x, y, w).value
         g2 = gromov_product(model, x, y, w2).value
-        assert abs(g1 - g2) <= distance(model, w, w2).value + 1e-9
+        assert abs(g1 - g2) <= model.distance(w, w2).value + 1e-9
 
 
 def test_translation_estimate_plane_example(plane):
@@ -159,8 +158,8 @@ def test_translation_estimate_plane_example(plane):
     est = estimate_translation_length(act, GroupWord.parse("f"), plane.basepoint, 64)
     exact = 2 * math.acosh(1.5)
     assert abs(est.value - exact) < 0.1
-    assert est.lower_bound_t is not None
-    assert est.value >= est.lower_bound_t - 1e-9  # orbit quotient never undershoots
+    assert est.lower_bound is not None
+    assert est.value >= est.lower_bound.value - 1e-9  # orbit quotient never undershoots
     assert est.n_used == 64
 
 
@@ -176,7 +175,7 @@ def test_translation_estimate_bass_serre_exact(bs23):
     est = estimate_translation_length(act, GroupWord.parse("w"), bs23.basepoint, 64)
     assert est.value == 2.0
     assert est.exact
-    assert est.exact_value == 2
+    assert est.lower_bound.exact_value == 2
 
 
 def test_translation_estimate_requires_nmax(plane):
@@ -191,7 +190,7 @@ def test_translation_estimate_monotone_refinable(plane):
     values = [
         estimate_translation_length(act, word, plane.basepoint, n).value for n in (4, 8, 16, 32, 64)
     ]
-    lower = estimate_translation_length(act, word, plane.basepoint, 4).lower_bound_t
+    lower = estimate_translation_length(act, word, plane.basepoint, 4).lower_bound.value
     for v in values:
         assert v >= lower - 1e-9
 
@@ -201,10 +200,7 @@ def test_translation_conjugation_invariance(plane):
     h = plane.matrix(1, 2, 0, 1)
     conj = plane.compose(plane.compose(h, F), plane.invert(h))
     c1, c2 = plane.classify(F), plane.classify(conj)
-    assert (
-        c1.hyperbolic.translation_length.exact_cosh_half
-        == c2.hyperbolic.translation_length.exact_cosh_half
-    )
+    assert c1.hyperbolic.translation_length.exact_cosh == c2.hyperbolic.translation_length.exact_cosh
 
 
 def test_elliptic_decay(plane):
@@ -219,6 +215,6 @@ def test_elliptic_decay(plane):
             assert plane.cosh_distance(x, cur) <= diam  # exact comparison
 
 
-def test_distance_free_function_checks_models(plane, cayley):
+def test_distance_checks_models(plane, cayley):
     with pytest.raises(MixedModels):
-        distance(plane, plane.basepoint, cayley.basepoint)
+        plane.distance(plane.basepoint, cayley.basepoint)

@@ -10,6 +10,7 @@ from hypiso.errors import MixedModels, NotHyperbolic
 from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.models import fixed_points
 from hypiso.quadratic import QuadraticNumber
+from hypiso.records import class_invariant
 from hypiso.trees import CayleyTreeModel
 from hypiso.words import GroupWord
 
@@ -71,8 +72,8 @@ def test_classify_hyperbolic_trace_3(plane):
     cls = plane.classify(plane.matrix(2, 1, 1, 1))
     assert cls.tag == "hyperbolic"
     tl = cls.hyperbolic.translation_length
-    assert tl.exact is True
-    assert tl.exact_cosh_half == Fraction(3, 2)
+    assert tl.exact_cosh == Fraction(7, 2)  # cosh tau = 2 cosh^2(tau/2) - 1
+    assert class_invariant(cls) == "cosh-half=3/2"
     assert abs(tl.value - 2 * math.acosh(1.5)) < 1e-12
 
 
@@ -169,7 +170,7 @@ def test_projective_convention(plane):
     assert plane.iso_equal(F, negF)
     cls1 = plane.classify(F)
     cls2 = plane.classify(negF)
-    assert cls1.hyperbolic.translation_length.exact_cosh_half == cls2.hyperbolic.translation_length.exact_cosh_half
+    assert cls1.hyperbolic.translation_length.exact_cosh == cls2.hyperbolic.translation_length.exact_cosh
     assert plane.boundary_equal(cls1.hyperbolic.fixed_plus, cls2.hyperbolic.fixed_plus)
 
 

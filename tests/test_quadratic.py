@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypiso.quadratic import QuadraticNumber, acosh_fraction, parse_rational, rational_sqrt
+from hypiso.errors import ValidationError
+from hypiso.quadratic import QuadraticNumber, acosh_fraction, format_rational, parse_rational, rational_sqrt
 
 import math
+import sys
 
 
 def test_perfect_square_radicand_folds():
@@ -88,3 +90,11 @@ def test_parse_rational():
     assert parse_rational("7") == Fraction(7)
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+def test_format_rational_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert format_rational(Fraction(-7, 2)) == "-7/2"
+    for q in (Fraction(10**limit), Fraction(1, 10**limit)):
+        with pytest.raises(ValidationError, match=f"over {limit} digits"):
+            format_rational(q)
