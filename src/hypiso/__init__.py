@@ -23,7 +23,7 @@ _EXPORTS = {
     "dynamics": "NeighborhoodSpec OrbitProjection QuasiGeodesicReport SeparationResult TriangleInternals "
     "internal_points local_quasigeodesic_check ns_dynamics_check orbit_projection separation_check",
     "errors": "DegenerateTriangle HypisoError HypothesisViolation InsufficientSample MixedModels NoPassingN "
-    "NotHyperbolic NotInBall ParseError ScheduleExhausted ValidationError WitnessNotHyperbolic",
+    "NotHyperbolic ParseError ScheduleExhausted ValidationError WitnessNotHyperbolic",
     "geometry": "TranslationLengthEstimate estimate_delta_four_point estimate_translation_length "
     "gromov_product",
     "halfplane": "HalfPlaneModel Matrix2",

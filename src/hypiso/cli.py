@@ -49,6 +49,10 @@ EXIT_HYPOTHESIS = 3
 # estimate costs n^3 steps; the 937-vertex rank-3 radius-4 ball takes 3 s.
 MAX_SAMPLE_POINTS = 1000
 
+# dynamics follows an orbit of at most this many steps (orbit-depth); plane
+# coordinates grow with each step, and depth 1,000 on configs/ takes 19-28 s
+MAX_ORBIT_DEPTH = 1000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hypiso")
@@ -78,8 +82,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = parse_config(_read(args.input))
-        system = config.build(ball_radius=args.ball_radius)
-        return _dispatch(args, config, system)
+        return _dispatch(args, config, config.build())
     except ScheduleExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
@@ -100,12 +103,21 @@ def _read(path: str) -> str:
 
 
 def _settings(args, config: SystemConfig) -> dict[str, int]:
+    """The settings every record states; a flag overrides its config value
+    (word-sample-depth has no flag)."""
     return {
-        "max-exponent": config.setting("max_exponent", args.max_exponent),
-        "seed": config.setting("seed", args.seed),
-        "orbit-depth": config.setting("orbit_depth", args.orbit_depth),
-        "word-sample-depth": config.setting("word_sample_depth", None),
+        key: config.setting(key, getattr(args, key.replace("-", "_"), None))
+        for key in ("max-exponent", "seed", "orbit-depth", "word-sample-depth")
     }
+
+
+def _ball_radii(args, config: SystemConfig) -> list[int]:
+    """Each action's ball radius: its own ``ball-radius``, else the flag,
+    else the config's top-level value, else the default."""
+    return [
+        config.setting("ball-radius", args.ball_radius if ac.ball_radius is None else ac.ball_radius)
+        for ac in config.actions
+    ]
 
 
 def _settings_rows(settings: dict[str, int]) -> list[tuple[str, str]]:
@@ -113,15 +125,16 @@ def _settings_rows(settings: dict[str, int]) -> list[tuple[str, str]]:
 
 
 def _dispatch(args, config: SystemConfig, system: ActionSystem) -> int:
+    radii = _ball_radii(args, config)  # range-checked for every command
     settings = _settings(args, config)
     if args.command == "classify":
         return _cmd_classify(args, system, settings)
     if args.command == "combine":
         return _cmd_combine(args, system, settings)
     if args.command == "delta":
-        return _cmd_delta(args, system, settings)
+        return _cmd_delta(args, system, settings, radii)
     if args.command == "dynamics":
-        return _cmd_dynamics(args, system, settings)
+        return _cmd_dynamics(args, system, settings, radii)
     return _cmd_report(args, system, settings)
 
 
@@ -201,14 +214,10 @@ def _cmd_combine(args, system: ActionSystem, settings) -> int:
 
 
 def _sample(action, seed: int, count: int, radius: int):
-    """Seeded plane points, or the tree ball of the given radius (at most
-    the materialized one); either way at most MAX_SAMPLE_POINTS points."""
+    """Seeded plane points, or the tree ball of the given radius; either
+    way at most MAX_SAMPLE_POINTS points."""
     model = action.model
-    if isinstance(model, HalfPlaneModel):
-        size = count
-    else:
-        radius = min(radius, model.ball_radius)
-        size = model.ball_size(radius)
+    size = count if isinstance(model, HalfPlaneModel) else model.ball_size(radius)
     if size > MAX_SAMPLE_POINTS:
         raise ValidationError(
             f"a sample of {size} points is over the cap of {MAX_SAMPLE_POINTS}", f"action {action.name!r}"
@@ -218,11 +227,11 @@ def _sample(action, seed: int, count: int, radius: int):
     return model.ball_vertices(radius)
 
 
-def _cmd_delta(args, system: ActionSystem, settings) -> int:
+def _cmd_delta(args, system: ActionSystem, settings, radii: list[int]) -> int:
     rec = RunRecord(command="delta", status="ok", exit_code=0, settings=_settings_rows(settings))
     rows = []
     for i, action in enumerate(system.actions):
-        sample = _sample(action, settings["seed"], args.samples, 4)
+        sample = _sample(action, settings["seed"], args.samples, min(4, radii[i]))
         est = estimate_delta_four_point(action.model, sample, action.model.basepoint)
         rows.append((str(i), action.name, action.model.kind, est.condition,
                      f"{est.delta:.6f}", str(est.sample_size)))
@@ -241,19 +250,22 @@ def _cmd_delta(args, system: ActionSystem, settings) -> int:
     return EXIT_OK
 
 
-def _cmd_dynamics(args, system: ActionSystem, settings) -> int:
+def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> int:
+    depth = settings["orbit-depth"]
+    if depth > MAX_ORBIT_DEPTH:
+        raise ValidationError(f"{depth} is over the cap of {MAX_ORBIT_DEPTH}", "orbit-depth")
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     rec = RunRecord(command="dynamics", status="ok", exit_code=0, settings=_settings_rows(settings))
     rows = []
     for i, action in enumerate(system.actions):
         witness, cls = resolve_witness(system, i)
-        sample = _sample(action, settings["seed"], 24, 3)
+        sample = _sample(action, settings["seed"], 24, min(3, radii[i]))
         if "ns" in checks:
             spec_plus = dyn.NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, action.model.basepoint)
             spec_minus = dyn.NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, action.model.basepoint)
             try:
                 n = dyn.ns_dynamics_check(
-                    action, witness, spec_plus, spec_minus, sample, settings["orbit-depth"]
+                    action, witness, spec_plus, spec_minus, sample, depth
                 )
                 rows.append((str(i), action.name, "ns", f"N={n}"))
                 rec.extra.append(f"ns {i} {action.name} N {n}")
@@ -273,10 +285,8 @@ def _cmd_dynamics(args, system: ActionSystem, settings) -> int:
             rows.append((str(i), action.name, "insize", f"{est.delta:.6f} over {est.sample_size}"))
             rec.extra.append(f"insize {i} {action.name} approx~ {est.delta:.9f} n {est.sample_size}")
         if "projection" in checks:
-            worst = 0.0
-            for z in sample[:10]:
-                proj = dyn.orbit_projection(action, witness, action.model.basepoint, z, 8)
-                worst = max(worst, proj.defect)
+            orbit = dyn.orbit_points(action, witness, action.model.basepoint, 8)
+            worst = max([0.0] + [dyn.project_to_orbit(action.model, orbit, z).defect for z in sample[:10]])
             rows.append((str(i), action.name, "projection", f"max defect {worst:.6f}"))
             rec.extra.append(f"projection {i} {action.name} approx~ {worst:.9f}")
     if args.format == "records":

@@ -95,6 +95,10 @@ class Certificate:
     search_stats: SearchStats
 
 
+# resolve_witness looks for a hyperbolic word up to this length when an
+# action claims no witness
+WITNESS_SEARCH_DEPTH = 4
+
 # check_hypotheses tags at most this many (word, action) pairs: depth 9 on
 # configs/three_action.cfg is 39,364 words in 3 actions, about 4 s
 MAX_HYPOTHESIS_PAIRS = 250_000
@@ -292,11 +296,10 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
     raise ScheduleExhausted(k, trials)
 
 
-def resolve_witness(
-    system: ActionSystem, k: int, search_depth: int = 4
-) -> tuple[GroupWord, IsometryClass]:
+def resolve_witness(system: ActionSystem, k: int) -> tuple[GroupWord, IsometryClass]:
     """The claimed witness for action k, verified; else the first word (in
-    the walk's order) whose tag is hyperbolic.  Returned with its class."""
+    the walk's order, up to length WITNESS_SEARCH_DEPTH) whose tag is
+    hyperbolic.  Returned with its class."""
     action = system.actions[k]
     claimed = system.witnesses[k]
     if claimed is not None:
@@ -304,10 +307,10 @@ def resolve_witness(
         if not cls.is_hyperbolic:
             raise WitnessNotHyperbolic(k, action.name, f"classified {cls.tag}")
         return claimed, cls
-    for letters, image in system.walk(action, search_depth):
+    for letters, image in system.walk(action, WITNESS_SEARCH_DEPTH):
         if action.model.tag(image) == HYPERBOLIC:
             return GroupWord(letters), action.model.classify(image)
-    raise WitnessNotHyperbolic(k, action.name, f"no hyperbolic word up to length {search_depth}")
+    raise WitnessNotHyperbolic(k, action.name, f"no hyperbolic word up to length {WITNESS_SEARCH_DEPTH}")
 
 
 def simultaneous_hyperbolic(system: ActionSystem, schedule: SearchSchedule) -> Certificate:

@@ -24,23 +24,15 @@ from .words import GroupWord
 
 CONFIG_HEADER = "hypiso-config v1"
 
-_SCHEDULE_KEYS = {
-    "max-exponent": "max_exponent",
-    "seed": "seed",
-    "orbit-depth": "orbit_depth",
-    "word-sample-depth": "word_sample_depth",
-    "ball-radius": "ball_radius",
+# every setting, by the name the config file, the CLI flags and the records
+# share: its default, and whether it must be >= 0
+_SETTINGS = {
+    "max-exponent": (32, True),
+    "seed": (0, False),
+    "orbit-depth": (64, True),
+    "word-sample-depth": (3, True),
+    "ball-radius": (8, True),
 }
-
-_DEFAULTS = {
-    "max_exponent": 32,
-    "seed": 0,
-    "orbit_depth": 64,
-    "word_sample_depth": 3,
-    "ball_radius": 8,
-}
-
-_NONNEGATIVE = ("max_exponent", "orbit_depth", "word_sample_depth", "ball_radius")
 
 
 @dataclass
@@ -59,17 +51,22 @@ class SystemConfig:
     generators: tuple[str, ...]
     actions: list[ActionConfig]
     schedule: dict[str, int]
+    _system: Optional[ActionSystem] = field(default=None, init=False, repr=False, compare=False)
 
     def setting(self, key: str, override: Optional[int] = None) -> int:
         """The override (a CLI flag) if given, else the config value, else the
         default; every setting is read, and range-checked, here."""
-        value = self.schedule.get(key, _DEFAULTS[key]) if override is None else override
-        if key in _NONNEGATIVE and value < 0:
-            raise ValidationError(f"must be >= 0, got {value}", key.replace("_", "-"))
+        default, nonnegative = _SETTINGS[key]
+        value = self.schedule.get(key, default) if override is None else override
+        if nonnegative and value < 0:
+            raise ValidationError(f"must be >= 0, got {value}", key)
         return value
 
-    def build(self, ball_radius: Optional[int] = None) -> ActionSystem:
-        return build_action_system(self, ball_radius)
+    def build(self) -> ActionSystem:
+        """The action system, built (and so fully validated) once."""
+        if self._system is None:
+            self._system = build_action_system(self)
+        return self._system
 
 
 def parse_config(text: str) -> SystemConfig:
@@ -92,9 +89,9 @@ def parse_config(text: str) -> SystemConfig:
             if len(tokens) < 2:
                 raise ParseError("generators line needs at least one name", lineno)
             generators = tuple(tokens[1:])
-        elif key in _SCHEDULE_KEYS and current is None:
+        elif key in _SETTINGS and current is None:
             _expect_args(tokens, 1, lineno)
-            schedule[_SCHEDULE_KEYS[key]] = _parse_int(tokens[1], lineno)
+            schedule[key] = _parse_int(tokens[1], lineno)
         elif key == "action":
             _expect_args(tokens, 1, lineno)
             current = ActionConfig(name=tokens[1], line=lineno)
@@ -111,7 +108,7 @@ def parse_config(text: str) -> SystemConfig:
     config = SystemConfig(generators=generators, actions=actions, schedule=schedule)
     for key in schedule:
         config.setting(key)  # range check
-    build_action_system(config)  # full semantic validation
+    config.build()  # full semantic validation
     return config
 
 
@@ -160,7 +157,7 @@ def _parse_matrix(text: str, where: str) -> tuple[Fraction, Fraction, Fraction, 
     return a, b, c, d
 
 
-def _build_model(ac: ActionConfig, radius: int) -> SpaceModel:
+def _build_model(ac: ActionConfig) -> SpaceModel:
     where = f"action {ac.name!r} model"
     if ac.kind == "half_plane":
         if ac.params:
@@ -179,20 +176,21 @@ def _build_model(ac: ActionConfig, radius: int) -> SpaceModel:
     else:
         raise ValidationError(f"unknown model kind {ac.kind!r}", where)
     try:  # the model checks its parameters: factor orders >= 2, 1 <= rank <= 26
-        return cls(*ac.params, ball_radius=radius)
+        return cls(*ac.params)
     except ValueError as exc:
         raise ValidationError(str(exc), where)
 
 
-def build_action_system(config: SystemConfig, ball_radius: Optional[int] = None) -> ActionSystem:
+def build_action_system(config: SystemConfig) -> ActionSystem:
     actions: list[Action] = []
     witnesses: list[Optional[GroupWord]] = []
     alphabet = set(config.generators)
     for ac in config.actions:
         if not ac.kind:
             raise ValidationError("missing model line", f"action {ac.name!r}")
-        radius = ball_radius if ac.ball_radius is None else ac.ball_radius
-        model = _build_model(ac, config.setting("ball_radius", radius))
+        if ac.ball_radius is not None:
+            config.setting("ball-radius", ac.ball_radius)  # range check
+        model = _build_model(ac)
         images = {}
         for gen in config.generators:
             if gen not in ac.images:

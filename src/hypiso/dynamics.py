@@ -276,11 +276,9 @@ class OrbitProjection:
     defect: float
 
 
-def orbit_projection(
-    action: Action, f: GroupWord, basepoint: Point, z: Point, orbit_range: int
-) -> OrbitProjection:
-    """Nearest-point projection of z to the orbit {f^n basepoint, |n| <= range}
-    and the reverse-triangle defect d(x, x_z) + d(x_z, z) - d(x, z)."""
+def orbit_points(action: Action, f: GroupWord, basepoint: Point, orbit_range: int) -> dict[int, Point]:
+    """The orbit {f^n basepoint : |n| <= orbit_range} of a word hyperbolic
+    in the action, keyed by n."""
     model = action.model
     iso = action.image(f)
     tag = model.tag(iso)
@@ -295,6 +293,13 @@ def orbit_projection(
         back = model.apply(inv, back)
         points[n] = fwd
         points[-n] = back
+    return points
+
+
+def project_to_orbit(model: SpaceModel, points: dict[int, Point], z: Point) -> OrbitProjection:
+    """Nearest-point projection of z to an orbit from ``orbit_points`` and
+    the reverse-triangle defect d(x, x_z) + d(x_z, z) - d(x, z), where x is
+    the orbit's point 0."""
 
     def sort_key(length: Length):
         if length.exact_value is not None:
@@ -308,7 +313,7 @@ def orbit_projection(
     minimizers = sorted(
         (n for n, d in dists.items() if sort_key(d) == best), key=lambda n: (abs(n), -n)
     )
-    x_z = points[minimizers[0]]
+    basepoint, x_z = points[0], points[minimizers[0]]
     defect = (
         model.distance(basepoint, x_z).value
         + model.distance(x_z, z).value
@@ -319,6 +324,15 @@ def orbit_projection(
         exponents=tuple(minimizers),
         defect=max(0.0, defect),
     )
+
+
+def orbit_projection(
+    action: Action, f: GroupWord, basepoint: Point, z: Point, orbit_range: int
+) -> OrbitProjection:
+    """Nearest-point projection of z to the orbit {f^n basepoint, |n| <= range}
+    and the reverse-triangle defect; to project many points, build the
+    orbit once with ``orbit_points`` and call ``project_to_orbit``."""
+    return project_to_orbit(action.model, orbit_points(action, f, basepoint, orbit_range), z)
 
 
 def boundary_approach_profile(

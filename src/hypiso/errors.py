@@ -11,10 +11,6 @@ class MixedModels(HypisoError):
     """A point, isometry or boundary point was used with the wrong space model."""
 
 
-class NotInBall(HypisoError):
-    """A tree vertex lies outside the materialized BFS ball."""
-
-
 class NotHyperbolic(HypisoError):
     """An operation required a hyperbolic isometry and got something else."""
 

@@ -93,23 +93,10 @@ class Matrix2:
         return (self.a, self.b, self.c, self.d)
 
 
-# boundary payload: a finite coordinate on the real line, or None for infinity
-@dataclass(frozen=True)
-class ProjectivePoint:
-    finite: QuadraticNumber | None
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.finite is None
-
-    def __str__(self):
-        return "inf" if self.finite is None else str(self.finite)
-
-
-INFINITY = ProjectivePoint(None)
-
-
 class HalfPlaneModel(SpaceModel):
+    """Boundary payloads are finite coordinates on the real line
+    (QuadraticNumbers), or None for the point at infinity."""
+
     kind = "half_plane"
 
     def __init__(self):
@@ -215,17 +202,17 @@ class HalfPlaneModel(SpaceModel):
         a, b, c, d = m.entries()
         if c == 0:
             # fixes infinity (eigenvalue a) and b/(d-a)
-            finite = ProjectivePoint(QuadraticNumber(b / (d - a)))
-            plus, minus = (INFINITY, finite) if a > 1 else (finite, INFINITY)
+            finite = QuadraticNumber(b / (d - a))
+            plus, minus = (None, finite) if a > 1 else (finite, None)
         else:
             disc = t * t - 4
             root = rational_sqrt(disc)
             if root is not None:
-                plus = ProjectivePoint(QuadraticNumber((a - d + root) / (2 * c)))
-                minus = ProjectivePoint(QuadraticNumber((a - d - root) / (2 * c)))
+                plus = QuadraticNumber((a - d + root) / (2 * c))
+                minus = QuadraticNumber((a - d - root) / (2 * c))
             else:
-                plus = ProjectivePoint(QuadraticNumber((a - d) / (2 * c), Fraction(1, 2) / c, disc))
-                minus = ProjectivePoint(QuadraticNumber((a - d) / (2 * c), Fraction(-1, 2) / c, disc))
+                plus = QuadraticNumber((a - d) / (2 * c), Fraction(1, 2) / c, disc)
+                minus = QuadraticNumber((a - d) / (2 * c), Fraction(-1, 2) / c, disc)
             # plus carries eigenvalue (t + sqrt(disc))/2 > 1: attracting
         return IsometryClass.make_hyperbolic(tl, self.boundary(plus), self.boundary(minus))
 
@@ -265,33 +252,30 @@ class HalfPlaneModel(SpaceModel):
     # -- boundary ----------------------------------------------------------
 
     def boundary_infinity(self) -> BoundaryPoint:
-        return self.boundary(INFINITY)
+        return self.boundary(None)
 
     def boundary_finite(self, value) -> BoundaryPoint:
         if not isinstance(value, QuadraticNumber):
             value = QuadraticNumber(Fraction(value))
-        return self.boundary(ProjectivePoint(value))
+        return self.boundary(value)
 
     def boundary_equal(self, p: BoundaryPoint, q: BoundaryPoint) -> bool:
-        bp: ProjectivePoint = self.require_boundary(p)
-        bq: ProjectivePoint = self.require_boundary(q)
-        if bp.is_infinity or bq.is_infinity:
-            return bp.is_infinity and bq.is_infinity
-        return bp.finite == bq.finite
+        bp: QuadraticNumber | None = self.require_boundary(p)
+        bq: QuadraticNumber | None = self.require_boundary(q)
+        if bp is None or bq is None:
+            return bp is bq
+        return bp == bq
 
     def boundary_apply(self, iso: Isometry, b: BoundaryPoint) -> BoundaryPoint:
         m: Matrix2 = self.require_iso(iso)
-        pp: ProjectivePoint = self.require_boundary(b)
+        z: QuadraticNumber | None = self.require_boundary(b)
         a, bb, c, d = m.entries()
-        if pp.is_infinity:
-            if c == 0:
-                return self.boundary(INFINITY)
-            return self.boundary(ProjectivePoint(QuadraticNumber(a / c)))
-        z = pp.finite
+        if z is None:
+            return self.boundary(None if c == 0 else QuadraticNumber(a / c))
         den = c * z + d
         if den == 0:
-            return self.boundary(INFINITY)
-        return self.boundary(ProjectivePoint((a * z + bb) / den))
+            return self.boundary(None)
+        return self.boundary((a * z + bb) / den)
 
     # -- extended Gromov products (diagnostic floats) ------------------------
 
@@ -301,13 +285,13 @@ class HalfPlaneModel(SpaceModel):
 
     def gromov_boundary_point(self, b: BoundaryPoint, y: Point, base: Point) -> float:
         """<xi|y>_w = ln(|xi-w| / |xi-y|) + (1/2) ln(Im y / Im w) + d(y,w)/2."""
-        pp: ProjectivePoint = self.require_boundary(b)
+        pp: QuadraticNumber | None = self.require_boundary(b)
         yx, yy = self._floats(y)
         wx, wy = self._floats(base)
         dyw = self.distance(y, base).value
-        if pp.is_infinity:
+        if pp is None:
             return 0.5 * math.log(yy / wy) + 0.5 * dyw
-        xi = float(pp.finite)
+        xi = float(pp)
         num = math.hypot(xi - wx, wy)
         den = math.hypot(xi - yx, yy)
         if den == 0.0:
@@ -316,17 +300,16 @@ class HalfPlaneModel(SpaceModel):
 
     def gromov_boundary_pair(self, b1: BoundaryPoint, b2: BoundaryPoint, base: Point) -> float:
         """<xi|eta>_w = ln(|xi-w| |eta-w| / (|xi-eta| Im w)); inf when equal."""
-        p1: ProjectivePoint = self.require_boundary(b1)
-        p2: ProjectivePoint = self.require_boundary(b2)
+        p1: QuadraticNumber | None = self.require_boundary(b1)
+        p2: QuadraticNumber | None = self.require_boundary(b2)
         if self.boundary_equal(b1, b2):
             return math.inf
         wx, wy = self._floats(base)
-        if p1.is_infinity or p2.is_infinity:
-            fin = p2 if p1.is_infinity else p1
-            xi = float(fin.finite)
+        if p1 is None or p2 is None:
+            xi = float(p2 if p1 is None else p1)
             return math.log(math.hypot(xi - wx, wy) / wy)
-        x1 = float(p1.finite)
-        x2 = float(p2.finite)
+        x1 = float(p1)
+        x2 = float(p2)
         sep = abs(x1 - x2)
         if sep == 0.0:
             # distinct quadratic values collapsing in float: resolve minimally

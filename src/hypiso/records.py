@@ -11,14 +11,15 @@ in-memory certificates alike and imports nothing from the search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .actions import ActionSystem
 from .errors import MixedModels, ParseError
-from .halfplane import ProjectivePoint
 from .models import BoundaryPoint, IsometryClass, SpaceModel
-from .quadratic import format_rational, rational_sqrt
+from .quadratic import QuadraticNumber, format_rational
 from .trees import RayDescriptor, TreeModel
 from .words import GroupWord
 
@@ -33,9 +34,13 @@ def class_invariant(cls: IsometryClass) -> str:
     if cls.is_hyperbolic:
         tl = cls.hyperbolic.translation_length
         if tl.exact_cosh is not None:
-            # cosh^2(tau/2) = (cosh tau + 1)/2, a rational square: the plane
-            # class's cosh tau is t^2/2 - 1 for its rational trace t
-            return f"cosh-half={format_rational(rational_sqrt((tl.exact_cosh + 1) / 2))}"
+            # cosh^2(tau/2) = (cosh tau + 1)/2 = (p + q)/2q for cosh tau = p/q,
+            # a rational square: the plane class's cosh tau is t^2/2 - 1 for
+            # its rational trace t.  Lowest terms, then integer square roots.
+            p, q = tl.exact_cosh.numerator, tl.exact_cosh.denominator
+            g = math.gcd(p + q, 2 * q)
+            half = Fraction(math.isqrt((p + q) // g), math.isqrt(2 * q // g))
+            return f"cosh-half={format_rational(half)}"
         return f"syllables={format_rational(tl.exact_value)}"
     if cls.is_elliptic:
         period = cls.elliptic.period
@@ -45,13 +50,12 @@ def class_invariant(cls: IsometryClass) -> str:
 
 def boundary_string(model: SpaceModel, bp: BoundaryPoint) -> str:
     payload = model.require_boundary(bp)
-    if isinstance(payload, ProjectivePoint):
-        if payload.is_infinity:
-            return "inf"
-        z = payload.finite
-        if z.is_rational:
-            return f"rat:{format_rational(z.as_fraction())}"
-        return f"quad:{format_rational(z.a)};{format_rational(z.b)};{format_rational(z.d)}"
+    if payload is None:  # the plane's point at infinity
+        return "inf"
+    if isinstance(payload, QuadraticNumber):
+        if payload.is_rational:
+            return f"rat:{format_rational(payload.as_fraction())}"
+        return f"quad:{format_rational(payload.a)};{format_rational(payload.b)};{format_rational(payload.d)}"
     if isinstance(payload, RayDescriptor) and isinstance(model, TreeModel):
         prefix = model.word_display(payload.prefix).replace(" ", ".")
         period = model.word_display(payload.period).replace(" ", ".")

@@ -37,10 +37,11 @@ def sample_plane_points(model: HalfPlaneModel, count: int, rng: random.Random) -
     return out
 
 
-def sample_tree_points(model, count: int, rng: random.Random, max_units: int = 6) -> list[Point]:
+def sample_tree_points(model, count: int, rng: random.Random) -> list[Point]:
+    """Vertices at the end of random reduced words of 0 to 6 units."""
     out = []
     for _ in range(count):
-        n = rng.randint(0, max_units)
+        n = rng.randint(0, 6)
         if isinstance(model, CayleyTreeModel):
             out.append(model.vertex(_random_cayley_word(model, rng, n)))
         else:
@@ -72,12 +73,10 @@ def random_plane_hyperbolic(model: HalfPlaneModel, rng: random.Random) -> Isomet
     return _shear_product(model, u, v, rng.random() < 0.5)
 
 
-def random_plane_elliptic(
-    model: HalfPlaneModel, rng: random.Random, allow_infinite_order: bool = True
-) -> Isometry:
+def random_plane_elliptic(model: HalfPlaneModel, rng: random.Random) -> Isometry:
     """|trace| < 2; finite rotation orders 2 and 3 or an infinite-order
     rotation with trace +-1/2, fixed point near i."""
-    if allow_infinite_order and rng.random() < 0.25:
+    if rng.random() < 0.25:
         t = Fraction(rng.choice([1, -1]), 2)
         return model.matrix(0, -1, 1, t)
     u = rng.choice([1, 2, 3])
@@ -102,10 +101,9 @@ def _random_bs_syllables(model: BassSerreModel, rng: random.Random, n: int) -> l
     return out
 
 
-def random_bs_hyperbolic(model: BassSerreModel, rng: random.Random, half_length: int = 2) -> Isometry:
-    """Alternating even-syllable word: cyclically reduced, tau = 2k for k
-    drawn from 1..half_length."""
-    return model.word(_random_bs_syllables(model, rng, 2 * rng.randint(1, half_length)))
+def random_bs_hyperbolic(model: BassSerreModel, rng: random.Random) -> Isometry:
+    """Alternating even-syllable word: cyclically reduced, tau = 2 or 4."""
+    return model.word(_random_bs_syllables(model, rng, 2 * rng.randint(1, 2)))
 
 
 def random_bs_elliptic(model: BassSerreModel, rng: random.Random) -> Isometry:
@@ -128,9 +126,10 @@ def _random_cayley_word(model: CayleyTreeModel, rng: random.Random, n: int) -> l
     return word
 
 
-def random_cayley_hyperbolic(model: CayleyTreeModel, rng: random.Random, max_len: int = 4) -> Isometry:
+def random_cayley_hyperbolic(model: CayleyTreeModel, rng: random.Random) -> Isometry:
+    """A nontrivial reduced word of at most 4 letters."""
     while True:
-        iso = model.word(_random_cayley_word(model, rng, rng.randint(1, max_len)))
+        iso = model.word(_random_cayley_word(model, rng, rng.randint(1, 4)))
         if model.tag(iso) == HYPERBOLIC:
             return iso
 
@@ -161,24 +160,20 @@ def _random_model(rng: random.Random) -> SpaceModel:
     if kind == "bass_serre":
         m = rng.choice([2, 2, 3])
         n = rng.choice([3, 4])
-        return BassSerreModel(m, n, ball_radius=8)
-    return CayleyTreeModel(rng.choice([2, 3]), ball_radius=8)
+        return BassSerreModel(m, n)
+    return CayleyTreeModel(rng.choice([2, 3]))
 
 
-def random_action_system(
-    seed: int,
-    n_actions: int | None = None,
-    generators: tuple[str, ...] = ("f", "g"),
-    hyperbolic_bias: float = 0.6,
-    check_depth: int = 3,
-    max_attempts: int = 50,
-) -> ActionSystem:
-    """A seeded random system with a valid hyperbolic witness per action and
-    no parabolic words up to check_depth (rejection-sampled)."""
+def random_action_system(seed: int, n_actions: int | None = None) -> ActionSystem:
+    """A seeded random system on generators f and g (2 to 4 actions unless
+    given) with a valid hyperbolic witness per action and no parabolic word
+    up to length 3.  Each non-witness generator image is hyperbolic with
+    probability 0.6; systems are rejection-sampled, at most 50 times."""
     from .combiner import check_hypotheses
 
+    generators = ("f", "g")
     rng = rng_from_seed(seed)
-    for _ in range(max_attempts):
+    for _ in range(50):
         n = n_actions if n_actions is not None else rng.randint(2, 4)
         actions: list[Action] = []
         witnesses: list[GroupWord] = []
@@ -187,14 +182,14 @@ def random_action_system(
             images = {}
             witness_gen = rng.choice(generators)
             for gen in generators:
-                if gen == witness_gen or rng.random() < hyperbolic_bias:
+                if gen == witness_gen or rng.random() < 0.6:
                     images[gen] = random_hyperbolic(model, rng)
                 else:
                     images[gen] = random_elliptic(model, rng)
             actions.append(Action(f"a{i}-{model.kind}", model, images))
             witnesses.append(GroupWord.generator(witness_gen))
-        system = ActionSystem(tuple(generators), actions, witnesses)
-        report = check_hypotheses(system, check_depth)
+        system = ActionSystem(generators, actions, witnesses)
+        report = check_hypotheses(system, 3)
         if report.passed:
             return system
     raise RuntimeError(f"could not build a hypothesis-clean system from seed {seed}")

@@ -5,11 +5,10 @@ Bass-Serre trees, coset representatives plus a vertex type), and boundary
 points are eventually-periodic reduced rays (prefix, repeating word).
 ``TreeModel`` derives the whole metric (distance, median, geodesic, root
 path, internal points) in integers from three hooks on vertex labels that
-each model provides: ``_depth``, ``_meet_depth`` and ``_ancestor``.  A BFS
-ball of configurable radius is materialized for enumeration and serves as
-an independent oracle: ``bfs_distance`` recomputes metric facts by graph
-search over each model's own ``_neighbors`` and raises NotInBall outside
-the materialized region.
+each model provides: ``_depth``, ``_meet_depth`` and ``_ancestor``.  The
+ball of any radius about the basepoint is walked on demand, and
+``bfs_distance`` is an independent oracle: it recomputes distances by graph
+search over each model's own ``_neighbors``.
 
 Bass-Serre conventions for G = Z/m * Z/n = <s> * <t>: syllables are
 (factor, exponent) with factor 0 for s and 1 for t, exponents reduced mod
@@ -31,7 +30,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInBall
 from .models import (
     ELLIPTIC,
     HYPERBOLIC,
@@ -64,8 +62,6 @@ def _int_length(n: int) -> Length:
 
 class TreeModel(SpaceModel):
     """Shared machinery; units are letters (Cayley) or syllables (Bass-Serre)."""
-
-    ball_radius: int
 
     # Subclasses provide, on words: normal_form, multiply, invert_word,
     # cyclic_reduce and core_tag (the exact tag of a cyclic core), and compose
@@ -236,14 +232,10 @@ class TreeModel(SpaceModel):
     def gromov_boundary_point(self, b, y: Point, base: Point) -> float:
         return float(self.gromov_boundary_point_exact(b, y, base))
 
-    # -- ball materialization -------------------------------------------------
+    # -- the ball and the BFS oracle ----------------------------------------------
 
-    def ball_vertices(self, radius: int | None = None) -> list[Point]:
+    def ball_vertices(self, radius: int) -> list[Point]:
         """All vertices within ``radius`` of the basepoint, BFS order."""
-        if radius is None:
-            radius = self.ball_radius
-        if radius > self.ball_radius:
-            raise NotInBall(f"requested radius {radius} > materialized {self.ball_radius}")
         root = self.basepoint.coords
         parents, level, out = set(), [root], [root]
         for _ in range(radius):
@@ -254,25 +246,22 @@ class TreeModel(SpaceModel):
 
     def ball_size(self, radius: int) -> int:
         """The number of vertices within ``radius`` of the basepoint, counted
-        from the vertex degrees without materializing the ball."""
+        from the vertex degrees without walking the ball."""
         total = level = 1
         for depth in range(radius):
             level *= self._degrees[depth & 1] - (depth > 0)
             total += level
         return total
 
-    def in_ball(self, p: Point) -> bool:
-        return self._depth(self.require_point(p)) <= self.ball_radius
-
     def bfs_distance(self, x: Point, y: Point) -> int:
-        """Independent BFS oracle over the materialized ball.  It walks
-        ``_neighbors``; ``_depth`` only bounds the walk to the ball."""
+        """Independent BFS oracle.  It walks ``_neighbors``; ``_depth`` only
+        bounds the walk to the ball about the basepoint that holds both
+        endpoints, since a tree geodesic goes no deeper than its deeper end."""
         cx = self.require_point(x)
         cy = self.require_point(y)
-        if not self.in_ball(x) or not self.in_ball(y):
-            raise NotInBall("endpoint outside the materialized ball")
         if cx == cy:
             return 0
+        bound = max(self._depth(cx), self._depth(cy))
         seen = {cx: 0}
         queue = deque([cx])
         while queue:
@@ -283,9 +272,9 @@ class TreeModel(SpaceModel):
                 seen[nb] = seen[cur] + 1
                 if nb == cy:
                     return seen[nb]
-                if self._depth(nb) <= self.ball_radius:
+                if self._depth(nb) <= bound:
                     queue.append(nb)
-        raise NotInBall("BFS exhausted the ball without reaching the target")
+        raise ValueError(f"BFS within depth {bound} did not reach the target")
 
 
 def _common_prefix_len(u, v) -> int:
@@ -305,13 +294,12 @@ class CayleyTreeModel(TreeModel):
 
     kind = "cayley_tree"
 
-    def __init__(self, rank: int, ball_radius: int = 8):
+    def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("rank must be >= 1")
         if rank > len(_LETTER_NAMES):
             raise ValueError(f"rank must be <= {len(_LETTER_NAMES)}: letters are named a to z")
         self.rank = rank
-        self.ball_radius = ball_radius
         self.model_id = f"cayley_tree(rank={rank})"
         self._degrees = (2 * rank, 2 * rank)
         self._basepoint = self.point(())
@@ -414,12 +402,11 @@ class BassSerreModel(TreeModel):
 
     kind = "bass_serre"
 
-    def __init__(self, m: int, n: int, ball_radius: int = 8):
+    def __init__(self, m: int, n: int):
         if m < 2 or n < 2:
             raise ValueError("factor orders must be >= 2")
         self.orders = (m, n)
         self._degrees = self.orders  # vertex types alternate with depth
-        self.ball_radius = ball_radius
         self.model_id = f"bass_serre(m={m},n={n})"
         self._basepoint = self.point(((), 0))
 

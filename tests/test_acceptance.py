@@ -140,8 +140,8 @@ def test_acceptance_exact_vs_estimate():
     """Orbit-growth estimate at n = 64 within 0.1 of the exact value for 200
     random hyperbolic elements per model; < 0.1 for elliptic elements."""
     plane = HalfPlaneModel()
-    bs = BassSerreModel(2, 3, ball_radius=8)
-    cayley = CayleyTreeModel(2, ball_radius=8)
+    bs = BassSerreModel(2, 3)
+    cayley = CayleyTreeModel(2)
     word = GroupWord.generator("x")
 
     worst = {}
@@ -213,8 +213,8 @@ def _exhaustive_four_point_zero(model, ball) -> None:
 def test_acceptance_tree_delta_zero():
     """Four-point estimator exactly 0 over every 4-tuple of the radius-4
     ball in both tree models; insize exactly 0 on every vertex triple."""
-    bs = BassSerreModel(2, 3, ball_radius=4)
-    cayley = CayleyTreeModel(2, ball_radius=4)
+    bs = BassSerreModel(2, 3)
+    cayley = CayleyTreeModel(2)
 
     ball_bs = bs.ball_vertices(4)
     _exhaustive_four_point_zero(bs, ball_bs)
@@ -269,8 +269,8 @@ def test_acceptance_gromov_inequality():
     """Zero violations beyond delta^ + 2^-20 over 10^4 sampled quadruples
     per model (delta^ = max defect of the same sample)."""
     plane = HalfPlaneModel()
-    bs = BassSerreModel(2, 3, ball_radius=8)
-    cayley = CayleyTreeModel(2, ball_radius=8)
+    bs = BassSerreModel(2, 3)
+    cayley = CayleyTreeModel(2)
     for name, model in (("half_plane", plane), ("bass_serre", bs), ("cayley_tree", cayley)):
         rng = rng_from_seed(13)
         pts = sample_points(model, 40, rng)
@@ -318,8 +318,8 @@ def test_acceptance_north_south():
     neighborhoods around the exact fixed points, ns_dynamics_check finds
     N <= 64."""
     plane = HalfPlaneModel()
-    bs = BassSerreModel(2, 3, ball_radius=8)
-    cayley = CayleyTreeModel(2, ball_radius=8)
+    bs = BassSerreModel(2, 3)
+    cayley = CayleyTreeModel(2)
     worst = {}
     for name, model, seed in (("half_plane", plane, 21), ("bass_serre", bs, 22), ("cayley_tree", cayley, 23)):
         rng = rng_from_seed(seed)
@@ -412,8 +412,8 @@ def test_acceptance_independence_separation():
     powers above the N given by the neighborhood construction; 20 dependent
     pairs (powers/inverses) are never reported independent."""
     plane = HalfPlaneModel()
-    bs = BassSerreModel(2, 3, ball_radius=8)
-    cayley = CayleyTreeModel(2, ball_radius=8)
+    bs = BassSerreModel(2, 3)
+    cayley = CayleyTreeModel(2)
     models = [("half_plane", plane, 31), ("bass_serre", bs, 32), ("cayley_tree", cayley, 33)]
 
     checked_pairs = 0

@@ -47,11 +47,10 @@ def test_trichotomy_exhaustive_small_entries():
             # symbolic eigenvector identity at both fixed points
             a, b, c, d = m.entries()
             for bp in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
-                pp = bp.payload
-                if pp.is_infinity:
+                z = bp.payload
+                if z is None:
                     assert c == 0
                 else:
-                    z = pp.finite
                     assert a * z + b == (c * z + d) * z
             assert not plane.boundary_equal(
                 cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus
@@ -105,12 +104,11 @@ def test_fixed_points_are_distinct_roots_sympy():
         a, b, c, d = (exact(x) for x in m.entries())
         roots = []
         for bp in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
-            pp = bp.payload
-            if pp.is_infinity:
+            q = bp.payload
+            if q is None:
                 assert c == 0  # the quadratic drops a degree: a root at infinity
                 roots.append(sympy.oo)
                 continue
-            q = pp.finite
             z = exact(q.a) + exact(q.b) * sympy.sqrt(exact(q.d))
             assert sympy.expand(c * z**2 + (d - a) * z - b) == 0
             roots.append(z)
@@ -186,7 +184,7 @@ def test_concurrent_classification_is_stable():
     # models are immutable and operations pure: concurrent use must agree
     # with the sequential answers bit for bit
     plane = HalfPlaneModel()
-    bs = BassSerreModel(2, 3, ball_radius=6)
+    bs = BassSerreModel(2, 3)
     mats = [m for m in det_one_matrices(2)][:60]
     words = [bs.word([(0, 1), (1, e)]) for e in (1, 2)] * 30
     expected_plane = [plane.classify(plane.isometry(m)).tag for m in mats]

@@ -41,7 +41,7 @@ def worked_system() -> ActionSystem:
 
 def three_action_system() -> ActionSystem:
     system = worked_system()
-    bs = BassSerreModel(2, 3, ball_radius=8)
+    bs = BassSerreModel(2, 3)
     a3 = Action("tree", bs, {"f": bs.word([(0, 1), (1, 1)]), "g": bs.word([(0, 1)])})
     return ActionSystem(
         ("f", "g"), system.actions + [a3], system.witnesses + [GroupWord.parse("f")]
@@ -404,6 +404,22 @@ def test_hypothesis_violation_raised_on_parabolic_running_word():
     with pytest.raises(HypothesisViolation):
         f = GroupWord.parse("f")
         combine_step(system, _running(system, f, 0), SearchSchedule(4))
+
+
+def test_parabolic_candidate_is_a_failed_trial():
+    # action one: f = [[2, 1], [1, 1]] and g = f^-1 [[1, 6], [0, 1]] are
+    # hyperbolic (traces 3 and -3), but the first candidate f g is the
+    # parabolic [[1, 6], [0, 1]]; action two needs the search (f elliptic of
+    # infinite order, g hyperbolic).  The candidate is logged as a failed
+    # trial with its tag, not raised as a HypothesisViolation.
+    p1, p2 = HalfPlaneModel(), HalfPlaneModel()
+    one = Action("one", p1, {"f": p1.matrix(2, 1, 1, 1), "g": p1.matrix(1, 5, -1, -4)})
+    two = Action("two", p2, {"f": p2.matrix(0, -1, 1, Fraction(1, 2)), "g": p2.matrix(2, 1, 1, 1)})
+    system = ActionSystem(("f", "g"), [one, two], [GroupWord.parse("f"), GroupWord.parse("g")])
+    assert _class(system, GroupWord.parse("f g"), 0).tag == "hypothesis_violation"
+    with pytest.raises(ScheduleExhausted) as err:
+        combine_step(system, _running(system, GroupWord.parse("f"), 1), SearchSchedule(1))
+    assert err.value.trials == [(1, 1, 0, "hypothesis_violation")]
 
 
 def test_schedule_covers_all_pairs_once():

@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from hypiso import cli, combiner
+from hypiso import cli, combiner, dynamics
 from hypiso.actions import Action, ActionSystem
-from hypiso.cli import MAX_SAMPLE_POINTS, main
+from hypiso.cli import MAX_ORBIT_DEPTH, MAX_SAMPLE_POINTS, main
 from hypiso.config import WORKED_EXAMPLE, parse_config
 from hypiso.errors import ParseError, ValidationError
+from hypiso.halfplane import HalfPlaneModel
 from hypiso.records import RECORD_HEADER, parse_record
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 
@@ -380,3 +381,57 @@ def test_number_too_long_to_print_exit_1(tmp_path, capsys, argv):
     assert captured.out == ""
     limit = sys.get_int_max_str_digits()
     assert captured.err == f"error: an exact number has over {limit} digits, the limit for printing one\n"
+
+
+def test_one_action_system_per_run(tmp_path, capsys, monkeypatch):
+    # parse_config builds the system it validates, and build() returns it
+    built = []
+    original = ActionSystem.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(ActionSystem, "__post_init__", counted)
+    config = parse_config(THREE_ACTION)
+    assert config.build() is config.build() and len(built) == 1
+    path = write(tmp_path, "three.cfg", THREE_ACTION)
+    for argv in (["combine"], ["delta", "--ball-radius", "2"], ["dynamics", "--ball-radius", "2"]):
+        built.clear()
+        assert main([argv[0], "--input", path, *argv[1:]]) == 0
+        assert len(built) == 1
+    capsys.readouterr()
+
+
+def test_dynamics_projection_builds_each_orbit_once(capsys, monkeypatch):
+    # per action, one image resolves the witness and one builds its orbit
+    # {f^n x : |n| <= 8}, 16 steps, shared by the 10 sample points
+    images, steps = Counter(), Counter()
+    image, apply = Action.image, HalfPlaneModel.apply
+
+    def counted_image(self, word):
+        images[self.name] += 1
+        return image(self, word)
+
+    def counted_apply(self, iso, p):
+        steps["plane"] += 1
+        return apply(self, iso, p)
+
+    monkeypatch.setattr(Action, "image", counted_image)
+    monkeypatch.setattr(HalfPlaneModel, "apply", counted_apply)
+    assert main(["dynamics", "--input", str(CONFIGS / "three_action.cfg"), "--checks", "projection"]) == 0
+    capsys.readouterr()
+    assert images == {"plane-one": 2, "plane-two": 2, "tree-one": 2}
+    assert steps["plane"] == 32
+
+
+def test_orbit_depth_over_cap_exit_1(capsys, monkeypatch):
+    # test_cli_dynamics_orbit_reaching_the_boundary_in_floats runs at 640
+    assert MAX_ORBIT_DEPTH >= 640
+    for name in ("ns_dynamics_check", "orbit_points"):
+        monkeypatch.setattr(dynamics, name, _no_walk)
+    monkeypatch.setattr(cli, "resolve_witness", _no_walk)
+    depth = MAX_ORBIT_DEPTH + 1
+    argv = ["dynamics", "--input", str(CONFIGS / "worked_example.cfg"), "--orbit-depth", str(depth)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: orbit-depth: {depth} is over the cap of {MAX_ORBIT_DEPTH}\n"

@@ -37,7 +37,7 @@ def plane():
 
 @pytest.fixture
 def bs23():
-    return BassSerreModel(2, 3, ball_radius=8)
+    return BassSerreModel(2, 3)
 
 
 def k1_neighborhoods(model, cls):

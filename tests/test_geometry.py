@@ -26,12 +26,12 @@ def plane():
 
 @pytest.fixture
 def cayley():
-    return CayleyTreeModel(2, ball_radius=6)
+    return CayleyTreeModel(2)
 
 
 @pytest.fixture
 def bs23():
-    return BassSerreModel(2, 3, ball_radius=8)
+    return BassSerreModel(2, 3)
 
 
 def test_gromov_product_degenerate(plane):
@@ -120,7 +120,7 @@ def test_four_point_matches_cubic_formula(plane):
 
 def test_four_point_memory_is_quadratic():
     # 300 vertices: the n^3 int64 array alone would take 216 MB
-    cayley3 = CayleyTreeModel(3, ball_radius=4)
+    cayley3 = CayleyTreeModel(3)
     ball = cayley3.ball_vertices(4)[:300]
     tracemalloc.start()
     try:

@@ -6,18 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypiso.dynamics import internal_points
-from hypiso.errors import NotInBall
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 
 
 @pytest.fixture
 def cayley():
-    return CayleyTreeModel(2, ball_radius=6)
+    return CayleyTreeModel(2)
 
 
 @pytest.fixture
 def bs23():
-    return BassSerreModel(2, 3, ball_radius=6)
+    return BassSerreModel(2, 3)
 
 
 # -- Cayley tree ---------------------------------------------------------
@@ -44,11 +43,12 @@ def test_cayley_ball_sizes(cayley):
 
 
 def test_cayley_not_in_ball(cayley):
+    # no ball bounds the model: the BFS oracle measures a vertex at any
+    # depth, and the ball of any radius is walked
     far = cayley.vertex([1] * 9)
-    with pytest.raises(NotInBall):
-        cayley.bfs_distance(far, cayley.basepoint)
-    with pytest.raises(NotInBall):
-        cayley.ball_vertices(7)
+    assert cayley.bfs_distance(far, cayley.basepoint) == 9
+    assert cayley.bfs_distance(cayley.vertex([2, 1]), far) == 11
+    assert len(cayley.ball_vertices(7)) == cayley.ball_size(7) == 4373
 
 
 def test_cayley_apply_left_multiplication(cayley):
@@ -352,12 +352,12 @@ def _check_internal_points(model, d, x, y, z):
 
 
 def test_internal_points_against_bfs():
-    bs = BassSerreModel(2, 3, ball_radius=4)
+    bs = BassSerreModel(2, 3)
     d = _bfs(bs)
     ball = bs.ball_vertices(4)
     for x, y, z in itertools.combinations(ball, 3):
         _check_internal_points(bs, d, x, y, z)
-    cayley = CayleyTreeModel(2, ball_radius=4)
+    cayley = CayleyTreeModel(2)
     d = _bfs(cayley)
     ball = cayley.ball_vertices(4)
     rng = random.Random(0)
@@ -366,12 +366,12 @@ def test_internal_points_against_bfs():
 
 
 @pytest.mark.parametrize(
-    "model", [BassSerreModel(3, 4, ball_radius=3), CayleyTreeModel(3, ball_radius=3)],
+    "model", [BassSerreModel(3, 4), CayleyTreeModel(3)],
     ids=lambda m: m.model_id,
 )
 def test_geodesic_and_root_path_against_bfs(model):
     d = _bfs(model)
-    ball = model.ball_vertices()
+    ball = model.ball_vertices(3)
     for p, q in itertools.combinations(ball[::3], 2):
         path = model.geodesic(p, q)
         assert path[0] == p and path[-1] == q and len(path) == d(p, q) + 1
