@@ -4,14 +4,17 @@ Commands: classify, combine, delta, dynamics, report.  Exit codes:
 0 success, 1 parse/validation error, 2 schedule exhausted (or failed
 verification), 3 hypothesis violation.  --format records emits the
 versioned machine-readable form; in records, approximate columns carry a
-trailing '~' and everything else is exact.
+trailing '~' and everything else is exact.  Each command returns a Result
+(exit code, record, table lines, stderr lines); only main prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Optional
 
 from . import dynamics as dyn
 from .actions import ActionSystem
@@ -27,7 +30,7 @@ from .errors import (
 )
 from .geometry import estimate_delta_four_point
 from .halfplane import HalfPlaneModel
-from .models import IsometryClass
+from .models import HYPOTHESIS_VIOLATION, IsometryClass
 from .records import (
     RunRecord,
     class_invariant,
@@ -70,28 +73,47 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "combine":
             p.add_argument("--verify", default=None, help="re-verify a records file instead of searching")
         if name == "dynamics":
-            p.add_argument(
-                "--checks", default="ns,insize,projection", help="comma list: ns,insize,projection"
-            )
+            checks = "ns,insize,projection"
+            p.add_argument("--checks", default=checks, help=f"comma list: {checks}")
         if name == "delta":
             p.add_argument("--samples", type=int, default=60)
     return parser
 
 
+@dataclass
+class Result:
+    """A command's whole result, printed by main alone: the stderr lines,
+    then the record or the table lines.  ``record`` is called only for
+    --format records, so a combine table never formats the fixed points,
+    which can pass Python's int-to-string limit where the table does not."""
+
+    exit_code: int
+    record: Callable[[], RunRecord]
+    table: list[str]
+    stderr: list[str]
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command, print its Result and return its exit code; every
+    HypisoError is printed and mapped to its exit code here alone."""
     args = build_parser().parse_args(argv)
     try:
         config = parse_config(_read(args.input))
-        return _dispatch(args, config, config.build())
-    except ScheduleExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except (HypothesisViolation, WitnessNotHyperbolic) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        radii = _ball_radii(args, config)  # range-checked before the other settings
+        settings = _settings(args, config)
+        try:
+            result = COMMANDS[args.command](args, config.build(), settings, radii)
+        except ScheduleExhausted as exc:
+            result = _exhausted(args, settings, exc)
+        records = args.format == "records"
+        out = result.record().emit() if records else "".join(f"{line}\n" for line in result.table)
     except HypisoError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        violation = isinstance(exc, (HypothesisViolation, WitnessNotHyperbolic))
+        return EXIT_HYPOTHESIS if violation else EXIT_PARSE
+    sys.stderr.writelines(f"{line}\n" for line in result.stderr)
+    sys.stdout.write(out)
+    return result.exit_code
 
 
 def _read(path: str) -> str:
@@ -113,104 +135,71 @@ def _settings(args, config: SystemConfig) -> dict[str, int]:
 
 def _ball_radii(args, config: SystemConfig) -> list[int]:
     """Each action's ball radius: its own ``ball-radius``, else the flag,
-    else the config's top-level value, else the default."""
-    return [
-        config.setting("ball-radius", args.ball_radius if ac.ball_radius is None else ac.ball_radius)
-        for ac in config.actions
-    ]
+    else the config's top-level value, else the default.  The flag is
+    range-checked even where every action sets its own."""
+    radius = config.setting("ball-radius", args.ball_radius)
+    return [radius if ac.ball_radius is None else ac.ball_radius for ac in config.actions]
+
+
+def _result(command: str, settings, lines, table=(), exit_code=EXIT_OK, status="ok", stderr=(), word=None):
+    """A Result whose record is the settings, then the word and these lines."""
+    rows = _settings_rows(settings)
+    record = partial(RunRecord, command, status, exit_code, rows, word=word, extra=list(lines))
+    return Result(exit_code, record, list(table), list(stderr))
 
 
 def _settings_rows(settings: dict[str, int]) -> list[tuple[str, str]]:
     return [(k, str(v)) for k, v in settings.items()]
 
 
-def _dispatch(args, config: SystemConfig, system: ActionSystem) -> int:
-    radii = _ball_radii(args, config)  # range-checked for every command
-    settings = _settings(args, config)
-    if args.command == "classify":
-        return _cmd_classify(args, system, settings)
-    if args.command == "combine":
-        return _cmd_combine(args, system, settings)
-    if args.command == "delta":
-        return _cmd_delta(args, system, settings, radii)
-    if args.command == "dynamics":
-        return _cmd_dynamics(args, system, settings, radii)
-    return _cmd_report(args, system, settings)
-
-
 def _tau_display(cls: IsometryClass) -> str:
-    if cls.is_hyperbolic:
-        return f"{cls.hyperbolic.translation_length.value:.6f}"
-    return "-"
+    return f"{cls.hyperbolic.translation_length.value:.6f}" if cls.is_hyperbolic else "-"
 
 
-def _cmd_classify(args, system: ActionSystem, settings) -> int:
+def _dotted(word: GroupWord) -> str:
+    return word.display().replace(" ", ".")
+
+
+def _cmd_classify(args, system: ActionSystem, settings, radii) -> Result:
     words = [("gen " + g, GroupWord.generator(g)) for g in system.generators]
-    for i, w in enumerate(system.witnesses):
-        if w is not None:
-            words.append((f"witness[{i}]", w))
-    for text in args.word:
-        try:
-            words.append((repr(text), GroupWord.parse(text, set(system.generators))))
-        except ValueError as exc:
-            raise ValidationError(str(exc), "--word")
-    rec = RunRecord(command="classify", status="ok", exit_code=0, settings=_settings_rows(settings))
-    rows = []
-    violations = 0
+    words += [(f"witness[{i}]", w) for i, w in enumerate(system.witnesses) if w is not None]
+    try:
+        words += [(repr(text), GroupWord.parse(text, set(system.generators))) for text in args.word]
+    except ValueError as exc:
+        raise ValidationError(str(exc), "--word")
+    rows, lines = [], []
     for i, action in enumerate(system.actions):
         for label, word in words:
             cls = action.classify_word(word)
-            if cls.tag == "hypothesis_violation":
-                violations += 1
-            rows.append((str(i), action.name, action.model.kind, label, cls.tag,
-                         class_invariant(cls), _tau_display(cls)))
-            rec.extra.append(
-                f"classified {i} {action.name} {action.model.kind} "
-                f"{word.display().replace(' ', '.')} {cls.tag} {class_invariant(cls)}"
-            )
-    exit_code = EXIT_HYPOTHESIS if violations else EXIT_OK
-    rec.exit_code = exit_code
-    rec.status = "hypothesis-violation" if violations else "ok"
-    if args.format == "records":
-        print(rec.emit(), end="")
-    else:
-        _print_table(["#", "action", "kind", "element", "tag", "invariant", "tau~"], rows)
-    return exit_code
+            name, kind, invariant = action.name, action.model.kind, class_invariant(cls)
+            rows.append((str(i), name, kind, label, cls.tag, invariant, _tau_display(cls)))
+            lines.append(f"classified {i} {name} {kind} {_dotted(word)} {cls.tag} {invariant}")
+    violated = any(row[4] == HYPOTHESIS_VIOLATION for row in rows)
+    code, status = (EXIT_HYPOTHESIS, "hypothesis-violation") if violated else (EXIT_OK, "ok")
+    table = _table(["#", "action", "kind", "element", "tag", "invariant", "tau~"], rows)
+    return _result(args.command, settings, lines, table, code, status)
 
 
-def _cmd_combine(args, system: ActionSystem, settings) -> int:
+def _cmd_combine(args, system: ActionSystem, settings, radii) -> Result:
     if args.verify is not None:
-        record = parse_record(_read(args.verify))
-        ok, notes = verify_record(system, record)
-        if args.format == "records":
-            out = RunRecord(
-                command="combine-verify",
-                status="ok" if ok else "mismatch",
-                exit_code=EXIT_OK if ok else EXIT_EXHAUSTED,
-                settings=_settings_rows(settings),
-            )
-            out.word = record.word
-            out.extra.extend(f"note {n}" for n in notes)
-            print(out.emit(), end="")
-        else:
-            print(f"verification: {'ok' if ok else 'FAILED'}")
-            for n in notes:
-                print(" ", n)
-        return EXIT_OK if ok else EXIT_EXHAUSTED
-
-    code, _, cert = _search(args, system, settings)
+        return _verify(args, system, settings)
+    hyp, cert = _search(system, settings)
     if cert is None:
-        return code
-    if args.format == "records":
-        rec = record_for_certificate("combine", system, cert, _settings_rows(settings))
-        print(rec.emit(), end="")
-    else:
-        _print_witnesses(system, cert)
-        print(
-            f"search: {cert.search_stats.candidates_tried} candidates over "
-            f"{cert.search_stats.stages} stages"
-        )
-    return EXIT_OK
+        return _violations(args, system, hyp, settings)
+    stats = cert.search_stats
+    table = _witness_table(system, cert)
+    table.append(f"search: {stats.candidates_tried} candidates over {stats.stages} stages")
+    record = partial(record_for_certificate, "combine", system, cert, _settings_rows(settings))
+    return Result(EXIT_OK, record, table, [])
+
+
+def _verify(args, system: ActionSystem, settings) -> Result:
+    record = parse_record(_read(args.verify))
+    ok, notes = verify_record(system, record)
+    code, status = (EXIT_OK, "ok") if ok else (EXIT_EXHAUSTED, "mismatch")
+    table = [f"verification: {'ok' if ok else 'FAILED'}", *(f"  {n}" for n in notes)]
+    lines = [f"note {n}" for n in notes]
+    return _result("combine-verify", settings, lines, table, code, status, word=record.word)
 
 
 def _sample(action, seed: int, count: int, radius: int):
@@ -227,36 +216,26 @@ def _sample(action, seed: int, count: int, radius: int):
     return model.ball_vertices(radius)
 
 
-def _cmd_delta(args, system: ActionSystem, settings, radii: list[int]) -> int:
-    rec = RunRecord(command="delta", status="ok", exit_code=0, settings=_settings_rows(settings))
-    rows = []
+def _cmd_delta(args, system: ActionSystem, settings, radii: list[int]) -> Result:
+    rows, lines = [], []
     for i, action in enumerate(system.actions):
         sample = _sample(action, settings["seed"], args.samples, min(4, radii[i]))
         est = estimate_delta_four_point(action.model, sample, action.model.basepoint)
         rows.append((str(i), action.name, action.model.kind, est.condition,
                      f"{est.delta:.6f}", str(est.sample_size)))
-        if isinstance(action.model, TreeModel):
-            rec.extra.append(
-                f"delta {i} {action.name} {est.condition} exact {int(est.delta)} n {est.sample_size}"
-            )
-        else:
-            rec.extra.append(
-                f"delta {i} {action.name} {est.condition} approx~ {est.delta:.9f} n {est.sample_size}"
-            )
-    if args.format == "records":
-        print(rec.emit(), end="")
-    else:
-        _print_table(["#", "action", "kind", "condition", "delta~", "sample"], rows)
-    return EXIT_OK
+        exact = isinstance(action.model, TreeModel)
+        value = f"exact {int(est.delta)}" if exact else f"approx~ {est.delta:.9f}"
+        lines.append(f"delta {i} {action.name} {est.condition} {value} n {est.sample_size}")
+    table = _table(["#", "action", "kind", "condition", "delta~", "sample"], rows)
+    return _result(args.command, settings, lines, table)
 
 
-def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> int:
+def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Result:
     depth = settings["orbit-depth"]
     if depth > MAX_ORBIT_DEPTH:
         raise ValidationError(f"{depth} is over the cap of {MAX_ORBIT_DEPTH}", "orbit-depth")
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    rec = RunRecord(command="dynamics", status="ok", exit_code=0, settings=_settings_rows(settings))
-    rows = []
+    rows, lines = [], []
     for i, action in enumerate(system.actions):
         witness, cls = resolve_witness(system, i)
         sample = _sample(action, settings["seed"], 24, min(3, radii[i]))
@@ -264,14 +243,12 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> int
             spec_plus = dyn.NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, action.model.basepoint)
             spec_minus = dyn.NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, action.model.basepoint)
             try:
-                n = dyn.ns_dynamics_check(
-                    action, witness, spec_plus, spec_minus, sample, depth
-                )
+                n = dyn.ns_dynamics_check(action, witness, spec_plus, spec_minus, sample, depth)
                 rows.append((str(i), action.name, "ns", f"N={n}"))
-                rec.extra.append(f"ns {i} {action.name} N {n}")
+                lines.append(f"ns {i} {action.name} N {n}")
             except (NoPassingN, ValueError) as exc:
                 rows.append((str(i), action.name, "ns", f"failed: {exc}"))
-                rec.extra.append(f"ns {i} {action.name} failed")
+                lines.append(f"ns {i} {action.name} failed")
         if "insize" in checks:
             pts = sample[:12]
             triangles = [
@@ -283,121 +260,85 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> int
             ]
             est = dyn.estimate_delta_insize(action.model, triangles)
             rows.append((str(i), action.name, "insize", f"{est.delta:.6f} over {est.sample_size}"))
-            rec.extra.append(f"insize {i} {action.name} approx~ {est.delta:.9f} n {est.sample_size}")
+            lines.append(f"insize {i} {action.name} approx~ {est.delta:.9f} n {est.sample_size}")
         if "projection" in checks:
             orbit = dyn.orbit_points(action, witness, action.model.basepoint, 8)
             worst = max([0.0] + [dyn.project_to_orbit(action.model, orbit, z).defect for z in sample[:10]])
             rows.append((str(i), action.name, "projection", f"max defect {worst:.6f}"))
-            rec.extra.append(f"projection {i} {action.name} approx~ {worst:.9f}")
-    if args.format == "records":
-        print(rec.emit(), end="")
-    else:
-        _print_table(["#", "action", "check", "result"], rows)
-    return EXIT_OK
+            lines.append(f"projection {i} {action.name} approx~ {worst:.9f}")
+    return _result(args.command, settings, lines, _table(["#", "action", "check", "result"], rows))
 
 
-def _search(args, system: ActionSystem, settings):
-    """The hypothesis check, then the search: (exit code, hypothesis report,
-    certificate), the certificate None after a reported failure."""
+def _search(system: ActionSystem, settings):
+    """The hypothesis check, then the search: (hypothesis report,
+    certificate), the certificate None if the check failed.
+    ScheduleExhausted propagates to main."""
     hyp = check_hypotheses(system, settings["word-sample-depth"])
     if not hyp.passed:
-        _emit_violations(args, system, hyp, settings)
-        return EXIT_HYPOTHESIS, hyp, None
-    try:
-        return EXIT_OK, hyp, simultaneous_hyperbolic(system, SearchSchedule(settings["max-exponent"]))
-    except ScheduleExhausted as exc:
-        _emit_exhausted(args, exc, settings)
-        return EXIT_EXHAUSTED, hyp, None
+        return hyp, None
+    return hyp, simultaneous_hyperbolic(system, SearchSchedule(settings["max-exponent"]))
 
 
-def _emit_violations(args, system: ActionSystem, report, settings) -> None:
-    for word, i in report.violations:
-        print(
-            f"hypothesis violation: word {word.display()!r} in action "
-            f"{i} ({system.actions[i].name})",
-            file=sys.stderr,
-        )
-    if args.format == "records":
-        rec = RunRecord(
-            command=args.command,
-            status="hypothesis-violation",
-            exit_code=EXIT_HYPOTHESIS,
-            settings=_settings_rows(settings),
-        )
-        for word, i in report.violations:
-            rec.extra.append(
-                f"violation {i} {system.actions[i].name} {word.display().replace(' ', '.')}"
-            )
-        print(rec.emit(), end="")
+def _violations(args, system: ActionSystem, report, settings) -> Result:
+    found = [(word, i, system.actions[i].name) for word, i in report.violations]
+    lines = [f"violation {i} {name} {_dotted(word)}" for word, i, name in found]
+    stderr = [f"hypothesis violation: word {word.display()!r} in action {i} ({name})"
+              for word, i, name in found]
+    return _result(args.command, settings, lines, (), EXIT_HYPOTHESIS, "hypothesis-violation", stderr)
 
 
-def _emit_exhausted(args, exc: ScheduleExhausted, settings) -> None:
-    print(f"error: {exc}", file=sys.stderr)
-    if args.format == "records":
-        rec = RunRecord(
-            command=args.command,
-            status="schedule-exhausted",
-            exit_code=EXIT_EXHAUSTED,
-            settings=_settings_rows(settings),
-        )
-        rec.extra.append(f"exhausted-stage {exc.stage} trials {len(exc.trials)}")
-        for a, b, action_index, tag in exc.trials[:50]:
-            rec.extra.append(f"trial a {a} b {b} failed-action {action_index} tag {tag}")
-        print(rec.emit(), end="")
+def _exhausted(args, settings, exc: ScheduleExhausted) -> Result:
+    lines = [f"exhausted-stage {exc.stage} trials {len(exc.trials)}"]
+    lines += [f"trial a {a} b {b} failed-action {i} tag {tag}" for a, b, i, tag in exc.trials[:50]]
+    stderr = [f"error: {exc}"]
+    return _result(args.command, settings, lines, (), EXIT_EXHAUSTED, "schedule-exhausted", stderr)
 
 
-def _cmd_report(args, system: ActionSystem, settings) -> int:
-    code, hyp, cert = _search(args, system, settings)
+def _cmd_report(args, system: ActionSystem, settings, radii) -> Result:
+    hyp, cert = _search(system, settings)
     if cert is None:
-        return code
+        return _violations(args, system, hyp, settings)
     rec = record_for_certificate("report", system, cert, _settings_rows(settings))
     rec.extra.append(f"hypotheses words {hyp.words_checked} violations 0")
-    stages = cert.stages[1:]  # stage 0 only resolves the first witness
-    for s in stages:
+    table = [f"hypotheses: pass ({hyp.words_checked} words checked)", *_witness_table(system, cert)]
+    for s in cert.stages[1:]:  # stage 0 only resolves the first witness
         if s.profile is None:
             rec.extra.append(f"profile {s.stage} trivial")
+            table.append(f"stage {s.stage}: trivial (running word already hyperbolic)")
             continue
-        for e in s.profile.entries:
-            if e.partition is not None:
-                rec.extra.append(
-                    f"profile {s.stage} {e.action_index} {e.action_name} f={e.f_tag} "
-                    f"g={e.g_tag} partition={e.partition}"
-                )
-    if args.format == "records":
-        print(rec.emit(), end="")
-        return EXIT_OK
-    print(f"hypotheses: pass ({hyp.words_checked} words checked)")
-    _print_witnesses(system, cert)
-    for s in stages:
-        if s.profile is None:
-            print(f"stage {s.stage}: trivial (running word already hyperbolic)")
-            continue
-        tags = ", ".join(
-            f"{e.action_name}:{e.partition}" for e in s.profile.entries if e.partition is not None
+        entries = [e for e in s.profile.entries if e.partition is not None]
+        rec.extra.extend(
+            f"profile {s.stage} {e.action_index} {e.action_name} f={e.f_tag} g={e.g_tag} "
+            f"partition={e.partition}"
+            for e in entries
         )
-        print(f"stage {s.stage}: partition {tags}")
-    return EXIT_OK
+        partition = ", ".join(f"{e.action_name}:{e.partition}" for e in entries)
+        table.append(f"stage {s.stage}: partition {partition}")
+    return Result(EXIT_OK, lambda: rec, table, [])
 
 
-def _print_witnesses(system: ActionSystem, cert) -> None:
+def _witness_table(system: ActionSystem, cert) -> list[str]:
     rows = [
         (str(i), action.name, action.model.kind, cls.tag, class_invariant(cls), _tau_display(cls))
         for i, (action, cls) in enumerate(zip(system.actions, cert.per_action))
     ]
-    print(f"word: {cert.word.display()}")
-    _print_table(["#", "action", "kind", "tag", "invariant", "tau~"], rows)
+    headers = ["#", "action", "kind", "tag", "invariant", "tau~"]
+    return [f"word: {cert.word.display()}", *_table(headers, rows)]
 
 
-def _print_table(headers: list[str], rows: list[tuple]) -> None:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for j, cell in enumerate(row):
-            widths[j] = max(widths[j], len(str(cell)))
+def _table(headers: list[str], rows: list[tuple]) -> list[str]:
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    print(fmt.format(*headers))
-    print(fmt.format(*("-" * w for w in widths)))
-    for row in rows:
-        print(fmt.format(*(str(c) for c in row)))
+    return [fmt.format(*row) for row in [headers, ["-" * w for w in widths], *rows]]
+
+
+COMMANDS = {
+    "classify": _cmd_classify,
+    "combine": _cmd_combine,
+    "delta": _cmd_delta,
+    "dynamics": _cmd_dynamics,
+    "report": _cmd_report,
+}
 
 
 if __name__ == "__main__":

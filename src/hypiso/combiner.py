@@ -187,7 +187,7 @@ def normalize_powers(
         action = system.actions[i]
         cg = g_class if i == k else action.classify_word(g)
         for cls, word_name in ((cf, "f"), (cg, "g")):
-            if cls.tag == "hypothesis_violation":
+            if cls.tag == HYPOTHESIS_VIOLATION:
                 raise HypothesisViolation(
                     f"{word_name} is parabolic in action {action.name!r}",
                     word=f if word_name == "f" else g,
@@ -253,7 +253,7 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
             raise NotHyperbolic(f"precondition broken: running word is {cls.tag} in action {i}")
     action_k = system.actions[k]
     cls_fk = action_k.classify_word(f)
-    if cls_fk.tag == "hypothesis_violation":
+    if cls_fk.tag == HYPOTHESIS_VIOLATION:
         raise HypothesisViolation(
             f"running word parabolic in action {action_k.name!r}", word=f, action_index=k
         )

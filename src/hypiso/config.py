@@ -138,6 +138,8 @@ def _parse_action_line(action: ActionConfig, key: str, tokens: list[str], line: 
             raise ParseError("gen line needs a name and an image", lineno)
         action.images[tokens[1]] = line.split(None, 2)[2]
     elif key == "witness":
+        if len(tokens) < 2:
+            raise ParseError("witness line needs a word", lineno)
         action.witness = line.split(None, 1)[1]
     else:
         raise ParseError(f"unknown action directive {key!r}", lineno)

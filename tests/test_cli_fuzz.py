@@ -1,0 +1,79 @@
+"""Mutation fuzz of the CLI: configs and records with lines dropped,
+inserted or swapped and tokens replaced must end in a documented exit code
+(0-3), never in a traceback."""
+
+import contextlib
+import io
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hypiso.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+WORDS = ["generators", "action", "model", "gen", "witness", "ball-radius", "seed", "max-exponent",
+         "word-sample-depth", "half_plane", "bass_serre", "cayley_tree", "f", "g", "s", "t", "a",
+         "[[", "]]", ",", "^", "/", "#", "command", "exit-code", "word", "stage", "end"]
+TOKEN = st.one_of(st.sampled_from(WORDS), st.integers(-3, 6).map(str))
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["drop", "insert", "swap", "token"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "insert" or not lines:
+            lines.insert(i, " ".join(draw(st.lists(TOKEN, min_size=1, max_size=3))))
+        elif op == "drop":
+            del lines[i]
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:  # replace one token, or drop it
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.one_of(st.just(""), TOKEN))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def run(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+
+
+@FUZZ
+@given(
+    config=st.sampled_from(["worked_example.cfg", "three_action.cfg"]).flatmap(
+        lambda name: mutated((CONFIGS / name).read_text())
+    ),
+    command=st.sampled_from(["classify", "combine", "report"]),
+    fmt=st.sampled_from(["table", "records"]),
+)
+def test_mutated_config_exits_0_to_3(tmp_path, config, command, fmt):
+    path = tmp_path / "fuzz.cfg"
+    path.write_text(config)
+    # the flag bounds the search; the config's own max-exponent is still parsed
+    assert run([command, "--input", str(path), "--max-exponent", "4", "--format", fmt]) in (0, 1, 2, 3)
+
+
+def good_record() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["combine", "--input", str(CONFIGS / "worked_example.cfg"), "--format", "records"]) == 0
+    return out.getvalue()
+
+
+@FUZZ
+@given(record=st.deferred(lambda: mutated(good_record())), fmt=st.sampled_from(["table", "records"]))
+def test_mutated_record_exits_0_to_3(tmp_path, record, fmt):
+    path = tmp_path / "fuzz.rec"
+    path.write_text(record)
+    argv = ["combine", "--input", str(CONFIGS / "worked_example.cfg"), "--verify", str(path), "--format", fmt]
+    assert run(argv) in (0, 1, 2, 3)

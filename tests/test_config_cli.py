@@ -435,3 +435,84 @@ def test_orbit_depth_over_cap_exit_1(capsys, monkeypatch):
     argv = ["dynamics", "--input", str(CONFIGS / "worked_example.cfg"), "--orbit-depth", str(depth)]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: orbit-depth: {depth} is over the cap of {MAX_ORBIT_DEPTH}\n"
+
+
+TREES_ONLY = """hypiso-config v1
+generators f g
+
+action tree-one
+model bass_serre 2 3
+ball-radius 2
+gen f s t
+gen g s
+witness f
+"""
+
+
+def test_negative_ball_radius_flag_rejected_when_every_action_sets_its_own(tmp_path, capsys):
+    path = write(tmp_path, "trees.cfg", TREES_ONLY)
+    assert main(["delta", "--input", path]) == 0
+    capsys.readouterr()
+    assert main(["delta", "--input", path, "--ball-radius", "-1"]) == 1
+    assert capsys.readouterr().err == "error: ball-radius: must be >= 0, got -1\n"
+    # the ball radii are range-checked before the other settings
+    assert main(["combine", "--input", path, "--ball-radius", "-1", "--max-exponent", "-2"]) == 1
+    assert capsys.readouterr().err == "error: ball-radius: must be >= 0, got -1\n"
+
+
+def test_bare_witness_line_is_a_parse_error(tmp_path, capsys):
+    text = WORKED_EXAMPLE.replace("witness f\n", "witness\n", 1)
+    with pytest.raises(ParseError) as err:
+        parse_config(text)
+    assert err.value.line == 8
+    path = write(tmp_path, "bare.cfg", text)
+    assert main(["combine", "--input", path]) == 1
+    assert capsys.readouterr().err == "error: line 8, col 1: witness line needs a word\n"
+
+
+# (replaced text, its replacement) in WORKED_EXAMPLE -> the position or
+# field the error names, then its message
+CONFIG_ERRORS = [
+    ("generators f g", "generators", "line 2, col 1: generators line needs at least one name"),
+    ("generators f g", "generators f g\nbogus 1", "line 3, col 1: unexpected directive 'bogus' before any action"),
+    ("generators f g\n", "", "line 13, col 1: missing generators line"),
+    (WORKED_EXAMPLE[WORKED_EXAMPLE.index("action"):], "", "line 3, col 1: config defines no actions"),
+    ("generators f g", "generators f g\nseed 1 2", "line 3, col 1: seed expects 1 argument(s)"),
+    ("generators f g", "generators f g\nseed x", "line 3, col 1: expected an integer, got 'x'"),
+    ("model half_plane", "model", "line 5, col 1: model line needs a kind"),
+    ("gen g [[0, -1], [1, 0]]", "gen g", "line 7, col 1: gen line needs a name and an image"),
+    ("[[2, 1], [1, 1]]", "[[2, 1], [1]]", "action 'plane-one' gen f: matrix needs 4 entries, got 3"),
+    ("model half_plane", "model half_plane 3", "action 'plane-one' model: half_plane takes no parameters"),
+    ("model half_plane", "model bass_serre 2", "action 'plane-one' model: bass_serre needs two factor orders"),
+    ("model half_plane", "model cayley_tree", "action 'plane-one' model: cayley_tree needs a rank"),
+    ("model half_plane", "model sphere", "action 'plane-one' model: unknown model kind 'sphere'"),
+    ("model half_plane\n", "", "action 'plane-one': missing model line"),
+    ("witness f", "gen h [[2, 1], [1, 1]]\nwitness f", "action 'plane-one': image given for unknown generator 'h'"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", CONFIG_ERRORS)
+def test_config_error_names_its_place(tmp_path, capsys, old, new, message):
+    path = write(tmp_path, "bad.cfg", WORKED_EXAMPLE.replace(old, new, 1))
+    assert main(["combine", "--input", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# a record edit -> exit code of combine --verify, and what it prints
+RECORD_ERRORS = [
+    (("exit-code 0", "exit-code x"), 1, "err", "error: line 4, col 1: bad exit code 'x'\n"),
+    (("word f^2 g^2\n", ""), 2, "out", "verification: FAILED\n  record carries no word\n"),
+    (("word f^2 g^2", "word f h"), 2, "out", "  bad word: "),
+    (("witness 1 ", "note 1 "), 2, "out", "  record lists 1 witnesses, system has 2 actions\n"),
+]
+
+
+@pytest.mark.parametrize("edit, code, stream, message", RECORD_ERRORS)
+def test_record_error_names_its_place(tmp_path, capsys, edit, code, stream, message):
+    path = write(tmp_path, "worked.cfg", WORKED_EXAMPLE)
+    assert main(["combine", "--input", path, "--format", "records"]) == 0
+    record = capsys.readouterr().out
+    assert edit[0] in record
+    rec_path = write(tmp_path, "edited.rec", record.replace(*edit, 1))
+    assert main(["combine", "--input", path, "--verify", rec_path]) == code
+    assert message in getattr(capsys.readouterr(), stream)
