@@ -32,7 +32,7 @@ class Action:
     def image(self, word: GroupWord) -> Isometry:
         """Composed syllable by syllable, each power by repeated squaring."""
         out = self.model.identity()
-        for gen, e in word.syllables():
+        for gen, e in word.syllables:
             if gen not in self.images:
                 raise ValidationError(f"generator {gen!r} has no image in action {self.name!r}")
             out = self.model.compose(out, self.model.power(self.images[gen], e))
@@ -67,7 +67,7 @@ class ActionSystem:
             raise ValidationError("witness list must align with actions")
         for w in self.witnesses:
             if w is not None:
-                for gen, _ in w.letters:
+                for gen, _ in w.syllables:
                     if gen not in self.generators:
                         raise ValidationError(f"witness uses unknown generator {gen!r}")
 

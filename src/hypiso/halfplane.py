@@ -33,7 +33,7 @@ from .models import (
     Point,
     SpaceModel,
 )
-from .quadratic import QuadraticNumber, acosh_fraction, rational_sqrt
+from .quadratic import QuadraticNumber, acosh_fraction
 
 HALF_PLANE_ID = "half_plane"
 
@@ -205,14 +205,9 @@ class HalfPlaneModel(SpaceModel):
             finite = QuadraticNumber(b / (d - a))
             plus, minus = (None, finite) if a > 1 else (finite, None)
         else:
-            disc = t * t - 4
-            root = rational_sqrt(disc)
-            if root is not None:
-                plus = QuadraticNumber((a - d + root) / (2 * c))
-                minus = QuadraticNumber((a - d - root) / (2 * c))
-            else:
-                plus = QuadraticNumber((a - d) / (2 * c), Fraction(1, 2) / c, disc)
-                minus = QuadraticNumber((a - d) / (2 * c), Fraction(-1, 2) / c, disc)
+            disc = t * t - 4  # QuadraticNumber folds a square disc into a rational
+            plus = QuadraticNumber((a - d) / (2 * c), Fraction(1, 2) / c, disc)
+            minus = QuadraticNumber((a - d) / (2 * c), Fraction(-1, 2) / c, disc)
             # plus carries eigenvalue (t + sqrt(disc))/2 > 1: attracting
         return IsometryClass.make_hyperbolic(tl, self.boundary(plus), self.boundary(minus))
 

@@ -183,7 +183,5 @@ def check_witnesses(
             continue
         fresh = witness_line(i, action.name, action.model, cls)
         if fresh != line:
-            notes.append(
-                f"action {i} ({action.name}): witness mismatch\n  record: {line}\n  fresh:  {fresh}"
-            )
+            notes.append(f"action {i} ({action.name}): witness mismatch: record {line} | fresh {fresh}")
     return not notes, notes

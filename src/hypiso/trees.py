@@ -40,7 +40,7 @@ from .models import (
     Point,
     SpaceModel,
 )
-from .words import collect_powers, format_powers, parse_powers
+from .words import format_powers, parse_powers, reduce_powers
 
 _LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"  # Cayley letter i is named _LETTER_NAMES[i - 1]
 
@@ -202,12 +202,12 @@ class TreeModel(SpaceModel):
         ray: RayDescriptor = self.require_boundary(b)
         return self.ray(self.multiply(g, ray.prefix), ray.period)
 
-    def gromov_boundary_pair_exact(self, b1, b2, base: Point) -> Fraction | None:
-        """Exact <xi|eta>_base; None encodes +infinity (equal points)."""
+    def gromov_boundary_pair(self, b1, b2, base: Point) -> float:
+        """<xi|eta>_base, exact until the final float; +inf for equal points."""
         r1: RayDescriptor = self.require_boundary(b1)
         r2: RayDescriptor = self.require_boundary(b2)
         if self.rays_equal(r1, r2):
-            return None
+            return math.inf
         n = (
             max(len(r1.prefix), len(r2.prefix))
             + math.lcm(len(r1.period), len(r2.period))
@@ -216,21 +216,14 @@ class TreeModel(SpaceModel):
         )
         v1 = self._vertex_from_units(self._ray_units(r1, n))
         v2 = self._vertex_from_units(self._ray_units(r2, n))
-        return self.gromov_exact(v1, v2, base)
+        return float(self.gromov_exact(v1, v2, base))
 
-    def gromov_boundary_point_exact(self, b, y: Point, base: Point) -> Fraction:
+    def gromov_boundary_point(self, b, y: Point, base: Point) -> float:
         ray: RayDescriptor = self.require_boundary(b)
         depths = self._depth(self.require_point(y)) + self._depth(self.require_point(base))
         n = len(ray.prefix) + 2 * len(ray.period) + depths + 4
         v = self._vertex_from_units(self._ray_units(ray, n))
-        return self.gromov_exact(v, y, base)
-
-    def gromov_boundary_pair(self, b1, b2, base: Point) -> float:
-        exact = self.gromov_boundary_pair_exact(b1, b2, base)
-        return math.inf if exact is None else float(exact)
-
-    def gromov_boundary_point(self, b, y: Point, base: Point) -> float:
-        return float(self.gromov_boundary_point_exact(b, y, base))
+        return float(self.gromov_exact(v, y, base))
 
     # -- the ball and the BFS oracle ----------------------------------------------
 
@@ -380,8 +373,8 @@ class CayleyTreeModel(TreeModel):
         return IsometryClass.make_elliptic(1, self.basepoint, _int_length(0))
 
     def word_display(self, payload: tuple) -> str:
-        letters = [(_LETTER_NAMES[abs(x) - 1], 1 if x > 0 else -1) for x in payload]
-        return format_powers(collect_powers(letters))
+        letters = ((_LETTER_NAMES[abs(x) - 1], 1 if x > 0 else -1) for x in payload)
+        return format_powers(reduce_powers(letters))
 
     def parse_word(self, text: str) -> Isometry:
         names = tuple(_LETTER_NAMES[: self.rank])

@@ -3,8 +3,9 @@ both formats, on success and on each failure path, pinned byte for byte
 in cli_golden.json.
 
 Run this file as a script (PYTHONPATH=src python tests/test_cli_golden.py)
-to rewrite cli_golden.json from the current code; do that only for a
-deliberate change of output, and say so where the change is described.
+to rewrite cli_golden.json from the current code; name case ids after it
+(... test_cli_golden.py CASE...) to rewrite only those cases.  Do that only
+for a deliberate change of output, and say so where the change is described.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from hypiso.cli import main
+from hypiso.records import parse_record
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -170,10 +172,21 @@ def test_cli_golden(case, files):
     assert run_case(case, *files) == expected[case]
 
 
+def test_mismatch_record_round_trips(files):
+    out = run_case("worked-verify-altered-records", *files)["stdout"]
+    assert "witness mismatch" in out
+    assert parse_record(out).emit() == out
+
+
 if __name__ == "__main__":
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases: {' '.join(unknown)}")
+    golden = json.loads(GOLDEN.read_text()) if sys.argv[1:] else {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         paths = _files(root)
-        golden = {case: run_case(case, root, paths) for case in sorted(CASES)}
+        golden.update({case: run_case(case, root, paths) for case in names})
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(golden)} cases to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(names)} cases to {GOLDEN}", file=sys.stderr)

@@ -10,7 +10,7 @@ from hypiso.errors import MixedModels, NotHyperbolic
 from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.models import fixed_points
 from hypiso.quadratic import QuadraticNumber
-from hypiso.records import class_invariant
+from hypiso.records import class_invariant, witness_line
 from hypiso.trees import CayleyTreeModel
 from hypiso.words import GroupWord
 
@@ -136,6 +136,17 @@ def test_fixed_points_swap_under_inverse(plane):
     iplus, iminus = fixed_points(plane, plane.invert(F))
     assert plane.boundary_equal(iplus, minus)
     assert plane.boundary_equal(iminus, plus)
+
+
+def test_rational_fixed_points_from_a_square_discriminant(plane):
+    # trace 5/2, tr^2 - 4 = 9/4: the fixed points (a - d +- 3/2) / 2c are rational
+    iso = plane.matrix(3, 1, Fraction(-5, 2), Fraction(-1, 2))
+    line = witness_line(0, "one", plane, plane.classify(iso))
+    assert line == "witness 0 one half_plane hyperbolic cosh-half=5/4 plus=rat:-1 minus=rat:-2/5"
+    a, b, c, d = iso.payload.entries()
+    for bp in fixed_points(plane, iso):
+        z = bp.payload.as_fraction()
+        assert a * z + b == (c * z + d) * z
 
 
 def test_fixed_points_requires_hyperbolic(plane):

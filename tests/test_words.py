@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import GroupWord
 
 
@@ -34,18 +35,71 @@ def test_parse_unknown_generator():
         GroupWord.parse("h", alphabet={"f", "g"})
 
 
-letters = st.lists(
-    st.tuples(st.sampled_from(["f", "g", "h"]), st.sampled_from([1, -1])), max_size=12
-)
+# unreduced power tuples over f, g and h: exponent 0 and runs of one name included
+powers = st.lists(st.tuples(st.sampled_from("fgh"), st.integers(-3, 3)), max_size=10)
 
 
-@given(letters, letters, letters)
+def reference(powers) -> tuple:
+    """Letter-level reference: expand to +-1 letters, free-reduce, collect."""
+    letters: list[tuple[str, int]] = []
+    for name, e in powers:
+        for _ in range(abs(e)):
+            sign = 1 if e > 0 else -1
+            if letters and letters[-1] == (name, -sign):
+                letters.pop()
+            else:
+                letters.append((name, sign))
+    collected: list[tuple[str, int]] = []
+    for name, sign in letters:
+        if collected and collected[-1][0] == name:
+            collected[-1] = (name, collected[-1][1] + sign)
+        else:
+            collected.append((name, sign))
+    return tuple(collected)
+
+
+@given(powers, powers)
+def test_powers_match_the_letter_reference(a, b):
+    u, v = GroupWord(tuple(a)), GroupWord(tuple(b))
+    ref = reference(a)
+    assert u.syllables == ref
+    assert u.display() == (" ".join(n if e == 1 else f"{n}^{e}" for n, e in ref) or "1")
+    assert len(u) == sum(abs(e) for _, e in ref)
+    assert (u == v) == (ref == reference(b))
+    assert u * v == GroupWord(reference(a + b))
+
+
+def test_parse_does_not_expand_powers():
+    w = GroupWord.parse("f^1000000")
+    assert w.syllables == (("f", 1000000),)
+    assert len(w) == 10**6
+    assert (w * GroupWord.parse("f^-999999")).display() == "f"
+    assert GroupWord((("f", 2),)) == GroupWord.parse("f^2")
+    assert (w**-3).syllables == (("f", -3000000),)
+
+
+def test_non_integer_exponent_rejected():
+    for bad in (1.0, "1", None):
+        with pytest.raises(ValueError):
+            GroupWord((("f", bad),))
+
+
+@given(powers, powers, powers)
 def test_associativity(a, b, c):
     u, v, w = GroupWord(tuple(a)), GroupWord(tuple(b)), GroupWord(tuple(c))
     assert (u * v) * w == u * (v * w)
 
 
-@given(letters)
+@given(powers, st.integers(-4, 4))
+def test_power_is_repeated_product(a, n):
+    u = GroupWord(tuple(a))
+    expected = GroupWord.identity()
+    for _ in range(abs(n)):
+        expected = expected * (u if n > 0 else u.inverse())
+    assert u**n == expected
+
+
+@given(powers)
 def test_inverse_law(a):
     u = GroupWord(tuple(a))
     assert (u * u.inverse()).is_identity
@@ -53,7 +107,43 @@ def test_inverse_law(a):
     assert u.inverse().inverse() == u
 
 
-@given(letters, letters)
+@given(powers, powers)
 def test_conjugate_round_trip(a, b):
     u, h = GroupWord(tuple(a)), GroupWord(tuple(b))
     assert u.conjugate(h).conjugate(h.inverse()) == u
+
+
+# -- parser fuzz: every input is a ValueError or a word whose display parses back
+
+
+names = st.sampled_from(["f", "g", "a", "b", "c", "s", "t", "1", "", "fg", "x"])
+exponents = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.sampled_from(["", "+2", "--1", "x", "1.5", "^2", "0", "-0"]),
+)
+tokens = st.tuples(names, st.booleans(), exponents).map(
+    lambda t: t[0] + ("^" + t[2] if t[1] else "")
+)
+word_texts = st.one_of(
+    st.lists(tokens, max_size=6).map(" ".join),
+    st.text(alphabet="fgabst1^- 2\t", max_size=12),
+)
+
+
+@given(word_texts)
+def test_group_word_parse_fuzz(text):
+    try:
+        w = GroupWord.parse(text)
+    except ValueError:
+        return
+    assert GroupWord.parse(w.display()) == w
+
+
+@pytest.mark.parametrize("model", [CayleyTreeModel(2), BassSerreModel(2, 3)], ids=["cayley", "bass_serre"])
+@given(text=word_texts)
+def test_tree_parse_word_fuzz(model, text):
+    try:
+        iso = model.parse_word(text)
+    except ValueError:
+        return
+    assert model.parse_word(model.word_display(iso.payload)) == iso
