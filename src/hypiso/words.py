@@ -45,8 +45,6 @@ class GroupWord:
         return GroupWord(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "GroupWord":
-        if len(self.syllables) == 1:  # x^e to the n is x^(en)
-            return GroupWord(tuple((g, e * n) for g, e in self.syllables))
         base = self if n >= 0 else self.inverse()
         return GroupWord(base.syllables * abs(n))  # one reduction pass
 
