@@ -55,6 +55,9 @@ class ActionSystem:
             raise ValidationError("at least one generator required")
         if len(set(self.generators)) != len(self.generators):
             raise ValidationError("duplicate generator names")
+        for gen in self.generators:
+            if gen == "1" or "^" in gen:  # word text could not name it
+                raise ValidationError(f"generator name {gen!r} cannot be written in a word")
         for action in self.actions:
             for gen in self.generators:
                 if gen not in action.images:

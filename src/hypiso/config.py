@@ -151,12 +151,9 @@ def _parse_matrix(text: str, where: str) -> tuple[Fraction, Fraction, Fraction, 
     if len(tokens) != 4:
         raise ValidationError(f"matrix needs 4 entries, got {len(tokens)}", where)
     try:
-        a, b, c, d = (parse_rational(t) for t in tokens)
+        return tuple(parse_rational(t) for t in tokens)
     except ValueError as exc:
         raise ValidationError(f"bad rational entry: {exc}", where)
-    if a * d - b * c != 1:
-        raise ValidationError(f"determinant is {a * d - b * c}, must be exactly 1", where)
-    return a, b, c, d
 
 
 def _build_model(ac: ActionConfig) -> SpaceModel:
@@ -201,13 +198,13 @@ def build_action_system(config: SystemConfig) -> ActionSystem:
             if gen not in alphabet:
                 raise ValidationError(f"image given for unknown generator {gen!r}", f"action {ac.name!r}")
             where = f"action {ac.name!r} gen {gen}"
-            if isinstance(model, HalfPlaneModel):
-                images[gen] = model.matrix(*_parse_matrix(raw, where))
-            else:
-                try:
+            try:  # the model checks the image: determinant 1, or the tree's letters
+                if isinstance(model, HalfPlaneModel):
+                    images[gen] = model.matrix(*_parse_matrix(raw, where))
+                else:
                     images[gen] = model.parse_word(raw)
-                except ValueError as exc:
-                    raise ValidationError(str(exc), where)
+            except ValueError as exc:
+                raise ValidationError(str(exc), where)
         if ac.witness is not None:
             try:
                 witnesses.append(GroupWord.parse(ac.witness, alphabet))

@@ -3,9 +3,10 @@ determinant-1 rational matrices.
 
 Points are (x, y) pairs with y > 0; coordinates are Fractions, or
 QuadraticNumbers for fixed points of infinite-order rotations.  Matrices
-are identified projectively with their negatives (-I acts trivially), so
-rotation orders and classification are computed for the Mobius action,
-not the matrix group.
+are stored as primitive integer matrices, their determinant checked once,
+where they are built from input (Matrix2.of).  They are identified
+projectively with their negatives (-I acts trivially), so rotation orders
+and classification are computed for the Mobius action, not the matrix group.
 
 Classification is by trace, exactly:
   |tr| > 2  hyperbolic, translation length 2*arccosh(|tr|/2), boundary
@@ -40,57 +41,60 @@ HALF_PLANE_ID = "half_plane"
 _ZERO = Length(0.0, exact_cosh=Fraction(1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matrix2:
-    """2x2 matrix over the rationals with determinant exactly 1."""
+    """A determinant-1 rational matrix M as its primitive integer matrix
+    (a, b, c, d) = s*M, s >= 1 and a*d - b*c = s*s.  ``of`` alone checks the
+    determinant; products, inverses and negations are integer arithmetic."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def __post_init__(self):
-        for entry in (self.a, self.b, self.c, self.d):
-            if not isinstance(entry, Fraction):
-                raise TypeError("matrix entries must be Fractions")
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("determinant must be exactly 1")
+    a: int
+    b: int
+    c: int
+    d: int
+    s: int
 
     @staticmethod
     def of(a, b, c, d) -> "Matrix2":
-        return Matrix2(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+        q = [Fraction(x) for x in (a, b, c, d)]
+        det = q[0] * q[3] - q[1] * q[2]
+        if det != 1:
+            raise ValueError(f"determinant is {det}, must be exactly 1")
+        # s*M is primitive: a prime p dividing it divides det = s^2, and s/p clears M
+        s = math.lcm(*(x.denominator for x in q))
+        return Matrix2(*(x.numerator * (s // x.denominator) for x in q), s)
 
     @staticmethod
     def identity() -> "Matrix2":
-        return Matrix2.of(1, 0, 0, 1)
+        return Matrix2(1, 0, 0, 1, 1)
 
     def __mul__(self, o: "Matrix2") -> "Matrix2":
-        return Matrix2(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-        )
+        a = self.a * o.a + self.b * o.c
+        b = self.a * o.b + self.b * o.d
+        c = self.c * o.a + self.d * o.c
+        d = self.c * o.b + self.d * o.d
+        s = self.s * o.s
+        if s > 1:  # the content divides s, since the determinant is s^2
+            g = math.gcd(a, b, c, d)
+            if g > 1:
+                a, b, c, d, s = a // g, b // g, c // g, d // g, s // g
+        return Matrix2(a, b, c, d, s)
 
     def inverse(self) -> "Matrix2":
-        return Matrix2(self.d, -self.b, -self.c, self.a)
+        return Matrix2(self.d, -self.b, -self.c, self.a, self.s)
 
     def neg(self) -> "Matrix2":
-        return Matrix2(-self.a, -self.b, -self.c, -self.d)
+        return Matrix2(-self.a, -self.b, -self.c, -self.d, self.s)
 
     @property
     def trace(self) -> Fraction:
-        return self.a + self.d
-
-    def proj_equal(self, o: "Matrix2") -> bool:
-        same = (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
-        return same or (self.a, self.b, self.c, self.d) == (-o.a, -o.b, -o.c, -o.d)
+        return Fraction(self.a + self.d, self.s)
 
     def is_proj_identity(self) -> bool:
-        return (self.a, self.b, self.c, self.d) in ((1, 0, 0, 1), (-1, 0, 0, -1))
+        return self.b == 0 and self.c == 0 and self.a == self.d
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
+        """M itself, the determinant-1 rational matrix."""
+        return tuple(Fraction(x, self.s) for x in (self.a, self.b, self.c, self.d))
 
 
 class HalfPlaneModel(SpaceModel):
@@ -144,10 +148,10 @@ class HalfPlaneModel(SpaceModel):
     def apply(self, iso: Isometry, p: Point) -> Point:
         m: Matrix2 = self.require_iso(iso)
         x, y = self.require_point(p)
-        a, b, c, d = m.entries()
+        a, b, c, d = m.a, m.b, m.c, m.d  # s*M: the Mobius map is the same
         den = (c * x + d) ** 2 + (c * y) * (c * y)
         nx = (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den
-        ny = y / den
+        ny = y * (m.s * m.s) / den
         return self.point((nx, ny))
 
     def compose(self, first: Isometry, second: Isometry) -> Isometry:
@@ -160,29 +164,19 @@ class HalfPlaneModel(SpaceModel):
         return self.isometry(Matrix2.identity())
 
     def iso_equal(self, a: Isometry, b: Isometry) -> bool:
-        return self.require_iso(a).proj_equal(self.require_iso(b))
+        m, n = self.require_iso(a), self.require_iso(b)
+        return m == n or m == n.neg()
 
     # -- classification -----------------------------------------------------
-
-    def projective_order(self, m: Matrix2) -> int | None:
-        """Order of the Mobius action when finite (rational-trace rotations)."""
-        if m.is_proj_identity():
-            return 1
-        t = abs(m.trace)
-        if t == 0:
-            return 2
-        if t == 1:
-            return 3
-        return None
 
     def tag(self, iso: Isometry) -> str:
         m: Matrix2 = self.require_iso(iso)
         if m.is_proj_identity():
             return ELLIPTIC
-        at = abs(m.trace)
-        if at > 2:
+        at, two = abs(m.a + m.d), 2 * m.s  # |tr M| against 2, scaled by s
+        if at > two:
             return HYPERBOLIC
-        return HYPOTHESIS_VIOLATION if at == 2 else ELLIPTIC
+        return HYPOTHESIS_VIOLATION if at == two else ELLIPTIC
 
     def classify(self, iso: Isometry) -> IsometryClass:
         tag = self.tag(iso)
@@ -194,7 +188,7 @@ class HalfPlaneModel(SpaceModel):
         return self._classify_elliptic(m)  # +-identity: period 1
 
     def _classify_hyperbolic(self, m: Matrix2) -> IsometryClass:
-        if m.trace < 0:
+        if m.a + m.d < 0:
             m = m.neg()  # same Mobius action; normalize to trace > 2
         t = m.trace
         # cosh(tau/2) = t/2, so cosh tau = 2 (t/2)^2 - 1
@@ -212,7 +206,8 @@ class HalfPlaneModel(SpaceModel):
         return IsometryClass.make_hyperbolic(tl, self.boundary(plus), self.boundary(minus))
 
     def _classify_elliptic(self, m: Matrix2) -> IsometryClass:
-        period = self.projective_order(m)
+        t = abs(m.a + m.d)  # s*|tr M|; the order of the Mobius action, when finite
+        period = 1 if m.is_proj_identity() else 2 if t == 0 else 3 if t == m.s else None
         if period is not None:
             base = self.basepoint
             orbit = [base]

@@ -35,7 +35,7 @@ class Point:
 
 @dataclass(frozen=True)
 class Isometry:
-    """A model-tagged isometry: a determinant-1 matrix or a tree word."""
+    """A model-tagged isometry: a primitive integer plane matrix or a tree word."""
 
     model_id: str
     payload: Any

@@ -35,10 +35,47 @@ def det_one_matrices(bound: int):
             yield Matrix2.of(a, b, c, d)
 
 
+def fraction_product(x, y):
+    """The product of two 2x2 matrices given as entry 4-tuples, in Fractions."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+# z -> 4z, z -> z/9, z -> z + 1/2, z -> z - 2/3: their conjugates of integer
+# matrices have denominators, so Matrix2 stores them with s > 1
+CONJUGATORS = [(Fraction(2), 0, 0, Fraction(1, 2)), (Fraction(1, 3), 0, 0, Fraction(3)),
+               (1, Fraction(1, 2), 0, 1), (1, Fraction(-2, 3), 0, 1)]
+
+
+def sweep_matrices():
+    """det_one_matrices(3), then the rational conjugates of det_one_matrices(2)."""
+    yield from det_one_matrices(3)
+    for m in det_one_matrices(2):
+        for p, q, r, t in CONJUGATORS:
+            conj = fraction_product(fraction_product((p, q, r, t), m.entries()), (t, -q, -r, p))
+            yield Matrix2.of(*conj)
+
+
+def assert_primitive(m: Matrix2):
+    assert m.s >= 1 and math.gcd(m.a, m.b, m.c, m.d) == 1
+    assert m.a * m.d - m.b * m.c == m.s * m.s
+
+
 def test_trichotomy_exhaustive_small_entries():
     plane = HalfPlaneModel()
     seen = {"elliptic": 0, "hyperbolic": 0, "hypothesis_violation": 0}
-    for m in det_one_matrices(3):
+    previous = Matrix2.identity()
+    for m in sweep_matrices():
+        # the integer form against Fraction arithmetic kept apart from Matrix2
+        a, b, c, d = m.entries()
+        assert m.inverse().entries() == (d, -b, -c, a)
+        for other in (m, previous, m.inverse()):
+            product = m * other
+            assert product.entries() == fraction_product(m.entries(), other.entries())
+            assert_primitive(product)
+        assert_primitive(m)
+        previous = m
         cls = plane.classify(plane.isometry(m))
         seen[cls.tag] += 1
         t = abs(m.trace)
@@ -77,7 +114,8 @@ def test_trichotomy_exhaustive_small_entries():
 
 def test_tag_matches_classify_on_sweep():
     plane = HalfPlaneModel()
-    sweep = list(det_one_matrices(3))
+    sweep = list(sweep_matrices())
+    assert any(m.s > 1 for m in sweep)
     assert Matrix2.of(1, 0, 0, 1) in sweep and Matrix2.of(-1, 0, 0, -1) in sweep
     tags = set()
     for m in sweep:
@@ -97,7 +135,7 @@ def test_fixed_points_are_distinct_roots_sympy():
 
     plane = HalfPlaneModel()
     checked = 0
-    for m in det_one_matrices(3):
+    for m in sweep_matrices():
         cls = plane.classify(plane.isometry(m))
         if not cls.is_hyperbolic:
             continue

@@ -77,3 +77,43 @@ def test_mutated_record_exits_0_to_3(tmp_path, record, fmt):
     path.write_text(record)
     argv = ["combine", "--input", str(CONFIGS / "worked_example.cfg"), "--verify", str(path), "--format", fmt]
     assert run(argv) in (0, 1, 2, 3)
+
+
+NAMES = st.one_of(TOKEN, st.sampled_from(["h", "f^2", "g^-1"]))
+
+
+@st.composite
+def variant(draw, text: str) -> str:
+    """The config, maybe without its witness lines (the search then finds the
+    witnesses), and maybe with one generator renamed in every token that
+    names it, as in 'f' and 'f^2'."""
+    lines = text.splitlines()
+    if draw(st.booleans()):
+        lines = [line for line in lines if not line.startswith("witness")]
+    if draw(st.booleans()):
+        old, new = draw(st.sampled_from(["f", "g"])), draw(NAMES)
+
+        def rename(token: str) -> str:
+            name, hat, exp = token.partition("^")
+            return new + hat + exp if name == old else token
+
+        lines = [" ".join(rename(token) for token in line.split()) for line in lines]
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(config=st.sampled_from(["worked_example.cfg", "three_action.cfg"]).flatmap(
+    lambda name: variant((CONFIGS / name).read_text())
+).flatmap(lambda text: st.one_of(st.just(text), mutated(text))))
+def test_combined_record_verifies_on_its_config(tmp_path, config):
+    # whatever combine prints as a record and exits 0 on, combine --verify
+    # accepts on the same config
+    path, record = tmp_path / "fuzz.cfg", tmp_path / "fuzz.rec"
+    path.write_text(config)
+    argv = ["combine", "--input", str(path), "--max-exponent", "4"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--format", "records"])
+    if code == 0:
+        record.write_text(out.getvalue())
+        assert run(argv + ["--verify", str(record)]) == 0

@@ -68,6 +68,11 @@ def test_compose_matrix_product(plane):
     assert inv.payload.is_proj_identity()
 
 
+def test_matrix_checks_its_determinant(plane):
+    with pytest.raises(ValueError, match="determinant is 2, must be exactly 1"):
+        plane.matrix(2, 0, 0, 1)
+
+
 def test_classify_hyperbolic_trace_3(plane):
     cls = plane.classify(plane.matrix(2, 1, 1, 1))
     assert cls.tag == "hyperbolic"
