@@ -2,20 +2,18 @@
 determinant-1 rational matrices.
 
 Points are (x, y) pairs with y > 0; coordinates are Fractions, or
-QuadraticNumbers for fixed points of infinite-order rotations.  Matrices
-are stored as primitive integer matrices, their determinant checked once,
-where they are built from input (Matrix2.of).  They are identified
-projectively with their negatives (-I acts trivially), so rotation orders
-and classification are computed for the Mobius action, not the matrix group.
-
-Classification is by trace, exactly:
-  |tr| > 2  hyperbolic, translation length 2*arccosh(|tr|/2), boundary
-            fixed points solve c z^2 + (d - a) z - b = 0 in Q(sqrt(tr^2-4))
+QuadraticNumbers for fixed points of infinite-order rotations.  A matrix M
+is stored as its primitive integer matrix s*M = (a, b, c, d), its
+determinant checked once, where it is built (Matrix2.of).  Classification
+(of the Mobius action: M and -M are one map), fixed points, the elliptic
+orbit and the boundary action read a, b, c, d, s; tr = (a + d)/s:
+  |tr| > 2  hyperbolic, translation length 2*arccosh(|tr|/2), boundary fixed
+            points ((a-d) +- s*sqrt(tr^2-4))/2c, roots of c z^2 + (d-a) z - b
   |tr| = 2  parabolic unless +-identity: rejected as hypothesis_violation
-  |tr| < 2  elliptic; the Mobius fixed point is exact, and by Niven's
-            theorem a rational trace gives finite rotation order only for
-            tr in {0, +-1} (orders 2 and 3)
-"""
+  |tr| < 2  elliptic.  By Niven's theorem a rational trace has finite order
+            only for |a+d| in {0, s} (orders 2 and 3), and the orbit of i is
+            then equilateral, of cosh diameter (a^2+b^2+c^2+d^2)/2s^2 (Beardon,
+            The Geometry of Discrete Groups, 7.2); else the fixed point is exact"""
 
 from __future__ import annotations
 
@@ -37,8 +35,6 @@ from .models import (
 from .quadratic import QuadraticNumber, acosh_fraction
 
 HALF_PLANE_ID = "half_plane"
-
-_ZERO = Length(0.0, exact_cosh=Fraction(1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +89,7 @@ class Matrix2:
         return self.b == 0 and self.c == 0 and self.a == self.d
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """M itself, the determinant-1 rational matrix."""
+        """M itself as Fractions: a view for readers; no decision reads it."""
         return tuple(Fraction(x, self.s) for x in (self.a, self.b, self.c, self.d))
 
 
@@ -154,6 +150,10 @@ class HalfPlaneModel(SpaceModel):
         ny = y * (m.s * m.s) / den
         return self.point((nx, ny))
 
+    def size(self, iso: Isometry) -> int:
+        m: Matrix2 = self.require_iso(iso)
+        return max(abs(m.a), abs(m.b), abs(m.c), abs(m.d)).bit_length()
+
     def compose(self, first: Isometry, second: Isometry) -> Isometry:
         return self.isometry(self.require_iso(first) * self.require_iso(second))
 
@@ -188,56 +188,44 @@ class HalfPlaneModel(SpaceModel):
         return self._classify_elliptic(m)  # +-identity: period 1
 
     def _classify_hyperbolic(self, m: Matrix2) -> IsometryClass:
-        if m.a + m.d < 0:
-            m = m.neg()  # same Mobius action; normalize to trace > 2
-        t = m.trace
+        a, b, c, d, s = m.a, m.b, m.c, m.d, m.s
+        if a + d < 0:
+            a, b, c, d = -a, -b, -c, -d  # same Mobius action; normalize to trace > 2
+        t = Fraction(a + d, s)
         # cosh(tau/2) = t/2, so cosh tau = 2 (t/2)^2 - 1
         tl = Length(2.0 * acosh_fraction(t / 2), exact_cosh=t * t / 2 - 1)
-        a, b, c, d = m.entries()
         if c == 0:
-            # fixes infinity (eigenvalue a) and b/(d-a)
-            finite = QuadraticNumber(b / (d - a))
-            plus, minus = (None, finite) if a > 1 else (finite, None)
+            # fixes infinity (eigenvalue a/s) and b/(d-a)
+            finite = QuadraticNumber(Fraction(b, d - a))
+            plus, minus = (None, finite) if a > s else (finite, None)
         else:
-            disc = t * t - 4  # QuadraticNumber folds a square disc into a rational
-            plus = QuadraticNumber((a - d) / (2 * c), Fraction(1, 2) / c, disc)
-            minus = QuadraticNumber((a - d) / (2 * c), Fraction(-1, 2) / c, disc)
-            # plus carries eigenvalue (t + sqrt(disc))/2 > 1: attracting
+            # plus carries eigenvalue (t + sqrt(t^2 - 4))/2 > 1: attracting
+            x, disc = Fraction(a - d, 2 * c), t * t - 4  # a square disc folds to a rational
+            plus = QuadraticNumber(x, Fraction(s, 2 * c), disc)
+            minus = QuadraticNumber(x, Fraction(-s, 2 * c), disc)
         return IsometryClass.make_hyperbolic(tl, self.boundary(plus), self.boundary(minus))
 
     def _classify_elliptic(self, m: Matrix2) -> IsometryClass:
-        t = abs(m.a + m.d)  # s*|tr M|; the order of the Mobius action, when finite
-        period = 1 if m.is_proj_identity() else 2 if t == 0 else 3 if t == m.s else None
-        if period is not None:
-            base = self.basepoint
-            orbit = [base]
-            cur = base
-            iso = self.isometry(m)
-            for _ in range(period - 1):
-                cur = self.apply(iso, cur)
-                orbit.append(cur)
-            diam = max(
-                (self.distance(p, q) for i, p in enumerate(orbit) for q in orbit[i + 1 :]),
-                key=lambda length: length.exact_cosh,
-                default=_ZERO,
-            )
-            return IsometryClass.make_elliptic(period, base, diam)
-        # infinite-order rotation: exact fixed point, one-element orbit
-        fp = self.elliptic_fixed_point(m)
-        return IsometryClass.make_elliptic(None, fp, _ZERO)
+        a, b, c, d, s = m.a, m.b, m.c, m.d, m.s
+        t = abs(a + d)  # s*|tr M|; the order of the Mobius action, when finite
+        period = 1 if m.is_proj_identity() else 2 if t == 0 else 3 if t == s else None
+        if period is None:  # infinite order: the exact fixed point, a one-point orbit
+            point, ch = self.elliptic_fixed_point(m), Fraction(1)
+        else:
+            # the orbit of i under a rotation of order 2 or 3 is equilateral, so its
+            # diameter is d(i, M i): 2 cosh d(i, M i) = |M|^2 for det M = 1
+            point, ch = self.basepoint, Fraction(a * a + b * b + c * c + d * d, 2 * s * s)
+        return IsometryClass.make_elliptic(period, point, Length(acosh_fraction(ch), exact_cosh=ch))
 
     def elliptic_fixed_point(self, m: Matrix2) -> Point:
         """The unique fixed point in the upper half-plane, |tr| < 2."""
-        a, b, c, d = m.entries()
-        t = m.trace
-        if abs(t) >= 2:
+        a, c, d, s = m.a, m.c, m.d, m.s
+        if abs(a + d) >= 2 * s:
             raise ValueError("not elliptic")
         # c != 0 here: with det 1, c = 0 gives d = 1/a and |tr| = |a + 1/a| >= 2
-        x = (a - d) / (2 * c)
-        y = QuadraticNumber(0, Fraction(1, 2) / abs(c), 4 - t * t)
-        if y.is_rational:
-            return self.point((x, y.as_fraction()))
-        return self.point((x, y))
+        x = Fraction(a - d, 2 * c)
+        y = QuadraticNumber(0, Fraction(s, 2 * abs(c)), 4 - Fraction(a + d, s) ** 2)
+        return self.point((x, y.as_fraction() if y.is_rational else y))
 
     # -- boundary ----------------------------------------------------------
 
@@ -259,9 +247,9 @@ class HalfPlaneModel(SpaceModel):
     def boundary_apply(self, iso: Isometry, b: BoundaryPoint) -> BoundaryPoint:
         m: Matrix2 = self.require_iso(iso)
         z: QuadraticNumber | None = self.require_boundary(b)
-        a, bb, c, d = m.entries()
+        a, bb, c, d = m.a, m.b, m.c, m.d  # s*M: the Mobius map is the same
         if z is None:
-            return self.boundary(None if c == 0 else QuadraticNumber(a / c))
+            return self.boundary(None if c == 0 else QuadraticNumber(Fraction(a, c)))
         den = c * z + d
         if den == 0:
             return self.boundary(None)

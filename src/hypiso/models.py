@@ -12,12 +12,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Union
 
-from .errors import MixedModels, NotHyperbolic
+from .errors import MixedModels, NotHyperbolic, ValidationError
 from .quadratic import QuadraticNumber
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
 HYPOTHESIS_VIOLATION = "hypothesis_violation"
+
+# The largest isometry a power (each square, and the result) or a Cayley
+# tree image may be, in the units of SpaceModel.size: the bits of a plane
+# matrix's largest entry, the letters or syllables of a tree word.  So a
+# huge exponent costs products of at most about 2**20 bits, while a
+# finite-order isometry, whose powers stay small, takes any exponent.
+MAX_ISOMETRY_SIZE = 2**19
 
 
 @dataclass(frozen=True)
@@ -177,7 +184,13 @@ class SpaceModel:
     def identity(self) -> Isometry:
         raise NotImplementedError
 
+    def size(self, iso: Isometry) -> int:
+        """The size MAX_ISOMETRY_SIZE caps: plane entry bits, tree word units."""
+        raise NotImplementedError
+
     def power(self, iso: Isometry, n: int) -> Isometry:
+        """iso^n by repeated squaring; a square or a result past
+        MAX_ISOMETRY_SIZE is a ValidationError."""
         if n == 0:
             return self.identity()
         base = iso if n > 0 else self.invert(iso)
@@ -188,8 +201,16 @@ class SpaceModel:
                 out = base if out is None else self.compose(out, base)
             n >>= 1
             if not n:
-                return out
-            base = self.compose(base, base)
+                return out if out is base else self._capped(out)
+            base = self._capped(self.compose(base, base))
+
+    def _capped(self, iso: Isometry) -> Isometry:
+        if self.size(iso) > MAX_ISOMETRY_SIZE:
+            raise ValidationError(
+                f"a power passes the cap of {MAX_ISOMETRY_SIZE} on an isometry's size "
+                "(plane entry bits, tree word units)", "MAX_ISOMETRY_SIZE"
+            )
+        return iso
 
     def iso_equal(self, a: Isometry, b: Isometry) -> bool:
         raise NotImplementedError

@@ -33,6 +33,7 @@ from fractions import Fraction
 from .models import (
     ELLIPTIC,
     HYPERBOLIC,
+    MAX_ISOMETRY_SIZE,
     BoundaryPoint,
     Isometry,
     IsometryClass,
@@ -77,6 +78,9 @@ class TreeModel(SpaceModel):
 
     def word(self, units) -> Isometry:
         return self.isometry(self.normal_form(tuple(units)))
+
+    def size(self, iso: Isometry) -> int:
+        return len(self.require_iso(iso))
 
     def identity(self) -> Isometry:
         return self.isometry(())
@@ -385,6 +389,10 @@ class CayleyTreeModel(TreeModel):
 
         letters: list[int] = []
         for name, e in parse_powers(text, check):
+            if len(letters) + abs(e) > MAX_ISOMETRY_SIZE:  # before the letters are built
+                raise ValueError(
+                    f"the word passes the cap of {MAX_ISOMETRY_SIZE} letters (MAX_ISOMETRY_SIZE)"
+                )
             idx = names.index(name) + 1
             letters.extend([idx if e > 0 else -idx] * abs(e))
         return self.word(letters)

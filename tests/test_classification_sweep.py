@@ -1,6 +1,7 @@
 """Exhaustive small-entry sweeps of the classification trichotomy, plus a
 concurrency smoke test for the pure-function contract."""
 
+import contextlib
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -57,18 +58,60 @@ def sweep_matrices():
             yield Matrix2.of(*conj)
 
 
+def mobius(m, z):
+    """M.z for an entry 4-tuple and a point (x, y), in Fractions."""
+    a, b, c, d = m
+    x, y = z
+    den = (c * x + d) ** 2 + (c * y) ** 2
+    return (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den, y * (a * d - b * c) / den
+
+
+def cosh_between(p, q):
+    return 1 + ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) / (2 * p[1] * q[1])
+
+
+def _raise(*_args):
+    raise AssertionError("read the Fraction view or walked an orbit")
+
+
+@contextlib.contextmanager
+def integer_only(monkeypatch):
+    """Classification and the boundary action may read only (a, b, c, d, s)."""
+    with monkeypatch.context() as mp:
+        mp.setattr(Matrix2, "entries", _raise)
+        mp.setattr(Matrix2, "trace", property(_raise))
+        mp.setattr(HalfPlaneModel, "apply", _raise)
+        mp.setattr(HalfPlaneModel, "distance", _raise)
+        yield
+
+
 def assert_primitive(m: Matrix2):
     assert m.s >= 1 and math.gcd(m.a, m.b, m.c, m.d) == 1
     assert m.a * m.d - m.b * m.c == m.s * m.s
 
 
-def test_trichotomy_exhaustive_small_entries():
+def test_trichotomy_exhaustive_small_entries(monkeypatch):
     plane = HalfPlaneModel()
     seen = {"elliptic": 0, "hyperbolic": 0, "hypothesis_violation": 0}
+    orbits = []  # s of each finite rotation whose orbit diameter is checked
     previous = Matrix2.identity()
+    inf, half = plane.boundary_infinity(), plane.boundary_finite(Fraction(1, 2))
     for m in sweep_matrices():
+        iso = plane.isometry(m)
+        with integer_only(monkeypatch):
+            tag, cls = plane.tag(iso), plane.classify(iso)
+            images = [plane.boundary_apply(iso, z) for z in (inf, half)]
+            if cls.is_hyperbolic:
+                fixed = (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus)
+                assert all(plane.boundary_equal(plane.boundary_apply(iso, z), z) for z in fixed)
+        assert tag == cls.tag
+        e = m.entries()
+        for z, got in zip((None, Fraction(1, 2)), images):
+            den = e[2] if z is None else e[2] * z + e[3]
+            num = e[0] if z is None else e[0] * z + e[1]
+            assert got.payload == (None if den == 0 else num / den)
         # the integer form against Fraction arithmetic kept apart from Matrix2
-        a, b, c, d = m.entries()
+        a, b, c, d = e
         assert m.inverse().entries() == (d, -b, -c, a)
         for other in (m, previous, m.inverse()):
             product = m * other
@@ -76,7 +119,6 @@ def test_trichotomy_exhaustive_small_entries():
             assert_primitive(product)
         assert_primitive(m)
         previous = m
-        cls = plane.classify(plane.isometry(m))
         seen[cls.tag] += 1
         t = abs(m.trace)
         if cls.tag == "hyperbolic":
@@ -104,12 +146,21 @@ def test_trichotomy_exhaustive_small_entries():
                 for _ in range(w.period - 1):
                     power = power * m
                 assert power.is_proj_identity()
+                # the diameter of the orbit {i, M i, M^2 i}, pair by pair
+                orbit = [(Fraction(0), Fraction(1))]
+                for _ in range(2):
+                    orbit.append(mobius(e, orbit[-1]))
+                diam = max(cosh_between(p, q) for p in orbit for q in orbit)
+                assert w.orbit_point == plane.basepoint
+                assert w.orbit_diameter.exact_cosh == diam
+                orbits.append(m.s)
             elif w.period is None:
                 # infinite order: the witness is an exactly fixed point
                 moved = plane.apply(plane.isometry(m), w.orbit_point)
                 assert moved.coords[0] == w.orbit_point.coords[0]
                 assert moved.coords[1] == w.orbit_point.coords[1]
     assert all(seen.values()), seen
+    assert len(orbits) == 106 and sum(s > 1 for s in orbits) == 72  # conjugates too
 
 
 def test_tag_matches_classify_on_sweep():

@@ -1,4 +1,5 @@
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -10,8 +11,10 @@ from hypiso.cli import MAX_ORBIT_DEPTH, MAX_SAMPLE_POINTS, main
 from hypiso.config import WORKED_EXAMPLE, parse_config
 from hypiso.errors import ParseError, ValidationError
 from hypiso.halfplane import HalfPlaneModel
+from hypiso.models import MAX_ISOMETRY_SIZE
 from hypiso.records import RECORD_HEADER, parse_record
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
+from hypiso.words import GroupWord
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -381,6 +384,48 @@ def test_number_too_long_to_print_exit_1(tmp_path, capsys, argv):
     assert captured.out == ""
     limit = sys.get_int_max_str_digits()
     assert captured.err == f"error: an exact number has over {limit} digits, the limit for printing one\n"
+
+
+CAP = f"MAX_ISOMETRY_SIZE: a power passes the cap of {MAX_ISOMETRY_SIZE} on an isometry's size"
+
+
+@pytest.mark.parametrize("command", ["classify", "combine"])
+def test_power_past_the_size_cap_exit_1(tmp_path, capsys, command):
+    # f^1000000 has entries of about 1.39 million bits; the cap stops its
+    # squares at about 2^20 bits, instead of seconds of isqrt on them
+    path = write(tmp_path, "huge.cfg", WORKED_EXAMPLE.replace("witness f\n", "witness f^1000000\n"))
+    start = time.perf_counter()
+    assert main([command, "--input", path]) == 1
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {CAP}")
+
+
+def test_cayley_image_past_the_size_cap_exit_1(tmp_path, capsys):
+    text = "hypiso-config v1\ngenerators f g\n\naction t\nmodel cayley_tree 2\ngen f a^100000000\ngen g b\n"
+    assert main(["combine", "--input", write(tmp_path, "cayley.cfg", text)]) == 1
+    cap = f"the word passes the cap of {MAX_ISOMETRY_SIZE} letters (MAX_ISOMETRY_SIZE)"
+    assert capsys.readouterr().err == f"error: action 't' gen f: {cap}\n"
+    cayley, half = CayleyTreeModel(2), MAX_ISOMETRY_SIZE // 2
+    assert len(cayley.parse_word(f"a^{half} b^{half}").payload) == MAX_ISOMETRY_SIZE
+    with pytest.raises(ValueError, match="MAX_ISOMETRY_SIZE"):
+        cayley.parse_word(f"a^{half} b^{half} a")
+
+
+def test_finite_order_power_passes_the_size_cap():
+    system = parse_config(WORKED_EXAMPLE).build()
+    plane_one = system.actions[0]  # g has order 2 there; f is hyperbolic
+    assert plane_one.image(GroupWord.parse("g^1000001")) == plane_one.images["g"]
+    assert plane_one.model.power(plane_one.images["g"], 10**100).payload.is_proj_identity()
+    with pytest.raises(ValidationError, match="MAX_ISOMETRY_SIZE"):
+        plane_one.image(GroupWord.parse("f^1000000"))
+    bass_serre = BassSerreModel(2, 3)
+    rotation = bass_serre.parse_word("s t " * 1000 + "s " + "t^-1 s " * 1000)  # conjugate of s
+    assert bass_serre.power(rotation, 10**9) == bass_serre.identity()
+    cayley = CayleyTreeModel(1)
+    assert len(cayley.power(cayley.parse_word("a"), MAX_ISOMETRY_SIZE).payload) == MAX_ISOMETRY_SIZE
+    with pytest.raises(ValidationError):
+        cayley.power(cayley.parse_word("a"), MAX_ISOMETRY_SIZE + 1)
 
 
 def test_one_action_system_per_run(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypiso.errors import ValidationError
@@ -98,3 +98,35 @@ def test_format_rational_past_the_digit_limit():
     for q in (Fraction(10**limit), Fraction(1, 10**limit)):
         with pytest.raises(ValidationError, match=f"over {limit} digits"):
             format_rational(q)
+
+
+@st.composite
+def respelled_and_unrelated(draw):
+    """x = a + b sqrt(d); x respelled as a + (b/k) sqrt(d k^2); and an
+    unrelated value, whose radicand may share x's square-free part or not."""
+    radicand = st.fractions(min_value=0, max_value=12, max_denominator=4)
+    a, b, d = draw(rationals), draw(rationals), draw(radicand)
+    k = draw(st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=3))
+    unrelated = QuadraticNumber(draw(rationals), draw(rationals), draw(radicand))
+    return QuadraticNumber(a, b, d), QuadraticNumber(a, b / k, d * k * k), unrelated
+
+
+@given(respelled_and_unrelated())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_equality_hash_and_sign_match_sympy(values):
+    # an oracle outside hypiso: sympy's own radicals, signs and zero test
+    sympy = pytest.importorskip("sympy")
+
+    def exact(v: QuadraticNumber):
+        r = [sympy.Rational(q.numerator, q.denominator) for q in (v.a, v.b, v.d)]
+        return r[0] + r[1] * sympy.sqrt(r[2])
+
+    x, respelled, unrelated = values
+    assert x == respelled and hash(x) == hash(respelled)
+    for p in values:
+        assert p.sign() == sympy.sign(exact(p))
+        for q in values:
+            equal = sympy.expand(exact(p) - exact(q)) == 0
+            assert (p == q) == equal
+            if equal:
+                assert hash(p) == hash(q)
