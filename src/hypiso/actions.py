@@ -30,12 +30,14 @@ class Action:
             self.model.require_iso(iso)
 
     def image(self, word: GroupWord) -> Isometry:
-        """Composed syllable by syllable, each power by repeated squaring."""
-        out = self.model.identity()
+        """Composed syllable by syllable, each power by repeated squaring;
+        the size cap is checked after each syllable."""
+        model = self.model
+        out = model.identity()
         for gen, e in word.syllables:
             if gen not in self.images:
                 raise ValidationError(f"generator {gen!r} has no image in action {self.name!r}")
-            out = self.model.compose(out, self.model.power(self.images[gen], e))
+            out = model.capped(model.compose(out, model.power(self.images[gen], e)), "a word's image")
         return out
 
     def classify_word(self, word: GroupWord):

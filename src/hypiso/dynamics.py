@@ -8,6 +8,14 @@ certification path.  Boundary neighborhoods are realized purely through
 Gromov-product thresholds (the standard neighborhood basis); "disjoint"
 means the two membership tests cannot both pass, checked on the centers'
 mutual Gromov product plus the sample at hand.
+
+The North-South check follows its orbits through the model's
+``orbit_boundary_products``, in exact integers up to the final floats: on
+the plane each orbit point is an integer matrix applied to i, stepped by
+the isometry's primitive matrix; on trees the Gromov product with the
+attracting point is an integer from meet depths against one truncation of
+its ray.  The floats, and so every membership test, are those of
+``contains_point``.
 """
 
 from __future__ import annotations
@@ -68,7 +76,12 @@ def ns_dynamics_check(
     sample: Sequence[Point],
     n_max: int,
 ) -> int:
-    """Least N <= n_max with g^n(sample - U-) inside U+ for all N <= n <= n_max."""
+    """Least N <= n_max with g^n(sample - U-) inside U+ for all N <= n <= n_max.
+
+    Every step of every orbit is tested; a step stops at its first point
+    outside U+.  The orbits and their Gromov products come from the model's
+    ``orbit_boundary_products``: integer matrices on the plane, integer meet
+    depths against one truncated ray on trees."""
     model = action.model
     g = action.image(word)
     tag = model.tag(g)
@@ -77,11 +90,8 @@ def ns_dynamics_check(
     if not neighborhoods_disjoint(model, u_plus, u_minus, sample):
         raise ValueError("U+ and U- are not disjoint")
     outside = [p for p in sample if not contains_point(model, u_minus, p)]
-    good: list[bool] = []
-    current = list(outside)
-    for _ in range(1, n_max + 1):
-        current = [model.apply(g, p) for p in current]
-        good.append(all(contains_point(model, u_plus, p) for p in current))
+    steps = model.orbit_boundary_products(g, u_plus.center, outside, u_plus.base, n_max)
+    good = [all(value > u_plus.threshold for value in products) for products in steps]
     for n in range(1, n_max + 1):
         if all(good[n - 1 :]):
             return n

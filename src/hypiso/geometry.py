@@ -3,8 +3,11 @@
 Gromov products are built from the owning model's distances (exact
 integers on trees, exact-cosh rationals on the plane); the four-point delta
 and the orbit-growth translation-length quotient are sampled estimators
-layered on top.  Sampled deltas are maxima of observed defects, hence
-lower bounds on the true hyperbolicity constants.
+layered on top.  The four-point delta reads all its distances at once from
+the model's ``pairwise_distances``: integers from depths and meet depths on
+trees, on the plane the floats of integer cosh ratios over one common
+denominator.  Sampled deltas are maxima of observed defects, hence lower
+bounds on the true hyperbolicity constants.
 """
 
 from __future__ import annotations
@@ -47,23 +50,14 @@ def gromov_product(model: SpaceModel, x: Point, y: Point, w: Point) -> Length:
 def estimate_delta_four_point(model: SpaceModel, sample: list[Point], base: Point) -> DeltaEstimate:
     """Max over ordered triples of min(<x|y>, <y|z>) - <x|z>, clamped at 0.
 
-    Exact (integer arithmetic) on tree models, float on the plane.
+    Exact (integer arithmetic) on tree models, float on the plane; the
+    distances come from the model's ``pairwise_distances``.
     """
     if len(sample) < 3:
         raise InsufficientSample(f"need >= 3 points, got {len(sample)}")
     n = len(sample)
-    first = model.distance(sample[0], base)
-    exact = first.exact_value is not None
-    dtype = np.int64 if exact else np.float64
-
-    def dval(length: Length):
-        return int(length.exact_value) if exact else length.value
-
-    d_base = np.array([dval(model.distance(p, base)) for p in sample], dtype=dtype)
-    D = np.zeros((n, n), dtype=dtype)
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i, j] = D[j, i] = dval(model.distance(sample[i], sample[j]))
+    rows = np.array(model.pairwise_distances([*sample, base]))
+    D, d_base = rows[:n, :n], rows[n, :n]
     # doubled Gromov products keep tree arithmetic in integers
     G2 = d_base[:, None] + d_base[None, :] - D
     # max over y of min(<x|y>, <y|z>), one row x at a time: O(n^2) memory

@@ -139,6 +139,30 @@ class HalfPlaneModel(SpaceModel):
                 return Length(math.acosh(max(1.0, float(ch))), exact_cosh=ch)
         return Length(acosh_fraction(ch), exact_cosh=ch)
 
+    def _point_matrix(self, p: Point) -> tuple[int, int, int]:
+        """(Y, X, D) for the integer matrix [[Y, X], [0, D]] that maps i to
+        the rational point p = (X + Y i)/D."""
+        x, y = self.require_point(p)
+        if not (isinstance(x, Fraction) and isinstance(y, Fraction)):
+            raise ValueError("the sample points must be rational")
+        den = math.lcm(x.denominator, y.denominator)
+        return y.numerator * (den // y.denominator), x.numerator * (den // x.denominator), den
+
+    def pairwise_distances(self, points: list[Point]) -> list[list[float]]:
+        """d(p, q) for every two rational points, row p, column q: the floats
+        of ``distance``, from cosh = ((X - X')^2 + Y^2 + Y'^2) / 2YY' over one
+        common denominator of all the coordinates."""
+        mats = [self._point_matrix(p) for p in points]
+        den = math.lcm(*(m[2] for m in mats))
+        xs = [x * (den // d) for _, x, d in mats]
+        ys = [y * (den // d) for y, _, d in mats]
+        rows = [[0.0] * len(mats) for _ in mats]
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            for j in range(i + 1, len(mats)):
+                dx, yj = x - xs[j], ys[j]
+                rows[i][j] = rows[j][i] = _acosh_ratio(dx * dx + y * y + yj * yj, 2 * y * yj)
+        return rows
+
     # -- action -----------------------------------------------------------
 
     def apply(self, iso: Isometry, p: Point) -> Point:
@@ -262,19 +286,46 @@ class HalfPlaneModel(SpaceModel):
         return float(x), float(y)
 
     def gromov_boundary_point(self, b: BoundaryPoint, y: Point, base: Point) -> float:
-        """<xi|y>_w = ln(|xi-w| / |xi-y|) + (1/2) ln(Im y / Im w) + d(y,w)/2."""
         pp: QuadraticNumber | None = self.require_boundary(b)
         yx, yy = self._floats(y)
         wx, wy = self._floats(base)
         dyw = self.distance(y, base).value
-        if pp is None:
-            return 0.5 * math.log(yy / wy) + 0.5 * dyw
-        xi = float(pp)
-        num = math.hypot(xi - wx, wy)
-        den = math.hypot(xi - yx, yy)
-        if den == 0.0:
-            return math.inf  # y has reached xi in floats
-        return math.log(num / den) + 0.5 * math.log(yy / wy) + 0.5 * dyw
+        return _boundary_product(None if pp is None else float(pp), wx, wy, yx, yy, dyw)
+
+    def orbit_boundary_products(
+        self, iso: Isometry, b: BoundaryPoint, points: list[Point], base: Point, steps: int
+    ):
+        """For n = 1..steps, the products <b|g^n p>_base of the rational points
+        p, in order, each computed as it is read; see SpaceModel.
+
+        Each orbit point is an integer matrix A with A i = g^n p, stepped by
+        the primitive matrix N of g with no gcd: A = [[p, q], [r, t]] gives
+        x = (pr + qt)/(r^2 + t^2) and y = det A/(r^2 + t^2), and with C the
+        adjugate of the base's matrix times A, 2 det C cosh d(y, base) =
+        |C|^2.  The floats of these integer ratios are those of the reduced
+        Fractions, since int / int rounds correctly."""
+        m: Matrix2 = self.require_iso(iso)
+        pp: QuadraticNumber | None = self.require_boundary(b)
+        xi = None if pp is None else float(pp)
+        wx, wy = self._floats(base)
+        by, bx, bd = self._point_matrix(base)  # its adjugate is [[bd, -bx], [0, by]]
+        a, bb, c, d = m.a, m.b, m.c, m.d
+        orbit = [(y, x, 0, den) for y, x, den in map(self._point_matrix, points)]
+        dets = [y * den for y, _, _, den in orbit]
+        s2 = m.s * m.s
+
+        def product(A, det):
+            p, q, r, t = A
+            den = r * r + t * t
+            yx, yy = (p * r + q * t) / den, det / den
+            c0, c1, c2, c3 = bd * p - bx * r, bd * q - bx * t, by * r, by * t
+            dyw = _acosh_ratio(c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3, 2 * by * bd * det)
+            return _boundary_product(xi, wx, wy, yx, yy, dyw)
+
+        for _ in range(steps):
+            orbit = [(a * p + bb * r, a * q + bb * t, c * p + d * r, c * q + d * t) for p, q, r, t in orbit]
+            dets = [det * s2 for det in dets]  # det N = s^2
+            yield map(product, orbit, dets)
 
     def gromov_boundary_pair(self, b1: BoundaryPoint, b2: BoundaryPoint, base: Point) -> float:
         """<xi|eta>_w = ln(|xi-w| |eta-w| / (|xi-eta| Im w)); inf when equal."""
@@ -293,3 +344,24 @@ class HalfPlaneModel(SpaceModel):
             # distinct quadratic values collapsing in float: resolve minimally
             sep = 1e-300
         return math.log(math.hypot(x1 - wx, wy) * math.hypot(x2 - wx, wy) / (sep * wy))
+
+
+def _acosh_ratio(num: int, den: int) -> float:
+    """acosh_fraction(num/den) for a ratio >= 1, reduced to a Fraction only
+    when num / den overflows a float (the log branch reads reduced terms)."""
+    try:
+        return math.acosh(num / den)
+    except OverflowError:
+        return acosh_fraction(Fraction(num, den))
+
+
+def _boundary_product(xi, wx: float, wy: float, yx: float, yy: float, dyw: float) -> float:
+    """<xi|y>_w = ln(|xi-w| / |xi-y|) + (1/2) ln(Im y / Im w) + d(y,w)/2 in
+    floats, xi None for the point at infinity."""
+    if xi is None:
+        return 0.5 * math.log(yy / wy) + 0.5 * dyw
+    num = math.hypot(xi - wx, wy)
+    den = math.hypot(xi - yx, yy)
+    if den == 0.0:
+        return math.inf  # y has reached xi in floats
+    return math.log(num / den) + 0.5 * math.log(yy / wy) + 0.5 * dyw

@@ -19,11 +19,12 @@ ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
 HYPOTHESIS_VIOLATION = "hypothesis_violation"
 
-# The largest isometry a power (each square, and the result) or a Cayley
-# tree image may be, in the units of SpaceModel.size: the bits of a plane
-# matrix's largest entry, the letters or syllables of a tree word.  So a
-# huge exponent costs products of at most about 2**20 bits, while a
-# finite-order isometry, whose powers stay small, takes any exponent.
+# The largest isometry a power (each square, and the result), a word's
+# image (after each syllable) or a Cayley tree image may be, in the units
+# of SpaceModel.size: the bits of a plane matrix's largest entry, the
+# letters or syllables of a tree word.  So a huge exponent costs products
+# of at most about 2**20 bits, while a finite-order isometry, whose powers
+# stay small, takes any exponent.
 MAX_ISOMETRY_SIZE = 2**19
 
 
@@ -172,6 +173,11 @@ class SpaceModel:
     def distance(self, x: Point, y: Point) -> Length:
         raise NotImplementedError
 
+    def pairwise_distances(self, points: list[Point]) -> list[list]:
+        """The floats (plane) or integers (trees) of ``distance`` for every
+        two of the points, row p, column q, as plain lists."""
+        raise NotImplementedError
+
     def apply(self, iso: Isometry, x: Point) -> Point:
         raise NotImplementedError
 
@@ -201,13 +207,14 @@ class SpaceModel:
                 out = base if out is None else self.compose(out, base)
             n >>= 1
             if not n:
-                return out if out is base else self._capped(out)
-            base = self._capped(self.compose(base, base))
+                return out if out is base else self.capped(out)
+            base = self.capped(self.compose(base, base))
 
-    def _capped(self, iso: Isometry) -> Isometry:
+    def capped(self, iso: Isometry, what: str = "a power") -> Isometry:
+        """iso, unless its size passes MAX_ISOMETRY_SIZE: a ValidationError."""
         if self.size(iso) > MAX_ISOMETRY_SIZE:
             raise ValidationError(
-                f"a power passes the cap of {MAX_ISOMETRY_SIZE} on an isometry's size "
+                f"{what} passes the cap of {MAX_ISOMETRY_SIZE} on an isometry's size "
                 "(plane entry bits, tree word units)", "MAX_ISOMETRY_SIZE"
             )
         return iso
@@ -234,6 +241,15 @@ class SpaceModel:
         raise NotImplementedError
 
     def gromov_boundary_pair(self, b1: BoundaryPoint, b2: BoundaryPoint, base: Point) -> float:
+        raise NotImplementedError
+
+    def orbit_boundary_products(
+        self, iso: Isometry, b: BoundaryPoint, points: list[Point], base: Point, steps: int
+    ):
+        """For n = 1..steps, an iterator over the points p of the values
+        ``gromov_boundary_point(b, iso^n p, base)``, each computed (and any
+        error raised) only when it is read.  The orbit advances one step per
+        n, whether or not every value was read."""
         raise NotImplementedError
 
 

@@ -64,10 +64,11 @@ def _int_length(n: int) -> Length:
 class TreeModel(SpaceModel):
     """Shared machinery; units are letters (Cayley) or syllables (Bass-Serre)."""
 
-    # Subclasses provide, on words: normal_form, multiply, invert_word,
-    # cyclic_reduce and core_tag (the exact tag of a cyclic core), and compose
-    # and classify, which perfbench/layers.py wraps per class.  On vertex
-    # labels, the three hooks the whole metric is derived from:
+    # Subclasses provide, on words: normal_form, multiply (of normal forms,
+    # into a normal form), invert_word, cyclic_reduce and core_tag (the exact
+    # tag of a cyclic core), and compose and classify, which
+    # perfbench/layers.py wraps per class; _act(g, v), the vertex g.v.  On
+    # vertex labels, the three hooks the whole metric is derived from:
     #   _depth(v)          distance from the basepoint
     #   _meet_depth(u, v)  depth of the last vertex the root paths share
     #   _ancestor(v, k)    the vertex at depth k on v's root path
@@ -90,6 +91,9 @@ class TreeModel(SpaceModel):
 
     def iso_equal(self, a: Isometry, b: Isometry) -> bool:
         return self.require_iso(a) == self.require_iso(b)
+
+    def apply(self, iso: Isometry, x: Point) -> Point:
+        return self.point(self._act(self.require_iso(iso), self.require_point(x)))
 
     def tag(self, iso: Isometry) -> str:
         return self.core_tag(self.cyclic_reduce(self.require_iso(iso))[1])
@@ -118,11 +122,24 @@ class TreeModel(SpaceModel):
     def distance(self, x: Point, y: Point) -> Length:
         return _int_length(self._dist(self.require_point(x), self.require_point(y)))
 
+    def pairwise_distances(self, points: list[Point]) -> list[list[int]]:
+        """d(p, q) for every two of the points, as integers: row p, column q."""
+        vs = [self.require_point(p) for p in points]
+        depths = [self._depth(v) for v in vs]
+        rows = [[0] * len(vs) for _ in vs]
+        for i, u in enumerate(vs):
+            for j in range(i + 1, len(vs)):
+                rows[i][j] = rows[j][i] = depths[i] + depths[j] - 2 * self._meet_depth(u, vs[j])
+        return rows
+
+    def _gromov(self, u, v, w) -> int:
+        """<u|v>_w = (d(u,w) + d(v,w) - d(u,v)) / 2 = d(w) - k(u,w) - k(v,w) + k(u,v)
+        for the meet depths k: the halves cancel."""
+        meet = self._meet_depth
+        return self._depth(w) - meet(u, w) - meet(v, w) + meet(u, v)
+
     def gromov_exact(self, x: Point, y: Point, w: Point) -> Fraction:
-        dxw = self.distance(x, w).exact_value
-        dyw = self.distance(y, w).exact_value
-        dxy = self.distance(x, y).exact_value
-        return Fraction(dxw + dyw - dxy, 2)
+        return Fraction(self._gromov(self.require_point(x), self.require_point(y), self.require_point(w)))
 
     def root_path(self, p: Point) -> list[Point]:
         """Vertices from the basepoint to p."""
@@ -229,6 +246,25 @@ class TreeModel(SpaceModel):
         v = self._vertex_from_units(self._ray_units(ray, n))
         return float(self.gromov_exact(v, y, base))
 
+    def orbit_boundary_products(self, iso: Isometry, b, points: list[Point], base: Point, steps: int):
+        """For n = 1..steps, the products <b|g^n p>_base of the points p, in
+        order, each computed as it is read; see SpaceModel.
+
+        A truncation of the ray deeper than y and the base meets both where
+        the ray does, so one truncation past the deepest orbit vertex serves
+        every product, as the one per product in ``gromov_boundary_point``."""
+        g = self.require_iso(iso)
+        ray: RayDescriptor = self.require_boundary(b)
+        w = self.require_point(base)
+        orbit = [self.require_point(p) for p in points]
+        # a step moves a vertex at most len(g) + 1 deeper (the step off the basepoint)
+        deepest = max((self._depth(y) for y in orbit), default=0) + steps * (len(g) + 1)
+        n = len(ray.prefix) + 2 * len(ray.period) + deepest + self._depth(w) + 4
+        v = self.require_point(self._vertex_from_units(self._ray_units(ray, n)))
+        for _ in range(steps):
+            orbit = [self._act(g, y) for y in orbit]
+            yield (float(self._gromov(v, y, w)) for y in orbit)
+
     # -- the ball and the BFS oracle ----------------------------------------------
 
     def ball_vertices(self, radius: int) -> list[Point]:
@@ -322,14 +358,14 @@ class CayleyTreeModel(TreeModel):
                 out.append(letter)
         return tuple(out)
 
-    def multiply(self, u, v) -> tuple:
-        out = list(u)
-        for letter in v:
-            if out and out[-1] == -letter:
-                out.pop()
-            else:
-                out.append(letter)
-        return tuple(out)
+    def multiply(self, u: tuple, v: tuple) -> tuple:
+        """The reduced product of reduced words: only letters at the junction
+        cancel, so the product is two slices joined."""
+        n, k = len(u), 0
+        meet = min(n, len(v))
+        while k < meet and u[n - 1 - k] == -v[k]:
+            k += 1
+        return u[: n - k] + v[k:]
 
     def invert_word(self, u) -> tuple:
         return tuple(-x for x in reversed(u))
@@ -340,8 +376,8 @@ class CayleyTreeModel(TreeModel):
     def vertex(self, letters) -> Point:
         return self.point(self.normal_form(tuple(letters)))
 
-    def apply(self, iso: Isometry, x: Point) -> Point:
-        return self.point(self.multiply(self.require_iso(iso), self.require_point(x)))
+    def _act(self, g: tuple, v: tuple) -> tuple:
+        return self.multiply(g, v)
 
     # a vertex is a reduced word; its root path runs through its prefixes
     _depth = staticmethod(len)
@@ -422,26 +458,25 @@ class BassSerreModel(TreeModel):
         for factor, exp in units:
             if factor not in (0, 1):
                 raise ValueError(f"bad factor {factor}")
-            self._push(out, factor, exp)
+            exp %= self.orders[factor]
+            if exp and out and out[-1][0] == factor:
+                exp = (out.pop()[1] + exp) % self.orders[factor]
+            if exp:
+                out.append((factor, exp))
         return tuple(out)
 
-    def _push(self, out: list, factor: int, exp: int) -> None:
-        exp %= self.orders[factor]
-        if exp == 0:
-            return
-        if out and out[-1][0] == factor:
-            merged = (out[-1][1] + exp) % self.orders[factor]
-            out.pop()
-            if merged:
-                out.append((factor, merged))
-        else:
-            out.append((factor, exp))
-
-    def multiply(self, u, v) -> tuple:
-        out = list(u)
-        for factor, exp in v:
-            self._push(out, factor, exp)
-        return tuple(out)
+    def multiply(self, u: tuple, v: tuple) -> tuple:
+        """The normal form of u.v for normal forms u and v: syllables of one
+        factor meet only at the junction, where they merge, or cancel and
+        let the next two meet."""
+        i, j = len(u), 0
+        while i and j < len(v) and u[i - 1][0] == v[j][0]:
+            factor = v[j][0]
+            exp = (u[i - 1][1] + v[j][1]) % self.orders[factor]
+            if exp:
+                return u[: i - 1] + ((factor, exp),) + v[j + 1 :]
+            i, j = i - 1, j + 1
+        return u[:i] + v[j:]
 
     def invert_word(self, u) -> tuple:
         return tuple((f, (-e) % self.orders[f]) for f, e in reversed(u))
@@ -458,10 +493,10 @@ class BassSerreModel(TreeModel):
             w = w[:-1]
         return self.point((w, vtype))
 
-    def apply(self, iso: Isometry, x: Point) -> Point:
-        g = self.require_iso(iso)
-        w, vtype = self.require_point(x)
-        return self.coset_vertex(self.multiply(g, w), vtype)
+    def _act(self, g: tuple, v: tuple) -> tuple:
+        w, vtype = v
+        w = self.multiply(g, w)
+        return (w[:-1] if w and w[-1][0] == vtype else w), vtype
 
     # A vertex (w, t) has type t = depth mod 2.  Each step toward the root
     # drops one syllable and flips the type, except the last step, from

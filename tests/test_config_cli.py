@@ -401,6 +401,20 @@ def test_power_past_the_size_cap_exit_1(tmp_path, capsys, command):
     assert captured.out == "" and captured.err.startswith(f"error: {CAP}")
 
 
+def test_word_image_past_the_size_cap_exit_1(tmp_path, capsys):
+    # each power is under the cap (about 486,000 bits), the image of the
+    # word is not (about 971,000): the cap is checked after each syllable,
+    # before seconds of classification and a number too long to print
+    witness = "witness f^350000 g^2 f^350000\n"
+    path = write(tmp_path, "long.cfg", WORKED_EXAMPLE.replace("witness f\n", witness))
+    start = time.process_time()  # CPU time: other processes on the host do not count
+    assert main(["classify", "--input", path]) == 1
+    assert time.process_time() - start < 1
+    captured = capsys.readouterr()
+    cap = f"MAX_ISOMETRY_SIZE: a word's image passes the cap of {MAX_ISOMETRY_SIZE} on an isometry's size"
+    assert captured.out == "" and captured.err.startswith(f"error: {cap}")
+
+
 def test_cayley_image_past_the_size_cap_exit_1(tmp_path, capsys):
     text = "hypiso-config v1\ngenerators f g\n\naction t\nmodel cayley_tree 2\ngen f a^100000000\ngen g b\n"
     assert main(["combine", "--input", write(tmp_path, "cayley.cfg", text)]) == 1

@@ -20,13 +20,16 @@ from hypiso.errors import DegenerateTriangle, NoPassingN, NotHyperbolic
 from hypiso.geometry import estimate_delta_four_point, gromov_product
 from hypiso.halfplane import HalfPlaneModel
 from hypiso.models import fixed_points
+from hypiso.combiner import resolve_witness
 from hypiso.sampling import (
+    random_action_system,
     random_plane_hyperbolic,
     rng_from_seed,
     sample_plane_points,
+    sample_points,
     sample_tree_points,
 )
-from hypiso.trees import BassSerreModel
+from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import GroupWord
 
 
@@ -93,6 +96,116 @@ def test_ns_dynamics_requires_hyperbolic(plane):
     u_plus, u_minus = k1_neighborhoods(plane, cls)
     with pytest.raises(NotHyperbolic):
         ns_dynamics_check(act, GroupWord.parse("r"), u_plus, u_minus, [], 8)
+
+
+# -- the orbit products against direct iteration ---------------------------------
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 -- the comparison is of the exception
+        return type(exc), str(exc)
+
+
+def _ns_by_iteration(action, word, u_plus, u_minus, sample, n_max):
+    """ns_dynamics_check by direct iteration: apply g to every point, then
+    contains_point on each until one fails."""
+    model = action.model
+    g = action.image(word)
+    if model.tag(g) != "hyperbolic":
+        raise NotHyperbolic(f"word is {model.tag(g)} in action {action.name!r}")
+    if not neighborhoods_disjoint(model, u_plus, u_minus, sample):
+        raise ValueError("U+ and U- are not disjoint")
+    outside = [p for p in sample if not contains_point(model, u_minus, p)]
+    good, current = [], list(outside)
+    for _ in range(n_max):
+        current = [model.apply(g, p) for p in current]
+        good.append(all(contains_point(model, u_plus, p) for p in current))
+    for n in range(1, n_max + 1):
+        if all(good[n - 1 :]):
+            return n
+    raise NoPassingN(f"no N <= {n_max} works for {len(outside)} sample points")
+
+
+def test_ns_dynamics_matches_direct_iteration():
+    kinds = set()
+    for seed in range(10):
+        system = random_action_system(seed)
+        for i, action in enumerate(system.actions):
+            model = action.model
+            kinds.add(model.kind)
+            witness, cls = resolve_witness(system, i)
+            sample = sample_points(model, 8, rng_from_seed(seed))
+            for base, threshold in ((model.basepoint, 1.0), (sample[1], 0.5)):
+                plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, threshold, base)
+                minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, threshold, base)
+                args = (action, witness, plus, minus, sample, 20)
+                assert _outcome(ns_dynamics_check, *args) == _outcome(_ns_by_iteration, *args)
+    assert kinds == {"half_plane", "bass_serre", "cayley_tree"}
+
+
+def _products_by_iteration(model, iso, b, points, base, steps):
+    """Each step's products <b|g^n p>_base by apply and gromov_boundary_point,
+    up to the first error; and the last orbit."""
+    rows, current = [], list(points)
+    for _ in range(steps):
+        current = [model.apply(iso, p) for p in current]
+        rows.append([])
+        for p in current:
+            rows[-1].append(_outcome(model.gromov_boundary_point, b, p, base))
+            if isinstance(rows[-1][-1], tuple):
+                break
+    return rows, current
+
+
+def _orbit_products(model, iso, b, points, base, steps):
+    rows = []
+    for products in model.orbit_boundary_products(iso, b, points, base, steps):
+        rows.append([])
+        for _ in points:
+            rows[-1].append(_outcome(next, products))
+            if isinstance(rows[-1][-1], tuple):
+                break
+    return rows
+
+
+@pytest.mark.parametrize(
+    "entries, steps",
+    [
+        # converges to (1 + sqrt 5)/2: past step ~360 cosh d(y, i) overflows a
+        # float and y underflows to 0
+        ((2, 1, 1, 1), 400),
+        # y grows fourfold a step towards infinity, and overflows a float
+        ((2, 0, 0, Fraction(1, 2)), 520),
+        # entries with denominators: the primitive matrix has s = 6
+        ((Fraction(3, 2), Fraction(1, 2), Fraction(1, 2), Fraction(5, 6)), 60),
+    ],
+)
+def test_plane_orbit_products_match_direct_iteration(plane, entries, steps):
+    g = plane.matrix(*entries)
+    cls = plane.classify(g)
+    points = [plane.basepoint, plane.point_xy(Fraction(-7, 3), Fraction(1, 9)), plane.point_xy(2, 5)]
+    for center in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
+        for base in (plane.basepoint, plane.point_xy(Fraction(1, 2), Fraction(3, 4))):
+            direct, last = _products_by_iteration(plane, g, center, points, base, steps)
+            assert _orbit_products(plane, g, center, points, base, steps) == direct
+    if steps > 300:  # the orbit has left the floats
+        with pytest.raises(OverflowError):
+            float(plane.cosh_distance(last[0], plane.basepoint))
+
+
+def test_tree_orbit_products_match_direct_iteration(bs23):
+    cayley = CayleyTreeModel(3)
+    words = ((bs23, bs23.word([(0, 1), (1, 2), (0, 1), (1, 1)])), (cayley, cayley.word([1, 2, -1, 3])))
+    for model, g in words:
+        cls = model.classify(g)
+        points = model.ball_vertices(2)
+        for center in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
+            for base in (model.basepoint, points[-1]):
+                direct, _ = _products_by_iteration(model, g, center, points, base, 12)
+                assert _orbit_products(model, g, center, points, base, 12) == direct
 
 
 def test_separation_identity(plane):

@@ -118,6 +118,43 @@ def test_four_point_matches_cubic_formula(plane):
     assert estimate_delta_four_point(plane, pts, base).delta == expected
 
 
+def _four_point_by_distance(model, sample, base) -> float:
+    """The four-point delta from a matrix filled by model.distance, pair by pair."""
+    n = len(sample)
+    exact = model.distance(sample[0], base).exact_value is not None
+
+    def value(p, q):
+        length = model.distance(p, q)
+        return int(length.exact_value) if exact else length.value
+
+    d_base = np.array([value(p, base) for p in sample])
+    D = np.zeros((n, n), dtype=d_base.dtype)
+    for i in range(n):
+        for j in range(i + 1, n):
+            D[i, j] = D[j, i] = value(sample[i], sample[j])
+    G2 = d_base[:, None] + d_base[None, :] - D
+    defect2 = max((np.minimum(row[:, None], G2).max(axis=0) - row).max() for row in G2)
+    return max(0.0, float(defect2) / 2.0)
+
+
+def test_four_point_matches_pairwise_distance_fill(plane):
+    bs = BassSerreModel(3, 4)
+    cayley3 = CayleyTreeModel(3)
+    cases = [
+        (plane, sample_plane_points(plane, 45, rng_from_seed(11)), plane.point_xy(Fraction(-5, 7), 2)),
+        (bs, bs.ball_vertices(4), bs.basepoint),
+        (cayley3, cayley3.ball_vertices(2), cayley3.vertex([2, -3])),
+    ]
+    for model, sample, base in cases:
+        for b in (model.basepoint, base):
+            est = estimate_delta_four_point(model, sample, b)
+            assert est.delta == _four_point_by_distance(model, sample, b)
+        pts = sample[:20] + [base]
+        rows = model.pairwise_distances(pts)
+        assert rows == [[model.distance(p, q).value for q in pts] for p in pts]
+    assert _four_point_by_distance(plane, cases[0][1], cases[0][2]) > 0.0
+
+
 def test_four_point_memory_is_quadratic():
     # 300 vertices: the n^3 int64 array alone would take 216 MB
     cayley3 = CayleyTreeModel(3)

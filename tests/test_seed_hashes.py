@@ -1,11 +1,12 @@
 """Byte identity on the seeded random systems: for random_action_system
 seeds 0-99, the sha256 of the combine record, of the depth-4 hypothesis
 report and of the generator classes (elliptic witnesses included) is
-pinned in seed_hashes.json.  So are the diagnostics of ``hypiso dynamics``
-and ``hypiso delta`` as the CLI runs them: the North-South check at orbit
-depth 64 between threshold-1.0 neighborhoods about the basepoint, and the
-four-point delta, each on ``cli._sample`` (the seed's own plane points,
-or the tree ball of radius 3).
+pinned in seed_hashes.json.  For seeds 0-29 so are the diagnostics of
+``hypiso dynamics`` and ``hypiso delta`` as the CLI runs them: the
+North-South check at orbit depth 64 between threshold-1.0 neighborhoods
+about the basepoint, and the four-point delta, each on ``cli._sample`` (the
+seed's own plane points, or the tree ball of radius 3).  All 100 seeds
+would add about 8 s to the suite, mostly Cayley-tree orbits.
 
 Run this file as a script (PYTHONPATH=src python tests/test_seed_hashes.py)
 to rewrite seed_hashes.json from the current code; name seeds after it
@@ -28,6 +29,7 @@ from hypiso.words import GroupWord
 
 HASHES = Path(__file__).with_name("seed_hashes.json")
 SEEDS = range(100)
+DIAGNOSTIC_SEEDS = range(30)
 
 
 def _sha(text: str) -> str:
@@ -69,13 +71,15 @@ def seed_hashes(seed: int) -> dict[str, str]:
         for action in system.actions
         for gen in system.generators
     ]
-    return {
+    hashes = {
         "record": _sha(record.emit()),
         "hypotheses": _sha(repr(check_hypotheses(system, 4))),
         "classes": _sha("\n".join(classes)),
-        "dynamics": _sha("\n".join(dynamics_lines(system, seed))),
-        "delta": _sha("\n".join(delta_lines(system, seed))),
     }
+    if seed in DIAGNOSTIC_SEEDS:
+        hashes["dynamics"] = _sha("\n".join(dynamics_lines(system, seed)))
+        hashes["delta"] = _sha("\n".join(delta_lines(system, seed)))
+    return hashes
 
 
 def test_seed_hashes_are_pinned():

@@ -422,3 +422,65 @@ def test_cayley_parse_rejects_names_that_are_not_letters():
     for text in ("ab", "^2", "d"):
         with pytest.raises(ValueError, match="unknown letter"):
             cayley.parse_word(text)
+
+
+# -- junction products against one-letter-at-a-time reduction -----------------
+
+
+def _letter_product(u: tuple, v: tuple) -> tuple:
+    """Free reduction of u.v, pushing one letter at a time."""
+    out = list(u)
+    for letter in v:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def _syllable_product(model: BassSerreModel, u: tuple, v: tuple) -> tuple:
+    """The normal form of u.v, pushing one syllable at a time."""
+    out = list(u)
+    for factor, exp in v:
+        order = model.orders[factor]
+        if out and out[-1][0] == factor:
+            exp = (out.pop()[1] + exp) % order
+        if exp % order:
+            out.append((factor, exp % order))
+    return tuple(out)
+
+
+cayley_letters = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=14)
+bs_syllables = st.lists(st.tuples(st.sampled_from([0, 1]), st.integers(-7, 7)), max_size=12)
+
+
+@given(cayley_letters, cayley_letters, st.integers(0, 14))
+@settings(max_examples=200)
+def test_cayley_junction_product_matches_letter_reduction(a, b, k):
+    model = CayleyTreeModel(3)
+    u = model.normal_form(a)
+    # v opens with the inverse of u's last k letters, so the junction cancels them
+    v = model.normal_form(model.invert_word(u[len(u) - min(k, len(u)):]) + tuple(b))
+    for x, y in ((u, v), (v, u), (u, u), (u, model.invert_word(u))):
+        assert model.multiply(x, y) == _letter_product(x, y)
+
+
+@given(st.sampled_from([(2, 3), (3, 4)]), bs_syllables, bs_syllables, st.integers(0, 12),
+       st.tuples(st.sampled_from([0, 1]), st.integers(0, 3)))
+@settings(max_examples=200)
+def test_bs_junction_product_matches_syllable_reduction(orders, a, b, k, nudge):
+    model = BassSerreModel(*orders)
+    u = model.normal_form(a)
+    # v opens with the inverse of u's last k syllables, the innermost one
+    # nudged: merges to 0 cascade through them, then one merge or none
+    head = model.invert_word(u[len(u) - min(k, len(u)):])
+    v = model.normal_form(head + (nudge,) + tuple(b))
+    for x, y in ((u, v), (v, u), (u, u), (u, model.invert_word(u)), (u, head)):
+        assert model.multiply(x, y) == _syllable_product(model, x, y)
+
+
+def test_bs_junction_product_cascades_to_a_merge():
+    model = BassSerreModel(3, 4)
+    u = ((0, 1), (1, 2), (0, 2), (1, 3))
+    v = ((1, 1), (0, 1), (1, 1), (0, 1))  # cancels (1,3), (0,2), then (1,2)+(1,1) = (1,3)
+    assert model.multiply(u, v) == ((0, 1), (1, 3), (0, 1)) == _syllable_product(model, u, v)
