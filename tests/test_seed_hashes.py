@@ -1,7 +1,8 @@
 """Byte identity on the seeded random systems: for random_action_system
 seeds 0-99, the sha256 of the combine record, of the depth-4 hypothesis
-report and of the generator classes (elliptic witnesses included) is
-pinned in seed_hashes.json.  For seeds 0-29 so are the diagnostics of
+report, of the generator classes (elliptic witnesses included) and of the
+``hypiso report --format records`` output at the default settings (whose
+profile lines carry each stage's partition) is pinned in seed_hashes.json.  For seeds 0-29 so are the diagnostics of
 ``hypiso dynamics`` and ``hypiso delta`` as the CLI runs them: the
 North-South check at orbit depth 64 between threshold-1.0 neighborhoods
 about the basepoint, and the four-point delta, each on ``cli._sample`` (the
@@ -18,6 +19,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from hypiso import cli, dynamics
 from hypiso.combiner import SearchSchedule, check_hypotheses, resolve_witness, simultaneous_hyperbolic
@@ -62,6 +64,13 @@ def delta_lines(system, seed: int) -> list[str]:
     return lines
 
 
+def report_text(system, seed: int) -> str:
+    """The records ``hypiso report`` prints for the system at the default
+    settings of a config (word-sample-depth 3, max-exponent 32)."""
+    settings = {"max-exponent": 32, "seed": seed, "orbit-depth": 64, "word-sample-depth": 3}
+    return cli._cmd_report(SimpleNamespace(command="report"), system, settings, []).record().emit()
+
+
 def seed_hashes(seed: int) -> dict[str, str]:
     system = random_action_system(seed)
     cert = simultaneous_hyperbolic(system, SearchSchedule(32))
@@ -75,6 +84,7 @@ def seed_hashes(seed: int) -> dict[str, str]:
         "record": _sha(record.emit()),
         "hypotheses": _sha(repr(check_hypotheses(system, 4))),
         "classes": _sha("\n".join(classes)),
+        "report": _sha(report_text(system, seed)),
     }
     if seed in DIAGNOSTIC_SEEDS:
         hashes["dynamics"] = _sha("\n".join(dynamics_lines(system, seed)))
