@@ -6,10 +6,12 @@ effectively computable from the models, so the implementation replaces
 them with a verified search: after power normalization (killing finite
 orders of elliptic images), candidate exponent pairs (a, b) are enumerated
 along a deterministic diagonal schedule and each word f^a g^b is certified
-by exact classification in every action seen so far.  The first certified
-candidate wins; exhaustion is an explicit error carrying the trial log.
-Certificates are re-checked from scratch by the checker in ``records``,
-which shares no code with the search.
+by exact classification in every action seen so far, its image composed
+as F^a G^b from the images that the certificates of earlier stages keep.
+The first certified candidate wins; exhaustion is an explicit error
+carrying the trial log.  Certificates are re-checked from scratch by the
+checker in ``records``, which shares no code with the search and images
+the word letter by letter.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     ValidationError,
     WitnessNotHyperbolic,
 )
-from .models import HYPERBOLIC, HYPOTHESIS_VIOLATION, IsometryClass, SpaceModel
+from .models import HYPERBOLIC, HYPOTHESIS_VIOLATION, Isometry, IsometryClass, SpaceModel
 from .records import check_witnesses, witness_line
 from .words import GroupWord
 
@@ -92,6 +94,7 @@ class Certificate:
     word: GroupWord
     stages: tuple[StageRecord, ...]
     per_action: tuple[IsometryClass, ...]
+    images: tuple[Isometry, ...]  # the word's image in each action, aligned with per_action
     search_stats: SearchStats
 
 
@@ -157,12 +160,6 @@ def independent(model: SpaceModel, cf: IsometryClass, cg: IsometryClass) -> bool
     return not any(model.boundary_equal(p, q) for p in f_pts for q in g_pts)
 
 
-def _finite_period(cls: IsometryClass) -> Optional[int]:
-    if cls.is_elliptic:
-        return cls.elliptic.period
-    return None
-
-
 def normalize_powers(
     system: ActionSystem,
     f: GroupWord,
@@ -193,8 +190,8 @@ def normalize_powers(
                     word=f if word_name == "f" else g,
                     action_index=i,
                 )
-        pf = _finite_period(cf)
-        pg = _finite_period(cg)
+        pf = cf.elliptic.period if cf.is_elliptic else None
+        pg = cg.elliptic.period if cg.is_elliptic else None
         if pf:
             p = math.lcm(p, pf)
         if pg:
@@ -208,9 +205,8 @@ def normalize_powers(
                 # elliptic g fixing the repelling point satisfies the
                 # separation condition outright (the E' side); otherwise the
                 # dichotomy is not finitely decidable and we only tag it
-                a_minus = cf.hyperbolic.fixed_minus
-                moved = model.boundary_apply(action.image(g), a_minus)
-                partition = "E" if model.boundary_equal(moved, a_minus) else "E-E'-candidate"
+                fixed = model.fixes(action.image(g), cf.hyperbolic.fixed_minus)
+                partition = "E" if fixed else "E-E'-candidate"
         entries.append(
             ProfileEntry(
                 action_index=i,
@@ -225,26 +221,31 @@ def normalize_powers(
     return f**p, g**q, ActionProfile(stage=k, entries=tuple(entries), p=p, q=q)
 
 
-def _classify_prefix(system: ActionSystem, word: GroupWord, upto: int):
-    """Classify in actions 0..upto, aborting at the first non-hyperbolic."""
-    classes = []
-    for i in range(upto + 1):
-        cls = system.actions[i].classify_word(word)
-        if not cls.is_hyperbolic:
-            return classes, (i, cls.tag)
-        classes.append(cls)
-    return classes, None
+def _image_prefix(bases: list[tuple[SpaceModel, Isometry, Isometry]], a: int, b: int):
+    """The image F^a G^b in each action in order, capped as a word's image
+    is, aborting at the first whose tag is not hyperbolic: (images, None)
+    or (images so far, (action index, tag))."""
+    images = []
+    for i, (model, F, G) in enumerate(bases):
+        image = model.capped(model.compose(model.power(F, a), model.power(G, b)), "a word's image")
+        tag = model.tag(image)
+        if tag != HYPERBOLIC:
+            return images, (i, tag)
+        images.append(image)
+    return images, None
 
 
 def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSchedule) -> Certificate:
     """One induction stage: ``running`` certifies f hyperbolic in actions
     0..k-1; returns a word certified hyperbolic in actions 0..k.
 
-    Only f's class in action k is new; the others are read from ``running``.
-    When f is already hyperbolic in action k it is returned unchanged (the
-    proof's first simplification) and action k's witness is not needed;
-    otherwise the witness g is resolved with its class and the normalized
-    powers of f and g are combined along the schedule.
+    Only f's image and class in action k are new; the others are read from
+    ``running``.  When f is already hyperbolic in action k it is returned
+    unchanged (the proof's first simplification) and action k's witness is
+    not needed; otherwise the witness g is resolved with its class and the
+    normalized powers of f and g are combined along the schedule: the
+    images F of f^p and G of g^q are computed once per action, and the word
+    f^pa g^qb is built only for the candidate certified.
     """
     f = running.word
     k = len(running.per_action)
@@ -252,7 +253,8 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
         if not cls.is_hyperbolic:
             raise NotHyperbolic(f"precondition broken: running word is {cls.tag} in action {i}")
     action_k = system.actions[k]
-    cls_fk = action_k.classify_word(f)
+    f_images = running.images + (action_k.image(f),)
+    cls_fk = action_k.model.classify(f_images[k])
     if cls_fk.tag == HYPOTHESIS_VIOLATION:
         raise HypothesisViolation(
             f"running word parabolic in action {action_k.name!r}", word=f, action_index=k
@@ -263,16 +265,21 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
             word=f,
             stages=(StageRecord(k, action_k.name),),
             per_action=f_classes,
+            images=f_images,
             search_stats=SearchStats(candidates_tried=0, stages=1),
         )
 
-    g, g_class = resolve_witness(system, k)
-    f2, g2, profile = normalize_powers(system, f, g, f_classes, g_class)
+    g, g_image = _witness(system, k)
+    f2, g2, profile = normalize_powers(system, f, g, f_classes, action_k.model.classify(g_image))
+    g_images = [action.image(g) for action in system.actions[:k]] + [g_image]
+    bases = [
+        (action.model, action.model.power(f_image, profile.p), action.model.power(g_image, profile.q))
+        for action, f_image, g_image in zip(system.actions, f_images, g_images)
+    ]
 
     trials: list[tuple[int, int, int, str]] = []
     for index, (a, b) in enumerate(schedule.pairs()):
-        candidate = f2**a * g2**b
-        classes, failure = _classify_prefix(system, candidate, k)
+        images, failure = _image_prefix(bases, a, b)
         if failure is None:
             record = StageRecord(
                 stage=k,
@@ -287,9 +294,10 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
                 profile=profile,
             )
             return Certificate(
-                word=candidate,
+                word=f2**a * g2**b,
                 stages=(record,),
-                per_action=tuple(classes),
+                per_action=tuple(model.classify(image) for (model, _, _), image in zip(bases, images)),
+                images=tuple(images),
                 search_stats=SearchStats(candidates_tried=len(trials) + 1, stages=1),
             )
         trials.append((a, b, failure[0], failure[1]))
@@ -300,16 +308,23 @@ def resolve_witness(system: ActionSystem, k: int) -> tuple[GroupWord, IsometryCl
     """The claimed witness for action k, verified; else the first word (in
     the walk's order, up to length WITNESS_SEARCH_DEPTH) whose tag is
     hyperbolic.  Returned with its class."""
+    word, image = _witness(system, k)
+    return word, system.actions[k].model.classify(image)
+
+
+def _witness(system: ActionSystem, k: int) -> tuple[GroupWord, Isometry]:
+    """resolve_witness's word, with its image in action k."""
     action = system.actions[k]
     claimed = system.witnesses[k]
     if claimed is not None:
-        cls = action.classify_word(claimed)
-        if not cls.is_hyperbolic:
-            raise WitnessNotHyperbolic(k, action.name, f"classified {cls.tag}")
-        return claimed, cls
+        image = action.image(claimed)
+        tag = action.model.tag(image)
+        if tag != HYPERBOLIC:
+            raise WitnessNotHyperbolic(k, action.name, f"classified {tag}")
+        return claimed, image
     for letters, image in system.walk(action, WITNESS_SEARCH_DEPTH):
         if action.model.tag(image) == HYPERBOLIC:
-            return GroupWord(letters), action.model.classify(image)
+            return GroupWord(letters), image
     raise WitnessNotHyperbolic(k, action.name, f"no hyperbolic word up to length {WITNESS_SEARCH_DEPTH}")
 
 
@@ -321,11 +336,12 @@ def simultaneous_hyperbolic(system: ActionSystem, schedule: SearchSchedule) -> C
     system + schedule.  The returned certificate covers every action and
     re-verifies from scratch.
     """
-    f, cls_f = resolve_witness(system, 0)
+    f, image = _witness(system, 0)
     running = Certificate(
         word=f,
         stages=(StageRecord(0, system.actions[0].name),),
-        per_action=(cls_f,),
+        per_action=(system.actions[0].model.classify(image),),
+        images=(image,),
         search_stats=SearchStats(candidates_tried=0, stages=1),
     )
     stages = list(running.stages)
@@ -338,6 +354,7 @@ def simultaneous_hyperbolic(system: ActionSystem, schedule: SearchSchedule) -> C
         word=running.word,
         stages=tuple(stages),
         per_action=running.per_action,
+        images=running.images,
         search_stats=SearchStats(candidates_tried=tried, stages=system.n_actions),
     )
 

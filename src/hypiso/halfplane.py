@@ -226,7 +226,7 @@ class HalfPlaneModel(SpaceModel):
             # plus carries eigenvalue (t + sqrt(t^2 - 4))/2 > 1: attracting
             x, disc = Fraction(a - d, 2 * c), t * t - 4  # a square disc folds to a rational
             plus = QuadraticNumber(x, Fraction(s, 2 * c), disc)
-            minus = QuadraticNumber(x, Fraction(-s, 2 * c), disc)
+            minus = QuadraticNumber(2 * x - plus.a) if plus.is_rational else plus.conjugate()
         return IsometryClass.make_hyperbolic(tl, self.boundary(plus), self.boundary(minus))
 
     def _classify_elliptic(self, m: Matrix2) -> IsometryClass:
@@ -267,6 +267,17 @@ class HalfPlaneModel(SpaceModel):
         if bp is None or bq is None:
             return bp is bq
         return bp == bq
+
+    def fixes(self, iso: Isometry, b: BoundaryPoint) -> bool:
+        """+-identity fixes every boundary point and a rotation, |a + d| < 2s,
+        none: its fixed points are a conjugate pair off the real line."""
+        m: Matrix2 = self.require_iso(iso)
+        self.require_boundary(b)
+        if m.is_proj_identity():
+            return True
+        if abs(m.a + m.d) < 2 * m.s:
+            return False
+        return super().fixes(iso, b)
 
     def boundary_apply(self, iso: Isometry, b: BoundaryPoint) -> BoundaryPoint:
         m: Matrix2 = self.require_iso(iso)

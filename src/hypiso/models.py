@@ -236,6 +236,10 @@ class SpaceModel:
     def boundary_apply(self, iso: Isometry, b: BoundaryPoint) -> BoundaryPoint:
         raise NotImplementedError
 
+    def fixes(self, iso: Isometry, b: BoundaryPoint) -> bool:
+        """Whether iso fixes the boundary point b."""
+        return self.boundary_equal(self.boundary_apply(iso, b), b)
+
     def gromov_boundary_point(self, b: BoundaryPoint, y: Point, base: Point) -> float:
         """Extended Gromov product <b|y>_base (diagnostic precision)."""
         raise NotImplementedError

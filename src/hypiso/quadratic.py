@@ -129,6 +129,13 @@ class QuadraticNumber:
 
     __rmul__ = __mul__
 
+    def conjugate(self) -> "QuadraticNumber":
+        """a - b*sqrt(d), built without a second square-root test of d."""
+        out = object.__new__(QuadraticNumber)
+        for name, value in (("a", self.a), ("b", -self.b), ("d", self.d)):
+            object.__setattr__(out, name, value)
+        return out
+
     def inverse(self) -> "QuadraticNumber":
         norm = self.a * self.a - self.b * self.b * self.d
         if norm == 0:

@@ -476,6 +476,7 @@ def test_acceptance_negative_control():
         word=GroupWord.parse("f g"),
         stages=cert.stages,
         per_action=cert.per_action,
+        images=cert.images,
         search_stats=cert.search_stats,
     )
     assert not verify_certificate(system, mutated)

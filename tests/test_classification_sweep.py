@@ -4,6 +4,7 @@ concurrency smoke test for the pure-function contract."""
 import contextlib
 import itertools
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from hypiso.actions import Action
 from hypiso.geometry import estimate_translation_length
 from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.records import class_invariant
-from hypiso.trees import BassSerreModel
+from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import GroupWord
 
 
@@ -228,6 +229,55 @@ def test_record_cosh_half_is_half_the_raw_trace():
         assert class_invariant(cls) == (f"cosh-half={t // 2}" if t % 2 == 0 else f"cosh-half={t}/2")
         checked += 1
     assert checked == 42  # the 40 hyperbolic matrices of the sweep and both powers
+
+
+def test_fixes_matches_the_boundary_action_on_sweep():
+    # the plane reads +-identity and rotations off the integer matrix; every
+    # answer must be the boundary action's, against infinity, small rationals
+    # and the fixed points of the sweep's hyperbolics.  The other matrices
+    # answer by applying themselves, so they meet the rationals and their own
+    # fixed points only (all 52 points would take 3 s more)
+    plane = HalfPlaneModel()
+    sweep = [(iso, plane.classify(iso)) for iso in map(plane.isometry, sweep_matrices())]
+    rationals = {plane.boundary_infinity()}
+    rationals |= {plane.boundary_finite(Fraction(n, d)) for n in range(-3, 4) for d in (1, 2, 3)}
+    fixed = {
+        p for _, c in sweep if c.is_hyperbolic for p in (c.hyperbolic.fixed_plus, c.hyperbolic.fixed_minus)
+    }
+    assert len(rationals | fixed) == 52
+    answers = Counter()
+    for iso, cls in sweep:
+        tag = cls.tag
+        own = {cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus} if cls.is_hyperbolic else set()
+        for b in rationals | (fixed if tag == "elliptic" else own):
+            expected = plane.boundary_equal(plane.boundary_apply(iso, b), b)
+            assert plane.fixes(iso, b) == expected
+            answers[tag, expected] += 1
+    assert answers["elliptic", True] and answers["elliptic", False]
+    assert answers["hyperbolic", True] and answers["hypothesis_violation", True]
+
+
+@pytest.mark.parametrize(
+    "model, units",
+    [(BassSerreModel(2, 3), [(0, 1), (1, 1), (1, 2)]), (CayleyTreeModel(2), [1, -1, 2, -2])],
+    ids=["bass_serre", "cayley_tree"],
+)
+def test_fixes_matches_the_boundary_action_on_trees(model, units):
+    # every word of up to three units against the rays it and the others fix
+    words = {model.word(w) for n in range(4) for w in itertools.product(units, repeat=n)}
+    rays = [model.ray((), model.cyclic_reduce(model.require_iso(w))[1]) for w in words
+            if model.tag(w) == "hyperbolic"]
+    for w in words:
+        cls = model.classify(w)
+        if cls.is_hyperbolic:
+            rays += [cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus]
+    answers = Counter()
+    for w in words:
+        for b in rays:
+            expected = model.boundary_equal(model.boundary_apply(w, b), b)
+            assert model.fixes(w, b) == expected
+            answers[expected] += 1
+    assert answers[True] and answers[False]
 
 
 def test_parabolic_estimate_still_returns():

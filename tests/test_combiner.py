@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hypiso.actions import Action, ActionSystem
 from hypiso.combiner import (
@@ -24,7 +26,7 @@ from hypiso.combiner import (
 )
 from hypiso.config import build_action_system, parse_config
 from hypiso.errors import HypothesisViolation, NotHyperbolic, ScheduleExhausted, WitnessNotHyperbolic
-from hypiso.halfplane import HalfPlaneModel
+from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.records import class_invariant, record_for_certificate, verify_record
 from hypiso.sampling import random_action_system
 from hypiso.trees import BassSerreModel
@@ -58,7 +60,8 @@ def _class(system: ActionSystem, word: GroupWord, k: int):
 
 def _running(system: ActionSystem, word: GroupWord, k: int) -> Certificate:
     """A certificate for word in actions 0..k-1, as stage k receives it."""
-    return Certificate(word, (), _classes(system, word, k - 1), SearchStats(0, 0))
+    images = tuple(action.image(word) for action in system.actions[:k])
+    return Certificate(word, (), _classes(system, word, k - 1), images, SearchStats(0, 0))
 
 
 def test_schedule_order():
@@ -279,7 +282,7 @@ def test_combine_step_dependent_hyperbolic_case():
 
 def _extend(cert: Certificate, system: ActionSystem) -> Certificate:
     classes = tuple(a.classify_word(cert.word) for a in system.actions)
-    return Certificate(cert.word, cert.stages, classes, cert.search_stats)
+    return Certificate(cert.word, cert.stages, classes, cert.images, cert.search_stats)
 
 
 def test_schedule_exhausted_carries_trials():
@@ -344,9 +347,13 @@ def test_simultaneous_three_actions_small_cap():
 def test_verify_certificate_negative_controls():
     system = worked_system()
     cert = simultaneous_hyperbolic(system, SearchSchedule(8))
-    identity_cert = Certificate(GroupWord.identity(), cert.stages, cert.per_action, cert.search_stats)
+    identity_cert = Certificate(
+        GroupWord.identity(), cert.stages, cert.per_action, cert.images, cert.search_stats
+    )
     assert not verify_certificate(system, identity_cert)
-    elliptic_cert = Certificate(GroupWord.parse("f g"), cert.stages, cert.per_action, cert.search_stats)
+    elliptic_cert = Certificate(
+        GroupWord.parse("f g"), cert.stages, cert.per_action, cert.images, cert.search_stats
+    )
     ok, notes = verify_certificate_detailed(system, elliptic_cert)
     assert not ok and notes
 
@@ -368,13 +375,15 @@ def test_certificate_and_record_checks_agree():
     record = record_for_certificate("combine", system, cert, [])
     assert verify_certificate_detailed(system, cert) == verify_record(system, record) == (True, [])
     squares = tuple(a.classify_word(cert.word**2) for a in system.actions)
-    wrong = Certificate(cert.word, cert.stages, squares, cert.search_stats)
+    wrong = Certificate(cert.word, cert.stages, squares, cert.images, cert.search_stats)
     ok, notes = verify_certificate_detailed(system, wrong)
     assert not ok and all("witness mismatch" in n for n in notes)
-    swapped = Certificate(cert.word, cert.stages, tuple(reversed(cert.per_action)), cert.search_stats)
+    swapped = Certificate(
+        cert.word, cert.stages, tuple(reversed(cert.per_action)), cert.images, cert.search_stats
+    )
     ok, notes = verify_certificate_detailed(system, swapped)  # a tree class in a plane action
     assert not ok and "another model" in notes[0]
-    short = Certificate(cert.word, cert.stages, cert.per_action[:2], cert.search_stats)
+    short = Certificate(cert.word, cert.stages, cert.per_action[:2], cert.images[:2], cert.search_stats)
     assert verify_certificate_detailed(system, short) == (
         False, ["certificate covers 2 actions, system has 3"]
     )
@@ -462,3 +471,72 @@ def test_search_classifies_each_word_once_per_action(monkeypatch):
         simultaneous_hyperbolic(system, SearchSchedule(32))
         repeated = [w for (_, w), n in classified.items() if n > 1]
         assert repeated == []
+
+
+# -- the images a certificate keeps ----------------------------------------------
+
+
+def assert_images_are_the_word_images(system: ActionSystem, cert: Certificate):
+    """Oracle: each image the search composed is the word's image letter by
+    letter, as the checker computes it."""
+    assert len(cert.images) == len(cert.per_action) == system.n_actions
+    for action, image in zip(system.actions, cert.images):
+        assert image.payload == action.image(cert.word).payload
+
+
+def test_certificate_images_on_seeds_and_configs():
+    systems = [random_action_system(seed) for seed in range(100)]
+    systems += [build_action_system(parse_config(path.read_text())) for path in sorted(CONFIGS.glob("*.cfg"))]
+    searched = 0
+    for system in systems:
+        cert = simultaneous_hyperbolic(system, SearchSchedule(32))
+        assert_images_are_the_word_images(system, cert)
+        searched += any(not stage.trivial for stage in cert.stages)
+    assert searched >= 20
+
+
+# plane generators of chain-style systems: hyperbolics, and rotations of order
+# 2, 3 and infinity (traces 0, 1 and 1/2)
+PLANE_HYPERBOLICS = [(2, 1, 1, 1), (3, 2, 1, 1), (1, 1, 1, 2), (5, 2, 2, 1)]
+PLANE_ROTATIONS = [(0, -1, 1, 0), (0, -1, 1, 1), (1, -1, 1, 0), (0, -1, 1, Fraction(1, 2)),
+                   (Fraction(1, 2), -1, 1, 0)]
+# Bass-Serre words of Z/2 * Z/3: hyperbolic ones, and elliptic ones of order 2 and 3
+BS_HYPERBOLICS = [((0, 1), (1, 1)), ((0, 1), (1, 2)), ((1, 1), (0, 1), (1, 1), (0, 1), (1, 2), (0, 1))]
+BS_ELLIPTICS = [((0, 1),), ((1, 1),), ((1, 2),), ((1, 1), (0, 1), (1, 2)), ((0, 1), (1, 1), (0, 1))]
+
+
+@st.composite
+def chain_systems(draw):
+    """k generators and k actions; action i sees generator i hyperbolic and
+    every other one elliptic, on the plane (conjugated by a shear) or on the
+    Bass-Serre tree of Z/2 * Z/3."""
+    k = draw(st.integers(2, 4))
+    gens = tuple(f"g{j + 1}" for j in range(k))
+    actions = []
+    for i in range(k):
+        if draw(st.booleans()):
+            plane, shear = HalfPlaneModel(), Matrix2.of(1, draw(st.integers(-2, 2)), 0, 1)
+            images = {}
+            for j, gen in enumerate(gens):
+                m = Matrix2.of(*draw(st.sampled_from(PLANE_HYPERBOLICS if j == i else PLANE_ROTATIONS)))
+                images[gen] = plane.isometry(shear * m * shear.inverse())
+            actions.append(Action(f"plane{i}", plane, images))
+        else:
+            bs = BassSerreModel(2, 3)
+            images = {
+                gen: bs.word(draw(st.sampled_from(BS_HYPERBOLICS if j == i else BS_ELLIPTICS)))
+                for j, gen in enumerate(gens)
+            }
+            actions.append(Action(f"tree{i}", bs, images))
+    return ActionSystem(gens, actions, [GroupWord.generator(gen) for gen in gens])
+
+
+@given(chain_systems())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_certificate_images_on_chain_systems(system):
+    try:
+        cert = simultaneous_hyperbolic(system, SearchSchedule(6))
+    except (HypothesisViolation, ScheduleExhausted):
+        return  # a parabolic f or g, or no pair in the small schedule: nothing certified
+    assert_images_are_the_word_images(system, cert)
+    assert verify_certificate(system, cert)

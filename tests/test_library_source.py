@@ -28,3 +28,29 @@ def test_every_export_resolves():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "", f"unresolved exports: {result.stdout.strip()}"
+
+
+def _images_reads(node: ast.AST) -> list[int]:
+    """Lines that read an attribute named images, directly or by getattr."""
+    return [
+        n.lineno
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Attribute) and n.attr == "images")
+        or (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr"
+            and any(isinstance(a, ast.Constant) and a.value == "images" for a in n.args))
+    ]
+
+
+def test_checker_never_reads_the_search_images():
+    # a certificate keeps the images the search composed; the checker must
+    # image the word from its letters instead, so neither records.py nor
+    # verify_certificate_detailed may read them
+    records = ast.parse((SRC / "hypiso" / "records.py").read_text())
+    assert _images_reads(records) == [], "records.py reads .images"
+    combiner = ast.parse((SRC / "hypiso" / "combiner.py").read_text())
+    [verify] = [
+        node for node in combiner.body
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_certificate_detailed"
+    ]
+    assert _images_reads(verify) == [], "verify_certificate_detailed reads .images"
+    assert _images_reads(combiner), "the search reads the certificate's images"

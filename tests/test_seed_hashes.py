@@ -2,12 +2,13 @@
 seeds 0-99, the sha256 of the combine record, of the depth-4 hypothesis
 report, of the generator classes (elliptic witnesses included) and of the
 ``hypiso report --format records`` output at the default settings (whose
-profile lines carry each stage's partition) is pinned in seed_hashes.json.  For seeds 0-29 so are the diagnostics of
-``hypiso dynamics`` and ``hypiso delta`` as the CLI runs them: the
-North-South check at orbit depth 64 between threshold-1.0 neighborhoods
-about the basepoint, and the four-point delta, each on ``cli._sample`` (the
-seed's own plane points, or the tree ball of radius 3).  All 100 seeds
-would add about 8 s to the suite, mostly Cayley-tree orbits.
+profile lines carry each stage's partition) is pinned in seed_hashes.json.
+For seeds 0-29 so are the diagnostics of ``hypiso dynamics`` and
+``hypiso delta`` as the CLI runs them: the North-South check at orbit depth
+64 between threshold-1.0 neighborhoods about the basepoint, and the
+four-point delta, each on ``cli._sample`` (the seed's own plane points, or
+the tree ball of radius 3).  All 100 seeds would add about 8 s to the
+suite, mostly Cayley-tree orbits.
 
 Run this file as a script (PYTHONPATH=src python tests/test_seed_hashes.py)
 to rewrite seed_hashes.json from the current code; name seeds after it
