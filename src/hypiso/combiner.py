@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .actions import ActionSystem
+from .actions import Action, ActionSystem
 from .errors import (
     HypothesisViolation,
     MixedModels,
@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
     WitnessNotHyperbolic,
 )
-from .models import HYPERBOLIC, HYPOTHESIS_VIOLATION, Isometry, IsometryClass, SpaceModel
+from .models import HYPERBOLIC, HYPOTHESIS_VIOLATION, MAX_ISOMETRY_SIZE, Isometry, IsometryClass, SpaceModel
 from .records import check_witnesses, witness_line
 from .words import GroupWord
 
@@ -56,8 +56,6 @@ class ProfileEntry:
     action_name: str
     f_tag: str
     g_tag: str
-    f_period: Optional[int]
-    g_period: Optional[int]
     partition: Optional[str]  # H', H, E, E-E'-candidate; None for the stage action
 
 
@@ -213,8 +211,6 @@ def normalize_powers(
                 action_name=action.name,
                 f_tag=cf.tag,
                 g_tag=cg.tag,
-                f_period=pf,
-                g_period=pg,
                 partition=partition,
             )
         )
@@ -350,6 +346,8 @@ def simultaneous_hyperbolic(system: ActionSystem, schedule: SearchSchedule) -> C
         running = combine_step(system, running, schedule)
         stages.extend(running.stages)
         tried += running.search_stats.candidates_tried
+    for action in system.actions:
+        _check_image_cap(action, running.word)
     return Certificate(
         word=running.word,
         stages=tuple(stages),
@@ -357,6 +355,20 @@ def simultaneous_hyperbolic(system: ActionSystem, schedule: SearchSchedule) -> C
         images=running.images,
         search_stats=SearchStats(candidates_tried=tried, stages=system.n_actions),
     )
+
+
+def _check_image_cap(action: Action, word: GroupWord) -> None:
+    """Raise the checker's ValidationError where imaging the word letter by
+    letter passes MAX_ISOMETRY_SIZE, which the search's F^a G^b may not: a
+    product's size is at most its factors' sizes plus 1, so the syllables
+    plus each |e| times (size of the generator's image + 1) bound every
+    isometry ``Action.image`` builds, and only past the cap is it run."""
+    model = action.model
+    bound = len(word.syllables)
+    for gen, e in word.syllables:
+        bound += (model.size(action.images[gen]) + 1) * abs(e)
+    if bound > MAX_ISOMETRY_SIZE:
+        action.image(word)
 
 
 def verify_certificate(system: ActionSystem, cert: Certificate) -> bool:

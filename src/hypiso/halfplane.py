@@ -1,8 +1,11 @@
 """The hyperbolic plane as the upper half-plane acted on by exact
 determinant-1 rational matrices.
 
-Points are (x, y) pairs with y > 0; coordinates are Fractions, or
-QuadraticNumbers for fixed points of infinite-order rotations.  A matrix M
+Points are (x, y) pairs with y > 0, x a Fraction and y a Fraction or
+r*sqrt(e), a QuadraticNumber: the fixed point of an infinite-order rotation
+and its images.  Boundary points are QuadraticNumbers u + v*sqrt(w), or
+None for infinity.  apply, boundary_apply and cosh_distance write their
+maps out over these parts; QuadraticNumber has no arithmetic.  A matrix M
 is stored as its primitive integer matrix s*M = (a, b, c, d), its
 determinant checked once, where it is built (Matrix2.of).  Classification
 (of the Mobius action: M and -M are one map), fixed points, the elliptic
@@ -108,10 +111,10 @@ class HalfPlaneModel(SpaceModel):
         return self._basepoint
 
     def point_xy(self, x, y) -> Point:
-        if not isinstance(x, (Fraction, QuadraticNumber)):
-            x = Fraction(x)
-        if not isinstance(y, (Fraction, QuadraticNumber)):
-            y = Fraction(y)
+        """The point (x, y): x rational, y > 0 rational or r*sqrt(e)."""
+        x, y = _exact(x), _exact(y)
+        if isinstance(x, QuadraticNumber) or (isinstance(y, QuadraticNumber) and y.a != 0):
+            raise ValueError("half-plane points need a rational x and a y that is rational or r*sqrt(e)")
         ysign = y.sign() if isinstance(y, QuadraticNumber) else ((y > 0) - (y < 0))
         if ysign <= 0:
             raise ValueError("half-plane points need y > 0")
@@ -123,20 +126,23 @@ class HalfPlaneModel(SpaceModel):
     # -- metric -----------------------------------------------------------
 
     def cosh_distance(self, p: Point, q: Point):
-        """cosh d(p, q) = 1 + |p - q|^2 / (2 Im p Im q), exactly."""
+        """cosh d(p, q) = 1 + |p - q|^2 / (2 Im p Im q), exactly: a Fraction,
+        or with y1 = r1 sqrt(e1) and y2 = r2 sqrt(e2) the rational
+        ((x1 - x2)^2 + y1^2 + y2^2) / (2 r1 r2 e1 e2) times sqrt(e1 e2)."""
         x1, y1 = self.require_point(p)
         x2, y2 = self.require_point(q)
         dx = x1 - x2
-        dy = y1 - y2
-        return 1 + (dx * dx + dy * dy) / (2 * y1 * y2)
+        if isinstance(y1, Fraction) and isinstance(y2, Fraction):
+            dy = y1 - y2
+            return 1 + (dx * dx + dy * dy) / (2 * y1 * y2)
+        (r1, e1), (r2, e2) = _root_parts(y1), _root_parts(y2)
+        e = e1 * e2
+        return _root((dx * dx + r1 * r1 * e1 + r2 * r2 * e2) / (2 * r1 * r2 * e), e)
 
     def distance(self, x: Point, y: Point) -> Length:
         ch = self.cosh_distance(x, y)
         if isinstance(ch, QuadraticNumber):
-            if ch.is_rational:
-                ch = ch.as_fraction()
-            else:
-                return Length(math.acosh(max(1.0, float(ch))), exact_cosh=ch)
+            return Length(math.acosh(max(1.0, float(ch))), exact_cosh=ch)
         return Length(acosh_fraction(ch), exact_cosh=ch)
 
     def _point_matrix(self, p: Point) -> tuple[int, int, int]:
@@ -166,13 +172,16 @@ class HalfPlaneModel(SpaceModel):
     # -- action -----------------------------------------------------------
 
     def apply(self, iso: Isometry, p: Point) -> Point:
+        """M (x + iy) for y = r sqrt(e): y^2 = r^2 e is rational, so the
+        image's x and den = |c (x + iy) + d|^2 are, and its y is y s^2 / den."""
         m: Matrix2 = self.require_iso(iso)
         x, y = self.require_point(p)
         a, b, c, d = m.a, m.b, m.c, m.d  # s*M: the Mobius map is the same
-        den = (c * x + d) ** 2 + (c * y) * (c * y)
-        nx = (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den
-        ny = y * (m.s * m.s) / den
-        return self.point((nx, ny))
+        r, e = _root_parts(y)
+        y2 = r * r * e
+        den = (c * x + d) ** 2 + c * c * y2
+        nx = (a * c * (x * x + y2) + (a * d + b * c) * x + b * d) / den
+        return self.point((nx, _root(r * (m.s * m.s) / den, e)))
 
     def size(self, iso: Isometry) -> int:
         m: Matrix2 = self.require_iso(iso)
@@ -248,8 +257,7 @@ class HalfPlaneModel(SpaceModel):
             raise ValueError("not elliptic")
         # c != 0 here: with det 1, c = 0 gives d = 1/a and |tr| = |a + 1/a| >= 2
         x = Fraction(a - d, 2 * c)
-        y = QuadraticNumber(0, Fraction(s, 2 * abs(c)), 4 - Fraction(a + d, s) ** 2)
-        return self.point((x, y.as_fraction() if y.is_rational else y))
+        return self.point((x, _root(Fraction(s, 2 * abs(c)), 4 - Fraction(a + d, s) ** 2)))
 
     # -- boundary ----------------------------------------------------------
 
@@ -280,15 +288,21 @@ class HalfPlaneModel(SpaceModel):
         return super().fixes(iso, b)
 
     def boundary_apply(self, iso: Isometry, b: BoundaryPoint) -> BoundaryPoint:
+        """(a z + b) / (c z + d) for z = u + v sqrt(w): with p = cu + d,
+        q = cv and N = p^2 - q^2 w, times the conjugate p - q sqrt(w) over N
+        it is ((au + b) p - a v q w) / N + (v s^2 / N) sqrt(w), as
+        ad - bc = s^2.  N = 0 only for a rational z with cz + d = 0."""
         m: Matrix2 = self.require_iso(iso)
         z: QuadraticNumber | None = self.require_boundary(b)
         a, bb, c, d = m.a, m.b, m.c, m.d  # s*M: the Mobius map is the same
         if z is None:
             return self.boundary(None if c == 0 else QuadraticNumber(Fraction(a, c)))
-        den = c * z + d
-        if den == 0:
+        u, v, w = z.a, z.b, z.d
+        p, q = c * u + d, c * v
+        n = p * p - q * q * w
+        if n == 0:
             return self.boundary(None)
-        return self.boundary((a * z + bb) / den)
+        return self.boundary(QuadraticNumber(((a * u + bb) * p - a * v * q * w) / n, v * (m.s * m.s) / n, w))
 
     # -- extended Gromov products (diagnostic floats) ------------------------
 
@@ -355,6 +369,23 @@ class HalfPlaneModel(SpaceModel):
             # distinct quadratic values collapsing in float: resolve minimally
             sep = 1e-300
         return math.log(math.hypot(x1 - wx, wy) * math.hypot(x2 - wx, wy) / (sep * wy))
+
+
+def _exact(v) -> Fraction | QuadraticNumber:
+    """v as a Fraction when it is rational, else the QuadraticNumber v."""
+    if isinstance(v, QuadraticNumber):
+        return v.as_fraction() if v.is_rational else v
+    return Fraction(v)
+
+
+def _root_parts(y) -> tuple:
+    """(r, e) with y = r sqrt(e), for a point's y; e = 1 when y is rational."""
+    return (y.b, y.d) if isinstance(y, QuadraticNumber) else (y, 1)
+
+
+def _root(r: Fraction, e) -> Fraction | QuadraticNumber:
+    """r sqrt(e), a Fraction when it is rational."""
+    return r if e == 1 else _exact(QuadraticNumber(0, r, e))
 
 
 def _acosh_ratio(num: int, den: int) -> float:

@@ -32,9 +32,9 @@ MAX_ISOMETRY_SIZE = 2**19
 class Point:
     """A point of a concrete model, tagged with its owner's id.
 
-    coords is model-specific: the half-plane stores an (x, y) pair of exact
-    rationals (quadratic irrationals for fixed points of infinite-order
-    rotations), tree models store canonical vertex labels.
+    coords is model-specific: the half-plane stores an (x, y) pair, x
+    rational and y rational or r*sqrt(e) (fixed points of infinite-order
+    rotations and their images), tree models store canonical vertex labels.
     """
 
     model_id: str
@@ -72,10 +72,6 @@ class Length:
     value: float
     exact_cosh: Union[Fraction, QuadraticNumber, None] = None
     exact_value: Optional[Fraction] = None
-
-    def __post_init__(self):
-        if self.value < 0 and self.value > -1e-12:
-            object.__setattr__(self, "value", 0.0)
 
 
 @dataclass(frozen=True)

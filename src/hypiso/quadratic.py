@@ -1,12 +1,12 @@
-"""Exact arithmetic in real quadratic extensions of the rationals.
+"""Exact values a + b*sqrt(d) with rational a, b and d >= 0, and exact
+rational helpers.
 
-Values are stored as ``a + b*sqrt(d)`` with rational ``a``, ``b`` and a
-nonnegative rational radicand ``d``.  The representation is normalized so
-that rational values always have ``b == 0, d == 0`` (perfect-square
-radicands are folded into the rational part), which keeps equality and
-sign tests purely rational.  Equality across different radicands is
-decided exactly; no floats are involved anywhere except the explicit
-``float()`` conversion used for display.
+A QuadraticNumber is a value, not a field: the plane's two Mobius maps on
+quadratic irrationals are written out over the parts in ``halfplane``.
+Values are normalized so that a rational one has ``b == 0, d == 0``
+(perfect-square radicands fold into the rational part).  Equality and the
+sign are exact, across radicands too; floats appear only in ``float()``,
+for display.
 """
 
 from __future__ import annotations
@@ -15,12 +15,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import ValidationError
-
-Rationalish = Union[int, Fraction]
-
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None when irrational."""
@@ -43,7 +39,7 @@ def _frac(x) -> Fraction:
 
 @dataclass(frozen=True)
 class QuadraticNumber:
-    """An element a + b*sqrt(d) of a real quadratic field."""
+    """The real number a + b*sqrt(d)."""
 
     a: Fraction
     b: Fraction
@@ -74,61 +70,6 @@ class QuadraticNumber:
             raise ValueError(f"{self!r} is irrational")
         return self.a
 
-    def _compatible(self, other: "QuadraticNumber") -> Fraction:
-        """Radicand of the common field, or raise for mixed irrational fields."""
-        if self.b == 0:
-            return other.d
-        if other.b == 0:
-            return self.d
-        if self.d == other.d:
-            return self.d
-        raise ValueError(f"mixed radicands {self.d} and {other.d}")
-
-    # -- arithmetic ---------------------------------------------------
-
-    @staticmethod
-    def _coerce(x) -> "QuadraticNumber":
-        if isinstance(x, QuadraticNumber):
-            return x
-        return QuadraticNumber(_frac(x))
-
-    def __add__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        d = self._compatible(o)
-        return QuadraticNumber(self.a + o.a, self.b + o.b, d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        d = self._compatible(o)
-        return QuadraticNumber(
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
-            d,
-        )
-
-    __rmul__ = __mul__
-
     def conjugate(self) -> "QuadraticNumber":
         """a - b*sqrt(d), built without a second square-root test of d."""
         out = object.__new__(QuadraticNumber)
@@ -136,26 +77,7 @@ class QuadraticNumber:
             object.__setattr__(out, name, value)
         return out
 
-    def inverse(self) -> "QuadraticNumber":
-        norm = self.a * self.a - self.b * self.b * self.d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero quadratic number")
-        return QuadraticNumber(self.a / norm, -self.b / norm, self.d)
-
-    def __truediv__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
-
-    # -- exact comparisons ---------------------------------------------
+    # -- exact sign and equality ----------------------------------------
 
     def sign(self) -> int:
         """Exact sign of the real value (-1, 0, +1)."""
@@ -196,23 +118,6 @@ class QuadraticNumber:
         # equal values share (a, sign(b), b^2 d) even across radicands
         return hash((self.a, (self.b > 0) - (self.b < 0), self.b * self.b * self.d))
 
-    def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        d = self._compatible(o)  # raises for mixed irrational fields
-        return QuadraticNumber(self.a - o.a, self.b - o.b, d).sign()
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
     # -- conversion/display --------------------------------------------
 
     def __float__(self) -> float:
@@ -231,11 +136,6 @@ class QuadraticNumber:
         if self.b == 0:
             return f"QuadraticNumber({self.a})"
         return f"QuadraticNumber({self.a} + {self.b}*sqrt({self.d}))"
-
-    def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        return f"{self.a}+{self.b}*sqrt({self.d})"
 
 
 def acosh_fraction(c: Fraction) -> float:

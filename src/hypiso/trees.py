@@ -53,9 +53,6 @@ class RayDescriptor:
     prefix: tuple
     period: tuple
 
-    def __str__(self):
-        return f"({''.join(map(str, self.prefix)) or 'e'}, {''.join(map(str, self.period))})"
-
 
 def _int_length(n: int) -> Length:
     return Length(float(n), exact_value=Fraction(n))
@@ -524,7 +521,7 @@ class BassSerreModel(TreeModel):
         out = []
         if (w, t) != ((), 0):
             out.append((w[:-1], 1 - t) if w else ((), 0))
-        elif (w, t) == ((), 0):
+        else:
             out.append(((), 1))
         order = self.orders[t]
         for e in range(1, order):

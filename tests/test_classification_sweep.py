@@ -124,14 +124,17 @@ def test_trichotomy_exhaustive_small_entries(monkeypatch):
         t = abs(m.trace)
         if cls.tag == "hyperbolic":
             assert t > 2
-            # symbolic eigenvector identity at both fixed points
+            # each fixed point z = u + v sqrt(w) is a root of c z^2 + (d - a) z - b,
+            # part by part (w is never a square when v != 0)
             a, b, c, d = m.entries()
             for bp in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
                 z = bp.payload
                 if z is None:
                     assert c == 0
                 else:
-                    assert a * z + b == (c * z + d) * z
+                    u, v, w = z.a, z.b, z.d
+                    assert c * (u * u + v * v * w) + (d - a) * u - b == 0
+                    assert (2 * c * u + d - a) * v == 0
             assert not plane.boundary_equal(
                 cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus
             )
@@ -208,6 +211,44 @@ def test_fixed_points_are_distinct_roots_sympy():
             assert sympy.expand(roots[0] - roots[1]).is_zero is False
         checked += 1
     assert checked >= 40  # the hyperbolic matrices of the sweep
+
+
+def test_boundary_apply_on_irrational_fixed_points_sympy():
+    # an oracle outside hypiso: sympy's own arithmetic in Q(sqrt(w)) maps each
+    # irrational fixed point z = u + v sqrt(w) of the sweep's hyperbolics by
+    # every sweep matrix, (a z + b) / (c z + d); the image keeps the radicand
+    sympy = pytest.importorskip("sympy")
+
+    def exact(x: Fraction):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    fields = {}
+
+    def in_field(z):
+        if z.d not in fields:
+            field = sympy.QQ.algebraic_field(sympy.sqrt(exact(z.d)))
+            fields[z.d] = field, field.from_sympy(sympy.sqrt(exact(z.d)))
+        field, root = fields[z.d]
+        return field, field.convert(exact(z.a)) + field.convert(exact(z.b)) * root
+
+    plane = HalfPlaneModel()
+    sweep = list(map(plane.isometry, sweep_matrices()))
+    points = []
+    for cls in map(plane.classify, sweep):
+        if cls.is_hyperbolic:
+            for bp in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
+                if bp.payload is not None and not bp.payload.is_rational and bp not in points:
+                    points.append(bp)
+    assert len(points) == 36
+    points = [(bp, *in_field(bp.payload)) for bp in points]
+    for iso in sweep:
+        entries = [exact(x) for x in iso.payload.entries()]
+        matrix = {w: [field.convert(x) for x in entries] for w, (field, _) in fields.items()}
+        for bp, field, z in points:
+            image = plane.boundary_apply(iso, bp).payload
+            assert image.d == bp.payload.d
+            a, b, c, d = matrix[image.d]
+            assert in_field(image)[1] == (a * z + b) / (c * z + d)
 
 
 def test_record_cosh_half_is_half_the_raw_trace():

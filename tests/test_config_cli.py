@@ -415,6 +415,39 @@ def test_word_image_past_the_size_cap_exit_1(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith(f"error: {cap}")
 
 
+JUNCTION = """hypiso-config v1
+generators z x y u w
+
+action plane
+model half_plane
+gen z [[1, 0], [0, 1]]
+gen x [[2, 1], [1, 1]]
+gen y [[1, -1], [-1, 2]]
+gen u [[1, -1], [-1, 2]]
+gen w [[-6, -1], [1, 0]]
+witness z x^250000
+
+action tree
+model bass_serre 2 3
+gen z 1
+gen x 1
+gen y 1
+gen u 1
+gen w s t
+witness x^250000 y^250000 u^250000 w
+"""
+
+
+def test_search_keeps_the_checker_cap_at_the_junction(tmp_path, capsys):
+    # the search images f g as F G = x^250000 x^-250000 w in the plane, under
+    # the cap; the word flattens to z x^500000 y^250000 u^250000 w, whose
+    # x^500000 the checker cannot image.  combine must fail as --verify would
+    path = write(tmp_path, "junction.cfg", JUNCTION)
+    assert main(["combine", "--input", path, "--format", "records"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {CAP}")
+
+
 def test_cayley_image_past_the_size_cap_exit_1(tmp_path, capsys):
     text = "hypiso-config v1\ngenerators f g\n\naction t\nmodel cayley_tree 2\ngen f a^100000000\ngen g b\n"
     assert main(["combine", "--input", write(tmp_path, "cayley.cfg", text)]) == 1

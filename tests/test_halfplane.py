@@ -128,9 +128,10 @@ def test_fixed_points_eigenvector_identity(plane):
     plus, minus = fixed_points(plane, F)
     a, b, c, d = F.payload.entries()
     for bp in (plus, minus):
-        z = bp.payload
-        lam = c * z + d
-        assert a * z + b == lam * z  # symbolic eigenvector equation
+        # z = u + v sqrt(w) is a root of c z^2 + (d - a) z - b, part by part
+        u, v, w = bp.payload.a, bp.payload.b, bp.payload.d
+        assert c * (u * u + v * v * w) + (d - a) * u - b == 0
+        assert (2 * c * u + d - a) * v == 0
     # golden ratio eigendirection
     assert plus.payload == QuadraticNumber(Fraction(1, 2), Fraction(1, 2), 5)
 
@@ -235,3 +236,86 @@ def test_image_composes_powers_by_squaring(plane, monkeypatch):
     monkeypatch.setattr(HalfPlaneModel, "compose", counted)
     assert act.image(GroupWord.parse("f^4096")) == squared
     assert len(calls) <= 30  # letter by letter this takes 4096
+
+
+# fixed points of infinite-order rotations: (-1/4, sqrt(15)/4), (1/4, sqrt(15)/4)
+# and (-1/6, sqrt(35)/6), two radicands whose product is no square
+ROTATIONS = [(0, -1, 1, Fraction(1, 2)), (0, -1, 1, Fraction(-1, 2)), (0, -1, 1, Fraction(1, 3))]
+
+
+def rotation_fixed_point(plane, entries):
+    cls = plane.classify(plane.matrix(*entries))
+    assert cls.elliptic.period is None
+    return cls.elliptic.orbit_point
+
+
+def sympy_value(sympy, v):
+    """A Fraction or a QuadraticNumber as a sympy number."""
+    if isinstance(v, Fraction):
+        return sympy.Rational(v.numerator, v.denominator)
+    a, b, d = (sympy.Rational(q.numerator, q.denominator) for q in (v.a, v.b, v.d))
+    return a + b * sympy.sqrt(d)
+
+
+def irrational_distance_cases(plane):
+    """(p, q, kind of cosh): a rotation's fixed point against i, a rational
+    point, the fixed point with the same radicand and one with another."""
+    r1, r2, r3 = (rotation_fixed_point(plane, m) for m in ROTATIONS)
+    rational = plane.point_xy(Fraction(2, 3), Fraction(5, 7))
+    return [(r1, plane.basepoint, "irrational"), (r1, rational, "irrational"),
+            (rational, r3, "irrational"), (r1, r2, "rational"), (r1, r3, "irrational"), (r3, r1, "irrational")]
+
+
+def test_irrational_distance_matches_floats(plane):
+    for p, q, kind in irrational_distance_cases(plane):
+        (x1, y1), (x2, y2) = ((float(c) for c in pt.coords) for pt in (p, q))
+        expected = 1 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2 * y1 * y2)
+        ch = plane.cosh_distance(p, q)
+        assert isinstance(ch, Fraction) == (kind == "rational")
+        assert abs(float(ch) - expected) <= 1e-12 * expected
+        length = plane.distance(p, q)
+        assert length.exact_cosh == ch
+        assert abs(length.value - math.acosh(expected)) <= 1e-9
+        assert plane.cosh_distance(q, p) == ch
+
+
+def test_irrational_distance_matches_sympy(plane):
+    # an oracle outside hypiso: sympy's radicals in the textbook formula
+    sympy = pytest.importorskip("sympy")
+    for p, q, _ in irrational_distance_cases(plane):
+        (x1, y1), (x2, y2) = ((sympy_value(sympy, c) for c in pt.coords) for pt in (p, q))
+        expected = 1 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2 * y1 * y2)
+        assert sympy.simplify(sympy_value(sympy, plane.cosh_distance(p, q)) - expected) == 0
+
+
+def test_apply_moves_a_rotation_fixed_point_sympy(plane):
+    # M z for z = x + iy, y = r sqrt(e), against sympy: (cz + d) M z = az + b
+    sympy = pytest.importorskip("sympy")
+    movers = [(2, 1, 1, 1), (1, 1, 0, 1), (0, -1, 1, 0), (3, 1, Fraction(-5, 2), Fraction(-1, 2)),
+              (Fraction(1, 3), 0, 0, 3), (1, Fraction(-2, 3), 0, 1), ROTATIONS[2]]
+    checked = 0
+    for rotation in ROTATIONS[:2]:
+        fixed = rotation_fixed_point(plane, rotation)
+        z = sympy_value(sympy, fixed.coords[0]) + sympy.I * sympy_value(sympy, fixed.coords[1])
+        for entries in movers:
+            moved = plane.apply(plane.matrix(*entries), fixed)
+            x, y = moved.coords
+            assert isinstance(x, Fraction) and isinstance(y, QuadraticNumber) and y.a == 0
+            assert y.d == fixed.coords[1].d and moved != fixed
+            a, b, c, d = (sympy_value(sympy, Fraction(v)) for v in entries)
+            image = sympy_value(sympy, x) + sympy.I * sympy_value(sympy, y)
+            assert sympy.expand((c * z + d) * image - (a * z + b)) == 0
+            checked += 1
+    assert checked == 14
+
+
+def test_point_xy_takes_rational_x_and_y_rational_or_a_root(plane):
+    root = QuadraticNumber(0, Fraction(1, 4), 15)
+    assert plane.point_xy(QuadraticNumber(Fraction(1, 2)), root).coords == (Fraction(1, 2), root)
+    assert plane.point_xy(0, QuadraticNumber(0, 1, 4)).coords == (Fraction(0), Fraction(2))
+    with pytest.raises(ValueError, match="rational x"):
+        plane.point_xy(QuadraticNumber(0, 1, 2), 1)
+    with pytest.raises(ValueError, match="rational x"):
+        plane.point_xy(0, QuadraticNumber(1, 1, 2))
+    with pytest.raises(ValueError, match="y > 0"):
+        plane.point_xy(0, QuadraticNumber(0, -1, 2))

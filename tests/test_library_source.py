@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from hypiso.quadratic import QuadraticNumber
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "hypiso").glob("*.py"))
 
@@ -54,3 +56,13 @@ def test_checker_never_reads_the_search_images():
     ]
     assert _images_reads(verify) == [], "verify_certificate_detailed reads .images"
     assert _images_reads(combiner), "the search reads the certificate's images"
+
+
+def test_quadratic_number_is_a_value_not_a_field():
+    # the plane writes out its two Mobius maps on quadratic irrationals over
+    # the parts a + b sqrt(d); QuadraticNumber keeps no arithmetic or order
+    removed = (
+        "__add__ __radd__ __sub__ __rsub__ __mul__ __rmul__ __truediv__ __rtruediv__ "
+        "__neg__ __abs__ __lt__ __le__ __gt__ __ge__ inverse"
+    ).split()
+    assert [name for name in removed if name in vars(QuadraticNumber)] == []

@@ -33,35 +33,8 @@ def test_sign_logic():
     assert QuadraticNumber(0, 0, 0).sign() == 0
 
 
-def test_comparisons_against_rationals():
-    x = QuadraticNumber(0, 1, 2)  # sqrt(2)
-    assert x > 1 and x < 2 and x > Fraction(7, 5) and x < Fraction(3, 2)
-
-
-def test_inverse_and_conjugate_product():
-    x = QuadraticNumber(1, 2, 3)
-    assert x * x.inverse() == QuadraticNumber(1)
-    assert (QuadraticNumber(1, 1, 2) * QuadraticNumber(1, -1, 2)) == QuadraticNumber(-1)
-
-
-def test_mixed_radicand_arithmetic_rejected():
-    with pytest.raises(ValueError):
-        QuadraticNumber(0, 1, 2) + QuadraticNumber(0, 1, 3)
-
-
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 radicands = st.sampled_from([Fraction(2), Fraction(3), Fraction(5), Fraction(7, 2)])
-
-
-@given(rationals, rationals, rationals, rationals, radicands)
-def test_field_axioms(a1, b1, a2, b2, d):
-    x = QuadraticNumber(a1, b1, d)
-    y = QuadraticNumber(a2, b2, d)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert (x + y) * (x - y) == x * x - y * y
-    if y.sign() != 0:
-        assert (x / y) * y == x
 
 
 @given(rationals, rationals, radicands)
