@@ -126,18 +126,19 @@ class HalfPlaneModel(SpaceModel):
     # -- metric -----------------------------------------------------------
 
     def cosh_distance(self, p: Point, q: Point):
-        """cosh d(p, q) = 1 + |p - q|^2 / (2 Im p Im q), exactly: a Fraction,
-        or with y1 = r1 sqrt(e1) and y2 = r2 sqrt(e2) the rational
-        ((x1 - x2)^2 + y1^2 + y2^2) / (2 r1 r2 e1 e2) times sqrt(e1 e2)."""
+        """cosh d(p, q) = ((x1 - x2)^2 + y1^2 + y2^2) / (2 y1 y2), exactly:
+        with y1 = r1 sqrt(e1) and y2 = r2 sqrt(e2) (e = 1 for a rational y)
+        the rational ((x1 - x2)^2 + y1^2 + y2^2) / (2 r1 r2 e1 e2) times
+        sqrt(e1 e2), a Fraction when that is rational.  The parts are put
+        over one common denominator, so the sum is integer arithmetic."""
         x1, y1 = self.require_point(p)
         x2, y2 = self.require_point(q)
-        dx = x1 - x2
-        if isinstance(y1, Fraction) and isinstance(y2, Fraction):
-            dy = y1 - y2
-            return 1 + (dx * dx + dy * dy) / (2 * y1 * y2)
         (r1, e1), (r2, e2) = _root_parts(y1), _root_parts(y2)
+        den = math.lcm(x1.denominator, x2.denominator, r1.denominator, r2.denominator)
+        dx = x1.numerator * (den // x1.denominator) - x2.numerator * (den // x2.denominator)
+        r1, r2 = r1.numerator * (den // r1.denominator), r2.numerator * (den // r2.denominator)
         e = e1 * e2
-        return _root((dx * dx + r1 * r1 * e1 + r2 * r2 * e2) / (2 * r1 * r2 * e), e)
+        return _root(Fraction(dx * dx + r1 * r1 * e1 + r2 * r2 * e2, 2 * r1 * r2 * e), e)
 
     def distance(self, x: Point, y: Point) -> Length:
         ch = self.cosh_distance(x, y)

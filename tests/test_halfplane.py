@@ -217,6 +217,14 @@ def test_isometry_invariance_exact(x1, y1, x2, y2, u, v):
     assert before == after  # exact rational equality
 
 
+@given(small_rational, positive_rational, small_rational, positive_rational)
+def test_rational_cosh_distance_is_the_textbook_fraction(x1, y1, x2, y2):
+    plane = HalfPlaneModel()
+    ch = plane.cosh_distance(plane.point_xy(x1, y1), plane.point_xy(x2, y2))
+    assert isinstance(ch, Fraction)
+    assert ch == 1 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2 * y1 * y2)
+
+
 def test_image_composes_powers_by_squaring(plane, monkeypatch):
     F, G = Matrix2.of(2, 1, 1, 1), Matrix2.of(0, -1, 1, 0)
     act = Action("p", plane, {"f": plane.isometry(F), "g": plane.isometry(G)})
