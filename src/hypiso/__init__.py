@@ -20,14 +20,13 @@ _EXPORTS = {
     "combiner": "ActionProfile Certificate SearchSchedule check_hypotheses combine_step independent "
     "normalize_powers simultaneous_hyperbolic verify_certificate verify_certificate_detailed",
     "config": "SystemConfig build_action_system parse_config",
-    "dynamics": "NeighborhoodSpec OrbitProjection QuasiGeodesicReport SeparationResult TriangleInternals "
-    "internal_points local_quasigeodesic_check ns_dynamics_check orbit_projection separation_check",
+    "dynamics": "NeighborhoodSpec OrbitProjection TriangleInternals internal_points ns_dynamics_check "
+    "orbit_projection",
     "errors": "DegenerateTriangle HypisoError HypothesisViolation InsufficientSample MixedModels NoPassingN "
     "NotHyperbolic ParseError ScheduleExhausted ValidationError WitnessNotHyperbolic",
-    "geometry": "TranslationLengthEstimate estimate_delta_four_point estimate_translation_length "
-    "gromov_product",
+    "geometry": "estimate_delta_four_point gromov_product",
     "halfplane": "HalfPlaneModel Matrix2",
-    "models": "BoundaryPoint DeltaEstimate Isometry IsometryClass Length Point SpaceModel fixed_points",
+    "models": "BoundaryPoint DeltaEstimate Isometry IsometryClass Length Point SpaceModel",
     "quadratic": "QuadraticNumber",
     "trees": "BassSerreModel CayleyTreeModel RayDescriptor",
     "words": "GroupWord",

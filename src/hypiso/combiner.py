@@ -163,24 +163,25 @@ def normalize_powers(
     f: GroupWord,
     g: GroupWord,
     f_classes: tuple[IsometryClass, ...],
-    g_class: IsometryClass,
+    g_images: tuple[Isometry, ...],
 ) -> tuple[GroupWord, GroupWord, ActionProfile]:
     """Replace f, g by the powers killing all finite orders of their
     elliptic images among actions 0..stage, and profile the partition.
 
-    ``f_classes`` holds f's classes in actions 0..stage and ``g_class``
-    g's class in action stage, so g is classified here only in actions
-    before the stage.  Hyperbolicity is preserved wherever it held
-    (translation lengths scale by the powers, fixed points are unchanged);
-    elliptic images of finite order become the identity.
+    ``f_classes`` holds f's classes and ``g_images`` g's images in actions
+    0..stage, so g is imaged only once per action: each image is classified
+    here, and the E test runs on the same image.  Hyperbolicity is
+    preserved wherever it held (translation lengths scale by the powers,
+    fixed points are unchanged); elliptic images of finite order become the
+    identity.
     """
     k = len(f_classes) - 1
     p = 1
     q = 1
     entries: list[ProfileEntry] = []
-    for i, cf in enumerate(f_classes):
+    for i, (cf, g_image) in enumerate(zip(f_classes, g_images)):
         action = system.actions[i]
-        cg = g_class if i == k else action.classify_word(g)
+        cg = action.model.classify(g_image)
         for cls, word_name in ((cf, "f"), (cg, "g")):
             if cls.tag == HYPOTHESIS_VIOLATION:
                 raise HypothesisViolation(
@@ -203,7 +204,7 @@ def normalize_powers(
                 # elliptic g fixing the repelling point satisfies the
                 # separation condition outright (the E' side); otherwise the
                 # dichotomy is not finitely decidable and we only tag it
-                fixed = model.fixes(action.image(g), cf.hyperbolic.fixed_minus)
+                fixed = model.fixes(g_image, cf.hyperbolic.fixed_minus)
                 partition = "E" if fixed else "E-E'-candidate"
         entries.append(
             ProfileEntry(
@@ -266,8 +267,8 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
         )
 
     g, g_image = _witness(system, k)
-    f2, g2, profile = normalize_powers(system, f, g, f_classes, action_k.model.classify(g_image))
-    g_images = [action.image(g) for action in system.actions[:k]] + [g_image]
+    g_images = tuple(action.image(g) for action in system.actions[:k]) + (g_image,)
+    f2, g2, profile = normalize_powers(system, f, g, f_classes, g_images)
     bases = [
         (action.model, action.model.power(f_image, profile.p), action.model.power(g_image, profile.q))
         for action, f_image, g_image in zip(system.actions, f_images, g_images)

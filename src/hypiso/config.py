@@ -214,20 +214,3 @@ def build_action_system(config: SystemConfig) -> ActionSystem:
             witnesses.append(None)
         actions.append(Action(ac.name, model, images))
     return ActionSystem(config.generators, actions, witnesses)
-
-
-WORKED_EXAMPLE = """hypiso-config v1
-generators f g
-
-action plane-one
-model half_plane
-gen f [[2, 1], [1, 1]]
-gen g [[0, -1], [1, 0]]
-witness f
-
-action plane-two
-model half_plane
-gen f [[0, -1], [1, 0]]
-gen g [[2, 1], [1, 1]]
-witness g
-"""

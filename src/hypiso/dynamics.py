@@ -1,9 +1,7 @@
-"""Executable proof machinery: North-South dynamics, neighborhood
-separation, internal points and insize, local quasi-geodesics, orbit
-projection.
+"""Executable proof machinery behind ``hypiso dynamics``: North-South
+dynamics, internal points and insize, and projection to an orbit.
 
-Everything here is diagnostic and property-test fodder: sampled checks
-report witnesses on failure and are never used inside the combiner's
+Everything here is diagnostic and never used inside the combiner's
 certification path.  Boundary neighborhoods are realized purely through
 Gromov-product thresholds (the standard neighborhood basis); "disjoint"
 means the two membership tests cannot both pass, checked on the centers'
@@ -23,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .actions import Action
 from .errors import DegenerateTriangle, NoPassingN, NotHyperbolic
@@ -45,10 +43,6 @@ class NeighborhoodSpec:
 
 def contains_point(model: SpaceModel, spec: NeighborhoodSpec, y: Point) -> bool:
     return model.gromov_boundary_point(spec.center, y, spec.base) > spec.threshold
-
-
-def contains_boundary(model: SpaceModel, spec: NeighborhoodSpec, xi: BoundaryPoint) -> bool:
-    return model.gromov_boundary_pair(spec.center, xi, spec.base) > spec.threshold
 
 
 def neighborhoods_disjoint(
@@ -96,38 +90,6 @@ def ns_dynamics_check(
         if all(good[n - 1 :]):
             return n
     raise NoPassingN(f"no N <= {n_max} works for {len(outside)} sample points")
-
-
-@dataclass(frozen=True)
-class SeparationResult:
-    ok: bool
-    witness: Optional[Point] = None  # a point of U+ sent into U- when not ok
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def separation_check(
-    action: Action,
-    g: GroupWord,
-    u_plus: NeighborhoodSpec,
-    u_minus: NeighborhoodSpec,
-    sample: Sequence[Point],
-) -> SeparationResult:
-    """Sampled witness of the hypothesis g U+ and U- disjoint: no sampled
-    point of U+ (nor the center itself) may be mapped by g into U-."""
-    model = action.model
-    img = action.image(g)
-    for p in sample:
-        if not contains_point(model, u_plus, p):
-            continue
-        q = model.apply(img, p)
-        if contains_point(model, u_minus, q):
-            return SeparationResult(False, p)
-    moved_center = model.boundary_apply(img, u_plus.center)
-    if contains_boundary(model, u_minus, moved_center):
-        return SeparationResult(False, None)
-    return SeparationResult(True)
 
 
 # -- triangles ----------------------------------------------------------------
@@ -191,92 +153,7 @@ def estimate_delta_insize(
     return DeltaEstimate(delta=worst, condition="insize", sample_size=len(triangles))
 
 
-def estimate_delta_slim(
-    model: SpaceModel,
-    triangles: Sequence[tuple[Point, Point, Point]],
-    samples_per_side: int = 12,
-) -> DeltaEstimate:
-    """Max over sampled side points of the distance to the other two sides
-    (both sides sampled, so this is a lower-bound style estimate)."""
-    worst = 0.0
-    for x, y, z in triangles:
-        sides = (
-            _side_points(model, y, z, samples_per_side),
-            _side_points(model, z, x, samples_per_side),
-            _side_points(model, x, y, samples_per_side),
-        )
-        for i in range(3):
-            others = sides[(i + 1) % 3] + sides[(i + 2) % 3]
-            for pt in sides[i]:
-                nearest = min(model.distance(pt, q).value for q in others)
-                worst = max(worst, nearest)
-    return DeltaEstimate(delta=worst, condition="slim", sample_size=len(triangles))
-
-
-def _side_points(model: SpaceModel, p: Point, q: Point, count: int) -> list[Point]:
-    if isinstance(model, TreeModel):
-        return model.geodesic(p, q)
-    total = model.distance(p, q).value
-    if total == 0.0:
-        return [p]
-    return [p] + [
-        _plane_point_at(model, p, q, total * k / (count - 1)) for k in range(1, count - 1)
-    ] + [q]
-
-
-# -- quasi-geodesics and orbit projection ---------------------------------------
-
-
-@dataclass(frozen=True)
-class QuasiGeodesicReport:
-    lam: float
-    eps: float
-    scale: Length
-    verdict: bool
-    pairs_tested: int
-
-
-def local_quasigeodesic_check(
-    action: Action,
-    f: GroupWord,
-    g: GroupWord,
-    a: int,
-    basepoint: Point,
-    periods: int,
-) -> QuasiGeodesicReport:
-    """Chordal quasi-geodesic quality of the broken path through
-    (f^a g)^j basepoint, |j| <= periods.
-
-    Reports the minimal epsilon at lambda = 1 such that
-    |s - t| - eps <= d(gamma(s), gamma(t)) over all vertex pairs of the
-    path, parameterized by cumulative distance.  A zero-progress path
-    (identity word) fails."""
-    model = action.model
-    step = f**a * g
-    iso = action.image(step)
-    inv = model.invert(iso)
-    vertices = [basepoint]
-    fwd = basepoint
-    back = basepoint
-    for _ in range(periods):
-        fwd = model.apply(iso, fwd)
-        vertices.append(fwd)
-        back = model.apply(inv, back)
-        vertices.insert(0, back)
-    scale = model.distance(vertices[0], vertices[1])
-    params = [0.0]
-    for i in range(1, len(vertices)):
-        params.append(params[-1] + model.distance(vertices[i - 1], vertices[i]).value)
-    if params[-1] == 0.0:
-        return QuasiGeodesicReport(1.0, math.inf, scale, False, 0)
-    eps = 0.0
-    pairs = 0
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            d = model.distance(vertices[i], vertices[j]).value
-            eps = max(eps, (params[j] - params[i]) - d)
-            pairs += 1
-    return QuasiGeodesicReport(1.0, eps, scale, True, pairs)
+# -- orbit projection -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -343,22 +220,3 @@ def orbit_projection(
     and the reverse-triangle defect; to project many points, build the
     orbit once with ``orbit_points`` and call ``project_to_orbit``."""
     return project_to_orbit(action.model, orbit_points(action, f, basepoint, orbit_range), z)
-
-
-def boundary_approach_profile(
-    action: Action,
-    g: GroupWord,
-    moving: BoundaryPoint,
-    target: BoundaryPoint,
-    base: Point,
-    powers: Sequence[int],
-) -> list[float]:
-    """<g^k moving | target>_base for each k: measures approach of the
-    translated fixed point toward the target (no convergence is claimed)."""
-    model = action.model
-    out = []
-    for k in powers:
-        img = action.image(g**k)
-        moved = model.boundary_apply(img, moving)
-        out.append(model.gromov_boundary_pair(moved, target, base))
-    return out

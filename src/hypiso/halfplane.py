@@ -197,10 +197,6 @@ class HalfPlaneModel(SpaceModel):
     def identity(self) -> Isometry:
         return self.isometry(Matrix2.identity())
 
-    def iso_equal(self, a: Isometry, b: Isometry) -> bool:
-        m, n = self.require_iso(a), self.require_iso(b)
-        return m == n or m == n.neg()
-
     # -- classification -----------------------------------------------------
 
     def tag(self, iso: Isometry) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Union
 
-from .errors import MixedModels, NotHyperbolic, ValidationError
+from .errors import MixedModels, ValidationError
 from .quadratic import QuadraticNumber
 
 ELLIPTIC = "elliptic"
@@ -79,7 +79,7 @@ class DeltaEstimate:
     """Max hyperbolicity defect over a tested sample (a lower bound on delta)."""
 
     delta: float
-    condition: str  # one of: slim, insize, four_point
+    condition: str  # insize or four_point
     sample_size: int
 
 
@@ -215,9 +215,6 @@ class SpaceModel:
             )
         return iso
 
-    def iso_equal(self, a: Isometry, b: Isometry) -> bool:
-        raise NotImplementedError
-
     def tag(self, iso: Isometry) -> str:
         """The exact tag of ``classify(iso)``, decided without building the
         class (no fixed points, lengths or orbit witnesses)."""
@@ -251,11 +248,3 @@ class SpaceModel:
         error raised) only when it is read.  The orbit advances one step per
         n, whether or not every value was read."""
         raise NotImplementedError
-
-
-def fixed_points(model: SpaceModel, iso: Isometry) -> tuple[BoundaryPoint, BoundaryPoint]:
-    """(attracting, repelling) boundary fixed points of a hyperbolic isometry."""
-    cls = model.classify(iso)
-    if not cls.is_hyperbolic:
-        raise NotHyperbolic(f"classify gave {cls.tag}")
-    return cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus

@@ -3,8 +3,8 @@
 Both models are exact.  Vertices are canonical labels (reduced words; for
 Bass-Serre trees, coset representatives plus a vertex type), and boundary
 points are eventually-periodic reduced rays (prefix, repeating word).
-``TreeModel`` derives the whole metric (distance, median, geodesic, root
-path, internal points) in integers from three hooks on vertex labels that
+``TreeModel`` derives the whole metric (distance, median, geodesic,
+internal points) in integers from three hooks on vertex labels that
 each model provides: ``_depth``, ``_meet_depth`` and ``_ancestor``.  The
 ball of any radius about the basepoint is walked on demand, and
 ``bfs_distance`` is an independent oracle: it recomputes distances by graph
@@ -86,9 +86,6 @@ class TreeModel(SpaceModel):
     def invert(self, iso: Isometry) -> Isometry:
         return self.isometry(self.invert_word(self.require_iso(iso)))
 
-    def iso_equal(self, a: Isometry, b: Isometry) -> bool:
-        return self.require_iso(a) == self.require_iso(b)
-
     def apply(self, iso: Isometry, x: Point) -> Point:
         return self.point(self._act(self.require_iso(iso), self.require_point(x)))
 
@@ -137,11 +134,6 @@ class TreeModel(SpaceModel):
 
     def gromov_exact(self, x: Point, y: Point, w: Point) -> Fraction:
         return Fraction(self._gromov(self.require_point(x), self.require_point(y), self.require_point(w)))
-
-    def root_path(self, p: Point) -> list[Point]:
-        """Vertices from the basepoint to p."""
-        v = self.require_point(p)
-        return [self.point(self._ancestor(v, k)) for k in range(self._depth(v) + 1)]
 
     def geodesic(self, x: Point, y: Point) -> list[Point]:
         u, v = self.require_point(x), self.require_point(y)

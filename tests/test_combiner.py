@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -27,9 +28,9 @@ from hypiso.combiner import (
 from hypiso.config import build_action_system, parse_config
 from hypiso.errors import HypothesisViolation, NotHyperbolic, ScheduleExhausted, WitnessNotHyperbolic
 from hypiso.halfplane import HalfPlaneModel, Matrix2
-from hypiso.records import class_invariant, record_for_certificate, verify_record
+from hypiso.records import class_invariant, parse_record, record_for_certificate, verify_record
 from hypiso.sampling import random_action_system
-from hypiso.trees import BassSerreModel
+from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import GroupWord
 
 
@@ -56,6 +57,10 @@ def _classes(system: ActionSystem, word: GroupWord, upto: int) -> tuple:
 
 def _class(system: ActionSystem, word: GroupWord, k: int):
     return system.actions[k].classify_word(word)
+
+
+def _images(system: ActionSystem, word: GroupWord, upto: int) -> tuple:
+    return tuple(system.actions[i].image(word) for i in range(upto + 1))
 
 
 def _running(system: ActionSystem, word: GroupWord, k: int) -> Certificate:
@@ -185,7 +190,7 @@ def test_independent_examples():
 def test_normalize_powers_plane_orders():
     system = worked_system()
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    f2, g2, prof = normalize_powers(system, f, g, _classes(system, f, 1), _class(system, g, 1))
+    f2, g2, prof = normalize_powers(system, f, g, _classes(system, f, 1), _images(system, g, 1))
     assert prof.p == 2  # rho_2(f) is the projective order-2 rotation
     assert prof.q == 2  # rho_1(g) likewise
     assert f2 == GroupWord.parse("f^2")
@@ -199,7 +204,7 @@ def test_normalize_powers_all_hyperbolic():
     )
     system = ActionSystem(("f", "g"), [act], [GroupWord.parse("f")])
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    f2, g2, prof = normalize_powers(system, f, g, _classes(system, f, 0), _class(system, g, 0))
+    f2, g2, prof = normalize_powers(system, f, g, _classes(system, f, 0), _images(system, g, 0))
     assert prof.p == 1 and prof.q == 1
 
 
@@ -210,7 +215,7 @@ def test_normalize_powers_bass_serre_order_3():
     act2 = Action("p", plane, {"f": plane.matrix(2, 1, 1, 1), "g": plane.matrix(2, 1, 1, 1)})
     system = ActionSystem(("f", "g"), [act, act2], [GroupWord.parse("f"), GroupWord.parse("g")])
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    _, g2, prof = normalize_powers(system, f, g, _classes(system, f, 1), _class(system, g, 1))
+    _, g2, prof = normalize_powers(system, f, g, _classes(system, f, 1), _images(system, g, 1))
     assert prof.q == 3  # elliptic image t has order 3
     assert g2 == GroupWord.parse("g^3")
 
@@ -220,7 +225,7 @@ def test_normalize_powers_preserves_hyperbolic_data():
     # the same boundary fixed points
     system = three_action_system()
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    f2, g2, prof = normalize_powers(system, f, g, _classes(system, f, 2), _class(system, g, 2))
+    f2, g2, prof = normalize_powers(system, f, g, _classes(system, f, 2), _images(system, g, 2))
     for i, action in enumerate(system.actions):
         cls = action.classify_word(f)
         if not cls.is_hyperbolic:
@@ -245,7 +250,7 @@ def test_profile_partition_tags():
     act3 = Action("stage", p3, {"f": p3.matrix(0, -1, 1, 0), "g": p3.matrix(2, 1, 1, 1)})
     system = ActionSystem(("f", "g"), [act1, act2, act3])
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    _, _, prof = normalize_powers(system, f, g, _classes(system, f, 2), _class(system, g, 2))
+    _, _, prof = normalize_powers(system, f, g, _classes(system, f, 2), _images(system, g, 2))
     tags = {e.action_name: e.partition for e in prof.entries}
     assert tags["h-prime"] == "H'"
     assert tags["h-dep"] == "H"
@@ -325,9 +330,9 @@ def test_simultaneous_monotone_stages():
         if record.trivial:
             assert record.profile is None
         else:
-            g, g_class = resolve_witness(system, record.stage)
+            g, _ = resolve_witness(system, record.stage)
             f2, g2, profile = normalize_powers(
-                system, f, g, _classes(system, f, record.stage), g_class
+                system, f, g, _classes(system, f, record.stage), _images(system, g, record.stage)
             )
             assert record.profile == profile
             assert (record.p, record.q) == (profile.p, profile.q)
@@ -453,24 +458,36 @@ def test_combine_step_rejects_non_hyperbolic_g():
 
 def test_search_classifies_each_word_once_per_action(monkeypatch):
     # each stage extends the previous stage's certificate, resolves its
-    # witness only when it needs one, and takes the witness's class from
-    # resolve_witness, so no word is classified twice in one action,
-    # witnesses included
-    classified = Counter()
-    original_classify = Action.classify_word
+    # witness only when it needs one, images the witness once per action
+    # and classifies and tests that one image, so no word is imaged twice
+    # in one action, witnesses included.  Stage 0 classifies its witness;
+    # stage k classifies f in action k and, when it searches, g and the
+    # certified candidate in actions 0..k, each once.
+    classified, imaged = Counter(), Counter()
+    original_image = Action.image
 
-    def counted_classify(self, word):
-        classified[(id(self), word)] += 1
-        return original_classify(self, word)
+    def counted_image(self, word):
+        imaged[(id(self), word)] += 1
+        return original_image(self, word)
 
-    monkeypatch.setattr(Action, "classify_word", counted_classify)
+    for model_class in (HalfPlaneModel, BassSerreModel, CayleyTreeModel):
+
+        def counted_classify(self, iso, original=model_class.classify):
+            classified[id(self)] += 1
+            return original(self, iso)
+
+        monkeypatch.setattr(model_class, "classify", counted_classify)
+    monkeypatch.setattr(Action, "image", counted_image)
     systems = [build_action_system(parse_config((CONFIGS / "three_action.cfg").read_text()))]
     systems += [random_action_system(seed) for seed in range(20)]
     for system in systems:
         classified.clear()
-        simultaneous_hyperbolic(system, SearchSchedule(32))
-        repeated = [w for (_, w), n in classified.items() if n > 1]
-        assert repeated == []
+        imaged.clear()
+        cert = simultaneous_hyperbolic(system, SearchSchedule(32))
+        stages = cert.stages[1:]
+        expected = 1 + sum(1 + (0 if r.trivial else 2 * (r.stage + 1)) for r in stages)
+        assert sum(classified.values()) == expected
+        assert [w for (_, w), n in imaged.items() if n > 1] == []
 
 
 # -- the images a certificate keeps ----------------------------------------------
@@ -540,3 +557,62 @@ def test_certificate_images_on_chain_systems(system):
         return  # a parabolic f or g, or no pair in the small schedule: nothing certified
     assert_images_are_the_word_images(system, cert)
     assert verify_certificate(system, cert)
+
+
+# -- equivariance: conjugating the plane images changes no decision --------------
+
+
+def _conjugator(rng: random.Random) -> tuple[Fraction, ...]:
+    """The entries of a det-1 rational h with denominators up to 9."""
+    while True:
+        a, b, c = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+        if a and ((1 + b * c) / a).denominator <= 9 and (abs(a), b, c) != (1, 0, 0):
+            return a, b, c, (1 + b * c) / a
+
+
+def _conjugated(system: ActionSystem, h_entries) -> ActionSystem:
+    """The system with every plane image M replaced by h M h^-1."""
+    actions = []
+    for action in system.actions:
+        model = action.model
+        if isinstance(model, HalfPlaneModel):
+            h = model.matrix(*h_entries)
+            conj = {g: model.compose(model.compose(h, m), model.invert(h)) for g, m in action.images.items()}
+            action = Action(action.name, model, conj)
+        actions.append(action)
+    return ActionSystem(system.generators, actions, system.witnesses)
+
+
+def test_search_is_invariant_under_plane_conjugation():
+    # every decision of the search (tags, the fixes test, fixed-point
+    # equality) commutes with an isometry h of the plane: only the fixed
+    # points move, to h of the originals.  The last system has parabolic
+    # words of length 2, so a failed trial and hypothesis violations.
+    p1, p2 = HalfPlaneModel(), HalfPlaneModel()
+    one = Action("one", p1, {"f": p1.matrix(2, 1, 1, 1), "g": p1.matrix(1, 5, -1, -4)})
+    two = Action("two", p2, {"f": p2.matrix(0, -1, 1, Fraction(1, 2)), "g": p2.matrix(2, 1, 1, 1)})
+    systems = [build_action_system(parse_config((CONFIGS / "three_action.cfg").read_text()))]
+    systems += [random_action_system(seed) for seed in range(20)]
+    systems += [ActionSystem(("f", "g"), [one, two], [GroupWord.parse("f"), GroupWord.parse("g")])]
+    for seed, system in enumerate(systems):
+        h_entries = _conjugator(random.Random(seed))
+        conj = _conjugated(system, h_entries)
+        cert = simultaneous_hyperbolic(system, SearchSchedule(32))
+        cert_h = simultaneous_hyperbolic(conj, SearchSchedule(32))
+        assert cert_h.word == cert.word
+        assert cert_h.stages == cert.stages  # a, b, p, q, index, tried, trivial, partitions
+        assert check_hypotheses(conj, 4).violations == check_hypotheses(system, 4).violations
+        for action, action_h, cls, cls_h in zip(system.actions, conj.actions, cert.per_action, cert_h.per_action):
+            model = action.model
+            pairs = [(cls, cls_h)] + [
+                (model.classify(action.images[g]), model.classify(action_h.images[g])) for g in system.generators
+            ]
+            for c, c_h in pairs:
+                assert (c_h.tag, class_invariant(c_h)) == (c.tag, class_invariant(c))
+                if isinstance(model, HalfPlaneModel) and c.is_hyperbolic:
+                    h = model.matrix(*h_entries)
+                    ends = (c.hyperbolic.fixed_plus, c.hyperbolic.fixed_minus)
+                    ends_h = (c_h.hyperbolic.fixed_plus, c_h.hyperbolic.fixed_minus)
+                    assert all(model.boundary_equal(e_h, model.boundary_apply(h, e)) for e, e_h in zip(ends, ends_h))
+        record = record_for_certificate("combine", conj, cert_h, [])
+        assert verify_record(conj, parse_record(record.emit())) == (True, [])

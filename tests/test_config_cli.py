@@ -8,7 +8,7 @@ import pytest
 from hypiso import cli, combiner, dynamics
 from hypiso.actions import Action, ActionSystem
 from hypiso.cli import MAX_ORBIT_DEPTH, MAX_SAMPLE_POINTS, main
-from hypiso.config import WORKED_EXAMPLE, parse_config
+from hypiso.config import parse_config
 from hypiso.errors import ParseError, ValidationError
 from hypiso.halfplane import HalfPlaneModel
 from hypiso.models import MAX_ISOMETRY_SIZE
@@ -17,6 +17,7 @@ from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 from hypiso.words import GroupWord
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+WORKED_EXAMPLE = (CONFIGS / "worked_example.cfg").read_text()
 
 THREE_ACTION = """hypiso-config v1
 generators f g
@@ -350,15 +351,15 @@ def test_word_sample_depth_9_under_cap(monkeypatch):
 @pytest.mark.parametrize("command", ["combine", "report"])
 def test_each_word_classified_once_per_action(capsys, monkeypatch, command):
     # the hypothesis check only tags the claimed witnesses; the search
-    # classifies each of them, and each candidate, once
+    # classifies the image of each of them, and of each candidate, once
     seen = Counter()
-    original = Action.classify_word
+    for model_class in (HalfPlaneModel, BassSerreModel, CayleyTreeModel):
 
-    def counted(self, word):
-        seen[self.name, word.display()] += 1
-        return original(self, word)
+        def counted(self, iso, original=model_class.classify):
+            seen[id(self), iso.payload] += 1
+            return original(self, iso)
 
-    monkeypatch.setattr(Action, "classify_word", counted)
+        monkeypatch.setattr(model_class, "classify", counted)
     assert main([command, "--input", str(CONFIGS / "three_action.cfg")]) == 0
     capsys.readouterr()
     assert seen and [pair for pair, n in seen.items() if n > 1] == []

@@ -5,21 +5,17 @@ import pytest
 from hypiso.actions import Action
 from hypiso.dynamics import (
     NeighborhoodSpec,
-    boundary_approach_profile,
+    _plane_point_at,
     contains_point,
     estimate_delta_insize,
-    estimate_delta_slim,
     internal_points,
-    local_quasigeodesic_check,
     neighborhoods_disjoint,
     ns_dynamics_check,
     orbit_projection,
-    separation_check,
 )
 from hypiso.errors import DegenerateTriangle, NoPassingN, NotHyperbolic
 from hypiso.geometry import estimate_delta_four_point, gromov_product
 from hypiso.halfplane import HalfPlaneModel
-from hypiso.models import fixed_points
 from hypiso.combiner import resolve_witness
 from hypiso.sampling import (
     random_action_system,
@@ -31,6 +27,8 @@ from hypiso.sampling import (
 )
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import GroupWord
+
+from reference import separation_witnesses
 
 
 @pytest.fixture
@@ -214,7 +212,7 @@ def test_separation_identity(plane):
     cls = plane.classify(D)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
     sample = sample_plane_points(plane, 20, rng_from_seed(2))
-    assert separation_check(act, GroupWord.identity(), u_plus, u_minus, sample).ok
+    assert not separation_witnesses(act, GroupWord.identity(), u_plus, u_minus, sample)
 
 
 def test_separation_rotation_violates(plane):
@@ -227,10 +225,9 @@ def test_separation_rotation_violates(plane):
     sample = [plane.point_xy(0, Fraction(k)) for k in (8, 16, 64)] + [
         plane.point_xy(Fraction(1, 10), 32)
     ]
-    res = separation_check(act, GroupWord.parse("r"), u_plus, u_minus, sample)
-    assert not res.ok
-    assert res.witness is not None
-    assert contains_point(plane, u_plus, res.witness)
+    witnesses = separation_witnesses(act, GroupWord.parse("r"), u_plus, u_minus, sample)
+    assert witnesses
+    assert contains_point(plane, u_plus, witnesses[0])
 
 
 def test_separation_high_power_independent(plane):
@@ -245,7 +242,7 @@ def test_separation_high_power_independent(plane):
     sample = sample_plane_points(plane, 25, rng_from_seed(3))
     n = ns_dynamics_check(act, GroupWord.parse("g"), v_plus, v_minus, sample, 64)
     for k in range(n, n + 4):
-        assert separation_check(act, GroupWord.parse(f"g^{k}"), u_plus, u_minus, sample).ok
+        assert not separation_witnesses(act, GroupWord.parse(f"g^{k}"), u_plus, u_minus, sample)
 
 
 def test_neighborhoods_disjoint(plane):
@@ -284,6 +281,25 @@ def test_internal_points_degenerate(plane):
         internal_points(plane, x, x, y)
 
 
+def _slim_delta(plane, triangles, samples_per_side: int) -> float:
+    """Max over sampled points of each side of the distance to the other two
+    sides, each side sampled at equal steps, ends included."""
+
+    def side(p, q):
+        total = plane.distance(p, q).value
+        steps = range(1, samples_per_side - 1)
+        return [p] + [_plane_point_at(plane, p, q, total * k / (samples_per_side - 1)) for k in steps] + [q]
+
+    worst = 0.0
+    for x, y, z in triangles:
+        sides = (side(y, z), side(z, x), side(x, y))
+        for i in range(3):
+            others = sides[(i + 1) % 3] + sides[(i + 2) % 3]
+            for pt in sides[i]:
+                worst = max(worst, min(plane.distance(pt, q).value for q in others))
+    return worst
+
+
 def test_insize_within_slim_estimate(plane):
     # The slim estimate is taken on ideal-triangle approximants (whose
     # slimness witnesses the space constant ln(1+sqrt 2)); the sampled
@@ -305,39 +321,7 @@ def test_insize_within_slim_estimate(plane):
         (plane.point_xy(0, Fraction(1, 50)), plane.point_xy(1, Fraction(1, 50)), plane.point_xy(0, 50)),
         (plane.point_xy(0, Fraction(1, 200)), plane.point_xy(1, Fraction(1, 200)), plane.point_xy(0, 200)),
     ]
-    slim_est = estimate_delta_slim(plane, witnesses, 100)
-    assert insize_est.delta <= slim_est.delta + 2**-10
-
-
-def test_quasigeodesic_worked_word(plane):
-    R = plane.matrix(0, -1, 1, 0)
-    F = plane.matrix(2, 1, 1, 1)
-    act = Action("p1", plane, {"f": F, "g": R})
-    rep = local_quasigeodesic_check(
-        act, GroupWord.parse("f^2"), GroupWord.parse("g^2"), 1, plane.basepoint, 4
-    )
-    assert rep.verdict
-    assert rep.lam == 1.0
-    assert rep.eps < 2.0
-    assert rep.scale.value > 0
-
-
-def test_quasigeodesic_identity_fails(plane):
-    act = Action("p", plane, {"f": plane.matrix(2, 1, 1, 1)})
-    rep = local_quasigeodesic_check(
-        act, GroupWord.identity(), GroupWord.identity(), 1, plane.basepoint, 3
-    )
-    assert not rep.verdict
-
-
-def test_quasigeodesic_large_translation_close_to_geodesic(plane):
-    F = plane.matrix(2, 1, 1, 1)
-    act = Action("p", plane, {"f": F, "g": F})
-    rep = local_quasigeodesic_check(
-        act, GroupWord.parse("f^3"), GroupWord.parse("f"), 1, plane.basepoint, 4
-    )
-    # f^4: single hyperbolic with large tau: nearly additive parameters
-    assert rep.verdict and rep.eps <= 0.5
+    assert insize_est.delta <= _slim_delta(plane, witnesses, 100) + 2**-10
 
 
 def test_orbit_projection_basepoint(plane):
@@ -413,25 +397,11 @@ def test_prop41_final_clause_family(plane):
     sample = sample_plane_points(plane, 25, rng_from_seed(9))
     act = Action("p", plane, {"f": F, "e": plane.matrix(0, -1, 1, 0)})
     for k in range(0, 6):
-        assert separation_check(act, GroupWord.identity() ** k, u_plus, u_minus, sample).ok
+        assert not separation_witnesses(act, GroupWord.identity() ** k, u_plus, u_minus, sample)
     # far-away rotation: conjugate the order-2 rotation by a large shear
     h = plane.matrix(1, 30, 0, 1)
     far = plane.compose(plane.compose(h, plane.matrix(0, -1, 1, 0)), plane.invert(h))
     act_far = Action("p", plane, {"f": F, "e": plane.isometry(far.payload)})
     for k in range(1, 7):
-        assert separation_check(act_far, GroupWord.parse(f"e^{k}"), u_plus, u_minus, sample).ok
+        assert not separation_witnesses(act_far, GroupWord.parse(f"e^{k}"), u_plus, u_minus, sample)
 
-
-def test_boundary_approach_profile(plane):
-    # measurement only: translating f's attracting point by powers of an
-    # independent hyperbolic g drives it toward g's attracting point
-    F = plane.matrix(2, 1, 1, 1)
-    D = plane.matrix(2, 0, 0, Fraction(1, 2))
-    act = Action("p", plane, {"f": F, "g": D})
-    a_plus, _ = fixed_points(plane, F)
-    g_plus, _ = fixed_points(plane, D)
-    values = boundary_approach_profile(
-        act, GroupWord.parse("g"), a_plus, g_plus, plane.basepoint, [1, 2, 4, 8]
-    )
-    assert all(values[i] <= values[i + 1] + 1e-9 for i in range(len(values) - 1))
-    assert values[-1] > values[0]

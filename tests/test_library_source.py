@@ -10,7 +10,8 @@ import pytest
 
 from hypiso.quadratic import QuadraticNumber
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 SOURCES = sorted((SRC / "hypiso").glob("*.py"))
 
 
@@ -30,6 +31,57 @@ def test_every_export_resolves():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "", f"unresolved exports: {result.stdout.strip()}"
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, first line, last line) of each public module-level function,
+    class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node.lineno, node.end_lineno
+
+
+def _references(tree: ast.Module):
+    """(name, line) of every name, attribute and string constant: the
+    benchmark's tracer names the functions it wraps by string."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.id, n.lineno
+        elif isinstance(n, ast.Attribute):
+            yield n.attr, n.lineno
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value, n.lineno
+
+
+def test_every_public_name_is_used():
+    # no public name that nothing runs: each public module-level name of
+    # the library is referenced, outside its own definition, by the library,
+    # the scripts or the benchmark (the export map in __init__ is not a use;
+    # sampling.py serves the test suites and is exempt)
+    users = [p for p in SOURCES if p.name != "__init__.py"]
+    users += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in users}
+    references = {path: list(_references(tree)) for path, tree in trees.items()}
+    unused = []
+    for path in SOURCES:
+        if path.name in ("__init__.py", "sampling.py"):
+            continue
+        for name, first, last in _public_definitions(trees[path]):
+            if not any(
+                ref == name and not (user == path and first <= line <= last)
+                for user, refs in references.items()
+                for ref, line in refs
+            ):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == [], f"public names nothing uses: {unused}"
 
 
 def _images_reads(node: ast.AST) -> list[int]:
