@@ -239,13 +239,14 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Res
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     rows, lines = [], []
     for i, action in enumerate(system.actions):
-        witness, cls = resolve_witness(system, i)
+        _, image = resolve_witness(system, i)  # the witness's image, read by every check
+        cls = action.model.classify(image)
         sample = _sample(action, settings["seed"], 24, min(3, radii[i]))
         if "ns" in checks:
             spec_plus = dyn.NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, action.model.basepoint)
             spec_minus = dyn.NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, action.model.basepoint)
             try:
-                n = dyn.ns_dynamics_check(action, witness, spec_plus, spec_minus, sample, depth)
+                n = dyn.ns_dynamics_check(action, image, spec_plus, spec_minus, sample, depth)
                 rows.append((str(i), action.name, "ns", f"N={n}"))
                 lines.append(f"ns {i} {action.name} N {n}")
             except (NoPassingN, ValueError) as exc:
@@ -264,7 +265,7 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Res
             rows.append((str(i), action.name, "insize", f"{est.delta:.6f} over {est.sample_size}"))
             lines.append(f"insize {i} {action.name} approx~ {est.delta:.9f} n {est.sample_size}")
         if "projection" in checks:
-            orbit = dyn.orbit_points(action, witness, action.model.basepoint, 8)
+            orbit = dyn.orbit_points(action, image, action.model.basepoint, 8)
             worst = max([0.0] + [dyn.project_to_orbit(action.model, orbit, z).defect for z in sample[:10]])
             rows.append((str(i), action.name, "projection", f"max defect {worst:.6f}"))
             lines.append(f"projection {i} {action.name} approx~ {worst:.9f}")

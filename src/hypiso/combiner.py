@@ -101,7 +101,8 @@ class Certificate:
 WITNESS_SEARCH_DEPTH = 4
 
 # check_hypotheses tags at most this many (word, action) pairs: depth 9 on
-# configs/three_action.cfg is 39,364 words in 3 actions, about 4 s
+# configs/three_action.cfg is 39,364 words in 3 actions, about 0.03 s
+# (Python 3.11.7, 2 cores)
 MAX_HYPOTHESIS_PAIRS = 250_000
 
 
@@ -113,13 +114,17 @@ class HypothesisReport:
 
 
 def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> HypothesisReport:
-    """Tag every word up to the given length in every action.
+    """Tag every reduced word up to the given length in every action.
 
-    One walk of the word tree per action, each word decided by its exact
-    tag.  Fails (listing the offenders) when any tag is a hypothesis
-    violation; raises WitnessNotHyperbolic when a claimed witness's tag is
-    not hyperbolic.  Raises ValidationError before any walk when the
-    words times the actions (at least one) exceed MAX_HYPOTHESIS_PAIRS.
+    Each action's model lists its words whose tag is a hypothesis violation
+    (``SpaceModel.parabolic_words``, given the images of the one-letter
+    words of ``ActionSystem.steps``): the plane tags each level of the word
+    tree at once, and a tree action has none, since a tree automorphism is
+    never parabolic.  Fails (listing the offenders, in the order of
+    ``ActionSystem.walk``) when there is any; raises WitnessNotHyperbolic
+    when a claimed witness's tag is not hyperbolic.  Raises ValidationError
+    before any walk when the words times the actions (at least one) exceed
+    MAX_HYPOTHESIS_PAIRS.
     """
     # reduced words of length n: any of the r letters, then any but the inverse
     r = 2 * len(system.generators)
@@ -134,9 +139,9 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
             )
     violations: list[tuple[GroupWord, int]] = []
     for i, action in enumerate(system.actions):
-        for letters, image in system.walk(action, word_sample_depth):
-            if action.model.tag(image) == HYPOTHESIS_VIOLATION:
-                violations.append((GroupWord(letters), i))
+        letters, images = zip(*system.steps(action))
+        for path in action.model.parabolic_words(list(images), word_sample_depth):
+            violations.append((GroupWord(tuple(letters[j] for j in path)), i))
     for i, witness in enumerate(system.witnesses):
         if witness is None:
             continue
@@ -266,7 +271,7 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
             search_stats=SearchStats(candidates_tried=0, stages=1),
         )
 
-    g, g_image = _witness(system, k)
+    g, g_image = resolve_witness(system, k)
     g_images = tuple(action.image(g) for action in system.actions[:k]) + (g_image,)
     f2, g2, profile = normalize_powers(system, f, g, f_classes, g_images)
     bases = [
@@ -301,16 +306,10 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
     raise ScheduleExhausted(k, trials)
 
 
-def resolve_witness(system: ActionSystem, k: int) -> tuple[GroupWord, IsometryClass]:
+def resolve_witness(system: ActionSystem, k: int) -> tuple[GroupWord, Isometry]:
     """The claimed witness for action k, verified; else the first word (in
     the walk's order, up to length WITNESS_SEARCH_DEPTH) whose tag is
-    hyperbolic.  Returned with its class."""
-    word, image = _witness(system, k)
-    return word, system.actions[k].model.classify(image)
-
-
-def _witness(system: ActionSystem, k: int) -> tuple[GroupWord, Isometry]:
-    """resolve_witness's word, with its image in action k."""
+    hyperbolic.  Returned with its image in action k."""
     action = system.actions[k]
     claimed = system.witnesses[k]
     if claimed is not None:
@@ -333,7 +332,7 @@ def simultaneous_hyperbolic(system: ActionSystem, schedule: SearchSchedule) -> C
     system + schedule.  The returned certificate covers every action and
     re-verifies from scratch.
     """
-    f, image = _witness(system, 0)
+    f, image = resolve_witness(system, 0)
     running = Certificate(
         word=f,
         stages=(StageRecord(0, system.actions[0].name),),

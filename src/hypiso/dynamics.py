@@ -27,9 +27,8 @@ from .actions import Action
 from .errors import DegenerateTriangle, NoPassingN, NotHyperbolic
 from .geometry import gromov_product
 from .halfplane import HalfPlaneModel
-from .models import HYPERBOLIC, BoundaryPoint, DeltaEstimate, Length, Point, SpaceModel
+from .models import HYPERBOLIC, BoundaryPoint, DeltaEstimate, Isometry, Length, Point, SpaceModel
 from .trees import TreeModel
-from .words import GroupWord
 
 
 @dataclass(frozen=True)
@@ -64,20 +63,20 @@ def neighborhoods_disjoint(
 
 def ns_dynamics_check(
     action: Action,
-    word: GroupWord,
+    g: Isometry,
     u_plus: NeighborhoodSpec,
     u_minus: NeighborhoodSpec,
     sample: Sequence[Point],
     n_max: int,
 ) -> int:
-    """Least N <= n_max with g^n(sample - U-) inside U+ for all N <= n <= n_max.
+    """Least N <= n_max with g^n(sample - U-) inside U+ for all N <= n <= n_max,
+    for g the image of a word in the action.
 
     Every step of every orbit is tested; a step stops at its first point
     outside U+.  The orbits and their Gromov products come from the model's
     ``orbit_boundary_products``: integer matrices on the plane, integer meet
     depths against one truncated ray on trees."""
     model = action.model
-    g = action.image(word)
     tag = model.tag(g)
     if tag != HYPERBOLIC:
         raise NotHyperbolic(f"word is {tag} in action {action.name!r}")
@@ -163,11 +162,10 @@ class OrbitProjection:
     defect: float
 
 
-def orbit_points(action: Action, f: GroupWord, basepoint: Point, orbit_range: int) -> dict[int, Point]:
-    """The orbit {f^n basepoint : |n| <= orbit_range} of a word hyperbolic
-    in the action, keyed by n."""
+def orbit_points(action: Action, iso: Isometry, basepoint: Point, orbit_range: int) -> dict[int, Point]:
+    """The orbit {f^n basepoint : |n| <= orbit_range} of the image iso of a
+    word f hyperbolic in the action, keyed by n."""
     model = action.model
-    iso = action.image(f)
     tag = model.tag(iso)
     if tag != HYPERBOLIC:
         raise NotHyperbolic(f"f is {tag} in action {action.name!r}")
@@ -214,9 +212,10 @@ def project_to_orbit(model: SpaceModel, points: dict[int, Point], z: Point) -> O
 
 
 def orbit_projection(
-    action: Action, f: GroupWord, basepoint: Point, z: Point, orbit_range: int
+    action: Action, iso: Isometry, basepoint: Point, z: Point, orbit_range: int
 ) -> OrbitProjection:
     """Nearest-point projection of z to the orbit {f^n basepoint, |n| <= range}
-    and the reverse-triangle defect; to project many points, build the
-    orbit once with ``orbit_points`` and call ``project_to_orbit``."""
-    return project_to_orbit(action.model, orbit_points(action, f, basepoint, orbit_range), z)
+    of the image iso of f, and the reverse-triangle defect; to project many
+    points, build the orbit once with ``orbit_points`` and call
+    ``project_to_orbit``."""
+    return project_to_orbit(action.model, orbit_points(action, iso, basepoint, orbit_range), z)

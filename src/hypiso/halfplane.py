@@ -16,7 +16,15 @@ orbit and the boundary action read a, b, c, d, s; tr = (a + d)/s:
   |tr| < 2  elliptic.  By Niven's theorem a rational trace has finite order
             only for |a+d| in {0, s} (orders 2 and 3), and the orbit of i is
             then equilateral, of cosh diameter (a^2+b^2+c^2+d^2)/2s^2 (Beardon,
-            The Geometry of Discrete Groups, 7.2); else the fixed point is exact"""
+            The Geometry of Discrete Groups, 7.2); else the fixed point is exact
+
+The hypothesis check's tag of every reduced word up to a length
+(parabolic_words) runs one level of the word tree at a time on numpy
+arrays, each matrix its parent's times one step with no gcd: both tests
+read |a + d| against 2s and "b = c = 0, a = d", which scaling keeps.  The
+arrays are int64 while every entry of the level and of the steps is below
+2^30, so that a product of two fits in 62 bits, and Python ints (dtype
+object) from the level past that."""
 
 from __future__ import annotations
 
@@ -38,6 +46,9 @@ from .models import (
 from .quadratic import QuadraticNumber, acosh_fraction
 
 HALF_PLANE_ID = "half_plane"
+
+# parabolic_words multiplies in int64 while every entry is below this
+_INT64_BOUND = 2**30
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,6 +218,44 @@ class HalfPlaneModel(SpaceModel):
         if at > two:
             return HYPERBOLIC
         return HYPOTHESIS_VIOLATION if at == two else ELLIPTIC
+
+    def parabolic_words(self, steps: list[Isometry], depth: int) -> tuple[tuple[int, ...], ...]:
+        """``tag`` on every reduced word up to depth (see SpaceModel), one
+        level at a time as the rows a, b, c, d, s of its unreduced matrices
+        (see the module docstring).  Each level keeps its words' parents and
+        last steps, from which the paths of the failing words are rebuilt."""
+        import numpy as np  # here, so that loading the checker loads no numpy
+
+        rows = [(m.a, m.b, m.c, m.d, m.s) for m in map(self.require_iso, steps)]
+        small = all(abs(x) < _INT64_BOUND for row in rows for x in row)
+        table = np.array(rows, dtype=np.int64 if small else object).T
+        r = len(rows)
+        inv = np.arange(r) ^ 1
+        level, last = table, np.arange(r)
+        parents, lasts, found = [], [last], []
+        for n in range(depth):
+            if n:
+                parent = np.repeat(np.arange(len(last)), r)
+                step = np.tile(np.arange(r), len(last))
+                keep = step != inv[last[parent]]
+                parent, last = parent[keep], step[keep]
+                a, b, c, d, s = level[:, parent]
+                ea, eb, ec, ed, es = table[:, last]
+                level = np.array([a * ea + b * ec, a * eb + b * ed, c * ea + d * ec, c * eb + d * ed, s * es])
+                parents.append(parent)
+                lasts.append(last)
+            if table.dtype != object and np.abs(level).max() >= _INT64_BOUND:
+                level, table = level.astype(object), table.astype(object)
+            a, b, c, d, s = level
+            bad = (abs(a + d) == 2 * s) & ((b != 0) | (c != 0) | (a != d))
+            for j in np.flatnonzero(bad):
+                path = []
+                for k in range(n, -1, -1):
+                    path.append(int(lasts[k][j]))
+                    if k:
+                        j = parents[k - 1][j]
+                found.append(tuple(reversed(path)))
+        return tuple(found)
 
     def classify(self, iso: Isometry) -> IsometryClass:
         tag = self.tag(iso)

@@ -220,6 +220,14 @@ class SpaceModel:
         class (no fixed points, lengths or orbit witnesses)."""
         raise NotImplementedError
 
+    def parabolic_words(self, steps: list[Isometry], depth: int) -> tuple[tuple[int, ...], ...]:
+        """The freely reduced words up to the given length whose tag is
+        HYPOTHESIS_VIOLATION, as paths of indices into ``steps``, in the
+        order of ``ActionSystem.walk``: level by level, then parent, then
+        step.  ``steps`` are the images of the walk's one-letter words, so
+        step j ^ 1 is the inverse of step j."""
+        raise NotImplementedError
+
     def classify(self, iso: Isometry) -> IsometryClass:
         raise NotImplementedError
 

@@ -92,6 +92,14 @@ class TreeModel(SpaceModel):
     def tag(self, iso: Isometry) -> str:
         return self.core_tag(self.cyclic_reduce(self.require_iso(iso))[1])
 
+    def parabolic_words(self, steps: list[Isometry], depth: int) -> tuple:
+        """None: an automorphism of a tree without inversions is elliptic or
+        hyperbolic, never parabolic (Serre, *Trees*, ch. I §6.4;
+        Culler-Morgan 1987, §1).  Neither model inverts an edge: the
+        Bass-Serre action keeps the two vertex types, and an inversion's
+        square would fix a vertex, which in a free group only 1 does."""
+        return ()
+
     def _hyperbolic(self, u: tuple, v: tuple) -> IsometryClass:
         """The class of u . v . u^-1 for cyclically reduced v that is not
         conjugate into a vertex stabilizer: translation length |v|, axis

@@ -326,7 +326,7 @@ def test_acceptance_north_south():
             act = Action(name, model, {"x": iso})
             u_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, model.basepoint)
             u_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, model.basepoint)
-            n = ns_dynamics_check(act, GroupWord.generator("x"), u_plus, u_minus, sample, 64)
+            n = ns_dynamics_check(act, iso, u_plus, u_minus, sample, 64)
             assert 1 <= n <= 64
             found.append(n)
         worst[name] = max(found)
@@ -391,7 +391,7 @@ def _prop42_construction(model, act, wf, wg, cls_f, cls_g, base_sample):
         cur = model.apply(f_img, cur)
         deep.append(cur)
     sample = list(base_sample) + deep
-    n_sample = ns_dynamics_check(act, wg, v_plus, v_minus, sample, 64)
+    n_sample = ns_dynamics_check(act, act.image(wg), v_plus, v_minus, sample, 64)
     # boundary bound: g^m A+ must have entered V+ and stay there
     n_center = 1
     for m in range(1, 65):

@@ -616,3 +616,66 @@ def test_search_is_invariant_under_plane_conjugation():
                     assert all(model.boundary_equal(e_h, model.boundary_apply(h, e)) for e, e_h in zip(ends, ends_h))
         record = record_for_certificate("combine", conj, cert_h, [])
         assert verify_record(conj, parse_record(record.emit())) == (True, [])
+
+
+# -- the plane's batched hypothesis check against the walk -----------------------
+
+
+def _walked_parabolic_paths(system: ActionSystem, action: Action, depth: int) -> tuple:
+    """The oracle: the walk's words whose tag is a violation, as step paths."""
+    index = {letter: j for j, (letter, _) in enumerate(system.steps(action))}
+    return tuple(
+        tuple(index[letter] for letter in letters)
+        for letters, image in system.walk(action, depth)
+        if action.model.tag(image) == "hypothesis_violation"
+    )
+
+
+def _assert_batched_walk_matches(system: ActionSystem, depths) -> int:
+    """parabolic_words against the walk on each plane action; the number of
+    violations found at the deepest depth."""
+    found = 0
+    for action in system.actions:
+        if not isinstance(action.model, HalfPlaneModel):
+            continue
+        steps = [image for _, image in system.steps(action)]
+        walked = _walked_parabolic_paths(system, action, max(depths))
+        for depth in depths:
+            expected = tuple(path for path in walked if len(path) <= depth)
+            assert action.model.parabolic_words(steps, depth) == expected
+        found += len(walked)
+    return found
+
+
+def test_batched_parabolic_words_match_the_walk():
+    found = 0
+    for seed in range(60):
+        found += _assert_batched_walk_matches(random_action_system(seed), (4, 5, 6))
+    p1, p2 = HalfPlaneModel(), HalfPlaneModel()
+    one = Action("one", p1, {"f": p1.matrix(2, 1, 1, 1), "g": p1.matrix(1, 5, -1, -4)})
+    two = Action("two", p2, {"f": p2.matrix(0, -1, 1, Fraction(1, 2)), "g": p2.matrix(2, 1, 1, 1)})
+    systems = [random_action_system(seed) for seed in range(20)]
+    systems += [ActionSystem(("f", "g"), [one, two])]
+    for seed, system in enumerate(systems):
+        found += _assert_batched_walk_matches(_conjugated(system, _conjugator(random.Random(seed))), (5,))
+    assert found >= 60  # violations at every depth, past the sampler's 3
+
+
+def test_batched_parabolic_words_past_int64():
+    plane = HalfPlaneModel()
+    # f = z -> z + 1/s with 2^31 < s < 2^32: the steps are Python ints from
+    # the first level, and f f, before any gcd, has s^2 > 2^63
+    s = 3_500_000_017
+    big = ActionSystem(("f", "g"), [Action("big", plane, {"f": plane.matrix(1, Fraction(1, s), 0, 1),
+                                                          "g": plane.matrix(2, 1, 1, 1)})])
+    assert max(plane.size(image) for _, image in big.steps(big.actions[0])) > 30
+    # f = z -> z + 1/t with t < 2^30: int64 steps, a level past 2^30 at
+    # length 2, and f f f has 2^62 < t^3 < 2^63 at length 3, so the 2s of
+    # its tag passes 2^63
+    t = 1_900_001
+    late = ActionSystem(("f", "g"), [Action("late", plane, {"f": plane.matrix(1, Fraction(1, t), 0, 1),
+                                                            "g": plane.matrix(2, 1, 1, 1)})])
+    assert max(plane.size(image) for _, image in late.steps(late.actions[0])) <= 30
+    for system, f_f in ((big, (0, 0)), (late, (0, 0, 0))):
+        assert f_f in _walked_parabolic_paths(system, system.actions[0], 4)
+        assert _assert_batched_walk_matches(system, (1, 2, 3, 4)) > 0

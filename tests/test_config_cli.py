@@ -335,14 +335,14 @@ def test_samples_under_cap_pass():
 
 def test_word_sample_depth_over_cap_exit_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ActionSystem, "walk", _no_walk)
+    monkeypatch.setattr(HalfPlaneModel, "parabolic_words", _no_walk)
     path = write(tmp_path, "deep.cfg", THREE_ACTION.replace("seed 0", "seed 0\nword-sample-depth 30"))
     assert main(["combine", "--input", path]) == 1
     assert "word-sample-depth: 30 gives over" in capsys.readouterr().err
 
 
-def test_word_sample_depth_9_under_cap(monkeypatch):
+def test_word_sample_depth_9_under_cap():
     # depth 9 on three_action.cfg: 39,364 words in 3 actions, 118,092 pairs
-    monkeypatch.setattr(ActionSystem, "walk", lambda self, action, depth: iter(()))
     system = parse_config(THREE_ACTION).build()
     report = combiner.check_hypotheses(system, 9)
     assert report.words_checked * system.n_actions == 118_092 <= combiner.MAX_HYPOTHESIS_PAIRS
@@ -497,8 +497,9 @@ def test_one_action_system_per_run(tmp_path, capsys, monkeypatch):
 
 
 def test_dynamics_projection_builds_each_orbit_once(capsys, monkeypatch):
-    # per action, one image resolves the witness and one builds its orbit
-    # {f^n x : |n| <= 8}, 16 steps, shared by the 10 sample points
+    # per action, one image resolves the witness, and its orbit
+    # {f^n x : |n| <= 8}, 16 steps, is built from that image once and
+    # shared by the 10 sample points
     images, steps = Counter(), Counter()
     image, apply = Action.image, HalfPlaneModel.apply
 
@@ -514,8 +515,24 @@ def test_dynamics_projection_builds_each_orbit_once(capsys, monkeypatch):
     monkeypatch.setattr(HalfPlaneModel, "apply", counted_apply)
     assert main(["dynamics", "--input", str(CONFIGS / "three_action.cfg"), "--checks", "projection"]) == 0
     capsys.readouterr()
-    assert images == {"plane-one": 2, "plane-two": 2, "tree-one": 2}
+    assert images == {"plane-one": 1, "plane-two": 1, "tree-one": 1}
     assert steps["plane"] == 32
+
+
+def test_dynamics_images_each_witness_once(capsys, monkeypatch):
+    # every check (ns, insize, projection) reads the one image that
+    # resolves the action's witness
+    images = Counter()
+    image = Action.image
+
+    def counted_image(self, word):
+        images[self.name, word.display()] += 1
+        return image(self, word)
+
+    monkeypatch.setattr(Action, "image", counted_image)
+    assert main(["dynamics", "--input", str(CONFIGS / "three_action.cfg")]) == 0
+    capsys.readouterr()
+    assert images == {("plane-one", "f"): 1, ("plane-two", "g"): 1, ("tree-one", "f"): 1}
 
 
 def test_orbit_depth_over_cap_exit_1(capsys, monkeypatch):

@@ -53,7 +53,7 @@ def test_ns_dynamics_diagonal(plane):
     cls = plane.classify(D)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
     sample = sample_plane_points(plane, 30, rng_from_seed(1))
-    n = ns_dynamics_check(act, GroupWord.parse("f"), u_plus, u_minus, sample, 64)
+    n = ns_dynamics_check(act, act.image(GroupWord.parse("f")), u_plus, u_minus, sample, 64)
     assert 1 <= n <= 64
     # direct iteration oracle: all points outside U- land in U+ from step n on
     g = act.image(GroupWord.parse("f"))
@@ -73,7 +73,7 @@ def test_ns_dynamics_tree(bs23):
     cls = bs23.classify(w)
     u_plus, u_minus = k1_neighborhoods(bs23, cls)
     sample = bs23.ball_vertices(3)
-    n = ns_dynamics_check(act, GroupWord.parse("w"), u_plus, u_minus, sample, 64)
+    n = ns_dynamics_check(act, act.image(GroupWord.parse("w")), u_plus, u_minus, sample, 64)
     assert 1 <= n <= 64
 
 
@@ -83,7 +83,7 @@ def test_ns_dynamics_empty_range(plane):
     cls = plane.classify(D)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
     with pytest.raises(NoPassingN):
-        ns_dynamics_check(act, GroupWord.parse("f"), u_plus, u_minus, [plane.basepoint], 0)
+        ns_dynamics_check(act, act.image(GroupWord.parse("f")), u_plus, u_minus, [plane.basepoint], 0)
 
 
 def test_ns_dynamics_requires_hyperbolic(plane):
@@ -93,7 +93,7 @@ def test_ns_dynamics_requires_hyperbolic(plane):
     cls = plane.classify(D)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
     with pytest.raises(NotHyperbolic):
-        ns_dynamics_check(act, GroupWord.parse("r"), u_plus, u_minus, [], 8)
+        ns_dynamics_check(act, act.image(GroupWord.parse("r")), u_plus, u_minus, [], 8)
 
 
 # -- the orbit products against direct iteration ---------------------------------
@@ -107,11 +107,10 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _ns_by_iteration(action, word, u_plus, u_minus, sample, n_max):
+def _ns_by_iteration(action, g, u_plus, u_minus, sample, n_max):
     """ns_dynamics_check by direct iteration: apply g to every point, then
     contains_point on each until one fails."""
     model = action.model
-    g = action.image(word)
     if model.tag(g) != "hyperbolic":
         raise NotHyperbolic(f"word is {model.tag(g)} in action {action.name!r}")
     if not neighborhoods_disjoint(model, u_plus, u_minus, sample):
@@ -134,12 +133,13 @@ def test_ns_dynamics_matches_direct_iteration():
         for i, action in enumerate(system.actions):
             model = action.model
             kinds.add(model.kind)
-            witness, cls = resolve_witness(system, i)
+            _, image = resolve_witness(system, i)
+            cls = model.classify(image)
             sample = sample_points(model, 8, rng_from_seed(seed))
             for base, threshold in ((model.basepoint, 1.0), (sample[1], 0.5)):
                 plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, threshold, base)
                 minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, threshold, base)
-                args = (action, witness, plus, minus, sample, 20)
+                args = (action, image, plus, minus, sample, 20)
                 assert _outcome(ns_dynamics_check, *args) == _outcome(_ns_by_iteration, *args)
     assert kinds == {"half_plane", "bass_serre", "cayley_tree"}
 
@@ -240,7 +240,7 @@ def test_separation_high_power_independent(plane):
     u_plus, u_minus = k1_neighborhoods(plane, cls_f)
     v_plus, v_minus = k1_neighborhoods(plane, cls_g)
     sample = sample_plane_points(plane, 25, rng_from_seed(3))
-    n = ns_dynamics_check(act, GroupWord.parse("g"), v_plus, v_minus, sample, 64)
+    n = ns_dynamics_check(act, act.image(GroupWord.parse("g")), v_plus, v_minus, sample, 64)
     for k in range(n, n + 4):
         assert not separation_witnesses(act, GroupWord.parse(f"g^{k}"), u_plus, u_minus, sample)
 
@@ -327,7 +327,7 @@ def test_insize_within_slim_estimate(plane):
 def test_orbit_projection_basepoint(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
-    proj = orbit_projection(act, GroupWord.parse("f"), plane.basepoint, plane.basepoint, 8)
+    proj = orbit_projection(act, act.image(GroupWord.parse("f")), plane.basepoint, plane.basepoint, 8)
     assert proj.defect == 0.0
     assert proj.exponents[0] == 0
     assert proj.nearest[0].coords == plane.basepoint.coords
@@ -337,7 +337,7 @@ def test_orbit_projection_tree_axis(bs23):
     w = bs23.word([(0, 1), (1, 1)])
     act = Action("b", bs23, {"w": w})
     z = bs23.apply(bs23.power(w, 3), bs23.basepoint)
-    proj = orbit_projection(act, GroupWord.parse("w"), bs23.basepoint, z, 6)
+    proj = orbit_projection(act, act.image(GroupWord.parse("w")), bs23.basepoint, z, 6)
     assert proj.defect == 0.0
     assert proj.exponents == (3,)
 
@@ -345,14 +345,14 @@ def test_orbit_projection_tree_axis(bs23):
 def test_orbit_projection_plane_bounded(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
-    proj = orbit_projection(act, GroupWord.parse("f"), plane.basepoint, plane.point_xy(3, 1), 8)
+    proj = orbit_projection(act, act.image(GroupWord.parse("f")), plane.basepoint, plane.point_xy(3, 1), 8)
     assert 0.0 <= proj.defect <= 4.0
 
 
 def test_orbit_projection_requires_hyperbolic(plane):
     act = Action("p", plane, {"r": plane.matrix(0, -1, 1, 0)})
     with pytest.raises(NotHyperbolic):
-        orbit_projection(act, GroupWord.parse("r"), plane.basepoint, plane.basepoint, 4)
+        orbit_projection(act, act.image(GroupWord.parse("r")), plane.basepoint, plane.basepoint, 4)
 
 
 def test_claim1_defect_bound(plane, bs23):
@@ -372,7 +372,7 @@ def test_claim1_defect_bound(plane, bs23):
             cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus, plane.basepoint
         )
         for z in sample_plane_points(plane, 10, rng):
-            d = orbit_projection(act, GroupWord.parse("x"), plane.basepoint, z, 10).defect
+            d = orbit_projection(act, act.image(GroupWord.parse("x")), plane.basepoint, z, 10).defect
             assert d <= 4 * (delta_hat + offset + tau / 2)
             checked += 1
     assert checked >= 100
@@ -383,7 +383,7 @@ def test_claim1_defect_bound(plane, bs23):
     tau = cls.hyperbolic.translation_length.value
     rngb = rng_from_seed(5)
     for z in sample_tree_points(bs23, 100, rngb):
-        d = orbit_projection(act, GroupWord.parse("x"), bs23.basepoint, z, 10).defect
+        d = orbit_projection(act, act.image(GroupWord.parse("x")), bs23.basepoint, z, 10).defect
         assert d <= 4 * (0 + 0 + tau / 2)
 
 

@@ -43,13 +43,14 @@ def dynamics_lines(system, seed: int) -> list[str]:
     """The N of each action's North-South check, or why it failed."""
     lines = []
     for i, action in enumerate(system.actions):
-        witness, cls = resolve_witness(system, i)
+        _, image = resolve_witness(system, i)
+        cls = action.model.classify(image)
         base = action.model.basepoint
         plus = dynamics.NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, base)
         minus = dynamics.NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, base)
         sample = cli._sample(action, seed, 24, 3)
         try:
-            lines.append(f"ns {i} N {dynamics.ns_dynamics_check(action, witness, plus, minus, sample, 64)}")
+            lines.append(f"ns {i} N {dynamics.ns_dynamics_check(action, image, plus, minus, sample, 64)}")
         except (NoPassingN, ValueError) as exc:
             lines.append(f"ns {i} failed {type(exc).__name__}: {exc}")
     return lines

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypiso.actions import Action, ActionSystem
 from hypiso.dynamics import internal_points
+from hypiso.models import HYPOTHESIS_VIOLATION
+from hypiso.sampling import random_elliptic, random_hyperbolic
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 
 
@@ -146,6 +149,21 @@ def test_bs_no_parabolics(bs23):
     ]
     for w in words:
         assert bs23.classify(w).tag in ("elliptic", "hyperbolic")
+
+
+def test_sampled_tree_actions_have_no_parabolic_words():
+    # the hypothesis check asks a tree model for no word: a tree automorphism
+    # without inversions is elliptic or hyperbolic (Serre, Trees, I.6.4)
+    rng = random.Random(0)
+    for _ in range(20):
+        for model in (BassSerreModel(rng.choice([2, 3]), rng.choice([3, 4])), CayleyTreeModel(rng.choice([2, 3]))):
+            sample = random_elliptic if rng.random() < 0.4 else random_hyperbolic
+            images = {"f": random_hyperbolic(model, rng), "g": sample(model, rng)}
+            action = Action("tree", model, images)
+            system = ActionSystem(("f", "g"), [action])
+            for _, image in system.walk(action, 5):
+                assert model.tag(image) != HYPOTHESIS_VIOLATION
+            assert model.parabolic_words([image for _, image in system.steps(action)], 5) == ()
 
 
 def test_bs_orbit_translation_oracle(bs23):
