@@ -49,13 +49,13 @@ EXIT_HYPOTHESIS = 3
 
 # delta and dynamics sample at most this many points per action: plane
 # points (--samples), or the vertices of a tree ball.  The four-point
-# estimate costs n^3 steps; the 937-vertex rank-3 radius-4 ball takes 1.2 s,
-# 0.15 s of it the distances (Python 3.11.7, 2 cores).
+# estimate costs n^3 steps; the 937-vertex rank-3 radius-4 ball takes 2.2 s,
+# 0.05 s of it the distances (Python 3.11.7, 2 cores, host.ref_ms 0.29).
 MAX_SAMPLE_POINTS = 1000
 
 # dynamics follows an orbit of at most this many steps (orbit-depth); plane
 # matrix entries grow with each step, and --checks ns at depth 1,000 on
-# configs/ takes 0.6-1.1 s
+# configs/ takes 1.2 s (Python 3.11.7, 2 cores, host.ref_ms 0.29)
 MAX_ORBIT_DEPTH = 1000
 
 

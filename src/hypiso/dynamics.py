@@ -11,9 +11,9 @@ The North-South check follows its orbits through the model's
 ``orbit_boundary_products``, in exact integers up to the final floats: on
 the plane each orbit point is an integer matrix applied to i, stepped by
 the isometry's primitive matrix; on trees the Gromov product with the
-attracting point is an integer from meet depths against one truncation of
-its ray.  The floats, and so every membership test, are those of
-``contains_point``.
+attracting point b is an integer from b's Busemann cocycle, which g shifts
+by its translation length, plus one distance to the base per step.  The
+floats, and so every membership test, are those of ``contains_point``.
 """
 
 from __future__ import annotations
@@ -70,12 +70,13 @@ def ns_dynamics_check(
     n_max: int,
 ) -> int:
     """Least N <= n_max with g^n(sample - U-) inside U+ for all N <= n <= n_max,
-    for g the image of a word in the action.
+    for g the image of a word in the action and U+ centered at a fixed point
+    of g (on trees, ValueError otherwise).
 
     Every step of every orbit is tested; a step stops at its first point
     outside U+.  The orbits and their Gromov products come from the model's
-    ``orbit_boundary_products``: integer matrices on the plane, integer meet
-    depths against one truncated ray on trees."""
+    ``orbit_boundary_products``: integer matrices on the plane; on trees the
+    Busemann cocycle of the center and one distance to the base a step."""
     model = action.model
     tag = model.tag(g)
     if tag != HYPERBOLIC:

@@ -69,6 +69,7 @@ class TreeModel(SpaceModel):
     #   _depth(v)          distance from the basepoint
     #   _meet_depth(u, v)  depth of the last vertex the root paths share
     #   _ancestor(v, k)    the vertex at depth k on v's root path
+    #   _dfs_key(v)        a sort key that lists the vertices in a DFS order
     # and, for the ball and the BFS oracle alone, _neighbors(v) (adjacency
     # from the tree's own definition) and _degrees (the vertex degrees at
     # even and at odd depth).  _vertex_from_units(units) is the vertex a
@@ -125,14 +126,25 @@ class TreeModel(SpaceModel):
         return _int_length(self._dist(self.require_point(x), self.require_point(y)))
 
     def pairwise_distances(self, points: list[Point]) -> list[list[int]]:
-        """d(p, q) for every two of the points, as integers: row p, column q."""
+        """d(p, q) for every two of the points, as integers: row p, column q.
+
+        In a DFS order of the rooted tree (the points sorted by ``_dfs_key``)
+        the meet depth of two vertices is the least meet depth of the
+        adjacent pairs between them (Kasai et al., CPM 2001): n - 1
+        ``_meet_depth`` calls and a running minimum per row fill the meets."""
+        import numpy as np  # here, not at import: the checker loads no numpy
+
         vs = [self.require_point(p) for p in points]
-        depths = [self._depth(v) for v in vs]
-        rows = [[0] * len(vs) for _ in vs]
-        for i, u in enumerate(vs):
-            for j in range(i + 1, len(vs)):
-                rows[i][j] = rows[j][i] = depths[i] + depths[j] - 2 * self._meet_depth(u, vs[j])
-        return rows
+        order = sorted(range(len(vs)), key=lambda i: self._dfs_key(vs[i]))
+        adjacent = np.array([self._meet_depth(vs[i], vs[j]) for i, j in zip(order, order[1:])], dtype=np.int64)
+        meet = np.zeros((len(vs), len(vs)), dtype=np.int64)  # in the sorted order
+        for i in range(len(adjacent)):
+            meet[i, i + 1 :] = meet[i + 1 :, i] = np.minimum.accumulate(adjacent[i:])
+        depths = np.array([self._depth(v) for v in vs], dtype=np.int64)
+        rank = np.argsort(order)  # the sorted position of each point
+        dist = depths[:, None] + depths[None, :] - 2 * meet[np.ix_(rank, rank)]
+        np.fill_diagonal(dist, 0)
+        return dist.tolist()
 
     def _gromov(self, u, v, w) -> int:
         """<u|v>_w = (d(u,w) + d(v,w) - d(u,v)) / 2 = d(w) - k(u,w) - k(v,w) + k(u,v)
@@ -201,10 +213,8 @@ class TreeModel(SpaceModel):
             p = joined
 
     def _ray_units(self, ray: RayDescriptor, count: int) -> tuple:
-        out = list(ray.prefix)
-        while len(out) < count:
-            out.extend(ray.period)
-        return tuple(out[:count])
+        periods = -((len(ray.prefix) - count) // len(ray.period))  # ceil((count - |prefix|) / |period|); <= 0 is none
+        return (ray.prefix + ray.period * periods)[:count]
 
     def rays_equal(self, r1: RayDescriptor, r2: RayDescriptor) -> bool:
         """Cofinality test: the reduced unit streams agree forever iff they
@@ -245,22 +255,32 @@ class TreeModel(SpaceModel):
 
     def orbit_boundary_products(self, iso: Isometry, b, points: list[Point], base: Point, steps: int):
         """For n = 1..steps, the products <b|g^n p>_base of the points p, in
-        order, each computed as it is read; see SpaceModel.
+        order, each computed as it is read; see SpaceModel.  g must fix b.
 
-        A truncation of the ray deeper than y and the base meets both where
-        the ray does, so one truncation past the deepest orbit vertex serves
-        every product, as the one per product in ``gromov_boundary_point``."""
+        The Busemann cocycle beta(w, x) = 2<b|x>_w - d(w, x) of a point b
+        fixed by g has beta(w, g x) = beta(w, g w) + beta(w, x) (Bridson-
+        Haefliger II.8), so 2<b|g^n y>_w = d(w, g^n y) + n beta(w, g w) +
+        beta(w, y): beta is read from one short truncation of the ray per
+        point, and each step costs one ``_act`` and one ``_dist`` to w."""
         g = self.require_iso(iso)
-        ray: RayDescriptor = self.require_boundary(b)
+        if not self.fixes(iso, b):
+            raise ValueError("the isometry does not fix the boundary point")
         w = self.require_point(base)
         orbit = [self.require_point(p) for p in points]
-        # a step moves a vertex at most len(g) + 1 deeper (the step off the basepoint)
-        deepest = max((self._depth(y) for y in orbit), default=0) + steps * (len(g) + 1)
-        n = len(ray.prefix) + 2 * len(ray.period) + deepest + self._depth(w) + 4
-        v = self.require_point(self._vertex_from_units(self._ray_units(ray, n)))
+        shift = self._busemann(b, w, self._act(g, w))
+        betas = [self._busemann(b, w, y) for y in orbit]
         for _ in range(steps):
             orbit = [self._act(g, y) for y in orbit]
-            yield (float(self._gromov(v, y, w)) for y in orbit)
+            betas = [beta + shift for beta in betas]
+            yield (float((self._dist(w, y) + beta) // 2) for y, beta in zip(orbit, betas))
+
+    def _busemann(self, b, w, x) -> int:
+        """beta(w, x) = 2<b|x>_w - d(w, x), from a truncation of the ray b
+        deeper than both points: it meets them where the ray does."""
+        ray: RayDescriptor = self.require_boundary(b)
+        n = len(ray.prefix) + 2 * len(ray.period) + self._depth(x) + self._depth(w) + 4
+        v = self.require_point(self._vertex_from_units(self._ray_units(ray, n)))
+        return 2 * self._gromov(v, x, w) - self._dist(w, x)
 
     # -- the ball and the BFS oracle ----------------------------------------------
 
@@ -379,6 +399,7 @@ class CayleyTreeModel(TreeModel):
     # a vertex is a reduced word; its root path runs through its prefixes
     _depth = staticmethod(len)
     _meet_depth = staticmethod(_common_prefix_len)
+    _dfs_key = staticmethod(lambda v: v)  # prefixes sort before their extensions
 
     def _ancestor(self, v, k: int):
         return v[:k]
@@ -511,6 +532,9 @@ class BassSerreModel(TreeModel):
         if off != self._off(*b):
             return 0  # one root path ends with the step from ((), 1), the other not
         return _common_prefix_len(a[0], b[0]) + off
+
+    def _dfs_key(self, v):
+        return self._off(*v), v[0]  # a root path through ((), 1) or not, then the word
 
     def _ancestor(self, v, k: int):
         w, t = v

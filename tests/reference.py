@@ -16,6 +16,18 @@ def four_point_defect(model, x, y, z, w) -> float:
     return min(gxy, gyz) - gxz
 
 
+def pairwise_distances_by_meets(model, points) -> list[list[int]]:
+    """A tree model's distance matrix, one meet depth per pair:
+    d(u, v) = d(u) + d(v) - 2 k(u, v), row u, column v."""
+    vs = [model.require_point(p) for p in points]
+    depths = [model._depth(v) for v in vs]
+    rows = [[0] * len(vs) for _ in vs]
+    for i, u in enumerate(vs):
+        for j in range(i + 1, len(vs)):
+            rows[i][j] = rows[j][i] = depths[i] + depths[j] - 2 * model._meet_depth(u, vs[j])
+    return rows
+
+
 def separation_witnesses(action, g, u_plus, u_minus, sample) -> list:
     """Sampled witnesses against the hypothesis that g U+ and U- are
     disjoint: the sampled points of U+ that g sends into U-, then the

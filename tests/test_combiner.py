@@ -30,7 +30,7 @@ from hypiso.errors import HypothesisViolation, NotHyperbolic, ScheduleExhausted,
 from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.records import class_invariant, parse_record, record_for_certificate, verify_record
 from hypiso.sampling import random_action_system
-from hypiso.trees import BassSerreModel, CayleyTreeModel
+from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 from hypiso.words import GroupWord
 
 
@@ -559,7 +559,7 @@ def test_certificate_images_on_chain_systems(system):
     assert verify_certificate(system, cert)
 
 
-# -- equivariance: conjugating the plane images changes no decision --------------
+# -- equivariance: conjugating an action's images changes no decision ----------
 
 
 def _conjugator(rng: random.Random) -> tuple[Fraction, ...]:
@@ -570,24 +570,54 @@ def _conjugator(rng: random.Random) -> tuple[Fraction, ...]:
             return a, b, c, (1 + b * c) / a
 
 
-def _conjugated(system: ActionSystem, h_entries) -> ActionSystem:
-    """The system with every plane image M replaced by h M h^-1."""
+def _plane_conjugators(system: ActionSystem, h_entries) -> list:
+    """The matrix of h_entries in each plane action's model; None elsewhere."""
+    return [a.model.matrix(*h_entries) if isinstance(a.model, HalfPlaneModel) else None for a in system.actions]
+
+
+def _conjugated(system: ActionSystem, hs) -> ActionSystem:
+    """The system with every image M of action i replaced by h M h^-1 for
+    h = hs[i]; the actions whose h is None stay as they are."""
     actions = []
-    for action in system.actions:
-        model = action.model
-        if isinstance(model, HalfPlaneModel):
-            h = model.matrix(*h_entries)
+    for action, h in zip(system.actions, hs):
+        if h is not None:
+            model = action.model
             conj = {g: model.compose(model.compose(h, m), model.invert(h)) for g, m in action.images.items()}
             action = Action(action.name, model, conj)
         actions.append(action)
     return ActionSystem(system.generators, actions, system.witnesses)
 
 
+def _assert_search_commutes(system: ActionSystem, hs):
+    """Every decision of the search (tags, the fixes test, fixed-point
+    equality) commutes with the isometries hs[i]: on the conjugated system
+    only the fixed points move, to h of the originals.  Returns the search's
+    certificate on the system and the conjugated system's record."""
+    conj = _conjugated(system, hs)
+    cert = simultaneous_hyperbolic(system, SearchSchedule(32))
+    cert_h = simultaneous_hyperbolic(conj, SearchSchedule(32))
+    assert cert_h.word == cert.word
+    assert cert_h.stages == cert.stages  # a, b, p, q, index, tried, trivial, partitions
+    assert check_hypotheses(conj, 4).violations == check_hypotheses(system, 4).violations
+    for action, action_h, h, cls, cls_h in zip(system.actions, conj.actions, hs, cert.per_action, cert_h.per_action):
+        model = action.model
+        pairs = [(cls, cls_h)] + [
+            (model.classify(action.images[g]), model.classify(action_h.images[g])) for g in system.generators
+        ]
+        for c, c_h in pairs:
+            assert (c_h.tag, class_invariant(c_h)) == (c.tag, class_invariant(c))
+            if h is not None and c.is_hyperbolic:
+                ends = (c.hyperbolic.fixed_plus, c.hyperbolic.fixed_minus)
+                ends_h = (c_h.hyperbolic.fixed_plus, c_h.hyperbolic.fixed_minus)
+                assert all(model.boundary_equal(e_h, model.boundary_apply(h, e)) for e, e_h in zip(ends, ends_h))
+    record = parse_record(record_for_certificate("combine", conj, cert_h, []).emit())
+    assert verify_record(conj, record) == (True, [])
+    return cert, record
+
+
 def test_search_is_invariant_under_plane_conjugation():
-    # every decision of the search (tags, the fixes test, fixed-point
-    # equality) commutes with an isometry h of the plane: only the fixed
-    # points move, to h of the originals.  The last system has parabolic
-    # words of length 2, so a failed trial and hypothesis violations.
+    # the last system has parabolic words of length 2, so a failed trial
+    # and hypothesis violations
     p1, p2 = HalfPlaneModel(), HalfPlaneModel()
     one = Action("one", p1, {"f": p1.matrix(2, 1, 1, 1), "g": p1.matrix(1, 5, -1, -4)})
     two = Action("two", p2, {"f": p2.matrix(0, -1, 1, Fraction(1, 2)), "g": p2.matrix(2, 1, 1, 1)})
@@ -595,27 +625,38 @@ def test_search_is_invariant_under_plane_conjugation():
     systems += [random_action_system(seed) for seed in range(20)]
     systems += [ActionSystem(("f", "g"), [one, two], [GroupWord.parse("f"), GroupWord.parse("g")])]
     for seed, system in enumerate(systems):
-        h_entries = _conjugator(random.Random(seed))
-        conj = _conjugated(system, h_entries)
-        cert = simultaneous_hyperbolic(system, SearchSchedule(32))
-        cert_h = simultaneous_hyperbolic(conj, SearchSchedule(32))
-        assert cert_h.word == cert.word
-        assert cert_h.stages == cert.stages  # a, b, p, q, index, tried, trivial, partitions
-        assert check_hypotheses(conj, 4).violations == check_hypotheses(system, 4).violations
-        for action, action_h, cls, cls_h in zip(system.actions, conj.actions, cert.per_action, cert_h.per_action):
-            model = action.model
-            pairs = [(cls, cls_h)] + [
-                (model.classify(action.images[g]), model.classify(action_h.images[g])) for g in system.generators
-            ]
-            for c, c_h in pairs:
-                assert (c_h.tag, class_invariant(c_h)) == (c.tag, class_invariant(c))
-                if isinstance(model, HalfPlaneModel) and c.is_hyperbolic:
-                    h = model.matrix(*h_entries)
-                    ends = (c.hyperbolic.fixed_plus, c.hyperbolic.fixed_minus)
-                    ends_h = (c_h.hyperbolic.fixed_plus, c_h.hyperbolic.fixed_minus)
-                    assert all(model.boundary_equal(e_h, model.boundary_apply(h, e)) for e, e_h in zip(ends, ends_h))
-        record = record_for_certificate("combine", conj, cert_h, [])
-        assert verify_record(conj, parse_record(record.emit())) == (True, [])
+        _assert_search_commutes(system, _plane_conjugators(system, _conjugator(random.Random(seed))))
+
+
+def test_search_is_invariant_under_tree_conjugation():
+    # on a tree, h is a word of the tree's own group, here of 1-3 letters
+    # or syllables, and one tree action's images are conjugated by it
+    systems = [build_action_system(parse_config((CONFIGS / "three_action.cfg").read_text()))]
+    systems += [random_action_system(seed) for seed in range(20)]
+    conjugated = controls = 0
+    for seed, system in enumerate(systems):
+        trees = [i for i, a in enumerate(system.actions) if isinstance(a.model, TreeModel)]
+        if not trees:
+            continue
+        rng = random.Random(seed)
+        i = trees[seed % len(trees)]
+        model = system.actions[i].model
+        h = model.identity()
+        while h == model.identity():
+            units = [rng.choice(model.letters()) if isinstance(model, CayleyTreeModel)
+                     else (rng.randrange(2), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            h = model.word(units)
+        cert, record = _assert_search_commutes(system, [h if j == i else None for j in range(system.n_actions)])
+        conjugated += 1
+        # the negative control: the record names h's images of the fixed
+        # points, which the original system refuses unless h fixes them
+        cls = cert.per_action[i]
+        if all(model.fixes(h, e) for e in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus)):
+            continue
+        controls += 1
+        ok, notes = verify_record(system, record)
+        assert not ok and [n.split(":")[0] for n in notes] == [f"action {i} ({system.actions[i].name})"]
+    assert conjugated == 19 and controls >= 15
 
 
 # -- the plane's batched hypothesis check against the walk -----------------------
@@ -657,7 +698,8 @@ def test_batched_parabolic_words_match_the_walk():
     systems = [random_action_system(seed) for seed in range(20)]
     systems += [ActionSystem(("f", "g"), [one, two])]
     for seed, system in enumerate(systems):
-        found += _assert_batched_walk_matches(_conjugated(system, _conjugator(random.Random(seed))), (5,))
+        hs = _plane_conjugators(system, _conjugator(random.Random(seed)))
+        found += _assert_batched_walk_matches(_conjugated(system, hs), (5,))
     assert found >= 60  # violations at every depth, past the sampler's 3
 
 

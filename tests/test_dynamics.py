@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from hypiso.sampling import (
     sample_points,
     sample_tree_points,
 )
-from hypiso.trees import BassSerreModel, CayleyTreeModel
+from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 from hypiso.words import GroupWord
 
 from reference import separation_witnesses
@@ -194,16 +195,79 @@ def test_plane_orbit_products_match_direct_iteration(plane, entries, steps):
             float(plane.cosh_distance(last[0], plane.basepoint))
 
 
+def _tree_witnesses() -> list:
+    """(action, witness image) for every tree action of random_action_system
+    seeds 0-29."""
+    out = []
+    for seed in range(30):
+        system = random_action_system(seed)
+        for i, action in enumerate(system.actions):
+            if isinstance(action.model, TreeModel):
+                out.append((action, resolve_witness(system, i)[1]))
+    return out
+
+
+def _letter_words(model) -> list:
+    """The one-letter (Cayley) or one-syllable (Bass-Serre) words."""
+    if isinstance(model, CayleyTreeModel):
+        return [model.word([letter]) for letter in model.letters()]
+    return [model.word([(f, e)]) for f in (0, 1) for e in range(1, model.orders[f])]
+
+
 def test_tree_orbit_products_match_direct_iteration(bs23):
     cayley = CayleyTreeModel(3)
-    words = ((bs23, bs23.word([(0, 1), (1, 2), (0, 1), (1, 1)])), (cayley, cayley.word([1, 2, -1, 3])))
-    for model, g in words:
+    cases = [
+        (bs23, bs23.word([(0, 1), (1, 2), (0, 1), (1, 1)]), bs23.ball_vertices(2), 12),
+        (cayley, cayley.word([1, 2, -1, 3]), cayley.ball_vertices(2), 12),
+    ]
+    # the sampled witnesses, 64 steps out; the last point, a base too, has depth 3
+    cases += [(a.model, g, a.model.ball_vertices(1) + a.model.ball_vertices(3)[-1:], 64) for a, g in _tree_witnesses()]
+    for model, g, points, steps in cases:
         cls = model.classify(g)
-        points = model.ball_vertices(2)
         for center in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
             for base in (model.basepoint, points[-1]):
-                direct, _ = _products_by_iteration(model, g, center, points, base, 12)
-                assert _orbit_products(model, g, center, points, base, 12) == direct
+                direct, _ = _products_by_iteration(model, g, center, points, base, steps)
+                assert _orbit_products(model, g, center, points, base, steps) == direct
+
+
+def test_tree_busemann_shift_and_fixed_point_contract():
+    for action, g in _tree_witnesses():
+        model = action.model
+        cls = model.classify(g)
+        ends = (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus)
+        length = cls.hyperbolic.translation_length.exact_value
+        y = model.ball_vertices(3)[-1]
+        # g moves every point length closer to its attracting end
+        for base in (model.basepoint, y):
+            w, gw = model.require_point(base), model.require_point(model.apply(g, base))
+            assert model._busemann(ends[0], w, gw) == length
+            assert model._busemann(ends[1], w, gw) == -length
+        # a hyperbolic tree automorphism fixes the two ends of its axis only
+        moved = [model.boundary_apply(h, ends[0]) for h in _letter_words(model)]
+        others = [b for b in moved if not any(model.boundary_equal(b, e) for e in ends)]
+        assert others
+        for b in others:
+            with pytest.raises(ValueError, match="does not fix"):
+                next(model.orbit_boundary_products(g, b, [y], model.basepoint, 4))
+
+
+def test_tree_ns_dynamics_matches_direct_iteration_far_out(monkeypatch):
+    # n_max 200 and thresholds up to 6: N reaches 9 and orbits reach
+    # hundreds of letters.  The oracle reads each product once for all
+    # three thresholds, through a cache of gromov_boundary_point.
+    found = []
+    for seed, (action, g) in enumerate(_tree_witnesses()):
+        model = action.model
+        monkeypatch.setattr(model, "gromov_boundary_point", functools.lru_cache(None)(model.gromov_boundary_point))
+        cls = model.classify(g)
+        sample = sample_points(model, 5, rng_from_seed(seed))
+        for threshold in (1, 3, 6):
+            plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, threshold, model.basepoint)
+            minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, threshold, model.basepoint)
+            args = (action, g, plus, minus, sample, 200)
+            found.append(_outcome(ns_dynamics_check, *args))
+            assert found[-1] == _outcome(_ns_by_iteration, *args)
+    assert max(found) >= 8
 
 
 def test_separation_identity(plane):

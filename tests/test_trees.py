@@ -11,6 +11,8 @@ from hypiso.models import HYPOTHESIS_VIOLATION
 from hypiso.sampling import random_elliptic, random_hyperbolic
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 
+from reference import pairwise_distances_by_meets
+
 
 @pytest.fixture
 def cayley():
@@ -406,6 +408,33 @@ def test_geodesic_and_root_path_against_bfs(model):
 def test_ball_size_counts_the_ball(model):
     for radius in range(5):
         assert model.ball_size(radius) == len(model.ball_vertices(radius))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [CayleyTreeModel(1), CayleyTreeModel(2), CayleyTreeModel(3),
+     BassSerreModel(2, 3), BassSerreModel(3, 4), BassSerreModel(2, 4)],
+    ids=lambda m: m.model_id,
+)
+def test_pairwise_distances_match_the_pair_loop_and_bfs(model):
+    rng = random.Random(model.model_id)
+    radius = max(r for r in range(12) if model.ball_size(r) <= 400)
+    ball = model.ball_vertices(radius)
+    rng.shuffle(ball)
+    g = random_hyperbolic(model, rng)
+    orbit, p = [], ball[0]
+    for n in range(1, 25):  # g^n p, deep and on one axis, off the ball
+        p = model.apply(g, p)
+        orbit.append(p)
+    repeats = rng.choices(ball, k=60)
+    for points in (ball, repeats, orbit + ball[:20], [ball[0]], []):
+        assert model.pairwise_distances(points) == pairwise_distances_by_meets(model, points)
+    if isinstance(model, BassSerreModel):  # root paths through ((), 1) and not
+        assert {model._off(*p.coords) for p in ball} == {0, 1}
+    few = repeats[:16] + ball[:8]
+    if model.ball_size(max(model._depth(p.coords) for p in orbit)) <= 5000:
+        few += orbit[::4]
+    assert model.pairwise_distances(few) == [[model.bfs_distance(p, q) for q in few] for p in few]
 
 
 # -- word text ----------------------------------------------------------------
