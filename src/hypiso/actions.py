@@ -26,23 +26,24 @@ class Action:
     images: dict[str, Isometry]
 
     def __post_init__(self):
-        for gen, iso in self.images.items():
-            self.model.require_iso(iso)
+        # the model-id check, once: image() composes the bare payloads
+        self._payloads = {gen: self.model.require_iso(iso) for gen, iso in self.images.items()}
 
     def image(self, word: GroupWord) -> Isometry:
-        """Composed syllable by syllable, each power by repeated squaring
-        (once per distinct syllable); the size cap is checked after each
-        syllable."""
-        model = self.model
-        out = model.identity()
-        powers: dict[tuple[str, int], Isometry] = {}
+        """Composed syllable by syllable on the bare payloads (see
+        SpaceModel), each power by repeated squaring (once per distinct
+        syllable); the size cap is checked after each syllable, and the
+        result is wrapped once."""
+        model, payloads = self.model, self._payloads
+        out = model._one
+        powers = {}
         for gen, e in word.syllables:
-            if gen not in self.images:
+            if gen not in payloads:
                 raise ValidationError(f"generator {gen!r} has no image in action {self.name!r}")
             if (gen, e) not in powers:
-                powers[gen, e] = model.power(self.images[gen], e)
-            out = model.capped(model.compose(out, powers[gen, e]), "a word's image")
-        return out
+                powers[gen, e] = model._power(payloads[gen], e)
+            out = model._capped(model._mul(out, powers[gen, e]), "a word's image")
+        return model.isometry(out)
 
     def classify_word(self, word: GroupWord):
         return self.model.classify(self.image(word))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from .actions import Action, ActionSystem
 from .errors import (
@@ -223,13 +223,15 @@ def normalize_powers(
     return f**p, g**q, ActionProfile(stage=k, entries=tuple(entries), p=p, q=q)
 
 
-def _image_prefix(bases: list[tuple[SpaceModel, Isometry, Isometry]], a: int, b: int):
-    """The image F^a G^b in each action in order, capped as a word's image
-    is, aborting at the first whose tag is not hyperbolic: (images, None)
-    or (images so far, (action index, tag))."""
+def _image_prefix(bases: list[tuple[SpaceModel, Any, Any]], a: int, b: int):
+    """The image F^a G^b in each action in order, from the bare payloads F
+    and G, capped as a word's image is and wrapped once, aborting at the
+    first whose tag is not hyperbolic: (images, None) or (images so far,
+    (action index, tag))."""
     images = []
     for i, (model, F, G) in enumerate(bases):
-        image = model.capped(model.compose(model.power(F, a), model.power(G, b)), "a word's image")
+        product = model._mul(model._power(F, a), model._power(G, b))
+        image = model.isometry(model._capped(product, "a word's image"))
         tag = model.tag(image)
         if tag != HYPERBOLIC:
             return images, (i, tag)
@@ -274,9 +276,9 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
     g, g_image = resolve_witness(system, k)
     g_images = tuple(action.image(g) for action in system.actions[:k]) + (g_image,)
     f2, g2, profile = normalize_powers(system, f, g, f_classes, g_images)
-    bases = [
-        (action.model, action.model.power(f_image, profile.p), action.model.power(g_image, profile.q))
-        for action, f_image, g_image in zip(system.actions, f_images, g_images)
+    bases = [  # (model, F, G), F and G bare payloads
+        (m, m._power(m.require_iso(F), profile.p), m._power(m.require_iso(G), profile.q))
+        for m, F, G in zip([action.model for action in system.actions], f_images, g_images)
     ]
 
     trials: list[tuple[int, int, int, str]] = []

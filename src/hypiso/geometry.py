@@ -40,7 +40,7 @@ def estimate_delta_four_point(model: SpaceModel, sample: list[Point], base: Poin
     if len(sample) < 3:
         raise InsufficientSample(f"need >= 3 points, got {len(sample)}")
     n = len(sample)
-    rows = np.array(model.pairwise_distances([*sample, base]))
+    rows = model.pairwise_distances([*sample, base])
     D, d_base = rows[:n, :n], rows[n, :n]
     # doubled Gromov products keep tree arithmetic in integers
     G2 = d_base[:, None] + d_base[None, :] - D

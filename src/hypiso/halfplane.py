@@ -29,8 +29,8 @@ object) from the level past that."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .models import (
     ELLIPTIC,
@@ -50,12 +50,15 @@ HALF_PLANE_ID = "half_plane"
 # parabolic_words multiplies in int64 while every entry is below this
 _INT64_BOUND = 2**30
 
+_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class Matrix2:
+
+class Matrix2(NamedTuple):
     """A determinant-1 rational matrix M as its primitive integer matrix
     (a, b, c, d) = s*M, s >= 1 and a*d - b*c = s*s.  ``of`` alone checks the
-    determinant; products, inverses and negations are integer arithmetic."""
+    determinant; products, inverses and negations are integer arithmetic.
+    A plain tuple, so a product is four integer products and one
+    ``tuple.__new__``: the plane's payload on every hot path."""
 
     a: int
     b: int
@@ -78,16 +81,16 @@ class Matrix2:
         return Matrix2(1, 0, 0, 1, 1)
 
     def __mul__(self, o: "Matrix2") -> "Matrix2":
-        a = self.a * o.a + self.b * o.c
-        b = self.a * o.b + self.b * o.d
-        c = self.c * o.a + self.d * o.c
-        d = self.c * o.b + self.d * o.d
-        s = self.s * o.s
+        a1, b1, c1, d1, s = self
+        a2, b2, c2, d2, s2 = o
+        a, b = a1 * a2 + b1 * c2, a1 * b2 + b1 * d2
+        c, d = c1 * a2 + d1 * c2, c1 * b2 + d1 * d2
+        s *= s2
         if s > 1:  # the content divides s, since the determinant is s^2
             g = math.gcd(a, b, c, d)
             if g > 1:
                 a, b, c, d, s = a // g, b // g, c // g, d // g, s // g
-        return Matrix2(a, b, c, d, s)
+        return _new(Matrix2, (a, b, c, d, s))
 
     def inverse(self) -> "Matrix2":
         return Matrix2(self.d, -self.b, -self.c, self.a, self.s)
@@ -166,10 +169,13 @@ class HalfPlaneModel(SpaceModel):
         den = math.lcm(x.denominator, y.denominator)
         return y.numerator * (den // y.denominator), x.numerator * (den // x.denominator), den
 
-    def pairwise_distances(self, points: list[Point]) -> list[list[float]]:
-        """d(p, q) for every two rational points, row p, column q: the floats
-        of ``distance``, from cosh = ((X - X')^2 + Y^2 + Y'^2) / 2YY' over one
-        common denominator of all the coordinates."""
+    def pairwise_distances(self, points: list[Point]):
+        """d(p, q) for every two rational points, row p, column q, as a
+        float array: the floats of ``distance``, from cosh = ((X - X')^2 +
+        Y^2 + Y'^2) / 2YY' over one common denominator of all the
+        coordinates."""
+        import numpy as np  # here, so that loading the checker loads no numpy
+
         mats = [self._point_matrix(p) for p in points]
         den = math.lcm(*(m[2] for m in mats))
         xs = [x * (den // d) for _, x, d in mats]
@@ -179,7 +185,7 @@ class HalfPlaneModel(SpaceModel):
             for j in range(i + 1, len(mats)):
                 dx, yj = x - xs[j], ys[j]
                 rows[i][j] = rows[j][i] = _acosh_ratio(dx * dx + y * y + yj * yj, 2 * y * yj)
-        return rows
+        return np.array(rows)
 
     # -- action -----------------------------------------------------------
 
@@ -195,18 +201,15 @@ class HalfPlaneModel(SpaceModel):
         nx = (a * c * (x * x + y2) + (a * d + b * c) * x + b * d) / den
         return self.point((nx, _root(r * (m.s * m.s) / den, e)))
 
-    def size(self, iso: Isometry) -> int:
-        m: Matrix2 = self.require_iso(iso)
+    # the payload hooks of SpaceModel
+    _mul, _inv, _one = staticmethod(Matrix2.__mul__), staticmethod(Matrix2.inverse), Matrix2.identity()
+
+    @staticmethod
+    def _size(m: Matrix2) -> int:
         return max(abs(m.a), abs(m.b), abs(m.c), abs(m.d)).bit_length()
 
     def compose(self, first: Isometry, second: Isometry) -> Isometry:
         return self.isometry(self.require_iso(first) * self.require_iso(second))
-
-    def invert(self, iso: Isometry) -> Isometry:
-        return self.isometry(self.require_iso(iso).inverse())
-
-    def identity(self) -> Isometry:
-        return self.isometry(Matrix2.identity())
 
     # -- classification -----------------------------------------------------
 

@@ -129,7 +129,13 @@ class IsometryClass:
 
 
 class SpaceModel:
-    """Base for the concrete models; subclasses fill in the geometry."""
+    """Base for the concrete models; subclasses fill in the geometry.
+
+    The public methods check each isometry's model id (``require_iso``).
+    Inner loops (``_power``, ``Action.image``, the search) run on bare
+    payloads through four hooks each model sets, and wrap once: ``_mul(p,
+    q)``, ``_inv(p)``, ``_size(p)`` (the size MAX_ISOMETRY_SIZE caps: plane
+    entry bits, tree word units) and ``_one``, the identity."""
 
     kind: str
     model_id: str
@@ -169,9 +175,9 @@ class SpaceModel:
     def distance(self, x: Point, y: Point) -> Length:
         raise NotImplementedError
 
-    def pairwise_distances(self, points: list[Point]) -> list[list]:
+    def pairwise_distances(self, points: list[Point]):
         """The floats (plane) or integers (trees) of ``distance`` for every
-        two of the points, row p, column q, as plain lists."""
+        two of the points, row p, column q, as one numpy array."""
         raise NotImplementedError
 
     def apply(self, iso: Isometry, x: Point) -> Point:
@@ -181,39 +187,41 @@ class SpaceModel:
         raise NotImplementedError
 
     def invert(self, iso: Isometry) -> Isometry:
-        raise NotImplementedError
+        return self.isometry(self._inv(self.require_iso(iso)))
 
     def identity(self) -> Isometry:
-        raise NotImplementedError
+        return self.isometry(self._one)
 
     def size(self, iso: Isometry) -> int:
-        """The size MAX_ISOMETRY_SIZE caps: plane entry bits, tree word units."""
-        raise NotImplementedError
+        return self._size(self.require_iso(iso))
 
     def power(self, iso: Isometry, n: int) -> Isometry:
-        """iso^n by repeated squaring; a square or a result past
+        return self.isometry(self._power(self.require_iso(iso), n))
+
+    def _power(self, p, n: int):
+        """The payload p^n by repeated squaring; a square or a result past
         MAX_ISOMETRY_SIZE is a ValidationError."""
         if n == 0:
-            return self.identity()
-        base = iso if n > 0 else self.invert(iso)
+            return self._one
+        base = p if n > 0 else self._inv(p)
         n = abs(n)
         out = None
         while True:
             if n & 1:
-                out = base if out is None else self.compose(out, base)
+                out = base if out is None else self._mul(out, base)
             n >>= 1
             if not n:
-                return out if out is base else self.capped(out)
-            base = self.capped(self.compose(base, base))
+                return out if out is base else self._capped(out)
+            base = self._capped(self._mul(base, base))
 
-    def capped(self, iso: Isometry, what: str = "a power") -> Isometry:
-        """iso, unless its size passes MAX_ISOMETRY_SIZE: a ValidationError."""
-        if self.size(iso) > MAX_ISOMETRY_SIZE:
+    def _capped(self, p, what: str = "a power"):
+        """p, unless its size passes MAX_ISOMETRY_SIZE: a ValidationError."""
+        if self._size(p) > MAX_ISOMETRY_SIZE:
             raise ValidationError(
                 f"{what} passes the cap of {MAX_ISOMETRY_SIZE} on an isometry's size "
                 "(plane entry bits, tree word units)", "MAX_ISOMETRY_SIZE"
             )
-        return iso
+        return p
 
     def tag(self, iso: Isometry) -> str:
         """The exact tag of ``classify(iso)``, decided without building the

@@ -62,7 +62,8 @@ class TreeModel(SpaceModel):
     """Shared machinery; units are letters (Cayley) or syllables (Bass-Serre)."""
 
     # Subclasses provide, on words: normal_form, multiply (of normal forms,
-    # into a normal form), invert_word, cyclic_reduce and core_tag (the exact
+    # into a normal form) and invert_word (set as SpaceModel's payload hooks
+    # _mul and _inv too), cyclic_reduce and core_tag (the exact
     # tag of a cyclic core), and compose and classify, which
     # perfbench/layers.py wraps per class; _act(g, v), the vertex g.v.  On
     # vertex labels, the three hooks the whole metric is derived from:
@@ -75,17 +76,10 @@ class TreeModel(SpaceModel):
     # even and at odd depth).  _vertex_from_units(units) is the vertex a
     # reduced word ends at.
 
+    _size, _one = staticmethod(len), ()  # the other two payload hooks
+
     def word(self, units) -> Isometry:
         return self.isometry(self.normal_form(tuple(units)))
-
-    def size(self, iso: Isometry) -> int:
-        return len(self.require_iso(iso))
-
-    def identity(self) -> Isometry:
-        return self.isometry(())
-
-    def invert(self, iso: Isometry) -> Isometry:
-        return self.isometry(self.invert_word(self.require_iso(iso)))
 
     def apply(self, iso: Isometry, x: Point) -> Point:
         return self.point(self._act(self.require_iso(iso), self.require_point(x)))
@@ -125,8 +119,8 @@ class TreeModel(SpaceModel):
     def distance(self, x: Point, y: Point) -> Length:
         return _int_length(self._dist(self.require_point(x), self.require_point(y)))
 
-    def pairwise_distances(self, points: list[Point]) -> list[list[int]]:
-        """d(p, q) for every two of the points, as integers: row p, column q.
+    def pairwise_distances(self, points: list[Point]):
+        """d(p, q) for every two of the points, an int64 array: row p, column q.
 
         In a DFS order of the rooted tree (the points sorted by ``_dfs_key``)
         the meet depth of two vertices is the least meet depth of the
@@ -144,7 +138,7 @@ class TreeModel(SpaceModel):
         rank = np.argsort(order)  # the sorted position of each point
         dist = depths[:, None] + depths[None, :] - 2 * meet[np.ix_(rank, rank)]
         np.fill_diagonal(dist, 0)
-        return dist.tolist()
+        return dist
 
     def _gromov(self, u, v, w) -> int:
         """<u|v>_w = (d(u,w) + d(v,w) - d(u,v)) / 2 = d(w) - k(u,w) - k(v,w) + k(u,v)
@@ -387,6 +381,8 @@ class CayleyTreeModel(TreeModel):
     def invert_word(self, u) -> tuple:
         return tuple(-x for x in reversed(u))
 
+    _mul, _inv = multiply, invert_word
+
     def compose(self, first: Isometry, second: Isometry) -> Isometry:
         return self.isometry(self.multiply(self.require_iso(first), self.require_iso(second)))
 
@@ -498,6 +494,8 @@ class BassSerreModel(TreeModel):
 
     def invert_word(self, u) -> tuple:
         return tuple((f, (-e) % self.orders[f]) for f, e in reversed(u))
+
+    _mul, _inv = multiply, invert_word
 
     def compose(self, first: Isometry, second: Isometry) -> Isometry:
         return self.isometry(self.multiply(self.require_iso(first), self.require_iso(second)))

@@ -145,7 +145,7 @@ def test_four_point_matches_pairwise_distance_fill(plane):
             est = estimate_delta_four_point(model, sample, b)
             assert est.delta == _four_point_by_distance(model, sample, b)
         pts = sample[:20] + [base]
-        rows = model.pairwise_distances(pts)
+        rows = model.pairwise_distances(pts).tolist()
         assert rows == [[model.distance(p, q).value for q in pts] for p in pts]
     assert _four_point_by_distance(plane, cases[0][1], cases[0][2]) > 0.0
 

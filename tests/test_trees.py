@@ -428,13 +428,13 @@ def test_pairwise_distances_match_the_pair_loop_and_bfs(model):
         orbit.append(p)
     repeats = rng.choices(ball, k=60)
     for points in (ball, repeats, orbit + ball[:20], [ball[0]], []):
-        assert model.pairwise_distances(points) == pairwise_distances_by_meets(model, points)
+        assert model.pairwise_distances(points).tolist() == pairwise_distances_by_meets(model, points)
     if isinstance(model, BassSerreModel):  # root paths through ((), 1) and not
         assert {model._off(*p.coords) for p in ball} == {0, 1}
     few = repeats[:16] + ball[:8]
     if model.ball_size(max(model._depth(p.coords) for p in orbit)) <= 5000:
         few += orbit[::4]
-    assert model.pairwise_distances(few) == [[model.bfs_distance(p, q) for q in few] for p in few]
+    assert model.pairwise_distances(few).tolist() == [[model.bfs_distance(p, q) for q in few] for p in few]
 
 
 # -- word text ----------------------------------------------------------------
