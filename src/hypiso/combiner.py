@@ -101,8 +101,9 @@ class Certificate:
 WITNESS_SEARCH_DEPTH = 4
 
 # check_hypotheses tags at most this many (word, action) pairs: depth 9 on
-# configs/three_action.cfg is 39,364 words in 3 actions, about 0.03 s
-# (Python 3.11.7, 2 cores)
+# configs/three_action.cfg is 39,364 words in 3 actions, about 0.01 s, and
+# depth 10 in one plane action with entries past 2^30 is 118,096 words,
+# about 0.15-0.18 s (Python 3.11.7, 2 cores, host.ref_ms 0.15-0.31 ms)
 MAX_HYPOTHESIS_PAIRS = 250_000
 
 
@@ -117,14 +118,13 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
     """Tag every reduced word up to the given length in every action.
 
     Each action's model lists its words whose tag is a hypothesis violation
-    (``SpaceModel.parabolic_words``, given the images of the one-letter
-    words of ``ActionSystem.steps``): the plane tags each level of the word
-    tree at once, and a tree action has none, since a tree automorphism is
-    never parabolic.  Fails (listing the offenders, in the order of
-    ``ActionSystem.walk``) when there is any; raises WitnessNotHyperbolic
-    when a claimed witness's tag is not hyperbolic.  Raises ValidationError
-    before any walk when the words times the actions (at least one) exceed
-    MAX_HYPOTHESIS_PAIRS.
+    (``SpaceModel.parabolic_words``, given the generator images): the plane
+    tags each level of the word tree at once, and a tree action has none,
+    since a tree automorphism is never parabolic.  Fails (listing the
+    offenders, in the order of ``ActionSystem.walk``) when there is any;
+    raises WitnessNotHyperbolic when a claimed witness's tag is not
+    hyperbolic.  Raises ValidationError before any walk when the words
+    times the actions (at least one) exceed MAX_HYPOTHESIS_PAIRS.
     """
     # reduced words of length n: any of the r letters, then any but the inverse
     r = 2 * len(system.generators)
@@ -138,9 +138,10 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
                 "word-sample-depth",
             )
     violations: list[tuple[GroupWord, int]] = []
+    letters = [(g, e) for g in system.generators for e in (1, -1)]  # the steps' letters
     for i, action in enumerate(system.actions):
-        letters, images = zip(*system.steps(action))
-        for path in action.model.parabolic_words(list(images), word_sample_depth):
+        images = [action.images[g] for g in system.generators]
+        for path in action.model.parabolic_words(images, word_sample_depth):
             violations.append((GroupWord(tuple(letters[j] for j in path)), i))
     for i, witness in enumerate(system.witnesses):
         if witness is None:

@@ -19,15 +19,22 @@ orbit and the boundary action read a, b, c, d, s; tr = (a + d)/s:
             The Geometry of Discrete Groups, 7.2); else the fixed point is exact
 
 The hypothesis check's tag of every reduced word up to a length
-(parabolic_words) runs one level of the word tree at a time on numpy
-arrays, each matrix its parent's times one step with no gcd: both tests
-read |a + d| against 2s and "b = c = 0, a = d", which scaling keeps.  The
-arrays are int64 while every entry of the level and of the steps is below
-2^30, so that a product of two fits in 62 bits, and Python ints (dtype
-object) from the level past that."""
+(parabolic_words) runs one level of the word tree at a time.  The tree's
+shape depends only on the number of steps r, so its index arrays (each
+word's parent and last step, in the walk's order) are built once per r and
+process, and grown as deeper calls ask.  A level is a stack of 2x2 integer
+matrices and a vector of s, and the next level is one stacked product,
+each word's matrix its parent's times one step with no gcd: the tag reads
+|a + d| against 2s, and "b = c = 0, a = d" only on the words that reach
+it, both of which scaling keeps.  The arrays are int64 while every entry
+of the level (s included) and of the steps is below 2^30, so that a sum of
+two products fits in 62 bits, and Python ints (dtype object) from the
+level past that.  A level's largest entry is read only when a bound on it
+(twice the previous level's times the steps') reaches 2^30."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -50,6 +57,9 @@ HALF_PLANE_ID = "half_plane"
 # parabolic_words multiplies in int64 while every entry is below this
 _INT64_BOUND = 2**30
 
+# the reduced-word tree on r steps, by r: see _word_tree
+_WORD_TREES: dict[int, list] = {}
+
 _new = tuple.__new__
 
 
@@ -68,7 +78,7 @@ class Matrix2(NamedTuple):
 
     @staticmethod
     def of(a, b, c, d) -> "Matrix2":
-        q = [Fraction(x) for x in (a, b, c, d)]
+        q = [x if type(x) is int else Fraction(x) for x in (a, b, c, d)]  # ints have numerator, denominator
         det = q[0] * q[3] - q[1] * q[2]
         if det != 1:
             raise ValueError(f"determinant is {det}, must be exactly 1")
@@ -222,41 +232,41 @@ class HalfPlaneModel(SpaceModel):
             return HYPERBOLIC
         return HYPOTHESIS_VIOLATION if at == two else ELLIPTIC
 
-    def parabolic_words(self, steps: list[Isometry], depth: int) -> tuple[tuple[int, ...], ...]:
+    def parabolic_words(self, generators: list[Isometry], depth: int) -> tuple[tuple[int, ...], ...]:
         """``tag`` on every reduced word up to depth (see SpaceModel), one
-        level at a time as the rows a, b, c, d, s of its unreduced matrices
-        (see the module docstring).  Each level keeps its words' parents and
-        last steps, from which the paths of the failing words are rebuilt."""
+        level at a time as a stack of unreduced matrices (see the module
+        docstring).  The steps are each generator image, then its inverse;
+        the paths of the failing words are rebuilt from the word tree."""
         import numpy as np  # here, so that loading the checker loads no numpy
 
-        rows = [(m.a, m.b, m.c, m.d, m.s) for m in map(self.require_iso, steps)]
-        small = all(abs(x) < _INT64_BOUND for row in rows for x in row)
-        table = np.array(rows, dtype=np.int64 if small else object).T
-        r = len(rows)
-        inv = np.arange(r) ^ 1
-        level, last = table, np.arange(r)
-        parents, lasts, found = [], [last], []
-        for n in range(depth):
+        rows = []
+        for m in map(self.require_iso, generators):
+            rows += (m, m.inverse())
+        top = step_top = max(map(abs, itertools.chain(*rows)))  # s included
+        table = np.array(rows, dtype=np.int64 if top < _INT64_BOUND else object)
+        steps, ss = table[:, :4].reshape(-1, 2, 2), table[:, 4]
+        tree = _word_tree(len(rows), depth)
+        found = []
+        for n, (parent, last) in enumerate(tree):
             if n:
-                parent = np.repeat(np.arange(len(last)), r)
-                step = np.tile(np.arange(r), len(last))
-                keep = step != inv[last[parent]]
-                parent, last = parent[keep], step[keep]
-                a, b, c, d, s = level[:, parent]
-                ea, eb, ec, ed, es = table[:, last]
-                level = np.array([a * ea + b * ec, a * eb + b * ed, c * ea + d * ec, c * eb + d * ed, s * es])
-                parents.append(parent)
-                lasts.append(last)
-            if table.dtype != object and np.abs(level).max() >= _INT64_BOUND:
-                level, table = level.astype(object), table.astype(object)
-            a, b, c, d, s = level
-            bad = (abs(a + d) == 2 * s) & ((b != 0) | (c != 0) | (a != d))
-            for j in np.flatnonzero(bad):
+                level, s = level.take(parent, 0) @ steps.take(last, 0), s.take(parent) * ss.take(last)
+                # each new entry is a sum of two products: read the true
+                # largest entry only when this bound on it reaches the guard
+                top *= 2 * step_top
+                if level.dtype != object and top >= _INT64_BOUND:
+                    top = int(max(np.abs(level).max(), s.max()))
+                    if top >= _INT64_BOUND:
+                        level, s, steps, ss = (x.astype(object) for x in (level, s, steps, ss))
+            else:
+                level, s = steps, ss
+            for j in (abs(level[:, 0, 0] + level[:, 1, 1]) == 2 * s).nonzero()[0].tolist():
+                (a, b), (c, d) = level[j].tolist()
+                if b == 0 and c == 0 and a == d:
+                    continue  # +-identity: elliptic
                 path = []
                 for k in range(n, -1, -1):
-                    path.append(int(lasts[k][j]))
-                    if k:
-                        j = parents[k - 1][j]
+                    path.append(int(tree[k][1][j]))
+                    j = tree[k][0][j]
                 found.append(tuple(reversed(path)))
         return tuple(found)
 
@@ -456,3 +466,28 @@ def _boundary_product(xi, wx: float, wy: float, yx: float, yy: float, dyw: float
     if den == 0.0:
         return math.inf  # y has reached xi in floats
     return math.log(num / den) + 0.5 * math.log(yy / wy) + 0.5 * dyw
+
+
+def _word_tree(r: int, depth: int) -> list:
+    """The first depth levels of the tree of reduced words on r steps, step
+    j ^ 1 the inverse of step j: level n holds the (parent, last) index
+    arrays of the words of length n + 1 in the order of ActionSystem.walk,
+    the parent's index in level n - 1 (0, the empty word, on level 0) and
+    the last step.  Read-only, kept per r and grown only as deeper calls
+    ask; check_hypotheses bounds the depth, so no level passes
+    MAX_HYPOTHESIS_PAIRS words."""
+    import numpy as np
+
+    levels = _WORD_TREES.setdefault(r, [])
+    while len(levels) < depth:
+        if levels:
+            prev = levels[-1][1]
+            parent = np.repeat(np.arange(len(prev)), r)
+            last = np.tile(np.arange(r), len(prev))
+            keep = last != prev[parent] ^ 1
+            parent, last = parent[keep], last[keep]
+        else:
+            parent, last = np.zeros(r, dtype=np.intp), np.arange(r)
+        parent.flags.writeable = last.flags.writeable = False
+        levels.append((parent, last))
+    return levels[:depth]

@@ -228,12 +228,13 @@ class SpaceModel:
         class (no fixed points, lengths or orbit witnesses)."""
         raise NotImplementedError
 
-    def parabolic_words(self, steps: list[Isometry], depth: int) -> tuple[tuple[int, ...], ...]:
+    def parabolic_words(self, generators: list[Isometry], depth: int) -> tuple[tuple[int, ...], ...]:
         """The freely reduced words up to the given length whose tag is
-        HYPOTHESIS_VIOLATION, as paths of indices into ``steps``, in the
-        order of ``ActionSystem.walk``: level by level, then parent, then
-        step.  ``steps`` are the images of the walk's one-letter words, so
-        step j ^ 1 is the inverse of step j."""
+        HYPOTHESIS_VIOLATION, given the generator images, as paths of step
+        indices in the order of ``ActionSystem.walk``: level by level, then
+        parent, then step.  The steps are those of ``ActionSystem.steps``:
+        step 2i is generator i and step 2i + 1 its inverse, so step j ^ 1
+        is the inverse of step j; the model inverts the images it reads."""
         raise NotImplementedError
 
     def classify(self, iso: Isometry) -> IsometryClass:

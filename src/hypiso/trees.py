@@ -87,7 +87,7 @@ class TreeModel(SpaceModel):
     def tag(self, iso: Isometry) -> str:
         return self.core_tag(self.cyclic_reduce(self.require_iso(iso))[1])
 
-    def parabolic_words(self, steps: list[Isometry], depth: int) -> tuple:
+    def parabolic_words(self, generators: list[Isometry], depth: int) -> tuple:
         """None: an automorphism of a tree without inversions is elliptic or
         hyperbolic, never parabolic (Serre, *Trees*, ch. I §6.4;
         Culler-Morgan 1987, §1).  Neither model inverts an edge: the

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hypiso import halfplane
 from hypiso.actions import Action, ActionSystem
 from hypiso.combiner import (
     Certificate,
@@ -145,21 +146,30 @@ def test_check_hypotheses_matches_brute_force():
     assert check_hypotheses(ActionSystem(("f", "g"), []), 2).words_checked == 16
 
 
-def test_check_hypotheses_composes_once_per_word(monkeypatch):
-    # each word's image is its parent's image composed with one generator
-    # image; the only other composition images a claimed witness
-    calls = []
-    original = HalfPlaneModel.compose
+def test_check_hypotheses_builds_each_level_once(monkeypatch):
+    # the plane multiplies one row per word of each level, on one word tree
+    # per number of steps, built on the first call and read by every later
+    # action and call
+    monkeypatch.setattr(halfplane, "_WORD_TREES", {})
+    trees = []
+    original = halfplane._word_tree
 
-    def counted(self, first, second):
-        calls.append(1)
-        return original(self, first, second)
+    def recorded(r, depth):
+        levels = original(r, depth)
+        trees.append((r, levels))
+        return levels
 
-    monkeypatch.setattr(HalfPlaneModel, "compose", counted)
+    monkeypatch.setattr(halfplane, "_word_tree", recorded)
     system = build_action_system(parse_config((CONFIGS / "worked_example.cfg").read_text()))
-    report = check_hypotheses(system, 6)
-    assert report.words_checked == 1456
-    assert len(calls) <= system.n_actions * (report.words_checked + 1)
+    for _ in range(2):
+        assert check_hypotheses(system, 6).words_checked == 1456
+    assert len(trees) == 2 * system.n_actions == 4
+    first = trees[0][1]
+    for r, levels in trees:
+        assert r == 4 and sum(len(parent) for parent, _ in levels) == 1456
+        assert all(a is b for level, built in zip(levels, first) for a, b in zip(level, built))
+    assert [(r, len(levels)) for r, levels in halfplane._WORD_TREES.items()] == [(4, 6)]
+    assert not any(a.flags.writeable for level in first for a in level)
 
 
 def test_witness_not_hyperbolic_raises():
@@ -679,11 +689,11 @@ def _assert_batched_walk_matches(system: ActionSystem, depths) -> int:
     for action in system.actions:
         if not isinstance(action.model, HalfPlaneModel):
             continue
-        steps = [image for _, image in system.steps(action)]
+        generators = [action.images[g] for g in system.generators]
         walked = _walked_parabolic_paths(system, action, max(depths))
         for depth in depths:
             expected = tuple(path for path in walked if len(path) <= depth)
-            assert action.model.parabolic_words(steps, depth) == expected
+            assert action.model.parabolic_words(generators, depth) == expected
         found += len(walked)
     return found
 
@@ -701,6 +711,25 @@ def test_batched_parabolic_words_match_the_walk():
         hs = _plane_conjugators(system, _conjugator(random.Random(seed)))
         found += _assert_batched_walk_matches(_conjugated(system, hs), (5,))
     assert found >= 60  # violations at every depth, past the sampler's 3
+
+
+def test_batched_parabolic_words_grow_one_tree_per_step_count(monkeypatch):
+    # from an empty cache: depths 0 and 1, then deeper calls that grow each
+    # tree, interleaving one, two and three generators; f and g are
+    # parabolic, h of order 2 (h h is -1, a trace hit that is not a
+    # violation) and k an infinite-order rotation with s = 2
+    monkeypatch.setattr(halfplane, "_WORD_TREES", {})
+    p = HalfPlaneModel()
+    f, g, h, k = p.matrix(1, 2, 0, 1), p.matrix(1, 0, 2, 1), p.matrix(0, -1, 1, 0), p.matrix(0, -1, 1, Fraction(1, 2))
+    one = ActionSystem(("f",), [Action("one", p, {"f": f})])
+    two = ActionSystem(("f", "h"), [Action("two", p, {"f": f, "h": h})])
+    three = ActionSystem(("f", "g", "k"), [Action("three", p, {"f": f, "g": g, "k": k})])
+    found = 0
+    for depths in ((0,), (1,), (1, 3), (2, 5)):
+        for system in (one, three, two):
+            found += _assert_batched_walk_matches(system, depths)
+    assert {r: len(levels) for r, levels in halfplane._WORD_TREES.items()} == {2: 5, 4: 5, 6: 5}
+    assert found >= 60
 
 
 def test_batched_parabolic_words_past_int64():

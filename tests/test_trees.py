@@ -165,7 +165,7 @@ def test_sampled_tree_actions_have_no_parabolic_words():
             system = ActionSystem(("f", "g"), [action])
             for _, image in system.walk(action, 5):
                 assert model.tag(image) != HYPOTHESIS_VIOLATION
-            assert model.parabolic_words([image for _, image in system.steps(action)], 5) == ()
+            assert model.parabolic_words([action.images[g] for g in system.generators], 5) == ()
 
 
 def test_bs_orbit_translation_oracle(bs23):
