@@ -4,13 +4,11 @@ isometries, given by generator-to-isometry assignments."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import ValidationError
 from .models import Isometry, SpaceModel
 from .words import GroupWord
-
-Letters = tuple[tuple[str, int], ...]
 
 
 @dataclass
@@ -84,37 +82,3 @@ class ActionSystem:
     @property
     def n_actions(self) -> int:
         return len(self.actions)
-
-    def steps(self, action: Action) -> list[tuple[tuple[str, int], Isometry]]:
-        """The one-letter words and their images in action: generators in
-        order, +1 before -1, so step j ^ 1 is the inverse of step j."""
-        model = action.model
-        steps = []
-        for g in self.generators:
-            image = action.images[g]
-            steps.append(((g, 1), image))
-            steps.append(((g, -1), model.invert(image)))
-        return steps
-
-    def walk(self, action: Action, max_length: int) -> Iterator[tuple[Letters, Isometry]]:
-        """Every freely reduced nonempty word up to the given length, with
-        its image in action: level by level, letters in the order of
-        ``steps``.
-
-        Each image is its parent's image composed with one generator image
-        (inverse images are computed once), and only the previous level is
-        kept.
-        """
-        model = action.model
-        steps = self.steps(action)
-        level: list[tuple[Letters, Isometry]] = [((), model.identity())]
-        for _ in range(max_length):
-            nxt = []
-            for letters, image in level:
-                for letter, step in steps:
-                    if letters and letters[-1] == (letter[0], -letter[1]):
-                        continue
-                    node = (letters + (letter,), model.compose(image, step))
-                    nxt.append(node)
-                    yield node
-            level = nxt

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .models import HYPERBOLIC, HYPOTHESIS_VIOLATION, MAX_ISOMETRY_SIZE, Isometry, IsometryClass, SpaceModel
 from .records import check_witnesses, witness_line
-from .words import GroupWord
+from .words import GroupWord, reduced_words
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,10 @@ class Certificate:
     stages: tuple[StageRecord, ...]
     per_action: tuple[IsometryClass, ...]
     images: tuple[Isometry, ...]  # the word's image in each action, aligned with per_action
-    search_stats: SearchStats
+
+    @property
+    def search_stats(self) -> SearchStats:
+        return SearchStats(sum(stage.candidates_tried for stage in self.stages), len(self.stages))
 
 
 # resolve_witness looks for a hyperbolic word up to this length when an
@@ -121,10 +124,11 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
     (``SpaceModel.parabolic_words``, given the generator images): the plane
     tags each level of the word tree at once, and a tree action has none,
     since a tree automorphism is never parabolic.  Fails (listing the
-    offenders, in the order of ``ActionSystem.walk``) when there is any;
-    raises WitnessNotHyperbolic when a claimed witness's tag is not
-    hyperbolic.  Raises ValidationError before any walk when the words
-    times the actions (at least one) exceed MAX_HYPOTHESIS_PAIRS.
+    offenders, in the order of ``words.reduced_words``) when there is any;
+    raises WitnessNotHyperbolic (``resolve_witness``) when a claimed
+    witness's tag is not hyperbolic.  Raises ValidationError before any tag
+    when the words times the actions (at least one) exceed
+    MAX_HYPOTHESIS_PAIRS.
     """
     # reduced words of length n: any of the r letters, then any but the inverse
     r = 2 * len(system.generators)
@@ -138,18 +142,14 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
                 "word-sample-depth",
             )
     violations: list[tuple[GroupWord, int]] = []
-    letters = [(g, e) for g in system.generators for e in (1, -1)]  # the steps' letters
+    letters = [word.syllables[0] for word in reduced_words(system.generators, 1)]  # by step
     for i, action in enumerate(system.actions):
         images = [action.images[g] for g in system.generators]
         for path in action.model.parabolic_words(images, word_sample_depth):
             violations.append((GroupWord(tuple(letters[j] for j in path)), i))
     for i, witness in enumerate(system.witnesses):
-        if witness is None:
-            continue
-        action = system.actions[i]
-        tag = action.model.tag(action.image(witness))
-        if tag != HYPERBOLIC:
-            raise WitnessNotHyperbolic(i, action.name, f"classified {tag}")
+        if witness is not None:
+            resolve_witness(system, i)
     return HypothesisReport(passed=not violations, violations=tuple(violations), words_checked=words)
 
 
@@ -266,13 +266,7 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
         )
     f_classes = running.per_action + (cls_fk,)
     if cls_fk.is_hyperbolic:
-        return Certificate(
-            word=f,
-            stages=(StageRecord(k, action_k.name),),
-            per_action=f_classes,
-            images=f_images,
-            search_stats=SearchStats(candidates_tried=0, stages=1),
-        )
+        return Certificate(f, (StageRecord(k, action_k.name),), f_classes, f_images)
 
     g, g_image = resolve_witness(system, k)
     g_images = tuple(action.image(g) for action in system.actions[:k]) + (g_image,)
@@ -303,15 +297,14 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
                 stages=(record,),
                 per_action=tuple(model.classify(image) for (model, _, _), image in zip(bases, images)),
                 images=tuple(images),
-                search_stats=SearchStats(candidates_tried=len(trials) + 1, stages=1),
             )
         trials.append((a, b, failure[0], failure[1]))
     raise ScheduleExhausted(k, trials)
 
 
 def resolve_witness(system: ActionSystem, k: int) -> tuple[GroupWord, Isometry]:
-    """The claimed witness for action k, verified; else the first word (in
-    the walk's order, up to length WITNESS_SEARCH_DEPTH) whose tag is
+    """The claimed witness for action k, verified; else the first word of
+    ``reduced_words`` up to length WITNESS_SEARCH_DEPTH whose tag is
     hyperbolic.  Returned with its image in action k."""
     action = system.actions[k]
     claimed = system.witnesses[k]
@@ -321,9 +314,10 @@ def resolve_witness(system: ActionSystem, k: int) -> tuple[GroupWord, Isometry]:
         if tag != HYPERBOLIC:
             raise WitnessNotHyperbolic(k, action.name, f"classified {tag}")
         return claimed, image
-    for letters, image in system.walk(action, WITNESS_SEARCH_DEPTH):
+    for word in reduced_words(system.generators, WITNESS_SEARCH_DEPTH):
+        image = action.image(word)
         if action.model.tag(image) == HYPERBOLIC:
-            return GroupWord(letters), image
+            return word, image
     raise WitnessNotHyperbolic(k, action.name, f"no hyperbolic word up to length {WITNESS_SEARCH_DEPTH}")
 
 
@@ -341,23 +335,14 @@ def simultaneous_hyperbolic(system: ActionSystem, schedule: SearchSchedule) -> C
         stages=(StageRecord(0, system.actions[0].name),),
         per_action=(system.actions[0].model.classify(image),),
         images=(image,),
-        search_stats=SearchStats(candidates_tried=0, stages=1),
     )
     stages = list(running.stages)
-    tried = 0
     for k in range(1, system.n_actions):
         running = combine_step(system, running, schedule)
         stages.extend(running.stages)
-        tried += running.search_stats.candidates_tried
     for action in system.actions:
         _check_image_cap(action, running.word)
-    return Certificate(
-        word=running.word,
-        stages=tuple(stages),
-        per_action=running.per_action,
-        images=running.images,
-        search_stats=SearchStats(candidates_tried=tried, stages=system.n_actions),
-    )
+    return Certificate(running.word, tuple(stages), running.per_action, running.images)
 
 
 def _check_image_cap(action: Action, word: GroupWord) -> None:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InsufficientSample
 from .models import DeltaEstimate, Length, Point, SpaceModel
 
@@ -37,6 +35,8 @@ def estimate_delta_four_point(model: SpaceModel, sample: list[Point], base: Poin
     Exact (integer arithmetic) on tree models, float on the plane; the
     distances come from the model's ``pairwise_distances``.
     """
+    import numpy as np  # here, so that commands that never estimate delta load no numpy
+
     if len(sample) < 3:
         raise InsufficientSample(f"need >= 3 points, got {len(sample)}")
     n = len(sample)

@@ -21,16 +21,17 @@ orbit and the boundary action read a, b, c, d, s; tr = (a + d)/s:
 The hypothesis check's tag of every reduced word up to a length
 (parabolic_words) runs one level of the word tree at a time.  The tree's
 shape depends only on the number of steps r, so its index arrays (each
-word's parent and last step, in the walk's order) are built once per r and
-process, and grown as deeper calls ask.  A level is a stack of 2x2 integer
-matrices and a vector of s, and the next level is one stacked product,
-each word's matrix its parent's times one step with no gcd: the tag reads
-|a + d| against 2s, and "b = c = 0, a = d" only on the words that reach
-it, both of which scaling keeps.  The arrays are int64 while every entry
-of the level (s included) and of the steps is below 2^30, so that a sum of
-two products fits in 62 bits, and Python ints (dtype object) from the
-level past that.  A level's largest entry is read only when a bound on it
-(twice the previous level's times the steps') reaches 2^30."""
+word's parent and last step, in the order of words.reduced_words) are built
+once per r and process, and grown as deeper calls ask.  A level is a stack
+of 2x2 integer matrices and a vector of s, and the next level is one
+stacked product, each word's matrix its parent's times one step with no
+gcd: the tag reads |a + d| against 2s, and "b = c = 0, a = d" only on the
+words that reach it, both of which scaling keeps.  The arrays are int64
+while every entry of the level (s included) and of the steps is below 2^30,
+so that a sum of two products fits in 62 bits, and Python ints (dtype
+object) from the level past that.  A level's largest entry is read only
+when a bound on it (twice the previous level's times the steps') reaches
+2^30."""
 
 from __future__ import annotations
 
@@ -128,11 +129,7 @@ class HalfPlaneModel(SpaceModel):
 
     def __init__(self):
         self.model_id = HALF_PLANE_ID
-        self._basepoint = self.point((Fraction(0), Fraction(1)))
-
-    @property
-    def basepoint(self) -> Point:
-        return self._basepoint
+        self.basepoint = self.point((Fraction(0), Fraction(1)))
 
     def point_xy(self, x, y) -> Point:
         """The point (x, y): x rational, y > 0 rational or r*sqrt(e)."""
@@ -471,7 +468,7 @@ def _boundary_product(xi, wx: float, wy: float, yx: float, yy: float, dyw: float
 def _word_tree(r: int, depth: int) -> list:
     """The first depth levels of the tree of reduced words on r steps, step
     j ^ 1 the inverse of step j: level n holds the (parent, last) index
-    arrays of the words of length n + 1 in the order of ActionSystem.walk,
+    arrays of the words of length n + 1 in the order of words.reduced_words,
     the parent's index in level n - 1 (0, the empty word, on level 0) and
     the last step.  Read-only, kept per r and grown only as deeper calls
     ask; check_hypotheses bounds the depth, so no level passes

@@ -139,6 +139,7 @@ class SpaceModel:
 
     kind: str
     model_id: str
+    basepoint: Point
 
     # -- tagging helpers -------------------------------------------------
 
@@ -167,10 +168,6 @@ class SpaceModel:
         return BoundaryPoint(self.model_id, payload)
 
     # -- geometry surface (implemented by subclasses) ---------------------
-
-    @property
-    def basepoint(self) -> Point:
-        raise NotImplementedError
 
     def distance(self, x: Point, y: Point) -> Length:
         raise NotImplementedError
@@ -231,10 +228,10 @@ class SpaceModel:
     def parabolic_words(self, generators: list[Isometry], depth: int) -> tuple[tuple[int, ...], ...]:
         """The freely reduced words up to the given length whose tag is
         HYPOTHESIS_VIOLATION, given the generator images, as paths of step
-        indices in the order of ``ActionSystem.walk``: level by level, then
-        parent, then step.  The steps are those of ``ActionSystem.steps``:
-        step 2i is generator i and step 2i + 1 its inverse, so step j ^ 1
-        is the inverse of step j; the model inverts the images it reads."""
+        indices in the order of ``words.reduced_words``: level by level,
+        then parent, then step.  Step 2i is generator i and step 2i + 1 its
+        inverse, so step j ^ 1 is the inverse of step j; the model inverts
+        the images it reads."""
         raise NotImplementedError
 
     def classify(self, iso: Isometry) -> IsometryClass:

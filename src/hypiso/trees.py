@@ -346,11 +346,7 @@ class CayleyTreeModel(TreeModel):
         self.rank = rank
         self.model_id = f"cayley_tree(rank={rank})"
         self._degrees = (2 * rank, 2 * rank)
-        self._basepoint = self.point(())
-
-    @property
-    def basepoint(self) -> Point:
-        return self._basepoint
+        self.basepoint = self.point(())
 
     def letters(self) -> list[int]:
         out = []
@@ -459,11 +455,7 @@ class BassSerreModel(TreeModel):
         self.orders = (m, n)
         self._degrees = self.orders  # vertex types alternate with depth
         self.model_id = f"bass_serre(m={m},n={n})"
-        self._basepoint = self.point(((), 0))
-
-    @property
-    def basepoint(self) -> Point:
-        return self._basepoint
+        self.basepoint = self.point(((), 0))
 
     # words: tuples of (factor, exponent) syllables in normal form
 

@@ -76,6 +76,23 @@ class GroupWord:
         return GroupWord(tuple(powers))
 
 
+def reduced_words(generators: Iterable[str], max_length: int) -> Iterator[GroupWord]:
+    """Every freely reduced nonempty word up to max_length, level by level,
+    each word's children in letter order: generators in order, +1 before
+    -1, so letter 2i is generator i and letter 2i + 1 its inverse.  The one
+    word order of the hypothesis check's violations and the witness search."""
+    letters = [(g, e) for g in generators for e in (1, -1)]
+    level = [()]
+    for _ in range(max_length):
+        nxt = []
+        for word in level:
+            for g, e in letters:
+                if not word or word[-1] != (g, -e):
+                    nxt.append(word + ((g, e),))
+                    yield GroupWord(nxt[-1])
+        level = nxt
+
+
 def parse_powers(text: str, check: Callable[[str, str], None]) -> Iterator[tuple[str, int]]:
     """The powers of 'f^2 g^-1' style text, token by token: ('f', 2), ('g', -1).
 

@@ -471,7 +471,6 @@ def test_acceptance_negative_control():
         stages=cert.stages,
         per_action=cert.per_action,
         images=cert.images,
-        search_stats=cert.search_stats,
     )
     assert not verify_certificate(system, mutated)
     _pass("negative-control", "f^1 g^1 rejected (trace 0 in action one)")

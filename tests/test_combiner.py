@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypiso import halfplane
+from hypiso import combiner, halfplane
 from hypiso.actions import Action, ActionSystem
 from hypiso.combiner import (
     Certificate,
@@ -32,7 +32,7 @@ from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.records import class_invariant, parse_record, record_for_certificate, verify_record
 from hypiso.sampling import random_action_system
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
-from hypiso.words import GroupWord
+from hypiso.words import GroupWord, reduced_words
 
 
 def worked_system() -> ActionSystem:
@@ -67,7 +67,7 @@ def _images(system: ActionSystem, word: GroupWord, upto: int) -> tuple:
 def _running(system: ActionSystem, word: GroupWord, k: int) -> Certificate:
     """A certificate for word in actions 0..k-1, as stage k receives it."""
     images = tuple(action.image(word) for action in system.actions[:k])
-    return Certificate(word, (), _classes(system, word, k - 1), images, SearchStats(0, 0))
+    return Certificate(word, (), _classes(system, word, k - 1), images)
 
 
 def test_schedule_order():
@@ -177,6 +177,44 @@ def test_witness_not_hyperbolic_raises():
     system.witnesses[0] = GroupWord.parse("g")  # elliptic in action one
     with pytest.raises(WitnessNotHyperbolic):
         check_hypotheses(system, 2)
+
+
+# -- the witness search, when an action claims no witness -------------------------
+
+ROTATION_3_5 = (Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))  # infinite order
+
+
+def _unclaimed(model, f, g) -> ActionSystem:
+    return ActionSystem(("f", "g"), [Action("one", model, {"f": f, "g": g})])
+
+
+def test_witness_search_finds_the_first_hyperbolic_word():
+    plane, bs = HalfPlaneModel(), BassSerreModel(2, 3)
+    s, t = bs.word([(0, 1)]), bs.word([(1, 1)])
+    # rotations of order 2 and 3: no shorter word is hyperbolic (f g is parabolic)
+    rotations = _unclaimed(plane, plane.matrix(0, -1, 1, 0), plane.matrix(0, -1, 1, 1))
+    for system, expected in ((rotations, "f g f g^-1"), (_unclaimed(bs, s, t), "f g")):
+        word, image = resolve_witness(system, 0)
+        assert word == GroupWord.parse(expected)
+        assert image.payload == system.actions[0].image(word).payload
+
+
+def test_search_without_witnesses_certifies():
+    plane, bs = HalfPlaneModel(), BassSerreModel(2, 3)
+    tree = Action("tree", bs, {"f": bs.word([(0, 1)]), "g": bs.word([(1, 1)])})
+    rotated = Action("plane", plane, {"f": plane.matrix(2, 1, 1, 1), "g": plane.matrix(*ROTATION_3_5)})
+    system = ActionSystem(("f", "g"), [tree, rotated])
+    cert = simultaneous_hyperbolic(system, SearchSchedule())
+    assert cert.word == GroupWord.parse("f g f^2")
+    assert verify_certificate(system, cert)
+
+
+def test_witness_search_exhausted():
+    plane, bs = HalfPlaneModel(), BassSerreModel(2, 3)
+    s = bs.word([(0, 1)])
+    for system in (_unclaimed(plane, plane.matrix(0, -1, 1, 0), plane.matrix(*ROTATION_3_5)), _unclaimed(bs, s, s)):
+        with pytest.raises(WitnessNotHyperbolic, match="no hyperbolic word up to length 4"):
+            resolve_witness(system, 0)
 
 
 def test_independent_examples():
@@ -297,7 +335,7 @@ def test_combine_step_dependent_hyperbolic_case():
 
 def _extend(cert: Certificate, system: ActionSystem) -> Certificate:
     classes = tuple(a.classify_word(cert.word) for a in system.actions)
-    return Certificate(cert.word, cert.stages, classes, cert.images, cert.search_stats)
+    return Certificate(cert.word, cert.stages, classes, cert.images)
 
 
 def test_schedule_exhausted_carries_trials():
@@ -363,11 +401,11 @@ def test_verify_certificate_negative_controls():
     system = worked_system()
     cert = simultaneous_hyperbolic(system, SearchSchedule(8))
     identity_cert = Certificate(
-        GroupWord.identity(), cert.stages, cert.per_action, cert.images, cert.search_stats
+        GroupWord.identity(), cert.stages, cert.per_action, cert.images
     )
     assert not verify_certificate(system, identity_cert)
     elliptic_cert = Certificate(
-        GroupWord.parse("f g"), cert.stages, cert.per_action, cert.images, cert.search_stats
+        GroupWord.parse("f g"), cert.stages, cert.per_action, cert.images
     )
     ok, notes = verify_certificate_detailed(system, elliptic_cert)
     assert not ok and notes
@@ -390,15 +428,15 @@ def test_certificate_and_record_checks_agree():
     record = record_for_certificate("combine", system, cert, [])
     assert verify_certificate_detailed(system, cert) == verify_record(system, record) == (True, [])
     squares = tuple(a.classify_word(cert.word**2) for a in system.actions)
-    wrong = Certificate(cert.word, cert.stages, squares, cert.images, cert.search_stats)
+    wrong = Certificate(cert.word, cert.stages, squares, cert.images)
     ok, notes = verify_certificate_detailed(system, wrong)
     assert not ok and all("witness mismatch" in n for n in notes)
     swapped = Certificate(
-        cert.word, cert.stages, tuple(reversed(cert.per_action)), cert.images, cert.search_stats
+        cert.word, cert.stages, tuple(reversed(cert.per_action)), cert.images
     )
     ok, notes = verify_certificate_detailed(system, swapped)  # a tree class in a plane action
     assert not ok and "another model" in notes[0]
-    short = Certificate(cert.word, cert.stages, cert.per_action[:2], cert.images[:2], cert.search_stats)
+    short = Certificate(cert.word, cert.stages, cert.per_action[:2], cert.images[:2])
     assert verify_certificate_detailed(system, short) == (
         False, ["certificate covers 2 actions, system has 3"]
     )
@@ -533,11 +571,11 @@ BS_ELLIPTICS = [((0, 1),), ((1, 1),), ((1, 2),), ((1, 1), (0, 1), (1, 2)), ((0, 
 
 
 @st.composite
-def chain_systems(draw):
+def chain_systems(draw, max_k: int = 4):
     """k generators and k actions; action i sees generator i hyperbolic and
     every other one elliptic, on the plane (conjugated by a shear) or on the
     Bass-Serre tree of Z/2 * Z/3."""
-    k = draw(st.integers(2, 4))
+    k = draw(st.integers(2, max_k))
     gens = tuple(f"g{j + 1}" for j in range(k))
     actions = []
     for i in range(k):
@@ -567,6 +605,38 @@ def test_certificate_images_on_chain_systems(system):
         return  # a parabolic f or g, or no pair in the small schedule: nothing certified
     assert_images_are_the_word_images(system, cert)
     assert verify_certificate(system, cert)
+
+
+def _assert_stats_tally_the_stages(system: ActionSystem, schedule: SearchSchedule) -> None:
+    """Each stage's certificate and the final one: the search stats are the
+    stages' candidates and their number."""
+    steps = []
+
+    def step(system, running, schedule, original=combiner.combine_step):
+        steps.append(original(system, running, schedule))
+        return steps[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(combiner, "combine_step", step)
+        cert = simultaneous_hyperbolic(system, schedule)
+    for out in (*steps, cert):
+        assert out.search_stats == SearchStats(sum(s.candidates_tried for s in out.stages), len(out.stages))
+
+
+def test_search_stats_tally_the_stages():
+    systems = [random_action_system(seed) for seed in range(20)]
+    systems += [build_action_system(parse_config(path.read_text())) for path in sorted(CONFIGS.glob("*.cfg"))]
+    for system in systems:
+        _assert_stats_tally_the_stages(system, SearchSchedule(32))
+
+
+@given(chain_systems(8))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_search_stats_tally_the_stages_on_chain_systems(system):
+    try:
+        _assert_stats_tally_the_stages(system, SearchSchedule(6))
+    except (HypothesisViolation, ScheduleExhausted):
+        return
 
 
 # -- equivariance: conjugating an action's images changes no decision ----------
@@ -669,21 +739,38 @@ def test_search_is_invariant_under_tree_conjugation():
     assert conjugated == 19 and controls >= 15
 
 
-# -- the plane's batched hypothesis check against the walk -----------------------
+# -- the plane's batched hypothesis check against imaging each word -------------
+
+
+def _step_path(generators, word: GroupWord) -> tuple:
+    """The word's letters as step indices: 2i for generator i, 2i + 1 for its inverse."""
+    return tuple(2 * generators.index(g) + (e < 0) for g, e in word.syllables for _ in range(abs(e)))
 
 
 def _walked_parabolic_paths(system: ActionSystem, action: Action, depth: int) -> tuple:
-    """The oracle: the walk's words whose tag is a violation, as step paths."""
-    index = {letter: j for j, (letter, _) in enumerate(system.steps(action))}
+    """The oracle: the reduced words whose tag is a violation, each imaged
+    on its own in Python ints (gcd-reduced), as step paths."""
     return tuple(
-        tuple(index[letter] for letter in letters)
-        for letters, image in system.walk(action, depth)
-        if action.model.tag(image) == "hypothesis_violation"
+        _step_path(system.generators, word)
+        for word in reduced_words(system.generators, depth)
+        if action.model.tag(action.image(word)) == "hypothesis_violation"
     )
 
 
+def test_reduced_words_follow_the_word_tree():
+    # the batched check names its words by their paths in the word tree
+    for generators, count in ((("f",), 10), (("f", "g"), 484), (("f", "g", "h"), 4686)):
+        tree_paths, level = [], [()]
+        for parent, last in halfplane._word_tree(2 * len(generators), 5):
+            level = [level[p] + (j,) for p, j in zip(parent.tolist(), last.tolist())]
+            tree_paths += level
+        words = list(reduced_words(generators, 5))
+        assert len(words) == count
+        assert [_step_path(generators, word) for word in words] == tree_paths
+
+
 def _assert_batched_walk_matches(system: ActionSystem, depths) -> int:
-    """parabolic_words against the walk on each plane action; the number of
+    """parabolic_words against the oracle on each plane action; the number of
     violations found at the deepest depth."""
     found = 0
     for action in system.actions:
@@ -739,14 +826,14 @@ def test_batched_parabolic_words_past_int64():
     s = 3_500_000_017
     big = ActionSystem(("f", "g"), [Action("big", plane, {"f": plane.matrix(1, Fraction(1, s), 0, 1),
                                                           "g": plane.matrix(2, 1, 1, 1)})])
-    assert max(plane.size(image) for _, image in big.steps(big.actions[0])) > 30
+    assert max(plane.size(image) for image in big.actions[0].images.values()) > 30
     # f = z -> z + 1/t with t < 2^30: int64 steps, a level past 2^30 at
     # length 2, and f f f has 2^62 < t^3 < 2^63 at length 3, so the 2s of
     # its tag passes 2^63
     t = 1_900_001
     late = ActionSystem(("f", "g"), [Action("late", plane, {"f": plane.matrix(1, Fraction(1, t), 0, 1),
                                                             "g": plane.matrix(2, 1, 1, 1)})])
-    assert max(plane.size(image) for _, image in late.steps(late.actions[0])) <= 30
+    assert max(plane.size(image) for image in late.actions[0].images.values()) <= 30
     for system, f_f in ((big, (0, 0)), (late, (0, 0, 0))):
         assert f_f in _walked_parabolic_paths(system, system.actions[0], 4)
         assert _assert_batched_walk_matches(system, (1, 2, 3, 4)) > 0

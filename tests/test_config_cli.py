@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -138,6 +140,24 @@ def test_cli_combine_records_round_trip(tmp_path, capsys):
     bad_path = write(tmp_path, "bad.rec", bad)
     assert main(["combine", "--input", path, "--verify", bad_path]) == 2
     capsys.readouterr()
+
+
+def test_classify_dynamics_and_verify_load_no_numpy(tmp_path, capsys):
+    # numpy serves the hypothesis check and the delta estimate, which none
+    # of these commands runs: a cold process never imports it
+    path = str(CONFIGS / "three_action.cfg")
+    assert main(["combine", "--input", path, "--format", "records"]) == 0
+    rec_path = write(tmp_path, "cert.rec", capsys.readouterr().out)
+    code = (
+        "import sys\n"
+        "from hypiso.cli import main\n"
+        f"assert main(['classify', '--input', {path!r}]) == 0\n"
+        f"assert main(['combine', '--input', {path!r}, '--verify', {rec_path!r}]) == 0\n"
+        f"assert main(['dynamics', '--input', {path!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, stdout=subprocess.DEVNULL)
 
 
 def test_cli_determinism(tmp_path, capsys):
@@ -334,7 +354,6 @@ def test_samples_under_cap_pass():
 
 
 def test_word_sample_depth_over_cap_exit_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(ActionSystem, "walk", _no_walk)
     monkeypatch.setattr(HalfPlaneModel, "parabolic_words", _no_walk)
     path = write(tmp_path, "deep.cfg", THREE_ACTION.replace("seed 0", "seed 0\nword-sample-depth 30"))
     assert main(["combine", "--input", path]) == 1
