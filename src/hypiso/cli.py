@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 from . import dynamics as dyn
@@ -49,8 +49,9 @@ EXIT_HYPOTHESIS = 3
 
 # delta and dynamics sample at most this many points per action: plane
 # points (--samples), or the vertices of a tree ball.  The four-point
-# estimate costs n^3 steps; the 937-vertex rank-3 radius-4 ball takes 2.2 s,
-# 0.05 s of it the distances (Python 3.11.7, 2 cores, host.ref_ms 0.29).
+# estimate costs n^3 steps; the 937-vertex rank-3 radius-4 ball takes 0.2 s,
+# 0.03 s of it the distances (Python 3.11.7, numpy 2.4, 2 cores, host.ref_ms
+# 0.26-0.30).
 MAX_SAMPLE_POINTS = 1000
 
 # dynamics follows an orbit of at most this many steps (orbit-depth); plane
@@ -59,6 +60,7 @@ MAX_SAMPLE_POINTS = 1000
 MAX_ORBIT_DEPTH = 1000
 
 
+@cache  # built on the first main call, then reused: parsing keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hypiso")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -44,6 +44,9 @@ def estimate_delta_four_point(model: SpaceModel, sample: list[Point], base: Poin
     D, d_base = rows[:n, :n], rows[n, :n]
     # doubled Gromov products keep tree arithmetic in integers
     G2 = d_base[:, None] + d_base[None, :] - D
+    if G2.dtype.kind == "i":  # every defect lies within 2*max|G2|, so the narrowest dtype is exact
+        bound = 2 * int(np.abs(G2).max()) + 1
+        G2 = G2.astype(next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max))
     # max over y of min(<x|y>, <y|z>), one row x at a time: O(n^2) memory
     defect2 = max((np.minimum(row[:, None], G2).max(axis=0) - row).max() for row in G2)
     delta = max(0.0, float(defect2) / 2.0)

@@ -79,13 +79,14 @@ class Matrix2(NamedTuple):
 
     @staticmethod
     def of(a, b, c, d) -> "Matrix2":
-        q = [x if type(x) is int else Fraction(x) for x in (a, b, c, d)]  # ints have numerator, denominator
-        det = q[0] * q[3] - q[1] * q[2]
-        if det != 1:
-            raise ValueError(f"determinant is {det}, must be exactly 1")
-        # s*M is primitive: a prime p dividing it divides det = s^2, and s/p clears M
+        q = [x if type(x) in (int, Fraction) else Fraction(x) for x in (a, b, c, d)]
+        # s*M is integer, so det M = 1 reads a*d - b*c = s^2 in integers; s*M is
+        # then primitive: a prime p dividing it divides s^2, and s/p clears M
         s = math.lcm(*(x.denominator for x in q))
-        return Matrix2(*(x.numerator * (s // x.denominator) for x in q), s)
+        a, b, c, d = (x.numerator * (s // x.denominator) for x in q)
+        if a * d - b * c != s * s:
+            raise ValueError(f"determinant is {Fraction(a * d - b * c, s * s)}, must be exactly 1")
+        return _new(Matrix2, (a, b, c, d, s))
 
     @staticmethod
     def identity() -> "Matrix2":

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -235,6 +236,46 @@ def test_cli_bad_word_flag_exit_1(tmp_path, capsys):
     path = write(tmp_path, "worked.cfg", WORKED_EXAMPLE)
     assert main(["classify", "--input", path, "--word", "h^2"]) == 1
     capsys.readouterr()
+
+
+def test_cached_parser_keeps_no_word_between_calls(tmp_path, capsys):
+    # --word appends to a default list: a later call must not see the earlier words
+    path = write(tmp_path, "three.cfg", THREE_ACTION)
+    assert main(["classify", "--input", path]) == 0
+    plain = capsys.readouterr().out
+    assert main(["classify", "--input", path, "--word", "f g"]) == 0
+    assert capsys.readouterr().out.count("'f g'") == 3
+    assert main(["classify", "--input", path]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_cached_parser_survives_a_flag_error(tmp_path, capsys):
+    path = write(tmp_path, "worked.cfg", WORKED_EXAMPLE)
+    assert main(["combine", "--input", path]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["combine", "--input", path, "--format", "yaml"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["combine", "--input", path]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    path = write(tmp_path, "worked.cfg", WORKED_EXAMPLE)
+    for command in ("classify", "combine", "report", "classify", "combine"):
+        assert main([command, "--input", path]) == 0
+    capsys.readouterr()
+    assert built.count("hypiso") == 1
 
 
 def test_config_comments_and_blank_lines():

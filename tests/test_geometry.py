@@ -164,6 +164,32 @@ def test_four_point_memory_is_quadratic():
     assert peak < 32 * 2**20
 
 
+class _ScaledCycle:
+    """The metric of a 5-cycle's vertices, scaled: integer distances with a
+    four-point defect, so a wrapped narrow dtype would change the estimate."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def pairwise_distances(self, points):
+        return np.array([[min((p - q) % 5, (q - p) % 5) * self.scale for q in points] for p in points])
+
+
+@pytest.mark.parametrize("depth, narrower", [(40, np.int8), (9000, np.int16)])
+def test_four_point_dtype_guard_is_exact(depth, narrower):
+    # at the root, max G2 = 2*depth: the guard 2*max|G2| + 1 passes the narrower dtype
+    line = CayleyTreeModel(1)
+    sample = [line.vertex([e] * k) for e in (1, -1) for k in (0, 1, 2, depth // 2, depth - 1, depth)]
+    assert 4 * depth + 1 > np.iinfo(narrower).max
+    for base in (line.basepoint, line.vertex([1] * 3)):
+        assert estimate_delta_four_point(line, sample, base).delta == _four_point_by_distance(line, sample, base)
+
+
+def test_four_point_dtype_guard_keeps_a_defect():
+    for scale in (1, 30, 8000, 3_000_000_000):  # int8, int16, int32, int64
+        assert estimate_delta_four_point(_ScaledCycle(scale), [0, 1, 2, 3], 4).delta == scale / 2
+
+
 def test_gromov_inequality_with_sampled_delta(plane, cayley):
     for model in (plane, cayley):
         rng = rng_from_seed(17)

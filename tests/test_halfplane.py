@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -70,6 +71,41 @@ def test_compose_matrix_product(plane):
 def test_matrix_checks_its_determinant(plane):
     with pytest.raises(ValueError, match="determinant is 2, must be exactly 1"):
         plane.matrix(2, 0, 0, 1)
+
+
+def _matrix_by_fractions(entries):
+    """Matrix2.of by Fraction arithmetic: the matrix, or the ValueError message."""
+    q = [Fraction(x) for x in entries]
+    det = q[0] * q[3] - q[1] * q[2]
+    if det != 1:
+        return f"determinant is {det}, must be exactly 1"
+    s = math.lcm(*(x.denominator for x in q))
+    return Matrix2(*(int(x * s) for x in q), s)
+
+
+def test_matrix_of_matches_fraction_determinant_on_sweep():
+    values = [*range(-3, 4), *(Fraction(p, q) for p, q in ((1, 2), (2, 3), (3, 2)) for p in (p, -p))]
+    accepted = 0
+    for entries in itertools.product(values, repeat=4):
+        expected = _matrix_by_fractions(entries)
+        try:
+            got = Matrix2.of(*entries)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, entries
+        accepted += isinstance(got, Matrix2)
+    assert accepted > 100
+
+
+def test_matrix_of_converts_other_inputs():
+    assert Matrix2.of("1/2", 0, "-3/4", 2) == Matrix2(2, 0, -3, 8, 4)
+    assert Matrix2.of(True, False, 0, 1) == Matrix2(1, 0, 0, 1, 1)
+    assert [type(x) for x in Matrix2.of(True, False, 0, True)] == [int] * 5
+    assert Matrix2.of(0.5, 0, 0, 2.0) == Matrix2(1, 0, 0, 4, 2)
+    with pytest.raises(ValueError, match="determinant is 3/2, must be exactly 1"):
+        Matrix2.of("3/2", 0, 0, True)
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        Matrix2.of("x", 0, 0, 1)
 
 
 def test_classify_hyperbolic_trace_3(plane):
