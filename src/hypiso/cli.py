@@ -59,6 +59,9 @@ MAX_SAMPLE_POINTS = 1000
 # configs/ takes 1.2 s (Python 3.11.7, 2 cores, host.ref_ms 0.29)
 MAX_ORBIT_DEPTH = 1000
 
+# the checks dynamics runs, as --checks names them
+DYNAMICS_CHECKS = ("ns", "insize", "projection")
+
 
 @cache  # built on the first main call, then reused: parsing keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "combine":
             p.add_argument("--verify", default=None, help="re-verify a records file instead of searching")
         if name == "dynamics":
-            checks = "ns,insize,projection"
+            checks = ",".join(DYNAMICS_CHECKS)
             p.add_argument("--checks", default=checks, help=f"comma list: {checks}")
         if name == "delta":
             p.add_argument("--samples", type=int, default=60)
@@ -239,6 +242,10 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Res
     if depth > MAX_ORBIT_DEPTH:
         raise ValidationError(f"{depth} is over the cap of {MAX_ORBIT_DEPTH}", "orbit-depth")
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    for check in checks:
+        if check not in DYNAMICS_CHECKS:
+            known = ", ".join(DYNAMICS_CHECKS)
+            raise ValidationError(f"unknown check {check!r}; the checks are {known}", "--checks")
     rows, lines = [], []
     for i, action in enumerate(system.actions):
         _, image = resolve_witness(system, i)  # the witness's image, read by every check
@@ -303,23 +310,28 @@ def _cmd_report(args, system: ActionSystem, settings, radii) -> Result:
     hyp, cert = _search(system, settings)
     if cert is None:
         return _violations(args, system, hyp, settings)
-    rec = record_for_certificate("report", system, cert, _settings_rows(settings))
-    rec.extra.append(f"hypotheses words {hyp.words_checked} violations 0")
+    lines = [f"hypotheses words {hyp.words_checked} violations 0"]
     table = [f"hypotheses: pass ({hyp.words_checked} words checked)", *_witness_table(system, cert)]
     for s in cert.stages[1:]:  # stage 0 only resolves the first witness
         if s.profile is None:
-            rec.extra.append(f"profile {s.stage} trivial")
+            lines.append(f"profile {s.stage} trivial")
             table.append(f"stage {s.stage}: trivial (running word already hyperbolic)")
             continue
         entries = [e for e in s.profile.entries if e.partition is not None]
-        rec.extra.extend(
+        lines.extend(
             f"profile {s.stage} {e.action_index} {e.action_name} f={e.f_tag} g={e.g_tag} "
             f"partition={e.partition}"
             for e in entries
         )
         partition = ", ".join(f"{e.action_name}:{e.partition}" for e in entries)
         table.append(f"stage {s.stage}: partition {partition}")
-    return Result(EXIT_OK, lambda: rec, table, [])
+
+    def record() -> RunRecord:  # built only for --format records, as in combine
+        rec = record_for_certificate("report", system, cert, _settings_rows(settings))
+        rec.extra.extend(lines)
+        return rec
+
+    return Result(EXIT_OK, record, table, [])
 
 
 def _witness_table(system: ActionSystem, cert) -> list[str]:

@@ -43,7 +43,6 @@ class ActionConfig:
     ball_radius: Optional[int] = None
     images: dict[str, str] = field(default_factory=dict)
     witness: Optional[str] = None
-    line: int = 0
 
 
 @dataclass
@@ -63,9 +62,7 @@ class SystemConfig:
         return value
 
     def build(self) -> ActionSystem:
-        """The action system, built (and so fully validated) once."""
-        if self._system is None:
-            self._system = build_action_system(self)
+        """The action system that parse_config built, and so validated."""
         return self._system
 
 
@@ -94,7 +91,7 @@ def parse_config(text: str) -> SystemConfig:
             schedule[key] = _parse_int(tokens[1], lineno)
         elif key == "action":
             _expect_args(tokens, 1, lineno)
-            current = ActionConfig(name=tokens[1], line=lineno)
+            current = ActionConfig(name=tokens[1])
             actions.append(current)
         elif current is not None:
             _parse_action_line(current, key, tokens, line, lineno)
@@ -108,7 +105,7 @@ def parse_config(text: str) -> SystemConfig:
     config = SystemConfig(generators=generators, actions=actions, schedule=schedule)
     for key in schedule:
         config.setting(key)  # range check
-    config.build()  # full semantic validation
+    config._system = build_action_system(config)  # full semantic validation
     return config
 
 

@@ -97,7 +97,6 @@ def ns_dynamics_check(
 
 @dataclass(frozen=True)
 class TriangleInternals:
-    vertices: tuple[Point, Point, Point]
     internal: tuple[Point, Point, Point]  # on sides [y,z], [z,x], [x,y]
     insize: Length
 
@@ -114,7 +113,7 @@ def internal_points(model: SpaceModel, x: Point, y: Point, z: Point) -> Triangle
         if p.coords == q.coords:
             raise DegenerateTriangle("two triangle vertices coincide")
     if isinstance(model, TreeModel):
-        return TriangleInternals((x, y, z), *model.internal_points(x, y, z))
+        return TriangleInternals(*model.internal_points(x, y, z))
     gx = gromov_product(model, y, z, x).value  # d(x, beta^) = d(x, gamma^)
     gy = gromov_product(model, x, z, y).value
     gz = gromov_product(model, x, y, z).value
@@ -125,7 +124,7 @@ def internal_points(model: SpaceModel, x: Point, y: Point, z: Point) -> Triangle
     insize = max(
         model.distance(p, q).value for i, p in enumerate(pts) for q in pts[i + 1 :]
     )
-    return TriangleInternals(vertices=(x, y, z), internal=pts, insize=Length(insize))
+    return TriangleInternals(internal=pts, insize=Length(insize))
 
 
 def _plane_point_at(model: HalfPlaneModel, p: Point, q: Point, dist: float) -> Point:

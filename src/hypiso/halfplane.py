@@ -67,7 +67,7 @@ _new = tuple.__new__
 class Matrix2(NamedTuple):
     """A determinant-1 rational matrix M as its primitive integer matrix
     (a, b, c, d) = s*M, s >= 1 and a*d - b*c = s*s.  ``of`` alone checks the
-    determinant; products, inverses and negations are integer arithmetic.
+    determinant; products and inverses are integer arithmetic.
     A plain tuple, so a product is four integer products and one
     ``tuple.__new__``: the plane's payload on every hot path."""
 
@@ -106,13 +106,6 @@ class Matrix2(NamedTuple):
 
     def inverse(self) -> "Matrix2":
         return Matrix2(self.d, -self.b, -self.c, self.a, self.s)
-
-    def neg(self) -> "Matrix2":
-        return Matrix2(-self.a, -self.b, -self.c, -self.d, self.s)
-
-    @property
-    def trace(self) -> Fraction:
-        return Fraction(self.a + self.d, self.s)
 
     def is_proj_identity(self) -> bool:
         return self.b == 0 and self.c == 0 and self.a == self.d
@@ -317,14 +310,6 @@ class HalfPlaneModel(SpaceModel):
         return self.point((x, _root(Fraction(s, 2 * abs(c)), 4 - Fraction(a + d, s) ** 2)))
 
     # -- boundary ----------------------------------------------------------
-
-    def boundary_infinity(self) -> BoundaryPoint:
-        return self.boundary(None)
-
-    def boundary_finite(self, value) -> BoundaryPoint:
-        if not isinstance(value, QuadraticNumber):
-            value = QuadraticNumber(Fraction(value))
-        return self.boundary(value)
 
     def boundary_equal(self, p: BoundaryPoint, q: BoundaryPoint) -> bool:
         bp: QuadraticNumber | None = self.require_boundary(p)

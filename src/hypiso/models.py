@@ -192,9 +192,6 @@ class SpaceModel:
     def size(self, iso: Isometry) -> int:
         return self._size(self.require_iso(iso))
 
-    def power(self, iso: Isometry, n: int) -> Isometry:
-        return self.isometry(self._power(self.require_iso(iso), n))
-
     def _power(self, p, n: int):
         """The payload p^n by repeated squaring; a square or a result past
         MAX_ISOMETRY_SIZE is a ValidationError."""

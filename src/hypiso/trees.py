@@ -3,12 +3,11 @@
 Both models are exact.  Vertices are canonical labels (reduced words; for
 Bass-Serre trees, coset representatives plus a vertex type), and boundary
 points are eventually-periodic reduced rays (prefix, repeating word).
-``TreeModel`` derives the whole metric (distance, median, geodesic,
+``TreeModel`` derives the whole metric (distances, Gromov products,
 internal points) in integers from three hooks on vertex labels that
 each model provides: ``_depth``, ``_meet_depth`` and ``_ancestor``.  The
-ball of any radius about the basepoint is walked on demand, and
-``bfs_distance`` is an independent oracle: it recomputes distances by graph
-search over each model's own ``_neighbors``.
+ball of any radius about the basepoint is walked on demand over each
+model's own ``_neighbors``.
 
 Bass-Serre conventions for G = Z/m * Z/n = <s> * <t>: syllables are
 (factor, exponent) with factor 0 for s and 1 for t, exponents reduced mod
@@ -26,7 +25,6 @@ its cyclic letter length.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,9 +69,9 @@ class TreeModel(SpaceModel):
     #   _meet_depth(u, v)  depth of the last vertex the root paths share
     #   _ancestor(v, k)    the vertex at depth k on v's root path
     #   _dfs_key(v)        a sort key that lists the vertices in a DFS order
-    # and, for the ball and the BFS oracle alone, _neighbors(v) (adjacency
-    # from the tree's own definition) and _degrees (the vertex degrees at
-    # even and at odd depth).  _vertex_from_units(units) is the vertex a
+    # and, for the ball alone, _neighbors(v) (adjacency from the tree's own
+    # definition) and _degrees (the vertex degrees at even and at odd
+    # depth).  _vertex_from_units(units) is the label of the vertex a
     # reduced word ends at.
 
     _size, _one = staticmethod(len), ()  # the other two payload hooks
@@ -146,21 +144,6 @@ class TreeModel(SpaceModel):
         meet = self._meet_depth
         return self._depth(w) - meet(u, w) - meet(v, w) + meet(u, v)
 
-    def gromov_exact(self, x: Point, y: Point, w: Point) -> Fraction:
-        return Fraction(self._gromov(self.require_point(x), self.require_point(y), self.require_point(w)))
-
-    def geodesic(self, x: Point, y: Point) -> list[Point]:
-        u, v = self.require_point(x), self.require_point(y)
-        k = self._meet_depth(u, v)
-        return [self.point(self._along(u, v, k, t)) for t in range(self._dist(u, v) + 1)]
-
-    def median(self, x: Point, y: Point, z: Point) -> Point:
-        """The deepest of the three pairwise meets (the other two coincide)."""
-        u, v, w = (self.require_point(p) for p in (x, y, z))
-        meets = [(self._meet_depth(a, b), a) for a, b in ((u, v), (v, w), (w, u))]
-        k, a = max(meets, key=lambda meet: meet[0])
-        return self.point(self._ancestor(a, k))
-
     def internal_points(self, x: Point, y: Point, z: Point) -> tuple[tuple[Point, Point, Point], Length]:
         """The internal points of the triangle xyz on its sides [y, z], [z, x]
         and [x, y], and the insize: the largest distance between two of them.
@@ -230,22 +213,19 @@ class TreeModel(SpaceModel):
         r2: RayDescriptor = self.require_boundary(b2)
         if self.rays_equal(r1, r2):
             return math.inf
-        n = (
-            max(len(r1.prefix), len(r2.prefix))
-            + math.lcm(len(r1.period), len(r2.period))
-            + self._depth(self.require_point(base))
-            + 4
-        )
+        w = self.require_point(base)
+        periods = math.lcm(len(r1.period), len(r2.period))
+        n = max(len(r1.prefix), len(r2.prefix)) + periods + self._depth(w) + 4
         v1 = self._vertex_from_units(self._ray_units(r1, n))
         v2 = self._vertex_from_units(self._ray_units(r2, n))
-        return float(self.gromov_exact(v1, v2, base))
+        return float(self._gromov(v1, v2, w))
 
     def gromov_boundary_point(self, b, y: Point, base: Point) -> float:
         ray: RayDescriptor = self.require_boundary(b)
-        depths = self._depth(self.require_point(y)) + self._depth(self.require_point(base))
-        n = len(ray.prefix) + 2 * len(ray.period) + depths + 4
+        u, w = self.require_point(y), self.require_point(base)
+        n = len(ray.prefix) + 2 * len(ray.period) + self._depth(u) + self._depth(w) + 4
         v = self._vertex_from_units(self._ray_units(ray, n))
-        return float(self.gromov_exact(v, y, base))
+        return float(self._gromov(v, u, w))
 
     def orbit_boundary_products(self, iso: Isometry, b, points: list[Point], base: Point, steps: int):
         """For n = 1..steps, the products <b|g^n p>_base of the points p, in
@@ -273,10 +253,10 @@ class TreeModel(SpaceModel):
         deeper than both points: it meets them where the ray does."""
         ray: RayDescriptor = self.require_boundary(b)
         n = len(ray.prefix) + 2 * len(ray.period) + self._depth(x) + self._depth(w) + 4
-        v = self.require_point(self._vertex_from_units(self._ray_units(ray, n)))
+        v = self._vertex_from_units(self._ray_units(ray, n))
         return 2 * self._gromov(v, x, w) - self._dist(w, x)
 
-    # -- the ball and the BFS oracle ----------------------------------------------
+    # -- the ball -------------------------------------------------------------
 
     def ball_vertices(self, radius: int) -> list[Point]:
         """All vertices within ``radius`` of the basepoint, BFS order."""
@@ -296,29 +276,6 @@ class TreeModel(SpaceModel):
             level *= self._degrees[depth & 1] - (depth > 0)
             total += level
         return total
-
-    def bfs_distance(self, x: Point, y: Point) -> int:
-        """Independent BFS oracle.  It walks ``_neighbors``; ``_depth`` only
-        bounds the walk to the ball about the basepoint that holds both
-        endpoints, since a tree geodesic goes no deeper than its deeper end."""
-        cx = self.require_point(x)
-        cy = self.require_point(y)
-        if cx == cy:
-            return 0
-        bound = max(self._depth(cx), self._depth(cy))
-        seen = {cx: 0}
-        queue = deque([cx])
-        while queue:
-            cur = queue.popleft()
-            for nb in self._neighbors(cur):
-                if nb in seen:
-                    continue
-                seen[nb] = seen[cur] + 1
-                if nb == cy:
-                    return seen[nb]
-                if self._depth(nb) <= bound:
-                    queue.append(nb)
-        raise ValueError(f"BFS within depth {bound} did not reach the target")
 
 
 def _common_prefix_len(u, v) -> int:
@@ -392,12 +349,10 @@ class CayleyTreeModel(TreeModel):
     _depth = staticmethod(len)
     _meet_depth = staticmethod(_common_prefix_len)
     _dfs_key = staticmethod(lambda v: v)  # prefixes sort before their extensions
+    _vertex_from_units = staticmethod(tuple)
 
     def _ancestor(self, v, k: int):
         return v[:k]
-
-    def _vertex_from_units(self, units) -> Point:
-        return self.point(tuple(units))
 
     def _neighbors(self, coords) -> list:
         return [self.multiply(coords, (letter,)) for letter in self.letters()]
@@ -542,11 +497,8 @@ class BassSerreModel(TreeModel):
             out.append((w + ((t, e),), 1 - t))
         return out
 
-    def _vertex_from_units(self, units) -> Point:
-        units = tuple(units)
-        if not units:
-            return self.basepoint
-        return self.point((units, 1 - units[-1][0]))
+    def _vertex_from_units(self, units: tuple) -> tuple:
+        return (units, 1 - units[-1][0]) if units else ((), 0)
 
     # -- classification -------------------------------------------------------
 

@@ -31,10 +31,6 @@ class GroupWord:
             raise ValueError("sign must be +1 or -1")
         return GroupWord(((name, sign),))
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.syllables
-
     def __len__(self) -> int:
         return sum(abs(e) for _, e in self.syllables)
 
@@ -47,9 +43,6 @@ class GroupWord:
     def __pow__(self, n: int) -> "GroupWord":
         base = self if n >= 0 else self.inverse()
         return GroupWord(base.syllables * abs(n))  # one reduction pass
-
-    def conjugate(self, by: "GroupWord") -> "GroupWord":
-        return by * self * by.inverse()
 
     def display(self) -> str:
         return format_powers(self.syllables)

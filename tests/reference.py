@@ -1,11 +1,53 @@
-"""Reference computations the test suites compare the library against.
+"""Reference computations the test suites compare the library against,
+and the helpers that only the tests call.
 
-Each is a direct transcription of its definition from the models'
-distances and boundary actions; the library itself has no copy.
+Each reference is a direct transcription of its definition from the
+models' distances, neighbours and boundary actions; the library itself has
+no copy.
 """
+
+from collections import deque
 
 from hypiso.dynamics import contains_point
 from hypiso.geometry import gromov_product
+
+
+def power(model, iso, n: int):
+    """iso^n, by the models' own repeated squaring."""
+    return model.isometry(model._power(model.require_iso(iso), n))
+
+
+def bfs_distance(model, x, y) -> int:
+    """A tree model's distance by breadth-first search over its own
+    ``_neighbors``; ``_depth`` only bounds the walk to the ball about the
+    basepoint that holds both endpoints, since a tree geodesic goes no
+    deeper than its deeper end."""
+    cx = model.require_point(x)
+    cy = model.require_point(y)
+    if cx == cy:
+        return 0
+    bound = max(model._depth(cx), model._depth(cy))
+    seen = {cx: 0}
+    queue = deque([cx])
+    while queue:
+        cur = queue.popleft()
+        for nb in model._neighbors(cur):
+            if nb in seen:
+                continue
+            seen[nb] = seen[cur] + 1
+            if nb == cy:
+                return seen[nb]
+            if model._depth(nb) <= bound:
+                queue.append(nb)
+    raise ValueError(f"BFS within depth {bound} did not reach the target")
+
+
+def geodesic(model, x, y) -> list:
+    """The vertices of a tree model's geodesic [x, y], in order: up from x
+    to the meet of the root paths, then down to y."""
+    u, v = model.require_point(x), model.require_point(y)
+    k = model._meet_depth(u, v)
+    return [model.point(model._along(u, v, k, t)) for t in range(model._dist(u, v) + 1)]
 
 
 def four_point_defect(model, x, y, z, w) -> float:

@@ -39,7 +39,7 @@ from hypiso.records import class_invariant
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import GroupWord
 
-from reference import four_point_defect, separation_witnesses
+from reference import four_point_defect, power, separation_witnesses
 
 
 def _pass(name: str, detail: str) -> None:
@@ -133,7 +133,7 @@ def _orbit_growth(model, iso, n: int) -> float:
     """d(x, g^n x)/n at the basepoint x: never below the translation length,
     and above it by at most 2 d(x, axis)/n."""
     x = model.basepoint
-    return model.distance(x, model.apply(model.power(iso, n), x)).value / n
+    return model.distance(x, model.apply(power(model, iso, n), x)).value / n
 
 
 def test_acceptance_exact_vs_estimate():

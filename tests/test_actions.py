@@ -1,5 +1,5 @@
-"""Action.image and SpaceModel.power compose bare payloads and wrap their
-result once; these tests pin them to the public, tag-checked surface."""
+"""Action.image and SpaceModel._power compose bare payloads, and the image
+is wrapped once; these tests pin them to the public, tag-checked surface."""
 
 import random
 from fractions import Fraction
@@ -12,6 +12,8 @@ from hypiso.halfplane import HalfPlaneModel
 from hypiso.models import SpaceModel
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import GroupWord
+
+from reference import power
 
 GENERATORS = ("f", "g", "h")
 
@@ -89,8 +91,8 @@ def test_image_and_power_build_one_isometry(make_action, monkeypatch):
     image = action.image(word)
     assert len(built) == 1 and built[0] is image.payload
     built.clear()
-    power = model.power(action.images["f"], 2**6 + 1)
-    assert len(built) == 1 and built[0] is power.payload
+    fn = power(model, action.images["f"], 2**6 + 1)
+    assert len(built) == 1 and built[0] is fn.payload
 
 
 @pytest.mark.parametrize("make_action", ACTIONS, ids=ACTION_IDS)
@@ -108,7 +110,7 @@ def test_foreign_isometries_are_refused_where_they_enter(make_action):
         lambda: model.classify(foreign),
         lambda: model.invert(foreign),
         lambda: model.size(foreign),
-    ] + [lambda n=n: model.power(foreign, n) for n in (0, 1, -1, 5)]
+    ] + [lambda n=n: power(model, foreign, n) for n in (0, 1, -1, 5)]
     for refused in refusals:
         with pytest.raises(MixedModels):
             refused()

@@ -13,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypiso.halfplane import HalfPlaneModel, Matrix2
+from hypiso.quadratic import QuadraticNumber
 from hypiso.records import class_invariant
 from hypiso.trees import BassSerreModel, CayleyTreeModel
+
+from reference import power
 
 
 def det_one_matrices(bound: int):
@@ -77,7 +80,6 @@ def integer_only(monkeypatch):
     """Classification and the boundary action may read only (a, b, c, d, s)."""
     with monkeypatch.context() as mp:
         mp.setattr(Matrix2, "entries", _raise)
-        mp.setattr(Matrix2, "trace", property(_raise))
         mp.setattr(HalfPlaneModel, "apply", _raise)
         mp.setattr(HalfPlaneModel, "distance", _raise)
         yield
@@ -93,7 +95,7 @@ def test_trichotomy_exhaustive_small_entries(monkeypatch):
     seen = {"elliptic": 0, "hyperbolic": 0, "hypothesis_violation": 0}
     orbits = []  # s of each finite rotation whose orbit diameter is checked
     previous = Matrix2.identity()
-    inf, half = plane.boundary_infinity(), plane.boundary_finite(Fraction(1, 2))
+    inf, half = plane.boundary(None), plane.boundary(QuadraticNumber(Fraction(1, 2)))
     for m in sweep_matrices():
         iso = plane.isometry(m)
         with integer_only(monkeypatch):
@@ -118,7 +120,7 @@ def test_trichotomy_exhaustive_small_entries(monkeypatch):
         assert_primitive(m)
         previous = m
         seen[cls.tag] += 1
-        t = abs(m.trace)
+        t = abs(Fraction(m.a + m.d, m.s))
         if cls.tag == "hyperbolic":
             assert t > 2
             # each fixed point z = u + v sqrt(w) is a root of c z^2 + (d - a) z - b,
@@ -277,8 +279,8 @@ def test_fixes_matches_the_boundary_action_on_sweep():
     # fixed points only (all 52 points would take 3 s more)
     plane = HalfPlaneModel()
     sweep = [(iso, plane.classify(iso)) for iso in map(plane.isometry, sweep_matrices())]
-    rationals = {plane.boundary_infinity()}
-    rationals |= {plane.boundary_finite(Fraction(n, d)) for n in range(-3, 4) for d in (1, 2, 3)}
+    rationals = {plane.boundary(None)}
+    rationals |= {plane.boundary(QuadraticNumber(Fraction(n, d))) for n in range(-3, 4) for d in (1, 2, 3)}
     fixed = {
         p for _, c in sweep if c.is_hyperbolic for p in (c.hyperbolic.fixed_plus, c.hyperbolic.fixed_minus)
     }
@@ -335,11 +337,11 @@ def test_cosh_float_consistency(x1, y1n, x2, y2n):
 def test_power_negative_exponents():
     plane = HalfPlaneModel()
     F = plane.matrix(2, 1, 1, 1)
-    assert plane.power(F, -2).payload == plane.invert(plane.power(F, 2)).payload
-    assert plane.power(F, 0).payload.is_proj_identity()
+    assert power(plane, F, -2).payload == plane.invert(power(plane, F, 2)).payload
+    assert power(plane, F, 0).payload.is_proj_identity()
     bs = BassSerreModel(2, 3)
     w = bs.word([(0, 1), (1, 2)])
-    assert bs.require_iso(bs.compose(bs.power(w, -3), bs.power(w, 3))) == ()
+    assert bs.require_iso(bs.compose(power(bs, w, -3), power(bs, w, 3))) == ()
 
 
 def test_ray_equality_different_period_lengths():

@@ -111,8 +111,9 @@ def _cases() -> dict[str, list[str]]:
                     argv[0], "--input", f"{{cfg:{name}}}", *argv[1:], *flags, "--format", fmt
                 ]
     cases["trees-delta-flag-radius"] = ["delta", "--input", "{cfg:trees}", "--ball-radius", "1"]
-    for fmt in ("table", "records"):  # only the record prints the fixed points
-        cases[f"huge-combine-{fmt}"] = ["combine", "--input", "{cfg:huge}", "--format", fmt]
+    for command in ("combine", "report"):
+        for fmt in ("table", "records"):  # only the record prints the fixed points
+            cases[f"huge-{command}-{fmt}"] = [command, "--input", "{cfg:huge}", "--format", fmt]
     for rec in ("good", "altered", "missing"):
         for fmt in ("table", "records"):
             cases[f"worked-verify-{rec}-{fmt}"] = [

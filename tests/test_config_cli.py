@@ -19,6 +19,8 @@ from hypiso.records import RECORD_HEADER, parse_record
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 from hypiso.words import GroupWord
 
+from reference import power
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 WORKED_EXAMPLE = (CONFIGS / "worked_example.cfg").read_text()
 
@@ -436,6 +438,19 @@ def test_cli_dynamics_orbit_reaching_the_boundary_in_floats(capsys):
     assert capsys.readouterr().out == out
 
 
+@pytest.mark.parametrize("checks", ["nss", "ns,insize,projection,separation", "ns, Insize"])
+def test_dynamics_unknown_check_exit_1(capsys, checks):
+    # a misspelt check is an error naming --checks, not a run of no check
+    argv = ["dynamics", "--input", str(CONFIGS / "three_action.cfg"), "--checks", checks]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    unknown = checks.split(",")[-1].strip()
+    assert captured.err == (
+        f"error: --checks: unknown check {unknown!r}; the checks are ns, insize, projection\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [["classify"], ["combine"], ["combine", "--format", "records"]])
 def test_number_too_long_to_print_exit_1(tmp_path, capsys, argv):
     # the trace of f^12000 has over 5,000 digits
@@ -524,16 +539,16 @@ def test_finite_order_power_passes_the_size_cap():
     system = parse_config(WORKED_EXAMPLE).build()
     plane_one = system.actions[0]  # g has order 2 there; f is hyperbolic
     assert plane_one.image(GroupWord.parse("g^1000001")) == plane_one.images["g"]
-    assert plane_one.model.power(plane_one.images["g"], 10**100).payload.is_proj_identity()
+    assert power(plane_one.model, plane_one.images["g"], 10**100).payload.is_proj_identity()
     with pytest.raises(ValidationError, match="MAX_ISOMETRY_SIZE"):
         plane_one.image(GroupWord.parse("f^1000000"))
     bass_serre = BassSerreModel(2, 3)
     rotation = bass_serre.parse_word("s t " * 1000 + "s " + "t^-1 s " * 1000)  # conjugate of s
-    assert bass_serre.power(rotation, 10**9) == bass_serre.identity()
+    assert power(bass_serre, rotation, 10**9) == bass_serre.identity()
     cayley = CayleyTreeModel(1)
-    assert len(cayley.power(cayley.parse_word("a"), MAX_ISOMETRY_SIZE).payload) == MAX_ISOMETRY_SIZE
+    assert len(power(cayley, cayley.parse_word("a"), MAX_ISOMETRY_SIZE).payload) == MAX_ISOMETRY_SIZE
     with pytest.raises(ValidationError):
-        cayley.power(cayley.parse_word("a"), MAX_ISOMETRY_SIZE + 1)
+        power(cayley, cayley.parse_word("a"), MAX_ISOMETRY_SIZE + 1)
 
 
 def test_one_action_system_per_run(tmp_path, capsys, monkeypatch):

@@ -29,7 +29,7 @@ from hypiso.sampling import (
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 from hypiso.words import GroupWord
 
-from reference import separation_witnesses
+from reference import power, separation_witnesses
 
 
 @pytest.fixture
@@ -400,7 +400,7 @@ def test_orbit_projection_basepoint(plane):
 def test_orbit_projection_tree_axis(bs23):
     w = bs23.word([(0, 1), (1, 1)])
     act = Action("b", bs23, {"w": w})
-    z = bs23.apply(bs23.power(w, 3), bs23.basepoint)
+    z = bs23.apply(power(bs23, w, 3), bs23.basepoint)
     proj = orbit_projection(act, act.image(GroupWord.parse("w")), bs23.basepoint, z, 6)
     assert proj.defect == 0.0
     assert proj.exponents == (3,)

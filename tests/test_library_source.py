@@ -34,8 +34,10 @@ def test_every_export_resolves():
 
 
 def _public_definitions(tree: ast.Module):
-    """(name, first line, last line) of each public module-level function,
-    class and constant."""
+    """(label, name, first line, last line) of each public module-level
+    function, class and constant, and of each public method and property
+    of a class, labelled Class.name (dataclass fields are results, not
+    members, and are not listed)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -46,7 +48,11 @@ def _public_definitions(tree: ast.Module):
             continue
         for name in names:
             if not name.startswith("_"):
-                yield name, node.lineno, node.end_lineno
+                yield name, name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name, member.lineno, member.end_lineno
 
 
 def _references(tree: ast.Module):
@@ -62,10 +68,13 @@ def _references(tree: ast.Module):
 
 
 def test_every_public_name_is_used():
-    # no public name that nothing runs: each public module-level name of
-    # the library is referenced, outside its own definition, by the library,
-    # the scripts or the benchmark (the export map in __init__ is not a use;
-    # sampling.py serves the test suites and is exempt)
+    # no public name that nothing runs: each public module-level name and
+    # each public method or property of the library is referenced, outside
+    # its own definition, by the library, the scripts or the benchmark (the
+    # export map in __init__ is not a use; sampling.py serves the test
+    # suites and is exempt).  A reference is matched by name alone, so a
+    # member named like another name in use passes unseen: a method median
+    # would pass on the benchmark's statistics.median
     users = [p for p in SOURCES if p.name != "__init__.py"]
     users += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in users}
@@ -74,14 +83,58 @@ def test_every_public_name_is_used():
     for path in SOURCES:
         if path.name in ("__init__.py", "sampling.py"):
             continue
-        for name, first, last in _public_definitions(trees[path]):
+        for label, name, first, last in _public_definitions(trees[path]):
             if not any(
                 ref == name and not (user == path and first <= line <= last)
                 for user, refs in references.items()
                 for ref, line in refs
             ):
-                unused.append(f"{path.stem}.{name}")
+                unused.append(f"{path.stem}.{label}")
     assert unused == [], f"public names nothing uses: {unused}"
+
+
+def _imports(node: ast.AST, top: bool = True):
+    """(module, whether at module level) of every import under node, outside
+    ``if TYPE_CHECKING:`` blocks; a relative import names hypiso.<module>."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.If) and getattr(child.test, "id", None) == "TYPE_CHECKING":
+            continue
+        if isinstance(child, ast.Import):
+            yield from ((alias.name, top) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            if not child.level:
+                yield child.module, top
+            elif child.module:
+                yield f"hypiso.{child.module}", top
+            else:
+                yield from ((f"hypiso.{alias.name}", top) for alias in child.names)
+        else:
+            yield from _imports(child, top and not isinstance(child, (ast.FunctionDef, ast.Lambda)))
+
+
+# the certificate checker's modules and their line count: the core that a
+# record's verification loads, with no search, no geometry and no numpy
+CHECKER_CLOSURE = {"__init__", "records", "actions", "errors", "models", "quadratic", "trees", "words"}
+CHECKER_LINES = 1519
+
+
+def test_checker_import_closure_is_pinned():
+    closure, todo = set(), ["__init__", "records"]  # importing records runs __init__
+    numpy_at_import = []
+    while todo:
+        name = todo.pop()
+        if name in closure:
+            continue
+        closure.add(name)
+        for module, top in _imports(ast.parse((SRC / "hypiso" / f"{name}.py").read_text())):
+            if module.split(".")[0] == "numpy" and top:
+                numpy_at_import.append(name)
+            if module.startswith("hypiso."):
+                todo.append(module.split(".")[1])
+    assert closure == CHECKER_CLOSURE
+    assert numpy_at_import == []
+    lines = sum(len((SRC / "hypiso" / f"{name}.py").read_text().splitlines()) for name in closure)
+    assert lines <= CHECKER_LINES, f"the checker's modules grew to {lines} lines"
 
 
 def _images_reads(node: ast.AST) -> list[int]:
