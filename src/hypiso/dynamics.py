@@ -186,12 +186,9 @@ def project_to_orbit(model: SpaceModel, points: dict[int, Point], z: Point) -> O
     the reverse-triangle defect d(x, x_z) + d(x_z, z) - d(x, z), where x is
     the orbit's point 0."""
 
-    def sort_key(length: Length):
-        if length.exact_value is not None:
-            return length.exact_value
-        if isinstance(length.exact_cosh, Fraction):
-            return length.exact_cosh  # cosh is monotone in the distance
-        return length.value
+    def sort_key(length: Length) -> Fraction:
+        # the tree's edge count, or the plane's cosh: monotone in the distance
+        return length.exact_value if length.exact_value is not None else length.exact_cosh
 
     dists = {n: model.distance(p, z) for n, p in points.items()}
     best = min(sort_key(d) for d in dists.values())

@@ -1,22 +1,21 @@
 """The hyperbolic plane as the upper half-plane acted on by exact
 determinant-1 rational matrices.
 
-Points are (x, y) pairs with y > 0, x a Fraction and y a Fraction or
-r*sqrt(e), a QuadraticNumber: the fixed point of an infinite-order rotation
-and its images.  Boundary points are QuadraticNumbers u + v*sqrt(w), or
-None for infinity.  apply, boundary_apply and cosh_distance write their
-maps out over these parts; QuadraticNumber has no arithmetic.  A matrix M
-is stored as its primitive integer matrix s*M = (a, b, c, d), its
+Points are (x, y) pairs of Fractions with y > 0: classification builds
+none, so every point is a sample, an orbit point or an internal point of
+the diagnostics, and all of them are rational.  Boundary points are
+QuadraticNumbers u + v*sqrt(w), or None for infinity; boundary_apply writes
+its map out over these parts, as QuadraticNumber has no arithmetic.  A
+matrix M is stored as its primitive integer matrix s*M = (a, b, c, d), its
 determinant checked once, where it is built (Matrix2.of).  Classification
-(of the Mobius action: M and -M are one map), fixed points, the elliptic
-orbit and the boundary action read a, b, c, d, s; tr = (a + d)/s:
+(of the Mobius action: M and -M are one map), fixed points and the
+boundary action read a, b, c, d, s; tr = (a + d)/s:
   |tr| > 2  hyperbolic, translation length 2*arccosh(|tr|/2), boundary fixed
             points ((a-d) +- s*sqrt(tr^2-4))/2c, roots of c z^2 + (d-a) z - b
   |tr| = 2  parabolic unless +-identity: rejected as hypothesis_violation
   |tr| < 2  elliptic.  By Niven's theorem a rational trace has finite order
-            only for |a+d| in {0, s} (orders 2 and 3), and the orbit of i is
-            then equilateral, of cosh diameter (a^2+b^2+c^2+d^2)/2s^2 (Beardon,
-            The Geometry of Discrete Groups, 7.2); else the fixed point is exact
+            only for |a+d| in {0, s} (orders 2 and 3); any other rotation
+            has infinite order, and its class keeps the period None
 
 The hypothesis check's tag of every reduced word up to a length
 (parabolic_words) runs one level of the word tree at a time.  The tree's
@@ -126,12 +125,9 @@ class HalfPlaneModel(SpaceModel):
         self.basepoint = self.point((Fraction(0), Fraction(1)))
 
     def point_xy(self, x, y) -> Point:
-        """The point (x, y): x rational, y > 0 rational or r*sqrt(e)."""
-        x, y = _exact(x), _exact(y)
-        if isinstance(x, QuadraticNumber) or (isinstance(y, QuadraticNumber) and y.a != 0):
-            raise ValueError("half-plane points need a rational x and a y that is rational or r*sqrt(e)")
-        ysign = y.sign() if isinstance(y, QuadraticNumber) else ((y > 0) - (y < 0))
-        if ysign <= 0:
+        """The point (x, y) for rationals x and y > 0."""
+        x, y = Fraction(x), Fraction(y)
+        if y <= 0:
             raise ValueError("half-plane points need y > 0")
         return self.point((x, y))
 
@@ -140,38 +136,30 @@ class HalfPlaneModel(SpaceModel):
 
     # -- metric -----------------------------------------------------------
 
-    def cosh_distance(self, p: Point, q: Point):
-        """cosh d(p, q) = ((x1 - x2)^2 + y1^2 + y2^2) / (2 y1 y2), exactly:
-        with y1 = r1 sqrt(e1) and y2 = r2 sqrt(e2) (e = 1 for a rational y)
-        the rational ((x1 - x2)^2 + y1^2 + y2^2) / (2 r1 r2 e1 e2) times
-        sqrt(e1 e2), a Fraction when that is rational.  The parts are put
-        over one common denominator, so the sum is integer arithmetic."""
+    def cosh_distance(self, p: Point, q: Point) -> Fraction:
+        """cosh d(p, q) = ((x1 - x2)^2 + y1^2 + y2^2) / (2 y1 y2), exactly,
+        with the coordinates put over one common denominator, so the sum is
+        integer arithmetic."""
         x1, y1 = self.require_point(p)
         x2, y2 = self.require_point(q)
-        (r1, e1), (r2, e2) = _root_parts(y1), _root_parts(y2)
-        den = math.lcm(x1.denominator, x2.denominator, r1.denominator, r2.denominator)
+        den = math.lcm(x1.denominator, x2.denominator, y1.denominator, y2.denominator)
         dx = x1.numerator * (den // x1.denominator) - x2.numerator * (den // x2.denominator)
-        r1, r2 = r1.numerator * (den // r1.denominator), r2.numerator * (den // r2.denominator)
-        e = e1 * e2
-        return _root(Fraction(dx * dx + r1 * r1 * e1 + r2 * r2 * e2, 2 * r1 * r2 * e), e)
+        r1, r2 = y1.numerator * (den // y1.denominator), y2.numerator * (den // y2.denominator)
+        return Fraction(dx * dx + r1 * r1 + r2 * r2, 2 * r1 * r2)
 
     def distance(self, x: Point, y: Point) -> Length:
         ch = self.cosh_distance(x, y)
-        if isinstance(ch, QuadraticNumber):
-            return Length(math.acosh(max(1.0, float(ch))), exact_cosh=ch)
         return Length(acosh_fraction(ch), exact_cosh=ch)
 
     def _point_matrix(self, p: Point) -> tuple[int, int, int]:
         """(Y, X, D) for the integer matrix [[Y, X], [0, D]] that maps i to
-        the rational point p = (X + Y i)/D."""
+        the point p = (X + Y i)/D."""
         x, y = self.require_point(p)
-        if not (isinstance(x, Fraction) and isinstance(y, Fraction)):
-            raise ValueError("the sample points must be rational")
         den = math.lcm(x.denominator, y.denominator)
         return y.numerator * (den // y.denominator), x.numerator * (den // x.denominator), den
 
     def pairwise_distances(self, points: list[Point]):
-        """d(p, q) for every two rational points, row p, column q, as a
+        """d(p, q) for every two points, row p, column q, as a
         float array: the floats of ``distance``, from cosh = ((X - X')^2 +
         Y^2 + Y'^2) / 2YY' over one common denominator of all the
         coordinates."""
@@ -191,16 +179,15 @@ class HalfPlaneModel(SpaceModel):
     # -- action -----------------------------------------------------------
 
     def apply(self, iso: Isometry, p: Point) -> Point:
-        """M (x + iy) for y = r sqrt(e): y^2 = r^2 e is rational, so the
-        image's x and den = |c (x + iy) + d|^2 are, and its y is y s^2 / den."""
+        """M (x + iy): with den = |c (x + iy) + d|^2 the image's y is
+        y s^2 / den, as ad - bc = s^2."""
         m: Matrix2 = self.require_iso(iso)
         x, y = self.require_point(p)
         a, b, c, d = m.a, m.b, m.c, m.d  # s*M: the Mobius map is the same
-        r, e = _root_parts(y)
-        y2 = r * r * e
+        y2 = y * y
         den = (c * x + d) ** 2 + c * c * y2
         nx = (a * c * (x * x + y2) + (a * d + b * c) * x + b * d) / den
-        return self.point((nx, _root(r * (m.s * m.s) / den, e)))
+        return self.point((nx, y * (m.s * m.s) / den))
 
     # the payload hooks of SpaceModel
     _mul, _inv, _one = staticmethod(Matrix2.__mul__), staticmethod(Matrix2.inverse), Matrix2.identity()
@@ -267,8 +254,11 @@ class HalfPlaneModel(SpaceModel):
         if tag == HYPERBOLIC:
             return self._classify_hyperbolic(m)
         if tag == HYPOTHESIS_VIOLATION:
-            return IsometryClass.make_violation("parabolic: |trace| = 2 and not +-identity")
-        return self._classify_elliptic(m)  # +-identity: period 1
+            return IsometryClass.make_violation()
+        # the order of the Mobius action: 1 for +-identity, and by Niven 2 or
+        # 3 for s*|tr M| = 0 or s; any other rotation has infinite order
+        t = abs(m.a + m.d)
+        return IsometryClass.make_elliptic(1 if m.is_proj_identity() else 2 if t == 0 else 3 if t == m.s else None)
 
     def _classify_hyperbolic(self, m: Matrix2) -> IsometryClass:
         a, b, c, d, s = m.a, m.b, m.c, m.d, m.s
@@ -287,27 +277,6 @@ class HalfPlaneModel(SpaceModel):
             plus = QuadraticNumber(x, Fraction(s, 2 * c), disc)
             minus = QuadraticNumber(2 * x - plus.a) if plus.is_rational else plus.conjugate()
         return IsometryClass.make_hyperbolic(tl, self.boundary(plus), self.boundary(minus))
-
-    def _classify_elliptic(self, m: Matrix2) -> IsometryClass:
-        a, b, c, d, s = m.a, m.b, m.c, m.d, m.s
-        t = abs(a + d)  # s*|tr M|; the order of the Mobius action, when finite
-        period = 1 if m.is_proj_identity() else 2 if t == 0 else 3 if t == s else None
-        if period is None:  # infinite order: the exact fixed point, a one-point orbit
-            point, ch = self.elliptic_fixed_point(m), Fraction(1)
-        else:
-            # the orbit of i under a rotation of order 2 or 3 is equilateral, so its
-            # diameter is d(i, M i): 2 cosh d(i, M i) = |M|^2 for det M = 1
-            point, ch = self.basepoint, Fraction(a * a + b * b + c * c + d * d, 2 * s * s)
-        return IsometryClass.make_elliptic(period, point, Length(acosh_fraction(ch), exact_cosh=ch))
-
-    def elliptic_fixed_point(self, m: Matrix2) -> Point:
-        """The unique fixed point in the upper half-plane, |tr| < 2."""
-        a, c, d, s = m.a, m.c, m.d, m.s
-        if abs(a + d) >= 2 * s:
-            raise ValueError("not elliptic")
-        # c != 0 here: with det 1, c = 0 gives d = 1/a and |tr| = |a + 1/a| >= 2
-        x = Fraction(a - d, 2 * c)
-        return self.point((x, _root(Fraction(s, 2 * abs(c)), 4 - Fraction(a + d, s) ** 2)))
 
     # -- boundary ----------------------------------------------------------
 
@@ -411,23 +380,6 @@ class HalfPlaneModel(SpaceModel):
             # distinct quadratic values collapsing in float: resolve minimally
             sep = 1e-300
         return math.log(math.hypot(x1 - wx, wy) * math.hypot(x2 - wx, wy) / (sep * wy))
-
-
-def _exact(v) -> Fraction | QuadraticNumber:
-    """v as a Fraction when it is rational, else the QuadraticNumber v."""
-    if isinstance(v, QuadraticNumber):
-        return v.as_fraction() if v.is_rational else v
-    return Fraction(v)
-
-
-def _root_parts(y) -> tuple:
-    """(r, e) with y = r sqrt(e), for a point's y; e = 1 when y is rational."""
-    return (y.b, y.d) if isinstance(y, QuadraticNumber) else (y, 1)
-
-
-def _root(r: Fraction, e) -> Fraction | QuadraticNumber:
-    """r sqrt(e), a Fraction when it is rational."""
-    return r if e == 1 else _exact(QuadraticNumber(0, r, e))
 
 
 def _acosh_ratio(num: int, den: int) -> float:

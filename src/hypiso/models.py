@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from .errors import MixedModels, ValidationError
-from .quadratic import QuadraticNumber
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
@@ -32,9 +31,9 @@ MAX_ISOMETRY_SIZE = 2**19
 class Point:
     """A point of a concrete model, tagged with its owner's id.
 
-    coords is model-specific: the half-plane stores an (x, y) pair, x
-    rational and y rational or r*sqrt(e) (fixed points of infinite-order
-    rotations and their images), tree models store canonical vertex labels.
+    coords is model-specific: the half-plane stores an (x, y) pair of
+    Fractions with y > 0, tree models canonical vertex labels.  No
+    classification builds a point; only the diagnostics do.
     """
 
     model_id: str
@@ -61,16 +60,16 @@ class BoundaryPoint:
 class Length:
     """A nonnegative length with optional exact companions.
 
-    exact_cosh is set by the half-plane (cosh of the length as an exact
-    rational); exact_value is set by tree models (integer edge counts; the
-    Gromov products of tree vertices are integers too).  Distances and the
-    translation lengths of hyperbolic classes carry one of the two.
-    Certification always uses the exact companion; the float is
-    display/diagnostic only.
+    exact_cosh is set by the half-plane (cosh of the length, rational as
+    the plane's points and traces are); exact_value is set by tree models
+    (integer edge counts; the Gromov products of tree vertices are integers
+    too).  Distances and the translation lengths of hyperbolic classes
+    carry one of the two.  Certification always uses the exact companion;
+    the float is display/diagnostic only.
     """
 
     value: float
-    exact_cosh: Union[Fraction, QuadraticNumber, None] = None
+    exact_cosh: Optional[Fraction] = None
     exact_value: Optional[Fraction] = None
 
 
@@ -85,12 +84,10 @@ class DeltaEstimate:
 
 @dataclass(frozen=True)
 class EllipticWitness:
-    """period is None for infinite-order plane rotations; the fixed point
-    itself is then the witness (it has a one-element orbit)."""
+    """The order of an elliptic isometry, None for infinite-order plane
+    rotations: all that the search and the records read of the class."""
 
     period: Optional[int]
-    orbit_point: Point
-    orbit_diameter: Length
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,6 @@ class IsometryClass:
     tag: str
     elliptic: Optional[EllipticWitness] = None
     hyperbolic: Optional[HyperbolicWitness] = None
-    reason: Optional[str] = None
 
     @property
     def is_hyperbolic(self) -> bool:
@@ -116,16 +112,16 @@ class IsometryClass:
         return self.tag == ELLIPTIC
 
     @staticmethod
-    def make_elliptic(period, orbit_point, orbit_diameter) -> "IsometryClass":
-        return IsometryClass(ELLIPTIC, elliptic=EllipticWitness(period, orbit_point, orbit_diameter))
+    def make_elliptic(period: Optional[int]) -> "IsometryClass":
+        return IsometryClass(ELLIPTIC, elliptic=EllipticWitness(period))
 
     @staticmethod
     def make_hyperbolic(tl, plus, minus) -> "IsometryClass":
         return IsometryClass(HYPERBOLIC, hyperbolic=HyperbolicWitness(tl, plus, minus))
 
     @staticmethod
-    def make_violation(reason: str) -> "IsometryClass":
-        return IsometryClass(HYPOTHESIS_VIOLATION, reason=reason)
+    def make_violation() -> "IsometryClass":
+        return IsometryClass(HYPOTHESIS_VIOLATION)
 
 
 class SpaceModel:
@@ -219,7 +215,7 @@ class SpaceModel:
 
     def tag(self, iso: Isometry) -> str:
         """The exact tag of ``classify(iso)``, decided without building the
-        class (no fixed points, lengths or orbit witnesses)."""
+        class (no fixed points, lengths or period)."""
         raise NotImplementedError
 
     def parabolic_words(self, generators: list[Isometry], depth: int) -> tuple[tuple[int, ...], ...]:

@@ -1,12 +1,12 @@
 """Exact values a + b*sqrt(d) with rational a, b and d >= 0, and exact
 rational helpers.
 
-A QuadraticNumber is a value, not a field: the plane's two Mobius maps on
-quadratic irrationals are written out over the parts in ``halfplane``.
-Values are normalized so that a rational one has ``b == 0, d == 0``
-(perfect-square radicands fold into the rational part).  Equality and the
-sign are exact, across radicands too; floats appear only in ``float()``,
-for display.
+A QuadraticNumber is a value, not a field: it is a boundary point of the
+plane, and the plane's Mobius map on boundary points is written out over
+the parts in ``halfplane``.  Values are normalized so that a rational one
+has ``b == 0, d == 0`` (perfect-square radicands fold into the rational
+part).  Equality is exact, across radicands too; there is no sign or order.
+Floats appear only in ``float()``, for display and the diagnostics.
 """
 
 from __future__ import annotations
@@ -77,24 +77,7 @@ class QuadraticNumber:
             object.__setattr__(out, name, value)
         return out
 
-    # -- exact sign and equality ----------------------------------------
-
-    def sign(self) -> int:
-        """Exact sign of the real value (-1, 0, +1)."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        sa = 1 if self.a > 0 else -1
-        sb = 1 if self.b > 0 else -1
-        if sa == sb:
-            return sa
-        # opposite signs: |a| vs |b|*sqrt(d) decides
-        lhs = self.a * self.a
-        rhs = self.b * self.b * self.d
-        if lhs == rhs:
-            return 0
-        return sa if lhs > rhs else sb
+    # -- exact equality ----------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

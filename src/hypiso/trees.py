@@ -375,7 +375,7 @@ class CayleyTreeModel(TreeModel):
         u, v = self.cyclic_reduce(self.require_iso(iso))
         if self.core_tag(v) == HYPERBOLIC:
             return self._hyperbolic(u, v)
-        return IsometryClass.make_elliptic(1, self.basepoint, _int_length(0))
+        return IsometryClass.make_elliptic(1)
 
     def word_display(self, payload: tuple) -> str:
         letters = ((_LETTER_NAMES[abs(x) - 1], 1 if x > 0 else -1) for x in payload)
@@ -533,11 +533,10 @@ class BassSerreModel(TreeModel):
         if self.core_tag(v) == HYPERBOLIC:
             return self._hyperbolic(u, v)
         if not v:
-            return IsometryClass.make_elliptic(1, self.basepoint, _int_length(0))
+            return IsometryClass.make_elliptic(1)
         factor, exp = v[0]
         order = self.orders[factor]
-        period = order // math.gcd(exp, order)
-        return IsometryClass.make_elliptic(period, self.coset_vertex(u, factor), _int_length(0))
+        return IsometryClass.make_elliptic(order // math.gcd(exp, order))
 
     def word_display(self, payload: tuple) -> str:
         return format_powers([("st"[f], e) for f, e in payload])

@@ -22,10 +22,6 @@ class GroupWord:
         object.__setattr__(self, "syllables", reduce_powers(self.syllables))
 
     @staticmethod
-    def identity() -> "GroupWord":
-        return GroupWord(())
-
-    @staticmethod
     def generator(name: str, sign: int = 1) -> "GroupWord":
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")

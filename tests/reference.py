@@ -42,6 +42,20 @@ def bfs_distance(model, x, y) -> int:
     raise ValueError(f"BFS within depth {bound} did not reach the target")
 
 
+def fixed_vertices(model, iso, radius: int) -> list:
+    """The vertices of a tree model within radius of the basepoint that iso
+    fixes, in breadth-first order: the ball is walked over the model's own
+    ``_neighbors`` and each vertex is moved by ``apply``, so no distance is
+    read."""
+    root = model.basepoint.coords
+    seen, level, out = {root}, [root], []
+    for _ in range(radius + 1):
+        out += [model.point(v) for v in level if model.apply(iso, model.point(v)).coords == v]
+        level = [nb for v in level for nb in model._neighbors(v) if nb not in seen]
+        seen.update(level)
+    return out
+
+
 def geodesic(model, x, y) -> list:
     """The vertices of a tree model's geodesic [x, y], in order: up from x
     to the meet of the root paths, then down to y."""

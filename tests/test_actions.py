@@ -67,12 +67,12 @@ def letter_fold(action: Action, word: GroupWord):
 def test_image_is_the_fold_of_the_public_compose(make_action):
     action = make_action()
     rng = random.Random(action.name)
-    words = [GroupWord.identity()] + [random_word(rng) for _ in range(40)]
+    words = [GroupWord(())] + [random_word(rng) for _ in range(40)]
     assert any(e < 0 for w in words for _, e in w.syllables)
     assert any(len(set(w.syllables)) < len(w.syllables) for w in words)  # a repeated syllable
     for word in words:
         assert action.image(word) == letter_fold(action, word), word
-    assert action.image(GroupWord.identity()) == action.model.identity()
+    assert action.image(GroupWord(())) == action.model.identity()
 
 
 @pytest.mark.parametrize("make_action", ACTIONS, ids=ACTION_IDS)

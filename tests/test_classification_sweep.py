@@ -59,18 +59,6 @@ def sweep_matrices():
             yield Matrix2.of(*conj)
 
 
-def mobius(m, z):
-    """M.z for an entry 4-tuple and a point (x, y), in Fractions."""
-    a, b, c, d = m
-    x, y = z
-    den = (c * x + d) ** 2 + (c * y) ** 2
-    return (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den, y * (a * d - b * c) / den
-
-
-def cosh_between(p, q):
-    return 1 + ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) / (2 * p[1] * q[1])
-
-
 def _raise(*_args):
     raise AssertionError("read the Fraction view or walked an orbit")
 
@@ -93,7 +81,7 @@ def assert_primitive(m: Matrix2):
 def test_trichotomy_exhaustive_small_entries(monkeypatch):
     plane = HalfPlaneModel()
     seen = {"elliptic": 0, "hyperbolic": 0, "hypothesis_violation": 0}
-    orbits = []  # s of each finite rotation whose orbit diameter is checked
+    rotations = []  # s of each rotation of order 2 or 3
     previous = Matrix2.identity()
     inf, half = plane.boundary(None), plane.boundary(QuadraticNumber(Fraction(1, 2)))
     for m in sweep_matrices():
@@ -142,28 +130,21 @@ def test_trichotomy_exhaustive_small_entries(monkeypatch):
             assert t == 2 and not m.is_proj_identity()
         else:
             assert t < 2 or m.is_proj_identity()
-            w = cls.elliptic
-            if w.period is not None and not m.is_proj_identity():
-                # finite rotation order: the matrix power is projectively trivial
-                power = m
-                for _ in range(w.period - 1):
-                    power = power * m
-                assert power.is_proj_identity()
-                # the diameter of the orbit {i, M i, M^2 i}, pair by pair
-                orbit = [(Fraction(0), Fraction(1))]
-                for _ in range(2):
-                    orbit.append(mobius(e, orbit[-1]))
-                diam = max(cosh_between(p, q) for p in orbit for q in orbit)
-                assert w.orbit_point == plane.basepoint
-                assert w.orbit_diameter.exact_cosh == diam
-                orbits.append(m.s)
-            elif w.period is None:
-                # infinite order: the witness is an exactly fixed point
-                moved = plane.apply(plane.isometry(m), w.orbit_point)
-                assert moved.coords[0] == w.orbit_point.coords[0]
-                assert moved.coords[1] == w.orbit_point.coords[1]
+            # the order of the rotation: M^period is +-I, and no smaller power
+            # is; an infinite-order rotation has no power +-I up to M^12
+            period = cls.elliptic.period
+            powers = [m]
+            for _ in range(12 if period is None else period - 1):
+                powers.append(powers[-1] * m)
+            if period is None:
+                assert not any(p.is_proj_identity() for p in powers)
+            else:
+                assert powers[-1].is_proj_identity()
+                assert not any(p.is_proj_identity() for p in powers[:-1])
+            if period in (2, 3):
+                rotations.append(m.s)
     assert all(seen.values()), seen
-    assert len(orbits) == 106 and sum(s > 1 for s in orbits) == 72  # conjugates too
+    assert len(rotations) == 106 and sum(s > 1 for s in rotations) == 72  # conjugates too
 
 
 def test_tag_matches_classify_on_sweep():

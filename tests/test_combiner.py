@@ -232,7 +232,7 @@ def test_independent_examples():
     assert not indep(f * f)                    # powers share fixed points
     assert not indep(f.inverse())              # swapped pair
     with pytest.raises(NotHyperbolic):
-        indep(GroupWord.identity())
+        indep(GroupWord(()))
 
 
 def test_normalize_powers_plane_orders():
@@ -401,7 +401,7 @@ def test_verify_certificate_negative_controls():
     system = worked_system()
     cert = simultaneous_hyperbolic(system, SearchSchedule(8))
     identity_cert = Certificate(
-        GroupWord.identity(), cert.stages, cert.per_action, cert.images
+        GroupWord(()), cert.stages, cert.per_action, cert.images
     )
     assert not verify_certificate(system, identity_cert)
     elliptic_cert = Certificate(

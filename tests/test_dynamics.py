@@ -276,7 +276,7 @@ def test_separation_identity(plane):
     cls = plane.classify(D)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
     sample = sample_plane_points(plane, 20, rng_from_seed(2))
-    assert not separation_witnesses(act, GroupWord.identity(), u_plus, u_minus, sample)
+    assert not separation_witnesses(act, GroupWord(()), u_plus, u_minus, sample)
 
 
 def test_separation_rotation_violates(plane):
@@ -461,7 +461,7 @@ def test_prop41_final_clause_family(plane):
     sample = sample_plane_points(plane, 25, rng_from_seed(9))
     act = Action("p", plane, {"f": F, "e": plane.matrix(0, -1, 1, 0)})
     for k in range(0, 6):
-        assert not separation_witnesses(act, GroupWord.identity() ** k, u_plus, u_minus, sample)
+        assert not separation_witnesses(act, GroupWord(()) ** k, u_plus, u_minus, sample)
     # far-away rotation: conjugate the order-2 rotation by a large shear
     h = plane.matrix(1, 30, 0, 1)
     far = plane.compose(plane.compose(h, plane.matrix(0, -1, 1, 0)), plane.invert(h))

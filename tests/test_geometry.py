@@ -220,15 +220,20 @@ def test_translation_conjugation_invariance(plane):
 
 
 def test_elliptic_decay(plane):
+    # a rotation of order 2 or 3: M^period is +-I, so every orbit repeats
+    # with that period and stays within a bounded distance of its start
+    x = plane.point_xy(Fraction(1, 3), 2)
     for mat in (plane.matrix(0, -1, 1, 0), plane.matrix(1, -1, 1, 0)):
-        cls = plane.classify(mat)
-        period = cls.elliptic.period
-        diam = cls.elliptic.orbit_diameter.exact_cosh
-        x = cls.elliptic.orbit_point
-        cur = x
-        for n in range(1, 4 * period + 1):
-            cur = plane.apply(mat, cur)
-            assert plane.cosh_distance(x, cur) <= diam  # exact comparison
+        period = plane.classify(mat).elliptic.period
+        m, top = mat.payload, mat.payload
+        for _ in range(period - 1):
+            top = top * m
+        assert top.is_proj_identity()
+        orbit = [x]
+        for _ in range(4 * period):
+            orbit.append(plane.apply(mat, orbit[-1]))
+        assert orbit[::period] == [x] * 5
+        assert len({plane.cosh_distance(x, p) for p in orbit}) <= period  # exact values
 
 
 def test_distance_checks_models(plane, cayley):

@@ -25,24 +25,7 @@ def test_cross_field_equality():
     assert QuadraticNumber(5) != QuadraticNumber(0, 1, 2)
 
 
-def test_sign_logic():
-    assert QuadraticNumber(3, -1, 2).sign() == 1
-    assert QuadraticNumber(1, -1, 2).sign() == -1
-    assert QuadraticNumber(-1, 1, 2).sign() == 1
-    assert QuadraticNumber(2, -1, 4).sign() == 0
-    assert QuadraticNumber(0, 0, 0).sign() == 0
-
-
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
-radicands = st.sampled_from([Fraction(2), Fraction(3), Fraction(5), Fraction(7, 2)])
-
-
-@given(rationals, rationals, radicands)
-def test_sign_matches_float(a, b, d):
-    x = QuadraticNumber(a, b, d)
-    approx = float(x)
-    if abs(approx) > 1e-9:
-        assert x.sign() == (1 if approx > 0 else -1)
 
 
 def test_acosh_fraction_small_and_huge():
@@ -86,8 +69,8 @@ def respelled_and_unrelated(draw):
 
 @given(respelled_and_unrelated())
 @settings(max_examples=100, deadline=None, derandomize=True)
-def test_equality_hash_and_sign_match_sympy(values):
-    # an oracle outside hypiso: sympy's own radicals, signs and zero test
+def test_equality_and_hash_match_sympy(values):
+    # an oracle outside hypiso: sympy's own radicals and zero test
     sympy = pytest.importorskip("sympy")
 
     def exact(v: QuadraticNumber):
@@ -97,7 +80,6 @@ def test_equality_hash_and_sign_match_sympy(values):
     x, respelled, unrelated = values
     assert x == respelled and hash(x) == hash(respelled)
     for p in values:
-        assert p.sign() == sympy.sign(exact(p))
         for q in values:
             equal = sympy.expand(exact(p) - exact(q)) == 0
             assert (p == q) == equal

@@ -1,6 +1,7 @@
 """Byte identity on the seeded random systems: for random_action_system
 seeds 0-99, the sha256 of the combine record, of the depth-4 hypothesis
-report, of the generator classes (elliptic witnesses included) and of the
+report, of the generator classes (each class's witness line, as records
+print it, and the float translation length of a hyperbolic one) and of the
 ``hypiso report --format records`` output at the default settings (whose
 profile lines carry each stage's partition) is pinned in seed_hashes.json.
 For seeds 0-29 so are the diagnostics of ``hypiso dynamics`` and
@@ -26,7 +27,7 @@ from hypiso import cli, dynamics
 from hypiso.combiner import SearchSchedule, check_hypotheses, resolve_witness, simultaneous_hyperbolic
 from hypiso.errors import NoPassingN
 from hypiso.geometry import estimate_delta_four_point
-from hypiso.records import record_for_certificate
+from hypiso.records import record_for_certificate, witness_line
 from hypiso.sampling import random_action_system
 from hypiso.words import GroupWord
 
@@ -73,19 +74,29 @@ def report_text(system, seed: int) -> str:
     return cli._cmd_report(SimpleNamespace(command="report"), system, settings, []).record().emit()
 
 
+def class_lines(system) -> list[str]:
+    """One line per action and generator: the class's witness line, which
+    holds its tag, period or exact invariant and fixed points, and the float
+    translation length of a hyperbolic class."""
+    lines = []
+    for i, action in enumerate(system.actions):
+        for gen in system.generators:
+            cls = action.classify_word(GroupWord.generator(gen))
+            line = f"{gen}: {witness_line(i, action.name, action.model, cls)}"
+            if cls.is_hyperbolic:
+                line += f" tau={cls.hyperbolic.translation_length.value!r}"
+            lines.append(line)
+    return lines
+
+
 def seed_hashes(seed: int) -> dict[str, str]:
     system = random_action_system(seed)
     cert = simultaneous_hyperbolic(system, SearchSchedule(32))
     record = record_for_certificate("combine", system, cert, [("seed", str(seed))])
-    classes = [
-        repr(action.classify_word(GroupWord.generator(gen)))
-        for action in system.actions
-        for gen in system.generators
-    ]
     hashes = {
         "record": _sha(record.emit()),
         "hypotheses": _sha(repr(check_hypotheses(system, 4))),
-        "classes": _sha("\n".join(classes)),
+        "classes": _sha("\n".join(class_lines(system))),
         "report": _sha(report_text(system, seed)),
     }
     if seed in DIAGNOSTIC_SEEDS:

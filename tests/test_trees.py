@@ -12,7 +12,7 @@ from hypiso.sampling import random_elliptic, random_hyperbolic
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import reduced_words
 
-from reference import bfs_distance, geodesic, pairwise_distances_by_meets, power
+from reference import bfs_distance, fixed_vertices, geodesic, pairwise_distances_by_meets, power
 
 
 @pytest.fixture
@@ -133,12 +133,13 @@ def test_bs_classify_st_hyperbolic(bs23):
 
 
 def test_bs_classify_sts_elliptic(bs23):
-    cls = bs23.classify(bs23.word([(0, 1), (1, 1), (0, 1)]))
+    iso = bs23.word([(0, 1), (1, 1), (0, 1)])
+    cls = bs23.classify(iso)
     assert cls.tag == "elliptic"
     assert cls.elliptic.period == 3  # conjugate of t, order 3
-    fixed = cls.elliptic.orbit_point
-    iso = bs23.word([(0, 1), (1, 1), (0, 1)])
-    assert bs23.apply(iso, fixed) == fixed
+    assert power(bs23, iso, 3) == bs23.identity() != iso
+    # s t s fixes the vertex s.<t> at depth 2, and no vertex nearer the root
+    assert [p.coords for p in fixed_vertices(bs23, iso, 4)] == [(((0, 1),), 1)]
 
 
 def test_bs_no_parabolics(bs23):
@@ -207,17 +208,13 @@ def test_bs_isometry_invariance(bs23):
 
 
 def test_bs_elliptic_decay(bs23):
-    # the elliptic witness vertex is fixed, so its orbit has diameter 0
+    # an elliptic element fixes a vertex, found in the ball by adjacency alone
     w = bs23.word([(0, 1), (1, 1), (0, 1)])  # conjugate of t, period 3
     cls = bs23.classify(w)
-    fix = cls.elliptic.orbit_point
-    cur = fix
-    for _ in range(4 * cls.elliptic.period):
-        cur = bs23.apply(w, cur)
-        assert bs23.distance(fix, cur).exact_value <= cls.elliptic.orbit_diameter.exact_value
+    [fix] = fixed_vertices(bs23, w, 4)
     # a generic point's orbit stays within 2 d(point, fixed vertex)
     base = bs23.basepoint
-    bound = 2 * bs23.distance(base, fix).exact_value
+    bound = 2 * bfs_distance(bs23, base, fix)
     cur = base
     for _ in range(4 * cls.elliptic.period):
         cur = bs23.apply(w, cur)
@@ -335,7 +332,11 @@ def test_bs_elliptic_fixed_vertex_long_conjugators(bs23):
         cls = bs23.classify(w)
         if cls.tag != "elliptic":
             continue  # cancellation may have produced a longer cyclic part
-        assert bs23.apply(w, cls.elliptic.orbit_point) == cls.elliptic.orbit_point
+        # the conjugator moves the fixed vertex at most 5 steps from the root
+        assert fixed_vertices(bs23, w, 6)
+        period = cls.elliptic.period
+        assert power(bs23, w, period) == bs23.identity()
+        assert all(power(bs23, w, k) != bs23.identity() for k in range(1, period))
 
 
 # -- the shared metric against the BFS oracle --------------------------------

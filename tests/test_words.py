@@ -13,7 +13,7 @@ def test_free_reduction():
 
 def test_identity_and_inverse():
     w = GroupWord.parse("f g^-2")
-    assert w * w.inverse() == GroupWord.identity()
+    assert w * w.inverse() == GroupWord(())
     assert w.inverse().display() == "g^2 f^-1"
 
 
@@ -21,7 +21,7 @@ def test_powers():
     w = GroupWord.parse("f g")
     assert (w**3).display() == "f g f g f g"
     assert (w**-1) == w.inverse()
-    assert w**0 == GroupWord.identity()
+    assert w**0 == GroupWord(())
     assert GroupWord.parse("f g f^-1") ** 3 == GroupWord.parse("f g^3 f^-1")
 
 
@@ -93,7 +93,7 @@ def test_associativity(a, b, c):
 @given(powers, st.integers(-4, 4))
 def test_power_is_repeated_product(a, n):
     u = GroupWord(tuple(a))
-    expected = GroupWord.identity()
+    expected = GroupWord(())
     for _ in range(abs(n)):
         expected = expected * (u if n > 0 else u.inverse())
     assert u**n == expected
@@ -102,8 +102,8 @@ def test_power_is_repeated_product(a, n):
 @given(powers)
 def test_inverse_law(a):
     u = GroupWord(tuple(a))
-    assert u * u.inverse() == GroupWord.identity()
-    assert u.inverse() * u == GroupWord.identity()
+    assert u * u.inverse() == GroupWord(())
+    assert u.inverse() * u == GroupWord(())
     assert u.inverse().inverse() == u
 
 
