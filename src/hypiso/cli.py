@@ -56,7 +56,7 @@ MAX_SAMPLE_POINTS = 1000
 
 # dynamics follows an orbit of at most this many steps (orbit-depth); plane
 # matrix entries grow with each step, and --checks ns at depth 1,000 on
-# configs/ takes 1.2 s (Python 3.11.7, 2 cores, host.ref_ms 0.29)
+# configs/ takes 1.1-1.5 s (Python 3.11.7, 2 cores, host.ref_ms 0.17-0.32)
 MAX_ORBIT_DEPTH = 1000
 
 # the checks dynamics runs, as --checks names them

@@ -190,11 +190,7 @@ def normalize_powers(
         cg = action.model.classify(g_image)
         for cls, word_name in ((cf, "f"), (cg, "g")):
             if cls.tag == HYPOTHESIS_VIOLATION:
-                raise HypothesisViolation(
-                    f"{word_name} is parabolic in action {action.name!r}",
-                    word=f if word_name == "f" else g,
-                    action_index=i,
-                )
+                raise HypothesisViolation(f"{word_name} is parabolic in action {action.name!r}")
         pf = cf.elliptic.period if cf.is_elliptic else None
         pg = cg.elliptic.period if cg.is_elliptic else None
         if pf:
@@ -261,9 +257,7 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
     f_images = running.images + (action_k.image(f),)
     cls_fk = action_k.model.classify(f_images[k])
     if cls_fk.tag == HYPOTHESIS_VIOLATION:
-        raise HypothesisViolation(
-            f"running word parabolic in action {action_k.name!r}", word=f, action_index=k
-        )
+        raise HypothesisViolation(f"running word parabolic in action {action_k.name!r}")
     f_classes = running.per_action + (cls_fk,)
     if cls_fk.is_hyperbolic:
         return Certificate(f, (StageRecord(k, action_k.name),), f_classes, f_images)

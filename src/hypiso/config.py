@@ -118,7 +118,7 @@ def _parse_int(text: str, lineno: int) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"expected an integer, got {text!r}", lineno, 1)
+        raise ParseError(f"expected an integer, got {text!r}", lineno)
 
 
 def _parse_action_line(action: ActionConfig, key: str, tokens: list[str], line: str, lineno: int) -> None:

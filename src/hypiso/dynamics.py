@@ -12,8 +12,9 @@ The North-South check follows its orbits through the model's
 the plane each orbit point is an integer matrix applied to i, stepped by
 the isometry's primitive matrix; on trees the Gromov product with the
 attracting point b is an integer from b's Busemann cocycle, which g shifts
-by its translation length, plus one distance to the base per step.  The
-floats, and so every membership test, are those of ``contains_point``.
+by its translation length, plus d(g^-n base, y): one orbit, the base's, is
+followed for all the points.  The floats, and so every membership test,
+are those of ``contains_point``.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def ns_dynamics_check(
     Every step of every orbit is tested; a step stops at its first point
     outside U+.  The orbits and their Gromov products come from the model's
     ``orbit_boundary_products``: integer matrices on the plane; on trees the
-    Busemann cocycle of the center and one distance to the base a step."""
+    Busemann cocycle of the center and the orbit of the base under g^-1."""
     model = action.model
     tag = model.tag(g)
     if tag != HYPERBOLIC:

@@ -30,12 +30,6 @@ class NoPassingN(HypisoError):
 class HypothesisViolation(HypisoError):
     """A parabolic isometry (or other hypothesis failure) was detected."""
 
-    def __init__(self, reason: str, word=None, action_index: int | None = None):
-        super().__init__(reason)
-        self.reason = reason
-        self.word = word
-        self.action_index = action_index
-
 
 class WitnessNotHyperbolic(HypisoError):
     """A claimed per-action witness failed exact classification."""
@@ -45,8 +39,6 @@ class WitnessNotHyperbolic(HypisoError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-        self.action_index = action_index
-        self.action_name = action_name
 
 
 class ScheduleExhausted(HypisoError):
@@ -66,12 +58,10 @@ class ScheduleExhausted(HypisoError):
 
 
 class ParseError(HypisoError):
-    """Config or record text failed to parse; carries the 1-based position."""
+    """Config or record text failed to parse; the message names the 1-based line."""
 
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, col {column}: {message}")
-        self.line = line
-        self.column = column
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}, col 1: {message}")
 
 
 class ValidationError(HypisoError):
@@ -79,4 +69,3 @@ class ValidationError(HypisoError):
 
     def __init__(self, message: str, field: str = ""):
         super().__init__(message if not field else f"{field}: {message}")
-        self.field = field

@@ -326,7 +326,8 @@ class HalfPlaneModel(SpaceModel):
         yx, yy = self._floats(y)
         wx, wy = self._floats(base)
         dyw = self.distance(y, base).value
-        return _boundary_product(None if pp is None else float(pp), wx, wy, yx, yy, dyw)
+        xi = None if pp is None else float(pp)
+        return _boundary_product(xi, None if xi is None else math.hypot(xi - wx, wy), wy, yx, yy, dyw)
 
     def orbit_boundary_products(
         self, iso: Isometry, b: BoundaryPoint, points: list[Point], base: Point, steps: int
@@ -344,6 +345,7 @@ class HalfPlaneModel(SpaceModel):
         pp: QuadraticNumber | None = self.require_boundary(b)
         xi = None if pp is None else float(pp)
         wx, wy = self._floats(base)
+        xi_w = None if xi is None else math.hypot(xi - wx, wy)  # once, not per point and step
         by, bx, bd = self._point_matrix(base)  # its adjugate is [[bd, -bx], [0, by]]
         a, bb, c, d = m.a, m.b, m.c, m.d
         orbit = [(y, x, 0, den) for y, x, den in map(self._point_matrix, points)]
@@ -356,7 +358,7 @@ class HalfPlaneModel(SpaceModel):
             yx, yy = (p * r + q * t) / den, det / den
             c0, c1, c2, c3 = bd * p - bx * r, bd * q - bx * t, by * r, by * t
             dyw = _acosh_ratio(c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3, 2 * by * bd * det)
-            return _boundary_product(xi, wx, wy, yx, yy, dyw)
+            return _boundary_product(xi, xi_w, wy, yx, yy, dyw)
 
         for _ in range(steps):
             orbit = [(a * p + bb * r, a * q + bb * t, c * p + d * r, c * q + d * t) for p, q, r, t in orbit]
@@ -391,16 +393,16 @@ def _acosh_ratio(num: int, den: int) -> float:
         return acosh_fraction(Fraction(num, den))
 
 
-def _boundary_product(xi, wx: float, wy: float, yx: float, yy: float, dyw: float) -> float:
+def _boundary_product(xi, xi_w, wy: float, yx: float, yy: float, dyw: float) -> float:
     """<xi|y>_w = ln(|xi-w| / |xi-y|) + (1/2) ln(Im y / Im w) + d(y,w)/2 in
-    floats, xi None for the point at infinity."""
+    floats, xi None for the point at infinity; xi_w is |xi-w| = hypot(xi -
+    Re w, Im w), read by the callers once per base."""
     if xi is None:
         return 0.5 * math.log(yy / wy) + 0.5 * dyw
-    num = math.hypot(xi - wx, wy)
     den = math.hypot(xi - yx, yy)
     if den == 0.0:
         return math.inf  # y has reached xi in floats
-    return math.log(num / den) + 0.5 * math.log(yy / wy) + 0.5 * dyw
+    return math.log(xi_w / den) + 0.5 * math.log(yy / wy) + 0.5 * dyw
 
 
 def _word_tree(r: int, depth: int) -> list:

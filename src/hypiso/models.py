@@ -253,7 +253,8 @@ class SpaceModel:
         """For n = 1..steps, an iterator over the points p of the values
         ``gromov_boundary_point(b, iso^n p, base)``, each computed (and any
         error raised) only when it is read.  The orbit advances one step per
-        n, whether or not every value was read.  b must be a fixed point of
-        iso: a model may raise ValueError otherwise, as the tree models do,
-        which read the products from b's Busemann cocycle."""
+        n, whether or not every value was read (the tree models step only
+        the base, by iso^-1).  b must be a fixed point of iso: a model may
+        raise ValueError otherwise, as the tree models do, which read the
+        products from b's Busemann cocycle."""
         raise NotImplementedError

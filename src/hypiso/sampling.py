@@ -37,26 +37,6 @@ def sample_plane_points(model: HalfPlaneModel, count: int, rng: random.Random) -
     return out
 
 
-def sample_tree_points(model, count: int, rng: random.Random) -> list[Point]:
-    """Vertices at the end of random reduced words of 0 to 6 units."""
-    out = []
-    for _ in range(count):
-        n = rng.randint(0, 6)
-        if isinstance(model, CayleyTreeModel):
-            out.append(model.vertex(_random_cayley_word(model, rng, n)))
-        else:
-            syllables = _random_bs_syllables(model, rng, n)
-            vtype = rng.choice((0, 1))
-            out.append(model.coset_vertex(syllables, vtype))
-    return out
-
-
-def sample_points(model: SpaceModel, count: int, rng: random.Random) -> list[Point]:
-    if isinstance(model, HalfPlaneModel):
-        return sample_plane_points(model, count, rng)
-    return sample_tree_points(model, count, rng)
-
-
 # -- plane isometries -----------------------------------------------------
 
 

@@ -233,20 +233,28 @@ class TreeModel(SpaceModel):
 
         The Busemann cocycle beta(w, x) = 2<b|x>_w - d(w, x) of a point b
         fixed by g has beta(w, g x) = beta(w, g w) + beta(w, x) (Bridson-
-        Haefliger II.8), so 2<b|g^n y>_w = d(w, g^n y) + n beta(w, g w) +
-        beta(w, y): beta is read from one short truncation of the ray per
-        point, and each step costs one ``_act`` and one ``_dist`` to w."""
+        Haefliger II.8), and g^-n is an automorphism, so 2<b|g^n y>_w =
+        d(g^-n w, y) + n beta(w, g w) + beta(w, y).  Only the base moves:
+        one ``_act`` of g^-1 a step.  beta(w, y) is read once per point from
+        one short truncation of the ray, and each step then costs one
+        ``_meet_depth`` per point, bounded by the point's own depth."""
         g = self.require_iso(iso)
         if not self.fixes(iso, b):
             raise ValueError("the isometry does not fix the boundary point")
         w = self.require_point(base)
-        orbit = [self.require_point(p) for p in points]
+        ys = [self.require_point(p) for p in points]
         shift = self._busemann(b, w, self._act(g, w))
-        betas = [self._busemann(b, w, y) for y in orbit]
-        for _ in range(steps):
-            orbit = [self._act(g, y) for y in orbit]
-            betas = [beta + shift for beta in betas]
-            yield (float((self._dist(w, y) + beta) // 2) for y, beta in zip(orbit, betas))
+        # 2<b|g^n y>_w = (d(u) + n shift) + (d(y) + beta(w, y)) - 2 k(u, y), u = g^-n w
+        own = [self._depth(y) + self._busemann(b, w, y) for y in ys]
+        g_inv, u = self._inv(g), w
+        for n in range(1, steps + 1):
+            u = self._act(g_inv, u)
+            yield self._products_from(u, self._depth(u) + n * shift, ys, own)
+
+    def _products_from(self, u, lead: int, ys: list, own: list):
+        """The floats (lead + own - 2 k(u, y)) / 2 of the points y, lazily."""
+        meet = self._meet_depth
+        return (float((lead + c - 2 * meet(u, y)) // 2) for y, c in zip(ys, own))
 
     def _busemann(self, b, w, x) -> int:
         """beta(w, x) = 2<b|x>_w - d(w, x), from a truncation of the ray b
@@ -338,9 +346,6 @@ class CayleyTreeModel(TreeModel):
 
     def compose(self, first: Isometry, second: Isometry) -> Isometry:
         return self.isometry(self.multiply(self.require_iso(first), self.require_iso(second)))
-
-    def vertex(self, letters) -> Point:
-        return self.point(self.normal_form(tuple(letters)))
 
     def _act(self, g: tuple, v: tuple) -> tuple:
         return self.multiply(g, v)
@@ -448,13 +453,6 @@ class BassSerreModel(TreeModel):
         return self.isometry(self.multiply(self.require_iso(first), self.require_iso(second)))
 
     # -- vertices -------------------------------------------------------------
-
-    def coset_vertex(self, word, vtype: int) -> Point:
-        """Canonical vertex for the coset word.<factor vtype subgroup>."""
-        w = self.normal_form(word)
-        if w and w[-1][0] == vtype:
-            w = w[:-1]
-        return self.point((w, vtype))
 
     def _act(self, g: tuple, v: tuple) -> tuple:
         w, vtype = v

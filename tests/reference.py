@@ -10,6 +10,9 @@ from collections import deque
 
 from hypiso.dynamics import contains_point
 from hypiso.geometry import gromov_product
+from hypiso.halfplane import HalfPlaneModel
+from hypiso.sampling import _random_bs_syllables, _random_cayley_word, sample_plane_points
+from hypiso.trees import CayleyTreeModel
 
 
 def power(model, iso, n: int):
@@ -99,3 +102,38 @@ def separation_witnesses(action, g, u_plus, u_minus, sample) -> list:
     if model.gromov_boundary_pair(u_minus.center, moved, u_minus.base) > u_minus.threshold:
         out.append(u_plus.center)
     return out
+
+
+def vertex(model, letters):
+    """The vertex of a Cayley tree at the end of the word of the letters."""
+    return model.point(model.normal_form(tuple(letters)))
+
+
+def coset_vertex(model, word, vtype: int):
+    """The vertex of a Bass-Serre tree for the coset word.<factor vtype>."""
+    w = model.normal_form(word)
+    if w and w[-1][0] == vtype:
+        w = w[:-1]
+    return model.point((w, vtype))
+
+
+def sample_tree_points(model, count: int, rng) -> list:
+    """Vertices at the end of random reduced words of 0 to 6 units, drawn
+    by the library's seeded word samplers."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(0, 6)
+        if isinstance(model, CayleyTreeModel):
+            out.append(vertex(model, _random_cayley_word(model, rng, n)))
+        else:
+            syllables = _random_bs_syllables(model, rng, n)
+            vtype = rng.choice((0, 1))
+            out.append(coset_vertex(model, syllables, vtype))
+    return out
+
+
+def sample_points(model, count: int, rng) -> list:
+    """Seeded plane points, or seeded tree vertices."""
+    if isinstance(model, HalfPlaneModel):
+        return sample_plane_points(model, count, rng)
+    return sample_tree_points(model, count, rng)

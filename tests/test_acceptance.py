@@ -33,13 +33,12 @@ from hypiso.sampling import (
     random_plane_hyperbolic,
     rng_from_seed,
     sample_plane_points,
-    sample_points,
 )
 from hypiso.records import class_invariant
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import GroupWord
 
-from reference import four_point_defect, power, separation_witnesses
+from reference import four_point_defect, power, sample_points, separation_witnesses
 
 
 def _pass(name: str, detail: str) -> None:

@@ -23,13 +23,11 @@ from hypiso.sampling import (
     random_plane_hyperbolic,
     rng_from_seed,
     sample_plane_points,
-    sample_points,
-    sample_tree_points,
 )
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 from hypiso.words import GroupWord
 
-from reference import power, separation_witnesses
+from reference import power, sample_points, sample_tree_points, separation_witnesses, vertex
 
 
 @pytest.fixture
@@ -216,18 +214,54 @@ def _letter_words(model) -> list:
 
 def test_tree_orbit_products_match_direct_iteration(bs23):
     cayley = CayleyTreeModel(3)
+    g_bs, g_cayley = bs23.word([(0, 1), (1, 2), (0, 1), (1, 1)]), cayley.word([1, 2, -1, 3])
+    # off-axis bases: the Bass-Serre vertex ((), 1), whose root path takes
+    # the step to the basepoint, and a Cayley vertex of depth 3 (bbc)
+    bases = {bs23: [bs23.point(((), 1))], cayley: [vertex(cayley, [2, 2, 3])]}
     cases = [
-        (bs23, bs23.word([(0, 1), (1, 2), (0, 1), (1, 1)]), bs23.ball_vertices(2), 12),
-        (cayley, cayley.word([1, 2, -1, 3]), cayley.ball_vertices(2), 12),
+        (bs23, g_bs, bs23.ball_vertices(2), 12),
+        (cayley, g_cayley, cayley.ball_vertices(2), 12),
     ]
+    # 200 steps from vertices on the repelling side: g^-k x for x the
+    # basepoint and its first neighbour, and the neighbours of those that
+    # g moves further than its translation length, off its axis
+    for model, g in ((bs23, g_bs), (cayley, g_cayley)):
+        tau = model.classify(g).hyperbolic.translation_length.exact_value
+        starts = [model.basepoint, model.point(model._neighbors(model.basepoint.coords)[0])]
+        back = [model.apply(power(model, g, -k), x) for k in (1, 2, 3) for x in starts]
+        near = [model.point(q) for p in back for q in model._neighbors(p.coords)]
+        hanging = [q for q in near if model.distance(q, model.apply(g, q)).exact_value > tau]
+        assert hanging
+        cases.append((model, g, back + hanging + [model.basepoint], 200))
     # the sampled witnesses, 64 steps out; the last point, a base too, has depth 3
     cases += [(a.model, g, a.model.ball_vertices(1) + a.model.ball_vertices(3)[-1:], 64) for a, g in _tree_witnesses()]
     for model, g, points, steps in cases:
         cls = model.classify(g)
         for center in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
-            for base in (model.basepoint, points[-1]):
+            for base in (model.basepoint, points[-1], *bases.get(model, [])):
                 direct, _ = _products_by_iteration(model, g, center, points, base, steps)
                 assert _orbit_products(model, g, center, points, base, steps) == direct
+
+
+def test_tree_orbit_products_step_the_base_alone(monkeypatch):
+    # 64 steps for the 53 vertices of a rank-2 ball of radius 3: the base's
+    # orbit is stepped, one image a step, and no point is moved
+    model = CayleyTreeModel(2)
+    g = model.word([1, 2, 2])
+    points = model.ball_vertices(3)
+    assert len(points) == 53
+    calls = []
+    act = CayleyTreeModel._act
+
+    def counted_act(self, h, v):
+        calls.append(v)
+        return act(self, h, v)
+
+    monkeypatch.setattr(CayleyTreeModel, "_act", counted_act)
+    steps = model.orbit_boundary_products(g, model.classify(g).hyperbolic.fixed_plus, points, model.basepoint, 64)
+    values = [list(products) for products in steps]
+    assert len(values) == 64 and all(len(row) == 53 for row in values)
+    assert len(calls) <= 64 + 2 * 53
 
 
 def test_tree_busemann_shift_and_fixed_point_contract():

@@ -8,10 +8,10 @@ import pytest
 from hypiso.errors import InsufficientSample, MixedModels
 from hypiso.geometry import estimate_delta_four_point, gromov_product
 from hypiso.halfplane import HalfPlaneModel
-from hypiso.sampling import rng_from_seed, sample_plane_points, sample_points
+from hypiso.sampling import rng_from_seed, sample_plane_points
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 
-from reference import four_point_defect, geodesic
+from reference import four_point_defect, geodesic, sample_points, vertex
 
 
 @pytest.fixture
@@ -37,8 +37,8 @@ def test_gromov_product_degenerate(plane):
 
 def test_gromov_product_tree_oracle(cayley):
     # <ab|aab>_e = distance from e to the geodesic [ab, aab]
-    x = cayley.vertex([1, 2])
-    y = cayley.vertex([1, 1, 2])
+    x = vertex(cayley, [1, 2])
+    y = vertex(cayley, [1, 1, 2])
     gp = gromov_product(cayley, x, y, cayley.basepoint)
     assert gp.exact_value == 1
     oracle = min(
@@ -138,7 +138,7 @@ def test_four_point_matches_pairwise_distance_fill(plane):
     cases = [
         (plane, sample_plane_points(plane, 45, rng_from_seed(11)), plane.point_xy(Fraction(-5, 7), 2)),
         (bs, bs.ball_vertices(4), bs.basepoint),
-        (cayley3, cayley3.ball_vertices(2), cayley3.vertex([2, -3])),
+        (cayley3, cayley3.ball_vertices(2), vertex(cayley3, [2, -3])),
     ]
     for model, sample, base in cases:
         for b in (model.basepoint, base):
@@ -179,9 +179,9 @@ class _ScaledCycle:
 def test_four_point_dtype_guard_is_exact(depth, narrower):
     # at the root, max G2 = 2*depth: the guard 2*max|G2| + 1 passes the narrower dtype
     line = CayleyTreeModel(1)
-    sample = [line.vertex([e] * k) for e in (1, -1) for k in (0, 1, 2, depth // 2, depth - 1, depth)]
+    sample = [vertex(line, [e] * k) for e in (1, -1) for k in (0, 1, 2, depth // 2, depth - 1, depth)]
     assert 4 * depth + 1 > np.iinfo(narrower).max
-    for base in (line.basepoint, line.vertex([1] * 3)):
+    for base in (line.basepoint, vertex(line, [1] * 3)):
         assert estimate_delta_four_point(line, sample, base).delta == _four_point_by_distance(line, sample, base)
 
 

@@ -12,7 +12,7 @@ from hypiso.sampling import random_elliptic, random_hyperbolic
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import reduced_words
 
-from reference import bfs_distance, fixed_vertices, geodesic, pairwise_distances_by_meets, power
+from reference import bfs_distance, fixed_vertices, geodesic, pairwise_distances_by_meets, power, vertex
 
 
 @pytest.fixture
@@ -29,8 +29,8 @@ def bs23():
 
 
 def test_cayley_distance_word_formula(cayley):
-    x = cayley.vertex([1, 2])       # ab
-    y = cayley.vertex([1, 1, 2])    # aab
+    x = vertex(cayley, [1, 2])       # ab
+    y = vertex(cayley, [1, 1, 2])    # aab
     assert cayley.distance(x, y).exact_value == 3
     assert cayley.distance(x, x).exact_value == 0
 
@@ -51,15 +51,15 @@ def test_cayley_ball_sizes(cayley):
 def test_cayley_not_in_ball(cayley):
     # no ball bounds the model: the BFS oracle measures a vertex at any
     # depth, and the ball of any radius is walked
-    far = cayley.vertex([1] * 9)
+    far = vertex(cayley, [1] * 9)
     assert bfs_distance(cayley, far, cayley.basepoint) == 9
-    assert bfs_distance(cayley, cayley.vertex([2, 1]), far) == 11
+    assert bfs_distance(cayley, vertex(cayley, [2, 1]), far) == 11
     assert len(cayley.ball_vertices(7)) == cayley.ball_size(7) == 4373
 
 
 def test_cayley_apply_left_multiplication(cayley):
     a = cayley.word([1])
-    b_vertex = cayley.vertex([2])
+    b_vertex = vertex(cayley, [2])
     assert cayley.apply(a, b_vertex).coords == (1, 2)  # "ab"
 
 
