@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ValidationError
-from .models import Isometry, SpaceModel
+from .models import MAX_ISOMETRY_SIZE, Isometry, SpaceModel
 from .words import GroupWord
 
 
@@ -24,23 +24,29 @@ class Action:
     images: dict[str, Isometry]
 
     def __post_init__(self):
-        # the model-id check, once: image() composes the bare payloads
+        # the model-id check, once: image() composes the bare payloads, and
+        # bounds the sizes of their products from the generators' sizes
         self._payloads = {gen: self.model.require_iso(iso) for gen, iso in self.images.items()}
+        self._sizes = {gen: self.model.size(iso) for gen, iso in self.images.items()}
 
     def image(self, word: GroupWord) -> Isometry:
         """Composed syllable by syllable on the bare payloads (see
         SpaceModel), each power by repeated squaring (once per distinct
-        syllable); the size cap is checked after each syllable, and the
-        result is wrapped once."""
+        syllable), and wrapped once.  A running bound on the image's size
+        (``SpaceModel._power``'s rule) adds each power's plus 1, and only a
+        syllable that takes it past MAX_ISOMETRY_SIZE has the image sized."""
         model, payloads = self.model, self._payloads
-        out = model._one
+        out, bound = model._one, -1  # 1 times the first power is that power: its bound
         powers = {}
         for gen, e in word.syllables:
             if gen not in payloads:
                 raise ValidationError(f"generator {gen!r} has no image in action {self.name!r}")
             if (gen, e) not in powers:
-                powers[gen, e] = model._power(payloads[gen], e)
-            out = model._capped(model._mul(out, powers[gen, e]), "a word's image")
+                powers[gen, e] = model._power(payloads[gen], e, self._sizes[gen])
+            power, power_bound = powers[gen, e]
+            out, bound = model._mul(out, power), bound + power_bound + 1
+            if bound > MAX_ISOMETRY_SIZE:
+                bound = model._sized(out, "a word's image")
         return model.isometry(out)
 
     def classify_word(self, word: GroupWord):

@@ -220,15 +220,19 @@ def normalize_powers(
     return f**p, g**q, ActionProfile(stage=k, entries=tuple(entries), p=p, q=q)
 
 
-def _image_prefix(bases: list[tuple[SpaceModel, Any, Any]], a: int, b: int):
+def _image_prefix(bases: list[tuple[SpaceModel, Any, int, Any, int]], a: int, b: int):
     """The image F^a G^b in each action in order, from the bare payloads F
-    and G, capped as a word's image is and wrapped once, aborting at the
-    first whose tag is not hyperbolic: (images, None) or (images so far,
-    (action index, tag))."""
+    and G and their sizes, capped as a word's image is (sized only once
+    the bound on the product passes MAX_ISOMETRY_SIZE) and wrapped once,
+    aborting at the first whose tag is not hyperbolic: (images, None) or
+    (images so far, (action index, tag))."""
     images = []
-    for i, (model, F, G) in enumerate(bases):
-        product = model._mul(model._power(F, a), model._power(G, b))
-        image = model.isometry(model._capped(product, "a word's image"))
+    for i, (model, F, f_size, G, g_size) in enumerate(bases):
+        (Fa, fa_bound), (Gb, gb_bound) = model._power(F, a, f_size), model._power(G, b, g_size)
+        product = model._mul(Fa, Gb)
+        if fa_bound + gb_bound + 1 > MAX_ISOMETRY_SIZE:
+            model._sized(product, "a word's image")
+        image = model.isometry(product)
         tag = model.tag(image)
         if tag != HYPERBOLIC:
             return images, (i, tag)
@@ -265,10 +269,11 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
     g, g_image = resolve_witness(system, k)
     g_images = tuple(action.image(g) for action in system.actions[:k]) + (g_image,)
     f2, g2, profile = normalize_powers(system, f, g, f_classes, g_images)
-    bases = [  # (model, F, G), F and G bare payloads
-        (m, m._power(m.require_iso(F), profile.p), m._power(m.require_iso(G), profile.q))
-        for m, F, G in zip([action.model for action in system.actions], f_images, g_images)
-    ]
+    bases = []  # (model, F, size of F, G, size of G), F and G bare payloads
+    for m, F, G in zip([action.model for action in system.actions], f_images, g_images):
+        F = m._power(m.require_iso(F), profile.p, m.size(F))[0]
+        G = m._power(m.require_iso(G), profile.q, m.size(G))[0]
+        bases.append((m, F, m._size(F), G, m._size(G)))
 
     trials: list[tuple[int, int, int, str]] = []
     for index, (a, b) in enumerate(schedule.pairs()):
@@ -289,7 +294,7 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
             return Certificate(
                 word=f2**a * g2**b,
                 stages=(record,),
-                per_action=tuple(model.classify(image) for (model, _, _), image in zip(bases, images)),
+                per_action=tuple(base[0].classify(image) for base, image in zip(bases, images)),
                 images=tuple(images),
             )
         trials.append((a, b, failure[0], failure[1]))
@@ -341,15 +346,11 @@ def simultaneous_hyperbolic(system: ActionSystem, schedule: SearchSchedule) -> C
 
 def _check_image_cap(action: Action, word: GroupWord) -> None:
     """Raise the checker's ValidationError where imaging the word letter by
-    letter passes MAX_ISOMETRY_SIZE, which the search's F^a G^b may not: a
-    product's size is at most its factors' sizes plus 1, so the syllables
-    plus each |e| times (size of the generator's image + 1) bound every
-    isometry ``Action.image`` builds, and only past the cap is it run."""
-    model = action.model
-    bound = len(word.syllables)
-    for gen, e in word.syllables:
-        bound += (model.size(action.images[gen]) + 1) * abs(e)
-    if bound > MAX_ISOMETRY_SIZE:
+    letter passes MAX_ISOMETRY_SIZE, which the search's F^a G^b may not:
+    ``Action.image`` is run only when the bound it keeps on every isometry
+    it builds, each power p^e's |e| (size of p + 1) - 1 plus 1 per product,
+    passes the cap."""
+    if sum(abs(e) * (action._sizes[gen] + 1) for gen, e in word.syllables) - 1 > MAX_ISOMETRY_SIZE:
         action.image(word)
 
 

@@ -10,8 +10,8 @@ matrix M is stored as its primitive integer matrix s*M = (a, b, c, d), its
 determinant checked once, where it is built (Matrix2.of).  Classification
 (of the Mobius action: M and -M are one map), fixed points and the
 boundary action read a, b, c, d, s; tr = (a + d)/s:
-  |tr| > 2  hyperbolic, translation length 2*arccosh(|tr|/2), boundary fixed
-            points ((a-d) +- s*sqrt(tr^2-4))/2c, roots of c z^2 + (d-a) z - b
+  |tr| > 2  hyperbolic (PlaneHyperbolic): cosh(tau/2) = |a+d|/2s, boundary fixed
+            points ((a-d) +- sqrt(D))/2c, roots of c z^2 + (d-a) z - b
   |tr| = 2  parabolic unless +-identity: rejected as hypothesis_violation
   |tr| < 2  elliptic.  By Niven's theorem a rational trace has finite order
             only for |a+d| in {0, s} (orders 2 and 3); any other rotation
@@ -50,7 +50,7 @@ from .models import (
     Point,
     SpaceModel,
 )
-from .quadratic import QuadraticNumber, acosh_fraction
+from .quadratic import QuadraticNumber
 
 HALF_PLANE_ID = "half_plane"
 
@@ -112,6 +112,43 @@ class Matrix2(NamedTuple):
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """M itself as Fractions: a view for readers; no decision reads it."""
         return tuple(Fraction(x, self.s) for x in (self.a, self.b, self.c, self.d))
+
+
+class PlaneHyperbolic(NamedTuple):
+    """A hyperbolic class (a plain tuple, as Matrix2 is): the primitive
+    integer matrix (a, b, c, d) = s*M of its Mobius map, signed so that
+    a + d > 2s, and D = disc = (a + d)^2 - 4s^2.
+    The fixed points are built from one isqrt(D) when read: rational when D
+    is a square, else the parts (a - d)/2c, +-s/2c and D/s^2.  No float is
+    computed but tau = 2 arccosh((a + d)/2s), for a reader that asks."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+    s: int
+    disc: int
+
+    @property
+    def translation_length(self) -> Length:
+        half = Fraction(self.a + self.d, 2 * self.s)  # cosh tau = 2 half^2 - 1
+        return Length(2.0 * acosh_fraction(half), exact_cosh=2 * half * half - 1)
+
+    fixed_plus = property(lambda self: self._fixed(1))
+    fixed_minus = property(lambda self: self._fixed(-1))
+
+    def _fixed(self, sign: int) -> BoundaryPoint:
+        a, b, c, d, s, disc = self
+        if c == 0:  # infinity attracts when its eigenvalue a/s is the larger
+            z = None if (a > s) == (sign > 0) else QuadraticNumber(Fraction(b, d - a))
+        else:  # the + root carries the eigenvalue (t + sqrt(t^2 - 4))/2 > 1: attracting
+            r = math.isqrt(disc)
+            if r * r == disc:
+                z = QuadraticNumber(Fraction(a - d + sign * r, 2 * c))
+            else:
+                x, y = Fraction(a - d, 2 * c), Fraction(sign * s, 2 * c)
+                z = QuadraticNumber.of_parts(x, y, Fraction(disc, s * s))
+        return BoundaryPoint(HALF_PLANE_ID, z)
 
 
 class HalfPlaneModel(SpaceModel):
@@ -254,29 +291,18 @@ class HalfPlaneModel(SpaceModel):
         if tag == HYPERBOLIC:
             return self._classify_hyperbolic(m)
         if tag == HYPOTHESIS_VIOLATION:
-            return IsometryClass.make_violation()
+            return IsometryClass(HYPOTHESIS_VIOLATION)
         # the order of the Mobius action: 1 for +-identity, and by Niven 2 or
         # 3 for s*|tr M| = 0 or s; any other rotation has infinite order
         t = abs(m.a + m.d)
         return IsometryClass.make_elliptic(1 if m.is_proj_identity() else 2 if t == 0 else 3 if t == m.s else None)
 
     def _classify_hyperbolic(self, m: Matrix2) -> IsometryClass:
-        a, b, c, d, s = m.a, m.b, m.c, m.d, m.s
+        a, b, c, d, s = m
         if a + d < 0:
             a, b, c, d = -a, -b, -c, -d  # same Mobius action; normalize to trace > 2
-        t = Fraction(a + d, s)
-        # cosh(tau/2) = t/2, so cosh tau = 2 (t/2)^2 - 1
-        tl = Length(2.0 * acosh_fraction(t / 2), exact_cosh=t * t / 2 - 1)
-        if c == 0:
-            # fixes infinity (eigenvalue a/s) and b/(d-a)
-            finite = QuadraticNumber(Fraction(b, d - a))
-            plus, minus = (None, finite) if a > s else (finite, None)
-        else:
-            # plus carries eigenvalue (t + sqrt(t^2 - 4))/2 > 1: attracting
-            x, disc = Fraction(a - d, 2 * c), t * t - 4  # a square disc folds to a rational
-            plus = QuadraticNumber(x, Fraction(s, 2 * c), disc)
-            minus = QuadraticNumber(2 * x - plus.a) if plus.is_rational else plus.conjugate()
-        return IsometryClass.make_hyperbolic(tl, self.boundary(plus), self.boundary(minus))
+        t = a + d
+        return IsometryClass(HYPERBOLIC, hyperbolic=_new(PlaneHyperbolic, (a, b, c, d, s, t * t - 4 * s * s)))
 
     # -- boundary ----------------------------------------------------------
 
@@ -384,13 +410,20 @@ class HalfPlaneModel(SpaceModel):
         return math.log(math.hypot(x1 - wx, wy) * math.hypot(x2 - wx, wy) / (sep * wy))
 
 
+def acosh_fraction(c: Fraction) -> float:
+    """arccosh of an exact rational c >= 1; see _acosh_ratio."""
+    return _acosh_ratio(c.numerator, c.denominator)
+
+
 def _acosh_ratio(num: int, den: int) -> float:
-    """acosh_fraction(num/den) for a ratio >= 1, reduced to a Fraction only
-    when num / den overflows a float (the log branch reads reduced terms)."""
+    """arccosh(num/den) for integers num >= den > 0, robust far beyond float
+    range: orbits reach cosh values like 10**400, where arccosh c =
+    ln(c + sqrt(c^2 - 1)) is ln c + ln 2 in floats, ln c from lowest terms."""
     try:
         return math.acosh(num / den)
     except OverflowError:
-        return acosh_fraction(Fraction(num, den))
+        c = Fraction(num, den)
+        return math.log(c.numerator) - math.log(c.denominator) + math.log(2.0)
 
 
 def _boundary_product(xi, xi_w, wy: float, yx: float, yy: float, dyw: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Optional, Protocol
 
 from .errors import MixedModels, ValidationError
 
@@ -63,9 +63,9 @@ class Length:
     exact_cosh is set by the half-plane (cosh of the length, rational as
     the plane's points and traces are); exact_value is set by tree models
     (integer edge counts; the Gromov products of tree vertices are integers
-    too).  Distances and the translation lengths of hyperbolic classes
-    carry one of the two.  Certification always uses the exact companion;
-    the float is display/diagnostic only.
+    too).  Distances carry one of the two, and so does the translation
+    length a hyperbolic class builds for a reader that asks for one; no
+    class keeps a Length.  The float is display/diagnostic only.
     """
 
     value: float
@@ -90,8 +90,11 @@ class EllipticWitness:
     period: Optional[int]
 
 
-@dataclass(frozen=True)
-class HyperbolicWitness:
+class HyperbolicWitness(Protocol):
+    """A hyperbolic class in its model's own type, holding the exact integers
+    its record prints and no float or Fraction: the translation length and
+    the plane's fixed points (plus attracting, minus repelling) are built when read."""
+
     translation_length: Length
     fixed_plus: BoundaryPoint
     fixed_minus: BoundaryPoint
@@ -114,14 +117,6 @@ class IsometryClass:
     @staticmethod
     def make_elliptic(period: Optional[int]) -> "IsometryClass":
         return IsometryClass(ELLIPTIC, elliptic=EllipticWitness(period))
-
-    @staticmethod
-    def make_hyperbolic(tl, plus, minus) -> "IsometryClass":
-        return IsometryClass(HYPERBOLIC, hyperbolic=HyperbolicWitness(tl, plus, minus))
-
-    @staticmethod
-    def make_violation() -> "IsometryClass":
-        return IsometryClass(HYPOTHESIS_VIOLATION)
 
 
 class SpaceModel:
@@ -188,30 +183,40 @@ class SpaceModel:
     def size(self, iso: Isometry) -> int:
         return self._size(self.require_iso(iso))
 
-    def _power(self, p, n: int):
-        """The payload p^n by repeated squaring; a square or a result past
-        MAX_ISOMETRY_SIZE is a ValidationError."""
+    def _power(self, p, n: int, size: int):
+        """(p^n, a bound on its size) by repeated squaring, for p of at most
+        the given size.  A product's size is at most its factors' sizes plus
+        1, so a square's bound is 2 size + 1 and p^n's is n (size + 1) - 1;
+        each square and the result are sized only once their bound passes
+        MAX_ISOMETRY_SIZE, and past it they are a ValidationError."""
         if n == 0:
-            return self._one
-        base = p if n > 0 else self._inv(p)
+            return self._one, self._size(self._one)
+        base, bound = (p if n > 0 else self._inv(p)), size
         n = abs(n)
-        out = None
+        out, out_bound = None, -1
         while True:
             if n & 1:
                 out = base if out is None else self._mul(out, base)
+                out_bound += bound + 1
             n >>= 1
             if not n:
-                return out if out is base else self._capped(out)
-            base = self._capped(self._mul(base, base))
+                if out is not base and out_bound > MAX_ISOMETRY_SIZE:
+                    out_bound = self._sized(out)
+                return out, out_bound
+            base, bound = self._mul(base, base), 2 * bound + 1
+            if bound > MAX_ISOMETRY_SIZE:
+                bound = self._sized(base)
 
-    def _capped(self, p, what: str = "a power"):
-        """p, unless its size passes MAX_ISOMETRY_SIZE: a ValidationError."""
-        if self._size(p) > MAX_ISOMETRY_SIZE:
+    def _sized(self, p, what: str = "a power") -> int:
+        """p's size, run once a bound on it passes MAX_ISOMETRY_SIZE; a size
+        past the cap is a ValidationError."""
+        size = self._size(p)
+        if size > MAX_ISOMETRY_SIZE:
             raise ValidationError(
                 f"{what} passes the cap of {MAX_ISOMETRY_SIZE} on an isometry's size "
                 "(plane entry bits, tree word units)", "MAX_ISOMETRY_SIZE"
             )
-        return p
+        return size
 
     def tag(self, iso: Isometry) -> str:
         """The exact tag of ``classify(iso)``, decided without building the

@@ -70,10 +70,12 @@ class QuadraticNumber:
             raise ValueError(f"{self!r} is irrational")
         return self.a
 
-    def conjugate(self) -> "QuadraticNumber":
-        """a - b*sqrt(d), built without a second square-root test of d."""
+    @staticmethod
+    def of_parts(a: Fraction, b: Fraction, d: Fraction) -> "QuadraticNumber":
+        """a + b*sqrt(d) from parts already normalized (b nonzero, d > 0 not
+        a rational square), built without a square-root test of d."""
         out = object.__new__(QuadraticNumber)
-        for name, value in (("a", self.a), ("b", -self.b), ("d", self.d)):
+        for name, value in (("a", a), ("b", b), ("d", d)):
             object.__setattr__(out, name, value)
         return out
 
@@ -119,29 +121,6 @@ class QuadraticNumber:
         if self.b == 0:
             return f"QuadraticNumber({self.a})"
         return f"QuadraticNumber({self.a} + {self.b}*sqrt({self.d}))"
-
-
-def acosh_fraction(c: Fraction) -> float:
-    """arccosh of an exact rational >= 1, robust far beyond float range.
-
-    Orbit computations routinely produce cosh values like 10**150, which
-    overflow binary64; for those we use log(c) + log1p(sqrt(1 - 1/c^2)).
-    """
-    if c < 1:
-        raise ValueError(f"acosh argument {c} < 1")
-    try:
-        x = float(c)
-    except OverflowError:
-        x = math.inf
-    if math.isfinite(x):
-        return math.acosh(x)
-    # ln(c + sqrt(c^2 - 1)) with c astronomically large: 1/c^2 underflows to 0
-    lnc = math.log(c.numerator) - math.log(c.denominator)
-    try:
-        inv2 = float(Fraction(c.denominator, c.numerator) ** 2)
-    except OverflowError:
-        inv2 = 0.0
-    return lnc + math.log1p(math.sqrt(max(0.0, 1.0 - inv2)))
 
 
 def parse_rational(text: str) -> Fraction:

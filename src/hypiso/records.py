@@ -11,7 +11,6 @@ in-memory certificates alike and imports nothing from the search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -20,7 +19,7 @@ from .actions import ActionSystem
 from .errors import MixedModels, ParseError
 from .models import BoundaryPoint, IsometryClass, SpaceModel
 from .quadratic import QuadraticNumber, format_rational
-from .trees import RayDescriptor, TreeModel
+from .trees import RayDescriptor, TreeHyperbolic, TreeModel
 from .words import GroupWord
 
 if TYPE_CHECKING:
@@ -32,16 +31,11 @@ RECORD_HEADER = "hypiso-record v1"
 def class_invariant(cls: IsometryClass) -> str:
     """Canonical exact invariant string for one classification."""
     if cls.is_hyperbolic:
-        tl = cls.hyperbolic.translation_length
-        if tl.exact_cosh is not None:
-            # cosh^2(tau/2) = (cosh tau + 1)/2 = (p + q)/2q for cosh tau = p/q,
-            # a rational square: the plane class's cosh tau is t^2/2 - 1 for
-            # its rational trace t.  Lowest terms, then integer square roots.
-            p, q = tl.exact_cosh.numerator, tl.exact_cosh.denominator
-            g = math.gcd(p + q, 2 * q)
-            half = Fraction(math.isqrt((p + q) // g), math.isqrt(2 * q // g))
-            return f"cosh-half={format_rational(half)}"
-        return f"syllables={format_rational(tl.exact_value)}"
+        h = cls.hyperbolic
+        if isinstance(h, TreeHyperbolic):
+            return f"syllables={h.length}"
+        # a plane class: cosh(tau/2) = tr/2 = (a + d)/2s, in lowest terms
+        return f"cosh-half={format_rational(Fraction(h.a + h.d, 2 * h.s))}"
     if cls.is_elliptic:
         period = cls.elliptic.period
         return f"period={'inf' if period is None else period}"

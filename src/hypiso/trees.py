@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .models import (
     ELLIPTIC,
@@ -50,6 +51,16 @@ class RayDescriptor:
 
     prefix: tuple
     period: tuple
+
+
+class TreeHyperbolic(NamedTuple):
+    """A hyperbolic tree class: its integer translation length (letters or
+    syllables) and the rays its axis runs between."""
+
+    length: int
+    fixed_plus: BoundaryPoint
+    fixed_minus: BoundaryPoint
+    translation_length = property(lambda self: _int_length(self.length))
 
 
 def _int_length(n: int) -> Length:
@@ -94,12 +105,12 @@ class TreeModel(SpaceModel):
         return ()
 
     def _hyperbolic(self, u: tuple, v: tuple) -> IsometryClass:
-        """The class of u . v . u^-1 for cyclically reduced v that is not
-        conjugate into a vertex stabilizer: translation length |v|, axis
-        from the ray u . v^inf to the ray u . v^-inf."""
-        return IsometryClass.make_hyperbolic(
-            _int_length(len(v)), self.ray(u, v), self.ray(u, self.invert_word(v))
-        )
+        """The class of u . v . u^-1 for u and v from ``cyclic_reduce`` (both
+        reduced, v cyclically) with v not conjugate into a vertex stabilizer:
+        translation length |v|, axis from the ray u . v^inf to the ray
+        u . v^-inf, each folded from the reduced parts with no re-check."""
+        plus, minus = self.boundary(self._fold(u, v)), self.boundary(self._fold(u, self.invert_word(v)))
+        return IsometryClass(HYPERBOLIC, hyperbolic=TreeHyperbolic(len(v), plus, minus))
 
     # -- the metric, from depth, meet depth and ancestor ------------------------
 
@@ -182,11 +193,15 @@ class TreeModel(SpaceModel):
             raise ValueError("ray period must be nonempty")
         if len(self.multiply(period, period)) != 2 * len(period):
             raise ValueError("ray period must be cyclically reduced")
-        p = self.normal_form(prefix)
+        return self._fold(self.normal_form(prefix), period)
+
+    def _fold(self, p: tuple, period: tuple) -> RayDescriptor:
+        """The ray p . period^inf for a reduced p and a cyclically reduced
+        period, with whole periods folded into p until the junction is reduced."""
         while True:
             joined = self.multiply(p, period)
             if len(joined) == len(p) + len(period):
-                return RayDescriptor(tuple(p), tuple(period))
+                return RayDescriptor(p, period)
             p = joined
 
     def _ray_units(self, ray: RayDescriptor, count: int) -> tuple:

@@ -6,18 +6,23 @@ models' distances, neighbours and boundary actions; the library itself has
 no copy.
 """
 
+import math
 from collections import deque
+from fractions import Fraction
 
 from hypiso.dynamics import contains_point
+from hypiso.errors import ValidationError
 from hypiso.geometry import gromov_product
 from hypiso.halfplane import HalfPlaneModel
+from hypiso.models import MAX_ISOMETRY_SIZE
+from hypiso.quadratic import QuadraticNumber, format_rational
 from hypiso.sampling import _random_bs_syllables, _random_cayley_word, sample_plane_points
 from hypiso.trees import CayleyTreeModel
 
 
 def power(model, iso, n: int):
     """iso^n, by the models' own repeated squaring."""
-    return model.isometry(model._power(model.require_iso(iso), n))
+    return model.isometry(model._power(model.require_iso(iso), n, model.size(iso))[0])
 
 
 def bfs_distance(model, x, y) -> int:
@@ -137,3 +142,105 @@ def sample_points(model, count: int, rng) -> list:
     if isinstance(model, HalfPlaneModel):
         return sample_plane_points(model, count, rng)
     return sample_tree_points(model, count, rng)
+
+
+# -- classification and the size cap in Fractions, product by product ---------
+
+
+def acosh_fraction_reference(c: Fraction) -> float:
+    """arccosh of a rational >= 1: the float's, or past float range
+    ln(c) + log1p(sqrt(1 - 1/c^2)) with ln(c) from lowest terms."""
+    try:
+        x = float(c)
+    except OverflowError:
+        x = math.inf
+    if math.isfinite(x):
+        return math.acosh(x)
+    lnc = math.log(c.numerator) - math.log(c.denominator)
+    try:
+        inv2 = float(Fraction(c.denominator, c.numerator) ** 2)
+    except OverflowError:
+        inv2 = 0.0
+    return lnc + math.log1p(math.sqrt(max(0.0, 1.0 - inv2)))
+
+
+def plane_class_reference(m) -> tuple[str, object, object, float, Fraction]:
+    """(invariant, plus, minus, tau, cosh tau) of a hyperbolic plane matrix,
+    derived in Fractions from its trace t: cosh tau = t^2/2 - 1, turned back
+    into cosh(tau/2) by a gcd and two integer square roots; the fixed points
+    ((a - d) +- s sqrt(t^2 - 4))/2c through QuadraticNumber's normalization
+    of the radicand (None for infinity); tau = 2 arccosh(t/2)."""
+    a, b, c, d, s = m
+    if a + d < 0:
+        a, b, c, d = -a, -b, -c, -d
+    t = Fraction(a + d, s)
+    cosh = t * t / 2 - 1
+    p, q = cosh.numerator, cosh.denominator
+    g = math.gcd(p + q, 2 * q)
+    half = Fraction(math.isqrt((p + q) // g), math.isqrt(2 * q // g))
+    if c == 0:
+        finite = QuadraticNumber(Fraction(b, d - a))
+        plus, minus = (None, finite) if a > s else (finite, None)
+    else:
+        x, disc = Fraction(a - d, 2 * c), t * t - 4
+        plus = QuadraticNumber(x, Fraction(s, 2 * c), disc)
+        minus = QuadraticNumber(2 * x - plus.a) if plus.is_rational else QuadraticNumber(x, -plus.b, disc)
+    return f"cosh-half={format_rational(half)}", plus, minus, 2.0 * acosh_fraction_reference(t / 2), cosh
+
+
+def plane_witness_line_reference(index: int, name: str, m) -> str:
+    """The record's witness line of a hyperbolic plane matrix, from
+    ``plane_class_reference``."""
+
+    def text(z) -> str:
+        if z is None:
+            return "inf"
+        if z.b == 0:
+            return f"rat:{format_rational(z.a)}"
+        return f"quad:{format_rational(z.a)};{format_rational(z.b)};{format_rational(z.d)}"
+
+    invariant, plus, minus, _, _ = plane_class_reference(m)
+    return f"witness {index} {name} half_plane hyperbolic {invariant} plus={text(plus)} minus={text(minus)}"
+
+
+def _capped(model, p, what: str):
+    if model._size(p) > MAX_ISOMETRY_SIZE:
+        raise ValidationError(
+            f"{what} passes the cap of {MAX_ISOMETRY_SIZE} on an isometry's size "
+            "(plane entry bits, tree word units)", "MAX_ISOMETRY_SIZE"
+        )
+    return p
+
+
+def capped_power(model, p, n: int):
+    """The payload p^n by repeated squaring, every square and the result
+    (unless it is p or a square) sized against MAX_ISOMETRY_SIZE."""
+    if n == 0:
+        return model._one
+    base = p if n > 0 else model._inv(p)
+    n = abs(n)
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else model._mul(out, base)
+        n >>= 1
+        if not n:
+            return out if out is base else _capped(model, out, "a power")
+        base = _capped(model, model._mul(base, base), "a power")
+
+
+def capped_image(action, word):
+    """A word's image payload, syllable by syllable from the identity, each
+    product sized against MAX_ISOMETRY_SIZE."""
+    model = action.model
+    out = model._one
+    for gen, e in word.syllables:
+        power = capped_power(model, model.require_iso(action.images[gen]), e)
+        out = _capped(model, model._mul(out, power), "a word's image")
+    return out
+
+
+def capped_product(model, F, G, a: int, b: int):
+    """The payload F^a G^b, each power and the product sized against
+    MAX_ISOMETRY_SIZE."""
+    return _capped(model, model._mul(capped_power(model, F, a), capped_power(model, G, b)), "a word's image")

@@ -1,5 +1,7 @@
 """Action.image and SpaceModel._power compose bare payloads, and the image
-is wrapped once; these tests pin them to the public, tag-checked surface."""
+is wrapped once; these tests pin them to the public, tag-checked surface,
+and the size cap they keep, from a bound on each product's size, to the
+cap checked on every product."""
 
 import random
 from fractions import Fraction
@@ -7,13 +9,14 @@ from fractions import Fraction
 import pytest
 
 from hypiso.actions import Action
-from hypiso.errors import MixedModels
-from hypiso.halfplane import HalfPlaneModel
-from hypiso.models import SpaceModel
-from hypiso.trees import BassSerreModel, CayleyTreeModel
+from hypiso.combiner import _image_prefix
+from hypiso.errors import MixedModels, ValidationError
+from hypiso.halfplane import HalfPlaneModel, Matrix2
+from hypiso.models import MAX_ISOMETRY_SIZE, SpaceModel
+from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 from hypiso.words import GroupWord
 
-from reference import power
+from reference import capped_image, capped_power, capped_product, power
 
 GENERATORS = ("f", "g", "h")
 
@@ -114,3 +117,100 @@ def test_foreign_isometries_are_refused_where_they_enter(make_action):
     for refused in refusals:
         with pytest.raises(MixedModels):
             refused()
+
+
+# the largest n with [[2, 1], [1, 1]]^n under the cap: 524,287 bits, and
+# 524,289 for n + 1
+N0 = 377_597
+CAP = MAX_ISOMETRY_SIZE
+
+
+def _outcome(fn):
+    """fn()'s value, or the message of the ValidationError it raises."""
+    try:
+        return fn()
+    except ValidationError as exc:
+        return f"raised: {exc}"
+
+
+def _cap_cases():
+    """(action, powers (generator, n), words, products (F, G, a, b)) whose
+    powers, squares and products land just under, at and just over the cap
+    in each model, and past its bound with a small true size."""
+    plane = HalfPlaneModel()
+    x = Matrix2.of(2, 1, 1, 1)
+    quarter = plane._power(x, N0 // 4, 2)[0]
+    images = {"f": x, "g": Matrix2.of(1, 1, 0, 1), "h": Matrix2.of(0, -1, 1, 0)}
+    yield (
+        Action("plane", plane, {gen: plane.isometry(m) for gen, m in images.items()}),
+        [("f", N0), ("f", -(N0 + 1)), ("h", 10**6 + 1)],
+        [f"f^{N0 - 1} g^3", f"f^{N0 // 2} h f^{N0 - N0 // 2}"],
+        [(quarter, quarter, 2, 2), (quarter, quarter, 2, 3), (quarter, images["h"], 4, 10**6)],
+    )
+    cayley, half = CayleyTreeModel(2), CAP // 2
+    a, b = (1,), (2,)
+    a8, b8 = a * (half // 2), b * (half // 2)
+    yield (
+        Action("cayley", cayley, {"f": cayley.word(a), "g": cayley.word(b), "h": cayley.word((1, 2, -1))}),
+        [("f", CAP), ("f", CAP + 1), ("f", -2 * CAP), ("h", CAP - 2), ("h", CAP - 1)],
+        [f"f^{half} g^{half}", f"f^{half} g^{half + 1}", f"f^{CAP} g^-1 f^-{CAP}", f"h^{CAP - 2}",
+         f"g f^{CAP} f^-1 g"],
+        [(a8, b8, 2, 2), (a8, b8, 2, 3), (a8, b, 4, 1), (a8, b, 8, 1)],
+    )
+    bs = BassSerreModel(2, 3)
+    st, t, s = ((0, 1), (1, 1)), ((1, 1),), ((0, 1),)
+    yield (
+        Action("bass-serre", bs, {"f": bs.word(st), "g": bs.word(t), "h": bs.word(s)}),
+        [("f", half), ("f", half + 1), ("f", -(half + 1)), ("g", 10**9)],
+        [f"f^{half} g", f"f^{half} h", f"f^{half} g^2", f"f^{half} g^2 f"],
+        [(st * (half // 4), t, 4, 1), (st * (half // 4), t, 4, 2), (st * (half // 4), s, 4, 1)],
+    )
+
+
+@pytest.mark.parametrize("case", _cap_cases(), ids=["plane", "cayley", "bass-serre"])
+def test_bounded_cap_raises_where_every_product_is_sized(case):
+    # the bound sizes a product only once it passes the cap, so image,
+    # _power and the search's F^a G^b raise at the same product, with the
+    # same message, as sizing every product would, or return the same payload
+    action, powers, words, products = case
+    model = action.model
+    outcomes = set()
+    for gen, n in powers:
+        p = model.require_iso(action.images[gen])
+        got = _outcome(lambda: model._power(p, n, model._size(p)))
+        expected = _outcome(lambda: capped_power(model, p, n))
+        assert got == expected if isinstance(got, str) else got[0] == expected, (gen, n)
+        if not isinstance(got, str):
+            assert model._size(got[0]) <= got[1] <= CAP
+        outcomes.add(isinstance(got, str))
+    for text in words:
+        word = GroupWord.parse(text)
+        got = _outcome(lambda: action.image(word))
+        expected = _outcome(lambda: capped_image(action, word))
+        assert got == expected if isinstance(got, str) else got.payload == expected, text
+        outcomes.add(isinstance(got, str))
+    for F, G, a, b in products:
+        got = _outcome(lambda: _image_prefix([(model, F, model._size(F), G, model._size(G))], a, b))
+        expected = _outcome(lambda: capped_product(model, F, G, a, b))
+        assert got == expected if isinstance(got, str) else got == ([model.isometry(expected)], None), (a, b)
+        outcomes.add(isinstance(got, str))
+    assert outcomes == {True, False}
+
+
+def test_image_sizes_nothing_under_the_cap(monkeypatch):
+    # a chain word, f_(k+1) = f_k^2 g_k^3 over three generators, of 509
+    # letters: every bound stays under the cap, so image sizes no product
+    word = GroupWord.parse("f")
+    for gen in "ghfghfg":
+        word = word**2 * GroupWord.parse(f"{gen}^3")
+    assert len(word) == 509 and len(set(word.syllables)) < len(word.syllables)
+    sized = []
+    for owner in (HalfPlaneModel, TreeModel):
+        original = owner._size
+        counted = staticmethod(lambda p, original=original: sized.append(p) or original(p))
+        monkeypatch.setattr(owner, "_size", counted)
+    for action in (plane_action(), cayley_action(), bass_serre_action(3, 4)):
+        expected = capped_image(action, word)
+        sized.clear()
+        assert action.image(word).payload == expected
+        assert sized == []

@@ -2,8 +2,10 @@
 concurrency smoke test for the pure-function contract."""
 
 import contextlib
+import dataclasses
 import itertools
 import math
+import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -12,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypiso.cli import _tau_display
 from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.quadratic import QuadraticNumber
-from hypiso.records import class_invariant
+from hypiso.records import class_invariant, witness_line
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 
-from reference import power
+from reference import plane_class_reference, plane_witness_line_reference, power
 
 
 def det_one_matrices(bound: int):
@@ -57,6 +60,38 @@ def sweep_matrices():
         for p, q, r, t in CONJUGATORS:
             conj = fraction_product(fraction_product((p, q, r, t), m.entries()), (t, -q, -r, p))
             yield Matrix2.of(*conj)
+
+
+def chain_sized_matrices():
+    """Matrices with entries of a few hundred to over a thousand bits, as a
+    chain-k search builds: seeded products of shears, their conjugates by
+    CONJUGATORS (s > 1), the negatives, and conjugates of z -> p^2 z (a
+    square discriminant: rational fixed points) and of z -> p^2 z + 1
+    (c = 0).  [[2, 1], [1, 1]]^800 has a trace past float range."""
+    rng = random.Random(26)
+    steps = [Matrix2.of(*e) for e in ((1, 1, 0, 1), (1, 0, 1, 1), (1, -2, 0, 1), (1, 0, -3, 1), (2, 1, 1, 1))]
+    shears = []
+    for n in (400, 800, 1600):
+        m = Matrix2.identity()
+        for _ in range(n):
+            m = m * rng.choice(steps)
+        shears.append(m)
+    out = [*shears, _power_of(Matrix2.of(2, 1, 1, 1), 800)]
+    for m in list(out):
+        out += [Matrix2.of(*e) * m * Matrix2.of(*e).inverse() for e in CONJUGATORS[:2]]
+        out.append(Matrix2(-m.a, -m.b, -m.c, -m.d, m.s))
+    for p in (2, 3, Fraction(5, 3)):
+        for fixes_infinity in (Matrix2.of(p, 0, 0, 1 / Fraction(p)), Matrix2.of(p, 1, 0, 1 / Fraction(p))):
+            out += [fixes_infinity, fixes_infinity.inverse()]
+            out += [m * fixes_infinity * m.inverse() for m in shears[:2]]
+    return out
+
+
+def _power_of(m: Matrix2, n: int) -> Matrix2:
+    out = Matrix2.identity()
+    for _ in range(n):
+        out = out * m
+    return out
 
 
 def _raise(*_args):
@@ -250,6 +285,55 @@ def test_record_cosh_half_is_half_the_raw_trace():
         assert class_invariant(cls) == (f"cosh-half={t // 2}" if t % 2 == 0 else f"cosh-half={t}/2")
         checked += 1
     assert checked == 42  # the 40 hyperbolic matrices of the sweep and both powers
+
+
+def test_plane_classes_match_the_fraction_derivation():
+    # the class keeps integers; its record line, tau~ column, tau float and
+    # cosh tau must be those of the derivation in Fractions (reference.py),
+    # on the sweep and on chain-sized matrices, whichever kind the fixed
+    # points are and wherever tau's float comes from
+    plane = HalfPlaneModel()
+    kinds = Counter()
+    for m in [*sweep_matrices(), *chain_sized_matrices()]:
+        cls = plane.classify(plane.isometry(m))
+        if not cls.is_hyperbolic:
+            continue
+        _, plus, minus, tau, cosh = plane_class_reference(m)
+        assert witness_line(3, "p", plane, cls) == plane_witness_line_reference(3, "p", m)
+        length = cls.hyperbolic.translation_length
+        assert repr(length.value) == repr(tau) and length.exact_cosh == cosh
+        assert _tau_display(cls) == f"{tau:.6f}"
+        kinds["infinity" if None in (plus, minus) else "rational" if plus.is_rational else "quadratic"] += 1
+        kinds["past float range"] += abs(Fraction(m.a + m.d, 2 * m.s)) > 2**1024
+        kinds["large"] += max(map(abs, m)).bit_length() > 300
+    assert kinds == {"quadratic": 88, "rational": 12, "infinity": 12, "past float range": 4, "large": 24}
+
+
+def _leaves(value):
+    """The values under a dataclass's fields, recursively, through tuples."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _leaves(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_classes_hold_no_float_or_fraction():
+    # a class keeps the integers its record prints: no field, down to the
+    # boundary points' payloads, is a float or a Fraction
+    plane, cayley, bs = HalfPlaneModel(), CayleyTreeModel(2), BassSerreModel(2, 3)
+    classes = [plane.classify(plane.isometry(m)) for m in [*sweep_matrices(), *chain_sized_matrices()]]
+    for model, units in ((cayley, (1, -1, 2, -2)), (bs, ((0, 1), (1, 1), (1, 2)))):
+        classes += [model.classify(model.word(w)) for n in range(4) for w in itertools.product(units, repeat=n)]
+    assert {(type(cls.hyperbolic).__name__, cls.tag) for cls in classes} == {
+        ("PlaneHyperbolic", "hyperbolic"), ("TreeHyperbolic", "hyperbolic"),
+        ("NoneType", "elliptic"), ("NoneType", "hypothesis_violation"),
+    }
+    found = [(cls, leaf) for cls in classes for leaf in _leaves(cls) if isinstance(leaf, (float, Fraction))]
+    assert found == []
 
 
 def test_fixes_matches_the_boundary_action_on_sweep():

@@ -170,7 +170,7 @@ def _imports(node: ast.AST, top: bool = True):
 # the certificate checker's modules and their line count: the core that a
 # record's verification loads, with no search, no geometry and no numpy
 CHECKER_CLOSURE = {"__init__", "records", "actions", "errors", "models", "quadratic", "trees", "words"}
-CHECKER_LINES = 1481
+CHECKER_LINES = 1480
 
 
 def test_checker_import_closure_is_pinned():
@@ -190,6 +190,52 @@ def test_checker_import_closure_is_pinned():
     assert numpy_at_import == []
     lines = sum(len((SRC / "hypiso" / f"{name}.py").read_text().splitlines()) for name in closure)
     assert lines <= CHECKER_LINES, f"the checker's modules grew to {lines} lines"
+
+
+# the functions that a record's verification runs to classify and image
+# the word and render its witness lines, by module: none may compute a
+# float, which only a reader's translation_length builds
+CHECKER_FUNCTIONS = {
+    "halfplane": ["HalfPlaneModel.tag", "HalfPlaneModel.classify", "HalfPlaneModel._classify_hyperbolic",
+                  "PlaneHyperbolic._fixed"],
+    "trees": ["TreeModel.tag", "TreeModel._hyperbolic", "TreeModel._fold", "CayleyTreeModel.classify",
+              "BassSerreModel.classify"],
+    "actions": ["Action.image"],
+    "models": ["SpaceModel._power", "SpaceModel._sized"],
+    "records": ["class_invariant", "boundary_string", "witness_line", "check_witnesses"],
+}
+FLOAT_CALLS = {"float", "acosh_fraction", "math.acosh", "math.log"}
+
+
+def _functions(tree: ast.Module):
+    """(name, node) of each module-level function and method, methods named
+    Class.method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, ast.FunctionDef))
+
+
+def _called(call: ast.Call) -> str:
+    """The name a call is written with: f or module.f."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return getattr(func, "id", "")
+
+
+def test_the_checker_computes_no_float():
+    found = []
+    for module, names in CHECKER_FUNCTIONS.items():
+        functions = dict(_functions(ast.parse((SRC / "hypiso" / f"{module}.py").read_text())))
+        assert set(names) <= set(functions), f"{module}: no {set(names) - set(functions)}"
+        for name in names:
+            found += [
+                f"{module}.{name}, line {n.lineno}: {_called(n)}"
+                for n in ast.walk(functions[name]) if isinstance(n, ast.Call) and _called(n) in FLOAT_CALLS
+            ]
+    assert found == []
 
 
 def _images_reads(node: ast.AST) -> list[int]:

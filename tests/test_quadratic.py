@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypiso.errors import ValidationError
-from hypiso.quadratic import QuadraticNumber, acosh_fraction, format_rational, parse_rational, rational_sqrt
+from hypiso.halfplane import acosh_fraction
+from hypiso.quadratic import QuadraticNumber, format_rational, parse_rational, rational_sqrt
 
 import math
 import sys
