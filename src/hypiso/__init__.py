@@ -24,9 +24,9 @@ _EXPORTS = {
     "orbit_projection",
     "errors": "DegenerateTriangle HypisoError HypothesisViolation InsufficientSample MixedModels NoPassingN "
     "NotHyperbolic ParseError ScheduleExhausted ValidationError WitnessNotHyperbolic",
-    "geometry": "estimate_delta_four_point gromov_product",
+    "geometry": "DeltaEstimate estimate_delta_four_point gromov_product",
     "halfplane": "HalfPlaneModel Matrix2",
-    "models": "BoundaryPoint DeltaEstimate Isometry IsometryClass Length Point SpaceModel",
+    "models": "BoundaryPoint Isometry IsometryClass Length Point SpaceModel",
     "quadratic": "QuadraticNumber",
     "trees": "BassSerreModel CayleyTreeModel RayDescriptor",
     "words": "GroupWord",

@@ -32,11 +32,12 @@ class Action:
     def image(self, word: GroupWord) -> Isometry:
         """Composed syllable by syllable on the bare payloads (see
         SpaceModel), each power by repeated squaring (once per distinct
-        syllable), and wrapped once.  A running bound on the image's size
-        (``SpaceModel._power``'s rule) adds each power's plus 1, and only a
-        syllable that takes it past MAX_ISOMETRY_SIZE has the image sized."""
+        syllable), from the first power on, and wrapped once.  A running
+        bound on the image's size (``SpaceModel._power``'s rule) adds each
+        power's plus 1, and only a syllable that takes it past
+        MAX_ISOMETRY_SIZE has the image sized."""
         model, payloads = self.model, self._payloads
-        out, bound = model._one, -1  # 1 times the first power is that power: its bound
+        out, bound = None, -1  # the first power's bound is its own
         powers = {}
         for gen, e in word.syllables:
             if gen not in payloads:
@@ -44,10 +45,11 @@ class Action:
             if (gen, e) not in powers:
                 powers[gen, e] = model._power(payloads[gen], e, self._sizes[gen])
             power, power_bound = powers[gen, e]
-            out, bound = model._mul(out, power), bound + power_bound + 1
+            out = power if out is None else model._mul(out, power)
+            bound += power_bound + 1
             if bound > MAX_ISOMETRY_SIZE:
                 bound = model._sized(out, "a word's image")
-        return model.isometry(out)
+        return model.isometry(model._one if out is None else out)
 
     def classify_word(self, word: GroupWord):
         return self.model.classify(self.image(word))

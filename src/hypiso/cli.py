@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Optional
 
-from . import dynamics as dyn
 from .actions import ActionSystem
 from .combiner import SearchSchedule, check_hypotheses, resolve_witness, simultaneous_hyperbolic
 from .config import SystemConfig, parse_config
@@ -28,7 +27,6 @@ from .errors import (
     ValidationError,
     WitnessNotHyperbolic,
 )
-from .geometry import estimate_delta_four_point
 from .halfplane import HalfPlaneModel
 from .models import HYPOTHESIS_VIOLATION, IsometryClass
 from .records import (
@@ -38,7 +36,6 @@ from .records import (
     record_for_certificate,
     verify_record,
 )
-from .sampling import rng_from_seed, sample_plane_points
 from .trees import TreeModel
 from .words import GroupWord
 
@@ -212,18 +209,21 @@ def _verify(args, system: ActionSystem, settings) -> Result:
 def _sample(action, seed: int, count: int, radius: int):
     """Seeded plane points, or the tree ball of the given radius; either
     way at most MAX_SAMPLE_POINTS points."""
+    from .geometry import lab
+    from .sampling import rng_from_seed, sample_plane_points
     model = action.model
-    size = count if isinstance(model, HalfPlaneModel) else model.ball_size(radius)
+    size = count if isinstance(model, HalfPlaneModel) else lab(model).ball_size(radius)
     if size > MAX_SAMPLE_POINTS:
         raise ValidationError(
             f"a sample of {size} points is over the cap of {MAX_SAMPLE_POINTS}", f"action {action.name!r}"
         )
     if isinstance(model, HalfPlaneModel):
         return sample_plane_points(model, count, rng_from_seed(seed))
-    return model.ball_vertices(radius)
+    return lab(model).ball_vertices(radius)
 
 
 def _cmd_delta(args, system: ActionSystem, settings, radii: list[int]) -> Result:
+    from .geometry import estimate_delta_four_point  # the lab loads only for the lab's commands
     rows, lines = [], []
     for i, action in enumerate(system.actions):
         sample = _sample(action, settings["seed"], args.samples, min(4, radii[i]))
@@ -238,6 +238,7 @@ def _cmd_delta(args, system: ActionSystem, settings, radii: list[int]) -> Result
 
 
 def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Result:
+    from . import dynamics as dyn
     depth = settings["orbit-depth"]
     if depth > MAX_ORBIT_DEPTH:
         raise ValidationError(f"{depth} is over the cap of {MAX_ORBIT_DEPTH}", "orbit-depth")
@@ -252,8 +253,8 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Res
         cls = action.model.classify(image)
         sample = _sample(action, settings["seed"], 24, min(3, radii[i]))
         if "ns" in checks:
-            spec_plus = dyn.NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, action.model.basepoint)
-            spec_minus = dyn.NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, action.model.basepoint)
+            base = action.model.basepoint
+            spec_plus, spec_minus = (dyn.NeighborhoodSpec(e, 1.0, base) for e in cls.hyperbolic.fixed_points)
             try:
                 n = dyn.ns_dynamics_check(action, image, spec_plus, spec_minus, sample, depth)
                 rows.append((str(i), action.name, "ns", f"N={n}"))
@@ -263,13 +264,7 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Res
                 lines.append(f"ns {i} {action.name} failed")
         if "insize" in checks:
             pts = sample[:12]
-            triangles = [
-                (pts[j], pts[j + 1], pts[j + 2])
-                for j in range(len(pts) - 2)
-                if pts[j].coords != pts[j + 1].coords
-                and pts[j + 1].coords != pts[j + 2].coords
-                and pts[j].coords != pts[j + 2].coords
-            ]
+            triangles = [t for t in zip(pts, pts[1:], pts[2:]) if len({p.coords for p in t}) == 3]
             est = dyn.estimate_delta_insize(action.model, triangles)
             rows.append((str(i), action.name, "insize", f"{est.delta:.6f} over {est.sample_size}"))
             lines.append(f"insize {i} {action.name} approx~ {est.delta:.9f} n {est.sample_size}")

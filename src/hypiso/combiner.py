@@ -159,8 +159,7 @@ def independent(model: SpaceModel, cf: IsometryClass, cg: IsometryClass) -> bool
         raise NotHyperbolic(f"f is {cf.tag} in model {model.model_id!r}")
     if not cg.is_hyperbolic:
         raise NotHyperbolic(f"g is {cg.tag} in model {model.model_id!r}")
-    f_pts = (cf.hyperbolic.fixed_plus, cf.hyperbolic.fixed_minus)
-    g_pts = (cg.hyperbolic.fixed_plus, cg.hyperbolic.fixed_minus)
+    f_pts, g_pts = cf.hyperbolic.fixed_points, cg.hyperbolic.fixed_points
     return not any(model.boundary_equal(p, q) for p in f_pts for q in g_pts)
 
 

@@ -1,27 +1,63 @@
-"""Model-independent hyperbolicity primitives.
+"""The geometry lab: the metric, balls and orbits of the core models, which
+the ``delta`` and ``dynamics`` diagnostics read and no certificate does.
 
-Gromov products are built from the owning model's distances (exact
-integers on trees, exact-cosh rationals on the plane); the four-point delta
-is a sampled estimator layered on top.  It reads all its distances at once
-from the model's ``pairwise_distances``: integers from depths and meet
-depths on trees, on the plane the floats of integer cosh ratios over one
-common denominator.  The sampled delta is a maximum of observed defects,
-hence a lower bound on the true hyperbolicity constant.
+``lab(model)`` is the one way in: a ``PlaneGeometry`` (points are rational
+(x, y) with y > 0, distances carry their exact cosh) or a ``TreeGeometry``
+(points are vertex labels, and the whole metric is integer, derived from
+the model's hooks).  A lab holds its model and no state of its own, and is
+built where it is used; a point tagged with another model's id is
+MixedModels.
+The four-point delta is a sampled estimator on top: a maximum of observed
+defects over the lab's ``pairwise_distances``, hence a lower bound on the
+true hyperbolicity constant.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InsufficientSample
-from .models import DeltaEstimate, Length, Point, SpaceModel
+from .errors import InsufficientSample, MixedModels
+from .halfplane import Matrix2, _acosh_ratio, acosh_fraction
+from .models import BoundaryPoint, Isometry, Length, Point, SpaceModel
+from .quadratic import QuadraticNumber
+from .trees import RayDescriptor, TreeModel, _int_length
+
+
+@dataclass(frozen=True)
+class DeltaEstimate:
+    """Max hyperbolicity defect over a tested sample (a lower bound on delta)."""
+
+    delta: float
+    condition: str  # insize or four_point
+    sample_size: int
+
+
+def lab(model: SpaceModel) -> PlaneGeometry | TreeGeometry:
+    """The geometry lab of a core model."""
+    return TreeGeometry(model) if isinstance(model, TreeModel) else PlaneGeometry(model)
+
+
+class _Geometry:
+    """What both labs share: the model and its tagged points."""
+
+    def __init__(self, model: SpaceModel):
+        self.model = model
+
+    def point(self, coords) -> Point:
+        return Point(self.model.model_id, coords)
+
+    def require_point(self, p: Point):
+        if p.model_id != self.model.model_id:
+            raise MixedModels(f"point tagged {p.model_id}, model is {self.model.model_id}")
+        return p.coords
 
 
 def gromov_product(model: SpaceModel, x: Point, y: Point, w: Point) -> Length:
     """<x|y>_w = (d(x,w) + d(w,y) - d(x,y)) / 2."""
-    dxw = model.distance(x, w)
-    dyw = model.distance(y, w)
-    dxy = model.distance(x, y)
+    geo = lab(model)
+    dxw, dyw, dxy = geo.distance(x, w), geo.distance(y, w), geo.distance(x, y)
     value = 0.5 * (dxw.value + dyw.value - dxy.value)
     if dxw.exact_value is not None and dyw.exact_value is not None and dxy.exact_value is not None:
         exact = Fraction(dxw.exact_value + dyw.exact_value - dxy.exact_value, 2)
@@ -33,14 +69,14 @@ def estimate_delta_four_point(model: SpaceModel, sample: list[Point], base: Poin
     """Max over ordered triples of min(<x|y>, <y|z>) - <x|z>, clamped at 0.
 
     Exact (integer arithmetic) on tree models, float on the plane; the
-    distances come from the model's ``pairwise_distances``.
+    distances come from the lab's ``pairwise_distances``.
     """
     import numpy as np  # here, so that commands that never estimate delta load no numpy
 
     if len(sample) < 3:
         raise InsufficientSample(f"need >= 3 points, got {len(sample)}")
     n = len(sample)
-    rows = model.pairwise_distances([*sample, base])
+    rows = lab(model).pairwise_distances([*sample, base])
     D, d_base = rows[:n, :n], rows[n, :n]
     # doubled Gromov products keep tree arithmetic in integers
     G2 = d_base[:, None] + d_base[None, :] - D
@@ -51,3 +87,341 @@ def estimate_delta_four_point(model: SpaceModel, sample: list[Point], base: Poin
     defect2 = max((np.minimum(row[:, None], G2).max(axis=0) - row).max() for row in G2)
     delta = max(0.0, float(defect2) / 2.0)
     return DeltaEstimate(delta=delta, condition="four_point", sample_size=n)
+
+
+# -- the half-plane -------------------------------------------------------------
+
+
+class PlaneGeometry(_Geometry):
+    """The upper half-plane's metric, Mobius action and extended Gromov
+    products on rational points; boundary points are the model's
+    (QuadraticNumbers, None for infinity)."""
+
+    def point_xy(self, x, y) -> Point:
+        """The point (x, y) for rationals x and y > 0."""
+        x, y = Fraction(x), Fraction(y)
+        if y <= 0:
+            raise ValueError("half-plane points need y > 0")
+        return self.point((x, y))
+
+    def cosh_distance(self, p: Point, q: Point) -> Fraction:
+        """cosh d(p, q) = ((x1 - x2)^2 + y1^2 + y2^2) / (2 y1 y2), exactly,
+        with the coordinates put over one common denominator, so the sum is
+        integer arithmetic."""
+        x1, y1 = self.require_point(p)
+        x2, y2 = self.require_point(q)
+        den = math.lcm(x1.denominator, x2.denominator, y1.denominator, y2.denominator)
+        dx = x1.numerator * (den // x1.denominator) - x2.numerator * (den // x2.denominator)
+        r1, r2 = y1.numerator * (den // y1.denominator), y2.numerator * (den // y2.denominator)
+        return Fraction(dx * dx + r1 * r1 + r2 * r2, 2 * r1 * r2)
+
+    def distance(self, x: Point, y: Point) -> Length:
+        ch = self.cosh_distance(x, y)
+        return Length(acosh_fraction(ch), exact_cosh=ch)
+
+    def _point_matrix(self, p: Point) -> tuple[int, int, int]:
+        """(Y, X, D) for the integer matrix [[Y, X], [0, D]] that maps i to
+        the point p = (X + Y i)/D."""
+        x, y = self.require_point(p)
+        den = math.lcm(x.denominator, y.denominator)
+        return y.numerator * (den // y.denominator), x.numerator * (den // x.denominator), den
+
+    def pairwise_distances(self, points: list[Point]):
+        """d(p, q) for every two points, row p, column q, as a float array:
+        the floats of ``distance``, from cosh = ((X - X')^2 + Y^2 + Y'^2) /
+        2YY' over one common denominator of all the coordinates."""
+        import numpy as np  # here, so that commands that never estimate delta load no numpy
+
+        mats = [self._point_matrix(p) for p in points]
+        den = math.lcm(*(m[2] for m in mats))
+        xs = [x * (den // d) for _, x, d in mats]
+        ys = [y * (den // d) for y, _, d in mats]
+        rows = [[0.0] * len(mats) for _ in mats]
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            row = rows[i]
+            for j in range(i + 1, len(mats)):
+                dx, yj = x - xs[j], ys[j]
+                row[j] = rows[j][i] = _acosh_ratio(dx * dx + y * y + yj * yj, 2 * y * yj)
+        return np.array(rows)
+
+    def apply(self, iso: Isometry, p: Point) -> Point:
+        """M (x + iy): with den = |c (x + iy) + d|^2 the image's y is
+        y s^2 / den, as ad - bc = s^2."""
+        m: Matrix2 = self.model.require_iso(iso)
+        x, y = self.require_point(p)
+        a, b, c, d = m.a, m.b, m.c, m.d  # s*M: the Mobius map is the same
+        y2 = y * y
+        den = (c * x + d) ** 2 + c * c * y2
+        nx = (a * c * (x * x + y2) + (a * d + b * c) * x + b * d) / den
+        return self.point((nx, y * (m.s * m.s) / den))
+
+    def _floats(self, p: Point) -> tuple[float, float]:
+        x, y = self.require_point(p)
+        return float(x), float(y)
+
+    def gromov_boundary_point(self, b: BoundaryPoint, y: Point, base: Point) -> float:
+        """Extended Gromov product <b|y>_base (diagnostic precision)."""
+        pp: QuadraticNumber | None = self.model.require_boundary(b)
+        yx, yy = self._floats(y)
+        wx, wy = self._floats(base)
+        dyw = self.distance(y, base).value
+        xi = None if pp is None else float(pp)
+        return _boundary_product(xi, None if xi is None else math.hypot(xi - wx, wy), wy, yx, yy, dyw)
+
+    def orbit_boundary_products(
+        self, iso: Isometry, b: BoundaryPoint, points: list[Point], base: Point, steps: int
+    ):
+        """For n = 1..steps, an iterator over the points p of the values
+        ``gromov_boundary_point(b, iso^n p, base)``, each computed (and any
+        error raised) only when it is read; the orbit advances one step per
+        n, whether or not every value was read.
+
+        Each orbit point is an integer matrix A with A i = g^n p, stepped by
+        the primitive matrix N of g with no gcd: A = [[p, q], [r, t]] gives
+        x = (pr + qt)/(r^2 + t^2) and y = det A/(r^2 + t^2), and with C the
+        adjugate of the base's matrix times A, 2 det C cosh d(y, base) =
+        |C|^2.  The floats of these integer ratios are those of the reduced
+        Fractions, since int / int rounds correctly."""
+        m: Matrix2 = self.model.require_iso(iso)
+        pp: QuadraticNumber | None = self.model.require_boundary(b)
+        xi = None if pp is None else float(pp)
+        wx, wy = self._floats(base)
+        xi_w = None if xi is None else math.hypot(xi - wx, wy)  # once, not per point and step
+        by, bx, bd = self._point_matrix(base)  # its adjugate is [[bd, -bx], [0, by]]
+        a, bb, c, d = m.a, m.b, m.c, m.d
+        orbit = [(y, x, 0, den) for y, x, den in map(self._point_matrix, points)]
+        dets = [y * den for y, _, _, den in orbit]
+        s2 = m.s * m.s
+
+        def product(A, det):
+            p, q, r, t = A
+            den = r * r + t * t
+            yx, yy = (p * r + q * t) / den, det / den
+            c0, c1, c2, c3 = bd * p - bx * r, bd * q - bx * t, by * r, by * t
+            dyw = _acosh_ratio(c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3, 2 * by * bd * det)
+            return _boundary_product(xi, xi_w, wy, yx, yy, dyw)
+
+        for _ in range(steps):
+            orbit = [(a * p + bb * r, a * q + bb * t, c * p + d * r, c * q + d * t) for p, q, r, t in orbit]
+            dets = [det * s2 for det in dets]  # det N = s^2
+            yield map(product, orbit, dets)
+
+    def internal_points(self, x: Point, y: Point, z: Point) -> tuple[tuple[Point, Point, Point], Length]:
+        """The internal points of the triangle xyz on its sides [y, z], [z, x]
+        and [x, y], each at its Gromov-product distance from the side's first
+        vertex in floats, and the insize: the largest distance between two."""
+        gx = gromov_product(self.model, y, z, x).value  # d(x, beta^) = d(x, gamma^)
+        gy = gromov_product(self.model, x, z, y).value
+        gz = gromov_product(self.model, x, y, z).value
+        pts = (self._point_at(y, z, gy), self._point_at(z, x, gz), self._point_at(x, y, gx))
+        insize = max(self.distance(p, q).value for i, p in enumerate(pts) for q in pts[i + 1 :])
+        return pts, Length(insize)
+
+    def _point_at(self, p: Point, q: Point, dist: float) -> Point:
+        """The point at the given distance from p along the geodesic [p, q]."""
+        x1, y1 = self._floats(p)
+        x2, y2 = self._floats(q)
+        if abs(x1 - x2) < 1e-14:
+            sign = 1.0 if y2 > y1 else -1.0
+            return self.point_xy(Fraction(x1), Fraction(y1 * math.exp(sign * dist)))
+        m = (x2 * x2 + y2 * y2 - x1 * x1 - y1 * y1) / (2 * (x2 - x1))
+        r = math.hypot(x1 - m, y1)
+        s1 = math.log(math.tan(math.atan2(y1, x1 - m) / 2))
+        s2 = math.log(math.tan(math.atan2(y2, x2 - m) / 2))
+        s = s1 + (dist if s2 > s1 else -dist)
+        theta = 2 * math.atan(math.exp(s))
+        return self.point_xy(Fraction(m + r * math.cos(theta)), Fraction(r * math.sin(theta)))
+
+    def gromov_boundary_pair(self, b1: BoundaryPoint, b2: BoundaryPoint, base: Point) -> float:
+        """<xi|eta>_w = ln(|xi-w| |eta-w| / (|xi-eta| Im w)); inf when equal."""
+        p1: QuadraticNumber | None = self.model.require_boundary(b1)
+        p2: QuadraticNumber | None = self.model.require_boundary(b2)
+        if self.model.boundary_equal(b1, b2):
+            return math.inf
+        wx, wy = self._floats(base)
+        if p1 is None or p2 is None:
+            xi = float(p2 if p1 is None else p1)
+            return math.log(math.hypot(xi - wx, wy) / wy)
+        x1, x2 = float(p1), float(p2)
+        sep = abs(x1 - x2) or 1e-300  # distinct quadratic values collapsing in float: resolve minimally
+        return math.log(math.hypot(x1 - wx, wy) * math.hypot(x2 - wx, wy) / (sep * wy))
+
+
+def _boundary_product(xi, xi_w, wy: float, yx: float, yy: float, dyw: float) -> float:
+    """<xi|y>_w = ln(|xi-w| / |xi-y|) + (1/2) ln(Im y / Im w) + d(y,w)/2 in
+    floats, xi None for the point at infinity; xi_w is |xi-w| = hypot(xi -
+    Re w, Im w), read by the callers once per base."""
+    if xi is None:
+        return 0.5 * math.log(yy / wy) + 0.5 * dyw
+    den = math.hypot(xi - yx, yy)
+    if den == 0.0:
+        return math.inf  # y has reached xi in floats
+    return math.log(xi_w / den) + 0.5 * math.log(yy / wy) + 0.5 * dyw
+
+
+# -- the trees --------------------------------------------------------------------
+
+
+class TreeGeometry(_Geometry):
+    """A tree's metric in integers, from its model's hooks on vertex labels
+    (see trees.TreeModel), for both trees."""
+
+    def __init__(self, model: TreeModel):
+        super().__init__(model)
+        self._depth, self._meet_depth, self._ancestor = model._depth, model._meet_depth, model._ancestor
+
+    def apply(self, iso: Isometry, x: Point) -> Point:
+        return self.point(self.model._act(self.model.require_iso(iso), self.require_point(x)))
+
+    def _dist(self, u, v) -> int:
+        return self._depth(u) + self._depth(v) - 2 * self._meet_depth(u, v)
+
+    def _along(self, u, v, k: int, t: int):
+        """The vertex at distance t from u on the geodesic [u, v], whose root
+        paths meet at depth k: up from u to the meet, then down towards v."""
+        du = self._depth(u)
+        if t <= du - k:
+            return self._ancestor(u, du - t)
+        return self._ancestor(v, t - du + 2 * k)
+
+    def distance(self, x: Point, y: Point) -> Length:
+        return _int_length(self._dist(self.require_point(x), self.require_point(y)))
+
+    def pairwise_distances(self, points: list[Point]):
+        """d(p, q) for every two of the points, an int64 array: row p, column q.
+
+        In a DFS order of the rooted tree (the points sorted by ``_dfs_key``)
+        the meet depth of two vertices is the least meet depth of the
+        adjacent pairs between them (Kasai et al., CPM 2001): n - 1
+        ``_meet_depth`` calls and a running minimum per row fill the meets."""
+        import numpy as np  # here, so that commands that never estimate delta load no numpy
+
+        depth, meet, key = self._depth, self._meet_depth, self.model._dfs_key
+        vs = [self.require_point(p) for p in points]
+        order = sorted(range(len(vs)), key=lambda i: key(vs[i]))
+        adjacent = np.array([meet(vs[i], vs[j]) for i, j in zip(order, order[1:])], dtype=np.int64)
+        meets = np.zeros((len(vs), len(vs)), dtype=np.int64)  # in the sorted order
+        for i in range(len(adjacent)):
+            meets[i, i + 1 :] = meets[i + 1 :, i] = np.minimum.accumulate(adjacent[i:])
+        depths = np.array([depth(v) for v in vs], dtype=np.int64)
+        rank = np.argsort(order)  # the sorted position of each point
+        dist = depths[:, None] + depths[None, :] - 2 * meets[np.ix_(rank, rank)]
+        np.fill_diagonal(dist, 0)
+        return dist
+
+    def _gromov(self, u, v, w) -> int:
+        """<u|v>_w = (d(u,w) + d(v,w) - d(u,v)) / 2 = d(w) - k(u,w) - k(v,w) + k(u,v)
+        for the meet depths k: the halves cancel."""
+        meet = self._meet_depth
+        return self._depth(w) - meet(u, w) - meet(v, w) + meet(u, v)
+
+    def internal_points(self, x: Point, y: Point, z: Point) -> tuple[tuple[Point, Point, Point], Length]:
+        """The internal points of the triangle xyz on its sides [y, z], [z, x]
+        and [x, y], and the insize: the largest distance between two of them.
+
+        Each point is placed on its side at the Gromov-product distance from
+        the side's first vertex (<x|z>_y on [y, z], and so on round), in
+        exact integers; nothing assumes that the three coincide.
+        """
+        depth, meet, along, dist = self._depth, self._meet_depth, self._along, self._dist
+        u, v, w = (self.require_point(p) for p in (x, y, z))
+        du, dv, dw = depth(u), depth(v), depth(w)
+        kvw, kwu, kuv = meet(v, w), meet(w, u), meet(u, v)
+        # <x|z>_y = (d(x,y) + d(y,z) - d(z,x)) / 2 = dv - kuv - kvw + kwu, and
+        # so on round: the halves cancel, so the products are integers
+        pts = (
+            along(v, w, kvw, dv - kuv - kvw + kwu),
+            along(w, u, kwu, dw - kvw - kwu + kuv),
+            along(u, v, kuv, du - kwu - kuv + kvw),
+        )
+        insize = max(dist(pts[0], pts[1]), dist(pts[1], pts[2]), dist(pts[2], pts[0]))
+        return tuple(self.point(p) for p in pts), _int_length(insize)
+
+    # -- boundary rays ------------------------------------------------------
+
+    def _ray_vertex(self, ray: RayDescriptor, depth: int):
+        """A vertex of the ray deeper than depth by its preperiod, two
+        periods and 4 units: for depth at least that of every point it is
+        compared with, it meets each of them where the ray does."""
+        units = self.model._ray_units(ray, len(ray.prefix) + 2 * len(ray.period) + depth + 4)
+        return self.model._vertex_from_units(units)
+
+    def _ray_product(self, ray: RayDescriptor, x, w) -> int:
+        """<ray|x>_w, from a vertex of the ray deeper than both points."""
+        return self._gromov(self._ray_vertex(ray, self._depth(x) + self._depth(w)), x, w)
+
+    def gromov_boundary_point(self, b: BoundaryPoint, y: Point, base: Point) -> float:
+        """Extended Gromov product <b|y>_base, exact until the final float."""
+        ray = self.model.require_boundary(b)
+        return float(self._ray_product(ray, self.require_point(y), self.require_point(base)))
+
+    def gromov_boundary_pair(self, b1: BoundaryPoint, b2: BoundaryPoint, base: Point) -> float:
+        """<xi|eta>_base, exact until the final float; +inf for equal points.
+        Two distinct rays part within their longer preperiod plus the lcm of
+        their periods, so a vertex of xi that deep, and deeper than the
+        base, meets eta and the base where xi does."""
+        r1: RayDescriptor = self.model.require_boundary(b1)
+        r2: RayDescriptor = self.model.require_boundary(b2)
+        if self.model.rays_equal(r1, r2):
+            return math.inf
+        w = self.require_point(base)
+        parted = max(len(r1.prefix), len(r2.prefix)) + math.lcm(len(r1.period), len(r2.period))
+        return float(self._ray_product(r2, self._ray_vertex(r1, parted + self._depth(w)), w))
+
+    def orbit_boundary_products(
+        self, iso: Isometry, b: BoundaryPoint, points: list[Point], base: Point, steps: int
+    ):
+        """For n = 1..steps, an iterator over the products <b|g^n p>_base of
+        the points p, in order, each computed (and any error raised) only
+        when it is read.  g must fix b: ValueError otherwise.
+
+        The Busemann cocycle beta(w, x) = 2<b|x>_w - d(w, x) of a point b
+        fixed by g has beta(w, g x) = beta(w, g w) + beta(w, x) (Bridson-
+        Haefliger II.8), and g^-n is an automorphism, so 2<b|g^n y>_w =
+        d(g^-n w, y) + n beta(w, g w) + beta(w, y).  Only the base moves:
+        one ``_act`` of g^-1 a step.  beta(w, y) is read once per point from
+        one short truncation of the ray, and each step then costs one
+        ``_meet_depth`` per point, bounded by the point's own depth."""
+        model = self.model
+        g = model.require_iso(iso)
+        if not model.fixes(iso, b):
+            raise ValueError("the isometry does not fix the boundary point")
+        w = self.require_point(base)
+        ys = [self.require_point(p) for p in points]
+        shift = self._busemann(b, w, model._act(g, w))
+        # 2<b|g^n y>_w = (d(u) + n shift) + (d(y) + beta(w, y)) - 2 k(u, y), u = g^-n w
+        own = [self._depth(y) + self._busemann(b, w, y) for y in ys]
+        act, depth, g_inv, u = model._act, self._depth, model._inv(g), w
+        for n in range(1, steps + 1):
+            u = act(g_inv, u)
+            yield self._products_from(u, depth(u) + n * shift, ys, own)
+
+    def _products_from(self, u, lead: int, ys: list, own: list):
+        """The floats (lead + own - 2 k(u, y)) / 2 of the points y, lazily."""
+        meet = self._meet_depth
+        return (float((lead + c - 2 * meet(u, y)) // 2) for y, c in zip(ys, own))
+
+    def _busemann(self, b: BoundaryPoint, w, x) -> int:
+        """beta(w, x) = 2<b|x>_w - d(w, x)."""
+        return 2 * self._ray_product(self.model.require_boundary(b), x, w) - self._dist(w, x)
+
+    # -- the ball -------------------------------------------------------------
+
+    def ball_vertices(self, radius: int) -> list[Point]:
+        """All vertices within ``radius`` of the basepoint, BFS order."""
+        neighbors, root = self.model._neighbors, self.model.basepoint.coords
+        parents, level, out = set(), [root], [root]
+        for _ in range(radius):
+            children = [nb for v in level for nb in neighbors(v) if nb not in parents]
+            parents, level = set(level), children
+            out.extend(children)
+        return [self.point(v) for v in out]
+
+    def ball_size(self, radius: int) -> int:
+        """The number of vertices within ``radius`` of the basepoint, counted
+        from the vertex degrees without walking the ball."""
+        degrees, total, level = self.model._degrees, 1, 1
+        for depth in range(radius):
+            level *= degrees[depth & 1] - (depth > 0)
+            total += level
+        return total

@@ -1,9 +1,8 @@
 """The hyperbolic plane as the upper half-plane acted on by exact
 determinant-1 rational matrices.
 
-Points are (x, y) pairs of Fractions with y > 0: classification builds
-none, so every point is a sample, an orbit point or an internal point of
-the diagnostics, and all of them are rational.  Boundary points are
+Classification builds no point: the plane's points, metric and orbits are
+the geometry lab's (``geometry.PlaneGeometry``).  Boundary points are
 QuadraticNumbers u + v*sqrt(w), or None for infinity; boundary_apply writes
 its map out over these parts, as QuadraticNumber has no arithmetic.  A
 matrix M is stored as its primitive integer matrix s*M = (a, b, c, d), its
@@ -134,21 +133,24 @@ class PlaneHyperbolic(NamedTuple):
         half = Fraction(self.a + self.d, 2 * self.s)  # cosh tau = 2 half^2 - 1
         return Length(2.0 * acosh_fraction(half), exact_cosh=2 * half * half - 1)
 
-    fixed_plus = property(lambda self: self._fixed(1))
-    fixed_minus = property(lambda self: self._fixed(-1))
+    fixed_plus = property(lambda self: self.fixed_points[0])
+    fixed_minus = property(lambda self: self.fixed_points[1])
 
-    def _fixed(self, sign: int) -> BoundaryPoint:
+    @property
+    def fixed_points(self) -> tuple[BoundaryPoint, BoundaryPoint]:
+        """(attracting, repelling), both from one isqrt(D)."""
         a, b, c, d, s, disc = self
         if c == 0:  # infinity attracts when its eigenvalue a/s is the larger
-            z = None if (a > s) == (sign > 0) else QuadraticNumber(Fraction(b, d - a))
+            finite = QuadraticNumber(Fraction(b, d - a))
+            plus, minus = (None, finite) if a > s else (finite, None)
         else:  # the + root carries the eigenvalue (t + sqrt(t^2 - 4))/2 > 1: attracting
             r = math.isqrt(disc)
             if r * r == disc:
-                z = QuadraticNumber(Fraction(a - d + sign * r, 2 * c))
+                plus, minus = (QuadraticNumber(Fraction(a - d + e, 2 * c)) for e in (r, -r))
             else:
-                x, y = Fraction(a - d, 2 * c), Fraction(sign * s, 2 * c)
-                z = QuadraticNumber.of_parts(x, y, Fraction(disc, s * s))
-        return BoundaryPoint(HALF_PLANE_ID, z)
+                x, y, w = Fraction(a - d, 2 * c), Fraction(s, 2 * c), Fraction(disc, s * s)
+                plus, minus = QuadraticNumber.of_parts(x, y, w), QuadraticNumber.of_parts(x, -y, w)
+        return BoundaryPoint(HALF_PLANE_ID, plus), BoundaryPoint(HALF_PLANE_ID, minus)
 
 
 class HalfPlaneModel(SpaceModel):
@@ -159,72 +161,10 @@ class HalfPlaneModel(SpaceModel):
 
     def __init__(self):
         self.model_id = HALF_PLANE_ID
-        self.basepoint = self.point((Fraction(0), Fraction(1)))
-
-    def point_xy(self, x, y) -> Point:
-        """The point (x, y) for rationals x and y > 0."""
-        x, y = Fraction(x), Fraction(y)
-        if y <= 0:
-            raise ValueError("half-plane points need y > 0")
-        return self.point((x, y))
+        self.basepoint = Point(self.model_id, (Fraction(0), Fraction(1)))
 
     def matrix(self, a, b, c, d) -> Isometry:
         return self.isometry(Matrix2.of(a, b, c, d))
-
-    # -- metric -----------------------------------------------------------
-
-    def cosh_distance(self, p: Point, q: Point) -> Fraction:
-        """cosh d(p, q) = ((x1 - x2)^2 + y1^2 + y2^2) / (2 y1 y2), exactly,
-        with the coordinates put over one common denominator, so the sum is
-        integer arithmetic."""
-        x1, y1 = self.require_point(p)
-        x2, y2 = self.require_point(q)
-        den = math.lcm(x1.denominator, x2.denominator, y1.denominator, y2.denominator)
-        dx = x1.numerator * (den // x1.denominator) - x2.numerator * (den // x2.denominator)
-        r1, r2 = y1.numerator * (den // y1.denominator), y2.numerator * (den // y2.denominator)
-        return Fraction(dx * dx + r1 * r1 + r2 * r2, 2 * r1 * r2)
-
-    def distance(self, x: Point, y: Point) -> Length:
-        ch = self.cosh_distance(x, y)
-        return Length(acosh_fraction(ch), exact_cosh=ch)
-
-    def _point_matrix(self, p: Point) -> tuple[int, int, int]:
-        """(Y, X, D) for the integer matrix [[Y, X], [0, D]] that maps i to
-        the point p = (X + Y i)/D."""
-        x, y = self.require_point(p)
-        den = math.lcm(x.denominator, y.denominator)
-        return y.numerator * (den // y.denominator), x.numerator * (den // x.denominator), den
-
-    def pairwise_distances(self, points: list[Point]):
-        """d(p, q) for every two points, row p, column q, as a
-        float array: the floats of ``distance``, from cosh = ((X - X')^2 +
-        Y^2 + Y'^2) / 2YY' over one common denominator of all the
-        coordinates."""
-        import numpy as np  # here, so that loading the checker loads no numpy
-
-        mats = [self._point_matrix(p) for p in points]
-        den = math.lcm(*(m[2] for m in mats))
-        xs = [x * (den // d) for _, x, d in mats]
-        ys = [y * (den // d) for y, _, d in mats]
-        rows = [[0.0] * len(mats) for _ in mats]
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            for j in range(i + 1, len(mats)):
-                dx, yj = x - xs[j], ys[j]
-                rows[i][j] = rows[j][i] = _acosh_ratio(dx * dx + y * y + yj * yj, 2 * y * yj)
-        return np.array(rows)
-
-    # -- action -----------------------------------------------------------
-
-    def apply(self, iso: Isometry, p: Point) -> Point:
-        """M (x + iy): with den = |c (x + iy) + d|^2 the image's y is
-        y s^2 / den, as ad - bc = s^2."""
-        m: Matrix2 = self.require_iso(iso)
-        x, y = self.require_point(p)
-        a, b, c, d = m.a, m.b, m.c, m.d  # s*M: the Mobius map is the same
-        y2 = y * y
-        den = (c * x + d) ** 2 + c * c * y2
-        nx = (a * c * (x * x + y2) + (a * d + b * c) * x + b * d) / den
-        return self.point((nx, y * (m.s * m.s) / den))
 
     # the payload hooks of SpaceModel
     _mul, _inv, _one = staticmethod(Matrix2.__mul__), staticmethod(Matrix2.inverse), Matrix2.identity()
@@ -341,75 +281,6 @@ class HalfPlaneModel(SpaceModel):
             return self.boundary(None)
         return self.boundary(QuadraticNumber(((a * u + bb) * p - a * v * q * w) / n, v * (m.s * m.s) / n, w))
 
-    # -- extended Gromov products (diagnostic floats) ------------------------
-
-    def _floats(self, p: Point) -> tuple[float, float]:
-        x, y = self.require_point(p)
-        return float(x), float(y)
-
-    def gromov_boundary_point(self, b: BoundaryPoint, y: Point, base: Point) -> float:
-        pp: QuadraticNumber | None = self.require_boundary(b)
-        yx, yy = self._floats(y)
-        wx, wy = self._floats(base)
-        dyw = self.distance(y, base).value
-        xi = None if pp is None else float(pp)
-        return _boundary_product(xi, None if xi is None else math.hypot(xi - wx, wy), wy, yx, yy, dyw)
-
-    def orbit_boundary_products(
-        self, iso: Isometry, b: BoundaryPoint, points: list[Point], base: Point, steps: int
-    ):
-        """For n = 1..steps, the products <b|g^n p>_base of the rational points
-        p, in order, each computed as it is read; see SpaceModel.
-
-        Each orbit point is an integer matrix A with A i = g^n p, stepped by
-        the primitive matrix N of g with no gcd: A = [[p, q], [r, t]] gives
-        x = (pr + qt)/(r^2 + t^2) and y = det A/(r^2 + t^2), and with C the
-        adjugate of the base's matrix times A, 2 det C cosh d(y, base) =
-        |C|^2.  The floats of these integer ratios are those of the reduced
-        Fractions, since int / int rounds correctly."""
-        m: Matrix2 = self.require_iso(iso)
-        pp: QuadraticNumber | None = self.require_boundary(b)
-        xi = None if pp is None else float(pp)
-        wx, wy = self._floats(base)
-        xi_w = None if xi is None else math.hypot(xi - wx, wy)  # once, not per point and step
-        by, bx, bd = self._point_matrix(base)  # its adjugate is [[bd, -bx], [0, by]]
-        a, bb, c, d = m.a, m.b, m.c, m.d
-        orbit = [(y, x, 0, den) for y, x, den in map(self._point_matrix, points)]
-        dets = [y * den for y, _, _, den in orbit]
-        s2 = m.s * m.s
-
-        def product(A, det):
-            p, q, r, t = A
-            den = r * r + t * t
-            yx, yy = (p * r + q * t) / den, det / den
-            c0, c1, c2, c3 = bd * p - bx * r, bd * q - bx * t, by * r, by * t
-            dyw = _acosh_ratio(c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3, 2 * by * bd * det)
-            return _boundary_product(xi, xi_w, wy, yx, yy, dyw)
-
-        for _ in range(steps):
-            orbit = [(a * p + bb * r, a * q + bb * t, c * p + d * r, c * q + d * t) for p, q, r, t in orbit]
-            dets = [det * s2 for det in dets]  # det N = s^2
-            yield map(product, orbit, dets)
-
-    def gromov_boundary_pair(self, b1: BoundaryPoint, b2: BoundaryPoint, base: Point) -> float:
-        """<xi|eta>_w = ln(|xi-w| |eta-w| / (|xi-eta| Im w)); inf when equal."""
-        p1: QuadraticNumber | None = self.require_boundary(b1)
-        p2: QuadraticNumber | None = self.require_boundary(b2)
-        if self.boundary_equal(b1, b2):
-            return math.inf
-        wx, wy = self._floats(base)
-        if p1 is None or p2 is None:
-            xi = float(p2 if p1 is None else p1)
-            return math.log(math.hypot(xi - wx, wy) / wy)
-        x1 = float(p1)
-        x2 = float(p2)
-        sep = abs(x1 - x2)
-        if sep == 0.0:
-            # distinct quadratic values collapsing in float: resolve minimally
-            sep = 1e-300
-        return math.log(math.hypot(x1 - wx, wy) * math.hypot(x2 - wx, wy) / (sep * wy))
-
-
 def acosh_fraction(c: Fraction) -> float:
     """arccosh of an exact rational c >= 1; see _acosh_ratio."""
     return _acosh_ratio(c.numerator, c.denominator)
@@ -424,18 +295,6 @@ def _acosh_ratio(num: int, den: int) -> float:
     except OverflowError:
         c = Fraction(num, den)
         return math.log(c.numerator) - math.log(c.denominator) + math.log(2.0)
-
-
-def _boundary_product(xi, xi_w, wy: float, yx: float, yy: float, dyw: float) -> float:
-    """<xi|y>_w = ln(|xi-w| / |xi-y|) + (1/2) ln(Im y / Im w) + d(y,w)/2 in
-    floats, xi None for the point at infinity; xi_w is |xi-w| = hypot(xi -
-    Re w, Im w), read by the callers once per base."""
-    if xi is None:
-        return 0.5 * math.log(yy / wy) + 0.5 * dyw
-    den = math.hypot(xi - yx, yy)
-    if den == 0.0:
-        return math.inf  # y has reached xi in floats
-    return math.log(xi_w / den) + 0.5 * math.log(yy / wy) + 0.5 * dyw
 
 
 def _word_tree(r: int, depth: int) -> list:

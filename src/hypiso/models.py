@@ -1,9 +1,11 @@
 """Shared domain types and the SpaceModel base class.
 
-A SpaceModel owns its points, isometries and boundary points; the concrete
-models (half-plane, Bass-Serre tree, Cayley tree) live in ``halfplane`` and
-``trees``.  Everything here is immutable after construction and safe for
-concurrent use.
+A SpaceModel owns its isometries and boundary points, and classifies an
+isometry exactly; the concrete models (half-plane, Bass-Serre tree, Cayley
+tree) live in ``halfplane`` and ``trees``.  Their metric, balls and orbits,
+which only the diagnostics read, are the geometry lab's (``geometry``).
+Everything here is immutable after construction and safe for concurrent
+use.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ class Point:
     """A point of a concrete model, tagged with its owner's id.
 
     coords is model-specific: the half-plane stores an (x, y) pair of
-    Fractions with y > 0, tree models canonical vertex labels.  No
-    classification builds a point; only the diagnostics do.
+    Fractions with y > 0, tree models canonical vertex labels.  A model
+    keeps one, its basepoint; no classification builds a point, and the
+    geometry lab builds the rest.
     """
 
     model_id: str
@@ -63,23 +66,14 @@ class Length:
     exact_cosh is set by the half-plane (cosh of the length, rational as
     the plane's points and traces are); exact_value is set by tree models
     (integer edge counts; the Gromov products of tree vertices are integers
-    too).  Distances carry one of the two, and so does the translation
-    length a hyperbolic class builds for a reader that asks for one; no
-    class keeps a Length.  The float is display/diagnostic only.
+    too).  The geometry lab's distances carry one of the two, and so does
+    the translation length a hyperbolic class builds for a reader that asks
+    for one; no class keeps a Length.  The float is display/diagnostic only.
     """
 
     value: float
     exact_cosh: Optional[Fraction] = None
     exact_value: Optional[Fraction] = None
-
-
-@dataclass(frozen=True)
-class DeltaEstimate:
-    """Max hyperbolicity defect over a tested sample (a lower bound on delta)."""
-
-    delta: float
-    condition: str  # insize or four_point
-    sample_size: int
 
 
 @dataclass(frozen=True)
@@ -93,11 +87,14 @@ class EllipticWitness:
 class HyperbolicWitness(Protocol):
     """A hyperbolic class in its model's own type, holding the exact integers
     its record prints and no float or Fraction: the translation length and
-    the plane's fixed points (plus attracting, minus repelling) are built when read."""
+    the plane's fixed points (plus attracting, minus repelling) are built when
+    read.  fixed_points is the pair (plus, minus), built together: a reader
+    of both reads it."""
 
     translation_length: Length
     fixed_plus: BoundaryPoint
     fixed_minus: BoundaryPoint
+    fixed_points: tuple[BoundaryPoint, BoundaryPoint]
 
 
 @dataclass(frozen=True)
@@ -120,7 +117,8 @@ class IsometryClass:
 
 
 class SpaceModel:
-    """Base for the concrete models; subclasses fill in the geometry.
+    """Base for the concrete models; subclasses fill in the payloads, the
+    classification and the boundary action.
 
     The public methods check each isometry's model id (``require_iso``).
     Inner loops (``_power``, ``Action.image``, the search) run on bare
@@ -134,11 +132,6 @@ class SpaceModel:
 
     # -- tagging helpers -------------------------------------------------
 
-    def require_point(self, p: Point) -> Any:
-        if p.model_id != self.model_id:
-            raise MixedModels(f"point tagged {p.model_id}, model is {self.model_id}")
-        return p.coords
-
     def require_iso(self, iso: Isometry) -> Any:
         if iso.model_id != self.model_id:
             raise MixedModels(f"isometry tagged {iso.model_id}, model is {self.model_id}")
@@ -149,27 +142,11 @@ class SpaceModel:
             raise MixedModels(f"boundary point tagged {b.model_id}, model is {self.model_id}")
         return b.payload
 
-    def point(self, coords) -> Point:
-        return Point(self.model_id, coords)
-
     def isometry(self, payload) -> Isometry:
         return Isometry(self.model_id, payload)
 
     def boundary(self, payload) -> BoundaryPoint:
         return BoundaryPoint(self.model_id, payload)
-
-    # -- geometry surface (implemented by subclasses) ---------------------
-
-    def distance(self, x: Point, y: Point) -> Length:
-        raise NotImplementedError
-
-    def pairwise_distances(self, points: list[Point]):
-        """The floats (plane) or integers (trees) of ``distance`` for every
-        two of the points, row p, column q, as one numpy array."""
-        raise NotImplementedError
-
-    def apply(self, iso: Isometry, x: Point) -> Point:
-        raise NotImplementedError
 
     def compose(self, first: Isometry, second: Isometry) -> Isometry:
         raise NotImplementedError
@@ -244,22 +221,3 @@ class SpaceModel:
     def fixes(self, iso: Isometry, b: BoundaryPoint) -> bool:
         """Whether iso fixes the boundary point b."""
         return self.boundary_equal(self.boundary_apply(iso, b), b)
-
-    def gromov_boundary_point(self, b: BoundaryPoint, y: Point, base: Point) -> float:
-        """Extended Gromov product <b|y>_base (diagnostic precision)."""
-        raise NotImplementedError
-
-    def gromov_boundary_pair(self, b1: BoundaryPoint, b2: BoundaryPoint, base: Point) -> float:
-        raise NotImplementedError
-
-    def orbit_boundary_products(
-        self, iso: Isometry, b: BoundaryPoint, points: list[Point], base: Point, steps: int
-    ):
-        """For n = 1..steps, an iterator over the points p of the values
-        ``gromov_boundary_point(b, iso^n p, base)``, each computed (and any
-        error raised) only when it is read.  The orbit advances one step per
-        n, whether or not every value was read (the tree models step only
-        the base, by iso^-1).  b must be a fixed point of iso: a model may
-        raise ValueError otherwise, as the tree models do, which read the
-        products from b's Busemann cocycle."""
-        raise NotImplementedError

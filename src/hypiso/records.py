@@ -60,8 +60,8 @@ def boundary_string(model: SpaceModel, bp: BoundaryPoint) -> str:
 def witness_line(index: int, name: str, model: SpaceModel, cls: IsometryClass) -> str:
     parts = [f"witness {index} {name} {model.kind} {cls.tag}", class_invariant(cls)]
     if cls.is_hyperbolic:
-        parts.append(f"plus={boundary_string(model, cls.hyperbolic.fixed_plus)}")
-        parts.append(f"minus={boundary_string(model, cls.hyperbolic.fixed_minus)}")
+        plus, minus = cls.hyperbolic.fixed_points
+        parts += [f"plus={boundary_string(model, plus)}", f"minus={boundary_string(model, minus)}"]
     return " ".join(parts)
 
 

@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 
 from .actions import Action, ActionSystem
+from .geometry import lab
 from .halfplane import HalfPlaneModel
 from .models import HYPERBOLIC, Isometry, Point, SpaceModel
 from .trees import BassSerreModel, CayleyTreeModel
@@ -29,11 +30,11 @@ def rng_from_seed(seed: int) -> random.Random:
 
 def sample_plane_points(model: HalfPlaneModel, count: int, rng: random.Random) -> list[Point]:
     """Random rational points, x in [-3, 3], y in [1/10, 4]."""
-    out = []
+    geo, out = lab(model), []
     for _ in range(count):
         x = Fraction(rng.randint(-300, 300), 100)
         y = Fraction(rng.randint(10, 400), 100)
-        out.append(model.point_xy(x, y))
+        out.append(geo.point_xy(x, y))
     return out
 
 

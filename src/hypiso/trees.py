@@ -3,11 +3,9 @@
 Both models are exact.  Vertices are canonical labels (reduced words; for
 Bass-Serre trees, coset representatives plus a vertex type), and boundary
 points are eventually-periodic reduced rays (prefix, repeating word).
-``TreeModel`` derives the whole metric (distances, Gromov products,
-internal points) in integers from three hooks on vertex labels that
-each model provides: ``_depth``, ``_meet_depth`` and ``_ancestor``.  The
-ball of any radius about the basepoint is walked on demand over each
-model's own ``_neighbors``.
+Each model defines its vertices by hooks on their labels (see
+``TreeModel``), from which ``geometry.TreeGeometry`` derives the metric,
+the ball and the orbits in integers for both trees.
 
 Bass-Serre conventions for G = Z/m * Z/n = <s> * <t>: syllables are
 (factor, exponent) with factor 0 for s and 1 for t, exponents reduced mod
@@ -61,6 +59,7 @@ class TreeHyperbolic(NamedTuple):
     fixed_plus: BoundaryPoint
     fixed_minus: BoundaryPoint
     translation_length = property(lambda self: _int_length(self.length))
+    fixed_points = property(lambda self: (self.fixed_plus, self.fixed_minus))
 
 
 def _int_length(n: int) -> Length:
@@ -75,7 +74,7 @@ class TreeModel(SpaceModel):
     # _mul and _inv too), cyclic_reduce and core_tag (the exact
     # tag of a cyclic core), and compose and classify, which
     # perfbench/layers.py wraps per class; _act(g, v), the vertex g.v.  On
-    # vertex labels, the three hooks the whole metric is derived from:
+    # vertex labels, the hooks geometry.TreeGeometry derives the metric from:
     #   _depth(v)          distance from the basepoint
     #   _meet_depth(u, v)  depth of the last vertex the root paths share
     #   _ancestor(v, k)    the vertex at depth k on v's root path
@@ -89,9 +88,6 @@ class TreeModel(SpaceModel):
 
     def word(self, units) -> Isometry:
         return self.isometry(self.normal_form(tuple(units)))
-
-    def apply(self, iso: Isometry, x: Point) -> Point:
-        return self.point(self._act(self.require_iso(iso), self.require_point(x)))
 
     def tag(self, iso: Isometry) -> str:
         return self.core_tag(self.cyclic_reduce(self.require_iso(iso))[1])
@@ -111,70 +107,6 @@ class TreeModel(SpaceModel):
         u . v^-inf, each folded from the reduced parts with no re-check."""
         plus, minus = self.boundary(self._fold(u, v)), self.boundary(self._fold(u, self.invert_word(v)))
         return IsometryClass(HYPERBOLIC, hyperbolic=TreeHyperbolic(len(v), plus, minus))
-
-    # -- the metric, from depth, meet depth and ancestor ------------------------
-
-    def _dist(self, u, v) -> int:
-        return self._depth(u) + self._depth(v) - 2 * self._meet_depth(u, v)
-
-    def _along(self, u, v, k: int, t: int):
-        """The vertex at distance t from u on the geodesic [u, v], whose root
-        paths meet at depth k: up from u to the meet, then down towards v."""
-        du = self._depth(u)
-        if t <= du - k:
-            return self._ancestor(u, du - t)
-        return self._ancestor(v, t - du + 2 * k)
-
-    def distance(self, x: Point, y: Point) -> Length:
-        return _int_length(self._dist(self.require_point(x), self.require_point(y)))
-
-    def pairwise_distances(self, points: list[Point]):
-        """d(p, q) for every two of the points, an int64 array: row p, column q.
-
-        In a DFS order of the rooted tree (the points sorted by ``_dfs_key``)
-        the meet depth of two vertices is the least meet depth of the
-        adjacent pairs between them (Kasai et al., CPM 2001): n - 1
-        ``_meet_depth`` calls and a running minimum per row fill the meets."""
-        import numpy as np  # here, not at import: the checker loads no numpy
-
-        vs = [self.require_point(p) for p in points]
-        order = sorted(range(len(vs)), key=lambda i: self._dfs_key(vs[i]))
-        adjacent = np.array([self._meet_depth(vs[i], vs[j]) for i, j in zip(order, order[1:])], dtype=np.int64)
-        meet = np.zeros((len(vs), len(vs)), dtype=np.int64)  # in the sorted order
-        for i in range(len(adjacent)):
-            meet[i, i + 1 :] = meet[i + 1 :, i] = np.minimum.accumulate(adjacent[i:])
-        depths = np.array([self._depth(v) for v in vs], dtype=np.int64)
-        rank = np.argsort(order)  # the sorted position of each point
-        dist = depths[:, None] + depths[None, :] - 2 * meet[np.ix_(rank, rank)]
-        np.fill_diagonal(dist, 0)
-        return dist
-
-    def _gromov(self, u, v, w) -> int:
-        """<u|v>_w = (d(u,w) + d(v,w) - d(u,v)) / 2 = d(w) - k(u,w) - k(v,w) + k(u,v)
-        for the meet depths k: the halves cancel."""
-        meet = self._meet_depth
-        return self._depth(w) - meet(u, w) - meet(v, w) + meet(u, v)
-
-    def internal_points(self, x: Point, y: Point, z: Point) -> tuple[tuple[Point, Point, Point], Length]:
-        """The internal points of the triangle xyz on its sides [y, z], [z, x]
-        and [x, y], and the insize: the largest distance between two of them.
-
-        Each point is placed on its side at the Gromov-product distance from
-        the side's first vertex (<x|z>_y on [y, z], and so on round), in
-        exact integers; nothing assumes that the three coincide.
-        """
-        u, v, w = (self.require_point(p) for p in (x, y, z))
-        du, dv, dw = self._depth(u), self._depth(v), self._depth(w)
-        kvw, kwu, kuv = self._meet_depth(v, w), self._meet_depth(w, u), self._meet_depth(u, v)
-        # <x|z>_y = (d(x,y) + d(y,z) - d(z,x)) / 2 = dv - kuv - kvw + kwu, and
-        # so on round: the halves cancel, so the products are integers
-        pts = (
-            self._along(v, w, kvw, dv - kuv - kvw + kwu),
-            self._along(w, u, kwu, dw - kvw - kwu + kuv),
-            self._along(u, v, kuv, du - kwu - kuv + kvw),
-        )
-        insize = max(self._dist(pts[0], pts[1]), self._dist(pts[1], pts[2]), self._dist(pts[2], pts[0]))
-        return tuple(self.point(p) for p in pts), _int_length(insize)
 
     # -- boundary rays ------------------------------------------------------
 
@@ -222,85 +154,6 @@ class TreeModel(SpaceModel):
         ray: RayDescriptor = self.require_boundary(b)
         return self.ray(self.multiply(g, ray.prefix), ray.period)
 
-    def gromov_boundary_pair(self, b1, b2, base: Point) -> float:
-        """<xi|eta>_base, exact until the final float; +inf for equal points."""
-        r1: RayDescriptor = self.require_boundary(b1)
-        r2: RayDescriptor = self.require_boundary(b2)
-        if self.rays_equal(r1, r2):
-            return math.inf
-        w = self.require_point(base)
-        periods = math.lcm(len(r1.period), len(r2.period))
-        n = max(len(r1.prefix), len(r2.prefix)) + periods + self._depth(w) + 4
-        v1 = self._vertex_from_units(self._ray_units(r1, n))
-        v2 = self._vertex_from_units(self._ray_units(r2, n))
-        return float(self._gromov(v1, v2, w))
-
-    def gromov_boundary_point(self, b, y: Point, base: Point) -> float:
-        ray: RayDescriptor = self.require_boundary(b)
-        u, w = self.require_point(y), self.require_point(base)
-        n = len(ray.prefix) + 2 * len(ray.period) + self._depth(u) + self._depth(w) + 4
-        v = self._vertex_from_units(self._ray_units(ray, n))
-        return float(self._gromov(v, u, w))
-
-    def orbit_boundary_products(self, iso: Isometry, b, points: list[Point], base: Point, steps: int):
-        """For n = 1..steps, the products <b|g^n p>_base of the points p, in
-        order, each computed as it is read; see SpaceModel.  g must fix b.
-
-        The Busemann cocycle beta(w, x) = 2<b|x>_w - d(w, x) of a point b
-        fixed by g has beta(w, g x) = beta(w, g w) + beta(w, x) (Bridson-
-        Haefliger II.8), and g^-n is an automorphism, so 2<b|g^n y>_w =
-        d(g^-n w, y) + n beta(w, g w) + beta(w, y).  Only the base moves:
-        one ``_act`` of g^-1 a step.  beta(w, y) is read once per point from
-        one short truncation of the ray, and each step then costs one
-        ``_meet_depth`` per point, bounded by the point's own depth."""
-        g = self.require_iso(iso)
-        if not self.fixes(iso, b):
-            raise ValueError("the isometry does not fix the boundary point")
-        w = self.require_point(base)
-        ys = [self.require_point(p) for p in points]
-        shift = self._busemann(b, w, self._act(g, w))
-        # 2<b|g^n y>_w = (d(u) + n shift) + (d(y) + beta(w, y)) - 2 k(u, y), u = g^-n w
-        own = [self._depth(y) + self._busemann(b, w, y) for y in ys]
-        g_inv, u = self._inv(g), w
-        for n in range(1, steps + 1):
-            u = self._act(g_inv, u)
-            yield self._products_from(u, self._depth(u) + n * shift, ys, own)
-
-    def _products_from(self, u, lead: int, ys: list, own: list):
-        """The floats (lead + own - 2 k(u, y)) / 2 of the points y, lazily."""
-        meet = self._meet_depth
-        return (float((lead + c - 2 * meet(u, y)) // 2) for y, c in zip(ys, own))
-
-    def _busemann(self, b, w, x) -> int:
-        """beta(w, x) = 2<b|x>_w - d(w, x), from a truncation of the ray b
-        deeper than both points: it meets them where the ray does."""
-        ray: RayDescriptor = self.require_boundary(b)
-        n = len(ray.prefix) + 2 * len(ray.period) + self._depth(x) + self._depth(w) + 4
-        v = self._vertex_from_units(self._ray_units(ray, n))
-        return 2 * self._gromov(v, x, w) - self._dist(w, x)
-
-    # -- the ball -------------------------------------------------------------
-
-    def ball_vertices(self, radius: int) -> list[Point]:
-        """All vertices within ``radius`` of the basepoint, BFS order."""
-        root = self.basepoint.coords
-        parents, level, out = set(), [root], [root]
-        for _ in range(radius):
-            children = [nb for v in level for nb in self._neighbors(v) if nb not in parents]
-            parents, level = set(level), children
-            out.extend(children)
-        return [self.point(v) for v in out]
-
-    def ball_size(self, radius: int) -> int:
-        """The number of vertices within ``radius`` of the basepoint, counted
-        from the vertex degrees without walking the ball."""
-        total = level = 1
-        for depth in range(radius):
-            level *= self._degrees[depth & 1] - (depth > 0)
-            total += level
-        return total
-
-
 def _common_prefix_len(u, v) -> int:
     k = 0
     for a, b in zip(u, v):
@@ -326,7 +179,7 @@ class CayleyTreeModel(TreeModel):
         self.rank = rank
         self.model_id = f"cayley_tree(rank={rank})"
         self._degrees = (2 * rank, 2 * rank)
-        self.basepoint = self.point(())
+        self.basepoint = Point(self.model_id, ())
 
     def letters(self) -> list[int]:
         out = []
@@ -430,7 +283,7 @@ class BassSerreModel(TreeModel):
         self.orders = (m, n)
         self._degrees = self.orders  # vertex types alternate with depth
         self.model_id = f"bass_serre(m={m},n={n})"
-        self.basepoint = self.point(((), 0))
+        self.basepoint = Point(self.model_id, ((), 0))
 
     # words: tuples of (factor, exponent) syllables in normal form
 

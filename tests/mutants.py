@@ -1,0 +1,126 @@
+"""A registry of mutants of the library, and a runner that shows each one
+killed by the tests named for it.
+
+A mutant replaces one snippet of one file under src/hypiso, a snippet that
+occurs exactly once there (tests/test_library_source.py checks this), and
+names the tests that must fail on it.  pytest does not collect this file.
+Run it from anywhere, with no arguments for every mutant or with names:
+
+    python tests/mutants.py
+    python tests/mutants.py tree-orbit-base-stepped-by-g fixes-drops-s
+
+For each mutant the runner copies the checkout (without .git and caches)
+to a temporary directory, applies the mutant there, runs its tests with
+pytest and prints killed with the first failing test, survived (the tests
+passed) or error (pytest could not run them); then the runner's wall time.
+It exits 1 unless every mutant it ran was killed.  The checkout itself is
+never edited.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # under src/hypiso
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the checkout
+
+
+ORBITS = "tests/test_dynamics.py::test_tree_orbit_products_match_direct_iteration"
+CAP = "tests/test_actions.py::test_bounded_cap_raises_where_every_product_is_sized"
+
+MUTANTS = (
+    # the tree orbit follows the base under g^-1 alone, and reads each
+    # point's product from the Busemann shift and one meet depth
+    Mutant("tree-orbit-base-stepped-by-g", "geometry.py",
+           "u = act(g_inv, u)", "u = act(g, u)", (ORBITS,)),
+    Mutant("tree-orbit-shift-dropped", "geometry.py",
+           "depth(u) + n * shift", "depth(u)", (ORBITS,)),
+    Mutant("tree-orbit-meet-depth-zero", "geometry.py",
+           "2 * meet(u, y)) // 2", "2 * 0) // 2", (ORBITS,)),
+    # the size cap: squares are sized once their bound passes it, and a
+    # word's image keeps the running bound of the product so far
+    Mutant("power-squares-never-sized", "models.py",
+           "                bound = self._sized(base)", "                pass", (CAP,)),
+    Mutant("image-bound-forgets-the-product", "actions.py",
+           "            bound += power_bound + 1", "            bound = power_bound", (CAP,)),
+    # the repelling point takes the minus sign of the square root
+    Mutant("repelling-point-sign", "halfplane.py",
+           "QuadraticNumber.of_parts(x, -y, w)", "QuadraticNumber.of_parts(x, y, w)",
+           ("tests/test_classification_sweep.py::test_plane_classes_match_the_fraction_derivation",)),
+    # a rotation is |a + d| < 2s, not < 2: the search's fixes shortcut
+    Mutant("fixes-drops-s", "halfplane.py",
+           "if abs(m.a + m.d) < 2 * m.s:", "if abs(m.a + m.d) < 2:",
+           ("tests/test_combiner.py::test_plane_fixes_never_reaches_the_boundary_action",)),
+    # the checker compares the repelling point too
+    Mutant("witness-line-drops-minus", "records.py",
+           ', f"minus={boundary_string(model, minus)}"]', "]",
+           ("tests/test_combiner.py::test_search_is_invariant_under_plane_conjugation",)),
+    # two rays part within their preperiods and the lcm of their periods
+    Mutant("ray-pair-too-shallow", "geometry.py",
+           "self._ray_vertex(r1, parted + self._depth(w))", "self._ray_vertex(r1, self._depth(w))",
+           ("tests/test_trees.py::test_gromov_boundary_pair_against_deep_truncations",)),
+)
+
+
+def source(mutant: Mutant, root: Path = ROOT) -> Path:
+    return root / "src" / "hypiso" / mutant.path
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    path = source(mutant, root)
+    text = path.read_text()
+    if text.count(mutant.snippet) != 1:
+        raise ValueError(f"{mutant.name}: the snippet occurs {text.count(mutant.snippet)} times in {mutant.path}")
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+
+
+def run(mutant: Mutant) -> str:
+    """killed (by the first failing test), survived or error, from the
+    mutant's tests on a mutated copy."""
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
+    with tempfile.TemporaryDirectory(prefix="hypiso-mutant-") as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(ROOT, copy, ignore=ignore)
+        apply(mutant, copy)
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
+        done = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
+    if done.returncode == 1:
+        failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")]
+        return f"killed by {failed[0]}" if failed else "killed"
+    return "survived" if done.returncode == 0 else "error"
+
+
+def main(names: list[str]) -> int:
+    known = {m.name: m for m in MUTANTS}
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    start, outcomes = time.perf_counter(), []
+    for mutant in [known[n] for n in names] or MUTANTS:
+        t0 = time.perf_counter()
+        outcomes.append(run(mutant))
+        print(f"{mutant.name}: {outcomes[-1]} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    killed = sum(o.startswith("killed") for o in outcomes)
+    print(f"{killed} of {len(outcomes)} killed in {time.perf_counter() - start:.1f} s")
+    return 0 if killed == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from hypiso.dynamics import contains_point
 from hypiso.errors import ValidationError
-from hypiso.geometry import gromov_product
+from hypiso.geometry import gromov_product, lab
 from hypiso.halfplane import HalfPlaneModel
 from hypiso.models import MAX_ISOMETRY_SIZE
 from hypiso.quadratic import QuadraticNumber, format_rational
@@ -30,8 +30,7 @@ def bfs_distance(model, x, y) -> int:
     ``_neighbors``; ``_depth`` only bounds the walk to the ball about the
     basepoint that holds both endpoints, since a tree geodesic goes no
     deeper than its deeper end."""
-    cx = model.require_point(x)
-    cy = model.require_point(y)
+    cx, cy = lab(model).require_point(x), lab(model).require_point(y)
     if cx == cy:
         return 0
     bound = max(model._depth(cx), model._depth(cy))
@@ -55,10 +54,10 @@ def fixed_vertices(model, iso, radius: int) -> list:
     fixes, in breadth-first order: the ball is walked over the model's own
     ``_neighbors`` and each vertex is moved by ``apply``, so no distance is
     read."""
-    root = model.basepoint.coords
+    geo, root = lab(model), model.basepoint.coords
     seen, level, out = {root}, [root], []
     for _ in range(radius + 1):
-        out += [model.point(v) for v in level if model.apply(iso, model.point(v)).coords == v]
+        out += [geo.point(v) for v in level if geo.apply(iso, geo.point(v)).coords == v]
         level = [nb for v in level for nb in model._neighbors(v) if nb not in seen]
         seen.update(level)
     return out
@@ -67,9 +66,10 @@ def fixed_vertices(model, iso, radius: int) -> list:
 def geodesic(model, x, y) -> list:
     """The vertices of a tree model's geodesic [x, y], in order: up from x
     to the meet of the root paths, then down to y."""
-    u, v = model.require_point(x), model.require_point(y)
+    geo = lab(model)
+    u, v = geo.require_point(x), geo.require_point(y)
     k = model._meet_depth(u, v)
-    return [model.point(model._along(u, v, k, t)) for t in range(model._dist(u, v) + 1)]
+    return [geo.point(geo._along(u, v, k, t)) for t in range(geo._dist(u, v) + 1)]
 
 
 def four_point_defect(model, x, y, z, w) -> float:
@@ -83,7 +83,7 @@ def four_point_defect(model, x, y, z, w) -> float:
 def pairwise_distances_by_meets(model, points) -> list[list[int]]:
     """A tree model's distance matrix, one meet depth per pair:
     d(u, v) = d(u) + d(v) - 2 k(u, v), row u, column v."""
-    vs = [model.require_point(p) for p in points]
+    vs = [lab(model).require_point(p) for p in points]
     depths = [model._depth(v) for v in vs]
     rows = [[0] * len(vs) for _ in vs]
     for i, u in enumerate(vs):
@@ -101,17 +101,17 @@ def separation_witnesses(action, g, u_plus, u_minus, sample) -> list:
     image = action.image(g)
     out = [
         p for p in sample
-        if contains_point(model, u_plus, p) and contains_point(model, u_minus, model.apply(image, p))
+        if contains_point(model, u_plus, p) and contains_point(model, u_minus, lab(model).apply(image, p))
     ]
     moved = model.boundary_apply(image, u_plus.center)
-    if model.gromov_boundary_pair(u_minus.center, moved, u_minus.base) > u_minus.threshold:
+    if lab(model).gromov_boundary_pair(u_minus.center, moved, u_minus.base) > u_minus.threshold:
         out.append(u_plus.center)
     return out
 
 
 def vertex(model, letters):
     """The vertex of a Cayley tree at the end of the word of the letters."""
-    return model.point(model.normal_form(tuple(letters)))
+    return lab(model).point(model.normal_form(tuple(letters)))
 
 
 def coset_vertex(model, word, vtype: int):
@@ -119,7 +119,7 @@ def coset_vertex(model, word, vtype: int):
     w = model.normal_form(word)
     if w and w[-1][0] == vtype:
         w = w[:-1]
-    return model.point((w, vtype))
+    return lab(model).point((w, vtype))
 
 
 def sample_tree_points(model, count: int, rng) -> list:

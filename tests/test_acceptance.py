@@ -22,7 +22,7 @@ from hypiso.combiner import (
     verify_certificate,
 )
 from hypiso.dynamics import NeighborhoodSpec, internal_points, ns_dynamics_check
-from hypiso.geometry import estimate_delta_four_point
+from hypiso.geometry import estimate_delta_four_point, lab
 from hypiso.halfplane import HalfPlaneModel
 from hypiso.sampling import (
     random_action_system,
@@ -132,7 +132,8 @@ def _orbit_growth(model, iso, n: int) -> float:
     """d(x, g^n x)/n at the basepoint x: never below the translation length,
     and above it by at most 2 d(x, axis)/n."""
     x = model.basepoint
-    return model.distance(x, model.apply(power(model, iso, n), x)).value / n
+    geo = lab(model)
+    return geo.distance(x, geo.apply(power(model, iso, n), x)).value / n
 
 
 def test_acceptance_exact_vs_estimate():
@@ -189,11 +190,11 @@ def _exhaustive_four_point_zero(model, ball) -> None:
     base over the precomputed exact distance matrix, and the estimator is
     then spot-tied to the oracle on a dozen bases.
     """
-    n = len(ball)
+    geo, n = lab(model), len(ball)
     D = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
-            D[i, j] = D[j, i] = int(model.distance(ball[i], ball[j]).exact_value)
+            D[i, j] = D[j, i] = int(geo.distance(ball[i], ball[j]).exact_value)
     for b in range(n):
         G2 = D[b][:, None] + D[b][None, :] - D
         maxmin = np.minimum(G2[:, :, None], G2[None, :, :]).max(axis=1)
@@ -209,12 +210,12 @@ def test_acceptance_tree_delta_zero():
     bs = BassSerreModel(2, 3)
     cayley = CayleyTreeModel(2)
 
-    ball_bs = bs.ball_vertices(4)
+    ball_bs = lab(bs).ball_vertices(4)
     _exhaustive_four_point_zero(bs, ball_bs)
     for x, y, z in itertools.combinations(ball_bs, 3):
         assert internal_points(bs, x, y, z).insize.exact_value == 0
 
-    ball_c = cayley.ball_vertices(4)
+    ball_c = lab(cayley).ball_vertices(4)
     _exhaustive_four_point_zero(cayley, ball_c)
     count = 0
     for x, y, z in itertools.combinations(ball_c, 3):
@@ -297,7 +298,7 @@ def _ns_elements(model, rng, count):
         else:
             iso = random_cayley_hyperbolic(model, rng)
         cls = model.classify(iso)
-        mutual = model.gromov_boundary_pair(
+        mutual = lab(model).gromov_boundary_pair(
             cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus, model.basepoint
         )
         if mutual <= 1.0:  # admissible for threshold k = 1 neighborhoods
@@ -319,7 +320,7 @@ def test_acceptance_north_south():
         if isinstance(model, HalfPlaneModel):
             sample = sample_plane_points(model, 24, rng)
         else:
-            sample = model.ball_vertices(3)
+            sample = lab(model).ball_vertices(3)
         found = []
         for iso, cls in _ns_elements(model, rng, 20):
             act = Action(name, model, {"x": iso})
@@ -356,7 +357,7 @@ def _independent_pair(model, rng):
             cls_g.hyperbolic.fixed_minus,
         ]
         mutual = max(
-            model.gromov_boundary_pair(p, q, model.basepoint)
+            lab(model).gromov_boundary_pair(p, q, model.basepoint)
             for p, q in itertools.combinations(centers, 2)
         )
         if mutual <= 1.0:
@@ -375,7 +376,7 @@ def _prop42_construction(model, act, wf, wg, cls_f, cls_g, base_sample):
     b_plus, b_minus = cls_g.hyperbolic.fixed_plus, cls_g.hyperbolic.fixed_minus
     centers = [a_plus, a_minus, b_plus, b_minus]
     mutual = max(
-        model.gromov_boundary_pair(p, q, base) for p, q in itertools.combinations(centers, 2)
+        lab(model).gromov_boundary_pair(p, q, base) for p, q in itertools.combinations(centers, 2)
     )
     k_sep = mutual + 1.2
     u_plus = NeighborhoodSpec(a_plus, k_sep, base)
@@ -387,7 +388,7 @@ def _prop42_construction(model, act, wf, wg, cls_f, cls_g, base_sample):
     deep = []
     cur = base
     for _ in range(6):
-        cur = model.apply(f_img, cur)
+        cur = lab(model).apply(f_img, cur)
         deep.append(cur)
     sample = list(base_sample) + deep
     n_sample = ns_dynamics_check(act, act.image(wg), v_plus, v_minus, sample, 64)
@@ -395,7 +396,7 @@ def _prop42_construction(model, act, wf, wg, cls_f, cls_g, base_sample):
     n_center = 1
     for m in range(1, 65):
         moved = model.boundary_apply(act.image(wg**m), a_plus)
-        if model.gromov_boundary_pair(moved, b_plus, base) <= k_sep:
+        if lab(model).gromov_boundary_pair(moved, b_plus, base) <= k_sep:
             n_center = m + 1
     return u_plus, u_minus, max(n_sample, n_center), sample
 
@@ -416,7 +417,7 @@ def test_acceptance_independence_separation():
             base_sample = sample_plane_points(model, 24, rng)
             pairs = 8
         else:
-            base_sample = model.ball_vertices(3)
+            base_sample = lab(model).ball_vertices(3)
             pairs = 6
         for _ in range(pairs):
             act, wf, wg, cls_f, cls_g = _independent_pair(model, rng)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypiso.cli import _tau_display
+from hypiso.geometry import PlaneGeometry, lab
 from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.quadratic import QuadraticNumber
 from hypiso.records import class_invariant, witness_line
@@ -103,8 +104,8 @@ def integer_only(monkeypatch):
     """Classification and the boundary action may read only (a, b, c, d, s)."""
     with monkeypatch.context() as mp:
         mp.setattr(Matrix2, "entries", _raise)
-        mp.setattr(HalfPlaneModel, "apply", _raise)
-        mp.setattr(HalfPlaneModel, "distance", _raise)
+        mp.setattr(PlaneGeometry, "apply", _raise)
+        mp.setattr(PlaneGeometry, "distance", _raise)
         yield
 
 
@@ -392,9 +393,9 @@ small = st.integers(min_value=-5, max_value=5)
 @settings(max_examples=200)
 def test_cosh_float_consistency(x1, y1n, x2, y2n):
     plane = HalfPlaneModel()
-    p = plane.point_xy(Fraction(x1, 3), Fraction(abs(y1n) + 1, 4))
-    q = plane.point_xy(Fraction(x2, 5), Fraction(abs(y2n) + 1, 2))
-    L = plane.distance(p, q)
+    p = lab(plane).point_xy(Fraction(x1, 3), Fraction(abs(y1n) + 1, 4))
+    q = lab(plane).point_xy(Fraction(x2, 5), Fraction(abs(y2n) + 1, 2))
+    L = lab(plane).distance(p, q)
     err = abs(math.cosh(L.value) - float(L.exact_cosh))
     assert err <= 2**-40 * max(1.0, float(L.exact_cosh))
 
@@ -435,8 +436,8 @@ def test_concurrent_classification_is_stable():
         )
         dists = list(
             pool.map(
-                lambda p: bs.distance(p[0], p[1]).exact_value,
-                [(bs.basepoint, v) for v in bs.ball_vertices(4) for _ in (0, 1)],
+                lambda p: lab(bs).distance(p[0], p[1]).exact_value,
+                [(bs.basepoint, v) for v in lab(bs).ball_vertices(4) for _ in (0, 1)],
             )
         )
     assert got_plane == expected_plane

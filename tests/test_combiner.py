@@ -765,16 +765,40 @@ def _assert_search_commutes(system: ActionSystem, hs):
 
 
 def test_search_is_invariant_under_plane_conjugation():
-    # the last system has parabolic words of length 2, so a failed trial
-    # and hypothesis violations
+    # the third-last system has parabolic words of length 2, so a failed
+    # trial and hypothesis violations.  In the last two, h moves one fixed
+    # point of f alone, so that only the minus= or only the plus= column
+    # tells the conjugated record from the original: f is z -> 4z (plus
+    # infinity, minus 0) and h is z -> z + 1, then f is its conjugate by
+    # z -> z/(z + 1) (plus 1, minus 0) and h is that map
     p1, p2 = HalfPlaneModel(), HalfPlaneModel()
     one = Action("one", p1, {"f": p1.matrix(2, 1, 1, 1), "g": p1.matrix(1, 5, -1, -4)})
     two = Action("two", p2, {"f": p2.matrix(0, -1, 1, Fraction(1, 2)), "g": p2.matrix(2, 1, 1, 1)})
     systems = [build_action_system(parse_config((CONFIGS / "three_action.cfg").read_text()))]
     systems += [random_action_system(seed) for seed in range(20)]
     systems += [ActionSystem(("f", "g"), [one, two], [GroupWord.parse("f"), GroupWord.parse("g")])]
-    for seed, system in enumerate(systems):
-        _assert_search_commutes(system, _plane_conjugators(system, _conjugator(random.Random(seed))))
+    cases = [(system, _conjugator(random.Random(seed))) for seed, system in enumerate(systems)]
+    for f, h in (((2, 0, 0, Fraction(1, 2)), (1, 1, 0, 1)), ((2, 0, Fraction(3, 2), Fraction(1, 2)), (1, 0, 1, 1))):
+        p3 = HalfPlaneModel()
+        three = Action("three", p3, {"f": p3.matrix(*f), "g": p3.matrix(2, 1, 1, 1)})
+        cases.append((ActionSystem(("f", "g"), [three], [GroupWord.parse("f")]), h))
+    moved_ends = Counter()
+    for system, h_entries in cases:
+        hs = _plane_conjugators(system, h_entries)
+        cert, record = _assert_search_commutes(system, hs)
+        # the negative control: the conjugated record names h's images of
+        # the fixed points, which the original system refuses in exactly
+        # the plane actions where h moves one of them
+        moved = []
+        for i, (h, cls) in enumerate(zip(hs, cert.per_action)):
+            model = system.actions[i].model
+            ends = [e for e in cls.hyperbolic.fixed_points if h is not None and not model.fixes(h, e)]
+            moved_ends[len(ends)] += 1
+            if ends:
+                moved.append(f"action {i} ({system.actions[i].name})")
+        ok, notes = verify_record(system, record)
+        assert ok == (not moved) and [n.split(":")[0] for n in notes] == moved
+    assert moved_ends[1] >= 2 and moved_ends[2] >= 20
 
 
 def test_search_is_invariant_under_tree_conjugation():

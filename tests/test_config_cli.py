@@ -8,15 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from hypiso import cli, combiner, dynamics
+from hypiso import cli, combiner, dynamics, sampling
 from hypiso.actions import Action, ActionSystem
 from hypiso.cli import MAX_ORBIT_DEPTH, MAX_SAMPLE_POINTS, main
 from hypiso.config import parse_config
 from hypiso.errors import ParseError, ValidationError
+from hypiso.geometry import PlaneGeometry, TreeGeometry, lab
 from hypiso.halfplane import HalfPlaneModel
 from hypiso.models import MAX_ISOMETRY_SIZE
 from hypiso.records import RECORD_HEADER, parse_record
-from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
+from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import GroupWord
 
 from reference import power
@@ -147,7 +148,8 @@ def test_cli_combine_records_round_trip(tmp_path, capsys):
 
 def test_classify_dynamics_and_verify_load_no_numpy(tmp_path, capsys):
     # numpy serves the hypothesis check and the delta estimate, which none
-    # of these commands runs: a cold process never imports it
+    # of these commands runs: a cold process never imports it.  classify and
+    # combine --verify load no part of the geometry lab either
     path = str(CONFIGS / "three_action.cfg")
     assert main(["combine", "--input", path, "--format", "records"]) == 0
     rec_path = write(tmp_path, "cert.rec", capsys.readouterr().out)
@@ -156,6 +158,8 @@ def test_classify_dynamics_and_verify_load_no_numpy(tmp_path, capsys):
         "from hypiso.cli import main\n"
         f"assert main(['classify', '--input', {path!r}]) == 0\n"
         f"assert main(['combine', '--input', {path!r}, '--verify', {rec_path!r}]) == 0\n"
+        "lab = [m for m in ('hypiso.dynamics', 'hypiso.geometry', 'hypiso.sampling') if m in sys.modules]\n"
+        "assert lab == [], lab\n"
         f"assert main(['dynamics', '--input', {path!r}]) == 0\n"
         "assert 'numpy' not in sys.modules\n"
     )
@@ -373,7 +377,7 @@ def _no_walk(*args, **kwargs):
 @pytest.mark.parametrize("command", ["delta", "dynamics"])
 def test_tree_sample_over_cap_exit_1(tmp_path, capsys, monkeypatch, command):
     # the radius-3 ball of the rank-20 Cayley tree has 60,801 vertices
-    monkeypatch.setattr(TreeModel, "ball_vertices", _no_walk)
+    monkeypatch.setattr(TreeGeometry, "ball_vertices", _no_walk)
     text = THREE_ACTION.replace("model bass_serre 2 3", "model cayley_tree 20")
     text = text.replace("gen f s t", "gen f a b").replace("gen g s", "gen g b")
     path = write(tmp_path, "wide.cfg", text)
@@ -383,7 +387,7 @@ def test_tree_sample_over_cap_exit_1(tmp_path, capsys, monkeypatch, command):
 
 
 def test_plane_sample_over_cap_exit_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "sample_plane_points", _no_walk)
+    monkeypatch.setattr(sampling, "sample_plane_points", _no_walk)
     path = write(tmp_path, "worked.cfg", WORKED_EXAMPLE)
     assert main(["delta", "--input", path, "--samples", str(MAX_SAMPLE_POINTS + 1)]) == 1
     assert "over the cap" in capsys.readouterr().err
@@ -392,8 +396,8 @@ def test_plane_sample_over_cap_exit_1(tmp_path, capsys, monkeypatch):
 def test_samples_under_cap_pass():
     # every tree ball that delta (radius 4) or dynamics (radius 3) sampled
     # before the cap stays under it; the largest is the rank-3 radius-4 ball
-    assert CayleyTreeModel(3).ball_size(4) == 937 <= MAX_SAMPLE_POINTS
-    assert BassSerreModel(2, 3).ball_size(4) <= MAX_SAMPLE_POINTS
+    assert lab(CayleyTreeModel(3)).ball_size(4) == 937 <= MAX_SAMPLE_POINTS
+    assert lab(BassSerreModel(2, 3)).ball_size(4) <= MAX_SAMPLE_POINTS
 
 
 def test_word_sample_depth_over_cap_exit_1(tmp_path, capsys, monkeypatch):
@@ -576,7 +580,7 @@ def test_dynamics_projection_builds_each_orbit_once(capsys, monkeypatch):
     # {f^n x : |n| <= 8}, 16 steps, is built from that image once and
     # shared by the 10 sample points
     images, steps = Counter(), Counter()
-    image, apply = Action.image, HalfPlaneModel.apply
+    image, apply = Action.image, PlaneGeometry.apply
 
     def counted_image(self, word):
         images[self.name] += 1
@@ -587,7 +591,7 @@ def test_dynamics_projection_builds_each_orbit_once(capsys, monkeypatch):
         return apply(self, iso, p)
 
     monkeypatch.setattr(Action, "image", counted_image)
-    monkeypatch.setattr(HalfPlaneModel, "apply", counted_apply)
+    monkeypatch.setattr(PlaneGeometry, "apply", counted_apply)
     assert main(["dynamics", "--input", str(CONFIGS / "three_action.cfg"), "--checks", "projection"]) == 0
     capsys.readouterr()
     assert images == {"plane-one": 1, "plane-two": 1, "tree-one": 1}

@@ -1,4 +1,3 @@
-import functools
 from fractions import Fraction
 
 import pytest
@@ -6,7 +5,6 @@ import pytest
 from hypiso.actions import Action
 from hypiso.dynamics import (
     NeighborhoodSpec,
-    _plane_point_at,
     contains_point,
     estimate_delta_insize,
     internal_points,
@@ -15,7 +13,7 @@ from hypiso.dynamics import (
     orbit_projection,
 )
 from hypiso.errors import DegenerateTriangle, NoPassingN, NotHyperbolic
-from hypiso.geometry import estimate_delta_four_point, gromov_product
+from hypiso.geometry import TreeGeometry, estimate_delta_four_point, gromov_product, lab
 from hypiso.halfplane import HalfPlaneModel
 from hypiso.combiner import resolve_witness
 from hypiso.sampling import (
@@ -60,10 +58,10 @@ def test_ns_dynamics_diagonal(plane):
     for p in outside:
         cur = p
         for _ in range(n):
-            cur = plane.apply(g, cur)
+            cur = lab(plane).apply(g, cur)
         for _ in range(n, 8):
             assert contains_point(plane, u_plus, cur)
-            cur = plane.apply(g, cur)
+            cur = lab(plane).apply(g, cur)
 
 
 def test_ns_dynamics_tree(bs23):
@@ -71,7 +69,7 @@ def test_ns_dynamics_tree(bs23):
     act = Action("b", bs23, {"w": w})
     cls = bs23.classify(w)
     u_plus, u_minus = k1_neighborhoods(bs23, cls)
-    sample = bs23.ball_vertices(3)
+    sample = lab(bs23).ball_vertices(3)
     n = ns_dynamics_check(act, act.image(GroupWord.parse("w")), u_plus, u_minus, sample, 64)
     assert 1 <= n <= 64
 
@@ -115,9 +113,9 @@ def _ns_by_iteration(action, g, u_plus, u_minus, sample, n_max):
     if not neighborhoods_disjoint(model, u_plus, u_minus, sample):
         raise ValueError("U+ and U- are not disjoint")
     outside = [p for p in sample if not contains_point(model, u_minus, p)]
-    good, current = [], list(outside)
+    good, current, geo = [], list(outside), lab(model)
     for _ in range(n_max):
-        current = [model.apply(g, p) for p in current]
+        current = [geo.apply(g, p) for p in current]
         good.append(all(contains_point(model, u_plus, p) for p in current))
     for n in range(1, n_max + 1):
         if all(good[n - 1 :]):
@@ -146,12 +144,12 @@ def test_ns_dynamics_matches_direct_iteration():
 def _products_by_iteration(model, iso, b, points, base, steps):
     """Each step's products <b|g^n p>_base by apply and gromov_boundary_point,
     up to the first error; and the last orbit."""
-    rows, current = [], list(points)
+    rows, current, geo = [], list(points), lab(model)
     for _ in range(steps):
-        current = [model.apply(iso, p) for p in current]
+        current = [geo.apply(iso, p) for p in current]
         rows.append([])
         for p in current:
-            rows[-1].append(_outcome(model.gromov_boundary_point, b, p, base))
+            rows[-1].append(_outcome(geo.gromov_boundary_point, b, p, base))
             if isinstance(rows[-1][-1], tuple):
                 break
     return rows, current
@@ -159,7 +157,7 @@ def _products_by_iteration(model, iso, b, points, base, steps):
 
 def _orbit_products(model, iso, b, points, base, steps):
     rows = []
-    for products in model.orbit_boundary_products(iso, b, points, base, steps):
+    for products in lab(model).orbit_boundary_products(iso, b, points, base, steps):
         rows.append([])
         for _ in points:
             rows[-1].append(_outcome(next, products))
@@ -183,14 +181,14 @@ def _orbit_products(model, iso, b, points, base, steps):
 def test_plane_orbit_products_match_direct_iteration(plane, entries, steps):
     g = plane.matrix(*entries)
     cls = plane.classify(g)
-    points = [plane.basepoint, plane.point_xy(Fraction(-7, 3), Fraction(1, 9)), plane.point_xy(2, 5)]
+    points = [plane.basepoint, lab(plane).point_xy(Fraction(-7, 3), Fraction(1, 9)), lab(plane).point_xy(2, 5)]
     for center in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
-        for base in (plane.basepoint, plane.point_xy(Fraction(1, 2), Fraction(3, 4))):
+        for base in (plane.basepoint, lab(plane).point_xy(Fraction(1, 2), Fraction(3, 4))):
             direct, last = _products_by_iteration(plane, g, center, points, base, steps)
             assert _orbit_products(plane, g, center, points, base, steps) == direct
     if steps > 300:  # the orbit has left the floats
         with pytest.raises(OverflowError):
-            float(plane.cosh_distance(last[0], plane.basepoint))
+            float(lab(plane).cosh_distance(last[0], plane.basepoint))
 
 
 def _tree_witnesses() -> list:
@@ -217,24 +215,25 @@ def test_tree_orbit_products_match_direct_iteration(bs23):
     g_bs, g_cayley = bs23.word([(0, 1), (1, 2), (0, 1), (1, 1)]), cayley.word([1, 2, -1, 3])
     # off-axis bases: the Bass-Serre vertex ((), 1), whose root path takes
     # the step to the basepoint, and a Cayley vertex of depth 3 (bbc)
-    bases = {bs23: [bs23.point(((), 1))], cayley: [vertex(cayley, [2, 2, 3])]}
+    bases = {bs23: [lab(bs23).point(((), 1))], cayley: [vertex(cayley, [2, 2, 3])]}
     cases = [
-        (bs23, g_bs, bs23.ball_vertices(2), 12),
-        (cayley, g_cayley, cayley.ball_vertices(2), 12),
+        (bs23, g_bs, lab(bs23).ball_vertices(2), 12),
+        (cayley, g_cayley, lab(cayley).ball_vertices(2), 12),
     ]
     # 200 steps from vertices on the repelling side: g^-k x for x the
     # basepoint and its first neighbour, and the neighbours of those that
     # g moves further than its translation length, off its axis
     for model, g in ((bs23, g_bs), (cayley, g_cayley)):
         tau = model.classify(g).hyperbolic.translation_length.exact_value
-        starts = [model.basepoint, model.point(model._neighbors(model.basepoint.coords)[0])]
-        back = [model.apply(power(model, g, -k), x) for k in (1, 2, 3) for x in starts]
-        near = [model.point(q) for p in back for q in model._neighbors(p.coords)]
-        hanging = [q for q in near if model.distance(q, model.apply(g, q)).exact_value > tau]
+        geo = lab(model)
+        starts = [model.basepoint, geo.point(model._neighbors(model.basepoint.coords)[0])]
+        back = [geo.apply(power(model, g, -k), x) for k in (1, 2, 3) for x in starts]
+        near = [geo.point(q) for p in back for q in model._neighbors(p.coords)]
+        hanging = [q for q in near if geo.distance(q, geo.apply(g, q)).exact_value > tau]
         assert hanging
         cases.append((model, g, back + hanging + [model.basepoint], 200))
     # the sampled witnesses, 64 steps out; the last point, a base too, has depth 3
-    cases += [(a.model, g, a.model.ball_vertices(1) + a.model.ball_vertices(3)[-1:], 64) for a, g in _tree_witnesses()]
+    cases += [(a.model, g, lab(a.model).ball_vertices(1) + lab(a.model).ball_vertices(3)[-1:], 64) for a, g in _tree_witnesses()]
     for model, g, points, steps in cases:
         cls = model.classify(g)
         for center in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
@@ -248,7 +247,7 @@ def test_tree_orbit_products_step_the_base_alone(monkeypatch):
     # orbit is stepped, one image a step, and no point is moved
     model = CayleyTreeModel(2)
     g = model.word([1, 2, 2])
-    points = model.ball_vertices(3)
+    points = lab(model).ball_vertices(3)
     assert len(points) == 53
     calls = []
     act = CayleyTreeModel._act
@@ -258,7 +257,7 @@ def test_tree_orbit_products_step_the_base_alone(monkeypatch):
         return act(self, h, v)
 
     monkeypatch.setattr(CayleyTreeModel, "_act", counted_act)
-    steps = model.orbit_boundary_products(g, model.classify(g).hyperbolic.fixed_plus, points, model.basepoint, 64)
+    steps = lab(model).orbit_boundary_products(g, model.classify(g).hyperbolic.fixed_plus, points, model.basepoint, 64)
     values = [list(products) for products in steps]
     assert len(values) == 64 and all(len(row) == 53 for row in values)
     assert len(calls) <= 64 + 2 * 53
@@ -270,29 +269,39 @@ def test_tree_busemann_shift_and_fixed_point_contract():
         cls = model.classify(g)
         ends = (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus)
         length = cls.hyperbolic.translation_length.exact_value
-        y = model.ball_vertices(3)[-1]
+        geo = lab(model)
+        y = geo.ball_vertices(3)[-1]
         # g moves every point length closer to its attracting end
         for base in (model.basepoint, y):
-            w, gw = model.require_point(base), model.require_point(model.apply(g, base))
-            assert model._busemann(ends[0], w, gw) == length
-            assert model._busemann(ends[1], w, gw) == -length
+            w, gw = geo.require_point(base), geo.require_point(geo.apply(g, base))
+            assert geo._busemann(ends[0], w, gw) == length
+            assert geo._busemann(ends[1], w, gw) == -length
         # a hyperbolic tree automorphism fixes the two ends of its axis only
         moved = [model.boundary_apply(h, ends[0]) for h in _letter_words(model)]
         others = [b for b in moved if not any(model.boundary_equal(b, e) for e in ends)]
         assert others
         for b in others:
             with pytest.raises(ValueError, match="does not fix"):
-                next(model.orbit_boundary_products(g, b, [y], model.basepoint, 4))
+                next(geo.orbit_boundary_products(g, b, [y], model.basepoint, 4))
 
 
 def test_tree_ns_dynamics_matches_direct_iteration_far_out(monkeypatch):
     # n_max 200 and thresholds up to 6: N reaches 9 and orbits reach
     # hundreds of letters.  The oracle reads each product once for all
     # three thresholds, through a cache of gromov_boundary_point.
+    read, products = TreeGeometry.gromov_boundary_point, {}
+
+    def cached(geo, b, y, base):  # a lab is built per use, so the cache is keyed by the model's id
+        key = geo.model.model_id, b, y, base
+        value = products.get(key)
+        if value is None:
+            value = products[key] = read(geo, b, y, base)
+        return value
+
+    monkeypatch.setattr(TreeGeometry, "gromov_boundary_point", cached)
     found = []
     for seed, (action, g) in enumerate(_tree_witnesses()):
         model = action.model
-        monkeypatch.setattr(model, "gromov_boundary_point", functools.lru_cache(None)(model.gromov_boundary_point))
         cls = model.classify(g)
         sample = sample_points(model, 5, rng_from_seed(seed))
         for threshold in (1, 3, 6):
@@ -320,8 +329,8 @@ def test_separation_rotation_violates(plane):
     act = Action("p", plane, {"f": D, "r": R})
     cls = plane.classify(D)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
-    sample = [plane.point_xy(0, Fraction(k)) for k in (8, 16, 64)] + [
-        plane.point_xy(Fraction(1, 10), 32)
+    sample = [lab(plane).point_xy(0, Fraction(k)) for k in (8, 16, 64)] + [
+        lab(plane).point_xy(Fraction(1, 10), 32)
     ]
     witnesses = separation_witnesses(act, GroupWord.parse("r"), u_plus, u_minus, sample)
     assert witnesses
@@ -350,31 +359,31 @@ def test_neighborhoods_disjoint(plane):
     assert neighborhoods_disjoint(plane, u_plus, u_minus)
     tight_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 0.0, plane.basepoint)
     tight_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, -0.5, plane.basepoint)
-    assert not neighborhoods_disjoint(plane, tight_plus, tight_minus, [plane.point_xy(5, 40)])
+    assert not neighborhoods_disjoint(plane, tight_plus, tight_minus, [lab(plane).point_xy(5, 40)])
 
 
 def test_internal_points_tree_median(bs23):
-    ball = bs23.ball_vertices(3)
+    ball = lab(bs23).ball_vertices(3)
     tri = internal_points(bs23, ball[0], ball[4], ball[9])
     assert tri.insize.exact_value == 0
     assert tri.internal[0] == tri.internal[1] == tri.internal[2]
 
 
 def test_internal_points_plane_example(plane):
-    x = plane.point_xy(0, 1)
-    y = plane.point_xy(0, 8)
-    z = plane.point_xy(6, 1)
+    x = lab(plane).point_xy(0, 1)
+    y = lab(plane).point_xy(0, 8)
+    z = lab(plane).point_xy(6, 1)
     tri = internal_points(plane, x, y, z)
     assert tri.insize.value <= 1.0
     # defining equalities hold to the stated resolution
     gx = gromov_product(plane, y, z, x).value
-    assert abs(plane.distance(x, tri.internal[1]).value - gx) <= 2**-20
-    assert abs(plane.distance(x, tri.internal[2]).value - gx) <= 2**-20
+    assert abs(lab(plane).distance(x, tri.internal[1]).value - gx) <= 2**-20
+    assert abs(lab(plane).distance(x, tri.internal[2]).value - gx) <= 2**-20
 
 
 def test_internal_points_degenerate(plane):
-    x = plane.point_xy(0, 1)
-    y = plane.point_xy(0, 8)
+    x = lab(plane).point_xy(0, 1)
+    y = lab(plane).point_xy(0, 8)
     with pytest.raises(DegenerateTriangle):
         internal_points(plane, x, x, y)
 
@@ -384,9 +393,9 @@ def _slim_delta(plane, triangles, samples_per_side: int) -> float:
     sides, each side sampled at equal steps, ends included."""
 
     def side(p, q):
-        total = plane.distance(p, q).value
+        total = lab(plane).distance(p, q).value
         steps = range(1, samples_per_side - 1)
-        return [p] + [_plane_point_at(plane, p, q, total * k / (samples_per_side - 1)) for k in steps] + [q]
+        return [p] + [lab(plane)._point_at(p, q, total * k / (samples_per_side - 1)) for k in steps] + [q]
 
     worst = 0.0
     for x, y, z in triangles:
@@ -394,7 +403,7 @@ def _slim_delta(plane, triangles, samples_per_side: int) -> float:
         for i in range(3):
             others = sides[(i + 1) % 3] + sides[(i + 2) % 3]
             for pt in sides[i]:
-                worst = max(worst, min(plane.distance(pt, q).value for q in others))
+                worst = max(worst, min(lab(plane).distance(pt, q).value for q in others))
     return worst
 
 
@@ -411,13 +420,13 @@ def test_insize_within_slim_estimate(plane):
     while len(triangles) < 40 and i < 77:
         t = (pts[i], pts[i + 1], pts[i + 2])
         i += 1
-        sides = [plane.distance(t[a], t[b]).value for a, b in ((0, 1), (1, 2), (0, 2))]
+        sides = [lab(plane).distance(t[a], t[b]).value for a, b in ((0, 1), (1, 2), (0, 2))]
         if min(sides) > 1e-9 and max(sides) <= 2.5:
             triangles.append(t)
     insize_est = estimate_delta_insize(plane, triangles)
     witnesses = [
-        (plane.point_xy(0, Fraction(1, 50)), plane.point_xy(1, Fraction(1, 50)), plane.point_xy(0, 50)),
-        (plane.point_xy(0, Fraction(1, 200)), plane.point_xy(1, Fraction(1, 200)), plane.point_xy(0, 200)),
+        (lab(plane).point_xy(0, Fraction(1, 50)), lab(plane).point_xy(1, Fraction(1, 50)), lab(plane).point_xy(0, 50)),
+        (lab(plane).point_xy(0, Fraction(1, 200)), lab(plane).point_xy(1, Fraction(1, 200)), lab(plane).point_xy(0, 200)),
     ]
     assert insize_est.delta <= _slim_delta(plane, witnesses, 100) + 2**-10
 
@@ -434,7 +443,7 @@ def test_orbit_projection_basepoint(plane):
 def test_orbit_projection_tree_axis(bs23):
     w = bs23.word([(0, 1), (1, 1)])
     act = Action("b", bs23, {"w": w})
-    z = bs23.apply(power(bs23, w, 3), bs23.basepoint)
+    z = lab(bs23).apply(power(bs23, w, 3), bs23.basepoint)
     proj = orbit_projection(act, act.image(GroupWord.parse("w")), bs23.basepoint, z, 6)
     assert proj.defect == 0.0
     assert proj.exponents == (3,)
@@ -443,7 +452,7 @@ def test_orbit_projection_tree_axis(bs23):
 def test_orbit_projection_plane_bounded(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
-    proj = orbit_projection(act, act.image(GroupWord.parse("f")), plane.basepoint, plane.point_xy(3, 1), 8)
+    proj = orbit_projection(act, act.image(GroupWord.parse("f")), plane.basepoint, lab(plane).point_xy(3, 1), 8)
     assert 0.0 <= proj.defect <= 4.0
 
 
@@ -466,7 +475,7 @@ def test_claim1_defect_bound(plane, bs23):
         act = Action("p", plane, {"x": iso})
         cls = plane.classify(iso)
         tau = cls.hyperbolic.translation_length.value
-        offset = plane.gromov_boundary_pair(
+        offset = lab(plane).gromov_boundary_pair(
             cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus, plane.basepoint
         )
         for z in sample_plane_points(plane, 10, rng):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hypiso.errors import InsufficientSample, MixedModels
-from hypiso.geometry import estimate_delta_four_point, gromov_product
+from hypiso import geometry
+from hypiso.geometry import estimate_delta_four_point, gromov_product, lab
 from hypiso.halfplane import HalfPlaneModel
 from hypiso.sampling import rng_from_seed, sample_plane_points
 from hypiso.trees import BassSerreModel, CayleyTreeModel
@@ -30,8 +31,8 @@ def bs23():
 
 
 def test_gromov_product_degenerate(plane):
-    x = plane.point_xy(1, 2)
-    w = plane.point_xy(-1, Fraction(1, 2))
+    x = lab(plane).point_xy(1, 2)
+    w = lab(plane).point_xy(-1, Fraction(1, 2))
     assert gromov_product(plane, x, w, w).value == 0.0
 
 
@@ -42,22 +43,22 @@ def test_gromov_product_tree_oracle(cayley):
     gp = gromov_product(cayley, x, y, cayley.basepoint)
     assert gp.exact_value == 1
     oracle = min(
-        cayley.distance(cayley.basepoint, v).exact_value for v in geodesic(cayley, x, y)
+        lab(cayley).distance(cayley.basepoint, v).exact_value for v in geodesic(cayley, x, y)
     )
     assert gp.exact_value == oracle
 
 
 def test_gromov_product_collinear_plane(plane):
-    x = plane.point_xy(0, 1)
-    y = plane.point_xy(0, 4)
-    w = plane.point_xy(0, 2)
+    x = lab(plane).point_xy(0, 1)
+    y = lab(plane).point_xy(0, 4)
+    w = lab(plane).point_xy(0, 2)
     # w lies on the geodesic [x, y], so <x|y>_w = 0
     assert abs(gromov_product(plane, x, y, w).value) < 1e-12
     # with the base at x, the two collinear points on one side give
     # <y|w>_x = min(d(y,x), d(w,x)) = ln 2
     gp = gromov_product(plane, y, w, x)
-    dxy = plane.distance(x, y).value
-    dxw = plane.distance(x, w).value
+    dxy = lab(plane).distance(x, y).value
+    dxw = lab(plane).distance(x, w).value
     assert abs(gp.value - math.log(2)) < 1e-12
     assert abs(gp.value - min(dxy, dxw)) < 1e-12
 
@@ -67,7 +68,7 @@ def test_gromov_product_upper_bound(plane):
     pts = sample_plane_points(plane, 12, rng)
     for x, y, w in zip(pts, pts[4:], pts[8:]):
         gp = gromov_product(plane, x, y, w).value
-        assert gp <= min(plane.distance(x, w).value, plane.distance(y, w).value) + 1e-9
+        assert gp <= min(lab(plane).distance(x, w).value, lab(plane).distance(y, w).value) + 1e-9
         assert gp >= -1e-12
 
 
@@ -77,7 +78,7 @@ def test_four_point_insufficient(plane):
 
 
 def test_four_point_tree_exact_zero(bs23):
-    ball = bs23.ball_vertices(4)
+    ball = lab(bs23).ball_vertices(4)
     est = estimate_delta_four_point(bs23, ball, bs23.basepoint)
     assert est.delta == 0.0
     assert est.condition == "four_point"
@@ -85,8 +86,8 @@ def test_four_point_tree_exact_zero(bs23):
 
 
 def test_four_point_collinear_zero(plane):
-    pts = [plane.point_xy(0, Fraction(k)) for k in (1, 2, 4, 8, 16)]
-    est = estimate_delta_four_point(plane, pts, plane.point_xy(0, 3))
+    pts = [lab(plane).point_xy(0, Fraction(k)) for k in (1, 2, 4, 8, 16)]
+    est = estimate_delta_four_point(plane, pts, lab(plane).point_xy(0, 3))
     assert est.delta <= 1e-9
 
 
@@ -101,11 +102,11 @@ def test_four_point_matches_cubic_formula(plane):
     pts = sample_plane_points(plane, 40, rng_from_seed(3))
     base = plane.basepoint
     n = len(pts)
-    d_base = np.array([plane.distance(p, base).value for p in pts])
+    d_base = np.array([lab(plane).distance(p, base).value for p in pts])
     D = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            D[i, j] = D[j, i] = plane.distance(pts[i], pts[j]).value
+            D[i, j] = D[j, i] = lab(plane).distance(pts[i], pts[j]).value
     G2 = d_base[:, None] + d_base[None, :] - D
     maxmin = np.minimum(G2[:, :, None], G2[None, :, :]).max(axis=1)
     expected = max(0.0, float((maxmin - G2).max()) / 2.0)
@@ -116,10 +117,10 @@ def test_four_point_matches_cubic_formula(plane):
 def _four_point_by_distance(model, sample, base) -> float:
     """The four-point delta from a matrix filled by model.distance, pair by pair."""
     n = len(sample)
-    exact = model.distance(sample[0], base).exact_value is not None
+    exact = lab(model).distance(sample[0], base).exact_value is not None
 
     def value(p, q):
-        length = model.distance(p, q)
+        length = lab(model).distance(p, q)
         return int(length.exact_value) if exact else length.value
 
     d_base = np.array([value(p, base) for p in sample])
@@ -136,24 +137,24 @@ def test_four_point_matches_pairwise_distance_fill(plane):
     bs = BassSerreModel(3, 4)
     cayley3 = CayleyTreeModel(3)
     cases = [
-        (plane, sample_plane_points(plane, 45, rng_from_seed(11)), plane.point_xy(Fraction(-5, 7), 2)),
-        (bs, bs.ball_vertices(4), bs.basepoint),
-        (cayley3, cayley3.ball_vertices(2), vertex(cayley3, [2, -3])),
+        (plane, sample_plane_points(plane, 45, rng_from_seed(11)), lab(plane).point_xy(Fraction(-5, 7), 2)),
+        (bs, lab(bs).ball_vertices(4), bs.basepoint),
+        (cayley3, lab(cayley3).ball_vertices(2), vertex(cayley3, [2, -3])),
     ]
     for model, sample, base in cases:
         for b in (model.basepoint, base):
             est = estimate_delta_four_point(model, sample, b)
             assert est.delta == _four_point_by_distance(model, sample, b)
         pts = sample[:20] + [base]
-        rows = model.pairwise_distances(pts).tolist()
-        assert rows == [[model.distance(p, q).value for q in pts] for p in pts]
+        rows = lab(model).pairwise_distances(pts).tolist()
+        assert rows == [[lab(model).distance(p, q).value for q in pts] for p in pts]
     assert _four_point_by_distance(plane, cases[0][1], cases[0][2]) > 0.0
 
 
 def test_four_point_memory_is_quadratic():
     # 300 vertices: the n^3 int64 array alone would take 216 MB
     cayley3 = CayleyTreeModel(3)
-    ball = cayley3.ball_vertices(4)[:300]
+    ball = lab(cayley3).ball_vertices(4)[:300]
     tracemalloc.start()
     try:
         est = estimate_delta_four_point(cayley3, ball, cayley3.basepoint)
@@ -185,7 +186,8 @@ def test_four_point_dtype_guard_is_exact(depth, narrower):
         assert estimate_delta_four_point(line, sample, base).delta == _four_point_by_distance(line, sample, base)
 
 
-def test_four_point_dtype_guard_keeps_a_defect():
+def test_four_point_dtype_guard_keeps_a_defect(monkeypatch):
+    monkeypatch.setattr(geometry, "lab", lambda cycle: cycle)  # the cycle is its own lab
     for scale in (1, 30, 8000, 3_000_000_000):  # int8, int16, int32, int64
         assert estimate_delta_four_point(_ScaledCycle(scale), [0, 1, 2, 3], 4).delta == scale / 2
 
@@ -208,7 +210,7 @@ def test_base_change_bound(plane, bs23):
         x, y, w, w2 = pts[0], pts[1], pts[2], pts[3]
         g1 = gromov_product(model, x, y, w).value
         g2 = gromov_product(model, x, y, w2).value
-        assert abs(g1 - g2) <= model.distance(w, w2).value + 1e-9
+        assert abs(g1 - g2) <= lab(model).distance(w, w2).value + 1e-9
 
 
 def test_translation_conjugation_invariance(plane):
@@ -222,7 +224,7 @@ def test_translation_conjugation_invariance(plane):
 def test_elliptic_decay(plane):
     # a rotation of order 2 or 3: M^period is +-I, so every orbit repeats
     # with that period and stays within a bounded distance of its start
-    x = plane.point_xy(Fraction(1, 3), 2)
+    x = lab(plane).point_xy(Fraction(1, 3), 2)
     for mat in (plane.matrix(0, -1, 1, 0), plane.matrix(1, -1, 1, 0)):
         period = plane.classify(mat).elliptic.period
         m, top = mat.payload, mat.payload
@@ -231,11 +233,11 @@ def test_elliptic_decay(plane):
         assert top.is_proj_identity()
         orbit = [x]
         for _ in range(4 * period):
-            orbit.append(plane.apply(mat, orbit[-1]))
+            orbit.append(lab(plane).apply(mat, orbit[-1]))
         assert orbit[::period] == [x] * 5
-        assert len({plane.cosh_distance(x, p) for p in orbit}) <= period  # exact values
+        assert len({lab(plane).cosh_distance(x, p) for p in orbit}) <= period  # exact values
 
 
 def test_distance_checks_models(plane, cayley):
     with pytest.raises(MixedModels):
-        plane.distance(plane.basepoint, cayley.basepoint)
+        lab(plane).distance(plane.basepoint, cayley.basepoint)

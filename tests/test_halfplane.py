@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hypiso.actions import Action
 from hypiso.errors import MixedModels
+from hypiso.geometry import lab
 from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.quadratic import QuadraticNumber
 from hypiso.records import class_invariant, witness_line
@@ -24,24 +25,24 @@ def plane():
 
 def test_distance_vertical_axis(plane):
     # cosh d((0,1),(0,4)) = 1 + 9/8 = 17/8; d = ln 4
-    L = plane.distance(plane.point_xy(0, 1), plane.point_xy(0, 4))
+    L = lab(plane).distance(lab(plane).point_xy(0, 1), lab(plane).point_xy(0, 4))
     assert L.exact_cosh == Fraction(17, 8)
     assert abs(L.value - math.log(4)) < 1e-12
     assert abs(L.value - math.acosh(17 / 8)) < 1e-12
 
 
 def test_distance_identity_and_symmetry(plane):
-    p = plane.point_xy(Fraction(1, 3), Fraction(5, 7))
-    q = plane.point_xy(-2, Fraction(1, 2))
-    assert plane.distance(p, p).value == 0.0
-    assert plane.distance(p, q).exact_cosh == plane.distance(q, p).exact_cosh
+    p = lab(plane).point_xy(Fraction(1, 3), Fraction(5, 7))
+    q = lab(plane).point_xy(-2, Fraction(1, 2))
+    assert lab(plane).distance(p, p).value == 0.0
+    assert lab(plane).distance(p, q).exact_cosh == lab(plane).distance(q, p).exact_cosh
 
 
 def test_cosh_value_consistency(plane):
     # exact_cosh and the float value agree to relative 2^-40
-    p = plane.point_xy(Fraction(-7, 4), Fraction(2, 9))
-    q = plane.point_xy(3, Fraction(11, 3))
-    L = plane.distance(p, q)
+    p = lab(plane).point_xy(Fraction(-7, 4), Fraction(2, 9))
+    q = lab(plane).point_xy(3, Fraction(11, 3))
+    L = lab(plane).distance(p, q)
     err = abs(math.cosh(L.value) - float(L.exact_cosh))
     assert err <= 2**-40 * max(1.0, float(L.exact_cosh))
 
@@ -49,17 +50,17 @@ def test_cosh_value_consistency(plane):
 def test_mixed_models_rejected(plane):
     tree = CayleyTreeModel(2)
     with pytest.raises(MixedModels):
-        plane.distance(plane.basepoint, tree.basepoint)
+        lab(plane).distance(plane.basepoint, tree.basepoint)
 
 
 def test_apply_diagonal(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
-    assert plane.apply(D, plane.point_xy(0, 1)).coords == (Fraction(0), Fraction(4))
+    assert lab(plane).apply(D, lab(plane).point_xy(0, 1)).coords == (Fraction(0), Fraction(4))
 
 
 def test_apply_identity(plane):
-    p = plane.point_xy(Fraction(2, 3), Fraction(3, 5))
-    assert plane.apply(plane.identity(), p).coords == p.coords
+    p = lab(plane).point_xy(Fraction(2, 3), Fraction(3, 5))
+    assert lab(plane).apply(plane.identity(), p).coords == p.coords
 
 
 def test_compose_matrix_product(plane):
@@ -134,7 +135,7 @@ def test_classify_rotation_period_2(plane):
     # z -> -1/z: a half turn about i, so M^2 = -I and M fixes i
     m = iso.payload
     assert not m.is_proj_identity() and (m * m).is_proj_identity()
-    assert plane.apply(iso, plane.basepoint) == plane.basepoint
+    assert lab(plane).apply(iso, plane.basepoint) == plane.basepoint
 
 
 def test_classify_rotation_period_3(plane):
@@ -205,6 +206,27 @@ def test_rational_fixed_points_from_a_square_discriminant(plane):
         assert a * z + b == (c * z + d) * z
 
 
+def test_witness_line_takes_one_isqrt(plane, monkeypatch):
+    # a witness line prints both fixed points, and the class builds the two
+    # together from one isqrt of its discriminant: irrational (D = 5, 32),
+    # rational (D = 9/4, 9) and with infinity (c = 0, no isqrt at all)
+    calls, isqrt = [], math.isqrt
+
+    def counted(n):
+        calls.append(n)
+        return isqrt(n)
+
+    cases = [((2, 1, 1, 1), 1), ((3, 2, 4, 3), 1), ((3, 1, Fraction(-5, 2), Fraction(-1, 2)), 1),
+             ((2, 0, Fraction(3, 2), Fraction(1, 2)), 1), ((2, 3, 0, Fraction(1, 2)), 0)]
+    for entries, expected in cases:
+        cls = plane.classify(plane.matrix(*entries))
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(math, "isqrt", counted)
+            line = witness_line(0, "one", plane, cls)
+        assert len(calls) == expected and "plus=" in line and "minus=" in line
+
+
 def test_boundary_equal_powers(plane):
     F = plane.matrix(2, 1, 1, 1)
     h1, h2 = plane.classify(F).hyperbolic, plane.classify(power(plane, F, 2)).hyperbolic
@@ -256,18 +278,18 @@ shears = st.integers(min_value=-3, max_value=3)
 @given(small_rational, positive_rational, small_rational, positive_rational, shears, shears)
 def test_isometry_invariance_exact(x1, y1, x2, y2, u, v):
     plane = HalfPlaneModel()
-    p = plane.point_xy(x1, y1)
-    q = plane.point_xy(x2, y2)
+    p = lab(plane).point_xy(x1, y1)
+    q = lab(plane).point_xy(x2, y2)
     m = plane.compose(plane.matrix(1, u, 0, 1), plane.matrix(1, 0, v, 1))
-    before = plane.cosh_distance(p, q)
-    after = plane.cosh_distance(plane.apply(m, p), plane.apply(m, q))
+    before = lab(plane).cosh_distance(p, q)
+    after = lab(plane).cosh_distance(lab(plane).apply(m, p), lab(plane).apply(m, q))
     assert before == after  # exact rational equality
 
 
 @given(small_rational, positive_rational, small_rational, positive_rational)
 def test_rational_cosh_distance_is_the_textbook_fraction(x1, y1, x2, y2):
     plane = HalfPlaneModel()
-    ch = plane.cosh_distance(plane.point_xy(x1, y1), plane.point_xy(x2, y2))
+    ch = lab(plane).cosh_distance(lab(plane).point_xy(x1, y1), lab(plane).point_xy(x2, y2))
     assert isinstance(ch, Fraction)
     assert ch == 1 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2 * y1 * y2)
 
@@ -294,8 +316,8 @@ def test_image_composes_powers_by_squaring(plane, monkeypatch):
 
 
 def test_point_xy_takes_rationals(plane):
-    assert plane.point_xy(Fraction(1, 2), 3).coords == (Fraction(1, 2), Fraction(3))
-    assert plane.point_xy(Fraction(-1, 4), Fraction(2, 7)).coords == (Fraction(-1, 4), Fraction(2, 7))
+    assert lab(plane).point_xy(Fraction(1, 2), 3).coords == (Fraction(1, 2), Fraction(3))
+    assert lab(plane).point_xy(Fraction(-1, 4), Fraction(2, 7)).coords == (Fraction(-1, 4), Fraction(2, 7))
     for y in (0, Fraction(-1, 3)):
         with pytest.raises(ValueError, match="y > 0"):
-            plane.point_xy(0, y)
+            lab(plane).point_xy(0, y)

@@ -148,6 +148,20 @@ def test_every_public_name_is_used():
     assert exempt == UNREAD_FIELDS, f"exempt fields not defined: {UNREAD_FIELDS - exempt}"
 
 
+def test_every_mutant_applies_once_and_names_its_tests():
+    # tests/mutants.py applies each mutant by replacing its snippet, which
+    # must occur exactly once in its file, and runs the tests it names
+    from mutants import MUTANTS, source
+
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 8
+    for mutant in MUTANTS:
+        assert source(mutant).read_text().count(mutant.snippet) == 1, mutant.name
+        for test in mutant.tests:
+            path, _, name = test.partition("::")
+            tree = ast.parse((ROOT / path).read_text())
+            assert name in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}, test
+
+
 def _imports(node: ast.AST, top: bool = True):
     """(module, whether at module level) of every import under node, outside
     ``if TYPE_CHECKING:`` blocks; a relative import names hypiso.<module>."""
@@ -170,7 +184,32 @@ def _imports(node: ast.AST, top: bool = True):
 # the certificate checker's modules and their line count: the core that a
 # record's verification loads, with no search, no geometry and no numpy
 CHECKER_CLOSURE = {"__init__", "records", "actions", "errors", "models", "quadratic", "trees", "words"}
-CHECKER_LINES = 1480
+CHECKER_LINES = 1293
+
+
+# the geometry lab's members, which live in geometry.py: no core model
+# module may define one of them again
+LAB_NAMES = {
+    "point_xy", "cosh_distance", "distance", "_point_matrix", "pairwise_distances", "apply", "_floats",
+    "gromov_boundary_point", "gromov_boundary_pair", "orbit_boundary_products", "_boundary_product",
+    "_dist", "_along", "_gromov", "internal_points", "_products_from", "_busemann", "ball_vertices",
+    "ball_size", "point", "require_point", "DeltaEstimate",
+}
+
+
+def test_the_core_models_define_no_lab_member():
+    found = []
+    for name in ("models", "halfplane", "trees"):
+        tree = ast.parse((SRC / "hypiso" / f"{name}.py").read_text())
+        found += [
+            f"{name}.py, line {node.lineno}: {node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in LAB_NAMES
+        ]
+    assert found == []
+    geometry = {node.name for node in ast.walk(ast.parse((SRC / "hypiso" / "geometry.py").read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert LAB_NAMES <= geometry
 
 
 def test_checker_import_closure_is_pinned():
@@ -197,7 +236,7 @@ def test_checker_import_closure_is_pinned():
 # float, which only a reader's translation_length builds
 CHECKER_FUNCTIONS = {
     "halfplane": ["HalfPlaneModel.tag", "HalfPlaneModel.classify", "HalfPlaneModel._classify_hyperbolic",
-                  "PlaneHyperbolic._fixed"],
+                  "PlaneHyperbolic.fixed_points"],
     "trees": ["TreeModel.tag", "TreeModel._hyperbolic", "TreeModel._fold", "CayleyTreeModel.classify",
               "BassSerreModel.classify"],
     "actions": ["Action.image"],

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hypiso.actions import Action, ActionSystem
 from hypiso.dynamics import internal_points
+from hypiso.geometry import gromov_product, lab
 from hypiso.models import HYPOTHESIS_VIOLATION
 from hypiso.sampling import random_elliptic, random_hyperbolic
 from hypiso.trees import BassSerreModel, CayleyTreeModel
@@ -31,21 +33,21 @@ def bs23():
 def test_cayley_distance_word_formula(cayley):
     x = vertex(cayley, [1, 2])       # ab
     y = vertex(cayley, [1, 1, 2])    # aab
-    assert cayley.distance(x, y).exact_value == 3
-    assert cayley.distance(x, x).exact_value == 0
+    assert lab(cayley).distance(x, y).exact_value == 3
+    assert lab(cayley).distance(x, x).exact_value == 0
 
 
 def test_cayley_bfs_oracle_agrees(cayley):
-    ball = cayley.ball_vertices(3)
+    ball = lab(cayley).ball_vertices(3)
     for p, q in itertools.combinations(ball, 2):
-        assert bfs_distance(cayley, p, q) == cayley.distance(p, q).exact_value
+        assert bfs_distance(cayley, p, q) == lab(cayley).distance(p, q).exact_value
 
 
 def test_cayley_ball_sizes(cayley):
-    assert len(cayley.ball_vertices(0)) == 1
-    assert len(cayley.ball_vertices(1)) == 5
-    assert len(cayley.ball_vertices(2)) == 17
-    assert len(cayley.ball_vertices(4)) == 161
+    assert len(lab(cayley).ball_vertices(0)) == 1
+    assert len(lab(cayley).ball_vertices(1)) == 5
+    assert len(lab(cayley).ball_vertices(2)) == 17
+    assert len(lab(cayley).ball_vertices(4)) == 161
 
 
 def test_cayley_not_in_ball(cayley):
@@ -54,13 +56,13 @@ def test_cayley_not_in_ball(cayley):
     far = vertex(cayley, [1] * 9)
     assert bfs_distance(cayley, far, cayley.basepoint) == 9
     assert bfs_distance(cayley, vertex(cayley, [2, 1]), far) == 11
-    assert len(cayley.ball_vertices(7)) == cayley.ball_size(7) == 4373
+    assert len(lab(cayley).ball_vertices(7)) == lab(cayley).ball_size(7) == 4373
 
 
 def test_cayley_apply_left_multiplication(cayley):
     a = cayley.word([1])
     b_vertex = vertex(cayley, [2])
-    assert cayley.apply(a, b_vertex).coords == (1, 2)  # "ab"
+    assert lab(cayley).apply(a, b_vertex).coords == (1, 2)  # "ab"
 
 
 def test_cayley_classification(cayley):
@@ -79,7 +81,7 @@ def test_cayley_orbit_matches_cyclic_length(cayley):
     cls = cayley.classify(w)
     tau = cls.hyperbolic.translation_length.exact_value
     for n in (1, 2, 3):
-        d = cayley.distance(cayley.basepoint, cayley.apply(power(cayley, w, n), cayley.basepoint))
+        d = lab(cayley).distance(cayley.basepoint, lab(cayley).apply(power(cayley, w, n), cayley.basepoint))
         assert d.exact_value >= n * tau  # displacement dominates n*tau
 
 
@@ -89,6 +91,26 @@ def test_cayley_ray_equality(cayley):
     r3 = cayley.ray((), (2, 1))
     assert cayley.boundary_equal(r1, r2)
     assert not cayley.boundary_equal(r1, r3)
+
+
+def test_gromov_boundary_pair_against_deep_truncations():
+    # <xi|eta>_w is <x|y>_w for vertices x and y far out on the two rays,
+    # with pairs of rays that agree for longer than one's preperiod and
+    # two periods: b^inf and b^9 a^inf part at the tenth letter
+    cayley, bs = CayleyTreeModel(2), BassSerreModel(2, 3)
+    alternating = ((0, 1), (1, 1))
+    cases = {
+        cayley: [((), (2,)), ((2,) * 9, (1,)), ((2,) * 9, (-1,)), ((1, 2), (2, 1)), ((-1,), (-2,))],
+        bs: [((), alternating), (alternating * 4, ((0, 1), (1, 2))), ((), ((0, 1), (1, 2))), (((1, 2),), alternating)],
+    }
+    for model, specs in cases.items():
+        geo = lab(model)
+        rays = [model.ray(prefix, period) for prefix, period in specs]
+        for xi, eta in itertools.product(rays, repeat=2):
+            far = [geo.point(model._vertex_from_units(model._ray_units(model.require_boundary(r), 60))) for r in (xi, eta)]
+            for base in geo.ball_vertices(2):
+                expected = math.inf if model.boundary_equal(xi, eta) else gromov_product(model, *far, base).exact_value
+                assert geo.gromov_boundary_pair(xi, eta, base) == expected
 
 
 def test_cayley_ray_fold_cancellation(cayley):
@@ -174,21 +196,21 @@ def test_bs_orbit_translation_oracle(bs23):
     # d(root, (st)^n root) = 2n, verified against the BFS oracle in the ball
     st_word = bs23.word([(0, 1), (1, 1)])
     for n in (1, 2, 3):
-        moved = bs23.apply(power(bs23, st_word, n), bs23.basepoint)
-        d = bs23.distance(bs23.basepoint, moved).exact_value
+        moved = lab(bs23).apply(power(bs23, st_word, n), bs23.basepoint)
+        d = lab(bs23).distance(bs23.basepoint, moved).exact_value
         assert d == 2 * n
         assert bfs_distance(bs23, bs23.basepoint, moved) == d
 
 
 def test_bs_distance_matches_bfs_everywhere(bs23):
-    ball = bs23.ball_vertices(4)
+    ball = lab(bs23).ball_vertices(4)
     for p, q in itertools.combinations(ball, 2):
-        assert bfs_distance(bs23, p, q) == bs23.distance(p, q).exact_value
+        assert bfs_distance(bs23, p, q) == lab(bs23).distance(p, q).exact_value
 
 
 def test_bs_vertex_degrees(bs23):
     # A-vertices have degree m=2, B-vertices degree n=3
-    for coords in [c.coords for c in bs23.ball_vertices(2)]:
+    for coords in [c.coords for c in lab(bs23).ball_vertices(2)]:
         deg = len(bs23._neighbors(coords))
         assert deg == (2 if coords[1] == 0 else 3)
 
@@ -200,10 +222,10 @@ def test_bs_ray_shift_equal(bs23):
 
 def test_bs_isometry_invariance(bs23):
     g = bs23.word([(1, 2), (0, 1)])
-    ball = bs23.ball_vertices(3)
+    ball = lab(bs23).ball_vertices(3)
     for p, q in itertools.combinations(ball[:8], 2):
-        before = bs23.distance(p, q).exact_value
-        after = bs23.distance(bs23.apply(g, p), bs23.apply(g, q)).exact_value
+        before = lab(bs23).distance(p, q).exact_value
+        after = lab(bs23).distance(lab(bs23).apply(g, p), lab(bs23).apply(g, q)).exact_value
         assert before == after
 
 
@@ -217,8 +239,8 @@ def test_bs_elliptic_decay(bs23):
     bound = 2 * bfs_distance(bs23, base, fix)
     cur = base
     for _ in range(4 * cls.elliptic.period):
-        cur = bs23.apply(w, cur)
-        assert bs23.distance(base, cur).exact_value <= bound
+        cur = lab(bs23).apply(w, cur)
+        assert lab(bs23).distance(base, cur).exact_value <= bound
 
 
 def test_bs_conjugation_preserves_class(bs23):
@@ -368,12 +390,12 @@ def _check_internal_points(model, d, x, y, z):
 def test_internal_points_against_bfs():
     bs = BassSerreModel(2, 3)
     d = _bfs(bs)
-    ball = bs.ball_vertices(4)
+    ball = lab(bs).ball_vertices(4)
     for x, y, z in itertools.combinations(ball, 3):
         _check_internal_points(bs, d, x, y, z)
     cayley = CayleyTreeModel(2)
     d = _bfs(cayley)
-    ball = cayley.ball_vertices(4)
+    ball = lab(cayley).ball_vertices(4)
     rng = random.Random(0)
     for _ in range(2000):
         _check_internal_points(cayley, d, *rng.sample(ball, 3))
@@ -385,7 +407,7 @@ def test_internal_points_against_bfs():
 )
 def test_geodesic_and_root_path_against_bfs(model):
     d = _bfs(model)
-    ball = model.ball_vertices(3)
+    ball = lab(model).ball_vertices(3)
     for p, q in itertools.combinations(ball[::3], 2):
         path = geodesic(model, p, q)
         assert path[0] == p and path[-1] == q and len(path) == d(p, q) + 1
@@ -402,7 +424,7 @@ def test_geodesic_and_root_path_against_bfs(model):
 )
 def test_ball_size_counts_the_ball(model):
     for radius in range(5):
-        assert model.ball_size(radius) == len(model.ball_vertices(radius))
+        assert lab(model).ball_size(radius) == len(lab(model).ball_vertices(radius))
 
 
 @pytest.mark.parametrize(
@@ -413,23 +435,23 @@ def test_ball_size_counts_the_ball(model):
 )
 def test_pairwise_distances_match_the_pair_loop_and_bfs(model):
     rng = random.Random(model.model_id)
-    radius = max(r for r in range(12) if model.ball_size(r) <= 400)
-    ball = model.ball_vertices(radius)
+    radius = max(r for r in range(12) if lab(model).ball_size(r) <= 400)
+    ball = lab(model).ball_vertices(radius)
     rng.shuffle(ball)
     g = random_hyperbolic(model, rng)
     orbit, p = [], ball[0]
     for n in range(1, 25):  # g^n p, deep and on one axis, off the ball
-        p = model.apply(g, p)
+        p = lab(model).apply(g, p)
         orbit.append(p)
     repeats = rng.choices(ball, k=60)
     for points in (ball, repeats, orbit + ball[:20], [ball[0]], []):
-        assert model.pairwise_distances(points).tolist() == pairwise_distances_by_meets(model, points)
+        assert lab(model).pairwise_distances(points).tolist() == pairwise_distances_by_meets(model, points)
     if isinstance(model, BassSerreModel):  # root paths through ((), 1) and not
         assert {model._off(*p.coords) for p in ball} == {0, 1}
     few = repeats[:16] + ball[:8]
-    if model.ball_size(max(model._depth(p.coords) for p in orbit)) <= 5000:
+    if lab(model).ball_size(max(model._depth(p.coords) for p in orbit)) <= 5000:
         few += orbit[::4]
-    assert model.pairwise_distances(few).tolist() == [[bfs_distance(model, p, q) for q in few] for p in few]
+    assert lab(model).pairwise_distances(few).tolist() == [[bfs_distance(model, p, q) for q in few] for p in few]
 
 
 # -- word text ----------------------------------------------------------------
