@@ -12,11 +12,9 @@ Floats appear only in ``float()``, for display and the diagnostics.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None when irrational."""
@@ -58,17 +56,6 @@ class QuadraticNumber:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
-
-    # -- predicates ---------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self!r} is irrational")
-        return self.a
 
     @staticmethod
     def of_parts(a: Fraction, b: Fraction, d: Fraction) -> "QuadraticNumber":
@@ -133,18 +120,3 @@ def parse_rational(text: str) -> Fraction:
             raise ValueError("zero denominator")
         return Fraction(int(num), d)
     return Fraction(int(text))
-
-
-def format_rational(q: Fraction) -> str:
-    """'p/q' or 'p'.  Raises ValidationError past Python's limit on the
-    digits of an int turned into a string; the limit stays, because it
-    also guards int() parsing of config input."""
-    try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
-    except ValueError:
-        raise ValidationError(
-            f"an exact number has over {sys.get_int_max_str_digits()} digits, "
-            "the limit for printing one"
-        ) from None

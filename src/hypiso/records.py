@@ -6,26 +6,41 @@ exact boundary-point payloads; floats appear solely in the human tables,
 marked approximate.  Records round-trip (parse . emit == identity) and a
 combine record carries enough to re-verify its certificate from scratch.
 ``check_witnesses`` is the one certificate checker: it serves records and
-in-memory certificates alike and imports nothing from the search.
+in-memory certificates alike and imports nothing from the search, nor the
+plane: a witness line is printed from its class's integers.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .actions import ActionSystem
-from .errors import MixedModels, ParseError
-from .models import BoundaryPoint, IsometryClass, SpaceModel
-from .quadratic import QuadraticNumber, format_rational
-from .trees import RayDescriptor, TreeHyperbolic, TreeModel
+from .errors import ParseError, ValidationError
+from .models import IsometryClass, SpaceModel
+from .trees import TreeHyperbolic, TreeModel
 from .words import GroupWord
 
 if TYPE_CHECKING:
     from .combiner import Certificate
 
 RECORD_HEADER = "hypiso-record v1"
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, 'p/q' or 'p'; past Python's limit on printing an
+    int (which also guards int() parsing of config input) a ValidationError."""
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    n, d = n // g, d // g
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValidationError(f"an exact number has over {limit} digits, the limit for printing one") from None
 
 
 def class_invariant(cls: IsometryClass) -> str:
@@ -35,34 +50,55 @@ def class_invariant(cls: IsometryClass) -> str:
         if isinstance(h, TreeHyperbolic):
             return f"syllables={h.length}"
         # a plane class: cosh(tau/2) = tr/2 = (a + d)/2s, in lowest terms
-        return f"cosh-half={format_rational(Fraction(h.a + h.d, 2 * h.s))}"
+        return f"cosh-half={_ratio(h.a + h.d, 2 * h.s)}"
     if cls.is_elliptic:
         period = cls.elliptic.period
         return f"period={'inf' if period is None else period}"
     return "parabolic"
 
 
-def boundary_string(model: SpaceModel, bp: BoundaryPoint) -> str:
-    payload = model.require_boundary(bp)
-    if payload is None:  # the plane's point at infinity
-        return "inf"
-    if isinstance(payload, QuadraticNumber):
-        if payload.is_rational:
-            return f"rat:{format_rational(payload.as_fraction())}"
-        return f"quad:{format_rational(payload.a)};{format_rational(payload.b)};{format_rational(payload.d)}"
-    if isinstance(payload, RayDescriptor) and isinstance(model, TreeModel):
-        prefix = model.word_display(payload.prefix).replace(" ", ".")
-        period = model.word_display(payload.period).replace(" ", ".")
-        return f"ray:{prefix};{period}"
-    raise MixedModels(f"boundary payload {type(payload).__name__} does not belong to {model.model_id}")
+def _plane_points(a: int, b: int, c: int, d: int, s: int, disc: int) -> tuple[str, str]:
+    """(plus, minus) of a plane class: the roots ((a - d) +- sqrt(D))/2c of
+    c z^2 + (d - a) z - b, rational when D is a square, or infinity."""
+    if c == 0:  # infinity attracts when its eigenvalue a/s is the larger
+        finite = f"rat:{_ratio(b, d - a)}"
+        return ("inf", finite) if a > s else (finite, "inf")
+    r = math.isqrt(disc)
+    if r * r == disc:  # the + root carries the eigenvalue > 1: attracting
+        return f"rat:{_ratio(a - d + r, 2 * c)}", f"rat:{_ratio(a - d - r, 2 * c)}"
+    x, w = _ratio(a - d, 2 * c), _ratio(disc, s * s)
+    return f"quad:{x};{_ratio(s, 2 * c)};{w}", f"quad:{x};{_ratio(-s, 2 * c)};{w}"
 
 
 def witness_line(index: int, name: str, model: SpaceModel, cls: IsometryClass) -> str:
-    parts = [f"witness {index} {name} {model.kind} {cls.tag}", class_invariant(cls)]
-    if cls.is_hyperbolic:
-        plus, minus = cls.hyperbolic.fixed_points
-        parts += [f"plus={boundary_string(model, plus)}", f"minus={boundary_string(model, minus)}"]
-    return " ".join(parts)
+    line = f"witness {index} {name} {model.kind} {cls.tag} {class_invariant(cls)}"
+    h = cls.hyperbolic
+    if h is None:
+        return line
+    if isinstance(h, TreeHyperbolic):
+        rays = map(model.require_boundary, h.fixed_points)
+        plus, minus = (f"ray:{model.word_display(r.prefix)};{model.word_display(r.period)}".replace(" ", ".")
+                       for r in rays)
+        return f"{line} plus={plus} minus={minus}"
+    if isinstance(model, TreeModel):
+        model.require_boundary(h.fixed_plus)  # a plane class in a tree action: MixedModels
+    return "{} plus={} minus={}".format(line, *_plane_points(*h))
+
+
+def check_printable(model: SpaceModel, cls: IsometryClass) -> None:
+    """Raise what ``witness_line`` raises on cls in model (MixedModels for
+    another model's class, ValidationError past the print limit), printing
+    only a class that may: a tree class with another model's rays, a plane
+    class in a tree action or one whose printed integers, of at most 2L + 2
+    bits for L-bit entries, may pass the limit."""
+    h, limit = cls.hyperbolic, sys.get_int_max_str_digits()  # 0 (none) or >= 640
+    if isinstance(h, TreeHyperbolic):
+        plain = h.fixed_plus.model_id == h.fixed_minus.model_id == model.model_id
+    else:  # 3 limit bits print in under limit digits; h[:5] is a, b, c, d, s
+        plain = h is None or not isinstance(model, TreeModel) and (
+            not limit or 2 * max(map(abs, h[:5])).bit_length() + 2 <= 3 * limit)
+    if not plain:
+        witness_line(0, "", model, cls)
 
 
 @dataclass
@@ -77,24 +113,16 @@ class RunRecord:
     extra: list[str] = field(default_factory=list)
 
     def emit(self) -> str:
-        lines = [RECORD_HEADER, f"command {self.command}", f"status {self.status}",
-                 f"exit-code {self.exit_code}"]
-        for key, value in self.settings:
-            lines.append(f"setting {key} {value}")
+        lines = [RECORD_HEADER, f"command {self.command}", f"status {self.status}", f"exit-code {self.exit_code}"]
+        lines += [f"setting {key} {value}" for key, value in self.settings]
         if self.word is not None:
             lines.append(f"word {self.word}")
-        lines.extend(self.stages)
-        lines.extend(self.witnesses)
-        lines.extend(self.extra)
-        lines.append("end")
+        lines += [*self.stages, *self.witnesses, *self.extra, "end"]
         return "\n".join(lines) + "\n"
 
 
 def record_for_certificate(
-    command: str,
-    system: ActionSystem,
-    cert: Certificate,
-    settings: list[tuple[str, str]],
+    command: str, system: ActionSystem, cert: Certificate, settings: list[tuple[str, str]]
 ) -> RunRecord:
     rec = RunRecord(command=command, status="ok", exit_code=0, settings=list(settings))
     rec.word = cert.word.display()
@@ -104,12 +132,10 @@ def record_for_certificate(
             f"stage {s.stage} {s.action_name} a {s.a} b {s.b} p {s.p} q {s.q} "
             f"index {idx} tried {s.candidates_tried} trivial {int(s.trivial)}"
         )
-    for i, cls in enumerate(cert.per_action):
-        action = system.actions[i]
+    for i, (action, cls) in enumerate(zip(system.actions, cert.per_action)):
         rec.witnesses.append(witness_line(i, action.name, action.model, cls))
-    rec.extra.append(
-        f"stats candidates {cert.search_stats.candidates_tried} stages {cert.search_stats.stages}"
-    )
+    stats = cert.search_stats
+    rec.extra.append(f"stats candidates {stats.candidates_tried} stages {stats.stages}")
     return rec
 
 
@@ -158,24 +184,29 @@ def verify_record(system: ActionSystem, record: RunRecord) -> tuple[bool, list[s
     except ValueError as exc:
         return False, [f"bad word: {exc}"]
     if len(record.witnesses) != system.n_actions:
-        return False, [
-            f"record lists {len(record.witnesses)} witnesses, system has {system.n_actions} actions"
-        ]
+        return False, [f"record lists {len(record.witnesses)} witnesses, system has {system.n_actions} actions"]
     return check_witnesses(system, word, record.witnesses)
 
 
 def check_witnesses(
-    system: ActionSystem, word: GroupWord, expected: Sequence[str]
+    system: ActionSystem, word: GroupWord, expected: Sequence[str | IsometryClass]
 ) -> tuple[bool, list[str]]:
     """The certificate checker: classify the word once in every action and
-    compare its fresh witness line with the expected one, action by action."""
+    compare the fresh class with the expected witness, action by action: a
+    record's line byte by byte with the fresh class's line, a certificate's
+    class by value (equal classes print equal lines; unequal ones are
+    printed and compared as lines)."""
     notes: list[str] = []
-    for i, (action, line) in enumerate(zip(system.actions, expected)):
+    for i, (action, want) in enumerate(zip(system.actions, expected)):
         cls = action.classify_word(word)
         if not cls.is_hyperbolic:
             notes.append(f"action {i} ({action.name}): word classifies {cls.tag}")
             continue
+        if type(want) is not str:
+            if cls == want:
+                continue
+            want = witness_line(i, action.name, action.model, want)
         fresh = witness_line(i, action.name, action.model, cls)
-        if fresh != line:
-            notes.append(f"action {i} ({action.name}): witness mismatch: record {line} | fresh {fresh}")
+        if fresh != want:
+            notes.append(f"action {i} ({action.name}): witness mismatch: record {want} | fresh {fresh}")
     return not notes, notes

@@ -42,6 +42,8 @@ class Mutant:
 
 ORBITS = "tests/test_dynamics.py::test_tree_orbit_products_match_direct_iteration"
 CAP = "tests/test_actions.py::test_bounded_cap_raises_where_every_product_is_sized"
+ORACLE = "tests/test_combiner.py::test_certificate_check_matches_the_rendering_oracle"
+LINES = "tests/test_classification_sweep.py::test_integer_witness_lines_match_the_fraction_derivation"
 
 MUTANTS = (
     # the tree orbit follows the base under g^-1 alone, and reads each
@@ -68,8 +70,24 @@ MUTANTS = (
            ("tests/test_combiner.py::test_plane_fixes_never_reaches_the_boundary_action",)),
     # the checker compares the repelling point too
     Mutant("witness-line-drops-minus", "records.py",
-           ', f"minus={boundary_string(model, minus)}"]', "]",
+           '"{} plus={} minus={}".format(line', '"{} plus={}".format(line',
            ("tests/test_combiner.py::test_search_is_invariant_under_plane_conjugation",)),
+    # a certificate's class is compared by value, fixed points or rays too
+    Mutant("class-comparison-ignores-fixed-points", "records.py",
+           "            if cls == want:",
+           "            if cls.tag == want.tag and class_invariant(cls) == class_invariant(want):",
+           (ORACLE,)),
+    # a witness line prints each rational in lowest terms, its denominator
+    # positive, and the repelling point with -s/2c
+    Mutant("ratio-keeps-negative-denominator", "records.py",
+           "    if d < 0:\n        g = -g\n", "", (LINES,)),
+    Mutant("repelling-point-printed-with-plus-s", "records.py",
+           "_ratio(-s, 2 * c)", "_ratio(s, 2 * c)", (LINES,)),
+    # a certificate's plane class skips printing only while its integers
+    # surely print under the digit limit
+    Mutant("print-bound-past-the-limit", "records.py",
+           "<= 3 * limit", "<= 4 * limit",
+           ("tests/test_combiner.py::test_certificate_check_past_the_print_limit",)),
     # two rays part within their preperiods and the lcm of their periods
     Mutant("ray-pair-too-shallow", "geometry.py",
            "self._ray_vertex(r1, parted + self._depth(w))", "self._ray_vertex(r1, self._depth(w))",

@@ -11,11 +11,12 @@ from collections import deque
 from fractions import Fraction
 
 from hypiso.dynamics import contains_point
-from hypiso.errors import ValidationError
+from hypiso.errors import MixedModels, ValidationError
 from hypiso.geometry import gromov_product, lab
 from hypiso.halfplane import HalfPlaneModel
 from hypiso.models import MAX_ISOMETRY_SIZE
-from hypiso.quadratic import QuadraticNumber, format_rational
+from hypiso.quadratic import QuadraticNumber
+from hypiso.records import check_witnesses, witness_line
 from hypiso.sampling import _random_bs_syllables, _random_cayley_word, sample_plane_points
 from hypiso.trees import CayleyTreeModel
 
@@ -184,8 +185,8 @@ def plane_class_reference(m) -> tuple[str, object, object, float, Fraction]:
     else:
         x, disc = Fraction(a - d, 2 * c), t * t - 4
         plus = QuadraticNumber(x, Fraction(s, 2 * c), disc)
-        minus = QuadraticNumber(2 * x - plus.a) if plus.is_rational else QuadraticNumber(x, -plus.b, disc)
-    return f"cosh-half={format_rational(half)}", plus, minus, 2.0 * acosh_fraction_reference(t / 2), cosh
+        minus = QuadraticNumber(2 * x - plus.a) if plus.b == 0 else QuadraticNumber(x, -plus.b, disc)
+    return f"cosh-half={half}", plus, minus, 2.0 * acosh_fraction_reference(t / 2), cosh
 
 
 def plane_witness_line_reference(index: int, name: str, m) -> str:
@@ -196,11 +197,29 @@ def plane_witness_line_reference(index: int, name: str, m) -> str:
         if z is None:
             return "inf"
         if z.b == 0:
-            return f"rat:{format_rational(z.a)}"
-        return f"quad:{format_rational(z.a)};{format_rational(z.b)};{format_rational(z.d)}"
+            return f"rat:{z.a}"
+        return f"quad:{z.a};{z.b};{z.d}"
 
     invariant, plus, minus, _, _ = plane_class_reference(m)
     return f"witness {index} {name} half_plane hyperbolic {invariant} plus={text(plus)} minus={text(minus)}"
+
+
+def verify_certificate_detailed_reference(system, cert) -> tuple[bool, list[str]]:
+    """The certificate check by rendering: every class of the certificate is
+    printed as its record line first (another model's class is one note),
+    and the fresh lines are compared with those, byte by byte."""
+    if len(cert.per_action) != system.n_actions:
+        return False, [
+            f"certificate covers {len(cert.per_action)} actions, system has {system.n_actions}"
+        ]
+    try:
+        expected = [
+            witness_line(i, action.name, action.model, cls)
+            for i, (action, cls) in enumerate(zip(system.actions, cert.per_action))
+        ]
+    except MixedModels as exc:
+        return False, [f"certificate witness from another model: {exc}"]
+    return check_witnesses(system, cert.word, expected)
 
 
 def _capped(model, p, what: str):

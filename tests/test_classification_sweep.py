@@ -6,6 +6,8 @@ import dataclasses
 import itertools
 import math
 import random
+import re
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypiso.cli import _tau_display
+from hypiso.errors import ValidationError
 from hypiso.geometry import PlaneGeometry, lab
 from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.quadratic import QuadraticNumber
@@ -253,7 +256,7 @@ def test_boundary_apply_on_irrational_fixed_points_sympy():
     for cls in map(plane.classify, sweep):
         if cls.is_hyperbolic:
             for bp in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
-                if bp.payload is not None and not bp.payload.is_rational and bp not in points:
+                if bp.payload is not None and bp.payload.b != 0 and bp not in points:
                     points.append(bp)
     assert len(points) == 36
     points = [(bp, *in_field(bp.payload)) for bp in points]
@@ -301,13 +304,53 @@ def test_plane_classes_match_the_fraction_derivation():
             continue
         _, plus, minus, tau, cosh = plane_class_reference(m)
         assert witness_line(3, "p", plane, cls) == plane_witness_line_reference(3, "p", m)
+        assert [bp.payload for bp in cls.hyperbolic.fixed_points] == [plus, minus]
         length = cls.hyperbolic.translation_length
         assert repr(length.value) == repr(tau) and length.exact_cosh == cosh
         assert _tau_display(cls) == f"{tau:.6f}"
-        kinds["infinity" if None in (plus, minus) else "rational" if plus.is_rational else "quadratic"] += 1
+        kinds["infinity" if None in (plus, minus) else "rational" if plus.b == 0 else "quadratic"] += 1
         kinds["past float range"] += abs(Fraction(m.a + m.d, 2 * m.s)) > 2**1024
         kinds["large"] += max(map(abs, m)).bit_length() > 300
     assert kinds == {"quadratic": 88, "rational": 12, "infinity": 12, "past float range": 4, "large": 24}
+
+
+def test_integer_witness_lines_match_the_fraction_derivation():
+    # witness_line prints a plane class from its integers, one gcd per
+    # rational: the sweep must reach each case of the fixed points, and every
+    # line must be the one derived in Fractions
+    plane = HalfPlaneModel()
+    cases = Counter()
+    for m in [*sweep_matrices(), *chain_sized_matrices()]:
+        cls = plane.classify(plane.isometry(m))
+        if not cls.is_hyperbolic:
+            continue
+        assert witness_line(0, "w", plane, cls) == plane_witness_line_reference(0, "w", m)
+        a, _, c, _, s, disc = cls.hyperbolic
+        if c == 0:
+            cases["infinity attracting" if a > s else "infinity repelling"] += 1
+        else:
+            cases["square discriminant" if math.isqrt(disc) ** 2 == disc else "irrational"] += 1
+            cases["negative c"] += c < 0
+    assert min(cases.values()) > 0 and len(cases) == 5, cases
+
+
+def test_witness_line_past_the_digit_limit():
+    # a class whose cosh-half, or only a fixed point's D/s^2 (about twice its
+    # entries' digits), passes the limit on printing an int is a
+    # ValidationError with the limit in its message
+    plane = HalfPlaneModel()
+    limit = sys.get_int_max_str_digits()
+    message = f"an exact number has over {limit} digits, the limit for printing one"
+    big = 10**limit
+    fib = power(plane, plane.matrix(2, 1, 1, 1), 5 * limit // 3)  # entries of about 0.7 limit digits
+    assert class_invariant(plane.classify(fib)).startswith("cosh-half=")
+    for m in (Matrix2.of(big, 1, big - 1, 1), Matrix2.of(1, big - 1, 1, big), fib.payload, fib.payload.inverse()):
+        cls = plane.classify(plane.isometry(m))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            witness_line(0, "w", plane, cls)
+    assert witness_line(0, "w", plane, plane.classify(plane.matrix(2, 1, 1, 1))) == (
+        "witness 0 w half_plane hyperbolic cosh-half=3/2 plus=quad:1/2;1/2;5 minus=quad:1/2;-1/2;5"
+    )
 
 
 def _leaves(value):

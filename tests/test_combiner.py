@@ -27,12 +27,21 @@ from hypiso.combiner import (
     verify_certificate_detailed,
 )
 from hypiso.config import build_action_system, parse_config
-from hypiso.errors import HypothesisViolation, NotHyperbolic, ScheduleExhausted, WitnessNotHyperbolic
+from hypiso.errors import (
+    HypothesisViolation,
+    NotHyperbolic,
+    ScheduleExhausted,
+    ValidationError,
+    WitnessNotHyperbolic,
+)
 from hypiso.halfplane import HalfPlaneModel, Matrix2
+from hypiso.models import IsometryClass
 from hypiso.records import class_invariant, parse_record, record_for_certificate, verify_record
 from hypiso.sampling import random_action_system
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 from hypiso.words import GroupWord, reduced_words
+
+from reference import verify_certificate_detailed_reference
 
 
 def worked_system() -> ActionSystem:
@@ -442,6 +451,97 @@ def test_certificate_and_record_checks_agree():
     )
 
 
+def _other_tree_class(model: TreeModel):
+    """A hyperbolic class of another tree model of the same kind."""
+    if isinstance(model, CayleyTreeModel):
+        other = CayleyTreeModel(model.rank + 1)
+        return other.classify(other.word((1, 2)))
+    m, n = model.orders
+    other = BassSerreModel(m + 1, n)
+    return other.classify(other.word(((0, 1), (1, 1))))
+
+
+def _mutated_certificates(system: ActionSystem, cert: Certificate):
+    """(kind, certificate) with one class replaced at a time: by the word's
+    square's (same fixed points, another trace), its inverse's (swapped
+    fixed points), a conjugate's (same trace, moved points), an elliptic
+    class, a tree class in a plane action and a plane class in a tree
+    action, and another tree model's class of the same kind; and the
+    certificate cut short."""
+    word, gens = cert.word, [GroupWord.generator(g) for g in system.generators]
+    classes = dict(zip(("plane", "tree"), ([], [])))
+    for action, cls in zip(system.actions, cert.per_action):
+        classes["tree" if isinstance(action.model, TreeModel) else "plane"].append(cls)
+
+    def replaced(i, cls):
+        per_action = cert.per_action[:i] + (cls,) + cert.per_action[i + 1:]
+        return Certificate(word, cert.stages, per_action, cert.images)
+
+    out = [("short", Certificate(word, cert.stages, cert.per_action[:-1], cert.images[:-1]))]
+    for i, action in enumerate(system.actions):
+        g = gens[i % len(gens)]
+        out += [
+            ("squared", replaced(i, action.classify_word(word**2))),
+            ("inverse", replaced(i, action.classify_word(word.inverse()))),
+            ("conjugated", replaced(i, action.classify_word(g * word * g.inverse()))),
+            ("elliptic", replaced(i, IsometryClass.make_elliptic(2))),
+        ]
+        if isinstance(action.model, TreeModel):
+            out += [("plane class in a tree action", replaced(i, cls)) for cls in classes["plane"][:1]]
+            out.append(("another tree model", replaced(i, _other_tree_class(action.model))))
+        else:
+            out += [("tree class in a plane action", replaced(i, cls)) for cls in classes["tree"][:1]]
+    return out
+
+
+def _assert_checks_match_the_oracle(system: ActionSystem, cert: Certificate, rejected: Counter) -> None:
+    """The value checker's verdict and notes are the rendering oracle's, on
+    the certificate and its mutations; rejected counts the mutations failed."""
+    record = record_for_certificate("combine", system, cert, [])
+    assert verify_certificate_detailed(system, cert) == verify_certificate_detailed_reference(system, cert)
+    assert verify_certificate_detailed(system, cert) == verify_record(system, record) == (True, [])
+    for kind, mutated in _mutated_certificates(system, cert):
+        got = verify_certificate_detailed(system, mutated)
+        assert got == verify_certificate_detailed_reference(system, mutated), kind
+        rejected[kind] += not got[0]
+
+
+def test_certificate_check_matches_the_rendering_oracle():
+    # sampler seeds 0-99 and configs/: every kind of mutation is rejected
+    # somewhere, with the oracle's notes
+    systems = [random_action_system(seed) for seed in range(100)]
+    systems += [build_action_system(parse_config(path.read_text())) for path in sorted(CONFIGS.glob("*.cfg"))]
+    rejected = Counter()
+    for system in systems:
+        _assert_checks_match_the_oracle(system, simultaneous_hyperbolic(system, SearchSchedule(32)), rejected)
+    assert len(rejected) == 8 and min(rejected.values()) > 0, rejected
+
+
+def test_certificate_check_past_the_print_limit():
+    # a class its record line cannot print fails as the rendering oracle
+    # fails, whether the cheap bound on its digits decides or the line does
+    system = worked_system()
+    cert = simultaneous_hyperbolic(system, SearchSchedule(8))
+    limit = sys.get_int_max_str_digits()
+    outcomes = Counter()
+    try:
+        sys.set_int_max_str_digits(640)
+        for n in (1, 360, 450, 800):  # entries of about 3, 1000, 1250 and 2200 bits
+            word = cert.word**n
+            powered = Certificate(word, cert.stages, tuple(a.classify_word(word) for a in system.actions), ())
+            got = []
+            for check in (verify_certificate_detailed, verify_certificate_detailed_reference):
+                try:
+                    got.append(check(system, powered))
+                except ValidationError as exc:
+                    got.append(str(exc))
+            assert got[0] == got[1], n
+            outcomes[type(got[0]).__name__] += 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert outcomes == {"tuple": 2, "str": 2}, outcomes
+
+
 def test_determinism_bit_for_bit():
     outs = []
     for _ in range(2):
@@ -605,6 +705,16 @@ def test_certificate_images_on_chain_systems(system):
         return  # a parabolic f or g, or no pair in the small schedule: nothing certified
     assert_images_are_the_word_images(system, cert)
     assert verify_certificate(system, cert)
+
+
+@given(chain_systems(8))
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_certificate_check_matches_the_rendering_oracle_on_chain_systems(system):
+    try:
+        cert = simultaneous_hyperbolic(system, SearchSchedule(8))
+    except (HypothesisViolation, ScheduleExhausted):
+        return
+    _assert_checks_match_the_oracle(system, cert, Counter())
 
 
 def _assert_stats_tally_the_stages(system: ActionSystem, schedule: SearchSchedule) -> None:

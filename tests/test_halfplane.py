@@ -202,7 +202,8 @@ def test_rational_fixed_points_from_a_square_discriminant(plane):
     a, b, c, d = iso.payload.entries()
     hyp = plane.classify(iso).hyperbolic
     for bp in (hyp.fixed_plus, hyp.fixed_minus):
-        z = bp.payload.as_fraction()
+        z = bp.payload.a
+        assert bp.payload.b == 0
         assert a * z + b == (c * z + d) * z
 
 
