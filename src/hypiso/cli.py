@@ -223,11 +223,11 @@ def _sample(action, seed: int, count: int, radius: int):
 
 
 def _cmd_delta(args, system: ActionSystem, settings, radii: list[int]) -> Result:
-    from .geometry import estimate_delta_four_point  # the lab loads only for the lab's commands
+    from .geometry import estimate_delta_four_point, lab  # the lab loads only for the lab's commands
     rows, lines = [], []
     for i, action in enumerate(system.actions):
         sample = _sample(action, settings["seed"], args.samples, min(4, radii[i]))
-        est = estimate_delta_four_point(action.model, sample, action.model.basepoint)
+        est = estimate_delta_four_point(action.model, sample, lab(action.model).basepoint)
         rows.append((str(i), action.name, action.model.kind, est.condition,
                      f"{est.delta:.6f}", str(est.sample_size)))
         exact = isinstance(action.model, TreeModel)
@@ -239,6 +239,7 @@ def _cmd_delta(args, system: ActionSystem, settings, radii: list[int]) -> Result
 
 def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Result:
     from . import dynamics as dyn
+    from .geometry import lab
     depth = settings["orbit-depth"]
     if depth > MAX_ORBIT_DEPTH:
         raise ValidationError(f"{depth} is over the cap of {MAX_ORBIT_DEPTH}", "orbit-depth")
@@ -253,7 +254,7 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Res
         cls = action.model.classify(image)
         sample = _sample(action, settings["seed"], 24, min(3, radii[i]))
         if "ns" in checks:
-            base = action.model.basepoint
+            base = lab(action.model).basepoint
             spec_plus, spec_minus = (dyn.NeighborhoodSpec(e, 1.0, base) for e in cls.hyperbolic.fixed_points)
             try:
                 n = dyn.ns_dynamics_check(action, image, spec_plus, spec_minus, sample, depth)
@@ -269,7 +270,7 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Res
             rows.append((str(i), action.name, "insize", f"{est.delta:.6f} over {est.sample_size}"))
             lines.append(f"insize {i} {action.name} approx~ {est.delta:.9f} n {est.sample_size}")
         if "projection" in checks:
-            orbit = dyn.orbit_points(action, image, action.model.basepoint, 8)
+            orbit = dyn.orbit_points(action, image, lab(action.model).basepoint, 8)
             worst = max([0.0] + [dyn.project_to_orbit(action.model, orbit, z).defect for z in sample[:10]])
             rows.append((str(i), action.name, "projection", f"max defect {worst:.6f}"))
             lines.append(f"projection {i} {action.name} approx~ {worst:.9f}")

@@ -61,7 +61,6 @@ class ProfileEntry:
 
 @dataclass(frozen=True)
 class ActionProfile:
-    stage: int
     entries: tuple[ProfileEntry, ...]
     p: int = 1  # power applied to f
     q: int = 1  # power applied to g
@@ -216,7 +215,7 @@ def normalize_powers(
                 partition=partition,
             )
         )
-    return f**p, g**q, ActionProfile(stage=k, entries=tuple(entries), p=p, q=q)
+    return f**p, g**q, ActionProfile(entries=tuple(entries), p=p, q=q)
 
 
 def _image_prefix(bases: list[tuple[SpaceModel, Any, int, Any, int]], a: int, b: int):

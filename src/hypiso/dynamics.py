@@ -26,8 +26,8 @@ from typing import Sequence
 
 from .actions import Action
 from .errors import DegenerateTriangle, NoPassingN, NotHyperbolic
-from .geometry import DeltaEstimate, lab
-from .models import HYPERBOLIC, BoundaryPoint, Isometry, Length, Point, SpaceModel
+from .geometry import DeltaEstimate, Point, lab
+from .models import HYPERBOLIC, BoundaryPoint, Isometry, Length, SpaceModel
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """The geometry lab: the metric, balls and orbits of the core models, which
 the ``delta`` and ``dynamics`` diagnostics read and no certificate does.
 
-``lab(model)`` is the one way in: a ``PlaneGeometry`` (points are rational
-(x, y) with y > 0, distances carry their exact cosh) or a ``TreeGeometry``
-(points are vertex labels, and the whole metric is integer, derived from
-the model's hooks).  A lab holds its model and no state of its own, and is
-built where it is used; a point tagged with another model's id is
+``lab(model)`` is the one way in, picked by the model's type: a
+``PlaneGeometry`` (points are rational (x, y) with y > 0, distances carry
+their exact cosh), or a ``CayleyGeometry`` or ``BassSerreGeometry``, whose
+points are the tree's vertex labels and whose whole metric ``TreeGeometry``
+derives in integers from hooks on those labels.  A lab holds its model and
+no state of its own, and is built where it is used; its ``basepoint`` is i
+or the root vertex, and a point tagged with another model's id is
 MixedModels.
 The four-point delta is a sampled estimator on top: a maximum of observed
 defects over the lab's ``pairwise_distances``, hence a lower bound on the
@@ -17,12 +19,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any
 
 from .errors import InsufficientSample, MixedModels
 from .halfplane import Matrix2, _acosh_ratio, acosh_fraction
-from .models import BoundaryPoint, Isometry, Length, Point, SpaceModel
+from .models import BoundaryPoint, Isometry, Length, SpaceModel
 from .quadratic import QuadraticNumber
-from .trees import RayDescriptor, TreeModel, _int_length
+from .trees import BassSerreModel, CayleyTreeModel, RayDescriptor, _int_length
+
+
+@dataclass(frozen=True)
+class Point:
+    """A point of a concrete model, tagged with its owner's id: coords is an
+    (x, y) pair of Fractions with y > 0 on the plane, a vertex label on a
+    tree.  No classification builds one; the labs build them all."""
+
+    model_id: str
+    coords: Any
 
 
 @dataclass(frozen=True)
@@ -35,15 +48,22 @@ class DeltaEstimate:
 
 
 def lab(model: SpaceModel) -> PlaneGeometry | TreeGeometry:
-    """The geometry lab of a core model."""
-    return TreeGeometry(model) if isinstance(model, TreeModel) else PlaneGeometry(model)
+    """The geometry lab of a core model, by the model's type."""
+    if isinstance(model, BassSerreModel):
+        return BassSerreGeometry(model)
+    return CayleyGeometry(model) if isinstance(model, CayleyTreeModel) else PlaneGeometry(model)
 
 
 class _Geometry:
-    """What both labs share: the model and its tagged points."""
+    """What the labs share: the model, its tagged points and the basepoint,
+    the point of coordinates _root."""
 
     def __init__(self, model: SpaceModel):
         self.model = model
+
+    @property
+    def basepoint(self) -> Point:
+        return self.point(self._root)
 
     def point(self, coords) -> Point:
         return Point(self.model.model_id, coords)
@@ -96,6 +116,8 @@ class PlaneGeometry(_Geometry):
     """The upper half-plane's metric, Mobius action and extended Gromov
     products on rational points; boundary points are the model's
     (QuadraticNumbers, None for infinity)."""
+
+    _root = (Fraction(0), Fraction(1))  # i
 
     def point_xy(self, x, y) -> Point:
         """The point (x, y) for rationals x and y > 0."""
@@ -263,15 +285,11 @@ def _boundary_product(xi, xi_w, wy: float, yx: float, yy: float, dyw: float) -> 
 
 
 class TreeGeometry(_Geometry):
-    """A tree's metric in integers, from its model's hooks on vertex labels
-    (see trees.TreeModel), for both trees."""
-
-    def __init__(self, model: TreeModel):
-        super().__init__(model)
-        self._depth, self._meet_depth, self._ancestor = model._depth, model._meet_depth, model._ancestor
+    """A tree's metric in integers, from the hooks on vertex labels that
+    ``CayleyGeometry`` and ``BassSerreGeometry`` define."""
 
     def apply(self, iso: Isometry, x: Point) -> Point:
-        return self.point(self.model._act(self.model.require_iso(iso), self.require_point(x)))
+        return self.point(self._act(self.model.require_iso(iso), self.require_point(x)))
 
     def _dist(self, u, v) -> int:
         return self._depth(u) + self._depth(v) - 2 * self._meet_depth(u, v)
@@ -296,7 +314,7 @@ class TreeGeometry(_Geometry):
         ``_meet_depth`` calls and a running minimum per row fill the meets."""
         import numpy as np  # here, so that commands that never estimate delta load no numpy
 
-        depth, meet, key = self._depth, self._meet_depth, self.model._dfs_key
+        depth, meet, key = self._depth, self._meet_depth, self._dfs_key
         vs = [self.require_point(p) for p in points]
         order = sorted(range(len(vs)), key=lambda i: key(vs[i]))
         adjacent = np.array([meet(vs[i], vs[j]) for i, j in zip(order, order[1:])], dtype=np.int64)
@@ -344,7 +362,7 @@ class TreeGeometry(_Geometry):
         periods and 4 units: for depth at least that of every point it is
         compared with, it meets each of them where the ray does."""
         units = self.model._ray_units(ray, len(ray.prefix) + 2 * len(ray.period) + depth + 4)
-        return self.model._vertex_from_units(units)
+        return self._vertex_from_units(units)
 
     def _ray_product(self, ray: RayDescriptor, x, w) -> int:
         """<ray|x>_w, from a vertex of the ray deeper than both points."""
@@ -388,10 +406,10 @@ class TreeGeometry(_Geometry):
             raise ValueError("the isometry does not fix the boundary point")
         w = self.require_point(base)
         ys = [self.require_point(p) for p in points]
-        shift = self._busemann(b, w, model._act(g, w))
+        shift = self._busemann(b, w, self._act(g, w))
         # 2<b|g^n y>_w = (d(u) + n shift) + (d(y) + beta(w, y)) - 2 k(u, y), u = g^-n w
         own = [self._depth(y) + self._busemann(b, w, y) for y in ys]
-        act, depth, g_inv, u = model._act, self._depth, model._inv(g), w
+        act, depth, g_inv, u = self._act, self._depth, model._inv(g), w
         for n in range(1, steps + 1):
             u = act(g_inv, u)
             yield self._products_from(u, depth(u) + n * shift, ys, own)
@@ -409,7 +427,7 @@ class TreeGeometry(_Geometry):
 
     def ball_vertices(self, radius: int) -> list[Point]:
         """All vertices within ``radius`` of the basepoint, BFS order."""
-        neighbors, root = self.model._neighbors, self.model.basepoint.coords
+        neighbors, root = self._neighbors, self._root
         parents, level, out = set(), [root], [root]
         for _ in range(radius):
             children = [nb for v in level for nb in neighbors(v) if nb not in parents]
@@ -420,8 +438,91 @@ class TreeGeometry(_Geometry):
     def ball_size(self, radius: int) -> int:
         """The number of vertices within ``radius`` of the basepoint, counted
         from the vertex degrees without walking the ball."""
-        degrees, total, level = self.model._degrees, 1, 1
+        degrees, total, level = self._degrees, 1, 1
         for depth in range(radius):
             level *= degrees[depth & 1] - (depth > 0)
             total += level
         return total
+
+
+def _common_prefix_len(u, v) -> int:
+    k = 0
+    for a, b in zip(u, v):
+        if a != b:
+            break
+        k += 1
+    return k
+
+
+class CayleyGeometry(TreeGeometry):
+    """The Cayley tree's vertices: reduced words, rooted at the empty word,
+    so that a vertex's root path runs through its prefixes."""
+
+    _root = ()
+    _depth = staticmethod(len)
+    _meet_depth = staticmethod(_common_prefix_len)
+    _dfs_key = staticmethod(lambda v: v)  # prefixes sort before their extensions
+    _vertex_from_units = staticmethod(tuple)
+    _degrees = property(lambda self: (2 * self.model.rank, 2 * self.model.rank))
+
+    def _act(self, g: tuple, v: tuple) -> tuple:
+        return self.model.multiply(g, v)
+
+    def _ancestor(self, v, k: int):
+        return v[:k]
+
+    def _neighbors(self, coords) -> list:
+        return [self.model.multiply(coords, (letter,)) for letter in self.model.letters()]
+
+
+class BassSerreGeometry(TreeGeometry):
+    """The Bass-Serre tree's vertices: (w, 0) is the coset w<s> and (w, 1)
+    the coset w<t>, w a normal form that ends in no syllable of that factor;
+    an edge per group element g joins g<s> and g<t>.  The root is <s>."""
+
+    _root = ((), 0)
+    _degrees = property(lambda self: self.model.orders)  # vertex types alternate with depth
+
+    def _act(self, g: tuple, v: tuple) -> tuple:
+        w, vtype = v
+        w = self.model.multiply(g, w)
+        return (w[:-1] if w and w[-1][0] == vtype else w), vtype
+
+    # A vertex (w, t) has type t = depth mod 2.  Each step toward the root
+    # drops one syllable and flips the type, except the last step, from
+    # ((), 1) to the root ((), 0); off = 1 marks root paths that take it.
+
+    @staticmethod
+    def _off(w, t) -> int:
+        return (t ^ len(w)) & 1
+
+    def _depth(self, v) -> int:
+        return len(v[0]) + self._off(*v)
+
+    def _meet_depth(self, a, b) -> int:
+        off = self._off(*a)
+        if off != self._off(*b):
+            return 0  # one root path ends with the step from ((), 1), the other not
+        return _common_prefix_len(a[0], b[0]) + off
+
+    def _dfs_key(self, v):
+        return self._off(*v), v[0]  # a root path through ((), 1) or not, then the word
+
+    def _ancestor(self, v, k: int):
+        w, t = v
+        return (w[: max(0, k - self._off(w, t))], k & 1)
+
+    def _neighbors(self, coords) -> list:
+        w, t = coords
+        out = []
+        if (w, t) != ((), 0):
+            out.append((w[:-1], 1 - t) if w else ((), 0))
+        else:
+            out.append(((), 1))
+        order = self.model.orders[t]
+        for e in range(1, order):
+            out.append((w + ((t, e),), 1 - t))
+        return out
+
+    def _vertex_from_units(self, units: tuple) -> tuple:
+        return (units, 1 - units[-1][0]) if units else ((), 0)

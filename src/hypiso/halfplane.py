@@ -46,7 +46,6 @@ from .models import (
     Isometry,
     IsometryClass,
     Length,
-    Point,
     SpaceModel,
 )
 from .quadratic import QuadraticNumber
@@ -161,7 +160,6 @@ class HalfPlaneModel(SpaceModel):
 
     def __init__(self):
         self.model_id = HALF_PLANE_ID
-        self.basepoint = Point(self.model_id, (Fraction(0), Fraction(1)))
 
     def matrix(self, a, b, c, d) -> Isometry:
         return self.isometry(Matrix2.of(a, b, c, d))

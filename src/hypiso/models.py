@@ -2,8 +2,8 @@
 
 A SpaceModel owns its isometries and boundary points, and classifies an
 isometry exactly; the concrete models (half-plane, Bass-Serre tree, Cayley
-tree) live in ``halfplane`` and ``trees``.  Their metric, balls and orbits,
-which only the diagnostics read, are the geometry lab's (``geometry``).
+tree) live in ``halfplane`` and ``trees``.  Their points, metric, balls and
+orbits, which only the diagnostics read, are the geometry lab's (``geometry``).
 Everything here is immutable after construction and safe for concurrent
 use.
 """
@@ -27,20 +27,6 @@ HYPOTHESIS_VIOLATION = "hypothesis_violation"
 # of at most about 2**20 bits, while a finite-order isometry, whose powers
 # stay small, takes any exponent.
 MAX_ISOMETRY_SIZE = 2**19
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point of a concrete model, tagged with its owner's id.
-
-    coords is model-specific: the half-plane stores an (x, y) pair of
-    Fractions with y > 0, tree models canonical vertex labels.  A model
-    keeps one, its basepoint; no classification builds a point, and the
-    geometry lab builds the rest.
-    """
-
-    model_id: str
-    coords: Any
 
 
 @dataclass(frozen=True)
@@ -128,7 +114,6 @@ class SpaceModel:
 
     kind: str
     model_id: str
-    basepoint: Point
 
     # -- tagging helpers -------------------------------------------------
 

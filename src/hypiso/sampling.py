@@ -14,9 +14,9 @@ import random
 from fractions import Fraction
 
 from .actions import Action, ActionSystem
-from .geometry import lab
+from .geometry import Point, lab
 from .halfplane import HalfPlaneModel
-from .models import HYPERBOLIC, Isometry, Point, SpaceModel
+from .models import HYPERBOLIC, Isometry, SpaceModel
 from .trees import BassSerreModel, CayleyTreeModel
 from .words import GroupWord
 

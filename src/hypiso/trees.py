@@ -1,18 +1,14 @@
 """Tree models: Bass-Serre trees of Z/m * Z/n and Cayley trees of free groups.
 
-Both models are exact.  Vertices are canonical labels (reduced words; for
-Bass-Serre trees, coset representatives plus a vertex type), and boundary
-points are eventually-periodic reduced rays (prefix, repeating word).
-Each model defines its vertices by hooks on their labels (see
-``TreeModel``), from which ``geometry.TreeGeometry`` derives the metric,
-the ball and the orbits in integers for both trees.
+Both models are exact, and hold only the group: its words, their
+classification, and the boundary, whose points are eventually-periodic
+reduced rays (prefix, repeating word).  The vertices, which are cosets
+(Serre, *Trees*, ch. I §4), are the geometry lab's (``geometry``).
 
 Bass-Serre conventions for G = Z/m * Z/n = <s> * <t>: syllables are
 (factor, exponent) with factor 0 for s and 1 for t, exponents reduced mod
-the factor order into 1..order-1 and adjacent equal factors merged.  The
-tree has A-vertices (cosets of <s>; canonical word ends in a t-syllable or
-is empty) and B-vertices (cosets of <t>; word ends in an s-syllable or is
-empty), joined by an edge per group element.  An element is elliptic iff
+the factor order into 1..order-1 and adjacent equal factors merged.  An
+element is elliptic iff
 its cyclic syllable reduction has length <= 1 (it is conjugate into a
 factor) and hyperbolic otherwise, with translation length the cyclic
 syllable length.  On the Cayley tree the group acts freely, so only the
@@ -35,7 +31,6 @@ from .models import (
     Isometry,
     IsometryClass,
     Length,
-    Point,
     SpaceModel,
 )
 from .words import format_powers, parse_powers, reduce_powers
@@ -73,16 +68,7 @@ class TreeModel(SpaceModel):
     # into a normal form) and invert_word (set as SpaceModel's payload hooks
     # _mul and _inv too), cyclic_reduce and core_tag (the exact
     # tag of a cyclic core), and compose and classify, which
-    # perfbench/layers.py wraps per class; _act(g, v), the vertex g.v.  On
-    # vertex labels, the hooks geometry.TreeGeometry derives the metric from:
-    #   _depth(v)          distance from the basepoint
-    #   _meet_depth(u, v)  depth of the last vertex the root paths share
-    #   _ancestor(v, k)    the vertex at depth k on v's root path
-    #   _dfs_key(v)        a sort key that lists the vertices in a DFS order
-    # and, for the ball alone, _neighbors(v) (adjacency from the tree's own
-    # definition) and _degrees (the vertex degrees at even and at odd
-    # depth).  _vertex_from_units(units) is the label of the vertex a
-    # reduced word ends at.
+    # perfbench/layers.py wraps per class.
 
     _size, _one = staticmethod(len), ()  # the other two payload hooks
 
@@ -154,20 +140,12 @@ class TreeModel(SpaceModel):
         ray: RayDescriptor = self.require_boundary(b)
         return self.ray(self.multiply(g, ray.prefix), ray.period)
 
-def _common_prefix_len(u, v) -> int:
-    k = 0
-    for a, b in zip(u, v):
-        if a != b:
-            break
-        k += 1
-    return k
-
 
 class CayleyTreeModel(TreeModel):
     """Cayley graph of the free group of given rank: the 2r-regular tree.
 
     Letters are nonzero ints, sign for direction, abs value in 1..rank;
-    vertices are reduced words (tuples of letters)."""
+    words are reduced tuples of letters."""
 
     kind = "cayley_tree"
 
@@ -178,8 +156,6 @@ class CayleyTreeModel(TreeModel):
             raise ValueError(f"rank must be <= {len(_LETTER_NAMES)}: letters are named a to z")
         self.rank = rank
         self.model_id = f"cayley_tree(rank={rank})"
-        self._degrees = (2 * rank, 2 * rank)
-        self.basepoint = Point(self.model_id, ())
 
     def letters(self) -> list[int]:
         out = []
@@ -214,21 +190,6 @@ class CayleyTreeModel(TreeModel):
 
     def compose(self, first: Isometry, second: Isometry) -> Isometry:
         return self.isometry(self.multiply(self.require_iso(first), self.require_iso(second)))
-
-    def _act(self, g: tuple, v: tuple) -> tuple:
-        return self.multiply(g, v)
-
-    # a vertex is a reduced word; its root path runs through its prefixes
-    _depth = staticmethod(len)
-    _meet_depth = staticmethod(_common_prefix_len)
-    _dfs_key = staticmethod(lambda v: v)  # prefixes sort before their extensions
-    _vertex_from_units = staticmethod(tuple)
-
-    def _ancestor(self, v, k: int):
-        return v[:k]
-
-    def _neighbors(self, coords) -> list:
-        return [self.multiply(coords, (letter,)) for letter in self.letters()]
 
     # -- classification ----------------------------------------------------
 
@@ -281,9 +242,7 @@ class BassSerreModel(TreeModel):
         if m < 2 or n < 2:
             raise ValueError("factor orders must be >= 2")
         self.orders = (m, n)
-        self._degrees = self.orders  # vertex types alternate with depth
         self.model_id = f"bass_serre(m={m},n={n})"
-        self.basepoint = Point(self.model_id, ((), 0))
 
     # words: tuples of (factor, exponent) syllables in normal form
 
@@ -319,52 +278,6 @@ class BassSerreModel(TreeModel):
 
     def compose(self, first: Isometry, second: Isometry) -> Isometry:
         return self.isometry(self.multiply(self.require_iso(first), self.require_iso(second)))
-
-    # -- vertices -------------------------------------------------------------
-
-    def _act(self, g: tuple, v: tuple) -> tuple:
-        w, vtype = v
-        w = self.multiply(g, w)
-        return (w[:-1] if w and w[-1][0] == vtype else w), vtype
-
-    # A vertex (w, t) has type t = depth mod 2.  Each step toward the root
-    # drops one syllable and flips the type, except the last step, from
-    # ((), 1) to the basepoint ((), 0); off = 1 marks root paths that take it.
-
-    @staticmethod
-    def _off(w, t) -> int:
-        return (t ^ len(w)) & 1
-
-    def _depth(self, v) -> int:
-        return len(v[0]) + self._off(*v)
-
-    def _meet_depth(self, a, b) -> int:
-        off = self._off(*a)
-        if off != self._off(*b):
-            return 0  # one root path ends with the step from ((), 1), the other not
-        return _common_prefix_len(a[0], b[0]) + off
-
-    def _dfs_key(self, v):
-        return self._off(*v), v[0]  # a root path through ((), 1) or not, then the word
-
-    def _ancestor(self, v, k: int):
-        w, t = v
-        return (w[: max(0, k - self._off(w, t))], k & 1)
-
-    def _neighbors(self, coords) -> list:
-        w, t = coords
-        out = []
-        if (w, t) != ((), 0):
-            out.append((w[:-1], 1 - t) if w else ((), 0))
-        else:
-            out.append(((), 1))
-        order = self.orders[t]
-        for e in range(1, order):
-            out.append((w + ((t, e),), 1 - t))
-        return out
-
-    def _vertex_from_units(self, units: tuple) -> tuple:
-        return (units, 1 - units[-1][0]) if units else ((), 0)
 
     # -- classification -------------------------------------------------------
 

@@ -92,6 +92,29 @@ MUTANTS = (
     Mutant("ray-pair-too-shallow", "geometry.py",
            "self._ray_vertex(r1, parted + self._depth(w))", "self._ray_vertex(r1, self._depth(w))",
            ("tests/test_trees.py::test_gromov_boundary_pair_against_deep_truncations",)),
+    # the Bass-Serre lab's vertex labels: root paths through ((), 1) are one
+    # deeper, and the root's one neighbour of type 1 is ((), 1)
+    Mutant("bs-meet-depth-drops-off", "geometry.py",
+           "return _common_prefix_len(a[0], b[0]) + off", "return _common_prefix_len(a[0], b[0])",
+           ("tests/test_trees.py::test_bs_distance_matches_bfs_everywhere",
+            "tests/test_trees.py::test_pairwise_distances_match_the_pair_loop_and_bfs")),
+    Mutant("bs-root-neighbour-dropped", "geometry.py",
+           "            out.append(((), 1))\n", "            pass\n",
+           ("tests/test_trees.py::test_bs_vertex_degrees", "tests/test_trees.py::test_ball_size_counts_the_ball")),
+    # the checker's words: a Cayley product cancels the whole shorter word,
+    # a Bass-Serre conjugation merges exponents modulo their own factor's
+    # order, and adjacent powers of one name merge, not only cancel
+    Mutant("cayley-multiply-stops-one-short", "trees.py",
+           "meet = min(n, len(v))", "meet = min(n, len(v)) - 1",
+           ("tests/test_trees.py::test_cayley_junction_product_matches_letter_reduction",
+            "tests/test_trees.py::test_cayley_group_laws")),
+    Mutant("bs-cyclic-reduce-mod-the-other-order", "trees.py",
+           "exp = (last[1] + w[i][1]) % self.orders[last[0]]", "exp = (last[1] + w[i][1]) % self.orders[1 - last[0]]",
+           ("tests/test_trees.py::test_bs_cyclic_reduce_reconstruction",
+            "tests/test_trees.py::test_bs_conjugation_preserves_class")),
+    Mutant("reduce-powers-cancels-only-inverses", "words.py",
+           "if out and out[-1][0] == name:", "if out and out[-1] == (name, -e):",
+           ("tests/test_words.py::test_free_reduction", "tests/test_words.py::test_powers")),
 )
 
 

@@ -31,21 +31,22 @@ def bfs_distance(model, x, y) -> int:
     ``_neighbors``; ``_depth`` only bounds the walk to the ball about the
     basepoint that holds both endpoints, since a tree geodesic goes no
     deeper than its deeper end."""
-    cx, cy = lab(model).require_point(x), lab(model).require_point(y)
+    geo = lab(model)
+    cx, cy = geo.require_point(x), geo.require_point(y)
     if cx == cy:
         return 0
-    bound = max(model._depth(cx), model._depth(cy))
+    bound = max(geo._depth(cx), geo._depth(cy))
     seen = {cx: 0}
     queue = deque([cx])
     while queue:
         cur = queue.popleft()
-        for nb in model._neighbors(cur):
+        for nb in geo._neighbors(cur):
             if nb in seen:
                 continue
             seen[nb] = seen[cur] + 1
             if nb == cy:
                 return seen[nb]
-            if model._depth(nb) <= bound:
+            if geo._depth(nb) <= bound:
                 queue.append(nb)
     raise ValueError(f"BFS within depth {bound} did not reach the target")
 
@@ -55,11 +56,12 @@ def fixed_vertices(model, iso, radius: int) -> list:
     fixes, in breadth-first order: the ball is walked over the model's own
     ``_neighbors`` and each vertex is moved by ``apply``, so no distance is
     read."""
-    geo, root = lab(model), model.basepoint.coords
+    geo = lab(model)
+    root = geo.basepoint.coords
     seen, level, out = {root}, [root], []
     for _ in range(radius + 1):
         out += [geo.point(v) for v in level if geo.apply(iso, geo.point(v)).coords == v]
-        level = [nb for v in level for nb in model._neighbors(v) if nb not in seen]
+        level = [nb for v in level for nb in geo._neighbors(v) if nb not in seen]
         seen.update(level)
     return out
 
@@ -69,7 +71,7 @@ def geodesic(model, x, y) -> list:
     to the meet of the root paths, then down to y."""
     geo = lab(model)
     u, v = geo.require_point(x), geo.require_point(y)
-    k = model._meet_depth(u, v)
+    k = geo._meet_depth(u, v)
     return [geo.point(geo._along(u, v, k, t)) for t in range(geo._dist(u, v) + 1)]
 
 
@@ -84,12 +86,13 @@ def four_point_defect(model, x, y, z, w) -> float:
 def pairwise_distances_by_meets(model, points) -> list[list[int]]:
     """A tree model's distance matrix, one meet depth per pair:
     d(u, v) = d(u) + d(v) - 2 k(u, v), row u, column v."""
-    vs = [lab(model).require_point(p) for p in points]
-    depths = [model._depth(v) for v in vs]
+    geo = lab(model)
+    vs = [geo.require_point(p) for p in points]
+    depths = [geo._depth(v) for v in vs]
     rows = [[0] * len(vs) for _ in vs]
     for i, u in enumerate(vs):
         for j in range(i + 1, len(vs)):
-            rows[i][j] = rows[j][i] = depths[i] + depths[j] - 2 * model._meet_depth(u, vs[j])
+            rows[i][j] = rows[j][i] = depths[i] + depths[j] - 2 * geo._meet_depth(u, vs[j])
     return rows
 
 

@@ -131,7 +131,7 @@ def test_acceptance_theorem_desk_scale():
 def _orbit_growth(model, iso, n: int) -> float:
     """d(x, g^n x)/n at the basepoint x: never below the translation length,
     and above it by at most 2 d(x, axis)/n."""
-    x = model.basepoint
+    x = lab(model).basepoint
     geo = lab(model)
     return geo.distance(x, geo.apply(power(model, iso, n), x)).value / n
 
@@ -237,7 +237,7 @@ def test_acceptance_plane_delta_bound():
     sampled insizes <= 1.0."""
     plane = HalfPlaneModel()
     pts = sample_plane_points(plane, 200, rng_from_seed(0))
-    est = estimate_delta_four_point(plane, pts, plane.basepoint)
+    est = estimate_delta_four_point(plane, pts, lab(plane).basepoint)
     assert 0.0 <= est.delta <= 1.0
     worst_insize = 0.0
     rng = rng_from_seed(1)
@@ -299,7 +299,7 @@ def _ns_elements(model, rng, count):
             iso = random_cayley_hyperbolic(model, rng)
         cls = model.classify(iso)
         mutual = lab(model).gromov_boundary_pair(
-            cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus, model.basepoint
+            cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus, lab(model).basepoint
         )
         if mutual <= 1.0:  # admissible for threshold k = 1 neighborhoods
             out.append((iso, cls))
@@ -324,8 +324,8 @@ def test_acceptance_north_south():
         found = []
         for iso, cls in _ns_elements(model, rng, 20):
             act = Action(name, model, {"x": iso})
-            u_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, model.basepoint)
-            u_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, model.basepoint)
+            u_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, lab(model).basepoint)
+            u_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, lab(model).basepoint)
             n = ns_dynamics_check(act, iso, u_plus, u_minus, sample, 64)
             assert 1 <= n <= 64
             found.append(n)
@@ -357,7 +357,7 @@ def _independent_pair(model, rng):
             cls_g.hyperbolic.fixed_minus,
         ]
         mutual = max(
-            lab(model).gromov_boundary_pair(p, q, model.basepoint)
+            lab(model).gromov_boundary_pair(p, q, lab(model).basepoint)
             for p, q in itertools.combinations(centers, 2)
         )
         if mutual <= 1.0:
@@ -371,7 +371,7 @@ def _prop42_construction(model, act, wf, wg, cls_f, cls_g, base_sample):
     power bound N covering both the sampled points and the boundary center
     of U+ (the sampled North-South bound alone says nothing about how fast
     g^k moves the boundary point A+ into V+)."""
-    base = model.basepoint
+    base = lab(model).basepoint
     a_plus, a_minus = cls_f.hyperbolic.fixed_plus, cls_f.hyperbolic.fixed_minus
     b_plus, b_minus = cls_g.hyperbolic.fixed_plus, cls_g.hyperbolic.fixed_minus
     centers = [a_plus, a_minus, b_plus, b_minus]

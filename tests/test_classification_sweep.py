@@ -480,7 +480,7 @@ def test_concurrent_classification_is_stable():
         dists = list(
             pool.map(
                 lambda p: lab(bs).distance(p[0], p[1]).exact_value,
-                [(bs.basepoint, v) for v in lab(bs).ball_vertices(4) for _ in (0, 1)],
+                [(lab(bs).basepoint, v) for v in lab(bs).ball_vertices(4) for _ in (0, 1)],
             )
         )
     assert got_plane == expected_plane

@@ -13,7 +13,7 @@ from hypiso.dynamics import (
     orbit_projection,
 )
 from hypiso.errors import DegenerateTriangle, NoPassingN, NotHyperbolic
-from hypiso.geometry import TreeGeometry, estimate_delta_four_point, gromov_product, lab
+from hypiso.geometry import CayleyGeometry, TreeGeometry, estimate_delta_four_point, gromov_product, lab
 from hypiso.halfplane import HalfPlaneModel
 from hypiso.combiner import resolve_witness
 from hypiso.sampling import (
@@ -39,8 +39,8 @@ def bs23():
 
 
 def k1_neighborhoods(model, cls):
-    plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, model.basepoint)
-    minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, model.basepoint)
+    plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, lab(model).basepoint)
+    minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, lab(model).basepoint)
     return plus, minus
 
 
@@ -80,7 +80,7 @@ def test_ns_dynamics_empty_range(plane):
     cls = plane.classify(D)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
     with pytest.raises(NoPassingN):
-        ns_dynamics_check(act, act.image(GroupWord.parse("f")), u_plus, u_minus, [plane.basepoint], 0)
+        ns_dynamics_check(act, act.image(GroupWord.parse("f")), u_plus, u_minus, [lab(plane).basepoint], 0)
 
 
 def test_ns_dynamics_requires_hyperbolic(plane):
@@ -133,7 +133,7 @@ def test_ns_dynamics_matches_direct_iteration():
             _, image = resolve_witness(system, i)
             cls = model.classify(image)
             sample = sample_points(model, 8, rng_from_seed(seed))
-            for base, threshold in ((model.basepoint, 1.0), (sample[1], 0.5)):
+            for base, threshold in ((lab(model).basepoint, 1.0), (sample[1], 0.5)):
                 plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, threshold, base)
                 minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, threshold, base)
                 args = (action, image, plus, minus, sample, 20)
@@ -181,14 +181,14 @@ def _orbit_products(model, iso, b, points, base, steps):
 def test_plane_orbit_products_match_direct_iteration(plane, entries, steps):
     g = plane.matrix(*entries)
     cls = plane.classify(g)
-    points = [plane.basepoint, lab(plane).point_xy(Fraction(-7, 3), Fraction(1, 9)), lab(plane).point_xy(2, 5)]
+    points = [lab(plane).basepoint, lab(plane).point_xy(Fraction(-7, 3), Fraction(1, 9)), lab(plane).point_xy(2, 5)]
     for center in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
-        for base in (plane.basepoint, lab(plane).point_xy(Fraction(1, 2), Fraction(3, 4))):
+        for base in (lab(plane).basepoint, lab(plane).point_xy(Fraction(1, 2), Fraction(3, 4))):
             direct, last = _products_by_iteration(plane, g, center, points, base, steps)
             assert _orbit_products(plane, g, center, points, base, steps) == direct
     if steps > 300:  # the orbit has left the floats
         with pytest.raises(OverflowError):
-            float(lab(plane).cosh_distance(last[0], plane.basepoint))
+            float(lab(plane).cosh_distance(last[0], lab(plane).basepoint))
 
 
 def _tree_witnesses() -> list:
@@ -226,18 +226,18 @@ def test_tree_orbit_products_match_direct_iteration(bs23):
     for model, g in ((bs23, g_bs), (cayley, g_cayley)):
         tau = model.classify(g).hyperbolic.translation_length.exact_value
         geo = lab(model)
-        starts = [model.basepoint, geo.point(model._neighbors(model.basepoint.coords)[0])]
+        starts = [geo.basepoint, geo.point(geo._neighbors(geo.basepoint.coords)[0])]
         back = [geo.apply(power(model, g, -k), x) for k in (1, 2, 3) for x in starts]
-        near = [geo.point(q) for p in back for q in model._neighbors(p.coords)]
+        near = [geo.point(q) for p in back for q in geo._neighbors(p.coords)]
         hanging = [q for q in near if geo.distance(q, geo.apply(g, q)).exact_value > tau]
         assert hanging
-        cases.append((model, g, back + hanging + [model.basepoint], 200))
+        cases.append((model, g, back + hanging + [geo.basepoint], 200))
     # the sampled witnesses, 64 steps out; the last point, a base too, has depth 3
     cases += [(a.model, g, lab(a.model).ball_vertices(1) + lab(a.model).ball_vertices(3)[-1:], 64) for a, g in _tree_witnesses()]
     for model, g, points, steps in cases:
         cls = model.classify(g)
         for center in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
-            for base in (model.basepoint, points[-1], *bases.get(model, [])):
+            for base in (lab(model).basepoint, points[-1], *bases.get(model, [])):
                 direct, _ = _products_by_iteration(model, g, center, points, base, steps)
                 assert _orbit_products(model, g, center, points, base, steps) == direct
 
@@ -250,14 +250,14 @@ def test_tree_orbit_products_step_the_base_alone(monkeypatch):
     points = lab(model).ball_vertices(3)
     assert len(points) == 53
     calls = []
-    act = CayleyTreeModel._act
+    act = CayleyGeometry._act
 
     def counted_act(self, h, v):
         calls.append(v)
         return act(self, h, v)
 
-    monkeypatch.setattr(CayleyTreeModel, "_act", counted_act)
-    steps = lab(model).orbit_boundary_products(g, model.classify(g).hyperbolic.fixed_plus, points, model.basepoint, 64)
+    monkeypatch.setattr(CayleyGeometry, "_act", counted_act)
+    steps = lab(model).orbit_boundary_products(g, model.classify(g).hyperbolic.fixed_plus, points, lab(model).basepoint, 64)
     values = [list(products) for products in steps]
     assert len(values) == 64 and all(len(row) == 53 for row in values)
     assert len(calls) <= 64 + 2 * 53
@@ -272,7 +272,7 @@ def test_tree_busemann_shift_and_fixed_point_contract():
         geo = lab(model)
         y = geo.ball_vertices(3)[-1]
         # g moves every point length closer to its attracting end
-        for base in (model.basepoint, y):
+        for base in (lab(model).basepoint, y):
             w, gw = geo.require_point(base), geo.require_point(geo.apply(g, base))
             assert geo._busemann(ends[0], w, gw) == length
             assert geo._busemann(ends[1], w, gw) == -length
@@ -282,7 +282,7 @@ def test_tree_busemann_shift_and_fixed_point_contract():
         assert others
         for b in others:
             with pytest.raises(ValueError, match="does not fix"):
-                next(geo.orbit_boundary_products(g, b, [y], model.basepoint, 4))
+                next(geo.orbit_boundary_products(g, b, [y], lab(model).basepoint, 4))
 
 
 def test_tree_ns_dynamics_matches_direct_iteration_far_out(monkeypatch):
@@ -305,8 +305,8 @@ def test_tree_ns_dynamics_matches_direct_iteration_far_out(monkeypatch):
         cls = model.classify(g)
         sample = sample_points(model, 5, rng_from_seed(seed))
         for threshold in (1, 3, 6):
-            plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, threshold, model.basepoint)
-            minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, threshold, model.basepoint)
+            plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, threshold, lab(model).basepoint)
+            minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, threshold, lab(model).basepoint)
             args = (action, g, plus, minus, sample, 200)
             found.append(_outcome(ns_dynamics_check, *args))
             assert found[-1] == _outcome(_ns_by_iteration, *args)
@@ -357,8 +357,8 @@ def test_neighborhoods_disjoint(plane):
     cls = plane.classify(D)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
     assert neighborhoods_disjoint(plane, u_plus, u_minus)
-    tight_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 0.0, plane.basepoint)
-    tight_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, -0.5, plane.basepoint)
+    tight_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 0.0, lab(plane).basepoint)
+    tight_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, -0.5, lab(plane).basepoint)
     assert not neighborhoods_disjoint(plane, tight_plus, tight_minus, [lab(plane).point_xy(5, 40)])
 
 
@@ -434,17 +434,17 @@ def test_insize_within_slim_estimate(plane):
 def test_orbit_projection_basepoint(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
-    proj = orbit_projection(act, act.image(GroupWord.parse("f")), plane.basepoint, plane.basepoint, 8)
+    proj = orbit_projection(act, act.image(GroupWord.parse("f")), lab(plane).basepoint, lab(plane).basepoint, 8)
     assert proj.defect == 0.0
     assert proj.exponents[0] == 0
-    assert proj.nearest[0].coords == plane.basepoint.coords
+    assert proj.nearest[0].coords == lab(plane).basepoint.coords
 
 
 def test_orbit_projection_tree_axis(bs23):
     w = bs23.word([(0, 1), (1, 1)])
     act = Action("b", bs23, {"w": w})
-    z = lab(bs23).apply(power(bs23, w, 3), bs23.basepoint)
-    proj = orbit_projection(act, act.image(GroupWord.parse("w")), bs23.basepoint, z, 6)
+    z = lab(bs23).apply(power(bs23, w, 3), lab(bs23).basepoint)
+    proj = orbit_projection(act, act.image(GroupWord.parse("w")), lab(bs23).basepoint, z, 6)
     assert proj.defect == 0.0
     assert proj.exponents == (3,)
 
@@ -452,14 +452,14 @@ def test_orbit_projection_tree_axis(bs23):
 def test_orbit_projection_plane_bounded(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
-    proj = orbit_projection(act, act.image(GroupWord.parse("f")), plane.basepoint, lab(plane).point_xy(3, 1), 8)
+    proj = orbit_projection(act, act.image(GroupWord.parse("f")), lab(plane).basepoint, lab(plane).point_xy(3, 1), 8)
     assert 0.0 <= proj.defect <= 4.0
 
 
 def test_orbit_projection_requires_hyperbolic(plane):
     act = Action("p", plane, {"r": plane.matrix(0, -1, 1, 0)})
     with pytest.raises(NotHyperbolic):
-        orbit_projection(act, act.image(GroupWord.parse("r")), plane.basepoint, plane.basepoint, 4)
+        orbit_projection(act, act.image(GroupWord.parse("r")), lab(plane).basepoint, lab(plane).basepoint, 4)
 
 
 def test_claim1_defect_bound(plane, bs23):
@@ -468,7 +468,7 @@ def test_claim1_defect_bound(plane, bs23):
     # spacing tau between consecutive orbit points)
     rng = rng_from_seed(3)
     sample = sample_plane_points(plane, 40, rng)
-    delta_hat = estimate_delta_four_point(plane, sample, plane.basepoint).delta
+    delta_hat = estimate_delta_four_point(plane, sample, lab(plane).basepoint).delta
     checked = 0
     for _ in range(12):
         iso = random_plane_hyperbolic(plane, rng)
@@ -476,10 +476,10 @@ def test_claim1_defect_bound(plane, bs23):
         cls = plane.classify(iso)
         tau = cls.hyperbolic.translation_length.value
         offset = lab(plane).gromov_boundary_pair(
-            cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus, plane.basepoint
+            cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus, lab(plane).basepoint
         )
         for z in sample_plane_points(plane, 10, rng):
-            d = orbit_projection(act, act.image(GroupWord.parse("x")), plane.basepoint, z, 10).defect
+            d = orbit_projection(act, act.image(GroupWord.parse("x")), lab(plane).basepoint, z, 10).defect
             assert d <= 4 * (delta_hat + offset + tau / 2)
             checked += 1
     assert checked >= 100
@@ -490,7 +490,7 @@ def test_claim1_defect_bound(plane, bs23):
     tau = cls.hyperbolic.translation_length.value
     rngb = rng_from_seed(5)
     for z in sample_tree_points(bs23, 100, rngb):
-        d = orbit_projection(act, act.image(GroupWord.parse("x")), bs23.basepoint, z, 10).defect
+        d = orbit_projection(act, act.image(GroupWord.parse("x")), lab(bs23).basepoint, z, 10).defect
         assert d <= 4 * (0 + 0 + tau / 2)
 
 

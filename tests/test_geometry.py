@@ -40,10 +40,10 @@ def test_gromov_product_tree_oracle(cayley):
     # <ab|aab>_e = distance from e to the geodesic [ab, aab]
     x = vertex(cayley, [1, 2])
     y = vertex(cayley, [1, 1, 2])
-    gp = gromov_product(cayley, x, y, cayley.basepoint)
+    gp = gromov_product(cayley, x, y, lab(cayley).basepoint)
     assert gp.exact_value == 1
     oracle = min(
-        lab(cayley).distance(cayley.basepoint, v).exact_value for v in geodesic(cayley, x, y)
+        lab(cayley).distance(lab(cayley).basepoint, v).exact_value for v in geodesic(cayley, x, y)
     )
     assert gp.exact_value == oracle
 
@@ -74,12 +74,12 @@ def test_gromov_product_upper_bound(plane):
 
 def test_four_point_insufficient(plane):
     with pytest.raises(InsufficientSample):
-        estimate_delta_four_point(plane, sample_plane_points(plane, 2, rng_from_seed(0)), plane.basepoint)
+        estimate_delta_four_point(plane, sample_plane_points(plane, 2, rng_from_seed(0)), lab(plane).basepoint)
 
 
 def test_four_point_tree_exact_zero(bs23):
     ball = lab(bs23).ball_vertices(4)
-    est = estimate_delta_four_point(bs23, ball, bs23.basepoint)
+    est = estimate_delta_four_point(bs23, ball, lab(bs23).basepoint)
     assert est.delta == 0.0
     assert est.condition == "four_point"
     assert est.sample_size == len(ball)
@@ -93,14 +93,14 @@ def test_four_point_collinear_zero(plane):
 
 def test_four_point_plane_bounded(plane):
     pts = sample_plane_points(plane, 80, rng_from_seed(5))
-    est = estimate_delta_four_point(plane, pts, plane.basepoint)
+    est = estimate_delta_four_point(plane, pts, lab(plane).basepoint)
     assert 0.0 <= est.delta <= 1.0
 
 
 def test_four_point_matches_cubic_formula(plane):
     # the row-by-row maximum equals the all-triples n x n x n formula, bit for bit
     pts = sample_plane_points(plane, 40, rng_from_seed(3))
-    base = plane.basepoint
+    base = lab(plane).basepoint
     n = len(pts)
     d_base = np.array([lab(plane).distance(p, base).value for p in pts])
     D = np.zeros((n, n))
@@ -138,11 +138,11 @@ def test_four_point_matches_pairwise_distance_fill(plane):
     cayley3 = CayleyTreeModel(3)
     cases = [
         (plane, sample_plane_points(plane, 45, rng_from_seed(11)), lab(plane).point_xy(Fraction(-5, 7), 2)),
-        (bs, lab(bs).ball_vertices(4), bs.basepoint),
+        (bs, lab(bs).ball_vertices(4), lab(bs).basepoint),
         (cayley3, lab(cayley3).ball_vertices(2), vertex(cayley3, [2, -3])),
     ]
     for model, sample, base in cases:
-        for b in (model.basepoint, base):
+        for b in (lab(model).basepoint, base):
             est = estimate_delta_four_point(model, sample, b)
             assert est.delta == _four_point_by_distance(model, sample, b)
         pts = sample[:20] + [base]
@@ -157,7 +157,7 @@ def test_four_point_memory_is_quadratic():
     ball = lab(cayley3).ball_vertices(4)[:300]
     tracemalloc.start()
     try:
-        est = estimate_delta_four_point(cayley3, ball, cayley3.basepoint)
+        est = estimate_delta_four_point(cayley3, ball, lab(cayley3).basepoint)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -182,7 +182,7 @@ def test_four_point_dtype_guard_is_exact(depth, narrower):
     line = CayleyTreeModel(1)
     sample = [vertex(line, [e] * k) for e in (1, -1) for k in (0, 1, 2, depth // 2, depth - 1, depth)]
     assert 4 * depth + 1 > np.iinfo(narrower).max
-    for base in (line.basepoint, vertex(line, [1] * 3)):
+    for base in (lab(line).basepoint, vertex(line, [1] * 3)):
         assert estimate_delta_four_point(line, sample, base).delta == _four_point_by_distance(line, sample, base)
 
 
@@ -196,7 +196,7 @@ def test_gromov_inequality_with_sampled_delta(plane, cayley):
     for model in (plane, cayley):
         rng = rng_from_seed(17)
         pts = sample_points(model, 24, rng)
-        base = model.basepoint
+        base = lab(model).basepoint
         delta_hat = estimate_delta_four_point(model, pts, base).delta
         for i in range(0, 20, 2):
             x, y, z = pts[i], pts[(i + 3) % 24], pts[(i + 7) % 24]
@@ -240,4 +240,4 @@ def test_elliptic_decay(plane):
 
 def test_distance_checks_models(plane, cayley):
     with pytest.raises(MixedModels):
-        lab(plane).distance(plane.basepoint, cayley.basepoint)
+        lab(plane).distance(lab(plane).basepoint, lab(cayley).basepoint)

@@ -50,7 +50,7 @@ def test_cosh_value_consistency(plane):
 def test_mixed_models_rejected(plane):
     tree = CayleyTreeModel(2)
     with pytest.raises(MixedModels):
-        lab(plane).distance(plane.basepoint, tree.basepoint)
+        lab(plane).distance(lab(plane).basepoint, lab(tree).basepoint)
 
 
 def test_apply_diagonal(plane):
@@ -135,7 +135,7 @@ def test_classify_rotation_period_2(plane):
     # z -> -1/z: a half turn about i, so M^2 = -I and M fixes i
     m = iso.payload
     assert not m.is_proj_identity() and (m * m).is_proj_identity()
-    assert lab(plane).apply(iso, plane.basepoint) == plane.basepoint
+    assert lab(plane).apply(iso, lab(plane).basepoint) == lab(plane).basepoint
 
 
 def test_classify_rotation_period_3(plane):

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 from hypiso import cli, dynamics
 from hypiso.combiner import SearchSchedule, check_hypotheses, resolve_witness, simultaneous_hyperbolic
 from hypiso.errors import NoPassingN
-from hypiso.geometry import estimate_delta_four_point
+from hypiso.geometry import estimate_delta_four_point, lab
 from hypiso.records import record_for_certificate, witness_line
 from hypiso.sampling import random_action_system
 from hypiso.words import GroupWord
@@ -46,7 +46,7 @@ def dynamics_lines(system, seed: int) -> list[str]:
     for i, action in enumerate(system.actions):
         _, image = resolve_witness(system, i)
         cls = action.model.classify(image)
-        base = action.model.basepoint
+        base = lab(action.model).basepoint
         plus = dynamics.NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, base)
         minus = dynamics.NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, base)
         sample = cli._sample(action, seed, 24, 3)
@@ -62,7 +62,7 @@ def delta_lines(system, seed: int) -> list[str]:
     lines = []
     for i, action in enumerate(system.actions):
         sample = cli._sample(action, seed, 60, 3)
-        est = estimate_delta_four_point(action.model, sample, action.model.basepoint)
+        est = estimate_delta_four_point(action.model, sample, lab(action.model).basepoint)
         lines.append(f"delta {i} {est.delta!r} n {est.sample_size}")
     return lines
 

@@ -54,7 +54,7 @@ def test_cayley_not_in_ball(cayley):
     # no ball bounds the model: the BFS oracle measures a vertex at any
     # depth, and the ball of any radius is walked
     far = vertex(cayley, [1] * 9)
-    assert bfs_distance(cayley, far, cayley.basepoint) == 9
+    assert bfs_distance(cayley, far, lab(cayley).basepoint) == 9
     assert bfs_distance(cayley, vertex(cayley, [2, 1]), far) == 11
     assert len(lab(cayley).ball_vertices(7)) == lab(cayley).ball_size(7) == 4373
 
@@ -81,7 +81,7 @@ def test_cayley_orbit_matches_cyclic_length(cayley):
     cls = cayley.classify(w)
     tau = cls.hyperbolic.translation_length.exact_value
     for n in (1, 2, 3):
-        d = lab(cayley).distance(cayley.basepoint, lab(cayley).apply(power(cayley, w, n), cayley.basepoint))
+        d = lab(cayley).distance(lab(cayley).basepoint, lab(cayley).apply(power(cayley, w, n), lab(cayley).basepoint))
         assert d.exact_value >= n * tau  # displacement dominates n*tau
 
 
@@ -107,7 +107,7 @@ def test_gromov_boundary_pair_against_deep_truncations():
         geo = lab(model)
         rays = [model.ray(prefix, period) for prefix, period in specs]
         for xi, eta in itertools.product(rays, repeat=2):
-            far = [geo.point(model._vertex_from_units(model._ray_units(model.require_boundary(r), 60))) for r in (xi, eta)]
+            far = [geo.point(geo._vertex_from_units(model._ray_units(model.require_boundary(r), 60))) for r in (xi, eta)]
             for base in geo.ball_vertices(2):
                 expected = math.inf if model.boundary_equal(xi, eta) else gromov_product(model, *far, base).exact_value
                 assert geo.gromov_boundary_pair(xi, eta, base) == expected
@@ -196,10 +196,10 @@ def test_bs_orbit_translation_oracle(bs23):
     # d(root, (st)^n root) = 2n, verified against the BFS oracle in the ball
     st_word = bs23.word([(0, 1), (1, 1)])
     for n in (1, 2, 3):
-        moved = lab(bs23).apply(power(bs23, st_word, n), bs23.basepoint)
-        d = lab(bs23).distance(bs23.basepoint, moved).exact_value
+        moved = lab(bs23).apply(power(bs23, st_word, n), lab(bs23).basepoint)
+        d = lab(bs23).distance(lab(bs23).basepoint, moved).exact_value
         assert d == 2 * n
-        assert bfs_distance(bs23, bs23.basepoint, moved) == d
+        assert bfs_distance(bs23, lab(bs23).basepoint, moved) == d
 
 
 def test_bs_distance_matches_bfs_everywhere(bs23):
@@ -211,7 +211,7 @@ def test_bs_distance_matches_bfs_everywhere(bs23):
 def test_bs_vertex_degrees(bs23):
     # A-vertices have degree m=2, B-vertices degree n=3
     for coords in [c.coords for c in lab(bs23).ball_vertices(2)]:
-        deg = len(bs23._neighbors(coords))
+        deg = len(lab(bs23)._neighbors(coords))
         assert deg == (2 if coords[1] == 0 else 3)
 
 
@@ -235,7 +235,7 @@ def test_bs_elliptic_decay(bs23):
     cls = bs23.classify(w)
     [fix] = fixed_vertices(bs23, w, 4)
     # a generic point's orbit stays within 2 d(point, fixed vertex)
-    base = bs23.basepoint
+    base = lab(bs23).basepoint
     bound = 2 * bfs_distance(bs23, base, fix)
     cur = base
     for _ in range(4 * cls.elliptic.period):
@@ -413,9 +413,9 @@ def test_geodesic_and_root_path_against_bfs(model):
         assert path[0] == p and path[-1] == q and len(path) == d(p, q) + 1
         assert all(d(a, b) == 1 for a, b in zip(path, path[1:]))
     for p in ball:
-        path = geodesic(model, model.basepoint, p)  # the root path
-        assert path[0] == model.basepoint and path[-1] == p
-        assert [d(model.basepoint, v) for v in path] == list(range(len(path)))
+        path = geodesic(model, lab(model).basepoint, p)  # the root path
+        assert path[0] == lab(model).basepoint and path[-1] == p
+        assert [d(lab(model).basepoint, v) for v in path] == list(range(len(path)))
 
 
 @pytest.mark.parametrize(
@@ -447,9 +447,9 @@ def test_pairwise_distances_match_the_pair_loop_and_bfs(model):
     for points in (ball, repeats, orbit + ball[:20], [ball[0]], []):
         assert lab(model).pairwise_distances(points).tolist() == pairwise_distances_by_meets(model, points)
     if isinstance(model, BassSerreModel):  # root paths through ((), 1) and not
-        assert {model._off(*p.coords) for p in ball} == {0, 1}
+        assert {lab(model)._off(*p.coords) for p in ball} == {0, 1}
     few = repeats[:16] + ball[:8]
-    if lab(model).ball_size(max(model._depth(p.coords) for p in orbit)) <= 5000:
+    if lab(model).ball_size(max(lab(model)._depth(p.coords) for p in orbit)) <= 5000:
         few += orbit[::4]
     assert lab(model).pairwise_distances(few).tolist() == [[bfs_distance(model, p, q) for q in few] for p in few]
 
