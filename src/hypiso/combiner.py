@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterator, Optional
 
 from .actions import Action, ActionSystem
@@ -50,13 +51,35 @@ class SearchSchedule:
                         yield (m, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileEntry:
+    """f's and g's tags in one action at a stage, and the partition that
+    only ``report`` reads, built from the rest when first read."""
+
     action_index: int
     action_name: str
-    f_tag: str
-    g_tag: str
-    partition: Optional[str]  # H', H, E, E-E'-candidate; None for the stage action
+    model: Optional[SpaceModel]  # None for the stage action
+    cf: IsometryClass
+    cg: IsometryClass
+    g_image: Isometry
+    f_tag, g_tag = property(lambda self: self.cf.tag), property(lambda self: self.cg.tag)
+
+    @cached_property
+    def partition(self) -> Optional[str]:
+        """H', H, E or E-E'-candidate; None for the stage action and where f is not hyperbolic."""
+        model, cf, cg = self.model, self.cf, self.cg
+        if model is None or not cf.is_hyperbolic:
+            return None
+        if cg.is_hyperbolic:
+            return "H'" if independent(model, cf, cg) else "H"
+        # elliptic g fixing the repelling point satisfies the separation
+        # condition outright (the E' side); otherwise the dichotomy is not
+        # finitely decidable and we only tag it
+        return "E" if model.fixes(self.g_image, cf.hyperbolic.fixed_minus) else "E-E'-candidate"
+
+    _key = property(lambda self: (self.action_index, self.action_name, self.f_tag, self.g_tag, self.partition))
+    __eq__ = lambda self, other: type(other) is ProfileEntry and self._key == other._key
+    __hash__ = lambda self: hash(self._key)
 
 
 @dataclass(frozen=True)
@@ -77,7 +100,7 @@ class StageRecord:
     schedule_index: Optional[int] = None
     candidates_tried: int = 0
     trivial: bool = True
-    profile: Optional[ActionProfile] = None  # the stage's partition; None when trivial
+    profile: Optional[ActionProfile] = None  # the stage's tags and partition; None when trivial
 
 
 @dataclass(frozen=True)
@@ -170,18 +193,17 @@ def normalize_powers(
     g_images: tuple[Isometry, ...],
 ) -> tuple[GroupWord, GroupWord, ActionProfile]:
     """Replace f, g by the powers killing all finite orders of their
-    elliptic images among actions 0..stage, and profile the partition.
+    elliptic images among actions 0..stage, and profile their tags.
 
     ``f_classes`` holds f's classes and ``g_images`` g's images in actions
     0..stage, so g is imaged only once per action: each image is classified
-    here, and the E test runs on the same image.  Hyperbolicity is
-    preserved wherever it held (translation lengths scale by the powers,
-    fixed points are unchanged); elliptic images of finite order become the
-    identity.
+    here.  Each entry keeps the classes and g's image, and builds its
+    partition only when read (``report``).  Hyperbolicity is preserved
+    wherever it held (translation lengths scale by the powers, fixed points
+    are unchanged); elliptic images of finite order become the identity.
     """
     k = len(f_classes) - 1
-    p = 1
-    q = 1
+    p = q = 1
     entries: list[ProfileEntry] = []
     for i, (cf, g_image) in enumerate(zip(f_classes, g_images)):
         action = system.actions[i]
@@ -189,32 +211,12 @@ def normalize_powers(
         for cls, word_name in ((cf, "f"), (cg, "g")):
             if cls.tag == HYPOTHESIS_VIOLATION:
                 raise HypothesisViolation(f"{word_name} is parabolic in action {action.name!r}")
-        pf = cf.elliptic.period if cf.is_elliptic else None
-        pg = cg.elliptic.period if cg.is_elliptic else None
-        if pf:
-            p = math.lcm(p, pf)
-        if pg:
-            q = math.lcm(q, pg)
-        partition = None
-        if i < k and cf.is_hyperbolic:
-            model = action.model
-            if cg.is_hyperbolic:
-                partition = "H'" if independent(model, cf, cg) else "H"
-            else:
-                # elliptic g fixing the repelling point satisfies the
-                # separation condition outright (the E' side); otherwise the
-                # dichotomy is not finitely decidable and we only tag it
-                fixed = model.fixes(g_image, cf.hyperbolic.fixed_minus)
-                partition = "E" if fixed else "E-E'-candidate"
-        entries.append(
-            ProfileEntry(
-                action_index=i,
-                action_name=action.name,
-                f_tag=cf.tag,
-                g_tag=cg.tag,
-                partition=partition,
-            )
-        )
+        if cf.is_elliptic and cf.elliptic.period:
+            p = math.lcm(p, cf.elliptic.period)
+        if cg.is_elliptic and cg.elliptic.period:
+            q = math.lcm(q, cg.elliptic.period)
+        model = action.model if i < k else None
+        entries.append(ProfileEntry(i, action.name, model, cf, cg, g_image))
     return f**p, g**q, ActionProfile(entries=tuple(entries), p=p, q=q)
 
 

@@ -16,9 +16,9 @@ boundary action read a, b, c, d, s; tr = (a + d)/s:
             only for |a+d| in {0, s} (orders 2 and 3); any other rotation
             has infinite order, and its class keeps the period None
 
-The hypothesis check's tag of every reduced word up to a length
-(parabolic_words) runs one level of the word tree at a time.  The tree's
-shape depends only on the number of steps r, so its index arrays (each
+The hypothesis check (parabolic_words) tags the steps from their tuples,
+with no numpy, and each deeper level of the reduced-word tree at once.  The
+tree depends only on the number of steps r, so its index arrays (each
 word's parent and last step, in the order of words.reduced_words) are built
 once per r and process, and grown as deeper calls ask.  A level is a stack
 of 2x2 integer matrices and a vector of s, and the next level is one
@@ -186,32 +186,33 @@ class HalfPlaneModel(SpaceModel):
         return HYPOTHESIS_VIOLATION if at == two else ELLIPTIC
 
     def parabolic_words(self, generators: list[Isometry], depth: int) -> tuple[tuple[int, ...], ...]:
-        """``tag`` on every reduced word up to depth (see SpaceModel), one
-        level at a time as a stack of unreduced matrices (see the module
-        docstring).  The steps are each generator image, then its inverse;
-        the paths of the failing words are rebuilt from the word tree."""
-        import numpy as np  # here, so that loading the checker loads no numpy
-
+        """``tag`` on every reduced word up to depth (see SpaceModel).  The
+        steps are each generator image, then its inverse; level 0, the steps
+        themselves, is tagged from their tuples, and deeper levels one at a
+        time as a stack of unreduced matrices (see the module docstring),
+        the paths of the failing words rebuilt from the word tree."""
         rows = []
         for m in map(self.require_iso, generators):
             rows += (m, m.inverse())
+        found = [(j,) for j, m in enumerate(rows) if abs(m.a + m.d) == 2 * m.s and not m.is_proj_identity()]
+        if depth < 2:
+            return tuple(found) if depth else ()
+        import numpy as np  # here, so that loading the checker or a depth-1 check loads no numpy
+
         top = step_top = max(map(abs, itertools.chain(*rows)))  # s included
         table = np.array(rows, dtype=np.int64 if top < _INT64_BOUND else object)
-        steps, ss = table[:, :4].reshape(-1, 2, 2), table[:, 4]
+        level, s = steps, ss = table[:, :4].reshape(-1, 2, 2), table[:, 4]
         tree = _word_tree(len(rows), depth)
-        found = []
-        for n, (parent, last) in enumerate(tree):
-            if n:
-                level, s = level.take(parent, 0) @ steps.take(last, 0), s.take(parent) * ss.take(last)
-                # each new entry is a sum of two products: read the true
-                # largest entry only when this bound on it reaches the guard
-                top *= 2 * step_top
-                if level.dtype != object and top >= _INT64_BOUND:
-                    top = int(max(np.abs(level).max(), s.max()))
-                    if top >= _INT64_BOUND:
-                        level, s, steps, ss = (x.astype(object) for x in (level, s, steps, ss))
-            else:
-                level, s = steps, ss
+        for n in range(1, depth):
+            parent, last = tree[n]
+            level, s = level.take(parent, 0) @ steps.take(last, 0), s.take(parent) * ss.take(last)
+            # each new entry is a sum of two products: read the true
+            # largest entry only when this bound on it reaches the guard
+            top *= 2 * step_top
+            if level.dtype != object and top >= _INT64_BOUND:
+                top = int(max(np.abs(level).max(), s.max()))
+                if top >= _INT64_BOUND:
+                    level, s, steps, ss = (x.astype(object) for x in (level, s, steps, ss))
             for j in (abs(level[:, 0, 0] + level[:, 1, 1]) == 2 * s).nonzero()[0].tolist():
                 (a, b), (c, d) = level[j].tolist()
                 if b == 0 and c == 0 and a == d:

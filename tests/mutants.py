@@ -44,6 +44,8 @@ ORBITS = "tests/test_dynamics.py::test_tree_orbit_products_match_direct_iteratio
 CAP = "tests/test_actions.py::test_bounded_cap_raises_where_every_product_is_sized"
 ORACLE = "tests/test_combiner.py::test_certificate_check_matches_the_rendering_oracle"
 LINES = "tests/test_classification_sweep.py::test_integer_witness_lines_match_the_fraction_derivation"
+PARTITIONS = "tests/test_combiner.py::test_lazy_partitions_match_the_eager_reference"
+LEVEL_ZERO = "tests/test_combiner.py::test_parabolic_words_level_zero_matches_the_walk"
 
 MUTANTS = (
     # the tree orbit follows the base under g^-1 alone, and reads each
@@ -112,6 +114,19 @@ MUTANTS = (
            "exp = (last[1] + w[i][1]) % self.orders[last[0]]", "exp = (last[1] + w[i][1]) % self.orders[1 - last[0]]",
            ("tests/test_trees.py::test_bs_cyclic_reduce_reconstruction",
             "tests/test_trees.py::test_bs_conjugation_preserves_class")),
+    # a stage's partition, built when read: H' for disjoint fixed pairs,
+    # and the E test asks whether g fixes f's repelling point
+    Mutant("partition-swaps-h-and-h-prime", "combiner.py",
+           '''"H'" if independent(model, cf, cg) else "H"''', '''"H" if independent(model, cf, cg) else "H'"''',
+           (PARTITIONS,)),
+    Mutant("e-test-reads-the-attracting-point", "combiner.py",
+           "cf.hyperbolic.fixed_minus", "cf.hyperbolic.fixed_plus",
+           ("tests/test_combiner.py::test_the_e_test_asks_about_the_repelling_point",)),
+    # level 0 of the plane's hypothesis check, tagged from the steps' tuples
+    Mutant("level-zero-trace-against-2", "halfplane.py",
+           "abs(m.a + m.d) == 2 * m.s and", "abs(m.a + m.d) == 2 and", (LEVEL_ZERO,)),
+    Mutant("level-zero-keeps-identity", "halfplane.py",
+           " and not m.is_proj_identity()]", "]", (LEVEL_ZERO,)),
     Mutant("reduce-powers-cancels-only-inverses", "words.py",
            "if out and out[-1][0] == name:", "if out and out[-1] == (name, -e):",
            ("tests/test_words.py::test_free_reduction", "tests/test_words.py::test_powers")),

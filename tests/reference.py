@@ -19,6 +19,7 @@ from hypiso.quadratic import QuadraticNumber
 from hypiso.records import check_witnesses, witness_line
 from hypiso.sampling import _random_bs_syllables, _random_cayley_word, sample_plane_points
 from hypiso.trees import CayleyTreeModel
+from hypiso.words import reduced_words
 
 
 def power(model, iso, n: int):
@@ -266,3 +267,44 @@ def capped_product(model, F, G, a: int, b: int):
     """The payload F^a G^b, each power and the product sized against
     MAX_ISOMETRY_SIZE."""
     return _capped(model, model._mul(capped_power(model, F, a), capped_power(model, G, b)), "a word's image")
+
+
+def eager_partitions(system, f_classes, g_images) -> tuple:
+    """Each action's partition at a stage as the search once built it, with
+    every stage: f's classes and g's images in actions 0..stage, the stage
+    action's partition None.  H' when no fixed point of f is one of g's,
+    H when one is; E when an elliptic g fixes f's repelling point, else
+    E-E'-candidate."""
+    k = len(f_classes) - 1
+    out = []
+    for i, (cf, g_image) in enumerate(zip(f_classes, g_images)):
+        model = system.actions[i].model
+        cg = model.classify(g_image)
+        partition = None
+        if i < k and cf.is_hyperbolic:
+            if cg.is_hyperbolic:
+                f_pts, g_pts = cf.hyperbolic.fixed_points, cg.hyperbolic.fixed_points
+                shared = any(model.boundary_equal(p, q) for p in f_pts for q in g_pts)
+                partition = "H" if shared else "H'"
+            else:
+                fixed = model.boundary_equal(model.boundary_apply(g_image, cf.hyperbolic.fixed_minus),
+                                             cf.hyperbolic.fixed_minus)
+                partition = "E" if fixed else "E-E'-candidate"
+        out.append(partition)
+    return tuple(out)
+
+
+def step_path(generators, word) -> tuple:
+    """The word's letters as step indices: 2i for generator i, 2i + 1 for its inverse."""
+    return tuple(2 * generators.index(g) + (e < 0) for g, e in word.syllables for _ in range(abs(e)))
+
+
+def walked_parabolic_paths(system, action, depth: int) -> tuple:
+    """The full word walk: the reduced words up to depth whose tag is a
+    violation, each imaged on its own in Python ints (gcd-reduced), as
+    step paths in the order of ``reduced_words``."""
+    return tuple(
+        step_path(system.generators, word)
+        for word in reduced_words(system.generators, depth)
+        if action.model.tag(action.image(word)) == "hypothesis_violation"
+    )

@@ -11,12 +11,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypiso import combiner, halfplane
+from hypiso import cli, combiner, halfplane
 from hypiso.actions import Action, ActionSystem
 from hypiso.combiner import (
+    ActionProfile,
     Certificate,
+    ProfileEntry,
     SearchSchedule,
     SearchStats,
+    StageRecord,
     check_hypotheses,
     combine_step,
     independent,
@@ -35,13 +38,13 @@ from hypiso.errors import (
     WitnessNotHyperbolic,
 )
 from hypiso.halfplane import HalfPlaneModel, Matrix2
-from hypiso.models import IsometryClass
+from hypiso.models import IsometryClass, SpaceModel
 from hypiso.records import class_invariant, parse_record, record_for_certificate, verify_record
 from hypiso.sampling import random_action_system
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 from hypiso.words import GroupWord, reduced_words
 
-from reference import verify_certificate_detailed_reference
+from reference import eager_partitions, step_path, verify_certificate_detailed_reference, walked_parabolic_paths
 
 
 def worked_system() -> ActionSystem:
@@ -768,9 +771,12 @@ def _plane_fixes_calls(systems, schedule: SearchSchedule) -> Counter:
         patch.setattr(HalfPlaneModel, "boundary_apply", counted_boundary_apply)
         for system in systems:
             try:
-                simultaneous_hyperbolic(system, schedule)
+                cert = simultaneous_hyperbolic(system, schedule)
             except (HypothesisViolation, ScheduleExhausted):
-                pass
+                continue
+            for stage in cert.stages:  # a partition is built only when read
+                for entry in stage.profile.entries if stage.profile else ():
+                    entry.partition
     return calls
 
 
@@ -816,6 +822,150 @@ def test_plane_fixes_never_reaches_the_boundary_action():
     calls.clear()
     on_chain_systems()
     assert calls["fixes"] > 0 and calls["boundary_apply"] == 0
+
+
+# -- the partition: built only when report reads it --------------------------
+
+
+def _stage_partitions(system: ActionSystem, schedule: SearchSchedule) -> list:
+    """(lazily read, eager reference) partitions of every nontrivial stage
+    of the search on the system, the running word rebuilt stage by stage;
+    [] when the search fails."""
+    try:
+        cert = simultaneous_hyperbolic(system, schedule)
+    except (HypothesisViolation, ScheduleExhausted):
+        return []
+    f, _ = resolve_witness(system, 0)
+    out = []
+    for record in cert.stages[1:]:
+        if record.trivial:
+            continue
+        g, _ = resolve_witness(system, record.stage)
+        eager = eager_partitions(system, _classes(system, f, record.stage), _images(system, g, record.stage))
+        out.append((tuple(e.partition for e in record.profile.entries), eager))
+        f = (f**record.p) ** record.a * (g**record.q) ** record.b
+    assert f == cert.word
+    return out
+
+
+def test_lazy_partitions_match_the_eager_reference():
+    systems = [build_action_system(parse_config(p.read_text())) for p in sorted(CONFIGS.glob("*.cfg"))]
+    systems += [random_action_system(seed) for seed in range(100)]
+    seen = Counter()
+    for system in systems:
+        for lazy, eager in _stage_partitions(system, SearchSchedule(32)):
+            assert lazy == eager
+            seen.update(eager)
+
+    @given(chain_systems(8))
+    @settings(max_examples=30, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    def on_chain_systems(system):
+        for lazy, eager in _stage_partitions(system, SearchSchedule(6)):
+            assert lazy == eager
+            seen.update(eager)
+
+    on_chain_systems()
+    assert all(seen[kind] > 0 for kind in ("H'", "H", "E", "E-E'-candidate")), seen
+
+
+def test_the_e_test_asks_about_the_repelling_point(monkeypatch):
+    # no elliptic image in these models fixes one end of an axis and not the
+    # other (a rotation fixes no boundary point, +-identity every one, and a
+    # tree's elliptic either every end or none, its edge groups trivial), so
+    # only the point the E test asks about shows which end it reads
+    asked = []
+    fixes = HalfPlaneModel.fixes
+
+    def recorded(self, iso, b):
+        asked.append(b)
+        return fixes(self, iso, b)
+
+    monkeypatch.setattr(HalfPlaneModel, "fixes", recorded)
+    system = worked_system()
+    cert = simultaneous_hyperbolic(system, SearchSchedule(8))
+    entry = cert.stages[1].profile.entries[0]
+    assert entry.partition == "E-E'-candidate"
+    ends = entry.cf.hyperbolic
+    assert len(asked) == 1 and asked[0] == ends.fixed_minus and asked[0] != ends.fixed_plus
+
+
+# f and g are hyperbolic on distinct axes in action one, and f is a rotation
+# in action two: stage 1's partition of action one is H'
+INDEPENDENT_AXES = """hypiso-config v1
+generators f g
+
+action one
+model half_plane
+gen f [[2, 1], [1, 1]]
+gen g [[2, 0], [0, 1/2]]
+witness f
+
+action two
+model half_plane
+gen f [[0, -1], [1, 0]]
+gen g [[2, 1], [1, 1]]
+witness g
+"""
+
+
+def test_search_and_verify_build_no_partition(tmp_path, capsys, monkeypatch):
+    # the search and the certificate check never run the partition's tests;
+    # report reads the partitions and runs them
+    calls = Counter()
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    monkeypatch.setattr(combiner, "independent", counting("independent", combiner.independent))
+    for model in (SpaceModel, HalfPlaneModel, TreeModel):
+        for name in ("fixes", "boundary_equal"):
+            if name in vars(model):
+                monkeypatch.setattr(model, name, counting(name, vars(model)[name]))
+    systems = [build_action_system(parse_config(p.read_text())) for p in sorted(CONFIGS.glob("*.cfg"))]
+    systems += [random_action_system(seed) for seed in range(100)]
+    nontrivial = 0
+    for system in systems:
+        try:
+            cert = simultaneous_hyperbolic(system, SearchSchedule(32))
+        except (HypothesisViolation, ScheduleExhausted):
+            continue
+        nontrivial += sum(not stage.trivial for stage in cert.stages)
+    assert nontrivial >= 20 and calls == Counter(), (nontrivial, calls)
+    path = str(CONFIGS / "three_action.cfg")
+    assert cli.main(["combine", "--input", path, "--format", "records"]) == 0
+    rec_path = tmp_path / "cert.rec"
+    rec_path.write_text(capsys.readouterr().out)
+    assert cli.main(["combine", "--input", path, "--verify", str(rec_path)]) == 0
+    assert calls == Counter()
+    # three_action.cfg has an E-E'-candidate stage, INDEPENDENT_AXES an H' one
+    independent_axes = tmp_path / "independent.cfg"
+    independent_axes.write_text(INDEPENDENT_AXES)
+    for config in (path, str(independent_axes)):
+        assert cli.main(["report", "--input", config]) == 0
+    assert capsys.readouterr().out.count("partition") == 2
+    assert calls["independent"] > 0 and calls["fixes"] > 0 and calls["boundary_equal"] > 0
+
+
+def test_profiles_differing_only_in_a_partition_compare_unequal():
+    plane = HalfPlaneModel()
+    cf = plane.classify(plane.matrix(2, 1, 1, 1))
+
+    def entry(g):
+        return ProfileEntry(0, "one", plane, cf, plane.classify(g), g)
+
+    # f^2 and f^3 share f's axis; z -> 4z has another
+    h, h3 = entry(plane.matrix(5, 3, 3, 2)), entry(plane.matrix(13, 8, 8, 5))
+    h_prime = entry(plane.matrix(2, 0, 0, Fraction(1, 2)))
+    assert (h.g_tag, h3.g_tag, h_prime.g_tag) == ("hyperbolic",) * 3
+    assert (h.partition, h3.partition, h_prime.partition) == ("H", "H", "H'")
+    assert h == h3 and hash(h) == hash(h3)  # g's image is not compared, its partition is
+    assert h != h_prime
+    assert ActionProfile((h,)) != ActionProfile((h_prime,))
+    assert StageRecord(1, "one", profile=ActionProfile((h,))) != StageRecord(1, "one", profile=ActionProfile((h_prime,)))
 
 
 # -- equivariance: conjugating an action's images changes no decision ----------
@@ -945,21 +1095,6 @@ def test_search_is_invariant_under_tree_conjugation():
 # -- the plane's batched hypothesis check against imaging each word -------------
 
 
-def _step_path(generators, word: GroupWord) -> tuple:
-    """The word's letters as step indices: 2i for generator i, 2i + 1 for its inverse."""
-    return tuple(2 * generators.index(g) + (e < 0) for g, e in word.syllables for _ in range(abs(e)))
-
-
-def _walked_parabolic_paths(system: ActionSystem, action: Action, depth: int) -> tuple:
-    """The oracle: the reduced words whose tag is a violation, each imaged
-    on its own in Python ints (gcd-reduced), as step paths."""
-    return tuple(
-        _step_path(system.generators, word)
-        for word in reduced_words(system.generators, depth)
-        if action.model.tag(action.image(word)) == "hypothesis_violation"
-    )
-
-
 def test_reduced_words_follow_the_word_tree():
     # the batched check names its words by their paths in the word tree
     for generators, count in ((("f",), 10), (("f", "g"), 484), (("f", "g", "h"), 4686)):
@@ -969,7 +1104,7 @@ def test_reduced_words_follow_the_word_tree():
             tree_paths += level
         words = list(reduced_words(generators, 5))
         assert len(words) == count
-        assert [_step_path(generators, word) for word in words] == tree_paths
+        assert [step_path(generators, word) for word in words] == tree_paths
 
 
 def _assert_batched_walk_matches(system: ActionSystem, depths) -> int:
@@ -980,7 +1115,7 @@ def _assert_batched_walk_matches(system: ActionSystem, depths) -> int:
         if not isinstance(action.model, HalfPlaneModel):
             continue
         generators = [action.images[g] for g in system.generators]
-        walked = _walked_parabolic_paths(system, action, max(depths))
+        walked = walked_parabolic_paths(system, action, max(depths))
         for depth in depths:
             expected = tuple(path for path in walked if len(path) <= depth)
             assert action.model.parabolic_words(generators, depth) == expected
@@ -1022,21 +1157,45 @@ def test_batched_parabolic_words_grow_one_tree_per_step_count(monkeypatch):
     assert found >= 60
 
 
+def _past_int64_systems() -> tuple[ActionSystem, ActionSystem]:
+    """f = z -> z + 1/s with 2^31 < s < 2^32: the steps are Python ints from
+    the first level, and f f, before any gcd, has s^2 > 2^63.  And f = z ->
+    z + 1/t with t < 2^30: int64 steps, a level past 2^30 at length 2, and
+    f f f has 2^62 < t^3 < 2^63 at length 3, so the 2s of its tag passes
+    2^63."""
+    plane = HalfPlaneModel()
+    s, t = 3_500_000_017, 1_900_001
+    return tuple(
+        ActionSystem(("f", "g"), [Action(name, plane, {"f": plane.matrix(1, Fraction(1, n), 0, 1),
+                                                       "g": plane.matrix(2, 1, 1, 1)})])
+        for name, n in (("big", s), ("late", t))
+    )
+
+
 def test_batched_parabolic_words_past_int64():
     plane = HalfPlaneModel()
-    # f = z -> z + 1/s with 2^31 < s < 2^32: the steps are Python ints from
-    # the first level, and f f, before any gcd, has s^2 > 2^63
-    s = 3_500_000_017
-    big = ActionSystem(("f", "g"), [Action("big", plane, {"f": plane.matrix(1, Fraction(1, s), 0, 1),
-                                                          "g": plane.matrix(2, 1, 1, 1)})])
+    big, late = _past_int64_systems()
     assert max(plane.size(image) for image in big.actions[0].images.values()) > 30
-    # f = z -> z + 1/t with t < 2^30: int64 steps, a level past 2^30 at
-    # length 2, and f f f has 2^62 < t^3 < 2^63 at length 3, so the 2s of
-    # its tag passes 2^63
-    t = 1_900_001
-    late = ActionSystem(("f", "g"), [Action("late", plane, {"f": plane.matrix(1, Fraction(1, t), 0, 1),
-                                                            "g": plane.matrix(2, 1, 1, 1)})])
     assert max(plane.size(image) for image in late.actions[0].images.values()) <= 30
     for system, f_f in ((big, (0, 0)), (late, (0, 0, 0))):
-        assert f_f in _walked_parabolic_paths(system, system.actions[0], 4)
+        assert f_f in walked_parabolic_paths(system, system.actions[0], 4)
         assert _assert_batched_walk_matches(system, (1, 2, 3, 4)) > 0
+
+
+def test_parabolic_words_level_zero_matches_the_walk():
+    # level 0, the steps themselves, is tagged from their tuples: |a + d| =
+    # 2s and not +-identity.  A parabolic step and its negative, a parabolic
+    # with s = 3, and +-identity, each alone and beside a hyperbolic
+    plane = HalfPlaneModel()
+    steps = [(1, 1, 0, 1), (-1, -1, 0, -1), (1, Fraction(1, 3), 0, 1), (1, 0, 0, 1), (-1, 0, 0, -1)]
+    systems = list(_past_int64_systems())
+    for entries in steps:
+        m = plane.matrix(*entries)
+        systems.append(ActionSystem(("f",), [Action("one", plane, {"f": m})]))
+        systems.append(ActionSystem(("f", "g"), [Action("two", plane, {"f": m, "g": plane.matrix(2, 1, 1, 1)})]))
+    found = 0
+    for system in systems:
+        generators = list(system.actions[0].images.values())
+        assert plane.parabolic_words(generators, 0) == ()
+        found += _assert_batched_walk_matches(system, (0, 1, 2, 3, 4))
+    assert found >= 60

@@ -147,12 +147,13 @@ def test_cli_combine_records_round_trip(tmp_path, capsys):
 
 
 def test_classify_dynamics_and_verify_load_no_numpy(tmp_path, capsys):
-    # numpy serves the hypothesis check and the delta estimate, which none
-    # of these commands runs: a cold process never imports it.  classify and
-    # combine --verify load no part of the geometry lab either
+    # numpy serves the hypothesis check past depth 1 and the delta estimate,
+    # which none of these commands runs: a cold process never imports it.
+    # classify and combine --verify load no part of the geometry lab either
     path = str(CONFIGS / "three_action.cfg")
     assert main(["combine", "--input", path, "--format", "records"]) == 0
     rec_path = write(tmp_path, "cert.rec", capsys.readouterr().out)
+    depth_1 = write(tmp_path, "depth1.cfg", THREE_ACTION.replace("seed 0", "seed 0\nword-sample-depth 1"))
     code = (
         "import sys\n"
         "from hypiso.cli import main\n"
@@ -161,6 +162,8 @@ def test_classify_dynamics_and_verify_load_no_numpy(tmp_path, capsys):
         "lab = [m for m in ('hypiso.dynamics', 'hypiso.geometry', 'hypiso.sampling') if m in sys.modules]\n"
         "assert lab == [], lab\n"
         f"assert main(['dynamics', '--input', {path!r}]) == 0\n"
+        f"assert main(['combine', '--input', {depth_1!r}]) == 0\n"
+        f"assert main(['report', '--input', {depth_1!r}]) == 0\n"
         "assert 'numpy' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

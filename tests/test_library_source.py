@@ -157,7 +157,7 @@ def test_every_mutant_applies_once_and_names_its_tests():
     # must occur exactly once in its file, and runs the tests it names
     from mutants import MUTANTS, source
 
-    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 18
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 22
     for mutant in MUTANTS:
         assert source(mutant).read_text().count(mutant.snippet) == 1, mutant.name
         for test in mutant.tests:
