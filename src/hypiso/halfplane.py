@@ -2,15 +2,15 @@
 determinant-1 rational matrices.
 
 Classification builds no point: the plane's points, metric and orbits are
-the geometry lab's (``geometry.PlaneGeometry``).  Boundary points are
-QuadraticNumbers u + v*sqrt(w), or None for infinity; boundary_apply writes
-its map out over these parts, as QuadraticNumber has no arithmetic.  A
+the geometry lab's (``geometry.PlaneGeometry``).  A boundary point is the
+primitive integer form it is a root of (a QuadraticNumber), or None for
+infinity; boundary_apply substitutes the inverse map into the form.  A
 matrix M is stored as its primitive integer matrix s*M = (a, b, c, d), its
 determinant checked once, where it is built (Matrix2.of).  Classification
 (of the Mobius action: M and -M are one map), fixed points and the
 boundary action read a, b, c, d, s; tr = (a + d)/s:
   |tr| > 2  hyperbolic (PlaneHyperbolic): cosh(tau/2) = |a+d|/2s, boundary fixed
-            points ((a-d) +- sqrt(D))/2c, roots of c z^2 + (d-a) z - b
+            points ((a-d) +- sqrt(D))/2c, the roots of c z^2 + (d-a) z - b
   |tr| = 2  parabolic unless +-identity: rejected as hypothesis_violation
   |tr| < 2  elliptic.  By Niven's theorem a rational trace has finite order
             only for |a+d| in {0, s} (orders 2 and 3); any other rotation
@@ -117,8 +117,8 @@ class PlaneHyperbolic(NamedTuple):
     integer matrix (a, b, c, d) = s*M of its Mobius map, signed so that
     a + d > 2s, and D = disc = (a + d)^2 - 4s^2.
     The fixed points are built from one isqrt(D) when read: rational when D
-    is a square, else the parts (a - d)/2c, +-s/2c and D/s^2.  No float is
-    computed but tau = 2 arccosh((a + d)/2s), for a reader that asks."""
+    is a square, else the roots of the form (c, d - a, -b), of discriminant
+    D.  No float is computed but tau = 2 arccosh((a + d)/2s), for a reader."""
 
     a: int
     b: int
@@ -140,21 +140,20 @@ class PlaneHyperbolic(NamedTuple):
         """(attracting, repelling), both from one isqrt(D)."""
         a, b, c, d, s, disc = self
         if c == 0:  # infinity attracts when its eigenvalue a/s is the larger
-            finite = QuadraticNumber(Fraction(b, d - a))
+            finite = QuadraticNumber.of((d - a, -b))
             plus, minus = (None, finite) if a > s else (finite, None)
         else:  # the + root carries the eigenvalue (t + sqrt(t^2 - 4))/2 > 1: attracting
             r = math.isqrt(disc)
             if r * r == disc:
-                plus, minus = (QuadraticNumber(Fraction(a - d + e, 2 * c)) for e in (r, -r))
+                plus, minus = (QuadraticNumber.of((2 * c, d - a - e)) for e in (r, -r))
             else:
-                x, y, w = Fraction(a - d, 2 * c), Fraction(s, 2 * c), Fraction(disc, s * s)
-                plus, minus = QuadraticNumber.of_parts(x, y, w), QuadraticNumber.of_parts(x, -y, w)
+                plus, minus = (QuadraticNumber.of((c, d - a, -b), e) for e in (1, -1))
         return BoundaryPoint(HALF_PLANE_ID, plus), BoundaryPoint(HALF_PLANE_ID, minus)
 
 
 class HalfPlaneModel(SpaceModel):
-    """Boundary payloads are finite coordinates on the real line
-    (QuadraticNumbers), or None for the point at infinity."""
+    """Boundary payloads are points of the real line, each the root of a
+    primitive integer form (QuadraticNumbers), or None for infinity."""
 
     kind = "half_plane"
 
@@ -246,11 +245,7 @@ class HalfPlaneModel(SpaceModel):
     # -- boundary ----------------------------------------------------------
 
     def boundary_equal(self, p: BoundaryPoint, q: BoundaryPoint) -> bool:
-        bp: QuadraticNumber | None = self.require_boundary(p)
-        bq: QuadraticNumber | None = self.require_boundary(q)
-        if bp is None or bq is None:
-            return bp is bq
-        return bp == bq
+        return self.require_boundary(p) == self.require_boundary(q)
 
     def fixes(self, iso: Isometry, b: BoundaryPoint) -> bool:
         """+-identity fixes every boundary point and a rotation, |a + d| < 2s,
@@ -264,21 +259,25 @@ class HalfPlaneModel(SpaceModel):
         return super().fixes(iso, b)
 
     def boundary_apply(self, iso: Isometry, b: BoundaryPoint) -> BoundaryPoint:
-        """(a z + b) / (c z + d) for z = u + v sqrt(w): with p = cu + d,
-        q = cv and N = p^2 - q^2 w, times the conjugate p - q sqrt(w) over N
-        it is ((au + b) p - a v q w) / N + (v s^2 / N) sqrt(w), as
-        ad - bc = s^2.  N = 0 only for a rational z with cz + d = 0."""
+        """(a z + b)/(c z + d) on the form F that z is a root of: the image
+        is a root of F(d w - b, -c w + a), whose leading coefficient F(d, -c)
+        is 0 only for a rational z with cz + d = 0.  The map keeps the order
+        of an irrational's two roots exactly when F(d, -c) has F's leading
+        sign, so the root sign carries over and ``of`` flips it with F."""
         m: Matrix2 = self.require_iso(iso)
         z: QuadraticNumber | None = self.require_boundary(b)
         a, bb, c, d = m.a, m.b, m.c, m.d  # s*M: the Mobius map is the same
         if z is None:
-            return self.boundary(None if c == 0 else QuadraticNumber(Fraction(a, c)))
-        u, v, w = z.a, z.b, z.d
-        p, q = c * u + d, c * v
-        n = p * p - q * q * w
-        if n == 0:
-            return self.boundary(None)
-        return self.boundary(QuadraticNumber(((a * u + bb) * p - a * v * q * w) / n, v * (m.s * m.s) / n, w))
+            return self.boundary(None if c == 0 else QuadraticNumber.of((c, -a)))
+        if z.root:
+            p, q, r = z.form
+            form = (p * d * d - q * c * d + r * c * c, q * (a * d + bb * c) - 2 * (p * bb * d + r * a * c),
+                    p * bb * bb - q * a * bb + r * a * a)
+        else:
+            p, q = z.form
+            form = (p * d - q * c, q * a - p * bb)
+        return self.boundary(QuadraticNumber.of(form, z.root) if form[0] else None)
+
 
 def acosh_fraction(c: Fraction) -> float:
     """arccosh of an exact rational c >= 1; see _acosh_ratio."""

@@ -1,12 +1,13 @@
-"""Exact values a + b*sqrt(d) with rational a, b and d >= 0, and exact
-rational helpers.
+"""Boundary points of the plane as the primitive integer forms they are
+roots of, and exact rational helpers.
 
-A QuadraticNumber is a value, not a field: it is a boundary point of the
-plane, and the plane's Mobius map on boundary points is written out over
-the parts in ``halfplane``.  Values are normalized so that a rational one
-has ``b == 0, d == 0`` (perfect-square radicands fold into the rational
-part).  Equality is exact, across radicands too; there is no sign or order.
-Floats appear only in ``float()``, for display and the diagnostics.
+A QuadraticNumber is a value, not a field.  A rational p/q is the linear
+form (q, -p), the root of q z - p; a quadratic irrational is its minimal
+form (A, B, C), with root = +-1 naming the point (-B + root*sqrt(B^2 - 4AC))/2A.
+Each form is primitive with a positive leading coefficient, so a value has
+one spelling, and equality and hashing are the tuple's.  The plane moves a
+point by substituting into its form (``halfplane``); infinity is None.
+Floats appear only in ``float()``, for the geometry lab's diagnostics.
 """
 
 from __future__ import annotations
@@ -16,98 +17,43 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None when irrational."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected a rational, got {type(x).__name__}")
-
-
 @dataclass(frozen=True)
 class QuadraticNumber:
-    """The real number a + b*sqrt(d)."""
+    """The root of an integer form: (q, -p) for p/q, root 0, or (A, B, C)
+    with root +-1."""
 
-    a: Fraction
-    b: Fraction
-    d: Fraction
-
-    def __init__(self, a, b=0, d=0):
-        a, b, d = _frac(a), _frac(b), _frac(d)
-        if d < 0:
-            raise ValueError("radicand must be nonnegative")
-        if b == 0 or d == 0:
-            a, b, d = a, Fraction(0), Fraction(0)
-        else:
-            root = rational_sqrt(d)
-            if root is not None:
-                a, b, d = a + b * root, Fraction(0), Fraction(0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+    form: tuple[int, ...]
+    root: int = 0
 
     @staticmethod
-    def of_parts(a: Fraction, b: Fraction, d: Fraction) -> "QuadraticNumber":
-        """a + b*sqrt(d) from parts already normalized (b nonzero, d > 0 not
-        a rational square), built without a square-root test of d."""
-        out = object.__new__(QuadraticNumber)
-        for name, value in (("a", a), ("b", b), ("d", d)):
-            object.__setattr__(out, name, value)
-        return out
-
-    # -- exact equality ----------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadraticNumber(_frac(other))
-        if not isinstance(other, QuadraticNumber):
-            return NotImplemented
-        if self.d == other.d:
-            return self.a == other.a and self.b == other.b
-        if self.b == 0 or other.b == 0:
-            # one rational, one irrational (normalized radicands differ)
-            return False
-        # both irrational in distinct fields: equal only when the rational
-        # parts agree and b1*sqrt(d1) == b2*sqrt(d2)
-        if self.a != other.a:
-            return False
-        if (self.b > 0) != (other.b > 0):
-            return False
-        return self.b * self.b * self.d == other.b * other.b * other.d
-
-    def __hash__(self):
-        # equal values share (a, sign(b), b^2 d) even across radicands
-        return hash((self.a, (self.b > 0) - (self.b < 0), self.b * self.b * self.d))
-
-    # -- conversion/display --------------------------------------------
+    def of(form: tuple[int, ...], root: int = 0) -> "QuadraticNumber":
+        """The point of form, made primitive with a positive leading
+        coefficient: negating a quadratic form swaps which root is larger."""
+        g = math.gcd(*form)
+        if form[0] < 0:
+            g, root = -g, -root
+        return QuadraticNumber(tuple(x // g for x in form), root)
 
     def __float__(self) -> float:
+        """Within an ulp or two, or +-inf past float range: sqrt(Delta) as one
+        isqrt of Delta * 4^k with over 64 bits, and the root as whichever of
+        (-B + root sqrt(Delta))/2A and 2C/(-B - root sqrt(Delta)) adds two
+        terms of one sign."""
+        if not self.root:
+            num, den = -self.form[1], self.form[0]
+        else:
+            a, b, c = self.form
+            disc = b * b - 4 * a * c
+            k = max(0, 64 - disc.bit_length() // 2)
+            r = self.root * math.isqrt(disc << 2 * k)
+            if b * self.root <= 0:
+                num, den = (-b << k) + r, 2 * a << k
+            else:
+                num, den = 2 * c << k, (-b << k) - r
         try:
-            out = float(self.a)
+            return num / den
         except OverflowError:
-            out = math.inf if self.a > 0 else -math.inf
-        if self.b != 0:
-            try:
-                out += float(self.b) * math.sqrt(float(self.d))
-            except OverflowError:
-                out = math.inf if self.b > 0 else -math.inf
-        return out
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"QuadraticNumber({self.a})"
-        return f"QuadraticNumber({self.a} + {self.b}*sqrt({self.d}))"
+            return math.inf if (num > 0) == (den > 0) else -math.inf
 
 
 def parse_rational(text: str) -> Fraction:

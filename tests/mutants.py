@@ -46,6 +46,8 @@ ORACLE = "tests/test_combiner.py::test_certificate_check_matches_the_rendering_o
 LINES = "tests/test_classification_sweep.py::test_integer_witness_lines_match_the_fraction_derivation"
 PARTITIONS = "tests/test_combiner.py::test_lazy_partitions_match_the_eager_reference"
 LEVEL_ZERO = "tests/test_combiner.py::test_parabolic_words_level_zero_matches_the_walk"
+CLASSES = "tests/test_classification_sweep.py::test_plane_classes_match_the_fraction_derivation"
+SPELLING = "tests/test_quadratic.py::test_a_boundary_point_has_one_spelling"
 
 MUTANTS = (
     # the tree orbit follows the base under g^-1 alone, and reads each
@@ -64,8 +66,21 @@ MUTANTS = (
            "            bound += power_bound + 1", "            bound = power_bound", (CAP,)),
     # the repelling point takes the minus sign of the square root
     Mutant("repelling-point-sign", "halfplane.py",
-           "QuadraticNumber.of_parts(x, -y, w)", "QuadraticNumber.of_parts(x, y, w)",
-           ("tests/test_classification_sweep.py::test_plane_classes_match_the_fraction_derivation",)),
+           "for e in (1, -1))", "for e in (1, 1))", (CLASSES,)),
+    # a boundary point has one spelling: its form is primitive, and negating
+    # a quadratic form to a positive leading coefficient flips the root sign,
+    # as the map keeps the roots' order only when F(d, -c) has F's sign
+    Mutant("form-not-primitive", "quadratic.py",
+           "g = math.gcd(*form)", "g = 1", (SPELLING,)),
+    # (conjugating every root alike, this mutant keeps one spelling: only
+    # an outside oracle of the boundary action or the fixed points sees it)
+    Mutant("apply-keeps-root-order", "quadratic.py",
+           "g, root = -g, -root", "g = -g",
+           ("tests/test_quadratic.py::test_boundary_apply_names_the_image_of_its_root",
+            "tests/test_classification_sweep.py::test_boundary_apply_on_irrational_fixed_points_sympy", CLASSES)),
+    # a product is divided by its content, which may be exactly 2
+    Mutant("product-skips-content-2", "halfplane.py",
+           "if g > 1:", "if g > 2:", ("tests/test_actions.py::test_image_is_the_fold_of_the_public_compose",)),
     # a rotation is |a + d| < 2s, not < 2: the search's fixes shortcut
     Mutant("fixes-drops-s", "halfplane.py",
            "if abs(m.a + m.d) < 2 * m.s:", "if abs(m.a + m.d) < 2:",

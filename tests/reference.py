@@ -169,42 +169,83 @@ def acosh_fraction_reference(c: Fraction) -> float:
     return lnc + math.log1p(math.sqrt(max(0.0, 1.0 - inv2)))
 
 
-def plane_class_reference(m) -> tuple[str, object, object, float, Fraction]:
-    """(invariant, plus, minus, tau, cosh tau) of a hyperbolic plane matrix,
-    derived in Fractions from its trace t: cosh tau = t^2/2 - 1, turned back
-    into cosh(tau/2) by a gcd and two integer square roots; the fixed points
-    ((a - d) +- s sqrt(t^2 - 4))/2c through QuadraticNumber's normalization
-    of the radicand (None for infinity); tau = 2 arccosh(t/2)."""
+def parts(q) -> tuple[Fraction, Fraction, Fraction]:
+    """(u, v, w) with the boundary point q = u + v sqrt(w), read off its
+    form: (p/q, 0, 0) for the root of (q, -p), and -B/2A, root/2A and
+    B^2 - 4AC for the root of (A, B, C)."""
+    if not q.root:
+        return Fraction(-q.form[1], q.form[0]), Fraction(0), Fraction(0)
+    a, b, c = q.form
+    return Fraction(-b, 2 * a), Fraction(q.root, 2 * a), Fraction(b * b - 4 * a * c)
+
+
+def _plane_fixed_points_reference(m):
+    """(plus, minus) of a hyperbolic plane matrix signed to trace t > 2, in
+    Fractions: None for infinity, a Fraction, or the parts (x, +-s/2c,
+    t^2 - 4) of ((a - d) +- s sqrt(t^2 - 4))/2c when t^2 - 4 is not a
+    rational square."""
     a, b, c, d, s = m
     if a + d < 0:
         a, b, c, d = -a, -b, -c, -d
     t = Fraction(a + d, s)
+    if c == 0:
+        finite = Fraction(b, d - a)
+        return (None, finite) if a > s else (finite, None)
+    x, disc = Fraction(a - d, 2 * c), t * t - 4
+    rn, rd = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+    if rn * rn == disc.numerator and rd * rd == disc.denominator:
+        y = Fraction(s, 2 * c) * Fraction(rn, rd)
+        return x + y, x - y
+    return (x, Fraction(s, 2 * c), disc), (x, Fraction(-s, 2 * c), disc)
+
+
+def _form_reference(z):
+    """The boundary point z (see _plane_fixed_points_reference) as its
+    primitive integer form: q z - p for z = p/q, and for x + y sqrt(w) the
+    monic z^2 - 2x z + x^2 - y^2 w, from (z - x)^2 = y^2 w, cleared of
+    denominators, with y's sign as the root sign: its roots are
+    x +- |y| sqrt(w)."""
+    if z is None:
+        return None
+    if isinstance(z, Fraction):
+        return QuadraticNumber((z.denominator, -z.numerator), 0)
+    x, y, w = z
+    coefficients = (Fraction(1), -2 * x, x * x - y * y * w)
+    den = math.lcm(*(f.denominator for f in coefficients))
+    form = [int(f * den) for f in coefficients]
+    g = math.gcd(*form)
+    return QuadraticNumber(tuple(f // g for f in form), 1 if y > 0 else -1)
+
+
+def plane_class_reference(m) -> tuple[str, object, object, float, Fraction]:
+    """(invariant, plus, minus, tau, cosh tau) of a hyperbolic plane matrix,
+    derived in Fractions from its trace t: cosh tau = t^2/2 - 1, turned back
+    into cosh(tau/2) by a gcd and two integer square roots; the fixed points
+    ((a - d) +- s sqrt(t^2 - 4))/2c as the forms of _form_reference (None
+    for infinity); tau = 2 arccosh(t/2)."""
+    a, _, _, d, s = m
+    t = Fraction(abs(a + d), s)
     cosh = t * t / 2 - 1
     p, q = cosh.numerator, cosh.denominator
     g = math.gcd(p + q, 2 * q)
     half = Fraction(math.isqrt((p + q) // g), math.isqrt(2 * q // g))
-    if c == 0:
-        finite = QuadraticNumber(Fraction(b, d - a))
-        plus, minus = (None, finite) if a > s else (finite, None)
-    else:
-        x, disc = Fraction(a - d, 2 * c), t * t - 4
-        plus = QuadraticNumber(x, Fraction(s, 2 * c), disc)
-        minus = QuadraticNumber(2 * x - plus.a) if plus.b == 0 else QuadraticNumber(x, -plus.b, disc)
+    plus, minus = map(_form_reference, _plane_fixed_points_reference(m))
     return f"cosh-half={half}", plus, minus, 2.0 * acosh_fraction_reference(t / 2), cosh
 
 
 def plane_witness_line_reference(index: int, name: str, m) -> str:
-    """The record's witness line of a hyperbolic plane matrix, from
-    ``plane_class_reference``."""
+    """The record's witness line of a hyperbolic plane matrix, from the
+    trace and fixed points of ``plane_class_reference``."""
 
     def text(z) -> str:
         if z is None:
             return "inf"
-        if z.b == 0:
-            return f"rat:{z.a}"
-        return f"quad:{z.a};{z.b};{z.d}"
+        if isinstance(z, Fraction):
+            return f"rat:{z}"
+        return "quad:{};{};{}".format(*z)
 
-    invariant, plus, minus, _, _ = plane_class_reference(m)
+    plus, minus = _plane_fixed_points_reference(m)
+    invariant = plane_class_reference(m)[0]
     return f"witness {index} {name} half_plane hyperbolic {invariant} plus={text(plus)} minus={text(minus)}"
 
 

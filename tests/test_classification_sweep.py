@@ -24,7 +24,7 @@ from hypiso.quadratic import QuadraticNumber
 from hypiso.records import class_invariant, witness_line
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 
-from reference import plane_class_reference, plane_witness_line_reference, power
+from reference import parts, plane_class_reference, plane_witness_line_reference, power
 
 
 def det_one_matrices(bound: int):
@@ -122,7 +122,7 @@ def test_trichotomy_exhaustive_small_entries(monkeypatch):
     seen = {"elliptic": 0, "hyperbolic": 0, "hypothesis_violation": 0}
     rotations = []  # s of each rotation of order 2 or 3
     previous = Matrix2.identity()
-    inf, half = plane.boundary(None), plane.boundary(QuadraticNumber(Fraction(1, 2)))
+    inf, half = plane.boundary(None), plane.boundary(QuadraticNumber.of((2, -1)))
     for m in sweep_matrices():
         iso = plane.isometry(m)
         with integer_only(monkeypatch):
@@ -136,7 +136,7 @@ def test_trichotomy_exhaustive_small_entries(monkeypatch):
         for z, got in zip((None, Fraction(1, 2)), images):
             den = e[2] if z is None else e[2] * z + e[3]
             num = e[0] if z is None else e[0] * z + e[1]
-            assert got.payload == (None if den == 0 else num / den)
+            assert (None if got.payload is None else parts(got.payload)) == (None if den == 0 else (num / den, 0, 0))
         # the integer form against Fraction arithmetic kept apart from Matrix2
         a, b, c, d = e
         assert m.inverse().entries() == (d, -b, -c, a)
@@ -158,7 +158,7 @@ def test_trichotomy_exhaustive_small_entries(monkeypatch):
                 if z is None:
                     assert c == 0
                 else:
-                    u, v, w = z.a, z.b, z.d
+                    u, v, w = parts(z)
                     assert c * (u * u + v * v * w) + (d - a) * u - b == 0
                     assert (2 * c * u + d - a) * v == 0
             assert not plane.boundary_equal(
@@ -200,7 +200,7 @@ def test_tag_matches_classify_on_sweep():
 
 
 def test_fixed_points_are_distinct_roots_sympy():
-    # an oracle outside hypiso: each boundary fixed point a + b sqrt(d) of a
+    # an oracle outside hypiso: each boundary fixed point u + v sqrt(w) of a
     # hyperbolic matrix is a root of c z^2 + (d - a) z - b, and the two differ
     sympy = pytest.importorskip("sympy")
 
@@ -221,7 +221,8 @@ def test_fixed_points_are_distinct_roots_sympy():
                 assert c == 0  # the quadratic drops a degree: a root at infinity
                 roots.append(sympy.oo)
                 continue
-            z = exact(q.a) + exact(q.b) * sympy.sqrt(exact(q.d))
+            u, v, w = map(exact, parts(q))
+            z = u + v * sympy.sqrt(w)
             assert sympy.expand(c * z**2 + (d - a) * z - b) == 0
             roots.append(z)
         if sympy.oo in roots:
@@ -235,7 +236,8 @@ def test_fixed_points_are_distinct_roots_sympy():
 def test_boundary_apply_on_irrational_fixed_points_sympy():
     # an oracle outside hypiso: sympy's own arithmetic in Q(sqrt(w)) maps each
     # irrational fixed point z = u + v sqrt(w) of the sweep's hyperbolics by
-    # every sweep matrix, (a z + b) / (c z + d); the image keeps the radicand
+    # every sweep matrix, (a z + b) / (c z + d); the image stays in the field:
+    # its form's discriminant is w times a rational square
     sympy = pytest.importorskip("sympy")
 
     def exact(x: Fraction):
@@ -243,12 +245,16 @@ def test_boundary_apply_on_irrational_fixed_points_sympy():
 
     fields = {}
 
-    def in_field(z):
-        if z.d not in fields:
-            field = sympy.QQ.algebraic_field(sympy.sqrt(exact(z.d)))
-            fields[z.d] = field, field.from_sympy(sympy.sqrt(exact(z.d)))
-        field, root = fields[z.d]
-        return field, field.convert(exact(z.a)) + field.convert(exact(z.b)) * root
+    def in_field(q, w):
+        """q = u + v sqrt(w') as an element of Q(sqrt(w))."""
+        if w not in fields:
+            field = sympy.QQ.algebraic_field(sympy.sqrt(exact(w)))
+            fields[w] = field, field.from_sympy(sympy.sqrt(exact(w)))
+        field, root = fields[w]
+        u, v, w2 = parts(q)
+        k = sympy.sqrt(exact(w2 / w))
+        assert k.is_Rational, (q, w)
+        return field.convert(exact(u)) + field.convert(exact(v) * k) * root
 
     plane = HalfPlaneModel()
     sweep = list(map(plane.isometry, sweep_matrices()))
@@ -256,18 +262,19 @@ def test_boundary_apply_on_irrational_fixed_points_sympy():
     for cls in map(plane.classify, sweep):
         if cls.is_hyperbolic:
             for bp in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
-                if bp.payload is not None and bp.payload.b != 0 and bp not in points:
+                if bp.payload is not None and bp.payload.root and bp not in points:
                     points.append(bp)
     assert len(points) == 36
-    points = [(bp, *in_field(bp.payload)) for bp in points]
+    points = [(bp, parts(bp.payload)[2]) for bp in points]
+    points = [(bp, w, in_field(bp.payload, w)) for bp, w in points]
     for iso in sweep:
         entries = [exact(x) for x in iso.payload.entries()]
         matrix = {w: [field.convert(x) for x in entries] for w, (field, _) in fields.items()}
-        for bp, field, z in points:
+        for bp, w, z in points:
             image = plane.boundary_apply(iso, bp).payload
-            assert image.d == bp.payload.d
-            a, b, c, d = matrix[image.d]
-            assert in_field(image)[1] == (a * z + b) / (c * z + d)
+            assert image.root
+            a, b, c, d = matrix[w]
+            assert in_field(image, w) == (a * z + b) / (c * z + d)
 
 
 def test_record_cosh_half_is_half_the_raw_trace():
@@ -308,7 +315,7 @@ def test_plane_classes_match_the_fraction_derivation():
         length = cls.hyperbolic.translation_length
         assert repr(length.value) == repr(tau) and length.exact_cosh == cosh
         assert _tau_display(cls) == f"{tau:.6f}"
-        kinds["infinity" if None in (plus, minus) else "rational" if plus.b == 0 else "quadratic"] += 1
+        kinds["infinity" if None in (plus, minus) else "quadratic" if plus.root else "rational"] += 1
         kinds["past float range"] += abs(Fraction(m.a + m.d, 2 * m.s)) > 2**1024
         kinds["large"] += max(map(abs, m)).bit_length() > 300
     assert kinds == {"quadratic": 88, "rational": 12, "infinity": 12, "past float range": 4, "large": 24}
@@ -382,26 +389,22 @@ def test_classes_hold_no_float_or_fraction():
 
 def test_fixes_matches_the_boundary_action_on_sweep():
     # the plane reads +-identity and rotations off the integer matrix; every
-    # answer must be the boundary action's, against infinity, small rationals
-    # and the fixed points of the sweep's hyperbolics.  The other matrices
-    # answer by applying themselves, so they meet the rationals and their own
-    # fixed points only (all 52 points would take 3 s more)
+    # answer must be the boundary action's, for every sweep matrix against
+    # infinity, small rationals and the fixed points of the sweep's hyperbolics
     plane = HalfPlaneModel()
     sweep = [(iso, plane.classify(iso)) for iso in map(plane.isometry, sweep_matrices())]
-    rationals = {plane.boundary(None)}
-    rationals |= {plane.boundary(QuadraticNumber(Fraction(n, d))) for n in range(-3, 4) for d in (1, 2, 3)}
-    fixed = {
+    points = {plane.boundary(None)}
+    points |= {plane.boundary(QuadraticNumber.of((d, -n))) for n in range(-3, 4) for d in (1, 2, 3)}
+    points |= {
         p for _, c in sweep if c.is_hyperbolic for p in (c.hyperbolic.fixed_plus, c.hyperbolic.fixed_minus)
     }
-    assert len(rationals | fixed) == 52
+    assert len(points) == 52
     answers = Counter()
     for iso, cls in sweep:
-        tag = cls.tag
-        own = {cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus} if cls.is_hyperbolic else set()
-        for b in rationals | (fixed if tag == "elliptic" else own):
+        for b in points:
             expected = plane.boundary_equal(plane.boundary_apply(iso, b), b)
             assert plane.fixes(iso, b) == expected
-            answers[tag, expected] += 1
+            answers[cls.tag, expected] += 1
     assert answers["elliptic", True] and answers["elliptic", False]
     assert answers["hyperbolic", True] and answers["hypothesis_violation", True]
 

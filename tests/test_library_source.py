@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -157,7 +158,7 @@ def test_every_mutant_applies_once_and_names_its_tests():
     # must occur exactly once in its file, and runs the tests it names
     from mutants import MUTANTS, source
 
-    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 22
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 25
     for mutant in MUTANTS:
         assert source(mutant).read_text().count(mutant.snippet) == 1, mutant.name
         for test in mutant.tests:
@@ -187,9 +188,13 @@ def _imports(node: ast.AST, top: bool = True):
 
 # the certificate checker's modules and their line count: the core that a
 # record's verification loads, with no search, no geometry, no plane (nor
-# QuadraticNumber: witness lines print integers) and no numpy
+# its boundary forms: witness lines print the class's integers) and no numpy
 CHECKER_CLOSURE = {"__init__", "records", "actions", "errors", "models", "trees", "words"}
 CHECKER_LINES = 1072
+
+# a ceiling on the library's size, `wc -l src/hypiso/*.py`: the line count
+# the project tracks next to its timings
+SRC_LINES = 3284
 
 
 # the geometry lab's members, which live in geometry.py: no core model
@@ -321,10 +326,22 @@ def test_checker_never_reads_the_search_images():
 
 
 def test_quadratic_number_is_a_value_not_a_field():
-    # the plane writes out its Mobius map on boundary points over the parts
-    # a + b sqrt(d); QuadraticNumber keeps no arithmetic, order or sign
+    # a plane boundary point is the primitive integer form it is a root of
+    # and a root sign, compared as a tuple: QuadraticNumber keeps no
+    # radicand or parts, no arithmetic, order or sign, and defines only its
+    # constructor and float (no hand-written equality or hash)
+    assert [f.name for f in dataclasses.fields(QuadraticNumber)] == ["form", "root"]
     removed = (
         "__add__ __radd__ __sub__ __rsub__ __mul__ __rmul__ __truediv__ __rtruediv__ "
-        "__neg__ __abs__ __lt__ __le__ __gt__ __ge__ inverse sign"
+        "__neg__ __abs__ __lt__ __le__ __gt__ __ge__ inverse sign of_parts a b d"
     ).split()
     assert [name for name in removed if name in vars(QuadraticNumber)] == []
+    tree = ast.parse((SRC / "hypiso" / "quadratic.py").read_text())
+    [cls] = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert {node.name for node in cls.body if isinstance(node, ast.FunctionDef)} == {"of", "__float__"}
+    assert {node.name for node in tree.body if isinstance(node, ast.FunctionDef)} == {"parse_rational"}
+
+
+def test_the_library_size_is_pinned():
+    lines = sum(len(path.read_text().splitlines()) for path in SOURCES)
+    assert lines <= SRC_LINES, f"src/hypiso grew to {lines} lines"

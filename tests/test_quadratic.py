@@ -1,30 +1,13 @@
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hypiso.halfplane import acosh_fraction
-from hypiso.quadratic import QuadraticNumber, parse_rational, rational_sqrt
+from hypiso.halfplane import HalfPlaneModel, acosh_fraction
+from hypiso.quadratic import QuadraticNumber, parse_rational
 
-import math
-
-
-def test_perfect_square_radicand_folds():
-    assert QuadraticNumber(3, 1, 4) == QuadraticNumber(5)
-    assert QuadraticNumber(0, Fraction(1, 2), Fraction(9, 4)) == QuadraticNumber(Fraction(3, 4))
-
-
-def test_cross_field_equality():
-    # 2*sqrt(2) == sqrt(8) despite different radicands
-    assert QuadraticNumber(0, 2, 2) == QuadraticNumber(0, 1, 8)
-    assert QuadraticNumber(1, 2, 2) != QuadraticNumber(1, 1, 7)
-    assert QuadraticNumber(0, 1, 2) != QuadraticNumber(0, 1, 3)
-    assert QuadraticNumber(0, 1, 2) != QuadraticNumber(0, -1, 2)
-    assert QuadraticNumber(5) != QuadraticNumber(0, 1, 2)
-
-
-rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+from test_classification_sweep import chain_sized_matrices, sweep_matrices
 
 
 def test_acosh_fraction_small_and_huge():
@@ -35,11 +18,6 @@ def test_acosh_fraction_small_and_huge():
     assert abs(acosh_fraction(huge) - expected) < 1e-9
 
 
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-
-
 def test_parse_rational():
     assert parse_rational("-3/6") == Fraction(-1, 2)
     assert parse_rational("7") == Fraction(7)
@@ -47,32 +25,80 @@ def test_parse_rational():
         parse_rational("1/0")
 
 
-@st.composite
-def respelled_and_unrelated(draw):
-    """x = a + b sqrt(d); x respelled as a + (b/k) sqrt(d k^2); and an
-    unrelated value, whose radicand may share x's square-free part or not."""
-    radicand = st.fractions(min_value=0, max_value=12, max_denominator=4)
-    a, b, d = draw(rationals), draw(rationals), draw(radicand)
-    k = draw(st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=3))
-    unrelated = QuadraticNumber(draw(rationals), draw(rationals), draw(radicand))
-    return QuadraticNumber(a, b, d), QuadraticNumber(a, b / k, d * k * k), unrelated
+def test_a_boundary_point_has_one_spelling():
+    # N moves M's fixed points to those of N M N^-1: the image by
+    # boundary_apply (a substituted form) and the fixed point of the
+    # conjugate (a form from its entries) must be one value with one hash,
+    # for every hyperbolic M and every N of the sweep
+    plane = HalfPlaneModel()
+    sweep = list(map(plane.isometry, sweep_matrices()))
+    hyperbolics = [(m, cls.hyperbolic.fixed_points) for m, cls in zip(sweep, map(plane.classify, sweep))
+                   if cls.is_hyperbolic]
+    changed = 0
+    for n in sweep:
+        n_inv = plane.invert(n)
+        for m, fixed in hyperbolics:
+            conjugate = plane.classify(plane.compose(plane.compose(n, m), n_inv)).hyperbolic
+            for point, moved in zip(fixed, conjugate.fixed_points):
+                image = plane.boundary_apply(n, point)
+                assert image == moved and hash(image) == hash(moved), (n, m)
+                changed += image.payload is not None and image.payload != point.payload
+    assert len(hyperbolics) >= 40 and changed > 10000
 
 
-@given(respelled_and_unrelated())
-@settings(max_examples=100, deadline=None, derandomize=True)
-def test_equality_and_hash_match_sympy(values):
-    # an oracle outside hypiso: sympy's own radicals and zero test
-    sympy = pytest.importorskip("sympy")
+def test_boundary_apply_names_the_image_of_its_root():
+    # the image's root sign must name N z, not its conjugate root: for every
+    # sweep N and irrational fixed point z of the sweep, the image's float is
+    # nearer (a x + b)/(c x + d), x = float(z), than the conjugate's is
+    plane = HalfPlaneModel()
+    sweep = list(map(plane.isometry, sweep_matrices()))
+    points = {bp for cls in map(plane.classify, sweep) if cls.is_hyperbolic for bp in cls.hyperbolic.fixed_points
+              if bp.payload is not None and bp.payload.root}
+    flips = 0
+    for n in sweep:
+        a, b, c, d = map(float, n.payload.entries())
+        for point in points:
+            x, image = float(point.payload), plane.boundary_apply(n, point).payload
+            conjugate = QuadraticNumber(image.form, -image.root)
+            want = (a * x + b) / (c * x + d)
+            assert abs(float(image) - want) < abs(float(conjugate) - want), (n, point)
+            flips += image.root != point.payload.root
+    assert len(points) == 36 and flips > 1000
 
-    def exact(v: QuadraticNumber):
-        r = [sympy.Rational(q.numerator, q.denominator) for q in (v.a, v.b, v.d)]
-        return r[0] + r[1] * sympy.sqrt(r[2])
 
-    x, respelled, unrelated = values
-    assert x == respelled and hash(x) == hash(respelled)
-    for p in values:
-        for q in values:
-            equal = sympy.expand(exact(p) - exact(q)) == 0
-            assert (p == q) == equal
-            if equal:
-                assert hash(p) == hash(q)
+def _decimal_reference(q: QuadraticNumber) -> float:
+    """float() of q's root computed in 2,000-digit Decimals, apart from the
+    library's isqrt."""
+    with localcontext() as ctx:
+        ctx.prec = 2000
+        if not q.root:
+            value = Decimal(-q.form[1]) / Decimal(q.form[0])
+        else:
+            a, b, c = map(Decimal, q.form)
+            value = (-b + q.root * (b * b - 4 * a * c).sqrt()) / (2 * a)
+        return float(value)
+
+
+def test_float_matches_a_decimal_reference():
+    # float() reads a form with one isqrt and no cancellation: it must be
+    # within an ulp of the root, on the sweep's and chain-sized fixed points
+    # (discriminants past float range, where the parts a + b sqrt(d) read
+    # inf), on roots whose two terms nearly cancel, and on points past
+    # float range, which read +-inf
+    plane = HalfPlaneModel()
+    points = [QuadraticNumber.of((1, -(2 * 10**30), -1), -1), QuadraticNumber.of((7, 3 * 10**40, -5), 1)]
+    for m in [*sweep_matrices(), *chain_sized_matrices()]:
+        cls = plane.classify(plane.isometry(m))
+        if cls.is_hyperbolic:
+            points += [bp.payload for bp in cls.hyperbolic.fixed_points if bp.payload is not None]
+    a, b, c = max((q.form for q in points if q.root), key=lambda f: f[1] * f[1] - 4 * f[0] * f[2])
+    assert (b * b - 4 * a * c).bit_length() > 1024
+    for q in points:
+        expected = _decimal_reference(q)
+        assert abs(float(q) - expected) <= math.ulp(expected), q
+    assert float(points[0]) == pytest.approx(-0.5e-30, rel=1e-15)
+    far = 10**400
+    past = [QuadraticNumber.of((1, -far)), QuadraticNumber.of((3, far)), QuadraticNumber.of((1, -far, -1), 1),
+            QuadraticNumber.of((1, far, -1), -1)]
+    assert [float(q) for q in past] == [math.inf, -math.inf, math.inf, -math.inf]
+    assert float(QuadraticNumber.of((1, -far, -1), -1)) == 0.0  # -1/10^400: below the smallest float
