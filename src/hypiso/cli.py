@@ -51,9 +51,9 @@ EXIT_HYPOTHESIS = 3
 # 0.26-0.30).
 MAX_SAMPLE_POINTS = 1000
 
-# dynamics follows an orbit of at most this many steps (orbit-depth); plane
-# matrix entries grow with each step, and --checks ns at depth 1,000 on
-# configs/ takes 1.1-1.5 s (Python 3.11.7, 2 cores, host.ref_ms 0.17-0.32)
+# dynamics follows an orbit of at most this many steps (orbit-depth); --checks
+# ns stops at its Busemann floor, a few steps in, and takes 2-5 ms at any depth
+# on configs/ (Python 3.11.7, 2 cores, host.ref_ms 0.15-0.16)
 MAX_ORBIT_DEPTH = 1000
 
 # the checks dynamics runs, as --checks names them

@@ -5,23 +5,14 @@ Everything here is diagnostic and never used inside the combiner's
 certification path.  Boundary neighborhoods are realized purely through
 Gromov-product thresholds (the standard neighborhood basis); "disjoint"
 means the two membership tests cannot both pass, checked on the centers'
-mutual Gromov product plus the sample at hand.
-
-Every distance, Gromov product and orbit is read from the model's
-geometry lab (``geometry.lab``).  The North-South check follows its orbits
-through the lab's ``orbit_boundary_products``, in exact integers up to the
-final floats: on the plane each orbit point is an integer matrix applied
-to i, stepped by the isometry's primitive matrix; on trees the Gromov
-product with the attracting point b is an integer from b's Busemann
-cocycle, which g shifts by its translation length, plus d(g^-n base, y):
-one orbit, the base's, is followed for all the points.  The floats, and so
-every membership test, are those of ``contains_point``.
+mutual Gromov product plus the sample at hand.  Every distance, Gromov
+product and orbit is read from the model's geometry lab (``geometry.lab``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .actions import Action
@@ -67,12 +58,9 @@ def ns_dynamics_check(
 ) -> int:
     """Least N <= n_max with g^n(sample - U-) inside U+ for all N <= n <= n_max,
     for g the image of a word in the action and U+ centered at a fixed point
-    of g (on trees, ValueError otherwise).
-
-    Every step of every orbit is tested; a step stops at its first point
-    outside U+.  The orbits and their Gromov products come from the lab's
-    ``orbit_boundary_products``: integer matrices on the plane; on trees the
-    Busemann cocycle of the center and the orbit of the base under g^-1."""
+    of g (on trees, ValueError otherwise).  Each step's products come from
+    the lab's ``orbit_boundary_products``, and a step stops at its first
+    point outside U+; no step past ``_busemann_floor`` is computed."""
     model = action.model
     tag = model.tag(g)
     if tag != HYPERBOLIC:
@@ -80,12 +68,33 @@ def ns_dynamics_check(
     if not neighborhoods_disjoint(model, u_plus, u_minus, sample):
         raise ValueError("U+ and U- are not disjoint")
     outside = [p for p in sample if not contains_point(model, u_minus, p)]
-    steps = lab(model).orbit_boundary_products(g, u_plus.center, outside, u_plus.base, n_max)
-    good = [all(value > u_plus.threshold for value in products) for products in steps]
-    for n in range(1, n_max + 1):
-        if all(good[n - 1 :]):
-            return n
-    raise NoPassingN(f"no N <= {n_max} works for {len(outside)} sample points")
+    last = _busemann_floor(model, g, u_plus, outside, n_max)
+    steps = lab(model).orbit_boundary_products(g, u_plus.center, outside, u_plus.base, last)
+    failing = [n for n, values in enumerate(steps, 1) if not all(v > u_plus.threshold for v in values)]
+    n = max(failing, default=0) + 1
+    if n > n_max:
+        raise NoPassingN(f"no N <= {n_max} works for {len(outside)} sample points")
+    return n
+
+
+def _busemann_floor(model: SpaceModel, g: Isometry, spec: NeighborhoodSpec, points: list[Point], n_max: int) -> int:
+    """The step, at most n_max, past which <b|g^n p>_w > T for every point p,
+    b, w and T the center, base and threshold.  If g fixes b, the Busemann
+    cocycle beta(w, y) = 2<b|y>_w - d(w, y) has beta(w, g^n p) = beta(w, p) +
+    n tau, tau = beta(w, g w) (Bridson-Haefliger II.8), and d >= |beta|, so
+    <b|y>_w >= beta: for tau > 0 every step past (T + 1e-9 - beta(w, p)) / tau
+    passes.  Trees are exact.  The plane's float products err by under 1e-12
+    below 9, and more as the orbit nears b (about 1e-9 at 16; about 36 +
+    ln(|b - w| / |b|), or inf, once it is b in floats): for T below 9, every
+    skipped step passes in floats too.  With no floor, n_max."""
+    geo, b, w = lab(model), spec.center, spec.base
+
+    def beta(y: Point) -> float:
+        return 2 * geo.gromov_boundary_point(b, y, w) - geo.distance(w, y).value
+
+    tau = beta(geo.apply(g, w)) if points and model.fixes(g, b) else 0.0
+    bound = max((spec.threshold + 1e-9 - beta(p)) / tau for p in points) if tau > 0 else math.nan
+    return math.floor(max(0.0, bound)) if bound < n_max else n_max  # nan: every step is walked
 
 
 # -- triangles ----------------------------------------------------------------
@@ -145,18 +154,12 @@ def orbit_points(action: Action, iso: Isometry, basepoint: Point, orbit_range: i
 def project_to_orbit(model: SpaceModel, points: dict[int, Point], z: Point) -> OrbitProjection:
     """Nearest-point projection of z to an orbit from ``orbit_points`` and
     the reverse-triangle defect d(x, x_z) + d(x_z, z) - d(x, z), where x is
-    the orbit's point 0."""
-
-    def sort_key(length: Length) -> Fraction:
-        # the tree's edge count, or the plane's cosh: monotone in the distance
-        return length.exact_value if length.exact_value is not None else length.exact_cosh
-
+    the orbit's point 0.  The orbit is ranked by the lab's exact
+    ``distance_key``; only the defect's three distances are floats."""
     geo = lab(model)
-    dists = {n: geo.distance(p, z) for n, p in points.items()}
-    best = min(sort_key(d) for d in dists.values())
-    minimizers = sorted(
-        (n for n, d in dists.items() if sort_key(d) == best), key=lambda n: (abs(n), -n)
-    )
+    keys = {n: geo.distance_key(p, z) for n, p in points.items()}
+    best = min(keys.values())
+    minimizers = sorted((n for n, key in keys.items() if key == best), key=lambda n: (abs(n), -n))
     basepoint, x_z = points[0], points[minimizers[0]]
     defect = geo.distance(basepoint, x_z).value + geo.distance(x_z, z).value - geo.distance(basepoint, z).value
     return OrbitProjection(

@@ -137,9 +137,10 @@ class PlaneGeometry(_Geometry):
         r1, r2 = y1.numerator * (den // y1.denominator), y2.numerator * (den // y2.denominator)
         return Fraction(dx * dx + r1 * r1 + r2 * r2, 2 * r1 * r2)
 
+    distance_key = cosh_distance  # exact and monotone in the distance: ranks with no float
+
     def distance(self, x: Point, y: Point) -> Length:
-        ch = self.cosh_distance(x, y)
-        return Length(acosh_fraction(ch), exact_cosh=ch)
+        return Length(acosh_fraction(self.cosh_distance(x, y)))
 
     def _point_matrix(self, p: Point) -> tuple[int, int, int]:
         """(Y, X, D) for the integer matrix [[Y, X], [0, D]] that maps i to
@@ -302,8 +303,11 @@ class TreeGeometry(_Geometry):
             return self._ancestor(u, du - t)
         return self._ancestor(v, t - du + 2 * k)
 
+    def distance_key(self, x: Point, y: Point) -> int:  # the edge count: exact, ranks with no float
+        return self._dist(self.require_point(x), self.require_point(y))
+
     def distance(self, x: Point, y: Point) -> Length:
-        return _int_length(self._dist(self.require_point(x), self.require_point(y)))
+        return _int_length(self.distance_key(x, y))
 
     def pairwise_distances(self, points: list[Point]):
         """d(p, q) for every two of the points, an int64 array: row p, column q.

@@ -129,8 +129,7 @@ class PlaneHyperbolic(NamedTuple):
 
     @property
     def translation_length(self) -> Length:
-        half = Fraction(self.a + self.d, 2 * self.s)  # cosh tau = 2 half^2 - 1
-        return Length(2.0 * acosh_fraction(half), exact_cosh=2 * half * half - 1)
+        return Length(2.0 * acosh_fraction(Fraction(self.a + self.d, 2 * self.s)))
 
     fixed_plus = property(lambda self: self.fixed_points[0])
     fixed_minus = property(lambda self: self.fixed_points[1])

@@ -47,18 +47,12 @@ class BoundaryPoint:
 
 @dataclass(frozen=True)
 class Length:
-    """A nonnegative length with optional exact companions.
-
-    exact_cosh is set by the half-plane (cosh of the length, rational as
-    the plane's points and traces are); exact_value is set by tree models
-    (integer edge counts; the Gromov products of tree vertices are integers
-    too).  The geometry lab's distances carry one of the two, and so does
-    the translation length a hyperbolic class builds for a reader that asks
-    for one; no class keeps a Length.  The float is display/diagnostic only.
-    """
+    """A nonnegative length: a float, for display and diagnostics only, and
+    on trees the exact edge count (Gromov products of tree vertices are
+    integers too).  The geometry lab's distances build one, and so does a
+    hyperbolic class's translation length, for a reader; no class keeps one."""
 
     value: float
-    exact_cosh: Optional[Fraction] = None
     exact_value: Optional[Fraction] = None
 
 

@@ -48,6 +48,7 @@ PARTITIONS = "tests/test_combiner.py::test_lazy_partitions_match_the_eager_refer
 LEVEL_ZERO = "tests/test_combiner.py::test_parabolic_words_level_zero_matches_the_walk"
 CLASSES = "tests/test_classification_sweep.py::test_plane_classes_match_the_fraction_derivation"
 SPELLING = "tests/test_quadratic.py::test_a_boundary_point_has_one_spelling"
+FLOOR = "tests/test_dynamics.py::test_ns_floor_matches_the_full_walk"
 
 MUTANTS = (
     # the tree orbit follows the base under g^-1 alone, and reads each
@@ -58,6 +59,13 @@ MUTANTS = (
            "depth(u) + n * shift", "depth(u)", (ORBITS,)),
     Mutant("tree-orbit-meet-depth-zero", "geometry.py",
            "2 * meet(u, y)) // 2", "2 * 0) // 2", (ORBITS,)),
+    # the North-South check stops at the Busemann floor: the last step that
+    # any point needs, and only when g moves points towards U+'s center
+    Mutant("floor-min-over-points", "dynamics.py",
+           "bound = max((spec.threshold", "bound = min((spec.threshold", (FLOOR,)),
+    Mutant("floor-on-a-repelling-center", "dynamics.py",
+           "if tau > 0 else math.nan", "if tau != 0 else math.nan",
+           ("tests/test_dynamics.py::test_ns_floor_needs_an_attracting_center",)),
     # the size cap: squares are sized once their bound passes it, and a
     # word's image keeps the running bound of the product so far
     Mutant("power-squares-never-sized", "models.py",

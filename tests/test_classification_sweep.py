@@ -312,8 +312,9 @@ def test_plane_classes_match_the_fraction_derivation():
         _, plus, minus, tau, cosh = plane_class_reference(m)
         assert witness_line(3, "p", plane, cls) == plane_witness_line_reference(3, "p", m)
         assert [bp.payload for bp in cls.hyperbolic.fixed_points] == [plus, minus]
-        length = cls.hyperbolic.translation_length
-        assert repr(length.value) == repr(tau) and length.exact_cosh == cosh
+        h = cls.hyperbolic
+        half = Fraction(h.a + h.d, 2 * h.s)  # cosh(tau/2), from the class's integers
+        assert repr(h.translation_length.value) == repr(tau) and 2 * half * half - 1 == cosh
         assert _tau_display(cls) == f"{tau:.6f}"
         kinds["infinity" if None in (plus, minus) else "quadratic" if plus.root else "rational"] += 1
         kinds["past float range"] += abs(Fraction(m.a + m.d, 2 * m.s)) > 2**1024
@@ -441,9 +442,9 @@ def test_cosh_float_consistency(x1, y1n, x2, y2n):
     plane = HalfPlaneModel()
     p = lab(plane).point_xy(Fraction(x1, 3), Fraction(abs(y1n) + 1, 4))
     q = lab(plane).point_xy(Fraction(x2, 5), Fraction(abs(y2n) + 1, 2))
-    L = lab(plane).distance(p, q)
-    err = abs(math.cosh(L.value) - float(L.exact_cosh))
-    assert err <= 2**-40 * max(1.0, float(L.exact_cosh))
+    L, ch = lab(plane).distance(p, q), lab(plane).cosh_distance(p, q)
+    err = abs(math.cosh(L.value) - float(ch))
+    assert err <= 2**-40 * max(1.0, float(ch))
 
 
 def test_power_negative_exponents():

@@ -436,13 +436,26 @@ def test_each_word_classified_once_per_action(capsys, monkeypatch, command):
 
 def test_cli_dynamics_orbit_reaching_the_boundary_in_floats(capsys):
     # by depth 640 an orbit point's float coordinates equal the attracting
-    # fixed point's, where the extended Gromov product is infinite
+    # fixed point's, where the extended Gromov product is infinite; ns stops
+    # at its Busemann floor well before, at either depth
     argv = ["dynamics", "--input", str(CONFIGS / "worked_example.cfg"), "--checks", "ns"]
     assert main(argv + ["--orbit-depth", "640"]) == 0
     out = capsys.readouterr().out
     assert out.count("N=1") == 2
     assert main(argv + ["--orbit-depth", "200"]) == 0
     assert capsys.readouterr().out == out
+
+
+def test_cli_dynamics_depth_1000_with_infinity_attracting(tmp_path, capsys):
+    # f = diag(2, 1/2) attracts to infinity, where an orbit's y grows fourfold
+    # a step and its integer ratios leave float range near step 512: ns stops
+    # at its Busemann floor before, with no traceback
+    text = WORKED_EXAMPLE.replace("gen f [[2, 1], [1, 1]]", "gen f [[2, 0], [0, 1/2]]")
+    path = write(tmp_path, "diagonal.cfg", text)
+    argv = ["dynamics", "--input", path, "--orbit-depth", "1000", "--checks", "ns", "--format", "records"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "ns 0 plane-one N 1" in captured.out.splitlines() and captured.err == ""
 
 
 @pytest.mark.parametrize("checks", ["nss", "ns,insize,projection,separation", "ns, Insize"])

@@ -1,10 +1,15 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+from hypiso import cli
 from hypiso.actions import Action
 from hypiso.dynamics import (
     NeighborhoodSpec,
+    _busemann_floor,
     contains_point,
     estimate_delta_insize,
     internal_points,
@@ -13,7 +18,14 @@ from hypiso.dynamics import (
     orbit_projection,
 )
 from hypiso.errors import DegenerateTriangle, NoPassingN, NotHyperbolic
-from hypiso.geometry import CayleyGeometry, TreeGeometry, estimate_delta_four_point, gromov_product, lab
+from hypiso.geometry import (
+    CayleyGeometry,
+    PlaneGeometry,
+    TreeGeometry,
+    estimate_delta_four_point,
+    gromov_product,
+    lab,
+)
 from hypiso.halfplane import HalfPlaneModel
 from hypiso.combiner import resolve_witness
 from hypiso.sampling import (
@@ -26,6 +38,8 @@ from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 from hypiso.words import GroupWord
 
 from reference import power, sample_points, sample_tree_points, separation_witnesses, vertex
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -62,6 +76,19 @@ def test_ns_dynamics_diagonal(plane):
         for _ in range(n, 8):
             assert contains_point(plane, u_plus, cur)
             cur = lab(plane).apply(g, cur)
+
+
+def test_ns_dynamics_diagonal_at_depth_1000(plane):
+    # infinity attracts, and y grows fourfold a step: near step 512 the
+    # lab's products leave float range (OverflowError), long after the floor
+    D = plane.matrix(2, 0, 0, Fraction(1, 2))
+    act = Action("p", plane, {"f": D})
+    u_plus, u_minus = k1_neighborhoods(plane, plane.classify(D))
+    sample = sample_plane_points(plane, 30, rng_from_seed(1))
+    assert ns_dynamics_check(act, act.image(GroupWord.parse("f")), u_plus, u_minus, sample, 1000) == 1
+    with pytest.raises(OverflowError):
+        for products in lab(plane).orbit_boundary_products(D, u_plus.center, sample, u_plus.base, 1000):
+            list(products)
 
 
 def test_ns_dynamics_tree(bs23):
@@ -191,16 +218,19 @@ def test_plane_orbit_products_match_direct_iteration(plane, entries, steps):
             float(lab(plane).cosh_distance(last[0], lab(plane).basepoint))
 
 
-def _tree_witnesses() -> list:
-    """(action, witness image) for every tree action of random_action_system
+def _sampled_witnesses() -> list:
+    """(seed, action, witness image) for every action of random_action_system
     seeds 0-29."""
     out = []
     for seed in range(30):
         system = random_action_system(seed)
-        for i, action in enumerate(system.actions):
-            if isinstance(action.model, TreeModel):
-                out.append((action, resolve_witness(system, i)[1]))
+        out += [(seed, action, resolve_witness(system, i)[1]) for i, action in enumerate(system.actions)]
     return out
+
+
+def _tree_witnesses() -> list:
+    """(action, witness image) for every tree action of _sampled_witnesses."""
+    return [(action, g) for _, action, g in _sampled_witnesses() if isinstance(action.model, TreeModel)]
 
 
 def _letter_words(model) -> list:
@@ -311,6 +341,165 @@ def test_tree_ns_dynamics_matches_direct_iteration_far_out(monkeypatch):
             found.append(_outcome(ns_dynamics_check, *args))
             assert found[-1] == _outcome(_ns_by_iteration, *args)
     assert max(found) >= 8
+
+
+# -- the Busemann floor ----------------------------------------------------------
+
+
+def _beta(model, b, y, w) -> float:
+    """The Busemann cocycle beta(w, y) = 2<b|y>_w - d(w, y) of the boundary
+    point b, from the lab's floats."""
+    geo = lab(model)
+    return 2 * geo.gromov_boundary_point(b, y, w) - geo.distance(w, y).value
+
+
+def test_plane_busemann_shift_and_cocycle(plane):
+    # the plane's counterpart of test_tree_busemann_shift_and_fixed_point_contract,
+    # to float tolerance: g moves every point tau closer to its attracting
+    # end and tau further from its repelling one, so beta(w, g y) =
+    # beta(w, y) + beta(w, g w); infinity attracts under diag(2, 1/2)
+    diagonal = Action("p", plane, {"f": plane.matrix(2, 0, 0, Fraction(1, 2))})
+    cases = [(0, diagonal, diagonal.image(GroupWord.parse("f")))]
+    cases += [case for case in _sampled_witnesses() if isinstance(case[1].model, HalfPlaneModel)]
+    ends = set()
+    for seed, action, g in cases:
+        cls, geo = plane.classify(g), lab(plane)
+        tau = cls.hyperbolic.translation_length.value
+        points = sample_points(plane, 4, rng_from_seed(seed))
+        for base in (geo.basepoint, points[0]):
+            for end, shift in zip(cls.hyperbolic.fixed_points, (tau, -tau)):
+                ends.add(end.payload is None)
+                assert _beta(plane, end, geo.apply(g, base), base) == pytest.approx(shift, rel=1e-9, abs=1e-9)
+                for y in points[1:]:
+                    moved = _beta(plane, end, geo.apply(g, y), base)
+                    assert moved == pytest.approx(_beta(plane, end, y, base) + shift, rel=1e-9, abs=1e-9)
+    assert ends == {True, False}
+
+
+def test_orbit_products_stay_above_the_busemann_floor():
+    # <b|g^n p>_w = (d + beta)/2 >= beta(w, p) + n tau, tau = beta(w, g w), as
+    # d >= |beta|: in both labs' floats to 1e-9, until the product passes 30.
+    # Past that a plane orbit has come within float resolution of b, and its
+    # float product is about 36 + ln(|b - w| / |b|), below the reals
+    below = Counter()
+    for seed, action, g in _sampled_witnesses():
+        model, geo = action.model, lab(action.model)
+        b = model.classify(g).hyperbolic.fixed_plus
+        points = sample_points(model, 8, rng_from_seed(seed))
+        for base in (geo.basepoint, points[1]):
+            tau = _beta(model, b, geo.apply(g, base), base)
+            betas = [_beta(model, b, p, base) for p in points]
+            for n, products in enumerate(geo.orbit_boundary_products(g, b, points, base, 24), 1):
+                for beta, value in zip(betas, products):
+                    assert value >= min(beta + n * tau - 1e-9, 30), (seed, model.kind, n)
+                    below[model.kind] += value < beta + n * tau - 1e-9
+    assert below["half_plane"] and not below["bass_serre"] and not below["cayley_tree"]
+
+
+def _ns_by_walk(model, u_plus, u_minus, sample, table, n_max):
+    """ns_dynamics_check's outcome from every step of a table of the lab's
+    products of the sample, each a float or an outcome of _outcome: the
+    check without the floor."""
+    if not neighborhoods_disjoint(model, u_plus, u_minus, sample):
+        return ValueError, "U+ and U- are not disjoint"
+    outside = [j for j, p in enumerate(sample) if not contains_point(model, u_minus, p)]
+    failing = 0
+    for n, row in enumerate(table[:n_max], 1):
+        for j in outside:
+            if isinstance(row[j], tuple):
+                return row[j]
+            if not row[j] > u_plus.threshold:
+                failing = n
+                break
+    if failing < n_max:
+        return failing + 1
+    return NoPassingN, f"no N <= {n_max} works for {len(outside)} sample points"
+
+
+FLOAT_OVERFLOW = "integer division result too large for a float"
+
+
+def test_ns_floor_matches_the_full_walk():
+    # walking every step of the lab's products, as the check did before it
+    # stopped at the Busemann floor, gives the same N (or error) at n_max 64,
+    # and 200 for seeds 0-9, thresholds 0.5-6, at the basepoint and off it.
+    # Where the walk raises past the floor (a plane orbit leaving float
+    # range: math domain error), the floor read no such step
+    compared, past_floats = Counter(), 0
+    for seed, action, g in _sampled_witnesses():
+        model, geo = action.model, lab(action.model)
+        ends = model.classify(g).hyperbolic.fixed_points
+        sample = sample_points(model, 8, rng_from_seed(seed))
+        depths = (64, 200) if seed < 10 else (64,)
+        for base in (geo.basepoint, sample[1]):
+            steps = geo.orbit_boundary_products(g, ends[0], sample, base, depths[-1])
+            table = [[_outcome(next, products) for _ in sample] for products in steps]
+            for threshold, n_max in product((0.5, 1, 3, 6), depths):
+                plus, minus = NeighborhoodSpec(ends[0], threshold, base), NeighborhoodSpec(ends[1], threshold, base)
+                found = _outcome(ns_dynamics_check, action, g, plus, minus, sample, n_max)
+                walked = _ns_by_walk(model, plus, minus, sample, table, n_max)
+                if found == walked:
+                    compared[model.kind, type(found)] += 1
+                    continue
+                assert walked in ((ValueError, "math domain error"), (OverflowError, FLOAT_OVERFLOW)), found
+                outside = [j for j, p in enumerate(sample) if not contains_point(model, minus, p)]
+                last = _busemann_floor(model, g, plus, [sample[j] for j in outside], n_max)
+                assert isinstance(found, int) and found <= last + 1 <= n_max
+                assert not any(isinstance(row[j], tuple) for row in table[:last] for j in outside)
+                past_floats += 1
+    assert {kind for kind, _ in compared} == {"half_plane", "bass_serre", "cayley_tree"}
+    assert compared["half_plane", int] and compared["half_plane", tuple] and past_floats
+
+
+def test_ns_floor_needs_an_attracting_center(plane, bs23):
+    # with U+ at the repelling end tau = beta(w, g w) < 0: there is no floor,
+    # and every step is walked, as orbits leave U+
+    diagonal = plane.matrix(2, 0, 0, Fraction(1, 2))
+    w = bs23.word([(0, 1), (1, 1)])
+    for action, sample in (
+        (Action("p", plane, {"f": diagonal}), sample_plane_points(plane, 30, rng_from_seed(1))),
+        (Action("b", bs23, {"f": w}), lab(bs23).ball_vertices(3)),
+    ):
+        g = action.image(GroupWord.parse("f"))
+        plus_end, minus_end = action.model.classify(g).hyperbolic.fixed_points[::-1]
+        for threshold in (0.5, 1, 3):
+            plus, minus = (NeighborhoodSpec(e, threshold, lab(action.model).basepoint) for e in (plus_end, minus_end))
+            args = (action, g, plus, minus, sample, 64)
+            assert _outcome(ns_dynamics_check, *args) == _outcome(_ns_by_iteration, *args)
+            assert _outcome(ns_dynamics_check, *args)[0] is NoPassingN
+
+
+def test_ns_reads_no_step_past_the_floor(monkeypatch, capsys):
+    # at orbit-depth 1,000, on configs/ and on the systems of seeds 0-29 with
+    # the samples hypiso dynamics draws, each check reads no step of the
+    # lab's orbit past the floor, which is a few steps
+    floors, read = [], []
+
+    def recorded_floor(*args):
+        floors.append(_busemann_floor(*args))
+        return floors[-1]
+
+    def counted(walk):
+        def orbit_boundary_products(self, *args):
+            read.append(0)
+            for products in walk(self, *args):
+                read[-1] += 1
+                yield products
+
+        return orbit_boundary_products
+
+    monkeypatch.setattr("hypiso.dynamics._busemann_floor", recorded_floor)
+    for geometry in (PlaneGeometry, TreeGeometry):
+        monkeypatch.setattr(geometry, "orbit_boundary_products", counted(geometry.orbit_boundary_products))
+    for config in sorted(CONFIGS.glob("*.cfg")):
+        argv = ["dynamics", "--input", str(config), "--orbit-depth", "1000", "--checks", "ns"]
+        assert cli.main(argv) == 0 and "failed" not in capsys.readouterr().out
+    for seed, action, g in _sampled_witnesses():
+        plus, minus = k1_neighborhoods(action.model, action.model.classify(g))
+        ns_dynamics_check(action, g, plus, minus, cli._sample(action, seed, 24, 3), 1000)
+    assert len(read) == len(floors) > 90
+    assert all(steps <= floor for steps, floor in zip(read, floors))
+    assert max(floors) <= 4
 
 
 def test_separation_identity(plane):

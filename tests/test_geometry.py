@@ -218,7 +218,8 @@ def test_translation_conjugation_invariance(plane):
     h = plane.matrix(1, 2, 0, 1)
     conj = plane.compose(plane.compose(h, F), plane.invert(h))
     c1, c2 = plane.classify(F), plane.classify(conj)
-    assert c1.hyperbolic.translation_length.exact_cosh == c2.hyperbolic.translation_length.exact_cosh
+    h1, h2 = c1.hyperbolic, c2.hyperbolic
+    assert Fraction(h1.a + h1.d, 2 * h1.s) == Fraction(h2.a + h2.d, 2 * h2.s)  # cosh(tau/2)
 
 
 def test_elliptic_decay(plane):

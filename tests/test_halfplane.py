@@ -25,8 +25,9 @@ def plane():
 
 def test_distance_vertical_axis(plane):
     # cosh d((0,1),(0,4)) = 1 + 9/8 = 17/8; d = ln 4
-    L = lab(plane).distance(lab(plane).point_xy(0, 1), lab(plane).point_xy(0, 4))
-    assert L.exact_cosh == Fraction(17, 8)
+    p, q = lab(plane).point_xy(0, 1), lab(plane).point_xy(0, 4)
+    L = lab(plane).distance(p, q)
+    assert lab(plane).cosh_distance(p, q) == Fraction(17, 8)
     assert abs(L.value - math.log(4)) < 1e-12
     assert abs(L.value - math.acosh(17 / 8)) < 1e-12
 
@@ -35,16 +36,16 @@ def test_distance_identity_and_symmetry(plane):
     p = lab(plane).point_xy(Fraction(1, 3), Fraction(5, 7))
     q = lab(plane).point_xy(-2, Fraction(1, 2))
     assert lab(plane).distance(p, p).value == 0.0
-    assert lab(plane).distance(p, q).exact_cosh == lab(plane).distance(q, p).exact_cosh
+    assert lab(plane).cosh_distance(p, q) == lab(plane).cosh_distance(q, p)
 
 
 def test_cosh_value_consistency(plane):
-    # exact_cosh and the float value agree to relative 2^-40
+    # the exact cosh and the float distance agree to relative 2^-40
     p = lab(plane).point_xy(Fraction(-7, 4), Fraction(2, 9))
     q = lab(plane).point_xy(3, Fraction(11, 3))
-    L = lab(plane).distance(p, q)
-    err = abs(math.cosh(L.value) - float(L.exact_cosh))
-    assert err <= 2**-40 * max(1.0, float(L.exact_cosh))
+    L, ch = lab(plane).distance(p, q), lab(plane).cosh_distance(p, q)
+    err = abs(math.cosh(L.value) - float(ch))
+    assert err <= 2**-40 * max(1.0, float(ch))
 
 
 def test_mixed_models_rejected(plane):
@@ -114,8 +115,9 @@ def test_matrix_of_converts_other_inputs():
 def test_classify_hyperbolic_trace_3(plane):
     cls = plane.classify(plane.matrix(2, 1, 1, 1))
     assert cls.tag == "hyperbolic"
-    tl = cls.hyperbolic.translation_length
-    assert tl.exact_cosh == Fraction(7, 2)  # cosh tau = 2 cosh^2(tau/2) - 1
+    tl, h = cls.hyperbolic.translation_length, cls.hyperbolic
+    half = Fraction(h.a + h.d, 2 * h.s)  # cosh(tau/2)
+    assert 2 * half * half - 1 == Fraction(7, 2)  # cosh tau = 2 cosh^2(tau/2) - 1
     assert class_invariant(cls) == "cosh-half=3/2"
     assert abs(tl.value - 2 * math.acosh(1.5)) < 1e-12
 
@@ -255,7 +257,8 @@ def test_projective_convention(plane):
     negF = plane.isometry(Matrix2(-a, -b, -c, -d, s))
     cls1 = plane.classify(F)
     cls2 = plane.classify(negF)
-    assert cls1.hyperbolic.translation_length.exact_cosh == cls2.hyperbolic.translation_length.exact_cosh
+    h1, h2 = cls1.hyperbolic, cls2.hyperbolic
+    assert Fraction(h1.a + h1.d, 2 * h1.s) == Fraction(h2.a + h2.d, 2 * h2.s)  # cosh(tau/2)
     assert plane.boundary_equal(cls1.hyperbolic.fixed_plus, cls2.hyperbolic.fixed_plus)
 
 
