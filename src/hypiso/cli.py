@@ -52,8 +52,8 @@ EXIT_HYPOTHESIS = 3
 MAX_SAMPLE_POINTS = 1000
 
 # dynamics follows an orbit of at most this many steps (orbit-depth); --checks
-# ns stops at its Busemann floor, a few steps in, and takes 2-5 ms at any depth
-# on configs/ (Python 3.11.7, 2 cores, host.ref_ms 0.15-0.16)
+# ns stops at its Busemann floor, a few steps in: 2.4-3.2 ms per configs/ file at
+# depth 64 and 1,000 (medians; Python 3.11.7, 2 cores, host.ref_ms 0.15-0.16)
 MAX_ORBIT_DEPTH = 1000
 
 # the checks dynamics runs, as --checks names them

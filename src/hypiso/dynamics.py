@@ -6,7 +6,7 @@ certification path.  Boundary neighborhoods are realized purely through
 Gromov-product thresholds (the standard neighborhood basis); "disjoint"
 means the two membership tests cannot both pass, checked on the centers'
 mutual Gromov product plus the sample at hand.  Every distance, Gromov
-product and orbit is read from the model's geometry lab (``geometry.lab``).
+product and orbit step comes from the model's lab (``geometry.lab``).
 """
 
 from __future__ import annotations
@@ -57,43 +57,54 @@ def ns_dynamics_check(
     n_max: int,
 ) -> int:
     """Least N <= n_max with g^n(sample - U-) inside U+ for all N <= n <= n_max,
-    for g the image of a word in the action and U+ centered at a fixed point
-    of g (on trees, ValueError otherwise).  Each step's products come from
-    the lab's ``orbit_boundary_products``, and a step stops at its first
-    point outside U+; no step past ``_busemann_floor`` is computed."""
+    for g the image of a word in the action.  Each sample point's products
+    with U+'s and U-'s centers are read once, for the disjointness test, the
+    points outside U- and their floor; then the outside points are stepped by
+    the lab's ``apply`` for n = 1, 2, ..., and a step fails at its first
+    point outside U+.  No step past ``_busemann_floor`` is walked."""
     model = action.model
     tag = model.tag(g)
     if tag != HYPERBOLIC:
         raise NotHyperbolic(f"word is {tag} in action {action.name!r}")
-    if not neighborhoods_disjoint(model, u_plus, u_minus, sample):
+    if not neighborhoods_disjoint(model, u_plus, u_minus):
         raise ValueError("U+ and U- are not disjoint")
-    outside = [p for p in sample if not contains_point(model, u_minus, p)]
-    last = _busemann_floor(model, g, u_plus, outside, n_max)
-    steps = lab(model).orbit_boundary_products(g, u_plus.center, outside, u_plus.base, last)
-    failing = [n for n, values in enumerate(steps, 1) if not all(v > u_plus.threshold for v in values)]
-    n = max(failing, default=0) + 1
-    if n > n_max:
+    geo = lab(model)
+    read = geo.gromov_boundary_point
+    table = [(p, read(u_plus.center, p, u_plus.base), read(u_minus.center, p, u_minus.base)) for p in sample]
+    if any(plus > u_plus.threshold and minus > u_minus.threshold for _, plus, minus in table):
+        raise ValueError("U+ and U- are not disjoint")
+    outside = [(p, plus) for p, plus, minus in table if not minus > u_minus.threshold]
+    points, failing = [p for p, _ in outside], 0
+    for n in range(1, _busemann_floor(model, g, u_plus, outside, n_max) + 1):
+        points = [geo.apply(g, p) for p in points]
+        if not all(contains_point(model, u_plus, p) for p in points):
+            failing = n
+    if failing >= n_max:
         raise NoPassingN(f"no N <= {n_max} works for {len(outside)} sample points")
-    return n
+    return failing + 1
 
 
-def _busemann_floor(model: SpaceModel, g: Isometry, spec: NeighborhoodSpec, points: list[Point], n_max: int) -> int:
-    """The step, at most n_max, past which <b|g^n p>_w > T for every point p,
-    b, w and T the center, base and threshold.  If g fixes b, the Busemann
-    cocycle beta(w, y) = 2<b|y>_w - d(w, y) has beta(w, g^n p) = beta(w, p) +
-    n tau, tau = beta(w, g w) (Bridson-Haefliger II.8), and d >= |beta|, so
-    <b|y>_w >= beta: for tau > 0 every step past (T + 1e-9 - beta(w, p)) / tau
-    passes.  Trees are exact.  The plane's float products err by under 1e-12
-    below 9, and more as the orbit nears b (about 1e-9 at 16; about 36 +
-    ln(|b - w| / |b|), or inf, once it is b in floats): for T below 9, every
-    skipped step passes in floats too.  With no floor, n_max."""
+def _busemann_floor(model: SpaceModel, g: Isometry, spec: NeighborhoodSpec, outside: list, n_max: int) -> int:
+    """The step, at most n_max, past which <b|g^n p>_w > T for the point p of
+    every (p, <b|p>_w) pair outside, b, w and T the center, base and
+    threshold.  If g fixes b, the Busemann cocycle beta(w, y) = 2<b|y>_w -
+    d(w, y) has beta(w, g^n p) = beta(w, p) + n tau, tau = beta(w, g w)
+    (Bridson-Haefliger II.8), and d >= |beta|, so <b|y>_w >= beta: for tau >
+    0 every step past (T + 1e-9 - beta(w, p)) / tau passes.  Trees are exact.
+    The plane's float products err by under 1e-12 below 9, and more as the
+    orbit nears b (about 1e-9 at 16; about 36 + ln(|b - w| / |b|), or inf,
+    once it is b in floats): for T below 9, every skipped step passes in
+    floats too.  With no floor, n_max."""
     geo, b, w = lab(model), spec.center, spec.base
 
-    def beta(y: Point) -> float:
-        return 2 * geo.gromov_boundary_point(b, y, w) - geo.distance(w, y).value
+    def beta(y: Point, product: float) -> float:
+        return 2 * product - geo.distance(w, y).value
 
-    tau = beta(geo.apply(g, w)) if points and model.fixes(g, b) else 0.0
-    bound = max((spec.threshold + 1e-9 - beta(p)) / tau for p in points) if tau > 0 else math.nan
+    if not outside or not model.fixes(g, b):
+        return n_max
+    gw = geo.apply(g, w)
+    tau = beta(gw, geo.gromov_boundary_point(b, gw, w))
+    bound = max((spec.threshold + 1e-9 - beta(p, v)) / tau for p, v in outside) if tau > 0 else math.nan
     return math.floor(max(0.0, bound)) if bound < n_max else n_max  # nan: every step is walked
 
 

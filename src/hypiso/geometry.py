@@ -168,66 +168,43 @@ class PlaneGeometry(_Geometry):
         return np.array(rows)
 
     def apply(self, iso: Isometry, p: Point) -> Point:
-        """M (x + iy): with den = |c (x + iy) + d|^2 the image's y is
-        y s^2 / den, as ad - bc = s^2."""
+        """M p for p = (X + Y i)/D in integers: with u = a(X + Y i) + bD and
+        v = c(X + Y i) + dD, M p = u conj(v) / |v|^2, whose imaginary part
+        is Y D s^2 / |v|^2, as ad - bc = s^2."""
         m: Matrix2 = self.model.require_iso(iso)
-        x, y = self.require_point(p)
+        Y, X, D = self._point_matrix(p)
         a, b, c, d = m.a, m.b, m.c, m.d  # s*M: the Mobius map is the same
-        y2 = y * y
-        den = (c * x + d) ** 2 + c * c * y2
-        nx = (a * c * (x * x + y2) + (a * d + b * c) * x + b * d) / den
-        return self.point((nx, y * (m.s * m.s) / den))
+        u, v = a * X + b * D, c * X + d * D
+        den = v * v + c * c * Y * Y
+        return self.point((Fraction(u * v + a * c * Y * Y, den), Fraction(Y * D * m.s * m.s, den)))
 
     def _floats(self, p: Point) -> tuple[float, float]:
         x, y = self.require_point(p)
         return float(x), float(y)
 
     def gromov_boundary_point(self, b: BoundaryPoint, y: Point, base: Point) -> float:
-        """Extended Gromov product <b|y>_base (diagnostic precision)."""
+        """Extended Gromov product <b|y>_w = ln(|b - w| / |b - y|) + (1/2) ln(Im y
+        / Im w) + d(y, w)/2, w the base, in floats; b infinity drops the first
+        term.  Past float range (Im y underflows to 0, or a coordinate overflows)
+        the logs are of the exact rationals' integers, b's float taken exactly."""
         pp: QuadraticNumber | None = self.model.require_boundary(b)
-        yx, yy = self._floats(y)
-        wx, wy = self._floats(base)
+        xi = None if pp is None else float(pp)
         dyw = self.distance(y, base).value
-        xi = None if pp is None else float(pp)
-        return _boundary_product(xi, None if xi is None else math.hypot(xi - wx, wy), wy, yx, yy, dyw)
-
-    def orbit_boundary_products(
-        self, iso: Isometry, b: BoundaryPoint, points: list[Point], base: Point, steps: int
-    ):
-        """For n = 1..steps, an iterator over the points p of the values
-        ``gromov_boundary_point(b, iso^n p, base)``, each computed (and any
-        error raised) only when it is read; the orbit advances one step per
-        n, whether or not every value was read.
-
-        Each orbit point is an integer matrix A with A i = g^n p, stepped by
-        the primitive matrix N of g with no gcd: A = [[p, q], [r, t]] gives
-        x = (pr + qt)/(r^2 + t^2) and y = det A/(r^2 + t^2), and with C the
-        adjugate of the base's matrix times A, 2 det C cosh d(y, base) =
-        |C|^2.  The floats of these integer ratios are those of the reduced
-        Fractions, since int / int rounds correctly."""
-        m: Matrix2 = self.model.require_iso(iso)
-        pp: QuadraticNumber | None = self.model.require_boundary(b)
-        xi = None if pp is None else float(pp)
-        wx, wy = self._floats(base)
-        xi_w = None if xi is None else math.hypot(xi - wx, wy)  # once, not per point and step
-        by, bx, bd = self._point_matrix(base)  # its adjugate is [[bd, -bx], [0, by]]
-        a, bb, c, d = m.a, m.b, m.c, m.d
-        orbit = [(y, x, 0, den) for y, x, den in map(self._point_matrix, points)]
-        dets = [y * den for y, _, _, den in orbit]
-        s2 = m.s * m.s
-
-        def product(A, det):
-            p, q, r, t = A
-            den = r * r + t * t
-            yx, yy = (p * r + q * t) / den, det / den
-            c0, c1, c2, c3 = bd * p - bx * r, bd * q - bx * t, by * r, by * t
-            dyw = _acosh_ratio(c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3, 2 * by * bd * det)
-            return _boundary_product(xi, xi_w, wy, yx, yy, dyw)
-
-        for _ in range(steps):
-            orbit = [(a * p + bb * r, a * q + bb * t, c * p + d * r, c * q + d * t) for p, q, r, t in orbit]
-            dets = [det * s2 for det in dets]  # det N = s^2
-            yield map(product, orbit, dets)
+        try:
+            (yx, yy), (wx, wy) = self._floats(y), self._floats(base)
+            if xi is None:
+                return 0.5 * math.log(yy / wy) + 0.5 * dyw
+            den = math.hypot(xi - yx, yy)
+            if den == 0.0:
+                return math.inf  # y has reached xi in floats
+            return math.log(math.hypot(xi - wx, wy) / den) + 0.5 * math.log(yy / wy) + 0.5 * dyw
+        except (ValueError, OverflowError):  # y is past float range
+            (x, yy), (wx, wy) = self.require_point(y), self.require_point(base)
+            value = 0.5 * (_log(yy) - _log(wy)) + 0.5 * dyw
+            if xi is None:
+                return value
+            q = Fraction(xi)
+            return 0.5 * (_log((q - wx) ** 2 + wy * wy) - _log((q - x) ** 2 + yy * yy)) + value
 
     def internal_points(self, x: Point, y: Point, z: Point) -> tuple[tuple[Point, Point, Point], Length]:
         """The internal points of the triangle xyz on its sides [y, z], [z, x]
@@ -270,16 +247,9 @@ class PlaneGeometry(_Geometry):
         return math.log(math.hypot(x1 - wx, wy) * math.hypot(x2 - wx, wy) / (sep * wy))
 
 
-def _boundary_product(xi, xi_w, wy: float, yx: float, yy: float, dyw: float) -> float:
-    """<xi|y>_w = ln(|xi-w| / |xi-y|) + (1/2) ln(Im y / Im w) + d(y,w)/2 in
-    floats, xi None for the point at infinity; xi_w is |xi-w| = hypot(xi -
-    Re w, Im w), read by the callers once per base."""
-    if xi is None:
-        return 0.5 * math.log(yy / wy) + 0.5 * dyw
-    den = math.hypot(xi - yx, yy)
-    if den == 0.0:
-        return math.inf  # y has reached xi in floats
-    return math.log(xi_w / den) + 0.5 * math.log(yy / wy) + 0.5 * dyw
+def _log(q: Fraction) -> float:
+    """ln q of a rational q > 0 however large or small, from its integers."""
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 # -- the trees --------------------------------------------------------------------
@@ -389,43 +359,6 @@ class TreeGeometry(_Geometry):
         w = self.require_point(base)
         parted = max(len(r1.prefix), len(r2.prefix)) + math.lcm(len(r1.period), len(r2.period))
         return float(self._ray_product(r2, self._ray_vertex(r1, parted + self._depth(w)), w))
-
-    def orbit_boundary_products(
-        self, iso: Isometry, b: BoundaryPoint, points: list[Point], base: Point, steps: int
-    ):
-        """For n = 1..steps, an iterator over the products <b|g^n p>_base of
-        the points p, in order, each computed (and any error raised) only
-        when it is read.  g must fix b: ValueError otherwise.
-
-        The Busemann cocycle beta(w, x) = 2<b|x>_w - d(w, x) of a point b
-        fixed by g has beta(w, g x) = beta(w, g w) + beta(w, x) (Bridson-
-        Haefliger II.8), and g^-n is an automorphism, so 2<b|g^n y>_w =
-        d(g^-n w, y) + n beta(w, g w) + beta(w, y).  Only the base moves:
-        one ``_act`` of g^-1 a step.  beta(w, y) is read once per point from
-        one short truncation of the ray, and each step then costs one
-        ``_meet_depth`` per point, bounded by the point's own depth."""
-        model = self.model
-        g = model.require_iso(iso)
-        if not model.fixes(iso, b):
-            raise ValueError("the isometry does not fix the boundary point")
-        w = self.require_point(base)
-        ys = [self.require_point(p) for p in points]
-        shift = self._busemann(b, w, self._act(g, w))
-        # 2<b|g^n y>_w = (d(u) + n shift) + (d(y) + beta(w, y)) - 2 k(u, y), u = g^-n w
-        own = [self._depth(y) + self._busemann(b, w, y) for y in ys]
-        act, depth, g_inv, u = self._act, self._depth, model._inv(g), w
-        for n in range(1, steps + 1):
-            u = act(g_inv, u)
-            yield self._products_from(u, depth(u) + n * shift, ys, own)
-
-    def _products_from(self, u, lead: int, ys: list, own: list):
-        """The floats (lead + own - 2 k(u, y)) / 2 of the points y, lazily."""
-        meet = self._meet_depth
-        return (float((lead + c - 2 * meet(u, y)) // 2) for y, c in zip(ys, own))
-
-    def _busemann(self, b: BoundaryPoint, w, x) -> int:
-        """beta(w, x) = 2<b|x>_w - d(w, x)."""
-        return 2 * self._ray_product(self.model.require_boundary(b), x, w) - self._dist(w, x)
 
     # -- the ball -------------------------------------------------------------
 

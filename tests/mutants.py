@@ -7,7 +7,7 @@ names the tests that must fail on it.  pytest does not collect this file.
 Run it from anywhere, with no arguments for every mutant or with names:
 
     python tests/mutants.py
-    python tests/mutants.py tree-orbit-base-stepped-by-g fixes-drops-s
+    python tests/mutants.py floor-min-over-points fixes-drops-s
 
 For each mutant the runner copies the checkout (without .git and caches)
 to a temporary directory, applies the mutant there, runs its tests with
@@ -40,7 +40,6 @@ class Mutant:
     tests: tuple[str, ...]  # pytest node ids, relative to the checkout
 
 
-ORBITS = "tests/test_dynamics.py::test_tree_orbit_products_match_direct_iteration"
 CAP = "tests/test_actions.py::test_bounded_cap_raises_where_every_product_is_sized"
 ORACLE = "tests/test_combiner.py::test_certificate_check_matches_the_rendering_oracle"
 LINES = "tests/test_classification_sweep.py::test_integer_witness_lines_match_the_fraction_derivation"
@@ -51,14 +50,6 @@ SPELLING = "tests/test_quadratic.py::test_a_boundary_point_has_one_spelling"
 FLOOR = "tests/test_dynamics.py::test_ns_floor_matches_the_full_walk"
 
 MUTANTS = (
-    # the tree orbit follows the base under g^-1 alone, and reads each
-    # point's product from the Busemann shift and one meet depth
-    Mutant("tree-orbit-base-stepped-by-g", "geometry.py",
-           "u = act(g_inv, u)", "u = act(g, u)", (ORBITS,)),
-    Mutant("tree-orbit-shift-dropped", "geometry.py",
-           "depth(u) + n * shift", "depth(u)", (ORBITS,)),
-    Mutant("tree-orbit-meet-depth-zero", "geometry.py",
-           "2 * meet(u, y)) // 2", "2 * 0) // 2", (ORBITS,)),
     # the North-South check stops at the Busemann floor: the last step that
     # any point needs, and only when g moves points towards U+'s center
     Mutant("floor-min-over-points", "dynamics.py",
@@ -66,6 +57,20 @@ MUTANTS = (
     Mutant("floor-on-a-repelling-center", "dynamics.py",
            "if tau > 0 else math.nan", "if tau != 0 else math.nan",
            ("tests/test_dynamics.py::test_ns_floor_needs_an_attracting_center",)),
+    # the check reads U-'s products for the points outside U-, walks every
+    # step up to the floor, and N follows the last step that fails
+    Mutant("ns-outside-reads-u-plus", "dynamics.py",
+           "if not minus > u_minus.threshold]", "if not plus > u_minus.threshold]",
+           ("tests/test_dynamics.py::test_ns_dynamics_matches_direct_iteration",)),
+    Mutant("ns-walk-stops-one-step-short", "dynamics.py",
+           "outside, n_max) + 1):", "outside, n_max)):",
+           ("tests/test_dynamics.py::test_ns_floor_needs_an_attracting_center", FLOOR)),
+    Mutant("ns-n-from-the-first-failing-step", "dynamics.py",
+           "            failing = n\n", "            failing = failing or n\n", (FLOOR,)),
+    # past float range a plane product is read from the logs of exact rationals
+    Mutant("exact-log-adds-the-denominator", "geometry.py",
+           "math.log(q.numerator) - math.log(q.denominator)", "math.log(q.numerator) + math.log(q.denominator)",
+           ("tests/test_dynamics.py::test_plane_products_past_float_range_match_the_floats",)),
     # the size cap: squares are sized once their bound passes it, and a
     # word's image keeps the running bound of the product so far
     Mutant("power-squares-never-sized", "models.py",
@@ -88,7 +93,9 @@ MUTANTS = (
             "tests/test_classification_sweep.py::test_boundary_apply_on_irrational_fixed_points_sympy", CLASSES)),
     # a product is divided by its content, which may be exactly 2
     Mutant("product-skips-content-2", "halfplane.py",
-           "if g > 1:", "if g > 2:", ("tests/test_actions.py::test_image_is_the_fold_of_the_public_compose",)),
+           "if g > 1:", "if g > 2:",
+           ("tests/test_actions.py::test_image_is_the_fold_of_the_public_compose",
+            "tests/test_classification_sweep.py::test_trichotomy_exhaustive_small_entries")),
     # a rotation is |a + d| < 2s, not < 2: the search's fixes shortcut
     Mutant("fixes-drops-s", "halfplane.py",
            "if abs(m.a + m.d) < 2 * m.s:", "if abs(m.a + m.d) < 2:",

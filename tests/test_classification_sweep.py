@@ -123,7 +123,10 @@ def test_trichotomy_exhaustive_small_entries(monkeypatch):
     rotations = []  # s of each rotation of order 2 or 3
     previous = Matrix2.identity()
     inf, half = plane.boundary(None), plane.boundary(QuadraticNumber.of((2, -1)))
-    for m in sweep_matrices():
+    # last, a product of content exactly 2: diag(2, 1/2) [[1, 1/2], [0, 1]] is
+    # (4, 0, 0, 1) (2, 1, 0, 2) = 2 (4, 2, 0, 1), s = 2
+    content_2 = (Matrix2.of(1, Fraction(1, 2), 0, 1), Matrix2.of(2, 0, 0, Fraction(1, 2)))
+    for m in (*sweep_matrices(), *content_2):
         iso = plane.isometry(m)
         with integer_only(monkeypatch):
             tag, cls = plane.tag(iso), plane.classify(iso)

@@ -5,11 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from hypiso import cli
+from hypiso import cli, dynamics
 from hypiso.actions import Action
 from hypiso.dynamics import (
     NeighborhoodSpec,
-    _busemann_floor,
     contains_point,
     estimate_delta_insize,
     internal_points,
@@ -19,7 +18,6 @@ from hypiso.dynamics import (
 )
 from hypiso.errors import DegenerateTriangle, NoPassingN, NotHyperbolic
 from hypiso.geometry import (
-    CayleyGeometry,
     PlaneGeometry,
     TreeGeometry,
     estimate_delta_four_point,
@@ -37,7 +35,7 @@ from hypiso.sampling import (
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 from hypiso.words import GroupWord
 
-from reference import power, sample_points, sample_tree_points, separation_witnesses, vertex
+from reference import power, sample_points, sample_tree_points, separation_witnesses
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -79,16 +77,19 @@ def test_ns_dynamics_diagonal(plane):
 
 
 def test_ns_dynamics_diagonal_at_depth_1000(plane):
-    # infinity attracts, and y grows fourfold a step: near step 512 the
-    # lab's products leave float range (OverflowError), long after the floor
+    # infinity attracts, and y grows fourfold a step: near step 512 an orbit
+    # point leaves float range, long after the floor, and the lab's product
+    # is read from the logs of its exact coordinates
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
     u_plus, u_minus = k1_neighborhoods(plane, plane.classify(D))
     sample = sample_plane_points(plane, 30, rng_from_seed(1))
     assert ns_dynamics_check(act, act.image(GroupWord.parse("f")), u_plus, u_minus, sample, 1000) == 1
+    [rows], last = _products_by_iteration(plane, D, u_plus.center, sample[:2], [u_plus.base], 520)
     with pytest.raises(OverflowError):
-        for products in lab(plane).orbit_boundary_products(D, u_plus.center, sample, u_plus.base, 1000):
-            list(products)
+        float(last[0].coords[1])
+    assert all(isinstance(v, float) and v > u_plus.threshold for row in rows[8:] for v in row)
+    assert rows[-1][0] > 500
 
 
 def test_ns_dynamics_tree(bs23):
@@ -120,7 +121,7 @@ def test_ns_dynamics_requires_hyperbolic(plane):
         ns_dynamics_check(act, act.image(GroupWord.parse("r")), u_plus, u_minus, [], 8)
 
 
-# -- the orbit products against direct iteration ---------------------------------
+# -- the North-South check against direct iteration -----------------------------
 
 
 def _outcome(fn, *args):
@@ -168,54 +169,19 @@ def test_ns_dynamics_matches_direct_iteration():
     assert kinds == {"half_plane", "bass_serre", "cayley_tree"}
 
 
-def _products_by_iteration(model, iso, b, points, base, steps):
-    """Each step's products <b|g^n p>_base by apply and gromov_boundary_point,
-    up to the first error; and the last orbit."""
-    rows, current, geo = [], list(points), lab(model)
+def _products_by_iteration(model, iso, b, points, bases, steps):
+    """For each base, each step's products <b|g^n p>_base by apply and
+    gromov_boundary_point, up to the first error; and the last orbit."""
+    tables, current, geo = [[] for _ in bases], list(points), lab(model)
     for _ in range(steps):
         current = [geo.apply(iso, p) for p in current]
-        rows.append([])
-        for p in current:
-            rows[-1].append(_outcome(geo.gromov_boundary_point, b, p, base))
-            if isinstance(rows[-1][-1], tuple):
-                break
-    return rows, current
-
-
-def _orbit_products(model, iso, b, points, base, steps):
-    rows = []
-    for products in lab(model).orbit_boundary_products(iso, b, points, base, steps):
-        rows.append([])
-        for _ in points:
-            rows[-1].append(_outcome(next, products))
-            if isinstance(rows[-1][-1], tuple):
-                break
-    return rows
-
-
-@pytest.mark.parametrize(
-    "entries, steps",
-    [
-        # converges to (1 + sqrt 5)/2: past step ~360 cosh d(y, i) overflows a
-        # float and y underflows to 0
-        ((2, 1, 1, 1), 400),
-        # y grows fourfold a step towards infinity, and overflows a float
-        ((2, 0, 0, Fraction(1, 2)), 520),
-        # entries with denominators: the primitive matrix has s = 6
-        ((Fraction(3, 2), Fraction(1, 2), Fraction(1, 2), Fraction(5, 6)), 60),
-    ],
-)
-def test_plane_orbit_products_match_direct_iteration(plane, entries, steps):
-    g = plane.matrix(*entries)
-    cls = plane.classify(g)
-    points = [lab(plane).basepoint, lab(plane).point_xy(Fraction(-7, 3), Fraction(1, 9)), lab(plane).point_xy(2, 5)]
-    for center in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
-        for base in (lab(plane).basepoint, lab(plane).point_xy(Fraction(1, 2), Fraction(3, 4))):
-            direct, last = _products_by_iteration(plane, g, center, points, base, steps)
-            assert _orbit_products(plane, g, center, points, base, steps) == direct
-    if steps > 300:  # the orbit has left the floats
-        with pytest.raises(OverflowError):
-            float(lab(plane).cosh_distance(last[0], lab(plane).basepoint))
+        for rows, base in zip(tables, bases):
+            rows.append([])
+            for p in current:
+                rows[-1].append(_outcome(geo.gromov_boundary_point, b, p, base))
+                if isinstance(rows[-1][-1], tuple):
+                    break
+    return tables, current
 
 
 def _sampled_witnesses() -> list:
@@ -240,60 +206,8 @@ def _letter_words(model) -> list:
     return [model.word([(f, e)]) for f in (0, 1) for e in range(1, model.orders[f])]
 
 
-def test_tree_orbit_products_match_direct_iteration(bs23):
-    cayley = CayleyTreeModel(3)
-    g_bs, g_cayley = bs23.word([(0, 1), (1, 2), (0, 1), (1, 1)]), cayley.word([1, 2, -1, 3])
-    # off-axis bases: the Bass-Serre vertex ((), 1), whose root path takes
-    # the step to the basepoint, and a Cayley vertex of depth 3 (bbc)
-    bases = {bs23: [lab(bs23).point(((), 1))], cayley: [vertex(cayley, [2, 2, 3])]}
-    cases = [
-        (bs23, g_bs, lab(bs23).ball_vertices(2), 12),
-        (cayley, g_cayley, lab(cayley).ball_vertices(2), 12),
-    ]
-    # 200 steps from vertices on the repelling side: g^-k x for x the
-    # basepoint and its first neighbour, and the neighbours of those that
-    # g moves further than its translation length, off its axis
-    for model, g in ((bs23, g_bs), (cayley, g_cayley)):
-        tau = model.classify(g).hyperbolic.translation_length.exact_value
-        geo = lab(model)
-        starts = [geo.basepoint, geo.point(geo._neighbors(geo.basepoint.coords)[0])]
-        back = [geo.apply(power(model, g, -k), x) for k in (1, 2, 3) for x in starts]
-        near = [geo.point(q) for p in back for q in geo._neighbors(p.coords)]
-        hanging = [q for q in near if geo.distance(q, geo.apply(g, q)).exact_value > tau]
-        assert hanging
-        cases.append((model, g, back + hanging + [geo.basepoint], 200))
-    # the sampled witnesses, 64 steps out; the last point, a base too, has depth 3
-    cases += [(a.model, g, lab(a.model).ball_vertices(1) + lab(a.model).ball_vertices(3)[-1:], 64) for a, g in _tree_witnesses()]
-    for model, g, points, steps in cases:
-        cls = model.classify(g)
-        for center in (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus):
-            for base in (lab(model).basepoint, points[-1], *bases.get(model, [])):
-                direct, _ = _products_by_iteration(model, g, center, points, base, steps)
-                assert _orbit_products(model, g, center, points, base, steps) == direct
-
-
-def test_tree_orbit_products_step_the_base_alone(monkeypatch):
-    # 64 steps for the 53 vertices of a rank-2 ball of radius 3: the base's
-    # orbit is stepped, one image a step, and no point is moved
-    model = CayleyTreeModel(2)
-    g = model.word([1, 2, 2])
-    points = lab(model).ball_vertices(3)
-    assert len(points) == 53
-    calls = []
-    act = CayleyGeometry._act
-
-    def counted_act(self, h, v):
-        calls.append(v)
-        return act(self, h, v)
-
-    monkeypatch.setattr(CayleyGeometry, "_act", counted_act)
-    steps = lab(model).orbit_boundary_products(g, model.classify(g).hyperbolic.fixed_plus, points, lab(model).basepoint, 64)
-    values = [list(products) for products in steps]
-    assert len(values) == 64 and all(len(row) == 53 for row in values)
-    assert len(calls) <= 64 + 2 * 53
-
-
 def test_tree_busemann_shift_and_fixed_point_contract():
+    found = Counter()
     for action, g in _tree_witnesses():
         model = action.model
         cls = model.classify(g)
@@ -301,18 +215,23 @@ def test_tree_busemann_shift_and_fixed_point_contract():
         length = cls.hyperbolic.translation_length.exact_value
         geo = lab(model)
         y = geo.ball_vertices(3)[-1]
-        # g moves every point length closer to its attracting end
+        # g moves every point length closer to its attracting end, exactly
         for base in (lab(model).basepoint, y):
-            w, gw = geo.require_point(base), geo.require_point(geo.apply(g, base))
-            assert geo._busemann(ends[0], w, gw) == length
-            assert geo._busemann(ends[1], w, gw) == -length
-        # a hyperbolic tree automorphism fixes the two ends of its axis only
+            gw = geo.apply(g, base)
+            assert _beta(model, ends[0], gw, base) == length
+            assert _beta(model, ends[1], gw, base) == -length
+        # a hyperbolic tree automorphism fixes the two ends of its axis only:
+        # with U+ at another end there is no floor, and every step is walked
         moved = [model.boundary_apply(h, ends[0]) for h in _letter_words(model)]
         others = [b for b in moved if not any(model.boundary_equal(b, e) for e in ends)]
         assert others
         for b in others:
-            with pytest.raises(ValueError, match="does not fix"):
-                next(geo.orbit_boundary_products(g, b, [y], lab(model).basepoint, 4))
+            plus, minus = NeighborhoodSpec(b, 1, geo.basepoint), NeighborhoodSpec(ends[1], 1, geo.basepoint)
+            args = (action, g, plus, minus, geo.ball_vertices(2), 12)
+            outcome = _outcome(ns_dynamics_check, *args)
+            assert outcome == _outcome(_ns_by_iteration, *args)
+            found[outcome[0] if isinstance(outcome, tuple) else int] += 1
+    assert found[NoPassingN] > 100
 
 
 def test_tree_ns_dynamics_matches_direct_iteration_far_out(monkeypatch):
@@ -386,10 +305,13 @@ def test_orbit_products_stay_above_the_busemann_floor():
         model, geo = action.model, lab(action.model)
         b = model.classify(g).hyperbolic.fixed_plus
         points = sample_points(model, 8, rng_from_seed(seed))
-        for base in (geo.basepoint, points[1]):
+        bases = (geo.basepoint, points[1])
+        tables, _ = _products_by_iteration(model, g, b, points, bases, 24)
+        for base, rows in zip(bases, tables):
             tau = _beta(model, b, geo.apply(g, base), base)
             betas = [_beta(model, b, p, base) for p in points]
-            for n, products in enumerate(geo.orbit_boundary_products(g, b, points, base, 24), 1):
+            for n, products in enumerate(rows, 1):
+                assert len(products) == len(points)
                 for beta, value in zip(betas, products):
                     assert value >= min(beta + n * tau - 1e-9, 30), (seed, model.kind, n)
                     below[model.kind] += value < beta + n * tau - 1e-9
@@ -416,37 +338,35 @@ def _ns_by_walk(model, u_plus, u_minus, sample, table, n_max):
     return NoPassingN, f"no N <= {n_max} works for {len(outside)} sample points"
 
 
-FLOAT_OVERFLOW = "integer division result too large for a float"
+def _past_float_range(p) -> bool:
+    """Whether a plane point's y underflows to 0 or a coordinate overflows a float."""
+    try:
+        _, y = map(float, p.coords)
+    except OverflowError:
+        return True
+    return y == 0.0
 
 
 def test_ns_floor_matches_the_full_walk():
     # walking every step of the lab's products, as the check did before it
     # stopped at the Busemann floor, gives the same N (or error) at n_max 64,
-    # and 200 for seeds 0-9, thresholds 0.5-6, at the basepoint and off it.
-    # Where the walk raises past the floor (a plane orbit leaving float
-    # range: math domain error), the floor read no such step
+    # thresholds 0.5-6, at the basepoint and off it; and at 200 for the plane
+    # actions of seeds 0-9, where some orbits leave float range past the floor
     compared, past_floats = Counter(), 0
     for seed, action, g in _sampled_witnesses():
         model, geo = action.model, lab(action.model)
         ends = model.classify(g).hyperbolic.fixed_points
         sample = sample_points(model, 8, rng_from_seed(seed))
-        depths = (64, 200) if seed < 10 else (64,)
-        for base in (geo.basepoint, sample[1]):
-            steps = geo.orbit_boundary_products(g, ends[0], sample, base, depths[-1])
-            table = [[_outcome(next, products) for _ in sample] for products in steps]
+        depths = (64, 200) if seed < 10 and model.kind == "half_plane" else (64,)
+        bases = (geo.basepoint, sample[1])
+        tables, last = _products_by_iteration(model, g, ends[0], sample, bases, depths[-1])
+        past_floats += model.kind == "half_plane" and any(map(_past_float_range, last))
+        for base, table in zip(bases, tables):
             for threshold, n_max in product((0.5, 1, 3, 6), depths):
                 plus, minus = NeighborhoodSpec(ends[0], threshold, base), NeighborhoodSpec(ends[1], threshold, base)
                 found = _outcome(ns_dynamics_check, action, g, plus, minus, sample, n_max)
-                walked = _ns_by_walk(model, plus, minus, sample, table, n_max)
-                if found == walked:
-                    compared[model.kind, type(found)] += 1
-                    continue
-                assert walked in ((ValueError, "math domain error"), (OverflowError, FLOAT_OVERFLOW)), found
-                outside = [j for j, p in enumerate(sample) if not contains_point(model, minus, p)]
-                last = _busemann_floor(model, g, plus, [sample[j] for j in outside], n_max)
-                assert isinstance(found, int) and found <= last + 1 <= n_max
-                assert not any(isinstance(row[j], tuple) for row in table[:last] for j in outside)
-                past_floats += 1
+                assert found == _ns_by_walk(model, plus, minus, sample, table, n_max)
+                compared[model.kind, type(found)] += 1
     assert {kind for kind, _ in compared} == {"half_plane", "bass_serre", "cayley_tree"}
     assert compared["half_plane", int] and compared["half_plane", tuple] and past_floats
 
@@ -469,37 +389,92 @@ def test_ns_floor_needs_an_attracting_center(plane, bs23):
             assert _outcome(ns_dynamics_check, *args)[0] is NoPassingN
 
 
+def test_ns_at_a_repelling_center_past_float_range(plane):
+    # with U+ at the repelling end every step is walked, and the orbits leave
+    # float range: under [[2, 1], [1, 1]] y underflows to 0 past step ~360,
+    # and under diag(2, 1/2) y overflows near step 512.  The lab reads those
+    # products from exact logs, and no N passes
+    geo = lab(plane)
+    points = [geo.basepoint, geo.point_xy(Fraction(-7, 3), Fraction(1, 9)), geo.point_xy(2, 5)]
+    for entries, n_max in (((2, 1, 1, 1), 400), ((2, 0, 0, Fraction(1, 2)), 520)):
+        action = Action("p", plane, {"f": plane.matrix(*entries)})
+        g = action.image(GroupWord.parse("f"))
+        assert _past_float_range(geo.apply(power(plane, g, n_max), geo.basepoint))
+        attracting, repelling = plane.classify(g).hyperbolic.fixed_points
+        for threshold in (0.5, 1, 3):
+            plus, minus = (NeighborhoodSpec(e, threshold, geo.basepoint) for e in (repelling, attracting))
+            with pytest.raises(NoPassingN):
+                ns_dynamics_check(action, g, plus, minus, points, n_max)
+
+
+def test_plane_products_past_float_range_match_the_floats(plane, monkeypatch):
+    # the exact logs that read a product past float range, forced on points
+    # within it, give the float products to 1e-9: the sampled plane
+    # witnesses' fixed points and infinity, at the basepoint and off it
+    geo, cases = lab(plane), []
+    for seed, action, g in _sampled_witnesses():
+        if action.model.kind == "half_plane":
+            points = sample_points(plane, 8, rng_from_seed(seed))
+            for b in (*plane.classify(g).hyperbolic.fixed_points, plane.boundary(None)):
+                cases += [(b, y, w) for w in (geo.basepoint, points[0]) for y in points[1:]]
+    floats = [geo.gromov_boundary_point(*case) for case in cases]
+
+    def past_float_range(self, p):
+        raise OverflowError
+
+    monkeypatch.setattr(PlaneGeometry, "_floats", past_float_range)
+    assert [geo.gromov_boundary_point(*case) for case in cases] == pytest.approx(floats, rel=1e-9, abs=1e-9)
+    assert len(cases) > 1000
+
+
 def test_ns_reads_no_step_past_the_floor(monkeypatch, capsys):
     # at orbit-depth 1,000, on configs/ and on the systems of seeds 0-29 with
-    # the samples hypiso dynamics draws, each check reads no step of the
-    # lab's orbit past the floor, which is a few steps
-    floors, read = [], []
+    # the samples hypiso dynamics draws, each check applies g to its points
+    # outside U- on no step past the floor, which is a few steps, and reads
+    # each sample point's product with each center once
+    floors, applied, reads, samples = [], [], [], []
+    floor, check = dynamics._busemann_floor, dynamics.ns_dynamics_check
 
-    def recorded_floor(*args):
-        floors.append(_busemann_floor(*args))
-        return floors[-1]
+    def recorded_floor(model, g, spec, outside, n_max):
+        applied.append(0)
+        floors.append((floor(model, g, spec, outside, n_max), len(outside)))
+        applied[-1] = 0  # the floor's own g w is no orbit step
+        return floors[-1][0]
 
-    def counted(walk):
-        def orbit_boundary_products(self, *args):
-            read.append(0)
-            for products in walk(self, *args):
-                read[-1] += 1
-                yield products
+    def recorded_check(action, g, u_plus, u_minus, sample, n_max):
+        samples.append({id(p) for p in sample})
+        reads.append(Counter())
+        return check(action, g, u_plus, u_minus, sample, n_max)
 
-        return orbit_boundary_products
+    def counted(geometry):
+        apply, read = geometry.apply, geometry.gromov_boundary_point
 
-    monkeypatch.setattr("hypiso.dynamics._busemann_floor", recorded_floor)
+        def counted_apply(self, iso, p):
+            applied[-1] += 1
+            return apply(self, iso, p)
+
+        def counted_read(self, b, y, base):
+            if id(y) in samples[-1]:
+                reads[-1][id(y), id(b)] += 1
+            return read(self, b, y, base)
+
+        monkeypatch.setattr(geometry, "apply", counted_apply)
+        monkeypatch.setattr(geometry, "gromov_boundary_point", counted_read)
+
+    monkeypatch.setattr(dynamics, "_busemann_floor", recorded_floor)
+    monkeypatch.setattr(dynamics, "ns_dynamics_check", recorded_check)
     for geometry in (PlaneGeometry, TreeGeometry):
-        monkeypatch.setattr(geometry, "orbit_boundary_products", counted(geometry.orbit_boundary_products))
+        counted(geometry)
     for config in sorted(CONFIGS.glob("*.cfg")):
         argv = ["dynamics", "--input", str(config), "--orbit-depth", "1000", "--checks", "ns"]
         assert cli.main(argv) == 0 and "failed" not in capsys.readouterr().out
     for seed, action, g in _sampled_witnesses():
         plus, minus = k1_neighborhoods(action.model, action.model.classify(g))
-        ns_dynamics_check(action, g, plus, minus, cli._sample(action, seed, 24, 3), 1000)
-    assert len(read) == len(floors) > 90
-    assert all(steps <= floor for steps, floor in zip(read, floors))
-    assert max(floors) <= 4
+        dynamics.ns_dynamics_check(action, g, plus, minus, cli._sample(action, seed, 24, 3), 1000)
+    assert len(applied) == len(floors) == len(reads) > 90
+    assert all(steps <= last * size for steps, (last, size) in zip(applied, floors))
+    assert max(last for last, _ in floors) <= 4
+    assert all(len(counts) == 2 * len(ids) and set(counts.values()) == {1} for counts, ids in zip(reads, samples))
 
 
 def test_separation_identity(plane):
