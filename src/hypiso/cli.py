@@ -46,14 +46,14 @@ EXIT_HYPOTHESIS = 3
 
 # delta and dynamics sample at most this many points per action: plane
 # points (--samples), or the vertices of a tree ball.  The four-point
-# estimate costs n^3 steps; the 937-vertex rank-3 radius-4 ball takes 0.2 s,
-# 0.03 s of it the distances (Python 3.11.7, numpy 2.4, 2 cores, host.ref_ms
-# 0.26-0.30).
+# estimate costs n^3 steps: the 937-vertex rank-3 radius-4 ball takes 0.14-0.16
+# s, 0.02 s of it the distances, and 1,000 plane points 4.1-4.3 s, 0.24 s of it
+# the distances (Python 3.11.7, numpy 2.4, 2 cores, host.ref_ms 0.14-0.15).
 MAX_SAMPLE_POINTS = 1000
 
 # dynamics follows an orbit of at most this many steps (orbit-depth); --checks
-# ns stops at its Busemann floor, a few steps in: 2.4-3.2 ms per configs/ file at
-# depth 64 and 1,000 (medians; Python 3.11.7, 2 cores, host.ref_ms 0.15-0.16)
+# ns stops at its Busemann floor, a few steps in: 1.1-1.5 ms per configs/ file at
+# depth 64 and 1,000 (medians; Python 3.11.7, 2 cores, host.ref_ms 0.14-0.15)
 MAX_ORBIT_DEPTH = 1000
 
 # the checks dynamics runs, as --checks names them

@@ -75,16 +75,16 @@ def ns_dynamics_check(
         raise ValueError("U+ and U- are not disjoint")
     outside = [(p, plus) for p, plus, minus in table if not minus > u_minus.threshold]
     points, failing = [p for p, _ in outside], 0
-    for n in range(1, _busemann_floor(model, g, u_plus, outside, n_max) + 1):
+    for n in range(1, _busemann_floor(geo, g, u_plus, outside, n_max) + 1):
         points = [geo.apply(g, p) for p in points]
-        if not all(contains_point(model, u_plus, p) for p in points):
+        if not all(read(u_plus.center, p, u_plus.base) > u_plus.threshold for p in points):
             failing = n
     if failing >= n_max:
         raise NoPassingN(f"no N <= {n_max} works for {len(outside)} sample points")
     return failing + 1
 
 
-def _busemann_floor(model: SpaceModel, g: Isometry, spec: NeighborhoodSpec, outside: list, n_max: int) -> int:
+def _busemann_floor(geo, g: Isometry, spec: NeighborhoodSpec, outside: list, n_max: int) -> int:
     """The step, at most n_max, past which <b|g^n p>_w > T for the point p of
     every (p, <b|p>_w) pair outside, b, w and T the center, base and
     threshold.  If g fixes b, the Busemann cocycle beta(w, y) = 2<b|y>_w -
@@ -94,13 +94,13 @@ def _busemann_floor(model: SpaceModel, g: Isometry, spec: NeighborhoodSpec, outs
     The plane's float products err by under 1e-12 below 9, and more as the
     orbit nears b (about 1e-9 at 16; about 36 + ln(|b - w| / |b|), or inf,
     once it is b in floats): for T below 9, every skipped step passes in
-    floats too.  With no floor, n_max."""
-    geo, b, w = lab(model), spec.center, spec.base
+    floats too.  With no floor, n_max.  geo, the check's lab, reads d(p, w) once."""
+    b, w = spec.center, spec.base
 
     def beta(y: Point, product: float) -> float:
-        return 2 * product - geo.distance(w, y).value
+        return 2 * product - geo.distance(y, w).value
 
-    if not outside or not model.fixes(g, b):
+    if not outside or not geo.model.fixes(g, b):
         return n_max
     gw = geo.apply(g, w)
     tau = beta(gw, geo.gromov_boundary_point(b, gw, w))

@@ -2,13 +2,12 @@
 the ``delta`` and ``dynamics`` diagnostics read and no certificate does.
 
 ``lab(model)`` is the one way in, picked by the model's type: a
-``PlaneGeometry`` (points are rational (x, y) with y > 0, distances carry
-their exact cosh), or a ``CayleyGeometry`` or ``BassSerreGeometry``, whose
-points are the tree's vertex labels and whose whole metric ``TreeGeometry``
+``PlaneGeometry`` (points are integer triples, distances integer ratios'
+arccosh), or a ``CayleyGeometry`` or ``BassSerreGeometry``, whose points
+are the tree's vertex labels and whose whole metric ``TreeGeometry``
 derives in integers from hooks on those labels.  A lab holds its model and
-no state of its own, and is built where it is used; its ``basepoint`` is i
-or the root vertex, and a point tagged with another model's id is
-MixedModels.
+a memo, and is built where it is used; its ``basepoint`` is i or the root
+vertex, and a point tagged with another model's id is MixedModels.
 The four-point delta is a sampled estimator on top: a maximum of observed
 defects over the lab's ``pairwise_distances``, hence a lower bound on the
 true hyperbolicity constant.
@@ -22,7 +21,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import InsufficientSample, MixedModels
-from .halfplane import Matrix2, _acosh_ratio, acosh_fraction
+from .halfplane import Matrix2, _acosh_ratio
 from .models import BoundaryPoint, Isometry, Length, SpaceModel
 from .quadratic import QuadraticNumber
 from .trees import BassSerreModel, CayleyTreeModel, RayDescriptor, _int_length
@@ -30,9 +29,9 @@ from .trees import BassSerreModel, CayleyTreeModel, RayDescriptor, _int_length
 
 @dataclass(frozen=True)
 class Point:
-    """A point of a concrete model, tagged with its owner's id: coords is an
-    (x, y) pair of Fractions with y > 0 on the plane, a vertex label on a
-    tree.  No classification builds one; the labs build them all."""
+    """A point of a concrete model, tagged with its owner's id: coords is the
+    triple (X, Y, D) of (X + Y i)/D in lowest terms, Y and D > 0, on the
+    plane, a vertex label on a tree.  The labs build every one."""
 
     model_id: str
     coords: Any
@@ -55,11 +54,17 @@ def lab(model: SpaceModel) -> PlaneGeometry | TreeGeometry:
 
 
 class _Geometry:
-    """What the labs share: the model, its tagged points and the basepoint,
-    the point of coordinates _root."""
+    """What the labs share: the model, a memo, the tagged points and the
+    basepoint, the point of coordinates _root."""
 
     def __init__(self, model: SpaceModel):
-        self.model = model
+        self.model, self._read = model, {}
+
+    def _once(self, key, compute):
+        """compute(), called once per key in this lab's life: a North-South
+        check reads d(w, p) and its centers' floats for many products."""
+        found = self._read.get(key)
+        return found if found is not None else self._read.setdefault(key, compute())
 
     @property
     def basepoint(self) -> Point:
@@ -114,55 +119,50 @@ def estimate_delta_four_point(model: SpaceModel, sample: list[Point], base: Poin
 
 class PlaneGeometry(_Geometry):
     """The upper half-plane's metric, Mobius action and extended Gromov
-    products on rational points; boundary points are the model's
+    products on points with one spelling each (``Point``): distances and
+    Mobius steps are integer arithmetic.  Boundary points are the model's
     (QuadraticNumbers, None for infinity)."""
 
-    _root = (Fraction(0), Fraction(1))  # i
+    _root = (0, 1, 1)  # i
 
-    def point_xy(self, x, y) -> Point:
-        """The point (x, y) for rationals x and y > 0."""
-        x, y = Fraction(x), Fraction(y)
-        if y <= 0:
+    def point_xy(self, x, y, d: int = 1) -> Point:
+        """The point (x + y i)/d for rationals (ints, Fractions or floats) x
+        and y > 0 and an integer d > 0: its triple, divided by its gcd."""
+        (p, q), (r, t) = x.as_integer_ratio(), y.as_integer_ratio()
+        X, Y, D = p * t, r * q, q * t * d
+        if Y <= 0 or D <= 0:
             raise ValueError("half-plane points need y > 0")
-        return self.point((x, y))
+        g = math.gcd(X, Y, D)
+        return self.point((X // g, Y // g, D // g))
+
+    def _xy(self, p: Point) -> tuple[Fraction, Fraction]:
+        """p's coordinates x and y, exact and in lowest terms."""
+        X, Y, D = self.require_point(p)
+        return Fraction(X, D), Fraction(Y, D)
 
     def cosh_distance(self, p: Point, q: Point) -> Fraction:
-        """cosh d(p, q) = ((x1 - x2)^2 + y1^2 + y2^2) / (2 y1 y2), exactly,
-        with the coordinates put over one common denominator, so the sum is
-        integer arithmetic."""
-        x1, y1 = self.require_point(p)
-        x2, y2 = self.require_point(q)
-        den = math.lcm(x1.denominator, x2.denominator, y1.denominator, y2.denominator)
-        dx = x1.numerator * (den // x1.denominator) - x2.numerator * (den // x2.denominator)
-        r1, r2 = y1.numerator * (den // y1.denominator), y2.numerator * (den // y2.denominator)
-        return Fraction(dx * dx + r1 * r1 + r2 * r2, 2 * r1 * r2)
+        """cosh d(p, q) = ((x1 - x2)^2 + y1^2 + y2^2) / (2 y1 y2), exactly."""
+        return Fraction(*_cosh_ratio(self.require_point(p), self.require_point(q)))
 
     distance_key = cosh_distance  # exact and monotone in the distance: ranks with no float
 
     def distance(self, x: Point, y: Point) -> Length:
-        return Length(acosh_fraction(self.cosh_distance(x, y)))
-
-    def _point_matrix(self, p: Point) -> tuple[int, int, int]:
-        """(Y, X, D) for the integer matrix [[Y, X], [0, D]] that maps i to
-        the point p = (X + Y i)/D."""
-        x, y = self.require_point(p)
-        den = math.lcm(x.denominator, y.denominator)
-        return y.numerator * (den // y.denominator), x.numerator * (den // x.denominator), den
+        key = self.require_point(x), self.require_point(y)
+        return self._once(key, lambda: Length(_acosh_ratio(*_cosh_ratio(*key))))
 
     def pairwise_distances(self, points: list[Point]):
         """d(p, q) for every two points, row p, column q, as a float array:
         the floats of ``distance``, from cosh = ((X - X')^2 + Y^2 + Y'^2) /
-        2YY' over one common denominator of all the coordinates."""
+        2YY' over one common denominator of all the points."""
         import numpy as np  # here, so that commands that never estimate delta load no numpy
 
-        mats = [self._point_matrix(p) for p in points]
-        den = math.lcm(*(m[2] for m in mats))
-        xs = [x * (den // d) for _, x, d in mats]
-        ys = [y * (den // d) for y, _, d in mats]
-        rows = [[0.0] * len(mats) for _ in mats]
+        triples = [self.require_point(p) for p in points]
+        den = math.lcm(*(d for _, _, d in triples))
+        xs, ys = [x * (den // d) for x, _, d in triples], [y * (den // d) for _, y, d in triples]
+        rows = [[0.0] * len(triples) for _ in triples]
         for i, (x, y) in enumerate(zip(xs, ys)):
             row = rows[i]
-            for j in range(i + 1, len(mats)):
+            for j in range(i + 1, len(triples)):
                 dx, yj = x - xs[j], ys[j]
                 row[j] = rows[j][i] = _acosh_ratio(dx * dx + y * y + yj * yj, 2 * y * yj)
         return np.array(rows)
@@ -172,15 +172,14 @@ class PlaneGeometry(_Geometry):
         v = c(X + Y i) + dD, M p = u conj(v) / |v|^2, whose imaginary part
         is Y D s^2 / |v|^2, as ad - bc = s^2."""
         m: Matrix2 = self.model.require_iso(iso)
-        Y, X, D = self._point_matrix(p)
+        X, Y, D = self.require_point(p)
         a, b, c, d = m.a, m.b, m.c, m.d  # s*M: the Mobius map is the same
         u, v = a * X + b * D, c * X + d * D
-        den = v * v + c * c * Y * Y
-        return self.point((Fraction(u * v + a * c * Y * Y, den), Fraction(Y * D * m.s * m.s, den)))
+        return self.point_xy(u * v + a * c * Y * Y, Y * D * m.s * m.s, v * v + c * c * Y * Y)
 
     def _floats(self, p: Point) -> tuple[float, float]:
-        x, y = self.require_point(p)
-        return float(x), float(y)
+        X, Y, D = self.require_point(p)
+        return X / D, Y / D
 
     def gromov_boundary_point(self, b: BoundaryPoint, y: Point, base: Point) -> float:
         """Extended Gromov product <b|y>_w = ln(|b - w| / |b - y|) + (1/2) ln(Im y
@@ -188,7 +187,7 @@ class PlaneGeometry(_Geometry):
         term.  Past float range (Im y underflows to 0, or a coordinate overflows)
         the logs are of the exact rationals' integers, b's float taken exactly."""
         pp: QuadraticNumber | None = self.model.require_boundary(b)
-        xi = None if pp is None else float(pp)
+        xi = None if pp is None else self._once(pp, lambda: float(pp))
         dyw = self.distance(y, base).value
         try:
             (yx, yy), (wx, wy) = self._floats(y), self._floats(base)
@@ -199,7 +198,7 @@ class PlaneGeometry(_Geometry):
                 return math.inf  # y has reached xi in floats
             return math.log(math.hypot(xi - wx, wy) / den) + 0.5 * math.log(yy / wy) + 0.5 * dyw
         except (ValueError, OverflowError):  # y is past float range
-            (x, yy), (wx, wy) = self.require_point(y), self.require_point(base)
+            (x, yy), (wx, wy) = self._xy(y), self._xy(base)
             value = 0.5 * (_log(yy) - _log(wy)) + 0.5 * dyw
             if xi is None:
                 return value
@@ -219,23 +218,20 @@ class PlaneGeometry(_Geometry):
 
     def _point_at(self, p: Point, q: Point, dist: float) -> Point:
         """The point at the given distance from p along the geodesic [p, q]."""
-        x1, y1 = self._floats(p)
-        x2, y2 = self._floats(q)
+        (x1, y1), (x2, y2) = self._floats(p), self._floats(q)
         if abs(x1 - x2) < 1e-14:
-            sign = 1.0 if y2 > y1 else -1.0
-            return self.point_xy(Fraction(x1), Fraction(y1 * math.exp(sign * dist)))
+            return self.point_xy(x1, y1 * math.exp(dist if y2 > y1 else -dist))
         m = (x2 * x2 + y2 * y2 - x1 * x1 - y1 * y1) / (2 * (x2 - x1))
         r = math.hypot(x1 - m, y1)
         s1 = math.log(math.tan(math.atan2(y1, x1 - m) / 2))
         s2 = math.log(math.tan(math.atan2(y2, x2 - m) / 2))
         s = s1 + (dist if s2 > s1 else -dist)
         theta = 2 * math.atan(math.exp(s))
-        return self.point_xy(Fraction(m + r * math.cos(theta)), Fraction(r * math.sin(theta)))
+        return self.point_xy(m + r * math.cos(theta), r * math.sin(theta))
 
     def gromov_boundary_pair(self, b1: BoundaryPoint, b2: BoundaryPoint, base: Point) -> float:
         """<xi|eta>_w = ln(|xi-w| |eta-w| / (|xi-eta| Im w)); inf when equal."""
-        p1: QuadraticNumber | None = self.model.require_boundary(b1)
-        p2: QuadraticNumber | None = self.model.require_boundary(b2)
+        p1, p2 = self.model.require_boundary(b1), self.model.require_boundary(b2)
         if self.model.boundary_equal(b1, b2):
             return math.inf
         wx, wy = self._floats(base)
@@ -245,6 +241,14 @@ class PlaneGeometry(_Geometry):
         x1, x2 = float(p1), float(p2)
         sep = abs(x1 - x2) or 1e-300  # distinct quadratic values collapsing in float: resolve minimally
         return math.log(math.hypot(x1 - wx, wy) * math.hypot(x2 - wx, wy) / (sep * wy))
+
+
+def _cosh_ratio(p: tuple, q: tuple) -> tuple[int, int]:
+    """cosh d(p, q), unreduced, from the triples of p and q: ((X1 D2 - X2
+    D1)^2 + (Y1 D2)^2 + (Y2 D1)^2) / (2 Y1 D2 Y2 D1)."""
+    (X1, Y1, D1), (X2, Y2, D2) = p, q
+    dx, r1, r2 = X1 * D2 - X2 * D1, Y1 * D2, Y2 * D1
+    return dx * dx + r1 * r1 + r2 * r2, 2 * r1 * r2
 
 
 def _log(q: Fraction) -> float:

@@ -29,13 +29,9 @@ def rng_from_seed(seed: int) -> random.Random:
 
 
 def sample_plane_points(model: HalfPlaneModel, count: int, rng: random.Random) -> list[Point]:
-    """Random rational points, x in [-3, 3], y in [1/10, 4]."""
-    geo, out = lab(model), []
-    for _ in range(count):
-        x = Fraction(rng.randint(-300, 300), 100)
-        y = Fraction(rng.randint(10, 400), 100)
-        out.append(geo.point_xy(x, y))
-    return out
+    """Random rational points, x in [-3, 3] and y in [1/10, 4], both over 100."""
+    geo = lab(model)
+    return [geo.point_xy(rng.randint(-300, 300), rng.randint(10, 400), 100) for _ in range(count)]
 
 
 # -- plane isometries -----------------------------------------------------

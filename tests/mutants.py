@@ -67,6 +67,15 @@ MUTANTS = (
            ("tests/test_dynamics.py::test_ns_floor_needs_an_attracting_center", FLOOR)),
     Mutant("ns-n-from-the-first-failing-step", "dynamics.py",
            "            failing = n\n", "            failing = failing or n\n", (FLOOR,)),
+    # a plane point is its primitive integer triple, and a distance crosses
+    # each point's denominator over to the other point's coordinates
+    Mutant("plane-point-not-primitive", "geometry.py",
+           "return self.point_xy(u * v + a * c * Y * Y, Y * D * m.s * m.s, v * v + c * c * Y * Y)",
+           "return self.point((u * v + a * c * Y * Y, Y * D * m.s * m.s, v * v + c * c * Y * Y))",
+           ("tests/test_classification_sweep.py::test_a_plane_point_has_one_spelling",)),
+    Mutant("cosh-swaps-denominators", "geometry.py",
+           "dx, r1, r2 = X1 * D2 - X2 * D1, Y1 * D2, Y2 * D1", "dx, r1, r2 = X1 * D2 - X2 * D1, Y1 * D1, Y2 * D2",
+           ("tests/test_classification_sweep.py::test_plane_lab_matches_the_fraction_metric",)),
     # past float range a plane product is read from the logs of exact rationals
     Mutant("exact-log-adds-the-denominator", "geometry.py",
            "math.log(q.numerator) - math.log(q.denominator)", "math.log(q.numerator) + math.log(q.denominator)",

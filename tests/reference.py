@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypiso.dynamics import contains_point
 from hypiso.errors import MixedModels, ValidationError
 from hypiso.geometry import gromov_product, lab
-from hypiso.halfplane import HalfPlaneModel
+from hypiso.halfplane import HalfPlaneModel, acosh_fraction
 from hypiso.models import MAX_ISOMETRY_SIZE
 from hypiso.quadratic import QuadraticNumber
 from hypiso.records import check_witnesses, witness_line
@@ -147,6 +147,67 @@ def sample_points(model, count: int, rng) -> list:
     if isinstance(model, HalfPlaneModel):
         return sample_plane_points(model, count, rng)
     return sample_tree_points(model, count, rng)
+
+
+# -- the plane's metric on (x, y) pairs of Fractions ---------------------------
+
+
+def plane_xy(p) -> tuple[Fraction, Fraction]:
+    """A plane point's coordinates (x, y), from its triple (X, Y, D)."""
+    x, y, d = p.coords
+    return Fraction(x, d), Fraction(y, d)
+
+
+def xy_cosh_reference(p, q) -> Fraction:
+    """cosh d = 1 + ((x1 - x2)^2 + (y1 - y2)^2) / (2 y1 y2) of two (x, y) pairs."""
+    (x1, y1), (x2, y2) = p, q
+    return 1 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2 * y1 * y2)
+
+
+def xy_distance_reference(p, q) -> float:
+    """d of two (x, y) pairs: arccosh of the exact cosh, as the plane's
+    points in Fractions computed it."""
+    return acosh_fraction(xy_cosh_reference(p, q))
+
+
+def xy_apply_reference(m, p) -> tuple[Fraction, Fraction]:
+    """(a z + b)/(c z + d) for z = x + iy and M's Fraction entries, det 1:
+    Re = ((a x + b)(c x + d) + a c y^2) / |c z + d|^2, Im = y / |c z + d|^2."""
+    a, b, c, d = m.entries()
+    x, y = p
+    den = (c * x + d) ** 2 + (c * y) ** 2
+    return ((a * x + b) * (c * x + d) + a * c * y * y) / den, y / den
+
+
+def xy_floats_reference(p) -> tuple[float, float]:
+    x, y = p
+    return float(x), float(y)
+
+
+def _log(q: Fraction) -> float:
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+def xy_boundary_product_reference(xi, y, w) -> float:
+    """<xi|y>_w of two (x, y) pairs and xi a float or None (infinity): the
+    float formula ln(|xi - w| / |xi - y|) + (1/2) ln(Im y / Im w) + d(y, w)/2,
+    or past float range the same logs of exact rationals, xi taken exactly."""
+    dyw = xy_distance_reference(y, w)
+    try:
+        (yx, yy), (wx, wy) = xy_floats_reference(y), xy_floats_reference(w)
+        if xi is None:
+            return 0.5 * math.log(yy / wy) + 0.5 * dyw
+        den = math.hypot(xi - yx, yy)
+        if den == 0.0:
+            return math.inf
+        return math.log(math.hypot(xi - wx, wy) / den) + 0.5 * math.log(yy / wy) + 0.5 * dyw
+    except (ValueError, OverflowError):
+        (x, yy), (wx, wy) = y, w
+        value = 0.5 * (_log(yy) - _log(wy)) + 0.5 * dyw
+        if xi is None:
+            return value
+        q = Fraction(xi)
+        return 0.5 * (_log((q - wx) ** 2 + wy * wy) - _log((q - x) ** 2 + yy * yy)) + value
 
 
 # -- classification and the size cap in Fractions, product by product ---------

@@ -22,9 +22,21 @@ from hypiso.geometry import PlaneGeometry, lab
 from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.quadratic import QuadraticNumber
 from hypiso.records import class_invariant, witness_line
+from hypiso.sampling import rng_from_seed, sample_plane_points
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 
-from reference import parts, plane_class_reference, plane_witness_line_reference, power
+from reference import (
+    parts,
+    plane_class_reference,
+    plane_witness_line_reference,
+    plane_xy,
+    power,
+    xy_apply_reference,
+    xy_boundary_product_reference,
+    xy_cosh_reference,
+    xy_distance_reference,
+    xy_floats_reference,
+)
 
 
 def det_one_matrices(bound: int):
@@ -448,6 +460,89 @@ def test_cosh_float_consistency(x1, y1n, x2, y2n):
     L, ch = lab(plane).distance(p, q), lab(plane).cosh_distance(p, q)
     err = abs(math.cosh(L.value) - float(ch))
     assert err <= 2**-40 * max(1.0, float(ch))
+
+
+# -- the plane lab's points: integer triples against (x, y) in Fractions ------
+
+
+def _plane_sweep_points(plane):
+    """Sampled points, the basepoint and points of unlike denominators;
+    points that _point_at places on the geodesics between them, vertical
+    ones included; and orbit points past float range: under [[2, 1], [1,
+    1]]^400 y underflows to 0, under diag(2, 1/2)^520 x and y overflow."""
+    geo = lab(plane)
+    points = sample_plane_points(plane, 8, rng_from_seed(34)) + [
+        geo.basepoint, geo.point_xy(0, Fraction(5, 2)), geo.point_xy(Fraction(-5, 7), Fraction(1, 9)),
+        geo.point_xy(Fraction(7, 3), Fraction(22, 7)),
+    ]
+    along = [geo._point_at(p, q, t) for p, q in zip(points, points[1:]) for t in (0.25, 1.0, 3.0)]
+    far = [
+        geo.apply(power(plane, plane.matrix(*entries), n), p)
+        for entries, n in (((2, 1, 1, 1), 400), ((2, 0, 0, Fraction(1, 2)), 520))
+        for p in points[:3]
+    ]
+    return points, along, far
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def test_plane_lab_matches_the_fraction_metric():
+    # value for value, the triples' Mobius action (exact), floats, cosh,
+    # distances, pairwise distances and boundary products equal those of
+    # the (x, y) pairs of Fractions: on sampled points moved by every sweep
+    # matrix, on _point_at's points and on points past float range
+    plane = HalfPlaneModel()
+    geo = lab(plane)
+    points, along, far = _plane_sweep_points(plane)
+    moved = []
+    for m in sweep_matrices():
+        for p in points[:4]:
+            moved.append(geo.apply(plane.isometry(m), p))
+            assert plane_xy(moved[-1]) == xy_apply_reference(m, plane_xy(p))
+    everything = points + along + far + moved[::9]
+    assert any(_outcome(geo._floats, p) is OverflowError for p in far[3:])
+    assert all(geo._floats(p)[1] == 0.0 for p in far[:3])
+    hyperbolic = [g for g in map(plane.isometry, sweep_matrices()) if plane.tag(g) == "hyperbolic"]
+    ends = [b for g in hyperbolic[::40] for b in plane.classify(g).hyperbolic.fixed_points] + [plane.boundary(None)]
+    assert {b.payload is None for b in ends} == {True, False} and any(b.payload and b.payload.root for b in ends)
+    for p in everything:
+        assert _outcome(geo._floats, p) == _outcome(xy_floats_reference, plane_xy(p))
+        for w in (geo.basepoint, points[2], far[0]):
+            assert geo.cosh_distance(p, w) == xy_cosh_reference(plane_xy(p), plane_xy(w))
+            assert geo.distance(p, w).value == xy_distance_reference(plane_xy(p), plane_xy(w))
+            if w is not far[0]:
+                for b in ends:
+                    xi = None if b.payload is None else float(b.payload)
+                    want = xy_boundary_product_reference(xi, plane_xy(p), plane_xy(w))
+                    assert geo.gromov_boundary_point(b, p, w) == want
+    sample = points + along + far
+    rows = geo.pairwise_distances(sample)
+    assert rows.tolist() == [[xy_distance_reference(plane_xy(p), plane_xy(q)) for q in sample] for p in sample]
+
+
+def test_a_plane_point_has_one_spelling():
+    # a point's triple is primitive with D > 0, so equal points have equal
+    # coords however they were built: from rationals, ints over a common d
+    # or floats, moved by +-identity, or moved by g and back by g^-1
+    plane = HalfPlaneModel()
+    geo = lab(plane)
+    points, along, far = _plane_sweep_points(plane)
+    assert geo.point_xy(Fraction(1, 2), 3).coords == geo.point_xy(2, 12, 4).coords == geo.point_xy(0.5, 3.0).coords
+    for p in points + along + far:
+        (x, y), (X, Y, D) = plane_xy(p), p.coords
+        assert D > 0 and Y > 0 and math.gcd(X, Y, D) == 1
+        assert geo.point_xy(x, y).coords == geo.point_xy(3 * X, 3 * Y, 3 * D).coords == p.coords
+        for identity in (plane.identity(), plane.matrix(-1, 0, 0, -1)):
+            assert geo.apply(identity, p).coords == p.coords
+    for m in list(sweep_matrices())[::5]:
+        g = plane.isometry(m)
+        for p in points + far[:1]:
+            assert geo.apply(plane.invert(g), geo.apply(g, p)).coords == p.coords
 
 
 def test_power_negative_exponents():

@@ -87,7 +87,7 @@ def test_ns_dynamics_diagonal_at_depth_1000(plane):
     assert ns_dynamics_check(act, act.image(GroupWord.parse("f")), u_plus, u_minus, sample, 1000) == 1
     [rows], last = _products_by_iteration(plane, D, u_plus.center, sample[:2], [u_plus.base], 520)
     with pytest.raises(OverflowError):
-        float(last[0].coords[1])
+        float(lab(plane)._xy(last[0])[1])
     assert all(isinstance(v, float) and v > u_plus.threshold for row in rows[8:] for v in row)
     assert rows[-1][0] > 500
 
@@ -341,7 +341,7 @@ def _ns_by_walk(model, u_plus, u_minus, sample, table, n_max):
 def _past_float_range(p) -> bool:
     """Whether a plane point's y underflows to 0 or a coordinate overflows a float."""
     try:
-        _, y = map(float, p.coords)
+        _, y = map(float, lab(HalfPlaneModel())._xy(p))
     except OverflowError:
         return True
     return y == 0.0

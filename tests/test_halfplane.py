@@ -56,7 +56,7 @@ def test_mixed_models_rejected(plane):
 
 def test_apply_diagonal(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
-    assert lab(plane).apply(D, lab(plane).point_xy(0, 1)).coords == (Fraction(0), Fraction(4))
+    assert lab(plane)._xy(lab(plane).apply(D, lab(plane).point_xy(0, 1))) == (Fraction(0), Fraction(4))
 
 
 def test_apply_identity(plane):
@@ -321,8 +321,8 @@ def test_image_composes_powers_by_squaring(plane, monkeypatch):
 
 
 def test_point_xy_takes_rationals(plane):
-    assert lab(plane).point_xy(Fraction(1, 2), 3).coords == (Fraction(1, 2), Fraction(3))
-    assert lab(plane).point_xy(Fraction(-1, 4), Fraction(2, 7)).coords == (Fraction(-1, 4), Fraction(2, 7))
+    assert lab(plane)._xy(lab(plane).point_xy(Fraction(1, 2), 3)) == (Fraction(1, 2), Fraction(3))
+    assert lab(plane)._xy(lab(plane).point_xy(Fraction(-1, 4), Fraction(2, 7))) == (Fraction(-1, 4), Fraction(2, 7))
     for y in (0, Fraction(-1, 3)):
         with pytest.raises(ValueError, match="y > 0"):
             lab(plane).point_xy(0, y)

@@ -158,7 +158,7 @@ def test_every_mutant_applies_once_and_names_its_tests():
     # must occur exactly once in its file, and runs the tests it names
     from mutants import MUTANTS, source
 
-    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 27
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 30
     for mutant in MUTANTS:
         assert source(mutant).read_text().count(mutant.snippet) == 1, mutant.name
         for test in mutant.tests:
@@ -200,8 +200,8 @@ SRC_LINES = 3228
 # the geometry lab's members, which live in geometry.py: no core model
 # module may define one of them again
 LAB_NAMES = {
-    "point_xy", "cosh_distance", "distance", "_point_matrix", "pairwise_distances", "apply", "_floats",
-    "gromov_boundary_point", "gromov_boundary_pair", "_dist", "_along", "_gromov", "internal_points",
+    "point_xy", "_xy", "cosh_distance", "_cosh_ratio", "distance", "pairwise_distances", "apply", "_floats",
+    "gromov_boundary_point", "gromov_boundary_pair", "_dist", "_along", "_gromov", "internal_points", "_once", "_read",
     "ball_vertices", "ball_size", "point", "require_point", "DeltaEstimate", "Point", "basepoint", "_root",
     # the trees' vertex labels
     "_act", "_depth", "_meet_depth", "_ancestor", "_dfs_key", "_neighbors", "_degrees",
@@ -295,6 +295,27 @@ def test_the_checker_computes_no_float():
                 f"{module}.{name}, line {n.lineno}: {_called(n)}"
                 for n in ast.walk(functions[name]) if isinstance(n, ast.Call) and _called(n) in FLOAT_CALLS
             ]
+    assert found == []
+
+
+# the plane lab's per-point work, on the integer triple (X, Y, D) of a point:
+# only distance_key's exact cosh and the exact logs of a product past float
+# range build a Fraction
+PLANE_INTEGER_FUNCTIONS = [
+    "PlaneGeometry.distance", "PlaneGeometry.apply", "PlaneGeometry._floats", "PlaneGeometry.pairwise_distances",
+    "PlaneGeometry.point_xy", "_Geometry._once", "PlaneGeometry._point_at", "_cosh_ratio",
+]
+
+
+def test_the_plane_lab_builds_no_fraction_per_point():
+    functions = dict(_functions(ast.parse((SRC / "hypiso" / "geometry.py").read_text())))
+    assert set(PLANE_INTEGER_FUNCTIONS) <= set(functions), set(PLANE_INTEGER_FUNCTIONS) - set(functions)
+    found = [
+        f"{name}, line {n.lineno}: {_called(n)}"
+        for name in PLANE_INTEGER_FUNCTIONS
+        for n in ast.walk(functions[name])
+        if isinstance(n, ast.Call) and _called(n) in ("Fraction", "fractions.Fraction")
+    ]
     assert found == []
 
 
