@@ -36,10 +36,9 @@ def main() -> None:
     cert = simultaneous_hyperbolic(system, SearchSchedule(max_exponent=32))
     print(f"word: {cert.word.display()}")
     for i, cls in enumerate(cert.per_action):
-        tl = cls.hyperbolic.translation_length
         print(
             f"  action {system.actions[i].name}: {cls.tag}, {class_invariant(cls)}, "
-            f"tau ~ {tl.value:.6f}"
+            f"tau ~ {cls.hyperbolic.translation_length:.6f}"
         )
     for s in cert.stages:
         how = "trivial" if s.trivial else f"a={s.a} b={s.b} p={s.p} q={s.q}"

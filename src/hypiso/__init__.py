@@ -24,9 +24,9 @@ _EXPORTS = {
     "orbit_projection",
     "errors": "DegenerateTriangle HypisoError HypothesisViolation InsufficientSample MixedModels NoPassingN "
     "NotHyperbolic ParseError ScheduleExhausted ValidationError WitnessNotHyperbolic",
-    "geometry": "DeltaEstimate Point estimate_delta_four_point gromov_product",
+    "geometry": "DeltaEstimate Point estimate_delta_four_point",
     "halfplane": "HalfPlaneModel Matrix2",
-    "models": "BoundaryPoint Isometry IsometryClass Length SpaceModel",
+    "models": "BoundaryPoint Isometry IsometryClass SpaceModel",
     "quadratic": "QuadraticNumber",
     "trees": "BassSerreModel CayleyTreeModel RayDescriptor",
     "words": "GroupWord",

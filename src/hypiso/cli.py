@@ -157,7 +157,7 @@ def _settings_rows(settings: dict[str, int]) -> list[tuple[str, str]]:
 
 
 def _tau_display(cls: IsometryClass) -> str:
-    return f"{cls.hyperbolic.translation_length.value:.6f}" if cls.is_hyperbolic else "-"
+    return f"{cls.hyperbolic.translation_length:.6f}" if cls.is_hyperbolic else "-"
 
 
 def _dotted(word: GroupWord) -> str:

@@ -3,10 +3,12 @@ dynamics, internal points and insize, and projection to an orbit.
 
 Everything here is diagnostic and never used inside the combiner's
 certification path.  Boundary neighborhoods are realized purely through
-Gromov-product thresholds (the standard neighborhood basis); "disjoint"
-means the two membership tests cannot both pass, checked on the centers'
-mutual Gromov product plus the sample at hand.  Every distance, Gromov
-product and orbit step comes from the model's lab (``geometry.lab``).
+Gromov-product thresholds (the standard neighborhood basis): y is in
+N(center, k) when <center|y>_base > k, a test that ``ns_dynamics_check``
+reads once per sample point.  "Disjoint" means the two membership tests
+cannot both pass, checked on the centers' mutual Gromov product plus the
+sample at hand.  Every distance (a float), Gromov product and orbit step
+comes from the model's lab (``geometry.lab``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 from .actions import Action
 from .errors import DegenerateTriangle, NoPassingN, NotHyperbolic
 from .geometry import DeltaEstimate, Point, lab
-from .models import HYPERBOLIC, BoundaryPoint, Isometry, Length, SpaceModel
+from .models import HYPERBOLIC, BoundaryPoint, Isometry, SpaceModel
 
 
 @dataclass(frozen=True)
@@ -30,24 +32,6 @@ class NeighborhoodSpec:
     base: Point
 
 
-def contains_point(model: SpaceModel, spec: NeighborhoodSpec, y: Point) -> bool:
-    return lab(model).gromov_boundary_point(spec.center, y, spec.base) > spec.threshold
-
-
-def neighborhoods_disjoint(
-    model: SpaceModel,
-    u: NeighborhoodSpec,
-    v: NeighborhoodSpec,
-    sample: Sequence[Point] = (),
-) -> bool:
-    """Can the two membership tests both pass?  Checked via the centers'
-    mutual Gromov product (exact on trees) plus the given sample."""
-    mutual = lab(model).gromov_boundary_pair(u.center, v.center, u.base)
-    if mutual > min(u.threshold, v.threshold):
-        return False
-    return not any(contains_point(model, u, p) and contains_point(model, v, p) for p in sample)
-
-
 def ns_dynamics_check(
     action: Action,
     g: Isometry,
@@ -57,18 +41,20 @@ def ns_dynamics_check(
     n_max: int,
 ) -> int:
     """Least N <= n_max with g^n(sample - U-) inside U+ for all N <= n <= n_max,
-    for g the image of a word in the action.  Each sample point's products
-    with U+'s and U-'s centers are read once, for the disjointness test, the
-    points outside U- and their floor; then the outside points are stepped by
-    the lab's ``apply`` for n = 1, 2, ..., and a step fails at its first
-    point outside U+.  No step past ``_busemann_floor`` is walked."""
+    for g the image of a word in the action.  U+ and U- must be disjoint:
+    their centers' product (exact on trees) clears neither threshold, and no
+    sample point lies in both.  Each sample point's products with U+'s and
+    U-'s centers are read once, for that test, the points outside U- and
+    their floor; then the outside points are stepped by the lab's ``apply``
+    for n = 1, 2, ..., and a step fails at its first point outside U+.  No
+    step past ``_busemann_floor`` is walked."""
     model = action.model
     tag = model.tag(g)
     if tag != HYPERBOLIC:
         raise NotHyperbolic(f"word is {tag} in action {action.name!r}")
-    if not neighborhoods_disjoint(model, u_plus, u_minus):
-        raise ValueError("U+ and U- are not disjoint")
     geo = lab(model)
+    if geo.gromov_boundary_pair(u_plus.center, u_minus.center, u_plus.base) > min(u_plus.threshold, u_minus.threshold):
+        raise ValueError("U+ and U- are not disjoint")
     read = geo.gromov_boundary_point
     table = [(p, read(u_plus.center, p, u_plus.base), read(u_minus.center, p, u_minus.base)) for p in sample]
     if any(plus > u_plus.threshold and minus > u_minus.threshold for _, plus, minus in table):
@@ -98,7 +84,7 @@ def _busemann_floor(geo, g: Isometry, spec: NeighborhoodSpec, outside: list, n_m
     b, w = spec.center, spec.base
 
     def beta(y: Point, product: float) -> float:
-        return 2 * product - geo.distance(y, w).value
+        return 2 * product - geo.distance(y, w)
 
     if not outside or not geo.model.fixes(g, b):
         return n_max
@@ -114,7 +100,7 @@ def _busemann_floor(geo, g: Isometry, spec: NeighborhoodSpec, outside: list, n_m
 @dataclass(frozen=True)
 class TriangleInternals:
     internal: tuple[Point, Point, Point]  # on sides [y,z], [z,x], [x,y]
-    insize: Length
+    insize: float
 
 
 def internal_points(model: SpaceModel, x: Point, y: Point, z: Point) -> TriangleInternals:
@@ -133,7 +119,7 @@ def internal_points(model: SpaceModel, x: Point, y: Point, z: Point) -> Triangle
 def estimate_delta_insize(
     model: SpaceModel, triangles: Sequence[tuple[Point, Point, Point]]
 ) -> DeltaEstimate:
-    worst = max([0.0] + [internal_points(model, x, y, z).insize.value for x, y, z in triangles])
+    worst = max([0.0] + [internal_points(model, x, y, z).insize for x, y, z in triangles])
     return DeltaEstimate(delta=worst, condition="insize", sample_size=len(triangles))
 
 
@@ -172,7 +158,7 @@ def project_to_orbit(model: SpaceModel, points: dict[int, Point], z: Point) -> O
     best = min(keys.values())
     minimizers = sorted((n for n, key in keys.items() if key == best), key=lambda n: (abs(n), -n))
     basepoint, x_z = points[0], points[minimizers[0]]
-    defect = geo.distance(basepoint, x_z).value + geo.distance(x_z, z).value - geo.distance(basepoint, z).value
+    defect = geo.distance(basepoint, x_z) + geo.distance(x_z, z) - geo.distance(basepoint, z)
     return OrbitProjection(
         nearest=tuple(points[n] for n in minimizers),
         exponents=tuple(minimizers),

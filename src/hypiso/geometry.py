@@ -7,7 +7,9 @@ arccosh), or a ``CayleyGeometry`` or ``BassSerreGeometry``, whose points
 are the tree's vertex labels and whose whole metric ``TreeGeometry``
 derives in integers from hooks on those labels.  A lab holds its model and
 a memo, and is built where it is used; its ``basepoint`` is i or the root
-vertex, and a point tagged with another model's id is MixedModels.
+vertex, and a point tagged with another model's id is MixedModels.  A
+distance or insize is a float; ranking and tree arithmetic read the exact
+``distance_key`` (a cosh Fraction, an edge count) or the integers beneath.
 The four-point delta is a sampled estimator on top: a maximum of observed
 defects over the lab's ``pairwise_distances``, hence a lower bound on the
 true hyperbolicity constant.
@@ -22,9 +24,9 @@ from typing import Any
 
 from .errors import InsufficientSample, MixedModels
 from .halfplane import Matrix2, _acosh_ratio
-from .models import BoundaryPoint, Isometry, Length, SpaceModel
+from .models import BoundaryPoint, Isometry, SpaceModel
 from .quadratic import QuadraticNumber
-from .trees import BassSerreModel, CayleyTreeModel, RayDescriptor, _int_length
+from .trees import BassSerreModel, CayleyTreeModel, RayDescriptor
 
 
 @dataclass(frozen=True)
@@ -77,17 +79,6 @@ class _Geometry:
         if p.model_id != self.model.model_id:
             raise MixedModels(f"point tagged {p.model_id}, model is {self.model.model_id}")
         return p.coords
-
-
-def gromov_product(model: SpaceModel, x: Point, y: Point, w: Point) -> Length:
-    """<x|y>_w = (d(x,w) + d(w,y) - d(x,y)) / 2."""
-    geo = lab(model)
-    dxw, dyw, dxy = geo.distance(x, w), geo.distance(y, w), geo.distance(x, y)
-    value = 0.5 * (dxw.value + dyw.value - dxy.value)
-    if dxw.exact_value is not None and dyw.exact_value is not None and dxy.exact_value is not None:
-        exact = Fraction(dxw.exact_value + dyw.exact_value - dxy.exact_value, 2)
-        return Length(float(exact), exact_value=exact)
-    return Length(max(0.0, value))
 
 
 def estimate_delta_four_point(model: SpaceModel, sample: list[Point], base: Point) -> DeltaEstimate:
@@ -146,9 +137,9 @@ class PlaneGeometry(_Geometry):
 
     distance_key = cosh_distance  # exact and monotone in the distance: ranks with no float
 
-    def distance(self, x: Point, y: Point) -> Length:
+    def distance(self, x: Point, y: Point) -> float:
         key = self.require_point(x), self.require_point(y)
-        return self._once(key, lambda: Length(_acosh_ratio(*_cosh_ratio(*key))))
+        return self._once(key, lambda: _acosh_ratio(*_cosh_ratio(*key)))
 
     def pairwise_distances(self, points: list[Point]):
         """d(p, q) for every two points, row p, column q, as a float array:
@@ -188,7 +179,7 @@ class PlaneGeometry(_Geometry):
         the logs are of the exact rationals' integers, b's float taken exactly."""
         pp: QuadraticNumber | None = self.model.require_boundary(b)
         xi = None if pp is None else self._once(pp, lambda: float(pp))
-        dyw = self.distance(y, base).value
+        dyw = self.distance(y, base)
         try:
             (yx, yy), (wx, wy) = self._floats(y), self._floats(base)
             if xi is None:
@@ -205,16 +196,18 @@ class PlaneGeometry(_Geometry):
             q = Fraction(xi)
             return 0.5 * (_log((q - wx) ** 2 + wy * wy) - _log((q - x) ** 2 + yy * yy)) + value
 
-    def internal_points(self, x: Point, y: Point, z: Point) -> tuple[tuple[Point, Point, Point], Length]:
+    def internal_points(self, x: Point, y: Point, z: Point) -> tuple[tuple[Point, Point, Point], float]:
         """The internal points of the triangle xyz on its sides [y, z], [z, x]
         and [x, y], each at its Gromov-product distance from the side's first
-        vertex in floats, and the insize: the largest distance between two."""
-        gx = gromov_product(self.model, y, z, x).value  # d(x, beta^) = d(x, gamma^)
-        gy = gromov_product(self.model, x, z, y).value
-        gz = gromov_product(self.model, x, y, z).value
+        vertex in floats, and the insize: the largest distance between two.
+        The products, <y|z>_x = (d(x,y) + d(z,x) - d(y,z)) / 2 and so on round,
+        read each side once (its float is symmetric) and are clamped at 0."""
+        dxy, dyz, dzx = self.distance(x, y), self.distance(y, z), self.distance(z, x)
+        gx = max(0.0, 0.5 * (dxy + dzx - dyz))  # d(x, beta^) = d(x, gamma^)
+        gy = max(0.0, 0.5 * (dxy + dyz - dzx))
+        gz = max(0.0, 0.5 * (dzx + dyz - dxy))
         pts = (self._point_at(y, z, gy), self._point_at(z, x, gz), self._point_at(x, y, gx))
-        insize = max(self.distance(p, q).value for i, p in enumerate(pts) for q in pts[i + 1 :])
-        return pts, Length(insize)
+        return pts, max(self.distance(p, q) for i, p in enumerate(pts) for q in pts[i + 1 :])
 
     def _point_at(self, p: Point, q: Point, dist: float) -> Point:
         """The point at the given distance from p along the geodesic [p, q]."""
@@ -280,8 +273,8 @@ class TreeGeometry(_Geometry):
     def distance_key(self, x: Point, y: Point) -> int:  # the edge count: exact, ranks with no float
         return self._dist(self.require_point(x), self.require_point(y))
 
-    def distance(self, x: Point, y: Point) -> Length:
-        return _int_length(self.distance_key(x, y))
+    def distance(self, x: Point, y: Point) -> float:
+        return float(self.distance_key(x, y))
 
     def pairwise_distances(self, points: list[Point]):
         """d(p, q) for every two of the points, an int64 array: row p, column q.
@@ -311,7 +304,7 @@ class TreeGeometry(_Geometry):
         meet = self._meet_depth
         return self._depth(w) - meet(u, w) - meet(v, w) + meet(u, v)
 
-    def internal_points(self, x: Point, y: Point, z: Point) -> tuple[tuple[Point, Point, Point], Length]:
+    def internal_points(self, x: Point, y: Point, z: Point) -> tuple[tuple[Point, Point, Point], float]:
         """The internal points of the triangle xyz on its sides [y, z], [z, x]
         and [x, y], and the insize: the largest distance between two of them.
 
@@ -331,7 +324,7 @@ class TreeGeometry(_Geometry):
             along(u, v, kuv, du - kwu - kuv + kvw),
         )
         insize = max(dist(pts[0], pts[1]), dist(pts[1], pts[2]), dist(pts[2], pts[0]))
-        return tuple(self.point(p) for p in pts), _int_length(insize)
+        return tuple(self.point(p) for p in pts), float(insize)
 
     # -- boundary rays ------------------------------------------------------
 

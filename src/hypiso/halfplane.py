@@ -45,7 +45,6 @@ from .models import (
     BoundaryPoint,
     Isometry,
     IsometryClass,
-    Length,
     SpaceModel,
 )
 from .quadratic import QuadraticNumber
@@ -127,10 +126,7 @@ class PlaneHyperbolic(NamedTuple):
     s: int
     disc: int
 
-    @property
-    def translation_length(self) -> Length:
-        return Length(2.0 * acosh_fraction(Fraction(self.a + self.d, 2 * self.s)))
-
+    translation_length = property(lambda self: 2.0 * _acosh_ratio(self.a + self.d, 2 * self.s))
     fixed_plus = property(lambda self: self.fixed_points[0])
     fixed_minus = property(lambda self: self.fixed_points[1])
 
@@ -276,11 +272,6 @@ class HalfPlaneModel(SpaceModel):
             p, q = z.form
             form = (p * d - q * c, q * a - p * bb)
         return self.boundary(QuadraticNumber.of(form, z.root) if form[0] else None)
-
-
-def acosh_fraction(c: Fraction) -> float:
-    """arccosh of an exact rational c >= 1; see _acosh_ratio."""
-    return _acosh_ratio(c.numerator, c.denominator)
 
 
 def _acosh_ratio(num: int, den: int) -> float:

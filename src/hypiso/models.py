@@ -11,7 +11,6 @@ use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Optional, Protocol
 
 from .errors import MixedModels, ValidationError
@@ -46,17 +45,6 @@ class BoundaryPoint:
 
 
 @dataclass(frozen=True)
-class Length:
-    """A nonnegative length: a float, for display and diagnostics only, and
-    on trees the exact edge count (Gromov products of tree vertices are
-    integers too).  The geometry lab's distances build one, and so does a
-    hyperbolic class's translation length, for a reader; no class keeps one."""
-
-    value: float
-    exact_value: Optional[Fraction] = None
-
-
-@dataclass(frozen=True)
 class EllipticWitness:
     """The order of an elliptic isometry, None for infinite-order plane
     rotations: all that the search and the records read of the class."""
@@ -66,12 +54,12 @@ class EllipticWitness:
 
 class HyperbolicWitness(Protocol):
     """A hyperbolic class in its model's own type, holding the exact integers
-    its record prints and no float or Fraction: the translation length and
-    the plane's fixed points (plus attracting, minus repelling) are built when
-    read.  fixed_points is the pair (plus, minus), built together: a reader
-    of both reads it."""
+    its record prints and no float or Fraction: the translation length, a
+    float for a reader, and the plane's fixed points (plus attracting, minus
+    repelling) are built when read.  fixed_points is the pair (plus, minus),
+    built together: a reader of both reads it."""
 
-    translation_length: Length
+    translation_length: float
     fixed_plus: BoundaryPoint
     fixed_minus: BoundaryPoint
     fixed_points: tuple[BoundaryPoint, BoundaryPoint]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .models import (
@@ -30,7 +29,6 @@ from .models import (
     BoundaryPoint,
     Isometry,
     IsometryClass,
-    Length,
     SpaceModel,
 )
 from .words import format_powers, parse_powers, reduce_powers
@@ -53,12 +51,8 @@ class TreeHyperbolic(NamedTuple):
     length: int
     fixed_plus: BoundaryPoint
     fixed_minus: BoundaryPoint
-    translation_length = property(lambda self: _int_length(self.length))
+    translation_length = property(lambda self: float(self.length))
     fixed_points = property(lambda self: (self.fixed_plus, self.fixed_minus))
-
-
-def _int_length(n: int) -> Length:
-    return Length(float(n), exact_value=Fraction(n))
 
 
 class TreeModel(SpaceModel):

@@ -76,6 +76,11 @@ MUTANTS = (
     Mutant("cosh-swaps-denominators", "geometry.py",
            "dx, r1, r2 = X1 * D2 - X2 * D1, Y1 * D2, Y2 * D1", "dx, r1, r2 = X1 * D2 - X2 * D1, Y1 * D1, Y2 * D2",
            ("tests/test_classification_sweep.py::test_plane_lab_matches_the_fraction_metric",)),
+    # a plane triangle's internal points: each Gromov product reads the two
+    # sides at its vertex, less the opposite side
+    Mutant("internal-point-swaps-sides", "geometry.py",
+           "gx = max(0.0, 0.5 * (dxy + dzx - dyz))", "gx = max(0.0, 0.5 * (dxy + dyz - dzx))",
+           ("tests/test_geometry.py::test_plane_internal_points_match_the_reference_products",)),
     # past float range a plane product is read from the logs of exact rationals
     Mutant("exact-log-adds-the-denominator", "geometry.py",
            "math.log(q.numerator) - math.log(q.denominator)", "math.log(q.numerator) + math.log(q.denominator)",
@@ -86,6 +91,10 @@ MUTANTS = (
            "                bound = self._sized(base)", "                pass", (CAP,)),
     Mutant("image-bound-forgets-the-product", "actions.py",
            "            bound += power_bound + 1", "            bound = power_bound", (CAP,)),
+    # tau = 2 arccosh((a + d)/2s)
+    Mutant("translation-length-drops-the-2", "halfplane.py",
+           "2.0 * _acosh_ratio(self.a + self.d, 2 * self.s)", "_acosh_ratio(self.a + self.d, 2 * self.s)",
+           ("tests/test_halfplane.py::test_classify_hyperbolic_trace_3",)),
     # the repelling point takes the minus sign of the square root
     Mutant("repelling-point-sign", "halfplane.py",
            "for e in (1, -1))", "for e in (1, 1))", (CLASSES,)),

@@ -10,10 +10,9 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from hypiso.dynamics import contains_point
 from hypiso.errors import MixedModels, ValidationError
-from hypiso.geometry import gromov_product, lab
-from hypiso.halfplane import HalfPlaneModel, acosh_fraction
+from hypiso.geometry import lab
+from hypiso.halfplane import HalfPlaneModel, _acosh_ratio
 from hypiso.models import MAX_ISOMETRY_SIZE
 from hypiso.quadratic import QuadraticNumber
 from hypiso.records import check_witnesses, witness_line
@@ -76,11 +75,28 @@ def geodesic(model, x, y) -> list:
     return [geo.point(geo._along(u, v, k, t)) for t in range(geo._dist(u, v) + 1)]
 
 
+def gromov_product(model, x, y, w) -> float:
+    """<x|y>_w = (d(x,w) + d(y,w) - d(x,y)) / 2 from the lab's distances, a
+    fresh lab per product, clamped at 0 against float rounding."""
+    geo = lab(model)
+    return max(0.0, 0.5 * (geo.distance(x, w) + geo.distance(y, w) - geo.distance(x, y)))
+
+
+def plane_internal_points_reference(model, x, y, z):
+    """The plane triangle xyz's internal points, placed by the lab's
+    ``_point_at`` at the three reference Gromov products (a fresh lab and
+    three distances each), and their insize."""
+    geo = lab(model)
+    gx, gy, gz = gromov_product(model, y, z, x), gromov_product(model, x, z, y), gromov_product(model, x, y, z)
+    pts = (geo._point_at(y, z, gy), geo._point_at(z, x, gz), geo._point_at(x, y, gx))
+    return pts, max(geo.distance(p, q) for i, p in enumerate(pts) for q in pts[i + 1 :])
+
+
 def four_point_defect(model, x, y, z, w) -> float:
     """min(<x|y>_w, <y|z>_w) - <x|z>_w for one quadruple."""
-    gxy = gromov_product(model, x, y, w).value
-    gyz = gromov_product(model, y, z, w).value
-    gxz = gromov_product(model, x, z, w).value
+    gxy = gromov_product(model, x, y, w)
+    gyz = gromov_product(model, y, z, w)
+    gxz = gromov_product(model, x, z, w)
     return min(gxy, gyz) - gxz
 
 
@@ -95,6 +111,22 @@ def pairwise_distances_by_meets(model, points) -> list[list[int]]:
         for j in range(i + 1, len(vs)):
             rows[i][j] = rows[j][i] = depths[i] + depths[j] - 2 * geo._meet_depth(u, vs[j])
     return rows
+
+
+def contains_point(model, spec, y) -> bool:
+    """Whether y lies in the neighborhood N(center, k) of the spec:
+    <center|y>_base > k."""
+    return lab(model).gromov_boundary_point(spec.center, y, spec.base) > spec.threshold
+
+
+def neighborhoods_disjoint(model, u, v, sample=()) -> bool:
+    """Whether the two membership tests cannot both pass: the centers'
+    mutual Gromov product clears neither threshold, and no point of the
+    sample lies in both."""
+    mutual = lab(model).gromov_boundary_pair(u.center, v.center, u.base)
+    if mutual > min(u.threshold, v.threshold):
+        return False
+    return not any(contains_point(model, u, p) and contains_point(model, v, p) for p in sample)
 
 
 def separation_witnesses(action, g, u_plus, u_minus, sample) -> list:
@@ -167,7 +199,8 @@ def xy_cosh_reference(p, q) -> Fraction:
 def xy_distance_reference(p, q) -> float:
     """d of two (x, y) pairs: arccosh of the exact cosh, as the plane's
     points in Fractions computed it."""
-    return acosh_fraction(xy_cosh_reference(p, q))
+    c = xy_cosh_reference(p, q)
+    return _acosh_ratio(c.numerator, c.denominator)
 
 
 def xy_apply_reference(m, p) -> tuple[Fraction, Fraction]:

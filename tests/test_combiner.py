@@ -293,7 +293,7 @@ def test_normalize_powers_preserves_hyperbolic_data():
         cls2 = action.classify_word(f2)
         assert cls2.is_hyperbolic
         tl, tl2 = cls.hyperbolic.translation_length, cls2.hyperbolic.translation_length
-        assert abs(tl2.value - prof.p * tl.value) < 1e-9
+        assert abs(tl2 - prof.p * tl) < 1e-9
         model = action.model
         assert model.boundary_equal(cls.hyperbolic.fixed_plus, cls2.hyperbolic.fixed_plus)
         assert model.boundary_equal(cls.hyperbolic.fixed_minus, cls2.hyperbolic.fixed_minus)

@@ -9,10 +9,8 @@ from hypiso import cli, dynamics
 from hypiso.actions import Action
 from hypiso.dynamics import (
     NeighborhoodSpec,
-    contains_point,
     estimate_delta_insize,
     internal_points,
-    neighborhoods_disjoint,
     ns_dynamics_check,
     orbit_projection,
 )
@@ -21,7 +19,6 @@ from hypiso.geometry import (
     PlaneGeometry,
     TreeGeometry,
     estimate_delta_four_point,
-    gromov_product,
     lab,
 )
 from hypiso.halfplane import HalfPlaneModel
@@ -35,7 +32,15 @@ from hypiso.sampling import (
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 from hypiso.words import GroupWord
 
-from reference import power, sample_points, sample_tree_points, separation_witnesses
+from reference import (
+    contains_point,
+    gromov_product,
+    neighborhoods_disjoint,
+    power,
+    sample_points,
+    sample_tree_points,
+    separation_witnesses,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -212,7 +217,7 @@ def test_tree_busemann_shift_and_fixed_point_contract():
         model = action.model
         cls = model.classify(g)
         ends = (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus)
-        length = cls.hyperbolic.translation_length.exact_value
+        length = cls.hyperbolic.length
         geo = lab(model)
         y = geo.ball_vertices(3)[-1]
         # g moves every point length closer to its attracting end, exactly
@@ -269,7 +274,7 @@ def _beta(model, b, y, w) -> float:
     """The Busemann cocycle beta(w, y) = 2<b|y>_w - d(w, y) of the boundary
     point b, from the lab's floats."""
     geo = lab(model)
-    return 2 * geo.gromov_boundary_point(b, y, w) - geo.distance(w, y).value
+    return 2 * geo.gromov_boundary_point(b, y, w) - geo.distance(w, y)
 
 
 def test_plane_busemann_shift_and_cocycle(plane):
@@ -283,7 +288,7 @@ def test_plane_busemann_shift_and_cocycle(plane):
     ends = set()
     for seed, action, g in cases:
         cls, geo = plane.classify(g), lab(plane)
-        tau = cls.hyperbolic.translation_length.value
+        tau = cls.hyperbolic.translation_length
         points = sample_points(plane, 4, rng_from_seed(seed))
         for base in (geo.basepoint, points[0]):
             for end, shift in zip(cls.hyperbolic.fixed_points, (tau, -tau)):
@@ -517,19 +522,33 @@ def test_separation_high_power_independent(plane):
 
 
 def test_neighborhoods_disjoint(plane):
+    # ns_dynamics_check refuses U+ and U- that are not disjoint, by their
+    # centers' product (<infinity|0>_i = 0) or by a sample point in both
+    # (1 + i, whose products are 0.48 and 0.13), as the reference does
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
+    act = Action("p", plane, {"f": D})
     cls = plane.classify(D)
+    base, far, both = lab(plane).basepoint, lab(plane).point_xy(5, 40), lab(plane).point_xy(1, 1)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
-    assert neighborhoods_disjoint(plane, u_plus, u_minus)
-    tight_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 0.0, lab(plane).basepoint)
-    tight_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, -0.5, lab(plane).basepoint)
-    assert not neighborhoods_disjoint(plane, tight_plus, tight_minus, [lab(plane).point_xy(5, 40)])
+    assert neighborhoods_disjoint(plane, u_plus, u_minus, [far, both])
+    assert ns_dynamics_check(act, D, u_plus, u_minus, [far, both], 64) >= 1
+    tight_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 0.0, base)
+    tight_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, -0.5, base)
+    loose_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 0.1, base)
+    loose_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, 0.1, base)
+    assert not neighborhoods_disjoint(plane, tight_plus, tight_minus)
+    assert neighborhoods_disjoint(plane, loose_plus, loose_minus, [far])
+    assert not neighborhoods_disjoint(plane, loose_plus, loose_minus, [far, both])
+    for plus, minus, sample in ((tight_plus, tight_minus, [far]), (loose_plus, loose_minus, [far, both])):
+        with pytest.raises(ValueError, match="not disjoint"):
+            ns_dynamics_check(act, D, plus, minus, sample, 64)
+    assert ns_dynamics_check(act, D, loose_plus, loose_minus, [far], 64) >= 1
 
 
 def test_internal_points_tree_median(bs23):
     ball = lab(bs23).ball_vertices(3)
     tri = internal_points(bs23, ball[0], ball[4], ball[9])
-    assert tri.insize.exact_value == 0
+    assert tri.insize == 0
     assert tri.internal[0] == tri.internal[1] == tri.internal[2]
 
 
@@ -538,11 +557,11 @@ def test_internal_points_plane_example(plane):
     y = lab(plane).point_xy(0, 8)
     z = lab(plane).point_xy(6, 1)
     tri = internal_points(plane, x, y, z)
-    assert tri.insize.value <= 1.0
+    assert tri.insize <= 1.0
     # defining equalities hold to the stated resolution
-    gx = gromov_product(plane, y, z, x).value
-    assert abs(lab(plane).distance(x, tri.internal[1]).value - gx) <= 2**-20
-    assert abs(lab(plane).distance(x, tri.internal[2]).value - gx) <= 2**-20
+    gx = gromov_product(plane, y, z, x)
+    assert abs(lab(plane).distance(x, tri.internal[1]) - gx) <= 2**-20
+    assert abs(lab(plane).distance(x, tri.internal[2]) - gx) <= 2**-20
 
 
 def test_internal_points_degenerate(plane):
@@ -557,7 +576,7 @@ def _slim_delta(plane, triangles, samples_per_side: int) -> float:
     sides, each side sampled at equal steps, ends included."""
 
     def side(p, q):
-        total = lab(plane).distance(p, q).value
+        total = lab(plane).distance(p, q)
         steps = range(1, samples_per_side - 1)
         return [p] + [lab(plane)._point_at(p, q, total * k / (samples_per_side - 1)) for k in steps] + [q]
 
@@ -567,7 +586,7 @@ def _slim_delta(plane, triangles, samples_per_side: int) -> float:
         for i in range(3):
             others = sides[(i + 1) % 3] + sides[(i + 2) % 3]
             for pt in sides[i]:
-                worst = max(worst, min(lab(plane).distance(pt, q).value for q in others))
+                worst = max(worst, min(lab(plane).distance(pt, q) for q in others))
     return worst
 
 
@@ -584,7 +603,7 @@ def test_insize_within_slim_estimate(plane):
     while len(triangles) < 40 and i < 77:
         t = (pts[i], pts[i + 1], pts[i + 2])
         i += 1
-        sides = [lab(plane).distance(t[a], t[b]).value for a, b in ((0, 1), (1, 2), (0, 2))]
+        sides = [lab(plane).distance(t[a], t[b]) for a, b in ((0, 1), (1, 2), (0, 2))]
         if min(sides) > 1e-9 and max(sides) <= 2.5:
             triangles.append(t)
     insize_est = estimate_delta_insize(plane, triangles)
@@ -638,7 +657,7 @@ def test_claim1_defect_bound(plane, bs23):
         iso = random_plane_hyperbolic(plane, rng)
         act = Action("p", plane, {"x": iso})
         cls = plane.classify(iso)
-        tau = cls.hyperbolic.translation_length.value
+        tau = cls.hyperbolic.translation_length
         offset = lab(plane).gromov_boundary_pair(
             cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus, lab(plane).basepoint
         )
@@ -651,7 +670,7 @@ def test_claim1_defect_bound(plane, bs23):
     w = bs23.word([(0, 1), (1, 2)])
     act = Action("b", bs23, {"x": w})
     cls = bs23.classify(w)
-    tau = cls.hyperbolic.translation_length.value
+    tau = cls.hyperbolic.translation_length
     rngb = rng_from_seed(5)
     for z in sample_tree_points(bs23, 100, rngb):
         d = orbit_projection(act, act.image(GroupWord.parse("x")), lab(bs23).basepoint, z, 10).defect

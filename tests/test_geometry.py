@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -7,12 +9,20 @@ import pytest
 
 from hypiso.errors import InsufficientSample, MixedModels
 from hypiso import geometry
-from hypiso.geometry import estimate_delta_four_point, gromov_product, lab
+from hypiso.dynamics import internal_points
+from hypiso.geometry import estimate_delta_four_point, lab
 from hypiso.halfplane import HalfPlaneModel
 from hypiso.sampling import rng_from_seed, sample_plane_points
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 
-from reference import four_point_defect, geodesic, sample_points, vertex
+from reference import (
+    four_point_defect,
+    geodesic,
+    gromov_product,
+    plane_internal_points_reference,
+    sample_points,
+    vertex,
+)
 
 
 @pytest.fixture
@@ -33,19 +43,18 @@ def bs23():
 def test_gromov_product_degenerate(plane):
     x = lab(plane).point_xy(1, 2)
     w = lab(plane).point_xy(-1, Fraction(1, 2))
-    assert gromov_product(plane, x, w, w).value == 0.0
+    assert gromov_product(plane, x, w, w) == 0.0
 
 
 def test_gromov_product_tree_oracle(cayley):
     # <ab|aab>_e = distance from e to the geodesic [ab, aab]
     x = vertex(cayley, [1, 2])
     y = vertex(cayley, [1, 1, 2])
-    gp = gromov_product(cayley, x, y, lab(cayley).basepoint)
-    assert gp.exact_value == 1
-    oracle = min(
-        lab(cayley).distance(lab(cayley).basepoint, v).exact_value for v in geodesic(cayley, x, y)
-    )
-    assert gp.exact_value == oracle
+    geo = lab(cayley)
+    gp = geo._gromov(x.coords, y.coords, geo.basepoint.coords)
+    assert gp == 1
+    assert min(geo.distance_key(geo.basepoint, v) for v in geodesic(cayley, x, y)) == gp
+    assert gromov_product(cayley, x, y, geo.basepoint) == gp
 
 
 def test_gromov_product_collinear_plane(plane):
@@ -53,23 +62,51 @@ def test_gromov_product_collinear_plane(plane):
     y = lab(plane).point_xy(0, 4)
     w = lab(plane).point_xy(0, 2)
     # w lies on the geodesic [x, y], so <x|y>_w = 0
-    assert abs(gromov_product(plane, x, y, w).value) < 1e-12
+    assert abs(gromov_product(plane, x, y, w)) < 1e-12
     # with the base at x, the two collinear points on one side give
     # <y|w>_x = min(d(y,x), d(w,x)) = ln 2
     gp = gromov_product(plane, y, w, x)
-    dxy = lab(plane).distance(x, y).value
-    dxw = lab(plane).distance(x, w).value
-    assert abs(gp.value - math.log(2)) < 1e-12
-    assert abs(gp.value - min(dxy, dxw)) < 1e-12
+    dxy = lab(plane).distance(x, y)
+    dxw = lab(plane).distance(x, w)
+    assert abs(gp - math.log(2)) < 1e-12
+    assert abs(gp - min(dxy, dxw)) < 1e-12
 
 
 def test_gromov_product_upper_bound(plane):
     rng = rng_from_seed(11)
     pts = sample_plane_points(plane, 12, rng)
     for x, y, w in zip(pts, pts[4:], pts[8:]):
-        gp = gromov_product(plane, x, y, w).value
-        assert gp <= min(lab(plane).distance(x, w).value, lab(plane).distance(y, w).value) + 1e-9
+        gp = gromov_product(plane, x, y, w)
+        assert gp <= min(lab(plane).distance(x, w), lab(plane).distance(y, w)) + 1e-9
         assert gp >= -1e-12
+
+
+def test_plane_internal_points_match_the_reference_products(plane):
+    # the lab reads each side of a triangle once; its internal points and
+    # insize are bit for bit those placed at three reference Gromov
+    # products, on sampled triangles, on collinear ones (where float sums
+    # dip below 0 and the clamp is read) and on triangles a hair off a
+    # geodesic, in every vertex order
+    geo, rng = lab(plane), random.Random(35)
+    pts = sample_plane_points(plane, 45, rng_from_seed(7))
+    triangles = list(zip(pts[::3], pts[1::3], pts[2::3]))
+    for _ in range(12):  # on vertical geodesics
+        x, (a, b, c) = rng.randint(-5, 5), sorted(rng.sample(range(1, 200), 3))
+        triangles.append(tuple(geo.point_xy(x, Fraction(h, 7)) for h in (a, b, c)))
+    for eps in (0, Fraction(1, 10**17), Fraction(1, 10**12), Fraction(1, 10**6)):
+        triangles += [
+            (geo.point_xy(0, 1), geo.point_xy(eps, 2), geo.point_xy(0, 4)),
+            (geo.point_xy(Fraction(-3, 5), Fraction(4, 5)), geo.point_xy(eps, 1 + eps),
+             geo.point_xy(Fraction(3, 5), Fraction(4, 5))),  # on or off the unit circle
+        ]
+    clamped = 0
+    for triangle in triangles:
+        for x, y, z in itertools.permutations(triangle):
+            tri = internal_points(plane, x, y, z)
+            assert (tri.internal, tri.insize) == plane_internal_points_reference(plane, x, y, z)
+            dxy, dyz, dxz = geo.distance(x, y), geo.distance(y, z), geo.distance(x, z)
+            clamped += 0.5 * (dxy + dyz - dxz) < 0.0
+    assert clamped > 0
 
 
 def test_four_point_insufficient(plane):
@@ -102,11 +139,11 @@ def test_four_point_matches_cubic_formula(plane):
     pts = sample_plane_points(plane, 40, rng_from_seed(3))
     base = lab(plane).basepoint
     n = len(pts)
-    d_base = np.array([lab(plane).distance(p, base).value for p in pts])
+    d_base = np.array([lab(plane).distance(p, base) for p in pts])
     D = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            D[i, j] = D[j, i] = lab(plane).distance(pts[i], pts[j]).value
+            D[i, j] = D[j, i] = lab(plane).distance(pts[i], pts[j])
     G2 = d_base[:, None] + d_base[None, :] - D
     maxmin = np.minimum(G2[:, :, None], G2[None, :, :]).max(axis=1)
     expected = max(0.0, float((maxmin - G2).max()) / 2.0)
@@ -115,13 +152,10 @@ def test_four_point_matches_cubic_formula(plane):
 
 
 def _four_point_by_distance(model, sample, base) -> float:
-    """The four-point delta from a matrix filled by model.distance, pair by pair."""
+    """The four-point delta from a matrix filled pair by pair by the lab's
+    distance, or on trees its exact edge count."""
     n = len(sample)
-    exact = lab(model).distance(sample[0], base).exact_value is not None
-
-    def value(p, q):
-        length = lab(model).distance(p, q)
-        return int(length.exact_value) if exact else length.value
+    value = lab(model).distance if isinstance(model, HalfPlaneModel) else lab(model).distance_key
 
     d_base = np.array([value(p, base) for p in sample])
     D = np.zeros((n, n), dtype=d_base.dtype)
@@ -147,7 +181,7 @@ def test_four_point_matches_pairwise_distance_fill(plane):
             assert est.delta == _four_point_by_distance(model, sample, b)
         pts = sample[:20] + [base]
         rows = lab(model).pairwise_distances(pts).tolist()
-        assert rows == [[lab(model).distance(p, q).value for q in pts] for p in pts]
+        assert rows == [[lab(model).distance(p, q) for q in pts] for p in pts]
     assert _four_point_by_distance(plane, cases[0][1], cases[0][2]) > 0.0
 
 
@@ -208,9 +242,9 @@ def test_base_change_bound(plane, bs23):
         rng = rng_from_seed(seed)
         pts = sample_points(model, 10, rng)
         x, y, w, w2 = pts[0], pts[1], pts[2], pts[3]
-        g1 = gromov_product(model, x, y, w).value
-        g2 = gromov_product(model, x, y, w2).value
-        assert abs(g1 - g2) <= lab(model).distance(w, w2).value + 1e-9
+        g1 = gromov_product(model, x, y, w)
+        g2 = gromov_product(model, x, y, w2)
+        assert abs(g1 - g2) <= lab(model).distance(w, w2) + 1e-9
 
 
 def test_translation_conjugation_invariance(plane):

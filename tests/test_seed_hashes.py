@@ -84,7 +84,7 @@ def class_lines(system) -> list[str]:
             cls = action.classify_word(GroupWord.generator(gen))
             line = f"{gen}: {witness_line(i, action.name, action.model, cls)}"
             if cls.is_hyperbolic:
-                line += f" tau={cls.hyperbolic.translation_length.value!r}"
+                line += f" tau={cls.hyperbolic.translation_length!r}"
             lines.append(line)
     return lines
 

@@ -8,13 +8,21 @@ from hypothesis import strategies as st
 
 from hypiso.actions import Action, ActionSystem
 from hypiso.dynamics import internal_points
-from hypiso.geometry import gromov_product, lab
+from hypiso.geometry import lab
 from hypiso.models import HYPOTHESIS_VIOLATION
-from hypiso.sampling import random_elliptic, random_hyperbolic
+from hypiso.sampling import _random_bs_syllables, _random_cayley_word, random_elliptic, random_hyperbolic
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import reduced_words
 
-from reference import bfs_distance, fixed_vertices, geodesic, pairwise_distances_by_meets, power, vertex
+from reference import (
+    bfs_distance,
+    fixed_vertices,
+    geodesic,
+    pairwise_distances_by_meets,
+    power,
+    sample_tree_points,
+    vertex,
+)
 
 
 @pytest.fixture
@@ -33,14 +41,14 @@ def bs23():
 def test_cayley_distance_word_formula(cayley):
     x = vertex(cayley, [1, 2])       # ab
     y = vertex(cayley, [1, 1, 2])    # aab
-    assert lab(cayley).distance(x, y).exact_value == 3
-    assert lab(cayley).distance(x, x).exact_value == 0
+    assert lab(cayley).distance_key(x, y) == 3
+    assert lab(cayley).distance_key(x, x) == 0
 
 
 def test_cayley_bfs_oracle_agrees(cayley):
     ball = lab(cayley).ball_vertices(3)
     for p, q in itertools.combinations(ball, 2):
-        assert bfs_distance(cayley, p, q) == lab(cayley).distance(p, q).exact_value
+        assert bfs_distance(cayley, p, q) == lab(cayley).distance_key(p, q)
 
 
 def test_cayley_ball_sizes(cayley):
@@ -69,20 +77,21 @@ def test_cayley_classification(cayley):
     assert cayley.classify(cayley.identity()).tag == "elliptic"
     one = cayley.classify(cayley.word([1]))
     assert one.tag == "hyperbolic"
-    assert one.hyperbolic.translation_length.exact_value == 1
+    assert one.hyperbolic.length == 1
     conj = cayley.classify(cayley.word([1, 2, -1]))  # a b a^-1
-    assert conj.hyperbolic.translation_length.exact_value == 1
+    assert conj.hyperbolic.length == 1
     cyc = cayley.classify(cayley.word([1, 2]))
-    assert cyc.hyperbolic.translation_length.exact_value == 2
+    assert cyc.hyperbolic.length == 2
 
 
 def test_cayley_orbit_matches_cyclic_length(cayley):
     w = cayley.word([1, 2, -1, 2])  # cyclic reduction has length 4
     cls = cayley.classify(w)
-    tau = cls.hyperbolic.translation_length.exact_value
+    tau = cls.hyperbolic.length
+    geo = lab(cayley)
     for n in (1, 2, 3):
-        d = lab(cayley).distance(lab(cayley).basepoint, lab(cayley).apply(power(cayley, w, n), lab(cayley).basepoint))
-        assert d.exact_value >= n * tau  # displacement dominates n*tau
+        d = geo.distance_key(geo.basepoint, geo.apply(power(cayley, w, n), geo.basepoint))
+        assert d >= n * tau  # displacement dominates n*tau
 
 
 def test_cayley_ray_equality(cayley):
@@ -107,9 +116,9 @@ def test_gromov_boundary_pair_against_deep_truncations():
         geo = lab(model)
         rays = [model.ray(prefix, period) for prefix, period in specs]
         for xi, eta in itertools.product(rays, repeat=2):
-            far = [geo.point(geo._vertex_from_units(model._ray_units(model.require_boundary(r), 60))) for r in (xi, eta)]
+            far = [geo._vertex_from_units(model._ray_units(model.require_boundary(r), 60)) for r in (xi, eta)]
             for base in geo.ball_vertices(2):
-                expected = math.inf if model.boundary_equal(xi, eta) else gromov_product(model, *far, base).exact_value
+                expected = math.inf if model.boundary_equal(xi, eta) else geo._gromov(*far, base.coords)
                 assert geo.gromov_boundary_pair(xi, eta, base) == expected
 
 
@@ -151,7 +160,7 @@ def test_bs_inverse(bs23):
 def test_bs_classify_st_hyperbolic(bs23):
     cls = bs23.classify(bs23.word([(0, 1), (1, 1)]))
     assert cls.tag == "hyperbolic"
-    assert cls.hyperbolic.translation_length.exact_value == 2
+    assert cls.hyperbolic.length == 2
 
 
 def test_bs_classify_sts_elliptic(bs23):
@@ -197,7 +206,7 @@ def test_bs_orbit_translation_oracle(bs23):
     st_word = bs23.word([(0, 1), (1, 1)])
     for n in (1, 2, 3):
         moved = lab(bs23).apply(power(bs23, st_word, n), lab(bs23).basepoint)
-        d = lab(bs23).distance(lab(bs23).basepoint, moved).exact_value
+        d = lab(bs23).distance_key(lab(bs23).basepoint, moved)
         assert d == 2 * n
         assert bfs_distance(bs23, lab(bs23).basepoint, moved) == d
 
@@ -205,7 +214,7 @@ def test_bs_orbit_translation_oracle(bs23):
 def test_bs_distance_matches_bfs_everywhere(bs23):
     ball = lab(bs23).ball_vertices(4)
     for p, q in itertools.combinations(ball, 2):
-        assert bfs_distance(bs23, p, q) == lab(bs23).distance(p, q).exact_value
+        assert bfs_distance(bs23, p, q) == lab(bs23).distance_key(p, q)
 
 
 def test_bs_vertex_degrees(bs23):
@@ -224,8 +233,8 @@ def test_bs_isometry_invariance(bs23):
     g = bs23.word([(1, 2), (0, 1)])
     ball = lab(bs23).ball_vertices(3)
     for p, q in itertools.combinations(ball[:8], 2):
-        before = lab(bs23).distance(p, q).exact_value
-        after = lab(bs23).distance(lab(bs23).apply(g, p), lab(bs23).apply(g, q)).exact_value
+        before = lab(bs23).distance_key(p, q)
+        after = lab(bs23).distance_key(lab(bs23).apply(g, p), lab(bs23).apply(g, q))
         assert before == after
 
 
@@ -240,7 +249,7 @@ def test_bs_elliptic_decay(bs23):
     cur = base
     for _ in range(4 * cls.elliptic.period):
         cur = lab(bs23).apply(w, cur)
-        assert lab(bs23).distance(base, cur).exact_value <= bound
+        assert lab(bs23).distance_key(base, cur) <= bound
 
 
 def test_bs_conjugation_preserves_class(bs23):
@@ -250,10 +259,7 @@ def test_bs_conjugation_preserves_class(bs23):
     c1 = bs23.classify(g)
     c2 = bs23.classify(conj)
     assert c1.tag == c2.tag
-    assert (
-        c1.hyperbolic.translation_length.exact_value
-        == c2.hyperbolic.translation_length.exact_value
-    )
+    assert c1.hyperbolic.length == c2.hyperbolic.length
 
 
 letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10)
@@ -279,10 +285,7 @@ def test_cayley_classification_conjugation_invariant(a):
     c1, c2 = model.classify(w), model.classify(conj)
     assert c1.tag == c2.tag
     if c1.is_hyperbolic:
-        assert (
-            c1.hyperbolic.translation_length.exact_value
-            == c2.hyperbolic.translation_length.exact_value
-        )
+        assert c1.hyperbolic.length == c2.hyperbolic.length
 
 
 @given(st.lists(st.sampled_from([(0, 1), (1, 1), (1, 2)]), max_size=8))
@@ -293,10 +296,10 @@ def test_bs_power_scaling(syllables):
     cls = model.classify(w)
     if not cls.is_hyperbolic:
         return
-    tau = cls.hyperbolic.translation_length.exact_value
+    tau = cls.hyperbolic.length
     for n in (2, 3):
         cn = model.classify(power(model, w, n))
-        assert cn.hyperbolic.translation_length.exact_value == n * tau
+        assert cn.hyperbolic.length == n * tau
 
 
 @given(st.lists(st.tuples(st.sampled_from([0, 1]), st.integers(min_value=-5, max_value=5)), max_size=10))
@@ -384,7 +387,7 @@ def _check_internal_points(model, d, x, y, z):
         assert d(a, p) + d(p, b) == d(a, b)
         assert 2 * d(a, p) == d(a, b) + d(a, c) - d(b, c)
     assert tri.internal[0] == tri.internal[1] == tri.internal[2]
-    assert tri.insize.exact_value == 0
+    assert tri.insize == 0
 
 
 def test_internal_points_against_bfs():
@@ -452,6 +455,28 @@ def test_pairwise_distances_match_the_pair_loop_and_bfs(model):
     if lab(model).ball_size(max(lab(model)._depth(p.coords) for p in orbit)) <= 5000:
         few += orbit[::4]
     assert lab(model).pairwise_distances(few).tolist() == [[bfs_distance(model, p, q) for q in few] for p in few]
+
+
+@pytest.mark.parametrize(
+    "model", [CayleyTreeModel(2), CayleyTreeModel(3), BassSerreModel(2, 3), BassSerreModel(3, 4)],
+    ids=lambda m: m.model_id,
+)
+def test_tree_lengths_are_floats_of_their_integers(model):
+    # a tree's distance is the float of its edge count (distance_key), and
+    # a hyperbolic class's translation length the float of its integer
+    # length, on the ball, on sampled vertices and on sampled words
+    rng, geo = random.Random(model.model_id), lab(model)
+    points = geo.ball_vertices(3) + sample_tree_points(model, 40, rng)
+    for p, q in itertools.product(points, points[::5]):
+        d = geo.distance(p, q)
+        assert type(d) is float and d == geo.distance_key(p, q)
+    draw = _random_cayley_word if isinstance(model, CayleyTreeModel) else _random_bs_syllables
+    words = [model.word(draw(model, rng, n)) for n in range(1, 13) for _ in range(8)]
+    words += [random_hyperbolic(model, rng) for _ in range(20)]
+    hyperbolic = [cls.hyperbolic for cls in map(model.classify, words) if cls.is_hyperbolic]
+    assert len(hyperbolic) >= 20
+    for h in hyperbolic:
+        assert type(h.translation_length) is float and h.translation_length == h.length
 
 
 # -- word text ----------------------------------------------------------------
