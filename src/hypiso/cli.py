@@ -270,8 +270,8 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Res
             rows.append((str(i), action.name, "insize", f"{est.delta:.6f} over {est.sample_size}"))
             lines.append(f"insize {i} {action.name} approx~ {est.delta:.9f} n {est.sample_size}")
         if "projection" in checks:
-            orbit = dyn.orbit_points(action, image, lab(action.model).basepoint, 8)
-            worst = max([0.0] + [dyn.project_to_orbit(action.model, orbit, z).defect for z in sample[:10]])
+            projections = dyn.orbit_projection(action, image, lab(action.model).basepoint, sample[:10], 8)
+            worst = max([0.0] + [proj.defect for proj in projections])
             rows.append((str(i), action.name, "projection", f"max defect {worst:.6f}"))
             lines.append(f"projection {i} {action.name} approx~ {worst:.9f}")
     return _result(args.command, settings, lines, _table(["#", "action", "check", "result"], rows))

@@ -133,44 +133,30 @@ class OrbitProjection:
     defect: float
 
 
-def orbit_points(action: Action, iso: Isometry, basepoint: Point, orbit_range: int) -> dict[int, Point]:
-    """The orbit {f^n basepoint : |n| <= orbit_range} of the image iso of a
-    word f hyperbolic in the action, keyed by n."""
+def orbit_projection(
+    action: Action, iso: Isometry, basepoint: Point, points: Sequence[Point], orbit_range: int
+) -> list[OrbitProjection]:
+    """The nearest-point projection of each point z to the orbit {f^n
+    basepoint : |n| <= orbit_range} of the image iso of a word f hyperbolic
+    in the action, and the reverse-triangle defect d(x, x_z) + d(x_z, z) -
+    d(x, z), x the basepoint.  The orbit and the lab are built once; the
+    orbit is ranked by the lab's exact ``distance_key``, and only the
+    defect's three distances are floats."""
     model = action.model
     tag = model.tag(iso)
     if tag != HYPERBOLIC:
         raise NotHyperbolic(f"f is {tag} in action {action.name!r}")
     geo, inv = lab(model), model.invert(iso)
-    points, fwd, back = {0: basepoint}, basepoint, basepoint
+    orbit, fwd, back = {0: basepoint}, basepoint, basepoint
     for n in range(1, orbit_range + 1):
         fwd, back = geo.apply(iso, fwd), geo.apply(inv, back)
-        points[n], points[-n] = fwd, back
-    return points
-
-
-def project_to_orbit(model: SpaceModel, points: dict[int, Point], z: Point) -> OrbitProjection:
-    """Nearest-point projection of z to an orbit from ``orbit_points`` and
-    the reverse-triangle defect d(x, x_z) + d(x_z, z) - d(x, z), where x is
-    the orbit's point 0.  The orbit is ranked by the lab's exact
-    ``distance_key``; only the defect's three distances are floats."""
-    geo = lab(model)
-    keys = {n: geo.distance_key(p, z) for n, p in points.items()}
-    best = min(keys.values())
-    minimizers = sorted((n for n, key in keys.items() if key == best), key=lambda n: (abs(n), -n))
-    basepoint, x_z = points[0], points[minimizers[0]]
-    defect = geo.distance(basepoint, x_z) + geo.distance(x_z, z) - geo.distance(basepoint, z)
-    return OrbitProjection(
-        nearest=tuple(points[n] for n in minimizers),
-        exponents=tuple(minimizers),
-        defect=max(0.0, defect),
-    )
-
-
-def orbit_projection(
-    action: Action, iso: Isometry, basepoint: Point, z: Point, orbit_range: int
-) -> OrbitProjection:
-    """Nearest-point projection of z to the orbit {f^n basepoint, |n| <= range}
-    of the image iso of f, and the reverse-triangle defect; to project many
-    points, build the orbit once with ``orbit_points`` and call
-    ``project_to_orbit``."""
-    return project_to_orbit(action.model, orbit_points(action, iso, basepoint, orbit_range), z)
+        orbit[n], orbit[-n] = fwd, back
+    out = []
+    for z in points:
+        keys = {n: geo.distance_key(p, z) for n, p in orbit.items()}
+        best = min(keys.values())
+        minimizers = sorted((n for n, key in keys.items() if key == best), key=lambda n: (abs(n), -n))
+        x_z = orbit[minimizers[0]]
+        defect = geo.distance(basepoint, x_z) + geo.distance(x_z, z) - geo.distance(basepoint, z)
+        out.append(OrbitProjection(tuple(orbit[n] for n in minimizers), tuple(minimizers), max(0.0, defect)))
+    return out

@@ -4,8 +4,8 @@ the ``delta`` and ``dynamics`` diagnostics read and no certificate does.
 ``lab(model)`` is the one way in, picked by the model's type: a
 ``PlaneGeometry`` (points are integer triples, distances integer ratios'
 arccosh), or a ``CayleyGeometry`` or ``BassSerreGeometry``, whose points
-are the tree's vertex labels and whose whole metric ``TreeGeometry``
-derives in integers from hooks on those labels.  A lab holds its model and
+are the tree's vertices labelled by their root paths, from which
+``TreeGeometry`` reads the whole metric in integers.  A lab holds its model and
 a memo, and is built where it is used; its ``basepoint`` is i or the root
 vertex, and a point tagged with another model's id is MixedModels.  A
 distance or insize is a float; ranking and tree arithmetic read the exact
@@ -253,22 +253,24 @@ def _log(q: Fraction) -> float:
 
 
 class TreeGeometry(_Geometry):
-    """A tree's metric in integers, from the hooks on vertex labels that
-    ``CayleyGeometry`` and ``BassSerreGeometry`` define."""
+    """A tree's metric in integers, read from vertex labels that are root
+    paths (Serre, Trees, I.4): a vertex's depth is its label's length, two
+    vertices meet at their labels' common prefix, an ancestor is a prefix,
+    and the sorted labels are a DFS order.  ``CayleyGeometry`` and
+    ``BassSerreGeometry`` define the labels' action, neighbours and degrees."""
+
+    _root = ()
 
     def apply(self, iso: Isometry, x: Point) -> Point:
         return self.point(self._act(self.model.require_iso(iso), self.require_point(x)))
 
     def _dist(self, u, v) -> int:
-        return self._depth(u) + self._depth(v) - 2 * self._meet_depth(u, v)
+        return len(u) + len(v) - 2 * _common_prefix_len(u, v)
 
     def _along(self, u, v, k: int, t: int):
         """The vertex at distance t from u on the geodesic [u, v], whose root
         paths meet at depth k: up from u to the meet, then down towards v."""
-        du = self._depth(u)
-        if t <= du - k:
-            return self._ancestor(u, du - t)
-        return self._ancestor(v, t - du + 2 * k)
+        return u[: len(u) - t] if t <= len(u) - k else v[: t - len(u) + 2 * k]
 
     def distance_key(self, x: Point, y: Point) -> int:  # the edge count: exact, ranks with no float
         return self._dist(self.require_point(x), self.require_point(y))
@@ -279,20 +281,19 @@ class TreeGeometry(_Geometry):
     def pairwise_distances(self, points: list[Point]):
         """d(p, q) for every two of the points, an int64 array: row p, column q.
 
-        In a DFS order of the rooted tree (the points sorted by ``_dfs_key``)
-        the meet depth of two vertices is the least meet depth of the
-        adjacent pairs between them (Kasai et al., CPM 2001): n - 1
-        ``_meet_depth`` calls and a running minimum per row fill the meets."""
+        In a DFS order of the rooted tree (the sorted labels) the meet depth
+        of two vertices is the least meet depth of the adjacent pairs between
+        them (Kasai et al., CPM 2001): n - 1 ``_common_prefix_len`` calls and
+        a running minimum per row fill the meets."""
         import numpy as np  # here, so that commands that never estimate delta load no numpy
 
-        depth, meet, key = self._depth, self._meet_depth, self._dfs_key
         vs = [self.require_point(p) for p in points]
-        order = sorted(range(len(vs)), key=lambda i: key(vs[i]))
-        adjacent = np.array([meet(vs[i], vs[j]) for i, j in zip(order, order[1:])], dtype=np.int64)
+        order = sorted(range(len(vs)), key=vs.__getitem__)
+        adjacent = np.array([_common_prefix_len(vs[i], vs[j]) for i, j in zip(order, order[1:])], dtype=np.int64)
         meets = np.zeros((len(vs), len(vs)), dtype=np.int64)  # in the sorted order
         for i in range(len(adjacent)):
             meets[i, i + 1 :] = meets[i + 1 :, i] = np.minimum.accumulate(adjacent[i:])
-        depths = np.array([depth(v) for v in vs], dtype=np.int64)
+        depths = np.array([len(v) for v in vs], dtype=np.int64)
         rank = np.argsort(order)  # the sorted position of each point
         dist = depths[:, None] + depths[None, :] - 2 * meets[np.ix_(rank, rank)]
         np.fill_diagonal(dist, 0)
@@ -301,8 +302,8 @@ class TreeGeometry(_Geometry):
     def _gromov(self, u, v, w) -> int:
         """<u|v>_w = (d(u,w) + d(v,w) - d(u,v)) / 2 = d(w) - k(u,w) - k(v,w) + k(u,v)
         for the meet depths k: the halves cancel."""
-        meet = self._meet_depth
-        return self._depth(w) - meet(u, w) - meet(v, w) + meet(u, v)
+        meet = _common_prefix_len
+        return len(w) - meet(u, w) - meet(v, w) + meet(u, v)
 
     def internal_points(self, x: Point, y: Point, z: Point) -> tuple[tuple[Point, Point, Point], float]:
         """The internal points of the triangle xyz on its sides [y, z], [z, x]
@@ -312,16 +313,15 @@ class TreeGeometry(_Geometry):
         the side's first vertex (<x|z>_y on [y, z], and so on round), in
         exact integers; nothing assumes that the three coincide.
         """
-        depth, meet, along, dist = self._depth, self._meet_depth, self._along, self._dist
+        meet, along, dist = _common_prefix_len, self._along, self._dist
         u, v, w = (self.require_point(p) for p in (x, y, z))
-        du, dv, dw = depth(u), depth(v), depth(w)
         kvw, kwu, kuv = meet(v, w), meet(w, u), meet(u, v)
-        # <x|z>_y = (d(x,y) + d(y,z) - d(z,x)) / 2 = dv - kuv - kvw + kwu, and
+        # <x|z>_y = (d(x,y) + d(y,z) - d(z,x)) / 2 = |v| - kuv - kvw + kwu, and
         # so on round: the halves cancel, so the products are integers
         pts = (
-            along(v, w, kvw, dv - kuv - kvw + kwu),
-            along(w, u, kwu, dw - kvw - kwu + kuv),
-            along(u, v, kuv, du - kwu - kuv + kvw),
+            along(v, w, kvw, len(v) - kuv - kvw + kwu),
+            along(w, u, kwu, len(w) - kvw - kwu + kuv),
+            along(u, v, kuv, len(u) - kwu - kuv + kvw),
         )
         insize = max(dist(pts[0], pts[1]), dist(pts[1], pts[2]), dist(pts[2], pts[0]))
         return tuple(self.point(p) for p in pts), float(insize)
@@ -337,7 +337,7 @@ class TreeGeometry(_Geometry):
 
     def _ray_product(self, ray: RayDescriptor, x, w) -> int:
         """<ray|x>_w, from a vertex of the ray deeper than both points."""
-        return self._gromov(self._ray_vertex(ray, self._depth(x) + self._depth(w)), x, w)
+        return self._gromov(self._ray_vertex(ray, len(x) + len(w)), x, w)
 
     def gromov_boundary_point(self, b: BoundaryPoint, y: Point, base: Point) -> float:
         """Extended Gromov product <b|y>_base, exact until the final float."""
@@ -355,7 +355,7 @@ class TreeGeometry(_Geometry):
             return math.inf
         w = self.require_point(base)
         parted = max(len(r1.prefix), len(r2.prefix)) + math.lcm(len(r1.period), len(r2.period))
-        return float(self._ray_product(r2, self._ray_vertex(r1, parted + self._depth(w)), w))
+        return float(self._ray_product(r2, self._ray_vertex(r1, parted + len(w)), w))
 
     # -- the ball -------------------------------------------------------------
 
@@ -392,71 +392,41 @@ class CayleyGeometry(TreeGeometry):
     """The Cayley tree's vertices: reduced words, rooted at the empty word,
     so that a vertex's root path runs through its prefixes."""
 
-    _root = ()
-    _depth = staticmethod(len)
-    _meet_depth = staticmethod(_common_prefix_len)
-    _dfs_key = staticmethod(lambda v: v)  # prefixes sort before their extensions
     _vertex_from_units = staticmethod(tuple)
     _degrees = property(lambda self: (2 * self.model.rank, 2 * self.model.rank))
 
     def _act(self, g: tuple, v: tuple) -> tuple:
         return self.model.multiply(g, v)
 
-    def _ancestor(self, v, k: int):
-        return v[:k]
-
     def _neighbors(self, coords) -> list:
         return [self.model.multiply(coords, (letter,)) for letter in self.model.letters()]
 
 
 class BassSerreGeometry(TreeGeometry):
-    """The Bass-Serre tree's vertices: (w, 0) is the coset w<s> and (w, 1)
-    the coset w<t>, w a normal form that ends in no syllable of that factor;
-    an edge per group element g joins g<s> and g<t>.  The root is <s>."""
+    """The Bass-Serre tree of Z/m * Z/n, rooted at <s>: an edge per group
+    element g joins g<s> and g<t>, and a vertex is the syllables of its root
+    path, ((0, e1), (1, f1), (0, e2), ...), so its type, s or t, is its
+    depth's parity.  The edge from <s> to <t> is (0, 0), and e1 < m; every
+    later exponent is nonzero.  The coset w<t>, w a normal form that ends in
+    no syllable of that factor, is ``_vertex(w, t)``."""
 
-    _root = ((), 0)
     _degrees = property(lambda self: self.model.orders)  # vertex types alternate with depth
 
-    def _act(self, g: tuple, v: tuple) -> tuple:
-        w, vtype = v
-        w = self.model.multiply(g, w)
-        return (w[:-1] if w and w[-1][0] == vtype else w), vtype
-
-    # A vertex (w, t) has type t = depth mod 2.  Each step toward the root
-    # drops one syllable and flips the type, except the last step, from
-    # ((), 1) to the root ((), 0); off = 1 marks root paths that take it.
-
     @staticmethod
-    def _off(w, t) -> int:
-        return (t ^ len(w)) & 1
+    def _vertex(w: tuple, t: int) -> tuple:
+        return ((0, 0),) + w if (len(w) ^ t) & 1 else w  # w opens with a t-syllable, or w<t> is <t>
 
-    def _depth(self, v) -> int:
-        return len(v[0]) + self._off(*v)
+    def _act(self, g: tuple, v: tuple) -> tuple:
+        """g.(w<t>) = gw<t>, the last syllable of gw dropped if it is in <t>."""
+        t = len(v) & 1
+        w = self.model.multiply(g, v[1:] if v[:1] == ((0, 0),) else v)
+        return self._vertex(w[:-1] if w and w[-1][0] == t else w, t)
 
-    def _meet_depth(self, a, b) -> int:
-        off = self._off(*a)
-        if off != self._off(*b):
-            return 0  # one root path ends with the step from ((), 1), the other not
-        return _common_prefix_len(a[0], b[0]) + off
-
-    def _dfs_key(self, v):
-        return self._off(*v), v[0]  # a root path through ((), 1) or not, then the word
-
-    def _ancestor(self, v, k: int):
-        w, t = v
-        return (w[: max(0, k - self._off(w, t))], k & 1)
-
-    def _neighbors(self, coords) -> list:
-        w, t = coords
-        out = []
-        if (w, t) != ((), 0):
-            out.append((w[:-1], 1 - t) if w else ((), 0))
-        else:
-            out.append(((), 1))
-        order = self.model.orders[t]
-        for e in range(1, order):
-            out.append((w + ((t, e),), 1 - t))
-        return out
+    def _neighbors(self, v) -> list:
+        """The parent first, if any, then the children; the root's (0, 0) first."""
+        t = len(v) & 1
+        children = [v + ((t, e),) for e in range(1 if v else 0, self.model.orders[t])]
+        return [v[:-1], *children] if v else children
 
     def _vertex_from_units(self, units: tuple) -> tuple:
-        return (units, 1 - units[-1][0]) if units else ((), 0)
+        return self._vertex(units, 1 - units[-1][0]) if units else ()

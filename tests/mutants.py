@@ -114,6 +114,10 @@ MUTANTS = (
            "if g > 1:", "if g > 2:",
            ("tests/test_actions.py::test_image_is_the_fold_of_the_public_compose",
             "tests/test_classification_sweep.py::test_trichotomy_exhaustive_small_entries")),
+    # |tr M| = 2 (scaled by s) is parabolic, not hyperbolic
+    Mutant("plane-tag-takes-trace-2", "halfplane.py",
+           "if at > two:", "if at >= two:",
+           ("tests/test_halfplane.py::test_classify_parabolic",)),
     # a rotation is |a + d| < 2s, not < 2: the search's fixes shortcut
     Mutant("fixes-drops-s", "halfplane.py",
            "if abs(m.a + m.d) < 2 * m.s:", "if abs(m.a + m.d) < 2:",
@@ -140,17 +144,20 @@ MUTANTS = (
            ("tests/test_combiner.py::test_certificate_check_past_the_print_limit",)),
     # two rays part within their preperiods and the lcm of their periods
     Mutant("ray-pair-too-shallow", "geometry.py",
-           "self._ray_vertex(r1, parted + self._depth(w))", "self._ray_vertex(r1, self._depth(w))",
+           "self._ray_vertex(r1, parted + len(w))", "self._ray_vertex(r1, len(w))",
            ("tests/test_trees.py::test_gromov_boundary_pair_against_deep_truncations",)),
-    # the Bass-Serre lab's vertex labels: root paths through ((), 1) are one
-    # deeper, and the root's one neighbour of type 1 is ((), 1)
-    Mutant("bs-meet-depth-drops-off", "geometry.py",
-           "return _common_prefix_len(a[0], b[0]) + off", "return _common_prefix_len(a[0], b[0])",
-           ("tests/test_trees.py::test_bs_distance_matches_bfs_everywhere",
-            "tests/test_trees.py::test_pairwise_distances_match_the_pair_loop_and_bfs")),
-    Mutant("bs-root-neighbour-dropped", "geometry.py",
-           "            out.append(((), 1))\n", "            pass\n",
-           ("tests/test_trees.py::test_bs_vertex_degrees", "tests/test_trees.py::test_ball_size_counts_the_ball")),
+    # a Bass-Serre vertex is its root path: the root's edge (0, 0) to <t>
+    # is a neighbour, a coset w<t> opens with (0, 0) by the parity of |w| and
+    # t, and g.(w<t>) drops gw's last syllable when it lies in <t>
+    Mutant("bs-root-edge-to-t-dropped", "geometry.py",
+           "range(1 if v else 0, ", "range(1, ",
+           ("tests/test_trees.py::test_bs_vertex_degrees",)),
+    Mutant("bs-vertex-loses-the-parity", "geometry.py",
+           "if (len(w) ^ t) & 1 else w", "if len(w) & 1 else w",
+           ("tests/test_trees.py::test_gromov_boundary_pair_against_deep_truncations",)),
+    Mutant("bs-act-keeps-a-syllable-of-the-vertex", "geometry.py",
+           "w[:-1] if w and w[-1][0] == t else w, t)", "w, t)",
+           ("tests/test_trees.py::test_bs_classify_sts_elliptic",)),
     # the checker's words: a Cayley product cancels the whole shorter word,
     # a Bass-Serre conjugation merges exponents modulo their own factor's
     # order, and adjacent powers of one name merge, not only cancel
@@ -162,6 +169,11 @@ MUTANTS = (
            "exp = (last[1] + w[i][1]) % self.orders[last[0]]", "exp = (last[1] + w[i][1]) % self.orders[1 - last[0]]",
            ("tests/test_trees.py::test_bs_cyclic_reduce_reconstruction",
             "tests/test_trees.py::test_bs_conjugation_preserves_class")),
+    # the search checks a certified word's letter-by-letter image wherever
+    # its a-priori bound passes the cap, not only past twice the cap
+    Mutant("image-cap-check-past-twice-the-cap", "combiner.py",
+           "- 1 > MAX_ISOMETRY_SIZE:", "- 1 > 2 * MAX_ISOMETRY_SIZE:",
+           ("tests/test_config_cli.py::test_search_keeps_the_checker_cap_within_twice_the_cap",)),
     # a stage's partition, built when read: H' for disjoint fixed pairs,
     # and the E test asks whether g fixes f's repelling point
     Mutant("partition-swaps-h-and-h-prime", "combiner.py",
@@ -175,6 +187,10 @@ MUTANTS = (
            "abs(m.a + m.d) == 2 * m.s and", "abs(m.a + m.d) == 2 and", (LEVEL_ZERO,)),
     Mutant("level-zero-keeps-identity", "halfplane.py",
            " and not m.is_proj_identity()]", "]", (LEVEL_ZERO,)),
+    # a word prints a power e as name^e unless e is 1: name^-1 is not name
+    Mutant("display-drops-exponent-minus-1", "words.py",
+           "name if e == 1 else", "name if abs(e) == 1 else",
+           ("tests/test_words.py::test_parse_round_trip",)),
     Mutant("reduce-powers-cancels-only-inverses", "words.py",
            "if out and out[-1][0] == name:", "if out and out[-1] == (name, -e):",
            ("tests/test_words.py::test_free_reduction", "tests/test_words.py::test_powers")),

@@ -11,7 +11,7 @@ from collections import deque
 from fractions import Fraction
 
 from hypiso.errors import MixedModels, ValidationError
-from hypiso.geometry import lab
+from hypiso.geometry import _common_prefix_len, lab
 from hypiso.halfplane import HalfPlaneModel, _acosh_ratio
 from hypiso.models import MAX_ISOMETRY_SIZE
 from hypiso.quadratic import QuadraticNumber
@@ -28,14 +28,14 @@ def power(model, iso, n: int):
 
 def bfs_distance(model, x, y) -> int:
     """A tree model's distance by breadth-first search over its own
-    ``_neighbors``; ``_depth`` only bounds the walk to the ball about the
-    basepoint that holds both endpoints, since a tree geodesic goes no
-    deeper than its deeper end."""
+    ``_neighbors``; a label's length, its depth, only bounds the walk to
+    the ball about the basepoint that holds both endpoints, since a tree
+    geodesic goes no deeper than its deeper end."""
     geo = lab(model)
     cx, cy = geo.require_point(x), geo.require_point(y)
     if cx == cy:
         return 0
-    bound = max(geo._depth(cx), geo._depth(cy))
+    bound = max(len(cx), len(cy))
     seen = {cx: 0}
     queue = deque([cx])
     while queue:
@@ -46,7 +46,7 @@ def bfs_distance(model, x, y) -> int:
             seen[nb] = seen[cur] + 1
             if nb == cy:
                 return seen[nb]
-            if geo._depth(nb) <= bound:
+            if len(nb) <= bound:
                 queue.append(nb)
     raise ValueError(f"BFS within depth {bound} did not reach the target")
 
@@ -71,7 +71,7 @@ def geodesic(model, x, y) -> list:
     to the meet of the root paths, then down to y."""
     geo = lab(model)
     u, v = geo.require_point(x), geo.require_point(y)
-    k = geo._meet_depth(u, v)
+    k = _common_prefix_len(u, v)
     return [geo.point(geo._along(u, v, k, t)) for t in range(geo._dist(u, v) + 1)]
 
 
@@ -102,14 +102,15 @@ def four_point_defect(model, x, y, z, w) -> float:
 
 def pairwise_distances_by_meets(model, points) -> list[list[int]]:
     """A tree model's distance matrix, one meet depth per pair:
-    d(u, v) = d(u) + d(v) - 2 k(u, v), row u, column v."""
+    d(u, v) = |u| + |v| - 2 k(u, v) for the root paths u and v and their
+    common prefix's length k, row u, column v."""
     geo = lab(model)
     vs = [geo.require_point(p) for p in points]
-    depths = [geo._depth(v) for v in vs]
+    depths = [len(v) for v in vs]
     rows = [[0] * len(vs) for _ in vs]
     for i, u in enumerate(vs):
         for j in range(i + 1, len(vs)):
-            rows[i][j] = rows[j][i] = depths[i] + depths[j] - 2 * geo._meet_depth(u, vs[j])
+            rows[i][j] = rows[j][i] = depths[i] + depths[j] - 2 * _common_prefix_len(u, vs[j])
     return rows
 
 
@@ -151,12 +152,23 @@ def vertex(model, letters):
     return lab(model).point(model.normal_form(tuple(letters)))
 
 
+def coset(model, v) -> tuple:
+    """The coset (w, t) = w<factor t> of a Bass-Serre vertex label v: t is
+    v's depth parity, and w v's normal form, which drops the edge (0, 0)."""
+    return model.normal_form(v), len(v) & 1
+
+
+def coset_action(model, g, c) -> tuple:
+    """g.(w, t) = (gw, t) on cosets, gw a normal form that ends in no
+    syllable of the factor t."""
+    w, t = c
+    gw = model.normal_form(tuple(g) + w)
+    return (gw[:-1] if gw and gw[-1][0] == t else gw), t
+
+
 def coset_vertex(model, word, vtype: int):
     """The vertex of a Bass-Serre tree for the coset word.<factor vtype>."""
-    w = model.normal_form(word)
-    if w and w[-1][0] == vtype:
-        w = w[:-1]
-    return lab(model).point((w, vtype))
+    return lab(model).point(lab(model)._vertex(*coset_action(model, word, ((), vtype))))
 
 
 def sample_tree_points(model, count: int, rng) -> list:

@@ -544,6 +544,47 @@ def test_search_keeps_the_checker_cap_at_the_junction(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith(f"error: {CAP}")
 
 
+EDGE = """hypiso-config v1
+generators x y w
+
+action line
+model cayley_tree 1
+gen x a^10
+gen y a^-10
+gen w a
+witness x^26500
+
+action tree
+model bass_serre 2 3
+gen x 1
+gen y 1
+gen w s t
+witness x^26500 y^1000 w
+"""
+
+
+def test_search_keeps_the_checker_cap_within_twice_the_cap(tmp_path, capsys):
+    # the search images f g as a^265000 a^255001 = a^520001 on the line, under
+    # the cap; the word flattens to x^53000 y^1000 w, whose a-priori bound,
+    # 11 units a letter, lies in (cap, 2 cap], and whose x^53000 the checker
+    # cannot image (a^530000).  A 10-unit generator's powers reach 10/11 of
+    # their bound, so only the image, not twice the cap, decides
+    system = parse_config(EDGE).build()
+    line = system.actions[0]
+    f, g = system.witnesses
+    search = line.model.compose(line.image(f), line.image(g))
+    assert line.model.size(search) <= MAX_ISOMETRY_SIZE
+    word = f * g
+    bound = sum(abs(e) * (line._sizes[gen] + 1) for gen, e in word.syllables) - 1
+    assert MAX_ISOMETRY_SIZE < bound <= 2 * MAX_ISOMETRY_SIZE
+    with pytest.raises(ValidationError, match="MAX_ISOMETRY_SIZE"):
+        line.image(word)
+    path = write(tmp_path, "edge.cfg", EDGE)
+    assert main(["combine", "--input", path, "--format", "records"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {CAP}")
+
+
 def test_cayley_image_past_the_size_cap_exit_1(tmp_path, capsys):
     text = "hypiso-config v1\ngenerators f g\n\naction t\nmodel cayley_tree 2\ngen f a^100000000\ngen g b\n"
     assert main(["combine", "--input", write(tmp_path, "cayley.cfg", text)]) == 1
@@ -633,7 +674,7 @@ def test_dynamics_images_each_witness_once(capsys, monkeypatch):
 def test_orbit_depth_over_cap_exit_1(capsys, monkeypatch):
     # test_cli_dynamics_orbit_reaching_the_boundary_in_floats runs at 640
     assert MAX_ORBIT_DEPTH >= 640
-    for name in ("ns_dynamics_check", "orbit_points"):
+    for name in ("ns_dynamics_check", "orbit_projection"):
         monkeypatch.setattr(dynamics, name, _no_walk)
     monkeypatch.setattr(cli, "resolve_witness", _no_walk)
     depth = MAX_ORBIT_DEPTH + 1

@@ -617,7 +617,7 @@ def test_insize_within_slim_estimate(plane):
 def test_orbit_projection_basepoint(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
-    proj = orbit_projection(act, act.image(GroupWord.parse("f")), lab(plane).basepoint, lab(plane).basepoint, 8)
+    [proj] = orbit_projection(act, act.image(GroupWord.parse("f")), lab(plane).basepoint, [lab(plane).basepoint], 8)
     assert proj.defect == 0.0
     assert proj.exponents[0] == 0
     assert proj.nearest[0].coords == lab(plane).basepoint.coords
@@ -627,7 +627,7 @@ def test_orbit_projection_tree_axis(bs23):
     w = bs23.word([(0, 1), (1, 1)])
     act = Action("b", bs23, {"w": w})
     z = lab(bs23).apply(power(bs23, w, 3), lab(bs23).basepoint)
-    proj = orbit_projection(act, act.image(GroupWord.parse("w")), lab(bs23).basepoint, z, 6)
+    [proj] = orbit_projection(act, act.image(GroupWord.parse("w")), lab(bs23).basepoint, [z], 6)
     assert proj.defect == 0.0
     assert proj.exponents == (3,)
 
@@ -635,14 +635,15 @@ def test_orbit_projection_tree_axis(bs23):
 def test_orbit_projection_plane_bounded(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
-    proj = orbit_projection(act, act.image(GroupWord.parse("f")), lab(plane).basepoint, lab(plane).point_xy(3, 1), 8)
+    z = lab(plane).point_xy(3, 1)
+    [proj] = orbit_projection(act, act.image(GroupWord.parse("f")), lab(plane).basepoint, [z], 8)
     assert 0.0 <= proj.defect <= 4.0
 
 
 def test_orbit_projection_requires_hyperbolic(plane):
     act = Action("p", plane, {"r": plane.matrix(0, -1, 1, 0)})
     with pytest.raises(NotHyperbolic):
-        orbit_projection(act, act.image(GroupWord.parse("r")), lab(plane).basepoint, lab(plane).basepoint, 4)
+        orbit_projection(act, act.image(GroupWord.parse("r")), lab(plane).basepoint, [lab(plane).basepoint], 4)
 
 
 def test_claim1_defect_bound(plane, bs23):
@@ -661,9 +662,9 @@ def test_claim1_defect_bound(plane, bs23):
         offset = lab(plane).gromov_boundary_pair(
             cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus, lab(plane).basepoint
         )
-        for z in sample_plane_points(plane, 10, rng):
-            d = orbit_projection(act, act.image(GroupWord.parse("x")), lab(plane).basepoint, z, 10).defect
-            assert d <= 4 * (delta_hat + offset + tau / 2)
+        zs = sample_plane_points(plane, 10, rng)
+        for proj in orbit_projection(act, act.image(GroupWord.parse("x")), lab(plane).basepoint, zs, 10):
+            assert proj.defect <= 4 * (delta_hat + offset + tau / 2)
             checked += 1
     assert checked >= 100
 
@@ -672,9 +673,9 @@ def test_claim1_defect_bound(plane, bs23):
     cls = bs23.classify(w)
     tau = cls.hyperbolic.translation_length
     rngb = rng_from_seed(5)
-    for z in sample_tree_points(bs23, 100, rngb):
-        d = orbit_projection(act, act.image(GroupWord.parse("x")), lab(bs23).basepoint, z, 10).defect
-        assert d <= 4 * (0 + 0 + tau / 2)
+    zs = sample_tree_points(bs23, 100, rngb)
+    for proj in orbit_projection(act, act.image(GroupWord.parse("x")), lab(bs23).basepoint, zs, 10):
+        assert proj.defect <= 4 * (0 + 0 + tau / 2)
 
 
 def test_prop41_final_clause_family(plane):

@@ -16,6 +16,9 @@ from hypiso.words import reduced_words
 
 from reference import (
     bfs_distance,
+    coset,
+    coset_action,
+    coset_vertex,
     fixed_vertices,
     geodesic,
     pairwise_distances_by_meets,
@@ -170,7 +173,7 @@ def test_bs_classify_sts_elliptic(bs23):
     assert cls.elliptic.period == 3  # conjugate of t, order 3
     assert power(bs23, iso, 3) == bs23.identity() != iso
     # s t s fixes the vertex s.<t> at depth 2, and no vertex nearer the root
-    assert [p.coords for p in fixed_vertices(bs23, iso, 4)] == [(((0, 1),), 1)]
+    assert [p.coords for p in fixed_vertices(bs23, iso, 4)] == [((0, 1),)]
 
 
 def test_bs_no_parabolics(bs23):
@@ -221,7 +224,31 @@ def test_bs_vertex_degrees(bs23):
     # A-vertices have degree m=2, B-vertices degree n=3
     for coords in [c.coords for c in lab(bs23).ball_vertices(2)]:
         deg = len(lab(bs23)._neighbors(coords))
-        assert deg == (2 if coords[1] == 0 else 3)
+        assert deg == (2 if len(coords) % 2 == 0 else 3)
+
+
+@pytest.mark.parametrize("model", [BassSerreModel(2, 3), BassSerreModel(3, 4)], ids=lambda m: m.model_id)
+def test_bs_labels_are_the_root_paths_of_cosets(model):
+    # a vertex label is the root path of the coset (w, t) = w<t>: every
+    # label of the ball maps to its coset and back, its length is its BFS
+    # distance from the root, and apply moves it as g.(w, t) = (gw, t) does,
+    # on the ball and on an orbit far out
+    geo, rng = lab(model), random.Random(model.model_id)
+    ball = geo.ball_vertices(4)
+    assert len({coset(model, p.coords) for p in ball}) == len(ball) == geo.ball_size(4)
+    for p in ball:
+        assert coset_vertex(model, *coset(model, p.coords)) == p
+        assert len(p.coords) == bfs_distance(model, geo.basepoint, p)
+    deep, p, h = [], rng.choice(ball), random_hyperbolic(model, rng)
+    for _ in range(30):
+        p = geo.apply(h, p)
+        deep.append(p)
+    assert len(deep[-1].coords) >= 30
+    for _ in range(20):
+        g = model.normal_form(_random_bs_syllables(model, rng, rng.randint(0, 6)))
+        for p in ball + deep:
+            moved = geo.apply(model.isometry(g), p).coords
+            assert coset(model, moved) == coset_action(model, g, coset(model, p.coords))
 
 
 def test_bs_ray_shift_equal(bs23):
@@ -449,10 +476,10 @@ def test_pairwise_distances_match_the_pair_loop_and_bfs(model):
     repeats = rng.choices(ball, k=60)
     for points in (ball, repeats, orbit + ball[:20], [ball[0]], []):
         assert lab(model).pairwise_distances(points).tolist() == pairwise_distances_by_meets(model, points)
-    if isinstance(model, BassSerreModel):  # root paths through ((), 1) and not
-        assert {lab(model)._off(*p.coords) for p in ball} == {0, 1}
+    if isinstance(model, BassSerreModel):  # root paths through <t> and not
+        assert {p.coords[:1] == ((0, 0),) for p in ball} == {True, False}
     few = repeats[:16] + ball[:8]
-    if lab(model).ball_size(max(lab(model)._depth(p.coords) for p in orbit)) <= 5000:
+    if lab(model).ball_size(max(len(p.coords) for p in orbit)) <= 5000:
         few += orbit[::4]
     assert lab(model).pairwise_distances(few).tolist() == [[bfs_distance(model, p, q) for q in few] for p in few]
 
