@@ -6,12 +6,12 @@ effectively computable from the models, so the implementation replaces
 them with a verified search: after power normalization (killing finite
 orders of elliptic images), candidate exponent pairs (a, b) are enumerated
 along a deterministic diagonal schedule and each word f^a g^b is certified
-by exact classification in every action seen so far, its image composed
-as F^a G^b from the images that the certificates of earlier stages keep.
-The first certified candidate wins; exhaustion is an explicit error
-carrying the trial log.  Certificates are re-checked from scratch by the
-checker in ``records``, which shares no code with the search and images
-the word letter by letter.
+by exact classification in every action seen so far, imaged by
+``Action.image`` as a word in the letters f and g sent to the images that
+the certificates of earlier stages keep.  The first certified candidate
+wins; exhaustion is an explicit error carrying the trial log.
+Certificates are re-checked from scratch by the checker in ``records``,
+which shares no code with the search and images the word letter by letter.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 from .actions import Action, ActionSystem
 from .errors import (
@@ -211,33 +211,10 @@ def normalize_powers(
         for cls, word_name in ((cf, "f"), (cg, "g")):
             if cls.tag == HYPOTHESIS_VIOLATION:
                 raise HypothesisViolation(f"{word_name} is parabolic in action {action.name!r}")
-        if cf.is_elliptic and cf.elliptic.period:
-            p = math.lcm(p, cf.elliptic.period)
-        if cg.is_elliptic and cg.elliptic.period:
-            q = math.lcm(q, cg.elliptic.period)
+        p, q = math.lcm(p, cf.period or 1), math.lcm(q, cg.period or 1)
         model = action.model if i < k else None
         entries.append(ProfileEntry(i, action.name, model, cf, cg, g_image))
     return f**p, g**q, ActionProfile(entries=tuple(entries), p=p, q=q)
-
-
-def _image_prefix(bases: list[tuple[SpaceModel, Any, int, Any, int]], a: int, b: int):
-    """The image F^a G^b in each action in order, from the bare payloads F
-    and G and their sizes, capped as a word's image is (sized only once
-    the bound on the product passes MAX_ISOMETRY_SIZE) and wrapped once,
-    aborting at the first whose tag is not hyperbolic: (images, None) or
-    (images so far, (action index, tag))."""
-    images = []
-    for i, (model, F, f_size, G, g_size) in enumerate(bases):
-        (Fa, fa_bound), (Gb, gb_bound) = model._power(F, a, f_size), model._power(G, b, g_size)
-        product = model._mul(Fa, Gb)
-        if fa_bound + gb_bound + 1 > MAX_ISOMETRY_SIZE:
-            model._sized(product, "a word's image")
-        image = model.isometry(product)
-        tag = model.tag(image)
-        if tag != HYPERBOLIC:
-            return images, (i, tag)
-        images.append(image)
-    return images, None
 
 
 def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSchedule) -> Certificate:
@@ -248,9 +225,10 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
     ``running``.  When f is already hyperbolic in action k it is returned
     unchanged (the proof's first simplification) and action k's witness is
     not needed; otherwise the witness g is resolved with its class and the
-    normalized powers of f and g are combined along the schedule: the
-    images F of f^p and G of g^q are computed once per action, and the word
-    f^pa g^qb is built only for the candidate certified.
+    normalized powers of f and g are combined along the schedule: each
+    candidate f^pa g^qb, a word in the letters f and g, is imaged in each
+    action in turn, sending f and g to their images there, up to the first
+    whose tag is not hyperbolic, and built over the generators once certified.
     """
     f = running.word
     k = len(running.per_action)
@@ -269,16 +247,20 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
     g, g_image = resolve_witness(system, k)
     g_images = tuple(action.image(g) for action in system.actions[:k]) + (g_image,)
     f2, g2, profile = normalize_powers(system, f, g, f_classes, g_images)
-    bases = []  # (model, F, size of F, G, size of G), F and G bare payloads
-    for m, F, G in zip([action.model for action in system.actions], f_images, g_images):
-        F = m._power(m.require_iso(F), profile.p, m.size(F))[0]
-        G = m._power(m.require_iso(G), profile.q, m.size(G))[0]
-        bases.append((m, F, m._size(F), G, m._size(G)))
+    stage_actions = [Action(action.name, action.model, {"f": F, "g": G})
+                     for action, F, G in zip(system.actions, f_images, g_images)]
 
     trials: list[tuple[int, int, int, str]] = []
     for index, (a, b) in enumerate(schedule.pairs()):
-        images, failure = _image_prefix(bases, a, b)
-        if failure is None:
+        word = GroupWord((("f", profile.p * a), ("g", profile.q * b)))
+        images = []
+        for i, action in enumerate(stage_actions):
+            images.append(action.image(word))
+            tag = action.model.tag(images[-1])
+            if tag != HYPERBOLIC:
+                trials.append((a, b, i, tag))
+                break
+        else:
             record = StageRecord(
                 stage=k,
                 action_name=action_k.name,
@@ -294,10 +276,9 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
             return Certificate(
                 word=f2**a * g2**b,
                 stages=(record,),
-                per_action=tuple(base[0].classify(image) for base, image in zip(bases, images)),
+                per_action=tuple(action.model.classify(image) for action, image in zip(stage_actions, images)),
                 images=tuple(images),
             )
-        trials.append((a, b, failure[0], failure[1]))
     raise ScheduleExhausted(k, trials)
 
 
@@ -346,10 +327,10 @@ def simultaneous_hyperbolic(system: ActionSystem, schedule: SearchSchedule) -> C
 
 def _check_image_cap(action: Action, word: GroupWord) -> None:
     """Raise the checker's ValidationError where imaging the word letter by
-    letter passes MAX_ISOMETRY_SIZE, which the search's F^a G^b may not:
-    ``Action.image`` is run only when the bound it keeps on every isometry
-    it builds, each power p^e's |e| (size of p + 1) - 1 plus 1 per product,
-    passes the cap."""
+    letter passes MAX_ISOMETRY_SIZE, which the search's image of f^pa g^qb
+    in the letters f and g may not: ``Action.image`` is run only when the
+    bound it keeps on every isometry it builds, each power p^e's
+    |e| (size of p + 1) - 1 plus 1 per product, passes the cap."""
     if sum(abs(e) * (action._sizes[gen] + 1) for gen, e in word.syllables) - 1 > MAX_ISOMETRY_SIZE:
         action.image(word)
 

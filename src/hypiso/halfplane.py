@@ -228,7 +228,7 @@ class HalfPlaneModel(SpaceModel):
         # the order of the Mobius action: 1 for +-identity, and by Niven 2 or
         # 3 for s*|tr M| = 0 or s; any other rotation has infinite order
         t = abs(m.a + m.d)
-        return IsometryClass.make_elliptic(1 if m.is_proj_identity() else 2 if t == 0 else 3 if t == m.s else None)
+        return IsometryClass(ELLIPTIC, period=1 if m.is_proj_identity() else 2 if t == 0 else 3 if t == m.s else None)
 
     def _classify_hyperbolic(self, m: Matrix2) -> IsometryClass:
         a, b, c, d, s = m

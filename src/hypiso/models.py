@@ -44,14 +44,6 @@ class BoundaryPoint:
     payload: Any
 
 
-@dataclass(frozen=True)
-class EllipticWitness:
-    """The order of an elliptic isometry, None for infinite-order plane
-    rotations: all that the search and the records read of the class."""
-
-    period: Optional[int]
-
-
 class HyperbolicWitness(Protocol):
     """A hyperbolic class in its model's own type, holding the exact integers
     its record prints and no float or Fraction: the translation length, a
@@ -68,7 +60,7 @@ class HyperbolicWitness(Protocol):
 @dataclass(frozen=True)
 class IsometryClass:
     tag: str
-    elliptic: Optional[EllipticWitness] = None
+    period: Optional[int] = None  # an elliptic class's order, None for an infinite-order plane rotation
     hyperbolic: Optional[HyperbolicWitness] = None
 
     @property
@@ -79,20 +71,16 @@ class IsometryClass:
     def is_elliptic(self) -> bool:
         return self.tag == ELLIPTIC
 
-    @staticmethod
-    def make_elliptic(period: Optional[int]) -> "IsometryClass":
-        return IsometryClass(ELLIPTIC, elliptic=EllipticWitness(period))
-
 
 class SpaceModel:
     """Base for the concrete models; subclasses fill in the payloads, the
     classification and the boundary action.
 
     The public methods check each isometry's model id (``require_iso``).
-    Inner loops (``_power``, ``Action.image``, the search) run on bare
-    payloads through four hooks each model sets, and wrap once: ``_mul(p,
-    q)``, ``_inv(p)``, ``_size(p)`` (the size MAX_ISOMETRY_SIZE caps: plane
-    entry bits, tree word units) and ``_one``, the identity."""
+    Inner loops (``_power`` and ``Action.image``, the search's evaluator too)
+    run on bare payloads through four hooks each model sets, and wrap once:
+    ``_mul(p, q)``, ``_inv(p)``, ``_size(p)`` (the size MAX_ISOMETRY_SIZE
+    caps: plane entry bits, tree word units) and ``_one``, the identity."""
 
     kind: str
     model_id: str

@@ -52,7 +52,7 @@ def class_invariant(cls: IsometryClass) -> str:
         # a plane class: cosh(tau/2) = tr/2 = (a + d)/2s, in lowest terms
         return f"cosh-half={_ratio(h.a + h.d, 2 * h.s)}"
     if cls.is_elliptic:
-        period = cls.elliptic.period
+        period = cls.period
         return f"period={'inf' if period is None else period}"
     return "parabolic"
 

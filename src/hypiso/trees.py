@@ -203,7 +203,7 @@ class CayleyTreeModel(TreeModel):
         u, v = self.cyclic_reduce(self.require_iso(iso))
         if self.core_tag(v) == HYPERBOLIC:
             return self._hyperbolic(u, v)
-        return IsometryClass.make_elliptic(1)
+        return IsometryClass(ELLIPTIC, period=1)
 
     def word_display(self, payload: tuple) -> str:
         letters = ((_LETTER_NAMES[abs(x) - 1], 1 if x > 0 else -1) for x in payload)
@@ -306,10 +306,10 @@ class BassSerreModel(TreeModel):
         if self.core_tag(v) == HYPERBOLIC:
             return self._hyperbolic(u, v)
         if not v:
-            return IsometryClass.make_elliptic(1)
+            return IsometryClass(ELLIPTIC, period=1)
         factor, exp = v[0]
         order = self.orders[factor]
-        return IsometryClass.make_elliptic(order // math.gcd(exp, order))
+        return IsometryClass(ELLIPTIC, period=order // math.gcd(exp, order))
 
     def word_display(self, payload: tuple) -> str:
         return format_powers([("st"[f], e) for f, e in payload])

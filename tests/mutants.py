@@ -114,6 +114,10 @@ MUTANTS = (
            "if g > 1:", "if g > 2:",
            ("tests/test_actions.py::test_image_is_the_fold_of_the_public_compose",
             "tests/test_classification_sweep.py::test_trichotomy_exhaustive_small_entries")),
+    # a hyperbolic class negates the whole matrix to a positive trace
+    Mutant("plane-hyperbolic-flips-only-the-diagonal", "halfplane.py",
+           "a, b, c, d = -a, -b, -c, -d", "a, d = -a, -d",
+           ("tests/test_classification_sweep.py::test_trichotomy_exhaustive_small_entries",)),
     # |tr M| = 2 (scaled by s) is parabolic, not hyperbolic
     Mutant("plane-tag-takes-trace-2", "halfplane.py",
            "if at > two:", "if at >= two:",
@@ -169,6 +173,14 @@ MUTANTS = (
            "exp = (last[1] + w[i][1]) % self.orders[last[0]]", "exp = (last[1] + w[i][1]) % self.orders[1 - last[0]]",
            ("tests/test_trees.py::test_bs_cyclic_reduce_reconstruction",
             "tests/test_trees.py::test_bs_conjugation_preserves_class")),
+    # each stage's candidate is f^pa g^qb in the letters f and g, imaged in
+    # every action up to the stage's own
+    Mutant("candidate-drops-q", "combiner.py",
+           '("g", profile.q * b)', '("g", b)',
+           ("tests/test_acceptance.py::test_acceptance_worked_instance",)),
+    Mutant("candidate-skips-the-stage-action", "combiner.py",
+           "enumerate(stage_actions)", "enumerate(stage_actions[:-1])",
+           ("tests/test_acceptance.py::test_acceptance_theorem_desk_scale",)),
     # the search checks a certified word's letter-by-letter image wherever
     # its a-priori bound passes the cap, not only past twice the cap
     Mutant("image-cap-check-past-twice-the-cap", "combiner.py",
@@ -191,6 +203,9 @@ MUTANTS = (
     Mutant("display-drops-exponent-minus-1", "words.py",
            "name if e == 1 else", "name if abs(e) == 1 else",
            ("tests/test_words.py::test_parse_round_trip",)),
+    Mutant("parse-takes-1-for-a-name", "words.py",
+           'if name in ("", "1"):', 'if name == "":',
+           ("tests/test_words.py::test_parse_refuses_the_name_1",)),
     Mutant("reduce-powers-cancels-only-inverses", "words.py",
            "if out and out[-1][0] == name:", "if out and out[-1] == (name, -e):",
            ("tests/test_words.py::test_free_reduction", "tests/test_words.py::test_powers")),

@@ -412,7 +412,8 @@ def capped_image(action, word):
 
 def capped_product(model, F, G, a: int, b: int):
     """The payload F^a G^b, each power and the product sized against
-    MAX_ISOMETRY_SIZE."""
+    MAX_ISOMETRY_SIZE: the search's candidate f^a g^b in an action sending
+    the letters f and g to F and G."""
     return _capped(model, model._mul(capped_power(model, F, a), capped_power(model, G, b)), "a word's image")
 
 

@@ -1,7 +1,9 @@
 """Action.image and SpaceModel._power compose bare payloads, and the image
 is wrapped once; these tests pin them to the public, tag-checked surface,
 and the size cap they keep, from a bound on each product's size, to the
-cap checked on every product."""
+cap checked on every product.  The search images its candidates f^a g^b
+with Action.image too, in an action sending the letters f and g to the
+images F and G."""
 
 import random
 from fractions import Fraction
@@ -9,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from hypiso.actions import Action
-from hypiso.combiner import _image_prefix
 from hypiso.errors import MixedModels, ValidationError
 from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.models import MAX_ISOMETRY_SIZE, SpaceModel
@@ -169,9 +170,10 @@ def _cap_cases():
 
 @pytest.mark.parametrize("case", _cap_cases(), ids=["plane", "cayley", "bass-serre"])
 def test_bounded_cap_raises_where_every_product_is_sized(case):
-    # the bound sizes a product only once it passes the cap, so image,
-    # _power and the search's F^a G^b raise at the same product, with the
-    # same message, as sizing every product would, or return the same payload
+    # the bound sizes a product only once it passes the cap, so image and
+    # _power, and image on the search's candidate f^a g^b in an action
+    # sending f, g to F, G, raise at the same product, with the same
+    # message, as sizing every product would, or return the same payload
     action, powers, words, products = case
     model = action.model
     outcomes = set()
@@ -190,9 +192,10 @@ def test_bounded_cap_raises_where_every_product_is_sized(case):
         assert got == expected if isinstance(got, str) else got.payload == expected, text
         outcomes.add(isinstance(got, str))
     for F, G, a, b in products:
-        got = _outcome(lambda: _image_prefix([(model, F, model._size(F), G, model._size(G))], a, b))
+        pair = Action("pair", model, {"f": model.isometry(F), "g": model.isometry(G)})
+        got = _outcome(lambda: pair.image(GroupWord((("f", a), ("g", b)))))
         expected = _outcome(lambda: capped_product(model, F, G, a, b))
-        assert got == expected if isinstance(got, str) else got == ([model.isometry(expected)], None), (a, b)
+        assert got == expected if isinstance(got, str) else got.payload == expected, (a, b)
         outcomes.add(isinstance(got, str))
     assert outcomes == {True, False}
 

@@ -186,7 +186,7 @@ def test_trichotomy_exhaustive_small_entries(monkeypatch):
             assert t < 2 or m.is_proj_identity()
             # the order of the rotation: M^period is +-I, and no smaller power
             # is; an infinite-order rotation has no power +-I up to M^12
-            period = cls.elliptic.period
+            period = cls.period
             powers = [m]
             for _ in range(12 if period is None else period - 1):
                 powers.append(powers[-1] * m)

@@ -487,7 +487,7 @@ def _mutated_certificates(system: ActionSystem, cert: Certificate):
             ("squared", replaced(i, action.classify_word(word**2))),
             ("inverse", replaced(i, action.classify_word(word.inverse()))),
             ("conjugated", replaced(i, action.classify_word(g * word * g.inverse()))),
-            ("elliptic", replaced(i, IsometryClass.make_elliptic(2))),
+            ("elliptic", replaced(i, IsometryClass("elliptic", period=2))),
         ]
         if isinstance(action.model, TreeModel):
             out += [("plane class in a tree action", replaced(i, cls)) for cls in classes["plane"][:1]]
@@ -613,11 +613,15 @@ def test_search_classifies_each_word_once_per_action(monkeypatch):
     # and classifies and tests that one image, so no word is imaged twice
     # in one action, witnesses included.  Stage 0 classifies its witness;
     # stage k classifies f in action k and, when it searches, g and the
-    # certified candidate in actions 0..k, each once.
-    classified, imaged = Counter(), Counter()
+    # certified candidate in actions 0..k, each once.  A stage's own
+    # actions, which send the letters f and g to f's and g's images, image
+    # each candidate at most once; they are kept alive here, so that no
+    # two of them share an id.
+    classified, imaged, alive = Counter(), Counter(), {}
     original_image = Action.image
 
     def counted_image(self, word):
+        alive[id(self)] = self
         imaged[(id(self), word)] += 1
         return original_image(self, word)
 
@@ -634,11 +638,15 @@ def test_search_classifies_each_word_once_per_action(monkeypatch):
     for system in systems:
         classified.clear()
         imaged.clear()
+        alive.clear()
         cert = simultaneous_hyperbolic(system, SearchSchedule(32))
         stages = cert.stages[1:]
         expected = 1 + sum(1 + (0 if r.trivial else 2 * (r.stage + 1)) for r in stages)
         assert sum(classified.values()) == expected
-        assert [w for (_, w), n in imaged.items() if n > 1] == []
+        own = {id(action) for action in system.actions}
+        assert [w for (i, w), n in imaged.items() if i in own and n > 1] == []
+        assert [w for (i, w), n in imaged.items() if i not in own and n > 1] == []
+        assert len(alive) == len(own) + sum(r.stage + 1 for r in stages if not r.trivial)
 
 
 # -- the images a certificate keeps ----------------------------------------------

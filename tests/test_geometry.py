@@ -261,7 +261,7 @@ def test_elliptic_decay(plane):
     # with that period and stays within a bounded distance of its start
     x = lab(plane).point_xy(Fraction(1, 3), 2)
     for mat in (plane.matrix(0, -1, 1, 0), plane.matrix(1, -1, 1, 0)):
-        period = plane.classify(mat).elliptic.period
+        period = plane.classify(mat).period
         m, top = mat.payload, mat.payload
         for _ in range(period - 1):
             top = top * m

@@ -133,7 +133,7 @@ def test_classify_rotation_period_2(plane):
     iso = plane.matrix(0, -1, 1, 0)
     cls = plane.classify(iso)
     assert cls.tag == "elliptic"
-    assert cls.elliptic.period == 2
+    assert cls.period == 2
     # z -> -1/z: a half turn about i, so M^2 = -I and M fixes i
     m = iso.payload
     assert not m.is_proj_identity() and (m * m).is_proj_identity()
@@ -142,7 +142,7 @@ def test_classify_rotation_period_2(plane):
 
 def test_classify_rotation_period_3(plane):
     cls = plane.classify(plane.matrix(1, -1, 1, 0))
-    assert cls.elliptic.period == 3
+    assert cls.period == 3
     m = Matrix2.of(1, -1, 1, 0)
     cube = m * m * m
     assert cube.is_proj_identity()
@@ -158,7 +158,7 @@ def test_infinite_order_rotation_fixed_point(plane):
     for entries in ROTATIONS:
         iso = plane.matrix(*entries)
         cls = plane.classify(iso)
-        assert cls.tag == "elliptic" and cls.elliptic.period is None
+        assert cls.tag == "elliptic" and cls.period is None
         assert class_invariant(cls) == "period=inf"
         # no power up to 12 is +-I, as none would be for a rotation of finite order
         m, current = iso.payload, iso.payload

@@ -170,7 +170,7 @@ def test_bs_classify_sts_elliptic(bs23):
     iso = bs23.word([(0, 1), (1, 1), (0, 1)])
     cls = bs23.classify(iso)
     assert cls.tag == "elliptic"
-    assert cls.elliptic.period == 3  # conjugate of t, order 3
+    assert cls.period == 3  # conjugate of t, order 3
     assert power(bs23, iso, 3) == bs23.identity() != iso
     # s t s fixes the vertex s.<t> at depth 2, and no vertex nearer the root
     assert [p.coords for p in fixed_vertices(bs23, iso, 4)] == [((0, 1),)]
@@ -274,7 +274,7 @@ def test_bs_elliptic_decay(bs23):
     base = lab(bs23).basepoint
     bound = 2 * bfs_distance(bs23, base, fix)
     cur = base
-    for _ in range(4 * cls.elliptic.period):
+    for _ in range(4 * cls.period):
         cur = lab(bs23).apply(w, cur)
         assert lab(bs23).distance_key(base, cur) <= bound
 
@@ -386,7 +386,7 @@ def test_bs_elliptic_fixed_vertex_long_conjugators(bs23):
             continue  # cancellation may have produced a longer cyclic part
         # the conjugator moves the fixed vertex at most 5 steps from the root
         assert fixed_vertices(bs23, w, 6)
-        period = cls.elliptic.period
+        period = cls.period
         assert power(bs23, w, period) == bs23.identity()
         assert all(power(bs23, w, k) != bs23.identity() for k in range(1, period))
 

@@ -35,6 +35,14 @@ def test_parse_unknown_generator():
         GroupWord.parse("h", alphabet={"f", "g"})
 
 
+def test_parse_refuses_the_name_1():
+    # '1' is the identity word, never a generator's name, with or without
+    # an alphabet
+    for alphabet in (None, {"f", "g", "1"}):
+        with pytest.raises(ValueError, match="bad word token '1'"):
+            GroupWord.parse("f 1", alphabet)
+
+
 # unreduced power tuples over f, g and h: exponent 0 and runs of one name included
 powers = st.lists(st.tuples(st.sampled_from("fgh"), st.integers(-3, 3)), max_size=10)
 
