@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "actions": "Action ActionSystem",
-    "combiner": "ActionProfile Certificate SearchSchedule check_hypotheses combine_step independent "
-    "normalize_powers simultaneous_hyperbolic verify_certificate verify_certificate_detailed",
+    "combiner": "Certificate SearchSchedule check_hypotheses combine_step independent normalize_powers "
+    "partition simultaneous_hyperbolic verify_certificate verify_certificate_detailed",
     "config": "SystemConfig build_action_system parse_config",
     "dynamics": "NeighborhoodSpec OrbitProjection TriangleInternals internal_points ns_dynamics_check "
     "orbit_projection",

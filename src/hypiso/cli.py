@@ -17,7 +17,7 @@ from functools import cache, partial
 from typing import Callable, Optional
 
 from .actions import ActionSystem
-from .combiner import SearchSchedule, check_hypotheses, resolve_witness, simultaneous_hyperbolic
+from .combiner import SearchSchedule, check_hypotheses, partition, resolve_witness, simultaneous_hyperbolic
 from .config import SystemConfig, parse_config
 from .errors import (
     HypisoError,
@@ -148,7 +148,7 @@ def _ball_radii(args, config: SystemConfig) -> list[int]:
 def _result(command: str, settings, lines, table=(), exit_code=EXIT_OK, status="ok", stderr=(), word=None):
     """A Result whose record is the settings, then the word and these lines."""
     rows = _settings_rows(settings)
-    record = partial(RunRecord, command, status, exit_code, rows, word=word, extra=list(lines))
+    record = partial(RunRecord, command, status, exit_code, rows, word=word, lines=list(lines))
     return Result(exit_code, record, list(table), list(stderr))
 
 
@@ -309,22 +309,21 @@ def _cmd_report(args, system: ActionSystem, settings, radii) -> Result:
     lines = [f"hypotheses words {hyp.words_checked} violations 0"]
     table = [f"hypotheses: pass ({hyp.words_checked} words checked)", *_witness_table(system, cert)]
     for s in cert.stages[1:]:  # stage 0 only resolves the first witness
-        if s.profile is None:
+        if s.trivial:
             lines.append(f"profile {s.stage} trivial")
             table.append(f"stage {s.stage}: trivial (running word already hyperbolic)")
             continue
-        entries = [e for e in s.profile.entries if e.partition is not None]
-        lines.extend(
-            f"profile {s.stage} {e.action_index} {e.action_name} f={e.f_tag} g={e.g_tag} "
-            f"partition={e.partition}"
-            for e in entries
-        )
-        partition = ", ".join(f"{e.action_name}:{e.partition}" for e in entries)
-        table.append(f"stage {s.stage}: partition {partition}")
+        named = []
+        for i, (action, e) in enumerate(zip(system.actions, s.profile)):
+            part = partition(action.model, e)
+            if part is not None:
+                lines.append(f"profile {s.stage} {i} {action.name} f={e.cf.tag} g={e.cg.tag} partition={part}")
+                named.append(f"{action.name}:{part}")
+        table.append(f"stage {s.stage}: partition {', '.join(named)}")
 
     def record() -> RunRecord:  # built only for --format records, as in combine
         rec = record_for_certificate("report", system, cert, _settings_rows(settings))
-        rec.extra.extend(lines)
+        rec.lines.extend(lines)
         return rec
 
     return Result(EXIT_OK, record, table, [])

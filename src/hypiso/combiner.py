@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .actions import Action, ActionSystem
 from .errors import (
@@ -51,42 +50,25 @@ class SearchSchedule:
                         yield (m, b)
 
 
-@dataclass(frozen=True, eq=False)
-class ProfileEntry:
-    """f's and g's tags in one action at a stage, and the partition that
-    only ``report`` reads, built from the rest when first read."""
+class ProfileEntry(NamedTuple):
+    """f's and g's classes in one action before a stage's own, and g's image there."""
 
-    action_index: int
-    action_name: str
-    model: Optional[SpaceModel]  # None for the stage action
     cf: IsometryClass
     cg: IsometryClass
     g_image: Isometry
-    f_tag, g_tag = property(lambda self: self.cf.tag), property(lambda self: self.cg.tag)
-
-    @cached_property
-    def partition(self) -> Optional[str]:
-        """H', H, E or E-E'-candidate; None for the stage action and where f is not hyperbolic."""
-        model, cf, cg = self.model, self.cf, self.cg
-        if model is None or not cf.is_hyperbolic:
-            return None
-        if cg.is_hyperbolic:
-            return "H'" if independent(model, cf, cg) else "H"
-        # elliptic g fixing the repelling point satisfies the separation
-        # condition outright (the E' side); otherwise the dichotomy is not
-        # finitely decidable and we only tag it
-        return "E" if model.fixes(self.g_image, cf.hyperbolic.fixed_minus) else "E-E'-candidate"
-
-    _key = property(lambda self: (self.action_index, self.action_name, self.f_tag, self.g_tag, self.partition))
-    __eq__ = lambda self, other: type(other) is ProfileEntry and self._key == other._key
-    __hash__ = lambda self: hash(self._key)
 
 
-@dataclass(frozen=True)
-class ActionProfile:
-    entries: tuple[ProfileEntry, ...]
-    p: int = 1  # power applied to f
-    q: int = 1  # power applied to g
+def partition(model: SpaceModel, entry: ProfileEntry) -> Optional[str]:
+    """H', H, E or E-E'-candidate; None where f is not hyperbolic.  Only ``report`` reads it."""
+    cf, cg = entry.cf, entry.cg
+    if not cf.is_hyperbolic:
+        return None
+    if cg.is_hyperbolic:
+        return "H'" if independent(model, cf, cg) else "H"
+    # elliptic g fixing the repelling point satisfies the separation
+    # condition outright (the E' side); otherwise the dichotomy is not
+    # finitely decidable and we only tag it
+    return "E" if model.fixes(entry.g_image, cf.hyperbolic.fixed_minus) else "E-E'-candidate"
 
 
 @dataclass(frozen=True)
@@ -97,10 +79,16 @@ class StageRecord:
     b: int = 0
     p: int = 1
     q: int = 1
-    schedule_index: Optional[int] = None
-    candidates_tried: int = 0
-    trivial: bool = True
-    profile: Optional[ActionProfile] = None  # the stage's tags and partition; None when trivial
+    schedule_index: Optional[int] = None  # the certified candidate's; None when trivial
+    profile: tuple[ProfileEntry, ...] = ()  # one entry per action before the stage's; () when trivial
+
+    @property
+    def trivial(self) -> bool:
+        return self.schedule_index is None
+
+    @property
+    def candidates_tried(self) -> int:
+        return 0 if self.trivial else self.schedule_index + 1
 
 
 @dataclass(frozen=True)
@@ -186,35 +174,29 @@ def independent(model: SpaceModel, cf: IsometryClass, cg: IsometryClass) -> bool
 
 
 def normalize_powers(
-    system: ActionSystem,
-    f: GroupWord,
-    g: GroupWord,
-    f_classes: tuple[IsometryClass, ...],
-    g_images: tuple[Isometry, ...],
-) -> tuple[GroupWord, GroupWord, ActionProfile]:
-    """Replace f, g by the powers killing all finite orders of their
-    elliptic images among actions 0..stage, and profile their tags.
+    system: ActionSystem, f_classes: tuple[IsometryClass, ...], g_images: tuple[Isometry, ...]
+) -> tuple[int, int, tuple[ProfileEntry, ...]]:
+    """The powers p and q killing all finite orders of f's and g's elliptic
+    images among actions 0..stage, and the stage's profile.
 
     ``f_classes`` holds f's classes and ``g_images`` g's images in actions
     0..stage, so g is imaged only once per action: each image is classified
-    here.  Each entry keeps the classes and g's image, and builds its
-    partition only when read (``report``).  Hyperbolicity is preserved
-    wherever it held (translation lengths scale by the powers, fixed points
-    are unchanged); elliptic images of finite order become the identity.
+    here.  The profile holds one entry, the classes and g's image, for each
+    action before the stage's own; its partitions are computed only when
+    ``report`` reads them.  Hyperbolicity is preserved wherever it held
+    (translation lengths scale by the powers, fixed points are unchanged);
+    elliptic images of finite order become the identity.
     """
-    k = len(f_classes) - 1
     p = q = 1
-    entries: list[ProfileEntry] = []
-    for i, (cf, g_image) in enumerate(zip(f_classes, g_images)):
-        action = system.actions[i]
+    profile = []
+    for action, cf, g_image in zip(system.actions, f_classes, g_images):
         cg = action.model.classify(g_image)
         for cls, word_name in ((cf, "f"), (cg, "g")):
             if cls.tag == HYPOTHESIS_VIOLATION:
                 raise HypothesisViolation(f"{word_name} is parabolic in action {action.name!r}")
         p, q = math.lcm(p, cf.period or 1), math.lcm(q, cg.period or 1)
-        model = action.model if i < k else None
-        entries.append(ProfileEntry(i, action.name, model, cf, cg, g_image))
-    return f**p, g**q, ActionProfile(entries=tuple(entries), p=p, q=q)
+        profile.append(ProfileEntry(cf, cg, g_image))
+    return p, q, tuple(profile[:-1])
 
 
 def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSchedule) -> Certificate:
@@ -225,10 +207,11 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
     ``running``.  When f is already hyperbolic in action k it is returned
     unchanged (the proof's first simplification) and action k's witness is
     not needed; otherwise the witness g is resolved with its class and the
-    normalized powers of f and g are combined along the schedule: each
+    powers p and q of f and g are combined along the schedule: each
     candidate f^pa g^qb, a word in the letters f and g, is imaged in each
     action in turn, sending f and g to their images there, up to the first
-    whose tag is not hyperbolic, and built over the generators once certified.
+    whose tag is not hyperbolic; only the certified one is built over the
+    generators, as (f^p)^a (g^q)^b.
     """
     f = running.word
     k = len(running.per_action)
@@ -246,13 +229,13 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
 
     g, g_image = resolve_witness(system, k)
     g_images = tuple(action.image(g) for action in system.actions[:k]) + (g_image,)
-    f2, g2, profile = normalize_powers(system, f, g, f_classes, g_images)
+    p, q, profile = normalize_powers(system, f_classes, g_images)
     stage_actions = [Action(action.name, action.model, {"f": F, "g": G})
                      for action, F, G in zip(system.actions, f_images, g_images)]
 
     trials: list[tuple[int, int, int, str]] = []
     for index, (a, b) in enumerate(schedule.pairs()):
-        word = GroupWord((("f", profile.p * a), ("g", profile.q * b)))
+        word = GroupWord((("f", p * a), ("g", q * b)))
         images = []
         for i, action in enumerate(stage_actions):
             images.append(action.image(word))
@@ -261,21 +244,9 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
                 trials.append((a, b, i, tag))
                 break
         else:
-            record = StageRecord(
-                stage=k,
-                action_name=action_k.name,
-                a=a,
-                b=b,
-                p=profile.p,
-                q=profile.q,
-                schedule_index=index,
-                candidates_tried=len(trials) + 1,
-                trivial=False,
-                profile=profile,
-            )
             return Certificate(
-                word=f2**a * g2**b,
-                stages=(record,),
+                word=(f**p) ** a * (g**q) ** b,
+                stages=(StageRecord(k, action_k.name, a, b, p, q, index, profile),),
                 per_action=tuple(action.model.classify(image) for action, image in zip(stage_actions, images)),
                 images=tuple(images),
             )

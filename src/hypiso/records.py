@@ -108,35 +108,33 @@ class RunRecord:
     exit_code: int
     settings: list[tuple[str, str]] = field(default_factory=list)
     word: Optional[str] = None
-    stages: list[str] = field(default_factory=list)
-    witnesses: list[str] = field(default_factory=list)
-    extra: list[str] = field(default_factory=list)
+    lines: list[str] = field(default_factory=list)  # the body: stage, witness, stats, ... lines in order
+
+    @property
+    def witnesses(self) -> list[str]:
+        return [line for line in self.lines if line.startswith("witness ")]
 
     def emit(self) -> str:
         lines = [RECORD_HEADER, f"command {self.command}", f"status {self.status}", f"exit-code {self.exit_code}"]
         lines += [f"setting {key} {value}" for key, value in self.settings]
         if self.word is not None:
             lines.append(f"word {self.word}")
-        lines += [*self.stages, *self.witnesses, *self.extra, "end"]
+        lines += [*self.lines, "end"]
         return "\n".join(lines) + "\n"
 
 
 def record_for_certificate(
     command: str, system: ActionSystem, cert: Certificate, settings: list[tuple[str, str]]
 ) -> RunRecord:
-    rec = RunRecord(command=command, status="ok", exit_code=0, settings=list(settings))
-    rec.word = cert.word.display()
-    for s in cert.stages:
-        idx = "-" if s.schedule_index is None else str(s.schedule_index)
-        rec.stages.append(
-            f"stage {s.stage} {s.action_name} a {s.a} b {s.b} p {s.p} q {s.q} "
-            f"index {idx} tried {s.candidates_tried} trivial {int(s.trivial)}"
-        )
-    for i, (action, cls) in enumerate(zip(system.actions, cert.per_action)):
-        rec.witnesses.append(witness_line(i, action.name, action.model, cls))
     stats = cert.search_stats
-    rec.extra.append(f"stats candidates {stats.candidates_tried} stages {stats.stages}")
-    return rec
+    lines = [
+        f"stage {s.stage} {s.action_name} a {s.a} b {s.b} p {s.p} q {s.q} "
+        f"index {'-' if s.trivial else s.schedule_index} tried {s.candidates_tried} trivial {int(s.trivial)}"
+        for s in cert.stages
+    ]
+    lines += [witness_line(i, a.name, a.model, cls) for i, (a, cls) in enumerate(zip(system.actions, cert.per_action))]
+    lines.append(f"stats candidates {stats.candidates_tried} stages {stats.stages}")
+    return RunRecord(command, "ok", 0, list(settings), cert.word.display(), lines)
 
 
 def parse_record(text: str) -> RunRecord:
@@ -163,12 +161,8 @@ def parse_record(text: str) -> RunRecord:
             rec.settings.append((name, value))
         elif key == "word":
             rec.word = rest
-        elif key == "stage":
-            rec.stages.append(line)
-        elif key == "witness":
-            rec.witnesses.append(line)
         else:
-            rec.extra.append(line)
+            rec.lines.append(line)
     if not rec.command:
         raise ParseError("record has no command line", 1)
     return rec

@@ -176,11 +176,19 @@ MUTANTS = (
     # each stage's candidate is f^pa g^qb in the letters f and g, imaged in
     # every action up to the stage's own
     Mutant("candidate-drops-q", "combiner.py",
-           '("g", profile.q * b)', '("g", b)',
+           '("g", q * b)', '("g", b)',
            ("tests/test_acceptance.py::test_acceptance_worked_instance",)),
     Mutant("candidate-skips-the-stage-action", "combiner.py",
            "enumerate(stage_actions)", "enumerate(stage_actions[:-1])",
            ("tests/test_acceptance.py::test_acceptance_theorem_desk_scale",)),
+    # a stage's candidates count the certified one, and a record's witness
+    # lines are the body lines that start with witness
+    Mutant("tried-drops-the-winner", "combiner.py",
+           "self.schedule_index + 1", "self.schedule_index",
+           ("tests/test_combiner.py::test_search_stats_tally_the_stages",)),
+    Mutant("record-witnesses-read-stats", "records.py",
+           'if line.startswith("witness ")', 'if not line.startswith("stage ")',
+           ("tests/test_cli_golden.py::test_cli_golden",)),
     # the search checks a certified word's letter-by-letter image wherever
     # its a-priori bound passes the cap, not only past twice the cap
     Mutant("image-cap-check-past-twice-the-cap", "combiner.py",

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hypiso import cli, combiner, halfplane
 from hypiso.actions import Action, ActionSystem
 from hypiso.combiner import (
-    ActionProfile,
     Certificate,
     ProfileEntry,
     SearchSchedule,
@@ -24,6 +23,7 @@ from hypiso.combiner import (
     combine_step,
     independent,
     normalize_powers,
+    partition,
     resolve_witness,
     simultaneous_hyperbolic,
     verify_certificate,
@@ -250,11 +250,9 @@ def test_independent_examples():
 def test_normalize_powers_plane_orders():
     system = worked_system()
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    f2, g2, prof = normalize_powers(system, f, g, _classes(system, f, 1), _images(system, g, 1))
-    assert prof.p == 2  # rho_2(f) is the projective order-2 rotation
-    assert prof.q == 2  # rho_1(g) likewise
-    assert f2 == GroupWord.parse("f^2")
-    assert g2 == GroupWord.parse("g^2")
+    p, q, _ = normalize_powers(system, _classes(system, f, 1), _images(system, g, 1))
+    assert p == 2  # rho_2(f) is the projective order-2 rotation
+    assert q == 2  # rho_1(g) likewise
 
 
 def test_normalize_powers_all_hyperbolic():
@@ -264,8 +262,8 @@ def test_normalize_powers_all_hyperbolic():
     )
     system = ActionSystem(("f", "g"), [act], [GroupWord.parse("f")])
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    f2, g2, prof = normalize_powers(system, f, g, _classes(system, f, 0), _images(system, g, 0))
-    assert prof.p == 1 and prof.q == 1
+    p, q, profile = normalize_powers(system, _classes(system, f, 0), _images(system, g, 0))
+    assert p == 1 and q == 1 and profile == ()
 
 
 def test_normalize_powers_bass_serre_order_3():
@@ -275,9 +273,8 @@ def test_normalize_powers_bass_serre_order_3():
     act2 = Action("p", plane, {"f": plane.matrix(2, 1, 1, 1), "g": plane.matrix(2, 1, 1, 1)})
     system = ActionSystem(("f", "g"), [act, act2], [GroupWord.parse("f"), GroupWord.parse("g")])
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    _, g2, prof = normalize_powers(system, f, g, _classes(system, f, 1), _images(system, g, 1))
-    assert prof.q == 3  # elliptic image t has order 3
-    assert g2 == GroupWord.parse("g^3")
+    _, q, _ = normalize_powers(system, _classes(system, f, 1), _images(system, g, 1))
+    assert q == 3  # elliptic image t has order 3
 
 
 def test_normalize_powers_preserves_hyperbolic_data():
@@ -285,7 +282,8 @@ def test_normalize_powers_preserves_hyperbolic_data():
     # the same boundary fixed points
     system = three_action_system()
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    f2, g2, prof = normalize_powers(system, f, g, _classes(system, f, 2), _images(system, g, 2))
+    p, _, _ = normalize_powers(system, _classes(system, f, 2), _images(system, g, 2))
+    f2 = f**p
     for i, action in enumerate(system.actions):
         cls = action.classify_word(f)
         if not cls.is_hyperbolic:
@@ -293,7 +291,7 @@ def test_normalize_powers_preserves_hyperbolic_data():
         cls2 = action.classify_word(f2)
         assert cls2.is_hyperbolic
         tl, tl2 = cls.hyperbolic.translation_length, cls2.hyperbolic.translation_length
-        assert abs(tl2 - prof.p * tl) < 1e-9
+        assert abs(tl2 - p * tl) < 1e-9
         model = action.model
         assert model.boundary_equal(cls.hyperbolic.fixed_plus, cls2.hyperbolic.fixed_plus)
         assert model.boundary_equal(cls.hyperbolic.fixed_minus, cls2.hyperbolic.fixed_minus)
@@ -310,11 +308,9 @@ def test_profile_partition_tags():
     act3 = Action("stage", p3, {"f": p3.matrix(0, -1, 1, 0), "g": p3.matrix(2, 1, 1, 1)})
     system = ActionSystem(("f", "g"), [act1, act2, act3])
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    _, _, prof = normalize_powers(system, f, g, _classes(system, f, 2), _images(system, g, 2))
-    tags = {e.action_name: e.partition for e in prof.entries}
-    assert tags["h-prime"] == "H'"
-    assert tags["h-dep"] == "H"
-    assert tags["stage"] is None
+    _, _, profile = normalize_powers(system, _classes(system, f, 2), _images(system, g, 2))
+    # one entry per action before the stage's own
+    assert [partition(a.model, e) for a, e in zip(system.actions, profile)] == ["H'", "H"]
 
 
 def test_combine_step_trivial_when_already_hyperbolic():
@@ -383,20 +379,19 @@ def test_simultaneous_monotone_stages():
     schedule = SearchSchedule(8)
     cert = simultaneous_hyperbolic(system, schedule)
     f, _ = resolve_witness(system, 0)
-    assert cert.stages[0].profile is None
+    assert cert.stages[0].profile == ()
     for record in cert.stages:
         if record.stage == 0:
             continue
         if record.trivial:
-            assert record.profile is None
+            assert record.profile == ()
         else:
             g, _ = resolve_witness(system, record.stage)
-            f2, g2, profile = normalize_powers(
-                system, f, g, _classes(system, f, record.stage), _images(system, g, record.stage)
-            )
-            assert record.profile == profile
-            assert (record.p, record.q) == (profile.p, profile.q)
-            f = f2**record.a * g2**record.b
+            classes, images = _classes(system, f, record.stage), _images(system, g, record.stage)
+            p, q, profile = normalize_powers(system, classes, images)
+            assert record.profile == profile and len(profile) == record.stage
+            assert (record.p, record.q) == (p, q)
+            f = (f**p) ** record.a * (g**q) ** record.b
         for i in range(record.stage + 1):
             assert system.actions[i].classify_word(f).is_hyperbolic
     assert f == cert.word
@@ -730,18 +725,27 @@ def test_certificate_check_matches_the_rendering_oracle_on_chain_systems(system)
 
 def _assert_stats_tally_the_stages(system: ActionSystem, schedule: SearchSchedule) -> None:
     """Each stage's certificate and the final one: the search stats are the
-    stages' candidates and their number."""
-    steps = []
+    stages' candidates and their number, and each searched stage's
+    candidates are the pairs it drew from the schedule."""
+    steps, drawn = [], []
 
     def step(system, running, schedule, original=combiner.combine_step):
         steps.append(original(system, running, schedule))
         return steps[-1]
 
+    def pairs(self, original=SearchSchedule.pairs):
+        drawn.append(0)
+        for pair in original(self):
+            drawn[-1] += 1
+            yield pair
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(combiner, "combine_step", step)
+        patch.setattr(SearchSchedule, "pairs", pairs)
         cert = simultaneous_hyperbolic(system, schedule)
     for out in (*steps, cert):
         assert out.search_stats == SearchStats(sum(s.candidates_tried for s in out.stages), len(out.stages))
+    assert drawn == [s.candidates_tried for s in cert.stages if not s.trivial]
 
 
 def test_search_stats_tally_the_stages():
@@ -783,8 +787,8 @@ def _plane_fixes_calls(systems, schedule: SearchSchedule) -> Counter:
             except (HypothesisViolation, ScheduleExhausted):
                 continue
             for stage in cert.stages:  # a partition is built only when read
-                for entry in stage.profile.entries if stage.profile else ():
-                    entry.partition
+                for action, entry in zip(system.actions, stage.profile):
+                    partition(action.model, entry)
     return calls
 
 
@@ -850,7 +854,8 @@ def _stage_partitions(system: ActionSystem, schedule: SearchSchedule) -> list:
             continue
         g, _ = resolve_witness(system, record.stage)
         eager = eager_partitions(system, _classes(system, f, record.stage), _images(system, g, record.stage))
-        out.append((tuple(e.partition for e in record.profile.entries), eager))
+        assert eager[-1] is None  # the stage's own action has no entry
+        out.append((tuple(partition(a.model, e) for a, e in zip(system.actions, record.profile)), eager[:-1]))
         f = (f**record.p) ** record.a * (g**record.q) ** record.b
     assert f == cert.word
     return out
@@ -891,8 +896,8 @@ def test_the_e_test_asks_about_the_repelling_point(monkeypatch):
     monkeypatch.setattr(HalfPlaneModel, "fixes", recorded)
     system = worked_system()
     cert = simultaneous_hyperbolic(system, SearchSchedule(8))
-    entry = cert.stages[1].profile.entries[0]
-    assert entry.partition == "E-E'-candidate"
+    entry = cert.stages[1].profile[0]
+    assert partition(system.actions[0].model, entry) == "E-E'-candidate"
     ends = entry.cf.hyperbolic
     assert len(asked) == 1 and asked[0] == ends.fixed_minus and asked[0] != ends.fixed_plus
 
@@ -963,17 +968,15 @@ def test_profiles_differing_only_in_a_partition_compare_unequal():
     cf = plane.classify(plane.matrix(2, 1, 1, 1))
 
     def entry(g):
-        return ProfileEntry(0, "one", plane, cf, plane.classify(g), g)
+        return ProfileEntry(cf, plane.classify(g), g)
 
     # f^2 and f^3 share f's axis; z -> 4z has another
     h, h3 = entry(plane.matrix(5, 3, 3, 2)), entry(plane.matrix(13, 8, 8, 5))
     h_prime = entry(plane.matrix(2, 0, 0, Fraction(1, 2)))
-    assert (h.g_tag, h3.g_tag, h_prime.g_tag) == ("hyperbolic",) * 3
-    assert (h.partition, h3.partition, h_prime.partition) == ("H", "H", "H'")
-    assert h == h3 and hash(h) == hash(h3)  # g's image is not compared, its partition is
+    assert (h.cg.tag, h3.cg.tag, h_prime.cg.tag) == ("hyperbolic",) * 3
+    assert (partition(plane, h), partition(plane, h3), partition(plane, h_prime)) == ("H", "H", "H'")
     assert h != h_prime
-    assert ActionProfile((h,)) != ActionProfile((h_prime,))
-    assert StageRecord(1, "one", profile=ActionProfile((h,))) != StageRecord(1, "one", profile=ActionProfile((h_prime,)))
+    assert StageRecord(1, "one", profile=(h,)) != StageRecord(1, "one", profile=(h_prime,))
 
 
 # -- equivariance: conjugating an action's images changes no decision ----------
@@ -1014,7 +1017,16 @@ def _assert_search_commutes(system: ActionSystem, hs):
     cert = simultaneous_hyperbolic(system, SearchSchedule(32))
     cert_h = simultaneous_hyperbolic(conj, SearchSchedule(32))
     assert cert_h.word == cert.word
-    assert cert_h.stages == cert.stages  # a, b, p, q, index, tried, trivial, partitions
+    # entries compare by value, and conjugation moves their fixed points:
+    # compare what the search decided, and each entry's tags and partition
+    def decided(cert, system):
+        return [
+            (s.a, s.b, s.p, s.q, s.schedule_index, s.candidates_tried, s.trivial,
+             [(e.cf.tag, e.cg.tag, partition(a.model, e)) for a, e in zip(system.actions, s.profile)])
+            for s in cert.stages
+        ]
+
+    assert decided(cert_h, conj) == decided(cert, system)
     assert check_hypotheses(conj, 4).violations == check_hypotheses(system, 4).violations
     for action, action_h, h, cls, cls_h in zip(system.actions, conj.actions, hs, cert.per_action, cert_h.per_action):
         model = action.model

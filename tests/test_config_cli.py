@@ -146,6 +146,24 @@ def test_cli_combine_records_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_record_body_keeps_its_order(tmp_path, capsys):
+    # a record keeps its body lines in file order: a combine record whose
+    # stats line sits before its witness lines emits back byte for byte and
+    # still verifies
+    path = write(tmp_path, "worked.cfg", WORKED_EXAMPLE)
+    assert main(["combine", "--input", path, "--format", "records"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    [stats] = [line for line in lines if line.startswith("stats ")]
+    first_witness = next(i for i, line in enumerate(lines) if line.startswith("witness "))
+    lines.remove(stats)
+    lines.insert(first_witness, stats)
+    moved = "".join(lines)
+    assert parse_record(moved).emit() == moved
+    rec_path = write(tmp_path, "moved.rec", moved)
+    assert main(["combine", "--input", path, "--verify", rec_path]) == 0
+    assert "verification: ok" in capsys.readouterr().out
+
+
 def test_classify_dynamics_and_verify_load_no_numpy(tmp_path, capsys):
     # numpy serves the hypothesis check past depth 1 and the delta estimate,
     # which none of these commands runs: a cold process never imports it.
@@ -350,17 +368,18 @@ def test_report_normalizes_once_per_stage(tmp_path, capsys, monkeypatch):
     original = combiner.normalize_powers
 
     def counted(*args, **kwargs):
-        calls.append(len(args[3]) - 1)  # f_classes covers actions 0..stage
+        calls.append(len(args[1]) - 1)  # f_classes covers actions 0..stage
         return original(*args, **kwargs)
 
     monkeypatch.setattr(combiner, "normalize_powers", counted)
     path = write(tmp_path, "three.cfg", THREE_ACTION)
     assert main(["report", "--input", path, "--format", "records"]) == 0
     record = parse_record(capsys.readouterr().out)
-    searched = [line.split()[1] for line in record.stages if " trivial 0" in line]
+    stages = [line for line in record.lines if line.startswith("stage ")]
+    searched = [line.split()[1] for line in stages if " trivial 0" in line]
     assert [str(stage) for stage in calls] == searched
-    profiled = {line.split()[1] for line in record.extra if line.startswith("profile ")}
-    assert profiled == {line.split()[1] for line in record.stages} - {"0"}
+    profiled = {line.split()[1] for line in record.lines if line.startswith("profile ")}
+    assert profiled == {line.split()[1] for line in stages} - {"0"}
 
 
 def test_cayley_rank_over_26_exit_1(tmp_path, capsys):
