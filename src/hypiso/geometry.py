@@ -131,11 +131,10 @@ class PlaneGeometry(_Geometry):
         X, Y, D = self.require_point(p)
         return Fraction(X, D), Fraction(Y, D)
 
-    def cosh_distance(self, p: Point, q: Point) -> Fraction:
-        """cosh d(p, q) = ((x1 - x2)^2 + y1^2 + y2^2) / (2 y1 y2), exactly."""
+    def distance_key(self, p: Point, q: Point) -> Fraction:
+        """cosh d(p, q) = ((x1 - x2)^2 + y1^2 + y2^2) / (2 y1 y2), exactly: it
+        is monotone in the distance, so it ranks with no float."""
         return Fraction(*_cosh_ratio(self.require_point(p), self.require_point(q)))
-
-    distance_key = cosh_distance  # exact and monotone in the distance: ranks with no float
 
     def distance(self, x: Point, y: Point) -> float:
         key = self.require_point(x), self.require_point(y)
@@ -335,27 +334,23 @@ class TreeGeometry(_Geometry):
         units = self.model._ray_units(ray, len(ray.prefix) + 2 * len(ray.period) + depth + 4)
         return self._vertex_from_units(units)
 
-    def _ray_product(self, ray: RayDescriptor, x, w) -> int:
-        """<ray|x>_w, from a vertex of the ray deeper than both points."""
-        return self._gromov(self._ray_vertex(ray, len(x) + len(w)), x, w)
-
     def gromov_boundary_point(self, b: BoundaryPoint, y: Point, base: Point) -> float:
-        """Extended Gromov product <b|y>_base, exact until the final float."""
-        ray = self.model.require_boundary(b)
-        return float(self._ray_product(ray, self.require_point(y), self.require_point(base)))
+        """Extended Gromov product <b|y>_base, exact until the final float:
+        <v|y>_base for a vertex v of the ray deeper than both points."""
+        x, w = self.require_point(y), self.require_point(base)
+        return float(self._gromov(self._ray_vertex(self.model.require_boundary(b), len(x) + len(w)), x, w))
 
     def gromov_boundary_pair(self, b1: BoundaryPoint, b2: BoundaryPoint, base: Point) -> float:
         """<xi|eta>_base, exact until the final float; +inf for equal points.
         Two distinct rays part within their longer preperiod plus the lcm of
-        their periods, so a vertex of xi that deep, and deeper than the
-        base, meets eta and the base where xi does."""
-        r1: RayDescriptor = self.model.require_boundary(b1)
-        r2: RayDescriptor = self.model.require_boundary(b2)
-        if self.model.rays_equal(r1, r2):
+        their periods, so <eta|v>_base for a vertex v of xi that deep, and
+        deeper than the base, is the pair's product."""
+        if self.model.boundary_equal(b1, b2):
             return math.inf
+        r1, r2 = self.model.require_boundary(b1), self.model.require_boundary(b2)
         w = self.require_point(base)
         parted = max(len(r1.prefix), len(r2.prefix)) + math.lcm(len(r1.period), len(r2.period))
-        return float(self._ray_product(r2, self._ray_vertex(r1, parted + len(w)), w))
+        return self.gromov_boundary_point(b2, self.point(self._ray_vertex(r1, parted + len(w))), base)
 
     # -- the ball -------------------------------------------------------------
 

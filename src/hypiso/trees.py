@@ -38,7 +38,8 @@ _LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"  # Cayley letter i is named _LETTER
 
 @dataclass(frozen=True)
 class RayDescriptor:
-    """A boundary point: the reduced infinite word prefix . period^infinity."""
+    """A boundary point: the reduced infinite word prefix . period^infinity.
+    ``TreeModel._fold`` builds every one; a hand-built one must be folded."""
 
     prefix: tuple
     period: tuple
@@ -90,26 +91,9 @@ class TreeModel(SpaceModel):
 
     # -- boundary rays ------------------------------------------------------
 
-    def ray(self, prefix: tuple, period: tuple) -> BoundaryPoint:
-        return self.boundary(self.canonical_ray(prefix, period))
-
-    def canonical_ray(self, prefix: tuple, period: tuple) -> RayDescriptor:
-        """Fold whole periods into the prefix until the junction is reduced.
-
-        The period must be cyclically reduced (period.period reduced as
-        written), so after at most |prefix|/|period| + 1 folds the infinite
-        word prefix.period^inf is reduced and its unit stream is canonical.
-        """
-        period = self.normal_form(period)
-        if not period:
-            raise ValueError("ray period must be nonempty")
-        if len(self.multiply(period, period)) != 2 * len(period):
-            raise ValueError("ray period must be cyclically reduced")
-        return self._fold(self.normal_form(prefix), period)
-
     def _fold(self, p: tuple, period: tuple) -> RayDescriptor:
-        """The ray p . period^inf for a reduced p and a cyclically reduced
-        period, with whole periods folded into p until the junction is reduced."""
+        """The ray p . period^inf, the one builder of a ray, for a reduced p and
+        a cyclically reduced period: whole periods fold into p until the junction is reduced."""
         while True:
             joined = self.multiply(p, period)
             if len(joined) == len(p) + len(period):
@@ -120,19 +104,16 @@ class TreeModel(SpaceModel):
         periods = -((len(ray.prefix) - count) // len(ray.period))  # ceil((count - |prefix|) / |period|); <= 0 is none
         return (ray.prefix + ray.period * periods)[:count]
 
-    def rays_equal(self, r1: RayDescriptor, r2: RayDescriptor) -> bool:
-        """Cofinality test: the reduced unit streams agree forever iff they
-        agree up to the preperiods plus one common period."""
+    def boundary_equal(self, p: BoundaryPoint, q: BoundaryPoint) -> bool:
+        """Cofinality test, the one comparison of two rays: the reduced unit
+        streams agree forever iff they agree up to the preperiods plus one common period."""
+        r1, r2 = self.require_boundary(p), self.require_boundary(q)
         n = max(len(r1.prefix), len(r2.prefix)) + 2 * math.lcm(len(r1.period), len(r2.period))
         return self._ray_units(r1, n) == self._ray_units(r2, n)
 
-    def boundary_equal(self, p: BoundaryPoint, q: BoundaryPoint) -> bool:
-        return self.rays_equal(self.require_boundary(p), self.require_boundary(q))
-
     def boundary_apply(self, iso: Isometry, b: BoundaryPoint) -> BoundaryPoint:
-        g = self.require_iso(iso)
-        ray: RayDescriptor = self.require_boundary(b)
-        return self.ray(self.multiply(g, ray.prefix), ray.period)
+        g, ray = self.require_iso(iso), self.require_boundary(b)  # g . prefix is reduced: fold the junction only
+        return self.boundary(self._fold(self.multiply(g, ray.prefix), ray.period))
 
 
 class CayleyTreeModel(TreeModel):

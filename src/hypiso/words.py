@@ -22,10 +22,8 @@ class GroupWord:
         object.__setattr__(self, "syllables", reduce_powers(self.syllables))
 
     @staticmethod
-    def generator(name: str, sign: int = 1) -> "GroupWord":
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        return GroupWord(((name, sign),))
+    def generator(name: str) -> "GroupWord":
+        return GroupWord(((name, 1),))
 
     def __len__(self) -> int:
         return sum(abs(e) for _, e in self.syllables)

@@ -150,6 +150,16 @@ MUTANTS = (
     Mutant("ray-pair-too-shallow", "geometry.py",
            "self._ray_vertex(r1, parted + len(w))", "self._ray_vertex(r1, len(w))",
            ("tests/test_trees.py::test_gromov_boundary_pair_against_deep_truncations",)),
+    # _fold builds every ray, a boundary image too, and two rays are
+    # compared as far as the longer preperiod and two common periods
+    Mutant("tree-image-skips-the-fold", "trees.py",
+           "self._fold(self.multiply(g, ray.prefix), ray.period)",
+           "RayDescriptor(self.multiply(g, ray.prefix), ray.period)",
+           ("tests/test_trees.py::test_cayley_fixed_rays_invariant",
+            "tests/test_trees.py::test_tree_ray_images_follow_their_unit_streams")),
+    Mutant("ray-equality-from-the-shorter-prefix", "trees.py",
+           "max(len(r1.prefix), len(r2.prefix)) + 2", "min(len(r1.prefix), len(r2.prefix)) + 2",
+           ("tests/test_trees.py::test_tree_rays_are_equal_exactly_when_their_streams_agree",)),
     # a Bass-Serre vertex is its root path: the root's edge (0, 0) to <t>
     # is a neighbour, a coset w<t> opens with (0, 0) by the parity of |w| and
     # t, and g.(w<t>) drops gw's last syllable when it lies in <t>

@@ -23,7 +23,7 @@ from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.quadratic import QuadraticNumber
 from hypiso.records import class_invariant, witness_line
 from hypiso.sampling import rng_from_seed, sample_plane_points
-from hypiso.trees import BassSerreModel, CayleyTreeModel
+from hypiso.trees import BassSerreModel, CayleyTreeModel, RayDescriptor
 
 from reference import (
     parts,
@@ -433,7 +433,7 @@ def test_fixes_matches_the_boundary_action_on_sweep():
 def test_fixes_matches_the_boundary_action_on_trees(model, units):
     # every word of up to three units against the rays it and the others fix
     words = {model.word(w) for n in range(4) for w in itertools.product(units, repeat=n)}
-    rays = [model.ray((), model.cyclic_reduce(model.require_iso(w))[1]) for w in words
+    rays = [model.boundary(RayDescriptor((), model.cyclic_reduce(model.require_iso(w))[1])) for w in words
             if model.tag(w) == "hyperbolic"]
     for w in words:
         cls = model.classify(w)
@@ -457,7 +457,7 @@ def test_cosh_float_consistency(x1, y1n, x2, y2n):
     plane = HalfPlaneModel()
     p = lab(plane).point_xy(Fraction(x1, 3), Fraction(abs(y1n) + 1, 4))
     q = lab(plane).point_xy(Fraction(x2, 5), Fraction(abs(y2n) + 1, 2))
-    L, ch = lab(plane).distance(p, q), lab(plane).cosh_distance(p, q)
+    L, ch = lab(plane).distance(p, q), lab(plane).distance_key(p, q)
     err = abs(math.cosh(L) - float(ch))
     assert err <= 2**-40 * max(1.0, float(ch))
 
@@ -513,7 +513,7 @@ def test_plane_lab_matches_the_fraction_metric():
     for p in everything:
         assert _outcome(geo._floats, p) == _outcome(xy_floats_reference, plane_xy(p))
         for w in (geo.basepoint, points[2], far[0]):
-            assert geo.cosh_distance(p, w) == xy_cosh_reference(plane_xy(p), plane_xy(w))
+            assert geo.distance_key(p, w) == xy_cosh_reference(plane_xy(p), plane_xy(w))
             assert geo.distance(p, w) == xy_distance_reference(plane_xy(p), plane_xy(w))
             if w is not far[0]:
                 for b in ends:
@@ -559,8 +559,8 @@ def test_ray_equality_different_period_lengths():
     bs = BassSerreModel(2, 3)
     per = ((0, 1), (1, 1))
     double = per + per
-    assert bs.boundary_equal(bs.ray((), per), bs.ray((), double))
-    assert not bs.boundary_equal(bs.ray((), per), bs.ray((), ((0, 1), (1, 2))))
+    assert bs.boundary_equal(bs.boundary(RayDescriptor((), per)), bs.boundary(RayDescriptor((), double)))
+    assert not bs.boundary_equal(bs.boundary(RayDescriptor((), per)), bs.boundary(RayDescriptor((), ((0, 1), (1, 2)))))
 
 
 def test_concurrent_classification_is_stable():

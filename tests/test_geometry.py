@@ -270,7 +270,7 @@ def test_elliptic_decay(plane):
         for _ in range(4 * period):
             orbit.append(lab(plane).apply(mat, orbit[-1]))
         assert orbit[::period] == [x] * 5
-        assert len({lab(plane).cosh_distance(x, p) for p in orbit}) <= period  # exact values
+        assert len({lab(plane).distance_key(x, p) for p in orbit}) <= period  # exact values
 
 
 def test_distance_checks_models(plane, cayley):

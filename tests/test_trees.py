@@ -11,7 +11,7 @@ from hypiso.dynamics import internal_points
 from hypiso.geometry import lab
 from hypiso.models import HYPOTHESIS_VIOLATION
 from hypiso.sampling import _random_bs_syllables, _random_cayley_word, random_elliptic, random_hyperbolic
-from hypiso.trees import BassSerreModel, CayleyTreeModel
+from hypiso.trees import BassSerreModel, CayleyTreeModel, RayDescriptor
 from hypiso.words import reduced_words
 
 from reference import (
@@ -98,26 +98,29 @@ def test_cayley_orbit_matches_cyclic_length(cayley):
 
 
 def test_cayley_ray_equality(cayley):
-    r1 = cayley.ray((), (1, 2))
-    r2 = cayley.ray((1, 2), (1, 2))       # shifted one period: same end
-    r3 = cayley.ray((), (2, 1))
+    r1 = cayley.boundary(RayDescriptor((), (1, 2)))
+    r2 = cayley.boundary(RayDescriptor((1, 2), (1, 2)))  # shifted one period: same end
+    r3 = cayley.boundary(RayDescriptor((), (2, 1)))
     assert cayley.boundary_equal(r1, r2)
     assert not cayley.boundary_equal(r1, r3)
 
 
+# hand-built rays, already folded, by model kind: pairs of them agree for
+# longer than one's preperiod and two periods (b^inf and b^9 a^inf part at
+# the tenth letter)
+ALTERNATING = ((0, 1), (1, 1))
+FOLDED_RAYS = {
+    "cayley_tree": [((), (2,)), ((2,) * 9, (1,)), ((2,) * 9, (-1,)), ((1, 2), (2, 1)), ((-1,), (-2,))],
+    "bass_serre": [((), ALTERNATING), (ALTERNATING * 4, ((0, 1), (1, 2))), ((), ((0, 1), (1, 2))),
+                   (((1, 2),), ALTERNATING)],
+}
+
+
 def test_gromov_boundary_pair_against_deep_truncations():
-    # <xi|eta>_w is <x|y>_w for vertices x and y far out on the two rays,
-    # with pairs of rays that agree for longer than one's preperiod and
-    # two periods: b^inf and b^9 a^inf part at the tenth letter
-    cayley, bs = CayleyTreeModel(2), BassSerreModel(2, 3)
-    alternating = ((0, 1), (1, 1))
-    cases = {
-        cayley: [((), (2,)), ((2,) * 9, (1,)), ((2,) * 9, (-1,)), ((1, 2), (2, 1)), ((-1,), (-2,))],
-        bs: [((), alternating), (alternating * 4, ((0, 1), (1, 2))), ((), ((0, 1), (1, 2))), (((1, 2),), alternating)],
-    }
-    for model, specs in cases.items():
+    # <xi|eta>_w is <x|y>_w for vertices x and y far out on the two rays
+    for model in (CayleyTreeModel(2), BassSerreModel(2, 3)):
         geo = lab(model)
-        rays = [model.ray(prefix, period) for prefix, period in specs]
+        rays = [model.boundary(RayDescriptor(prefix, period)) for prefix, period in FOLDED_RAYS[model.kind]]
         for xi, eta in itertools.product(rays, repeat=2):
             far = [geo._vertex_from_units(model._ray_units(model.require_boundary(r), 60)) for r in (xi, eta)]
             for base in geo.ball_vertices(2):
@@ -127,7 +130,7 @@ def test_gromov_boundary_pair_against_deep_truncations():
 
 def test_cayley_ray_fold_cancellation(cayley):
     # prefix ends with the inverse of the period start: folding reduces it
-    r = cayley.canonical_ray((1, -2), (2, 1))
+    r = cayley._fold((1, -2), (2, 1))
     stream = list(r.prefix) + list(r.period) * 3
     # reduced stream of 1 -2 | (2 1)^inf is 1 1 2 1 2 1 ...
     assert stream[:6] == [1, 1, 2, 1, 2, 1]
@@ -253,7 +256,7 @@ def test_bs_labels_are_the_root_paths_of_cosets(model):
 
 def test_bs_ray_shift_equal(bs23):
     per = ((0, 1), (1, 1))
-    assert bs23.boundary_equal(bs23.ray((), per), bs23.ray(per, per))
+    assert bs23.boundary_equal(bs23.boundary(RayDescriptor((), per)), bs23.boundary(RayDescriptor(per, per)))
 
 
 def test_bs_isometry_invariance(bs23):
@@ -599,3 +602,54 @@ def test_bs_junction_product_cascades_to_a_merge():
     u = ((0, 1), (1, 2), (0, 2), (1, 3))
     v = ((1, 1), (0, 1), (1, 1), (0, 1))  # cancels (1,3), (0,2), then (1,2)+(1,1) = (1,3)
     assert model.multiply(u, v) == ((0, 1), (1, 3), (0, 1)) == _syllable_product(model, u, v)
+
+
+# -- rays against their unit streams ------------------------------------------
+
+
+def _reduced_words(model, length: int) -> list[tuple]:
+    """Every reduced word of up to length units, shortest first."""
+    units = model.letters() if isinstance(model, CayleyTreeModel) else [
+        (factor, e) for factor, order in enumerate(model.orders) for e in range(1, order)]
+    words = {model.normal_form(w) for n in range(length + 1) for w in itertools.product(units, repeat=n)}
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+def _rays(model, length: int) -> list:
+    """The fixed points of the hyperbolic classes of the reduced words of up
+    to length units, and the hand-built folded rays."""
+    rays = {RayDescriptor(prefix, period) for prefix, period in FOLDED_RAYS[model.kind]}
+    for w in _reduced_words(model, length):
+        cls = model.classify(model.isometry(w))
+        if cls.is_hyperbolic:
+            rays.update(model.require_boundary(b) for b in cls.hyperbolic.fixed_points)
+    return sorted(rays, key=lambda r: (len(r.prefix), len(r.period), r.prefix, r.period))
+
+
+# the models, with the longest word whose axis ends are tested: rank 3's
+# words of length 4 would give 936 rays and several seconds of checks
+RAY_MODELS = [(CayleyTreeModel(2), 4), (CayleyTreeModel(3), 3), (BassSerreModel(2, 3), 4), (BassSerreModel(3, 4), 4)]
+RAY_IDS = ["cayley2", "cayley3", "bs23", "bs34"]
+
+
+@pytest.mark.parametrize("model, length", RAY_MODELS, ids=RAY_IDS)
+def test_tree_ray_images_follow_their_unit_streams(model, length):
+    # g . xi keeps xi's period, with a reduced junction, and its units are
+    # the reduced stream of g followed by xi's units, for every reduced g of
+    # up to 3 units
+    for xi in _rays(model, length):
+        b, units = model.boundary(xi), model._ray_units(xi, 63)
+        for g in _reduced_words(model, 3):
+            eta = model.require_boundary(model.boundary_apply(model.isometry(g), b))
+            assert eta.period == xi.period
+            assert len(model.multiply(eta.prefix, eta.period)) == len(eta.prefix) + len(eta.period)
+            assert model._ray_units(eta, 60) == model.normal_form(g + units[: 60 + len(g)])[:60]
+
+
+@pytest.mark.parametrize("model, length", RAY_MODELS, ids=RAY_IDS)
+def test_tree_rays_are_equal_exactly_when_their_streams_agree(model, length):
+    # every preperiod and period here is far below 200 units, so two rays
+    # are the same end exactly when their first 200 units agree
+    rays = [(model.boundary(r), model._ray_units(r, 200)) for r in _rays(model, length)]
+    for (b1, s1), (b2, s2) in itertools.product(rays, repeat=2):
+        assert model.boundary_equal(b1, b2) == (s1 == s2)
