@@ -24,9 +24,9 @@ _EXPORTS = {
     "orbit_projection",
     "errors": "DegenerateTriangle HypisoError HypothesisViolation InsufficientSample MixedModels NoPassingN "
     "NotHyperbolic ParseError ScheduleExhausted ValidationError WitnessNotHyperbolic",
-    "geometry": "DeltaEstimate Point estimate_delta_four_point",
+    "geometry": "DeltaEstimate estimate_delta_four_point",
     "halfplane": "HalfPlaneModel Matrix2",
-    "models": "BoundaryPoint Isometry IsometryClass SpaceModel",
+    "models": "IsometryClass Owned SpaceModel",
     "quadratic": "QuadraticNumber",
     "trees": "BassSerreModel CayleyTreeModel RayDescriptor",
     "words": "GroupWord",

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ValidationError
-from .models import MAX_ISOMETRY_SIZE, Isometry, SpaceModel
+from .models import MAX_ISOMETRY_SIZE, Owned, SpaceModel
 from .words import GroupWord
 
 
@@ -21,15 +21,15 @@ class Action:
 
     name: str
     model: SpaceModel
-    images: dict[str, Isometry]
+    images: dict[str, Owned]
 
     def __post_init__(self):
-        # the model-id check, once: image() composes the bare payloads, and
-        # bounds the sizes of their products from the generators' sizes
-        self._payloads = {gen: self.model.require_iso(iso) for gen, iso in self.images.items()}
+        # the model's require, once per image: image() composes the bare
+        # payloads, and bounds their products' sizes from the generators' sizes
+        self._payloads = {gen: self.model.require(iso) for gen, iso in self.images.items()}
         self._sizes = {gen: self.model.size(iso) for gen, iso in self.images.items()}
 
-    def image(self, word: GroupWord) -> Isometry:
+    def image(self, word: GroupWord) -> Owned:
         """Composed syllable by syllable on the bare payloads (see
         SpaceModel), each power by repeated squaring (once per distinct
         syllable), from the first power on, and wrapped once.  A running
@@ -49,7 +49,7 @@ class Action:
             bound += power_bound + 1
             if bound > MAX_ISOMETRY_SIZE:
                 bound = model._sized(out, "a word's image")
-        return model.isometry(model._one if out is None else out)
+        return model.own(model._one if out is None else out)
 
     def classify_word(self, word: GroupWord):
         return self.model.classify(self.image(word))

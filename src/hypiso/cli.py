@@ -265,7 +265,7 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Res
                 lines.append(f"ns {i} {action.name} failed")
         if "insize" in checks:
             pts = sample[:12]
-            triangles = [t for t in zip(pts, pts[1:], pts[2:]) if len({p.coords for p in t}) == 3]
+            triangles = [t for t in zip(pts, pts[1:], pts[2:]) if len({p.payload for p in t}) == 3]
             est = dyn.estimate_delta_insize(action.model, triangles)
             rows.append((str(i), action.name, "insize", f"{est.delta:.6f} over {est.sample_size}"))
             lines.append(f"insize {i} {action.name} approx~ {est.delta:.9f} n {est.sample_size}")

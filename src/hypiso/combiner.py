@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
     WitnessNotHyperbolic,
 )
-from .models import HYPERBOLIC, HYPOTHESIS_VIOLATION, MAX_ISOMETRY_SIZE, Isometry, IsometryClass, SpaceModel
+from .models import HYPERBOLIC, HYPOTHESIS_VIOLATION, MAX_ISOMETRY_SIZE, IsometryClass, Owned, SpaceModel
 from .records import check_printable, check_witnesses
 from .words import GroupWord, reduced_words
 
@@ -55,7 +55,7 @@ class ProfileEntry(NamedTuple):
 
     cf: IsometryClass
     cg: IsometryClass
-    g_image: Isometry
+    g_image: Owned
 
 
 def partition(model: SpaceModel, entry: ProfileEntry) -> Optional[str]:
@@ -102,7 +102,7 @@ class Certificate:
     word: GroupWord
     stages: tuple[StageRecord, ...]
     per_action: tuple[IsometryClass, ...]
-    images: tuple[Isometry, ...]  # the word's image in each action, aligned with per_action
+    images: tuple[Owned, ...]  # the word's image in each action, aligned with per_action
 
     @property
     def search_stats(self) -> SearchStats:
@@ -174,7 +174,7 @@ def independent(model: SpaceModel, cf: IsometryClass, cg: IsometryClass) -> bool
 
 
 def normalize_powers(
-    system: ActionSystem, f_classes: tuple[IsometryClass, ...], g_images: tuple[Isometry, ...]
+    system: ActionSystem, f_classes: tuple[IsometryClass, ...], g_images: tuple[Owned, ...]
 ) -> tuple[int, int, tuple[ProfileEntry, ...]]:
     """The powers p and q killing all finite orders of f's and g's elliptic
     images among actions 0..stage, and the stage's profile.
@@ -253,7 +253,7 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
     raise ScheduleExhausted(k, trials)
 
 
-def resolve_witness(system: ActionSystem, k: int) -> tuple[GroupWord, Isometry]:
+def resolve_witness(system: ActionSystem, k: int) -> tuple[GroupWord, Owned]:
     """The claimed witness for action k, verified; else the first word of
     ``reduced_words`` up to length WITNESS_SEARCH_DEPTH whose tag is
     hyperbolic.  Returned with its image in action k."""

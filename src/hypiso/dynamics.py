@@ -19,25 +19,25 @@ from typing import Sequence
 
 from .actions import Action
 from .errors import DegenerateTriangle, NoPassingN, NotHyperbolic
-from .geometry import DeltaEstimate, Point, lab
-from .models import HYPERBOLIC, BoundaryPoint, Isometry, SpaceModel
+from .geometry import DeltaEstimate, lab
+from .models import HYPERBOLIC, Owned, SpaceModel
 
 
 @dataclass(frozen=True)
 class NeighborhoodSpec:
     """N(center, k) = {y : <center|y>_base > k}."""
 
-    center: BoundaryPoint
+    center: Owned
     threshold: float
-    base: Point
+    base: Owned
 
 
 def ns_dynamics_check(
     action: Action,
-    g: Isometry,
+    g: Owned,
     u_plus: NeighborhoodSpec,
     u_minus: NeighborhoodSpec,
-    sample: Sequence[Point],
+    sample: Sequence[Owned],
     n_max: int,
 ) -> int:
     """Least N <= n_max with g^n(sample - U-) inside U+ for all N <= n <= n_max,
@@ -70,7 +70,7 @@ def ns_dynamics_check(
     return failing + 1
 
 
-def _busemann_floor(geo, g: Isometry, spec: NeighborhoodSpec, outside: list, n_max: int) -> int:
+def _busemann_floor(geo, g: Owned, spec: NeighborhoodSpec, outside: list, n_max: int) -> int:
     """The step, at most n_max, past which <b|g^n p>_w > T for the point p of
     every (p, <b|p>_w) pair outside, b, w and T the center, base and
     threshold.  If g fixes b, the Busemann cocycle beta(w, y) = 2<b|y>_w -
@@ -83,7 +83,7 @@ def _busemann_floor(geo, g: Isometry, spec: NeighborhoodSpec, outside: list, n_m
     floats too.  With no floor, n_max.  geo, the check's lab, reads d(p, w) once."""
     b, w = spec.center, spec.base
 
-    def beta(y: Point, product: float) -> float:
+    def beta(y: Owned, product: float) -> float:
         return 2 * product - geo.distance(y, w)
 
     if not outside or not geo.model.fixes(g, b):
@@ -99,11 +99,11 @@ def _busemann_floor(geo, g: Isometry, spec: NeighborhoodSpec, outside: list, n_m
 
 @dataclass(frozen=True)
 class TriangleInternals:
-    internal: tuple[Point, Point, Point]  # on sides [y,z], [z,x], [x,y]
+    internal: tuple[Owned, Owned, Owned]  # on sides [y,z], [z,x], [x,y]
     insize: float
 
 
-def internal_points(model: SpaceModel, x: Point, y: Point, z: Point) -> TriangleInternals:
+def internal_points(model: SpaceModel, x: Owned, y: Owned, z: Owned) -> TriangleInternals:
     """The three equidistance-defined points and their diameter, from the
     lab's ``internal_points``: exact on trees, where each point is placed at
     its Gromov-product distance along its side; on the plane placed in closed
@@ -111,13 +111,13 @@ def internal_points(model: SpaceModel, x: Point, y: Point, z: Point) -> Triangle
     evaluation.
     """
     for p, q in ((x, y), (y, z), (x, z)):
-        if p.coords == q.coords:
+        if p.payload == q.payload:
             raise DegenerateTriangle("two triangle vertices coincide")
     return TriangleInternals(*lab(model).internal_points(x, y, z))
 
 
 def estimate_delta_insize(
-    model: SpaceModel, triangles: Sequence[tuple[Point, Point, Point]]
+    model: SpaceModel, triangles: Sequence[tuple[Owned, Owned, Owned]]
 ) -> DeltaEstimate:
     worst = max([0.0] + [internal_points(model, x, y, z).insize for x, y, z in triangles])
     return DeltaEstimate(delta=worst, condition="insize", sample_size=len(triangles))
@@ -128,13 +128,13 @@ def estimate_delta_insize(
 
 @dataclass(frozen=True)
 class OrbitProjection:
-    nearest: tuple[Point, ...]
+    nearest: tuple[Owned, ...]
     exponents: tuple[int, ...]
     defect: float
 
 
 def orbit_projection(
-    action: Action, iso: Isometry, basepoint: Point, points: Sequence[Point], orbit_range: int
+    action: Action, iso: Owned, basepoint: Owned, points: Sequence[Owned], orbit_range: int
 ) -> list[OrbitProjection]:
     """The nearest-point projection of each point z to the orbit {f^n
     basepoint : |n| <= orbit_range} of the image iso of a word f hyperbolic

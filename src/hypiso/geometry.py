@@ -6,13 +6,13 @@ the ``delta`` and ``dynamics`` diagnostics read and no certificate does.
 arccosh), or a ``CayleyGeometry`` or ``BassSerreGeometry``, whose points
 are the tree's vertices labelled by their root paths, from which
 ``TreeGeometry`` reads the whole metric in integers.  A lab holds its model and
-a memo, and is built where it is used; its ``basepoint`` is i or the root
-vertex, and a point tagged with another model's id is MixedModels.  A
-distance or insize is a float; ranking and tree arithmetic read the exact
-``distance_key`` (a cosh Fraction, an edge count) or the integers beneath.
-The four-point delta is a sampled estimator on top: a maximum of observed
-defects over the lab's ``pairwise_distances``, hence a lower bound on the
-true hyperbolicity constant.
+a memo, and is built where it is used; its points are the model's ``Owned``
+values (another model's point is MixedModels) and its ``basepoint`` is i or
+the root vertex.  A distance or insize is a float; ranking and tree
+arithmetic read the exact ``distance_key`` (a cosh Fraction, an edge count)
+or the integers beneath.  The four-point delta is a sampled estimator on
+top: a maximum of observed defects over the lab's ``pairwise_distances``,
+hence a lower bound on the true hyperbolicity constant.
 """
 
 from __future__ import annotations
@@ -20,23 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
-from .errors import InsufficientSample, MixedModels
+from .errors import InsufficientSample
 from .halfplane import Matrix2, _acosh_ratio
-from .models import BoundaryPoint, Isometry, SpaceModel
+from .models import Owned, SpaceModel
 from .quadratic import QuadraticNumber
 from .trees import BassSerreModel, CayleyTreeModel, RayDescriptor
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point of a concrete model, tagged with its owner's id: coords is the
-    triple (X, Y, D) of (X + Y i)/D in lowest terms, Y and D > 0, on the
-    plane, a vertex label on a tree.  The labs build every one."""
-
-    model_id: str
-    coords: Any
 
 
 @dataclass(frozen=True)
@@ -56,8 +45,8 @@ def lab(model: SpaceModel) -> PlaneGeometry | TreeGeometry:
 
 
 class _Geometry:
-    """What the labs share: the model, a memo, the tagged points and the
-    basepoint, the point of coordinates _root."""
+    """What the labs share: the model, whose ``own`` and ``require`` tag and
+    read the points, a memo and the basepoint, the point of payload _root."""
 
     def __init__(self, model: SpaceModel):
         self.model, self._read = model, {}
@@ -69,19 +58,11 @@ class _Geometry:
         return found if found is not None else self._read.setdefault(key, compute())
 
     @property
-    def basepoint(self) -> Point:
-        return self.point(self._root)
-
-    def point(self, coords) -> Point:
-        return Point(self.model.model_id, coords)
-
-    def require_point(self, p: Point):
-        if p.model_id != self.model.model_id:
-            raise MixedModels(f"point tagged {p.model_id}, model is {self.model.model_id}")
-        return p.coords
+    def basepoint(self) -> Owned:
+        return self.model.own(self._root)
 
 
-def estimate_delta_four_point(model: SpaceModel, sample: list[Point], base: Point) -> DeltaEstimate:
+def estimate_delta_four_point(model: SpaceModel, sample: list[Owned], base: Owned) -> DeltaEstimate:
     """Max over ordered triples of min(<x|y>, <y|z>) - <x|z>, clamped at 0.
 
     Exact (integer arithmetic) on tree models, float on the plane; the
@@ -110,13 +91,13 @@ def estimate_delta_four_point(model: SpaceModel, sample: list[Point], base: Poin
 
 class PlaneGeometry(_Geometry):
     """The upper half-plane's metric, Mobius action and extended Gromov
-    products on points with one spelling each (``Point``): distances and
-    Mobius steps are integer arithmetic.  Boundary points are the model's
-    (QuadraticNumbers, None for infinity)."""
+    products on points spelled one way, (X + Y i)/D as the primitive payload
+    (X, Y, D) with Y, D > 0: distances and Mobius steps are integer
+    arithmetic.  Boundary points are the model's (QuadraticNumbers, None for infinity)."""
 
     _root = (0, 1, 1)  # i
 
-    def point_xy(self, x, y, d: int = 1) -> Point:
+    def point_xy(self, x, y, d: int = 1) -> Owned:
         """The point (x + y i)/d for rationals (ints, Fractions or floats) x
         and y > 0 and an integer d > 0: its triple, divided by its gcd."""
         (p, q), (r, t) = x.as_integer_ratio(), y.as_integer_ratio()
@@ -124,29 +105,29 @@ class PlaneGeometry(_Geometry):
         if Y <= 0 or D <= 0:
             raise ValueError("half-plane points need y > 0")
         g = math.gcd(X, Y, D)
-        return self.point((X // g, Y // g, D // g))
+        return self.model.own((X // g, Y // g, D // g))
 
-    def _xy(self, p: Point) -> tuple[Fraction, Fraction]:
+    def _xy(self, p: Owned) -> tuple[Fraction, Fraction]:
         """p's coordinates x and y, exact and in lowest terms."""
-        X, Y, D = self.require_point(p)
+        X, Y, D = self.model.require(p)
         return Fraction(X, D), Fraction(Y, D)
 
-    def distance_key(self, p: Point, q: Point) -> Fraction:
+    def distance_key(self, p: Owned, q: Owned) -> Fraction:
         """cosh d(p, q) = ((x1 - x2)^2 + y1^2 + y2^2) / (2 y1 y2), exactly: it
         is monotone in the distance, so it ranks with no float."""
-        return Fraction(*_cosh_ratio(self.require_point(p), self.require_point(q)))
+        return Fraction(*_cosh_ratio(self.model.require(p), self.model.require(q)))
 
-    def distance(self, x: Point, y: Point) -> float:
-        key = self.require_point(x), self.require_point(y)
+    def distance(self, x: Owned, y: Owned) -> float:
+        key = self.model.require(x), self.model.require(y)
         return self._once(key, lambda: _acosh_ratio(*_cosh_ratio(*key)))
 
-    def pairwise_distances(self, points: list[Point]):
+    def pairwise_distances(self, points: list[Owned]):
         """d(p, q) for every two points, row p, column q, as a float array:
         the floats of ``distance``, from cosh = ((X - X')^2 + Y^2 + Y'^2) /
         2YY' over one common denominator of all the points."""
         import numpy as np  # here, so that commands that never estimate delta load no numpy
 
-        triples = [self.require_point(p) for p in points]
+        triples = [self.model.require(p) for p in points]
         den = math.lcm(*(d for _, _, d in triples))
         xs, ys = [x * (den // d) for x, _, d in triples], [y * (den // d) for _, y, d in triples]
         rows = [[0.0] * len(triples) for _ in triples]
@@ -157,26 +138,26 @@ class PlaneGeometry(_Geometry):
                 row[j] = rows[j][i] = _acosh_ratio(dx * dx + y * y + yj * yj, 2 * y * yj)
         return np.array(rows)
 
-    def apply(self, iso: Isometry, p: Point) -> Point:
+    def apply(self, iso: Owned, p: Owned) -> Owned:
         """M p for p = (X + Y i)/D in integers: with u = a(X + Y i) + bD and
         v = c(X + Y i) + dD, M p = u conj(v) / |v|^2, whose imaginary part
         is Y D s^2 / |v|^2, as ad - bc = s^2."""
-        m: Matrix2 = self.model.require_iso(iso)
-        X, Y, D = self.require_point(p)
+        m: Matrix2 = self.model.require(iso)
+        X, Y, D = self.model.require(p)
         a, b, c, d = m.a, m.b, m.c, m.d  # s*M: the Mobius map is the same
         u, v = a * X + b * D, c * X + d * D
         return self.point_xy(u * v + a * c * Y * Y, Y * D * m.s * m.s, v * v + c * c * Y * Y)
 
-    def _floats(self, p: Point) -> tuple[float, float]:
-        X, Y, D = self.require_point(p)
+    def _floats(self, p: Owned) -> tuple[float, float]:
+        X, Y, D = self.model.require(p)
         return X / D, Y / D
 
-    def gromov_boundary_point(self, b: BoundaryPoint, y: Point, base: Point) -> float:
+    def gromov_boundary_point(self, b: Owned, y: Owned, base: Owned) -> float:
         """Extended Gromov product <b|y>_w = ln(|b - w| / |b - y|) + (1/2) ln(Im y
         / Im w) + d(y, w)/2, w the base, in floats; b infinity drops the first
         term.  Past float range (Im y underflows to 0, or a coordinate overflows)
         the logs are of the exact rationals' integers, b's float taken exactly."""
-        pp: QuadraticNumber | None = self.model.require_boundary(b)
+        pp: QuadraticNumber | None = self.model.require(b)
         xi = None if pp is None else self._once(pp, lambda: float(pp))
         dyw = self.distance(y, base)
         try:
@@ -195,7 +176,7 @@ class PlaneGeometry(_Geometry):
             q = Fraction(xi)
             return 0.5 * (_log((q - wx) ** 2 + wy * wy) - _log((q - x) ** 2 + yy * yy)) + value
 
-    def internal_points(self, x: Point, y: Point, z: Point) -> tuple[tuple[Point, Point, Point], float]:
+    def internal_points(self, x: Owned, y: Owned, z: Owned) -> tuple[tuple[Owned, Owned, Owned], float]:
         """The internal points of the triangle xyz on its sides [y, z], [z, x]
         and [x, y], each at its Gromov-product distance from the side's first
         vertex in floats, and the insize: the largest distance between two.
@@ -208,7 +189,7 @@ class PlaneGeometry(_Geometry):
         pts = (self._point_at(y, z, gy), self._point_at(z, x, gz), self._point_at(x, y, gx))
         return pts, max(self.distance(p, q) for i, p in enumerate(pts) for q in pts[i + 1 :])
 
-    def _point_at(self, p: Point, q: Point, dist: float) -> Point:
+    def _point_at(self, p: Owned, q: Owned, dist: float) -> Owned:
         """The point at the given distance from p along the geodesic [p, q]."""
         (x1, y1), (x2, y2) = self._floats(p), self._floats(q)
         if abs(x1 - x2) < 1e-14:
@@ -221,9 +202,9 @@ class PlaneGeometry(_Geometry):
         theta = 2 * math.atan(math.exp(s))
         return self.point_xy(m + r * math.cos(theta), r * math.sin(theta))
 
-    def gromov_boundary_pair(self, b1: BoundaryPoint, b2: BoundaryPoint, base: Point) -> float:
+    def gromov_boundary_pair(self, b1: Owned, b2: Owned, base: Owned) -> float:
         """<xi|eta>_w = ln(|xi-w| |eta-w| / (|xi-eta| Im w)); inf when equal."""
-        p1, p2 = self.model.require_boundary(b1), self.model.require_boundary(b2)
+        p1, p2 = self.model.require(b1), self.model.require(b2)
         if self.model.boundary_equal(b1, b2):
             return math.inf
         wx, wy = self._floats(base)
@@ -260,8 +241,8 @@ class TreeGeometry(_Geometry):
 
     _root = ()
 
-    def apply(self, iso: Isometry, x: Point) -> Point:
-        return self.point(self._act(self.model.require_iso(iso), self.require_point(x)))
+    def apply(self, iso: Owned, x: Owned) -> Owned:
+        return self.model.own(self._act(self.model.require(iso), self.model.require(x)))
 
     def _dist(self, u, v) -> int:
         return len(u) + len(v) - 2 * _common_prefix_len(u, v)
@@ -271,13 +252,13 @@ class TreeGeometry(_Geometry):
         paths meet at depth k: up from u to the meet, then down towards v."""
         return u[: len(u) - t] if t <= len(u) - k else v[: t - len(u) + 2 * k]
 
-    def distance_key(self, x: Point, y: Point) -> int:  # the edge count: exact, ranks with no float
-        return self._dist(self.require_point(x), self.require_point(y))
+    def distance_key(self, x: Owned, y: Owned) -> int:  # the edge count: exact, ranks with no float
+        return self._dist(self.model.require(x), self.model.require(y))
 
-    def distance(self, x: Point, y: Point) -> float:
+    def distance(self, x: Owned, y: Owned) -> float:
         return float(self.distance_key(x, y))
 
-    def pairwise_distances(self, points: list[Point]):
+    def pairwise_distances(self, points: list[Owned]):
         """d(p, q) for every two of the points, an int64 array: row p, column q.
 
         In a DFS order of the rooted tree (the sorted labels) the meet depth
@@ -286,7 +267,7 @@ class TreeGeometry(_Geometry):
         a running minimum per row fill the meets."""
         import numpy as np  # here, so that commands that never estimate delta load no numpy
 
-        vs = [self.require_point(p) for p in points]
+        vs = [self.model.require(p) for p in points]
         order = sorted(range(len(vs)), key=vs.__getitem__)
         adjacent = np.array([_common_prefix_len(vs[i], vs[j]) for i, j in zip(order, order[1:])], dtype=np.int64)
         meets = np.zeros((len(vs), len(vs)), dtype=np.int64)  # in the sorted order
@@ -304,7 +285,7 @@ class TreeGeometry(_Geometry):
         meet = _common_prefix_len
         return len(w) - meet(u, w) - meet(v, w) + meet(u, v)
 
-    def internal_points(self, x: Point, y: Point, z: Point) -> tuple[tuple[Point, Point, Point], float]:
+    def internal_points(self, x: Owned, y: Owned, z: Owned) -> tuple[tuple[Owned, Owned, Owned], float]:
         """The internal points of the triangle xyz on its sides [y, z], [z, x]
         and [x, y], and the insize: the largest distance between two of them.
 
@@ -313,7 +294,7 @@ class TreeGeometry(_Geometry):
         exact integers; nothing assumes that the three coincide.
         """
         meet, along, dist = _common_prefix_len, self._along, self._dist
-        u, v, w = (self.require_point(p) for p in (x, y, z))
+        u, v, w = (self.model.require(p) for p in (x, y, z))
         kvw, kwu, kuv = meet(v, w), meet(w, u), meet(u, v)
         # <x|z>_y = (d(x,y) + d(y,z) - d(z,x)) / 2 = |v| - kuv - kvw + kwu, and
         # so on round: the halves cancel, so the products are integers
@@ -323,7 +304,7 @@ class TreeGeometry(_Geometry):
             along(u, v, kuv, len(u) - kwu - kuv + kvw),
         )
         insize = max(dist(pts[0], pts[1]), dist(pts[1], pts[2]), dist(pts[2], pts[0]))
-        return tuple(self.point(p) for p in pts), float(insize)
+        return tuple(self.model.own(p) for p in pts), float(insize)
 
     # -- boundary rays ------------------------------------------------------
 
@@ -334,27 +315,27 @@ class TreeGeometry(_Geometry):
         units = self.model._ray_units(ray, len(ray.prefix) + 2 * len(ray.period) + depth + 4)
         return self._vertex_from_units(units)
 
-    def gromov_boundary_point(self, b: BoundaryPoint, y: Point, base: Point) -> float:
+    def gromov_boundary_point(self, b: Owned, y: Owned, base: Owned) -> float:
         """Extended Gromov product <b|y>_base, exact until the final float:
         <v|y>_base for a vertex v of the ray deeper than both points."""
-        x, w = self.require_point(y), self.require_point(base)
-        return float(self._gromov(self._ray_vertex(self.model.require_boundary(b), len(x) + len(w)), x, w))
+        x, w = self.model.require(y), self.model.require(base)
+        return float(self._gromov(self._ray_vertex(self.model.require(b), len(x) + len(w)), x, w))
 
-    def gromov_boundary_pair(self, b1: BoundaryPoint, b2: BoundaryPoint, base: Point) -> float:
+    def gromov_boundary_pair(self, b1: Owned, b2: Owned, base: Owned) -> float:
         """<xi|eta>_base, exact until the final float; +inf for equal points.
         Two distinct rays part within their longer preperiod plus the lcm of
         their periods, so <eta|v>_base for a vertex v of xi that deep, and
         deeper than the base, is the pair's product."""
         if self.model.boundary_equal(b1, b2):
             return math.inf
-        r1, r2 = self.model.require_boundary(b1), self.model.require_boundary(b2)
-        w = self.require_point(base)
+        r1, r2 = self.model.require(b1), self.model.require(b2)
+        w = self.model.require(base)
         parted = max(len(r1.prefix), len(r2.prefix)) + math.lcm(len(r1.period), len(r2.period))
-        return self.gromov_boundary_point(b2, self.point(self._ray_vertex(r1, parted + len(w))), base)
+        return self.gromov_boundary_point(b2, self.model.own(self._ray_vertex(r1, parted + len(w))), base)
 
     # -- the ball -------------------------------------------------------------
 
-    def ball_vertices(self, radius: int) -> list[Point]:
+    def ball_vertices(self, radius: int) -> list[Owned]:
         """All vertices within ``radius`` of the basepoint, BFS order."""
         neighbors, root = self._neighbors, self._root
         parents, level, out = set(), [root], [root]
@@ -362,7 +343,7 @@ class TreeGeometry(_Geometry):
             children = [nb for v in level for nb in neighbors(v) if nb not in parents]
             parents, level = set(level), children
             out.extend(children)
-        return [self.point(v) for v in out]
+        return [self.model.own(v) for v in out]
 
     def ball_size(self, radius: int) -> int:
         """The number of vertices within ``radius`` of the basepoint, counted

@@ -42,9 +42,8 @@ from .models import (
     ELLIPTIC,
     HYPERBOLIC,
     HYPOTHESIS_VIOLATION,
-    BoundaryPoint,
-    Isometry,
     IsometryClass,
+    Owned,
     SpaceModel,
 )
 from .quadratic import QuadraticNumber
@@ -131,7 +130,7 @@ class PlaneHyperbolic(NamedTuple):
     fixed_minus = property(lambda self: self.fixed_points[1])
 
     @property
-    def fixed_points(self) -> tuple[BoundaryPoint, BoundaryPoint]:
+    def fixed_points(self) -> tuple[Owned, Owned]:
         """(attracting, repelling), both from one isqrt(D)."""
         a, b, c, d, s, disc = self
         if c == 0:  # infinity attracts when its eigenvalue a/s is the larger
@@ -143,7 +142,7 @@ class PlaneHyperbolic(NamedTuple):
                 plus, minus = (QuadraticNumber.of((2 * c, d - a - e)) for e in (r, -r))
             else:
                 plus, minus = (QuadraticNumber.of((c, d - a, -b), e) for e in (1, -1))
-        return BoundaryPoint(HALF_PLANE_ID, plus), BoundaryPoint(HALF_PLANE_ID, minus)
+        return Owned(HALF_PLANE_ID, plus), Owned(HALF_PLANE_ID, minus)
 
 
 class HalfPlaneModel(SpaceModel):
@@ -155,8 +154,8 @@ class HalfPlaneModel(SpaceModel):
     def __init__(self):
         self.model_id = HALF_PLANE_ID
 
-    def matrix(self, a, b, c, d) -> Isometry:
-        return self.isometry(Matrix2.of(a, b, c, d))
+    def matrix(self, a, b, c, d) -> Owned:
+        return self.own(Matrix2.of(a, b, c, d))
 
     # the payload hooks of SpaceModel
     _mul, _inv, _one = staticmethod(Matrix2.__mul__), staticmethod(Matrix2.inverse), Matrix2.identity()
@@ -165,13 +164,13 @@ class HalfPlaneModel(SpaceModel):
     def _size(m: Matrix2) -> int:
         return max(abs(m.a), abs(m.b), abs(m.c), abs(m.d)).bit_length()
 
-    def compose(self, first: Isometry, second: Isometry) -> Isometry:
-        return self.isometry(self.require_iso(first) * self.require_iso(second))
+    def compose(self, first: Owned, second: Owned) -> Owned:
+        return self.own(self.require(first) * self.require(second))
 
     # -- classification -----------------------------------------------------
 
-    def tag(self, iso: Isometry) -> str:
-        m: Matrix2 = self.require_iso(iso)
+    def tag(self, iso: Owned) -> str:
+        m: Matrix2 = self.require(iso)
         if m.is_proj_identity():
             return ELLIPTIC
         at, two = abs(m.a + m.d), 2 * m.s  # |tr M| against 2, scaled by s
@@ -179,14 +178,14 @@ class HalfPlaneModel(SpaceModel):
             return HYPERBOLIC
         return HYPOTHESIS_VIOLATION if at == two else ELLIPTIC
 
-    def parabolic_words(self, generators: list[Isometry], depth: int) -> tuple[tuple[int, ...], ...]:
+    def parabolic_words(self, generators: list[Owned], depth: int) -> tuple[tuple[int, ...], ...]:
         """``tag`` on every reduced word up to depth (see SpaceModel).  The
         steps are each generator image, then its inverse; level 0, the steps
         themselves, is tagged from their tuples, and deeper levels one at a
         time as a stack of unreduced matrices (see the module docstring),
         the paths of the failing words rebuilt from the word tree."""
         rows = []
-        for m in map(self.require_iso, generators):
+        for m in map(self.require, generators):
             rows += (m, m.inverse())
         found = [(j,) for j, m in enumerate(rows) if abs(m.a + m.d) == 2 * m.s and not m.is_proj_identity()]
         if depth < 2:
@@ -218,7 +217,7 @@ class HalfPlaneModel(SpaceModel):
                 found.append(tuple(reversed(path)))
         return tuple(found)
 
-    def classify(self, iso: Isometry) -> IsometryClass:
+    def classify(self, iso: Owned) -> IsometryClass:
         tag = self.tag(iso)
         m: Matrix2 = iso.payload
         if tag == HYPERBOLIC:
@@ -239,31 +238,31 @@ class HalfPlaneModel(SpaceModel):
 
     # -- boundary ----------------------------------------------------------
 
-    def boundary_equal(self, p: BoundaryPoint, q: BoundaryPoint) -> bool:
-        return self.require_boundary(p) == self.require_boundary(q)
+    def boundary_equal(self, p: Owned, q: Owned) -> bool:
+        return self.require(p) == self.require(q)
 
-    def fixes(self, iso: Isometry, b: BoundaryPoint) -> bool:
+    def fixes(self, iso: Owned, b: Owned) -> bool:
         """+-identity fixes every boundary point and a rotation, |a + d| < 2s,
         none: its fixed points are a conjugate pair off the real line."""
-        m: Matrix2 = self.require_iso(iso)
-        self.require_boundary(b)
+        m: Matrix2 = self.require(iso)
+        self.require(b)
         if m.is_proj_identity():
             return True
         if abs(m.a + m.d) < 2 * m.s:
             return False
         return super().fixes(iso, b)
 
-    def boundary_apply(self, iso: Isometry, b: BoundaryPoint) -> BoundaryPoint:
+    def boundary_apply(self, iso: Owned, b: Owned) -> Owned:
         """(a z + b)/(c z + d) on the form F that z is a root of: the image
         is a root of F(d w - b, -c w + a), whose leading coefficient F(d, -c)
         is 0 only for a rational z with cz + d = 0.  The map keeps the order
         of an irrational's two roots exactly when F(d, -c) has F's leading
         sign, so the root sign carries over and ``of`` flips it with F."""
-        m: Matrix2 = self.require_iso(iso)
-        z: QuadraticNumber | None = self.require_boundary(b)
+        m: Matrix2 = self.require(iso)
+        z: QuadraticNumber | None = self.require(b)
         a, bb, c, d = m.a, m.b, m.c, m.d  # s*M: the Mobius map is the same
         if z is None:
-            return self.boundary(None if c == 0 else QuadraticNumber.of((c, -a)))
+            return self.own(None if c == 0 else QuadraticNumber.of((c, -a)))
         if z.root:
             p, q, r = z.form
             form = (p * d * d - q * c * d + r * c * c, q * (a * d + bb * c) - 2 * (p * bb * d + r * a * c),
@@ -271,7 +270,7 @@ class HalfPlaneModel(SpaceModel):
         else:
             p, q = z.form
             form = (p * d - q * c, q * a - p * bb)
-        return self.boundary(QuadraticNumber.of(form, z.root) if form[0] else None)
+        return self.own(QuadraticNumber.of(form, z.root) if form[0] else None)
 
 
 def _acosh_ratio(num: int, den: int) -> float:

@@ -29,16 +29,11 @@ MAX_ISOMETRY_SIZE = 2**19
 
 
 @dataclass(frozen=True)
-class Isometry:
-    """A model-tagged isometry: a primitive integer plane matrix or a tree word."""
-
-    model_id: str
-    payload: Any
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A boundary-at-infinity point: projective value (plane) or ray (tree)."""
+class Owned:
+    """A value of one model, tagged with its id: an isometry (a primitive
+    plane matrix, a tree word), a boundary point (a QuadraticNumber or None
+    for infinity, a tree ray) or a lab's point (a plane triple, a tree
+    vertex label).  Its model builds it with ``own``, reads it with ``require``."""
 
     model_id: str
     payload: Any
@@ -52,9 +47,9 @@ class HyperbolicWitness(Protocol):
     built together: a reader of both reads it."""
 
     translation_length: float
-    fixed_plus: BoundaryPoint
-    fixed_minus: BoundaryPoint
-    fixed_points: tuple[BoundaryPoint, BoundaryPoint]
+    fixed_plus: Owned
+    fixed_minus: Owned
+    fixed_points: tuple[Owned, Owned]
 
 
 @dataclass(frozen=True)
@@ -76,44 +71,36 @@ class SpaceModel:
     """Base for the concrete models; subclasses fill in the payloads, the
     classification and the boundary action.
 
-    The public methods check each isometry's model id (``require_iso``).
-    Inner loops (``_power`` and ``Action.image``, the search's evaluator too)
-    run on bare payloads through four hooks each model sets, and wrap once:
+    The public methods read each value they take with ``require``, which
+    checks its model id, and tag each value they build with ``own``.  Inner
+    loops (``_power`` and ``Action.image``, the search's evaluator too) run
+    on bare payloads through four hooks each model sets, and wrap once:
     ``_mul(p, q)``, ``_inv(p)``, ``_size(p)`` (the size MAX_ISOMETRY_SIZE
     caps: plane entry bits, tree word units) and ``_one``, the identity."""
 
     kind: str
     model_id: str
 
-    # -- tagging helpers -------------------------------------------------
+    def own(self, payload) -> Owned:
+        return Owned(self.model_id, payload)
 
-    def require_iso(self, iso: Isometry) -> Any:
-        if iso.model_id != self.model_id:
-            raise MixedModels(f"isometry tagged {iso.model_id}, model is {self.model_id}")
-        return iso.payload
+    def require(self, x: Owned) -> Any:
+        """x's payload; x tagged with another model's id is MixedModels."""
+        if x.model_id != self.model_id:
+            raise MixedModels(f"value tagged {x.model_id}, model is {self.model_id}")
+        return x.payload
 
-    def require_boundary(self, b: BoundaryPoint) -> Any:
-        if b.model_id != self.model_id:
-            raise MixedModels(f"boundary point tagged {b.model_id}, model is {self.model_id}")
-        return b.payload
-
-    def isometry(self, payload) -> Isometry:
-        return Isometry(self.model_id, payload)
-
-    def boundary(self, payload) -> BoundaryPoint:
-        return BoundaryPoint(self.model_id, payload)
-
-    def compose(self, first: Isometry, second: Isometry) -> Isometry:
+    def compose(self, first: Owned, second: Owned) -> Owned:
         raise NotImplementedError
 
-    def invert(self, iso: Isometry) -> Isometry:
-        return self.isometry(self._inv(self.require_iso(iso)))
+    def invert(self, iso: Owned) -> Owned:
+        return self.own(self._inv(self.require(iso)))
 
-    def identity(self) -> Isometry:
-        return self.isometry(self._one)
+    def identity(self) -> Owned:
+        return self.own(self._one)
 
-    def size(self, iso: Isometry) -> int:
-        return self._size(self.require_iso(iso))
+    def size(self, iso: Owned) -> int:
+        return self._size(self.require(iso))
 
     def _power(self, p, n: int, size: int):
         """(p^n, a bound on its size) by repeated squaring, for p of at most
@@ -150,12 +137,12 @@ class SpaceModel:
             )
         return size
 
-    def tag(self, iso: Isometry) -> str:
+    def tag(self, iso: Owned) -> str:
         """The exact tag of ``classify(iso)``, decided without building the
         class (no fixed points, lengths or period)."""
         raise NotImplementedError
 
-    def parabolic_words(self, generators: list[Isometry], depth: int) -> tuple[tuple[int, ...], ...]:
+    def parabolic_words(self, generators: list[Owned], depth: int) -> tuple[tuple[int, ...], ...]:
         """The freely reduced words up to the given length whose tag is
         HYPOTHESIS_VIOLATION, given the generator images, as paths of step
         indices in the order of ``words.reduced_words``: level by level,
@@ -164,15 +151,15 @@ class SpaceModel:
         the images it reads."""
         raise NotImplementedError
 
-    def classify(self, iso: Isometry) -> IsometryClass:
+    def classify(self, iso: Owned) -> IsometryClass:
         raise NotImplementedError
 
-    def boundary_equal(self, p: BoundaryPoint, q: BoundaryPoint) -> bool:
+    def boundary_equal(self, p: Owned, q: Owned) -> bool:
         raise NotImplementedError
 
-    def boundary_apply(self, iso: Isometry, b: BoundaryPoint) -> BoundaryPoint:
+    def boundary_apply(self, iso: Owned, b: Owned) -> Owned:
         raise NotImplementedError
 
-    def fixes(self, iso: Isometry, b: BoundaryPoint) -> bool:
+    def fixes(self, iso: Owned, b: Owned) -> bool:
         """Whether iso fixes the boundary point b."""
         return self.boundary_equal(self.boundary_apply(iso, b), b)

@@ -76,28 +76,27 @@ def witness_line(index: int, name: str, model: SpaceModel, cls: IsometryClass) -
     if h is None:
         return line
     if isinstance(h, TreeHyperbolic):
-        rays = map(model.require_boundary, h.fixed_points)
+        rays = map(model.require, h.fixed_points)
         plus, minus = (f"ray:{model.word_display(r.prefix)};{model.word_display(r.period)}".replace(" ", ".")
                        for r in rays)
         return f"{line} plus={plus} minus={minus}"
     if isinstance(model, TreeModel):
-        model.require_boundary(h.fixed_plus)  # a plane class in a tree action: MixedModels
+        model.require(h.fixed_plus)  # a plane class in a tree action: MixedModels
     return "{} plus={} minus={}".format(line, *_plane_points(*h))
 
 
 def check_printable(model: SpaceModel, cls: IsometryClass) -> None:
     """Raise what ``witness_line`` raises on cls in model (MixedModels for
-    another model's class, ValidationError past the print limit), printing
-    only a class that may: a tree class with another model's rays, a plane
-    class in a tree action or one whose printed integers, of at most 2L + 2
-    bits for L-bit entries, may pass the limit."""
+    another model's class, ValidationError past the print limit): a tree
+    class's rays are read with ``model.require``, and only a plane class in
+    a tree action or one whose printed integers, of at most 2L + 2 bits for
+    L-bit entries, may pass the limit is printed."""
     h, limit = cls.hyperbolic, sys.get_int_max_str_digits()  # 0 (none) or >= 640
     if isinstance(h, TreeHyperbolic):
-        plain = h.fixed_plus.model_id == h.fixed_minus.model_id == model.model_id
-    else:  # 3 limit bits print in under limit digits; h[:5] is a, b, c, d, s
-        plain = h is None or not isinstance(model, TreeModel) and (
-            not limit or 2 * max(map(abs, h[:5])).bit_length() + 2 <= 3 * limit)
-    if not plain:
+        for ray in h.fixed_points:  # in witness_line's order
+            model.require(ray)
+    elif not (h is None or not isinstance(model, TreeModel) and (  # 3 limit bits print in under limit digits
+            not limit or 2 * max(map(abs, h[:5])).bit_length() + 2 <= 3 * limit)):  # h[:5] is a, b, c, d, s
         witness_line(0, "", model, cls)
 
 

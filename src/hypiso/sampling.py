@@ -14,9 +14,9 @@ import random
 from fractions import Fraction
 
 from .actions import Action, ActionSystem
-from .geometry import Point, lab
+from .geometry import lab
 from .halfplane import HalfPlaneModel
-from .models import HYPERBOLIC, Isometry, SpaceModel
+from .models import Owned, SpaceModel
 from .trees import BassSerreModel, CayleyTreeModel
 from .words import GroupWord
 
@@ -28,7 +28,7 @@ def rng_from_seed(seed: int) -> random.Random:
 # -- points -------------------------------------------------------------
 
 
-def sample_plane_points(model: HalfPlaneModel, count: int, rng: random.Random) -> list[Point]:
+def sample_plane_points(model: HalfPlaneModel, count: int, rng: random.Random) -> list[Owned]:
     """Random rational points, x in [-3, 3] and y in [1/10, 4], both over 100."""
     geo = lab(model)
     return [geo.point_xy(rng.randint(-300, 300), rng.randint(10, 400), 100) for _ in range(count)]
@@ -37,20 +37,20 @@ def sample_plane_points(model: HalfPlaneModel, count: int, rng: random.Random) -
 # -- plane isometries -----------------------------------------------------
 
 
-def _shear_product(model: HalfPlaneModel, u: int, v: int, lower_first: bool) -> Isometry:
+def _shear_product(model: HalfPlaneModel, u: int, v: int, lower_first: bool) -> Owned:
     lower = model.matrix(1, 0, v, 1)
     upper = model.matrix(1, u, 0, 1)
     return model.compose(lower, upper) if lower_first else model.compose(upper, lower)
 
 
-def random_plane_hyperbolic(model: HalfPlaneModel, rng: random.Random) -> Isometry:
+def random_plane_hyperbolic(model: HalfPlaneModel, rng: random.Random) -> Owned:
     """|trace| > 2, entries of height <= 10, axis passing near i."""
     u = rng.choice([1, 2, 3]) * rng.choice([1, -1])
     v = abs(rng.choice([1, 2, 3])) * (1 if u > 0 else -1)  # uv > 0: trace 2 + uv
     return _shear_product(model, u, v, rng.random() < 0.5)
 
 
-def random_plane_elliptic(model: HalfPlaneModel, rng: random.Random) -> Isometry:
+def random_plane_elliptic(model: HalfPlaneModel, rng: random.Random) -> Owned:
     """|trace| < 2; finite rotation orders 2 and 3 or an infinite-order
     rotation with trace +-1/2, fixed point near i."""
     if rng.random() < 0.25:
@@ -78,12 +78,12 @@ def _random_bs_syllables(model: BassSerreModel, rng: random.Random, n: int) -> l
     return out
 
 
-def random_bs_hyperbolic(model: BassSerreModel, rng: random.Random) -> Isometry:
+def random_bs_hyperbolic(model: BassSerreModel, rng: random.Random) -> Owned:
     """Alternating even-syllable word: cyclically reduced, tau = 2 or 4."""
     return model.word(_random_bs_syllables(model, rng, 2 * rng.randint(1, 2)))
 
 
-def random_bs_elliptic(model: BassSerreModel, rng: random.Random) -> Isometry:
+def random_bs_elliptic(model: BassSerreModel, rng: random.Random) -> Owned:
     factor = rng.choice((0, 1))
     order = model.orders[factor]
     core = [(factor, rng.randint(1, order - 1))]
@@ -103,15 +103,12 @@ def _random_cayley_word(model: CayleyTreeModel, rng: random.Random, n: int) -> l
     return word
 
 
-def random_cayley_hyperbolic(model: CayleyTreeModel, rng: random.Random) -> Isometry:
-    """A nontrivial reduced word of at most 4 letters."""
-    while True:
-        iso = model.word(_random_cayley_word(model, rng, rng.randint(1, 4)))
-        if model.tag(iso) == HYPERBOLIC:
-            return iso
+def random_cayley_hyperbolic(model: CayleyTreeModel, rng: random.Random) -> Owned:
+    """A nontrivial reduced word of at most 4 letters: hyperbolic, as the group acts freely."""
+    return model.word(_random_cayley_word(model, rng, rng.randint(1, 4)))
 
 
-def random_hyperbolic(model: SpaceModel, rng: random.Random) -> Isometry:
+def random_hyperbolic(model: SpaceModel, rng: random.Random) -> Owned:
     if isinstance(model, HalfPlaneModel):
         return random_plane_hyperbolic(model, rng)
     if isinstance(model, BassSerreModel):
@@ -119,7 +116,7 @@ def random_hyperbolic(model: SpaceModel, rng: random.Random) -> Isometry:
     return random_cayley_hyperbolic(model, rng)
 
 
-def random_elliptic(model: SpaceModel, rng: random.Random) -> Isometry:
+def random_elliptic(model: SpaceModel, rng: random.Random) -> Owned:
     if isinstance(model, HalfPlaneModel):
         return random_plane_elliptic(model, rng)
     if isinstance(model, BassSerreModel):

@@ -26,9 +26,8 @@ from .models import (
     ELLIPTIC,
     HYPERBOLIC,
     MAX_ISOMETRY_SIZE,
-    BoundaryPoint,
-    Isometry,
     IsometryClass,
+    Owned,
     SpaceModel,
 )
 from .words import format_powers, parse_powers, reduce_powers
@@ -50,8 +49,8 @@ class TreeHyperbolic(NamedTuple):
     syllables) and the rays its axis runs between."""
 
     length: int
-    fixed_plus: BoundaryPoint
-    fixed_minus: BoundaryPoint
+    fixed_plus: Owned
+    fixed_minus: Owned
     translation_length = property(lambda self: float(self.length))
     fixed_points = property(lambda self: (self.fixed_plus, self.fixed_minus))
 
@@ -67,13 +66,13 @@ class TreeModel(SpaceModel):
 
     _size, _one = staticmethod(len), ()  # the other two payload hooks
 
-    def word(self, units) -> Isometry:
-        return self.isometry(self.normal_form(tuple(units)))
+    def word(self, units) -> Owned:
+        return self.own(self.normal_form(tuple(units)))
 
-    def tag(self, iso: Isometry) -> str:
-        return self.core_tag(self.cyclic_reduce(self.require_iso(iso))[1])
+    def tag(self, iso: Owned) -> str:
+        return self.core_tag(self.cyclic_reduce(self.require(iso))[1])
 
-    def parabolic_words(self, generators: list[Isometry], depth: int) -> tuple:
+    def parabolic_words(self, generators: list[Owned], depth: int) -> tuple:
         """None: an automorphism of a tree without inversions is elliptic or
         hyperbolic, never parabolic (Serre, *Trees*, ch. I §6.4;
         Culler-Morgan 1987, §1).  Neither model inverts an edge: the
@@ -86,7 +85,7 @@ class TreeModel(SpaceModel):
         reduced, v cyclically) with v not conjugate into a vertex stabilizer:
         translation length |v|, axis from the ray u . v^inf to the ray
         u . v^-inf, each folded from the reduced parts with no re-check."""
-        plus, minus = self.boundary(self._fold(u, v)), self.boundary(self._fold(u, self.invert_word(v)))
+        plus, minus = self.own(self._fold(u, v)), self.own(self._fold(u, self.invert_word(v)))
         return IsometryClass(HYPERBOLIC, hyperbolic=TreeHyperbolic(len(v), plus, minus))
 
     # -- boundary rays ------------------------------------------------------
@@ -104,16 +103,16 @@ class TreeModel(SpaceModel):
         periods = -((len(ray.prefix) - count) // len(ray.period))  # ceil((count - |prefix|) / |period|); <= 0 is none
         return (ray.prefix + ray.period * periods)[:count]
 
-    def boundary_equal(self, p: BoundaryPoint, q: BoundaryPoint) -> bool:
+    def boundary_equal(self, p: Owned, q: Owned) -> bool:
         """Cofinality test, the one comparison of two rays: the reduced unit
         streams agree forever iff they agree up to the preperiods plus one common period."""
-        r1, r2 = self.require_boundary(p), self.require_boundary(q)
+        r1, r2 = self.require(p), self.require(q)
         n = max(len(r1.prefix), len(r2.prefix)) + 2 * math.lcm(len(r1.period), len(r2.period))
         return self._ray_units(r1, n) == self._ray_units(r2, n)
 
-    def boundary_apply(self, iso: Isometry, b: BoundaryPoint) -> BoundaryPoint:
-        g, ray = self.require_iso(iso), self.require_boundary(b)  # g . prefix is reduced: fold the junction only
-        return self.boundary(self._fold(self.multiply(g, ray.prefix), ray.period))
+    def boundary_apply(self, iso: Owned, b: Owned) -> Owned:
+        g, ray = self.require(iso), self.require(b)  # g . prefix is reduced: fold the junction only
+        return self.own(self._fold(self.multiply(g, ray.prefix), ray.period))
 
 
 class CayleyTreeModel(TreeModel):
@@ -163,8 +162,8 @@ class CayleyTreeModel(TreeModel):
 
     _mul, _inv = multiply, invert_word
 
-    def compose(self, first: Isometry, second: Isometry) -> Isometry:
-        return self.isometry(self.multiply(self.require_iso(first), self.require_iso(second)))
+    def compose(self, first: Owned, second: Owned) -> Owned:
+        return self.own(self.multiply(self.require(first), self.require(second)))
 
     # -- classification ----------------------------------------------------
 
@@ -180,8 +179,8 @@ class CayleyTreeModel(TreeModel):
         # free actions: only the identity is elliptic
         return HYPERBOLIC if v else ELLIPTIC
 
-    def classify(self, iso: Isometry) -> IsometryClass:
-        u, v = self.cyclic_reduce(self.require_iso(iso))
+    def classify(self, iso: Owned) -> IsometryClass:
+        u, v = self.cyclic_reduce(self.require(iso))
         if self.core_tag(v) == HYPERBOLIC:
             return self._hyperbolic(u, v)
         return IsometryClass(ELLIPTIC, period=1)
@@ -190,7 +189,7 @@ class CayleyTreeModel(TreeModel):
         letters = ((_LETTER_NAMES[abs(x) - 1], 1 if x > 0 else -1) for x in payload)
         return format_powers(reduce_powers(letters))
 
-    def parse_word(self, text: str) -> Isometry:
+    def parse_word(self, text: str) -> Owned:
         names = tuple(_LETTER_NAMES[: self.rank])
 
         def check(name: str, token: str) -> None:
@@ -251,8 +250,8 @@ class BassSerreModel(TreeModel):
 
     _mul, _inv = multiply, invert_word
 
-    def compose(self, first: Isometry, second: Isometry) -> Isometry:
-        return self.isometry(self.multiply(self.require_iso(first), self.require_iso(second)))
+    def compose(self, first: Owned, second: Owned) -> Owned:
+        return self.own(self.multiply(self.require(first), self.require(second)))
 
     # -- classification -------------------------------------------------------
 
@@ -282,8 +281,8 @@ class BassSerreModel(TreeModel):
         # a core of one syllable is conjugate into a factor
         return HYPERBOLIC if len(v) >= 2 else ELLIPTIC
 
-    def classify(self, iso: Isometry) -> IsometryClass:
-        u, v = self.cyclic_reduce(self.require_iso(iso))
+    def classify(self, iso: Owned) -> IsometryClass:
+        u, v = self.cyclic_reduce(self.require(iso))
         if self.core_tag(v) == HYPERBOLIC:
             return self._hyperbolic(u, v)
         if not v:
@@ -295,7 +294,7 @@ class BassSerreModel(TreeModel):
     def word_display(self, payload: tuple) -> str:
         return format_powers([("st"[f], e) for f, e in payload])
 
-    def parse_word(self, text: str) -> Isometry:
+    def parse_word(self, text: str) -> Owned:
         def check(name: str, token: str) -> None:
             if name not in ("s", "t"):
                 raise ValueError(f"unknown letter {name!r}; bass_serre words use s and t")

@@ -71,7 +71,7 @@ MUTANTS = (
     # each point's denominator over to the other point's coordinates
     Mutant("plane-point-not-primitive", "geometry.py",
            "return self.point_xy(u * v + a * c * Y * Y, Y * D * m.s * m.s, v * v + c * c * Y * Y)",
-           "return self.point((u * v + a * c * Y * Y, Y * D * m.s * m.s, v * v + c * c * Y * Y))",
+           "return self.model.own((u * v + a * c * Y * Y, Y * D * m.s * m.s, v * v + c * c * Y * Y))",
            ("tests/test_classification_sweep.py::test_a_plane_point_has_one_spelling",)),
     Mutant("cosh-swaps-denominators", "geometry.py",
            "dx, r1, r2 = X1 * D2 - X2 * D1, Y1 * D2, Y2 * D1", "dx, r1, r2 = X1 * D2 - X2 * D1, Y1 * D1, Y2 * D2",
@@ -85,6 +85,15 @@ MUTANTS = (
     Mutant("exact-log-adds-the-denominator", "geometry.py",
            "math.log(q.numerator) - math.log(q.denominator)", "math.log(q.numerator) + math.log(q.denominator)",
            ("tests/test_dynamics.py::test_plane_products_past_float_range_match_the_floats",)),
+    # require is the one check of a value's model id, and the plane's fixes
+    # shortcut runs it on the boundary point before deciding
+    Mutant("require-checks-nothing", "models.py",
+           "if x.model_id != self.model_id:", "if x.model_id is None:",
+           ("tests/test_geometry.py::test_distance_checks_models",
+            "tests/test_halfplane.py::test_mixed_models_rejected", ORACLE)),
+    Mutant("plane-fixes-skips-the-boundary-check", "halfplane.py",
+           "        self.require(b)\n        if m.is_proj_identity():", "        if m.is_proj_identity():",
+           ("tests/test_actions.py::test_foreign_boundary_and_lab_points_are_refused",)),
     # the size cap: squares are sized once their bound passes it, and a
     # word's image keeps the running bound of the product so far
     Mutant("power-squares-never-sized", "models.py",

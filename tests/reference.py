@@ -23,7 +23,7 @@ from hypiso.words import reduced_words
 
 def power(model, iso, n: int):
     """iso^n, by the models' own repeated squaring."""
-    return model.isometry(model._power(model.require_iso(iso), n, model.size(iso))[0])
+    return model.own(model._power(model.require(iso), n, model.size(iso))[0])
 
 
 def bfs_distance(model, x, y) -> int:
@@ -32,7 +32,7 @@ def bfs_distance(model, x, y) -> int:
     the ball about the basepoint that holds both endpoints, since a tree
     geodesic goes no deeper than its deeper end."""
     geo = lab(model)
-    cx, cy = geo.require_point(x), geo.require_point(y)
+    cx, cy = geo.model.require(x), geo.model.require(y)
     if cx == cy:
         return 0
     bound = max(len(cx), len(cy))
@@ -57,10 +57,10 @@ def fixed_vertices(model, iso, radius: int) -> list:
     ``_neighbors`` and each vertex is moved by ``apply``, so no distance is
     read."""
     geo = lab(model)
-    root = geo.basepoint.coords
+    root = geo.basepoint.payload
     seen, level, out = {root}, [root], []
     for _ in range(radius + 1):
-        out += [geo.point(v) for v in level if geo.apply(iso, geo.point(v)).coords == v]
+        out += [geo.model.own(v) for v in level if geo.apply(iso, geo.model.own(v)).payload == v]
         level = [nb for v in level for nb in geo._neighbors(v) if nb not in seen]
         seen.update(level)
     return out
@@ -70,9 +70,9 @@ def geodesic(model, x, y) -> list:
     """The vertices of a tree model's geodesic [x, y], in order: up from x
     to the meet of the root paths, then down to y."""
     geo = lab(model)
-    u, v = geo.require_point(x), geo.require_point(y)
+    u, v = geo.model.require(x), geo.model.require(y)
     k = _common_prefix_len(u, v)
-    return [geo.point(geo._along(u, v, k, t)) for t in range(geo._dist(u, v) + 1)]
+    return [geo.model.own(geo._along(u, v, k, t)) for t in range(geo._dist(u, v) + 1)]
 
 
 def gromov_product(model, x, y, w) -> float:
@@ -105,7 +105,7 @@ def pairwise_distances_by_meets(model, points) -> list[list[int]]:
     d(u, v) = |u| + |v| - 2 k(u, v) for the root paths u and v and their
     common prefix's length k, row u, column v."""
     geo = lab(model)
-    vs = [geo.require_point(p) for p in points]
+    vs = [geo.model.require(p) for p in points]
     depths = [len(v) for v in vs]
     rows = [[0] * len(vs) for _ in vs]
     for i, u in enumerate(vs):
@@ -149,7 +149,7 @@ def separation_witnesses(action, g, u_plus, u_minus, sample) -> list:
 
 def vertex(model, letters):
     """The vertex of a Cayley tree at the end of the word of the letters."""
-    return lab(model).point(model.normal_form(tuple(letters)))
+    return model.own(model.normal_form(tuple(letters)))
 
 
 def coset(model, v) -> tuple:
@@ -168,7 +168,7 @@ def coset_action(model, g, c) -> tuple:
 
 def coset_vertex(model, word, vtype: int):
     """The vertex of a Bass-Serre tree for the coset word.<factor vtype>."""
-    return lab(model).point(lab(model)._vertex(*coset_action(model, word, ((), vtype))))
+    return model.own(lab(model)._vertex(*coset_action(model, word, ((), vtype))))
 
 
 def sample_tree_points(model, count: int, rng) -> list:
@@ -198,7 +198,7 @@ def sample_points(model, count: int, rng) -> list:
 
 def plane_xy(p) -> tuple[Fraction, Fraction]:
     """A plane point's coordinates (x, y), from its triple (X, Y, D)."""
-    x, y, d = p.coords
+    x, y, d = p.payload
     return Fraction(x, d), Fraction(y, d)
 
 
@@ -405,7 +405,7 @@ def capped_image(action, word):
     model = action.model
     out = model._one
     for gen, e in word.syllables:
-        power = capped_power(model, model.require_iso(action.images[gen]), e)
+        power = capped_power(model, model.require(action.images[gen]), e)
         out = _capped(model, model._mul(out, power), "a word's image")
     return out
 

@@ -245,7 +245,7 @@ def test_acceptance_plane_delta_bound():
     count = 0
     for i in range(300):
         x, y, z = tripts[i], tripts[i + 1], tripts[i + 2]
-        if x.coords == y.coords or y.coords == z.coords or x.coords == z.coords:
+        if x.payload == y.payload or y.payload == z.payload or x.payload == z.payload:
             continue
         worst_insize = max(worst_insize, internal_points(plane, x, y, z).insize)
         count += 1

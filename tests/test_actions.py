@@ -12,6 +12,7 @@ import pytest
 
 from hypiso.actions import Action
 from hypiso.errors import MixedModels, ValidationError
+from hypiso.geometry import lab
 from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.models import MAX_ISOMETRY_SIZE, SpaceModel
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
@@ -85,13 +86,13 @@ def test_image_and_power_build_one_isometry(make_action, monkeypatch):
     model = action.model
     word = GroupWord((("f", 3), ("g", -2), ("h", 1), ("f", 3), ("g", 5), ("f", -1)))
     built = []
-    isometry = SpaceModel.isometry
+    own = SpaceModel.own
 
     def counted(self, payload):
         built.append(payload)
-        return isometry(self, payload)
+        return own(self, payload)
 
-    monkeypatch.setattr(SpaceModel, "isometry", counted)
+    monkeypatch.setattr(SpaceModel, "own", counted)
     image = action.image(word)
     assert len(built) == 1 and built[0] is image.payload
     built.clear()
@@ -120,6 +121,33 @@ def test_foreign_isometries_are_refused_where_they_enter(make_action):
             refused()
 
 
+@pytest.mark.parametrize("make_action", ACTIONS[:3], ids=ACTION_IDS[:3])
+def test_foreign_boundary_and_lab_points_are_refused(make_action):
+    # a boundary point or a lab point is its model's too: each public
+    # boundary method and lab method that takes one refuses another
+    # model's, the plane's fixes shortcut before it decides
+    action = make_action()
+    model, own = action.model, action.images["f"]
+    other = CayleyTreeModel(3) if isinstance(model, HalfPlaneModel) else HalfPlaneModel()
+    hyperbolic = other.word([1, 2]) if isinstance(other, CayleyTreeModel) else other.matrix(2, 1, 1, 1)
+    b, foreign = model.classify(own).hyperbolic.fixed_plus, other.classify(hyperbolic).hyperbolic.fixed_plus
+    geo = lab(model)
+    base = geo.basepoint
+    refusals = [
+        lambda: model.fixes(model.identity(), foreign),
+        lambda: model.fixes(own, foreign),
+        lambda: model.boundary_apply(own, foreign),
+        lambda: model.boundary_equal(b, foreign),
+        lambda: model.boundary_equal(foreign, b),
+        lambda: geo.apply(own, lab(other).basepoint),
+        lambda: geo.gromov_boundary_point(foreign, base, base),
+        lambda: geo.gromov_boundary_pair(b, foreign, base),
+    ]
+    for refused in refusals:
+        with pytest.raises(MixedModels):
+            refused()
+
+
 # the largest n with [[2, 1], [1, 1]]^n under the cap: 524,287 bits, and
 # 524,289 for n + 1
 N0 = 377_597
@@ -143,7 +171,7 @@ def _cap_cases():
     quarter = plane._power(x, N0 // 4, 2)[0]
     images = {"f": x, "g": Matrix2.of(1, 1, 0, 1), "h": Matrix2.of(0, -1, 1, 0)}
     yield (
-        Action("plane", plane, {gen: plane.isometry(m) for gen, m in images.items()}),
+        Action("plane", plane, {gen: plane.own(m) for gen, m in images.items()}),
         [("f", N0), ("f", -(N0 + 1)), ("h", 10**6 + 1)],
         [f"f^{N0 - 1} g^3", f"f^{N0 // 2} h f^{N0 - N0 // 2}"],
         [(quarter, quarter, 2, 2), (quarter, quarter, 2, 3), (quarter, images["h"], 4, 10**6)],
@@ -178,7 +206,7 @@ def test_bounded_cap_raises_where_every_product_is_sized(case):
     model = action.model
     outcomes = set()
     for gen, n in powers:
-        p = model.require_iso(action.images[gen])
+        p = model.require(action.images[gen])
         got = _outcome(lambda: model._power(p, n, model._size(p)))
         expected = _outcome(lambda: capped_power(model, p, n))
         assert got == expected if isinstance(got, str) else got[0] == expected, (gen, n)
@@ -192,7 +220,7 @@ def test_bounded_cap_raises_where_every_product_is_sized(case):
         assert got == expected if isinstance(got, str) else got.payload == expected, text
         outcomes.add(isinstance(got, str))
     for F, G, a, b in products:
-        pair = Action("pair", model, {"f": model.isometry(F), "g": model.isometry(G)})
+        pair = Action("pair", model, {"f": model.own(F), "g": model.own(G)})
         got = _outcome(lambda: pair.image(GroupWord((("f", a), ("g", b)))))
         expected = _outcome(lambda: capped_product(model, F, G, a, b))
         assert got == expected if isinstance(got, str) else got.payload == expected, (a, b)

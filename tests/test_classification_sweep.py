@@ -134,12 +134,12 @@ def test_trichotomy_exhaustive_small_entries(monkeypatch):
     seen = {"elliptic": 0, "hyperbolic": 0, "hypothesis_violation": 0}
     rotations = []  # s of each rotation of order 2 or 3
     previous = Matrix2.identity()
-    inf, half = plane.boundary(None), plane.boundary(QuadraticNumber.of((2, -1)))
+    inf, half = plane.own(None), plane.own(QuadraticNumber.of((2, -1)))
     # last, a product of content exactly 2: diag(2, 1/2) [[1, 1/2], [0, 1]] is
     # (4, 0, 0, 1) (2, 1, 0, 2) = 2 (4, 2, 0, 1), s = 2
     content_2 = (Matrix2.of(1, Fraction(1, 2), 0, 1), Matrix2.of(2, 0, 0, Fraction(1, 2)))
     for m in (*sweep_matrices(), *content_2):
-        iso = plane.isometry(m)
+        iso = plane.own(m)
         with integer_only(monkeypatch):
             tag, cls = plane.tag(iso), plane.classify(iso)
             images = [plane.boundary_apply(iso, z) for z in (inf, half)]
@@ -208,7 +208,7 @@ def test_tag_matches_classify_on_sweep():
     assert Matrix2.of(1, 0, 0, 1) in sweep and Matrix2.of(-1, 0, 0, -1) in sweep
     tags = set()
     for m in sweep:
-        iso = plane.isometry(m)
+        iso = plane.own(m)
         tags.add(plane.tag(iso))
         assert plane.tag(iso) == plane.classify(iso).tag
     assert tags == {"elliptic", "hyperbolic", "hypothesis_violation"}
@@ -225,7 +225,7 @@ def test_fixed_points_are_distinct_roots_sympy():
     plane = HalfPlaneModel()
     checked = 0
     for m in sweep_matrices():
-        cls = plane.classify(plane.isometry(m))
+        cls = plane.classify(plane.own(m))
         if not cls.is_hyperbolic:
             continue
         a, b, c, d = (exact(x) for x in m.entries())
@@ -272,7 +272,7 @@ def test_boundary_apply_on_irrational_fixed_points_sympy():
         return field.convert(exact(u)) + field.convert(exact(v) * k) * root
 
     plane = HalfPlaneModel()
-    sweep = list(map(plane.isometry, sweep_matrices()))
+    sweep = list(map(plane.own, sweep_matrices()))
     points = []
     for cls in map(plane.classify, sweep):
         if cls.is_hyperbolic:
@@ -321,7 +321,7 @@ def test_plane_classes_match_the_fraction_derivation():
     plane = HalfPlaneModel()
     kinds = Counter()
     for m in [*sweep_matrices(), *chain_sized_matrices()]:
-        cls = plane.classify(plane.isometry(m))
+        cls = plane.classify(plane.own(m))
         if not cls.is_hyperbolic:
             continue
         _, plus, minus, tau, cosh = plane_class_reference(m)
@@ -344,7 +344,7 @@ def test_integer_witness_lines_match_the_fraction_derivation():
     plane = HalfPlaneModel()
     cases = Counter()
     for m in [*sweep_matrices(), *chain_sized_matrices()]:
-        cls = plane.classify(plane.isometry(m))
+        cls = plane.classify(plane.own(m))
         if not cls.is_hyperbolic:
             continue
         assert witness_line(0, "w", plane, cls) == plane_witness_line_reference(0, "w", m)
@@ -368,7 +368,7 @@ def test_witness_line_past_the_digit_limit():
     fib = power(plane, plane.matrix(2, 1, 1, 1), 5 * limit // 3)  # entries of about 0.7 limit digits
     assert class_invariant(plane.classify(fib)).startswith("cosh-half=")
     for m in (Matrix2.of(big, 1, big - 1, 1), Matrix2.of(1, big - 1, 1, big), fib.payload, fib.payload.inverse()):
-        cls = plane.classify(plane.isometry(m))
+        cls = plane.classify(plane.own(m))
         with pytest.raises(ValidationError, match=re.escape(message)):
             witness_line(0, "w", plane, cls)
     assert witness_line(0, "w", plane, plane.classify(plane.matrix(2, 1, 1, 1))) == (
@@ -392,7 +392,7 @@ def test_classes_hold_no_float_or_fraction():
     # a class keeps the integers its record prints: no field, down to the
     # boundary points' payloads, is a float or a Fraction
     plane, cayley, bs = HalfPlaneModel(), CayleyTreeModel(2), BassSerreModel(2, 3)
-    classes = [plane.classify(plane.isometry(m)) for m in [*sweep_matrices(), *chain_sized_matrices()]]
+    classes = [plane.classify(plane.own(m)) for m in [*sweep_matrices(), *chain_sized_matrices()]]
     for model, units in ((cayley, (1, -1, 2, -2)), (bs, ((0, 1), (1, 1), (1, 2)))):
         classes += [model.classify(model.word(w)) for n in range(4) for w in itertools.product(units, repeat=n)]
     assert {(type(cls.hyperbolic).__name__, cls.tag) for cls in classes} == {
@@ -408,9 +408,9 @@ def test_fixes_matches_the_boundary_action_on_sweep():
     # answer must be the boundary action's, for every sweep matrix against
     # infinity, small rationals and the fixed points of the sweep's hyperbolics
     plane = HalfPlaneModel()
-    sweep = [(iso, plane.classify(iso)) for iso in map(plane.isometry, sweep_matrices())]
-    points = {plane.boundary(None)}
-    points |= {plane.boundary(QuadraticNumber.of((d, -n))) for n in range(-3, 4) for d in (1, 2, 3)}
+    sweep = [(iso, plane.classify(iso)) for iso in map(plane.own, sweep_matrices())]
+    points = {plane.own(None)}
+    points |= {plane.own(QuadraticNumber.of((d, -n))) for n in range(-3, 4) for d in (1, 2, 3)}
     points |= {
         p for _, c in sweep if c.is_hyperbolic for p in (c.hyperbolic.fixed_plus, c.hyperbolic.fixed_minus)
     }
@@ -433,7 +433,7 @@ def test_fixes_matches_the_boundary_action_on_sweep():
 def test_fixes_matches_the_boundary_action_on_trees(model, units):
     # every word of up to three units against the rays it and the others fix
     words = {model.word(w) for n in range(4) for w in itertools.product(units, repeat=n)}
-    rays = [model.boundary(RayDescriptor((), model.cyclic_reduce(model.require_iso(w))[1])) for w in words
+    rays = [model.own(RayDescriptor((), model.cyclic_reduce(model.require(w))[1])) for w in words
             if model.tag(w) == "hyperbolic"]
     for w in words:
         cls = model.classify(w)
@@ -502,13 +502,13 @@ def test_plane_lab_matches_the_fraction_metric():
     moved = []
     for m in sweep_matrices():
         for p in points[:4]:
-            moved.append(geo.apply(plane.isometry(m), p))
+            moved.append(geo.apply(plane.own(m), p))
             assert plane_xy(moved[-1]) == xy_apply_reference(m, plane_xy(p))
     everything = points + along + far + moved[::9]
     assert any(_outcome(geo._floats, p) is OverflowError for p in far[3:])
     assert all(geo._floats(p)[1] == 0.0 for p in far[:3])
-    hyperbolic = [g for g in map(plane.isometry, sweep_matrices()) if plane.tag(g) == "hyperbolic"]
-    ends = [b for g in hyperbolic[::40] for b in plane.classify(g).hyperbolic.fixed_points] + [plane.boundary(None)]
+    hyperbolic = [g for g in map(plane.own, sweep_matrices()) if plane.tag(g) == "hyperbolic"]
+    ends = [b for g in hyperbolic[::40] for b in plane.classify(g).hyperbolic.fixed_points] + [plane.own(None)]
     assert {b.payload is None for b in ends} == {True, False} and any(b.payload and b.payload.root for b in ends)
     for p in everything:
         assert _outcome(geo._floats, p) == _outcome(xy_floats_reference, plane_xy(p))
@@ -527,22 +527,22 @@ def test_plane_lab_matches_the_fraction_metric():
 
 def test_a_plane_point_has_one_spelling():
     # a point's triple is primitive with D > 0, so equal points have equal
-    # coords however they were built: from rationals, ints over a common d
+    # payloads however they were built: from rationals, ints over a common d
     # or floats, moved by +-identity, or moved by g and back by g^-1
     plane = HalfPlaneModel()
     geo = lab(plane)
     points, along, far = _plane_sweep_points(plane)
-    assert geo.point_xy(Fraction(1, 2), 3).coords == geo.point_xy(2, 12, 4).coords == geo.point_xy(0.5, 3.0).coords
+    assert geo.point_xy(Fraction(1, 2), 3).payload == geo.point_xy(2, 12, 4).payload == geo.point_xy(0.5, 3.0).payload
     for p in points + along + far:
-        (x, y), (X, Y, D) = plane_xy(p), p.coords
+        (x, y), (X, Y, D) = plane_xy(p), p.payload
         assert D > 0 and Y > 0 and math.gcd(X, Y, D) == 1
-        assert geo.point_xy(x, y).coords == geo.point_xy(3 * X, 3 * Y, 3 * D).coords == p.coords
+        assert geo.point_xy(x, y).payload == geo.point_xy(3 * X, 3 * Y, 3 * D).payload == p.payload
         for identity in (plane.identity(), plane.matrix(-1, 0, 0, -1)):
-            assert geo.apply(identity, p).coords == p.coords
+            assert geo.apply(identity, p).payload == p.payload
     for m in list(sweep_matrices())[::5]:
-        g = plane.isometry(m)
+        g = plane.own(m)
         for p in points + far[:1]:
-            assert geo.apply(plane.invert(g), geo.apply(g, p)).coords == p.coords
+            assert geo.apply(plane.invert(g), geo.apply(g, p)).payload == p.payload
 
 
 def test_power_negative_exponents():
@@ -552,15 +552,15 @@ def test_power_negative_exponents():
     assert power(plane, F, 0).payload.is_proj_identity()
     bs = BassSerreModel(2, 3)
     w = bs.word([(0, 1), (1, 2)])
-    assert bs.require_iso(bs.compose(power(bs, w, -3), power(bs, w, 3))) == ()
+    assert bs.require(bs.compose(power(bs, w, -3), power(bs, w, 3))) == ()
 
 
 def test_ray_equality_different_period_lengths():
     bs = BassSerreModel(2, 3)
     per = ((0, 1), (1, 1))
     double = per + per
-    assert bs.boundary_equal(bs.boundary(RayDescriptor((), per)), bs.boundary(RayDescriptor((), double)))
-    assert not bs.boundary_equal(bs.boundary(RayDescriptor((), per)), bs.boundary(RayDescriptor((), ((0, 1), (1, 2)))))
+    assert bs.boundary_equal(bs.own(RayDescriptor((), per)), bs.own(RayDescriptor((), double)))
+    assert not bs.boundary_equal(bs.own(RayDescriptor((), per)), bs.own(RayDescriptor((), ((0, 1), (1, 2)))))
 
 
 def test_concurrent_classification_is_stable():
@@ -570,11 +570,11 @@ def test_concurrent_classification_is_stable():
     bs = BassSerreModel(2, 3)
     mats = [m for m in det_one_matrices(2)][:60]
     words = [bs.word([(0, 1), (1, e)]) for e in (1, 2)] * 30
-    expected_plane = [plane.classify(plane.isometry(m)).tag for m in mats]
+    expected_plane = [plane.classify(plane.own(m)).tag for m in mats]
     expected_tree = [bs.classify(w).hyperbolic.length for w in words]
     pairs = [(lab(bs).basepoint, v) for v in lab(bs).ball_vertices(4) for _ in (0, 1)]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        got_plane = list(pool.map(lambda m: plane.classify(plane.isometry(m)).tag, mats))
+        got_plane = list(pool.map(lambda m: plane.classify(plane.own(m)).tag, mats))
         got_tree = list(pool.map(lambda w: bs.classify(w).hyperbolic.length, words))
         dists = list(pool.map(lambda p: lab(bs).distance_key(*p), pairs))
     assert got_plane == expected_plane

@@ -690,7 +690,7 @@ def chain_systems(draw, max_k: int = 4):
             images = {}
             for j, gen in enumerate(gens):
                 m = Matrix2.of(*draw(st.sampled_from(PLANE_HYPERBOLICS if j == i else PLANE_ROTATIONS)))
-                images[gen] = plane.isometry(shear * m * shear.inverse())
+                images[gen] = plane.own(shear * m * shear.inverse())
             actions.append(Action(f"plane{i}", plane, images))
         else:
             bs = BassSerreModel(2, 3)

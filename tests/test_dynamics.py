@@ -420,7 +420,7 @@ def test_plane_products_past_float_range_match_the_floats(plane, monkeypatch):
     for seed, action, g in _sampled_witnesses():
         if action.model.kind == "half_plane":
             points = sample_points(plane, 8, rng_from_seed(seed))
-            for b in (*plane.classify(g).hyperbolic.fixed_points, plane.boundary(None)):
+            for b in (*plane.classify(g).hyperbolic.fixed_points, plane.own(None)):
                 cases += [(b, y, w) for w in (geo.basepoint, points[0]) for y in points[1:]]
     floats = [geo.gromov_boundary_point(*case) for case in cases]
 
@@ -620,7 +620,7 @@ def test_orbit_projection_basepoint(plane):
     [proj] = orbit_projection(act, act.image(GroupWord.parse("f")), lab(plane).basepoint, [lab(plane).basepoint], 8)
     assert proj.defect == 0.0
     assert proj.exponents[0] == 0
-    assert proj.nearest[0].coords == lab(plane).basepoint.coords
+    assert proj.nearest[0].payload == lab(plane).basepoint.payload
 
 
 def test_orbit_projection_tree_axis(bs23):
@@ -692,7 +692,7 @@ def test_prop41_final_clause_family(plane):
     # far-away rotation: conjugate the order-2 rotation by a large shear
     h = plane.matrix(1, 30, 0, 1)
     far = plane.compose(plane.compose(h, plane.matrix(0, -1, 1, 0)), plane.invert(h))
-    act_far = Action("p", plane, {"f": F, "e": plane.isometry(far.payload)})
+    act_far = Action("p", plane, {"f": F, "e": plane.own(far.payload)})
     for k in range(1, 7):
         assert not separation_witnesses(act_far, GroupWord.parse(f"e^{k}"), u_plus, u_minus, sample)
 

@@ -51,7 +51,7 @@ def test_gromov_product_tree_oracle(cayley):
     x = vertex(cayley, [1, 2])
     y = vertex(cayley, [1, 1, 2])
     geo = lab(cayley)
-    gp = geo._gromov(x.coords, y.coords, geo.basepoint.coords)
+    gp = geo._gromov(x.payload, y.payload, geo.basepoint.payload)
     assert gp == 1
     assert min(geo.distance_key(geo.basepoint, v) for v in geodesic(cayley, x, y)) == gp
     assert gromov_product(cayley, x, y, geo.basepoint) == gp

@@ -61,7 +61,7 @@ def test_apply_diagonal(plane):
 
 def test_apply_identity(plane):
     p = lab(plane).point_xy(Fraction(2, 3), Fraction(3, 5))
-    assert lab(plane).apply(plane.identity(), p).coords == p.coords
+    assert lab(plane).apply(plane.identity(), p).payload == p.payload
 
 
 def test_compose_matrix_product(plane):
@@ -245,8 +245,8 @@ def test_boundary_apply(plane):
     moved = plane.boundary_apply(F, plus)
     assert plane.boundary_equal(moved, plus)
     R = plane.matrix(0, -1, 1, 0)
-    zero = plane.boundary(QuadraticNumber.of((1, 0)))
-    inf = plane.boundary(None)
+    zero = plane.own(QuadraticNumber.of((1, 0)))
+    inf = plane.own(None)
     assert plane.boundary_equal(plane.boundary_apply(R, zero), inf)
     assert plane.boundary_equal(plane.boundary_apply(R, inf), zero)
 
@@ -254,7 +254,7 @@ def test_boundary_apply(plane):
 def test_projective_convention(plane):
     F = plane.matrix(2, 1, 1, 1)
     a, b, c, d, s = F.payload
-    negF = plane.isometry(Matrix2(-a, -b, -c, -d, s))
+    negF = plane.own(Matrix2(-a, -b, -c, -d, s))
     cls1 = plane.classify(F)
     cls2 = plane.classify(negF)
     h1, h2 = cls1.hyperbolic, cls2.hyperbolic
@@ -301,13 +301,13 @@ def test_rational_cosh_distance_is_the_textbook_fraction(x1, y1, x2, y2):
 
 def test_image_composes_powers_by_squaring(plane, monkeypatch):
     F, G = Matrix2.of(2, 1, 1, 1), Matrix2.of(0, -1, 1, 0)
-    act = Action("p", plane, {"f": plane.isometry(F), "g": plane.isometry(G)})
+    act = Action("p", plane, {"f": plane.own(F), "g": plane.own(G)})
     expected = Matrix2.identity()
     for m in [F] * 3 + [G.inverse()] * 2 + [F]:
         expected = expected * m
     assert act.image(GroupWord.parse("f^3 g^-2 f")).payload == expected
 
-    squared = power(plane, plane.isometry(F), 4096)
+    squared = power(plane, plane.own(F), 4096)
     calls = []
     original = HalfPlaneModel._mul  # the payload product that image and power run on
 

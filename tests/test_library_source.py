@@ -164,7 +164,7 @@ def test_every_mutant_applies_once_and_names_its_tests():
     # must occur exactly once in its file, and runs the tests it names
     from mutants import MUTANTS, source
 
-    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 44
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 46
     for mutant in MUTANTS:
         assert source(mutant).read_text().count(mutant.snippet) == 1, mutant.name
         for test in mutant.tests:
@@ -197,11 +197,11 @@ def _imports(node: ast.AST, top: bool = True):
 # its boundary forms: witness lines print the class's integers), no numpy
 # and no fractions (a tree's lengths are its integers)
 CHECKER_CLOSURE = {"__init__", "records", "actions", "errors", "models", "trees", "words"}
-CHECKER_LINES = 1009
+CHECKER_LINES = 994
 
 # a ceiling on the library's size, `wc -l src/hypiso/*.py`: the line count
 # the project tracks next to its timings
-SRC_LINES = 3043
+SRC_LINES = 3005
 
 
 # the geometry lab's members, which live in geometry.py: no core model
@@ -209,7 +209,7 @@ SRC_LINES = 3043
 LAB_NAMES = {
     "point_xy", "_xy", "distance_key", "_cosh_ratio", "distance", "pairwise_distances", "apply", "_floats",
     "gromov_boundary_point", "gromov_boundary_pair", "_dist", "_along", "_gromov", "internal_points", "_once", "_read",
-    "ball_vertices", "ball_size", "point", "require_point", "DeltaEstimate", "Point", "basepoint", "_root",
+    "ball_vertices", "ball_size", "DeltaEstimate", "basepoint", "_root",
     # the trees' vertex labels
     "_act", "_neighbors", "_degrees", "_vertex_from_units", "_vertex", "_common_prefix_len",
 }
@@ -217,8 +217,8 @@ LAB_NAMES = {
 
 def _members(tree: ast.Module):
     """(name, line) of every function and class, of every name that a module
-    or class body assigns (``_root = ()``, ``basepoint:
-    Point``) and of every attribute set on self."""
+    or class body assigns (``_root = ()``, ``model_id: str``) and of every
+    attribute set on self."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.lineno
@@ -387,7 +387,7 @@ def test_the_search_images_words_only_with_action_image():
     # each stage images its candidates, words in the letters f and g, with
     # Action.image, the one evaluator: combiner composes no payloads itself
     combiner = ast.parse((SRC / "hypiso" / "combiner.py").read_text())
-    payload_calls = {"_power", "_mul", "_sized", "require_iso", "isometry"}
+    payload_calls = {"_power", "_mul", "_sized", "require", "own"}
     found = [
         f"line {n.lineno}: {n.func.attr}"
         for n in ast.walk(combiner)
@@ -427,6 +427,39 @@ def test_a_tree_ray_is_built_and_compared_in_one_place():
     builders = [(path.name, line) for path in SOURCES for line in builds(ast.parse(path.read_text()))]
     fold = dict(_functions(trees))["TreeModel._fold"]
     assert len(builders) == 1 and builders == [("trees.py", line) for line in builds(fold)], builders
+
+
+def test_a_value_is_tagged_and_checked_in_one_place():
+    # every isometry, boundary point and lab point is a models.Owned: a
+    # model builds it with own (a plane class, which holds no model, builds
+    # its fixed points itself) and reads it with require, the one check that
+    # raises MixedModels, so no other module compares model ids
+    def where(found) -> list[str]:
+        """module:function of every node for which found(node) holds."""
+        out = []
+        for path in SOURCES:
+            tree = ast.parse(path.read_text())
+            inside = {id(n): name for name, f in _functions(tree) for n in ast.walk(f)}
+            out += [f"{path.stem}:{inside.get(id(n), '')}" for n in ast.walk(tree) if found(n)]
+        return out
+
+    def raises_mixed(n) -> bool:
+        exc = getattr(n, "exc", None) if isinstance(n, ast.Raise) else None
+        return getattr(exc.func if isinstance(exc, ast.Call) else exc, "id", None) == "MixedModels"
+
+    def compares_ids(n) -> bool:
+        operands = [n.left, *n.comparators] if isinstance(n, ast.Compare) else []
+        return any(isinstance(o, ast.Attribute) and o.attr == "model_id" for o in operands)
+
+    assert where(raises_mixed) == ["models:SpaceModel.require"]
+    assert [found for found in where(compares_ids) if not found.startswith("models:")] == []
+    builds = where(lambda n: isinstance(n, ast.Call) and _called(n).split(".")[-1] == "Owned")
+    assert set(builds) == {"models:SpaceModel.own", "halfplane:PlaneHyperbolic.fixed_points"}, builds
+    removed = {"Isometry", "BoundaryPoint", "Point", "require_iso", "require_boundary", "require_point",
+               "isometry", "boundary", "point"}
+    defined = {f"{path.stem}: {member}" for path in SOURCES for member, _ in _members(ast.parse(path.read_text()))
+               if member in removed}
+    assert defined == set()
 
 
 def test_the_library_size_is_pinned():

@@ -30,7 +30,7 @@ def test_a_boundary_point_has_one_spelling():
     # conjugate (a form from its entries) must be one value with one hash,
     # for every hyperbolic M and every N of the sweep
     plane = HalfPlaneModel()
-    sweep = list(map(plane.isometry, sweep_matrices()))
+    sweep = list(map(plane.own, sweep_matrices()))
     hyperbolics = [(m, cls.hyperbolic.fixed_points) for m, cls in zip(sweep, map(plane.classify, sweep))
                    if cls.is_hyperbolic]
     changed = 0
@@ -50,7 +50,7 @@ def test_boundary_apply_names_the_image_of_its_root():
     # sweep N and irrational fixed point z of the sweep, the image's float is
     # nearer (a x + b)/(c x + d), x = float(z), than the conjugate's is
     plane = HalfPlaneModel()
-    sweep = list(map(plane.isometry, sweep_matrices()))
+    sweep = list(map(plane.own, sweep_matrices()))
     points = {bp for cls in map(plane.classify, sweep) if cls.is_hyperbolic for bp in cls.hyperbolic.fixed_points
               if bp.payload is not None and bp.payload.root}
     flips = 0
@@ -87,7 +87,7 @@ def test_float_matches_a_decimal_reference():
     plane = HalfPlaneModel()
     points = [QuadraticNumber.of((1, -(2 * 10**30), -1), -1), QuadraticNumber.of((7, 3 * 10**40, -5), 1)]
     for m in [*sweep_matrices(), *chain_sized_matrices()]:
-        cls = plane.classify(plane.isometry(m))
+        cls = plane.classify(plane.own(m))
         if cls.is_hyperbolic:
             points += [bp.payload for bp in cls.hyperbolic.fixed_points if bp.payload is not None]
     a, b, c = max((q.form for q in points if q.root), key=lambda f: f[1] * f[1] - 4 * f[0] * f[2])

@@ -73,7 +73,7 @@ def test_cayley_not_in_ball(cayley):
 def test_cayley_apply_left_multiplication(cayley):
     a = cayley.word([1])
     b_vertex = vertex(cayley, [2])
-    assert lab(cayley).apply(a, b_vertex).coords == (1, 2)  # "ab"
+    assert lab(cayley).apply(a, b_vertex).payload == (1, 2)  # "ab"
 
 
 def test_cayley_classification(cayley):
@@ -98,9 +98,9 @@ def test_cayley_orbit_matches_cyclic_length(cayley):
 
 
 def test_cayley_ray_equality(cayley):
-    r1 = cayley.boundary(RayDescriptor((), (1, 2)))
-    r2 = cayley.boundary(RayDescriptor((1, 2), (1, 2)))  # shifted one period: same end
-    r3 = cayley.boundary(RayDescriptor((), (2, 1)))
+    r1 = cayley.own(RayDescriptor((), (1, 2)))
+    r2 = cayley.own(RayDescriptor((1, 2), (1, 2)))  # shifted one period: same end
+    r3 = cayley.own(RayDescriptor((), (2, 1)))
     assert cayley.boundary_equal(r1, r2)
     assert not cayley.boundary_equal(r1, r3)
 
@@ -120,11 +120,11 @@ def test_gromov_boundary_pair_against_deep_truncations():
     # <xi|eta>_w is <x|y>_w for vertices x and y far out on the two rays
     for model in (CayleyTreeModel(2), BassSerreModel(2, 3)):
         geo = lab(model)
-        rays = [model.boundary(RayDescriptor(prefix, period)) for prefix, period in FOLDED_RAYS[model.kind]]
+        rays = [model.own(RayDescriptor(prefix, period)) for prefix, period in FOLDED_RAYS[model.kind]]
         for xi, eta in itertools.product(rays, repeat=2):
-            far = [geo._vertex_from_units(model._ray_units(model.require_boundary(r), 60)) for r in (xi, eta)]
+            far = [geo._vertex_from_units(model._ray_units(model.require(r), 60)) for r in (xi, eta)]
             for base in geo.ball_vertices(2):
-                expected = math.inf if model.boundary_equal(xi, eta) else geo._gromov(*far, base.coords)
+                expected = math.inf if model.boundary_equal(xi, eta) else geo._gromov(*far, base.payload)
                 assert geo.gromov_boundary_pair(xi, eta, base) == expected
 
 
@@ -153,14 +153,14 @@ def test_bs_normal_form_and_compose(bs23):
     st_word = bs23.word([(0, 1), (1, 1)])
     t2 = bs23.word([(1, 2)])
     prod = bs23.compose(st_word, t2)  # st . t^2 = s t^3 = s
-    assert bs23.require_iso(prod) == ((0, 1),)
+    assert bs23.require(prod) == ((0, 1),)
     sq = bs23.compose(st_word, st_word)
-    assert bs23.require_iso(sq) == ((0, 1), (1, 1), (0, 1), (1, 1))
+    assert bs23.require(sq) == ((0, 1), (1, 1), (0, 1), (1, 1))
 
 
 def test_bs_inverse(bs23):
     w = bs23.word([(0, 1), (1, 2)])
-    assert bs23.require_iso(bs23.compose(w, bs23.invert(w))) == ()
+    assert bs23.require(bs23.compose(w, bs23.invert(w))) == ()
 
 
 def test_bs_classify_st_hyperbolic(bs23):
@@ -176,7 +176,7 @@ def test_bs_classify_sts_elliptic(bs23):
     assert cls.period == 3  # conjugate of t, order 3
     assert power(bs23, iso, 3) == bs23.identity() != iso
     # s t s fixes the vertex s.<t> at depth 2, and no vertex nearer the root
-    assert [p.coords for p in fixed_vertices(bs23, iso, 4)] == [((0, 1),)]
+    assert [p.payload for p in fixed_vertices(bs23, iso, 4)] == [((0, 1),)]
 
 
 def test_bs_no_parabolics(bs23):
@@ -225,7 +225,7 @@ def test_bs_distance_matches_bfs_everywhere(bs23):
 
 def test_bs_vertex_degrees(bs23):
     # A-vertices have degree m=2, B-vertices degree n=3
-    for coords in [c.coords for c in lab(bs23).ball_vertices(2)]:
+    for coords in [c.payload for c in lab(bs23).ball_vertices(2)]:
         deg = len(lab(bs23)._neighbors(coords))
         assert deg == (2 if len(coords) % 2 == 0 else 3)
 
@@ -238,25 +238,25 @@ def test_bs_labels_are_the_root_paths_of_cosets(model):
     # on the ball and on an orbit far out
     geo, rng = lab(model), random.Random(model.model_id)
     ball = geo.ball_vertices(4)
-    assert len({coset(model, p.coords) for p in ball}) == len(ball) == geo.ball_size(4)
+    assert len({coset(model, p.payload) for p in ball}) == len(ball) == geo.ball_size(4)
     for p in ball:
-        assert coset_vertex(model, *coset(model, p.coords)) == p
-        assert len(p.coords) == bfs_distance(model, geo.basepoint, p)
+        assert coset_vertex(model, *coset(model, p.payload)) == p
+        assert len(p.payload) == bfs_distance(model, geo.basepoint, p)
     deep, p, h = [], rng.choice(ball), random_hyperbolic(model, rng)
     for _ in range(30):
         p = geo.apply(h, p)
         deep.append(p)
-    assert len(deep[-1].coords) >= 30
+    assert len(deep[-1].payload) >= 30
     for _ in range(20):
         g = model.normal_form(_random_bs_syllables(model, rng, rng.randint(0, 6)))
         for p in ball + deep:
-            moved = geo.apply(model.isometry(g), p).coords
-            assert coset(model, moved) == coset_action(model, g, coset(model, p.coords))
+            moved = geo.apply(model.own(g), p).payload
+            assert coset(model, moved) == coset_action(model, g, coset(model, p.payload))
 
 
 def test_bs_ray_shift_equal(bs23):
     per = ((0, 1), (1, 1))
-    assert bs23.boundary_equal(bs23.boundary(RayDescriptor((), per)), bs23.boundary(RayDescriptor(per, per)))
+    assert bs23.boundary_equal(bs23.own(RayDescriptor((), per)), bs23.own(RayDescriptor(per, per)))
 
 
 def test_bs_isometry_invariance(bs23):
@@ -302,7 +302,7 @@ def test_cayley_group_laws(a, b):
     u = model.word(a)
     v = model.word(b)
     uv = model.compose(u, v)
-    assert model.require_iso(model.compose(uv, model.invert(v))) == model.require_iso(u)
+    assert model.require(model.compose(uv, model.invert(v))) == model.require(u)
 
 
 @given(letters)
@@ -480,9 +480,9 @@ def test_pairwise_distances_match_the_pair_loop_and_bfs(model):
     for points in (ball, repeats, orbit + ball[:20], [ball[0]], []):
         assert lab(model).pairwise_distances(points).tolist() == pairwise_distances_by_meets(model, points)
     if isinstance(model, BassSerreModel):  # root paths through <t> and not
-        assert {p.coords[:1] == ((0, 0),) for p in ball} == {True, False}
+        assert {p.payload[:1] == ((0, 0),) for p in ball} == {True, False}
     few = repeats[:16] + ball[:8]
-    if lab(model).ball_size(max(len(p.coords) for p in orbit)) <= 5000:
+    if lab(model).ball_size(max(len(p.payload) for p in orbit)) <= 5000:
         few += orbit[::4]
     assert lab(model).pairwise_distances(few).tolist() == [[bfs_distance(model, p, q) for q in few] for p in few]
 
@@ -620,9 +620,9 @@ def _rays(model, length: int) -> list:
     to length units, and the hand-built folded rays."""
     rays = {RayDescriptor(prefix, period) for prefix, period in FOLDED_RAYS[model.kind]}
     for w in _reduced_words(model, length):
-        cls = model.classify(model.isometry(w))
+        cls = model.classify(model.own(w))
         if cls.is_hyperbolic:
-            rays.update(model.require_boundary(b) for b in cls.hyperbolic.fixed_points)
+            rays.update(model.require(b) for b in cls.hyperbolic.fixed_points)
     return sorted(rays, key=lambda r: (len(r.prefix), len(r.period), r.prefix, r.period))
 
 
@@ -638,9 +638,9 @@ def test_tree_ray_images_follow_their_unit_streams(model, length):
     # the reduced stream of g followed by xi's units, for every reduced g of
     # up to 3 units
     for xi in _rays(model, length):
-        b, units = model.boundary(xi), model._ray_units(xi, 63)
+        b, units = model.own(xi), model._ray_units(xi, 63)
         for g in _reduced_words(model, 3):
-            eta = model.require_boundary(model.boundary_apply(model.isometry(g), b))
+            eta = model.require(model.boundary_apply(model.own(g), b))
             assert eta.period == xi.period
             assert len(model.multiply(eta.prefix, eta.period)) == len(eta.prefix) + len(eta.period)
             assert model._ray_units(eta, 60) == model.normal_form(g + units[: 60 + len(g)])[:60]
@@ -650,6 +650,6 @@ def test_tree_ray_images_follow_their_unit_streams(model, length):
 def test_tree_rays_are_equal_exactly_when_their_streams_agree(model, length):
     # every preperiod and period here is far below 200 units, so two rays
     # are the same end exactly when their first 200 units agree
-    rays = [(model.boundary(r), model._ray_units(r, 200)) for r in _rays(model, length)]
+    rays = [(model.own(r), model._ray_units(r, 200)) for r in _rays(model, length)]
     for (b1, s1), (b2, s2) in itertools.product(rays, repeat=2):
         assert model.boundary_equal(b1, b2) == (s1 == s2)
