@@ -32,10 +32,10 @@ class Action:
     def image(self, word: GroupWord) -> Owned:
         """Composed syllable by syllable on the bare payloads (see
         SpaceModel), each power by repeated squaring (once per distinct
-        syllable), from the first power on, and wrapped once.  A running
-        bound on the image's size (``SpaceModel._power``'s rule) adds each
-        power's plus 1, and only a syllable that takes it past
-        MAX_ISOMETRY_SIZE has the image sized."""
+        syllable), and wrapped once.  A running bound on the image's size
+        (``SpaceModel._power``'s rule) adds each power's plus 1; only a
+        syllable that takes it past MAX_ISOMETRY_SIZE has its product checked:
+        refused before it is built if the model's ``_least_size`` passes the cap, then sized."""
         model, payloads = self.model, self._payloads
         out, bound = None, -1  # the first power's bound is its own
         powers = {}
@@ -45,10 +45,14 @@ class Action:
             if (gen, e) not in powers:
                 powers[gen, e] = model._power(payloads[gen], e, self._sizes[gen])
             power, power_bound = powers[gen, e]
-            out = power if out is None else model._mul(out, power)
             bound += power_bound + 1
-            if bound > MAX_ISOMETRY_SIZE:
-                bound = model._sized(out, "a word's image")
+            if bound <= MAX_ISOMETRY_SIZE:
+                out = power if out is None else model._mul(out, power)
+                continue
+            if out is not None:
+                model._sized(None, "a word's image", model._least_size(out, power))
+            out = power if out is None else model._mul(out, power)
+            bound = model._sized(out, "a word's image")
         return model.own(model._one if out is None else out)
 
     def classify_word(self, word: GroupWord):

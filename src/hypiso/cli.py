@@ -46,9 +46,9 @@ EXIT_HYPOTHESIS = 3
 
 # delta and dynamics sample at most this many points per action: plane
 # points (--samples), or the vertices of a tree ball.  The four-point
-# estimate costs n^3 steps: the 937-vertex rank-3 radius-4 ball takes 0.14-0.16
-# s, 0.02 s of it the distances, and 1,000 plane points 4.1-4.3 s, 0.24 s of it
-# the distances (Python 3.11.7, numpy 2.4, 2 cores, host.ref_ms 0.14-0.15).
+# estimate costs n^3 steps: the 937-vertex rank-3 radius-4 ball takes 0.12-0.13
+# s, 0.015-0.018 s of it the distances, and 1,000 plane points 1.67-1.75 s,
+# 0.12-0.13 s of it the distances (Python 3.11.7, numpy 2.4, 2 cores, host.ref_ms 0.13).
 MAX_SAMPLE_POINTS = 1000
 
 # dynamics follows an orbit of at most this many steps (orbit-depth); --checks

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .actions import Action
 from .errors import DegenerateTriangle, NoPassingN, NotHyperbolic
@@ -97,29 +97,32 @@ def _busemann_floor(geo, g: Owned, spec: NeighborhoodSpec, outside: list, n_max:
 # -- triangles ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TriangleInternals:
-    internal: tuple[Owned, Owned, Owned]  # on sides [y,z], [z,x], [x,y]
+class TriangleInternals(NamedTuple):
+    """A triangle's internal points, on its sides [y, z], [z, x] and [x, y],
+    as the lab's payloads that ``internal`` tags when read, and its insize."""
+
+    labels: tuple
     insize: float
+    model: SpaceModel
+    internal = property(lambda self: tuple(map(self.model.own, self.labels)))
 
 
-def internal_points(model: SpaceModel, x: Owned, y: Owned, z: Owned) -> TriangleInternals:
+def internal_points(model: SpaceModel, x: Owned, y: Owned, z: Owned, geo=None) -> TriangleInternals:
     """The three equidistance-defined points and their diameter, from the
-    lab's ``internal_points``: exact on trees, where each point is placed at
-    its Gromov-product distance along its side; on the plane placed in closed
-    form along the parameterized geodesics, resolution limited only by float
-    evaluation.
-    """
-    for p, q in ((x, y), (y, z), (x, z)):
-        if p.payload == q.payload:
-            raise DegenerateTriangle("two triangle vertices coincide")
-    return TriangleInternals(*lab(model).internal_points(x, y, z))
+    lab's ``internal_points`` (geo, else a lab built for the call): exact on
+    trees, where each point is placed at its Gromov-product distance along
+    its side; on the plane placed in closed form along the parameterized
+    geodesics, resolution limited only by float evaluation."""
+    if x.payload == y.payload or y.payload == z.payload or x.payload == z.payload:
+        raise DegenerateTriangle("two triangle vertices coincide")
+    return tuple.__new__(TriangleInternals, (*(geo or lab(model)).internal_points(x, y, z), model))
 
 
-def estimate_delta_insize(
-    model: SpaceModel, triangles: Sequence[tuple[Owned, Owned, Owned]]
-) -> DeltaEstimate:
-    worst = max([0.0] + [internal_points(model, x, y, z).insize for x, y, z in triangles])
+def estimate_delta_insize(model: SpaceModel, triangles: Sequence[tuple[Owned, Owned, Owned]]) -> DeltaEstimate:
+    """The largest insize of the triangles, all read by one lab, which keeps
+    the distances of the sides that triangles share."""
+    geo = lab(model)
+    worst = max([0.0] + [internal_points(model, x, y, z, geo).insize for x, y, z in triangles])
     return DeltaEstimate(delta=worst, condition="insize", sample_size=len(triangles))
 
 
@@ -140,8 +143,8 @@ def orbit_projection(
     basepoint : |n| <= orbit_range} of the image iso of a word f hyperbolic
     in the action, and the reverse-triangle defect d(x, x_z) + d(x_z, z) -
     d(x, z), x the basepoint.  The orbit and the lab are built once; the
-    orbit is ranked by the lab's exact ``distance_key``, and only the
-    defect's three distances are floats."""
+    orbit is ranked exactly by the lab's ``nearest``, and only the defect's
+    three distances are floats."""
     model = action.model
     tag = model.tag(iso)
     if tag != HYPERBOLIC:
@@ -151,11 +154,9 @@ def orbit_projection(
     for n in range(1, orbit_range + 1):
         fwd, back = geo.apply(iso, fwd), geo.apply(inv, back)
         orbit[n], orbit[-n] = fwd, back
-    out = []
+    steps, out = list(orbit), []
     for z in points:
-        keys = {n: geo.distance_key(p, z) for n, p in orbit.items()}
-        best = min(keys.values())
-        minimizers = sorted((n for n, key in keys.items() if key == best), key=lambda n: (abs(n), -n))
+        minimizers = sorted((steps[i] for i in geo.nearest(list(orbit.values()), z)), key=lambda n: (abs(n), -n))
         x_z = orbit[minimizers[0]]
         defect = geo.distance(basepoint, x_z) + geo.distance(x_z, z) - geo.distance(basepoint, z)
         out.append(OrbitProjection(tuple(orbit[n] for n in minimizers), tuple(minimizers), max(0.0, defect)))

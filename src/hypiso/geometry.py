@@ -61,6 +61,12 @@ class _Geometry:
     def basepoint(self) -> Owned:
         return self.model.own(self._root)
 
+    def nearest(self, points: list[Owned], z: Owned) -> list[int]:
+        """The indices of the points nearest z, by the exact ``distance_key``."""
+        keys = [self.distance_key(p, z) for p in points]
+        least = min(keys)
+        return [i for i, key in enumerate(keys) if key == least]
+
 
 def estimate_delta_four_point(model: SpaceModel, sample: list[Owned], base: Owned) -> DeltaEstimate:
     """Max over ordered triples of min(<x|y>, <y|z>) - <x|z>, clamped at 0.
@@ -80,8 +86,10 @@ def estimate_delta_four_point(model: SpaceModel, sample: list[Owned], base: Owne
     if G2.dtype.kind == "i":  # every defect lies within 2*max|G2|, so the narrowest dtype is exact
         bound = 2 * int(np.abs(G2).max()) + 1
         G2 = G2.astype(next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max))
-    # max over y of min(<x|y>, <y|z>), one row x at a time: O(n^2) memory
-    defect2 = max((np.minimum(row[:, None], G2).max(axis=0) - row).max() for row in G2)
+    # max over y of min(<x|y>, <y|z>), a (max, min) product, in row blocks of at most 2^18 elements
+    step = max(1, 2**18 // (n * n))
+    blocks = (G2[i : i + step] for i in range(0, n, step))
+    defect2 = max((np.minimum(rows[:, :, None], G2).max(axis=1) - rows).max() for rows in blocks)
     delta = max(0.0, float(defect2) / 2.0)
     return DeltaEstimate(delta=delta, condition="four_point", sample_size=n)
 
@@ -117,26 +125,40 @@ class PlaneGeometry(_Geometry):
         is monotone in the distance, so it ranks with no float."""
         return Fraction(*_cosh_ratio(self.model.require(p), self.model.require(q)))
 
+    def nearest(self, points: list[Owned], z: Owned) -> list[int]:
+        """The indices of the points nearest z: the least floats of the cosh
+        ratios (inf from 2^1023 on) hold every exact minimizer, rounding being
+        monotone, and a tie among them is ranked by ``distance_key``."""
+        w = self.model.require(z)
+        ratios = [_cosh_ratio(self.model.require(p), w) for p in points]
+        floats = [num / den if num >> 1023 < den else math.inf for num, den in ratios]
+        least = min(floats)
+        ties = [i for i, f in enumerate(floats) if f == least]
+        return [ties[k] for k in super().nearest([points[i] for i in ties], z)] if len(ties) > 1 else ties
+
     def distance(self, x: Owned, y: Owned) -> float:
         key = self.model.require(x), self.model.require(y)
         return self._once(key, lambda: _acosh_ratio(*_cosh_ratio(*key)))
 
     def pairwise_distances(self, points: list[Owned]):
         """d(p, q) for every two points, row p, column q, as a float array:
-        the floats of ``distance``, from cosh = ((X - X')^2 + Y^2 + Y'^2) /
-        2YY' over one common denominator of all the points."""
+        the floats of ``distance``.  Over one common denominator of all the
+        points, cosh = ((X - X')^2 + Y^2 + Y'^2) / 2YY', in int64 arrays while
+        every X and Y is below 2^25; past that, one pair at a time."""
         import numpy as np  # here, so that commands that never estimate delta load no numpy
 
         triples = [self.model.require(p) for p in points]
         den = math.lcm(*(d for _, _, d in triples))
         xs, ys = [x * (den // d) for x, _, d in triples], [y * (den // d) for _, y, d in triples]
-        rows = [[0.0] * len(triples) for _ in triples]
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            row = rows[i]
-            for j in range(i + 1, len(triples)):
-                dx, yj = x - xs[j], ys[j]
-                row[j] = rows[j][i] = _acosh_ratio(dx * dx + y * y + yj * yj, 2 * y * yj)
-        return np.array(rows)
+        i, j = np.triu_indices(len(xs), 1)
+        if max(map(abs, xs + ys), default=0) < 2**25:  # a ratio's terms are below 2^53: its float is int/int's
+            X, Y = np.array([xs, ys], dtype=np.int64)
+            values = map(math.acosh, (((X[i] - X[j]) ** 2 + Y[i] ** 2 + Y[j] ** 2) / (2 * Y[i] * Y[j])).tolist())
+        else:  # distance's float, one pair at a time
+            values = (_acosh_ratio(*_cosh_ratio(triples[a], triples[b])) for a, b in zip(i.tolist(), j.tolist()))
+        rows = np.zeros((len(xs), len(xs)))
+        rows[i, j] = rows[j, i] = np.fromiter(values, float, len(i))
+        return rows
 
     def apply(self, iso: Owned, p: Owned) -> Owned:
         """M p for p = (X + Y i)/D in integers: with u = a(X + Y i) + bD and
@@ -176,10 +198,10 @@ class PlaneGeometry(_Geometry):
             q = Fraction(xi)
             return 0.5 * (_log((q - wx) ** 2 + wy * wy) - _log((q - x) ** 2 + yy * yy)) + value
 
-    def internal_points(self, x: Owned, y: Owned, z: Owned) -> tuple[tuple[Owned, Owned, Owned], float]:
-        """The internal points of the triangle xyz on its sides [y, z], [z, x]
-        and [x, y], each at its Gromov-product distance from the side's first
-        vertex in floats, and the insize: the largest distance between two.
+    def internal_points(self, x: Owned, y: Owned, z: Owned) -> tuple[tuple, float]:
+        """The triples of the internal points of the triangle xyz on its sides
+        [y, z], [z, x] and [x, y], each at its Gromov-product distance from the
+        side's first vertex in floats, and the insize: the largest distance between two.
         The products, <y|z>_x = (d(x,y) + d(z,x) - d(y,z)) / 2 and so on round,
         read each side once (its float is symmetric) and are clamped at 0."""
         dxy, dyz, dzx = self.distance(x, y), self.distance(y, z), self.distance(z, x)
@@ -187,7 +209,8 @@ class PlaneGeometry(_Geometry):
         gy = max(0.0, 0.5 * (dxy + dyz - dzx))
         gz = max(0.0, 0.5 * (dzx + dyz - dxy))
         pts = (self._point_at(y, z, gy), self._point_at(z, x, gz), self._point_at(x, y, gx))
-        return pts, max(self.distance(p, q) for i, p in enumerate(pts) for q in pts[i + 1 :])
+        insize = max(self.distance(p, q) for i, p in enumerate(pts) for q in pts[i + 1 :])
+        return tuple(map(self.model.require, pts)), insize
 
     def _point_at(self, p: Owned, q: Owned, dist: float) -> Owned:
         """The point at the given distance from p along the geodesic [p, q]."""
@@ -235,9 +258,9 @@ def _log(q: Fraction) -> float:
 class TreeGeometry(_Geometry):
     """A tree's metric in integers, read from vertex labels that are root
     paths (Serre, Trees, I.4): a vertex's depth is its label's length, two
-    vertices meet at their labels' common prefix, an ancestor is a prefix,
-    and the sorted labels are a DFS order.  ``CayleyGeometry`` and
-    ``BassSerreGeometry`` define the labels' action, neighbours and degrees."""
+    vertices meet at their labels' common prefix, and an ancestor is a
+    prefix.  ``CayleyGeometry`` and ``BassSerreGeometry`` define the labels'
+    action, neighbours and degrees."""
 
     _root = ()
 
@@ -246,11 +269,6 @@ class TreeGeometry(_Geometry):
 
     def _dist(self, u, v) -> int:
         return len(u) + len(v) - 2 * _common_prefix_len(u, v)
-
-    def _along(self, u, v, k: int, t: int):
-        """The vertex at distance t from u on the geodesic [u, v], whose root
-        paths meet at depth k: up from u to the meet, then down towards v."""
-        return u[: len(u) - t] if t <= len(u) - k else v[: t - len(u) + 2 * k]
 
     def distance_key(self, x: Owned, y: Owned) -> int:  # the edge count: exact, ranks with no float
         return self._dist(self.model.require(x), self.model.require(y))
@@ -261,21 +279,22 @@ class TreeGeometry(_Geometry):
     def pairwise_distances(self, points: list[Owned]):
         """d(p, q) for every two of the points, an int64 array: row p, column q.
 
-        In a DFS order of the rooted tree (the sorted labels) the meet depth
-        of two vertices is the least meet depth of the adjacent pairs between
-        them (Kasai et al., CPM 2001): n - 1 ``_common_prefix_len`` calls and
-        a running minimum per row fill the meets."""
+        Two root paths agree up to their meet and differ past it, so the meet
+        depth of two vertices counts the levels at which their prefixes are
+        equal: one code per distinct prefix of each level, and one equality
+        array per level (a vertex above the level takes a code of its own)."""
         import numpy as np  # here, so that commands that never estimate delta load no numpy
 
         vs = [self.model.require(p) for p in points]
-        order = sorted(range(len(vs)), key=vs.__getitem__)
-        adjacent = np.array([_common_prefix_len(vs[i], vs[j]) for i, j in zip(order, order[1:])], dtype=np.int64)
-        meets = np.zeros((len(vs), len(vs)), dtype=np.int64)  # in the sorted order
-        for i in range(len(adjacent)):
-            meets[i, i + 1 :] = meets[i + 1 :, i] = np.minimum.accumulate(adjacent[i:])
         depths = np.array([len(v) for v in vs], dtype=np.int64)
-        rank = np.argsort(order)  # the sorted position of each point
-        dist = depths[:, None] + depths[None, :] - 2 * meets[np.ix_(rank, rank)]
+        meets = np.zeros((len(vs), len(vs)), dtype=np.int64)
+        code = [0] * len(vs)  # a code of each prefix: (the parent's code, the unit) numbered per level
+        for level in range(max(depths, default=0)):
+            codes = {}
+            code = [codes.setdefault((c, v[level]), len(codes)) if len(v) > level else ~i
+                    for i, (c, v) in enumerate(zip(code, vs))]
+            meets += np.equal.outer(code, code)
+        dist = depths[:, None] + depths[None, :] - 2 * meets
         np.fill_diagonal(dist, 0)
         return dist
 
@@ -285,26 +304,26 @@ class TreeGeometry(_Geometry):
         meet = _common_prefix_len
         return len(w) - meet(u, w) - meet(v, w) + meet(u, v)
 
-    def internal_points(self, x: Owned, y: Owned, z: Owned) -> tuple[tuple[Owned, Owned, Owned], float]:
-        """The internal points of the triangle xyz on its sides [y, z], [z, x]
-        and [x, y], and the insize: the largest distance between two of them.
+    def internal_points(self, x: Owned, y: Owned, z: Owned) -> tuple[tuple, float]:
+        """The labels of the internal points of the triangle xyz on its sides
+        [y, z], [z, x] and [x, y], and the insize: the largest distance
+        between two of them.
 
         Each point is placed on its side at the Gromov-product distance from
         the side's first vertex (<x|z>_y on [y, z], and so on round), in
-        exact integers; nothing assumes that the three coincide.
-        """
-        meet, along, dist = _common_prefix_len, self._along, self._dist
-        u, v, w = (self.model.require(p) for p in (x, y, z))
-        kvw, kwu, kuv = meet(v, w), meet(w, u), meet(u, v)
-        # <x|z>_y = (d(x,y) + d(y,z) - d(z,x)) / 2 = |v| - kuv - kvw + kwu, and
-        # so on round: the halves cancel, so the products are integers
-        pts = (
-            along(v, w, kvw, len(v) - kuv - kvw + kwu),
-            along(w, u, kwu, len(w) - kvw - kwu + kuv),
-            along(u, v, kuv, len(u) - kwu - kuv + kvw),
-        )
-        insize = max(dist(pts[0], pts[1]), dist(pts[1], pts[2]), dist(pts[2], pts[0]))
-        return tuple(self.model.own(p) for p in pts), float(insize)
+        exact integers from the three meet depths; nothing assumes that the
+        three coincide.  Two such points on the root paths of two labels have
+        depths that sum to twice the labels' meet, so they are their depths'
+        difference apart."""
+        meet = _common_prefix_len
+        u, v, w = self.model.require(x), self.model.require(y), self.model.require(z)
+        kvw, kuv = meet(v, w), meet(u, v)  # of three meets of root paths, the least two are equal
+        kwu = min(kvw, kuv) if kvw != kuv else meet(w, u)
+        # <x|z>_y = |v| - kuv - kvw + kwu from y puts the point on [y, z] on v's root
+        # path, at depth dv, when kwu <= kuv, and else on w's at depth dw; so round
+        dv, dw, du = kuv + kvw - kwu, kvw + kwu - kuv, kwu + kuv - kvw
+        p, q, r = v[:dv] if kwu <= kuv else w[:dw], w[:dw] if kuv <= kvw else u[:du], u[:du] if kvw <= kwu else v[:dv]
+        return (p, q, r), float(max(len(p), len(q), len(r)) - min(len(p), len(q), len(r)))
 
     # -- boundary rays ------------------------------------------------------
 

@@ -164,6 +164,17 @@ class HalfPlaneModel(SpaceModel):
     def _size(m: Matrix2) -> int:
         return max(abs(m.a), abs(m.b), abs(m.c), abs(m.d)).bit_length()
 
+    @staticmethod
+    def _least_size(m: Matrix2, n: Matrix2) -> int:
+        """A lower bound on the size of m n, from signs and bit lengths: an entry x y + u v with
+        x, y nonzero and u v of x y's sign, or 0, has at least bl(x) + bl(y) - 1 bits, and the
+        content, which divides gcd(s, s')^2, removes at most 2 bl(gcd(s, s')) of them."""
+        least = 0
+        for x, y, u, v in ((m.a, n.a, m.b, n.c), (m.a, n.b, m.b, n.d), (m.c, n.a, m.d, n.c), (m.c, n.b, m.d, n.d)):
+            if x and y and (not (u and v) or x ^ y ^ u ^ v >= 0):
+                least = max(least, x.bit_length() + y.bit_length() - 1)
+        return least - 2 * math.gcd(m.s, n.s).bit_length()
+
     def compose(self, first: Owned, second: Owned) -> Owned:
         return self.own(self.require(first) * self.require(second))
 

@@ -74,9 +74,9 @@ class SpaceModel:
     The public methods read each value they take with ``require``, which
     checks its model id, and tag each value they build with ``own``.  Inner
     loops (``_power`` and ``Action.image``, the search's evaluator too) run
-    on bare payloads through four hooks each model sets, and wrap once:
-    ``_mul(p, q)``, ``_inv(p)``, ``_size(p)`` (the size MAX_ISOMETRY_SIZE
-    caps: plane entry bits, tree word units) and ``_one``, the identity."""
+    on bare payloads through five hooks each model sets, and wrap once:
+    ``_mul(p, q)``, ``_inv(p)``, ``_one`` (the identity), ``_size(p)`` (the
+    size MAX_ISOMETRY_SIZE caps) and ``_least_size(p, q)``, a lower bound on it for p q."""
 
     kind: str
     model_id: str
@@ -126,10 +126,10 @@ class SpaceModel:
             if bound > MAX_ISOMETRY_SIZE:
                 bound = self._sized(base)
 
-    def _sized(self, p, what: str = "a power") -> int:
-        """p's size, run once a bound on it passes MAX_ISOMETRY_SIZE; a size
-        past the cap is a ValidationError."""
-        size = self._size(p)
+    def _sized(self, p, what: str = "a power", size: int | None = None) -> int:
+        """p's size, or the given lower bound on it, run once a bound on it
+        passes MAX_ISOMETRY_SIZE; a size past the cap is a ValidationError."""
+        size = self._size(p) if size is None else size
         if size > MAX_ISOMETRY_SIZE:
             raise ValidationError(
                 f"{what} passes the cap of {MAX_ISOMETRY_SIZE} on an isometry's size "

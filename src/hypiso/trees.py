@@ -64,7 +64,7 @@ class TreeModel(SpaceModel):
     # tag of a cyclic core), and compose and classify, which
     # perfbench/layers.py wraps per class.
 
-    _size, _one = staticmethod(len), ()  # the other two payload hooks
+    _size, _one, _least_size = staticmethod(len), (), staticmethod(lambda p, q: 0)  # the other payload hooks
 
     def word(self, units) -> Owned:
         return self.own(self.normal_form(tuple(units)))

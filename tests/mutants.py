@@ -10,11 +10,11 @@ Run it from anywhere, with no arguments for every mutant or with names:
     python tests/mutants.py floor-min-over-points fixes-drops-s
 
 For each mutant the runner copies the checkout (without .git and caches)
-to a temporary directory, applies the mutant there, runs its tests with
-pytest and prints killed with the first failing test, survived (the tests
-passed) or error (pytest could not run them); then the runner's wall time.
-It exits 1 unless every mutant it ran was killed.  The checkout itself is
-never edited.
+to a temporary directory, applies the mutant there, runs all its tests with
+pytest and prints killed (every named test failed), not killed by the named
+tests that passed, survived (every one passed) or error (pytest could not
+run them); then the runner's wall time.  It exits 1 unless every mutant it
+ran was killed by every test it names.  The checkout itself is never edited.
 """
 
 from __future__ import annotations
@@ -181,6 +181,34 @@ MUTANTS = (
     Mutant("bs-act-keeps-a-syllable-of-the-vertex", "geometry.py",
            "w[:-1] if w and w[-1][0] == t else w, t)", "w, t)",
            ("tests/test_trees.py::test_bs_classify_sts_elliptic",)),
+    # the lab's whole-sample passes: the four-point max-min in row blocks,
+    # the last one partial; the plane's int64 ratios only while every
+    # scaled coordinate is below 2^25; a tree's meets counted from each
+    # level's prefix codes, a code the parent's and the unit; the tree's
+    # internal points on the side the meets name; and the nearest orbit
+    # points ranked exactly among the ties of their floats
+    Mutant("four-point-drops-the-partial-block", "geometry.py",
+           "for i in range(0, n, step))", "for i in range(0, n - n % step, step))",
+           ("tests/test_geometry.py::test_four_point_blocks_match_the_cubic_formula",)),
+    Mutant("plane-guard-past-exact-floats", "geometry.py",
+           "< 2**25:", "< 2**27:",
+           ("tests/test_geometry.py::test_plane_distances_take_int64_arrays_only_below_2_to_25",)),
+    Mutant("level-codes-forget-the-parent", "geometry.py",
+           "codes.setdefault((c, v[level]), len(codes))", "codes.setdefault(v[level], len(codes))",
+           ("tests/test_trees.py::test_pairwise_meets_count_equal_prefixes_level_by_level",
+            "tests/test_trees.py::test_pairwise_distances_match_the_pair_loop_and_bfs")),
+    Mutant("tree-internal-point-on-the-far-side", "geometry.py",
+           "v[:dv] if kwu <= kuv else w[:dw]", "w[:dw] if kwu <= kuv else v[:dv]",
+           ("tests/test_trees.py::test_internal_points_against_bfs",)),
+    Mutant("nearest-keeps-every-float-tie", "geometry.py",
+           "return [ties[k] for k in super().nearest([points[i] for i in ties], z)] if len(ties) > 1 else ties",
+           "return ties",
+           ("tests/test_geometry.py::test_plane_nearest_is_exact_past_float_ties",)),
+    # a word's image is refused before a product whose lower bound on its
+    # size passes the cap: an entry's term x y has bl(x) + bl(y) - 1 bits
+    Mutant("least-size-drops-the-1", "halfplane.py",
+           "x.bit_length() + y.bit_length() - 1)", "x.bit_length() + y.bit_length())",
+           ("tests/test_actions.py::test_least_size_is_below_the_product_size",)),
     # the checker's words: a Cayley product cancels the whole shorter word,
     # a Bass-Serre conjugation merges exponents modulo their own factor's
     # order, and adjacent powers of one name merge, not only cancel
@@ -252,20 +280,24 @@ def apply(mutant: Mutant, root: Path) -> None:
 
 
 def run(mutant: Mutant) -> str:
-    """killed (by the first failing test), survived or error, from the
-    mutant's tests on a mutated copy."""
+    """killed, not killed by (the named tests that passed), survived or
+    error, from all the mutant's tests on a mutated copy.  A named test
+    kills when it, or any of its parameters, fails or errors."""
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
     with tempfile.TemporaryDirectory(prefix="hypiso-mutant-") as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=ignore)
         apply(mutant, copy)
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
+        argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *mutant.tests]
         done = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
-    if done.returncode == 1:
-        failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")]
-        return f"killed by {failed[0]}" if failed else "killed"
-    return "survived" if done.returncode == 0 else "error"
+    if done.returncode not in (0, 1):
+        return "error"
+    failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    passed = [test for test in mutant.tests if not any(f == test or f.startswith(f"{test}[") for f in failed)]
+    if len(passed) == len(mutant.tests):
+        return "survived"
+    return f"not killed by {', '.join(passed)}" if passed else "killed"
 
 
 def main(names: list[str]) -> int:
@@ -279,7 +311,7 @@ def main(names: list[str]) -> int:
         t0 = time.perf_counter()
         outcomes.append(run(mutant))
         print(f"{mutant.name}: {outcomes[-1]} ({time.perf_counter() - t0:.1f} s)", flush=True)
-    killed = sum(o.startswith("killed") for o in outcomes)
+    killed = outcomes.count("killed")
     print(f"{killed} of {len(outcomes)} killed in {time.perf_counter() - start:.1f} s")
     return 0 if killed == len(outcomes) else 1
 

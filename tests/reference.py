@@ -72,7 +72,8 @@ def geodesic(model, x, y) -> list:
     geo = lab(model)
     u, v = geo.model.require(x), geo.model.require(y)
     k = _common_prefix_len(u, v)
-    return [geo.model.own(geo._along(u, v, k, t)) for t in range(geo._dist(u, v) + 1)]
+    up = len(u) - k  # the steps from x up to the meet
+    return [geo.model.own(u[: len(u) - t] if t <= up else v[: t - up + k]) for t in range(up + len(v) - k + 1)]
 
 
 def gromov_product(model, x, y, w) -> float:

@@ -5,6 +5,7 @@ cap checked on every product.  The search images its candidates f^a g^b
 with Action.image too, in an action sending the letters f and g to the
 images F and G."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -245,3 +246,27 @@ def test_image_sizes_nothing_under_the_cap(monkeypatch):
         sized.clear()
         assert action.image(word).payload == expected
         assert sized == []
+
+
+def test_least_size_is_below_the_product_size():
+    # an entry x y + u v of a product, x and y nonzero and the terms of one
+    # sign or u v = 0, has at least bl(x) + bl(y) - 1 bits, less 2 bl(gcd(s,
+    # s')) for the content: below the true size on random signed products
+    # with zero entries and shared factors of s, and on squares; equal to it
+    # on diag(1, 9)/3 times diag(1089, 1)/33, whose content 9 takes 4 bits
+    plane, rng = HalfPlaneModel(), random.Random(29)
+    steps = [Matrix2.of(1, k, 0, 1) for k in (-3, -1, 2, 5)] + [Matrix2.of(1, 0, k, 1) for k in (-2, 1, 4)]
+    steps += [Matrix2.of(0, -1, 1, 0)] + [Matrix2.of(s, 0, 0, Fraction(1, s)) for s in (2, 3, 6, 9)]
+    pairs = [(Matrix2.of(Fraction(1, 3), 0, 0, 3), Matrix2.of(33, 0, 0, Fraction(1, 33)))]
+    for _ in range(500):
+        m, n = rng.choice(steps), rng.choice(steps)
+        for _ in range(rng.randint(0, 9)):
+            m, n = m * rng.choice(steps), rng.choice(steps) * n
+        pairs += [(m, n), (m, m)]
+    least = [plane._least_size(m, n) for m, n in pairs]
+    sizes = [plane._size(m * n) for m, n in pairs]
+    assert all(bound <= size for bound, size in zip(least, sizes))
+    assert least[0] == sizes[0] == 7
+    assert sum(bound > 0 for bound in least) > len(pairs) // 2
+    assert {m.s > 1 and math.gcd(m.s, n.s) > 1 for m, n in pairs} == {True, False}
+    assert CayleyTreeModel(2)._least_size((1,) * 9, (1,) * 9) == BassSerreModel(2, 3)._least_size((), ()) == 0

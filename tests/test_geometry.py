@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypiso.errors import InsufficientSample, MixedModels
 from hypiso import geometry
 from hypiso.dynamics import internal_points
 from hypiso.geometry import estimate_delta_four_point, lab
-from hypiso.halfplane import HalfPlaneModel
+from hypiso.halfplane import HalfPlaneModel, _acosh_ratio
 from hypiso.sampling import rng_from_seed, sample_plane_points
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 
@@ -135,7 +136,7 @@ def test_four_point_plane_bounded(plane):
 
 
 def test_four_point_matches_cubic_formula(plane):
-    # the row-by-row maximum equals the all-triples n x n x n formula, bit for bit
+    # the blocked maximum equals the all-triples n x n x n formula, bit for bit
     pts = sample_plane_points(plane, 40, rng_from_seed(3))
     base = lab(plane).basepoint
     n = len(pts)
@@ -224,6 +225,95 @@ def test_four_point_dtype_guard_keeps_a_defect(monkeypatch):
     monkeypatch.setattr(geometry, "lab", lambda cycle: cycle)  # the cycle is its own lab
     for scale in (1, 30, 8000, 3_000_000_000):  # int8, int16, int32, int64
         assert estimate_delta_four_point(_ScaledCycle(scale), [0, 1, 2, 3], 4).delta == scale / 2
+
+
+class _Matrix:
+    """A lab whose points are the indices of a given distance matrix: the
+    four-point estimator reads only its ``pairwise_distances``."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def pairwise_distances(self, points):
+        return self.rows[np.ix_(points, points)]
+
+
+def _cubic_delta(rows) -> float:
+    """The four-point delta at the last point of rows, from the all-triples
+    n x n x n array of min(<x|y>, <y|z>) in the rows' own dtype."""
+    D, d_base = rows[:-1, :-1], rows[-1, :-1]
+    G2 = d_base[:, None] + d_base[None, :] - D
+    maxmin = np.minimum(G2[:, :, None], G2[None, :, :]).max(axis=1)
+    return max(0.0, float((maxmin - G2).max()) / 2.0)
+
+
+@pytest.mark.parametrize("top, kind", [(15, np.int8), (4000, np.int16), (None, np.float64)])
+def test_four_point_blocks_match_the_cubic_formula(monkeypatch, top, kind):
+    # n = 100: blocks of 2^18 // n^2 = 26 rows, the last of 22.  On random
+    # metrics, and on a dented constant one whose defect lies only in rows
+    # n - 2 and n - 1 of the last block, each narrowed to int8 or int16 by
+    # the dtype guard, or in floats
+    monkeypatch.setattr(geometry, "lab", lambda matrix: matrix)  # the matrix is its own lab
+    n, rng = 100, np.random.default_rng(41)
+    assert n % (2**18 // n**2) and n > 2**18 // n**2
+    for seed in range(3):
+        if top is None:
+            A = rng.random((n + 1, n + 1)) * 3.0
+        else:
+            A = rng.integers(0, top, (n + 1, n + 1))
+        rows = A + A.T
+        np.fill_diagonal(rows, 0)
+        dent = np.full((n + 1, n + 1), top or 3.0)  # G2 = top off the diagonal: no defect
+        np.fill_diagonal(dent, 0)
+        dent[n - 2, n - 1] = dent[n - 1, n - 2] = (top or 3.0) + seed + 1  # G2 falls by seed + 1 there
+        for matrix in (rows, dent):
+            if top is not None:
+                G2 = matrix[-1, :-1][:, None] + matrix[-1, :-1][None, :] - matrix[:-1, :-1]
+                assert np.iinfo(kind).max // 4 < 2 * np.abs(G2).max() + 1 <= np.iinfo(kind).max
+            assert estimate_delta_four_point(_Matrix(matrix), list(range(n)), n).delta == _cubic_delta(matrix)
+        assert _cubic_delta(dent) == (seed + 1) / 2
+
+
+def test_plane_distances_take_int64_arrays_only_below_2_to_25(monkeypatch, plane):
+    # over the common denominator 5 the largest coordinate is top: the int64
+    # path's ratios match the pair formula bit for bit while top is below
+    # 2^25, and from 2^25 on the pairs are read one at a time.  Past 2^25 a
+    # float64 ratio of the same integers is no longer int/int's float
+    geo, rng = lab(plane), random.Random(25)
+    pairs = []
+    monkeypatch.setattr(geometry, "_acosh_ratio", lambda num, den: pairs.append(1) or _acosh_ratio(num, den))
+    for top, paired in ((2**25 - 1, False), (2**25, True), (2**26 + 3, True), (2**90, True)):
+        scaled = [(top, 1), (2 - top, top)] + [(rng.randrange(-top, top), rng.randrange(1, top)) for _ in range(38)]
+        points = [geo.point_xy(Fraction(x, 5), Fraction(y, 5)) for x, y in scaled]
+        triples = [p.payload for p in points]
+        pairs.clear()
+        rows = geo.pairwise_distances(points).tolist()
+        assert bool(pairs) == paired, top
+        assert rows == [[_acosh_ratio(*geometry._cosh_ratio(p, q)) for q in triples] for p in triples]
+        if top == 2**26 + 3:
+            X, Y = np.array(scaled, dtype=np.int64).T
+            floats = ((X[:, None] - X) ** 2 + Y[:, None] ** 2 + Y**2) / (2 * Y[:, None] * Y)
+            exact = [[((x - u) ** 2 + y * y + v * v) / (2 * y * v) for u, v in scaled] for x, y in scaled]
+            assert floats.tolist() != exact
+
+
+def test_plane_nearest_is_exact_past_float_ties(plane):
+    # cosh d(y i, i) = (y + 1/y) / 2: at y = 2^30 and 2^30 + 2^-30 the two
+    # ratios differ, but round to one float, and at 2^1100 and 2^1101 both
+    # are past float range; the nearer point is found exactly either way
+    geo = lab(plane)
+    near, far = geo.point_xy(0, 2**30), geo.point_xy(0, Fraction(2**60 + 1, 2**30))
+    ratio = lambda p: geometry._cosh_ratio(p.payload, geo.basepoint.payload)
+    (a, b), (c, d) = ratio(near), ratio(far)
+    assert a * d < c * b and a / b == c / d
+    huge, huger = geo.point_xy(0, 2**1100), geo.point_xy(0, 2**1101)
+    with pytest.raises(OverflowError):
+        operator.truediv(*ratio(huge))
+    for points, nearest in (([far, near], [1]), ([near, far, near], [0, 2]), ([huger, huge], [1]),
+                            ([huge, far, huger], [1]), ([far, far], [0, 1])):
+        assert geo.nearest(points, geo.basepoint) == nearest
+        keys = [geo.distance_key(p, geo.basepoint) for p in points]
+        assert nearest == [i for i, key in enumerate(keys) if key == min(keys)]
 
 
 def test_gromov_inequality_with_sampled_delta(plane, cayley):

@@ -116,10 +116,9 @@ def _references(tree: ast.Module):
 
 
 # fields that only the tests read, kept because the diagnostics' reported
-# figures are computed from them: the insize is the largest distance between
-# the internal points, and the projection's defect is measured at the
+# figures are computed from them: the projection's defect is measured at the
 # nearest orbit point, whose exponents name it; test_dynamics checks both
-UNREAD_FIELDS = {"TriangleInternals.internal", "OrbitProjection.nearest", "OrbitProjection.exponents"}
+UNREAD_FIELDS = {"OrbitProjection.nearest", "OrbitProjection.exponents"}
 
 
 def test_every_public_name_is_used():
@@ -164,7 +163,7 @@ def test_every_mutant_applies_once_and_names_its_tests():
     # must occur exactly once in its file, and runs the tests it names
     from mutants import MUTANTS, source
 
-    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 46
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 52
     for mutant in MUTANTS:
         assert source(mutant).read_text().count(mutant.snippet) == 1, mutant.name
         for test in mutant.tests:
@@ -197,18 +196,18 @@ def _imports(node: ast.AST, top: bool = True):
 # its boundary forms: witness lines print the class's integers), no numpy
 # and no fractions (a tree's lengths are its integers)
 CHECKER_CLOSURE = {"__init__", "records", "actions", "errors", "models", "trees", "words"}
-CHECKER_LINES = 994
+CHECKER_LINES = 998
 
 # a ceiling on the library's size, `wc -l src/hypiso/*.py`: the line count
 # the project tracks next to its timings
-SRC_LINES = 3005
+SRC_LINES = 3040
 
 
 # the geometry lab's members, which live in geometry.py: no core model
 # module may define one of them again
 LAB_NAMES = {
     "point_xy", "_xy", "distance_key", "_cosh_ratio", "distance", "pairwise_distances", "apply", "_floats",
-    "gromov_boundary_point", "gromov_boundary_pair", "_dist", "_along", "_gromov", "internal_points", "_once", "_read",
+    "gromov_boundary_point", "gromov_boundary_pair", "_dist", "_gromov", "internal_points", "_once", "_read",
     "ball_vertices", "ball_size", "DeltaEstimate", "basepoint", "_root",
     # the trees' vertex labels
     "_act", "_neighbors", "_degrees", "_vertex_from_units", "_vertex", "_common_prefix_len",

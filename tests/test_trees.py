@@ -488,6 +488,24 @@ def test_pairwise_distances_match_the_pair_loop_and_bfs(model):
 
 
 @pytest.mark.parametrize(
+    "model", [CayleyTreeModel(2), BassSerreModel(2, 3), BassSerreModel(3, 4)], ids=lambda m: m.model_id
+)
+def test_pairwise_meets_count_equal_prefixes_level_by_level(model):
+    # the root, sampled vertices of mixed depths, the root path of the
+    # deepest, and repeats, shuffled: prefixes that agree down to one level
+    # and part at the next, vertices above a level, and one unit under
+    # different parents, against one meet per pair
+    rng, geo = random.Random(model.model_id), lab(model)
+    points = [geo.basepoint] + sample_tree_points(model, 40, rng)
+    deepest = max((p.payload for p in points), key=len)
+    points += [geo.model.own(deepest[:k]) for k in range(len(deepest))]
+    points += rng.choices(points, k=10)
+    rng.shuffle(points)
+    assert len({len(p.payload) for p in points}) > 5
+    assert geo.pairwise_distances(points).tolist() == pairwise_distances_by_meets(model, points)
+
+
+@pytest.mark.parametrize(
     "model", [CayleyTreeModel(2), CayleyTreeModel(3), BassSerreModel(2, 3), BassSerreModel(3, 4)],
     ids=lambda m: m.model_id,
 )
