@@ -50,9 +50,9 @@ class Action:
                 out = power if out is None else model._mul(out, power)
                 continue
             if out is not None:
-                model._sized(None, "a word's image", model._least_size(out, power))
+                model._sized(model._least_size(out, power), "a word's image")
             out = power if out is None else model._mul(out, power)
-            bound = model._sized(out, "a word's image")
+            bound = model._sized(model._size(out), "a word's image")
         return model.own(model._one if out is None else out)
 
     def classify_word(self, word: GroupWord):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .actions import Action
 from .errors import DegenerateTriangle, NoPassingN, NotHyperbolic
@@ -97,32 +97,28 @@ def _busemann_floor(geo, g: Owned, spec: NeighborhoodSpec, outside: list, n_max:
 # -- triangles ----------------------------------------------------------------
 
 
-class TriangleInternals(NamedTuple):
-    """A triangle's internal points, on its sides [y, z], [z, x] and [x, y],
-    as the lab's payloads that ``internal`` tags when read, and its insize."""
-
-    labels: tuple
+@dataclass(frozen=True)
+class TriangleInternals:
+    internal: tuple[Owned, Owned, Owned]  # on sides [y,z], [z,x], [x,y]
     insize: float
-    model: SpaceModel
-    internal = property(lambda self: tuple(map(self.model.own, self.labels)))
 
 
-def internal_points(model: SpaceModel, x: Owned, y: Owned, z: Owned, geo=None) -> TriangleInternals:
+def internal_points(geo, x: Owned, y: Owned, z: Owned) -> TriangleInternals:
     """The three equidistance-defined points and their diameter, from the
-    lab's ``internal_points`` (geo, else a lab built for the call): exact on
-    trees, where each point is placed at its Gromov-product distance along
-    its side; on the plane placed in closed form along the parameterized
-    geodesics, resolution limited only by float evaluation."""
+    lab geo's ``internal_points``: exact on trees, where each point is placed
+    at its Gromov-product distance along its side; on the plane placed in
+    closed form along the parameterized geodesics, resolution limited only
+    by float evaluation."""
     if x.payload == y.payload or y.payload == z.payload or x.payload == z.payload:
         raise DegenerateTriangle("two triangle vertices coincide")
-    return tuple.__new__(TriangleInternals, (*(geo or lab(model)).internal_points(x, y, z), model))
+    return TriangleInternals(*geo.internal_points(x, y, z))
 
 
 def estimate_delta_insize(model: SpaceModel, triangles: Sequence[tuple[Owned, Owned, Owned]]) -> DeltaEstimate:
     """The largest insize of the triangles, all read by one lab, which keeps
     the distances of the sides that triangles share."""
     geo = lab(model)
-    worst = max([0.0] + [internal_points(model, x, y, z, geo).insize for x, y, z in triangles])
+    worst = max([0.0] + [internal_points(geo, x, y, z).insize for x, y, z in triangles])
     return DeltaEstimate(delta=worst, condition="insize", sample_size=len(triangles))
 
 

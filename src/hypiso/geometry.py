@@ -86,7 +86,8 @@ def estimate_delta_four_point(model: SpaceModel, sample: list[Owned], base: Owne
     if G2.dtype.kind == "i":  # every defect lies within 2*max|G2|, so the narrowest dtype is exact
         bound = 2 * int(np.abs(G2).max()) + 1
         G2 = G2.astype(next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max))
-    # max over y of min(<x|y>, <y|z>), a (max, min) product, in row blocks of at most 2^18 elements
+    # max over y of min(<x|y>, <y|z>), a (max, min) product, in blocks of
+    # max(1, 2^18 // n^2) rows: at most max(2^18, n^2) elements a block
     step = max(1, 2**18 // (n * n))
     blocks = (G2[i : i + step] for i in range(0, n, step))
     defect2 = max((np.minimum(rows[:, :, None], G2).max(axis=1) - rows).max() for rows in blocks)
@@ -198,10 +199,10 @@ class PlaneGeometry(_Geometry):
             q = Fraction(xi)
             return 0.5 * (_log((q - wx) ** 2 + wy * wy) - _log((q - x) ** 2 + yy * yy)) + value
 
-    def internal_points(self, x: Owned, y: Owned, z: Owned) -> tuple[tuple, float]:
-        """The triples of the internal points of the triangle xyz on its sides
-        [y, z], [z, x] and [x, y], each at its Gromov-product distance from the
-        side's first vertex in floats, and the insize: the largest distance between two.
+    def internal_points(self, x: Owned, y: Owned, z: Owned) -> tuple[tuple[Owned, Owned, Owned], float]:
+        """The internal points of the triangle xyz on its sides [y, z], [z, x]
+        and [x, y], each at its Gromov-product distance from the side's first
+        vertex in floats, and the insize: the largest distance between two.
         The products, <y|z>_x = (d(x,y) + d(z,x) - d(y,z)) / 2 and so on round,
         read each side once (its float is symmetric) and are clamped at 0."""
         dxy, dyz, dzx = self.distance(x, y), self.distance(y, z), self.distance(z, x)
@@ -209,8 +210,7 @@ class PlaneGeometry(_Geometry):
         gy = max(0.0, 0.5 * (dxy + dyz - dzx))
         gz = max(0.0, 0.5 * (dzx + dyz - dxy))
         pts = (self._point_at(y, z, gy), self._point_at(z, x, gz), self._point_at(x, y, gx))
-        insize = max(self.distance(p, q) for i, p in enumerate(pts) for q in pts[i + 1 :])
-        return tuple(map(self.model.require, pts)), insize
+        return pts, max(self.distance(p, q) for i, p in enumerate(pts) for q in pts[i + 1 :])
 
     def _point_at(self, p: Owned, q: Owned, dist: float) -> Owned:
         """The point at the given distance from p along the geodesic [p, q]."""
@@ -304,10 +304,9 @@ class TreeGeometry(_Geometry):
         meet = _common_prefix_len
         return len(w) - meet(u, w) - meet(v, w) + meet(u, v)
 
-    def internal_points(self, x: Owned, y: Owned, z: Owned) -> tuple[tuple, float]:
-        """The labels of the internal points of the triangle xyz on its sides
-        [y, z], [z, x] and [x, y], and the insize: the largest distance
-        between two of them.
+    def internal_points(self, x: Owned, y: Owned, z: Owned) -> tuple[tuple[Owned, Owned, Owned], float]:
+        """The internal points of the triangle xyz on its sides [y, z], [z, x]
+        and [x, y], and the insize: the largest distance between two of them.
 
         Each point is placed on its side at the Gromov-product distance from
         the side's first vertex (<x|z>_y on [y, z], and so on round), in
@@ -322,8 +321,10 @@ class TreeGeometry(_Geometry):
         # <x|z>_y = |v| - kuv - kvw + kwu from y puts the point on [y, z] on v's root
         # path, at depth dv, when kwu <= kuv, and else on w's at depth dw; so round
         dv, dw, du = kuv + kvw - kwu, kvw + kwu - kuv, kwu + kuv - kvw
-        p, q, r = v[:dv] if kwu <= kuv else w[:dw], w[:dw] if kuv <= kvw else u[:du], u[:du] if kvw <= kwu else v[:dv]
-        return (p, q, r), float(max(len(p), len(q), len(r)) - min(len(p), len(q), len(r)))
+        pts = v[:dv] if kwu <= kuv else w[:dw], w[:dw] if kuv <= kvw else u[:du], u[:du] if kvw <= kwu else v[:dv]
+        own = self.model.own  # three equal labels, the center of the tripod xyz, share one tag
+        tags = (own(pts[0]),) * 3 if pts[0] == pts[1] == pts[2] else tuple(map(own, pts))
+        return tags, float(max(map(len, pts)) - min(map(len, pts)))
 
     # -- boundary rays ------------------------------------------------------
 

@@ -120,16 +120,15 @@ class SpaceModel:
             n >>= 1
             if not n:
                 if out is not base and out_bound > MAX_ISOMETRY_SIZE:
-                    out_bound = self._sized(out)
+                    out_bound = self._sized(self._size(out))
                 return out, out_bound
             base, bound = self._mul(base, base), 2 * bound + 1
             if bound > MAX_ISOMETRY_SIZE:
-                bound = self._sized(base)
+                bound = self._sized(self._size(base))
 
-    def _sized(self, p, what: str = "a power", size: int | None = None) -> int:
-        """p's size, or the given lower bound on it, run once a bound on it
-        passes MAX_ISOMETRY_SIZE; a size past the cap is a ValidationError."""
-        size = self._size(p) if size is None else size
+    def _sized(self, size: int, what: str = "a power") -> int:
+        """A size, or a lower bound on one, read once a bound on it passes
+        MAX_ISOMETRY_SIZE; past the cap it is a ValidationError."""
         if size > MAX_ISOMETRY_SIZE:
             raise ValidationError(
                 f"{what} passes the cap of {MAX_ISOMETRY_SIZE} on an isometry's size "

@@ -97,7 +97,7 @@ MUTANTS = (
     # the size cap: squares are sized once their bound passes it, and a
     # word's image keeps the running bound of the product so far
     Mutant("power-squares-never-sized", "models.py",
-           "                bound = self._sized(base)", "                pass", (CAP,)),
+           "                bound = self._sized(self._size(base))", "                pass", (CAP,)),
     Mutant("image-bound-forgets-the-product", "actions.py",
            "            bound += power_bound + 1", "            bound = power_bound", (CAP,)),
     # tau = 2 arccosh((a + d)/2s)
@@ -195,8 +195,7 @@ MUTANTS = (
            ("tests/test_geometry.py::test_plane_distances_take_int64_arrays_only_below_2_to_25",)),
     Mutant("level-codes-forget-the-parent", "geometry.py",
            "codes.setdefault((c, v[level]), len(codes))", "codes.setdefault(v[level], len(codes))",
-           ("tests/test_trees.py::test_pairwise_meets_count_equal_prefixes_level_by_level",
-            "tests/test_trees.py::test_pairwise_distances_match_the_pair_loop_and_bfs")),
+           ("tests/test_trees.py::test_pairwise_distances_match_the_pair_loop_and_bfs",)),
     Mutant("tree-internal-point-on-the-far-side", "geometry.py",
            "v[:dv] if kwu <= kuv else w[:dw]", "w[:dw] if kwu <= kuv else v[:dv]",
            ("tests/test_trees.py::test_internal_points_against_bfs",)),

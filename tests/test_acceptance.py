@@ -191,7 +191,7 @@ def _exhaustive_four_point_zero(model, ball) -> None:
     then spot-tied to the oracle on a dozen bases.
     """
     geo, n = lab(model), len(ball)
-    D = np.zeros((n, n), dtype=np.int64)
+    D = np.zeros((n, n), dtype=np.int8)  # radius 4: distances at most 8, so every G2 and defect fits
     for i in range(n):
         for j in range(i + 1, n):
             D[i, j] = D[j, i] = int(geo.distance_key(ball[i], ball[j]))
@@ -210,16 +210,18 @@ def test_acceptance_tree_delta_zero():
     bs = BassSerreModel(2, 3)
     cayley = CayleyTreeModel(2)
 
-    ball_bs = lab(bs).ball_vertices(4)
+    geo = lab(bs)
+    ball_bs = geo.ball_vertices(4)
     _exhaustive_four_point_zero(bs, ball_bs)
     for x, y, z in itertools.combinations(ball_bs, 3):
-        assert internal_points(bs, x, y, z).insize == 0
+        assert internal_points(geo, x, y, z).insize == 0
 
-    ball_c = lab(cayley).ball_vertices(4)
+    geo = lab(cayley)
+    ball_c = geo.ball_vertices(4)
     _exhaustive_four_point_zero(cayley, ball_c)
     count = 0
     for x, y, z in itertools.combinations(ball_c, 3):
-        assert internal_points(cayley, x, y, z).insize == 0
+        assert internal_points(geo, x, y, z).insize == 0
         count += 1
     assert count == len(ball_c) * (len(ball_c) - 1) * (len(ball_c) - 2) // 6
     _pass(
@@ -247,7 +249,7 @@ def test_acceptance_plane_delta_bound():
         x, y, z = tripts[i], tripts[i + 1], tripts[i + 2]
         if x.payload == y.payload or y.payload == z.payload or x.payload == z.payload:
             continue
-        worst_insize = max(worst_insize, internal_points(plane, x, y, z).insize)
+        worst_insize = max(worst_insize, internal_points(lab(plane), x, y, z).insize)
         count += 1
     assert worst_insize <= 1.0
     _pass(

@@ -547,7 +547,7 @@ def test_neighborhoods_disjoint(plane):
 
 def test_internal_points_tree_median(bs23):
     ball = lab(bs23).ball_vertices(3)
-    tri = internal_points(bs23, ball[0], ball[4], ball[9])
+    tri = internal_points(lab(bs23), ball[0], ball[4], ball[9])
     assert tri.insize == 0
     assert tri.internal[0] == tri.internal[1] == tri.internal[2]
 
@@ -556,7 +556,7 @@ def test_internal_points_plane_example(plane):
     x = lab(plane).point_xy(0, 1)
     y = lab(plane).point_xy(0, 8)
     z = lab(plane).point_xy(6, 1)
-    tri = internal_points(plane, x, y, z)
+    tri = internal_points(lab(plane), x, y, z)
     assert tri.insize <= 1.0
     # defining equalities hold to the stated resolution
     gx = gromov_product(plane, y, z, x)
@@ -568,7 +568,7 @@ def test_internal_points_degenerate(plane):
     x = lab(plane).point_xy(0, 1)
     y = lab(plane).point_xy(0, 8)
     with pytest.raises(DegenerateTriangle):
-        internal_points(plane, x, x, y)
+        internal_points(lab(plane), x, x, y)
 
 
 def _slim_delta(plane, triangles, samples_per_side: int) -> float:

@@ -103,7 +103,7 @@ def test_plane_internal_points_match_the_reference_products(plane):
     clamped = 0
     for triangle in triangles:
         for x, y, z in itertools.permutations(triangle):
-            tri = internal_points(plane, x, y, z)
+            tri = internal_points(geo, x, y, z)
             assert (tri.internal, tri.insize) == plane_internal_points_reference(plane, x, y, z)
             dxy, dyz, dxz = geo.distance(x, y), geo.distance(y, z), geo.distance(x, z)
             clamped += 0.5 * (dxy + dyz - dxz) < 0.0

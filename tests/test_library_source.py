@@ -116,9 +116,10 @@ def _references(tree: ast.Module):
 
 
 # fields that only the tests read, kept because the diagnostics' reported
-# figures are computed from them: the projection's defect is measured at the
+# figures are computed from them: the insize is the largest distance between
+# the internal points, and the projection's defect is measured at the
 # nearest orbit point, whose exponents name it; test_dynamics checks both
-UNREAD_FIELDS = {"OrbitProjection.nearest", "OrbitProjection.exponents"}
+UNREAD_FIELDS = {"TriangleInternals.internal", "OrbitProjection.nearest", "OrbitProjection.exponents"}
 
 
 def test_every_public_name_is_used():
@@ -196,11 +197,11 @@ def _imports(node: ast.AST, top: bool = True):
 # its boundary forms: witness lines print the class's integers), no numpy
 # and no fractions (a tree's lengths are its integers)
 CHECKER_CLOSURE = {"__init__", "records", "actions", "errors", "models", "trees", "words"}
-CHECKER_LINES = 998
+CHECKER_LINES = 997
 
 # a ceiling on the library's size, `wc -l src/hypiso/*.py`: the line count
 # the project tracks next to its timings
-SRC_LINES = 3040
+SRC_LINES = 3036
 
 
 # the geometry lab's members, which live in geometry.py: no core model

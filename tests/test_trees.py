@@ -410,8 +410,8 @@ def _bfs(model):
     return d
 
 
-def _check_internal_points(model, d, x, y, z):
-    tri = internal_points(model, x, y, z)
+def _check_internal_points(geo, d, x, y, z):
+    tri = internal_points(geo, x, y, z)
     # the point on the side [a, b] opposite c sits at <b|c>_a from a
     for (a, b, c), p in zip(((y, z, x), (z, x, y), (x, y, z)), tri.internal):
         assert d(a, p) + d(p, b) == d(a, b)
@@ -422,16 +422,16 @@ def _check_internal_points(model, d, x, y, z):
 
 def test_internal_points_against_bfs():
     bs = BassSerreModel(2, 3)
-    d = _bfs(bs)
-    ball = lab(bs).ball_vertices(4)
+    d, geo = _bfs(bs), lab(bs)
+    ball = geo.ball_vertices(4)
     for x, y, z in itertools.combinations(ball, 3):
-        _check_internal_points(bs, d, x, y, z)
+        _check_internal_points(geo, d, x, y, z)
     cayley = CayleyTreeModel(2)
-    d = _bfs(cayley)
-    ball = lab(cayley).ball_vertices(4)
+    d, geo = _bfs(cayley), lab(cayley)
+    ball = geo.ball_vertices(4)
     rng = random.Random(0)
     for _ in range(2000):
-        _check_internal_points(cayley, d, *rng.sample(ball, 3))
+        _check_internal_points(geo, d, *rng.sample(ball, 3))
 
 
 @pytest.mark.parametrize(
@@ -477,7 +477,16 @@ def test_pairwise_distances_match_the_pair_loop_and_bfs(model):
         p = lab(model).apply(g, p)
         orbit.append(p)
     repeats = rng.choices(ball, k=60)
-    for points in (ball, repeats, orbit + ball[:20], [ball[0]], []):
+    # the root, sampled mixed depths, the deepest one's root path and repeats:
+    # prefixes that agree down to one level and part at the next, vertices
+    # above a level, and one unit under different parents
+    mixed = [lab(model).basepoint] + sample_tree_points(model, 40, rng)
+    deepest = max((p.payload for p in mixed), key=len)
+    mixed += [model.own(deepest[:k]) for k in range(len(deepest))]
+    mixed += rng.choices(mixed, k=10)
+    rng.shuffle(mixed)
+    assert len({len(p.payload) for p in mixed}) > 5
+    for points in (ball, repeats, orbit + ball[:20], mixed, [ball[0]], []):
         assert lab(model).pairwise_distances(points).tolist() == pairwise_distances_by_meets(model, points)
     if isinstance(model, BassSerreModel):  # root paths through <t> and not
         assert {p.payload[:1] == ((0, 0),) for p in ball} == {True, False}
@@ -485,24 +494,6 @@ def test_pairwise_distances_match_the_pair_loop_and_bfs(model):
     if lab(model).ball_size(max(len(p.payload) for p in orbit)) <= 5000:
         few += orbit[::4]
     assert lab(model).pairwise_distances(few).tolist() == [[bfs_distance(model, p, q) for q in few] for p in few]
-
-
-@pytest.mark.parametrize(
-    "model", [CayleyTreeModel(2), BassSerreModel(2, 3), BassSerreModel(3, 4)], ids=lambda m: m.model_id
-)
-def test_pairwise_meets_count_equal_prefixes_level_by_level(model):
-    # the root, sampled vertices of mixed depths, the root path of the
-    # deepest, and repeats, shuffled: prefixes that agree down to one level
-    # and part at the next, vertices above a level, and one unit under
-    # different parents, against one meet per pair
-    rng, geo = random.Random(model.model_id), lab(model)
-    points = [geo.basepoint] + sample_tree_points(model, 40, rng)
-    deepest = max((p.payload for p in points), key=len)
-    points += [geo.model.own(deepest[:k]) for k in range(len(deepest))]
-    points += rng.choices(points, k=10)
-    rng.shuffle(points)
-    assert len({len(p.payload) for p in points}) > 5
-    assert geo.pairwise_distances(points).tolist() == pairwise_distances_by_meets(model, points)
 
 
 @pytest.mark.parametrize(
