@@ -206,33 +206,29 @@ def _verify(args, system: ActionSystem, settings) -> Result:
     return _result("combine-verify", settings, lines, table, code, status, word=record.word)
 
 
-def _sample(action, seed: int, count: int, radius: int):
-    """Seeded plane points, or the tree ball of the given radius; either
-    way at most MAX_SAMPLE_POINTS points."""
-    from .geometry import lab
+def _sample(action, geo, seed: int, count: int, radius: int):
+    """Seeded plane points, or the tree ball of the given radius, of the
+    action's lab geo; either way at most MAX_SAMPLE_POINTS points."""
     from .sampling import rng_from_seed, sample_plane_points
-    model = action.model
-    size = count if isinstance(model, HalfPlaneModel) else lab(model).ball_size(radius)
+    plane = isinstance(action.model, HalfPlaneModel)
+    size = count if plane else geo.ball_size(radius)
     if size > MAX_SAMPLE_POINTS:
         raise ValidationError(
             f"a sample of {size} points is over the cap of {MAX_SAMPLE_POINTS}", f"action {action.name!r}"
         )
-    if isinstance(model, HalfPlaneModel):
-        return sample_plane_points(model, count, rng_from_seed(seed))
-    return lab(model).ball_vertices(radius)
+    return sample_plane_points(geo, count, rng_from_seed(seed)) if plane else geo.ball_vertices(radius)
 
 
 def _cmd_delta(args, system: ActionSystem, settings, radii: list[int]) -> Result:
     from .geometry import estimate_delta_four_point, lab  # the lab loads only for the lab's commands
     rows, lines = [], []
     for i, action in enumerate(system.actions):
-        sample = _sample(action, settings["seed"], args.samples, min(4, radii[i]))
-        est = estimate_delta_four_point(action.model, sample, lab(action.model).basepoint)
-        rows.append((str(i), action.name, action.model.kind, est.condition,
-                     f"{est.delta:.6f}", str(est.sample_size)))
-        exact = isinstance(action.model, TreeModel)
-        value = f"exact {int(est.delta)}" if exact else f"approx~ {est.delta:.9f}"
-        lines.append(f"delta {i} {action.name} {est.condition} {value} n {est.sample_size}")
+        geo = lab(action.model)
+        sample = _sample(action, geo, settings["seed"], args.samples, min(4, radii[i]))
+        delta = estimate_delta_four_point(geo, sample, geo.basepoint)
+        rows.append((str(i), action.name, action.model.kind, "four_point", f"{delta:.6f}", str(len(sample))))
+        value = f"exact {int(delta)}" if isinstance(action.model, TreeModel) else f"approx~ {delta:.9f}"
+        lines.append(f"delta {i} {action.name} four_point {value} n {len(sample)}")
     table = _table(["#", "action", "kind", "condition", "delta~", "sample"], rows)
     return _result(args.command, settings, lines, table)
 
@@ -251,13 +247,12 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Res
     rows, lines = [], []
     for i, action in enumerate(system.actions):
         _, image = resolve_witness(system, i)  # the witness's image, read by every check
-        cls = action.model.classify(image)
-        sample = _sample(action, settings["seed"], 24, min(3, radii[i]))
+        cls, geo = action.model.classify(image), lab(action.model)
+        sample = _sample(action, geo, settings["seed"], 24, min(3, radii[i]))
         if "ns" in checks:
-            base = lab(action.model).basepoint
-            spec_plus, spec_minus = (dyn.NeighborhoodSpec(e, 1.0, base) for e in cls.hyperbolic.fixed_points)
+            spec_plus, spec_minus = (dyn.NeighborhoodSpec(e, 1.0, geo.basepoint) for e in cls.hyperbolic.fixed_points)
             try:
-                n = dyn.ns_dynamics_check(action, image, spec_plus, spec_minus, sample, depth)
+                n = dyn.ns_dynamics_check(geo, image, spec_plus, spec_minus, sample, depth)
                 rows.append((str(i), action.name, "ns", f"N={n}"))
                 lines.append(f"ns {i} {action.name} N {n}")
             except (NoPassingN, ValueError) as exc:
@@ -266,11 +261,11 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Res
         if "insize" in checks:
             pts = sample[:12]
             triangles = [t for t in zip(pts, pts[1:], pts[2:]) if len({p.payload for p in t}) == 3]
-            est = dyn.estimate_delta_insize(action.model, triangles)
-            rows.append((str(i), action.name, "insize", f"{est.delta:.6f} over {est.sample_size}"))
-            lines.append(f"insize {i} {action.name} approx~ {est.delta:.9f} n {est.sample_size}")
+            insize = dyn.estimate_delta_insize(geo, triangles)
+            rows.append((str(i), action.name, "insize", f"{insize:.6f} over {len(triangles)}"))
+            lines.append(f"insize {i} {action.name} approx~ {insize:.9f} n {len(triangles)}")
         if "projection" in checks:
-            projections = dyn.orbit_projection(action, image, lab(action.model).basepoint, sample[:10], 8)
+            projections = dyn.orbit_projection(geo, image, sample[:10], 8)
             worst = max([0.0] + [proj.defect for proj in projections])
             rows.append((str(i), action.name, "projection", f"max defect {worst:.6f}"))
             lines.append(f"projection {i} {action.name} approx~ {worst:.9f}")

@@ -8,7 +8,8 @@ N(center, k) when <center|y>_base > k, a test that ``ns_dynamics_check``
 reads once per sample point.  "Disjoint" means the two membership tests
 cannot both pass, checked on the centers' mutual Gromov product plus the
 sample at hand.  Every distance (a float), Gromov product and orbit step
-comes from the model's lab (``geometry.lab``).
+comes from the lab (``geometry.lab``) that the caller passes in, one per
+action.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .actions import Action
 from .errors import DegenerateTriangle, NoPassingN, NotHyperbolic
-from .geometry import DeltaEstimate, lab
-from .models import HYPERBOLIC, Owned, SpaceModel
+from .models import HYPERBOLIC, Owned
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class NeighborhoodSpec:
 
 
 def ns_dynamics_check(
-    action: Action,
+    geo,
     g: Owned,
     u_plus: NeighborhoodSpec,
     u_minus: NeighborhoodSpec,
@@ -41,18 +40,18 @@ def ns_dynamics_check(
     n_max: int,
 ) -> int:
     """Least N <= n_max with g^n(sample - U-) inside U+ for all N <= n <= n_max,
-    for g the image of a word in the action.  U+ and U- must be disjoint:
-    their centers' product (exact on trees) clears neither threshold, and no
-    sample point lies in both.  Each sample point's products with U+'s and
-    U-'s centers are read once, for that test, the points outside U- and
-    their floor; then the outside points are stepped by the lab's ``apply``
-    for n = 1, 2, ..., and a step fails at its first point outside U+.  No
-    step past ``_busemann_floor`` is walked."""
-    model = action.model
-    tag = model.tag(g)
+    for g a hyperbolic isometry of the lab geo's model.  U+ and U- must share
+    their base and be disjoint: their centers' product (exact on trees)
+    clears neither threshold, and no sample point lies in both.  Each sample
+    point's products with U+'s and U-'s centers are read once, for that test,
+    the points outside U- and their floor; then the outside points are
+    stepped by the lab's ``apply`` for n = 1, 2, ..., and a step fails at its
+    first point outside U+.  No step past ``_busemann_floor`` is walked."""
+    tag = geo.model.tag(g)
     if tag != HYPERBOLIC:
-        raise NotHyperbolic(f"word is {tag} in action {action.name!r}")
-    geo = lab(model)
+        raise NotHyperbolic(f"word is {tag} in model {geo.model.model_id!r}")
+    if u_plus.base != u_minus.base:
+        raise ValueError("U+ and U- have different bases")
     if geo.gromov_boundary_pair(u_plus.center, u_minus.center, u_plus.base) > min(u_plus.threshold, u_minus.threshold):
         raise ValueError("U+ and U- are not disjoint")
     read = geo.gromov_boundary_point
@@ -97,29 +96,22 @@ def _busemann_floor(geo, g: Owned, spec: NeighborhoodSpec, outside: list, n_max:
 # -- triangles ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TriangleInternals:
-    internal: tuple[Owned, Owned, Owned]  # on sides [y,z], [z,x], [x,y]
-    insize: float
-
-
-def internal_points(geo, x: Owned, y: Owned, z: Owned) -> TriangleInternals:
-    """The three equidistance-defined points and their diameter, from the
-    lab geo's ``internal_points``: exact on trees, where each point is placed
-    at its Gromov-product distance along its side; on the plane placed in
-    closed form along the parameterized geodesics, resolution limited only
-    by float evaluation."""
+def internal_points(geo, x: Owned, y: Owned, z: Owned) -> tuple[tuple[Owned, Owned, Owned], float]:
+    """The three equidistance-defined points, on the sides [y, z], [z, x] and
+    [x, y], and their diameter, the insize, from the lab geo's
+    ``internal_points``: exact on trees, where each point is placed at its
+    Gromov-product distance along its side; on the plane placed in closed
+    form along the parameterized geodesics, resolution limited only by float
+    evaluation."""
     if x.payload == y.payload or y.payload == z.payload or x.payload == z.payload:
         raise DegenerateTriangle("two triangle vertices coincide")
-    return TriangleInternals(*geo.internal_points(x, y, z))
+    return geo.internal_points(x, y, z)
 
 
-def estimate_delta_insize(model: SpaceModel, triangles: Sequence[tuple[Owned, Owned, Owned]]) -> DeltaEstimate:
-    """The largest insize of the triangles, all read by one lab, which keeps
-    the distances of the sides that triangles share."""
-    geo = lab(model)
-    worst = max([0.0] + [internal_points(geo, x, y, z).insize for x, y, z in triangles])
-    return DeltaEstimate(delta=worst, condition="insize", sample_size=len(triangles))
+def estimate_delta_insize(geo, triangles: Sequence[tuple[Owned, Owned, Owned]]) -> float:
+    """The largest insize of the triangles, all read by the lab geo, which
+    keeps the distances of the sides that triangles share."""
+    return max([0.0] + [internal_points(geo, x, y, z)[1] for x, y, z in triangles])
 
 
 # -- orbit projection -----------------------------------------------------------
@@ -132,20 +124,16 @@ class OrbitProjection:
     defect: float
 
 
-def orbit_projection(
-    action: Action, iso: Owned, basepoint: Owned, points: Sequence[Owned], orbit_range: int
-) -> list[OrbitProjection]:
-    """The nearest-point projection of each point z to the orbit {f^n
-    basepoint : |n| <= orbit_range} of the image iso of a word f hyperbolic
-    in the action, and the reverse-triangle defect d(x, x_z) + d(x_z, z) -
-    d(x, z), x the basepoint.  The orbit and the lab are built once; the
-    orbit is ranked exactly by the lab's ``nearest``, and only the defect's
-    three distances are floats."""
-    model = action.model
-    tag = model.tag(iso)
+def orbit_projection(geo, iso: Owned, points: Sequence[Owned], orbit_range: int) -> list[OrbitProjection]:
+    """The nearest-point projection of each point z to the orbit {f^n x :
+    |n| <= orbit_range} of a hyperbolic isometry f = iso of the lab geo's
+    model, x the lab's basepoint, and the reverse-triangle defect d(x, x_z) +
+    d(x_z, z) - d(x, z).  The orbit is built once and ranked exactly by the
+    lab's ``nearest``; only the defect's three distances are floats."""
+    tag = geo.model.tag(iso)
     if tag != HYPERBOLIC:
-        raise NotHyperbolic(f"f is {tag} in action {action.name!r}")
-    geo, inv = lab(model), model.invert(iso)
+        raise NotHyperbolic(f"f is {tag} in model {geo.model.model_id!r}")
+    basepoint, inv = geo.basepoint, geo.model.invert(iso)
     orbit, fwd, back = {0: basepoint}, basepoint, basepoint
     for n in range(1, orbit_range + 1):
         fwd, back = geo.apply(iso, fwd), geo.apply(inv, back)

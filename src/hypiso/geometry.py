@@ -6,19 +6,19 @@ the ``delta`` and ``dynamics`` diagnostics read and no certificate does.
 arccosh), or a ``CayleyGeometry`` or ``BassSerreGeometry``, whose points
 are the tree's vertices labelled by their root paths, from which
 ``TreeGeometry`` reads the whole metric in integers.  A lab holds its model and
-a memo, and is built where it is used; its points are the model's ``Owned``
-values (another model's point is MixedModels) and its ``basepoint`` is i or
-the root vertex.  A distance or insize is a float; ranking and tree
-arithmetic read the exact ``distance_key`` (a cosh Fraction, an edge count)
-or the integers beneath.  The four-point delta is a sampled estimator on
-top: a maximum of observed defects over the lab's ``pairwise_distances``,
-hence a lower bound on the true hyperbolicity constant.
+a memo; a command builds one per action and hands it to each diagnostic it
+runs there.  Its points are the model's ``Owned`` values (another model's
+point is MixedModels) and its ``basepoint`` is i or the root vertex.  A
+distance or insize is a float; ranking and tree arithmetic read the exact
+``distance_key`` (a cosh Fraction, an edge count) or the integers beneath.
+The four-point delta is a sampled estimator on top: a maximum of observed
+defects over the lab's ``pairwise_distances``, hence a lower bound on the
+true hyperbolicity constant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientSample
@@ -26,15 +26,6 @@ from .halfplane import Matrix2, _acosh_ratio
 from .models import Owned, SpaceModel
 from .quadratic import QuadraticNumber
 from .trees import BassSerreModel, CayleyTreeModel, RayDescriptor
-
-
-@dataclass(frozen=True)
-class DeltaEstimate:
-    """Max hyperbolicity defect over a tested sample (a lower bound on delta)."""
-
-    delta: float
-    condition: str  # insize or four_point
-    sample_size: int
 
 
 def lab(model: SpaceModel) -> PlaneGeometry | TreeGeometry:
@@ -68,18 +59,18 @@ class _Geometry:
         return [i for i, key in enumerate(keys) if key == least]
 
 
-def estimate_delta_four_point(model: SpaceModel, sample: list[Owned], base: Owned) -> DeltaEstimate:
+def estimate_delta_four_point(geo, sample: list[Owned], base: Owned) -> float:
     """Max over ordered triples of min(<x|y>, <y|z>) - <x|z>, clamped at 0.
 
     Exact (integer arithmetic) on tree models, float on the plane; the
-    distances come from the lab's ``pairwise_distances``.
+    distances come from the lab geo's ``pairwise_distances``.
     """
     import numpy as np  # here, so that commands that never estimate delta load no numpy
 
     if len(sample) < 3:
         raise InsufficientSample(f"need >= 3 points, got {len(sample)}")
     n = len(sample)
-    rows = lab(model).pairwise_distances([*sample, base])
+    rows = geo.pairwise_distances([*sample, base])
     D, d_base = rows[:n, :n], rows[n, :n]
     # doubled Gromov products keep tree arithmetic in integers
     G2 = d_base[:, None] + d_base[None, :] - D
@@ -91,8 +82,7 @@ def estimate_delta_four_point(model: SpaceModel, sample: list[Owned], base: Owne
     step = max(1, 2**18 // (n * n))
     blocks = (G2[i : i + step] for i in range(0, n, step))
     defect2 = max((np.minimum(rows[:, :, None], G2).max(axis=1) - rows).max() for rows in blocks)
-    delta = max(0.0, float(defect2) / 2.0)
-    return DeltaEstimate(delta=delta, condition="four_point", sample_size=n)
+    return max(0.0, float(defect2) / 2.0)
 
 
 # -- the half-plane -------------------------------------------------------------

@@ -14,7 +14,6 @@ import random
 from fractions import Fraction
 
 from .actions import Action, ActionSystem
-from .geometry import lab
 from .halfplane import HalfPlaneModel
 from .models import Owned, SpaceModel
 from .trees import BassSerreModel, CayleyTreeModel
@@ -28,9 +27,8 @@ def rng_from_seed(seed: int) -> random.Random:
 # -- points -------------------------------------------------------------
 
 
-def sample_plane_points(model: HalfPlaneModel, count: int, rng: random.Random) -> list[Owned]:
-    """Random rational points, x in [-3, 3] and y in [1/10, 4], both over 100."""
-    geo = lab(model)
+def sample_plane_points(geo, count: int, rng: random.Random) -> list[Owned]:
+    """Random rational points of the plane lab geo, x in [-3, 3] and y in [1/10, 4], both over 100."""
     return [geo.point_xy(rng.randint(-300, 300), rng.randint(10, 400), 100) for _ in range(count)]
 
 

@@ -57,6 +57,10 @@ MUTANTS = (
     Mutant("floor-on-a-repelling-center", "dynamics.py",
            "if tau > 0 else math.nan", "if tau != 0 else math.nan",
            ("tests/test_dynamics.py::test_ns_floor_needs_an_attracting_center",)),
+    # U+ and U- are read from one base: a pair on two bases is refused
+    Mutant("ns-drops-the-base-check", "dynamics.py",
+           '    if u_plus.base != u_minus.base:\n        raise ValueError("U+ and U- have different bases")\n', "",
+           ("tests/test_dynamics.py::test_ns_refuses_neighborhoods_on_different_bases",)),
     # the check reads U-'s products for the points outside U-, walks every
     # step up to the floor, and N follows the last step that fails
     Mutant("ns-outside-reads-u-plus", "dynamics.py",

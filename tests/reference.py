@@ -190,7 +190,7 @@ def sample_tree_points(model, count: int, rng) -> list:
 def sample_points(model, count: int, rng) -> list:
     """Seeded plane points, or seeded tree vertices."""
     if isinstance(model, HalfPlaneModel):
-        return sample_plane_points(model, count, rng)
+        return sample_plane_points(lab(model), count, rng)
     return sample_tree_points(model, count, rng)
 
 

@@ -200,8 +200,7 @@ def _exhaustive_four_point_zero(model, ball) -> None:
         maxmin = np.minimum(G2[:, :, None], G2[None, :, :]).max(axis=1)
         assert (maxmin - G2).max() == 0
     for b in range(0, n, max(1, n // 12)):
-        est = estimate_delta_four_point(model, ball, ball[b])
-        assert est.delta == 0.0
+        assert estimate_delta_four_point(geo, ball, ball[b]) == 0.0
 
 
 def test_acceptance_tree_delta_zero():
@@ -214,14 +213,14 @@ def test_acceptance_tree_delta_zero():
     ball_bs = geo.ball_vertices(4)
     _exhaustive_four_point_zero(bs, ball_bs)
     for x, y, z in itertools.combinations(ball_bs, 3):
-        assert internal_points(geo, x, y, z).insize == 0
+        assert internal_points(geo, x, y, z)[1] == 0
 
     geo = lab(cayley)
     ball_c = geo.ball_vertices(4)
     _exhaustive_four_point_zero(cayley, ball_c)
     count = 0
     for x, y, z in itertools.combinations(ball_c, 3):
-        assert internal_points(geo, x, y, z).insize == 0
+        assert internal_points(geo, x, y, z)[1] == 0
         count += 1
     assert count == len(ball_c) * (len(ball_c) - 1) * (len(ball_c) - 2) // 6
     _pass(
@@ -237,24 +236,24 @@ def test_acceptance_tree_delta_zero():
 def test_acceptance_plane_delta_bound():
     """Four-point estimate over 200 seeded rational points <= 1.0 and
     sampled insizes <= 1.0."""
-    plane = HalfPlaneModel()
-    pts = sample_plane_points(plane, 200, rng_from_seed(0))
-    est = estimate_delta_four_point(plane, pts, lab(plane).basepoint)
-    assert 0.0 <= est.delta <= 1.0
+    geo = lab(HalfPlaneModel())
+    pts = sample_plane_points(geo, 200, rng_from_seed(0))
+    delta = estimate_delta_four_point(geo, pts, geo.basepoint)
+    assert 0.0 <= delta <= 1.0
     worst_insize = 0.0
     rng = rng_from_seed(1)
-    tripts = sample_plane_points(plane, 302, rng)
+    tripts = sample_plane_points(geo, 302, rng)
     count = 0
     for i in range(300):
         x, y, z = tripts[i], tripts[i + 1], tripts[i + 2]
         if x.payload == y.payload or y.payload == z.payload or x.payload == z.payload:
             continue
-        worst_insize = max(worst_insize, internal_points(lab(plane), x, y, z).insize)
+        worst_insize = max(worst_insize, internal_points(geo, x, y, z)[1])
         count += 1
     assert worst_insize <= 1.0
     _pass(
         "plane-delta-bound",
-        f"four-point {est.delta:.4f} over 200 points; max insize {worst_insize:.4f} over {count} triangles",
+        f"four-point {delta:.4f} over 200 points; max insize {worst_insize:.4f} over {count} triangles",
     )
 
 
@@ -319,16 +318,16 @@ def test_acceptance_north_south():
     worst = {}
     for name, model, seed in (("half_plane", plane, 21), ("bass_serre", bs, 22), ("cayley_tree", cayley, 23)):
         rng = rng_from_seed(seed)
+        geo = lab(model)
         if isinstance(model, HalfPlaneModel):
-            sample = sample_plane_points(model, 24, rng)
+            sample = sample_plane_points(geo, 24, rng)
         else:
-            sample = lab(model).ball_vertices(3)
+            sample = geo.ball_vertices(3)
         found = []
         for iso, cls in _ns_elements(model, rng, 20):
-            act = Action(name, model, {"x": iso})
-            u_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, lab(model).basepoint)
-            u_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, lab(model).basepoint)
-            n = ns_dynamics_check(act, iso, u_plus, u_minus, sample, 64)
+            u_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, geo.basepoint)
+            u_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, geo.basepoint)
+            n = ns_dynamics_check(geo, iso, u_plus, u_minus, sample, 64)
             assert 1 <= n <= 64
             found.append(n)
         worst[name] = max(found)
@@ -393,7 +392,7 @@ def _prop42_construction(model, act, wf, wg, cls_f, cls_g, base_sample):
         cur = lab(model).apply(f_img, cur)
         deep.append(cur)
     sample = list(base_sample) + deep
-    n_sample = ns_dynamics_check(act, act.image(wg), v_plus, v_minus, sample, 64)
+    n_sample = ns_dynamics_check(lab(model), act.image(wg), v_plus, v_minus, sample, 64)
     # boundary bound: g^m A+ must have entered V+ and stay there
     n_center = 1
     for m in range(1, 65):
@@ -416,7 +415,7 @@ def test_acceptance_independence_separation():
     for name, model, seed in models:
         rng = rng_from_seed(seed)
         if isinstance(model, HalfPlaneModel):
-            base_sample = sample_plane_points(model, 24, rng)
+            base_sample = sample_plane_points(lab(model), 24, rng)
             pairs = 8
         else:
             base_sample = lab(model).ball_vertices(3)

@@ -471,7 +471,7 @@ def _plane_sweep_points(plane):
     ones included; and orbit points past float range: under [[2, 1], [1,
     1]]^400 y underflows to 0, under diag(2, 1/2)^520 x and y overflow."""
     geo = lab(plane)
-    points = sample_plane_points(plane, 8, rng_from_seed(34)) + [
+    points = sample_plane_points(geo, 8, rng_from_seed(34)) + [
         geo.basepoint, geo.point_xy(0, Fraction(5, 2)), geo.point_xy(Fraction(-5, 7), Fraction(1, 9)),
         geo.point_xy(Fraction(7, 3), Fraction(22, 7)),
     ]

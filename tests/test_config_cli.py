@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hypiso import cli, combiner, dynamics, sampling
+from hypiso import cli, combiner, dynamics, geometry, sampling
 from hypiso.actions import Action, ActionSystem
 from hypiso.cli import MAX_ORBIT_DEPTH, MAX_SAMPLE_POINTS, main
 from hypiso.config import parse_config
@@ -420,6 +420,18 @@ def test_samples_under_cap_pass():
     # before the cap stays under it; the largest is the rank-3 radius-4 ball
     assert lab(CayleyTreeModel(3)).ball_size(4) == 937 <= MAX_SAMPLE_POINTS
     assert lab(BassSerreModel(2, 3)).ball_size(4) <= MAX_SAMPLE_POINTS
+
+
+def test_delta_and_dynamics_build_one_lab_per_action(monkeypatch, capsys):
+    # each command builds an action's lab once and hands it to the sample and
+    # to every check it runs there: 3 labs for the 3 actions of three_action.cfg
+    built = []
+    monkeypatch.setattr(geometry, "lab", lambda model: built.append(model) or lab(model))
+    for command in ("delta", "dynamics"):
+        built.clear()
+        assert main([command, "--input", str(CONFIGS / "three_action.cfg")]) == 0
+        assert len(built) == 3, command
+    capsys.readouterr()
 
 
 def test_word_sample_depth_over_cap_exit_1(tmp_path, capsys, monkeypatch):

@@ -66,8 +66,8 @@ def test_ns_dynamics_diagonal(plane):
     act = Action("p", plane, {"f": D})
     cls = plane.classify(D)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
-    sample = sample_plane_points(plane, 30, rng_from_seed(1))
-    n = ns_dynamics_check(act, act.image(GroupWord.parse("f")), u_plus, u_minus, sample, 64)
+    sample = sample_plane_points(lab(plane), 30, rng_from_seed(1))
+    n = ns_dynamics_check(lab(plane), act.image(GroupWord.parse("f")), u_plus, u_minus, sample, 64)
     assert 1 <= n <= 64
     # direct iteration oracle: all points outside U- land in U+ from step n on
     g = act.image(GroupWord.parse("f"))
@@ -88,8 +88,8 @@ def test_ns_dynamics_diagonal_at_depth_1000(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
     u_plus, u_minus = k1_neighborhoods(plane, plane.classify(D))
-    sample = sample_plane_points(plane, 30, rng_from_seed(1))
-    assert ns_dynamics_check(act, act.image(GroupWord.parse("f")), u_plus, u_minus, sample, 1000) == 1
+    sample = sample_plane_points(lab(plane), 30, rng_from_seed(1))
+    assert ns_dynamics_check(lab(plane), act.image(GroupWord.parse("f")), u_plus, u_minus, sample, 1000) == 1
     [rows], last = _products_by_iteration(plane, D, u_plus.center, sample[:2], [u_plus.base], 520)
     with pytest.raises(OverflowError):
         float(lab(plane)._xy(last[0])[1])
@@ -103,7 +103,7 @@ def test_ns_dynamics_tree(bs23):
     cls = bs23.classify(w)
     u_plus, u_minus = k1_neighborhoods(bs23, cls)
     sample = lab(bs23).ball_vertices(3)
-    n = ns_dynamics_check(act, act.image(GroupWord.parse("w")), u_plus, u_minus, sample, 64)
+    n = ns_dynamics_check(lab(bs23), act.image(GroupWord.parse("w")), u_plus, u_minus, sample, 64)
     assert 1 <= n <= 64
 
 
@@ -113,7 +113,7 @@ def test_ns_dynamics_empty_range(plane):
     cls = plane.classify(D)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
     with pytest.raises(NoPassingN):
-        ns_dynamics_check(act, act.image(GroupWord.parse("f")), u_plus, u_minus, [lab(plane).basepoint], 0)
+        ns_dynamics_check(lab(plane), act.image(GroupWord.parse("f")), u_plus, u_minus, [lab(plane).basepoint], 0)
 
 
 def test_ns_dynamics_requires_hyperbolic(plane):
@@ -122,8 +122,8 @@ def test_ns_dynamics_requires_hyperbolic(plane):
     act = Action("p", plane, {"r": R})
     cls = plane.classify(D)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
-    with pytest.raises(NotHyperbolic):
-        ns_dynamics_check(act, act.image(GroupWord.parse("r")), u_plus, u_minus, [], 8)
+    with pytest.raises(NotHyperbolic, match=f"elliptic in model {plane.model_id!r}"):
+        ns_dynamics_check(lab(plane), act.image(GroupWord.parse("r")), u_plus, u_minus, [], 8)
 
 
 # -- the North-South check against direct iteration -----------------------------
@@ -137,16 +137,18 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _ns_by_iteration(action, g, u_plus, u_minus, sample, n_max):
+def _ns_by_iteration(geo, g, u_plus, u_minus, sample, n_max):
     """ns_dynamics_check by direct iteration: apply g to every point, then
     contains_point on each until one fails."""
-    model = action.model
+    model = geo.model
     if model.tag(g) != "hyperbolic":
-        raise NotHyperbolic(f"word is {model.tag(g)} in action {action.name!r}")
+        raise NotHyperbolic(f"word is {model.tag(g)} in model {model.model_id!r}")
+    if u_plus.base != u_minus.base:
+        raise ValueError("U+ and U- have different bases")
     if not neighborhoods_disjoint(model, u_plus, u_minus, sample):
         raise ValueError("U+ and U- are not disjoint")
     outside = [p for p in sample if not contains_point(model, u_minus, p)]
-    good, current, geo = [], list(outside), lab(model)
+    good, current = [], list(outside)
     for _ in range(n_max):
         current = [geo.apply(g, p) for p in current]
         good.append(all(contains_point(model, u_plus, p) for p in current))
@@ -169,7 +171,7 @@ def test_ns_dynamics_matches_direct_iteration():
             for base, threshold in ((lab(model).basepoint, 1.0), (sample[1], 0.5)):
                 plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, threshold, base)
                 minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, threshold, base)
-                args = (action, image, plus, minus, sample, 20)
+                args = (lab(model), image, plus, minus, sample, 20)
                 assert _outcome(ns_dynamics_check, *args) == _outcome(_ns_by_iteration, *args)
     assert kinds == {"half_plane", "bass_serre", "cayley_tree"}
 
@@ -232,7 +234,7 @@ def test_tree_busemann_shift_and_fixed_point_contract():
         assert others
         for b in others:
             plus, minus = NeighborhoodSpec(b, 1, geo.basepoint), NeighborhoodSpec(ends[1], 1, geo.basepoint)
-            args = (action, g, plus, minus, geo.ball_vertices(2), 12)
+            args = (geo, g, plus, minus, geo.ball_vertices(2), 12)
             outcome = _outcome(ns_dynamics_check, *args)
             assert outcome == _outcome(_ns_by_iteration, *args)
             found[outcome[0] if isinstance(outcome, tuple) else int] += 1
@@ -245,7 +247,7 @@ def test_tree_ns_dynamics_matches_direct_iteration_far_out(monkeypatch):
     # three thresholds, through a cache of gromov_boundary_point.
     read, products = TreeGeometry.gromov_boundary_point, {}
 
-    def cached(geo, b, y, base):  # a lab is built per use, so the cache is keyed by the model's id
+    def cached(geo, b, y, base):  # the oracle builds a lab per product, so the cache is keyed by the model's id
         key = geo.model.model_id, b, y, base
         value = products.get(key)
         if value is None:
@@ -261,7 +263,7 @@ def test_tree_ns_dynamics_matches_direct_iteration_far_out(monkeypatch):
         for threshold in (1, 3, 6):
             plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, threshold, lab(model).basepoint)
             minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, threshold, lab(model).basepoint)
-            args = (action, g, plus, minus, sample, 200)
+            args = (lab(model), g, plus, minus, sample, 200)
             found.append(_outcome(ns_dynamics_check, *args))
             assert found[-1] == _outcome(_ns_by_iteration, *args)
     assert max(found) >= 8
@@ -369,7 +371,7 @@ def test_ns_floor_matches_the_full_walk():
         for base, table in zip(bases, tables):
             for threshold, n_max in product((0.5, 1, 3, 6), depths):
                 plus, minus = NeighborhoodSpec(ends[0], threshold, base), NeighborhoodSpec(ends[1], threshold, base)
-                found = _outcome(ns_dynamics_check, action, g, plus, minus, sample, n_max)
+                found = _outcome(ns_dynamics_check, geo, g, plus, minus, sample, n_max)
                 assert found == _ns_by_walk(model, plus, minus, sample, table, n_max)
                 compared[model.kind, type(found)] += 1
     assert {kind for kind, _ in compared} == {"half_plane", "bass_serre", "cayley_tree"}
@@ -382,14 +384,14 @@ def test_ns_floor_needs_an_attracting_center(plane, bs23):
     diagonal = plane.matrix(2, 0, 0, Fraction(1, 2))
     w = bs23.word([(0, 1), (1, 1)])
     for action, sample in (
-        (Action("p", plane, {"f": diagonal}), sample_plane_points(plane, 30, rng_from_seed(1))),
+        (Action("p", plane, {"f": diagonal}), sample_plane_points(lab(plane), 30, rng_from_seed(1))),
         (Action("b", bs23, {"f": w}), lab(bs23).ball_vertices(3)),
     ):
         g = action.image(GroupWord.parse("f"))
         plus_end, minus_end = action.model.classify(g).hyperbolic.fixed_points[::-1]
         for threshold in (0.5, 1, 3):
             plus, minus = (NeighborhoodSpec(e, threshold, lab(action.model).basepoint) for e in (plus_end, minus_end))
-            args = (action, g, plus, minus, sample, 64)
+            args = (lab(action.model), g, plus, minus, sample, 64)
             assert _outcome(ns_dynamics_check, *args) == _outcome(_ns_by_iteration, *args)
             assert _outcome(ns_dynamics_check, *args)[0] is NoPassingN
 
@@ -409,7 +411,7 @@ def test_ns_at_a_repelling_center_past_float_range(plane):
         for threshold in (0.5, 1, 3):
             plus, minus = (NeighborhoodSpec(e, threshold, geo.basepoint) for e in (repelling, attracting))
             with pytest.raises(NoPassingN):
-                ns_dynamics_check(action, g, plus, minus, points, n_max)
+                ns_dynamics_check(geo, g, plus, minus, points, n_max)
 
 
 def test_plane_products_past_float_range_match_the_floats(plane, monkeypatch):
@@ -446,10 +448,10 @@ def test_ns_reads_no_step_past_the_floor(monkeypatch, capsys):
         applied[-1] = 0  # the floor's own g w is no orbit step
         return floors[-1][0]
 
-    def recorded_check(action, g, u_plus, u_minus, sample, n_max):
+    def recorded_check(geo, g, u_plus, u_minus, sample, n_max):
         samples.append({id(p) for p in sample})
         reads.append(Counter())
-        return check(action, g, u_plus, u_minus, sample, n_max)
+        return check(geo, g, u_plus, u_minus, sample, n_max)
 
     def counted(geometry):
         apply, read = geometry.apply, geometry.gromov_boundary_point
@@ -475,7 +477,8 @@ def test_ns_reads_no_step_past_the_floor(monkeypatch, capsys):
         assert cli.main(argv) == 0 and "failed" not in capsys.readouterr().out
     for seed, action, g in _sampled_witnesses():
         plus, minus = k1_neighborhoods(action.model, action.model.classify(g))
-        dynamics.ns_dynamics_check(action, g, plus, minus, cli._sample(action, seed, 24, 3), 1000)
+        geo = lab(action.model)
+        dynamics.ns_dynamics_check(geo, g, plus, minus, cli._sample(action, geo, seed, 24, 3), 1000)
     assert len(applied) == len(floors) == len(reads) > 90
     assert all(steps <= last * size for steps, (last, size) in zip(applied, floors))
     assert max(last for last, _ in floors) <= 4
@@ -487,7 +490,7 @@ def test_separation_identity(plane):
     act = Action("p", plane, {"f": D})
     cls = plane.classify(D)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
-    sample = sample_plane_points(plane, 20, rng_from_seed(2))
+    sample = sample_plane_points(lab(plane), 20, rng_from_seed(2))
     assert not separation_witnesses(act, GroupWord(()), u_plus, u_minus, sample)
 
 
@@ -515,8 +518,8 @@ def test_separation_high_power_independent(plane):
     cls_g = plane.classify(D)
     u_plus, u_minus = k1_neighborhoods(plane, cls_f)
     v_plus, v_minus = k1_neighborhoods(plane, cls_g)
-    sample = sample_plane_points(plane, 25, rng_from_seed(3))
-    n = ns_dynamics_check(act, act.image(GroupWord.parse("g")), v_plus, v_minus, sample, 64)
+    sample = sample_plane_points(lab(plane), 25, rng_from_seed(3))
+    n = ns_dynamics_check(lab(plane), act.image(GroupWord.parse("g")), v_plus, v_minus, sample, 64)
     for k in range(n, n + 4):
         assert not separation_witnesses(act, GroupWord.parse(f"g^{k}"), u_plus, u_minus, sample)
 
@@ -531,7 +534,7 @@ def test_neighborhoods_disjoint(plane):
     base, far, both = lab(plane).basepoint, lab(plane).point_xy(5, 40), lab(plane).point_xy(1, 1)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
     assert neighborhoods_disjoint(plane, u_plus, u_minus, [far, both])
-    assert ns_dynamics_check(act, D, u_plus, u_minus, [far, both], 64) >= 1
+    assert ns_dynamics_check(lab(plane), D, u_plus, u_minus, [far, both], 64) >= 1
     tight_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 0.0, base)
     tight_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, -0.5, base)
     loose_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 0.1, base)
@@ -541,27 +544,44 @@ def test_neighborhoods_disjoint(plane):
     assert not neighborhoods_disjoint(plane, loose_plus, loose_minus, [far, both])
     for plus, minus, sample in ((tight_plus, tight_minus, [far]), (loose_plus, loose_minus, [far, both])):
         with pytest.raises(ValueError, match="not disjoint"):
-            ns_dynamics_check(act, D, plus, minus, sample, 64)
-    assert ns_dynamics_check(act, D, loose_plus, loose_minus, [far], 64) >= 1
+            ns_dynamics_check(lab(plane), D, plus, minus, sample, 64)
+    assert ns_dynamics_check(lab(plane), D, loose_plus, loose_minus, [far], 64) >= 1
+
+
+def test_ns_refuses_neighborhoods_on_different_bases(plane):
+    # U+ = N(infinity, 1) at i and U- = N(0, 1) at 10^6 i: the centers'
+    # product from i is 0, yet 3 + 2i lies in both, so the check refuses
+    # the pair before it reads a product (read at i alone, it passed with N = 1)
+    geo = lab(plane)
+    D = plane.matrix(2, 0, 0, Fraction(1, 2))
+    infinity, zero = plane.classify(D).hyperbolic.fixed_points
+    assert infinity.payload is None and float(zero.payload) == 0.0
+    u_plus = NeighborhoodSpec(infinity, 1.0, geo.basepoint)
+    u_minus = NeighborhoodSpec(zero, 1.0, geo.point_xy(0, 10**6))
+    assert geo.gromov_boundary_pair(infinity, zero, geo.basepoint) == 0.0
+    both = geo.point_xy(3, 2)
+    assert contains_point(plane, u_plus, both) and contains_point(plane, u_minus, both)
+    with pytest.raises(ValueError, match="different bases"):
+        ns_dynamics_check(geo, D, u_plus, u_minus, [geo.point_xy(0, 2)], 64)
 
 
 def test_internal_points_tree_median(bs23):
     ball = lab(bs23).ball_vertices(3)
-    tri = internal_points(lab(bs23), ball[0], ball[4], ball[9])
-    assert tri.insize == 0
-    assert tri.internal[0] == tri.internal[1] == tri.internal[2]
+    points, insize = internal_points(lab(bs23), ball[0], ball[4], ball[9])
+    assert insize == 0
+    assert points[0] == points[1] == points[2]
 
 
 def test_internal_points_plane_example(plane):
     x = lab(plane).point_xy(0, 1)
     y = lab(plane).point_xy(0, 8)
     z = lab(plane).point_xy(6, 1)
-    tri = internal_points(lab(plane), x, y, z)
-    assert tri.insize <= 1.0
+    points, insize = internal_points(lab(plane), x, y, z)
+    assert insize <= 1.0
     # defining equalities hold to the stated resolution
     gx = gromov_product(plane, y, z, x)
-    assert abs(lab(plane).distance(x, tri.internal[1]) - gx) <= 2**-20
-    assert abs(lab(plane).distance(x, tri.internal[2]) - gx) <= 2**-20
+    assert abs(lab(plane).distance(x, points[1]) - gx) <= 2**-20
+    assert abs(lab(plane).distance(x, points[2]) - gx) <= 2**-20
 
 
 def test_internal_points_degenerate(plane):
@@ -597,7 +617,7 @@ def test_insize_within_slim_estimate(plane):
     # (Unrestricted families would violate this: the ideal triangle has
     # insize arccosh(3/2) > ln(1+sqrt 2).)
     rng = rng_from_seed(7)
-    pts = sample_plane_points(plane, 80, rng)
+    pts = sample_plane_points(lab(plane), 80, rng)
     triangles = []
     i = 0
     while len(triangles) < 40 and i < 77:
@@ -606,18 +626,18 @@ def test_insize_within_slim_estimate(plane):
         sides = [lab(plane).distance(t[a], t[b]) for a, b in ((0, 1), (1, 2), (0, 2))]
         if min(sides) > 1e-9 and max(sides) <= 2.5:
             triangles.append(t)
-    insize_est = estimate_delta_insize(plane, triangles)
+    insize_est = estimate_delta_insize(lab(plane), triangles)
     witnesses = [
         (lab(plane).point_xy(0, Fraction(1, 50)), lab(plane).point_xy(1, Fraction(1, 50)), lab(plane).point_xy(0, 50)),
         (lab(plane).point_xy(0, Fraction(1, 200)), lab(plane).point_xy(1, Fraction(1, 200)), lab(plane).point_xy(0, 200)),
     ]
-    assert insize_est.delta <= _slim_delta(plane, witnesses, 100) + 2**-10
+    assert insize_est <= _slim_delta(plane, witnesses, 100) + 2**-10
 
 
 def test_orbit_projection_basepoint(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
-    [proj] = orbit_projection(act, act.image(GroupWord.parse("f")), lab(plane).basepoint, [lab(plane).basepoint], 8)
+    [proj] = orbit_projection(lab(plane), act.image(GroupWord.parse("f")), [lab(plane).basepoint], 8)
     assert proj.defect == 0.0
     assert proj.exponents[0] == 0
     assert proj.nearest[0].payload == lab(plane).basepoint.payload
@@ -627,7 +647,7 @@ def test_orbit_projection_tree_axis(bs23):
     w = bs23.word([(0, 1), (1, 1)])
     act = Action("b", bs23, {"w": w})
     z = lab(bs23).apply(power(bs23, w, 3), lab(bs23).basepoint)
-    [proj] = orbit_projection(act, act.image(GroupWord.parse("w")), lab(bs23).basepoint, [z], 6)
+    [proj] = orbit_projection(lab(bs23), act.image(GroupWord.parse("w")), [z], 6)
     assert proj.defect == 0.0
     assert proj.exponents == (3,)
 
@@ -636,14 +656,14 @@ def test_orbit_projection_plane_bounded(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
     z = lab(plane).point_xy(3, 1)
-    [proj] = orbit_projection(act, act.image(GroupWord.parse("f")), lab(plane).basepoint, [z], 8)
+    [proj] = orbit_projection(lab(plane), act.image(GroupWord.parse("f")), [z], 8)
     assert 0.0 <= proj.defect <= 4.0
 
 
 def test_orbit_projection_requires_hyperbolic(plane):
     act = Action("p", plane, {"r": plane.matrix(0, -1, 1, 0)})
     with pytest.raises(NotHyperbolic):
-        orbit_projection(act, act.image(GroupWord.parse("r")), lab(plane).basepoint, [lab(plane).basepoint], 4)
+        orbit_projection(lab(plane), act.image(GroupWord.parse("r")), [lab(plane).basepoint], 4)
 
 
 def test_claim1_defect_bound(plane, bs23):
@@ -651,8 +671,8 @@ def test_claim1_defect_bound(plane, bs23):
     # <A+|A->_base + tau/2 (the orbit's Morse radius must absorb the
     # spacing tau between consecutive orbit points)
     rng = rng_from_seed(3)
-    sample = sample_plane_points(plane, 40, rng)
-    delta_hat = estimate_delta_four_point(plane, sample, lab(plane).basepoint).delta
+    sample = sample_plane_points(lab(plane), 40, rng)
+    delta_hat = estimate_delta_four_point(lab(plane), sample, lab(plane).basepoint)
     checked = 0
     for _ in range(12):
         iso = random_plane_hyperbolic(plane, rng)
@@ -662,8 +682,8 @@ def test_claim1_defect_bound(plane, bs23):
         offset = lab(plane).gromov_boundary_pair(
             cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus, lab(plane).basepoint
         )
-        zs = sample_plane_points(plane, 10, rng)
-        for proj in orbit_projection(act, act.image(GroupWord.parse("x")), lab(plane).basepoint, zs, 10):
+        zs = sample_plane_points(lab(plane), 10, rng)
+        for proj in orbit_projection(lab(plane), act.image(GroupWord.parse("x")), zs, 10):
             assert proj.defect <= 4 * (delta_hat + offset + tau / 2)
             checked += 1
     assert checked >= 100
@@ -674,7 +694,7 @@ def test_claim1_defect_bound(plane, bs23):
     tau = cls.hyperbolic.translation_length
     rngb = rng_from_seed(5)
     zs = sample_tree_points(bs23, 100, rngb)
-    for proj in orbit_projection(act, act.image(GroupWord.parse("x")), lab(bs23).basepoint, zs, 10):
+    for proj in orbit_projection(lab(bs23), act.image(GroupWord.parse("x")), zs, 10):
         assert proj.defect <= 4 * (0 + 0 + tau / 2)
 
 
@@ -685,7 +705,7 @@ def test_prop41_final_clause_family(plane):
     F = plane.matrix(2, 1, 1, 1)
     cls = plane.classify(F)
     u_plus, u_minus = k1_neighborhoods(plane, cls)
-    sample = sample_plane_points(plane, 25, rng_from_seed(9))
+    sample = sample_plane_points(lab(plane), 25, rng_from_seed(9))
     act = Action("p", plane, {"f": F, "e": plane.matrix(0, -1, 1, 0)})
     for k in range(0, 6):
         assert not separation_witnesses(act, GroupWord(()) ** k, u_plus, u_minus, sample)

@@ -75,7 +75,7 @@ def test_gromov_product_collinear_plane(plane):
 
 def test_gromov_product_upper_bound(plane):
     rng = rng_from_seed(11)
-    pts = sample_plane_points(plane, 12, rng)
+    pts = sample_plane_points(lab(plane), 12, rng)
     for x, y, w in zip(pts, pts[4:], pts[8:]):
         gp = gromov_product(plane, x, y, w)
         assert gp <= min(lab(plane).distance(x, w), lab(plane).distance(y, w)) + 1e-9
@@ -89,7 +89,7 @@ def test_plane_internal_points_match_the_reference_products(plane):
     # dip below 0 and the clamp is read) and on triangles a hair off a
     # geodesic, in every vertex order
     geo, rng = lab(plane), random.Random(35)
-    pts = sample_plane_points(plane, 45, rng_from_seed(7))
+    pts = sample_plane_points(geo, 45, rng_from_seed(7))
     triangles = list(zip(pts[::3], pts[1::3], pts[2::3]))
     for _ in range(12):  # on vertical geodesics
         x, (a, b, c) = rng.randint(-5, 5), sorted(rng.sample(range(1, 200), 3))
@@ -103,42 +103,41 @@ def test_plane_internal_points_match_the_reference_products(plane):
     clamped = 0
     for triangle in triangles:
         for x, y, z in itertools.permutations(triangle):
-            tri = internal_points(geo, x, y, z)
-            assert (tri.internal, tri.insize) == plane_internal_points_reference(plane, x, y, z)
+            assert internal_points(geo, x, y, z) == plane_internal_points_reference(plane, x, y, z)
             dxy, dyz, dxz = geo.distance(x, y), geo.distance(y, z), geo.distance(x, z)
             clamped += 0.5 * (dxy + dyz - dxz) < 0.0
     assert clamped > 0
 
 
 def test_four_point_insufficient(plane):
+    geo = lab(plane)
     with pytest.raises(InsufficientSample):
-        estimate_delta_four_point(plane, sample_plane_points(plane, 2, rng_from_seed(0)), lab(plane).basepoint)
+        estimate_delta_four_point(geo, sample_plane_points(geo, 2, rng_from_seed(0)), geo.basepoint)
 
 
 def test_four_point_tree_exact_zero(bs23):
-    ball = lab(bs23).ball_vertices(4)
-    est = estimate_delta_four_point(bs23, ball, lab(bs23).basepoint)
-    assert est.delta == 0.0
-    assert est.condition == "four_point"
-    assert est.sample_size == len(ball)
+    geo = lab(bs23)
+    delta = estimate_delta_four_point(geo, geo.ball_vertices(4), geo.basepoint)
+    assert delta == 0.0 and type(delta) is float
 
 
 def test_four_point_collinear_zero(plane):
-    pts = [lab(plane).point_xy(0, Fraction(k)) for k in (1, 2, 4, 8, 16)]
-    est = estimate_delta_four_point(plane, pts, lab(plane).point_xy(0, 3))
-    assert est.delta <= 1e-9
+    geo = lab(plane)
+    pts = [geo.point_xy(0, Fraction(k)) for k in (1, 2, 4, 8, 16)]
+    assert estimate_delta_four_point(geo, pts, geo.point_xy(0, 3)) <= 1e-9
 
 
 def test_four_point_plane_bounded(plane):
-    pts = sample_plane_points(plane, 80, rng_from_seed(5))
-    est = estimate_delta_four_point(plane, pts, lab(plane).basepoint)
-    assert 0.0 <= est.delta <= 1.0
+    geo = lab(plane)
+    pts = sample_plane_points(geo, 80, rng_from_seed(5))
+    assert 0.0 <= estimate_delta_four_point(geo, pts, geo.basepoint) <= 1.0
 
 
 def test_four_point_matches_cubic_formula(plane):
     # the blocked maximum equals the all-triples n x n x n formula, bit for bit
-    pts = sample_plane_points(plane, 40, rng_from_seed(3))
-    base = lab(plane).basepoint
+    geo = lab(plane)
+    pts = sample_plane_points(geo, 40, rng_from_seed(3))
+    base = geo.basepoint
     n = len(pts)
     d_base = np.array([lab(plane).distance(p, base) for p in pts])
     D = np.zeros((n, n))
@@ -149,7 +148,7 @@ def test_four_point_matches_cubic_formula(plane):
     maxmin = np.minimum(G2[:, :, None], G2[None, :, :]).max(axis=1)
     expected = max(0.0, float((maxmin - G2).max()) / 2.0)
     assert expected > 0.0
-    assert estimate_delta_four_point(plane, pts, base).delta == expected
+    assert estimate_delta_four_point(geo, pts, base) == expected
 
 
 def _four_point_by_distance(model, sample, base) -> float:
@@ -172,14 +171,13 @@ def test_four_point_matches_pairwise_distance_fill(plane):
     bs = BassSerreModel(3, 4)
     cayley3 = CayleyTreeModel(3)
     cases = [
-        (plane, sample_plane_points(plane, 45, rng_from_seed(11)), lab(plane).point_xy(Fraction(-5, 7), 2)),
+        (plane, sample_plane_points(lab(plane), 45, rng_from_seed(11)), lab(plane).point_xy(Fraction(-5, 7), 2)),
         (bs, lab(bs).ball_vertices(4), lab(bs).basepoint),
         (cayley3, lab(cayley3).ball_vertices(2), vertex(cayley3, [2, -3])),
     ]
     for model, sample, base in cases:
         for b in (lab(model).basepoint, base):
-            est = estimate_delta_four_point(model, sample, b)
-            assert est.delta == _four_point_by_distance(model, sample, b)
+            assert estimate_delta_four_point(lab(model), sample, b) == _four_point_by_distance(model, sample, b)
         pts = sample[:20] + [base]
         rows = lab(model).pairwise_distances(pts).tolist()
         assert rows == [[lab(model).distance(p, q) for q in pts] for p in pts]
@@ -188,20 +186,20 @@ def test_four_point_matches_pairwise_distance_fill(plane):
 
 def test_four_point_memory_is_quadratic():
     # 300 vertices: the n^3 int64 array alone would take 216 MB
-    cayley3 = CayleyTreeModel(3)
-    ball = lab(cayley3).ball_vertices(4)[:300]
+    geo = lab(CayleyTreeModel(3))
+    ball = geo.ball_vertices(4)[:300]
     tracemalloc.start()
     try:
-        est = estimate_delta_four_point(cayley3, ball, lab(cayley3).basepoint)
+        delta = estimate_delta_four_point(geo, ball, geo.basepoint)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert est.delta == 0.0
+    assert delta == 0.0
     assert peak < 32 * 2**20
 
 
 class _ScaledCycle:
-    """The metric of a 5-cycle's vertices, scaled: integer distances with a
+    """A lab of a 5-cycle's vertices, scaled: integer distances with a
     four-point defect, so a wrapped narrow dtype would change the estimate."""
 
     def __init__(self, scale):
@@ -218,13 +216,12 @@ def test_four_point_dtype_guard_is_exact(depth, narrower):
     sample = [vertex(line, [e] * k) for e in (1, -1) for k in (0, 1, 2, depth // 2, depth - 1, depth)]
     assert 4 * depth + 1 > np.iinfo(narrower).max
     for base in (lab(line).basepoint, vertex(line, [1] * 3)):
-        assert estimate_delta_four_point(line, sample, base).delta == _four_point_by_distance(line, sample, base)
+        assert estimate_delta_four_point(lab(line), sample, base) == _four_point_by_distance(line, sample, base)
 
 
-def test_four_point_dtype_guard_keeps_a_defect(monkeypatch):
-    monkeypatch.setattr(geometry, "lab", lambda cycle: cycle)  # the cycle is its own lab
+def test_four_point_dtype_guard_keeps_a_defect():
     for scale in (1, 30, 8000, 3_000_000_000):  # int8, int16, int32, int64
-        assert estimate_delta_four_point(_ScaledCycle(scale), [0, 1, 2, 3], 4).delta == scale / 2
+        assert estimate_delta_four_point(_ScaledCycle(scale), [0, 1, 2, 3], 4) == scale / 2
 
 
 class _Matrix:
@@ -248,12 +245,11 @@ def _cubic_delta(rows) -> float:
 
 
 @pytest.mark.parametrize("top, kind", [(15, np.int8), (4000, np.int16), (None, np.float64)])
-def test_four_point_blocks_match_the_cubic_formula(monkeypatch, top, kind):
+def test_four_point_blocks_match_the_cubic_formula(top, kind):
     # n = 100: blocks of 2^18 // n^2 = 26 rows, the last of 22.  On random
     # metrics, and on a dented constant one whose defect lies only in rows
     # n - 2 and n - 1 of the last block, each narrowed to int8 or int16 by
     # the dtype guard, or in floats
-    monkeypatch.setattr(geometry, "lab", lambda matrix: matrix)  # the matrix is its own lab
     n, rng = 100, np.random.default_rng(41)
     assert n % (2**18 // n**2) and n > 2**18 // n**2
     for seed in range(3):
@@ -270,7 +266,7 @@ def test_four_point_blocks_match_the_cubic_formula(monkeypatch, top, kind):
             if top is not None:
                 G2 = matrix[-1, :-1][:, None] + matrix[-1, :-1][None, :] - matrix[:-1, :-1]
                 assert np.iinfo(kind).max // 4 < 2 * np.abs(G2).max() + 1 <= np.iinfo(kind).max
-            assert estimate_delta_four_point(_Matrix(matrix), list(range(n)), n).delta == _cubic_delta(matrix)
+            assert estimate_delta_four_point(_Matrix(matrix), list(range(n)), n) == _cubic_delta(matrix)
         assert _cubic_delta(dent) == (seed + 1) / 2
 
 
@@ -321,7 +317,7 @@ def test_gromov_inequality_with_sampled_delta(plane, cayley):
         rng = rng_from_seed(17)
         pts = sample_points(model, 24, rng)
         base = lab(model).basepoint
-        delta_hat = estimate_delta_four_point(model, pts, base).delta
+        delta_hat = estimate_delta_four_point(lab(model), pts, base)
         for i in range(0, 20, 2):
             x, y, z = pts[i], pts[(i + 3) % 24], pts[(i + 7) % 24]
             assert four_point_defect(model, x, y, z, base) <= delta_hat + 2**-20

@@ -45,13 +45,12 @@ def dynamics_lines(system, seed: int) -> list[str]:
     lines = []
     for i, action in enumerate(system.actions):
         _, image = resolve_witness(system, i)
-        cls = action.model.classify(image)
-        base = lab(action.model).basepoint
-        plus = dynamics.NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, base)
-        minus = dynamics.NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, base)
-        sample = cli._sample(action, seed, 24, 3)
+        cls, geo = action.model.classify(image), lab(action.model)
+        plus = dynamics.NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, geo.basepoint)
+        minus = dynamics.NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, geo.basepoint)
+        sample = cli._sample(action, geo, seed, 24, 3)
         try:
-            lines.append(f"ns {i} N {dynamics.ns_dynamics_check(action, image, plus, minus, sample, 64)}")
+            lines.append(f"ns {i} N {dynamics.ns_dynamics_check(geo, image, plus, minus, sample, 64)}")
         except (NoPassingN, ValueError) as exc:
             lines.append(f"ns {i} failed {type(exc).__name__}: {exc}")
     return lines
@@ -61,9 +60,9 @@ def delta_lines(system, seed: int) -> list[str]:
     """Each action's four-point delta, to the last bit of its float."""
     lines = []
     for i, action in enumerate(system.actions):
-        sample = cli._sample(action, seed, 60, 3)
-        est = estimate_delta_four_point(action.model, sample, lab(action.model).basepoint)
-        lines.append(f"delta {i} {est.delta!r} n {est.sample_size}")
+        geo = lab(action.model)
+        sample = cli._sample(action, geo, seed, 60, 3)
+        lines.append(f"delta {i} {estimate_delta_four_point(geo, sample, geo.basepoint)!r} n {len(sample)}")
     return lines
 
 

@@ -411,13 +411,13 @@ def _bfs(model):
 
 
 def _check_internal_points(geo, d, x, y, z):
-    tri = internal_points(geo, x, y, z)
+    points, insize = internal_points(geo, x, y, z)
     # the point on the side [a, b] opposite c sits at <b|c>_a from a
-    for (a, b, c), p in zip(((y, z, x), (z, x, y), (x, y, z)), tri.internal):
+    for (a, b, c), p in zip(((y, z, x), (z, x, y), (x, y, z)), points):
         assert d(a, p) + d(p, b) == d(a, b)
         assert 2 * d(a, p) == d(a, b) + d(a, c) - d(b, c)
-    assert tri.internal[0] == tri.internal[1] == tri.internal[2]
-    assert tri.insize == 0
+    assert points[0] == points[1] == points[2]
+    assert insize == 0
 
 
 def test_internal_points_against_bfs():
