@@ -793,3 +793,62 @@ def test_record_error_names_its_place(tmp_path, capsys, edit, code, stream, mess
     rec_path = write(tmp_path, "edited.rec", record.replace(*edit, 1))
     assert main(["combine", "--input", path, "--verify", rec_path]) == code
     assert message in getattr(capsys.readouterr(), stream)
+
+
+# one plane action whose f is written out in full: a spelling of [[2, 1],
+# [1, 1]] classifies as that matrix does, and a bad one exits 1 naming it
+ONE_ACTION = """hypiso-config v1
+generators f g
+
+action one
+model half_plane
+gen f {}
+gen g [[0, -1], [1, 0]]
+"""
+ONE_ACTION_CLASSIFIED = (
+    "#  action  kind        element  tag         invariant      tau~    \n"
+    "-  ------  ----------  -------  ----------  -------------  --------\n"
+    "0  one     half_plane  gen f    hyperbolic  cosh-half=3/2  1.924847\n"
+    "0  one     half_plane  gen g    elliptic    period=2       -       \n"
+)
+
+
+def _int_message(text: str) -> str:
+    """int()'s own message on text, which a bad rational entry quotes."""
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} reads as an integer")
+
+
+# a matrix -> the error classify prints after the action's field, or None
+# for the matrix [[2, 1], [1, 1]]; a denominator is read before its numerator
+MATRIX_SPELLINGS = [
+    ("[[2, 1], [1, 1]]", None),
+    ("[[2, +1], [1, 1]]", None),
+    ("[[2, -1/-1], [1, 1]]", None),
+    ("[[2, 2/2], [1, 1]]", None),
+    ("[[2, 1/0], [1, 1]]", "bad rational entry: zero denominator"),
+    ("[[2, x/0], [1, 1]]", "bad rational entry: zero denominator"),
+    ("[[2, 1.5], [1, 1]]", f"bad rational entry: {_int_message('1.5')}"),
+    ("[[2, x], [1, 1]]", f"bad rational entry: {_int_message('x')}"),
+    ("[[2, 1/x], [1, 1]]", f"bad rational entry: {_int_message('x')}"),
+    ("[[2, 1/2/3], [1, 1]]", f"bad rational entry: {_int_message('2/3')}"),
+    (f"[[2, {'1' * 5000}], [1, 1]]", f"bad rational entry: {_int_message('1' * 5000)}"),
+    ("[[2, 1/-2], [1, 1]]", "determinant is 5/2, must be exactly 1"),
+    ("[[2, 1_0], [1, 1]]", "determinant is -8, must be exactly 1"),
+    ("[[2, 1], [1]]", "matrix needs 4 entries, got 3"),
+]
+
+
+@pytest.mark.parametrize("matrix, error", MATRIX_SPELLINGS,
+                         ids=[m if len(m) < 40 else "5000-digit numerator" for m, _ in MATRIX_SPELLINGS])
+def test_matrix_spellings_classify_as_they_read(tmp_path, capsys, matrix, error):
+    path = write(tmp_path, "one.cfg", ONE_ACTION.format(matrix))
+    code = main(["classify", "--input", path])
+    out, err = capsys.readouterr()
+    if error is None:
+        assert (code, out, err) == (0, ONE_ACTION_CLASSIFIED, "")
+    else:
+        assert (code, out, err) == (1, "", f"error: action 'one' gen f: {error}\n")
