@@ -221,6 +221,8 @@ def _sample(action, geo, seed: int, count: int, radius: int):
 
 def _cmd_delta(args, system: ActionSystem, settings, radii: list[int]) -> Result:
     from .geometry import estimate_delta_four_point, lab  # the lab loads only for the lab's commands
+    if args.samples < 0:
+        raise ValidationError(f"must be >= 0, got {args.samples}", "--samples")
     rows, lines = [], []
     for i, action in enumerate(system.actions):
         geo = lab(action.model)

@@ -1,24 +1,22 @@
 """The 'hypiso-config v1' text format: parse, validate, build.
 
 Line-oriented: a version header, a generators line, optional schedule
-parameters, then one block per action.  Matrices are written as
-[[p/q, p/q], [p/q, p/q]] with exact rationals; tree generator images are
-words like "s t^2".  Parse errors carry 1-based line positions; semantic
-problems (wrong determinant, unknown letters) raise ValidationError
-naming the field.
+parameters, then one block per action.  Each model reads its own generator
+images (``parse_word``): the plane's are matrices [[p/q, p/q], [p/q, p/q]]
+of exact rationals, a tree's words like "s t^2".  Parse errors carry
+1-based line positions; semantic problems (wrong determinant, unknown
+letters) raise ValidationError naming the field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .actions import Action, ActionSystem
 from .errors import ParseError, ValidationError
 from .halfplane import HalfPlaneModel
 from .models import SpaceModel
-from .quadratic import parse_rational
 from .trees import BassSerreModel, CayleyTreeModel
 from .words import GroupWord
 
@@ -142,17 +140,6 @@ def _parse_action_line(action: ActionConfig, key: str, tokens: list[str], line: 
         raise ParseError(f"unknown action directive {key!r}", lineno)
 
 
-def _parse_matrix(text: str, where: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    cleaned = text.replace("[", " ").replace("]", " ").replace(",", " ")
-    tokens = cleaned.split()
-    if len(tokens) != 4:
-        raise ValidationError(f"matrix needs 4 entries, got {len(tokens)}", where)
-    try:
-        return tuple(parse_rational(t) for t in tokens)
-    except ValueError as exc:
-        raise ValidationError(f"bad rational entry: {exc}", where)
-
-
 def _build_model(ac: ActionConfig) -> SpaceModel:
     where = f"action {ac.name!r} model"
     if ac.kind == "half_plane":
@@ -194,14 +181,10 @@ def build_action_system(config: SystemConfig) -> ActionSystem:
         for gen, raw in ac.images.items():
             if gen not in alphabet:
                 raise ValidationError(f"image given for unknown generator {gen!r}", f"action {ac.name!r}")
-            where = f"action {ac.name!r} gen {gen}"
-            try:  # the model checks the image: determinant 1, or the tree's letters
-                if isinstance(model, HalfPlaneModel):
-                    images[gen] = model.matrix(*_parse_matrix(raw, where))
-                else:
-                    images[gen] = model.parse_word(raw)
+            try:  # the model reads the image: a matrix of determinant 1, or the tree's letters
+                images[gen] = model.parse_word(raw)
             except ValueError as exc:
-                raise ValidationError(str(exc), where)
+                raise ValidationError(str(exc), f"action {ac.name!r} gen {gen}")
         if ac.witness is not None:
             try:
                 witnesses.append(GroupWord.parse(ac.witness, alphabet))

@@ -9,8 +9,8 @@ are the tree's vertices labelled by their root paths, from which
 a memo; a command builds one per action and hands it to each diagnostic it
 runs there.  Its points are the model's ``Owned`` values (another model's
 point is MixedModels) and its ``basepoint`` is i or the root vertex.  A
-distance or insize is a float; ranking and tree arithmetic read the exact
-``distance_key`` (a cosh Fraction, an edge count) or the integers beneath.
+distance or insize is a float; ranking and tree arithmetic are exact: an
+edge count, or the plane's integer cosh ratios, compared by cross-multiplying.
 The four-point delta is a sampled estimator on top: a maximum of observed
 defects over the lab's ``pairwise_distances``, hence a lower bound on the
 true hyperbolicity constant.
@@ -117,15 +117,15 @@ class PlaneGeometry(_Geometry):
         return Fraction(*_cosh_ratio(self.model.require(p), self.model.require(q)))
 
     def nearest(self, points: list[Owned], z: Owned) -> list[int]:
-        """The indices of the points nearest z: the least floats of the cosh
-        ratios (inf from 2^1023 on) hold every exact minimizer, rounding being
-        monotone, and a tie among them is ranked by ``distance_key``."""
+        """The indices of the points nearest z: those of the least cosh ratio
+        n/d, the integer pairs compared by cross-multiplying (d > 0)."""
         w = self.model.require(z)
         ratios = [_cosh_ratio(self.model.require(p), w) for p in points]
-        floats = [num / den if num >> 1023 < den else math.inf for num, den in ratios]
-        least = min(floats)
-        ties = [i for i, f in enumerate(floats) if f == least]
-        return [ties[k] for k in super().nearest([points[i] for i in ties], z)] if len(ties) > 1 else ties
+        n0, d0 = ratios[0]
+        for n, d in ratios:
+            if n * d0 < n0 * d:
+                n0, d0 = n, d
+        return [i for i, (n, d) in enumerate(ratios) if n * d0 == n0 * d]
 
     def distance(self, x: Owned, y: Owned) -> float:
         key = self.model.require(x), self.model.require(y)

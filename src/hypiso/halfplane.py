@@ -157,6 +157,24 @@ class HalfPlaneModel(SpaceModel):
     def matrix(self, a, b, c, d) -> Owned:
         return self.own(Matrix2.of(a, b, c, d))
 
+    def parse_word(self, text: str) -> Owned:
+        """The matrix [[p/q, p/q], [p/q, p/q]], an entry p/q or p, as a tree reads its
+        words; a denominator is read before its numerator: x/0 is a zero denominator."""
+        entries = text.replace("[", " ").replace("]", " ").replace(",", " ").split()
+        if len(entries) != 4:
+            raise ValueError(f"matrix needs 4 entries, got {len(entries)}")
+        rationals = []
+        for entry in entries:
+            num, slash, den = entry.partition("/")
+            try:
+                q = int(den) if slash else 1
+                if q == 0:
+                    raise ValueError("zero denominator")
+                rationals.append(Fraction(int(num), q))
+            except ValueError as exc:
+                raise ValueError(f"bad rational entry: {exc}") from None
+        return self.matrix(*rationals)
+
     # the payload hooks of SpaceModel
     _mul, _inv, _one = staticmethod(Matrix2.__mul__), staticmethod(Matrix2.inverse), Matrix2.identity()
 
@@ -251,17 +269,6 @@ class HalfPlaneModel(SpaceModel):
 
     def boundary_equal(self, p: Owned, q: Owned) -> bool:
         return self.require(p) == self.require(q)
-
-    def fixes(self, iso: Owned, b: Owned) -> bool:
-        """+-identity fixes every boundary point and a rotation, |a + d| < 2s,
-        none: its fixed points are a conjugate pair off the real line."""
-        m: Matrix2 = self.require(iso)
-        self.require(b)
-        if m.is_proj_identity():
-            return True
-        if abs(m.a + m.d) < 2 * m.s:
-            return False
-        return super().fixes(iso, b)
 
     def boundary_apply(self, iso: Owned, b: Owned) -> Owned:
         """(a z + b)/(c z + d) on the form F that z is a root of: the image

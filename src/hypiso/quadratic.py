@@ -1,5 +1,5 @@
 """Boundary points of the plane as the primitive integer forms they are
-roots of, and exact rational helpers.
+roots of.
 
 A QuadraticNumber is a value, not a field.  A rational p/q is the linear
 form (q, -p), the root of q z - p; a quadratic irrational is its minimal
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -54,15 +53,3 @@ class QuadraticNumber:
             return num / den
         except OverflowError:
             return math.inf if (num > 0) == (den > 0) else -math.inf
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact Fraction; denominators must be nonzero."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        d = int(den)
-        if d == 0:
-            raise ValueError("zero denominator")
-        return Fraction(int(num), d)
-    return Fraction(int(text))

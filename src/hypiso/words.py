@@ -88,9 +88,9 @@ def parse_powers(text: str, check: Callable[[str, str], None]) -> Iterator[tuple
     if text.strip() == "1":
         return
     for token in text.split():
-        name, _, exp = token.partition("^")
+        name, caret, exp = token.partition("^")
         check(name, token)
-        yield name, int(exp) if exp else 1
+        yield name, int(exp) if caret else 1
 
 
 def reduce_powers(powers: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:

@@ -7,7 +7,7 @@ names the tests that must fail on it.  pytest does not collect this file.
 Run it from anywhere, with no arguments for every mutant or with names:
 
     python tests/mutants.py
-    python tests/mutants.py floor-min-over-points fixes-drops-s
+    python tests/mutants.py floor-min-over-points nearest-keeps-its-first-point
 
 For each mutant the runner copies the checkout (without .git and caches)
 to a temporary directory, applies the mutant there, runs all its tests with
@@ -47,6 +47,7 @@ PARTITIONS = "tests/test_combiner.py::test_lazy_partitions_match_the_eager_refer
 LEVEL_ZERO = "tests/test_combiner.py::test_parabolic_words_level_zero_matches_the_walk"
 CLASSES = "tests/test_classification_sweep.py::test_plane_classes_match_the_fraction_derivation"
 SPELLING = "tests/test_quadratic.py::test_a_boundary_point_has_one_spelling"
+SPELLINGS = "tests/test_config_cli.py::test_matrix_spellings_classify_as_they_read"
 FLOOR = "tests/test_dynamics.py::test_ns_floor_matches_the_full_walk"
 
 MUTANTS = (
@@ -89,15 +90,11 @@ MUTANTS = (
     Mutant("exact-log-adds-the-denominator", "geometry.py",
            "math.log(q.numerator) - math.log(q.denominator)", "math.log(q.numerator) + math.log(q.denominator)",
            ("tests/test_dynamics.py::test_plane_products_past_float_range_match_the_floats",)),
-    # require is the one check of a value's model id, and the plane's fixes
-    # shortcut runs it on the boundary point before deciding
+    # require is the one check of a value's model id
     Mutant("require-checks-nothing", "models.py",
            "if x.model_id != self.model_id:", "if x.model_id is None:",
            ("tests/test_geometry.py::test_distance_checks_models",
             "tests/test_halfplane.py::test_mixed_models_rejected", ORACLE)),
-    Mutant("plane-fixes-skips-the-boundary-check", "halfplane.py",
-           "        self.require(b)\n        if m.is_proj_identity():", "        if m.is_proj_identity():",
-           ("tests/test_actions.py::test_foreign_boundary_and_lab_points_are_refused",)),
     # the size cap: squares are sized once their bound passes it, and a
     # word's image keeps the running bound of the product so far
     Mutant("power-squares-never-sized", "models.py",
@@ -135,10 +132,13 @@ MUTANTS = (
     Mutant("plane-tag-takes-trace-2", "halfplane.py",
            "if at > two:", "if at >= two:",
            ("tests/test_halfplane.py::test_classify_parabolic",)),
-    # a rotation is |a + d| < 2s, not < 2: the search's fixes shortcut
-    Mutant("fixes-drops-s", "halfplane.py",
-           "if abs(m.a + m.d) < 2 * m.s:", "if abs(m.a + m.d) < 2:",
-           ("tests/test_combiner.py::test_plane_fixes_never_reaches_the_boundary_action",)),
+    # the plane reads its config matrices: an entry's denominator first, and
+    # a zero denominator refused
+    Mutant("matrix-entry-takes-a-zero-denominator", "halfplane.py",
+           '                if q == 0:\n                    raise ValueError("zero denominator")\n', "",
+           (SPELLINGS, "tests/test_halfplane.py::test_parse_word_reads_rational_entries")),
+    Mutant("matrix-entry-reads-the-numerator-first", "halfplane.py",
+           "q = int(den) if slash else 1", "p, q = int(num), int(den) if slash else 1", (SPELLINGS,)),
     # the checker compares the repelling point too
     Mutant("witness-line-drops-minus", "records.py",
            '"{} plus={} minus={}".format(line', '"{} plus={}".format(line',
@@ -190,7 +190,7 @@ MUTANTS = (
     # scaled coordinate is below 2^25; a tree's meets counted from each
     # level's prefix codes, a code the parent's and the unit; the tree's
     # internal points on the side the meets name; and the nearest orbit
-    # points ranked exactly among the ties of their floats
+    # points ranked by a running least of their exact cosh ratios
     Mutant("four-point-drops-the-partial-block", "geometry.py",
            "for i in range(0, n, step))", "for i in range(0, n - n % step, step))",
            ("tests/test_geometry.py::test_four_point_blocks_match_the_cubic_formula",)),
@@ -203,9 +203,8 @@ MUTANTS = (
     Mutant("tree-internal-point-on-the-far-side", "geometry.py",
            "v[:dv] if kwu <= kuv else w[:dw]", "w[:dw] if kwu <= kuv else v[:dv]",
            ("tests/test_trees.py::test_internal_points_against_bfs",)),
-    Mutant("nearest-keeps-every-float-tie", "geometry.py",
-           "return [ties[k] for k in super().nearest([points[i] for i in ties], z)] if len(ties) > 1 else ties",
-           "return ties",
+    Mutant("nearest-keeps-its-first-point", "geometry.py",
+           "                n0, d0 = n, d\n", "                pass\n",
            ("tests/test_geometry.py::test_plane_nearest_is_exact_past_float_ties",)),
     # a word's image is refused before a product whose lower bound on its
     # size passes the cap: an entry's term x y has bl(x) + bl(y) - 1 bits
@@ -261,6 +260,11 @@ MUTANTS = (
     Mutant("display-drops-exponent-minus-1", "words.py",
            "name if e == 1 else", "name if abs(e) == 1 else",
            ("tests/test_words.py::test_parse_round_trip",)),
+    Mutant("parse-reads-an-empty-exponent-as-1", "words.py",
+           "int(exp) if caret else 1", "int(exp) if exp else 1",
+           ("tests/test_words.py::test_parse_refuses_an_empty_exponent",
+            "tests/test_config_cli.py::test_config_error_names_its_place",
+            "tests/test_config_cli.py::test_record_error_names_its_place")),
     Mutant("parse-takes-1-for-a-name", "words.py",
            'if name in ("", "1"):', 'if name == "":',
            ("tests/test_words.py::test_parse_refuses_the_name_1",)),

@@ -125,8 +125,7 @@ def test_foreign_isometries_are_refused_where_they_enter(make_action):
 @pytest.mark.parametrize("make_action", ACTIONS[:3], ids=ACTION_IDS[:3])
 def test_foreign_boundary_and_lab_points_are_refused(make_action):
     # a boundary point or a lab point is its model's too: each public
-    # boundary method and lab method that takes one refuses another
-    # model's, the plane's fixes shortcut before it decides
+    # boundary method and lab method that takes one refuses another model's
     action = make_action()
     model, own = action.model, action.images["f"]
     other = CayleyTreeModel(3) if isinstance(model, HalfPlaneModel) else HalfPlaneModel()

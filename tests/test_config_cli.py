@@ -415,6 +415,18 @@ def test_plane_sample_over_cap_exit_1(tmp_path, capsys, monkeypatch):
     assert "over the cap" in capsys.readouterr().err
 
 
+def test_negative_samples_exit_1_before_sampling(tmp_path, capsys, monkeypatch):
+    # a negative --samples is refused before any point is sampled, while 0
+    # to 2 points are sampled and are too few for the four-point condition
+    path = write(tmp_path, "worked.cfg", WORKED_EXAMPLE)
+    for samples, message in ((0, "need >= 3 points, got 0"), (2, "need >= 3 points, got 2")):
+        assert main(["delta", "--input", path, "--samples", str(samples)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    monkeypatch.setattr(sampling, "sample_plane_points", _no_walk)
+    assert main(["delta", "--input", path, "--samples", "-5"]) == 1
+    assert capsys.readouterr().err == "error: --samples: must be >= 0, got -5\n"
+
+
 def test_samples_under_cap_pass():
     # every tree ball that delta (radius 4) or dynamics (radius 3) sampled
     # before the cap stays under it; the largest is the rank-3 radius-4 ball
@@ -765,6 +777,7 @@ CONFIG_ERRORS = [
     ("model half_plane", "model sphere", "action 'plane-one' model: unknown model kind 'sphere'"),
     ("model half_plane\n", "", "action 'plane-one': missing model line"),
     ("witness f", "gen h [[2, 1], [1, 1]]\nwitness f", "action 'plane-one': image given for unknown generator 'h'"),
+    ("witness f", "witness f^", "action 'plane-one' witness: invalid literal for int() with base 10: ''"),
 ]
 
 
@@ -781,6 +794,7 @@ RECORD_ERRORS = [
     (("word f^2 g^2\n", ""), 2, "out", "verification: FAILED\n  record carries no word\n"),
     (("word f^2 g^2", "word f h"), 2, "out", "  bad word: "),
     (("witness 1 ", "note 1 "), 2, "out", "  record lists 1 witnesses, system has 2 actions\n"),
+    (("word f^2 g^2", "word f^ g^2"), 2, "out", "  bad word: invalid literal for int() with base 10: ''\n"),
 ]
 
 

@@ -77,6 +77,13 @@ def test_matrix_checks_its_determinant(plane):
         plane.matrix(2, 0, 0, 1)
 
 
+def test_parse_word_reads_rational_entries(plane):
+    # an entry is p/q or p, in lowest terms or not; a zero denominator is refused
+    assert plane.parse_word("[[-3/6, 7], [0, -2]]").payload.entries() == (Fraction(-1, 2), 7, 0, -2)
+    with pytest.raises(ValueError, match="^bad rational entry: zero denominator$"):
+        plane.parse_word("[[1/0, 0], [0, 1]]")
+
+
 def _matrix_by_fractions(entries):
     """Matrix2.of by Fraction arithmetic: the matrix, or the ValueError message."""
     q = [Fraction(x) for x in entries]

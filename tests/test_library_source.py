@@ -163,7 +163,7 @@ def test_every_mutant_applies_once_and_names_its_tests():
     # must occur exactly once in its file, and runs the tests it names
     from mutants import MUTANTS, source
 
-    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 53
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 54
     for mutant in MUTANTS:
         assert source(mutant).read_text().count(mutant.snippet) == 1, mutant.name
         for test in mutant.tests:
@@ -200,7 +200,7 @@ CHECKER_LINES = 997
 
 # a ceiling on the library's size, `wc -l src/hypiso/*.py`: the line count
 # the project tracks next to its timings
-SRC_LINES = 3006
+SRC_LINES = 2985
 
 
 # the geometry lab's members, which live in geometry.py: no core model
@@ -330,10 +330,10 @@ def test_the_checker_computes_no_float():
 
 # the plane lab's per-point work, on the integer triple (X, Y, D) of a point:
 # only distance_key's exact cosh and the exact logs of a product past float
-# range build a Fraction
+# range build a Fraction (nearest cross-multiplies the integer cosh ratios)
 PLANE_INTEGER_FUNCTIONS = [
     "PlaneGeometry.distance", "PlaneGeometry.apply", "PlaneGeometry._floats", "PlaneGeometry.pairwise_distances",
-    "PlaneGeometry.point_xy", "_Geometry._once", "PlaneGeometry._point_at", "_cosh_ratio",
+    "PlaneGeometry.point_xy", "_Geometry._once", "PlaneGeometry._point_at", "_cosh_ratio", "PlaneGeometry.nearest",
 ]
 
 
@@ -389,7 +389,21 @@ def test_quadratic_number_is_a_value_not_a_field():
     tree = ast.parse((SRC / "hypiso" / "quadratic.py").read_text())
     [cls] = [node for node in tree.body if isinstance(node, ast.ClassDef)]
     assert {node.name for node in cls.body if isinstance(node, ast.FunctionDef)} == {"of", "__float__"}
-    assert {node.name for node in tree.body if isinstance(node, ast.FunctionDef)} == {"parse_rational"}
+    assert {node.name for node in tree.body if isinstance(node, ast.FunctionDef)} == set()
+
+
+def test_each_model_reads_its_own_config_images():
+    # the config hands every image to its model's parse_word: it imports no
+    # fractions and asks no model its class, and quadratic.py parses nothing
+    for name in ("config", "quadratic"):
+        imported = {module.split(".")[0] for module, _ in _imports(ast.parse((SRC / "hypiso" / f"{name}.py").read_text()))}
+        assert "fractions" not in imported, name
+    classes = {"SpaceModel", "HalfPlaneModel", "TreeModel", "BassSerreModel", "CayleyTreeModel"}
+    config = ast.parse((SRC / "hypiso" / "config.py").read_text())
+    checks = [node.lineno for node in ast.walk(config) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "isinstance"
+              and any(getattr(n, "id", None) in classes for n in ast.walk(node.args[1]))]
+    assert checks == [], f"config.py checks a model's class on lines {checks}"
 
 
 def test_the_search_images_words_only_with_action_image():

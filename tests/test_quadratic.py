@@ -1,11 +1,10 @@
 import math
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import pytest
 
 from hypiso.halfplane import HalfPlaneModel, _acosh_ratio
-from hypiso.quadratic import QuadraticNumber, parse_rational
+from hypiso.quadratic import QuadraticNumber
 
 from test_classification_sweep import chain_sized_matrices, sweep_matrices
 
@@ -15,13 +14,6 @@ def test_acosh_fraction_small_and_huge():
     assert abs(_acosh_ratio(17, 8) - math.log(4)) < 1e-12
     expected = math.log(2) + 400 * math.log(10)
     assert abs(_acosh_ratio(10**400, 1) - expected) < 1e-9
-
-
-def test_parse_rational():
-    assert parse_rational("-3/6") == Fraction(-1, 2)
-    assert parse_rational("7") == Fraction(7)
-    with pytest.raises(ValueError):
-        parse_rational("1/0")
 
 
 def test_a_boundary_point_has_one_spelling():

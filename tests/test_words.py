@@ -43,6 +43,16 @@ def test_parse_refuses_the_name_1():
             GroupWord.parse("f 1", alphabet)
 
 
+
+def test_parse_refuses_an_empty_exponent():
+    # a caret with no exponent is int('')'s error, never the power 1: in a
+    # group word and in either tree's words
+    for parse, text in ((GroupWord.parse, "f^"), (GroupWord.parse, "g f^ g"),
+                        (CayleyTreeModel(2).parse_word, "a^"), (BassSerreModel(2, 3).parse_word, "s^ t")):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse(text)
+
+
 # unreduced power tuples over f, g and h: exponent 0 and runs of one name included
 powers = st.lists(st.tuples(st.sampled_from("fgh"), st.integers(-3, 3)), max_size=10)
 
