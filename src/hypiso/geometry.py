@@ -111,11 +111,6 @@ class PlaneGeometry(_Geometry):
         X, Y, D = self.model.require(p)
         return Fraction(X, D), Fraction(Y, D)
 
-    def distance_key(self, p: Owned, q: Owned) -> Fraction:
-        """cosh d(p, q) = ((x1 - x2)^2 + y1^2 + y2^2) / (2 y1 y2), exactly: it
-        is monotone in the distance, so it ranks with no float."""
-        return Fraction(*_cosh_ratio(self.model.require(p), self.model.require(q)))
-
     def nearest(self, points: list[Owned], z: Owned) -> list[int]:
         """The indices of the points nearest z: those of the least cosh ratio
         n/d, the integer pairs compared by cross-multiplying (d > 0)."""

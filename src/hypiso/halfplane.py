@@ -263,7 +263,7 @@ class HalfPlaneModel(SpaceModel):
         if a + d < 0:
             a, b, c, d = -a, -b, -c, -d  # same Mobius action; normalize to trace > 2
         t = a + d
-        return IsometryClass(HYPERBOLIC, hyperbolic=_new(PlaneHyperbolic, (a, b, c, d, s, t * t - 4 * s * s)))
+        return _new(IsometryClass, (HYPERBOLIC, None, _new(PlaneHyperbolic, (a, b, c, d, s, t * t - 4 * s * s))))
 
     # -- boundary ----------------------------------------------------------
 

@@ -10,8 +10,7 @@ use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Protocol
+from typing import Any, NamedTuple, Optional, Protocol
 
 from .errors import MixedModels, ValidationError
 
@@ -28,12 +27,12 @@ HYPOTHESIS_VIOLATION = "hypothesis_violation"
 MAX_ISOMETRY_SIZE = 2**19
 
 
-@dataclass(frozen=True)
-class Owned:
+class Owned(NamedTuple):
     """A value of one model, tagged with its id: an isometry (a primitive
     plane matrix, a tree word), a boundary point (a QuadraticNumber or None
     for infinity, a tree ray) or a lab's point (a plane triple, a tree
-    vertex label).  Its model builds it with ``own``, reads it with ``require``."""
+    vertex label), as a plain tuple.  Its model builds it with ``own`` and
+    reads it with ``require``."""
 
     model_id: str
     payload: Any
@@ -42,9 +41,9 @@ class Owned:
 class HyperbolicWitness(Protocol):
     """A hyperbolic class in its model's own type, holding the exact integers
     its record prints and no float or Fraction: the translation length, a
-    float for a reader, and the plane's fixed points (plus attracting, minus
-    repelling) are built when read.  fixed_points is the pair (plus, minus),
-    built together: a reader of both reads it."""
+    float for a reader, and the fixed points (plus attracting, minus
+    repelling) are built when read: the plane's pair from one isqrt, a
+    tree's rays each folded alone."""
 
     translation_length: float
     fixed_plus: Owned
@@ -52,19 +51,14 @@ class HyperbolicWitness(Protocol):
     fixed_points: tuple[Owned, Owned]
 
 
-@dataclass(frozen=True)
-class IsometryClass:
+class IsometryClass(NamedTuple):
+    """An exact class as a plain tuple: its tag, an elliptic period, a hyperbolic witness."""
+
     tag: str
     period: Optional[int] = None  # an elliptic class's order, None for an infinite-order plane rotation
     hyperbolic: Optional[HyperbolicWitness] = None
-
-    @property
-    def is_hyperbolic(self) -> bool:
-        return self.tag == HYPERBOLIC
-
-    @property
-    def is_elliptic(self) -> bool:
-        return self.tag == ELLIPTIC
+    is_hyperbolic = property(lambda self: self.tag == HYPERBOLIC)
+    is_elliptic = property(lambda self: self.tag == ELLIPTIC)
 
 
 class SpaceModel:

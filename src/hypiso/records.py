@@ -76,9 +76,8 @@ def witness_line(index: int, name: str, model: SpaceModel, cls: IsometryClass) -
     if h is None:
         return line
     if isinstance(h, TreeHyperbolic):
-        rays = map(model.require, h.fixed_points)
         plus, minus = (f"ray:{model.word_display(r.prefix)};{model.word_display(r.period)}".replace(" ", ".")
-                       for r in rays)
+                       for r in map(model.require, h.fixed_points))
         return f"{line} plus={plus} minus={minus}"
     if isinstance(model, TreeModel):
         model.require(h.fixed_plus)  # a plane class in a tree action: MixedModels
@@ -88,13 +87,12 @@ def witness_line(index: int, name: str, model: SpaceModel, cls: IsometryClass) -
 def check_printable(model: SpaceModel, cls: IsometryClass) -> None:
     """Raise what ``witness_line`` raises on cls in model (MixedModels for
     another model's class, ValidationError past the print limit): a tree
-    class's rays are read with ``model.require``, and only a plane class in
-    a tree action or one whose printed integers, of at most 2L + 2 bits for
-    L-bit entries, may pass the limit is printed."""
+    class's core is read with ``model.require``, folding no ray, and only a
+    plane class in a tree action or one whose printed integers, of at most
+    2L + 2 bits for L-bit entries, may pass the limit is printed."""
     h, limit = cls.hyperbolic, sys.get_int_max_str_digits()  # 0 (none) or >= 640
     if isinstance(h, TreeHyperbolic):
-        for ray in h.fixed_points:  # in witness_line's order
-            model.require(ray)
+        model.require(h.core)
     elif not (h is None or not isinstance(model, TreeModel) and (  # 3 limit bits print in under limit digits
             not limit or 2 * max(map(abs, h[:5])).bit_length() + 2 <= 3 * limit)):  # h[:5] is a, b, c, d, s
         witness_line(0, "", model, cls)

@@ -36,9 +36,8 @@ def sample_plane_points(geo, count: int, rng: random.Random) -> list[Owned]:
 
 
 def _shear_product(model: HalfPlaneModel, u: int, v: int, lower_first: bool) -> Owned:
-    lower = model.matrix(1, 0, v, 1)
-    upper = model.matrix(1, u, 0, 1)
-    return model.compose(lower, upper) if lower_first else model.compose(upper, lower)
+    """[[1, 0], [v, 1]] [[1, u], [0, 1]] if lower_first, else the shears' other product."""
+    return model.matrix(1, u, v, 1 + u * v) if lower_first else model.matrix(1 + u * v, u, v, 1)
 
 
 def random_plane_hyperbolic(model: HalfPlaneModel, rng: random.Random) -> Owned:

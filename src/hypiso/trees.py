@@ -19,7 +19,7 @@ its cyclic letter length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple
 
 from .models import (
@@ -30,13 +30,13 @@ from .models import (
     Owned,
     SpaceModel,
 )
-from .words import format_powers, parse_powers, reduce_powers
+from .words import format_powers, parse_powers
 
 _LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"  # Cayley letter i is named _LETTER_NAMES[i - 1]
+_new = tuple.__new__  # a class is built as a plain tuple: no Python-level __new__
 
 
-@dataclass(frozen=True)
-class RayDescriptor:
+class RayDescriptor(NamedTuple):
     """A boundary point: the reduced infinite word prefix . period^infinity.
     ``TreeModel._fold`` builds every one; a hand-built one must be folded."""
 
@@ -46,13 +46,24 @@ class RayDescriptor:
 
 class TreeHyperbolic(NamedTuple):
     """A hyperbolic tree class: its integer translation length (letters or
-    syllables) and the rays its axis runs between."""
+    syllables), the cyclic core (u, v) of its word u v u^-1 and its model.
+    Its axis runs from the ray u v^-inf to u v^inf, each folded when read."""
 
     length: int
-    fixed_plus: Owned
-    fixed_minus: Owned
+    u: tuple
+    v: tuple
+    model: TreeModel
     translation_length = property(lambda self: float(self.length))
+    core = property(lambda self: self.model.own((self.u, self.v)))
+    fixed_plus = property(lambda self: self.model.own(self.model._fold(self.u, self.v)))
+    fixed_minus = property(lambda self: self.model.own(self.model._fold(self.u, self.model.invert_word(self.v))))
     fixed_points = property(lambda self: (self.fixed_plus, self.fixed_minus))
+    # equal when the lengths and rays are: one model, or one model id, and one core settle it with nothing folded
+    __eq__ = lambda self, other: type(other) is TreeHyperbolic and (
+        self[1:] == other[1:] or self.core == other.core
+        or (self.length, *self.fixed_points) == (other.length, *other.fixed_points))
+    __ne__ = lambda self, other: not self == other
+    __hash__ = lambda self: hash((self.length, *self.fixed_points))
 
 
 class TreeModel(SpaceModel):
@@ -83,10 +94,8 @@ class TreeModel(SpaceModel):
     def _hyperbolic(self, u: tuple, v: tuple) -> IsometryClass:
         """The class of u . v . u^-1 for u and v from ``cyclic_reduce`` (both
         reduced, v cyclically) with v not conjugate into a vertex stabilizer:
-        translation length |v|, axis from the ray u . v^inf to the ray
-        u . v^-inf, each folded from the reduced parts with no re-check."""
-        plus, minus = self.own(self._fold(u, v)), self.own(self._fold(u, self.invert_word(v)))
-        return IsometryClass(HYPERBOLIC, hyperbolic=TreeHyperbolic(len(v), plus, minus))
+        translation length |v|; its rays are folded only when read."""
+        return _new(IsometryClass, (HYPERBOLIC, None, _new(TreeHyperbolic, (len(v), u, v, self))))
 
     # -- boundary rays ------------------------------------------------------
 
@@ -186,8 +195,8 @@ class CayleyTreeModel(TreeModel):
         return IsometryClass(ELLIPTIC, period=1)
 
     def word_display(self, payload: tuple) -> str:
-        letters = ((_LETTER_NAMES[abs(x) - 1], 1 if x > 0 else -1) for x in payload)
-        return format_powers(reduce_powers(letters))
+        return format_powers(  # a run of one letter is a power: nothing in a reduced word cancels
+            (_LETTER_NAMES[abs(x) - 1], len(list(run)) * (1 if x > 0 else -1)) for x, run in groupby(payload))
 
     def parse_word(self, text: str) -> Owned:
         names = tuple(_LETTER_NAMES[: self.rank])

@@ -173,6 +173,22 @@ MUTANTS = (
     Mutant("ray-equality-from-the-shorter-prefix", "trees.py",
            "max(len(r1.prefix), len(r2.prefix)) + 2", "min(len(r1.prefix), len(r2.prefix)) + 2",
            ("tests/test_trees.py::test_tree_rays_are_equal_exactly_when_their_streams_agree",)),
+    # a tree class keeps its cyclic core u, v and folds its rays when read:
+    # the repelling ray runs along v^-1; one model id and one core settle
+    # equality unfolded, and the checker reads a tree class's model id from
+    # its core; a Cayley word prints each run of one letter as one power
+    Mutant("fixed-minus-folds-v", "trees.py",
+           "self.model._fold(self.u, self.model.invert_word(self.v))", "self.model._fold(self.u, self.v)",
+           ("tests/test_trees.py::test_cayley_fixed_rays_invariant", "tests/test_cli_golden.py::test_cli_golden")),
+    Mutant("check-printable-skips-the-tree-check", "records.py",
+           "        model.require(h.core)\n", "        pass\n",
+           ("tests/test_combiner.py::test_verify_folds_no_ray_and_refuses_another_tree_model", ORACLE)),
+    Mutant("tree-core-ignores-the-model-id", "trees.py",
+           "self.core == other.core", "self[1:3] == other[1:3]",
+           ("tests/test_trees.py::test_tree_classes_are_equal_exactly_when_their_lengths_and_rays_are",)),
+    Mutant("cayley-display-drops-the-run-length", "trees.py",
+           "len(list(run)) * (1 if x > 0 else -1)", "(1 if x > 0 else -1)",
+           ("tests/test_trees.py::test_tree_word_text_round_trip", "tests/test_seed_hashes.py::test_seed_hashes_are_pinned")),
     # a Bass-Serre vertex is its root path: the root's edge (0, 0) to <t>
     # is a neighbour, a coset w<t> opens with (0, 0) by the parity of |w| and
     # t, and g.(w<t>) drops gw's last syllable when it lies in <t>

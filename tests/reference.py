@@ -11,7 +11,7 @@ from collections import deque
 from fractions import Fraction
 
 from hypiso.errors import MixedModels, ValidationError
-from hypiso.geometry import _common_prefix_len, lab
+from hypiso.geometry import _common_prefix_len, _cosh_ratio, lab
 from hypiso.halfplane import HalfPlaneModel, _acosh_ratio
 from hypiso.models import MAX_ISOMETRY_SIZE
 from hypiso.quadratic import QuadraticNumber
@@ -201,6 +201,12 @@ def plane_xy(p) -> tuple[Fraction, Fraction]:
     """A plane point's coordinates (x, y), from its triple (X, Y, D)."""
     x, y, d = p.payload
     return Fraction(x, d), Fraction(y, d)
+
+
+def plane_cosh(p, q) -> Fraction:
+    """cosh d(p, q) of two plane points, exactly: the lab's integer ratio
+    ``_cosh_ratio`` as a Fraction, monotone in the distance."""
+    return Fraction(*_cosh_ratio(p.payload, q.payload))
 
 
 def xy_cosh_reference(p, q) -> Fraction:

@@ -19,15 +19,16 @@ from hypothesis import strategies as st
 from hypiso.cli import _tau_display
 from hypiso.errors import ValidationError
 from hypiso.geometry import PlaneGeometry, lab
-from hypiso.halfplane import HalfPlaneModel, Matrix2
+from hypiso.halfplane import HalfPlaneModel, Matrix2, PlaneHyperbolic
 from hypiso.quadratic import QuadraticNumber
 from hypiso.records import class_invariant, witness_line
 from hypiso.sampling import rng_from_seed, sample_plane_points
-from hypiso.trees import BassSerreModel, CayleyTreeModel, RayDescriptor
+from hypiso.trees import BassSerreModel, CayleyTreeModel, RayDescriptor, TreeHyperbolic
 
 from reference import (
     parts,
     plane_class_reference,
+    plane_cosh,
     plane_witness_line_reference,
     plane_xy,
     power,
@@ -377,8 +378,14 @@ def test_witness_line_past_the_digit_limit():
 
 
 def _leaves(value):
-    """The values under a dataclass's fields, recursively, through tuples."""
-    if dataclasses.is_dataclass(value):
+    """The values under a dataclass's fields, recursively, through tuples; a
+    hyperbolic class's fixed points too, which it builds when read (a tree
+    class yields its length and rays, not its core and model)."""
+    if isinstance(value, TreeHyperbolic):
+        yield from _leaves((value.length, value.fixed_points))
+    elif isinstance(value, PlaneHyperbolic):
+        yield from _leaves((*value, value.fixed_points))
+    elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
             yield from _leaves(getattr(value, f.name))
     elif isinstance(value, tuple):
@@ -457,7 +464,7 @@ def test_cosh_float_consistency(x1, y1n, x2, y2n):
     plane = HalfPlaneModel()
     p = lab(plane).point_xy(Fraction(x1, 3), Fraction(abs(y1n) + 1, 4))
     q = lab(plane).point_xy(Fraction(x2, 5), Fraction(abs(y2n) + 1, 2))
-    L, ch = lab(plane).distance(p, q), lab(plane).distance_key(p, q)
+    L, ch = lab(plane).distance(p, q), plane_cosh(p, q)
     err = abs(math.cosh(L) - float(ch))
     assert err <= 2**-40 * max(1.0, float(ch))
 
@@ -513,7 +520,7 @@ def test_plane_lab_matches_the_fraction_metric():
     for p in everything:
         assert _outcome(geo._floats, p) == _outcome(xy_floats_reference, plane_xy(p))
         for w in (geo.basepoint, points[2], far[0]):
-            assert geo.distance_key(p, w) == xy_cosh_reference(plane_xy(p), plane_xy(w))
+            assert plane_cosh(p, w) == xy_cosh_reference(plane_xy(p), plane_xy(w))
             assert geo.distance(p, w) == xy_distance_reference(plane_xy(p), plane_xy(w))
             if w is not far[0]:
                 for b in ends:

@@ -449,6 +449,27 @@ def test_certificate_and_record_checks_agree():
     )
 
 
+def test_verify_folds_no_ray_and_refuses_another_tree_model(monkeypatch):
+    # verify compares a tree class by its core, and check_printable reads
+    # a tree class's model id from its core: a class of another tree model
+    # is one note, as the record line's MixedModels, with no ray folded
+    system = three_action_system()
+    cert = simultaneous_hyperbolic(system, SearchSchedule(8))
+    model = system.actions[2].model
+    other = _other_tree_class(model)
+    foreign = Certificate(cert.word, cert.stages, cert.per_action[:2] + (other,), cert.images)
+
+    def no_fold(*args):
+        raise AssertionError("a ray was folded")
+
+    monkeypatch.setattr(TreeModel, "_fold", no_fold)
+    assert verify_certificate_detailed(system, cert) == (True, [])
+    assert verify_certificate_detailed(system, foreign) == (False, [
+        f"certificate witness from another model: value tagged {other.hyperbolic.model.model_id}, "
+        f"model is {model.model_id}"
+    ])
+
+
 def _other_tree_class(model: TreeModel):
     """A hyperbolic class of another tree model of the same kind."""
     if isinstance(model, CayleyTreeModel):

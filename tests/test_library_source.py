@@ -35,10 +35,11 @@ def test_every_export_resolves():
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple: a class whose annotated names are fields."""
     return any(
         getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
         for d in node.decorator_list
-    )
+    ) or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases)
 
 
 def _targets(stmt) -> list:
@@ -66,7 +67,7 @@ def _init_attributes(node: ast.ClassDef):
 def _public_definitions(tree: ast.Module):
     """(label, name, first line, last line, whether a field) of each public
     module-level function, class and constant, of each public method and
-    property of a class, of each public field of a dataclass and of each
+    property of a class, of each public field of a dataclass or NamedTuple and of each
     public attribute a plain class sets on self in ``__init__`` (a field
     too: used only where read), labelled Class.name."""
     for node in tree.body:
@@ -117,13 +118,14 @@ def _references(tree: ast.Module):
 
 # fields that only the tests read, kept because the diagnostics' reported
 # figures are computed from them: the projection's defect is measured at
-# the nearest orbit point, whose exponents name it; test_dynamics checks it
-UNREAD_FIELDS = {"OrbitProjection.nearest", "OrbitProjection.exponents"}
+# the nearest orbit point, whose exponents name it; test_dynamics checks it.
+# A plane class's discriminant is read by unpacking the class, never by name
+UNREAD_FIELDS = {"OrbitProjection.nearest", "OrbitProjection.exponents", "PlaneHyperbolic.disc"}
 
 
 def test_every_public_name_is_used():
     # no public name that nothing runs: each public module-level name, each
-    # public method or property, each public dataclass field and each public
+    # public method or property, each public dataclass or NamedTuple field and each public
     # attribute a plain class sets on self in __init__ (ScheduleExhausted's
     # stage and trials, the models' model_id, rank and orders) of
     # the library is referenced (a field or attribute: read), outside its own
@@ -163,7 +165,7 @@ def test_every_mutant_applies_once_and_names_its_tests():
     # must occur exactly once in its file, and runs the tests it names
     from mutants import MUTANTS, source
 
-    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 54
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 58
     for mutant in MUTANTS:
         assert source(mutant).read_text().count(mutant.snippet) == 1, mutant.name
         for test in mutant.tests:
@@ -200,7 +202,7 @@ CHECKER_LINES = 997
 
 # a ceiling on the library's size, `wc -l src/hypiso/*.py`: the line count
 # the project tracks next to its timings
-SRC_LINES = 2985
+SRC_LINES = 2980
 
 
 # the geometry lab's members, which live in geometry.py: no core model
@@ -329,8 +331,8 @@ def test_the_checker_computes_no_float():
 
 
 # the plane lab's per-point work, on the integer triple (X, Y, D) of a point:
-# only distance_key's exact cosh and the exact logs of a product past float
-# range build a Fraction (nearest cross-multiplies the integer cosh ratios)
+# only the exact logs of a product past float range build a Fraction
+# (nearest cross-multiplies the integer cosh ratios)
 PLANE_INTEGER_FUNCTIONS = [
     "PlaneGeometry.distance", "PlaneGeometry.apply", "PlaneGeometry._floats", "PlaneGeometry.pairwise_distances",
     "PlaneGeometry.point_xy", "_Geometry._once", "PlaneGeometry._point_at", "_cosh_ratio", "PlaneGeometry.nearest",
@@ -417,6 +419,17 @@ def test_the_search_images_words_only_with_action_image():
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in payload_calls
     ]
     assert found == []
+
+
+def test_the_core_value_types_are_plain_tuples():
+    # a value, a class and a ray are each one tuple, compared and hashed as
+    # one; a tree class holds its cyclic core, not its rays
+    from hypiso.models import IsometryClass, Owned
+    from hypiso.trees import RayDescriptor, TreeHyperbolic
+
+    for cls in (Owned, IsometryClass, RayDescriptor, TreeHyperbolic):
+        assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls), cls
+    assert TreeHyperbolic._fields == ("length", "u", "v", "model")
 
 
 def test_stage_records_are_plain_data():

@@ -518,6 +518,41 @@ def test_tree_lengths_are_floats_of_their_integers(model):
         assert type(h.translation_length) is float and h.translation_length == h.length
 
 
+def _short_hyperbolic_classes(model, units):
+    """The classes of the hyperbolic reduced words of at most 4 units, by word payload."""
+    words = {model.word(w) for n in range(5) for w in itertools.product(units, repeat=n)}
+    return {w.payload: model.classify(w) for w in words if model.tag(w) == "hyperbolic"}
+
+
+def test_tree_classes_are_equal_exactly_when_their_lengths_and_rays_are():
+    # a class keeps its word's cyclic core and folds its rays when read: over
+    # every reduced word of length <= 4, two classes compare equal exactly
+    # when (length, fixed_points) do and hash equal then; a class of a
+    # second model with the same id equals its twin, and one of another id
+    # with the same word differs
+    for model, units, twin, other, count in (
+        (CayleyTreeModel(2), (1, -1, 2, -2), CayleyTreeModel(2), CayleyTreeModel(3), 160),
+        (BassSerreModel(2, 3), ((0, 1), (1, 1), (1, 2)), BassSerreModel(2, 3), BassSerreModel(2, 4), 14),
+        (BassSerreModel(3, 4), ((0, 1), (0, 2), (1, 1), (1, 2), (1, 3)), BassSerreModel(3, 4), BassSerreModel(4, 4), 102),
+    ):
+        classes = _short_hyperbolic_classes(model, units)
+        assert len(classes) == count
+        keys = {payload: (c.hyperbolic.length, c.hyperbolic.fixed_points) for payload, c in classes.items()}
+        for p, c in classes.items():
+            for q, d in classes.items():
+                assert (c == d) == (keys[p] == keys[q]) == (c.hyperbolic == d.hyperbolic) != (c != d)
+                if c == d:
+                    assert hash(c) == hash(d)
+        for second, equal in ((twin, True), (other, False)):
+            for payload, c in classes.items():
+                d = second.classify(second.own(payload))
+                assert (c == d) is equal is not (c != d)
+                if d.is_hyperbolic:  # a word of another model may be elliptic there
+                    h, k = c.hyperbolic, d.hyperbolic
+                    assert ((h.length, h.fixed_points) == (k.length, k.fixed_points)) is (h == k) is equal
+                    assert (h != k) is not equal and (hash(h) == hash(k) or not equal)
+
+
 # -- word text ----------------------------------------------------------------
 
 
