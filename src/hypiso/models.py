@@ -74,6 +74,7 @@ class SpaceModel:
 
     kind: str
     model_id: str
+    __repr__ = lambda self: self.model_id  # what a class or an action holding its model shows in every run
 
     def own(self, payload) -> Owned:
         return Owned(self.model_id, payload)

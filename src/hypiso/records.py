@@ -76,8 +76,9 @@ def witness_line(index: int, name: str, model: SpaceModel, cls: IsometryClass) -
     if h is None:
         return line
     if isinstance(h, TreeHyperbolic):
+        rays = map(model.require, h.fixed_points)
         plus, minus = (f"ray:{model.word_display(r.prefix)};{model.word_display(r.period)}".replace(" ", ".")
-                       for r in map(model.require, h.fixed_points))
+                       for r in rays)
         return f"{line} plus={plus} minus={minus}"
     if isinstance(model, TreeModel):
         model.require(h.fixed_plus)  # a plane class in a tree action: MixedModels

@@ -58,10 +58,8 @@ class TreeHyperbolic(NamedTuple):
     fixed_plus = property(lambda self: self.model.own(self.model._fold(self.u, self.v)))
     fixed_minus = property(lambda self: self.model.own(self.model._fold(self.u, self.model.invert_word(self.v))))
     fixed_points = property(lambda self: (self.fixed_plus, self.fixed_minus))
-    # equal when the lengths and rays are: one model, or one model id, and one core settle it with nothing folded
-    __eq__ = lambda self, other: type(other) is TreeHyperbolic and (
-        self[1:] == other[1:] or self.core == other.core
-        or (self.length, *self.fixed_points) == (other.length, *other.fixed_points))
+    # equal exactly when the lengths and rays are, so when the cores are: edge stabilizers are trivial in both models
+    __eq__ = lambda self, other: type(other) is TreeHyperbolic and self.core == other.core
     __ne__ = lambda self, other: not self == other
     __hash__ = lambda self: hash((self.length, *self.fixed_points))
 

@@ -553,6 +553,14 @@ def test_tree_classes_are_equal_exactly_when_their_lengths_and_rays_are():
                     assert (h != k) is not equal and (hash(h) == hash(k) or not equal)
 
 
+def test_a_tree_class_shows_the_same_repr_in_every_run():
+    # a class holds its model, which shows its id, not a memory address
+    model = BassSerreModel(2, 3)
+    cls = model.classify(model.word([(0, 1), (1, 1)]))
+    assert repr(cls.hyperbolic) == "TreeHyperbolic(length=2, u=(), v=((0, 1), (1, 1)), model=bass_serre(m=2,n=3))"
+    assert repr(CayleyTreeModel(2)) == "cayley_tree(rank=2)"
+
+
 # -- word text ----------------------------------------------------------------
 
 
