@@ -20,7 +20,7 @@ _EXPORTS = {
     "combiner": "Certificate SearchSchedule check_hypotheses combine_step independent normalize_powers "
     "partition simultaneous_hyperbolic verify_certificate verify_certificate_detailed",
     "config": "SystemConfig build_action_system parse_config",
-    "dynamics": "NeighborhoodSpec OrbitProjection internal_points ns_dynamics_check orbit_projection",
+    "dynamics": "internal_points ns_dynamics_check orbit_projection",
     "errors": "DegenerateTriangle HypisoError HypothesisViolation InsufficientSample MixedModels NoPassingN "
     "NotHyperbolic ParseError ScheduleExhausted ValidationError WitnessNotHyperbolic",
     "geometry": "estimate_delta_four_point",

@@ -249,12 +249,11 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Res
     rows, lines = [], []
     for i, action in enumerate(system.actions):
         _, image = resolve_witness(system, i)  # the witness's image, read by every check
-        cls, geo = action.model.classify(image), lab(action.model)
+        geo = lab(action.model)
         sample = _sample(action, geo, settings["seed"], 24, min(3, radii[i]))
         if "ns" in checks:
-            spec_plus, spec_minus = (dyn.NeighborhoodSpec(e, 1.0, geo.basepoint) for e in cls.hyperbolic.fixed_points)
             try:
-                n = dyn.ns_dynamics_check(geo, image, spec_plus, spec_minus, sample, depth)
+                n = dyn.ns_dynamics_check(geo, image, 1.0, sample, depth)
                 rows.append((str(i), action.name, "ns", f"N={n}"))
                 lines.append(f"ns {i} {action.name} N {n}")
             except (NoPassingN, ValueError) as exc:
@@ -267,8 +266,7 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Res
             rows.append((str(i), action.name, "insize", f"{insize:.6f} over {len(triangles)}"))
             lines.append(f"insize {i} {action.name} approx~ {insize:.9f} n {len(triangles)}")
         if "projection" in checks:
-            projections = dyn.orbit_projection(geo, image, sample[:10], 8)
-            worst = max([0.0] + [proj.defect for proj in projections])
+            worst = max([0.0] + dyn.orbit_projection(geo, image, sample[:10], 8))
             rows.append((str(i), action.name, "projection", f"max defect {worst:.6f}"))
             lines.append(f"projection {i} {action.name} approx~ {worst:.9f}")
     return _result(args.command, settings, lines, _table(["#", "action", "check", "result"], rows))

@@ -44,19 +44,13 @@ class _Geometry:
 
     def _once(self, key, compute):
         """compute(), called once per key in this lab's life: a North-South
-        check reads d(w, p) and its centers' floats for many products."""
+        check reads d(w, p) and its ends' floats for many products."""
         found = self._read.get(key)
         return found if found is not None else self._read.setdefault(key, compute())
 
     @property
     def basepoint(self) -> Owned:
         return self.model.own(self._root)
-
-    def nearest(self, points: list[Owned], z: Owned) -> list[int]:
-        """The indices of the points nearest z, by the exact ``distance_key``."""
-        keys = [self.distance_key(p, z) for p in points]
-        least = min(keys)
-        return [i for i, key in enumerate(keys) if key == least]
 
 
 def estimate_delta_four_point(geo, sample: list[Owned], base: Owned) -> float:
@@ -260,6 +254,12 @@ class TreeGeometry(_Geometry):
 
     def distance(self, x: Owned, y: Owned) -> float:
         return float(self.distance_key(x, y))
+
+    def nearest(self, points: list[Owned], z: Owned) -> list[int]:
+        """The indices of the points nearest z, by the exact ``distance_key``."""
+        keys = [self.distance_key(p, z) for p in points]
+        least = min(keys)
+        return [i for i, key in enumerate(keys) if key == least]
 
     def pairwise_distances(self, points: list[Owned]):
         """d(p, q) for every two of the points, an int64 array: row p, column q.

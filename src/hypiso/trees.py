@@ -61,7 +61,7 @@ class TreeHyperbolic(NamedTuple):
     # equal exactly when the lengths and rays are, so when the cores are: edge stabilizers are trivial in both models
     __eq__ = lambda self, other: type(other) is TreeHyperbolic and self.core == other.core
     __ne__ = lambda self, other: not self == other
-    __hash__ = lambda self: hash((self.length, *self.fixed_points))
+    __hash__ = lambda self: hash(self.core)
 
 
 class TreeModel(SpaceModel):

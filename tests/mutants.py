@@ -49,29 +49,28 @@ CLASSES = "tests/test_classification_sweep.py::test_plane_classes_match_the_frac
 SPELLING = "tests/test_quadratic.py::test_a_boundary_point_has_one_spelling"
 SPELLINGS = "tests/test_config_cli.py::test_matrix_spellings_classify_as_they_read"
 FLOOR = "tests/test_dynamics.py::test_ns_floor_matches_the_full_walk"
+ZERO_SHIFT = "tests/test_dynamics.py::test_ns_floor_with_a_zero_float_shift"
 
 MUTANTS = (
     # the North-South check stops at the Busemann floor: the last step that
-    # any point needs, and only when g moves points towards U+'s center
+    # any point needs, and only when g's float shift tau is positive
     Mutant("floor-min-over-points", "dynamics.py",
-           "bound = max((spec.threshold", "bound = min((spec.threshold", (FLOOR,)),
-    Mutant("floor-on-a-repelling-center", "dynamics.py",
-           "if tau > 0 else math.nan", "if tau != 0 else math.nan",
-           ("tests/test_dynamics.py::test_ns_floor_needs_an_attracting_center",)),
-    # U+ and U- are read from one base: a pair on two bases is refused
-    Mutant("ns-drops-the-base-check", "dynamics.py",
-           '    if u_plus.base != u_minus.base:\n        raise ValueError("U+ and U- have different bases")\n', "",
-           ("tests/test_dynamics.py::test_ns_refuses_neighborhoods_on_different_bases",)),
+           "bound = max((threshold", "bound = min((threshold", (FLOOR,)),
+    Mutant("floor-divides-by-a-zero-shift", "dynamics.py",
+           "if tau > 0 else math.nan", "if tau >= 0 else math.nan", (ZERO_SHIFT,)),
     # the check reads U-'s products for the points outside U-, walks every
     # step up to the floor, and N follows the last step that fails
     Mutant("ns-outside-reads-u-plus", "dynamics.py",
-           "if not minus > u_minus.threshold]", "if not plus > u_minus.threshold]",
+           "if not minus > threshold]", "if not plus > threshold]",
            ("tests/test_dynamics.py::test_ns_dynamics_matches_direct_iteration",)),
     Mutant("ns-walk-stops-one-step-short", "dynamics.py",
-           "outside, n_max) + 1):", "outside, n_max)):",
-           ("tests/test_dynamics.py::test_ns_floor_needs_an_attracting_center", FLOOR)),
+           "outside, n_max) + 1):", "outside, n_max)):", (ZERO_SHIFT, FLOOR)),
     Mutant("ns-n-from-the-first-failing-step", "dynamics.py",
            "            failing = n\n", "            failing = failing or n\n", (FLOOR,)),
+    # a point's projection is the nearest orbit point of the least |n|
+    Mutant("projection-ties-take-the-largest-exponent", "dynamics.py",
+           "key=lambda n: (abs(n), -n)", "key=lambda n: (-abs(n), -n)",
+           ("tests/test_dynamics.py::test_orbit_projection_takes_the_least_exponent_among_ties",)),
     # a plane point is its primitive integer triple, and a distance crosses
     # each point's denominator over to the other point's coordinates
     Mutant("plane-point-not-primitive", "geometry.py",
@@ -175,8 +174,9 @@ MUTANTS = (
            ("tests/test_trees.py::test_tree_rays_are_equal_exactly_when_their_streams_agree",)),
     # a tree class keeps its cyclic core u, v and folds its rays when read:
     # the repelling ray runs along v^-1; one model id and one core settle
-    # equality unfolded, and the checker reads a tree class's model id from
-    # its core; a Cayley word prints each run of one letter as one power
+    # equality and the hash unfolded, and the checker reads a tree class's
+    # model id from its core; a Cayley word prints each run of one letter as
+    # one power
     Mutant("fixed-minus-folds-v", "trees.py",
            "self.model._fold(self.u, self.model.invert_word(self.v))", "self.model._fold(self.u, self.v)",
            ("tests/test_trees.py::test_cayley_fixed_rays_invariant", "tests/test_cli_golden.py::test_cli_golden")),
@@ -186,9 +186,13 @@ MUTANTS = (
     Mutant("tree-core-ignores-the-model-id", "trees.py",
            "self.core == other.core", "self[1:3] == other[1:3]",
            ("tests/test_trees.py::test_tree_classes_are_equal_exactly_when_their_lengths_and_rays_are",)),
+    Mutant("tree-hash-folds-the-rays", "trees.py",
+           "hash(self.core)", "hash((self.length, *self.fixed_points))",
+           ("tests/test_trees.py::test_tree_classes_are_equal_exactly_when_their_lengths_and_rays_are",)),
     Mutant("cayley-display-drops-the-run-length", "trees.py",
            "len(list(run)) * (1 if x > 0 else -1)", "(1 if x > 0 else -1)",
-           ("tests/test_trees.py::test_tree_word_text_round_trip", "tests/test_seed_hashes.py::test_seed_hashes_are_pinned")),
+           ("tests/test_trees.py::test_tree_word_text_round_trip", "tests/test_words.py::test_tree_parse_word_fuzz",
+            "tests/test_seed_hashes.py::test_seed_hashes_are_pinned")),
     # a Bass-Serre vertex is its root path: the root's edge (0, 0) to <t>
     # is a neighbour, a coset w<t> opens with (0, 0) by the parity of |w| and
     # t, and g.(w<t>) drops gw's last syllable when it lies in <t>

@@ -9,6 +9,7 @@ no copy.
 import math
 from collections import deque
 from fractions import Fraction
+from typing import Any, NamedTuple
 
 from hypiso.errors import MixedModels, ValidationError
 from hypiso.geometry import _common_prefix_len, _cosh_ratio, lab
@@ -115,8 +116,16 @@ def pairwise_distances_by_meets(model, points) -> list[list[int]]:
     return rows
 
 
+class Neighborhood(NamedTuple):
+    """N(center, k) = {y : <center|y>_base > k}, for the references below."""
+
+    center: Any
+    threshold: float
+    base: Any
+
+
 def contains_point(model, spec, y) -> bool:
-    """Whether y lies in the neighborhood N(center, k) of the spec:
+    """Whether y lies in the Neighborhood N(center, k) spec:
     <center|y>_base > k."""
     return lab(model).gromov_boundary_point(spec.center, y, spec.base) > spec.threshold
 

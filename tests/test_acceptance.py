@@ -21,7 +21,7 @@ from hypiso.combiner import (
     simultaneous_hyperbolic,
     verify_certificate,
 )
-from hypiso.dynamics import NeighborhoodSpec, internal_points, ns_dynamics_check
+from hypiso.dynamics import internal_points, ns_dynamics_check
 from hypiso.geometry import estimate_delta_four_point, lab
 from hypiso.halfplane import HalfPlaneModel
 from hypiso.sampling import (
@@ -38,7 +38,7 @@ from hypiso.records import class_invariant
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import GroupWord
 
-from reference import four_point_defect, power, sample_points, separation_witnesses
+from reference import Neighborhood, four_point_defect, power, sample_points, separation_witnesses
 
 
 def _pass(name: str, detail: str) -> None:
@@ -324,10 +324,8 @@ def test_acceptance_north_south():
         else:
             sample = geo.ball_vertices(3)
         found = []
-        for iso, cls in _ns_elements(model, rng, 20):
-            u_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, geo.basepoint)
-            u_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, geo.basepoint)
-            n = ns_dynamics_check(geo, iso, u_plus, u_minus, sample, 64)
+        for iso, _ in _ns_elements(model, rng, 20):
+            n = ns_dynamics_check(geo, iso, 1.0, sample, 64)
             assert 1 <= n <= 64
             found.append(n)
         worst[name] = max(found)
@@ -380,10 +378,8 @@ def _prop42_construction(model, act, wf, wg, cls_f, cls_g, base_sample):
         lab(model).gromov_boundary_pair(p, q, base) for p, q in itertools.combinations(centers, 2)
     )
     k_sep = mutual + 1.2
-    u_plus = NeighborhoodSpec(a_plus, k_sep, base)
-    u_minus = NeighborhoodSpec(a_minus, k_sep, base)
-    v_plus = NeighborhoodSpec(b_plus, k_sep, base)
-    v_minus = NeighborhoodSpec(b_minus, k_sep, base)
+    u_plus = Neighborhood(a_plus, k_sep, base)
+    u_minus = Neighborhood(a_minus, k_sep, base)
     # deep points of U+ so the separation check has interior content
     f_img = act.image(wf)
     deep = []
@@ -392,7 +388,8 @@ def _prop42_construction(model, act, wf, wg, cls_f, cls_g, base_sample):
         cur = lab(model).apply(f_img, cur)
         deep.append(cur)
     sample = list(base_sample) + deep
-    n_sample = ns_dynamics_check(lab(model), act.image(wg), v_plus, v_minus, sample, 64)
+    # V+ and V- are N(b_plus, k_sep) and N(b_minus, k_sep), g's own ends
+    n_sample = ns_dynamics_check(lab(model), act.image(wg), k_sep, sample, 64)
     # boundary bound: g^m A+ must have entered V+ and stay there
     n_center = 1
     for m in range(1, 65):

@@ -5,7 +5,7 @@ each method from its own class's ``__dict__``: a method hoisted into a base
 class, or a function renamed away, passes every other test and breaks only
 a traced benchmark run.  This test builds the module namespace as
 perfbench/run.py does, installs the tracer, runs a few traced calls and
-takes it off again."""
+takes it off again, and runs the lab's commands through the traced cli."""
 
 import ast
 import importlib
@@ -13,7 +13,8 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 
 
 def _bench_modules() -> tuple[str, ...]:
@@ -46,10 +47,16 @@ def _namespace(hp) -> dict:
     return out
 
 
-def test_tracer_installs_on_the_library_and_comes_off():
+def _library() -> SimpleNamespace:
+    """The hypiso modules that perfbench/run.py traces, by name."""
     hp = SimpleNamespace(hypiso=importlib.import_module("hypiso"))
     for name in _bench_modules():
         setattr(hp, name, importlib.import_module(f"hypiso.{name}"))
+    return hp
+
+
+def test_tracer_installs_on_the_library_and_comes_off():
+    hp = _library()
     before = _namespace(hp)
     tracer = _load_layers().Tracer(hp, [0.0])
     tracer.install()
@@ -67,3 +74,21 @@ def test_tracer_installs_on_the_library_and_comes_off():
     assert [key for key, value in before.items() if after.get(key) is not value] == []
     counted = ("halfplane.compose", "halfplane.classify", "trees.compose", "trees.classify")
     assert [tracer.calls[key] for key in counted] == [1, 1, 1, 1]
+
+
+def test_tracer_counts_the_lab_commands(capsys):
+    # the cli workload's dynamics and delta on configs/three_action.cfg,
+    # three actions: each lab entry point is counted by its name, so one
+    # renamed away fails here, not only as a 0 in a traced benchmark run
+    hp = _library()
+    tracer = _load_layers().Tracer(hp, [0.0])
+    config = str(ROOT / "configs" / "three_action.cfg")
+    tracer.install()
+    try:
+        for argv in (["dynamics", "--input", config], ["delta", "--input", config, "--ball-radius", "3"]):
+            assert hp.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    counted = ("dynamics.ns", "dynamics.projection", "dynamics.insize", "geometry.four_point", "dynamics.internal_points")
+    assert [tracer.calls[key] for key in counted] == [3, 3, 3, 3, 29]

@@ -8,7 +8,6 @@ import pytest
 from hypiso import cli, dynamics
 from hypiso.actions import Action
 from hypiso.dynamics import (
-    NeighborhoodSpec,
     estimate_delta_insize,
     internal_points,
     ns_dynamics_check,
@@ -33,6 +32,8 @@ from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 from hypiso.words import GroupWord
 
 from reference import (
+    Neighborhood,
+    bfs_distance,
     contains_point,
     gromov_product,
     neighborhoods_disjoint,
@@ -55,19 +56,19 @@ def bs23():
     return BassSerreModel(2, 3)
 
 
-def k1_neighborhoods(model, cls):
-    plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, lab(model).basepoint)
-    minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, lab(model).basepoint)
-    return plus, minus
+def neighborhoods(model, cls, threshold: float = 1.0):
+    """U+ and U-: the reference neighborhoods of cls's attracting and
+    repelling ends at the lab's basepoint, the ones ns_dynamics_check reads."""
+    return tuple(Neighborhood(end, threshold, lab(model).basepoint) for end in cls.hyperbolic.fixed_points)
 
 
 def test_ns_dynamics_diagonal(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
     cls = plane.classify(D)
-    u_plus, u_minus = k1_neighborhoods(plane, cls)
+    u_plus, u_minus = neighborhoods(plane, cls)
     sample = sample_plane_points(lab(plane), 30, rng_from_seed(1))
-    n = ns_dynamics_check(lab(plane), act.image(GroupWord.parse("f")), u_plus, u_minus, sample, 64)
+    n = ns_dynamics_check(lab(plane), act.image(GroupWord.parse("f")), 1.0, sample, 64)
     assert 1 <= n <= 64
     # direct iteration oracle: all points outside U- land in U+ from step n on
     g = act.image(GroupWord.parse("f"))
@@ -87,9 +88,9 @@ def test_ns_dynamics_diagonal_at_depth_1000(plane):
     # is read from the logs of its exact coordinates
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
-    u_plus, u_minus = k1_neighborhoods(plane, plane.classify(D))
+    u_plus, _ = neighborhoods(plane, plane.classify(D))
     sample = sample_plane_points(lab(plane), 30, rng_from_seed(1))
-    assert ns_dynamics_check(lab(plane), act.image(GroupWord.parse("f")), u_plus, u_minus, sample, 1000) == 1
+    assert ns_dynamics_check(lab(plane), act.image(GroupWord.parse("f")), 1.0, sample, 1000) == 1
     [rows], last = _products_by_iteration(plane, D, u_plus.center, sample[:2], [u_plus.base], 520)
     with pytest.raises(OverflowError):
         float(lab(plane)._xy(last[0])[1])
@@ -100,30 +101,22 @@ def test_ns_dynamics_diagonal_at_depth_1000(plane):
 def test_ns_dynamics_tree(bs23):
     w = bs23.word([(0, 1), (1, 1)])
     act = Action("b", bs23, {"w": w})
-    cls = bs23.classify(w)
-    u_plus, u_minus = k1_neighborhoods(bs23, cls)
     sample = lab(bs23).ball_vertices(3)
-    n = ns_dynamics_check(lab(bs23), act.image(GroupWord.parse("w")), u_plus, u_minus, sample, 64)
+    n = ns_dynamics_check(lab(bs23), act.image(GroupWord.parse("w")), 1.0, sample, 64)
     assert 1 <= n <= 64
 
 
 def test_ns_dynamics_empty_range(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
-    cls = plane.classify(D)
-    u_plus, u_minus = k1_neighborhoods(plane, cls)
     with pytest.raises(NoPassingN):
-        ns_dynamics_check(lab(plane), act.image(GroupWord.parse("f")), u_plus, u_minus, [lab(plane).basepoint], 0)
+        ns_dynamics_check(lab(plane), act.image(GroupWord.parse("f")), 1.0, [lab(plane).basepoint], 0)
 
 
 def test_ns_dynamics_requires_hyperbolic(plane):
-    R = plane.matrix(0, -1, 1, 0)
-    D = plane.matrix(2, 0, 0, Fraction(1, 2))
-    act = Action("p", plane, {"r": R})
-    cls = plane.classify(D)
-    u_plus, u_minus = k1_neighborhoods(plane, cls)
-    with pytest.raises(NotHyperbolic, match=f"elliptic in model {plane.model_id!r}"):
-        ns_dynamics_check(lab(plane), act.image(GroupWord.parse("r")), u_plus, u_minus, [], 8)
+    act = Action("p", plane, {"r": plane.matrix(0, -1, 1, 0)})
+    with pytest.raises(NotHyperbolic, match=f"^word is elliptic in model {plane.model_id!r}$"):
+        ns_dynamics_check(lab(plane), act.image(GroupWord.parse("r")), 1.0, [], 8)
 
 
 # -- the North-South check against direct iteration -----------------------------
@@ -137,14 +130,13 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _ns_by_iteration(geo, g, u_plus, u_minus, sample, n_max):
+def _ns_by_iteration(geo, g, threshold, sample, n_max):
     """ns_dynamics_check by direct iteration: apply g to every point, then
     contains_point on each until one fails."""
     model = geo.model
     if model.tag(g) != "hyperbolic":
         raise NotHyperbolic(f"word is {model.tag(g)} in model {model.model_id!r}")
-    if u_plus.base != u_minus.base:
-        raise ValueError("U+ and U- have different bases")
+    u_plus, u_minus = neighborhoods(model, model.classify(g), threshold)
     if not neighborhoods_disjoint(model, u_plus, u_minus, sample):
         raise ValueError("U+ and U- are not disjoint")
     outside = [p for p in sample if not contains_point(model, u_minus, p)]
@@ -166,12 +158,9 @@ def test_ns_dynamics_matches_direct_iteration():
             model = action.model
             kinds.add(model.kind)
             _, image = resolve_witness(system, i)
-            cls = model.classify(image)
             sample = sample_points(model, 8, rng_from_seed(seed))
-            for base, threshold in ((lab(model).basepoint, 1.0), (sample[1], 0.5)):
-                plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, threshold, base)
-                minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, threshold, base)
-                args = (lab(model), image, plus, minus, sample, 20)
+            for threshold in (1.0, 0.5):
+                args = (lab(model), image, threshold, sample, 20)
                 assert _outcome(ns_dynamics_check, *args) == _outcome(_ns_by_iteration, *args)
     assert kinds == {"half_plane", "bass_serre", "cayley_tree"}
 
@@ -206,15 +195,7 @@ def _tree_witnesses() -> list:
     return [(action, g) for _, action, g in _sampled_witnesses() if isinstance(action.model, TreeModel)]
 
 
-def _letter_words(model) -> list:
-    """The one-letter (Cayley) or one-syllable (Bass-Serre) words."""
-    if isinstance(model, CayleyTreeModel):
-        return [model.word([letter]) for letter in model.letters()]
-    return [model.word([(f, e)]) for f in (0, 1) for e in range(1, model.orders[f])]
-
-
 def test_tree_busemann_shift_and_fixed_point_contract():
-    found = Counter()
     for action, g in _tree_witnesses():
         model = action.model
         cls = model.classify(g)
@@ -227,18 +208,6 @@ def test_tree_busemann_shift_and_fixed_point_contract():
             gw = geo.apply(g, base)
             assert _beta(model, ends[0], gw, base) == length
             assert _beta(model, ends[1], gw, base) == -length
-        # a hyperbolic tree automorphism fixes the two ends of its axis only:
-        # with U+ at another end there is no floor, and every step is walked
-        moved = [model.boundary_apply(h, ends[0]) for h in _letter_words(model)]
-        others = [b for b in moved if not any(model.boundary_equal(b, e) for e in ends)]
-        assert others
-        for b in others:
-            plus, minus = NeighborhoodSpec(b, 1, geo.basepoint), NeighborhoodSpec(ends[1], 1, geo.basepoint)
-            args = (geo, g, plus, minus, geo.ball_vertices(2), 12)
-            outcome = _outcome(ns_dynamics_check, *args)
-            assert outcome == _outcome(_ns_by_iteration, *args)
-            found[outcome[0] if isinstance(outcome, tuple) else int] += 1
-    assert found[NoPassingN] > 100
 
 
 def test_tree_ns_dynamics_matches_direct_iteration_far_out(monkeypatch):
@@ -258,12 +227,9 @@ def test_tree_ns_dynamics_matches_direct_iteration_far_out(monkeypatch):
     found = []
     for seed, (action, g) in enumerate(_tree_witnesses()):
         model = action.model
-        cls = model.classify(g)
         sample = sample_points(model, 5, rng_from_seed(seed))
         for threshold in (1, 3, 6):
-            plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, threshold, lab(model).basepoint)
-            minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, threshold, lab(model).basepoint)
-            args = (lab(model), g, plus, minus, sample, 200)
+            args = (lab(model), g, threshold, sample, 200)
             found.append(_outcome(ns_dynamics_check, *args))
             assert found[-1] == _outcome(_ns_by_iteration, *args)
     assert max(found) >= 8
@@ -357,61 +323,37 @@ def _past_float_range(p) -> bool:
 def test_ns_floor_matches_the_full_walk():
     # walking every step of the lab's products, as the check did before it
     # stopped at the Busemann floor, gives the same N (or error) at n_max 64,
-    # thresholds 0.5-6, at the basepoint and off it; and at 200 for the plane
-    # actions of seeds 0-9, where some orbits leave float range past the floor
+    # thresholds 0.5-6; and at 200 for the plane actions of seeds 0-9, where
+    # some orbits leave float range past the floor
     compared, past_floats = Counter(), 0
     for seed, action, g in _sampled_witnesses():
         model, geo = action.model, lab(action.model)
         ends = model.classify(g).hyperbolic.fixed_points
         sample = sample_points(model, 8, rng_from_seed(seed))
         depths = (64, 200) if seed < 10 and model.kind == "half_plane" else (64,)
-        bases = (geo.basepoint, sample[1])
-        tables, last = _products_by_iteration(model, g, ends[0], sample, bases, depths[-1])
+        [table], last = _products_by_iteration(model, g, ends[0], sample, [geo.basepoint], depths[-1])
         past_floats += model.kind == "half_plane" and any(map(_past_float_range, last))
-        for base, table in zip(bases, tables):
-            for threshold, n_max in product((0.5, 1, 3, 6), depths):
-                plus, minus = NeighborhoodSpec(ends[0], threshold, base), NeighborhoodSpec(ends[1], threshold, base)
-                found = _outcome(ns_dynamics_check, geo, g, plus, minus, sample, n_max)
-                assert found == _ns_by_walk(model, plus, minus, sample, table, n_max)
-                compared[model.kind, type(found)] += 1
+        for threshold, n_max in product((0.5, 1, 3, 6), depths):
+            plus, minus = neighborhoods(model, model.classify(g), threshold)
+            found = _outcome(ns_dynamics_check, geo, g, threshold, sample, n_max)
+            assert found == _ns_by_walk(model, plus, minus, sample, table, n_max)
+            compared[model.kind, type(found)] += 1
     assert {kind for kind, _ in compared} == {"half_plane", "bass_serre", "cayley_tree"}
     assert compared["half_plane", int] and compared["half_plane", tuple] and past_floats
 
 
-def test_ns_floor_needs_an_attracting_center(plane, bs23):
-    # with U+ at the repelling end tau = beta(w, g w) < 0: there is no floor,
-    # and every step is walked, as orbits leave U+
-    diagonal = plane.matrix(2, 0, 0, Fraction(1, 2))
-    w = bs23.word([(0, 1), (1, 1)])
-    for action, sample in (
-        (Action("p", plane, {"f": diagonal}), sample_plane_points(lab(plane), 30, rng_from_seed(1))),
-        (Action("b", bs23, {"f": w}), lab(bs23).ball_vertices(3)),
-    ):
-        g = action.image(GroupWord.parse("f"))
-        plus_end, minus_end = action.model.classify(g).hyperbolic.fixed_points[::-1]
-        for threshold in (0.5, 1, 3):
-            plus, minus = (NeighborhoodSpec(e, threshold, lab(action.model).basepoint) for e in (plus_end, minus_end))
-            args = (lab(action.model), g, plus, minus, sample, 64)
-            assert _outcome(ns_dynamics_check, *args) == _outcome(_ns_by_iteration, *args)
-            assert _outcome(ns_dynamics_check, *args)[0] is NoPassingN
-
-
-def test_ns_at_a_repelling_center_past_float_range(plane):
-    # with U+ at the repelling end every step is walked, and the orbits leave
-    # float range: under [[2, 1], [1, 1]] y underflows to 0 past step ~360,
-    # and under diag(2, 1/2) y overflows near step 512.  The lab reads those
-    # products from exact logs, and no N passes
-    geo = lab(plane)
-    points = [geo.basepoint, geo.point_xy(Fraction(-7, 3), Fraction(1, 9)), geo.point_xy(2, 5)]
-    for entries, n_max in (((2, 1, 1, 1), 400), ((2, 0, 0, Fraction(1, 2)), 520)):
-        action = Action("p", plane, {"f": plane.matrix(*entries)})
-        g = action.image(GroupWord.parse("f"))
-        assert _past_float_range(geo.apply(power(plane, g, n_max), geo.basepoint))
-        attracting, repelling = plane.classify(g).hyperbolic.fixed_points
-        for threshold in (0.5, 1, 3):
-            plus, minus = (NeighborhoodSpec(e, threshold, geo.basepoint) for e in (repelling, attracting))
-            with pytest.raises(NoPassingN):
-                ns_dynamics_check(geo, g, plus, minus, points, n_max)
+def test_ns_floor_with_a_zero_float_shift(plane):
+    # g = [[1, e], [e, 1 + e^2]], e = 10^-20, is hyperbolic with translation
+    # length about 2e, so its float tau = beta(w, g w) reads 0.0: there is
+    # no floor, every step is walked, and the outcome is direct iteration's
+    geo, e = lab(plane), Fraction(1, 10**20)
+    g = plane.matrix(1, e, e, 1 + e * e)
+    attracting = plane.classify(g).hyperbolic.fixed_plus
+    assert plane.tag(g) == "hyperbolic" and _beta(plane, attracting, geo.apply(g, geo.basepoint), geo.basepoint) == 0.0
+    for seed in range(3):
+        args = (geo, g, 1.0, sample_plane_points(geo, 12, rng_from_seed(seed)), 8)
+        assert _outcome(ns_dynamics_check, *args) == _outcome(_ns_by_iteration, *args)
+        assert _outcome(ns_dynamics_check, *args)[0] is NoPassingN
 
 
 def test_plane_products_past_float_range_match_the_floats(plane, monkeypatch):
@@ -442,16 +384,16 @@ def test_ns_reads_no_step_past_the_floor(monkeypatch, capsys):
     floors, applied, reads, samples = [], [], [], []
     floor, check = dynamics._busemann_floor, dynamics.ns_dynamics_check
 
-    def recorded_floor(model, g, spec, outside, n_max):
+    def recorded_floor(geo, g, b, threshold, outside, n_max):
         applied.append(0)
-        floors.append((floor(model, g, spec, outside, n_max), len(outside)))
+        floors.append((floor(geo, g, b, threshold, outside, n_max), len(outside)))
         applied[-1] = 0  # the floor's own g w is no orbit step
         return floors[-1][0]
 
-    def recorded_check(geo, g, u_plus, u_minus, sample, n_max):
+    def recorded_check(geo, g, threshold, sample, n_max):
         samples.append({id(p) for p in sample})
         reads.append(Counter())
-        return check(geo, g, u_plus, u_minus, sample, n_max)
+        return check(geo, g, threshold, sample, n_max)
 
     def counted(geometry):
         apply, read = geometry.apply, geometry.gromov_boundary_point
@@ -476,9 +418,8 @@ def test_ns_reads_no_step_past_the_floor(monkeypatch, capsys):
         argv = ["dynamics", "--input", str(config), "--orbit-depth", "1000", "--checks", "ns"]
         assert cli.main(argv) == 0 and "failed" not in capsys.readouterr().out
     for seed, action, g in _sampled_witnesses():
-        plus, minus = k1_neighborhoods(action.model, action.model.classify(g))
         geo = lab(action.model)
-        dynamics.ns_dynamics_check(geo, g, plus, minus, cli._sample(action, geo, seed, 24, 3), 1000)
+        dynamics.ns_dynamics_check(geo, g, 1.0, cli._sample(action, geo, seed, 24, 3), 1000)
     assert len(applied) == len(floors) == len(reads) > 90
     assert all(steps <= last * size for steps, (last, size) in zip(applied, floors))
     assert max(last for last, _ in floors) <= 4
@@ -489,7 +430,7 @@ def test_separation_identity(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
     cls = plane.classify(D)
-    u_plus, u_minus = k1_neighborhoods(plane, cls)
+    u_plus, u_minus = neighborhoods(plane, cls)
     sample = sample_plane_points(lab(plane), 20, rng_from_seed(2))
     assert not separation_witnesses(act, GroupWord(()), u_plus, u_minus, sample)
 
@@ -500,7 +441,7 @@ def test_separation_rotation_violates(plane):
     R = plane.matrix(0, -1, 1, 0)
     act = Action("p", plane, {"f": D, "r": R})
     cls = plane.classify(D)
-    u_plus, u_minus = k1_neighborhoods(plane, cls)
+    u_plus, u_minus = neighborhoods(plane, cls)
     sample = [lab(plane).point_xy(0, Fraction(k)) for k in (8, 16, 64)] + [
         lab(plane).point_xy(Fraction(1, 10), 32)
     ]
@@ -514,55 +455,29 @@ def test_separation_high_power_independent(plane):
     F = plane.matrix(2, 1, 1, 1)
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": F, "g": D})
-    cls_f = plane.classify(F)
-    cls_g = plane.classify(D)
-    u_plus, u_minus = k1_neighborhoods(plane, cls_f)
-    v_plus, v_minus = k1_neighborhoods(plane, cls_g)
+    u_plus, u_minus = neighborhoods(plane, plane.classify(F))
     sample = sample_plane_points(lab(plane), 25, rng_from_seed(3))
-    n = ns_dynamics_check(lab(plane), act.image(GroupWord.parse("g")), v_plus, v_minus, sample, 64)
+    n = ns_dynamics_check(lab(plane), act.image(GroupWord.parse("g")), 1.0, sample, 64)
     for k in range(n, n + 4):
         assert not separation_witnesses(act, GroupWord.parse(f"g^{k}"), u_plus, u_minus, sample)
 
 
 def test_neighborhoods_disjoint(plane):
     # ns_dynamics_check refuses U+ and U- that are not disjoint, by their
-    # centers' product (<infinity|0>_i = 0) or by a sample point in both
+    # ends' product (<infinity|0>_i = 0) or by a sample point in both
     # (1 + i, whose products are 0.48 and 0.13), as the reference does
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
-    act = Action("p", plane, {"f": D})
     cls = plane.classify(D)
-    base, far, both = lab(plane).basepoint, lab(plane).point_xy(5, 40), lab(plane).point_xy(1, 1)
-    u_plus, u_minus = k1_neighborhoods(plane, cls)
-    assert neighborhoods_disjoint(plane, u_plus, u_minus, [far, both])
-    assert ns_dynamics_check(lab(plane), D, u_plus, u_minus, [far, both], 64) >= 1
-    tight_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 0.0, base)
-    tight_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, -0.5, base)
-    loose_plus = NeighborhoodSpec(cls.hyperbolic.fixed_plus, 0.1, base)
-    loose_minus = NeighborhoodSpec(cls.hyperbolic.fixed_minus, 0.1, base)
-    assert not neighborhoods_disjoint(plane, tight_plus, tight_minus)
-    assert neighborhoods_disjoint(plane, loose_plus, loose_minus, [far])
-    assert not neighborhoods_disjoint(plane, loose_plus, loose_minus, [far, both])
-    for plus, minus, sample in ((tight_plus, tight_minus, [far]), (loose_plus, loose_minus, [far, both])):
+    far, both = lab(plane).point_xy(5, 40), lab(plane).point_xy(1, 1)
+    assert neighborhoods_disjoint(plane, *neighborhoods(plane, cls), [far, both])
+    assert ns_dynamics_check(lab(plane), D, 1.0, [far, both], 64) >= 1
+    assert not neighborhoods_disjoint(plane, *neighborhoods(plane, cls, -0.5))
+    assert neighborhoods_disjoint(plane, *neighborhoods(plane, cls, 0.1), [far])
+    assert not neighborhoods_disjoint(plane, *neighborhoods(plane, cls, 0.1), [far, both])
+    for threshold, sample in ((-0.5, [far]), (0.1, [far, both])):
         with pytest.raises(ValueError, match="not disjoint"):
-            ns_dynamics_check(lab(plane), D, plus, minus, sample, 64)
-    assert ns_dynamics_check(lab(plane), D, loose_plus, loose_minus, [far], 64) >= 1
-
-
-def test_ns_refuses_neighborhoods_on_different_bases(plane):
-    # U+ = N(infinity, 1) at i and U- = N(0, 1) at 10^6 i: the centers'
-    # product from i is 0, yet 3 + 2i lies in both, so the check refuses
-    # the pair before it reads a product (read at i alone, it passed with N = 1)
-    geo = lab(plane)
-    D = plane.matrix(2, 0, 0, Fraction(1, 2))
-    infinity, zero = plane.classify(D).hyperbolic.fixed_points
-    assert infinity.payload is None and float(zero.payload) == 0.0
-    u_plus = NeighborhoodSpec(infinity, 1.0, geo.basepoint)
-    u_minus = NeighborhoodSpec(zero, 1.0, geo.point_xy(0, 10**6))
-    assert geo.gromov_boundary_pair(infinity, zero, geo.basepoint) == 0.0
-    both = geo.point_xy(3, 2)
-    assert contains_point(plane, u_plus, both) and contains_point(plane, u_minus, both)
-    with pytest.raises(ValueError, match="different bases"):
-        ns_dynamics_check(geo, D, u_plus, u_minus, [geo.point_xy(0, 2)], 64)
+            ns_dynamics_check(lab(plane), D, threshold, sample, 64)
+    assert ns_dynamics_check(lab(plane), D, 0.1, [far], 64) >= 1
 
 
 def test_internal_points_tree_median(bs23):
@@ -637,27 +552,45 @@ def test_insize_within_slim_estimate(plane):
 def test_orbit_projection_basepoint(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
-    [proj] = orbit_projection(lab(plane), act.image(GroupWord.parse("f")), [lab(plane).basepoint], 8)
-    assert proj.defect == 0.0
-    assert proj.exponents[0] == 0
-    assert proj.nearest[0].payload == lab(plane).basepoint.payload
+    assert orbit_projection(lab(plane), act.image(GroupWord.parse("f")), [lab(plane).basepoint], 8) == [0.0]
 
 
 def test_orbit_projection_tree_axis(bs23):
     w = bs23.word([(0, 1), (1, 1)])
     act = Action("b", bs23, {"w": w})
     z = lab(bs23).apply(power(bs23, w, 3), lab(bs23).basepoint)
-    [proj] = orbit_projection(lab(bs23), act.image(GroupWord.parse("w")), [z], 6)
-    assert proj.defect == 0.0
-    assert proj.exponents == (3,)
+    assert orbit_projection(lab(bs23), act.image(GroupWord.parse("w")), [z], 6) == [0.0]
+
+
+def test_orbit_projection_takes_the_least_exponent_among_ties():
+    # on trees the nearest orbit points often tie, at different |n| too: x_z
+    # is f^n x of the least |n| (n > 0 first), and the defect is read there.
+    # The reference builds each orbit point by power and measures by BFS
+    cayley, bs = CayleyTreeModel(2), BassSerreModel(2, 3)
+    words = [cayley.word(w) for w in ([1, 2], [1, -2], [1, 1, 2], [1, 2, -1], [2, 1, 1, -2])]
+    words += [bs.word(w) for w in ([(0, 1), (1, 1)], [(0, 1), (1, 2)], [(1, 1), (0, 1), (1, 1)])]
+    ties = Counter()
+    for g in words:
+        model, geo = (cayley, lab(cayley)) if g.model_id == cayley.model_id else (bs, lab(bs))
+        x, zs = geo.basepoint, geo.ball_vertices(2)
+        orbit = {n: geo.apply(power(model, g, n), x) for n in range(-3, 4)}
+        expected = []
+        for z in zs:
+            d = {n: bfs_distance(model, p, z) for n, p in orbit.items()}
+            nearest = [n for n in orbit if d[n] == min(d.values())]
+            n = min(nearest, key=lambda n: (abs(n), -n))
+            ties[len({abs(m) for m in nearest}) > 1] += 1
+            expected.append(max(0.0, float(bfs_distance(model, x, orbit[n]) + d[n] - bfs_distance(model, x, z))))
+        assert orbit_projection(geo, g, zs, 3) == expected
+    assert ties[True] > 20 and ties[False] > 20
 
 
 def test_orbit_projection_plane_bounded(plane):
     D = plane.matrix(2, 0, 0, Fraction(1, 2))
     act = Action("p", plane, {"f": D})
     z = lab(plane).point_xy(3, 1)
-    [proj] = orbit_projection(lab(plane), act.image(GroupWord.parse("f")), [z], 8)
-    assert 0.0 <= proj.defect <= 4.0
+    [defect] = orbit_projection(lab(plane), act.image(GroupWord.parse("f")), [z], 8)
+    assert 0.0 <= defect <= 4.0
 
 
 def test_orbit_projection_requires_hyperbolic(plane):
@@ -683,8 +616,8 @@ def test_claim1_defect_bound(plane, bs23):
             cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus, lab(plane).basepoint
         )
         zs = sample_plane_points(lab(plane), 10, rng)
-        for proj in orbit_projection(lab(plane), act.image(GroupWord.parse("x")), zs, 10):
-            assert proj.defect <= 4 * (delta_hat + offset + tau / 2)
+        for defect in orbit_projection(lab(plane), act.image(GroupWord.parse("x")), zs, 10):
+            assert defect <= 4 * (delta_hat + offset + tau / 2)
             checked += 1
     assert checked >= 100
 
@@ -694,8 +627,8 @@ def test_claim1_defect_bound(plane, bs23):
     tau = cls.hyperbolic.translation_length
     rngb = rng_from_seed(5)
     zs = sample_tree_points(bs23, 100, rngb)
-    for proj in orbit_projection(lab(bs23), act.image(GroupWord.parse("x")), zs, 10):
-        assert proj.defect <= 4 * (0 + 0 + tau / 2)
+    for defect in orbit_projection(lab(bs23), act.image(GroupWord.parse("x")), zs, 10):
+        assert defect <= 4 * (0 + 0 + tau / 2)
 
 
 def test_prop41_final_clause_family(plane):
@@ -704,7 +637,7 @@ def test_prop41_final_clause_family(plane):
     # on finite-order elliptics rotating far from f's axis.
     F = plane.matrix(2, 1, 1, 1)
     cls = plane.classify(F)
-    u_plus, u_minus = k1_neighborhoods(plane, cls)
+    u_plus, u_minus = neighborhoods(plane, cls)
     sample = sample_plane_points(lab(plane), 25, rng_from_seed(9))
     act = Action("p", plane, {"f": F, "e": plane.matrix(0, -1, 1, 0)})
     for k in range(0, 6):

@@ -45,12 +45,10 @@ def dynamics_lines(system, seed: int) -> list[str]:
     lines = []
     for i, action in enumerate(system.actions):
         _, image = resolve_witness(system, i)
-        cls, geo = action.model.classify(image), lab(action.model)
-        plus = dynamics.NeighborhoodSpec(cls.hyperbolic.fixed_plus, 1.0, geo.basepoint)
-        minus = dynamics.NeighborhoodSpec(cls.hyperbolic.fixed_minus, 1.0, geo.basepoint)
+        geo = lab(action.model)
         sample = cli._sample(action, geo, seed, 24, 3)
         try:
-            lines.append(f"ns {i} N {dynamics.ns_dynamics_check(geo, image, plus, minus, sample, 64)}")
+            lines.append(f"ns {i} N {dynamics.ns_dynamics_check(geo, image, 1.0, sample, 64)}")
         except (NoPassingN, ValueError) as exc:
             lines.append(f"ns {i} failed {type(exc).__name__}: {exc}")
     return lines

@@ -11,7 +11,7 @@ from hypiso.dynamics import internal_points
 from hypiso.geometry import lab
 from hypiso.models import HYPOTHESIS_VIOLATION
 from hypiso.sampling import _random_bs_syllables, _random_cayley_word, random_elliptic, random_hyperbolic
-from hypiso.trees import BassSerreModel, CayleyTreeModel, RayDescriptor
+from hypiso.trees import BassSerreModel, CayleyTreeModel, RayDescriptor, TreeModel
 from hypiso.words import reduced_words
 
 from reference import (
@@ -524,12 +524,16 @@ def _short_hyperbolic_classes(model, units):
     return {w.payload: model.classify(w) for w in words if model.tag(w) == "hyperbolic"}
 
 
-def test_tree_classes_are_equal_exactly_when_their_lengths_and_rays_are():
+def test_tree_classes_are_equal_exactly_when_their_lengths_and_rays_are(monkeypatch):
     # a class keeps its word's cyclic core and folds its rays when read: over
     # every reduced word of length <= 4, two classes compare equal exactly
-    # when (length, fixed_points) do and hash equal then; a class of a
-    # second model with the same id equals its twin, and one of another id
-    # with the same word differs
+    # when (length, fixed_points) do and hash equal then, and a set of them,
+    # which hashes and compares cores, folds no ray; a class of a second
+    # model with the same id equals its twin, and one of another id with
+    # the same word differs
+    def no_fold(*args):
+        raise AssertionError("a ray was folded")
+
     for model, units, twin, other, count in (
         (CayleyTreeModel(2), (1, -1, 2, -2), CayleyTreeModel(2), CayleyTreeModel(3), 160),
         (BassSerreModel(2, 3), ((0, 1), (1, 1), (1, 2)), BassSerreModel(2, 3), BassSerreModel(2, 4), 14),
@@ -543,6 +547,10 @@ def test_tree_classes_are_equal_exactly_when_their_lengths_and_rays_are():
                 assert (c == d) == (keys[p] == keys[q]) == (c.hyperbolic == d.hyperbolic) != (c != d)
                 if c == d:
                     assert hash(c) == hash(d)
+        with monkeypatch.context() as patched:
+            patched.setattr(TreeModel, "_fold", no_fold)
+            distinct = len(set(keys.values()))
+            assert len(set(classes.values())) == len({c.hyperbolic for c in classes.values()}) == distinct
         for second, equal in ((twin, True), (other, False)):
             for payload, c in classes.items():
                 d = second.classify(second.own(payload))

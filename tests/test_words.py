@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hypiso.trees import BassSerreModel, CayleyTreeModel
@@ -159,6 +159,9 @@ def test_group_word_parse_fuzz(text):
 
 @pytest.mark.parametrize("model", [CayleyTreeModel(2), BassSerreModel(2, 3)], ids=["cayley", "bass_serre"])
 @given(text=word_texts)
+@example(text="a^2 b^-3")  # runs of one letter, which the strategy rarely yields in a word that parses
+@example(text="a a b")
+@example(text="b^-1 b^-1 a^-3")
 def test_tree_parse_word_fuzz(model, text):
     try:
         iso = model.parse_word(text)
