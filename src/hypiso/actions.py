@@ -42,8 +42,9 @@ class Action:
         for gen, e in word.syllables:
             if gen not in payloads:
                 raise ValidationError(f"generator {gen!r} has no image in action {self.name!r}")
-            if (gen, e) not in powers:
-                powers[gen, e] = model._power(payloads[gen], e, self._sizes[gen])
+            if (gen, e) not in powers:  # g and g^-1 are what _power returns for them, with g's size as bound
+                p, size = payloads[gen], self._sizes[gen]
+                powers[gen, e] = (p if e == 1 else model._inv(p), size) if e in (1, -1) else model._power(p, e, size)
             power, power_bound = powers[gen, e]
             bound += power_bound + 1
             if bound <= MAX_ISOMETRY_SIZE:

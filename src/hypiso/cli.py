@@ -43,6 +43,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_EXHAUSTED = 2
 EXIT_HYPOTHESIS = 3
+MAX_PRINT_DIGITS = 4300  # the int-string limit of every run, Python's default: one outcome in every environment
 
 # delta and dynamics sample at most this many points per action: plane
 # points (--samples), or the vertices of a tree ball.  The four-point
@@ -98,9 +99,17 @@ class Result:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command, print its Result and return its exit code; every
-    HypisoError is printed and mapped to its exit code here alone."""
-    args = build_parser().parse_args(argv)
+    """Run one command under the int-string limit MAX_PRINT_DIGITS, print its Result and return
+    its exit code; every HypisoError is printed and mapped to its exit code here alone."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_PRINT_DIGITS)
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(args) -> int:
     try:
         config = parse_config(_read(args.input))
         radii = _ball_radii(args, config)  # range-checked before the other settings

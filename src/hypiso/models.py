@@ -77,7 +77,7 @@ class SpaceModel:
     __repr__ = lambda self: self.model_id  # what a class or an action holding its model shows in every run
 
     def own(self, payload) -> Owned:
-        return Owned(self.model_id, payload)
+        return tuple.__new__(Owned, (self.model_id, payload))  # no Python-level NamedTuple __new__
 
     def require(self, x: Owned) -> Any:
         """x's payload; x tagged with another model's id is MixedModels."""

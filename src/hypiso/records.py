@@ -76,10 +76,8 @@ def witness_line(index: int, name: str, model: SpaceModel, cls: IsometryClass) -
     if h is None:
         return line
     if isinstance(h, TreeHyperbolic):
-        rays = map(model.require, h.fixed_points)
-        plus, minus = (f"ray:{model.word_display(r.prefix)};{model.word_display(r.period)}".replace(" ", ".")
-                       for r in rays)
-        return f"{line} plus={plus} minus={minus}"
+        u, v = model.require(h.core)
+        return f"{line} plus={model.ray_text(u, v)} minus={model.ray_text(u, model.invert_word(v))}"
     if isinstance(model, TreeModel):
         model.require(h.fixed_plus)  # a plane class in a tree action: MixedModels
     return "{} plus={} minus={}".format(line, *_plane_points(*h))
@@ -175,9 +173,10 @@ def verify_record(system: ActionSystem, record: RunRecord) -> tuple[bool, list[s
         word = GroupWord.parse(record.word, set(system.generators))
     except ValueError as exc:
         return False, [f"bad word: {exc}"]
-    if len(record.witnesses) != system.n_actions:
-        return False, [f"record lists {len(record.witnesses)} witnesses, system has {system.n_actions} actions"]
-    return check_witnesses(system, word, record.witnesses)
+    witnesses = record.witnesses
+    if len(witnesses) != system.n_actions:
+        return False, [f"record lists {len(witnesses)} witnesses, system has {system.n_actions} actions"]
+    return check_witnesses(system, word, witnesses)
 
 
 def check_witnesses(

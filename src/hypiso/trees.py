@@ -30,9 +30,12 @@ from .models import (
     Owned,
     SpaceModel,
 )
-from .words import format_powers, parse_powers
+from .words import parse_powers
 
 _LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"  # Cayley letter i is named _LETTER_NAMES[i - 1]
+# Cayley letter x: (the text of a run of one x, the text of a run of n x's but for n)
+_RUN_TEXT = {s * i: (name if s > 0 else f"{name}^-1", f"{name}^" if s > 0 else f"{name}^-")
+             for i, name in enumerate(_LETTER_NAMES, 1) for s in (1, -1)}
 _new = tuple.__new__  # a class is built as a plain tuple: no Python-level __new__
 
 
@@ -100,11 +103,17 @@ class TreeModel(SpaceModel):
     def _fold(self, p: tuple, period: tuple) -> RayDescriptor:
         """The ray p . period^inf, the one builder of a ray, for a reduced p and
         a cyclically reduced period: whole periods fold into p until the junction is reduced."""
-        while True:
+        while p:  # with p empty the ray is period^inf, reduced as it stands
             joined = self.multiply(p, period)
             if len(joined) == len(p) + len(period):
-                return RayDescriptor(p, period)
+                break
             p = joined
+        return _new(RayDescriptor, (p, period))
+
+    def ray_text(self, p: tuple, period: tuple) -> str:
+        """A record's text of the ray p . period^inf: folded once, and its two words displayed."""
+        ray = self._fold(p, period)
+        return f"ray:{self.word_display(ray.prefix, '.')};{self.word_display(ray.period, '.')}"
 
     def _ray_units(self, ray: RayDescriptor, count: int) -> tuple:
         periods = -((len(ray.prefix) - count) // len(ray.period))  # ceil((count - |prefix|) / |period|); <= 0 is none
@@ -165,7 +174,7 @@ class CayleyTreeModel(TreeModel):
         return u[: n - k] + v[k:]
 
     def invert_word(self, u) -> tuple:
-        return tuple(-x for x in reversed(u))
+        return tuple([-x for x in reversed(u)])
 
     _mul, _inv = multiply, invert_word
 
@@ -192,9 +201,9 @@ class CayleyTreeModel(TreeModel):
             return self._hyperbolic(u, v)
         return IsometryClass(ELLIPTIC, period=1)
 
-    def word_display(self, payload: tuple) -> str:
-        return format_powers(  # a run of one letter is a power: nothing in a reduced word cancels
-            (_LETTER_NAMES[abs(x) - 1], len(list(run)) * (1 if x > 0 else -1)) for x, run in groupby(payload))
+    def word_display(self, payload: tuple, sep: str = " ") -> str:
+        return sep.join([_RUN_TEXT[x][0] if n == 1 else f"{_RUN_TEXT[x][1]}{n}"  # a run of one letter is a power
+                         for x, run in groupby(payload) for n in [len(list(run))]]) or "1"
 
     def parse_word(self, text: str) -> Owned:
         names = tuple(_LETTER_NAMES[: self.rank])
@@ -253,7 +262,7 @@ class BassSerreModel(TreeModel):
         return u[:i] + v[j:]
 
     def invert_word(self, u) -> tuple:
-        return tuple((f, (-e) % self.orders[f]) for f, e in reversed(u))
+        return tuple([(f, (-e) % self.orders[f]) for f, e in reversed(u)])
 
     _mul, _inv = multiply, invert_word
 
@@ -298,8 +307,8 @@ class BassSerreModel(TreeModel):
         order = self.orders[factor]
         return IsometryClass(ELLIPTIC, period=order // math.gcd(exp, order))
 
-    def word_display(self, payload: tuple) -> str:
-        return format_powers([("st"[f], e) for f, e in payload])
+    def word_display(self, payload: tuple, sep: str = " ") -> str:
+        return sep.join(["st"[f] if e == 1 else f"{'st'[f]}^{e}" for f, e in payload]) or "1"
 
     def parse_word(self, text: str) -> Owned:
         def check(name: str, token: str) -> None:

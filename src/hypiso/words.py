@@ -5,7 +5,7 @@ in its own space model.  A word is stored as its reduced powers, the
 ``syllables`` (name, nonzero int), no two adjacent of one name: ``f^1000000``
 is one pair, ``len`` still counts its letters, and ``w * w.inverse()`` is
 the empty word by construction.  ``parse_powers`` and ``format_powers`` are
-the one text form of power words, which the tree models' own words share.
+the one text form of power words; tree words share it, each printed by its model.
 """
 
 from __future__ import annotations

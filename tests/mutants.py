@@ -50,6 +50,7 @@ SPELLING = "tests/test_quadratic.py::test_a_boundary_point_has_one_spelling"
 SPELLINGS = "tests/test_config_cli.py::test_matrix_spellings_classify_as_they_read"
 FLOOR = "tests/test_dynamics.py::test_ns_floor_matches_the_full_walk"
 ZERO_SHIFT = "tests/test_dynamics.py::test_ns_floor_with_a_zero_float_shift"
+RAY_LINES = "tests/test_trees.py::test_witness_lines_match_the_ray_reference"
 
 MUTANTS = (
     # the North-South check stops at the Busemann floor: the last step that
@@ -100,6 +101,11 @@ MUTANTS = (
            "                bound = self._sized(self._size(base))", "                pass", (CAP,)),
     Mutant("image-bound-forgets-the-product", "actions.py",
            "            bound += power_bound + 1", "            bound = power_bound", (CAP,)),
+    # a syllable g^-1 is the inverse of g's payload, read with no power ladder
+    Mutant("image-reads-e-minus-1-as-the-generator", "actions.py",
+           "(p if e == 1 else model._inv(p), size)", "(p, size)",
+           ("tests/test_actions.py::test_unit_syllables_image_as_the_letter_product",
+            "tests/test_actions.py::test_image_is_the_fold_of_the_public_compose")),
     # tau = 2 arccosh((a + d)/2s)
     Mutant("translation-length-drops-the-2", "halfplane.py",
            "2.0 * _acosh_ratio(self.a + self.d, 2 * self.s)", "_acosh_ratio(self.a + self.d, 2 * self.s)",
@@ -190,9 +196,13 @@ MUTANTS = (
            "hash(self.core)", "hash((self.length, *self.fixed_points))",
            ("tests/test_trees.py::test_tree_classes_are_equal_exactly_when_their_lengths_and_rays_are",)),
     Mutant("cayley-display-drops-the-run-length", "trees.py",
-           "len(list(run)) * (1 if x > 0 else -1)", "(1 if x > 0 else -1)",
+           "for n in [len(list(run))]", "for n in [1]",
            ("tests/test_trees.py::test_tree_word_text_round_trip", "tests/test_words.py::test_tree_parse_word_fuzz",
-            "tests/test_seed_hashes.py::test_seed_hashes_are_pinned")),
+            "tests/test_seed_hashes.py::test_seed_hashes_are_pinned", RAY_LINES)),
+    # a witness line prints each ray from its class's core, folded once: a
+    # Bass-Serre minus ray's fold may absorb a period into u
+    Mutant("ray-text-skips-the-fold", "trees.py",
+           "ray = self._fold(p, period)", "ray = RayDescriptor(p, period)", (RAY_LINES,)),
     # a Bass-Serre vertex is its root path: the root's edge (0, 0) to <t>
     # is a neighbour, a coset w<t> opens with (0, 0) by the parity of |w| and
     # t, and g.(w<t>) drops gw's last syllable when it lies in <t>
@@ -255,6 +265,14 @@ MUTANTS = (
     Mutant("tried-drops-the-winner", "combiner.py",
            "self.schedule_index + 1", "self.schedule_index",
            ("tests/test_combiner.py::test_search_stats_tally_the_stages",)),
+    # a record opens with its header, whatever follows
+    Mutant("parse-record-skips-the-header", "records.py",
+           "if not lines or lines[0]", "if not lines and lines[0]",
+           ("tests/test_config_cli.py::test_record_error_names_its_place",)),
+    # the CLI runs under its own int-string limit, not the interpreter's
+    Mutant("cli-leaves-the-print-limit-unpinned", "cli.py",
+           "    sys.set_int_max_str_digits(MAX_PRINT_DIGITS)\n", "",
+           ("tests/test_cli_golden.py::test_huge_records_do_not_read_the_interpreter_print_limit",)),
     Mutant("record-witnesses-read-stats", "records.py",
            'if line.startswith("witness ")', 'if not line.startswith("stage ")',
            ("tests/test_cli_golden.py::test_cli_golden",)),

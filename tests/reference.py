@@ -7,8 +7,10 @@ no copy.
 """
 
 import math
+import string
 from collections import deque
 from fractions import Fraction
+from itertools import groupby
 from typing import Any, NamedTuple
 
 from hypiso.errors import MixedModels, ValidationError
@@ -19,7 +21,7 @@ from hypiso.quadratic import QuadraticNumber
 from hypiso.records import check_witnesses, witness_line
 from hypiso.sampling import _random_bs_syllables, _random_cayley_word, sample_plane_points
 from hypiso.trees import CayleyTreeModel
-from hypiso.words import reduced_words
+from hypiso.words import format_powers, reduced_words
 
 
 def power(model, iso, n: int):
@@ -369,6 +371,30 @@ def plane_witness_line_reference(index: int, name: str, m) -> str:
     plus, minus = _plane_fixed_points_reference(m)
     invariant = plane_class_reference(m)[0]
     return f"witness {index} {name} half_plane hyperbolic {invariant} plus={text(plus)} minus={text(minus)}"
+
+
+def tree_word_display_reference(model, payload) -> str:
+    """A tree word's text by ``format_powers``: a Cayley word's runs of one
+    letter, read by ``groupby``, as powers, a Bass-Serre word's syllables as
+    they stand."""
+    if isinstance(model, CayleyTreeModel):
+        powers = [(string.ascii_lowercase[abs(x) - 1], len(list(run)) * (1 if x > 0 else -1))
+                  for x, run in groupby(payload)]
+    else:
+        powers = [("st"[f], e) for f, e in payload]
+    return format_powers(powers)
+
+
+def tree_witness_line_reference(index: int, name: str, model, cls) -> str:
+    """The record's witness line of a hyperbolic tree class, each ray read
+    through the class's ``fixed_points`` and checked by ``require``, and
+    each of its words displayed by ``tree_word_display_reference``."""
+    h = cls.hyperbolic
+    plus, minus = (
+        f"ray:{tree_word_display_reference(model, r.prefix)};{tree_word_display_reference(model, r.period)}"
+        .replace(" ", ".") for r in map(model.require, h.fixed_points)
+    )
+    return f"witness {index} {name} {model.kind} hyperbolic syllables={h.length} plus={plus} minus={minus}"
 
 
 def verify_certificate_detailed_reference(system, cert) -> tuple[bool, list[str]]:

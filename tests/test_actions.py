@@ -82,6 +82,23 @@ def test_image_is_the_fold_of_the_public_compose(make_action):
 
 
 @pytest.mark.parametrize("make_action", ACTIONS, ids=ACTION_IDS)
+def test_unit_syllables_image_as_the_letter_product(make_action):
+    # a syllable g or g^-1 is the generator's payload or its inverse, with no
+    # power ladder: among powers of other exponents, of the same generators
+    # too, the image is still the letter-by-letter product, and a generator
+    # with no image is refused with the same text whatever its exponent
+    action = make_action()
+    for text in ("f g^-1 f^-1 g f^3 g^-2 h^-1 f h^2", "g^-1 h f^-2 h^-1 g f^-1 g^-1 h^3", "h^-1 f^2 h"):
+        word = GroupWord.parse(text)
+        assert {1, -1} <= {e for _, e in word.syllables} and any(abs(e) > 1 for _, e in word.syllables)
+        assert action.image(word) == letter_fold(action, word), text
+    for text in ("k", "f k^-1", "k^2 f"):
+        with pytest.raises(ValidationError) as info:
+            action.image(GroupWord.parse(text))
+        assert str(info.value) == f"generator 'k' has no image in action {action.name!r}"
+
+
+@pytest.mark.parametrize("make_action", ACTIONS, ids=ACTION_IDS)
 def test_image_and_power_build_one_isometry(make_action, monkeypatch):
     action = make_action()
     model = action.model

@@ -11,6 +11,8 @@ for a deliberate change of output, and say so where the change is described.
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -171,6 +173,23 @@ def test_cli_golden(case, files):
     expected = json.loads(GOLDEN.read_text())
     assert sorted(expected) == sorted(CASES)
     assert run_case(case, *files) == expected[case]
+
+
+@pytest.mark.parametrize("digits", [None, "0", "640"])
+def test_huge_records_do_not_read_the_interpreter_print_limit(digits, files):
+    # the CLI runs under its own int-string limit, so a run in a fresh
+    # process gives the golden exit code and bytes whatever
+    # PYTHONINTMAXSTRDIGITS says (unset, no limit, the least limit)
+    root, paths = files
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    if digits is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = digits
+    expected = json.loads(GOLDEN.read_text())
+    for case in ("huge-combine-records", "huge-report-records"):
+        argv = [paths.get(arg, arg) for arg in CASES[case]]
+        done = subprocess.run([sys.executable, "-m", "hypiso.cli", *argv], env=env, capture_output=True, text=True)
+        assert {"exit": done.returncode, "stdout": done.stdout, "stderr": done.stderr} == expected[case], case
 
 
 def test_mismatch_record_round_trips(files):

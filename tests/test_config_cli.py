@@ -10,7 +10,7 @@ import pytest
 
 from hypiso import cli, combiner, dynamics, geometry, sampling
 from hypiso.actions import Action, ActionSystem
-from hypiso.cli import MAX_ORBIT_DEPTH, MAX_SAMPLE_POINTS, main
+from hypiso.cli import MAX_ORBIT_DEPTH, MAX_PRINT_DIGITS, MAX_SAMPLE_POINTS, main
 from hypiso.config import parse_config
 from hypiso.errors import ParseError, ValidationError
 from hypiso.geometry import PlaneGeometry, TreeGeometry, lab
@@ -521,8 +521,7 @@ def test_number_too_long_to_print_exit_1(tmp_path, capsys, argv):
     assert main([argv[0], "--input", path, *argv[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    limit = sys.get_int_max_str_digits()
-    assert captured.err == f"error: an exact number has over {limit} digits, the limit for printing one\n"
+    assert captured.err == f"error: an exact number has over {MAX_PRINT_DIGITS} digits, the limit for printing one\n"
 
 
 CAP = f"MAX_ISOMETRY_SIZE: a power passes the cap of {MAX_ISOMETRY_SIZE} on an isometry's size"
@@ -795,6 +794,8 @@ RECORD_ERRORS = [
     (("word f^2 g^2", "word f h"), 2, "out", "  bad word: "),
     (("witness 1 ", "note 1 "), 2, "out", "  record lists 1 witnesses, system has 2 actions\n"),
     (("word f^2 g^2", "word f^ g^2"), 2, "out", "  bad word: invalid literal for int() with base 10: ''\n"),
+    (("hypiso-record v1", "hypiso-record v2"), 1, "err", "error: line 1, col 1: expected header 'hypiso-record v1'\n"),
+    (("command combine\n", ""), 1, "err", "error: line 1, col 1: record has no command line\n"),
 ]
 
 
@@ -828,11 +829,16 @@ ONE_ACTION_CLASSIFIED = (
 
 
 def _int_message(text: str) -> str:
-    """int()'s own message on text, which a bad rational entry quotes."""
+    """int()'s own message on text under the CLI's print limit, which a bad
+    rational entry quotes."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_PRINT_DIGITS)
     try:
         int(text)
     except ValueError as exc:
         return str(exc)
+    finally:
+        sys.set_int_max_str_digits(limit)
     raise AssertionError(f"{text!r} reads as an integer")
 
 

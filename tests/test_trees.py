@@ -10,6 +10,7 @@ from hypiso.actions import Action, ActionSystem
 from hypiso.dynamics import internal_points
 from hypiso.geometry import lab
 from hypiso.models import HYPOTHESIS_VIOLATION
+from hypiso.records import witness_line
 from hypiso.sampling import _random_bs_syllables, _random_cayley_word, random_elliptic, random_hyperbolic
 from hypiso.trees import BassSerreModel, CayleyTreeModel, RayDescriptor, TreeModel
 from hypiso.words import reduced_words
@@ -24,6 +25,7 @@ from reference import (
     pairwise_distances_by_meets,
     power,
     sample_tree_points,
+    tree_witness_line_reference,
     vertex,
 )
 
@@ -713,3 +715,32 @@ def test_tree_rays_are_equal_exactly_when_their_streams_agree(model, length):
     rays = [(model.own(r), model._ray_units(r, 200)) for r in _rays(model, length)]
     for (b1, s1), (b2, s2) in itertools.product(rays, repeat=2):
         assert model.boundary_equal(b1, b2) == (s1 == s2)
+
+
+@pytest.mark.parametrize(
+    "model", [CayleyTreeModel(2), CayleyTreeModel(3), BassSerreModel(2, 3), BassSerreModel(2, 4), BassSerreModel(3, 4)],
+    ids=lambda m: m.model_id,
+)
+def test_witness_lines_match_the_ray_reference(model):
+    # a witness line prints each ray from its class's core, folded once, and
+    # displays each word in one pass; over every hyperbolic class of every
+    # reduced word of up to 5 units it is the line of rays read through
+    # fixed_points and words displayed by format_powers.  The sweep holds
+    # cores with an empty u, Cayley runs of 3 or more letters, and
+    # Bass-Serre minus rays whose fold absorbs a period (u ends in the
+    # factor of v^-1's first syllable)
+    empty_u = long_runs = absorbed = 0
+    for w in _reduced_words(model, 5):
+        cls = model.classify(model.own(w))
+        if not cls.is_hyperbolic:
+            continue
+        assert witness_line(4, "w", model, cls) == tree_witness_line_reference(4, "w", model, cls), w
+        h = cls.hyperbolic
+        empty_u += not h.u
+        long_runs += any(x == y == z for x, y, z in zip(w, w[1:], w[2:]))
+        absorbed += model._fold(h.u, model.invert_word(h.v)).prefix != h.u
+    assert empty_u
+    if isinstance(model, CayleyTreeModel):
+        assert long_runs and not absorbed  # a Cayley core's rays never fold
+    else:
+        assert absorbed
