@@ -31,28 +31,31 @@ class Action:
 
     def image(self, word: GroupWord) -> Owned:
         """Composed syllable by syllable on the bare payloads (see
-        SpaceModel), each power by repeated squaring (once per distinct
+        SpaceModel), each power by the model's ``_power`` (once per distinct
         syllable), and wrapped once.  A running bound on the image's size
         (``SpaceModel._power``'s rule) adds each power's plus 1; only a
         syllable that takes it past MAX_ISOMETRY_SIZE has its product checked:
         refused before it is built if the model's ``_least_size`` passes the cap, then sized."""
-        model, payloads = self.model, self._payloads
+        model, payloads, mul = self.model, self._payloads, self.model._mul
         out, bound = None, -1  # the first power's bound is its own
         powers = {}
-        for gen, e in word.syllables:
-            if gen not in payloads:
-                raise ValidationError(f"generator {gen!r} has no image in action {self.name!r}")
-            if (gen, e) not in powers:  # g and g^-1 are what _power returns for them, with g's size as bound
+        for syllable in word.syllables:
+            cached = powers.get(syllable)
+            if cached is None:  # g and g^-1 are what _power returns for them, with g's size as bound
+                gen, e = syllable
+                if gen not in payloads:
+                    raise ValidationError(f"generator {gen!r} has no image in action {self.name!r}")
                 p, size = payloads[gen], self._sizes[gen]
-                powers[gen, e] = (p if e == 1 else model._inv(p), size) if e in (1, -1) else model._power(p, e, size)
-            power, power_bound = powers[gen, e]
+                cached = (p if e == 1 else model._inv(p), size) if e in (1, -1) else model._power(p, e, size)
+                powers[syllable] = cached
+            power, power_bound = cached
             bound += power_bound + 1
             if bound <= MAX_ISOMETRY_SIZE:
-                out = power if out is None else model._mul(out, power)
+                out = power if out is None else mul(out, power)
                 continue
             if out is not None:
                 model._sized(model._least_size(out, power), "a word's image")
-            out = power if out is None else model._mul(out, power)
+            out = power if out is None else mul(out, power)
             bound = model._sized(model._size(out), "a word's image")
         return model.own(model._one if out is None else out)
 

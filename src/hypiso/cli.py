@@ -131,9 +131,9 @@ def _run(args) -> int:
 
 def _read(path: str) -> str:
     try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
+        with open(path, "rb", buffering=0) as fh:  # UTF-8 whatever the locale; the parsers take CRLF
+            return fh.read().decode()
+    except (OSError, UnicodeDecodeError) as exc:
         raise HypisoError(f"cannot read {path}: {exc}")
 
 

@@ -152,7 +152,7 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
                 "word-sample-depth",
             )
     violations: list[tuple[GroupWord, int]] = []
-    letters = [word.syllables[0] for word in reduced_words(system.generators, 1)]  # by step
+    letters = [(g, e) for g in system.generators for e in (1, -1)]  # by step: 2i is g_i, 2i + 1 its inverse
     for i, action in enumerate(system.actions):
         images = [action.images[g] for g in system.generators]
         for path in action.model.parabolic_words(images, word_sample_depth):

@@ -6,15 +6,16 @@ the geometry lab's (``geometry.PlaneGeometry``).  A boundary point is the
 primitive integer form it is a root of (a QuadraticNumber), or None for
 infinity; boundary_apply substitutes the inverse map into the form.  A
 matrix M is stored as its primitive integer matrix s*M = (a, b, c, d), its
-determinant checked once, where it is built (Matrix2.of).  Classification
-(of the Mobius action: M and -M are one map), fixed points and the
-boundary action read a, b, c, d, s; tr = (a + d)/s:
+determinant checked once, where it is built (Matrix2.of); a product divides
+only by the content that gcd(s1, s2)^2 bounds.  Classification (of the
+Mobius action: M and -M are one map), fixed points and the boundary action
+read a, b, c, d, s; tr = (a + d)/s:
   |tr| > 2  hyperbolic (PlaneHyperbolic): cosh(tau/2) = |a+d|/2s, boundary fixed
             points ((a-d) +- sqrt(D))/2c, the roots of c z^2 + (d-a) z - b
   |tr| = 2  parabolic unless +-identity: rejected as hypothesis_violation
   |tr| < 2  elliptic.  By Niven's theorem a rational trace has finite order
-            only for |a+d| in {0, s} (orders 2 and 3); any other rotation
-            has infinite order, and its class keeps the period None
+            only for |a+d| in {0, s} (orders 2 and 3: _power reduces n modulo
+            it); any other rotation has infinite order, period None
 
 The hypothesis check (parabolic_words) tags the steps from their tuples,
 with no numpy, and each deeper level of the reduced-word tree at once.  The
@@ -42,6 +43,7 @@ from .models import (
     ELLIPTIC,
     HYPERBOLIC,
     HYPOTHESIS_VIOLATION,
+    MAX_ISOMETRY_SIZE,
     IsometryClass,
     Owned,
     SpaceModel,
@@ -62,9 +64,12 @@ _new = tuple.__new__
 class Matrix2(NamedTuple):
     """A determinant-1 rational matrix M as its primitive integer matrix
     (a, b, c, d) = s*M, s >= 1 and a*d - b*c = s*s.  ``of`` alone checks the
-    determinant; products and inverses are integer arithmetic.
-    A plain tuple, so a product is four integer products and one
-    ``tuple.__new__``: the plane's payload on every hot path."""
+    determinant; products and inverses are integer arithmetic, each at most
+    one ``tuple.__new__``: the plane's payload on every hot path.  The
+    content of a product A B divides h^2, h = gcd(s1, s2): over Z_p, A = U
+    diag(1, s1^2) V (Smith form) and V B is primitive, so p divides it at
+    most 2 v_p(s1) times, and likewise for B.  So a product with h = 1
+    takes no gcd, and one with a right factor +-I only a sign."""
 
     a: int
     b: int
@@ -88,19 +93,21 @@ class Matrix2(NamedTuple):
         return Matrix2(1, 0, 0, 1, 1)
 
     def __mul__(self, o: "Matrix2") -> "Matrix2":
-        a1, b1, c1, d1, s = self
+        a1, b1, c1, d1, s1 = self
         a2, b2, c2, d2, s2 = o
+        if s2 == 1 and not b2 and not c2 and a2 == d2:  # o is +-I: a sign
+            return self if a2 == 1 else _new(Matrix2, (-a1, -b1, -c1, -d1, s1))
         a, b = a1 * a2 + b1 * c2, a1 * b2 + b1 * d2
         c, d = c1 * a2 + d1 * c2, c1 * b2 + d1 * d2
-        s *= s2
-        if s > 1:  # the content divides s, since the determinant is s^2
-            g = math.gcd(a, b, c, d)
+        s, h = s1 * s2, math.gcd(s1, s2)
+        if h > 1:  # the content divides gcd(s1, s2)^2 (see the class docstring)
+            g = math.gcd(h * h, a, b, c, d)
             if g > 1:
                 a, b, c, d, s = a // g, b // g, c // g, d // g, s // g
         return _new(Matrix2, (a, b, c, d, s))
 
     def inverse(self) -> "Matrix2":
-        return Matrix2(self.d, -self.b, -self.c, self.a, self.s)
+        return _new(Matrix2, (self.d, -self.b, -self.c, self.a, self.s))
 
     def is_proj_identity(self) -> bool:
         return self.b == 0 and self.c == 0 and self.a == self.d
@@ -178,6 +185,18 @@ class HalfPlaneModel(SpaceModel):
     # the payload hooks of SpaceModel
     _mul, _inv, _one = staticmethod(Matrix2.__mul__), staticmethod(Matrix2.inverse), Matrix2.identity()
 
+    def _power(self, p: Matrix2, n: int, size: int):
+        """SpaceModel's, but a rotation of order 2 or 3 (s|tr| = 0 or s) takes at most a product:
+        M^2 = -I at trace 0, M^3 = -I at trace 1 and +I at trace -1, so M^n = +-M^(n mod order)."""
+        t = p.a + p.d
+        if (t and abs(t) != p.s) or 2 * size >= MAX_ISOMETRY_SIZE:
+            return SpaceModel._power(self, p, n, size)
+        q, r = divmod(n, 3 if t else 2)
+        out = p * p if r == 2 else p if r else self._one
+        if t >= 0 and q & 1:  # (M^order)^q = -I
+            out = _new(Matrix2, (-out.a, -out.b, -out.c, -out.d, out.s))
+        return out, (1, size, 2 * size + 1)[r]
+
     @staticmethod
     def _size(m: Matrix2) -> int:
         return max(abs(m.a), abs(m.b), abs(m.c), abs(m.d)).bit_length()
@@ -210,15 +229,16 @@ class HalfPlaneModel(SpaceModel):
     def parabolic_words(self, generators: list[Owned], depth: int) -> tuple[tuple[int, ...], ...]:
         """``tag`` on every reduced word up to depth (see SpaceModel).  The
         steps are each generator image, then its inverse; level 0, the steps
-        themselves, is tagged from their tuples, and deeper levels one at a
-        time as a stack of unreduced matrices (see the module docstring),
-        the paths of the failing words rebuilt from the word tree."""
-        rows = []
-        for m in map(self.require, generators):
-            rows += (m, m.inverse())
-        found = [(j,) for j, m in enumerate(rows) if abs(m.a + m.d) == 2 * m.s and not m.is_proj_identity()]
+        themselves, from each image's tuple once (a step and its inverse
+        share their trace), and deeper levels one at a time as a stack of
+        unreduced matrices (see the module docstring), the paths of the
+        failing words rebuilt from the word tree."""
+        images = [self.require(g) for g in generators]
+        bad = [i for i, m in enumerate(images) if abs(m.a + m.d) == 2 * m.s and not m.is_proj_identity()]
+        found = [(j,) for i in bad for j in (2 * i, 2 * i + 1)]
         if depth < 2:
             return tuple(found) if depth else ()
+        rows = [x for m in images for x in (m, m.inverse())]
         import numpy as np  # here, so that loading the checker or a depth-1 check loads no numpy
 
         top = step_top = max(map(abs, itertools.chain(*rows)))  # s included

@@ -60,7 +60,9 @@ class GroupWord:
             if alphabet is not None and name not in alphabet:
                 raise ValueError(f"unknown generator {name!r}")
             powers.append((name, e))
-        return GroupWord(tuple(powers))
+        word = object.__new__(GroupWord)  # reduced here, once: no __post_init__ pass
+        object.__setattr__(word, "syllables", reduce_powers(powers))
+        return word
 
 
 def reduced_words(generators: Iterable[str], max_length: int) -> Iterator[GroupWord]:

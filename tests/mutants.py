@@ -51,6 +51,7 @@ SPELLINGS = "tests/test_config_cli.py::test_matrix_spellings_classify_as_they_re
 FLOOR = "tests/test_dynamics.py::test_ns_floor_matches_the_full_walk"
 ZERO_SHIFT = "tests/test_dynamics.py::test_ns_floor_with_a_zero_float_shift"
 RAY_LINES = "tests/test_trees.py::test_witness_lines_match_the_ray_reference"
+PRODUCT = "tests/test_actions.py::test_product_matches_the_full_content_reference"
 
 MUTANTS = (
     # the North-South check stops at the Busemann floor: the last step that
@@ -129,6 +130,18 @@ MUTANTS = (
            "if g > 1:", "if g > 2:",
            ("tests/test_actions.py::test_image_is_the_fold_of_the_public_compose",
             "tests/test_classification_sweep.py::test_trichotomy_exhaustive_small_entries")),
+    # the content of a product divides gcd(s1, s2)^2, which may be exactly
+    # its value, and a right factor -I negates: no product takes more
+    Mutant("content-bound-takes-h", "halfplane.py",
+           "g = math.gcd(h * h, a, b, c, d)", "g = math.gcd(h, a, b, c, d)", (PRODUCT,)),
+    Mutant("scalar-factor-ignores-minus-i", "halfplane.py",
+           "return self if a2 == 1 else _new(Matrix2, (-a1, -b1, -c1, -d1, s1))", "return self",
+           (PRODUCT, "tests/test_actions.py::test_image_with_identity_syllables_matches_the_capped_image")),
+    # a rotation of order 2 or 3 powers modulo its order: M^2 = -I at trace 0
+    Mutant("rotation-power-drops-the-sign", "halfplane.py",
+           "if t >= 0 and q & 1:", "if t > 0 and q & 1:",
+           ("tests/test_actions.py::test_rotation_powers_take_at_most_one_product",
+            "tests/test_actions.py::test_image_with_identity_syllables_matches_the_capped_image")),
     # a hyperbolic class negates the whole matrix to a positive trace
     Mutant("plane-hyperbolic-flips-only-the-diagonal", "halfplane.py",
            "a, b, c, d = -a, -b, -c, -d", "a, d = -a, -d",

@@ -415,6 +415,17 @@ def verify_certificate_detailed_reference(system, cert) -> tuple[bool, list[str]
     return check_witnesses(system, cert.word, expected)
 
 
+def product_reference(m, n):
+    """The plane product (a, b, c, d, s) of two primitive matrices, divided by
+    the full content gcd(a, b, c, d) whenever s > 1: the product before it
+    read the content's bound gcd(s1, s2)^2 and a factor +-I's sign."""
+    a1, b1, c1, d1, s1 = m
+    a2, b2, c2, d2, s2 = n
+    a, b, c, d, s = a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2, s1 * s2
+    g = math.gcd(a, b, c, d) if s > 1 else 1
+    return a // g, b // g, c // g, d // g, s // g
+
+
 def _capped(model, p, what: str):
     if model._size(p) > MAX_ISOMETRY_SIZE:
         raise ValidationError(

@@ -19,7 +19,7 @@ from hypiso.models import MAX_ISOMETRY_SIZE, SpaceModel
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
 from hypiso.words import GroupWord
 
-from reference import capped_image, capped_power, capped_product, power
+from reference import capped_image, capped_power, capped_product, power, product_reference
 
 GENERATORS = ("f", "g", "h")
 
@@ -286,3 +286,122 @@ def test_least_size_is_below_the_product_size():
     assert sum(bound > 0 for bound in least) > len(pairs) // 2
     assert {m.s > 1 and math.gcd(m.s, n.s) > 1 for m, n in pairs} == {True, False}
     assert CayleyTreeModel(2)._least_size((1,) * 9, (1,) * 9) == BassSerreModel(2, 3)._least_size((), ()) == 0
+
+
+def _rational_matrix(rng: random.Random, dens=(1, 2, 3, 4, 6, 9, 12)) -> Matrix2:
+    """A random determinant-1 matrix of signed rational entries over shared
+    denominators: a, b and c drawn, d = (1 + b c)/a."""
+    a, b, c = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.choice(dens)) for _ in range(3))
+    b *= rng.randint(0, 1)
+    return Matrix2.of(a, b, c, (1 + b * c) / a)
+
+
+def test_product_matches_the_full_content_reference():
+    # the product divides by gcd(h^2, a, b, c, d), h = gcd(s1, s2), and only
+    # when h > 1, and a right factor +-I is a sign: the same tuple as the
+    # product that divides by the whole content whenever s > 1, on random
+    # products and squares, s = 1 factors, +-I on either side, and
+    # diag(1, p^2)/p times diag(p^2, 1)/p, whose content is exactly h^2
+    rng = random.Random(47)
+    one, minus_one = Matrix2.of(1, 0, 0, 1), Matrix2.of(-1, 0, 0, -1)
+    pool = [_rational_matrix(rng) for _ in range(120)] + [_rational_matrix(rng, (1,)) for _ in range(20)]
+    assert {m.s == 1 for m in pool} == {True, False} and any(min(m) < 0 for m in pool)
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(3000)] + [(m, m) for m in pool]
+    pairs += [(m, e) for m in pool for e in (one, minus_one)] + [(e, m) for m in pool for e in (one, minus_one)]
+    pairs += [(Matrix2.of(Fraction(1, p), 0, 0, p), Matrix2.of(p, 0, 0, Fraction(1, p))) for p in (2, 3, 6, 35)]
+    reduced = 0
+    for m, n in pairs:
+        got = m * n
+        assert type(got) is Matrix2 and got == product_reference(m, n), (m, n)
+        reduced += got.s < m.s * n.s
+    assert reduced > 500
+    assert Matrix2.of(Fraction(1, 6), 0, 0, 6) * Matrix2.of(6, 0, 0, Fraction(1, 6)) == one
+
+
+# the rotations of order 2 and 3, trace 0, 1 and -1, and a conjugator with large entries
+ROTATIONS = [(0, -1, 1, 0), (1, -1, 1, 0), (-1, -1, 1, 0)]
+_X = Fraction(3**40 + 2, 5**12)
+BIG = Matrix2.of(_X, Fraction(7, 2**30), 11, (1 + Fraction(77, 2**30)) / _X)
+
+
+def _conjugated_rotations():
+    return [BIG * Matrix2.of(*r) * BIG.inverse() for r in ROTATIONS]
+
+
+def test_rotation_powers_take_at_most_one_product(monkeypatch):
+    # a rotation of order 2 or 3 is powered modulo its order, signed by
+    # (M^order)^q: M^2 = -I at trace 0, M^3 = -I at trace 1, +I at trace -1;
+    # the same tuple as repeated squaring, from at most one product, with a
+    # bound of at least the power's size and no size read
+    plane, rng = HalfPlaneModel(), random.Random(3)
+    exponents = [0, 1, -1, 2, -2, 3, -3, 6, -6, 7, -7, 10**6 + 1] + [rng.randint(-10**9, 10**9) for _ in range(20)]
+    rotations = _conjugated_rotations()
+    assert [abs(m.a + m.d) for m in rotations] == [0, rotations[1].s, rotations[2].s]
+    assert min(m.s for m in rotations) > 2**60
+    signs = set()
+    for m in rotations:
+        size = plane._size(m)
+        for n in exponents:
+            expected = capped_power(plane, m, n)
+            products, sized = [], []
+            mul = Matrix2.__mul__
+            monkeypatch.setattr(Matrix2, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+            monkeypatch.setattr(HalfPlaneModel, "_size", staticmethod(lambda p: sized.append(p) or 0))
+            got, bound = plane._power(m, n, size)
+            monkeypatch.undo()
+            assert got == expected and type(got) is Matrix2, (m, n)
+            assert len(products) <= 1 and sized == [] and bound >= plane._size(got)
+            signs.add(got.a < 0 if got.is_proj_identity() else None)
+    assert signs == {None, True, False}  # both +I and -I among the powers
+
+
+def test_rotation_past_half_the_cap_powers_by_squaring():
+    # a rotation whose square's bound 2 size + 1 would pass the cap goes to
+    # SpaceModel's ladder, which sizes what passes it: every bound returned
+    # stays under the cap, and the powers are repeated squaring's
+    plane, x = HalfPlaneModel(), 2 ** 2**17
+    m = Matrix2.of(1 + x, -1, 1 + x + x * x, -x)  # order 3 (trace 1), entries of 2^18 + 1 bits
+    size = plane._size(m)
+    assert MAX_ISOMETRY_SIZE < 2 * size + 1 and size <= MAX_ISOMETRY_SIZE
+    for n in (2, 5, -4, 10**6 + 1):
+        got, bound = plane._power(m, n, size)
+        assert got == capped_power(plane, m, n) and plane._size(got) <= bound <= MAX_ISOMETRY_SIZE
+
+
+def test_other_matrices_power_by_repeated_squaring():
+    # every matrix but an order-2 or order-3 rotation goes to SpaceModel's
+    # ladder: +-I, a parabolic, hyperbolics and an infinite-order rotation
+    plane = HalfPlaneModel()
+    for entries in ((1, 0, 0, 1), (-1, 0, 0, -1), (1, 1, 0, 1), (2, 1, 1, 1), (Fraction(1, 2), -1, 1, 0),
+                    (Fraction(1, 3), Fraction(2, 3), 0, 3)):
+        m = Matrix2.of(*entries)
+        for n in (0, 1, -1, 2, 5, -6, 13):
+            assert plane._power(m, n, plane._size(m)) == SpaceModel._power(plane, m, n, plane._size(m))
+            assert plane._power(m, n, plane._size(m))[0] == capped_power(plane, m, n)
+
+
+def test_image_with_identity_syllables_matches_the_capped_image():
+    # chain-style words, whose syllables are mostly powers of order-2 and
+    # order-3 rotations that are +-I, among hyperbolic and rotation powers:
+    # the image is the capped image, and a generator with no image is
+    # refused with the same text whatever syllables come before it
+    plane = HalfPlaneModel()
+    r0, r1, r2 = _conjugated_rotations()
+    images = {"f": BIG, "g": Matrix2.of(2, 1, 1, 1), "r": r0, "t": r1, "u": r2}
+    action = Action("chain", plane, {gen: plane.own(m) for gen, m in images.items()})
+    rng = random.Random(11)
+    for _ in range(60):
+        syllables = []
+        for _ in range(rng.randint(1, 30)):
+            gen = rng.choice("fgrtu")
+            order = 2 if gen == "r" else 3
+            e = rng.choice((1, -1, 2, -3)) if gen in "fg" else order * rng.randint(-40, 40) + rng.choice((0, 0, 1, -1))
+            syllables.append((gen, e or 1))
+        word = GroupWord(tuple(syllables))
+        assert action.image(word).payload == capped_image(action, word), word
+    word = GroupWord((("r", 2), ("t", -3), ("u", 3), ("r", 6)))
+    assert action.image(word).payload == Matrix2.of(-1, 0, 0, -1) == capped_image(action, word)
+    for text in ("z", "r^2 z", "r^2 z r^2", "f^2 r^4 z"):
+        with pytest.raises(ValidationError) as info:
+            action.image(GroupWord.parse(text))
+        assert str(info.value) == "generator 'z' has no image in action 'chain'"

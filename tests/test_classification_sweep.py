@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypiso.cli import _tau_display
+from hypiso.cli import MAX_PRINT_DIGITS, _tau_display
 from hypiso.errors import ValidationError
 from hypiso.geometry import PlaneGeometry, lab
 from hypiso.halfplane import HalfPlaneModel, Matrix2, PlaneHyperbolic
@@ -314,7 +314,18 @@ def test_record_cosh_half_is_half_the_raw_trace():
     assert checked == 42  # the 40 hyperbolic matrices of the sweep and both powers
 
 
-def test_plane_classes_match_the_fraction_derivation():
+@pytest.fixture
+def cli_print_limit():
+    """The interpreter's int-string limit set to the CLI's for one test, and
+    restored after: the library reads the interpreter's limit, and these
+    tests print numbers sized against the CLI's."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_PRINT_DIGITS)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_plane_classes_match_the_fraction_derivation(cli_print_limit):
     # the class keeps integers; its record line, tau~ column, tau float and
     # cosh tau must be those of the derivation in Fractions (reference.py),
     # on the sweep and on chain-sized matrices, whichever kind the fixed
@@ -338,7 +349,7 @@ def test_plane_classes_match_the_fraction_derivation():
     assert kinds == {"quadratic": 88, "rational": 12, "infinity": 12, "past float range": 4, "large": 24}
 
 
-def test_integer_witness_lines_match_the_fraction_derivation():
+def test_integer_witness_lines_match_the_fraction_derivation(cli_print_limit):
     # witness_line prints a plane class from its integers, one gcd per
     # rational: the sweep must reach each case of the fixed points, and every
     # line must be the one derived in Fractions
@@ -358,7 +369,7 @@ def test_integer_witness_lines_match_the_fraction_derivation():
     assert min(cases.values()) > 0 and len(cases) == 5, cases
 
 
-def test_witness_line_past_the_digit_limit():
+def test_witness_line_past_the_digit_limit(cli_print_limit):
     # a class whose cosh-half, or only a fixed point's D/s^2 (about twice its
     # entries' digits), passes the limit on printing an int is a
     # ValidationError with the limit in its message

@@ -338,6 +338,32 @@ def test_cli_verify_unreadable_file_exit_1(tmp_path, capsys):
     assert f"error: cannot read {missing}" in capsys.readouterr().err
 
 
+def test_cli_non_utf8_file_exit_1(tmp_path, capsys):
+    # a config or a record is read as UTF-8 whatever the locale: a byte 0xff
+    # in either exits 1 with the codec's message, and CRLF line ends read as
+    # LF ones, byte for byte
+    good = write(tmp_path, "worked.cfg", WORKED_EXAMPLE)
+    assert main(["combine", "--input", good, "--format", "records"]) == 0
+    record = capsys.readouterr().out
+    codec = "'utf-8' codec can't decode byte 0xff in position 3: invalid start byte"
+    for name, text in (("bad.cfg", WORKED_EXAMPLE), ("bad.rec", record)):
+        bad = tmp_path / name
+        bad.write_bytes(text[:3].encode() + b"\xff" + text[3:].encode())
+        argv = ["--input", str(bad)] if name == "bad.cfg" else ["--input", good, "--verify", str(bad)]
+        assert main(["combine", *argv]) == 1
+        assert capsys.readouterr().err == f"error: cannot read {bad}: {codec}\n"
+    crlf_cfg, crlf_rec = tmp_path / "crlf.cfg", tmp_path / "crlf.rec"
+    crlf_cfg.write_bytes(WORKED_EXAMPLE.replace("\n", "\r\n").encode())
+    crlf_rec.write_bytes(record.replace("\n", "\r\n").encode())
+    assert main(["combine", "--input", str(crlf_cfg), "--format", "records"]) == 0
+    assert capsys.readouterr().out == record
+    verified = []
+    for rec in (write(tmp_path, "lf.rec", record), str(crlf_rec)):
+        assert main(["combine", "--input", good, "--verify", rec]) == 0
+        verified.append(capsys.readouterr())
+    assert verified[0] == verified[1]
+
+
 @pytest.mark.parametrize("key", ["max-exponent", "ball-radius", "orbit-depth", "word-sample-depth"])
 def test_negative_setting_in_config_exit_1(tmp_path, capsys, key):
     text = THREE_ACTION.replace("seed 0", f"seed 0\n{key} -1")

@@ -163,7 +163,7 @@ def test_every_mutant_applies_once_and_names_its_tests():
     # must occur exactly once in its file, and runs the tests it names
     from mutants import MUTANTS, source
 
-    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 63
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 66
     for mutant in MUTANTS:
         assert source(mutant).read_text().count(mutant.snippet) == 1, mutant.name
         for test in mutant.tests:
@@ -196,11 +196,11 @@ def _imports(node: ast.AST, top: bool = True):
 # its boundary forms: witness lines print the class's integers), no numpy
 # and no fractions (a tree's lengths are its integers)
 CHECKER_CLOSURE = {"__init__", "records", "actions", "errors", "models", "trees", "words"}
-CHECKER_LINES = 1006
+CHECKER_LINES = 1011
 
 # a ceiling on the library's size, `wc -l src/hypiso/*.py`: the line count
 # the project tracks next to its timings
-SRC_LINES = 2973
+SRC_LINES = 2998
 
 
 # the geometry lab's members, which live in geometry.py: no core model
@@ -287,7 +287,8 @@ def test_checker_import_closure_is_pinned():
 # the word and render its witness lines, by module: none may compute a
 # float, which only a reader's translation_length builds
 CHECKER_FUNCTIONS = {
-    "halfplane": ["HalfPlaneModel.tag", "HalfPlaneModel.classify", "HalfPlaneModel._classify_hyperbolic"],
+    "halfplane": ["HalfPlaneModel.tag", "HalfPlaneModel.classify", "HalfPlaneModel._classify_hyperbolic",
+                  "HalfPlaneModel._power"],
     "trees": ["TreeModel.tag", "TreeModel._hyperbolic", "TreeModel._fold", "TreeModel.ray_text",
               "CayleyTreeModel.classify", "BassSerreModel.classify"],
     "actions": ["Action.image"],
