@@ -40,14 +40,13 @@ class Action:
         out, bound = None, -1  # the first power's bound is its own
         powers = {}
         for syllable in word.syllables:
-            cached = powers.get(syllable)
-            if cached is None:  # g and g^-1 are what _power returns for them, with g's size as bound
+            if (cached := powers.get(syllable)) is None:
                 gen, e = syllable
                 if gen not in payloads:
                     raise ValidationError(f"generator {gen!r} has no image in action {self.name!r}")
                 p, size = payloads[gen], self._sizes[gen]
                 cached = (p if e == 1 else model._inv(p), size) if e in (1, -1) else model._power(p, e, size)
-                powers[syllable] = cached
+                powers[syllable] = cached  # g and g^-1 as _power returns them, with g's size as bound
             power, power_bound = cached
             bound += power_bound + 1
             if bound <= MAX_ISOMETRY_SIZE:

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .models import HYPERBOLIC, HYPOTHESIS_VIOLATION, MAX_ISOMETRY_SIZE, IsometryClass, Owned, SpaceModel
 from .records import check_printable, check_witnesses
-from .words import GroupWord, reduced_words
+from .words import GroupWord, reduced_words, step_letters
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
                 "word-sample-depth",
             )
     violations: list[tuple[GroupWord, int]] = []
-    letters = [(g, e) for g in system.generators for e in (1, -1)]  # by step: 2i is g_i, 2i + 1 its inverse
+    letters = step_letters(system.generators)
     for i, action in enumerate(system.actions):
         images = [action.images[g] for g in system.generators]
         for path in action.model.parabolic_words(images, word_sample_depth):

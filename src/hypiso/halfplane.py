@@ -43,7 +43,6 @@ from .models import (
     ELLIPTIC,
     HYPERBOLIC,
     HYPOTHESIS_VIOLATION,
-    MAX_ISOMETRY_SIZE,
     IsometryClass,
     Owned,
     SpaceModel,
@@ -186,16 +185,16 @@ class HalfPlaneModel(SpaceModel):
     _mul, _inv, _one = staticmethod(Matrix2.__mul__), staticmethod(Matrix2.inverse), Matrix2.identity()
 
     def _power(self, p: Matrix2, n: int, size: int):
-        """SpaceModel's, but a rotation of order 2 or 3 (s|tr| = 0 or s) takes at most a product:
-        M^2 = -I at trace 0, M^3 = -I at trace 1 and +I at trace -1, so M^n = +-M^(n mod order)."""
+        """SpaceModel's, but a rotation of order 2 or 3 (s|tr| = 0 or s) takes no product: M^2 = -I
+        at trace 0, M^3 = -I at trace 1 and +I at trace -1, so M^n = +-M^(r - 1), n + 1 = q order + r."""
         t = p.a + p.d
-        if (t and abs(t) != p.s) or 2 * size >= MAX_ISOMETRY_SIZE:
+        if t and abs(t) != p.s:
             return SpaceModel._power(self, p, n, size)
-        q, r = divmod(n, 3 if t else 2)
-        out = p * p if r == 2 else p if r else self._one
+        q, r = divmod(n + 1, 3 if t else 2)
+        out = (p.inverse(), self._one, p)[r]
         if t >= 0 and q & 1:  # (M^order)^q = -I
             out = _new(Matrix2, (-out.a, -out.b, -out.c, -out.d, out.s))
-        return out, (1, size, 2 * size + 1)[r]
+        return out, 1 if r == 1 else size
 
     @staticmethod
     def _size(m: Matrix2) -> int:

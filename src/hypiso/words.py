@@ -60,17 +60,18 @@ class GroupWord:
             if alphabet is not None and name not in alphabet:
                 raise ValueError(f"unknown generator {name!r}")
             powers.append((name, e))
-        word = object.__new__(GroupWord)  # reduced here, once: no __post_init__ pass
-        object.__setattr__(word, "syllables", reduce_powers(powers))
-        return word
+        return GroupWord(tuple(powers))
+
+
+def step_letters(generators: Iterable[str]) -> list[tuple[str, int]]:
+    """Generators in order, +1 before -1: letter 2i is generator i, letter 2i + 1 its inverse."""
+    return [(g, e) for g in generators for e in (1, -1)]
 
 
 def reduced_words(generators: Iterable[str], max_length: int) -> Iterator[GroupWord]:
-    """Every freely reduced nonempty word up to max_length, level by level,
-    each word's children in letter order: generators in order, +1 before
-    -1, so letter 2i is generator i and letter 2i + 1 its inverse.  The one
-    word order of the hypothesis check's violations and the witness search."""
-    letters = [(g, e) for g in generators for e in (1, -1)]
+    """Every freely reduced nonempty word up to max_length, level by level, each word's children
+    in ``step_letters`` order: the one word order of the hypothesis check and the witness search."""
+    letters = step_letters(generators)
     level = [()]
     for _ in range(max_length):
         nxt = []

@@ -140,7 +140,7 @@ MUTANTS = (
     # a rotation of order 2 or 3 powers modulo its order: M^2 = -I at trace 0
     Mutant("rotation-power-drops-the-sign", "halfplane.py",
            "if t >= 0 and q & 1:", "if t > 0 and q & 1:",
-           ("tests/test_actions.py::test_rotation_powers_take_at_most_one_product",
+           ("tests/test_actions.py::test_rotation_powers_take_no_product",
             "tests/test_actions.py::test_image_with_identity_syllables_matches_the_capped_image")),
     # a hyperbolic class negates the whole matrix to a positive trace
     Mutant("plane-hyperbolic-flips-only-the-diagonal", "halfplane.py",

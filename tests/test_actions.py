@@ -328,11 +328,11 @@ def _conjugated_rotations():
     return [BIG * Matrix2.of(*r) * BIG.inverse() for r in ROTATIONS]
 
 
-def test_rotation_powers_take_at_most_one_product(monkeypatch):
+def test_rotation_powers_take_no_product(monkeypatch):
     # a rotation of order 2 or 3 is powered modulo its order, signed by
     # (M^order)^q: M^2 = -I at trace 0, M^3 = -I at trace 1, +I at trace -1;
-    # the same tuple as repeated squaring, from at most one product, with a
-    # bound of at least the power's size and no size read
+    # the same tuple as repeated squaring, +-I, +-M or +-M^-1 with no
+    # product, with a bound of at least the power's size and no size read
     plane, rng = HalfPlaneModel(), random.Random(3)
     exponents = [0, 1, -1, 2, -2, 3, -3, 6, -6, 7, -7, 10**6 + 1] + [rng.randint(-10**9, 10**9) for _ in range(20)]
     rotations = _conjugated_rotations()
@@ -350,22 +350,22 @@ def test_rotation_powers_take_at_most_one_product(monkeypatch):
             got, bound = plane._power(m, n, size)
             monkeypatch.undo()
             assert got == expected and type(got) is Matrix2, (m, n)
-            assert len(products) <= 1 and sized == [] and bound >= plane._size(got)
+            assert products == [] and sized == [] and plane._size(got) <= bound <= size
             signs.add(got.a < 0 if got.is_proj_identity() else None)
     assert signs == {None, True, False}  # both +I and -I among the powers
 
 
-def test_rotation_past_half_the_cap_powers_by_squaring():
-    # a rotation whose square's bound 2 size + 1 would pass the cap goes to
-    # SpaceModel's ladder, which sizes what passes it: every bound returned
-    # stays under the cap, and the powers are repeated squaring's
+def test_rotation_past_half_the_cap_powers_under_it():
+    # a rotation whose square's ladder bound 2 size + 1 would pass the cap
+    # still powers for no product: every power is +-I, +-M or +-M^-1, of at
+    # most M's size, and is repeated squaring's
     plane, x = HalfPlaneModel(), 2 ** 2**17
     m = Matrix2.of(1 + x, -1, 1 + x + x * x, -x)  # order 3 (trace 1), entries of 2^18 + 1 bits
     size = plane._size(m)
     assert MAX_ISOMETRY_SIZE < 2 * size + 1 and size <= MAX_ISOMETRY_SIZE
     for n in (2, 5, -4, 10**6 + 1):
         got, bound = plane._power(m, n, size)
-        assert got == capped_power(plane, m, n) and plane._size(got) <= bound <= MAX_ISOMETRY_SIZE
+        assert got == capped_power(plane, m, n) and plane._size(got) <= bound <= size
 
 
 def test_other_matrices_power_by_repeated_squaring():
