@@ -17,8 +17,9 @@ which shares no code with the search and images the word letter by letter.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .actions import Action, ActionSystem
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .models import HYPERBOLIC, HYPOTHESIS_VIOLATION, MAX_ISOMETRY_SIZE, IsometryClass, Owned, SpaceModel
 from .records import check_printable, check_witnesses
-from .words import GroupWord, reduced_words, step_letters
+from .words import GroupWord
 
 
 @dataclass(frozen=True)
@@ -131,14 +132,15 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
     """Tag every reduced word up to the given length in every action.
 
     Each action's model lists its words whose tag is a hypothesis violation
-    (``SpaceModel.parabolic_words``, given the generator images): the plane
-    tags each level of the word tree at once, and a tree action has none,
-    since a tree automorphism is never parabolic.  Fails (listing the
-    offenders, in the order of ``words.reduced_words``) when there is any;
-    raises WitnessNotHyperbolic (``resolve_witness``) when a claimed
-    witness's tag is not hyperbolic.  Raises ValidationError before any tag
-    when the words times the actions (at least one) exceed
-    MAX_HYPOTHESIS_PAIRS.
+    (``SpaceModel.parabolic_words``, given the generator images and the
+    ``word_tree``): the plane tags each level at once, and a tree action has
+    none, since a tree automorphism is never parabolic.  With one generator
+    every word is a power f^n, n != 0, parabolic exactly when f is, so only
+    level 0 is tagged.  Fails (listing the offenders, in the order of
+    ``reduced_words``) when there is any; raises WitnessNotHyperbolic
+    (``resolve_witness``) when a claimed witness's tag is not hyperbolic.
+    Raises ValidationError before any tag when the words times the actions
+    (at least one) exceed MAX_HYPOTHESIS_PAIRS.
     """
     # reduced words of length n: any of the r letters, then any but the inverse
     r = 2 * len(system.generators)
@@ -153,14 +155,58 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
             )
     violations: list[tuple[GroupWord, int]] = []
     letters = step_letters(system.generators)
+    tree = word_tree(r, min(word_sample_depth, 1) if r == 2 else word_sample_depth)
     for i, action in enumerate(system.actions):
-        images = [action.images[g] for g in system.generators]
-        for path in action.model.parabolic_words(images, word_sample_depth):
-            violations.append((GroupWord(tuple(letters[j] for j in path)), i))
+        found = action.model.parabolic_words([action.images[g] for g in system.generators], tree)
+        if r == 2 and found:  # f and f^-1: every power of f
+            violations += [(GroupWord(((g, e * n),)), i) for n in range(1, word_sample_depth + 1) for g, e in letters]
+            continue
+        for n, j in found:
+            path = []
+            for last in reversed(tree[:n + 1]):
+                path.append(letters[last[j]])
+                j //= r - 1
+            violations.append((GroupWord(tuple(reversed(path))), i))
     for i, witness in enumerate(system.witnesses):
         if witness is not None:
             resolve_witness(system, i)
     return HypothesisReport(passed=not violations, violations=tuple(violations), words_checked=words)
+
+
+def step_letters(generators: Iterable[str]) -> list[tuple[str, int]]:
+    """Generators in order, +1 before -1: letter 2i is generator i, letter 2i + 1 its inverse."""
+    return [(g, e) for g in generators for e in (1, -1)]
+
+
+# the reduced-word tree on r steps, by r: see word_tree
+_WORD_TREES: dict[int, list[memoryview]] = {}
+
+
+def word_tree(r: int, depth: int) -> list[memoryview]:
+    """The first depth levels of the tree of reduced words on r steps, step
+    j ^ 1 the inverse of step j: level n holds the last step of each word of
+    length n + 1, in the order of ``reduced_words``, as a read-only int64
+    buffer.  A word's children are the r - 1 steps but its inverse, in step
+    order, so word k of level n + 1 is a child of word k // (r - 1) of level
+    n.  Kept per r and grown only as deeper calls ask; check_hypotheses
+    bounds the depth, so no level passes MAX_HYPOTHESIS_PAIRS words."""
+    levels = _WORD_TREES.setdefault(r, [])
+    if len(levels) < depth:  # each last step's children; the root's last step is -1, which inverts none
+        children = {last: array("q", [j for j in range(r) if j != last ^ 1]).tobytes() for last in range(-1, r)}
+        while len(levels) < depth:
+            parents = levels[-1] if levels else (-1,)
+            levels.append(memoryview(b"".join([children[last] for last in parents])).cast("q"))
+    return levels[:depth]
+
+
+def reduced_words(generators: Iterable[str], max_length: int) -> Iterator[GroupWord]:
+    """Every freely reduced nonempty word up to max_length, level by level, each word's children
+    in ``step_letters`` order: the one word order of the hypothesis check and the witness search."""
+    letters = step_letters(generators)
+    r, words = len(letters), [()]
+    for n, level in enumerate(word_tree(r, max_length)):
+        words = [words[k // (r - 1) if n else 0] + (letters[j],) for k, j in enumerate(level)]
+        yield from map(GroupWord, words)
 
 
 def independent(model: SpaceModel, cf: IsometryClass, cg: IsometryClass) -> bool:

@@ -18,19 +18,14 @@ read a, b, c, d, s; tr = (a + d)/s:
             it); any other rotation has infinite order, period None
 
 The hypothesis check (parabolic_words) tags the steps from their tuples,
-with no numpy, and each deeper level of the reduced-word tree at once.  The
-tree depends only on the number of steps r, so its index arrays (each
-word's parent and last step, in the order of words.reduced_words) are built
-once per r and process, and grown as deeper calls ask.  A level is a stack
-of 2x2 integer matrices and a vector of s, and the next level is one
-stacked product, each word's matrix its parent's times one step with no
-gcd: the tag reads |a + d| against 2s, and "b = c = 0, a = d" only on the
-words that reach it, both of which scaling keeps.  The arrays are int64
-while every entry of the level (s included) and of the steps is below 2^30,
+with no numpy, and each deeper level of the word tree at once: a stack of
+2x2 integer matrices and a vector of s, each word's matrix its parent's
+times its last step with no gcd.  The tag reads |a + d| against 2s, and
+"b = c = 0, a = d" only on the words that reach it, both of which scaling
+keeps.  The stack is int64 while every entry (s included) is below 2^30,
 so that a sum of two products fits in 62 bits, and Python ints (dtype
-object) from the level past that.  A level's largest entry is read only
-when a bound on it (twice the previous level's times the steps') reaches
-2^30."""
+object) from the level past that, whose largest entry is read only when a
+bound on it (twice the previous level's times the steps') reaches 2^30."""
 
 from __future__ import annotations
 
@@ -53,9 +48,6 @@ HALF_PLANE_ID = "half_plane"
 
 # parabolic_words multiplies in int64 while every entry is below this
 _INT64_BOUND = 2**30
-
-# the reduced-word tree on r steps, by r: see _word_tree
-_WORD_TREES: dict[int, list] = {}
 
 _new = tuple.__new__
 
@@ -225,28 +217,25 @@ class HalfPlaneModel(SpaceModel):
             return HYPERBOLIC
         return HYPOTHESIS_VIOLATION if at == two else ELLIPTIC
 
-    def parabolic_words(self, generators: list[Owned], depth: int) -> tuple[tuple[int, ...], ...]:
-        """``tag`` on every reduced word up to depth (see SpaceModel).  The
-        steps are each generator image, then its inverse; level 0, the steps
-        themselves, from each image's tuple once (a step and its inverse
-        share their trace), and deeper levels one at a time as a stack of
-        unreduced matrices (see the module docstring), the paths of the
-        failing words rebuilt from the word tree."""
+    def parabolic_words(self, generators: list[Owned], tree: list) -> tuple[tuple[int, int], ...]:
+        """``tag`` on every word of the tree (see SpaceModel): level 0, the
+        steps, from each image's tuple once (a step and its inverse share
+        their trace), and each deeper level as one stacked product (see the
+        module docstring), its parents' matrices repeated r - 1 times."""
         images = [self.require(g) for g in generators]
         bad = [i for i, m in enumerate(images) if abs(m.a + m.d) == 2 * m.s and not m.is_proj_identity()]
-        found = [(j,) for i in bad for j in (2 * i, 2 * i + 1)]
-        if depth < 2:
-            return tuple(found) if depth else ()
+        found = [(0, j) for i in bad for j in (2 * i, 2 * i + 1)]
+        if len(tree) < 2:
+            return tuple(found) if tree else ()
         rows = [x for m in images for x in (m, m.inverse())]
         import numpy as np  # here, so that loading the checker or a depth-1 check loads no numpy
 
         top = step_top = max(map(abs, itertools.chain(*rows)))  # s included
         table = np.array(rows, dtype=np.int64 if top < _INT64_BOUND else object)
         level, s = steps, ss = table[:, :4].reshape(-1, 2, 2), table[:, 4]
-        tree = _word_tree(len(rows), depth)
-        for n in range(1, depth):
-            parent, last = tree[n]
-            level, s = level.take(parent, 0) @ steps.take(last, 0), s.take(parent) * ss.take(last)
+        children = len(rows) - 1  # per word: every step but its inverse
+        for n, last in enumerate(tree[1:], 1):
+            level, s = level.repeat(children, 0) @ steps.take(last, 0), s.repeat(children) * ss.take(last)
             # each new entry is a sum of two products: read the true
             # largest entry only when this bound on it reaches the guard
             top *= 2 * step_top
@@ -256,13 +245,8 @@ class HalfPlaneModel(SpaceModel):
                     level, s, steps, ss = (x.astype(object) for x in (level, s, steps, ss))
             for j in (abs(level[:, 0, 0] + level[:, 1, 1]) == 2 * s).nonzero()[0].tolist():
                 (a, b), (c, d) = level[j].tolist()
-                if b == 0 and c == 0 and a == d:
-                    continue  # +-identity: elliptic
-                path = []
-                for k in range(n, -1, -1):
-                    path.append(int(tree[k][1][j]))
-                    j = tree[k][0][j]
-                found.append(tuple(reversed(path)))
+                if not (b == 0 and c == 0 and a == d):  # +-identity is elliptic
+                    found.append((n, j))
         return tuple(found)
 
     def classify(self, iso: Owned) -> IsometryClass:
@@ -319,28 +303,3 @@ def _acosh_ratio(num: int, den: int) -> float:
     except OverflowError:
         c = Fraction(num, den)
         return math.log(c.numerator) - math.log(c.denominator) + math.log(2.0)
-
-
-def _word_tree(r: int, depth: int) -> list:
-    """The first depth levels of the tree of reduced words on r steps, step
-    j ^ 1 the inverse of step j: level n holds the (parent, last) index
-    arrays of the words of length n + 1 in the order of words.reduced_words,
-    the parent's index in level n - 1 (0, the empty word, on level 0) and
-    the last step.  Read-only, kept per r and grown only as deeper calls
-    ask; check_hypotheses bounds the depth, so no level passes
-    MAX_HYPOTHESIS_PAIRS words."""
-    import numpy as np
-
-    levels = _WORD_TREES.setdefault(r, [])
-    while len(levels) < depth:
-        if levels:
-            prev = levels[-1][1]
-            parent = np.repeat(np.arange(len(prev)), r)
-            last = np.tile(np.arange(r), len(prev))
-            keep = last != prev[parent] ^ 1
-            parent, last = parent[keep], last[keep]
-        else:
-            parent, last = np.zeros(r, dtype=np.intp), np.arange(r)
-        parent.flags.writeable = last.flags.writeable = False
-        levels.append((parent, last))
-    return levels[:depth]

@@ -136,13 +136,10 @@ class SpaceModel:
         class (no fixed points, lengths or period)."""
         raise NotImplementedError
 
-    def parabolic_words(self, generators: list[Owned], depth: int) -> tuple[tuple[int, ...], ...]:
-        """The freely reduced words up to the given length whose tag is
-        HYPOTHESIS_VIOLATION, given the generator images, as paths of step
-        indices in the order of ``words.reduced_words``: level by level,
-        then parent, then step.  Step 2i is generator i and step 2i + 1 its
-        inverse, so step j ^ 1 is the inverse of step j; the model inverts
-        the images it reads."""
+    def parabolic_words(self, generators: list[Owned], tree: list) -> tuple[tuple[int, int], ...]:
+        """(level, index) of each word of ``combiner.word_tree`` whose tag
+        is HYPOTHESIS_VIOLATION, in tree order, given the generator images:
+        step 2i is generator i and step 2i + 1 its inverse."""
         raise NotImplementedError
 
     def classify(self, iso: Owned) -> IsometryClass:

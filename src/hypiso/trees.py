@@ -84,7 +84,7 @@ class TreeModel(SpaceModel):
     def tag(self, iso: Owned) -> str:
         return self.core_tag(self.cyclic_reduce(self.require(iso))[1])
 
-    def parabolic_words(self, generators: list[Owned], depth: int) -> tuple:
+    def parabolic_words(self, generators: list[Owned], tree: list) -> tuple:
         """None: an automorphism of a tree without inversions is elliptic or
         hyperbolic, never parabolic (Serre, *Trees*, ch. I §6.4;
         Culler-Morgan 1987, §1).  Neither model inverts an edge: the

@@ -63,26 +63,6 @@ class GroupWord:
         return GroupWord(tuple(powers))
 
 
-def step_letters(generators: Iterable[str]) -> list[tuple[str, int]]:
-    """Generators in order, +1 before -1: letter 2i is generator i, letter 2i + 1 its inverse."""
-    return [(g, e) for g in generators for e in (1, -1)]
-
-
-def reduced_words(generators: Iterable[str], max_length: int) -> Iterator[GroupWord]:
-    """Every freely reduced nonempty word up to max_length, level by level, each word's children
-    in ``step_letters`` order: the one word order of the hypothesis check and the witness search."""
-    letters = step_letters(generators)
-    level = [()]
-    for _ in range(max_length):
-        nxt = []
-        for word in level:
-            for g, e in letters:
-                if not word or word[-1] != (g, -e):
-                    nxt.append(word + ((g, e),))
-                    yield GroupWord(nxt[-1])
-        level = nxt
-
-
 def parse_powers(text: str, check: Callable[[str, str], None]) -> Iterator[tuple[str, int]]:
     """The powers of 'f^2 g^-1' style text, token by token: ('f', 2), ('g', -1).
 

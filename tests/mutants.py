@@ -52,6 +52,10 @@ FLOOR = "tests/test_dynamics.py::test_ns_floor_matches_the_full_walk"
 ZERO_SHIFT = "tests/test_dynamics.py::test_ns_floor_with_a_zero_float_shift"
 RAY_LINES = "tests/test_trees.py::test_witness_lines_match_the_ray_reference"
 PRODUCT = "tests/test_actions.py::test_product_matches_the_full_content_reference"
+WORD_TREE = "tests/test_combiner.py::test_reduced_words_follow_the_word_tree"
+ONE_GENERATOR = "tests/test_combiner.py::test_one_generator_checks_level_zero_only"
+PRINTABLE = "tests/test_classification_sweep.py::test_check_printable_on_each_side_of_its_digit_bound"
+BRUTE_FORCE = "tests/test_combiner.py::test_check_hypotheses_matches_brute_force"
 
 MUTANTS = (
     # the North-South check stops at the Busemann floor: the last step that
@@ -282,6 +286,21 @@ MUTANTS = (
     Mutant("parse-record-skips-the-header", "records.py",
            "if not lines or lines[0]", "if not lines and lines[0]",
            ("tests/test_config_cli.py::test_record_error_names_its_place",)),
+    # check_printable prints a plane class whose 2L + 2 bits may pass 3 bits
+    # per digit of the limit, and only then.  Equivalent: the index 0 it
+    # passes to witness_line, whose line it drops
+    Mutant("check-printable-bound-strict", "records.py",
+           "+ 2 <= 3 * limit", "+ 2 < 3 * limit", (PRINTABLE,)),
+    Mutant("check-printable-bound-plus-1", "records.py",
+           "+ 2 <= 3 * limit", "+ 1 <= 3 * limit", (PRINTABLE,)),
+    Mutant("check-printable-bound-minus-2", "records.py",
+           "+ 2 <= 3 * limit", "- 2 <= 3 * limit", (PRINTABLE,)),
+    Mutant("check-printable-4-bits-a-digit", "records.py",
+           "+ 2 <= 3 * limit", "+ 2 <= 4 * limit", (PRINTABLE,)),
+    Mutant("check-printable-drops-the-2", "records.py",
+           "2 * max(map(abs, h[:5]))", "max(map(abs, h[:5]))", (PRINTABLE,)),
+    Mutant("check-printable-always-prints", "records.py",
+           "not limit or 2 *", "not limit and 2 *", (PRINTABLE,)),
     # the CLI runs under its own int-string limit, not the interpreter's
     Mutant("cli-leaves-the-print-limit-unpinned", "cli.py",
            "    sys.set_int_max_str_digits(MAX_PRINT_DIGITS)\n", "",
@@ -307,6 +326,14 @@ MUTANTS = (
            "abs(m.a + m.d) == 2 * m.s and", "abs(m.a + m.d) == 2 and", (LEVEL_ZERO,)),
     Mutant("level-zero-keeps-identity", "halfplane.py",
            " and not m.is_proj_identity()]", "]", (LEVEL_ZERO,)),
+    # the reduced-word tree: a word's children are every step but its
+    # inverse, a violation is rebuilt through the parents k // (r - 1), and
+    # with one generator every power of a parabolic f is listed
+    Mutant("word-tree-keeps-the-inverse-step", "combiner.py",
+           "j != last ^ 1", "j != last", (WORD_TREE, BRUTE_FORCE)),
+    Mutant("violation-rebuild-divides-by-r", "combiner.py", "j //= r - 1", "j //= r", (BRUTE_FORCE,)),
+    Mutant("one-generator-lists-level-zero-only", "combiner.py",
+           "for n in range(1, word_sample_depth + 1)", "for n in range(1, 2)", (ONE_GENERATOR,)),
     # a word prints a power e as name^e unless e is 1: name^-1 is not name
     Mutant("display-drops-exponent-minus-1", "words.py",
            "name if e == 1 else", "name if abs(e) == 1 else",

@@ -21,7 +21,7 @@ from hypiso.quadratic import QuadraticNumber
 from hypiso.records import check_witnesses, witness_line
 from hypiso.sampling import _random_bs_syllables, _random_cayley_word, sample_plane_points
 from hypiso.trees import CayleyTreeModel
-from hypiso.words import format_powers, reduced_words
+from hypiso.words import GroupWord, format_powers
 
 
 def power(model, iso, n: int):
@@ -500,12 +500,32 @@ def step_path(generators, word) -> tuple:
     return tuple(2 * generators.index(g) + (e < 0) for g, e in word.syllables for _ in range(abs(e)))
 
 
-def walked_parabolic_paths(system, action, depth: int) -> tuple:
+def reduced_words(generators, max_length: int):
+    """Every freely reduced nonempty word up to max_length by nested loops,
+    with no word tree: level by level, each word's children in generator
+    order, each generator before its inverse, skipping the last letter's
+    inverse."""
+    letters = [(g, e) for g in generators for e in (1, -1)]
+    level = [()]
+    for _ in range(max_length):
+        nxt = []
+        for word in level:
+            for g, e in letters:
+                if not word or word[-1] != (g, -e):
+                    nxt.append(word + ((g, e),))
+                    yield GroupWord(nxt[-1])
+        level = nxt
+
+
+def walked_parabolic_words(system, action, depth: int) -> tuple:
     """The full word walk: the reduced words up to depth whose tag is a
     violation, each imaged on its own in Python ints (gcd-reduced), as
-    step paths in the order of ``reduced_words``."""
-    return tuple(
-        step_path(system.generators, word)
-        for word in reduced_words(system.generators, depth)
-        if action.model.tag(action.image(word)) == "hypothesis_violation"
-    )
+    (level, index) pairs in the order of ``reduced_words``: a word of length
+    n + 1 is on level n, after the words of its length before it."""
+    found, seen = [], [0] * depth
+    for word in reduced_words(system.generators, depth):
+        n = len(word) - 1
+        if action.model.tag(action.image(word)) == "hypothesis_violation":
+            found.append((n, seen[n]))
+        seen[n] += 1
+    return tuple(found)

@@ -21,7 +21,8 @@ from hypiso.errors import ValidationError
 from hypiso.geometry import PlaneGeometry, lab
 from hypiso.halfplane import HalfPlaneModel, Matrix2, PlaneHyperbolic
 from hypiso.quadratic import QuadraticNumber
-from hypiso.records import class_invariant, witness_line
+from hypiso import records
+from hypiso.records import check_printable, class_invariant, witness_line
 from hypiso.sampling import rng_from_seed, sample_plane_points
 from hypiso.trees import BassSerreModel, CayleyTreeModel, RayDescriptor, TreeHyperbolic
 
@@ -386,6 +387,33 @@ def test_witness_line_past_the_digit_limit(cli_print_limit):
     assert witness_line(0, "w", plane, plane.classify(plane.matrix(2, 1, 1, 1))) == (
         "witness 0 w half_plane hyperbolic cosh-half=3/2 plus=quad:1/2;1/2;5 minus=quad:1/2;-1/2;5"
     )
+
+
+@pytest.mark.parametrize("limit", [640, 641])
+def test_check_printable_on_each_side_of_its_digit_bound(monkeypatch, limit):
+    # check_printable prints a plane class only when its integers, of at most
+    # 2L + 2 bits for L-bit entries, may pass 3 bits per digit of the limit.
+    # f = (2^(L-1), 1, 2^(L-1) - 1, 1) has L-bit entries: the last L within
+    # the bound prints nothing, the next prints once and succeeds, and
+    # L = 1100 prints and raises what witness_line raises.  641 makes the
+    # bound odd, so that 2L + 1 and 2L + 2 part on it
+    plane, printed = HalfPlaneModel(), []
+    monkeypatch.setattr(records, "witness_line", lambda *args: printed.append(args) or witness_line(*args))
+    within = (3 * limit - 2) // 2
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for bits, prints in ((within, 0), (within + 1, 1), (1100, 1)):
+            cls = plane.classify(plane.own(Matrix2.of(2 ** (bits - 1), 1, 2 ** (bits - 1) - 1, 1)))
+            printed.clear()
+            if bits < 1100:
+                check_printable(plane, cls)
+            else:
+                with pytest.raises(ValidationError, match=f"over {limit} digits"):
+                    check_printable(plane, cls)
+            assert len(printed) == prints, bits
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _leaves(value):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypiso import cli, combiner, halfplane
+from hypiso import cli, combiner
 from hypiso.actions import Action, ActionSystem
 from hypiso.combiner import (
     Certificate,
@@ -42,9 +42,15 @@ from hypiso.models import IsometryClass, SpaceModel
 from hypiso.records import class_invariant, parse_record, record_for_certificate, verify_record
 from hypiso.sampling import random_action_system
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
-from hypiso.words import GroupWord, reduced_words
+from hypiso.words import GroupWord
 
-from reference import eager_partitions, step_path, verify_certificate_detailed_reference, walked_parabolic_paths
+from reference import (
+    eager_partitions,
+    reduced_words,
+    step_path,
+    verify_certificate_detailed_reference,
+    walked_parabolic_words,
+)
 
 
 def worked_system() -> ActionSystem:
@@ -159,29 +165,39 @@ def test_check_hypotheses_matches_brute_force():
 
 
 def test_check_hypotheses_builds_each_level_once(monkeypatch):
-    # the plane multiplies one row per word of each level, on one word tree
-    # per number of steps, built on the first call and read by every later
-    # action and call
-    monkeypatch.setattr(halfplane, "_WORD_TREES", {})
-    trees = []
-    original = halfplane._word_tree
+    # one word tree per number of steps, built on the first call and read by
+    # every action of it and every later call; its levels are read-only
+    # int64 buffers, which numpy reads with no copy
+    import numpy as np
+
+    monkeypatch.setattr(combiner, "_WORD_TREES", {})
+    trees, asked = [], []
+    original, hook = combiner.word_tree, HalfPlaneModel.parabolic_words
 
     def recorded(r, depth):
         levels = original(r, depth)
         trees.append((r, levels))
         return levels
 
-    monkeypatch.setattr(halfplane, "_word_tree", recorded)
+    monkeypatch.setattr(combiner, "word_tree", recorded)
+    monkeypatch.setattr(HalfPlaneModel, "parabolic_words",
+                        lambda self, gens, tree: asked.append(tree) or hook(self, gens, tree))
     system = build_action_system(parse_config((CONFIGS / "worked_example.cfg").read_text()))
     for _ in range(2):
         assert check_hypotheses(system, 6).words_checked == 1456
-    assert len(trees) == 2 * system.n_actions == 4
+    assert len(trees) == 2 and len(asked) == 2 * system.n_actions == 4
     first = trees[0][1]
     for r, levels in trees:
-        assert r == 4 and sum(len(parent) for parent, _ in levels) == 1456
-        assert all(a is b for level, built in zip(levels, first) for a, b in zip(level, built))
-    assert [(r, len(levels)) for r, levels in halfplane._WORD_TREES.items()] == [(4, 6)]
-    assert not any(a.flags.writeable for level in first for a in level)
+        assert r == 4 and sum(map(len, levels)) == 1456
+        assert all(a is b for a, b in zip(levels, first))
+    assert all(all(a is b for a, b in zip(tree, first)) for tree in asked)
+    assert [(r, len(levels)) for r, levels in combiner._WORD_TREES.items()] == [(4, 6)]
+    for level in first:
+        assert level.readonly and level.format == "q"
+        array = np.asarray(level)
+        assert array.dtype == np.int64 and not array.flags.writeable and not array.flags.owndata
+        with pytest.raises(TypeError):
+            level[0] = 1
 
 
 def test_witness_not_hyperbolic_raises():
@@ -1086,29 +1102,36 @@ def test_search_is_invariant_under_tree_conjugation():
 
 
 def test_reduced_words_follow_the_word_tree():
-    # the batched check names its words by their paths in the word tree
+    # combiner's reduced_words and word_tree against the nested loops of the
+    # reference, which read no tree: each level holds its words' last steps,
+    # and word k of level n + 1 is a child of word k // (r - 1) of level n
     for generators, count in ((("f",), 10), (("f", "g"), 484), (("f", "g", "h"), 4686)):
-        tree_paths, level = [], [()]
-        for parent, last in halfplane._word_tree(2 * len(generators), 5):
-            level = [level[p] + (j,) for p, j in zip(parent.tolist(), last.tolist())]
-            tree_paths += level
-        words = list(reduced_words(generators, 5))
-        assert len(words) == count
-        assert [step_path(generators, word) for word in words] == tree_paths
+        expected = list(reduced_words(generators, 5))
+        assert len(expected) == count
+        assert list(combiner.reduced_words(generators, 5)) == expected
+        r, paths = 2 * len(generators), [step_path(generators, word) for word in expected]
+        by_level = [[path for path in paths if len(path) == n + 1] for n in range(5)]
+        levels = combiner.word_tree(r, 5)
+        assert len(levels) == 5 and combiner.word_tree(r, 0) == []
+        for n, level in enumerate(levels):
+            assert list(level) == [path[-1] for path in by_level[n]]
+            if n:
+                assert [path[:-1] for path in by_level[n]] == [by_level[n - 1][k // (r - 1)] for k in range(len(level))]
 
 
 def _assert_batched_walk_matches(system: ActionSystem, depths) -> int:
-    """parabolic_words against the oracle on each plane action; the number of
-    violations found at the deepest depth."""
+    """parabolic_words on the word tree against the reference walk on each
+    plane action; the number of violations found at the deepest depth."""
     found = 0
     for action in system.actions:
         if not isinstance(action.model, HalfPlaneModel):
             continue
         generators = [action.images[g] for g in system.generators]
-        walked = walked_parabolic_paths(system, action, max(depths))
+        walked = walked_parabolic_words(system, action, max(depths))
         for depth in depths:
-            expected = tuple(path for path in walked if len(path) <= depth)
-            assert action.model.parabolic_words(generators, depth) == expected
+            expected = tuple((n, k) for n, k in walked if n < depth)
+            tree = combiner.word_tree(2 * len(generators), depth)
+            assert action.model.parabolic_words(generators, tree) == expected
         found += len(walked)
     return found
 
@@ -1130,20 +1153,24 @@ def test_batched_parabolic_words_match_the_walk():
 
 def test_batched_parabolic_words_grow_one_tree_per_step_count(monkeypatch):
     # from an empty cache: depths 0 and 1, then deeper calls that grow each
-    # tree, interleaving one, two and three generators; f and g are
-    # parabolic, h of order 2 (h h is -1, a trace hit that is not a
-    # violation) and k an infinite-order rotation with s = 2
-    monkeypatch.setattr(halfplane, "_WORD_TREES", {})
+    # tree, interleaving one, two and three generators, and keep the levels
+    # already built; f and g are parabolic, h of order 2 (h h is -1, a trace
+    # hit that is not a violation) and k an infinite-order rotation with s = 2
+    monkeypatch.setattr(combiner, "_WORD_TREES", {})
     p = HalfPlaneModel()
     f, g, h, k = p.matrix(1, 2, 0, 1), p.matrix(1, 0, 2, 1), p.matrix(0, -1, 1, 0), p.matrix(0, -1, 1, Fraction(1, 2))
     one = ActionSystem(("f",), [Action("one", p, {"f": f})])
     two = ActionSystem(("f", "h"), [Action("two", p, {"f": f, "h": h})])
     three = ActionSystem(("f", "g", "k"), [Action("three", p, {"f": f, "g": g, "k": k})])
-    found = 0
+    found, built = 0, {}
     for depths in ((0,), (1,), (1, 3), (2, 5)):
         for system in (one, three, two):
             found += _assert_batched_walk_matches(system, depths)
-    assert {r: len(levels) for r, levels in halfplane._WORD_TREES.items()} == {2: 5, 4: 5, 6: 5}
+            for r, levels in combiner._WORD_TREES.items():
+                if levels:
+                    built.setdefault(r, levels[0])  # the first level 0 built
+    assert {r: len(levels) for r, levels in combiner._WORD_TREES.items()} == {2: 5, 4: 5, 6: 5}
+    assert built.keys() == {2, 4, 6} and all(combiner._WORD_TREES[r][0] is level for r, level in built.items())
     assert found >= 60
 
 
@@ -1167,8 +1194,8 @@ def test_batched_parabolic_words_past_int64():
     big, late = _past_int64_systems()
     assert max(plane.size(image) for image in big.actions[0].images.values()) > 30
     assert max(plane.size(image) for image in late.actions[0].images.values()) <= 30
-    for system, f_f in ((big, (0, 0)), (late, (0, 0, 0))):
-        assert f_f in walked_parabolic_paths(system, system.actions[0], 4)
+    for system, f_f in ((big, (1, 0)), (late, (2, 0))):  # f f, and f f f
+        assert f_f in walked_parabolic_words(system, system.actions[0], 4)
         assert _assert_batched_walk_matches(system, (1, 2, 3, 4)) > 0
 
 
@@ -1186,6 +1213,37 @@ def test_parabolic_words_level_zero_matches_the_walk():
     found = 0
     for system in systems:
         generators = list(system.actions[0].images.values())
-        assert plane.parabolic_words(generators, 0) == ()
+        assert plane.parabolic_words(generators, []) == ()
         found += _assert_batched_walk_matches(system, (0, 1, 2, 3, 4))
     assert found >= 60
+
+
+def test_one_generator_checks_level_zero_only(monkeypatch):
+    # every word of one generator is a power f^n, n != 0, parabolic exactly
+    # when f is: the plane is asked for level 0 alone, and the violations
+    # equal the reference walk's at every depth.  +-I, rotations of orders
+    # 2, 3 and infinity, parabolics with s = 1 and s = 3 and hyperbolics,
+    # each alone and beside a tree action and a hyperbolic plane action
+    plane, bs = HalfPlaneModel(), BassSerreModel(2, 3)
+    matrices = [(1, 0, 0, 1), (-1, 0, 0, -1), (0, -1, 1, 0), (0, -1, 1, 1), (-1, -1, 1, 0), ROTATION_3_5,
+                (0, -1, 1, Fraction(1, 2)), (1, 1, 0, 1), (-1, 1, 0, -1), (1, 0, 3, 1), (1, Fraction(1, 3), 0, 1),
+                (2, 1, 1, 1), (3, Fraction(1, 2), 2, Fraction(2, 3))]
+    asked = []
+    hook = HalfPlaneModel.parabolic_words
+    monkeypatch.setattr(HalfPlaneModel, "parabolic_words",
+                        lambda self, gens, tree: asked.append(len(tree)) or hook(self, gens, tree))
+    words = list(reduced_words(("f",), 39))
+    violations = 0
+    for entries in matrices:
+        f = plane.matrix(*entries)
+        for extra in ([], [Action("tree", bs, {"f": bs.word([(0, 1), (1, 1)])})],
+                      [Action("hyp", plane, {"f": plane.matrix(2, 1, 1, 1)})]):
+            system = ActionSystem(("f",), [Action("one", plane, {"f": f}), *extra])
+            walked = [(w, i) for i, action in enumerate(system.actions) for w in words
+                      if action.model.tag(action.image(w)) == "hypothesis_violation"]
+            for depth in range(40):
+                report = check_hypotheses(system, depth)
+                assert report.violations == tuple((w, i) for w, i in walked if len(w) <= depth)
+                assert report.words_checked == 2 * depth
+            violations += len(walked)
+    assert set(asked) == {0, 1} and violations == 4 * 3 * 78

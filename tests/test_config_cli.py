@@ -473,6 +473,8 @@ def test_delta_and_dynamics_build_one_lab_per_action(monkeypatch, capsys):
 
 
 def test_word_sample_depth_over_cap_exit_1(tmp_path, capsys, monkeypatch):
+    # refused before the word tree is built or any level tagged
+    monkeypatch.setattr(combiner, "word_tree", _no_walk)
     monkeypatch.setattr(HalfPlaneModel, "parabolic_words", _no_walk)
     path = write(tmp_path, "deep.cfg", THREE_ACTION.replace("seed 0", "seed 0\nword-sample-depth 30"))
     assert main(["combine", "--input", path]) == 1
@@ -484,6 +486,26 @@ def test_word_sample_depth_9_under_cap():
     system = parse_config(THREE_ACTION).build()
     report = combiner.check_hypotheses(system, 9)
     assert report.words_checked * system.n_actions == 118_092 <= combiner.MAX_HYPOTHESIS_PAIRS
+
+
+def test_one_generator_depth_checks_level_zero(tmp_path, capsys, monkeypatch):
+    # with one generator the pair cap admits depths past 100,000, and every
+    # word is a power of f: the check tags level 0 alone, so neither a
+    # 301-digit hyperbolic at depth 8,000 nor a small one at the cap's last
+    # depth multiplies f^n
+    big = 2**300
+    asked = []
+    hook = HalfPlaneModel.parabolic_words
+    monkeypatch.setattr(HalfPlaneModel, "parabolic_words",
+                        lambda self, gens, tree: asked.append(len(tree)) or hook(self, gens, tree))
+    for depth, f in ((8000, f"[[{big}, 1], [{big - 1}, 1]]"), (124_999, "[[2, 1], [1, 1]]")):
+        text = f"hypiso-config v1\ngenerators f\nword-sample-depth {depth}\n\naction plane\nmodel half_plane\n"
+        text += f"gen f {f}\n"
+        start = time.process_time()  # CPU time: other processes on the host do not count
+        assert main(["combine", "--input", write(tmp_path, "one.cfg", text)]) == 0
+        assert time.process_time() - start < 1
+    assert asked == [1, 1]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["combine", "report"])

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypiso.actions import Action, ActionSystem
+from hypiso.combiner import word_tree
 from hypiso.dynamics import internal_points
 from hypiso.geometry import lab
 from hypiso.models import HYPOTHESIS_VIOLATION
 from hypiso.records import witness_line
 from hypiso.sampling import _random_bs_syllables, _random_cayley_word, random_elliptic, random_hyperbolic
 from hypiso.trees import BassSerreModel, CayleyTreeModel, RayDescriptor, TreeModel
-from hypiso.words import reduced_words
 
 from reference import (
     bfs_distance,
@@ -24,6 +24,7 @@ from reference import (
     geodesic,
     pairwise_distances_by_meets,
     power,
+    reduced_words,
     sample_tree_points,
     tree_witness_line_reference,
     vertex,
@@ -206,7 +207,7 @@ def test_sampled_tree_actions_have_no_parabolic_words():
             system = ActionSystem(("f", "g"), [action])
             for word in reduced_words(system.generators, 5):
                 assert model.tag(action.image(word)) != HYPOTHESIS_VIOLATION
-            assert model.parabolic_words([action.images[g] for g in system.generators], 5) == ()
+            assert model.parabolic_words([action.images[g] for g in system.generators], word_tree(4, 5)) == ()
 
 
 def test_bs_orbit_translation_oracle(bs23):
