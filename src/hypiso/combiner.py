@@ -188,8 +188,8 @@ def word_tree(r: int, depth: int) -> list[memoryview]:
     length n + 1, in the order of ``reduced_words``, as a read-only int64
     buffer.  A word's children are the r - 1 steps but its inverse, in step
     order, so word k of level n + 1 is a child of word k // (r - 1) of level
-    n.  Kept per r and grown only as deeper calls ask; check_hypotheses
-    bounds the depth, so no level passes MAX_HYPOTHESIS_PAIRS words."""
+    n.  Kept per r and grown only as deeper calls ask: check_hypotheses caps
+    its depth by MAX_HYPOTHESIS_PAIRS, and reduced_words asks level by level."""
     levels = _WORD_TREES.setdefault(r, [])
     if len(levels) < depth:  # each last step's children; the root's last step is -1, which inverts none
         children = {last: array("q", [j for j in range(r) if j != last ^ 1]).tobytes() for last in range(-1, r)}
@@ -203,10 +203,13 @@ def reduced_words(generators: Iterable[str], max_length: int) -> Iterator[GroupW
     """Every freely reduced nonempty word up to max_length, level by level, each word's children
     in ``step_letters`` order: the one word order of the hypothesis check and the witness search."""
     letters = step_letters(generators)
-    r, words = len(letters), [()]
-    for n, level in enumerate(word_tree(r, max_length)):
-        words = [words[k // (r - 1) if n else 0] + (letters[j],) for k, j in enumerate(level)]
-        yield from map(GroupWord, words)
+    r, parents = len(letters), [()]
+    for n in range(max_length):  # one level at a time: a search that stops early builds no deeper level
+        words = []
+        for k, j in enumerate(word_tree(r, n + 1)[n]):
+            words.append(parents[k // (r - 1) if n else 0] + (letters[j],))
+            yield GroupWord(words[-1])
+        parents = words
 
 
 def independent(model: SpaceModel, cf: IsometryClass, cg: IsometryClass) -> bool:

@@ -327,11 +327,14 @@ MUTANTS = (
     Mutant("level-zero-keeps-identity", "halfplane.py",
            " and not m.is_proj_identity()]", "]", (LEVEL_ZERO,)),
     # the reduced-word tree: a word's children are every step but its
-    # inverse, a violation is rebuilt through the parents k // (r - 1), and
-    # with one generator every power of a parabolic f is listed
+    # inverse, a violation is rebuilt through the parents k // (r - 1), the
+    # witness search builds no level past the one it reads, and with one
+    # generator every power of a parabolic f is listed
     Mutant("word-tree-keeps-the-inverse-step", "combiner.py",
            "j != last ^ 1", "j != last", (WORD_TREE, BRUTE_FORCE)),
     Mutant("violation-rebuild-divides-by-r", "combiner.py", "j //= r - 1", "j //= r", (BRUTE_FORCE,)),
+    Mutant("witness-search-builds-every-level", "combiner.py", "word_tree(r, n + 1)[n]", "word_tree(r, max_length)[n]",
+           ("tests/test_combiner.py::test_witness_search_builds_only_the_levels_it_reads",)),
     Mutant("one-generator-lists-level-zero-only", "combiner.py",
            "for n in range(1, word_sample_depth + 1)", "for n in range(1, 2)", (ONE_GENERATOR,)),
     # a word prints a power e as name^e unless e is 1: name^-1 is not name

@@ -1119,6 +1119,26 @@ def test_reduced_words_follow_the_word_tree():
                 assert [path[:-1] for path in by_level[n]] == [by_level[n - 1][k // (r - 1)] for k in range(len(level))]
 
 
+def test_witness_search_builds_only_the_levels_it_reads(monkeypatch):
+    # reduced_words grows the tree one level at a time, so the unclaimed
+    # witness search builds no level past the one holding its first
+    # hyperbolic word: with 20 generators and the first hyperbolic that is
+    # level 0, where all WITNESS_SEARCH_DEPTH levels would be 40 * 39^3 steps
+    monkeypatch.setattr(combiner, "_WORD_TREES", {})
+    p = HalfPlaneModel()
+    names = tuple(f"g{i}" for i in range(20))
+    images = {name: p.matrix(2, 1, 1, 1) if i == 0 else p.matrix(1, 2, 0, 1) for i, name in enumerate(names)}
+    many = ActionSystem(names, [Action("many", p, images)])
+    assert resolve_witness(many, 0)[0] == GroupWord((("g0", 1),))
+    assert {r: len(levels) for r, levels in combiner._WORD_TREES.items()} == {40: 1}
+    # f: z -> -1/z and g: z -> -4/z are elliptic, f g: z -> z/4 is the first
+    # hyperbolic word, at level 1
+    f, g = p.matrix(0, -1, 1, 0), p.matrix(0, -2, Fraction(1, 2), 0)
+    two = ActionSystem(("f", "g"), [Action("two", p, {"f": f, "g": g})])
+    assert resolve_witness(two, 0)[0] == GroupWord((("f", 1), ("g", 1)))
+    assert {r: len(levels) for r, levels in combiner._WORD_TREES.items()} == {40: 1, 4: 2}
+
+
 def _assert_batched_walk_matches(system: ActionSystem, depths) -> int:
     """parabolic_words on the word tree against the reference walk on each
     plane action; the number of violations found at the deepest depth."""

@@ -490,9 +490,9 @@ def test_word_sample_depth_9_under_cap():
 
 def test_one_generator_depth_checks_level_zero(tmp_path, capsys, monkeypatch):
     # with one generator the pair cap admits depths past 100,000, and every
-    # word is a power of f: the check tags level 0 alone, so neither a
-    # 301-digit hyperbolic at depth 8,000 nor a small one at the cap's last
-    # depth multiplies f^n
+    # word is a power of f: the check asks the plane for level 0 alone, so
+    # neither a 301-digit hyperbolic at depth 8,000 nor a small one at the
+    # cap's last depth multiplies f^n (a full walk took 12-38 s on them)
     big = 2**300
     asked = []
     hook = HalfPlaneModel.parabolic_words
@@ -501,9 +501,7 @@ def test_one_generator_depth_checks_level_zero(tmp_path, capsys, monkeypatch):
     for depth, f in ((8000, f"[[{big}, 1], [{big - 1}, 1]]"), (124_999, "[[2, 1], [1, 1]]")):
         text = f"hypiso-config v1\ngenerators f\nword-sample-depth {depth}\n\naction plane\nmodel half_plane\n"
         text += f"gen f {f}\n"
-        start = time.process_time()  # CPU time: other processes on the host do not count
         assert main(["combine", "--input", write(tmp_path, "one.cfg", text)]) == 0
-        assert time.process_time() - start < 1
     assert asked == [1, 1]
     capsys.readouterr()
 

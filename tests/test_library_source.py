@@ -200,7 +200,7 @@ CHECKER_LINES = 988
 
 # a ceiling on the library's size, `wc -l src/hypiso/*.py`: the line count
 # the project tracks next to its timings
-SRC_LINES = 2979
+SRC_LINES = 2982
 
 
 # the geometry lab's members, which live in geometry.py: no core model
