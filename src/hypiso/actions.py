@@ -72,12 +72,12 @@ class ActionSystem:
 
     def __post_init__(self):
         if not self.generators:
-            raise ValidationError("at least one generator required")
+            raise ValidationError("at least one generator required", "generators")
         if len(set(self.generators)) != len(self.generators):
-            raise ValidationError("duplicate generator names")
+            raise ValidationError("duplicate generator names", "generators")
         for gen in self.generators:
             if gen == "1" or "^" in gen:  # word text could not name it
-                raise ValidationError(f"generator name {gen!r} cannot be written in a word")
+                raise ValidationError(f"generator name {gen!r} cannot be written in a word", "generators")
         for action in self.actions:
             for gen in self.generators:
                 if gen not in action.images:

@@ -57,6 +57,10 @@ MAX_SAMPLE_POINTS = 1000
 # depth 64 and 1,000 (medians; Python 3.11.7, 2 cores, host.ref_ms 0.14-0.15)
 MAX_ORBIT_DEPTH = 1000
 
+# a failed run lists at most this many of its hypothesis violations or
+# exhausted trials, in their order, and counts the rest
+MAX_LISTED = 50
+
 # the checks dynamics runs, as --checks names them
 DYNAMICS_CHECKS = ("ns", "insize", "projection")
 
@@ -292,16 +296,20 @@ def _search(system: ActionSystem, settings):
 
 
 def _violations(args, system: ActionSystem, report, settings) -> Result:
-    found = [(word, i, system.actions[i].name) for word, i in report.violations]
+    found = [(word, i, system.actions[i].name) for word, i in report.violations[:MAX_LISTED]]
     lines = [f"violation {i} {name} {_dotted(word)}" for word, i, name in found]
     stderr = [f"hypothesis violation: word {word.display()!r} in action {i} ({name})"
               for word, i, name in found]
+    unlisted = len(report.violations) - len(found)
+    if unlisted:
+        lines.append(f"violations-unlisted {unlisted}")
+        stderr.append(f"hypothesis violation: {unlisted} more words not listed")
     return _result(args.command, settings, lines, (), EXIT_HYPOTHESIS, "hypothesis-violation", stderr)
 
 
 def _exhausted(args, settings, exc: ScheduleExhausted) -> Result:
     lines = [f"exhausted-stage {exc.stage} trials {len(exc.trials)}"]
-    lines += [f"trial a {a} b {b} failed-action {i} tag {tag}" for a, b, i, tag in exc.trials[:50]]
+    lines += [f"trial a {a} b {b} failed-action {i} tag {tag}" for a, b, i, tag in exc.trials[:MAX_LISTED]]
     stderr = [f"error: {exc}"]
     return _result(args.command, settings, lines, (), EXIT_EXHAUSTED, "schedule-exhausted", stderr)
 

@@ -173,8 +173,9 @@ class HalfPlaneModel(SpaceModel):
                 raise ValueError(f"bad rational entry: {exc}") from None
         return self.matrix(*rationals)
 
-    # the payload hooks of SpaceModel
+    # the payload hooks of SpaceModel, and its compose bound here, which perfbench/layers.py wraps
     _mul, _inv, _one = staticmethod(Matrix2.__mul__), staticmethod(Matrix2.inverse), Matrix2.identity()
+    compose = SpaceModel.compose
 
     def _power(self, p: Matrix2, n: int, size: int):
         """SpaceModel's, but a rotation of order 2 or 3 (s|tr| = 0 or s) takes no product: M^2 = -I
@@ -202,9 +203,6 @@ class HalfPlaneModel(SpaceModel):
             if x and y and (not (u and v) or x ^ y ^ u ^ v >= 0):
                 least = max(least, x.bit_length() + y.bit_length() - 1)
         return least - 2 * math.gcd(m.s, n.s).bit_length()
-
-    def compose(self, first: Owned, second: Owned) -> Owned:
-        return self.own(self.require(first) * self.require(second))
 
     # -- classification -----------------------------------------------------
 
@@ -251,22 +249,18 @@ class HalfPlaneModel(SpaceModel):
 
     def classify(self, iso: Owned) -> IsometryClass:
         tag = self.tag(iso)
-        m: Matrix2 = iso.payload
+        a, b, c, d, s = iso.payload
         if tag == HYPERBOLIC:
-            return self._classify_hyperbolic(m)
+            if a + d < 0:
+                a, b, c, d = -a, -b, -c, -d  # same Mobius action; normalize to trace > 2
+            t = a + d
+            return _new(IsometryClass, (HYPERBOLIC, None, _new(PlaneHyperbolic, (a, b, c, d, s, t * t - 4 * s * s))))
         if tag == HYPOTHESIS_VIOLATION:
             return IsometryClass(HYPOTHESIS_VIOLATION)
         # the order of the Mobius action: 1 for +-identity, and by Niven 2 or
         # 3 for s*|tr M| = 0 or s; any other rotation has infinite order
-        t = abs(m.a + m.d)
-        return IsometryClass(ELLIPTIC, period=1 if m.is_proj_identity() else 2 if t == 0 else 3 if t == m.s else None)
-
-    def _classify_hyperbolic(self, m: Matrix2) -> IsometryClass:
-        a, b, c, d, s = m
-        if a + d < 0:
-            a, b, c, d = -a, -b, -c, -d  # same Mobius action; normalize to trace > 2
-        t = a + d
-        return _new(IsometryClass, (HYPERBOLIC, None, _new(PlaneHyperbolic, (a, b, c, d, s, t * t - 4 * s * s))))
+        t = abs(a + d)
+        return IsometryClass(ELLIPTIC, period=1 if b == c == 0 and a == d else 2 if t == 0 else 3 if t == s else None)
 
     # -- boundary ----------------------------------------------------------
 

@@ -62,13 +62,13 @@ class IsometryClass(NamedTuple):
 
 
 class SpaceModel:
-    """Base for the concrete models; subclasses fill in the payloads, the
-    classification and the boundary action.
+    """Base for the concrete models; subclasses fill in the payload hooks,
+    the classification and the boundary action.
 
     The public methods read each value they take with ``require``, which
-    checks its model id, and tag each value they build with ``own``.  Inner
-    loops (``_power`` and ``Action.image``, the search's evaluator too) run
-    on bare payloads through five hooks each model sets, and wrap once:
+    checks its model id, and tag each value they build with ``own``; they
+    (``compose`` too) and the inner loops (``_power``, ``Action.image`` and the
+    search's evaluator), which wrap once, run on bare payloads through five hooks:
     ``_mul(p, q)``, ``_inv(p)``, ``_one`` (the identity), ``_size(p)`` (the
     size MAX_ISOMETRY_SIZE caps) and ``_least_size(p, q)``, a lower bound on it for p q."""
 
@@ -86,7 +86,7 @@ class SpaceModel:
         return x.payload
 
     def compose(self, first: Owned, second: Owned) -> Owned:
-        raise NotImplementedError
+        return self.own(self._mul(self.require(first), self.require(second)))
 
     def invert(self, iso: Owned) -> Owned:
         return self.own(self._inv(self.require(iso)))

@@ -72,9 +72,9 @@ class TreeModel(SpaceModel):
 
     # Subclasses provide, on words: normal_form, multiply (of normal forms,
     # into a normal form) and invert_word (set as SpaceModel's payload hooks
-    # _mul and _inv too), cyclic_reduce and core_tag (the exact
-    # tag of a cyclic core), and compose and classify, which
-    # perfbench/layers.py wraps per class.
+    # _mul and _inv too), cyclic_reduce and _core_period (None for a
+    # hyperbolic cyclic core, else its elliptic period), and bind compose
+    # and classify in their own class, which perfbench/layers.py wraps per class.
 
     _size, _one, _least_size = staticmethod(len), (), staticmethod(lambda p, q: 0)  # the other payload hooks
 
@@ -82,7 +82,16 @@ class TreeModel(SpaceModel):
         return self.own(self.normal_form(tuple(units)))
 
     def tag(self, iso: Owned) -> str:
-        return self.core_tag(self.cyclic_reduce(self.require(iso))[1])
+        return ELLIPTIC if self._core_period(self.cyclic_reduce(self.require(iso))[1]) else HYPERBOLIC
+
+    def classify(self, iso: Owned) -> IsometryClass:
+        """u . v . u^-1 from ``cyclic_reduce``: elliptic of v's period, or
+        hyperbolic of translation length |v|, its rays folded only when read."""
+        u, v = self.cyclic_reduce(self.require(iso))
+        period = self._core_period(v)
+        if period:
+            return IsometryClass(ELLIPTIC, period=period)
+        return _new(IsometryClass, (HYPERBOLIC, None, _new(TreeHyperbolic, (len(v), u, v, self))))
 
     def parabolic_words(self, generators: list[Owned], tree: list) -> tuple:
         """None: an automorphism of a tree without inversions is elliptic or
@@ -91,12 +100,6 @@ class TreeModel(SpaceModel):
         Bass-Serre action keeps the two vertex types, and an inversion's
         square would fix a vertex, which in a free group only 1 does."""
         return ()
-
-    def _hyperbolic(self, u: tuple, v: tuple) -> IsometryClass:
-        """The class of u . v . u^-1 for u and v from ``cyclic_reduce`` (both
-        reduced, v cyclically) with v not conjugate into a vertex stabilizer:
-        translation length |v|; its rays are folded only when read."""
-        return _new(IsometryClass, (HYPERBOLIC, None, _new(TreeHyperbolic, (len(v), u, v, self))))
 
     # -- boundary rays ------------------------------------------------------
 
@@ -176,10 +179,7 @@ class CayleyTreeModel(TreeModel):
     def invert_word(self, u) -> tuple:
         return tuple([-x for x in reversed(u)])
 
-    _mul, _inv = multiply, invert_word
-
-    def compose(self, first: Owned, second: Owned) -> Owned:
-        return self.own(self.multiply(self.require(first), self.require(second)))
+    _mul, _inv, compose, classify = multiply, invert_word, SpaceModel.compose, TreeModel.classify
 
     # -- classification ----------------------------------------------------
 
@@ -191,15 +191,8 @@ class CayleyTreeModel(TreeModel):
             j -= 1
         return tuple(w[:i]), tuple(w[i : j + 1])
 
-    def core_tag(self, v: tuple) -> str:
-        # free actions: only the identity is elliptic
-        return HYPERBOLIC if v else ELLIPTIC
-
-    def classify(self, iso: Owned) -> IsometryClass:
-        u, v = self.cyclic_reduce(self.require(iso))
-        if self.core_tag(v) == HYPERBOLIC:
-            return self._hyperbolic(u, v)
-        return IsometryClass(ELLIPTIC, period=1)
+    def _core_period(self, v: tuple):
+        return None if v else 1  # free actions: only the identity is elliptic
 
     def word_display(self, payload: tuple, sep: str = " ") -> str:
         return sep.join([_RUN_TEXT[x][0] if n == 1 else f"{_RUN_TEXT[x][1]}{n}"  # a run of one letter is a power
@@ -264,10 +257,7 @@ class BassSerreModel(TreeModel):
     def invert_word(self, u) -> tuple:
         return tuple([(f, (-e) % self.orders[f]) for f, e in reversed(u)])
 
-    _mul, _inv = multiply, invert_word
-
-    def compose(self, first: Owned, second: Owned) -> Owned:
-        return self.own(self.multiply(self.require(first), self.require(second)))
+    _mul, _inv, compose, classify = multiply, invert_word, SpaceModel.compose, TreeModel.classify
 
     # -- classification -------------------------------------------------------
 
@@ -293,19 +283,14 @@ class BassSerreModel(TreeModel):
                 last = w[j]
         return tuple(w[:i]), tuple(w[i:j]) + (last,)
 
-    def core_tag(self, v: tuple) -> str:
-        # a core of one syllable is conjugate into a factor
-        return HYPERBOLIC if len(v) >= 2 else ELLIPTIC
-
-    def classify(self, iso: Owned) -> IsometryClass:
-        u, v = self.cyclic_reduce(self.require(iso))
-        if self.core_tag(v) == HYPERBOLIC:
-            return self._hyperbolic(u, v)
+    def _core_period(self, v: tuple):
+        if len(v) >= 2:  # a core of one syllable or none is conjugate into a factor
+            return None
         if not v:
-            return IsometryClass(ELLIPTIC, period=1)
-        factor, exp = v[0]
+            return 1
+        (factor, exp), = v
         order = self.orders[factor]
-        return IsometryClass(ELLIPTIC, period=order // math.gcd(exp, order))
+        return order // math.gcd(exp, order)
 
     def word_display(self, payload: tuple, sep: str = " ") -> str:
         return sep.join(["st"[f] if e == 1 else f"{'st'[f]}^{e}" for f, e in payload]) or "1"

@@ -337,6 +337,35 @@ MUTANTS = (
            ("tests/test_combiner.py::test_witness_search_builds_only_the_levels_it_reads",)),
     Mutant("one-generator-lists-level-zero-only", "combiner.py",
            "for n in range(1, word_sample_depth + 1)", "for n in range(1, 2)", (ONE_GENERATOR,)),
+    # one compose over the payload hooks, and one tree classify over the
+    # period of a cyclic core: None for a hyperbolic core (a Cayley core
+    # that is not empty, a Bass-Serre core of two syllables or more)
+    Mutant("compose-swaps-its-factors", "models.py",
+           "self._mul(self.require(first), self.require(second))",
+           "self._mul(self.require(second), self.require(first))",
+           ("tests/test_trees.py::test_bs_normal_form_and_compose",
+            "tests/test_actions.py::test_image_is_the_fold_of_the_public_compose")),
+    Mutant("cayley-core-never-elliptic", "trees.py", "return None if v else 1", "return None",
+           ("tests/test_trees.py::test_cayley_classification",)),
+    Mutant("bs-core-of-two-syllables-elliptic", "trees.py", "if len(v) >= 2:", "if len(v) > 2:",
+           ("tests/test_trees.py::test_bs_classify_st_hyperbolic",)),
+    Mutant("tree-elliptic-period-1", "trees.py",
+           "IsometryClass(ELLIPTIC, period=period)", "IsometryClass(ELLIPTIC, period=1)",
+           ("tests/test_trees.py::test_bs_classify_sts_elliptic",)),
+    # error paths: a system refuses a repeated generator name, the powers
+    # refuse a parabolic g as well as f, and a North-South check with every
+    # point in U- has no floor to read
+    Mutant("duplicate-generators-accepted", "actions.py",
+           '        if len(set(self.generators)) != len(self.generators):\n'
+           '            raise ValidationError("duplicate generator names", "generators")\n', "",
+           ("tests/test_config_cli.py::test_config_error_names_its_place",
+            "tests/test_actions.py::test_an_action_system_refuses_generators_it_cannot_name")),
+    Mutant("normalize-powers-checks-only-f", "combiner.py",
+           'for cls, word_name in ((cf, "f"), (cg, "g")):', 'for cls, word_name in ((cf, "f"),):',
+           ("tests/test_combiner.py::test_search_refuses_a_parabolic_witness_with_no_hypothesis_check",)),
+    Mutant("floor-without-the-empty-guard", "dynamics.py",
+           "    if not outside:\n        return n_max\n", "",
+           ("tests/test_dynamics.py::test_ns_dynamics_with_every_point_in_u_minus",)),
     # a word prints a power e as name^e unless e is 1: name^-1 is not name
     Mutant("display-drops-exponent-minus-1", "words.py",
            "name if e == 1 else", "name if abs(e) == 1 else",

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypiso.actions import Action
+from hypiso.actions import Action, ActionSystem
 from hypiso.errors import MixedModels, ValidationError
 from hypiso.geometry import lab
 from hypiso.halfplane import HalfPlaneModel, Matrix2
@@ -22,6 +22,22 @@ from hypiso.words import GroupWord
 from reference import capped_image, capped_power, capped_product, power, product_reference
 
 GENERATORS = ("f", "g", "h")
+
+
+def test_an_action_system_refuses_generators_it_cannot_name():
+    plane = HalfPlaneModel()
+    act = Action("one", plane, {"f": plane.matrix(2, 1, 1, 1), "g": plane.matrix(0, -1, 1, 0)})
+    for generators, actions, witnesses, message in [
+        ((), [act], [], "generators: at least one generator required"),
+        (("f", "g", "f"), [act], [], "generators: duplicate generator names"),
+        (("f", "g^2"), [act], [], "generators: generator name 'g^2' cannot be written in a word"),
+        (("f", "g", "h"), [act], [], "generator 'h' missing in action 'one'"),
+        (("f", "g"), [act], [None, None], "witness list must align with actions"),
+        (("f", "g"), [act], [GroupWord.parse("h")], "witness uses unknown generator 'h'"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            ActionSystem(generators, [act], witnesses)
+        assert str(info.value) == message
 
 
 def plane_action() -> Action:

@@ -639,6 +639,23 @@ def test_combine_step_rejects_non_hyperbolic_g():
         combine_step(system, _running(system, f, 1), SearchSchedule(4))
 
 
+def test_combine_step_refuses_a_running_word_that_is_not_hyperbolic():
+    # g is elliptic in action one, so it cannot be the running word of stage 1
+    system = worked_system()
+    with pytest.raises(NotHyperbolic, match="^precondition broken: running word is elliptic in action 0$"):
+        combine_step(system, _running(system, GroupWord.parse("g"), 1), SearchSchedule(4))
+
+
+def test_search_refuses_a_parabolic_witness_with_no_hypothesis_check():
+    # g is parabolic in action zero and the witness of action one, where f is
+    # elliptic: stage 1 finds it while normalizing the powers of f and g
+    plane = HalfPlaneModel()
+    zero = Action("zero", plane, {"f": plane.matrix(2, 1, 1, 1), "g": plane.matrix(1, 1, 0, 1)})
+    one = Action("one", plane, {"f": plane.matrix(0, -1, 1, 0), "g": plane.matrix(2, 1, 1, 1)})
+    with pytest.raises(HypothesisViolation, match="^g is parabolic in action 'zero'$"):
+        simultaneous_hyperbolic(ActionSystem(("f", "g"), [zero, one]), SearchSchedule(8))
+
+
 def test_search_classifies_each_word_once_per_action(monkeypatch):
     # each stage extends the previous stage's certificate, resolves its
     # witness only when it needs one, images the witness once per action

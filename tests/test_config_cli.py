@@ -823,6 +823,11 @@ CONFIG_ERRORS = [
     ("model half_plane\n", "", "action 'plane-one': missing model line"),
     ("witness f", "gen h [[2, 1], [1, 1]]\nwitness f", "action 'plane-one': image given for unknown generator 'h'"),
     ("witness f", "witness f^", "action 'plane-one' witness: invalid literal for int() with base 10: ''"),
+    ("generators f g", "generators f g f", "generators: duplicate generator names"),
+    (WORKED_EXAMPLE, WORKED_EXAMPLE.replace(" f ", " f^2 ").replace("witness f\n", "witness g\n"),
+     "generators: generator name 'f^2' cannot be written in a word"),
+    ("model half_plane", "model cayley_tree 0", "action 'plane-one' model: rank must be >= 1"),
+    ("model half_plane", "model bass_serre 1 3", "action 'plane-one' model: factor orders must be >= 2"),
 ]
 
 
@@ -831,6 +836,22 @@ def test_config_error_names_its_place(tmp_path, capsys, old, new, message):
     path = write(tmp_path, "bad.cfg", WORKED_EXAMPLE.replace(old, new, 1))
     assert main(["combine", "--input", path]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_parabolic_check_lists_at_most_max_listed_violations(tmp_path, capsys):
+    # one parabolic generator: every power f^n up to the depth is a violation,
+    # 249,998 words, of which the first MAX_LISTED are listed and the rest counted
+    path = write(tmp_path, "parabolic.cfg", "hypiso-config v1\ngenerators f\nword-sample-depth 124999\n"
+                 "action one\nmodel half_plane\ngen f [[1, 1], [0, 1]]\n")
+    assert main(["combine", "--input", path]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == cli.MAX_LISTED + 1 == 51
+    assert err[:3] == [f"hypothesis violation: word {w!r} in action 0 (one)" for w in ("f", "f^-1", "f^2")]
+    assert err[-1] == "hypothesis violation: 249948 more words not listed"
+    assert main(["combine", "--input", path, "--format", "records"]) == 3
+    record = capsys.readouterr().out.splitlines()
+    assert len(record) <= 60
+    assert record[-3:] == ["violation 0 one f^-25", "violations-unlisted 249948", "end"]
 
 
 # a record edit -> exit code of combine --verify, and what it prints

@@ -119,6 +119,24 @@ def test_ns_dynamics_requires_hyperbolic(plane):
         ns_dynamics_check(lab(plane), act.image(GroupWord.parse("r")), 1.0, [], 8)
 
 
+def test_ns_dynamics_with_every_point_in_u_minus(plane):
+    # 0.001 + 0.001i lies in U-, at g's repelling point 0: no point is left
+    # to step, so the floor is n_max with no Busemann shift read, and N is 1
+    D = plane.matrix(2, 0, 0, Fraction(1, 2))
+    near_zero = lab(plane).point_xy(Fraction(1, 1000), Fraction(1, 1000))
+    assert ns_dynamics_check(lab(plane), D, 1.0, [near_zero], 64) == 1
+
+
+def test_dynamics_at_orbit_depth_0_fails_every_ns_check(capsys):
+    argv = ["dynamics", "--input", str(CONFIGS / "worked_example.cfg"), "--orbit-depth", "0", "--checks", "ns"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        f"{i}  plane-{name}  ns     failed: no N <= 0 works for 24 sample points" for i, name in enumerate(("one", "two"))
+    ]
+    assert cli.main([*argv, "--format", "records"]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == ["ns 0 plane-one failed", "ns 1 plane-two failed", "end"]
+
+
 # -- the North-South check against direct iteration -----------------------------
 
 

@@ -166,6 +166,14 @@ def test_bs_inverse(bs23):
     assert bs23.require(bs23.compose(w, bs23.invert(w))) == ()
 
 
+def test_normal_forms_refuse_units_outside_the_alphabet(cayley, bs23):
+    for letter in (0, 3, -3):
+        with pytest.raises(ValueError, match=f"^letter {letter} outside rank-2 alphabet$"):
+            cayley.word([1, letter])
+    with pytest.raises(ValueError, match="^bad factor 2$"):
+        bs23.word([(0, 1), (2, 1)])
+
+
 def test_bs_classify_st_hyperbolic(bs23):
     cls = bs23.classify(bs23.word([(0, 1), (1, 1)]))
     assert cls.tag == "hyperbolic"
