@@ -81,9 +81,7 @@ class ActionSystem:
         for action in self.actions:
             for gen in self.generators:
                 if gen not in action.images:
-                    raise ValidationError(
-                        f"generator {gen!r} missing in action {action.name!r}"
-                    )
+                    raise ValidationError(f"no image for generator {gen!r}", f"action {action.name!r}")
         if not self.witnesses:
             self.witnesses = [None] * len(self.actions)
         if len(self.witnesses) != len(self.actions):

@@ -328,9 +328,8 @@ def _cmd_report(args, system: ActionSystem, settings, radii) -> Result:
         named = []
         for i, (action, e) in enumerate(zip(system.actions, s.profile)):
             part = partition(action.model, e)
-            if part is not None:
-                lines.append(f"profile {s.stage} {i} {action.name} f={e.cf.tag} g={e.cg.tag} partition={part}")
-                named.append(f"{action.name}:{part}")
+            lines.append(f"profile {s.stage} {i} {action.name} f={e.cf.tag} g={e.cg.tag} partition={part}")
+            named.append(f"{action.name}:{part}")
         table.append(f"stage {s.stage}: partition {', '.join(named)}")
 
     def record() -> RunRecord:  # built only for --format records, as in combine

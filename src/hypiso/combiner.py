@@ -59,11 +59,10 @@ class ProfileEntry(NamedTuple):
     g_image: Owned
 
 
-def partition(model: SpaceModel, entry: ProfileEntry) -> Optional[str]:
-    """H', H, E or E-E'-candidate; None where f is not hyperbolic.  Only ``report`` reads it."""
+def partition(model: SpaceModel, entry: ProfileEntry) -> str:
+    """H', H, E or E-E'-candidate.  Only ``report`` reads it, and every profile
+    entry's f is hyperbolic: ``combine_step`` refuses a running word that is not."""
     cf, cg = entry.cf, entry.cg
-    if not cf.is_hyperbolic:
-        return None
     if cg.is_hyperbolic:
         return "H'" if independent(model, cf, cg) else "H"
     # elliptic g fixing the repelling point satisfies the separation

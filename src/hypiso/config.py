@@ -175,9 +175,6 @@ def build_action_system(config: SystemConfig) -> ActionSystem:
             config.setting("ball-radius", ac.ball_radius)  # range check
         model = _build_model(ac)
         images = {}
-        for gen in config.generators:
-            if gen not in ac.images:
-                raise ValidationError(f"no image for generator {gen!r}", f"action {ac.name!r}")
         for gen, raw in ac.images.items():
             if gen not in alphabet:
                 raise ValidationError(f"image given for unknown generator {gen!r}", f"action {ac.name!r}")

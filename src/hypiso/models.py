@@ -62,8 +62,11 @@ class IsometryClass(NamedTuple):
 
 
 class SpaceModel:
-    """Base for the concrete models; subclasses fill in the payload hooks,
-    the classification and the boundary action.
+    """The code the concrete models share.  A model supplies the payload
+    hooks below, ``tag(iso)`` (the exact tag of ``classify(iso)``, decided
+    without building the class), ``classify``, ``boundary_equal(p, q)``,
+    ``boundary_apply(iso, b)``, ``parse_word(text)`` and, where it has
+    parabolic isometries, ``parabolic_words``.
 
     The public methods read each value they take with ``require``, which
     checks its model id, and tag each value they build with ``own``; they
@@ -131,25 +134,12 @@ class SpaceModel:
             )
         return size
 
-    def tag(self, iso: Owned) -> str:
-        """The exact tag of ``classify(iso)``, decided without building the
-        class (no fixed points, lengths or period)."""
-        raise NotImplementedError
-
     def parabolic_words(self, generators: list[Owned], tree: list) -> tuple[tuple[int, int], ...]:
         """(level, index) of each word of ``combiner.word_tree`` whose tag
         is HYPOTHESIS_VIOLATION, in tree order, given the generator images:
-        step 2i is generator i and step 2i + 1 its inverse."""
-        raise NotImplementedError
-
-    def classify(self, iso: Owned) -> IsometryClass:
-        raise NotImplementedError
-
-    def boundary_equal(self, p: Owned, q: Owned) -> bool:
-        raise NotImplementedError
-
-    def boundary_apply(self, iso: Owned, b: Owned) -> Owned:
-        raise NotImplementedError
+        step 2i is generator i and step 2i + 1 its inverse.  None here, for
+        a model with no parabolic isometry."""
+        return ()
 
     def fixes(self, iso: Owned, b: Owned) -> bool:
         """Whether iso fixes the boundary point b."""

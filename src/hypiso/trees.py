@@ -75,6 +75,11 @@ class TreeModel(SpaceModel):
     # _mul and _inv too), cyclic_reduce and _core_period (None for a
     # hyperbolic cyclic core, else its elliptic period), and bind compose
     # and classify in their own class, which perfbench/layers.py wraps per class.
+    # They keep SpaceModel's empty parabolic_words: an automorphism of a tree
+    # without inversions is elliptic or hyperbolic, never parabolic (Serre,
+    # *Trees*, ch. I §6.4; Culler-Morgan 1987, §1).  Neither model inverts an
+    # edge: the Bass-Serre action keeps the two vertex types, and an
+    # inversion's square would fix a vertex, which in a free group only 1 does.
 
     _size, _one, _least_size = staticmethod(len), (), staticmethod(lambda p, q: 0)  # the other payload hooks
 
@@ -93,24 +98,15 @@ class TreeModel(SpaceModel):
             return IsometryClass(ELLIPTIC, period=period)
         return _new(IsometryClass, (HYPERBOLIC, None, _new(TreeHyperbolic, (len(v), u, v, self))))
 
-    def parabolic_words(self, generators: list[Owned], tree: list) -> tuple:
-        """None: an automorphism of a tree without inversions is elliptic or
-        hyperbolic, never parabolic (Serre, *Trees*, ch. I §6.4;
-        Culler-Morgan 1987, §1).  Neither model inverts an edge: the
-        Bass-Serre action keeps the two vertex types, and an inversion's
-        square would fix a vertex, which in a free group only 1 does."""
-        return ()
-
     # -- boundary rays ------------------------------------------------------
 
     def _fold(self, p: tuple, period: tuple) -> RayDescriptor:
         """The ray p . period^inf, the one builder of a ray, for a reduced p and
-        a cyclically reduced period: whole periods fold into p until the junction is reduced."""
-        while p:  # with p empty the ray is period^inf, reduced as it stands
-            joined = self.multiply(p, period)
-            if len(joined) == len(p) + len(period):
-                break
-            p = joined
+        a cyclically reduced period: whole periods fold into p while the two
+        units at the junction cancel or merge, the only units of normal forms
+        that can meet.  With p empty the ray is period^inf, reduced as it stands."""
+        while p and len(self.multiply(p[-1:], period[:1])) < 2:
+            p = self.multiply(p, period)
         return _new(RayDescriptor, (p, period))
 
     def ray_text(self, p: tuple, period: tuple) -> str:

@@ -41,9 +41,6 @@ class GroupWord:
     def display(self) -> str:
         return format_powers(self.syllables)
 
-    def __str__(self):
-        return self.display()
-
     def __repr__(self):
         return f"GroupWord({self.display()!r})"
 

@@ -220,6 +220,11 @@ MUTANTS = (
     # Bass-Serre minus ray's fold may absorb a period into u
     Mutant("ray-text-skips-the-fold", "trees.py",
            "ray = self._fold(p, period)", "ray = RayDescriptor(p, period)", (RAY_LINES,)),
+    # _fold tests the junction's two units: a period folds into p while they
+    # cancel (Cayley) or merge (Bass-Serre), not only while they cancel
+    Mutant("fold-leaves-merges", "trees.py",
+           "len(self.multiply(p[-1:], period[:1])) < 2", "len(self.multiply(p[-1:], period[:1])) < 1",
+           ("tests/test_trees.py::test_tree_ray_images_follow_their_unit_streams", RAY_LINES)),
     # a Bass-Serre vertex is its root path: the root's edge (0, 0) to <t>
     # is a neighbour, a coset w<t> opens with (0, 0) by the parity of |w| and
     # t, and g.(w<t>) drops gw's last syllable when it lies in <t>
@@ -321,6 +326,18 @@ MUTANTS = (
     Mutant("e-test-reads-the-attracting-point", "combiner.py",
            "cf.hyperbolic.fixed_minus", "cf.hyperbolic.fixed_plus",
            ("tests/test_combiner.py::test_the_e_test_asks_about_the_repelling_point",)),
+    # independence asks f's class first, and refuses it with its own text
+    Mutant("independent-skips-the-f-check", "combiner.py",
+           '    if not cf.is_hyperbolic:\n        raise NotHyperbolic(f"f is', '    if False:\n        raise NotHyperbolic(f"f is',
+           ("tests/test_combiner.py::test_independent_examples",)),
+    # the sampler gives up after 50 draws rather than return a system that fails the check
+    Mutant("sampler-returns-its-last-draw", "sampling.py",
+           'raise RuntimeError(f"could not build a hypothesis-clean system from seed {seed}")', "return system",
+           ("tests/test_combiner.py::test_the_sampler_refuses_a_seed_after_its_50_draws",)),
+    # dir() lists every export, not only those cached in the package's globals
+    Mutant("dir-lists-only-cached-exports", "__init__.py",
+           "return sorted(set(globals()) | set(__all__))", "return sorted(globals())",
+           ("tests/test_library_source.py::test_dir_lists_an_export_whose_cached_value_is_gone",)),
     # level 0 of the plane's hypothesis check, tagged from the steps' tuples
     Mutant("level-zero-trace-against-2", "halfplane.py",
            "abs(m.a + m.d) == 2 * m.s and", "abs(m.a + m.d) == 2 and", (LEVEL_ZERO,)),
@@ -358,6 +375,11 @@ MUTANTS = (
     Mutant("duplicate-generators-accepted", "actions.py",
            '        if len(set(self.generators)) != len(self.generators):\n'
            '            raise ValidationError("duplicate generator names", "generators")\n', "",
+           ("tests/test_config_cli.py::test_config_error_names_its_place",
+            "tests/test_actions.py::test_an_action_system_refuses_generators_it_cannot_name")),
+    # the one missing-image check, a config's as well as a hand-built system's
+    Mutant("missing-image-accepted", "actions.py",
+           "                if gen not in action.images:\n", "                if False:\n",
            ("tests/test_config_cli.py::test_config_error_names_its_place",
             "tests/test_actions.py::test_an_action_system_refuses_generators_it_cannot_name")),
     Mutant("normalize-powers-checks-only-f", "combiner.py",

@@ -385,14 +385,27 @@ def tree_word_display_reference(model, payload) -> str:
     return format_powers(powers)
 
 
+def tree_ray_reference(model, p: tuple, period: tuple) -> tuple[tuple, tuple]:
+    """The ray p . period^inf folded by ``normal_form`` alone: (q, period) for
+    q = normal_form(p period^j), j >= 0 the least whose junction with period
+    is reduced, where q period has no unit to cancel or merge."""
+    j, q = 0, model.normal_form(p)
+    while len(model.normal_form(q + period)) != len(q) + len(period):
+        j += 1
+        q = model.normal_form(p + period * j)
+    return q, period
+
+
 def tree_witness_line_reference(index: int, name: str, model, cls) -> str:
-    """The record's witness line of a hyperbolic tree class, each ray read
-    through the class's ``fixed_points`` and checked by ``require``, and
-    each of its words displayed by ``tree_word_display_reference``."""
+    """The record's witness line of a hyperbolic tree class, each ray of its
+    core u v u^-1, u v^inf and u v^-inf, folded by ``tree_ray_reference``
+    and each of its words displayed by ``tree_word_display_reference``."""
     h = cls.hyperbolic
+    u, v = model.require(h.core)
     plus, minus = (
-        f"ray:{tree_word_display_reference(model, r.prefix)};{tree_word_display_reference(model, r.period)}"
-        .replace(" ", ".") for r in map(model.require, h.fixed_points)
+        f"ray:{tree_word_display_reference(model, q)};{tree_word_display_reference(model, period)}"
+        .replace(" ", ".") for q, period in (tree_ray_reference(model, u, v),
+                                             tree_ray_reference(model, u, model.invert_word(v)))
     )
     return f"witness {index} {name} {model.kind} hyperbolic syllables={h.length} plus={plus} minus={minus}"
 

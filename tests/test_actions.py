@@ -31,7 +31,7 @@ def test_an_action_system_refuses_generators_it_cannot_name():
         ((), [act], [], "generators: at least one generator required"),
         (("f", "g", "f"), [act], [], "generators: duplicate generator names"),
         (("f", "g^2"), [act], [], "generators: generator name 'g^2' cannot be written in a word"),
-        (("f", "g", "h"), [act], [], "generator 'h' missing in action 'one'"),
+        (("f", "g", "h"), [act], [], "action 'one': no image for generator 'h'"),
         (("f", "g"), [act], [None, None], "witness list must align with actions"),
         (("f", "g"), [act], [GroupWord.parse("h")], "witness uses unknown generator 'h'"),
     ]:

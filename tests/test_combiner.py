@@ -261,6 +261,25 @@ def test_independent_examples():
     assert not indep(f.inverse())              # swapped pair
     with pytest.raises(NotHyperbolic):
         indep(GroupWord(()))
+    with pytest.raises(NotHyperbolic) as info:  # f is refused with its own text
+        independent(act.model, act.classify_word(GroupWord(())), cf)
+    assert str(info.value) == "f is elliptic in model 'half_plane'"
+
+
+def test_the_sampler_refuses_a_seed_after_its_50_draws(monkeypatch):
+    # 60 actions never all pass the hypothesis check: each of the 50 draws
+    # is checked and refused, and then the sampler raises
+    checked = []
+
+    def counting(system, depth):
+        checked.append(system)
+        return check_hypotheses(system, depth)
+
+    monkeypatch.setattr("hypiso.combiner.check_hypotheses", counting)
+    with pytest.raises(RuntimeError) as info:
+        random_action_system(0, n_actions=60)
+    assert str(info.value) == "could not build a hypothesis-clean system from seed 0"
+    assert len(checked) == 50 and all(s.n_actions == 60 for s in checked)
 
 
 def test_normalize_powers_plane_orders():

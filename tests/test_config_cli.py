@@ -821,6 +821,7 @@ CONFIG_ERRORS = [
     ("model half_plane", "model cayley_tree", "action 'plane-one' model: cayley_tree needs a rank"),
     ("model half_plane", "model sphere", "action 'plane-one' model: unknown model kind 'sphere'"),
     ("model half_plane\n", "", "action 'plane-one': missing model line"),
+    ("gen g [[0, -1], [1, 0]]\n", "", "action 'plane-one': no image for generator 'g'"),
     ("witness f", "gen h [[2, 1], [1, 1]]\nwitness f", "action 'plane-one': image given for unknown generator 'h'"),
     ("witness f", "witness f^", "action 'plane-one' witness: invalid literal for int() with base 10: ''"),
     ("generators f g", "generators f g f", "generators: duplicate generator names"),

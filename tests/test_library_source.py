@@ -34,6 +34,16 @@ def test_every_export_resolves():
     assert result.stdout.strip() == "", f"unresolved exports: {result.stdout.strip()}"
 
 
+def test_dir_lists_an_export_whose_cached_value_is_gone(monkeypatch):
+    # an export is cached in the package's globals on first use; dir()
+    # lists every export, whether or not it is cached
+    import hypiso
+
+    assert hypiso.GroupWord is not None
+    monkeypatch.delitem(vars(hypiso), "GroupWord")
+    assert "GroupWord" not in vars(hypiso) and "GroupWord" in dir(hypiso)
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     """A dataclass or a NamedTuple: a class whose annotated names are fields."""
     return any(
@@ -163,7 +173,7 @@ def test_every_mutant_applies_once_and_names_its_tests():
     # must occur exactly once in its file, and runs the tests it names
     from mutants import MUTANTS, source
 
-    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 83
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 88
     for mutant in MUTANTS:
         assert source(mutant).read_text().count(mutant.snippet) == 1, mutant.name
         for test in mutant.tests:
@@ -196,11 +206,11 @@ def _imports(node: ast.AST, top: bool = True):
 # its boundary forms: witness lines print the class's integers), no numpy
 # and no fractions (a tree's lengths are its integers)
 CHECKER_CLOSURE = {"__init__", "records", "actions", "errors", "models", "trees", "words"}
-CHECKER_LINES = 973
+CHECKER_LINES = 954
 
 # a ceiling on the library's size, `wc -l src/hypiso/*.py`: the line count
 # the project tracks next to its timings
-SRC_LINES = 2969
+SRC_LINES = 2945
 
 
 # the geometry lab's members, which live in geometry.py: no core model

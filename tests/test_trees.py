@@ -26,6 +26,7 @@ from reference import (
     power,
     reduced_words,
     sample_tree_points,
+    tree_ray_reference,
     tree_witness_line_reference,
     vertex,
 )
@@ -733,8 +734,8 @@ def test_tree_rays_are_equal_exactly_when_their_streams_agree(model, length):
 def test_witness_lines_match_the_ray_reference(model):
     # a witness line prints each ray from its class's core, folded once, and
     # displays each word in one pass; over every hyperbolic class of every
-    # reduced word of up to 5 units it is the line of rays read through
-    # fixed_points and words displayed by format_powers.  The sweep holds
+    # reduced word of up to 5 units it is the line of rays folded by
+    # normal_form alone and words displayed by format_powers.  The sweep holds
     # cores with an empty u, Cayley runs of 3 or more letters, and
     # Bass-Serre minus rays whose fold absorbs a period (u ends in the
     # factor of v^-1's first syllable)
@@ -747,9 +748,27 @@ def test_witness_lines_match_the_ray_reference(model):
         h = cls.hyperbolic
         empty_u += not h.u
         long_runs += any(x == y == z for x, y, z in zip(w, w[1:], w[2:]))
-        absorbed += model._fold(h.u, model.invert_word(h.v)).prefix != h.u
+        absorbed += tree_ray_reference(model, h.u, model.invert_word(h.v))[0] != h.u
     assert empty_u
     if isinstance(model, CayleyTreeModel):
         assert long_runs and not absorbed  # a Cayley core's rays never fold
     else:
         assert absorbed
+
+
+@pytest.mark.parametrize("model", [CayleyTreeModel(2), CayleyTreeModel(3)], ids=lambda m: m.model_id)
+def test_a_cayley_witness_line_multiplies_only_its_junction_units(model, monkeypatch):
+    # a Cayley core's rays never fold, so printing them tests each junction,
+    # one letter against one, and multiplies no longer word
+    calls = []
+
+    def multiply(u, v):
+        calls.append((len(u), len(v)))
+        return CayleyTreeModel.multiply(model, u, v)
+
+    monkeypatch.setattr(model, "multiply", multiply)
+    for w in _reduced_words(model, 5):
+        cls = model.classify(model.own(w))
+        if cls.is_hyperbolic:
+            witness_line(4, "w", model, cls)
+    assert calls and set(calls) == {(1, 1)}
