@@ -11,7 +11,7 @@ by exact classification in every action seen so far, imaged by
 the certificates of earlier stages keep.  The first certified candidate
 wins; exhaustion is an explicit error carrying the trial log.
 Certificates are re-checked from scratch by the checker in ``records``,
-which shares no code with the search and images the word letter by letter.
+which imports nothing from here but images through ``Action.image`` too.
 """
 
 from __future__ import annotations

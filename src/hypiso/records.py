@@ -5,9 +5,10 @@ crosses this boundary: words, integer exponents, rational trace data and
 exact boundary-point payloads; floats appear solely in the human tables,
 marked approximate.  Records round-trip (parse . emit == identity) and a
 combine record carries enough to re-verify its certificate from scratch.
-``check_witnesses`` is the one certificate checker: it serves records and
-in-memory certificates alike and imports nothing from the search, nor the
-plane: a witness line is printed from its class's integers.
+``check_witnesses`` is the one certificate checker, for records and
+in-memory certificates alike.  It imports neither the search nor the plane
+(a witness line prints its class's integers), but it images as the search
+does, through ``Action.image`` and the models' ``_power`` and ``_mul``.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 
 from .actions import Action, ActionSystem
+from .combiner import word_tree
 from .halfplane import HalfPlaneModel
 from .models import Owned, SpaceModel
 from .trees import BassSerreModel, CayleyTreeModel
@@ -139,16 +140,16 @@ def random_action_system(seed: int, n_actions: int | None = None) -> ActionSyste
     """A seeded random system on generators f and g (2 to 4 actions unless
     given) with a valid hyperbolic witness per action and no parabolic word
     up to length 3.  Each non-witness generator image is hyperbolic with
-    probability 0.6; systems are rejection-sampled, at most 50 times."""
-    from .combiner import check_hypotheses
-
+    probability 0.6.  Systems are rejection-sampled, at most 50 times: a draw
+    asks its models in turn for ``parabolic_words`` on ``word_tree(4, 3)``, the
+    hook and words of ``check_hypotheses(system, 3)``, and is refused at the
+    first that lists one; only a draw that passes builds its actions."""
     generators = ("f", "g")
     rng = rng_from_seed(seed)
     for _ in range(50):
         n = n_actions if n_actions is not None else rng.randint(2, 4)
-        actions: list[Action] = []
-        witnesses: list[GroupWord] = []
-        for i in range(n):
+        drawn = []
+        for _ in range(n):
             model = _random_model(rng)
             images = {}
             witness_gen = rng.choice(generators)
@@ -157,10 +158,8 @@ def random_action_system(seed: int, n_actions: int | None = None) -> ActionSyste
                     images[gen] = random_hyperbolic(model, rng)
                 else:
                     images[gen] = random_elliptic(model, rng)
-            actions.append(Action(f"a{i}-{model.kind}", model, images))
-            witnesses.append(GroupWord.generator(witness_gen))
-        system = ActionSystem(generators, actions, witnesses)
-        report = check_hypotheses(system, 3)
-        if report.passed:
-            return system
+            drawn.append((model, images, witness_gen))
+        if not any(model.parabolic_words(list(images.values()), word_tree(4, 3)) for model, images, _ in drawn):
+            actions = [Action(f"a{i}-{model.kind}", model, images) for i, (model, images, _) in enumerate(drawn)]
+            return ActionSystem(generators, actions, [GroupWord.generator(gen) for _, _, gen in drawn])
     raise RuntimeError(f"could not build a hypothesis-clean system from seed {seed}")

@@ -56,6 +56,7 @@ WORD_TREE = "tests/test_combiner.py::test_reduced_words_follow_the_word_tree"
 ONE_GENERATOR = "tests/test_combiner.py::test_one_generator_checks_level_zero_only"
 PRINTABLE = "tests/test_classification_sweep.py::test_check_printable_on_each_side_of_its_digit_bound"
 BRUTE_FORCE = "tests/test_combiner.py::test_check_hypotheses_matches_brute_force"
+GATED = "tests/test_combiner.py::test_the_sampler_matches_the_hypothesis_gated_reference"
 
 MUTANTS = (
     # the North-South check stops at the Busemann floor: the last step that
@@ -332,8 +333,15 @@ MUTANTS = (
            ("tests/test_combiner.py::test_independent_examples",)),
     # the sampler gives up after 50 draws rather than return a system that fails the check
     Mutant("sampler-returns-its-last-draw", "sampling.py",
-           'raise RuntimeError(f"could not build a hypothesis-clean system from seed {seed}")', "return system",
+           'raise RuntimeError(f"could not build a hypothesis-clean system from seed {seed}")',
+           'return ActionSystem(generators, [Action(f"a{i}-{model.kind}", model, images) for i, (model, images, _)'
+           " in enumerate(drawn)], [GroupWord.generator(gen) for _, _, gen in drawn])",
            ("tests/test_combiner.py::test_the_sampler_refuses_a_seed_after_its_50_draws",)),
+    # a draw is refused when any of its actions lists a parabolic word
+    Mutant("sampler-tests-only-the-first-action", "sampling.py",
+           "for model, images, _ in drawn)", "for model, images, _ in drawn[:1])", (GATED,)),
+    Mutant("sampler-refuses-only-when-every-action-is-parabolic", "sampling.py",
+           "if not any(model.parabolic_words", "if not all(model.parabolic_words", (GATED,)),
     # dir() lists every export, not only those cached in the package's globals
     Mutant("dir-lists-only-cached-exports", "__init__.py",
            "return sorted(set(globals()) | set(__all__))", "return sorted(globals())",

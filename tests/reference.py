@@ -13,13 +13,23 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Any, NamedTuple
 
+from hypiso.actions import Action, ActionSystem
+from hypiso.combiner import check_hypotheses
 from hypiso.errors import MixedModels, ValidationError
 from hypiso.geometry import _common_prefix_len, _cosh_ratio, lab
 from hypiso.halfplane import HalfPlaneModel, _acosh_ratio
 from hypiso.models import MAX_ISOMETRY_SIZE
 from hypiso.quadratic import QuadraticNumber
 from hypiso.records import check_witnesses, witness_line
-from hypiso.sampling import _random_bs_syllables, _random_cayley_word, sample_plane_points
+from hypiso.sampling import (
+    _random_bs_syllables,
+    _random_cayley_word,
+    _random_model,
+    random_elliptic,
+    random_hyperbolic,
+    rng_from_seed,
+    sample_plane_points,
+)
 from hypiso.trees import CayleyTreeModel
 from hypiso.words import GroupWord, format_powers
 
@@ -542,3 +552,29 @@ def walked_parabolic_words(system, action, depth: int) -> tuple:
             found.append((n, seen[n]))
         seen[n] += 1
     return tuple(found)
+
+
+def hypothesis_gated_system(seed: int, n_actions: int | None = None):
+    """``sampling.random_action_system`` as the full hypothesis check gates
+    it: each draw builds its actions, witnesses and system, and is kept when
+    ``check_hypotheses(system, 3)`` passes, at most 50 times."""
+    generators = ("f", "g")
+    rng = rng_from_seed(seed)
+    for _ in range(50):
+        n = n_actions if n_actions is not None else rng.randint(2, 4)
+        actions, witnesses = [], []
+        for i in range(n):
+            model = _random_model(rng)
+            images = {}
+            witness_gen = rng.choice(generators)
+            for gen in generators:
+                if gen == witness_gen or rng.random() < 0.6:
+                    images[gen] = random_hyperbolic(model, rng)
+                else:
+                    images[gen] = random_elliptic(model, rng)
+            actions.append(Action(f"a{i}-{model.kind}", model, images))
+            witnesses.append(GroupWord.generator(witness_gen))
+        system = ActionSystem(generators, actions, witnesses)
+        if check_hypotheses(system, 3).passed:
+            return system
+    raise RuntimeError(f"could not build a hypothesis-clean system from seed {seed}")

@@ -38,7 +38,7 @@ from hypiso.errors import (
     WitnessNotHyperbolic,
 )
 from hypiso.halfplane import HalfPlaneModel, Matrix2
-from hypiso.models import IsometryClass, SpaceModel
+from hypiso.models import HYPERBOLIC, IsometryClass, SpaceModel
 from hypiso.records import class_invariant, parse_record, record_for_certificate, verify_record
 from hypiso.sampling import random_action_system
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
@@ -46,6 +46,7 @@ from hypiso.words import GroupWord
 
 from reference import (
     eager_partitions,
+    hypothesis_gated_system,
     reduced_words,
     step_path,
     verify_certificate_detailed_reference,
@@ -267,19 +268,53 @@ def test_independent_examples():
 
 
 def test_the_sampler_refuses_a_seed_after_its_50_draws(monkeypatch):
-    # 60 actions never all pass the hypothesis check: each of the 50 draws
-    # is checked and refused, and then the sampler raises
-    checked = []
+    # 60 actions never all pass the hypothesis test: each of the 50 draws
+    # asks its models in turn for parabolic words and stops at the first
+    # that lists one, and then the sampler raises
+    hits = []
+    for cls in (SpaceModel, HalfPlaneModel):  # the trees keep SpaceModel's hook
+        def counting(self, generators, tree, asked=cls.parabolic_words):
+            found = asked(self, generators, tree)
+            hits.append(bool(found))
+            return found
 
-    def counting(system, depth):
-        checked.append(system)
-        return check_hypotheses(system, depth)
-
-    monkeypatch.setattr("hypiso.combiner.check_hypotheses", counting)
+        monkeypatch.setattr(cls, "parabolic_words", counting)
     with pytest.raises(RuntimeError) as info:
         random_action_system(0, n_actions=60)
     assert str(info.value) == "could not build a hypothesis-clean system from seed 0"
-    assert len(checked) == 50 and all(s.n_actions == 60 for s in checked)
+    ends = [k for k, hit in enumerate(hits) if hit]  # the action that refuses each draw
+    assert len(ends) == 50 and ends[-1] == len(hits) - 1
+    assert max(b - a for a, b in zip([-1] + ends, ends)) <= 60
+
+
+def _sampled(sample, seed: int, n_actions):
+    """Each action's name, model and generator images, and the witnesses; or the sampler's error text."""
+    try:
+        system = sample(seed) if n_actions is None else sample(seed, n_actions=n_actions)
+    except RuntimeError as e:
+        return str(e)
+    return [(a.name, a.model.model_id, a.images) for a in system.actions], system.witnesses
+
+
+def test_the_sampler_matches_the_hypothesis_gated_reference():
+    # the sampler tests each draw at the model hook and builds only the draw
+    # it keeps; the reference builds every draw and keeps the first that
+    # check_hypotheses(system, 3) passes: both keep the same draw from the
+    # same random stream, or both give up
+    for seed in range(300):
+        for n in (None, 1, 2, 3, 4, 5, 6):
+            assert _sampled(random_action_system, seed, n) == _sampled(hypothesis_gated_system, seed, n), (seed, n)
+
+
+def test_every_sampled_witness_is_one_generator_with_a_hyperbolic_image():
+    # the sampler resolves no witness: each is one generator, and
+    # resolve_witness returns it with a hyperbolic image
+    for seed in range(300):
+        system = random_action_system(seed)
+        for i, witness in enumerate(system.witnesses):
+            assert witness in [GroupWord.generator(g) for g in system.generators], (seed, i)
+            word, image = resolve_witness(system, i)
+            assert word == witness and system.actions[i].model.tag(image) == HYPERBOLIC, (seed, i)
 
 
 def test_normalize_powers_plane_orders():
