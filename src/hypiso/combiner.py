@@ -1,5 +1,4 @@
-"""Combining per-action hyperbolic witnesses into one word hyperbolic
-everywhere.
+"""Combining per-action hyperbolic witnesses into one word hyperbolic everywhere.
 
 The existential constants of the underlying combination theorem are not
 effectively computable from the models, so the implementation replaces
@@ -12,6 +11,8 @@ the certificates of earlier stages keep.  The first certified candidate
 wins; exhaustion is an explicit error carrying the trial log.
 Certificates are re-checked from scratch by the checker in ``records``,
 which imports nothing from here but images through ``Action.image`` too.
+The hypothesis check and the search for an unclaimed witness read one word
+order, ``word_tree``, through one model hook, ``SpaceModel.tagged_words``.
 """
 
 from __future__ import annotations
@@ -113,10 +114,10 @@ class Certificate:
 # action claims no witness
 WITNESS_SEARCH_DEPTH = 4
 
-# check_hypotheses tags at most this many (word, action) pairs: depth 9 on
-# configs/three_action.cfg is 39,364 words in 3 actions, about 0.01 s, and
-# depth 10 in one plane action with entries past 2^30 is 118,096 words,
-# about 0.15-0.18 s (Python 3.11.7, 2 cores, host.ref_ms 0.15-0.31 ms)
+# check_hypotheses tags at most this many (word, action) pairs, and a witness
+# search this many words: depth 9 on three_action.cfg is 39,364 words in 3
+# actions, about 0.01 s; depth 10 in one plane action with entries past 2^30,
+# 118,096 words, 0.15-0.18 s (Python 3.11.7, 2 cores, host.ref_ms 0.15-0.31 ms)
 MAX_HYPOTHESIS_PAIRS = 250_000
 
 
@@ -130,16 +131,15 @@ class HypothesisReport:
 def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> HypothesisReport:
     """Tag every reduced word up to the given length in every action.
 
-    Each action's model lists its words whose tag is a hypothesis violation
-    (``SpaceModel.parabolic_words``, given the generator images and the
-    ``word_tree``): the plane tags each level at once, and a tree action has
-    none, since a tree automorphism is never parabolic.  With one generator
-    every word is a power f^n, n != 0, parabolic exactly when f is, so only
-    level 0 is tagged.  Fails (listing the offenders, in the order of
-    ``reduced_words``) when there is any; raises WitnessNotHyperbolic
-    (``resolve_witness``) when a claimed witness's tag is not hyperbolic.
-    Raises ValidationError before any tag when the words times the actions
-    (at least one) exceed MAX_HYPOTHESIS_PAIRS.
+    Each action's model lists its violations (``SpaceModel.tagged_words``
+    on the ``word_tree``), each spelled by ``tree_word``: the plane tags each
+    level at once, and a tree walks nothing, as it is never parabolic.  With
+    one generator every word is a power f^n, n != 0, parabolic exactly when
+    f is, so only level 0 is tagged.  Fails (listing the offenders in tree
+    order) when there is any; raises WitnessNotHyperbolic (``resolve_witness``)
+    when a claimed witness's tag is not hyperbolic.  Raises ValidationError
+    before any tag when the words times the actions (at least one) exceed
+    MAX_HYPOTHESIS_PAIRS.
     """
     # reduced words of length n: any of the r letters, then any but the inverse
     r = 2 * len(system.generators)
@@ -156,16 +156,11 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
     letters = step_letters(system.generators)
     tree = word_tree(r, min(word_sample_depth, 1) if r == 2 else word_sample_depth)
     for i, action in enumerate(system.actions):
-        found = action.model.parabolic_words([action.images[g] for g in system.generators], tree)
+        found = [*action.model.tagged_words([action.images[g] for g in system.generators], tree, HYPOTHESIS_VIOLATION)]
         if r == 2 and found:  # f and f^-1: every power of f
             violations += [(GroupWord(((g, e * n),)), i) for n in range(1, word_sample_depth + 1) for g, e in letters]
             continue
-        for n, j in found:
-            path = []
-            for last in reversed(tree[:n + 1]):
-                path.append(letters[last[j]])
-                j //= r - 1
-            violations.append((GroupWord(tuple(reversed(path))), i))
+        violations += [(tree_word(letters, tree, n, j), i) for n, j in found]
     for i, witness in enumerate(system.witnesses):
         if witness is not None:
             resolve_witness(system, i)
@@ -183,12 +178,12 @@ _WORD_TREES: dict[int, list[memoryview]] = {}
 
 def word_tree(r: int, depth: int) -> list[memoryview]:
     """The first depth levels of the tree of reduced words on r steps, step
-    j ^ 1 the inverse of step j: level n holds the last step of each word of
-    length n + 1, in the order of ``reduced_words``, as a read-only int64
-    buffer.  A word's children are the r - 1 steps but its inverse, in step
-    order, so word k of level n + 1 is a child of word k // (r - 1) of level
-    n.  Kept per r and grown only as deeper calls ask: check_hypotheses caps
-    its depth by MAX_HYPOTHESIS_PAIRS, and reduced_words asks level by level."""
+    j ^ 1 the inverse of step j, level n holding the last step of each word
+    of length n + 1 as a read-only int64 buffer: the one word order of the
+    hypothesis check and the witness search.  A word's children are the r - 1
+    steps but its inverse, in step order, so word k of level n + 1 is a child
+    of word k // (r - 1) of level n.  Kept per r and grown only as deeper
+    calls ask, each call capped by MAX_HYPOTHESIS_PAIRS."""
     levels = _WORD_TREES.setdefault(r, [])
     if len(levels) < depth:  # each last step's children; the root's last step is -1, which inverts none
         children = {last: array("q", [j for j in range(r) if j != last ^ 1]).tobytes() for last in range(-1, r)}
@@ -198,17 +193,13 @@ def word_tree(r: int, depth: int) -> list[memoryview]:
     return levels[:depth]
 
 
-def reduced_words(generators: Iterable[str], max_length: int) -> Iterator[GroupWord]:
-    """Every freely reduced nonempty word up to max_length, level by level, each word's children
-    in ``step_letters`` order: the one word order of the hypothesis check and the witness search."""
-    letters = step_letters(generators)
-    r, parents = len(letters), [()]
-    for n in range(max_length):  # one level at a time: a search that stops early builds no deeper level
-        words = []
-        for k, j in enumerate(word_tree(r, n + 1)[n]):
-            words.append(parents[k // (r - 1) if n else 0] + (letters[j],))
-            yield GroupWord(words[-1])
-        parents = words
+def tree_word(letters: list[tuple[str, int]], levels: list, n: int, j: int) -> GroupWord:
+    """Word j of level n of ``word_tree`` (levels), over its ``step_letters``: its last step, then its parents'."""
+    path = []
+    for m in range(n, -1, -1):
+        path.append(letters[levels[m][j]])
+        j //= len(letters) - 1
+    return GroupWord(tuple(reversed(path)))
 
 
 def independent(model: SpaceModel, cf: IsometryClass, cg: IsometryClass) -> bool:
@@ -302,9 +293,9 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
 
 
 def resolve_witness(system: ActionSystem, k: int) -> tuple[GroupWord, Owned]:
-    """The claimed witness for action k, verified; else the first word of
-    ``reduced_words`` up to length WITNESS_SEARCH_DEPTH whose tag is
-    hyperbolic.  Returned with its image in action k."""
+    """The claimed witness for action k, verified, else the first word of ``word_tree`` up to
+    length WITNESS_SEARCH_DEPTH hyperbolic there (``tagged_words``, each level built as it is
+    read, none past MAX_HYPOTHESIS_PAIRS words), with its image in action k."""
     action = system.actions[k]
     claimed = system.witnesses[k]
     if claimed is not None:
@@ -313,10 +304,15 @@ def resolve_witness(system: ActionSystem, k: int) -> tuple[GroupWord, Owned]:
         if tag != HYPERBOLIC:
             raise WitnessNotHyperbolic(k, action.name, f"classified {tag}")
         return claimed, image
-    for word in reduced_words(system.generators, WITNESS_SEARCH_DEPTH):
-        image = action.image(word)
-        if action.model.tag(image) == HYPERBOLIC:
-            return word, image
+    r, generators = len(letters := step_letters(system.generators)), [action.images[g] for g in system.generators]
+    depth = sum(sum(r * (r - 1) ** m for m in range(n + 1)) <= MAX_HYPOTHESIS_PAIRS
+                for n in range(WITNESS_SEARCH_DEPTH))  # the levels that fit, with those above them
+    for n, j in action.model.tagged_words(generators, (word_tree(r, n + 1)[n] for n in range(depth)), HYPERBOLIC):
+        word = tree_word(letters, word_tree(r, n + 1), n, j)
+        return word, action.image(word)
+    if depth < WITNESS_SEARCH_DEPTH:
+        raise ValidationError(f"the witness search in action {action.name!r} passes {MAX_HYPOTHESIS_PAIRS} words "
+                              f"at length {depth + 1}: claim a witness")
     raise WitnessNotHyperbolic(k, action.name, f"no hyperbolic word up to length {WITNESS_SEARCH_DEPTH}")
 
 

@@ -17,22 +17,23 @@ read a, b, c, d, s; tr = (a + d)/s:
             only for |a+d| in {0, s} (orders 2 and 3: _power reduces n modulo
             it); any other rotation has infinite order, period None
 
-The hypothesis check (parabolic_words) tags the steps from their tuples,
-with no numpy, and each deeper level of the word tree at once: a stack of
-2x2 integer matrices and a vector of s, each word's matrix its parent's
-times its last step with no gcd.  The tag reads |a + d| against 2s, and
-"b = c = 0, a = d" only on the words that reach it, both of which scaling
-keeps.  The stack is int64 while every entry (s included) is below 2^30,
-so that a sum of two products fits in 62 bits, and Python ints (dtype
-object) from the level past that, whose largest entry is read only when a
-bound on it (twice the previous level's times the steps') reaches 2^30."""
+The tag walk (tagged_words) tags the steps from their tuples, with no
+numpy, and each deeper level of the word tree at once: a stack of 2x2
+integer matrices and a vector of s, each word's matrix its parent's times
+its last step with no gcd.  A tag reads |a + d| against 2s, and "b = c =
+0, a = d" only on the words that reach it, both of which scaling keeps.
+The stack is int64 while every entry (s included) is below 2^30, so that
+a sum of two products fits in 62 bits, and Python ints (dtype object)
+from the level past that, whose largest entry is read only when a bound
+on it (twice the previous level's times the steps') reaches 2^30."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .models import (
     ELLIPTIC,
@@ -46,7 +47,7 @@ from .quadratic import QuadraticNumber
 
 HALF_PLANE_ID = "half_plane"
 
-# parabolic_words multiplies in int64 while every entry is below this
+# tagged_words multiplies in int64 while every entry is below this
 _INT64_BOUND = 2**30
 
 _new = tuple.__new__
@@ -215,24 +216,23 @@ class HalfPlaneModel(SpaceModel):
             return HYPERBOLIC
         return HYPOTHESIS_VIOLATION if at == two else ELLIPTIC
 
-    def parabolic_words(self, generators: list[Owned], tree: list) -> tuple[tuple[int, int], ...]:
-        """``tag`` on every word of the tree (see SpaceModel): level 0, the
-        steps, from each image's tuple once (a step and its inverse share
-        their trace), and each deeper level as one stacked product (see the
-        module docstring), its parents' matrices repeated r - 1 times."""
+    def tagged_words(self, generators: list[Owned], levels: Iterable, tag: str) -> Iterator[tuple[int, int]]:
+        """SpaceModel's for HYPERBOLIC (|a + d| > 2s) or HYPOTHESIS_VIOLATION (= 2s, but +-identity): each
+        level past 0 one stacked product (see the module docstring), its parents repeated r - 1 times."""
+        hit = operator.gt if tag == HYPERBOLIC else operator.eq
         images = [self.require(g) for g in generators]
-        bad = [i for i, m in enumerate(images) if abs(m.a + m.d) == 2 * m.s and not m.is_proj_identity()]
-        found = [(0, j) for i in bad for j in (2 * i, 2 * i + 1)]
-        if len(tree) < 2:
-            return tuple(found) if tree else ()
-        rows = [x for m in images for x in (m, m.inverse())]
-        import numpy as np  # here, so that loading the checker or a depth-1 check loads no numpy
-
-        top = step_top = max(map(abs, itertools.chain(*rows)))  # s included
-        table = np.array(rows, dtype=np.int64 if top < _INT64_BOUND else object)
-        level, s = steps, ss = table[:, :4].reshape(-1, 2, 2), table[:, 4]
-        children = len(rows) - 1  # per word: every step but its inverse
-        for n, last in enumerate(tree[1:], 1):
+        for n, last in enumerate(levels):
+            if not n:  # the steps, 2i and 2i + 1 from image i's tuple: a step and its inverse share their trace
+                yield from ((0, j) for i, m in enumerate(images) if hit(abs(m.a + m.d), 2 * m.s)
+                            and not m.is_proj_identity() for j in (2 * i, 2 * i + 1))
+                continue
+            if n == 1:
+                import numpy as np  # here, so that loading the checker or a depth-1 check loads no numpy
+                rows = [x for m in images for x in (m, m.inverse())]
+                children = len(rows) - 1  # per word: every step but its inverse
+                top = step_top = max(map(abs, itertools.chain(*rows)))  # s included
+                table = np.array(rows, dtype=np.int64 if top < _INT64_BOUND else object)
+                level, s = steps, ss = table[:, :4].reshape(-1, 2, 2), table[:, 4]
             level, s = level.repeat(children, 0) @ steps.take(last, 0), s.repeat(children) * ss.take(last)
             # each new entry is a sum of two products: read the true
             # largest entry only when this bound on it reaches the guard
@@ -241,11 +241,10 @@ class HalfPlaneModel(SpaceModel):
                 top = int(max(np.abs(level).max(), s.max()))
                 if top >= _INT64_BOUND:
                     level, s, steps, ss = (x.astype(object) for x in (level, s, steps, ss))
-            for j in (abs(level[:, 0, 0] + level[:, 1, 1]) == 2 * s).nonzero()[0].tolist():
+            for j in hit(abs(level[:, 0, 0] + level[:, 1, 1]), 2 * s).nonzero()[0].tolist():
                 (a, b), (c, d) = level[j].tolist()
                 if not (b == 0 and c == 0 and a == d):  # +-identity is elliptic
-                    found.append((n, j))
-        return tuple(found)
+                    yield n, j
 
     def classify(self, iso: Owned) -> IsometryClass:
         tag = self.tag(iso)

@@ -10,7 +10,7 @@ use.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Optional, Protocol
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Protocol
 
 from .errors import MixedModels, ValidationError
 
@@ -65,8 +65,8 @@ class SpaceModel:
     """The code the concrete models share.  A model supplies the payload
     hooks below, ``tag(iso)`` (the exact tag of ``classify(iso)``, decided
     without building the class), ``classify``, ``boundary_equal(p, q)``,
-    ``boundary_apply(iso, b)``, ``parse_word(text)`` and, where it has
-    parabolic isometries, ``parabolic_words``.
+    ``boundary_apply(iso, b)``, ``parse_word(text)`` and, where its isometries
+    never take one of the three tags, its own ``tags`` (a tree has no parabolic).
 
     The public methods read each value they take with ``require``, which
     checks its model id, and tag each value they build with ``own``; they
@@ -77,6 +77,7 @@ class SpaceModel:
 
     kind: str
     model_id: str
+    tags = (ELLIPTIC, HYPERBOLIC, HYPOTHESIS_VIOLATION)  # those its isometries take: tagged_words walks no other
     __repr__ = lambda self: self.model_id  # what a class or an action holding its model shows in every run
 
     def own(self, payload) -> Owned:
@@ -134,12 +135,15 @@ class SpaceModel:
             )
         return size
 
-    def parabolic_words(self, generators: list[Owned], tree: list) -> tuple[tuple[int, int], ...]:
-        """(level, index) of each word of ``combiner.word_tree`` whose tag
-        is HYPOTHESIS_VIOLATION, in tree order, given the generator images:
-        step 2i is generator i and step 2i + 1 its inverse.  None here, for
-        a model with no parabolic isometry."""
-        return ()
+    def tagged_words(self, generators: list[Owned], levels: Iterable, tag: str) -> Iterator[tuple[int, int]]:
+        """(level, index) of each word of ``combiner.word_tree`` (its levels read one at a time) whose tag is
+        ``tag``, in tree order; step 2i is generator i, 2i + 1 its inverse, a word its parent times its last step."""
+        if tag not in self.tags:
+            return
+        steps = [p for g in generators for p in (self.require(g), self._inv(self.require(g)))]
+        for n, level in enumerate(levels):  # words: the level above, then this one
+            words = [self._mul(words[k // (len(steps) - 1)], steps[j]) if n else steps[j] for k, j in enumerate(level)]
+            yield from ((n, k) for k, w in enumerate(words) if self.tag(self.own(w)) == tag)
 
     def fixes(self, iso: Owned, b: Owned) -> bool:
         """Whether iso fixes the boundary point b."""

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .actions import Action, ActionSystem
 from .combiner import word_tree
 from .halfplane import HalfPlaneModel
-from .models import Owned, SpaceModel
+from .models import HYPOTHESIS_VIOLATION, Owned, SpaceModel
 from .trees import BassSerreModel, CayleyTreeModel
 from .words import GroupWord
 
@@ -141,9 +141,9 @@ def random_action_system(seed: int, n_actions: int | None = None) -> ActionSyste
     given) with a valid hyperbolic witness per action and no parabolic word
     up to length 3.  Each non-witness generator image is hyperbolic with
     probability 0.6.  Systems are rejection-sampled, at most 50 times: a draw
-    asks its models in turn for ``parabolic_words`` on ``word_tree(4, 3)``, the
-    hook and words of ``check_hypotheses(system, 3)``, and is refused at the
-    first that lists one; only a draw that passes builds its actions."""
+    asks its models in turn for a violation (``tagged_words`` on ``word_tree(4,
+    3)``, the hook and words of ``check_hypotheses(system, 3)``) and is refused
+    at the first that has one; only a draw that passes builds its actions."""
     generators = ("f", "g")
     rng = rng_from_seed(seed)
     for _ in range(50):
@@ -159,7 +159,8 @@ def random_action_system(seed: int, n_actions: int | None = None) -> ActionSyste
                 else:
                     images[gen] = random_elliptic(model, rng)
             drawn.append((model, images, witness_gen))
-        if not any(model.parabolic_words(list(images.values()), word_tree(4, 3)) for model, images, _ in drawn):
+        if not any(next(model.tagged_words(images.values(), word_tree(4, 3), HYPOTHESIS_VIOLATION), None)
+                   for model, images, _ in drawn):
             actions = [Action(f"a{i}-{model.kind}", model, images) for i, (model, images, _) in enumerate(drawn)]
             return ActionSystem(generators, actions, [GroupWord.generator(gen) for _, _, gen in drawn])
     raise RuntimeError(f"could not build a hypothesis-clean system from seed {seed}")

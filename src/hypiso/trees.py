@@ -75,13 +75,13 @@ class TreeModel(SpaceModel):
     # _mul and _inv too), cyclic_reduce and _core_period (None for a
     # hyperbolic cyclic core, else its elliptic period), and bind compose
     # and classify in their own class, which perfbench/layers.py wraps per class.
-    # They keep SpaceModel's empty parabolic_words: an automorphism of a tree
-    # without inversions is elliptic or hyperbolic, never parabolic (Serre,
-    # *Trees*, ch. I §6.4; Culler-Morgan 1987, §1).  Neither model inverts an
-    # edge: the Bass-Serre action keeps the two vertex types, and an
-    # inversion's square would fix a vertex, which in a free group only 1 does.
+    # A tree automorphism without inversions is elliptic or hyperbolic, never
+    # parabolic (Serre, *Trees*, ch. I §6.4; Culler-Morgan 1987, §1).  Neither
+    # model inverts an edge: the Bass-Serre action keeps the two vertex types, and
+    # an inversion's square would fix a vertex, which in a free group only 1 does.
 
     _size, _one, _least_size = staticmethod(len), (), staticmethod(lambda p, q: 0)  # the other payload hooks
+    tags = (ELLIPTIC, HYPERBOLIC)  # so the hypothesis check multiplies no tree word
 
     def word(self, units) -> Owned:
         return self.own(self.normal_form(tuple(units)))

@@ -57,6 +57,8 @@ ONE_GENERATOR = "tests/test_combiner.py::test_one_generator_checks_level_zero_on
 PRINTABLE = "tests/test_classification_sweep.py::test_check_printable_on_each_side_of_its_digit_bound"
 BRUTE_FORCE = "tests/test_combiner.py::test_check_hypotheses_matches_brute_force"
 GATED = "tests/test_combiner.py::test_the_sampler_matches_the_hypothesis_gated_reference"
+EVERY_MODEL = "tests/test_combiner.py::test_tagged_words_match_the_walk_in_every_model"
+WITNESS_CAP = "tests/test_config_cli.py::test_witness_search_over_cap_exit_1"
 
 MUTANTS = (
     # the North-South check stops at the Busemann floor: the last step that
@@ -341,25 +343,43 @@ MUTANTS = (
     Mutant("sampler-tests-only-the-first-action", "sampling.py",
            "for model, images, _ in drawn)", "for model, images, _ in drawn[:1])", (GATED,)),
     Mutant("sampler-refuses-only-when-every-action-is-parabolic", "sampling.py",
-           "if not any(model.parabolic_words", "if not all(model.parabolic_words", (GATED,)),
+           "if not any(next(model.tagged_words", "if not all(next(model.tagged_words", (GATED,)),
     # dir() lists every export, not only those cached in the package's globals
     Mutant("dir-lists-only-cached-exports", "__init__.py",
            "return sorted(set(globals()) | set(__all__))", "return sorted(globals())",
            ("tests/test_library_source.py::test_dir_lists_an_export_whose_cached_value_is_gone",)),
-    # level 0 of the plane's hypothesis check, tagged from the steps' tuples
+    # level 0 of the plane's tag walk, tagged from the steps' tuples, and a
+    # hyperbolic hit past it: |a + d| > 2s, never = 2s
     Mutant("level-zero-trace-against-2", "halfplane.py",
-           "abs(m.a + m.d) == 2 * m.s and", "abs(m.a + m.d) == 2 and", (LEVEL_ZERO,)),
+           "hit(abs(m.a + m.d), 2 * m.s)", "hit(abs(m.a + m.d), 2)", (LEVEL_ZERO,)),
     Mutant("level-zero-keeps-identity", "halfplane.py",
-           " and not m.is_proj_identity()]", "]", (LEVEL_ZERO,)),
+           "and not m.is_proj_identity() for j in", "for j in", (LEVEL_ZERO,)),
+    Mutant("plane-hyperbolic-hit-at-2s", "halfplane.py",
+           "operator.gt if tag == HYPERBOLIC", "operator.ge if tag == HYPERBOLIC", (LEVEL_ZERO, EVERY_MODEL)),
     # the reduced-word tree: a word's children are every step but its
-    # inverse, a violation is rebuilt through the parents k // (r - 1), the
-    # witness search builds no level past the one it reads, and with one
-    # generator every power of a parabolic f is listed
+    # inverse, a word is spelled through its parents k // (r - 1), the
+    # witness search builds no level past the one it reads nor one past the
+    # word cap, and with one generator every power of a parabolic f is listed
     Mutant("word-tree-keeps-the-inverse-step", "combiner.py",
            "j != last ^ 1", "j != last", (WORD_TREE, BRUTE_FORCE)),
-    Mutant("violation-rebuild-divides-by-r", "combiner.py", "j //= r - 1", "j //= r", (BRUTE_FORCE,)),
-    Mutant("witness-search-builds-every-level", "combiner.py", "word_tree(r, n + 1)[n]", "word_tree(r, max_length)[n]",
+    Mutant("violation-rebuild-divides-by-r", "combiner.py",
+           "j //= len(letters) - 1", "j //= len(letters)", (WORD_TREE, BRUTE_FORCE)),
+    Mutant("witness-search-builds-every-level", "combiner.py", "word_tree(r, n + 1)[n]", "word_tree(r, depth)[n]",
            ("tests/test_combiner.py::test_witness_search_builds_only_the_levels_it_reads",)),
+    Mutant("witness-cap-counts-a-level-short", "combiner.py",
+           "for m in range(n + 1)) <= MAX_HYPOTHESIS_PAIRS", "for m in range(n)) <= MAX_HYPOTHESIS_PAIRS",
+           (WITNESS_CAP,)),
+    Mutant("witness-cap-refuses-the-cap-itself", "combiner.py",
+           "for m in range(n + 1)) <= MAX_HYPOTHESIS_PAIRS", "for m in range(n + 1)) < MAX_HYPOTHESIS_PAIRS",
+           (WITNESS_CAP,)),
+    # SpaceModel's tag walk: each word its parent k // (r - 1) times its last
+    # step; a tree's tags leave out hypothesis_violation, so its check
+    # multiplies nothing
+    Mutant("default-walk-parent-divides-by-r", "models.py",
+           "words[k // (len(steps) - 1)]", "words[k // len(steps)]", (EVERY_MODEL,)),
+    Mutant("trees-declare-hypothesis-violation", "trees.py",
+           "    tags = (ELLIPTIC, HYPERBOLIC)  #", "    tags = SpaceModel.tags  #",
+           ("tests/test_combiner.py::test_a_tree_check_multiplies_nothing",)),
     Mutant("one-generator-lists-level-zero-only", "combiner.py",
            "for n in range(1, word_sample_depth + 1)", "for n in range(1, 2)", (ONE_GENERATOR,)),
     # one compose over the payload hooks, and one tree classify over the

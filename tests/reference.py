@@ -540,18 +540,39 @@ def reduced_words(generators, max_length: int):
         level = nxt
 
 
-def walked_parabolic_words(system, action, depth: int) -> tuple:
-    """The full word walk: the reduced words up to depth whose tag is a
-    violation, each imaged on its own in Python ints (gcd-reduced), as
-    (level, index) pairs in the order of ``reduced_words``: a word of length
-    n + 1 is on level n, after the words of its length before it."""
-    found, seen = [], [0] * depth
+def walked_tags(system, action, depth: int) -> dict:
+    """The full word walk: each reduced word up to depth imaged on its own in
+    Python ints (gcd-reduced) and tagged by its model, as {tag: (level,
+    index) pairs in the order of ``reduced_words``}: a word of length n + 1
+    is on level n, after the words of its length before it."""
+    found, seen = {}, [0] * depth
     for word in reduced_words(system.generators, depth):
         n = len(word) - 1
-        if action.model.tag(action.image(word)) == "hypothesis_violation":
-            found.append((n, seen[n]))
+        found.setdefault(action.model.tag(action.image(word)), []).append((n, seen[n]))
         seen[n] += 1
-    return tuple(found)
+    return found
+
+
+def first_hyperbolic_word(system, k: int, depth: int):
+    """The unclaimed witness search by the full word walk: the first word of
+    ``reduced_words`` up to depth whose image in action k, built on its own,
+    is hyperbolic, with that image; None when there is none."""
+    action = system.actions[k]
+    for word in reduced_words(system.generators, depth):
+        image = action.image(word)
+        if action.model.tag(image) == "hyperbolic":
+            return word, image
+    return None
+
+
+def elliptic_system(seed: int, n_generators: int):
+    """One action of a sampled model whose generators are all sampled
+    elliptics, claiming no witness: its first hyperbolic word, if any, is
+    past the one-letter words."""
+    rng = rng_from_seed(seed)
+    model = _random_model(rng)
+    generators = tuple("fgh"[:n_generators])
+    return ActionSystem(generators, [Action("elliptic", model, {g: random_elliptic(model, rng) for g in generators})])
 
 
 def hypothesis_gated_system(seed: int, n_actions: int | None = None):

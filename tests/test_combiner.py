@@ -38,7 +38,7 @@ from hypiso.errors import (
     WitnessNotHyperbolic,
 )
 from hypiso.halfplane import HalfPlaneModel, Matrix2
-from hypiso.models import HYPERBOLIC, IsometryClass, SpaceModel
+from hypiso.models import HYPERBOLIC, HYPOTHESIS_VIOLATION, IsometryClass, SpaceModel
 from hypiso.records import class_invariant, parse_record, record_for_certificate, verify_record
 from hypiso.sampling import random_action_system
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
@@ -46,11 +46,13 @@ from hypiso.words import GroupWord
 
 from reference import (
     eager_partitions,
+    elliptic_system,
+    first_hyperbolic_word,
     hypothesis_gated_system,
     reduced_words,
     step_path,
     verify_certificate_detailed_reference,
-    walked_parabolic_words,
+    walked_tags,
 )
 
 
@@ -173,7 +175,7 @@ def test_check_hypotheses_builds_each_level_once(monkeypatch):
 
     monkeypatch.setattr(combiner, "_WORD_TREES", {})
     trees, asked = [], []
-    original, hook = combiner.word_tree, HalfPlaneModel.parabolic_words
+    original, hook = combiner.word_tree, HalfPlaneModel.tagged_words
 
     def recorded(r, depth):
         levels = original(r, depth)
@@ -181,8 +183,8 @@ def test_check_hypotheses_builds_each_level_once(monkeypatch):
         return levels
 
     monkeypatch.setattr(combiner, "word_tree", recorded)
-    monkeypatch.setattr(HalfPlaneModel, "parabolic_words",
-                        lambda self, gens, tree: asked.append(tree) or hook(self, gens, tree))
+    monkeypatch.setattr(HalfPlaneModel, "tagged_words",
+                        lambda self, gens, levels, tag: asked.append(levels) or hook(self, gens, levels, tag))
     system = build_action_system(parse_config((CONFIGS / "worked_example.cfg").read_text()))
     for _ in range(2):
         assert check_hypotheses(system, 6).words_checked == 1456
@@ -246,6 +248,34 @@ def test_witness_search_exhausted():
             resolve_witness(system, 0)
 
 
+def test_the_witness_search_matches_the_reference_walk():
+    # with no claimed witness, resolve_witness returns the first word of the
+    # reference reduced_words (nested loops, each word imaged on its own)
+    # whose tag is hyperbolic, with the same image, or finds none where the
+    # walk finds none: every action of sampler seeds 0-299 with its
+    # witnesses dropped, sampled actions of elliptic generators only (their
+    # first hyperbolic word is longer), and the point cases above
+    plane, bs = HalfPlaneModel(), BassSerreModel(2, 3)
+    s, t = bs.word([(0, 1)]), bs.word([(1, 1)])
+    systems = [ActionSystem(sampled.generators, sampled.actions) for sampled in map(random_action_system, range(300))]
+    systems += [elliptic_system(seed, n) for seed in range(100) for n in (1, 2, 3)]
+    systems += [_unclaimed(plane, plane.matrix(0, -1, 1, 0), plane.matrix(0, -1, 1, 1)), _unclaimed(bs, s, t),
+                _unclaimed(plane, plane.matrix(0, -1, 1, 0), plane.matrix(*ROTATION_3_5)), _unclaimed(bs, s, s),
+                _unclaimed(plane, plane.matrix(0, -1, 1, 0), plane.matrix(0, -2, Fraction(1, 2), 0))]
+    depths = Counter()
+    for system in systems:
+        for k in range(system.n_actions):
+            expected = first_hyperbolic_word(system, k, combiner.WITNESS_SEARCH_DEPTH)
+            depths[len(expected[0]) if expected else None] += 1
+            if expected is None:
+                with pytest.raises(WitnessNotHyperbolic, match="no hyperbolic word up to length 4"):
+                    resolve_witness(system, k)
+                continue
+            word, image = resolve_witness(system, k)
+            assert (word, image.payload) == (expected[0], expected[1].payload), (system, k)
+    assert depths.keys() == {1, 2, 4, None}, depths  # hits on levels 0, 1 and 3, and none
+
+
 def test_independent_examples():
     plane = HalfPlaneModel()
     act = Action(
@@ -269,16 +299,17 @@ def test_independent_examples():
 
 def test_the_sampler_refuses_a_seed_after_its_50_draws(monkeypatch):
     # 60 actions never all pass the hypothesis test: each of the 50 draws
-    # asks its models in turn for parabolic words and stops at the first
-    # that lists one, and then the sampler raises
+    # asks its models in turn for a violation and stops at the first that
+    # has one, and then the sampler raises
     hits = []
     for cls in (SpaceModel, HalfPlaneModel):  # the trees keep SpaceModel's hook
-        def counting(self, generators, tree, asked=cls.parabolic_words):
-            found = asked(self, generators, tree)
+        def counting(self, generators, levels, tag, asked=cls.tagged_words):
+            assert tag == HYPOTHESIS_VIOLATION
+            found = list(asked(self, generators, levels, tag))
             hits.append(bool(found))
-            return found
+            return iter(found)
 
-        monkeypatch.setattr(cls, "parabolic_words", counting)
+        monkeypatch.setattr(cls, "tagged_words", counting)
     with pytest.raises(RuntimeError) as info:
         random_action_system(0, n_actions=60)
     assert str(info.value) == "could not build a hypothesis-clean system from seed 0"
@@ -1169,21 +1200,23 @@ def test_search_is_invariant_under_tree_conjugation():
     assert conjugated == 19 and controls >= 15
 
 
-# -- the plane's batched hypothesis check against imaging each word -------------
+# -- the tag walk over the word tree against imaging each word -----------------
 
 
 def test_reduced_words_follow_the_word_tree():
-    # combiner's reduced_words and word_tree against the nested loops of the
-    # reference, which read no tree: each level holds its words' last steps,
-    # and word k of level n + 1 is a child of word k // (r - 1) of level n
+    # tree_word spells the words of word_tree in the order of the nested
+    # loops of the reference, which read no tree: each level holds its
+    # words' last steps, and word k of level n + 1 is a child of word
+    # k // (r - 1) of level n
     for generators, count in ((("f",), 10), (("f", "g"), 484), (("f", "g", "h"), 4686)):
         expected = list(reduced_words(generators, 5))
         assert len(expected) == count
-        assert list(combiner.reduced_words(generators, 5)) == expected
         r, paths = 2 * len(generators), [step_path(generators, word) for word in expected]
-        by_level = [[path for path in paths if len(path) == n + 1] for n in range(5)]
-        levels = combiner.word_tree(r, 5)
+        levels, letters = combiner.word_tree(r, 5), combiner.step_letters(generators)
         assert len(levels) == 5 and combiner.word_tree(r, 0) == []
+        spelled = [combiner.tree_word(letters, levels, n, k) for n, level in enumerate(levels) for k in range(len(level))]
+        assert spelled == expected
+        by_level = [[path for path in paths if len(path) == n + 1] for n in range(5)]
         for n, level in enumerate(levels):
             assert list(level) == [path[-1] for path in by_level[n]]
             if n:
@@ -1191,10 +1224,10 @@ def test_reduced_words_follow_the_word_tree():
 
 
 def test_witness_search_builds_only_the_levels_it_reads(monkeypatch):
-    # reduced_words grows the tree one level at a time, so the unclaimed
-    # witness search builds no level past the one holding its first
-    # hyperbolic word: with 20 generators and the first hyperbolic that is
-    # level 0, where all WITNESS_SEARCH_DEPTH levels would be 40 * 39^3 steps
+    # the witness search hands tagged_words the tree one level at a time, so
+    # it builds no level past the one holding its first hyperbolic word:
+    # with 20 generators and the first hyperbolic word on level 0, where the
+    # three levels under the word cap would be 40 + 40 * 39 + 40 * 39^2 steps
     monkeypatch.setattr(combiner, "_WORD_TREES", {})
     p = HalfPlaneModel()
     names = tuple(f"g{i}" for i in range(20))
@@ -1211,19 +1244,22 @@ def test_witness_search_builds_only_the_levels_it_reads(monkeypatch):
 
 
 def _assert_batched_walk_matches(system: ActionSystem, depths) -> int:
-    """parabolic_words on the word tree against the reference walk on each
-    plane action; the number of violations found at the deepest depth."""
+    """tagged_words on the word tree against the reference walk, filtered by
+    the model's tag, on each action, for both tags its callers ask; the
+    plane's stacked walk against SpaceModel's default walk too.  The number
+    of violations found at the deepest depth."""
     found = 0
     for action in system.actions:
-        if not isinstance(action.model, HalfPlaneModel):
-            continue
         generators = [action.images[g] for g in system.generators]
-        walked = walked_parabolic_words(system, action, max(depths))
-        for depth in depths:
-            expected = tuple((n, k) for n, k in walked if n < depth)
-            tree = combiner.word_tree(2 * len(generators), depth)
-            assert action.model.parabolic_words(generators, tree) == expected
-        found += len(walked)
+        walked = walked_tags(system, action, max(depths))
+        for tag in (HYPERBOLIC, HYPOTHESIS_VIOLATION):
+            for depth in depths:
+                expected = tuple((n, k) for n, k in walked.get(tag, ()) if n < depth)
+                levels = combiner.word_tree(2 * len(generators), depth)
+                assert tuple(action.model.tagged_words(generators, iter(levels), tag)) == expected, (tag, depth)
+                if isinstance(action.model, HalfPlaneModel):
+                    assert tuple(SpaceModel.tagged_words(action.model, generators, levels, tag)) == expected
+        found += len(walked.get(HYPOTHESIS_VIOLATION, ()))
     return found
 
 
@@ -1286,16 +1322,18 @@ def test_batched_parabolic_words_past_int64():
     assert max(plane.size(image) for image in big.actions[0].images.values()) > 30
     assert max(plane.size(image) for image in late.actions[0].images.values()) <= 30
     for system, f_f in ((big, (1, 0)), (late, (2, 0))):  # f f, and f f f
-        assert f_f in walked_parabolic_words(system, system.actions[0], 4)
+        assert f_f in walked_tags(system, system.actions[0], 4)[HYPOTHESIS_VIOLATION]
         assert _assert_batched_walk_matches(system, (1, 2, 3, 4)) > 0
 
 
 def test_parabolic_words_level_zero_matches_the_walk():
-    # level 0, the steps themselves, is tagged from their tuples: |a + d| =
-    # 2s and not +-identity.  A parabolic step and its negative, a parabolic
-    # with s = 3, and +-identity, each alone and beside a hyperbolic
+    # level 0, the steps themselves, is tagged from their tuples: |a + d|
+    # against 2s, and not +-identity.  A parabolic step and its negative, a
+    # parabolic with s = 3, +-identity and rotations of orders 2, 3 and
+    # infinity, each alone and beside a hyperbolic, for both tags
     plane = HalfPlaneModel()
-    steps = [(1, 1, 0, 1), (-1, -1, 0, -1), (1, Fraction(1, 3), 0, 1), (1, 0, 0, 1), (-1, 0, 0, -1)]
+    steps = [(1, 1, 0, 1), (-1, -1, 0, -1), (1, Fraction(1, 3), 0, 1), (1, 0, 0, 1), (-1, 0, 0, -1),
+             (0, -1, 1, 0), (0, -1, 1, 1), ROTATION_3_5]
     systems = list(_past_int64_systems())
     for entries in steps:
         m = plane.matrix(*entries)
@@ -1304,9 +1342,67 @@ def test_parabolic_words_level_zero_matches_the_walk():
     found = 0
     for system in systems:
         generators = list(system.actions[0].images.values())
-        assert plane.parabolic_words(generators, []) == ()
+        assert [tuple(plane.tagged_words(generators, [], tag)) for tag in (HYPERBOLIC, HYPOTHESIS_VIOLATION)] == [(), ()]
         found += _assert_batched_walk_matches(system, (0, 1, 2, 3, 4))
     assert found >= 60
+
+
+def test_tagged_words_match_the_walk_in_every_model():
+    # one to three generators at depths 1-5, for both tags: plane actions
+    # with forced parabolics (one with s = 3), +-I, rotations of orders 2, 3
+    # and infinity beside hyperbolics, Bass-Serre actions of finite-order
+    # and hyperbolic images, and Cayley actions, whose only elliptic is 1
+    plane, bs, cayley = HalfPlaneModel(), BassSerreModel(2, 3), CayleyTreeModel(2)
+    matrices = [plane.matrix(*m) for m in ((1, 1, 0, 1), (1, 0, 3, 1), (1, Fraction(1, 3), 0, 1), (-1, 0, 0, -1),
+                                           (0, -1, 1, 0), (0, -1, 1, 1), ROTATION_3_5, (2, 1, 1, 1))]
+    words = [bs.word(w) for w in ([(0, 1)], [(1, 1)], [(1, 2)], [(0, 1), (1, 1)], [(1, 1), (0, 1), (1, 2)], [])]
+    words += [cayley.word(w) for w in ([1], [2, 1, -2], [1, 2], [])]
+    rng, systems = random.Random(5), list(_past_int64_systems())
+    for model, pool in ((plane, matrices), (bs, words[:6]), (cayley, words[6:])):
+        for n in (1, 2, 3):
+            for _ in range(4):
+                names = ("f", "g", "h")[:n]
+                systems.append(ActionSystem(names, [Action("one", model, dict(zip(names, rng.sample(pool, n))))]))
+    hits = Counter()
+    for system in systems:
+        _assert_batched_walk_matches(system, (1, 2, 3, 4, 5))
+        for action in system.actions:
+            for tag, found in walked_tags(system, action, 5).items():
+                hits[action.model.kind, tag] += len(found)
+    assert {key for key, count in hits.items() if count} >= {
+        ("half_plane", HYPERBOLIC), ("half_plane", HYPOTHESIS_VIOLATION), ("bass_serre", HYPERBOLIC),
+        ("cayley_tree", HYPERBOLIC)}, hits
+
+    def reading(levels, read):
+        for level in levels:
+            read.append(level)
+            yield level
+
+    # the levels are read one at a time: a caller that stops at a hit on
+    # level 0 has the tree read no further
+    for model, f in ((plane, matrices[-1]), (bs, words[3]), (cayley, words[6])):
+        read = []
+        assert next(model.tagged_words([f], reading(combiner.word_tree(2, 5), read), HYPERBOLIC)) == (0, 0)
+        assert len(read) == 1
+
+
+def test_a_tree_check_multiplies_nothing(monkeypatch):
+    # a tree's tags leave out hypothesis_violation, so check_hypotheses at
+    # depth 7 on tree actions walks nothing: no multiply, no _mul
+    calls = Counter()
+    for cls in (BassSerreModel, CayleyTreeModel):
+        for name in ("multiply", "_mul"):
+            def counted(self, u, v, name=name, original=getattr(cls, name)):
+                calls[name] += 1
+                return original(self, u, v)
+
+            monkeypatch.setattr(cls, name, counted)
+    bs, cayley = BassSerreModel(2, 3), CayleyTreeModel(2)
+    system = ActionSystem(("f", "g"), [Action("bs", bs, {"f": bs.word([(0, 1), (1, 1)]), "g": bs.word([(1, 1)])}),
+                                       Action("cayley", cayley, {"f": cayley.word([1]), "g": cayley.word([2, 1])})])
+    report = check_hypotheses(system, 7)
+    assert report.passed and report.words_checked == 4372 and not calls
+    assert bs.multiply(bs.word([(0, 1)]).payload, bs.word([(1, 1)]).payload) and calls == {"multiply": 1}
 
 
 def test_one_generator_checks_level_zero_only(monkeypatch):
@@ -1320,9 +1416,9 @@ def test_one_generator_checks_level_zero_only(monkeypatch):
                 (0, -1, 1, Fraction(1, 2)), (1, 1, 0, 1), (-1, 1, 0, -1), (1, 0, 3, 1), (1, Fraction(1, 3), 0, 1),
                 (2, 1, 1, 1), (3, Fraction(1, 2), 2, Fraction(2, 3))]
     asked = []
-    hook = HalfPlaneModel.parabolic_words
-    monkeypatch.setattr(HalfPlaneModel, "parabolic_words",
-                        lambda self, gens, tree: asked.append(len(tree)) or hook(self, gens, tree))
+    hook = HalfPlaneModel.tagged_words
+    monkeypatch.setattr(HalfPlaneModel, "tagged_words",
+                        lambda self, gens, levels, tag: asked.append((tag, len(levels))) or hook(self, gens, levels, tag))
     words = list(reduced_words(("f",), 39))
     violations = 0
     for entries in matrices:
@@ -1337,4 +1433,4 @@ def test_one_generator_checks_level_zero_only(monkeypatch):
                 assert report.violations == tuple((w, i) for w, i in walked if len(w) <= depth)
                 assert report.words_checked == 2 * depth
             violations += len(walked)
-    assert set(asked) == {0, 1} and violations == 4 * 3 * 78
+    assert set(asked) == {(HYPOTHESIS_VIOLATION, 0), (HYPOTHESIS_VIOLATION, 1)} and violations == 4 * 3 * 78

@@ -15,7 +15,7 @@ from hypiso.config import parse_config
 from hypiso.errors import ParseError, ValidationError
 from hypiso.geometry import PlaneGeometry, TreeGeometry, lab
 from hypiso.halfplane import HalfPlaneModel
-from hypiso.models import MAX_ISOMETRY_SIZE
+from hypiso.models import HYPOTHESIS_VIOLATION, MAX_ISOMETRY_SIZE
 from hypiso.records import RECORD_HEADER, parse_record
 from hypiso.trees import BassSerreModel, CayleyTreeModel
 from hypiso.words import GroupWord
@@ -165,13 +165,17 @@ def test_record_body_keeps_its_order(tmp_path, capsys):
 
 
 def test_classify_dynamics_and_verify_load_no_numpy(tmp_path, capsys):
-    # numpy serves the hypothesis check past depth 1 and the delta estimate,
-    # which none of these commands runs: a cold process never imports it.
+    # numpy serves the tag walk past level 0 and the delta estimate, which
+    # none of these commands runs: a cold process never imports it.
     # classify and combine --verify load no part of the geometry lab either
     path = str(CONFIGS / "three_action.cfg")
     assert main(["combine", "--input", path, "--format", "records"]) == 0
     rec_path = write(tmp_path, "cert.rec", capsys.readouterr().out)
     depth_1 = write(tmp_path, "depth1.cfg", THREE_ACTION.replace("seed 0", "seed 0\nword-sample-depth 1"))
+    # no witness claimed: the witness search finds a generator on level 0, read from its tuple
+    unclaimed = write(tmp_path, "unclaimed.cfg", "".join(
+        line for line in WORKED_EXAMPLE.splitlines(True) if not line.startswith("witness")
+    ).replace("generators f g\n", "generators f g\nword-sample-depth 1\n"))
     code = (
         "import sys\n"
         "from hypiso.cli import main\n"
@@ -182,6 +186,7 @@ def test_classify_dynamics_and_verify_load_no_numpy(tmp_path, capsys):
         f"assert main(['dynamics', '--input', {path!r}]) == 0\n"
         f"assert main(['combine', '--input', {depth_1!r}]) == 0\n"
         f"assert main(['report', '--input', {depth_1!r}]) == 0\n"
+        f"assert main(['combine', '--input', {unclaimed!r}]) == 0\n"
         "assert 'numpy' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -475,10 +480,51 @@ def test_delta_and_dynamics_build_one_lab_per_action(monkeypatch, capsys):
 def test_word_sample_depth_over_cap_exit_1(tmp_path, capsys, monkeypatch):
     # refused before the word tree is built or any level tagged
     monkeypatch.setattr(combiner, "word_tree", _no_walk)
-    monkeypatch.setattr(HalfPlaneModel, "parabolic_words", _no_walk)
+    monkeypatch.setattr(HalfPlaneModel, "tagged_words", _no_walk)
     path = write(tmp_path, "deep.cfg", THREE_ACTION.replace("seed 0", "seed 0\nword-sample-depth 30"))
     assert main(["combine", "--input", path]) == 1
     assert "word-sample-depth: 30 gives over" in capsys.readouterr().err
+
+
+def _unclaimed_rotations(n: int) -> str:
+    """One plane action of n generators, each the order-2 rotation z -> -1/z,
+    claiming no witness: every word is elliptic, so the witness search walks
+    every level it may."""
+    names = [f"g{i}" for i in range(n)]
+    gens = "".join(f"gen {name} [[0, -1], [1, 0]]\n" for name in names)
+    return f"hypiso-config v1\ngenerators {' '.join(names)}\n\naction spin\nmodel half_plane\n{gens}"
+
+
+def test_witness_search_over_cap_exit_1(tmp_path, capsys, monkeypatch):
+    # the unclaimed witness search builds no level that would take it past
+    # MAX_HYPOTHESIS_PAIRS words: 12 generators fit levels 0-2 (13,272
+    # words) and not level 3 (305,280 in all), which is refused before it is
+    # built, naming the action; 11 generators fit all four levels (213,928
+    # words) and exhaust them, as before the cap
+    limit, original = [3], combiner.word_tree  # the levels of 24 steps the search may build
+
+    def capped(r, depth):
+        if r == 24 and depth > limit[0]:
+            raise AssertionError("built a level past the cap")
+        return original(r, depth)
+
+    monkeypatch.setattr(combiner, "word_tree", capped)
+    path = write(tmp_path, "twelve.cfg", _unclaimed_rotations(12))
+    for command in ("combine", "dynamics"):
+        assert main([command, "--input", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: the witness search in action 'spin' passes 250000 words at length 4: claim a witness\n")
+    assert main(["combine", "--input", write(tmp_path, "eleven.cfg", _unclaimed_rotations(11))]) == 3
+    assert capsys.readouterr().err == "error: witness for action 0 (spin) is not hyperbolic: " \
+                                      "no hyperbolic word up to length 4\n"
+    # at the cap's edge: a search whose words up to a level are exactly the
+    # cap builds that level, and one word fewer refuses it
+    system = parse_config(_unclaimed_rotations(12)).build()
+    for cap, length in ((13_272, 4), (13_271, 3)):
+        monkeypatch.setattr(combiner, "MAX_HYPOTHESIS_PAIRS", cap)
+        limit[0] = length - 1
+        with pytest.raises(ValidationError, match=f"passes {cap} words at length {length}: claim a witness"):
+            combiner.resolve_witness(system, 0)
 
 
 def test_word_sample_depth_9_under_cap():
@@ -495,9 +541,14 @@ def test_one_generator_depth_checks_level_zero(tmp_path, capsys, monkeypatch):
     # cap's last depth multiplies f^n (a full walk took 12-38 s on them)
     big = 2**300
     asked = []
-    hook = HalfPlaneModel.parabolic_words
-    monkeypatch.setattr(HalfPlaneModel, "parabolic_words",
-                        lambda self, gens, tree: asked.append(len(tree)) or hook(self, gens, tree))
+    hook = HalfPlaneModel.tagged_words
+
+    def recorded(self, gens, levels, tag):  # the check's, not the witness search's
+        if tag == HYPOTHESIS_VIOLATION:
+            asked.append(len(levels))
+        return hook(self, gens, levels, tag)
+
+    monkeypatch.setattr(HalfPlaneModel, "tagged_words", recorded)
     for depth, f in ((8000, f"[[{big}, 1], [{big - 1}, 1]]"), (124_999, "[[2, 1], [1, 1]]")):
         text = f"hypiso-config v1\ngenerators f\nword-sample-depth {depth}\n\naction plane\nmodel half_plane\n"
         text += f"gen f {f}\n"

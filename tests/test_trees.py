@@ -216,7 +216,8 @@ def test_sampled_tree_actions_have_no_parabolic_words():
             system = ActionSystem(("f", "g"), [action])
             for word in reduced_words(system.generators, 5):
                 assert model.tag(action.image(word)) != HYPOTHESIS_VIOLATION
-            assert model.parabolic_words([action.images[g] for g in system.generators], word_tree(4, 5)) == ()
+            generators = [action.images[g] for g in system.generators]
+            assert tuple(model.tagged_words(generators, word_tree(4, 5), HYPOTHESIS_VIOLATION)) == ()
 
 
 def test_bs_orbit_translation_oracle(bs23):
