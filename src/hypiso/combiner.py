@@ -5,12 +5,12 @@ effectively computable from the models, so the implementation replaces
 them with a verified search: after power normalization (killing finite
 orders of elliptic images), candidate exponent pairs (a, b) are enumerated
 along a deterministic diagonal schedule and each word f^a g^b is certified
-by exact classification in every action seen so far, imaged by
-``Action.image`` as a word in the letters f and g sent to the images that
-the certificates of earlier stages keep.  The first certified candidate
-wins; exhaustion is an explicit error carrying the trial log.
-Certificates are re-checked from scratch by the checker in ``records``,
-which imports nothing from here but images through ``Action.image`` too.
+by ``classify``, each model's one exact decision, in every action seen so
+far, imaged by ``Action.image`` as a word in the letters f and g sent to
+the images that the certificates of earlier stages keep.  The first
+certified candidate wins with the classes it was tested by; exhaustion is
+an explicit error carrying the trial log.  The checker in ``records``, which
+imports nothing from here, re-runs ``Action.image`` and ``classify``.
 The hypothesis check and the search for an unclaimed witness read one word
 order, ``word_tree``, through one model hook, ``SpaceModel.tagged_words``.
 """
@@ -183,13 +183,14 @@ def word_tree(r: int, depth: int) -> list[memoryview]:
     hypothesis check and the witness search.  A word's children are the r - 1
     steps but its inverse, in step order, so word k of level n + 1 is a child
     of word k // (r - 1) of level n.  Kept per r and grown only as deeper
-    calls ask, each call capped by MAX_HYPOTHESIS_PAIRS."""
+    calls ask; the callers cap the words they ask for at MAX_HYPOTHESIS_PAIRS."""
     levels = _WORD_TREES.setdefault(r, [])
-    if len(levels) < depth:  # each last step's children; the root's last step is -1, which inverts none
-        children = {last: array("q", [j for j in range(r) if j != last ^ 1]).tobytes() for last in range(-1, r)}
+    if depth and not levels:  # the root's children: every step
+        levels.append(memoryview(array("q", range(r)).tobytes()).cast("q"))
+    if len(levels) < depth:  # each last step's children, r (r - 1) steps: built only for a level past 0
+        children = [array("q", [j for j in range(r) if j != last ^ 1]).tobytes() for last in range(r)]
         while len(levels) < depth:
-            parents = levels[-1] if levels else (-1,)
-            levels.append(memoryview(b"".join([children[last] for last in parents])).cast("q"))
+            levels.append(memoryview(b"".join([children[last] for last in levels[-1]])).cast("q"))
     return levels[:depth]
 
 
@@ -247,10 +248,10 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
     unchanged (the proof's first simplification) and action k's witness is
     not needed; otherwise the witness g is resolved with its class and the
     powers p and q of f and g are combined along the schedule: each
-    candidate f^pa g^qb, a word in the letters f and g, is imaged in each
-    action in turn, sending f and g to their images there, up to the first
-    whose tag is not hyperbolic; only the certified one is built over the
-    generators, as (f^p)^a (g^q)^b.
+    candidate f^pa g^qb, a word in the letters f and g, is imaged and
+    classified in each action in turn, f and g sent to their images there,
+    up to the first class that is not hyperbolic; the certified one keeps
+    its classes, and only its word is spelled in the generators, (f^p)^a (g^q)^b.
     """
     f = running.word
     k = len(running.per_action)
@@ -275,18 +276,18 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
     trials: list[tuple[int, int, int, str]] = []
     for index, (a, b) in enumerate(schedule.pairs()):
         word = GroupWord((("f", p * a), ("g", q * b)))
-        images = []
+        images, classes = [], []
         for i, action in enumerate(stage_actions):
             images.append(action.image(word))
-            tag = action.model.tag(images[-1])
-            if tag != HYPERBOLIC:
-                trials.append((a, b, i, tag))
+            classes.append(cls := action.model.classify(images[-1]))
+            if cls.tag != HYPERBOLIC:
+                trials.append((a, b, i, cls.tag))
                 break
         else:
             return Certificate(
                 word=(f**p) ** a * (g**q) ** b,
                 stages=(StageRecord(k, action_k.name, a, b, p, q, index, profile),),
-                per_action=tuple(action.model.classify(image) for action, image in zip(stage_actions, images)),
+                per_action=tuple(classes),
                 images=tuple(images),
             )
     raise ScheduleExhausted(k, trials)
@@ -300,9 +301,9 @@ def resolve_witness(system: ActionSystem, k: int) -> tuple[GroupWord, Owned]:
     claimed = system.witnesses[k]
     if claimed is not None:
         image = action.image(claimed)
-        tag = action.model.tag(image)
-        if tag != HYPERBOLIC:
-            raise WitnessNotHyperbolic(k, action.name, f"classified {tag}")
+        cls = action.model.classify(image)
+        if not cls.is_hyperbolic:
+            raise WitnessNotHyperbolic(k, action.name, f"classified {cls.tag}")
         return claimed, image
     r, generators = len(letters := step_letters(system.generators)), [action.images[g] for g in system.generators]
     depth = sum(sum(r * (r - 1) ** m for m in range(n + 1)) <= MAX_HYPOTHESIS_PAIRS
@@ -322,8 +323,10 @@ def simultaneous_hyperbolic(system: ActionSystem, schedule: SearchSchedule) -> C
     Stage 0 is the witness's own certificate; each later stage extends the
     previous stage's certificate by one action.  Deterministic given
     system + schedule.  The returned certificate covers every action and
-    re-verifies from scratch.
+    re-verifies from scratch.  A system with no actions is a ValidationError.
     """
+    if not system.actions:
+        raise ValidationError("a system with no actions has no word to certify", "actions")
     f, image = resolve_witness(system, 0)
     running = Certificate(
         word=f,

@@ -19,7 +19,7 @@ import math
 from typing import Sequence
 
 from .errors import DegenerateTriangle, NoPassingN, NotHyperbolic
-from .models import HYPERBOLIC, Owned
+from .models import Owned
 
 
 def ns_dynamics_check(geo, g: Owned, threshold: float, sample: Sequence[Owned], n_max: int) -> int:
@@ -109,9 +109,9 @@ def orbit_projection(geo, iso: Owned, points: Sequence[Owned], orbit_range: int)
     is f^n x of the least |n|, n > 0 first.  The orbit is built once and
     ranked exactly by the lab's ``nearest``; only the defect's three
     distances are floats."""
-    tag = geo.model.tag(iso)
-    if tag != HYPERBOLIC:
-        raise NotHyperbolic(f"f is {tag} in model {geo.model.model_id!r}")
+    cls = geo.model.classify(iso)
+    if not cls.is_hyperbolic:
+        raise NotHyperbolic(f"f is {cls.tag} in model {geo.model.model_id!r}")
     basepoint, inv = geo.basepoint, geo.model.invert(iso)
     orbit, fwd, back = {0: basepoint}, basepoint, basepoint
     for n in range(1, orbit_range + 1):

@@ -207,15 +207,6 @@ class HalfPlaneModel(SpaceModel):
 
     # -- classification -----------------------------------------------------
 
-    def tag(self, iso: Owned) -> str:
-        m: Matrix2 = self.require(iso)
-        if m.is_proj_identity():
-            return ELLIPTIC
-        at, two = abs(m.a + m.d), 2 * m.s  # |tr M| against 2, scaled by s
-        if at > two:
-            return HYPERBOLIC
-        return HYPOTHESIS_VIOLATION if at == two else ELLIPTIC
-
     def tagged_words(self, generators: list[Owned], levels: Iterable, tag: str) -> Iterator[tuple[int, int]]:
         """SpaceModel's for HYPERBOLIC (|a + d| > 2s) or HYPOTHESIS_VIOLATION (= 2s, but +-identity): each
         level past 0 one stacked product (see the module docstring), its parents repeated r - 1 times."""
@@ -247,19 +238,19 @@ class HalfPlaneModel(SpaceModel):
                     yield n, j
 
     def classify(self, iso: Owned) -> IsometryClass:
-        tag = self.tag(iso)
-        a, b, c, d, s = iso.payload
-        if tag == HYPERBOLIC:
+        """The model's one decision, each class one tuple: |tr M| = |a + d|/s against 2."""
+        a, b, c, d, s = self.require(iso)
+        t, two = abs(a + d), 2 * s
+        if t > two:
             if a + d < 0:
                 a, b, c, d = -a, -b, -c, -d  # same Mobius action; normalize to trace > 2
-            t = a + d
-            return _new(IsometryClass, (HYPERBOLIC, None, _new(PlaneHyperbolic, (a, b, c, d, s, t * t - 4 * s * s))))
-        if tag == HYPOTHESIS_VIOLATION:
-            return IsometryClass(HYPOTHESIS_VIOLATION)
-        # the order of the Mobius action: 1 for +-identity, and by Niven 2 or
-        # 3 for s*|tr M| = 0 or s; any other rotation has infinite order
-        t = abs(a + d)
-        return IsometryClass(ELLIPTIC, period=1 if b == c == 0 and a == d else 2 if t == 0 else 3 if t == s else None)
+            return _new(IsometryClass, (HYPERBOLIC, None, _new(PlaneHyperbolic, (a, b, c, d, s, t * t - two * two))))
+        if b == c == 0 and a == d:  # +-identity, of order 1
+            return _new(IsometryClass, (ELLIPTIC, 1, None))
+        if t == two:
+            return _new(IsometryClass, (HYPOTHESIS_VIOLATION, None, None))
+        # by Niven a rotation has order 2 or 3 for s*|tr M| = 0 or s, and any other infinite order
+        return _new(IsometryClass, (ELLIPTIC, 2 if t == 0 else 3 if t == s else None, None))
 
     # -- boundary ----------------------------------------------------------
 

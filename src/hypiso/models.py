@@ -63,8 +63,8 @@ class IsometryClass(NamedTuple):
 
 class SpaceModel:
     """The code the concrete models share.  A model supplies the payload
-    hooks below, ``tag(iso)`` (the exact tag of ``classify(iso)``, decided
-    without building the class), ``classify``, ``boundary_equal(p, q)``,
+    hooks below, ``classify(iso)`` (its one exact decision, whose class is
+    built only as far as its reader reads it), ``boundary_equal(p, q)``,
     ``boundary_apply(iso, b)``, ``parse_word(text)`` and, where its isometries
     never take one of the three tags, its own ``tags`` (a tree has no parabolic).
 
@@ -143,7 +143,7 @@ class SpaceModel:
         steps = [p for g in generators for p in (self.require(g), self._inv(self.require(g)))]
         for n, level in enumerate(levels):  # words: the level above, then this one
             words = [self._mul(words[k // (len(steps) - 1)], steps[j]) if n else steps[j] for k, j in enumerate(level)]
-            yield from ((n, k) for k, w in enumerate(words) if self.tag(self.own(w)) == tag)
+            yield from ((n, k) for k, w in enumerate(words) if self.classify(self.own(w)).tag == tag)
 
     def fixes(self, iso: Owned, b: Owned) -> bool:
         """Whether iso fixes the boundary point b."""

@@ -7,8 +7,8 @@ marked approximate.  Records round-trip (parse . emit == identity) and a
 combine record carries enough to re-verify its certificate from scratch.
 ``check_witnesses`` is the one certificate checker, for records and
 in-memory certificates alike.  It imports neither the search nor the plane
-(a witness line prints its class's integers), but it images as the search
-does, through ``Action.image`` and the models' ``_power`` and ``_mul``.
+(a witness line prints its class's integers), but it runs what the search
+runs: ``Action.image`` (the models' ``_power`` and ``_mul``) and ``classify``.
 """
 
 from __future__ import annotations

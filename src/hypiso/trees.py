@@ -86,16 +86,13 @@ class TreeModel(SpaceModel):
     def word(self, units) -> Owned:
         return self.own(self.normal_form(tuple(units)))
 
-    def tag(self, iso: Owned) -> str:
-        return ELLIPTIC if self._core_period(self.cyclic_reduce(self.require(iso))[1]) else HYPERBOLIC
-
     def classify(self, iso: Owned) -> IsometryClass:
         """u . v . u^-1 from ``cyclic_reduce``: elliptic of v's period, or
         hyperbolic of translation length |v|, its rays folded only when read."""
         u, v = self.cyclic_reduce(self.require(iso))
         period = self._core_period(v)
         if period:
-            return IsometryClass(ELLIPTIC, period=period)
+            return _new(IsometryClass, (ELLIPTIC, period, None))
         return _new(IsometryClass, (HYPERBOLIC, None, _new(TreeHyperbolic, (len(v), u, v, self))))
 
     # -- boundary rays ------------------------------------------------------

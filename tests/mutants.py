@@ -155,8 +155,17 @@ MUTANTS = (
            ("tests/test_classification_sweep.py::test_trichotomy_exhaustive_small_entries",)),
     # |tr M| = 2 (scaled by s) is parabolic, not hyperbolic
     Mutant("plane-tag-takes-trace-2", "halfplane.py",
-           "if at > two:", "if at >= two:",
+           "if t > two:", "if t >= two:",
            ("tests/test_halfplane.py::test_classify_parabolic",)),
+    # +-identity, of trace +-2, is elliptic of order 1, and a rotation of
+    # trace +-1 has order 3, its trace scaled by s too
+    Mutant("plane-identity-parabolic", "halfplane.py",
+           "        if b == c == 0 and a == d:  # +-identity, of order 1\n"
+           "            return _new(IsometryClass, (ELLIPTIC, 1, None))\n", "",
+           ("tests/test_halfplane.py::test_classify_parabolic",)),
+    Mutant("plane-order-3-unscaled", "halfplane.py",
+           "3 if t == s else None", "3 if t == 1 else None",
+           ("tests/test_classification_sweep.py::test_trichotomy_exhaustive_small_entries",)),
     # the plane reads its config matrices: an entry's denominator first, and
     # a zero denominator refused
     Mutant("matrix-entry-takes-a-zero-denominator", "halfplane.py",
@@ -285,6 +294,14 @@ MUTANTS = (
     Mutant("candidate-skips-the-stage-action", "combiner.py",
            "enumerate(stage_actions)", "enumerate(stage_actions[:-1])",
            ("tests/test_acceptance.py::test_acceptance_theorem_desk_scale",)),
+    # the search refuses a candidate whose class is not hyperbolic, elliptic
+    # too, and certifies with the classes of the one candidate it certifies
+    Mutant("search-certifies-an-elliptic-candidate", "combiner.py",
+           "            if cls.tag != HYPERBOLIC:", "            if cls.tag == HYPOTHESIS_VIOLATION:",
+           ("tests/test_acceptance.py::test_acceptance_theorem_desk_scale", ORACLE)),
+    Mutant("certificate-keeps-every-tested-class", "combiner.py",
+           "        images, classes = [], []\n", "        images, classes = [], classes if index else []\n",
+           ("tests/test_acceptance.py::test_acceptance_theorem_desk_scale", ORACLE)),
     # a stage's candidates count the certified one, and a record's witness
     # lines are the body lines that start with witness
     Mutant("tried-drops-the-winner", "combiner.py",
@@ -395,7 +412,7 @@ MUTANTS = (
     Mutant("bs-core-of-two-syllables-elliptic", "trees.py", "if len(v) >= 2:", "if len(v) > 2:",
            ("tests/test_trees.py::test_bs_classify_st_hyperbolic",)),
     Mutant("tree-elliptic-period-1", "trees.py",
-           "IsometryClass(ELLIPTIC, period=period)", "IsometryClass(ELLIPTIC, period=1)",
+           "(ELLIPTIC, period, None)", "(ELLIPTIC, 1, None)",
            ("tests/test_trees.py::test_bs_classify_sts_elliptic",)),
     # error paths: a system refuses a repeated generator name, the powers
     # refuse a parabolic g as well as f, and a North-South check with every

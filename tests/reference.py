@@ -548,7 +548,7 @@ def walked_tags(system, action, depth: int) -> dict:
     found, seen = {}, [0] * depth
     for word in reduced_words(system.generators, depth):
         n = len(word) - 1
-        found.setdefault(action.model.tag(action.image(word)), []).append((n, seen[n]))
+        found.setdefault(action.model.classify(action.image(word)).tag, []).append((n, seen[n]))
         seen[n] += 1
     return found
 
@@ -560,7 +560,7 @@ def first_hyperbolic_word(system, k: int, depth: int):
     action = system.actions[k]
     for word in reduced_words(system.generators, depth):
         image = action.image(word)
-        if action.model.tag(image) == "hyperbolic":
+        if action.model.classify(image).tag == "hyperbolic":
             return word, image
     return None
 

@@ -145,7 +145,6 @@ def test_foreign_isometries_are_refused_where_they_enter(make_action):
     refusals = [
         lambda: model.compose(own, foreign),
         lambda: model.compose(foreign, own),
-        lambda: model.tag(foreign),
         lambda: model.classify(foreign),
         lambda: model.invert(foreign),
         lambda: model.size(foreign),

@@ -143,12 +143,11 @@ def test_trichotomy_exhaustive_small_entries(monkeypatch):
     for m in (*sweep_matrices(), *content_2):
         iso = plane.own(m)
         with integer_only(monkeypatch):
-            tag, cls = plane.tag(iso), plane.classify(iso)
+            cls = plane.classify(iso)
             images = [plane.boundary_apply(iso, z) for z in (inf, half)]
             if cls.is_hyperbolic:
                 fixed = (cls.hyperbolic.fixed_plus, cls.hyperbolic.fixed_minus)
                 assert all(plane.boundary_equal(plane.boundary_apply(iso, z), z) for z in fixed)
-        assert tag == cls.tag
         e = m.entries()
         for z, got in zip((None, Fraction(1, 2)), images):
             den = e[2] if z is None else e[2] * z + e[3]
@@ -204,15 +203,13 @@ def test_trichotomy_exhaustive_small_entries(monkeypatch):
 
 
 def test_tag_matches_classify_on_sweep():
+    # classify is the plane's one decision: the sweep, +-I and scaled
+    # matrices among it, reaches each of its three tags
     plane = HalfPlaneModel()
     sweep = list(sweep_matrices())
     assert any(m.s > 1 for m in sweep)
     assert Matrix2.of(1, 0, 0, 1) in sweep and Matrix2.of(-1, 0, 0, -1) in sweep
-    tags = set()
-    for m in sweep:
-        iso = plane.own(m)
-        tags.add(plane.tag(iso))
-        assert plane.tag(iso) == plane.classify(iso).tag
+    tags = {plane.classify(plane.own(m)).tag for m in sweep}
     assert tags == {"elliptic", "hyperbolic", "hypothesis_violation"}
 
 
@@ -480,7 +477,7 @@ def test_fixes_matches_the_boundary_action_on_trees(model, units):
     # every word of up to three units against the rays it and the others fix
     words = {model.word(w) for n in range(4) for w in itertools.product(units, repeat=n)}
     rays = [model.own(RayDescriptor((), model.cyclic_reduce(model.require(w))[1])) for w in words
-            if model.tag(w) == "hyperbolic"]
+            if model.classify(w).tag == "hyperbolic"]
     for w in words:
         cls = model.classify(w)
         if cls.is_hyperbolic:
@@ -553,7 +550,7 @@ def test_plane_lab_matches_the_fraction_metric():
     everything = points + along + far + moved[::9]
     assert any(_outcome(geo._floats, p) is OverflowError for p in far[3:])
     assert all(geo._floats(p)[1] == 0.0 for p in far[:3])
-    hyperbolic = [g for g in map(plane.own, sweep_matrices()) if plane.tag(g) == "hyperbolic"]
+    hyperbolic = [g for g in map(plane.own, sweep_matrices()) if plane.classify(g).tag == "hyperbolic"]
     ends = [b for g in hyperbolic[::40] for b in plane.classify(g).hyperbolic.fixed_points] + [plane.own(None)]
     assert {b.payload is None for b in ends} == {True, False} and any(b.payload and b.payload.root for b in ends)
     for p in everything:

@@ -167,6 +167,15 @@ def test_check_hypotheses_matches_brute_force():
     assert check_hypotheses(ActionSystem(("f", "g"), []), 2).words_checked == 16
 
 
+def test_a_system_with_no_actions_is_a_validation_error():
+    # the hypothesis check accepts it, with no action to check, but the
+    # search has no action to certify a word in
+    empty = ActionSystem(("f",), [])
+    assert check_hypotheses(empty, 2).passed
+    with pytest.raises(ValidationError, match="^actions: a system with no actions has no word to certify$"):
+        simultaneous_hyperbolic(empty, SearchSchedule(8))
+
+
 def test_check_hypotheses_builds_each_level_once(monkeypatch):
     # one word tree per number of steps, built on the first call and read by
     # every action of it and every later call; its levels are read-only
@@ -345,7 +354,7 @@ def test_every_sampled_witness_is_one_generator_with_a_hyperbolic_image():
         for i, witness in enumerate(system.witnesses):
             assert witness in [GroupWord.generator(g) for g in system.generators], (seed, i)
             word, image = resolve_witness(system, i)
-            assert word == witness and system.actions[i].model.tag(image) == HYPERBOLIC, (seed, i)
+            assert word == witness and system.actions[i].model.classify(image).tag == HYPERBOLIC, (seed, i)
 
 
 def test_normalize_powers_plane_orders():
@@ -745,12 +754,14 @@ def test_search_classifies_each_word_once_per_action(monkeypatch):
     # each stage extends the previous stage's certificate, resolves its
     # witness only when it needs one, images the witness once per action
     # and classifies and tests that one image, so no word is imaged twice
-    # in one action, witnesses included.  Stage 0 classifies its witness;
-    # stage k classifies f in action k and, when it searches, g and the
-    # certified candidate in actions 0..k, each once.  A stage's own
-    # actions, which send the letters f and g to f's and g's images, image
-    # each candidate at most once; they are kept alive here, so that no
-    # two of them share an id.
+    # in one action, witnesses included.  Every witness here is claimed:
+    # stage 0 classifies its witness where it resolves it and as its class;
+    # stage k classifies f in action k and, when it searches, its witness
+    # where it resolves it, g in actions 0..k and each image of a candidate
+    # that it tests, once: the certified candidate's classes are the
+    # certificate's.  A stage's own actions, which send the letters f and g
+    # to f's and g's images, image each candidate at most once; they are
+    # kept alive here, so that no two of them share an id.
     classified, imaged, alive = Counter(), Counter(), {}
     original_image = Action.image
 
@@ -770,14 +781,15 @@ def test_search_classifies_each_word_once_per_action(monkeypatch):
     systems = [build_action_system(parse_config((CONFIGS / "three_action.cfg").read_text()))]
     systems += [random_action_system(seed) for seed in range(20)]
     for system in systems:
+        assert None not in system.witnesses
         classified.clear()
         imaged.clear()
         alive.clear()
         cert = simultaneous_hyperbolic(system, SearchSchedule(32))
         stages = cert.stages[1:]
-        expected = 1 + sum(1 + (0 if r.trivial else 2 * (r.stage + 1)) for r in stages)
-        assert sum(classified.values()) == expected
         own = {id(action) for action in system.actions}
+        tested = sum(n for (i, _), n in imaged.items() if i not in own)
+        assert sum(classified.values()) == 2 + sum(1 + (0 if r.trivial else r.stage + 2) for r in stages) + tested
         assert [w for (i, w), n in imaged.items() if i in own and n > 1] == []
         assert [w for (i, w), n in imaged.items() if i not in own and n > 1] == []
         assert len(alive) == len(own) + sum(r.stage + 1 for r in stages if not r.trivial)
@@ -1243,6 +1255,28 @@ def test_witness_search_builds_only_the_levels_it_reads(monkeypatch):
     assert {r: len(levels) for r, levels in combiner._WORD_TREES.items()} == {40: 1, 4: 2}
 
 
+def test_level_zero_of_the_word_tree_builds_no_child_table(monkeypatch):
+    # level 0 is the r steps; each last step's r - 1 children, r (r - 1)
+    # steps in all, are built only for a level past it.  So level 0 of 2,000
+    # steps allocates its own 16 KB, not the table's 32 MB, and a tree grown
+    # from level 0 is the tree built at once
+    import tracemalloc
+
+    monkeypatch.setattr(combiner, "_WORD_TREES", {})
+    tracemalloc.start()
+    try:
+        [level] = combiner.word_tree(2000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(level) == list(range(2000)) and level.readonly and peak < 2**20, peak
+    for r in (2, 4, 6):
+        combiner.word_tree(r, 1)
+        grown = [list(level) for level in combiner.word_tree(r, 4)]
+        monkeypatch.setattr(combiner, "_WORD_TREES", {})
+        assert grown == [list(level) for level in combiner.word_tree(r, 4)]
+
+
 def _assert_batched_walk_matches(system: ActionSystem, depths) -> int:
     """tagged_words on the word tree against the reference walk, filtered by
     the model's tag, on each action, for both tags its callers ask; the
@@ -1427,7 +1461,7 @@ def test_one_generator_checks_level_zero_only(monkeypatch):
                       [Action("hyp", plane, {"f": plane.matrix(2, 1, 1, 1)})]):
             system = ActionSystem(("f",), [Action("one", plane, {"f": f}), *extra])
             walked = [(w, i) for i, action in enumerate(system.actions) for w in words
-                      if action.model.tag(action.image(w)) == "hypothesis_violation"]
+                      if action.model.classify(action.image(w)).tag == "hypothesis_violation"]
             for depth in range(40):
                 report = check_hypotheses(system, depth)
                 assert report.violations == tuple((w, i) for w, i in walked if len(w) <= depth)

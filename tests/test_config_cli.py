@@ -14,7 +14,7 @@ from hypiso.cli import MAX_ORBIT_DEPTH, MAX_PRINT_DIGITS, MAX_SAMPLE_POINTS, mai
 from hypiso.config import parse_config
 from hypiso.errors import ParseError, ValidationError
 from hypiso.geometry import PlaneGeometry, TreeGeometry, lab
-from hypiso.halfplane import HalfPlaneModel
+from hypiso.halfplane import HalfPlaneModel, Matrix2
 from hypiso.models import HYPOTHESIS_VIOLATION, MAX_ISOMETRY_SIZE
 from hypiso.records import RECORD_HEADER, parse_record
 from hypiso.trees import BassSerreModel, CayleyTreeModel
@@ -559,8 +559,11 @@ def test_one_generator_depth_checks_level_zero(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["combine", "report"])
 def test_each_word_classified_once_per_action(capsys, monkeypatch, command):
-    # the hypothesis check only tags the claimed witnesses; the search
-    # classifies the image of each of them, and of each candidate, once
+    # the hypothesis check classifies the image of each claimed witness; the
+    # search classifies plane-one's f and plane-two's g again where it
+    # resolves them and once more as their stage's class, but not tree-one's
+    # f, whose stage is trivial: every other image, each candidate's too,
+    # is classified once
     seen = Counter()
     for model_class in (HalfPlaneModel, BassSerreModel, CayleyTreeModel):
 
@@ -571,7 +574,8 @@ def test_each_word_classified_once_per_action(capsys, monkeypatch, command):
         monkeypatch.setattr(model_class, "classify", counted)
     assert main([command, "--input", str(CONFIGS / "three_action.cfg")]) == 0
     capsys.readouterr()
-    assert seen and [pair for pair, n in seen.items() if n > 1] == []
+    assert sorted(seen.values()) == [1] * 6 + [3, 3]
+    assert [payload for (_, payload), n in seen.items() if n > 1] == [Matrix2.of(2, 1, 1, 1)] * 2
 
 
 def test_cli_dynamics_orbit_reaching_the_boundary_in_floats(capsys):

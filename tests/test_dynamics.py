@@ -152,9 +152,10 @@ def _ns_by_iteration(geo, g, threshold, sample, n_max):
     """ns_dynamics_check by direct iteration: apply g to every point, then
     contains_point on each until one fails."""
     model = geo.model
-    if model.tag(g) != "hyperbolic":
-        raise NotHyperbolic(f"word is {model.tag(g)} in model {model.model_id!r}")
-    u_plus, u_minus = neighborhoods(model, model.classify(g), threshold)
+    cls = model.classify(g)
+    if not cls.is_hyperbolic:
+        raise NotHyperbolic(f"word is {cls.tag} in model {model.model_id!r}")
+    u_plus, u_minus = neighborhoods(model, cls, threshold)
     if not neighborhoods_disjoint(model, u_plus, u_minus, sample):
         raise ValueError("U+ and U- are not disjoint")
     outside = [p for p in sample if not contains_point(model, u_minus, p)]
@@ -367,7 +368,7 @@ def test_ns_floor_with_a_zero_float_shift(plane):
     geo, e = lab(plane), Fraction(1, 10**20)
     g = plane.matrix(1, e, e, 1 + e * e)
     attracting = plane.classify(g).hyperbolic.fixed_plus
-    assert plane.tag(g) == "hyperbolic" and _beta(plane, attracting, geo.apply(g, geo.basepoint), geo.basepoint) == 0.0
+    assert plane.classify(g).tag == "hyperbolic" and _beta(plane, attracting, geo.apply(g, geo.basepoint), geo.basepoint) == 0.0
     for seed in range(3):
         args = (geo, g, 1.0, sample_plane_points(geo, 12, rng_from_seed(seed)), 8)
         assert _outcome(ns_dynamics_check, *args) == _outcome(_ns_by_iteration, *args)

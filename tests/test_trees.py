@@ -215,7 +215,7 @@ def test_sampled_tree_actions_have_no_parabolic_words():
             action = Action("tree", model, images)
             system = ActionSystem(("f", "g"), [action])
             for word in reduced_words(system.generators, 5):
-                assert model.tag(action.image(word)) != HYPOTHESIS_VIOLATION
+                assert model.classify(action.image(word)).tag != HYPOTHESIS_VIOLATION
             generators = [action.images[g] for g in system.generators]
             assert tuple(model.tagged_words(generators, word_tree(4, 5), HYPOTHESIS_VIOLATION)) == ()
 
@@ -368,22 +368,6 @@ def test_cayley_cyclic_reduce_reconstruction(raw):
     assert not v or len(v) == 1 or v[0] != -v[-1]
 
 
-@given(st.lists(st.tuples(st.sampled_from([0, 1]), st.integers(min_value=-5, max_value=5)), max_size=10))
-@settings(max_examples=80)
-def test_bs_tag_matches_classify(raw):
-    model = BassSerreModel(3, 4)
-    iso = model.word(raw)
-    assert model.tag(iso) == model.classify(iso).tag
-
-
-@given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12))
-@settings(max_examples=80)
-def test_cayley_tag_matches_classify(raw):
-    model = CayleyTreeModel(2)
-    iso = model.word(raw)
-    assert model.tag(iso) == model.classify(iso).tag
-
-
 def test_bs_elliptic_fixed_vertex_long_conjugators(bs23):
     import random
 
@@ -534,7 +518,7 @@ def test_tree_lengths_are_floats_of_their_integers(model):
 def _short_hyperbolic_classes(model, units):
     """The classes of the hyperbolic reduced words of at most 4 units, by word payload."""
     words = {model.word(w) for n in range(5) for w in itertools.product(units, repeat=n)}
-    return {w.payload: model.classify(w) for w in words if model.tag(w) == "hyperbolic"}
+    return {w.payload: cls for w in words if (cls := model.classify(w)).is_hyperbolic}
 
 
 def test_tree_classes_are_equal_exactly_when_their_lengths_and_rays_are(monkeypatch):
