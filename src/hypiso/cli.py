@@ -261,7 +261,7 @@ def _cmd_dynamics(args, system: ActionSystem, settings, radii: list[int]) -> Res
             raise ValidationError(f"unknown check {check!r}; the checks are {known}", "--checks")
     rows, lines = [], []
     for i, action in enumerate(system.actions):
-        _, image = resolve_witness(system, i)  # the witness's image, read by every check
+        _, image, _ = resolve_witness(system, i)  # the witness's image, read by every check
         geo = lab(action.model)
         sample = _sample(action, geo, settings["seed"], 24, min(3, radii[i]))
         if "ns" in checks:

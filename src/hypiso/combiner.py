@@ -137,7 +137,7 @@ def check_hypotheses(system: ActionSystem, word_sample_depth: int) -> Hypothesis
     one generator every word is a power f^n, n != 0, parabolic exactly when
     f is, so only level 0 is tagged.  Fails (listing the offenders in tree
     order) when there is any; raises WitnessNotHyperbolic (``resolve_witness``)
-    when a claimed witness's tag is not hyperbolic.  Raises ValidationError
+    when a claimed witness's class is not hyperbolic.  Raises ValidationError
     before any tag when the words times the actions (at least one) exceed
     MAX_HYPOTHESIS_PAIRS.
     """
@@ -214,29 +214,22 @@ def independent(model: SpaceModel, cf: IsometryClass, cg: IsometryClass) -> bool
 
 
 def normalize_powers(
-    system: ActionSystem, f_classes: tuple[IsometryClass, ...], g_images: tuple[Owned, ...]
-) -> tuple[int, int, tuple[ProfileEntry, ...]]:
+    system: ActionSystem, f_classes: tuple[IsometryClass, ...], g_classes: tuple[IsometryClass, ...]
+) -> tuple[int, int]:
     """The powers p and q killing all finite orders of f's and g's elliptic
-    images among actions 0..stage, and the stage's profile.
-
-    ``f_classes`` holds f's classes and ``g_images`` g's images in actions
-    0..stage, so g is imaged only once per action: each image is classified
-    here.  The profile holds one entry, the classes and g's image, for each
-    action before the stage's own; its partitions are computed only when
-    ``report`` reads them.  Hyperbolicity is preserved wherever it held
+    images among actions 0..stage, from f's and g's classes there, which
+    the search has decided: this decides nothing, and refuses a parabolic f,
+    then g, action by action.  Hyperbolicity is preserved wherever it held
     (translation lengths scale by the powers, fixed points are unchanged);
     elliptic images of finite order become the identity.
     """
     p = q = 1
-    profile = []
-    for action, cf, g_image in zip(system.actions, f_classes, g_images):
-        cg = action.model.classify(g_image)
+    for action, cf, cg in zip(system.actions, f_classes, g_classes):
         for cls, word_name in ((cf, "f"), (cg, "g")):
             if cls.tag == HYPOTHESIS_VIOLATION:
                 raise HypothesisViolation(f"{word_name} is parabolic in action {action.name!r}")
         p, q = math.lcm(p, cf.period or 1), math.lcm(q, cg.period or 1)
-        profile.append(ProfileEntry(cf, cg, g_image))
-    return p, q, tuple(profile[:-1])
+    return p, q
 
 
 def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSchedule) -> Certificate:
@@ -246,7 +239,9 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
     Only f's image and class in action k are new; the others are read from
     ``running``.  When f is already hyperbolic in action k it is returned
     unchanged (the proof's first simplification) and action k's witness is
-    not needed; otherwise the witness g is resolved with its class and the
+    not needed; otherwise the witness g is resolved with its class there and
+    imaged and classified once in each earlier action, the profile keeps
+    those classes and images (``report`` reads their partitions), and the
     powers p and q of f and g are combined along the schedule: each
     candidate f^pa g^qb, a word in the letters f and g, is imaged and
     classified in each action in turn, f and g sent to their images there,
@@ -267,9 +262,11 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
     if cls_fk.is_hyperbolic:
         return Certificate(f, (StageRecord(k, action_k.name),), f_classes, f_images)
 
-    g, g_image = resolve_witness(system, k)
+    g, g_image, cg = resolve_witness(system, k)
     g_images = tuple(action.image(g) for action in system.actions[:k]) + (g_image,)
-    p, q, profile = normalize_powers(system, f_classes, g_images)
+    g_classes = tuple(action.model.classify(image) for action, image in zip(system.actions[:k], g_images)) + (cg,)
+    p, q = normalize_powers(system, f_classes, g_classes)
+    profile = tuple(map(ProfileEntry, f_classes[:k], g_classes, g_images))
     stage_actions = [Action(action.name, action.model, {"f": F, "g": G})
                      for action, F, G in zip(system.actions, f_images, g_images)]
 
@@ -293,28 +290,30 @@ def combine_step(system: ActionSystem, running: Certificate, schedule: SearchSch
     raise ScheduleExhausted(k, trials)
 
 
-def resolve_witness(system: ActionSystem, k: int) -> tuple[GroupWord, Owned]:
-    """The claimed witness for action k, verified, else the first word of ``word_tree`` up to
-    length WITNESS_SEARCH_DEPTH hyperbolic there (``tagged_words``, each level built as it is
-    read, none past MAX_HYPOTHESIS_PAIRS words), with its image in action k."""
+def resolve_witness(system: ActionSystem, k: int) -> tuple[GroupWord, Owned, IsometryClass]:
+    """The claimed witness for action k, else the first word of ``word_tree`` up to length
+    WITNESS_SEARCH_DEPTH hyperbolic there (``tagged_words``, each level built as it is read,
+    none past MAX_HYPOTHESIS_PAIRS words); either is imaged, classified and checked hyperbolic
+    once in action k, and returned with its image and class there."""
     action = system.actions[k]
-    claimed = system.witnesses[k]
-    if claimed is not None:
-        image = action.image(claimed)
-        cls = action.model.classify(image)
-        if not cls.is_hyperbolic:
-            raise WitnessNotHyperbolic(k, action.name, f"classified {cls.tag}")
-        return claimed, image
-    r, generators = len(letters := step_letters(system.generators)), [action.images[g] for g in system.generators]
-    depth = sum(sum(r * (r - 1) ** m for m in range(n + 1)) <= MAX_HYPOTHESIS_PAIRS
-                for n in range(WITNESS_SEARCH_DEPTH))  # the levels that fit, with those above them
-    for n, j in action.model.tagged_words(generators, (word_tree(r, n + 1)[n] for n in range(depth)), HYPERBOLIC):
-        word = tree_word(letters, word_tree(r, n + 1), n, j)
-        return word, action.image(word)
-    if depth < WITNESS_SEARCH_DEPTH:
-        raise ValidationError(f"the witness search in action {action.name!r} passes {MAX_HYPOTHESIS_PAIRS} words "
-                              f"at length {depth + 1}: claim a witness")
-    raise WitnessNotHyperbolic(k, action.name, f"no hyperbolic word up to length {WITNESS_SEARCH_DEPTH}")
+    word = system.witnesses[k]
+    if word is None:
+        r, generators = len(letters := step_letters(system.generators)), [action.images[g] for g in system.generators]
+        depth = sum(sum(r * (r - 1) ** m for m in range(n + 1)) <= MAX_HYPOTHESIS_PAIRS
+                    for n in range(WITNESS_SEARCH_DEPTH))  # the levels that fit, with those above them
+        for n, j in action.model.tagged_words(generators, (word_tree(r, n + 1)[n] for n in range(depth)), HYPERBOLIC):
+            word = tree_word(letters, word_tree(r, n + 1), n, j)
+            break
+        else:
+            if depth < WITNESS_SEARCH_DEPTH:
+                raise ValidationError(f"the witness search in action {action.name!r} passes {MAX_HYPOTHESIS_PAIRS} "
+                                      f"words at length {depth + 1}: claim a witness")
+            raise WitnessNotHyperbolic(k, action.name, f"no hyperbolic word up to length {WITNESS_SEARCH_DEPTH}")
+    image = action.image(word)
+    cls = action.model.classify(image)
+    if not cls.is_hyperbolic:
+        raise WitnessNotHyperbolic(k, action.name, f"classified {cls.tag}")
+    return word, image, cls
 
 
 def simultaneous_hyperbolic(system: ActionSystem, schedule: SearchSchedule) -> Certificate:
@@ -327,13 +326,8 @@ def simultaneous_hyperbolic(system: ActionSystem, schedule: SearchSchedule) -> C
     """
     if not system.actions:
         raise ValidationError("a system with no actions has no word to certify", "actions")
-    f, image = resolve_witness(system, 0)
-    running = Certificate(
-        word=f,
-        stages=(StageRecord(0, system.actions[0].name),),
-        per_action=(system.actions[0].model.classify(image),),
-        images=(image,),
-    )
+    f, image, cls = resolve_witness(system, 0)
+    running = Certificate(f, (StageRecord(0, system.actions[0].name),), (cls,), (image,))
     stages = list(running.stages)
     for k in range(1, system.n_actions):
         running = combine_step(system, running, schedule)

@@ -210,6 +210,9 @@ class HalfPlaneModel(SpaceModel):
     def tagged_words(self, generators: list[Owned], levels: Iterable, tag: str) -> Iterator[tuple[int, int]]:
         """SpaceModel's for HYPERBOLIC (|a + d| > 2s) or HYPOTHESIS_VIOLATION (= 2s, but +-identity): each
         level past 0 one stacked product (see the module docstring), its parents repeated r - 1 times."""
+        if tag == ELLIPTIC:  # no caller asks for it: SpaceModel's walk
+            yield from SpaceModel.tagged_words(self, generators, levels, tag)
+            return
         hit = operator.gt if tag == HYPERBOLIC else operator.eq
         images = [self.require(g) for g in generators]
         for n, last in enumerate(levels):

@@ -427,6 +427,14 @@ MUTANTS = (
            "                if gen not in action.images:\n", "                if False:\n",
            ("tests/test_config_cli.py::test_config_error_names_its_place",
             "tests/test_actions.py::test_an_action_system_refuses_generators_it_cannot_name")),
+    # a stage's powers and profile read the classes the search decided: g's
+    # in every action up to the stage's own, where resolve_witness decided it
+    Mutant("normalize-powers-reads-f-in-the-stage-action", "combiner.py",
+           " + (cg,)\n", " + (cls_fk,)\n",
+           ("tests/test_cli_golden.py::test_cli_golden", "tests/test_seed_hashes.py::test_seed_hashes_are_pinned")),
+    Mutant("profile-reads-f-for-g", "combiner.py",
+           "map(ProfileEntry, f_classes[:k], g_classes,", "map(ProfileEntry, f_classes[:k], f_classes,",
+           (PARTITIONS, "tests/test_combiner.py::test_simultaneous_monotone_stages")),
     Mutant("normalize-powers-checks-only-f", "combiner.py",
            'for cls, word_name in ((cf, "f"), (cg, "g")):', 'for cls, word_name in ((cf, "f"),):',
            ("tests/test_combiner.py::test_search_refuses_a_parabolic_witness_with_no_hypothesis_check",)),

@@ -493,17 +493,16 @@ def capped_product(model, F, G, a: int, b: int):
     return _capped(model, model._mul(capped_power(model, F, a), capped_power(model, G, b)), "a word's image")
 
 
-def eager_partitions(system, f_classes, g_images) -> tuple:
+def eager_partitions(system, f_classes, g_classes, g_images) -> tuple:
     """Each action's partition at a stage as the search once built it, with
-    every stage: f's classes and g's images in actions 0..stage, the stage
-    action's partition None.  H' when no fixed point of f is one of g's,
-    H when one is; E when an elliptic g fixes f's repelling point, else
+    every stage: f's and g's classes and g's images in actions 0..stage, the
+    stage action's partition None.  H' when no fixed point of f is one of
+    g's, H when one is; E when an elliptic g fixes f's repelling point, else
     E-E'-candidate."""
     k = len(f_classes) - 1
     out = []
-    for i, (cf, g_image) in enumerate(zip(f_classes, g_images)):
+    for i, (cf, cg, g_image) in enumerate(zip(f_classes, g_classes, g_images)):
         model = system.actions[i].model
-        cg = model.classify(g_image)
         partition = None
         if i < k and cf.is_hyperbolic:
             if cg.is_hyperbolic:

@@ -79,6 +79,27 @@ gen g [[2, 1], [1, 1]]
 witness g
 """
 
+# no action claims a witness: stages 1 and 2 search for theirs, the plane's
+# on level 1 of the word tree and the trees' through their default walk
+UNCLAIMED = """hypiso-config v1
+generators f g
+
+action dihedral
+model half_plane
+gen f [[0, -1], [1, 0]]
+gen g [[0, -2], [1/2, 0]]
+
+action free
+model cayley_tree 2
+gen f a
+gen g a^-1
+
+action amalgam
+model bass_serre 2 3
+gen f t
+gen g s t s
+"""
+
 # the witness f^7000 has a 2,926-digit trace: its cosh-half prints, but its
 # fixed points' radicand (tr^2 - 4) is past the 4,300 digits Python prints
 HUGE = (REPO / "configs" / "worked_example.cfg").read_text().replace("witness f\n", "witness f^7000\n")
@@ -91,6 +112,7 @@ CONFIGS = {
     "trees": (TREES, []),
     "exhausting": (EXHAUSTING, ["--max-exponent", "1"]),
     "huge": (HUGE, []),
+    "unclaimed": (UNCLAIMED, []),
 }
 
 COMMANDS = {
@@ -105,7 +127,7 @@ COMMANDS = {
 def _cases() -> dict[str, list[str]]:
     """Case id -> argv; {cfg:NAME} and {rec:NAME} stand for file paths."""
     cases = {}
-    for name in ("worked", "three", "parabolic", "trees", "exhausting"):
+    for name in ("worked", "three", "parabolic", "trees", "exhausting", "unclaimed"):
         flags = CONFIGS[name][1]
         for command, argv in COMMANDS.items():
             for fmt in ("table", "records"):

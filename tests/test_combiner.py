@@ -38,7 +38,7 @@ from hypiso.errors import (
     WitnessNotHyperbolic,
 )
 from hypiso.halfplane import HalfPlaneModel, Matrix2
-from hypiso.models import HYPERBOLIC, HYPOTHESIS_VIOLATION, IsometryClass, SpaceModel
+from hypiso.models import ELLIPTIC, HYPERBOLIC, HYPOTHESIS_VIOLATION, IsometryClass, SpaceModel
 from hypiso.records import class_invariant, parse_record, record_for_certificate, verify_record
 from hypiso.sampling import random_action_system
 from hypiso.trees import BassSerreModel, CayleyTreeModel, TreeModel
@@ -54,6 +54,7 @@ from reference import (
     verify_certificate_detailed_reference,
     walked_tags,
 )
+from test_cli_golden import UNCLAIMED
 
 
 def worked_system() -> ActionSystem:
@@ -234,9 +235,10 @@ def test_witness_search_finds_the_first_hyperbolic_word():
     # rotations of order 2 and 3: no shorter word is hyperbolic (f g is parabolic)
     rotations = _unclaimed(plane, plane.matrix(0, -1, 1, 0), plane.matrix(0, -1, 1, 1))
     for system, expected in ((rotations, "f g f g^-1"), (_unclaimed(bs, s, t), "f g")):
-        word, image = resolve_witness(system, 0)
+        word, image, cls = resolve_witness(system, 0)
         assert word == GroupWord.parse(expected)
         assert image.payload == system.actions[0].image(word).payload
+        assert cls == system.actions[0].model.classify(image) and cls.is_hyperbolic
 
 
 def test_search_without_witnesses_certifies():
@@ -280,8 +282,9 @@ def test_the_witness_search_matches_the_reference_walk():
                 with pytest.raises(WitnessNotHyperbolic, match="no hyperbolic word up to length 4"):
                     resolve_witness(system, k)
                 continue
-            word, image = resolve_witness(system, k)
+            word, image, cls = resolve_witness(system, k)
             assert (word, image.payload) == (expected[0], expected[1].payload), (system, k)
+            assert cls == system.actions[k].model.classify(expected[1]), (system, k)
     assert depths.keys() == {1, 2, 4, None}, depths  # hits on levels 0, 1 and 3, and none
 
 
@@ -348,19 +351,20 @@ def test_the_sampler_matches_the_hypothesis_gated_reference():
 
 def test_every_sampled_witness_is_one_generator_with_a_hyperbolic_image():
     # the sampler resolves no witness: each is one generator, and
-    # resolve_witness returns it with a hyperbolic image
+    # resolve_witness returns it with its image and class, hyperbolic
     for seed in range(300):
         system = random_action_system(seed)
         for i, witness in enumerate(system.witnesses):
             assert witness in [GroupWord.generator(g) for g in system.generators], (seed, i)
-            word, image = resolve_witness(system, i)
-            assert word == witness and system.actions[i].model.classify(image).tag == HYPERBOLIC, (seed, i)
+            word, image, cls = resolve_witness(system, i)
+            assert word == witness and cls == system.actions[i].model.classify(image), (seed, i)
+            assert cls.tag == HYPERBOLIC, (seed, i)
 
 
 def test_normalize_powers_plane_orders():
     system = worked_system()
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    p, q, _ = normalize_powers(system, _classes(system, f, 1), _images(system, g, 1))
+    p, q = normalize_powers(system, _classes(system, f, 1), _classes(system, g, 1))
     assert p == 2  # rho_2(f) is the projective order-2 rotation
     assert q == 2  # rho_1(g) likewise
 
@@ -372,8 +376,7 @@ def test_normalize_powers_all_hyperbolic():
     )
     system = ActionSystem(("f", "g"), [act], [GroupWord.parse("f")])
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    p, q, profile = normalize_powers(system, _classes(system, f, 0), _images(system, g, 0))
-    assert p == 1 and q == 1 and profile == ()
+    assert normalize_powers(system, _classes(system, f, 0), _classes(system, g, 0)) == (1, 1)
 
 
 def test_normalize_powers_bass_serre_order_3():
@@ -383,7 +386,7 @@ def test_normalize_powers_bass_serre_order_3():
     act2 = Action("p", plane, {"f": plane.matrix(2, 1, 1, 1), "g": plane.matrix(2, 1, 1, 1)})
     system = ActionSystem(("f", "g"), [act, act2], [GroupWord.parse("f"), GroupWord.parse("g")])
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    _, q, _ = normalize_powers(system, _classes(system, f, 1), _images(system, g, 1))
+    _, q = normalize_powers(system, _classes(system, f, 1), _classes(system, g, 1))
     assert q == 3  # elliptic image t has order 3
 
 
@@ -392,7 +395,7 @@ def test_normalize_powers_preserves_hyperbolic_data():
     # the same boundary fixed points
     system = three_action_system()
     f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    p, _, _ = normalize_powers(system, _classes(system, f, 2), _images(system, g, 2))
+    p, _ = normalize_powers(system, _classes(system, f, 2), _classes(system, g, 2))
     f2 = f**p
     for i, action in enumerate(system.actions):
         cls = action.classify_word(f)
@@ -417,10 +420,12 @@ def test_profile_partition_tags():
     p3 = HalfPlaneModel()
     act3 = Action("stage", p3, {"f": p3.matrix(0, -1, 1, 0), "g": p3.matrix(2, 1, 1, 1)})
     system = ActionSystem(("f", "g"), [act1, act2, act3])
-    f, g = GroupWord.parse("f"), GroupWord.parse("g")
-    _, _, profile = normalize_powers(system, _classes(system, f, 2), _images(system, g, 2))
-    # one entry per action before the stage's own
-    assert [partition(a.model, e) for a, e in zip(system.actions, profile)] == ["H'", "H"]
+    [stage] = combine_step(system, _running(system, GroupWord.parse("f"), 2), SearchSchedule(8)).stages
+    # one entry per action before the stage's own: the classes and g's image there
+    g = GroupWord.parse("g")
+    assert stage.profile == tuple(map(ProfileEntry, _classes(system, GroupWord.parse("f"), 1), _classes(system, g, 1),
+                                      _images(system, g, 1)))
+    assert [partition(a.model, e) for a, e in zip(system.actions, stage.profile)] == ["H'", "H"]
 
 
 def test_combine_step_trivial_when_already_hyperbolic():
@@ -488,7 +493,7 @@ def test_simultaneous_monotone_stages():
     system = three_action_system()
     schedule = SearchSchedule(8)
     cert = simultaneous_hyperbolic(system, schedule)
-    f, _ = resolve_witness(system, 0)
+    f = resolve_witness(system, 0)[0]
     assert cert.stages[0].profile == ()
     for record in cert.stages:
         if record.stage == 0:
@@ -496,10 +501,11 @@ def test_simultaneous_monotone_stages():
         if record.trivial:
             assert record.profile == ()
         else:
-            g, _ = resolve_witness(system, record.stage)
-            classes, images = _classes(system, f, record.stage), _images(system, g, record.stage)
-            p, q, profile = normalize_powers(system, classes, images)
+            g = resolve_witness(system, record.stage)[0]
+            f_classes, g_classes = _classes(system, f, record.stage), _classes(system, g, record.stage)
+            profile = tuple(map(ProfileEntry, f_classes, g_classes, _images(system, g, record.stage - 1)))
             assert record.profile == profile and len(profile) == record.stage
+            p, q = normalize_powers(system, f_classes, g_classes)
             assert (record.p, record.q) == (p, q)
             f = (f**p) ** record.a * (g**q) ** record.b
         for i in range(record.stage + 1):
@@ -755,11 +761,11 @@ def test_search_classifies_each_word_once_per_action(monkeypatch):
     # witness only when it needs one, images the witness once per action
     # and classifies and tests that one image, so no word is imaged twice
     # in one action, witnesses included.  Every witness here is claimed:
-    # stage 0 classifies its witness where it resolves it and as its class;
-    # stage k classifies f in action k and, when it searches, its witness
-    # where it resolves it, g in actions 0..k and each image of a candidate
-    # that it tests, once: the certified candidate's classes are the
-    # certificate's.  A stage's own actions, which send the letters f and g
+    # stage 0 classifies its witness where it resolves it, and keeps that
+    # class; stage k classifies f in action k and, when it searches, its
+    # witness where it resolves it, g in actions 0..k-1 and each image of a
+    # candidate that it tests, once: the certified candidate's classes are
+    # the certificate's.  A stage's own actions, which send the letters f and g
     # to f's and g's images, image each candidate at most once; they are
     # kept alive here, so that no two of them share an id.
     classified, imaged, alive = Counter(), Counter(), {}
@@ -789,10 +795,44 @@ def test_search_classifies_each_word_once_per_action(monkeypatch):
         stages = cert.stages[1:]
         own = {id(action) for action in system.actions}
         tested = sum(n for (i, _), n in imaged.items() if i not in own)
-        assert sum(classified.values()) == 2 + sum(1 + (0 if r.trivial else r.stage + 2) for r in stages) + tested
+        assert sum(classified.values()) == 1 + sum(1 + (0 if r.trivial else r.stage + 1) for r in stages) + tested
         assert [w for (i, w), n in imaged.items() if i in own and n > 1] == []
         assert [w for (i, w), n in imaged.items() if i not in own and n > 1] == []
         assert len(alive) == len(own) + sum(r.stage + 1 for r in stages if not r.trivial)
+
+
+def test_search_classifies_each_image_at_most_once(monkeypatch):
+    # every isometry that Action.image returns inside the search is
+    # classified at most once: a witness's class, claimed or found, is the
+    # one resolve_witness decided, and power normalization decides nothing.
+    # The images are kept alive here, so that no two of them share an id
+    images, classified = {}, Counter()
+    original_image = Action.image
+
+    def kept_image(self, word):
+        image = original_image(self, word)
+        images[id(image)] = image
+        return image
+
+    for model_class in (HalfPlaneModel, BassSerreModel, CayleyTreeModel):
+
+        def counted_classify(self, iso, original=model_class.classify):
+            if images.get(id(iso)) is iso:
+                classified[id(iso)] += 1
+            return original(self, iso)
+
+        monkeypatch.setattr(model_class, "classify", counted_classify)
+    monkeypatch.setattr(Action, "image", kept_image)
+    texts = [p.read_text() for p in sorted(CONFIGS.glob("*.cfg"))] + [UNCLAIMED]
+    systems = [build_action_system(parse_config(text)) for text in texts]
+    systems += [random_action_system(seed) for seed in range(100)]
+    for system in systems:
+        images.clear()
+        classified.clear()
+        simultaneous_hyperbolic(system, SearchSchedule(32))
+        assert [images[i] for i, n in classified.items() if n > 1] == [], system
+        assert classified and len(images) >= len(classified)
+    assert None in systems[len(texts) - 1].witnesses  # a found witness too
 
 
 # -- the images a certificate keeps ----------------------------------------------
@@ -946,13 +986,14 @@ def _stage_partitions(system: ActionSystem, schedule: SearchSchedule) -> list:
         cert = simultaneous_hyperbolic(system, schedule)
     except (HypothesisViolation, ScheduleExhausted):
         return []
-    f, _ = resolve_witness(system, 0)
+    f = resolve_witness(system, 0)[0]
     out = []
     for record in cert.stages[1:]:
         if record.trivial:
             continue
-        g, _ = resolve_witness(system, record.stage)
-        eager = eager_partitions(system, _classes(system, f, record.stage), _images(system, g, record.stage))
+        g = resolve_witness(system, record.stage)[0]
+        eager = eager_partitions(system, _classes(system, f, record.stage), _classes(system, g, record.stage),
+                                 _images(system, g, record.stage))
         assert eager[-1] is None  # the stage's own action has no entry
         out.append((tuple(partition(a.model, e) for a, e in zip(system.actions, record.profile)), eager[:-1]))
         f = (f**record.p) ** record.a * (g**record.q) ** record.b
@@ -1277,16 +1318,16 @@ def test_level_zero_of_the_word_tree_builds_no_child_table(monkeypatch):
         assert grown == [list(level) for level in combiner.word_tree(r, 4)]
 
 
-def _assert_batched_walk_matches(system: ActionSystem, depths) -> int:
+def _assert_batched_walk_matches(system: ActionSystem, depths, tags=(HYPERBOLIC, HYPOTHESIS_VIOLATION)) -> int:
     """tagged_words on the word tree against the reference walk, filtered by
-    the model's tag, on each action, for both tags its callers ask; the
-    plane's stacked walk against SpaceModel's default walk too.  The number
-    of violations found at the deepest depth."""
+    the model's tag, on each action, for the given tags (by default the two
+    its callers ask); the plane's stacked walk against SpaceModel's default
+    walk too.  The number of violations found at the deepest depth."""
     found = 0
     for action in system.actions:
         generators = [action.images[g] for g in system.generators]
         walked = walked_tags(system, action, max(depths))
-        for tag in (HYPERBOLIC, HYPOTHESIS_VIOLATION):
+        for tag in tags:
             for depth in depths:
                 expected = tuple((n, k) for n, k in walked.get(tag, ()) if n < depth)
                 levels = combiner.word_tree(2 * len(generators), depth)
@@ -1382,7 +1423,8 @@ def test_parabolic_words_level_zero_matches_the_walk():
 
 
 def test_tagged_words_match_the_walk_in_every_model():
-    # one to three generators at depths 1-5, for both tags: plane actions
+    # one to three generators at depths 1-5, for every tag that any model
+    # takes (the plane hands elliptic to SpaceModel's walk): plane actions
     # with forced parabolics (one with s = 3), +-I, rotations of orders 2, 3
     # and infinity beside hyperbolics, Bass-Serre actions of finite-order
     # and hyperbolic images, and Cayley actions, whose only elliptic is 1
@@ -1399,13 +1441,14 @@ def test_tagged_words_match_the_walk_in_every_model():
                 systems.append(ActionSystem(names, [Action("one", model, dict(zip(names, rng.sample(pool, n))))]))
     hits = Counter()
     for system in systems:
-        _assert_batched_walk_matches(system, (1, 2, 3, 4, 5))
+        _assert_batched_walk_matches(system, (1, 2, 3, 4, 5), SpaceModel.tags)
         for action in system.actions:
             for tag, found in walked_tags(system, action, 5).items():
                 hits[action.model.kind, tag] += len(found)
     assert {key for key, count in hits.items() if count} >= {
-        ("half_plane", HYPERBOLIC), ("half_plane", HYPOTHESIS_VIOLATION), ("bass_serre", HYPERBOLIC),
-        ("cayley_tree", HYPERBOLIC)}, hits
+        ("half_plane", HYPERBOLIC), ("half_plane", HYPOTHESIS_VIOLATION), ("half_plane", ELLIPTIC),
+        ("bass_serre", HYPERBOLIC), ("bass_serre", ELLIPTIC), ("cayley_tree", HYPERBOLIC),
+        ("cayley_tree", ELLIPTIC)}, hits
 
     def reading(levels, read):
         for level in levels:

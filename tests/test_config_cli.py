@@ -560,10 +560,10 @@ def test_one_generator_depth_checks_level_zero(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["combine", "report"])
 def test_each_word_classified_once_per_action(capsys, monkeypatch, command):
     # the hypothesis check classifies the image of each claimed witness; the
-    # search classifies plane-one's f and plane-two's g again where it
-    # resolves them and once more as their stage's class, but not tree-one's
-    # f, whose stage is trivial: every other image, each candidate's too,
-    # is classified once
+    # search classifies plane-one's f and plane-two's g once more where it
+    # resolves them, and keeps those classes, but not tree-one's f, whose
+    # stage is trivial: every other image, each candidate's too, is
+    # classified once
     seen = Counter()
     for model_class in (HalfPlaneModel, BassSerreModel, CayleyTreeModel):
 
@@ -574,7 +574,7 @@ def test_each_word_classified_once_per_action(capsys, monkeypatch, command):
         monkeypatch.setattr(model_class, "classify", counted)
     assert main([command, "--input", str(CONFIGS / "three_action.cfg")]) == 0
     capsys.readouterr()
-    assert sorted(seen.values()) == [1] * 6 + [3, 3]
+    assert sorted(seen.values()) == [1] * 6 + [2, 2]
     assert [payload for (_, payload), n in seen.items() if n > 1] == [Matrix2.of(2, 1, 1, 1)] * 2
 
 

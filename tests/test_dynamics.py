@@ -176,7 +176,7 @@ def test_ns_dynamics_matches_direct_iteration():
         for i, action in enumerate(system.actions):
             model = action.model
             kinds.add(model.kind)
-            _, image = resolve_witness(system, i)
+            _, image, _ = resolve_witness(system, i)
             sample = sample_points(model, 8, rng_from_seed(seed))
             for threshold in (1.0, 0.5):
                 args = (lab(model), image, threshold, sample, 20)

@@ -44,7 +44,7 @@ def dynamics_lines(system, seed: int) -> list[str]:
     """The N of each action's North-South check, or why it failed."""
     lines = []
     for i, action in enumerate(system.actions):
-        _, image = resolve_witness(system, i)
+        _, image, _ = resolve_witness(system, i)
         geo = lab(action.model)
         sample = cli._sample(action, geo, seed, 24, 3)
         try:
