@@ -27,7 +27,7 @@ class Action:
         # the model's require, once per image: image() composes the bare
         # payloads, and bounds their products' sizes from the generators' sizes
         self._payloads = {gen: self.model.require(iso) for gen, iso in self.images.items()}
-        self._sizes = {gen: self.model.size(iso) for gen, iso in self.images.items()}
+        self._sizes = {gen: self.model._size(p) for gen, p in self._payloads.items()}
 
     def image(self, word: GroupWord) -> Owned:
         """Composed syllable by syllable on the bare payloads (see

@@ -31,6 +31,12 @@ _SETTINGS = {
     "word-sample-depth": (3, True),
     "ball-radius": (8, True),
 }
+# each model kind, by its class's kind: the class, its parameter count, the text for another count, and whether a tree
+_KINDS = {row[0].kind: row for row in (
+    (HalfPlaneModel, 0, "takes no parameters", False),
+    (BassSerreModel, 2, "needs two factor orders", True),
+    (CayleyTreeModel, 1, "needs a rank", True),
+)}
 
 
 @dataclass
@@ -73,6 +79,7 @@ def parse_config(text: str) -> SystemConfig:
     schedule: dict[str, int] = {}
     actions: list[ActionConfig] = []
     current: Optional[ActionConfig] = None
+    seen: set[tuple] = set()  # (action count, key[, generator]) of each line: all but action lines appear once
 
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.split("#", 1)[0].strip()
@@ -80,6 +87,10 @@ def parse_config(text: str) -> SystemConfig:
             continue
         tokens = line.split()
         key = tokens[0]
+        ident = (0 if key == "generators" else len(actions), *tokens[:2 if key == "gen" else 1])
+        if ident in seen and key != "action":
+            raise ParseError(f"repeated {' '.join(ident[1:])} line", lineno)
+        seen.add(ident)
         if key == "generators":
             if len(tokens) < 2:
                 raise ParseError("generators line needs at least one name", lineno)
@@ -142,22 +153,13 @@ def _parse_action_line(action: ActionConfig, key: str, tokens: list[str], line: 
 
 def _build_model(ac: ActionConfig) -> SpaceModel:
     where = f"action {ac.name!r} model"
-    if ac.kind == "half_plane":
-        if ac.params:
-            raise ValidationError("half_plane takes no parameters", where)
-        if ac.ball_radius is not None:
-            raise ValidationError("ball-radius only applies to tree models", where)
-        return HalfPlaneModel()
-    if ac.kind == "bass_serre":
-        if len(ac.params) != 2:
-            raise ValidationError("bass_serre needs two factor orders", where)
-        cls = BassSerreModel
-    elif ac.kind == "cayley_tree":
-        if len(ac.params) != 1:
-            raise ValidationError("cayley_tree needs a rank", where)
-        cls = CayleyTreeModel
-    else:
+    if ac.kind not in _KINDS:
         raise ValidationError(f"unknown model kind {ac.kind!r}", where)
+    cls, count, wrong_count, tree = _KINDS[ac.kind]
+    if len(ac.params) != count:
+        raise ValidationError(f"{ac.kind} {wrong_count}", where)
+    if ac.ball_radius is not None and not tree:
+        raise ValidationError("ball-radius only applies to tree models", where)
     try:  # the model checks its parameters: factor orders >= 2, 1 <= rank <= 26
         return cls(*ac.params)
     except ValueError as exc:

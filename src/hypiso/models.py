@@ -20,7 +20,7 @@ HYPOTHESIS_VIOLATION = "hypothesis_violation"
 
 # The largest isometry a power (each square, and the result), a word's
 # image (after each syllable) or a Cayley tree image may be, in the units
-# of SpaceModel.size: the bits of a plane matrix's largest entry, the
+# of SpaceModel._size: the bits of a plane matrix's largest entry, the
 # letters or syllables of a tree word.  So a huge exponent costs products
 # of at most about 2**20 bits, while a finite-order isometry, whose powers
 # stay small, takes any exponent.
@@ -97,9 +97,6 @@ class SpaceModel:
 
     def identity(self) -> Owned:
         return self.own(self._one)
-
-    def size(self, iso: Owned) -> int:
-        return self._size(self.require(iso))
 
     def _power(self, p, n: int, size: int):
         """(p^n, a bound on its size) by repeated squaring, for p of at most

@@ -107,10 +107,6 @@ class RunRecord:
     word: Optional[str] = None
     lines: list[str] = field(default_factory=list)  # the body: stage, witness, stats, ... lines in order
 
-    @property
-    def witnesses(self) -> list[str]:
-        return [line for line in self.lines if line.startswith("witness ")]
-
     def emit(self) -> str:
         lines = [RECORD_HEADER, f"command {self.command}", f"status {self.status}", f"exit-code {self.exit_code}"]
         lines += [f"setting {key} {value}" for key, value in self.settings]
@@ -139,11 +135,16 @@ def parse_record(text: str) -> RunRecord:
     if not lines or lines[0].strip() != RECORD_HEADER:
         raise ParseError(f"expected header {RECORD_HEADER!r}", 1)
     rec = RunRecord(command="", status="", exit_code=-1)
+    seen: set[str] = set()  # the command, status, exit-code and word lines: each appears once
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line == "end":
             continue
         key, _, rest = line.partition(" ")
+        if key in {"command", "status", "exit-code", "word"}:
+            if key in seen:
+                raise ParseError(f"repeated {key} line", lineno)
+            seen.add(key)
         if key == "command":
             rec.command = rest
         elif key == "status":
@@ -174,7 +175,7 @@ def verify_record(system: ActionSystem, record: RunRecord) -> tuple[bool, list[s
         word = GroupWord.parse(record.word, set(system.generators))
     except ValueError as exc:
         return False, [f"bad word: {exc}"]
-    witnesses = record.witnesses
+    witnesses = [line for line in record.lines if line.startswith("witness ")]
     if len(witnesses) != system.n_actions:
         return False, [f"record lists {len(witnesses)} witnesses, system has {system.n_actions} actions"]
     return check_witnesses(system, word, witnesses)

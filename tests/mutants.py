@@ -456,6 +456,27 @@ MUTANTS = (
     Mutant("reduce-powers-cancels-only-inverses", "words.py",
            "if out and out[-1][0] == name:", "if out and out[-1] == (name, -e):",
            ("tests/test_words.py::test_free_reduction", "tests/test_words.py::test_powers")),
+    # the config builds every model kind from one table row: its parameter
+    # count and whether an action's ball-radius applies to it
+    Mutant("kinds-table-cayley-tree-takes-two-parameters", "config.py",
+           '(CayleyTreeModel, 1, "needs a rank", True)', '(CayleyTreeModel, 2, "needs a rank", True)',
+           ("tests/test_config_cli.py::test_config_error_names_its_place",
+            "tests/test_cli_golden.py::test_cli_golden")),
+    Mutant("kinds-table-plane-takes-a-ball-radius", "config.py",
+           '(HalfPlaneModel, 0, "takes no parameters", False)', '(HalfPlaneModel, 0, "takes no parameters", True)',
+           ("tests/test_config_cli.py::test_config_error_names_its_place",)),
+    # a config or a record states each of its once-only lines once: a repeat
+    # is a ParseError, not an overwrite
+    Mutant("config-keeps-a-repeated-gen", "config.py",
+           'if ident in seen and key != "action":', 'if ident in seen and key not in ("action", "gen"):',
+           ("tests/test_config_cli.py::test_config_error_names_its_place",)),
+    Mutant("config-repeats-span-actions", "config.py",
+           '(0 if key == "generators" else len(actions),', '(0 if key == "generators" else 1,',
+           ("tests/test_config_cli.py::test_a_line_may_repeat_in_another_scope",
+            "tests/test_cli_golden.py::test_cli_golden")),
+    Mutant("record-keeps-a-repeated-word", "records.py",
+           '{"command", "status", "exit-code", "word"}', '{"command", "status", "exit-code"}',
+           ("tests/test_config_cli.py::test_record_error_names_its_place",)),
 )
 
 

@@ -36,7 +36,7 @@ from hypiso.words import GroupWord, format_powers
 
 def power(model, iso, n: int):
     """iso^n, by the models' own repeated squaring."""
-    return model.own(model._power(model.require(iso), n, model.size(iso))[0])
+    return model.own(model._power(p := model.require(iso), n, model._size(p))[0])
 
 
 def bfs_distance(model, x, y) -> int:

@@ -147,7 +147,6 @@ def test_foreign_isometries_are_refused_where_they_enter(make_action):
         lambda: model.compose(foreign, own),
         lambda: model.classify(foreign),
         lambda: model.invert(foreign),
-        lambda: model.size(foreign),
     ] + [lambda n=n: power(model, foreign, n) for n in (0, 1, -1, 5)]
     for refused in refusals:
         with pytest.raises(MixedModels):

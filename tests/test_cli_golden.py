@@ -232,3 +232,60 @@ if __name__ == "__main__":
         golden.update({case: run_case(case, root, paths) for case in names})
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(names)} cases to {GOLDEN}", file=sys.stderr)
+
+
+# (file, qualified name) of every library function that the certificate
+# checker, records.verify_record, runs on the records of the golden configs
+# that certify; a comprehension counts as the function that holds it
+CHECKER_RUNS = {
+    ("actions.py", "Action.classify_word"), ("actions.py", "Action.image"), ("actions.py", "ActionSystem.n_actions"),
+    ("halfplane.py", "HalfPlaneModel._power"), ("halfplane.py", "HalfPlaneModel.classify"),
+    ("halfplane.py", "Matrix2.__mul__"), ("halfplane.py", "Matrix2.inverse"),
+    ("models.py", "IsometryClass.<lambda>"), ("models.py", "SpaceModel._power"), ("models.py", "SpaceModel.own"),
+    ("models.py", "SpaceModel.require"),
+    ("records.py", "_plane_points"), ("records.py", "_ratio"), ("records.py", "check_witnesses"),
+    ("records.py", "class_invariant"), ("records.py", "verify_record"), ("records.py", "witness_line"),
+    ("trees.py", "BassSerreModel._core_period"), ("trees.py", "BassSerreModel.cyclic_reduce"),
+    ("trees.py", "BassSerreModel.invert_word"), ("trees.py", "BassSerreModel.multiply"),
+    ("trees.py", "BassSerreModel.word_display"),
+    ("trees.py", "CayleyTreeModel._core_period"), ("trees.py", "CayleyTreeModel.cyclic_reduce"),
+    ("trees.py", "CayleyTreeModel.invert_word"), ("trees.py", "CayleyTreeModel.multiply"),
+    ("trees.py", "CayleyTreeModel.word_display"),
+    ("trees.py", "TreeHyperbolic.<lambda>"), ("trees.py", "TreeModel._fold"), ("trees.py", "TreeModel.classify"),
+    ("trees.py", "TreeModel.ray_text"),
+    ("words.py", "GroupWord.__post_init__"), ("words.py", "GroupWord.parse"),
+    ("words.py", "GroupWord.parse.<locals>.check"), ("words.py", "parse_powers"), ("words.py", "reduce_powers"),
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11")
+def test_the_checker_runs_a_pinned_set_of_functions(files, monkeypatch):
+    # what combine --verify runs, not only what it imports: the closure pin
+    # counts modules, and this pin names the plane's share (Matrix2's
+    # product, _power, classify) that the checker runs without importing
+    import hypiso
+    from hypiso import cli, records
+
+    root, paths = files
+    library, outer, ran = str(Path(hypiso.__file__).parent) + os.sep, sys.gettrace(), set()
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(library):
+            name = code.co_qualname.split(".<locals>.<", 1)[0] if code.co_name.endswith("comp>") else code.co_qualname
+            ran.add((Path(code.co_filename).name, name))
+        return None if outer is None else outer(frame, event, arg)  # a tracer already installed keeps counting
+
+    def traced(*args):
+        sys.settrace(tracer)
+        try:
+            return records.verify_record(*args)
+        finally:
+            sys.settrace(outer)
+
+    monkeypatch.setattr(cli, "verify_record", traced)
+    for name in ("worked", "three", "trees", "unclaimed"):
+        cfg, rec = paths[f"{{cfg:{name}}}"], root / f"{name}-checked.rec"
+        rec.write_text(_run(["combine", "--input", cfg, "--format", "records"])["stdout"])
+        assert _run(["combine", "--input", cfg, "--verify", str(rec)])["stdout"] == "verification: ok\n", name
+    assert sorted(ran) == sorted(CHECKER_RUNS)

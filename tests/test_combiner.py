@@ -1394,8 +1394,8 @@ def _past_int64_systems() -> tuple[ActionSystem, ActionSystem]:
 def test_batched_parabolic_words_past_int64():
     plane = HalfPlaneModel()
     big, late = _past_int64_systems()
-    assert max(plane.size(image) for image in big.actions[0].images.values()) > 30
-    assert max(plane.size(image) for image in late.actions[0].images.values()) <= 30
+    assert max(plane._size(plane.require(image)) for image in big.actions[0].images.values()) > 30
+    assert max(plane._size(plane.require(image)) for image in late.actions[0].images.values()) <= 30
     for system, f_f in ((big, (1, 0)), (late, (2, 0))):  # f f, and f f f
         assert f_f in walked_tags(system, system.actions[0], 4)[HYPOTHESIS_VIOLATION]
         assert _assert_batched_walk_matches(system, (1, 2, 3, 4)) > 0

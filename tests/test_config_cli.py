@@ -371,7 +371,8 @@ def test_cli_non_utf8_file_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["max-exponent", "ball-radius", "orbit-depth", "word-sample-depth"])
 def test_negative_setting_in_config_exit_1(tmp_path, capsys, key):
-    text = THREE_ACTION.replace("seed 0", f"seed 0\n{key} -1")
+    # a setting appears once: the negative max-exponent replaces THREE_ACTION's own
+    text = THREE_ACTION.replace("max-exponent 16\n", "").replace("seed 0", f"seed 0\n{key} -1")
     with pytest.raises(ValidationError) as err:
         parse_config(text)
     assert key in str(err.value)
@@ -716,7 +717,7 @@ def test_search_keeps_the_checker_cap_within_twice_the_cap(tmp_path, capsys):
     line = system.actions[0]
     f, g = system.witnesses
     search = line.model.compose(line.image(f), line.image(g))
-    assert line.model.size(search) <= MAX_ISOMETRY_SIZE
+    assert line.model._size(line.model.require(search)) <= MAX_ISOMETRY_SIZE
     word = f * g
     bound = sum(abs(e) * (line._sizes[gen] + 1) for gen, e in word.syllables) - 1
     assert MAX_ISOMETRY_SIZE < bound <= 2 * MAX_ISOMETRY_SIZE
@@ -884,6 +885,15 @@ CONFIG_ERRORS = [
      "generators: generator name 'f^2' cannot be written in a word"),
     ("model half_plane", "model cayley_tree 0", "action 'plane-one' model: rank must be >= 1"),
     ("model half_plane", "model bass_serre 1 3", "action 'plane-one' model: factor orders must be >= 2"),
+    ("model half_plane", "model half_plane\nball-radius 2",
+     "action 'plane-one' model: ball-radius only applies to tree models"),
+    # each line but an action line appears once in its scope: the file, or one action
+    ("generators f g", "generators f g\ngenerators f g", "line 3, col 1: repeated generators line"),
+    ("generators f g", "generators f g\nmax-exponent 3\nmax-exponent 40", "line 4, col 1: repeated max-exponent line"),
+    ("model half_plane", "model half_plane\nmodel half_plane", "line 6, col 1: repeated model line"),
+    ("model half_plane", "model half_plane\nball-radius 2\nball-radius 2", "line 7, col 1: repeated ball-radius line"),
+    ("gen f [[2, 1], [1, 1]]", "gen f [[2, 1], [1, 1]]\ngen f [[1, 1], [0, 1]]", "line 7, col 1: repeated gen f line"),
+    ("witness f", "witness f\nwitness g", "line 9, col 1: repeated witness line"),
 ]
 
 
@@ -892,6 +902,17 @@ def test_config_error_names_its_place(tmp_path, capsys, old, new, message):
     path = write(tmp_path, "bad.cfg", WORKED_EXAMPLE.replace(old, new, 1))
     assert main(["combine", "--input", path]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_line_may_repeat_in_another_scope():
+    # two actions may share a name, since records index actions, and each
+    # action has its own model, gen, witness and ball-radius lines, apart
+    # from the file's ball-radius setting
+    text = THREE_ACTION.replace("action plane-two", "action plane-one").replace("seed 0", "ball-radius 2")
+    config = parse_config(text)
+    assert [ac.name for ac in config.actions] == ["plane-one", "plane-one", "tree-one"]
+    assert (config.setting("ball-radius"), config.actions[2].ball_radius) == (2, 8)
+    assert [ac.images["f"] for ac in config.actions] == ["[[2, 1], [1, 1]]", "[[0, -1], [1, 0]]", "s t"]
 
 
 def test_a_parabolic_check_lists_at_most_max_listed_violations(tmp_path, capsys):
@@ -919,6 +940,10 @@ RECORD_ERRORS = [
     (("word f^2 g^2", "word f^ g^2"), 2, "out", "  bad word: invalid literal for int() with base 10: ''\n"),
     (("hypiso-record v1", "hypiso-record v2"), 1, "err", "error: line 1, col 1: expected header 'hypiso-record v1'\n"),
     (("command combine\n", ""), 1, "err", "error: line 1, col 1: record has no command line\n"),
+    (("word f^2 g^2", "word g\nword f^2 g^2"), 1, "err", "error: line 10, col 1: repeated word line\n"),
+    (("command combine", "command combine\ncommand report"), 1, "err", "error: line 3, col 1: repeated command line\n"),
+    (("status ok", "status ok\nstatus mismatch"), 1, "err", "error: line 4, col 1: repeated status line\n"),
+    (("exit-code 0", "exit-code 0\nexit-code 2"), 1, "err", "error: line 5, col 1: repeated exit-code line\n"),
 ]
 
 

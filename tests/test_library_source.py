@@ -173,7 +173,7 @@ def test_every_mutant_applies_once_and_names_its_tests():
     # must occur exactly once in its file, and runs the tests it names
     from mutants import MUTANTS, source
 
-    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 101
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 106
     for mutant in MUTANTS:
         assert source(mutant).read_text().count(mutant.snippet) == 1, mutant.name
         for test in mutant.tests:
@@ -206,7 +206,7 @@ def _imports(node: ast.AST, top: bool = True):
 # its boundary forms: witness lines print the class's integers), no numpy
 # and no fractions (a tree's lengths are its integers)
 CHECKER_CLOSURE = {"__init__", "records", "actions", "errors", "models", "trees", "words"}
-CHECKER_LINES = 956
+CHECKER_LINES = 954
 
 # a ceiling on the library's size, `wc -l src/hypiso/*.py`: the line count
 # the project tracks next to its timings
